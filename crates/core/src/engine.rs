@@ -5,12 +5,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_exec::{
-    eval as eval_expr, execute as execute_plan, CallSlots, ExecContext, ExecMetrics, SharedReactor,
+    dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext, SharedReactor,
 };
 use llmsql_llm::prompt::TaskSpec;
 use llmsql_llm::{
-    parse_pipe_rows, BackendPool, CompletionRequest, KnowledgeBase, LanguageModel, LlmClient,
-    PromptCoalescer, SimLlm,
+    parse_pipe_rows, BackendPool, KnowledgeBase, LanguageModel, LlmClient, PromptCoalescer, SimLlm,
 };
 use llmsql_plan::{
     bind_select, cost_plan, lint_plan, optimize_traced, schema_from_create, CostParams,
@@ -51,7 +50,7 @@ pub struct Engine {
     reactor: Option<Arc<SharedReactor>>,
     /// Deployment-scope single-flight table (attached by a scheduler):
     /// identical in-flight prompts across queries coalesce into one physical
-    /// call. `None` = per-client dedup only.
+    /// call. `None` = the client's own table (dedup within this engine).
     coalescer: Option<Arc<PromptCoalescer>>,
 }
 
@@ -143,7 +142,7 @@ impl Engine {
     /// followers are charged their logical call but issue no physical one.
     pub fn set_prompt_coalescer(&mut self, coalescer: Arc<PromptCoalescer>) {
         if let Some(client) = &mut self.client {
-            client.set_coalescer(Some(Arc::clone(&coalescer)));
+            client.set_coalescer(Arc::clone(&coalescer));
         }
         self.coalescer = Some(coalescer);
     }
@@ -190,7 +189,7 @@ impl Engine {
         // model was attached; (re)wire both on the fresh client either way.
         self.wire_hedge_gate();
         if let (Some(coalescer), Some(client)) = (&self.coalescer, &mut self.client) {
-            client.set_coalescer(Some(Arc::clone(coalescer)));
+            client.set_coalescer(Arc::clone(coalescer));
         }
         Ok(())
     }
@@ -247,9 +246,10 @@ impl Engine {
     /// Parse and execute one SQL statement under a per-call deadline (in
     /// addition to any engine-wide `EngineConfig::deadline_ms`; the tighter
     /// of the two wins). The deadline clock starts now: scans check it
-    /// between dispatch waves and fail with
+    /// between dispatch waves, a wave still in flight when it fires is
+    /// cancelled, and the query fails with
     /// [`llmsql_types::ErrorKind::DeadlineExceeded`] (carrying elapsed time
-    /// and calls issued) once it passes. Used by the scheduler to grant each
+    /// and calls issued). Used by the scheduler to grant each
     /// query only its remaining deadline budget after queueing.
     pub fn execute_with_deadline(&self, sql: &str, deadline_ms: f64) -> Result<QueryResult> {
         let statement = parse_statement(sql)?;
@@ -408,15 +408,7 @@ impl Engine {
         // under the one-shot full-query strategy, which has no per-operator
         // story to report) and keeps its metrics.
         let metrics = if analyze {
-            let mut config = self.config.clone();
-            config.deadline_ms = deadline_ms;
-            let mut ctx = ExecContext::new(self.catalog.clone(), self.client.clone(), config);
-            if let Some(slots) = &self.slots {
-                ctx = ctx.with_slots(Arc::clone(slots));
-            }
-            if let Some(reactor) = &self.reactor {
-                ctx = ctx.with_reactor(Arc::clone(reactor));
-            }
+            let ctx = self.exec_context(deadline_ms);
             execute_plan(&ctx, &plan)?;
             Some(ctx.metrics.snapshot())
         } else {
@@ -437,6 +429,22 @@ impl Engine {
         })
     }
 
+    /// The execution context of one query: this engine's catalog, client and
+    /// configuration under the query's effective deadline, dispatching
+    /// through the attached slot pool and shared reactor (if any).
+    fn exec_context(&self, deadline_ms: Option<f64>) -> ExecContext {
+        let mut config = self.config.clone();
+        config.deadline_ms = deadline_ms;
+        let mut ctx = ExecContext::new(self.catalog.clone(), self.client.clone(), config);
+        if let Some(slots) = &self.slots {
+            ctx = ctx.with_slots(Arc::clone(slots));
+        }
+        if let Some(reactor) = &self.reactor {
+            ctx = ctx.with_reactor(Arc::clone(reactor));
+        }
+        ctx
+    }
+
     fn execute_select(
         &self,
         select: &SelectStatement,
@@ -453,15 +461,7 @@ impl Engine {
             return self.execute_full_query(select, &plan, sql_text, deadline_ms);
         }
 
-        let mut config = self.config.clone();
-        config.deadline_ms = deadline_ms;
-        let mut ctx = ExecContext::new(self.catalog.clone(), self.client.clone(), config);
-        if let Some(slots) = &self.slots {
-            ctx = ctx.with_slots(Arc::clone(slots));
-        }
-        if let Some(reactor) = &self.reactor {
-            ctx = ctx.with_reactor(Arc::clone(reactor));
-        }
+        let ctx = self.exec_context(deadline_ms);
         let batch = execute_plan(&ctx, &plan)?;
         Ok(QueryResult {
             metrics: ctx.metrics.snapshot(),
@@ -471,8 +471,9 @@ impl Engine {
         })
     }
 
-    /// Send the entire SQL statement as a single prompt and parse the
-    /// completion as the result table.
+    /// Send the entire SQL statement as a single prompt — a wave of one, so
+    /// slot gating, coalescing and the mid-flight deadline are those of any
+    /// scan wave — and parse the completion as the result table.
     fn execute_full_query(
         &self,
         select: &SelectStatement,
@@ -480,10 +481,8 @@ impl Engine {
         sql_text: Option<&str>,
         deadline_ms: Option<f64>,
     ) -> Result<QueryResult> {
-        let started = Instant::now();
-        let client = self.client.as_ref().ok_or_else(|| {
-            Error::execution("full-query prompting requires an attached language model")
-        })?;
+        let ctx = self.exec_context(deadline_ms);
+        let client = ctx.require_client()?;
         let schema = plan.schema();
         let sql = match sql_text {
             Some(text) => text.to_string(),
@@ -499,65 +498,23 @@ impl Engine {
             .first()
             .and_then(|t| self.catalog.schema_of(t).ok());
         let prompt = task.to_prompt(context_schema.as_ref());
-        let backend_baseline = client.backend_stats();
-        // The one-shot path bypasses ExecContext, so it gates its global
-        // call slot (when a scheduler attached a pool) directly; a cached
-        // answer takes no slot at all.
-        let mut slot_wait_ms = None;
-        let response = client.complete_gated(&CompletionRequest::new(prompt), || {
-            self.slots.as_ref().map(|s| {
-                let (guard, waited_ms) = s.acquire();
-                slot_wait_ms = Some(waited_ms);
-                guard
-            })
-        })?;
-        // One-shot prompting has no between-wave checkpoints, so the
-        // deadline is enforced on the completion itself: a response that
-        // lands past the budget fails like a scan wave would, with the
-        // partial accounting in the message.
-        if let Some(deadline_ms) = deadline_ms {
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-            if elapsed_ms > deadline_ms {
-                return Err(Error::deadline_exceeded(format!(
-                    "query exceeded its {deadline_ms:.0}ms deadline after {elapsed_ms:.1}ms \
-                     with 1 LLM call(s) issued"
-                )));
-            }
-        }
+        let response = dispatch_one(&ctx, client, task.kind(), prompt)?;
+        // One-shot prompting has no later wave to notice a lapsed deadline:
+        // a response that lands past the budget fails like a scan would at
+        // its next between-wave check.
+        ctx.check_deadline()?;
 
         let types: Vec<DataType> = schema.fields.iter().map(|f| f.data_type).collect();
         let parsed = parse_pipe_rows(&response.text, &types);
-
-        let mut metrics = ExecMetrics::default();
-        metrics.record_llm_call(task.kind());
-        if let Some(waited_ms) = slot_wait_ms {
-            metrics.slot_waits = 1;
-            metrics.slot_wait_ms = waited_ms;
-        }
-        metrics.dropped_lines = parsed.dropped_lines as u64;
-        metrics.rows_from_llm = parsed.rows.len() as u64;
-        metrics.rows_output = parsed.rows.len() as u64;
+        ctx.metrics.update(|m| {
+            m.dropped_lines = parsed.dropped_lines as u64;
+            m.rows_from_llm = parsed.rows.len() as u64;
+            m.rows_output = parsed.rows.len() as u64;
+        });
         // Multi-backend deployments: this one prompt may have failed over /
         // retried; surface the physical per-backend deltas like plan
         // execution does.
-        if let (Some(before), Some(after)) = (backend_baseline, client.backend_stats()) {
-            for current in &after {
-                let base = before.iter().find(|b| b.id == current.id);
-                let (calls, errors, latency) = match base {
-                    Some(b) => (
-                        current.calls.saturating_sub(b.calls),
-                        current.errors.saturating_sub(b.errors),
-                        (current.latency_ms - b.latency_ms).max(0.0),
-                    ),
-                    None => (current.calls, current.errors, current.latency_ms),
-                };
-                metrics.backend_calls.insert(current.id.clone(), calls);
-                metrics.backend_errors.insert(current.id.clone(), errors);
-                metrics
-                    .backend_latency_ms
-                    .insert(current.id.clone(), latency);
-            }
-        }
+        ctx.sync_backend_metrics();
 
         let mut rows = parsed.rows;
         for row in &mut rows {
@@ -566,7 +523,7 @@ impl Engine {
 
         Ok(QueryResult {
             batch: Batch::new(schema, rows),
-            metrics,
+            metrics: ctx.metrics.snapshot(),
             plan: Some(plan.explain()),
             ..QueryResult::default()
         })

@@ -9,7 +9,7 @@ use llmsql_types::{EngineConfig, Error, Result};
 
 use crate::metrics::SharedMetrics;
 use crate::reactor::SharedReactor;
-use crate::slots::{CallSlots, SlotGuard};
+use crate::slots::CallSlots;
 
 /// Everything an operator needs: the catalog, the (optional) LLM client, the
 /// engine configuration and the metrics sink.
@@ -76,7 +76,7 @@ impl ExecContext {
 
     /// The structured `DeadlineExceeded` error with this query's partial
     /// accounting (elapsed wall time, logical calls issued so far). Used by
-    /// [`ExecContext::check_deadline`] between waves and by the reactor path
+    /// [`ExecContext::check_deadline`] between waves and by wave dispatch
     /// when the deadline fires while calls are parked mid-wave.
     pub fn deadline_error(&self) -> Error {
         let deadline_ms = self.config.deadline_ms.unwrap_or(0.0);
@@ -105,8 +105,8 @@ impl ExecContext {
         self
     }
 
-    /// The attached global slot pool, if any (the reactor path acquires
-    /// non-blockingly through it instead of via [`ExecContext::acquire_slot`]).
+    /// The attached global slot pool, if any (wave dispatch acquires from it
+    /// without blocking, one slot per request in flight).
     pub(crate) fn slots(&self) -> Option<&Arc<CallSlots>> {
         self.slots.as_ref()
     }
@@ -123,19 +123,6 @@ impl ExecContext {
     /// The attached shared reactor, if any.
     pub(crate) fn reactor(&self) -> Option<&Arc<SharedReactor>> {
         self.reactor.as_ref()
-    }
-
-    /// Acquire a global call slot before dispatching one model request,
-    /// recording the blocked time in [`crate::ExecMetrics::slot_wait_ms`].
-    /// Returns `None` (no throttling) when no pool is attached.
-    pub fn acquire_slot(&self) -> Option<SlotGuard<'_>> {
-        let slots = self.slots.as_deref()?;
-        let (guard, waited_ms) = slots.acquire();
-        self.metrics.update(|m| {
-            m.slot_waits += 1;
-            m.slot_wait_ms += waited_ms;
-        });
-        Some(guard)
     }
 
     /// Copy this query's per-backend physical-call counters (the delta since

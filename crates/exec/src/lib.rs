@@ -32,13 +32,12 @@
 //! Execution is operator-at-a-time, but the latency-critical work inside an
 //! operator is parallel: LLM-backed scans dispatch prompt waves concurrently
 //! and CPU-heavy operators fan out above a row-count threshold, all governed
-//! by `EngineConfig::parallelism`. Wave dispatch has two engines: the
-//! event-driven [`reactor`] (one thread parks on a whole wave of
-//! non-blocking submissions — the default whenever the model supports async
-//! submit) and the scoped thread pool ([`parallel::par_map`], the fallback
-//! for blocking models). Output order and (for scans) the set of issued
-//! prompts are deterministic either way, so any parallelism setting and
-//! either dispatch engine produce byte-identical results for a fixed seed.
+//! by `EngineConfig::parallelism`. Wave dispatch is event-driven: one
+//! thread parks on the [`reactor`] holding a whole wave of poll-based
+//! submissions; the scoped thread pool ([`parallel::par_map`]) serves the
+//! CPU-bound relational operators only. Output order and (for scans) the
+//! set of issued prompts are deterministic, so any parallelism setting
+//! produces byte-identical results for a fixed seed.
 
 #![warn(missing_docs)]
 
@@ -59,7 +58,7 @@ pub use executor::{
 pub use metrics::{ExecMetrics, InFlightGuard, OpStats, SharedMetrics};
 pub use parallel::{par_map, try_par_map, PAR_ROW_THRESHOLD};
 pub use reactor::{drive, Completion, DriveOutcome, SharedReactor, TimerId, TimerWheel};
-pub use scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
+pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
 pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 
 #[cfg(test)]

@@ -3,15 +3,14 @@
 //!
 //! # Why
 //!
-//! Every dispatch path before this module pinned one OS thread per in-flight
-//! request (`par_map` workers blocking inside `LlmClient::complete`), so
-//! deployment-wide concurrency was capped by thread count, not backend
-//! capacity: `SchedConfig::llm_slots = 64` needed ~64 sleeping threads. With
-//! the reactor, a scan worker *submits* its whole wave through the
-//! non-blocking API (`LanguageModel::submit` → `llmsql_llm::CallHandle`) and
-//! then parks **here**, polling the handles as their timers expire — 64
-//! in-flight simulated calls are then held by the one worker thread that
-//! planned them.
+//! Pinning one OS thread per in-flight request caps deployment-wide
+//! concurrency by thread count, not backend capacity:
+//! `SchedConfig::llm_slots = 64` would need ~64 sleeping threads. Instead a
+//! scan worker *submits* its whole wave through the poll-based API
+//! (`LanguageModel::submit` → `llmsql_llm::CallHandle`) and then parks
+//! **here**, polling the handles as their timers expire — 64 in-flight
+//! simulated calls are then held by the one worker thread that planned
+//! them.
 //!
 //! # The completion contract
 //!
@@ -241,10 +240,21 @@ impl Default for TimerWheel {
 /// operations afterwards for results; on [`DriveOutcome::DeadlineExceeded`]
 /// the unfinished ones are simply dropped — that *is* the cancellation.
 pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOutcome {
+    // First pass inline, before any loop state is built: cache hits and
+    // already-resolved handles finish here, so a wave that needs no waiting
+    // (most single-prompt waves of a cached workload) costs no timer wheel.
+    let now = Instant::now();
+    if deadline.is_some_and(|d| now >= d) {
+        return DriveOutcome::DeadlineExceeded;
+    }
+    let mut pending: Vec<usize> = (0..ops.len()).filter(|&i| !ops[i].poll(now)).collect();
+    if pending.is_empty() {
+        return DriveOutcome::Completed;
+    }
+
     let mut wheel = TimerWheel::new();
     // Per-op armed timer (cancelled on completion or re-armed on change).
     let mut armed: Vec<Option<(TimerId, Instant)>> = ops.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..ops.len()).collect();
 
     loop {
         let mut now = Instant::now();

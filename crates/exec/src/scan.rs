@@ -13,8 +13,12 @@
 //!
 //! Model calls dominate query latency, so every LLM-backed scan dispatches
 //! its prompts in *waves* of up to [`ExecContext::scan_fanout`] concurrent
-//! requests (`EngineConfig::parallelism`). Waves preserve the sequential
-//! scan's semantics exactly:
+//! requests (`EngineConfig::parallelism`). There is one dispatch path: every
+//! prompt of a wave — of one prompt or of sixty-four — becomes a poll-based
+//! `llmsql_llm::ClientCall` and the calling thread parks on the
+//! [`crate::reactor`] until the wave drains, so slot gating, single-flight
+//! coalescing and mid-flight deadlines apply to every request alike. Waves
+//! preserve the sequential scan's semantics exactly:
 //!
 //! * Prompts are planned deterministically (page offsets, tuple order), so
 //!   the prompt *set* does not depend on thread interleaving; completions are
@@ -48,7 +52,7 @@
 //! budget no matter how many physical attempts it took.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use llmsql_llm::prompt::TaskSpec;
 use llmsql_llm::{
@@ -64,7 +68,6 @@ use llmsql_types::{
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
 use crate::metrics::{InFlightGuard, SharedMetrics};
-use crate::parallel::par_map;
 use crate::reactor::{self, Completion, DriveOutcome};
 use crate::slots::CallSlots;
 
@@ -142,29 +145,20 @@ impl ScanSpec<'_> {
 // Wave dispatch
 // ---------------------------------------------------------------------------
 
-/// Issue one wave of prompts concurrently (up to the context's scan fanout),
-/// returning responses in prompt order. Every prompt is recorded as one LLM
-/// call of `kind` and tracked in the in-flight gauge while outstanding.
+/// Issue one wave of prompts concurrently, returning responses in prompt
+/// order. Every prompt is recorded as one LLM call of `kind` and tracked in
+/// the in-flight gauge while outstanding.
 ///
-/// Two dispatch engines implement the same semantics:
-///
-/// * **Event-driven** (the default whenever the model supports non-blocking
-///   submission, [`LlmClient::supports_async`]): the whole wave is submitted
-///   through poll-based [`ClientCall`]s and the calling thread parks on the
-///   [`crate::reactor`] — one OS thread holds every in-flight request of the
-///   wave, so deployment concurrency is bounded by slot capacity, not
-///   thread count.
-/// * **Thread-pool** ([`par_map`], the fallback for blocking models): one
-///   scoped worker thread per concurrent request.
-///
-/// Under a cross-query scheduler each request additionally holds a global
-/// call slot while in flight (blocking path: [`ExecContext::acquire_slot`]
-/// via [`LlmClient::complete_gated`]; reactor path: a non-blocking
-/// `try_acquire` gate with the wait spent parked, not blocked). Prompt-cache
-/// hits and single-flight followers bypass the slot pool in both. The wave
-/// is fully planned before any slot is taken, so throttling delays dispatch
-/// but never changes the prompt set, the rows, or the logical call count —
-/// and both engines return byte-identical responses in prompt order.
+/// The whole wave is submitted through poll-based [`ClientCall`]s and the
+/// calling thread parks on the [`crate::reactor`] — one OS thread holds
+/// every in-flight request of the wave, so deployment concurrency is bounded
+/// by slot capacity, not thread count. Under a cross-query scheduler each
+/// request additionally holds a global call slot while in flight (a
+/// non-blocking `try_acquire` gate, with the wait spent parked);
+/// prompt-cache hits and single-flight followers bypass the slot pool. The
+/// wave is fully planned before any slot is taken, so throttling delays
+/// dispatch but never changes the prompt set, the rows, or the logical call
+/// count.
 fn dispatch_wave(
     ctx: &ExecContext,
     client: &LlmClient,
@@ -177,6 +171,21 @@ fn dispatch_wave(
         }
     });
     dispatch_physical(ctx, client, prompts)
+}
+
+/// Dispatch a wave of one prompt (an enumeration, a one-shot full-query
+/// prompt) with the accounting, slot gating, coalescing and mid-flight
+/// deadline of any other wave; the prompt is recorded as one LLM call of
+/// `kind`.
+pub fn dispatch_one(
+    ctx: &ExecContext,
+    client: &LlmClient,
+    kind: &str,
+    prompt: String,
+) -> Result<CompletionResponse> {
+    dispatch_wave(ctx, client, kind, &[prompt])
+        .pop()
+        .expect("one prompt in, one response out")
 }
 
 /// Issue a wave of **per-tuple** prompts with tuple batching: chunks of up to
@@ -222,90 +231,24 @@ fn dispatch_wave_batched(
     out
 }
 
-/// Route an already-accounted wave to a dispatch engine. Event-driven
-/// whenever the model supports non-blocking submission; single-prompt waves
-/// only bother when a *shared* reactor is attached (a private event loop
-/// gains nothing over an inline call, but on the shared loop even a lone
-/// prompt interleaves with — and coalesces against — other queries' flights).
-fn dispatch_physical(
-    ctx: &ExecContext,
-    client: &LlmClient,
-    prompts: &[String],
-) -> Vec<Result<CompletionResponse>> {
-    if client.supports_async() && (prompts.len() > 1 || ctx.reactor().is_some()) {
-        return dispatch_wave_reactor(ctx, client, prompts);
-    }
-    par_map(ctx.scan_fanout(), prompts, |_, prompt| {
-        let _in_flight = ctx.metrics.track_in_flight();
-        client.complete_gated(&CompletionRequest::new(prompt.as_str()), || {
-            ctx.acquire_slot()
-        })
-    })
-}
-
 /// Where a [`WaveOp`] deposits its response: read by the dispatching thread
 /// after the wave drains, written by whichever thread happens to be driving
 /// the (possibly shared) reactor when the call completes.
 type ResultSlot = Arc<parking_lot::Mutex<Option<Result<CompletionResponse>>>>;
 
-/// Per-wave hedging state shared by the wave's ops: an EWMA of completed
-/// calls' in-flight time that stragglers are measured against.
-struct WaveHedgeState {
-    /// EWMA of this wave's completed primaries' in-flight time, milliseconds.
-    /// `None` until the first completion provides a baseline.
-    ewma_ms: parking_lot::Mutex<Option<f64>>,
-    multiplier: f64,
-    min_ms: f64,
-}
-
-impl WaveHedgeState {
-    fn observe(&self, sample_ms: f64) {
-        let mut ewma = self.ewma_ms.lock();
-        *ewma = Some(match *ewma {
-            None => sample_ms,
-            Some(prev) => 0.7 * prev + 0.3 * sample_ms,
-        });
-    }
-
-    /// How long an op may stay in flight before its duplicate is dispatched.
-    fn threshold(&self) -> Option<Duration> {
-        let ewma = (*self.ewma_ms.lock())?;
-        Some(Duration::from_secs_f64(
-            (ewma * self.multiplier).max(self.min_ms).max(0.0) / 1000.0,
-        ))
-    }
-}
-
-/// Wave-level hedging for one op (pool-less deployments with
-/// `EngineConfig::hedge_multiplier` set): once the wave has a completion
-/// baseline, a straggling primary gets a duplicate request and the first of
-/// the two to answer wins. The duplicate bypasses single-flight dedup and
-/// the coalescer (it must be a genuinely independent physical attempt) and,
-/// like a retry, consumes no logical budget.
-struct WaveHedge {
-    state: Arc<WaveHedgeState>,
-    client: LlmClient,
-    prompt: String,
-    /// The duplicate call, once armed.
-    call: Option<ClientCall>,
-}
-
 /// One wave entry on the reactor: a [`ClientCall`] plus this query's
-/// accounting — the in-flight gauge held for the whole flight, the
-/// non-blocking slot gate with its wait measurement, and the optional
-/// straggler hedge. Owned (`'static`) so a wave can be handed to the
-/// deployment-shared reactor where another query's worker may drive it.
+/// accounting — the in-flight gauge held for the whole flight and the
+/// non-blocking slot gate with its wait measurement. Owned (`'static`) so a
+/// wave can be handed to the deployment-shared reactor where another
+/// query's worker may drive it.
 struct WaveOp {
     metrics: SharedMetrics,
     slots: Option<Arc<CallSlots>>,
     call: ClientCall,
-    hedge: Option<WaveHedge>,
     _in_flight: InFlightGuard,
     /// When this op first found the slot pool saturated (the wait being
     /// accumulated toward `slot_wait_ms`).
     slot_wait_started: Option<Instant>,
-    /// First poll instant — the baseline for straggler detection.
-    started: Option<Instant>,
     result: ResultSlot,
     done: bool,
 }
@@ -315,13 +258,11 @@ impl Completion for WaveOp {
         if self.done {
             return true;
         }
-        let started = *self.started.get_or_insert(now);
         let metrics = &self.metrics;
         let slots = &self.slots;
         let slot_wait_started = &mut self.slot_wait_started;
-        // The admission gate, non-blocking edition: grant immediately without
-        // a pool; otherwise try_acquire and account the parked wait on grant
-        // exactly like the blocking path accounts its blocked wait.
+        // The admission gate: grant immediately without a pool; otherwise
+        // try_acquire and account the parked wait on grant.
         let mut gate = || -> Option<Box<dyn std::any::Any + Send>> {
             let Some(slots) = slots.as_ref() else {
                 return Some(Box::new(()));
@@ -344,92 +285,35 @@ impl Completion for WaveOp {
                 }
             }
         };
-        if let Some(result) = self.call.poll(now, &mut gate) {
-            if let Some(hedge) = &self.hedge {
-                if result.is_ok() {
-                    hedge
-                        .state
-                        .observe(now.saturating_duration_since(started).as_secs_f64() * 1000.0);
-                }
-            }
-            if self.call.coalesced() {
-                metrics.update(|m| m.coalesced_calls += 1);
-            }
-            *self.result.lock() = Some(result);
-            self.done = true;
-            return true;
+        let Some(result) = self.call.poll(now, &mut gate) else {
+            return false;
+        };
+        if self.call.coalesced() {
+            metrics.update(|m| m.coalesced_calls += 1);
         }
-        if let Some(hedge) = &mut self.hedge {
-            if hedge.call.is_none() {
-                if let Some(threshold) = hedge.state.threshold() {
-                    if now.saturating_duration_since(started) > threshold {
-                        hedge.call = Some(
-                            hedge
-                                .client
-                                .start_call(CompletionRequest::new(hedge.prompt.as_str()))
-                                .without_dedup(),
-                        );
-                        metrics.update(|m| m.hedges_issued += 1);
-                    }
-                }
-            }
-            if let Some(call) = &mut hedge.call {
-                if let Some(result) = call.poll(now, &mut gate) {
-                    // The duplicate answered first; the late primary is
-                    // cancelled by drop when the wave op is discarded.
-                    metrics.update(|m| m.hedges_won += 1);
-                    *self.result.lock() = Some(result);
-                    self.done = true;
-                    return true;
-                }
-            }
-        }
-        false
+        *self.result.lock() = Some(result);
+        self.done = true;
+        true
     }
 
     fn next_wakeup(&self, now: Instant) -> Option<Instant> {
-        let mut wake = self.call.next_wakeup(now);
-        if let Some(hedge) = &self.hedge {
-            if let Some(call) = &hedge.call {
-                wake = match (wake, call.next_wakeup(now)) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, None) => a,
-                    (None, b) => b,
-                };
-            } else if let (Some(started), Some(threshold)) = (self.started, hedge.state.threshold())
-            {
-                // Stored-state derived (first-poll instant + fixed offset), so
-                // the reactor's monotone-wakeup contract holds.
-                let arm_at = started + threshold;
-                wake = Some(wake.map_or(arm_at, |w| w.min(arm_at)));
-            }
-        }
-        wake
+        self.call.next_wakeup(now)
     }
 }
 
-/// The event-driven wave engine: submit every prompt as a poll-based call
-/// and park until the wave drains (or the query deadline fires mid-wave, in
-/// which case unfinished calls are cancelled by drop and reported as
-/// `DeadlineExceeded` with partial accounting). With a deployment-shared
-/// reactor attached the wave joins the shared event loop — one driving
-/// thread interleaves completions from every query — otherwise the calling
-/// thread drives a private loop for just this wave.
-fn dispatch_wave_reactor(
+/// Dispatch an already-accounted wave: submit every prompt as a poll-based
+/// call and park until the wave drains (or the query deadline fires
+/// mid-wave, in which case unfinished calls are cancelled by drop and
+/// reported as `DeadlineExceeded` with partial accounting). With a
+/// deployment-shared reactor attached the wave joins the shared event loop —
+/// one driving thread interleaves completions from every query — otherwise
+/// the calling thread drives a private loop for just this wave, whose first
+/// pass resolves cache hits and ready handles inline.
+fn dispatch_physical(
     ctx: &ExecContext,
     client: &LlmClient,
     prompts: &[String],
 ) -> Vec<Result<CompletionResponse>> {
-    // Wave-level hedging only engages without a backend pool: the pool runs
-    // its own hedging, and pooled deployments overwrite the hedge counters
-    // from backend deltas in `sync_backend_metrics`.
-    let hedge_state = (ctx.config.hedge_multiplier > 0.0 && client.pool().is_none()).then(|| {
-        Arc::new(WaveHedgeState {
-            ewma_ms: parking_lot::Mutex::new(None),
-            multiplier: ctx.config.hedge_multiplier,
-            min_ms: ctx.config.hedge_min_ms,
-        })
-    });
     let result_slots: Vec<ResultSlot> = prompts
         .iter()
         .map(|_| Arc::new(parking_lot::Mutex::new(None)))
@@ -441,15 +325,8 @@ fn dispatch_wave_reactor(
             metrics: ctx.metrics.clone(),
             slots: ctx.slots().map(Arc::clone),
             call: client.start_call(CompletionRequest::new(prompt.as_str())),
-            hedge: hedge_state.as_ref().map(|state| WaveHedge {
-                state: Arc::clone(state),
-                client: client.clone(),
-                prompt: prompt.clone(),
-                call: None,
-            }),
             _in_flight: ctx.metrics.track_in_flight(),
             slot_wait_started: None,
-            started: None,
             result: Arc::clone(slot),
             done: false,
         })
@@ -715,7 +592,7 @@ fn llm_scan_batched(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> 
         }
     }
     if !ctx.config.enable_predicate_pushdown {
-        apply_local_filter(ctx, spec, &mut rows)?;
+        apply_local_filter(spec, &mut rows)?;
     }
     Ok(rows)
 }
@@ -747,16 +624,12 @@ fn llm_scan_tuple_at_a_time(
         limit: budget,
         offset: 0,
     };
-    let responses = dispatch_wave(
+    let response = dispatch_one(
         ctx,
         client,
         enumerate.kind(),
-        &[enumerate.to_prompt(Some(spec.table_schema))],
-    );
-    let response = responses
-        .into_iter()
-        .next()
-        .expect("one enumerate prompt")?;
+        enumerate.to_prompt(Some(spec.table_schema)),
+    )?;
     let keys = parse_value_lines(&response.text, key_type);
     ctx.metrics
         .update(|m| m.dropped_lines += keys.dropped_lines as u64);
@@ -838,7 +711,7 @@ fn llm_scan_tuple_at_a_time(
     // The per-tuple strategy re-checks the predicate locally: it has the
     // attribute values in hand, so it does not need to trust the model's
     // filtering.
-    apply_local_filter(ctx, spec, &mut rows)?;
+    apply_local_filter(spec, &mut rows)?;
     Ok(rows)
 }
 
@@ -859,7 +732,7 @@ fn llm_scan_decomposed(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row
     let Ok(condition) = filter.to_sql_text() else {
         // Not renderable (should not happen) — fall back to local evaluation.
         let mut rows = rows;
-        apply_local_filter(ctx, spec, &mut rows)?;
+        apply_local_filter(spec, &mut rows)?;
         return Ok(rows);
     };
     let key_idx = spec.key_column();
@@ -1028,8 +901,7 @@ fn widen_row(indices: &[usize], partial: Row, arity: usize) -> Row {
 
 /// Apply the pushed filter locally (rows with missing evidence are kept out
 /// only when the predicate definitively fails — NULL-tolerant).
-fn apply_local_filter(ctx: &ExecContext, spec: &ScanSpec<'_>, rows: &mut Vec<Row>) -> Result<()> {
-    let _ = ctx;
+fn apply_local_filter(spec: &ScanSpec<'_>, rows: &mut Vec<Row>) -> Result<()> {
     if let Some(filter) = spec.pushed_filter {
         let mut out = Vec::with_capacity(rows.len());
         for row in rows.drain(..) {

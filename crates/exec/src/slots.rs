@@ -11,7 +11,7 @@
 //!
 //! The slot/ticket contract (relied on by `llmsql-sched`):
 //!
-//! * A slot is held only for the duration of one `LlmClient::complete` call
+//! * A slot is held only for the duration of one dispatched model request
 //!   and released on every exit path (RAII guard) — slots are never held
 //!   across waves, so waiting for a slot cannot deadlock: some holder is
 //!   always inside a completion that finishes.
@@ -144,11 +144,11 @@ impl CallSlots {
     }
 
     /// Fold an externally measured blocked wait into the contention counters.
-    /// The event-driven dispatch path waits for capacity by re-polling
+    /// Wave dispatch waits for capacity by re-polling
     /// [`CallSlots::try_acquire_owned`] from its reactor instead of blocking
     /// in [`CallSlots::acquire`]; the time it spent parked must still show up
     /// in `contended_acquisitions` / `total_wait_ms`, or over-subscription
-    /// would become invisible exactly when the async core is in use. Zero
+    /// would be invisible. Zero
     /// waits are ignored, keeping the "only real waits are charged"
     /// invariant.
     pub fn record_blocked_wait(&self, waited_us: u64) {

@@ -23,16 +23,38 @@
 //!    scan workers at once; implementations must not funnel requests through
 //!    one lock (interior counters should be atomics).
 //!
-//! # Failover
+//! # The dispatch protocol
 //!
-//! [`BackendPool::complete`] orders the backends by the configured
-//! [`RoutingPolicy`], then walks that candidate list: each candidate gets at
-//! most `1 + retries` attempts with exponential backoff between attempts
-//! (`backoff_base_ms * 2^attempt`, capped). The first success wins; if every
-//! candidate is exhausted the last error is returned. Retries and failover
-//! attempts are *physical* calls — they show up in the per-backend counters
-//! ([`BackendPool::stats`]) but never in the engine's logical call budget
-//! (`max_llm_calls`), which counts prompts, not attempts.
+//! There is one way a request travels through a pool:
+//! [`BackendPool::submit_call`] returns a [`PoolCall`], a poll-driven state
+//! machine that performs the *entire* routing protocol without blocking or
+//! spawning. An event loop (`llmsql_exec::reactor`) polls many of them from
+//! one thread; [`BackendPool::complete`] is the same machine driven by
+//! [`CallHandle::wait`] for callers that have no loop.
+//!
+//! * **Candidate walk.** The backends are ordered by the configured
+//!   [`RoutingPolicy`]; each candidate gets at most `1 + retries` attempts
+//!   with exponential backoff between attempts (`backoff_base_ms *
+//!   2^attempt`, capped). The first success wins; if every candidate is
+//!   exhausted the last error is returned. Backoff is a timer surfaced
+//!   through [`CallMachine::next_wakeup`], never a sleep.
+//! * **Attempts are handles.** Each attempt is one [`Backend::submit`]: it
+//!   returns a [`CallHandle`] at once and must not wait out the round trip.
+//!   [`CallHandle::poll`] is non-blocking and yields the result exactly once
+//!   (`None` while pending, and again after the result was taken);
+//!   [`CallHandle::next_wakeup`] says when polling can next make progress,
+//!   so a parked caller never spins. The default `submit` is a blocking
+//!   adapter — `complete` runs inline and the handle comes back resolved —
+//!   so any backend works, but one that can separate *computing* a response
+//!   from *waiting out* its latency (like [`RemoteLlm`]) returns a
+//!   timer-backed handle and lets one thread hold many requests in flight.
+//! * **Cancellation is dropping.** A dropped in-flight handle or
+//!   [`PoolCall`] releases its per-backend `in_flight` gauges, a half-open
+//!   probe claim and a hedge's slot permit; nothing keeps running elsewhere.
+//! * **Accounting.** Retries, failover attempts and hedges are *physical*
+//!   calls — they show up in the per-backend counters
+//!   ([`BackendPool::stats`]) but never in the engine's logical call budget
+//!   (`max_llm_calls`), which counts prompts, not attempts.
 //!
 //! # Circuit breaker (backend health tracking)
 //!
@@ -94,8 +116,9 @@
 //! # Latency tracking and hedged requests (tail-latency control)
 //!
 //! Every backend slot keeps a lock-free exponentially-weighted moving
-//! average of its *measured* request latency (wall-clock time around
-//! [`Backend::complete`], updated on success only — distinct from
+//! average of its *measured* request latency (wall-clock time from
+//! [`Backend::submit`] to the handle resolving, updated on success only —
+//! distinct from
 //! [`BackendStats::latency_ms`], which accumulates the *reported* simulated
 //! latencies). The EWMA powers two mechanisms:
 //!
@@ -105,25 +128,28 @@
 //! * **Hedged requests** ([`BackendPool::with_hedging`]). A request is *late*
 //!   once it has been in flight longer than
 //!   `multiplier × (lowest EWMA among healthy backends)`, floored at
-//!   `min_ms`. A late request gets exactly one duplicate ("hedge") on a
-//!   different healthy backend; the first success wins and the loser is
-//!   **cancelled by abandonment** — its thread runs to completion but its
-//!   response is discarded.
+//!   `min_ms`. Every hedgeable request arms a timer for that instant when
+//!   its primary launches; if the timer expires while the primary is still
+//!   working, exactly one duplicate ("hedge") goes to a different healthy
+//!   backend. The first success wins and the loser is dropped, which
+//!   cancels it; the time a beaten flight had already taken is folded into
+//!   its backend's EWMA where it exceeds the estimate, so a member that only
+//!   ever loses still gets sampled. Because arming a timer costs nothing, a
+//!   one-off stall on a usually-fast backend is hedged just like a
+//!   chronically slow one.
 //!
 //! The hedging contract:
 //!
 //! * **A hedge may fire only when** (a) hedging is enabled
 //!   (`multiplier > 0`) and the pool has ≥ 2 backends, (b) at least one
 //!   healthy backend has a latency sample (otherwise "late" is undefined and
-//!   the request falls back to the plain candidate walk), (c) the primary's
-//!   breaker is closed, (d) the primary is unsampled (exploration) or its
-//!   own EWMA predicts it will exceed the threshold — requests expected to
-//!   finish on time take the plain walk and pay no per-request thread
-//!   spawn, and (e) the hedge admission gate grants capacity
+//!   the request takes the plain candidate walk), (c) the primary's breaker
+//!   is closed, and (d) the hedge admission gate grants capacity
 //!   ([`BackendPool::set_hedge_permit_gate`] — wired to
 //!   `CallSlots::try_acquire_owned` under a cross-query scheduler, so a
 //!   hedge only ever uses *spare* slot capacity and never queues behind
-//!   planned work).
+//!   planned work). A veto disarms the hedge for good: the gate is consulted
+//!   once per request.
 //! * **Rows can never change**: pooled backends are fingerprint-equal
 //!   (contract rule 1), so primary and hedge produce byte-identical text;
 //!   whichever wins, the caller sees the same completion.
@@ -131,50 +157,13 @@
 //!   up in [`BackendStats::hedges`] / [`BackendStats::hedges_won`] and the
 //!   per-backend call counters, holds one call slot (the permit) for its
 //!   whole flight, but never consumes the engine's logical `max_llm_calls`
-//!   budget (which counts prompts, like retries). One caveat: when a hedge
-//!   wins, the abandoned primary's tail keeps running after the caller's
-//!   slot is released, so global in-flight can transiently exceed the slot
-//!   pool by the number of hedges currently winning.
+//!   budget (which counts prompts, like retries).
 //! * Hedging, like the breaker, trades physical-trace reproducibility for
 //!   latency: whether a hedge fires depends on wall-clock timing. Completion
 //!   text, rows, and logical call counts are unaffected.
-//!
-//! # Non-blocking dispatch (`submit` / [`CallHandle`])
-//!
-//! [`Backend::complete`] blocks its calling thread for the whole round trip,
-//! which pins one OS thread per in-flight request. [`Backend::submit`] is the
-//! completion-based alternative: it returns a [`CallHandle`] immediately, and
-//! the caller polls the handle (typically from an event loop such as
-//! `llmsql_exec::reactor`) until the result is ready. The contract:
-//!
-//! * `submit` must not block on the simulated/remote round trip. The default
-//!   implementation is a **blocking adapter** — it runs `complete` inline and
-//!   returns an already-resolved handle — so every existing backend keeps
-//!   working unchanged; backends that can separate *computing* a response
-//!   from *waiting out* its latency (like [`RemoteLlm`]) override it and
-//!   return a timer-backed handle. [`Backend::supports_async`] advertises
-//!   which case a backend is.
-//! * [`CallHandle::poll`] is non-blocking and returns the result exactly once
-//!   (`None` while pending, and again after the result was taken);
-//!   [`CallHandle::next_wakeup`] tells the event loop when polling can next
-//!   make progress, so a parked worker never spins.
-//! * **Cancellation is dropping the handle.** A dropped in-flight handle
-//!   releases its per-backend `in_flight` gauge and (for a half-open probe)
-//!   the breaker's probe flag; nothing keeps running on another thread. This
-//!   is what makes hedge-loser abandonment free in the async path.
-//!
-//! [`BackendPool`] exposes the same shape one level up:
-//! [`BackendPool::submit_call`] returns a [`PoolCall`] — a poll-driven state
-//! machine that performs the *entire* routing protocol (candidate walk,
-//! bounded retry with backoff timers, breaker skips and probes, and
-//! **timer-armed hedging**) without blocking or spawning. Timer-armed hedging
-//! closes a gap in the blocking path: because arming a timer costs nothing,
-//! *every* hedgeable request gets one, so a one-off stall on a usually-fast
-//! backend is hedged too — not just requests whose backend was already
-//! expected to be late.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use llmsql_types::{
@@ -199,7 +188,7 @@ pub trait CallMachine: Send {
 
 /// The completion handle returned by [`Backend::submit`] /
 /// `LanguageModel::submit`: a one-shot, poll-based future for a single
-/// logical completion. See the module docs ("Non-blocking dispatch") for the
+/// logical completion. See the module docs ("The dispatch protocol") for the
 /// poll/cancel contract.
 pub struct CallHandle {
     inner: HandleInner,
@@ -266,6 +255,13 @@ impl CallHandle {
             HandleInner::Machine(machine) => machine.next_wakeup(now),
         }
     }
+
+    /// Block the calling thread until the handle resolves: poll, then sleep
+    /// to [`CallHandle::next_wakeup`]. This is how every blocking `complete`
+    /// in this crate is built from its `submit`.
+    pub fn wait(mut self) -> Result<CompletionResponse> {
+        crate::wait::block_on(|now| self.poll(now).ok_or_else(|| self.next_wakeup(now)))
+    }
 }
 
 /// One completion endpoint. See the module docs for the full contract.
@@ -283,12 +279,6 @@ pub trait Backend: Send + Sync {
     /// comes back already resolved, so existing backends work unchanged.
     fn submit(&self, request: &CompletionRequest, attempt: usize) -> CallHandle {
         CallHandle::ready(self.complete(request, attempt))
-    }
-
-    /// True when [`Backend::submit`] returns without blocking on the round
-    /// trip (i.e. the backend overrides the default blocking adapter).
-    fn supports_async(&self) -> bool {
-        false
     }
 
     /// Semantic fingerprint of the model this endpoint serves (contract
@@ -390,28 +380,6 @@ impl RemoteLlm {
     fn effective_latency_ms(&self, prompt: &str) -> f64 {
         self.latency_ms * self.chaos_effect(prompt).latency_factor
     }
-
-    /// The deterministic outcome of one attempt — the failure decision plus,
-    /// on success, the inner model's completion re-priced with this
-    /// endpoint's own cost model; the text is the inner model's verbatim
-    /// (contract rule 1). Reported latency covers this endpoint's network
-    /// round trip too, so a slow backend is distinguishable from a fast one
-    /// in per-backend metrics. Shared by the blocking and async paths, so
-    /// both produce byte-identical responses and failure traces.
-    fn attempt_outcome(
-        &self,
-        request: &CompletionRequest,
-        attempt: usize,
-    ) -> Result<CompletionResponse> {
-        if self.attempt_fails(&request.prompt, attempt) {
-            return Err(Error::llm(format!(
-                "backend '{}' failed attempt {attempt} (simulated endpoint error)",
-                self.id
-            )));
-        }
-        let response = self.inner.complete(request)?;
-        Ok(reprice_response(self.cost_model, self.latency_ms, response))
-    }
 }
 
 /// Re-price an inner model's completion as served by one endpoint: the
@@ -433,11 +401,11 @@ fn reprice_response(
     }
 }
 
-/// The async flight of one [`RemoteLlm`] attempt: first the inner model's
+/// The flight of one [`RemoteLlm`] attempt: first the inner model's
 /// (possibly timer-backed) completion, then this endpoint's own simulated
 /// round trip as a second timer — so a latency-bearing inner model never
-/// blocks the reactor thread, and the serial wall time matches the blocking
-/// path (inner time + endpoint latency).
+/// blocks the polling thread, and the serial wall time is inner time plus
+/// endpoint latency.
 struct RemoteCall {
     inner: CallHandle,
     endpoint_latency: Duration,
@@ -477,19 +445,18 @@ impl Backend for RemoteLlm {
     }
 
     fn complete(&self, request: &CompletionRequest, attempt: usize) -> Result<CompletionResponse> {
-        let round_trip_ms = self.effective_latency_ms(&request.prompt);
-        if round_trip_ms > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(round_trip_ms / 1000.0));
-        }
-        self.attempt_outcome(request, attempt)
+        self.submit(request, attempt).wait()
     }
 
-    /// Native non-blocking submission: the failure decision is made now, the
-    /// inner model is submitted through *its* non-blocking API (so an inner
-    /// model with its own simulated latency contributes a timer, not a
-    /// sleep), and this endpoint's round trip becomes a second timer on the
-    /// returned handle. This is the backend that lets one OS thread hold
-    /// arbitrarily many in-flight simulated requests.
+    /// One attempt: the failure decision is made now — a pure function of
+    /// `(backend, prompt, attempt)`, contract rule 2 — the inner model is
+    /// submitted through *its* non-blocking API (so an inner model with its
+    /// own simulated latency contributes a timer, not a sleep), and this
+    /// endpoint's round trip becomes a second timer on the returned handle.
+    /// On success the inner model's text is kept verbatim (contract rule 1)
+    /// and re-priced with this endpoint's cost model. This is the backend
+    /// that lets one OS thread hold arbitrarily many in-flight simulated
+    /// requests.
     fn submit(&self, request: &CompletionRequest, attempt: usize) -> CallHandle {
         // Chaos latency storms stretch the wall-clock timers; the *reported*
         // latency (and therefore cost/latency accounting) stays the spec's.
@@ -515,10 +482,6 @@ impl Backend for RemoteLlm {
             endpoint_latency_ms: self.latency_ms,
             staged: None,
         }))
-    }
-
-    fn supports_async(&self) -> bool {
-        true
     }
 
     fn fingerprint(&self) -> String {
@@ -593,20 +556,6 @@ fn round_latency_us(latency_ms: f64) -> u64 {
         us as u64 // saturating cast: an absurd finite latency pins at u64::MAX
     } else {
         0
-    }
-}
-
-/// Decrements a slot's in-flight gauge on every exit path, including a
-/// panicking [`Backend::complete`] (hedged dispatch catches the unwind and
-/// must not leave the gauge stuck).
-struct InFlightDecrement<'a>(&'a AtomicU64);
-
-impl Drop for InFlightDecrement<'_> {
-    fn drop(&mut self) {
-        // ordering: Relaxed — the in-flight gauge is an advisory statistic
-        // (least-in-flight routing reads it as a hint); no memory is
-        // published under it.
-        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -749,26 +698,9 @@ impl BreakerState {
     }
 }
 
-/// Unwind guard for the half-open probe: if `Backend::complete` panics while
-/// serving the probe, the probe claim is released on the way out so the
-/// backend is probed again immediately instead of being short-circuited
-/// forever. Defused on every normal path ([`BreakerState`]'s
-/// `on_success`/`on_error` resolve the claim there).
-struct ProbeAbortGuard<'a> {
-    breaker: &'a BreakerState,
-    armed: bool,
-}
-
-impl Drop for ProbeAbortGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.breaker.abort_probe();
-        }
-    }
-}
-
-/// The per-backend state hedge worker threads need to outlive a single
-/// `complete` call (counters and breaker live behind one `Arc`).
+/// The per-backend state a [`PoolCall`] carries for each candidate (counters
+/// and breaker live behind one `Arc`, so a call can outlive a borrow of the
+/// pool).
 #[derive(Default)]
 struct SlotShared {
     counters: SlotCounters,
@@ -776,17 +708,8 @@ struct SlotShared {
 }
 
 impl SlotShared {
-    /// Record one successful attempt: reported-latency accumulator, the
-    /// measured-latency EWMA (plus its staleness clock for decayed reads),
-    /// and the breaker reset. Shared by the blocking walk, the hedge worker
-    /// threads and the async [`PoolCall`] machine so all three account
-    /// identically.
-    ///
-    /// A sample landing after the estimate went stale (idle ≥ 2 decay
-    /// half-lives) *replaces* the average instead of merging into it: the
-    /// decayed read already declared the old value untrustworthy, so letting
-    /// it drag the fresh observation would keep a recovered backend pinned
-    /// to its obsolete history for many more samples.
+    /// Record one successful attempt: reported-latency accumulator and the
+    /// measured-latency EWMA. Primary and hedge flights account alike.
     fn record_success(
         &self,
         reported_latency_ms: f64,
@@ -794,12 +717,25 @@ impl SlotShared {
         now_ms: u64,
         decay_half_life_ms: f64,
     ) {
-        // ordering: Relaxed — latency_us is a monotone statistic;
-        // last_sample_ms is a freshness hint where a stale read only makes
-        // one sample merge instead of replace (both outcomes valid).
+        // ordering: Relaxed — latency_us is a monotone statistic.
         self.counters
             .latency_us
             .fetch_add(round_latency_us(reported_latency_ms), Ordering::Relaxed);
+        self.observe_latency(measured_ms, now_ms, decay_half_life_ms);
+    }
+
+    /// Fold one measured latency into the EWMA and restart its staleness
+    /// clock (for decayed reads).
+    ///
+    /// A sample landing after the estimate went stale (idle ≥ 2 decay
+    /// half-lives) *replaces* the average instead of merging into it: the
+    /// decayed read already declared the old value untrustworthy, so letting
+    /// it drag the fresh observation would keep a recovered backend pinned
+    /// to its obsolete history for many more samples.
+    fn observe_latency(&self, measured_ms: f64, now_ms: u64, decay_half_life_ms: f64) {
+        // ordering: Relaxed — last_sample_ms is a freshness hint where a
+        // stale read only makes one sample merge instead of replace (both
+        // outcomes valid).
         let last = self.counters.last_sample_ms.load(Ordering::Relaxed);
         let stale = decay_half_life_ms > 0.0
             && last != 0
@@ -813,6 +749,21 @@ impl SlotShared {
         self.counters
             .last_sample_ms
             .store(now_ms.max(1), Ordering::Relaxed);
+    }
+
+    /// Fold in a *lower bound* on this backend's latency: the time a flight
+    /// had already taken when a hedge beat it. The flight is about to be
+    /// cancelled, so this is the only sample it will give; where the bound
+    /// exceeds the current estimate it is informative. Without it a slow
+    /// member whose every request is hedged away stays unsampled, and
+    /// latency-aware routing keeps exploring it first.
+    fn observe_latency_at_least(&self, elapsed_ms: f64, now_ms: u64, decay_half_life_ms: f64) {
+        if self
+            .decayed_ewma(now_ms, decay_half_life_ms)
+            .is_none_or(|estimate_ms| elapsed_ms > estimate_ms)
+        {
+            self.observe_latency(elapsed_ms, now_ms, decay_half_life_ms);
+        }
     }
 
     /// Record one failed attempt; returns true when the breaker just opened
@@ -885,16 +836,6 @@ pub struct BackendPool {
     decay_half_life_ms: f64,
     /// Monotonic base for the breakers' cooldown clocks.
     epoch: Instant,
-}
-
-/// The dispatch decision for one hedged request.
-struct HedgePlan {
-    /// Candidate index serving the primary attempt.
-    primary: usize,
-    /// Candidate index the hedge goes to if the primary is late.
-    hedge: usize,
-    /// In-flight time after which the primary counts as late, milliseconds.
-    threshold_ms: f64,
 }
 
 /// Hard cap on a single backoff sleep so a misconfigured base cannot stall
@@ -1180,240 +1121,12 @@ impl BackendPool {
         order
     }
 
-    /// Route one request. With hedging enabled and a viable hedge plan, the
-    /// request goes through hedged dispatch; otherwise it takes the plain
-    /// candidate walk with bounded retry, backoff and breaker skips. Either
-    /// way the caller sees exactly one logical completion (or the last error
-    /// once every candidate is exhausted).
-    fn route(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-        let order = self.candidate_order(request);
-        if self.hedge_multiplier > 0.0 {
-            if let Some(plan) = self.hedge_plan(&order) {
-                return self.route_hedged(request, &order, plan);
-            }
-        }
-        self.route_walk(request, &order)
-    }
-
-    /// The plain candidate walk: bounded per-backend retry with exponential
-    /// backoff, skipping backends whose circuit breaker is open. Physical
-    /// attempts are recorded in the per-backend counters.
-    fn route_walk(
-        &self,
-        request: &CompletionRequest,
-        order: &[usize],
-    ) -> Result<CompletionResponse> {
-        let mut last_err = None;
-        let mut short_circuited = 0usize;
-        for &idx in order {
-            let slot = &self.slots[idx];
-            let probe = if self.breaker_threshold > 0 {
-                match slot.shared.breaker.admission(self.now_ms()) {
-                    Admission::Skip => {
-                        // ordering: Relaxed — statistics counter.
-                        slot.shared
-                            .counters
-                            .short_circuits
-                            .fetch_add(1, Ordering::Relaxed);
-                        short_circuited += 1;
-                        continue;
-                    }
-                    Admission::Probe => true,
-                    Admission::Normal => false,
-                }
-            } else {
-                false
-            };
-            // A half-open probe is a single attempt: burning the retry budget
-            // on a backend still suspected down defeats the breaker.
-            let max_attempt = if probe { 0 } else { self.retries };
-            match run_attempts(
-                slot.backend.as_ref(),
-                &slot.shared,
-                request,
-                max_attempt,
-                self.backoff_base_ms,
-                probe,
-                self.breaker_threshold,
-                self.breaker_cooldown_ms,
-                self.decay_half_life_ms,
-                self.epoch,
-            ) {
-                Ok(response) => return Ok(response),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            if short_circuited > 0 {
-                Error::llm(format!(
-                    "all {short_circuited} backend(s) are circuit-broken; retry after the cooldown"
-                ))
-            } else {
-                Error::llm("backend pool has no backends")
-            }
-        }))
-    }
-
-    /// Decide whether this request can be hedged, and how (see the module
-    /// docs for the conditions). `None` falls back to the plain walk.
-    ///
-    /// On top of the shared candidate selection ([`Self::hedge_candidates`])
-    /// the *blocking* path applies a spawn-free fast-path veto: a primary
-    /// whose own (decayed) EWMA predicts an on-time finish skips hedged
-    /// dispatch entirely, so the common case pays no worker-thread spawn or
-    /// request clone. The async path needs no such veto — arming a timer is
-    /// free — which is exactly what makes it catch one-off stalls the
-    /// blocking path cannot (timer-armed hedging).
-    fn hedge_plan(&self, order: &[usize]) -> Option<HedgePlan> {
-        let plan = self.hedge_candidates(order)?;
-        let now_ms = self.now_ms();
-        if self.slots[plan.primary]
-            .shared
-            .decayed_ewma(now_ms, self.decay_half_life_ms)
-            .is_some_and(|expected_ms| expected_ms <= plan.threshold_ms)
-        {
-            return None;
-        }
-        Some(plan)
-    }
-
-    /// Hedged dispatch: run the primary on a worker thread; once it is late
-    /// per the plan, issue one hedge to a different backend (if the gate
-    /// grants capacity) and take the first success. The loser is abandoned —
-    /// its thread finishes into a closed channel. Failures still fail over
-    /// across the remaining candidates like the plain walk.
-    fn route_hedged(
-        &self,
-        request: &CompletionRequest,
-        order: &[usize],
-        plan: HedgePlan,
-    ) -> Result<CompletionResponse> {
-        let (tx, rx) = mpsc::channel::<(bool, Result<CompletionResponse>)>();
-        let spawn_worker =
-            |idx: usize, is_hedge: bool, permit: Option<Box<dyn std::any::Any + Send>>| {
-                let backend = Arc::clone(&self.slots[idx].backend);
-                let shared = Arc::clone(&self.slots[idx].shared);
-                let request = request.clone();
-                let retries = self.retries;
-                let backoff_base_ms = self.backoff_base_ms;
-                let breaker_threshold = self.breaker_threshold;
-                let breaker_cooldown_ms = self.breaker_cooldown_ms;
-                let decay_half_life_ms = self.decay_half_life_ms;
-                let epoch = self.epoch;
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    // Exactly one send per worker, even if the backend panics:
-                    // the receiver counts outstanding workers and must never
-                    // block on a message that will not come.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_attempts(
-                            backend.as_ref(),
-                            &shared,
-                            &request,
-                            retries,
-                            backoff_base_ms,
-                            false,
-                            breaker_threshold,
-                            breaker_cooldown_ms,
-                            decay_half_life_ms,
-                            epoch,
-                        )
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(Error::llm(format!(
-                            "backend '{}' panicked while serving a hedged request",
-                            backend.id()
-                        )))
-                    });
-                    drop(permit); // hedge slot held for the whole flight
-                    let _ = tx.send((is_hedge, result)); // receiver may be gone (abandoned)
-                });
-            };
-
-        spawn_worker(plan.primary, false, None);
-        let mut outstanding = 1usize;
-        let mut hedged = false;
-        let mut last_err = None;
-
-        match rx.recv_timeout(Duration::from_secs_f64(plan.threshold_ms / 1000.0)) {
-            Ok((_, Ok(response))) => return Ok(response),
-            Ok((_, Err(e))) => {
-                // Primary exhausted its retries before going late: plain
-                // failover across the remaining candidates.
-                outstanding = 0;
-                last_err = Some(e);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // The primary is late. Fire the hedge if capacity is spare.
-                if let Some(permit) = self.hedge_permit() {
-                    // ordering: Relaxed — statistics counter.
-                    self.slots[plan.hedge]
-                        .shared
-                        .counters
-                        .hedges
-                        .fetch_add(1, Ordering::Relaxed);
-                    spawn_worker(plan.hedge, true, Some(permit));
-                    outstanding = 2;
-                    hedged = true;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Unreachable (workers always send), kept defensive.
-                outstanding = 0;
-                last_err = Some(Error::llm("hedged dispatch worker vanished"));
-            }
-        }
-
-        for _ in 0..outstanding {
-            match rx.recv() {
-                Ok((is_hedge, Ok(response))) => {
-                    if is_hedge {
-                        // ordering: Relaxed — statistics counter.
-                        self.slots[plan.hedge]
-                            .shared
-                            .counters
-                            .hedges_won
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(response);
-                }
-                Ok((_, Err(e))) => last_err = Some(e),
-                Err(_) => {
-                    last_err = Some(Error::llm("hedged dispatch worker vanished"));
-                    break;
-                }
-            }
-        }
-
-        // Primary (and hedge, if any) failed: fail over across the rest.
-        let rest: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&i| i != plan.primary && !(hedged && i == plan.hedge))
-            .collect();
-        if rest.is_empty() {
-            return Err(last_err.unwrap_or_else(|| Error::llm("backend pool has no backends")));
-        }
-        self.route_walk(request, &rest)
-    }
-
-    /// Consult the hedge admission gate; `Some` carries the permit the hedge
-    /// worker holds while in flight (a no-op token when no gate is wired).
-    fn hedge_permit(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        let gate = self.hedge_gate.lock().clone();
-        match gate {
-            None => Some(Box::new(())),
-            Some(gate) => gate(),
-        }
-    }
-
-    /// Non-blocking submission: the whole routing protocol — candidate walk,
+    /// Route one request: the whole routing protocol — candidate walk,
     /// bounded retry with backoff timers, breaker skips/probes, timer-armed
     /// hedging — as a poll-driven [`PoolCall`] machine. The caller (usually
     /// an event loop holding many of these) polls it to completion; dropping
-    /// it mid-flight cancels cleanly. Semantically identical to
-    /// [`BackendPool::complete`]: same candidate order, same deterministic
-    /// attempt trace, same response text.
+    /// it mid-flight cancels cleanly. [`BackendPool::complete`] is this,
+    /// waited on.
     pub fn submit_call(&self, request: &CompletionRequest) -> PoolCall {
         let order = self.candidate_order(request);
         let cands: Vec<PoolCandidate> = order
@@ -1423,11 +1136,8 @@ impl BackendPool {
                 shared: Arc::clone(&self.slots[i].shared),
             })
             .collect();
-        // Timer-armed hedge plan: like `hedge_plan`, minus the
-        // expected-on-time veto — arming a timer costs nothing here, so even
-        // a usually-fast primary is protected against a one-off stall.
         let hedge_plan = if self.hedge_multiplier > 0.0 {
-            self.hedge_candidates(&order)
+            self.hedge_plan(&order)
         } else {
             None
         };
@@ -1444,31 +1154,25 @@ impl BackendPool {
             pos: 0,
             attempt: 0,
             flight: None,
-            hedge_threshold_ms: hedge_plan.as_ref().map(|p| p.threshold_ms),
-            hedge_target: hedge_plan.map(|p| {
-                order
-                    .iter()
-                    .position(|&i| i == p.hedge)
-                    .expect("hedge target is a member of the candidate order")
-            }),
+            hedge_plan,
             hedge_fire_at: None,
             hedge_flight: None,
             hedge_used: None,
             hedge_gate: self.hedge_gate.lock().clone(),
-            hedge_permit: None,
+            held_permit: None,
             last_err: None,
             short_circuited: 0,
         }
     }
 
-    /// The hedge-candidate selection shared by both dispatch paths: a
-    /// request is hedgeable when its primary's breaker is closed and a
-    /// sampled healthy sibling defines the (decayed-EWMA) lateness floor;
-    /// the hedge target is the fastest-known healthy sibling. The blocking
-    /// path layers an expected-on-time veto on top ([`Self::hedge_plan`]);
-    /// the async path arms a timer for every plan and decides at expiry,
-    /// against the primary's *actual* progress.
-    fn hedge_candidates(&self, order: &[usize]) -> Option<HedgePlan> {
+    /// The hedge plan for a request routed in `order`: the position (in
+    /// `order`) of the hedge target and the in-flight time, milliseconds,
+    /// after which the primary counts as late. A request is hedgeable when
+    /// its primary's breaker is closed and a sampled healthy sibling defines
+    /// the (decayed-EWMA) lateness floor; the target is the fastest-known
+    /// healthy sibling. A timer is armed for every plan and the decision is
+    /// taken at expiry, against the primary's *actual* progress.
+    fn hedge_plan(&self, order: &[usize]) -> Option<(usize, f64)> {
         if self.slots.len() < 2 {
             return None;
         }
@@ -1501,19 +1205,19 @@ impl BackendPool {
         if !floor_ms.is_finite() {
             return None;
         }
-        let hedge = order
+        let (target, _) = order
             .iter()
-            .copied()
-            .filter(|&i| i != primary && breaker_closed(i))
-            .min_by(|&a, &b| {
+            .enumerate()
+            .skip(1)
+            .filter(|&(_, &i)| breaker_closed(i))
+            .min_by(|&(_, &a), &(_, &b)| {
                 let key = |i: usize| decayed(i).unwrap_or(f64::INFINITY);
                 key(a).total_cmp(&key(b)).then(a.cmp(&b))
             })?;
-        Some(HedgePlan {
-            primary,
-            hedge,
-            threshold_ms: (self.hedge_multiplier * floor_ms).max(self.hedge_min_ms),
-        })
+        Some((
+            target,
+            (self.hedge_multiplier * floor_ms).max(self.hedge_min_ms),
+        ))
     }
 }
 
@@ -1543,21 +1247,27 @@ impl Flight {
         attempt: usize,
         probe: bool,
     ) -> Flight {
-        // ordering: Relaxed — calls is a statistic; in_flight is the
-        // advisory routing gauge (see InFlightDecrement).
+        // ordering: Relaxed — calls is a statistic; in_flight is an advisory
+        // gauge (a routing hint); no memory is published under either.
         cand.shared.counters.calls.fetch_add(1, Ordering::Relaxed);
         cand.shared
             .counters
             .in_flight
             .fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        Flight {
-            handle: cand.backend.submit(request, attempt),
-            started,
+        // The flight owns its gauges before the backend runs, so a backend
+        // that panics inside `submit` still releases them (and a probe
+        // claim) on unwind.
+        let mut flight = Flight {
+            handle: CallHandle {
+                inner: HandleInner::Ready(None),
+            },
+            started: Instant::now(),
             probe,
             shared: Arc::clone(&cand.shared),
             open: true,
-        }
+        };
+        flight.handle = cand.backend.submit(request, attempt);
+        flight
     }
 
     /// Normal resolution: release the in-flight increment; breaker state is
@@ -1618,8 +1328,8 @@ enum WalkState {
 ///   machine is inert.
 /// * Backoff and hedge delays are timers surfaced through
 ///   [`CallMachine::next_wakeup`], never sleeps — polling is always
-///   non-blocking (up to a member backend's own `submit`, which for async
-///   backends is compute only).
+///   non-blocking (up to a member backend's own `submit`, which for
+///   timer-backed backends is compute only).
 /// * Dropping the machine mid-flight abandons primary and hedge alike:
 ///   per-backend `in_flight` gauges, probe flags and the hedge's slot permit
 ///   are all released by `Drop`.
@@ -1642,10 +1352,9 @@ pub struct PoolCall {
     /// Attempt ordinal on the current candidate.
     attempt: usize,
     flight: Option<Flight>,
-    /// Lateness threshold for the armed hedge, ms (`None` = not hedgeable).
-    hedge_threshold_ms: Option<f64>,
-    /// Candidate index (into `cands`) the hedge would go to.
-    hedge_target: Option<usize>,
+    /// Candidate index (into `cands`) the hedge would go to and the
+    /// lateness threshold that arms it, ms (`None` = not hedgeable).
+    hedge_plan: Option<(usize, f64)>,
     /// When the armed hedge timer expires (set when the primary launches).
     hedge_fire_at: Option<Instant>,
     hedge_flight: Option<Flight>,
@@ -1653,7 +1362,7 @@ pub struct PoolCall {
     hedge_used: Option<usize>,
     hedge_gate: Option<HedgePermitGate>,
     /// The admission permit a fired hedge holds while in flight.
-    hedge_permit: Option<Box<dyn std::any::Any + Send>>,
+    held_permit: Option<Box<dyn std::any::Any + Send>>,
     last_err: Option<Error>,
     short_circuited: usize,
 }
@@ -1668,7 +1377,7 @@ impl PoolCall {
         self.walk = WalkState::Done;
         self.flight = None; // Drop releases gauges
         self.hedge_flight = None;
-        self.hedge_permit = None;
+        self.held_permit = None;
         self.hedge_fire_at = None;
     }
 
@@ -1685,7 +1394,7 @@ impl PoolCall {
         }
         let flight = Flight::launch(&self.cands[self.pos], &self.request, self.attempt, probe);
         if self.pos == 0 && self.attempt == 0 {
-            if let (Some(threshold_ms), Some(_)) = (self.hedge_threshold_ms, self.hedge_target) {
+            if let Some((_, threshold_ms)) = self.hedge_plan {
                 self.hedge_fire_at =
                     Some(flight.started + Duration::from_secs_f64(threshold_ms / 1000.0));
             }
@@ -1705,7 +1414,7 @@ impl PoolCall {
                 flight.close();
                 let shared = Arc::clone(&flight.shared);
                 self.hedge_flight = None;
-                self.hedge_permit = None; // slot released with the flight
+                self.held_permit = None; // slot released with the flight
                 match outcome {
                     Ok(response) => {
                         shared.record_success(
@@ -1719,6 +1428,14 @@ impl PoolCall {
                         }
                         // ordering: Relaxed — statistics counter.
                         shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+                        if let Some(beaten) = &self.flight {
+                            beaten.shared.observe_latency_at_least(
+                                now.saturating_duration_since(beaten.started).as_secs_f64()
+                                    * 1000.0,
+                                self.now_ms(),
+                                self.decay_half_life_ms,
+                            );
+                        }
                         self.finish();
                         return Some(Ok(response));
                     }
@@ -1737,9 +1454,8 @@ impl PoolCall {
         }
         // Timer-armed firing: one shot, only while the original primary is
         // still the active candidate (failover has its own protocol), and
-        // only with the admission gate's blessing — a veto disarms for good,
-        // like the blocking path's single gate consultation.
-        if let (Some(fire_at), Some(target)) = (self.hedge_fire_at, self.hedge_target) {
+        // only with the admission gate's blessing — a veto disarms for good.
+        if let (Some(fire_at), Some((target, _))) = (self.hedge_fire_at, self.hedge_plan) {
             if now >= fire_at {
                 self.hedge_fire_at = None;
                 let primary_active = self.pos == 0
@@ -1753,7 +1469,7 @@ impl PoolCall {
                         let cand = &self.cands[target];
                         // ordering: Relaxed — statistics counter.
                         cand.shared.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                        self.hedge_permit = Some(permit);
+                        self.held_permit = Some(permit);
                         self.hedge_flight = Some(Flight::launch(cand, &self.request, 0, false));
                         self.hedge_used = Some(target);
                     }
@@ -1925,82 +1641,6 @@ impl CallMachine for PoolCall {
     }
 }
 
-/// One candidate's bounded-retry attempt loop, shared by the plain candidate
-/// walk and hedge worker threads: up to `1 + max_attempt` attempts with
-/// exponential backoff, updating the slot's counters, its latency EWMA (on
-/// success, with *measured* wall time), and its breaker state. Returns the
-/// first success or the last error.
-#[allow(clippy::too_many_arguments)]
-fn run_attempts(
-    backend: &dyn Backend,
-    shared: &SlotShared,
-    request: &CompletionRequest,
-    max_attempt: usize,
-    backoff_base_ms: f64,
-    probe: bool,
-    breaker_threshold: u64,
-    breaker_cooldown_ms: f64,
-    decay_half_life_ms: f64,
-    epoch: Instant,
-) -> Result<CompletionResponse> {
-    let mut last_err = None;
-    for attempt in 0..=max_attempt {
-        if attempt > 0 {
-            // ordering: Relaxed — statistics counter.
-            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-            let backoff =
-                (backoff_base_ms * (1u64 << (attempt - 1).min(20)) as f64).min(BACKOFF_CAP_MS);
-            if backoff > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(backoff / 1000.0));
-            }
-        }
-        // ordering: Relaxed — calls is a statistic; in_flight is the
-        // advisory routing gauge (released by InFlightDecrement on drop).
-        shared.counters.calls.fetch_add(1, Ordering::Relaxed);
-        shared.counters.in_flight.fetch_add(1, Ordering::Relaxed);
-        let in_flight_guard = InFlightDecrement(&shared.counters.in_flight);
-        let mut probe_guard = ProbeAbortGuard {
-            breaker: &shared.breaker,
-            armed: probe,
-        };
-        let started = Instant::now();
-        let outcome = backend.complete(request, attempt);
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-        // Normal return: on_success/on_error below own the flag.
-        probe_guard.armed = false;
-        drop(probe_guard);
-        drop(in_flight_guard);
-        match outcome {
-            Ok(response) => {
-                shared.record_success(
-                    response.latency_ms,
-                    elapsed_ms,
-                    epoch.elapsed().as_millis() as u64,
-                    decay_half_life_ms,
-                );
-                if breaker_threshold > 0 {
-                    shared.breaker.on_success();
-                }
-                return Ok(response);
-            }
-            Err(e) => {
-                last_err = Some(e);
-                if shared.record_error(
-                    epoch.elapsed().as_millis() as u64,
-                    breaker_threshold,
-                    breaker_cooldown_ms,
-                    probe,
-                ) {
-                    // Breaker just opened: remaining retries on this backend
-                    // are doomed attempts — fail over now.
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 impl LanguageModel for BackendPool {
     fn name(&self) -> String {
         let members: Vec<&str> = self.slots.iter().map(|s| s.backend.id()).collect();
@@ -2008,17 +1648,11 @@ impl LanguageModel for BackendPool {
     }
 
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-        self.route(request)
+        self.submit(request).wait()
     }
 
     fn submit(&self, request: &CompletionRequest) -> CallHandle {
         CallHandle::machine(Box::new(self.submit_call(request)))
-    }
-
-    fn supports_async_submit(&self) -> bool {
-        // One blocking member would stall the event loop at submit time;
-        // advertise async dispatch only when the whole pool is async.
-        self.slots.iter().all(|slot| slot.backend.supports_async())
     }
 
     fn fingerprint(&self) -> String {
@@ -2067,10 +1701,6 @@ impl Backend for DirectBackend {
 
     fn submit(&self, request: &CompletionRequest, _attempt: usize) -> CallHandle {
         self.inner.submit(request)
-    }
-
-    fn supports_async(&self) -> bool {
-        self.inner.supports_async_submit()
     }
 
     fn fingerprint(&self) -> String {
@@ -2216,6 +1846,7 @@ mod tests {
         let err = pool.complete(&CompletionRequest::new("x")).unwrap_err();
         assert!(err.to_string().contains("simulated endpoint error"));
         assert_eq!(*model.calls.lock(), 0);
+        assert!(pool.stats().iter().all(|s| s.in_flight == 0));
     }
 
     #[test]
@@ -2562,10 +2193,10 @@ mod tests {
     #[test]
     fn racing_pool_calls_send_exactly_one_probe_per_cooldown() {
         // Pool-level version of the race: a hard-down backend with an open
-        // breaker, N async PoolCalls created after the cooldown expired and
-        // polled concurrently. Exactly one physical probe attempt may reach
-        // the backend per cooldown window; everyone else short-circuits to
-        // the healthy sibling.
+        // breaker, N calls issued concurrently after the cooldown expired.
+        // Exactly one physical probe attempt may reach the backend per
+        // cooldown window; everyone else short-circuits to the healthy
+        // sibling.
         let (_, pool) = pool_over(
             &[spec("down").failing(), spec("up")],
             RoutingPolicy::CostAware, // static order: down first
@@ -2582,9 +2213,9 @@ mod tests {
             for i in 0..8 {
                 let pool = Arc::clone(&pool);
                 scope.spawn(move || {
-                    let resp =
-                        drive_call(pool.submit_call(&CompletionRequest::new(format!("r{i}"))))
-                            .unwrap();
+                    let resp = pool
+                        .complete(&CompletionRequest::new(format!("r{i}")))
+                        .unwrap();
                     assert_eq!(resp.text, format!("m:r{i}"));
                 });
             }
@@ -2897,12 +2528,11 @@ mod tests {
         pool.complete(&CompletionRequest::new("filler")).unwrap();
 
         // A granting gate is consulted exactly once per hedge, and its
-        // permit is returned (held by the hedge worker while in flight).
+        // permit is returned (held by the hedge flight while it lasts).
         let grants = Arc::new(AtomicUsize::new(0));
         let gate_grants = Arc::clone(&grants);
         pool.set_hedge_permit_gate(Some(Arc::new(move || {
-            // ordering: SeqCst — exact grant count asserted across the
-            // hedge worker threads.
+            // ordering: SeqCst — exact grant count asserted below.
             gate_grants.fetch_add(1, Ordering::SeqCst);
             Some(Box::new(()) as Box<dyn std::any::Any + Send>)
         })));
@@ -2933,8 +2563,8 @@ mod tests {
         assert!(down.errors > 0);
     }
 
-    /// A backend whose round trip is adjustable at runtime and which serves
-    /// the async submit path natively (the stall is a timer, not a sleep).
+    /// A backend whose round trip is adjustable at runtime (the stall is a
+    /// timer on the handle, not a sleep).
     struct AdjustableBackend {
         id: String,
         inner: Arc<dyn LanguageModel>,
@@ -2958,14 +2588,9 @@ mod tests {
         fn complete(
             &self,
             request: &CompletionRequest,
-            _attempt: usize,
+            attempt: usize,
         ) -> Result<CompletionResponse> {
-            // ordering: Relaxed — test knob; any recent value is fine.
-            let delay = self.delay_ms.load(Ordering::Relaxed);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            self.inner.complete(request)
+            self.submit(request, attempt).wait()
         }
         fn submit(&self, request: &CompletionRequest, _attempt: usize) -> CallHandle {
             // ordering: Relaxed — test knob; any recent value is fine.
@@ -2977,124 +2602,147 @@ mod tests {
                 CallHandle::ready(result)
             }
         }
-        fn supports_async(&self) -> bool {
-            true
-        }
         fn fingerprint(&self) -> String {
             self.inner.fingerprint()
         }
     }
 
-    /// Drive a [`PoolCall`] to completion on the calling thread — a minimal
-    /// stand-in for the exec reactor, for in-crate tests.
-    fn drive_call(mut call: PoolCall) -> Result<CompletionResponse> {
-        loop {
-            let now = Instant::now();
-            if let Some(result) = call.poll(now) {
-                return result;
-            }
-            match call.next_wakeup(now) {
-                Some(at) => {
-                    let nap = at
-                        .saturating_duration_since(now)
-                        .clamp(Duration::from_micros(50), Duration::from_millis(5));
-                    std::thread::sleep(nap);
-                }
-                None => std::thread::yield_now(),
-            }
-        }
-    }
-
     #[test]
-    fn async_pool_call_matches_the_blocking_failover_trace() {
-        // The same prompts through `complete` and through `submit_call`
-        // produce identical responses AND identical per-backend physical
-        // counters — the async machine is the blocking walk, re-shaped.
+    fn failover_trace_matches_the_pinned_counters() {
+        // A hard-down, a 50%-flaky and a healthy backend in static order:
+        // every prompt is answered, and the per-backend physical counters
+        // are the deterministic failover trace — pinned, so a change to the
+        // walk (retry count, failover order, attempt numbering) shows up.
         let prompts: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
         let specs = [
             spec("down").failing(),
             spec("flaky").with_error_rate(0.5),
             spec("up"),
         ];
-        let (_, blocking) = pool_over(&specs, RoutingPolicy::CostAware);
-        for p in &prompts {
-            blocking
-                .complete(&CompletionRequest::new(p.clone()))
-                .unwrap();
-        }
         let (_, pool) = pool_over(&specs, RoutingPolicy::CostAware);
         for p in &prompts {
-            let resp = drive_call(pool.submit_call(&CompletionRequest::new(p.clone()))).unwrap();
+            let resp = pool.complete(&CompletionRequest::new(p.clone())).unwrap();
             assert_eq!(resp.text, format!("m:{p}"));
         }
+        let trace: Vec<(String, u64, u64, u64)> = pool
+            .stats()
+            .into_iter()
+            .map(|s| {
+                assert_eq!(s.in_flight, 0);
+                (s.id, s.calls, s.errors, s.retries)
+            })
+            .collect();
         assert_eq!(
-            blocking.stats(),
-            pool.stats(),
-            "async dispatch diverged from the blocking trace"
+            trace,
+            vec![
+                ("down".to_string(), 16, 16, 8),
+                ("flaky".to_string(), 10, 4, 2),
+                ("up".to_string(), 2, 0, 0),
+            ]
         );
-    }
-
-    #[test]
-    fn async_pool_call_returns_the_last_error_when_all_backends_are_down() {
-        let (model, pool) = pool_over(
-            &[spec("d1").failing(), spec("d2").failing()],
-            RoutingPolicy::RoundRobin,
-        );
-        let err = drive_call(pool.submit_call(&CompletionRequest::new("x"))).unwrap_err();
-        assert!(err.to_string().contains("simulated endpoint error"));
-        assert_eq!(*model.calls.lock(), 0);
-        assert!(pool.stats().iter().all(|s| s.in_flight == 0));
     }
 
     #[test]
     fn timer_armed_hedge_rescues_a_one_off_stall() {
-        // The gap the blocking path leaves open: a usually-fast primary
-        // (EWMA well under the hedge threshold) stalls once. The blocking
-        // path skips hedging ("expected on time"); the timer-armed async
-        // path arms a timer for every hedgeable request, so the stall is
-        // rescued by the sibling.
+        // A usually-fast primary (EWMA well under the hedge threshold)
+        // stalls once. Every hedgeable request arms a timer, so the stall is
+        // rescued by the sibling — through the blocking entry exactly as
+        // through a polled `PoolCall`: a parallelism-1 scan or the first
+        // wave of a ramp is protected like any other request.
+        type Send = fn(&BackendPool, &str) -> Result<CompletionResponse>;
+        let entries: [(&str, Send); 2] = [
+            ("complete", |pool, prompt| {
+                pool.complete(&CompletionRequest::new(prompt))
+            }),
+            ("submit_call", |pool, prompt| {
+                let call = pool.submit_call(&CompletionRequest::new(prompt));
+                CallHandle::machine(Box::new(call)).wait()
+            }),
+        ];
+        for (entry, send) in entries {
+            let model = Arc::new(EchoModel::new("m"));
+            let a = AdjustableBackend::new("a", Arc::clone(&model) as Arc<dyn LanguageModel>, 2);
+            let b = AdjustableBackend::new("b", Arc::clone(&model) as Arc<dyn LanguageModel>, 2);
+            let pool = BackendPool::new(
+                vec![
+                    Arc::clone(&a) as Arc<dyn Backend>,
+                    Arc::clone(&b) as Arc<dyn Backend>,
+                ],
+                RoutingPolicy::CostAware, // static order: a is always primary
+            )
+            .unwrap()
+            .with_backoff_base_ms(0.0)
+            .with_hedging(4.0, 1.0);
+            // Warm both members (~2ms EWMAs; hedge threshold ≈ 8ms).
+            send(&pool, "w0").unwrap();
+            send(&pool, "w1").unwrap();
+            // A fast primary that stays fast is never hedged: the armed
+            // timer is cancelled by the primary's completion.
+            send(&pool, "fastpath").unwrap();
+            assert_eq!(pool.stats().iter().map(|s| s.hedges).sum::<u64>(), 0);
+
+            // One-off stall: 60ms on a backend whose EWMA says ~2ms.
+            // ordering: Relaxed — test knob (single-threaded driver here).
+            a.delay_ms.store(60, Ordering::Relaxed);
+            let started = Instant::now();
+            let resp = send(&pool, "stall").unwrap();
+            assert_eq!(resp.text, "m:stall");
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < Duration::from_millis(45),
+                "{entry}: stall was not hedged away: took {elapsed:?}"
+            );
+            let stats = pool.stats();
+            let b_stats = stats.iter().find(|s| s.id == "b").unwrap();
+            assert_eq!(b_stats.hedges, 1, "{entry}: {stats:?}");
+            assert_eq!(b_stats.hedges_won, 1, "{entry}: {stats:?}");
+            assert!(
+                stats.iter().all(|s| s.in_flight == 0),
+                "{entry}: gauge leak: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flight_beaten_by_its_hedge_still_yields_a_latency_sample() {
+        // Latency-aware routing explores an unsampled member first. If that
+        // member is slow, its request is hedged away and cancelled — and were
+        // the cancelled flight to leave no sample, the member would stay
+        // unsampled and be explored first (and hedged away) forever.
         let model = Arc::new(EchoModel::new("m"));
-        let a = AdjustableBackend::new("a", Arc::clone(&model) as Arc<dyn LanguageModel>, 2);
-        let b = AdjustableBackend::new("b", Arc::clone(&model) as Arc<dyn LanguageModel>, 2);
+        let fast = AdjustableBackend::new("fast", Arc::clone(&model) as Arc<dyn LanguageModel>, 2);
+        let slow = AdjustableBackend::new("slow", Arc::clone(&model) as Arc<dyn LanguageModel>, 60);
         let pool = BackendPool::new(
             vec![
-                Arc::clone(&a) as Arc<dyn Backend>,
-                Arc::clone(&b) as Arc<dyn Backend>,
+                Arc::clone(&fast) as Arc<dyn Backend>,
+                Arc::clone(&slow) as Arc<dyn Backend>,
             ],
-            RoutingPolicy::CostAware, // static order: a is always primary
+            RoutingPolicy::LatencyAware,
         )
         .unwrap()
-        .with_backoff_base_ms(0.0)
         .with_hedging(4.0, 1.0);
-        // Warm both members (~2ms EWMAs; hedge threshold ≈ 8ms).
-        drive_call(pool.submit_call(&CompletionRequest::new("w0"))).unwrap();
-        drive_call(pool.submit_call(&CompletionRequest::new("w1"))).unwrap();
-        // A fast primary that stays fast is never hedged: the armed timer is
-        // cancelled by the primary's completion.
-        drive_call(pool.submit_call(&CompletionRequest::new("fastpath"))).unwrap();
-        assert_eq!(pool.stats().iter().map(|s| s.hedges).sum::<u64>(), 0);
-
-        // One-off stall: 60ms on a backend whose EWMA says ~2ms.
-        // ordering: Relaxed — test knob (single-threaded driver here).
-        a.delay_ms.store(60, Ordering::Relaxed);
-        let started = Instant::now();
-        let resp = drive_call(pool.submit_call(&CompletionRequest::new("stall"))).unwrap();
-        // ordering: Relaxed — test knob (single-threaded driver here).
-        a.delay_ms.store(2, Ordering::Relaxed);
-        assert_eq!(resp.text, "m:stall");
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(45),
-            "stall was not hedged away: took {elapsed:?}"
-        );
+        // Cold pool: registration order, so `fast` is sampled first (~2ms).
+        pool.complete(&CompletionRequest::new("w0")).unwrap();
+        // `slow` is explored, goes late at ~8ms and loses to the hedge.
+        pool.complete(&CompletionRequest::new("w1")).unwrap();
         let stats = pool.stats();
-        let b_stats = stats.iter().find(|s| s.id == "b").unwrap();
-        assert_eq!(b_stats.hedges, 1, "{stats:?}");
-        assert_eq!(b_stats.hedges_won, 1, "{stats:?}");
+        assert_eq!((stats[1].calls, stats[0].hedges_won), (1, 1), "{stats:?}");
+        let slow_ewma = pool.latency_ewma_ms()[1].1;
         assert!(
-            stats.iter().all(|s| s.in_flight == 0),
-            "gauge leak: {stats:?}"
+            slow_ewma.is_some_and(|ms| ms >= 8.0),
+            "beaten flight left no usable sample: {slow_ewma:?}"
         );
+        // Steady state: traffic now prefers the measured-fast member.
+        for i in 0..3 {
+            pool.complete(&CompletionRequest::new(format!("p{i}")))
+                .unwrap();
+        }
+        let stats = pool.stats();
+        assert_eq!(
+            stats[1].calls, 1,
+            "slow member was explored again: {stats:?}"
+        );
+        assert!(stats.iter().all(|s| s.in_flight == 0), "{stats:?}");
     }
 
     #[test]
@@ -3135,8 +2783,8 @@ mod tests {
             gate_permits.fetch_add(1, Ordering::SeqCst);
             Some(Box::new(PermitToken(Arc::clone(&gate_permits))) as Box<dyn std::any::Any + Send>)
         })));
-        drive_call(pool.submit_call(&CompletionRequest::new("warm-p"))).unwrap();
-        drive_call(pool.submit_call(&CompletionRequest::new("warm-s"))).unwrap();
+        pool.complete(&CompletionRequest::new("warm-p")).unwrap();
+        pool.complete(&CompletionRequest::new("warm-s")).unwrap();
 
         // Deterministic schedule: the primary delay cycles 2..6ms around the
         // moving ~EWMA threshold.
@@ -3144,8 +2792,9 @@ mod tests {
             // ordering: Relaxed — test knob (single-threaded driver here).
             primary.delay_ms.store(2 + (i % 5), Ordering::Relaxed);
             let prompt = format!("race-{i}");
-            let resp =
-                drive_call(pool.submit_call(&CompletionRequest::new(prompt.clone()))).unwrap();
+            let resp = pool
+                .complete(&CompletionRequest::new(prompt.clone()))
+                .unwrap();
             assert_eq!(resp.text, format!("m:{prompt}"));
         }
         let stats = pool.stats();

@@ -1,15 +1,16 @@
-//! Deployment-scope prompt coalescing: single-flight dedup of identical
-//! in-flight requests *across* clients and queries.
+//! Prompt coalescing: the single-flight table that dedups identical
+//! in-flight requests — within one client, or *across* clients and queries.
 //!
-//! The per-client cache plus [`crate::model::LlmClient`]'s in-flight
-//! leadership already dedup identical prompts within one client. A
-//! [`PromptCoalescer`] lifts that to the deployment: a scheduler attaches
-//! one coalescer to the engine it owns, and every request dispatched through
-//! the event-driven path first claims its request key here. The first
-//! claimant (the **leader**) issues the physical call; concurrent claimants
-//! of the same key (**followers**) park on the entry and receive a clone of
-//! the leader's successful response — zero physical calls, while each query
-//! still records its own *logical* call.
+//! Every [`crate::model::ClientCall`] whose client carries a
+//! [`PromptCoalescer`] claims its request key here after a cache miss and
+//! before dispatching. The first claimant (the **leader**) issues the
+//! physical call; concurrent claimants of the same key (**followers**) park
+//! on the entry and receive a clone of the leader's successful response —
+//! zero physical calls, while each query still records its own *logical*
+//! call. This is the only in-flight table there is: a cached client owns a
+//! private one, so the waves of one query never pay twice for one prompt,
+//! and a scheduler swaps in one table for the whole deployment
+//! (`LlmClient::set_coalescer`), which lifts the same dedup across queries.
 //!
 //! The accounting contract:
 //!
@@ -70,8 +71,8 @@ impl CoalesceEntry {
     }
 }
 
-/// The deployment-wide single-flight table. Cheap to share (`Arc`); one per
-/// scheduler/deployment.
+/// The single-flight table. Cheap to share (`Arc`): one per client, or one
+/// per scheduler/deployment.
 #[derive(Default)]
 pub struct PromptCoalescer {
     entries: Mutex<HashMap<String, Arc<CoalesceEntry>>>,

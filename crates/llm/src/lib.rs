@@ -38,6 +38,7 @@ pub mod parse;
 pub mod prompt;
 pub mod sim;
 pub mod tokenizer;
+mod wait;
 
 pub use backend::{
     Backend, BackendPool, BackendStats, CallHandle, CallMachine, DirectBackend, HedgePermitGate,

@@ -68,22 +68,23 @@ pub trait LanguageModel: Send + Sync {
     /// A short model identifier (shows up in experiment reports).
     fn name(&self) -> String;
 
-    /// Produce a completion for the request.
+    /// Produce a completion for the request, blocking for the round trip.
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse>;
 
-    /// Non-blocking submission: return a poll-based [`CallHandle`] instead of
-    /// blocking for the round trip. The default is a blocking adapter
-    /// (`complete` runs inline, the handle comes back resolved) so every
-    /// existing model works unchanged; models that can represent their
-    /// latency as a timer ([`crate::SimLlm`] with simulated latency,
-    /// [`crate::BackendPool`] over async backends) override it — that is
+    /// Submit the request and return a poll-based [`CallHandle`] — the form
+    /// every dispatch in the engine uses. The default is a blocking adapter
+    /// (`complete` runs inline, the handle comes back resolved) so any model
+    /// works; models that can represent their latency as a timer
+    /// ([`crate::SimLlm`], [`crate::BackendPool`]) override it — that is
     /// what lets one OS thread hold many in-flight requests.
     fn submit(&self, request: &CompletionRequest) -> CallHandle {
         CallHandle::ready(self.complete(request))
     }
 
-    /// True when [`LanguageModel::submit`] returns without blocking on the
-    /// round trip; event-driven dispatch engages only then.
+    /// Advisory: true when [`LanguageModel::submit`] returns without
+    /// blocking on the round trip. No dispatch decision reads it — every
+    /// model is dispatched through `submit` — it only documents whether a
+    /// wave of requests to this model overlaps or runs one after another.
     fn supports_async_submit(&self) -> bool {
         false
     }
@@ -116,53 +117,8 @@ pub trait LanguageModel: Send + Sync {
     }
 }
 
-/// Tracks prompts with a completion currently being computed, so concurrent
-/// requests for the same prompt collapse into one model call (single-flight).
-#[derive(Default)]
-struct InFlightPrompts {
-    leaders: std::sync::Mutex<std::collections::HashSet<String>>,
-    done: std::sync::Condvar,
-}
-
-impl InFlightPrompts {
-    /// Become the leader for `prompt`, or block until the current leader
-    /// finishes (returning `false`, after which the caller re-checks the
-    /// cache).
-    fn claim(&self, prompt: &str) -> bool {
-        let mut leaders = self.leaders.lock().unwrap_or_else(|e| e.into_inner());
-        if leaders.insert(prompt.to_string()) {
-            return true;
-        }
-        // Follower: wait for some leader to finish, then re-check the cache.
-        let _guard = self
-            .done
-            .wait_while(leaders, |l| l.contains(prompt))
-            .unwrap_or_else(|e| e.into_inner());
-        false
-    }
-
-    /// Non-blocking leadership claim for the poll-driven path: `true` makes
-    /// the caller the leader; `false` means another leader is in flight and
-    /// the caller should re-check the cache later (no wait).
-    fn try_claim(&self, prompt: &str) -> bool {
-        self.leaders
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(prompt.to_string())
-    }
-
-    /// Leader is done (successfully or not): wake followers.
-    fn release(&self, prompt: &str) {
-        self.leaders
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(prompt);
-        self.done.notify_all();
-    }
-}
-
-/// The client the executor uses: wraps a model with a prompt cache and a
-/// usage accumulator. Cloning shares the cache and the counters.
+/// The client the executor uses: wraps a model with a prompt cache, a
+/// single-flight table and a usage accumulator. Cloning shares all three.
 #[derive(Clone)]
 pub struct LlmClient {
     model: Arc<dyn LanguageModel>,
@@ -175,9 +131,11 @@ pub struct LlmClient {
     /// same model configuration would answer identically.
     fingerprint: Arc<str>,
     usage: Arc<Mutex<UsageStats>>,
-    in_flight: Arc<InFlightPrompts>,
-    /// Deployment-scope single-flight table (attached by a scheduler; see
-    /// [`crate::coalesce`]). `None` keeps dedup per-client only.
+    /// The single-flight table (see [`crate::coalesce`]): identical requests
+    /// in flight at the same time collapse into one model call. A cached
+    /// client starts with a private table; a scheduler replaces it with the
+    /// deployment's so the dedup spans clients and queries. `None` (a
+    /// cache-less client nobody attached a table to) means no dedup.
     coalescer: Option<Arc<PromptCoalescer>>,
 }
 
@@ -191,15 +149,10 @@ impl LlmClient {
     /// over *different* model configurations can safely share one cache: the
     /// model fingerprint is part of every key.
     pub fn with_shared_cache(model: Arc<dyn LanguageModel>, cache: Arc<PromptCache>) -> Self {
-        let fingerprint: Arc<str> = model.fingerprint().into();
         LlmClient {
-            model,
-            pool: None,
             cache: Some(cache),
-            fingerprint,
-            usage: Arc::new(Mutex::new(UsageStats::default())),
-            in_flight: Arc::new(InFlightPrompts::default()),
-            coalescer: None,
+            coalescer: Some(Arc::new(PromptCoalescer::new())),
+            ..Self::without_cache(model)
         }
     }
 
@@ -212,7 +165,6 @@ impl LlmClient {
             cache: None,
             fingerprint,
             usage: Arc::new(Mutex::new(UsageStats::default())),
-            in_flight: Arc::new(InFlightPrompts::default()),
             coalescer: None,
         }
     }
@@ -246,16 +198,15 @@ impl LlmClient {
         self.pool.as_ref()
     }
 
-    /// Attach (or detach) a deployment-scope [`PromptCoalescer`]. Poll-driven
-    /// calls ([`LlmClient::start_call`]) claim their request key there before
-    /// dispatching, so identical in-flight requests from *different* clients
-    /// and queries collapse into one physical call whose success fans out to
-    /// every waiter. Blocking calls ([`LlmClient::complete`]) are unaffected.
-    pub fn set_coalescer(&mut self, coalescer: Option<Arc<PromptCoalescer>>) {
-        self.coalescer = coalescer;
+    /// Replace this client's single-flight table with a deployment-scope
+    /// [`PromptCoalescer`], so identical in-flight requests from *different*
+    /// clients and queries collapse into one physical call whose success
+    /// fans out to every waiter.
+    pub fn set_coalescer(&mut self, coalescer: Arc<PromptCoalescer>) {
+        self.coalescer = Some(coalescer);
     }
 
-    /// The attached deployment-scope coalescer, if any.
+    /// The single-flight table this client claims request keys in, if any.
     pub fn coalescer(&self) -> Option<&Arc<PromptCoalescer>> {
         self.coalescer.as_ref()
     }
@@ -277,99 +228,28 @@ impl LlmClient {
         )
     }
 
-    /// Issue a completion, consulting the cache first. Concurrent calls with
-    /// an identical request key are deduplicated (single-flight): one thread
-    /// queries the model, the others wait and take the cached result, so
-    /// parallel dispatch never pays for a completion a sequential run would
-    /// have served from the cache.
+    /// Issue a completion and block for it: [`LlmClient::start_call`],
+    /// waited on.
     pub fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-        self.complete_gated(request, || ())
+        self.start_call(request.clone()).wait()
     }
 
-    /// [`LlmClient::complete`] with an admission gate: `gate` is invoked
-    /// immediately before the model is actually dispatched to — and only
-    /// then — and whatever it returns (typically an RAII permit such as a
-    /// `CallSlots` guard) is held until the model responds. Cache hits and
-    /// single-flight followers never invoke the gate, so under a cross-query
-    /// scheduler they neither consume slot capacity nor wait for it.
-    pub fn complete_gated<G>(
-        &self,
-        request: &CompletionRequest,
-        gate: impl FnOnce() -> G,
-    ) -> Result<CompletionResponse> {
-        let Some(cache) = &self.cache else {
-            let _permit = gate();
-            return self.complete_uncached(request);
-        };
-        let key = self.request_key(request);
-        let mut gate = Some(gate);
-        loop {
-            if let Some(hit) = cache.get(&key) {
-                let mut usage = self.usage.lock();
-                usage.cache_hits += 1;
-                return Ok(hit);
-            }
-            if self.in_flight.claim(&key) {
-                // Release on every exit path, including unwinding, so
-                // followers are never stranded.
-                struct ReleaseOnDrop<'a>(&'a InFlightPrompts, &'a str);
-                impl Drop for ReleaseOnDrop<'_> {
-                    fn drop(&mut self) {
-                        self.0.release(self.1);
-                    }
-                }
-                let _release = ReleaseOnDrop(&self.in_flight, &key);
-                // Double-check: a previous leader may have populated the
-                // cache between our miss and our claim.
-                if let Some(hit) = cache.get(&key) {
-                    let mut usage = self.usage.lock();
-                    usage.cache_hits += 1;
-                    return Ok(hit);
-                }
-                let _permit = (gate.take().expect("gate invoked at most once"))();
-                let response = self.complete_uncached(request);
-                if let Ok(response) = &response {
-                    cache.put(key.clone(), response.clone());
-                }
-                return response;
-            }
-            // A leader just finished this prompt; loop to pick up its result
-            // from the cache (or claim leadership if it failed).
-        }
-    }
-
-    fn complete_uncached(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-        let response = self.model.complete(request)?;
-        {
-            let mut usage = self.usage.lock();
-            usage.record(&response);
-        }
-        Ok(response)
-    }
-
-    /// True when the wrapped model supports non-blocking submission
-    /// ([`LanguageModel::supports_async_submit`]); callers use this to pick
-    /// event-driven dispatch over thread-per-request dispatch.
-    pub fn supports_async(&self) -> bool {
-        self.model.supports_async_submit()
-    }
-
-    /// Begin one completion as a poll-driven [`ClientCall`] — the
-    /// non-blocking counterpart of [`LlmClient::complete_gated`], with the
-    /// same cache, single-flight and admission-gate semantics. Poll it from
-    /// an event loop (`llmsql_exec::reactor`); dropping it mid-flight
-    /// releases single-flight leadership and any held permit.
+    /// Begin one completion as a poll-driven [`ClientCall`]: the cache is
+    /// consulted first, and concurrent calls with an identical request key
+    /// are deduplicated (single-flight) — one queries the model, the others
+    /// take its result — so parallel dispatch never pays for a completion a
+    /// sequential run would have served from the cache. Poll it from an
+    /// event loop (`llmsql_exec::reactor`); dropping it mid-flight releases
+    /// single-flight leadership and any held permit.
     pub fn start_call(&self, request: CompletionRequest) -> ClientCall {
-        let key = self.cache.as_ref().map(|_| self.request_key(&request));
-        let coalesce_key = self.coalescer.as_ref().map(|_| self.request_key(&request));
+        let key =
+            (self.cache.is_some() || self.coalescer.is_some()).then(|| self.request_key(&request));
         ClientCall {
             client: self.clone(),
             request,
             key,
-            coalesce_key,
-            co_guard: None,
+            guard: None,
             coalesced: false,
-            holds_leadership: false,
             permit: None,
             state: CcState::Start,
         }
@@ -398,23 +278,21 @@ impl LlmClient {
     }
 }
 
-/// How soon a single-flight follower re-checks the cache for its leader's
-/// result, and how soon a slot-starved call re-consults the admission gate.
-/// Event loops also re-poll eagerly after any completion in the same loop
-/// (a completion is what frees a slot), so this is a cross-thread fallback,
-/// not the primary wake mechanism.
+/// How soon a single-flight follower re-checks its leader's entry, and how
+/// soon a slot-starved call re-consults the admission gate. Event loops also
+/// re-poll eagerly after any completion in the same loop (a completion is
+/// what frees a slot), so this is a cross-thread fallback, not the primary
+/// wake mechanism.
 const CLIENT_CALL_RETRY: Duration = Duration::from_micros(500);
 
 /// Which phase of its life a [`ClientCall`] is in.
 enum CcState {
     /// Not yet dispatched: check the cache, claim single-flight leadership.
     Start,
-    /// Another leader is computing this prompt; re-check at `retry_at`.
-    Follower { retry_at: Instant },
-    /// A deployment-scope leader for this request key is in flight on some
-    /// *other* client/query; poll the shared entry at `retry_at` for its
-    /// fanned-out result (see [`crate::coalesce`]).
-    CoFollower {
+    /// An identical request is in flight (on this client or, with a
+    /// deployment-scope table, on another client/query); poll the shared
+    /// entry at `retry_at` for its fanned-out result.
+    Follower {
         entry: Arc<CoalesceEntry>,
         retry_at: Instant,
     },
@@ -428,47 +306,41 @@ enum CcState {
     Done,
 }
 
-/// A poll-driven [`LlmClient`] completion: the non-blocking counterpart of
-/// [`LlmClient::complete_gated`], created by [`LlmClient::start_call`].
+/// A poll-driven [`LlmClient`] completion, created by
+/// [`LlmClient::start_call`].
 ///
 /// The completion contract:
 ///
-/// * `poll` never blocks (up to the model's `submit`, which for async models
-///   is compute only) and returns the result exactly once.
-/// * Cache hits and single-flight followers resolve without ever consulting
-///   the admission gate — identical to the blocking path, so under a
-///   cross-query scheduler they neither consume nor wait for slot capacity.
-/// * The gate is consulted only when this call is the single-flight leader
-///   and a real dispatch is imminent; a `None` verdict parks the call (the
-///   gate is re-consulted on later polls), a permit is held until the model
+/// * `poll` never blocks (up to the model's `submit`, which for timer-backed
+///   models is compute only) and returns the result exactly once.
+/// * Cache hits resolve without ever consulting the admission gate, so under
+///   a cross-query scheduler they neither consume nor wait for slot capacity.
+/// * A miss claims its request key in the client's single-flight table
+///   ([`PromptCoalescer`]) before consulting the gate: leaders dispatch,
+///   write the cache and publish their success to every waiter; followers
+///   park without gating and resolve from the leader's fan-out (zero
+///   physical calls, [`ClientCall::coalesced`] reports `true`). A leader
+///   that fails abandons the entry and followers re-claim, so error and
+///   retry semantics per query are unchanged.
+/// * The gate is consulted only when this call leads (or does no dedup) and
+///   a real dispatch is imminent; a `None` verdict parks the call (the gate
+///   is re-consulted on later polls), a permit is held until the model
 ///   resolves and released with the call — the call owns the slot guard for
 ///   exactly the dispatch it gates.
-/// * When the client carries a deployment-scope [`PromptCoalescer`], the
-///   call claims its request key there before consulting the gate: coalesce
-///   leaders dispatch and publish their success to every waiter; coalesce
-///   followers park without gating and resolve from the leader's fan-out
-///   (zero physical calls, [`ClientCall::coalesced`] reports `true`). A
-///   leader that fails abandons the entry and followers re-claim, so error
-///   and retry semantics per query are unchanged.
-/// * Dropping the call mid-flight releases single-flight leadership (so
-///   followers elect a new leader instead of waiting forever), abandons any
-///   coalesce leadership, and releases the permit; the model-side flight is
-///   abandoned.
+/// * Dropping the call mid-flight abandons its leadership (so followers
+///   elect a new leader instead of waiting forever) and releases the
+///   permit; the model-side flight is abandoned.
 pub struct ClientCall {
     client: LlmClient,
     request: CompletionRequest,
-    /// Cache / single-flight key; `None` when the client has no cache (then
-    /// neither caching nor single-flight applies, as in the blocking path).
+    /// Cache / single-flight key, formatted once; `None` when the client has
+    /// neither.
     key: Option<String>,
-    /// Deployment-scope coalescing key; `None` without a coalescer (or after
-    /// [`ClientCall::without_dedup`]).
-    coalesce_key: Option<String>,
-    /// Held while this call leads a deployment-scope flight; resolved with
-    /// the outcome when the flight ends.
-    co_guard: Option<CoalesceGuard>,
-    /// True when the result was served from another query's in-flight call.
+    /// Held while this call leads its key's flight; published with the
+    /// outcome when the flight ends, abandoned by drop.
+    guard: Option<CoalesceGuard>,
+    /// True when the result was served from another call's in-flight request.
     coalesced: bool,
-    holds_leadership: bool,
     /// The admission permit held from dispatch to resolution.
     permit: Option<Box<dyn std::any::Any + Send>>,
     state: CcState,
@@ -486,41 +358,28 @@ impl ClientCall {
     ) -> Option<Result<CompletionResponse>> {
         loop {
             match &mut self.state {
-                CcState::Start | CcState::Follower { .. } => {
+                CcState::Start => {
                     if let Some(key) = &self.key {
-                        let cache = self.client.cache.as_ref().expect("key implies cache");
-                        if let Some(hit) = cache.get(key) {
-                            self.release_leadership();
+                        let hit = self.client.cache.as_ref().and_then(|c| c.get(key));
+                        if let Some(hit) = hit {
+                            // A leader that finds the answer cached abandons
+                            // its claim; its followers re-check the cache.
+                            self.guard = None;
                             self.client.usage.lock().cache_hits += 1;
                             self.state = CcState::Done;
                             return Some(Ok(hit));
                         }
-                        if !self.holds_leadership {
-                            if self.client.in_flight.try_claim(key) {
-                                self.holds_leadership = true;
-                                // Double-check: a previous leader may have
-                                // populated the cache between miss and claim.
-                                if let Some(hit) = cache.get(key) {
-                                    self.release_leadership();
-                                    self.client.usage.lock().cache_hits += 1;
-                                    self.state = CcState::Done;
-                                    return Some(Ok(hit));
+                        if let (None, Some(table)) = (&self.guard, &self.client.coalescer) {
+                            match table.claim(key) {
+                                Claim::Leader(guard) => {
+                                    self.guard = Some(guard);
+                                    // Double-check: a previous leader may have
+                                    // populated the cache between miss and
+                                    // claim.
+                                    continue;
                                 }
-                            } else {
-                                self.state = CcState::Follower {
-                                    retry_at: now + CLIENT_CALL_RETRY,
-                                };
-                                return None;
-                            }
-                        }
-                    }
-                    if self.co_guard.is_none() {
-                        if let (Some(co), Some(ckey)) = (&self.client.coalescer, &self.coalesce_key)
-                        {
-                            match co.claim(ckey) {
-                                Claim::Leader(guard) => self.co_guard = Some(guard),
                                 Claim::Follower(entry) => {
-                                    self.state = CcState::CoFollower {
+                                    self.state = CcState::Follower {
                                         entry,
                                         retry_at: now + CLIENT_CALL_RETRY,
                                     };
@@ -531,19 +390,18 @@ impl ClientCall {
                     }
                     self.state = CcState::AwaitingSlot { retry_at: now };
                 }
-                CcState::CoFollower { entry, retry_at } => match entry.poll() {
+                CcState::Follower { entry, retry_at } => match entry.poll() {
                     FollowerPoll::Pending => {
                         *retry_at = now + CLIENT_CALL_RETRY;
                         return None;
                     }
                     FollowerPoll::Ready(response) => {
-                        // Served from another query's flight: no physical
+                        // Served from another call's flight: no physical
                         // call, no usage record — only the leader pays.
                         self.coalesced = true;
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
                             cache.put(key.clone(), response.clone());
                         }
-                        self.release_leadership();
                         self.state = CcState::Done;
                         return Some(Ok(response));
                     }
@@ -570,20 +428,19 @@ impl ClientCall {
                 CcState::InFlight { handle } => {
                     let outcome = handle.poll(now)?;
                     self.permit = None;
-                    // Fan the outcome out to deployment-scope followers
-                    // (successes resolve them; failures make them re-claim).
-                    if let Some(guard) = self.co_guard.take() {
-                        guard.publish(&outcome);
-                    }
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
                             cache.put(key.clone(), response.clone());
                         }
                     }
-                    // Either way the leadership ends here: followers pick the
-                    // cached result up, or elect a new leader on failure.
-                    self.release_leadership();
+                    // Publish after the cache write, so a request arriving
+                    // now finds either the entry or the cached answer:
+                    // successes resolve the followers, failures make them
+                    // re-claim.
+                    if let Some(guard) = self.guard.take() {
+                        guard.publish(&outcome);
+                    }
                     self.state = CcState::Done;
                     return Some(outcome);
                 }
@@ -596,43 +453,28 @@ impl ClientCall {
     pub fn next_wakeup(&self, now: Instant) -> Option<Instant> {
         match &self.state {
             CcState::Start | CcState::Done => None,
-            CcState::Follower { retry_at }
-            | CcState::AwaitingSlot { retry_at }
-            | CcState::CoFollower { retry_at, .. } => Some(*retry_at),
+            CcState::Follower { retry_at, .. } | CcState::AwaitingSlot { retry_at } => {
+                Some(*retry_at)
+            }
             CcState::InFlight { handle } => handle.next_wakeup(now),
         }
     }
 
-    /// True when the result was served by fan-out from another query's
-    /// in-flight call (zero physical calls issued by this one).
+    /// True when the result was served by fan-out from another call's
+    /// in-flight request (zero physical calls issued by this one).
     pub fn coalesced(&self) -> bool {
         self.coalesced
     }
 
-    /// Opt this call out of cross-request dedup — both the per-client
-    /// single-flight and the deployment-scope coalescer. Hedge duplicates
-    /// use this: their whole purpose is to issue a *second* physical call
-    /// for a prompt that is already in flight.
-    pub fn without_dedup(mut self) -> Self {
-        self.key = None;
-        self.coalesce_key = None;
-        self
-    }
-
-    fn release_leadership(&mut self) {
-        if self.holds_leadership {
-            self.holds_leadership = false;
-            if let Some(key) = &self.key {
-                self.client.in_flight.release(key);
-            }
-        }
-    }
-}
-
-impl Drop for ClientCall {
-    fn drop(&mut self) {
-        // Cancellation safety: an abandoned leader must not strand followers.
-        self.release_leadership();
+    /// Block the calling thread until the call resolves, admitting its
+    /// dispatch unconditionally — for callers with no event loop and no
+    /// slot pool.
+    pub fn wait(mut self) -> Result<CompletionResponse> {
+        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
+        crate::wait::block_on(|now| {
+            self.poll(now, &mut grant)
+                .ok_or_else(|| self.next_wakeup(now))
+        })
     }
 }
 
@@ -716,7 +558,8 @@ mod tests {
     #[test]
     fn concurrent_identical_prompts_are_single_flight() {
         // A slow model: 8 threads racing on one prompt must produce exactly
-        // one model call; the rest wait for the leader and take cache hits.
+        // one model call; the rest follow the leader's flight (or, arriving
+        // after it landed, hit the cache).
         struct SlowModel {
             calls: Mutex<usize>,
         }
@@ -753,7 +596,9 @@ mod tests {
         assert_eq!(*model.calls.lock(), 1, "model called more than once");
         let usage = client.usage();
         assert_eq!(usage.calls, 1);
-        assert_eq!(usage.cache_hits, 7);
+        let followers = client.coalescer().unwrap().stats().followers_served;
+        assert_eq!(usage.cache_hits + followers, 7);
+        assert_eq!(client.coalescer().unwrap().in_flight(), 0);
     }
 
     use crate::tokenizer::count_tokens;
@@ -816,91 +661,7 @@ mod tests {
     #[test]
     fn gate_is_only_invoked_on_real_dispatch() {
         // Cache hits and single-flight followers must not pay admission
-        // (slot) costs: the gate closure runs exactly once per model call.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let model = Arc::new(CannedModel::new("x"));
-        let client = LlmClient::new(model.clone());
-        let gates = AtomicUsize::new(0);
-        let req = CompletionRequest::new("p");
-        for _ in 0..3 {
-            client
-                // ordering: Relaxed — single-threaded test counter.
-                .complete_gated(&req, || gates.fetch_add(1, Ordering::Relaxed))
-                .unwrap();
-        }
-        assert_eq!(*model.calls.lock(), 1);
-        assert_eq!(
-            // ordering: Relaxed — single-threaded test counter.
-            gates.load(Ordering::Relaxed),
-            1,
-            "cache hits must bypass the gate"
-        );
-
-        // Single-flight: 8 threads race one slow prompt; only the leader
-        // gates.
-        struct SlowModel;
-        impl LanguageModel for SlowModel {
-            fn name(&self) -> String {
-                "slow".into()
-            }
-            fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                Ok(CompletionResponse {
-                    text: "r".into(),
-                    prompt_tokens: count_tokens(&request.prompt),
-                    completion_tokens: 1,
-                    latency_ms: 1.0,
-                    cost_usd: 0.001,
-                })
-            }
-        }
-        let client = LlmClient::new(Arc::new(SlowModel));
-        let gates = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let client = client.clone();
-                let gates = &gates;
-                scope.spawn(move || {
-                    client
-                        // ordering: Relaxed — test counter; the scope join
-                        // publishes the total to the assert below.
-                        .complete_gated(&CompletionRequest::new("same"), || {
-                            gates.fetch_add(1, Ordering::Relaxed)
-                        })
-                        .unwrap()
-                });
-            }
-        });
-        assert_eq!(
-            // ordering: Relaxed — read after scope join; join synchronizes.
-            gates.load(Ordering::Relaxed),
-            1,
-            "single-flight followers must bypass the gate"
-        );
-    }
-
-    /// Drive a [`ClientCall`] with an always-granting gate until it resolves.
-    fn drive_client_call(mut call: ClientCall) -> Result<CompletionResponse> {
-        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
-        loop {
-            let now = Instant::now();
-            if let Some(result) = call.poll(now, &mut grant) {
-                return result;
-            }
-            if let Some(at) = call.next_wakeup(now) {
-                std::thread::sleep(
-                    at.saturating_duration_since(now)
-                        .clamp(Duration::from_micros(50), Duration::from_millis(2)),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn client_call_cache_hits_and_followers_bypass_the_gate() {
-        // The async analogue of `gate_is_only_invoked_on_real_dispatch`: the
-        // admission gate fires exactly once per real model dispatch; cache
-        // hits resolve without consulting it.
+        // (slot) costs: the gate fires exactly once per model call.
         use std::sync::atomic::{AtomicUsize, Ordering};
         let model = Arc::new(CannedModel::new("x"));
         let client = LlmClient::new(model.clone());
@@ -927,6 +688,54 @@ mod tests {
             "cache hits must bypass the gate"
         );
         assert_eq!(client.usage().cache_hits, 2);
+
+        // Single-flight: 8 threads race one slow prompt; only the leader
+        // gates.
+        struct SlowModel;
+        impl LanguageModel for SlowModel {
+            fn name(&self) -> String {
+                "slow".into()
+            }
+            fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(CompletionResponse {
+                    text: "r".into(),
+                    prompt_tokens: count_tokens(&request.prompt),
+                    completion_tokens: 1,
+                    latency_ms: 1.0,
+                    cost_usd: 0.001,
+                })
+            }
+        }
+        let client = LlmClient::new(Arc::new(SlowModel));
+        let gates = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let client = client.clone();
+                let gates = &gates;
+                scope.spawn(move || {
+                    let mut call = client.start_call(CompletionRequest::new("same"));
+                    let mut gate = || {
+                        // ordering: Relaxed — test counter; the scope join
+                        // publishes the total to the assert below.
+                        gates.fetch_add(1, Ordering::Relaxed);
+                        Some(Box::new(()) as Box<dyn std::any::Any + Send>)
+                    };
+                    loop {
+                        if let Some(result) = call.poll(Instant::now(), &mut gate) {
+                            break result.unwrap();
+                        }
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            // ordering: Relaxed — read after scope join; join synchronizes.
+            gates.load(Ordering::Relaxed),
+            1,
+            "single-flight followers must bypass the gate"
+        );
     }
 
     #[test]
@@ -944,13 +753,14 @@ mod tests {
         let mut follower = client.start_call(CompletionRequest::new("same"));
         assert!(follower.poll(Instant::now(), &mut grant).is_none());
         assert_eq!(*model.calls.lock(), 0);
-        // Leader gets capacity and resolves; the follower picks the cached
-        // result up without a model call or a gate consultation.
+        // Leader gets capacity and resolves; the follower takes its result
+        // without a model call or a gate consultation.
         leader.poll(Instant::now(), &mut grant).unwrap().unwrap();
-        let resp = drive_client_call(follower).unwrap();
+        let resp = follower.poll(Instant::now(), &mut deny).unwrap().unwrap();
         assert_eq!(resp.text, "x");
+        assert!(follower.coalesced());
         assert_eq!(*model.calls.lock(), 1, "follower dispatched a duplicate");
-        assert_eq!(client.usage().cache_hits, 1);
+        assert_eq!(client.usage().calls, 1, "only the leader pays");
     }
 
     #[test]
@@ -967,23 +777,23 @@ mod tests {
         let mut follower = client.start_call(CompletionRequest::new("same"));
         assert!(follower.poll(Instant::now(), &mut deny).is_none());
         drop(leader); // cancelled — e.g. its wave hit the query deadline
-        let resp = drive_client_call(follower).unwrap();
+        let resp = follower.wait().unwrap();
         assert_eq!(resp.text, "x");
         assert_eq!(*model.calls.lock(), 1);
     }
 
     #[test]
     fn coalescer_fans_one_flight_out_across_clients() {
-        // Two *distinct* clients (cache off, so per-client single-flight is
-        // inert) over one model and one coalescer: the first call leads and
+        // Two *distinct* clients (cache off, so neither has a table of its
+        // own) over one model and one coalescer: the first call leads and
         // pays; an identical concurrent call from the other client follows
         // and resolves from the fan-out with zero physical calls.
         let model = Arc::new(CannedModel::new("x"));
         let co = Arc::new(PromptCoalescer::new());
         let mut a = LlmClient::without_cache(model.clone());
-        a.set_coalescer(Some(Arc::clone(&co)));
+        a.set_coalescer(Arc::clone(&co));
         let mut b = LlmClient::without_cache(model.clone());
-        b.set_coalescer(Some(Arc::clone(&co)));
+        b.set_coalescer(Arc::clone(&co));
 
         let mut deny = || None;
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
@@ -1013,9 +823,9 @@ mod tests {
         let model = Arc::new(CannedModel::new("x"));
         let co = Arc::new(PromptCoalescer::new());
         let mut a = LlmClient::without_cache(model.clone());
-        a.set_coalescer(Some(Arc::clone(&co)));
+        a.set_coalescer(Arc::clone(&co));
         let mut b = LlmClient::without_cache(model.clone());
-        b.set_coalescer(Some(Arc::clone(&co)));
+        b.set_coalescer(Arc::clone(&co));
 
         let mut deny = || None;
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
@@ -1033,28 +843,6 @@ mod tests {
         assert!(!follower.coalesced(), "reclaimed flights are not coalesced");
         assert_eq!(*model.calls.lock(), 1);
         assert_eq!(b.usage().calls, 1, "new leader pays for its own flight");
-    }
-
-    #[test]
-    fn without_dedup_bypasses_the_coalescer() {
-        // A hedge duplicate must issue a real second flight even while an
-        // identical request is in front of it.
-        let model = Arc::new(CannedModel::new("x"));
-        let co = Arc::new(PromptCoalescer::new());
-        let mut client = LlmClient::without_cache(model.clone());
-        client.set_coalescer(Some(Arc::clone(&co)));
-
-        let mut deny = || None;
-        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
-        let mut primary = client.start_call(CompletionRequest::new("same"));
-        assert!(primary.poll(Instant::now(), &mut deny).is_none());
-        let mut hedge = client
-            .start_call(CompletionRequest::new("same"))
-            .without_dedup();
-        hedge.poll(Instant::now(), &mut grant).unwrap().unwrap();
-        assert_eq!(*model.calls.lock(), 1, "hedge must dispatch for real");
-        primary.poll(Instant::now(), &mut grant).unwrap().unwrap();
-        assert_eq!(*model.calls.lock(), 2);
     }
 
     #[test]

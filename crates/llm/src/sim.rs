@@ -48,10 +48,10 @@ pub struct SimLlm {
     /// Upper bound on rows the simulator will ever emit for one prompt
     /// (defensive cap, roughly a context-window limit).
     max_rows_per_completion: usize,
-    /// When nonzero, `complete` blocks the calling thread for this many
-    /// milliseconds per request, emulating the network round-trip of a real
-    /// endpoint. Parallel-dispatch benchmarks use this to make request
-    /// overlap observable in wall-clock time.
+    /// When nonzero, every request takes this many milliseconds to become
+    /// observable, emulating the network round-trip of a real endpoint.
+    /// Parallel-dispatch benchmarks use this to make request overlap
+    /// observable in wall-clock time.
     simulated_latency_ms: f64,
 }
 
@@ -73,8 +73,8 @@ impl SimLlm {
         self
     }
 
-    /// Make every `complete` call sleep for `ms` milliseconds, emulating
-    /// endpoint latency (0 disables; negative values are clamped to 0).
+    /// Make every request take `ms` milliseconds, emulating endpoint latency
+    /// (0 disables; negative values are clamped to 0).
     pub fn with_simulated_latency_ms(mut self, ms: f64) -> Self {
         self.simulated_latency_ms = ms.max(0.0);
         self
@@ -790,18 +790,12 @@ impl LanguageModel for SimLlm {
     }
 
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
-        if self.simulated_latency_ms > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                self.simulated_latency_ms / 1000.0,
-            ));
-        }
-        self.complete_now(request)
+        self.submit(request).wait()
     }
 
-    /// Non-blocking submission: the completion is pure compute, so it is
-    /// produced immediately and the simulated round trip becomes a timer on
-    /// the handle — one event loop can then hold many in-flight simulated
-    /// requests on a single OS thread.
+    /// The completion is pure compute, so it is produced immediately and the
+    /// simulated round trip becomes a timer on the handle — one event loop
+    /// can then hold many in-flight simulated requests on a single OS thread.
     fn submit(&self, request: &CompletionRequest) -> crate::backend::CallHandle {
         let result = self.complete_now(request);
         if self.simulated_latency_ms > 0.0 {
@@ -811,13 +805,6 @@ impl LanguageModel for SimLlm {
         } else {
             crate::backend::CallHandle::ready(result)
         }
-    }
-
-    /// Async dispatch pays off exactly when requests have latency to overlap;
-    /// a zero-latency simulator keeps the thread-pool path (same results,
-    /// no event-loop overhead).
-    fn supports_async_submit(&self) -> bool {
-        self.simulated_latency_ms > 0.0
     }
 
     fn cost_model(&self) -> LlmCostModel {
@@ -837,8 +824,7 @@ impl LanguageModel for SimLlm {
 
 impl SimLlm {
     /// The deterministic completion for `request`, without the simulated
-    /// network delay (the blocking `complete` sleeps then delegates here;
-    /// the async `submit` computes here and represents the delay as a
+    /// network delay (`submit` computes here and represents the delay as a
     /// timer).
     fn complete_now(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
         // Packed composite (tuple batching): answer each member task

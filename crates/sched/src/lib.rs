@@ -82,19 +82,18 @@
 //!
 //! **Workers park on one shared reactor, not inside calls.** The scheduler
 //! attaches a single [`llmsql_exec::SharedReactor`] to the engine, so every
-//! worker's scan waves land on *one* deployment-wide event loop whenever the
-//! model supports non-blocking submission: a worker submits its whole wave
-//! and either drives the loop (first in wins the driver seat, servicing
+//! worker's waves land on *one* deployment-wide event loop: a worker submits
+//! its whole wave and either drives the loop (first in wins the driver seat, servicing
 //! *all* queries' completions until its own wave resolves) or parks on a
 //! condvar until a driver resolves its wave for it. Completions from
 //! different queries therefore interleave on one clock, `llm_slots` is the
 //! only deployment-wide in-flight ceiling, and 64 slots on 4 workers is the
 //! normal shape — not 64 blocked threads (`examples/async_dispatch.rs`
-//! measures exactly this). Slot waits in that mode are parked-and-polled
-//! rather than blocked, but surface in the same
-//! `SchedStats::total_slot_wait_ms` / `ExecMetrics::slot_wait_ms`
-//! accounting. With a blocking-only model the per-request worker threads
-//! come back (the compat path) and every guarantee above still holds.
+//! measures exactly this). Slot waits are parked-and-polled, and surface
+//! in the `SchedStats::total_slot_wait_ms` / `ExecMetrics::slot_wait_ms`
+//! accounting. A model whose `submit` is the blocking adapter runs its
+//! wave's requests one after another inside the poll; every guarantee above
+//! still holds.
 //!
 //! The global view buys two cross-query optimizations, both accounted in
 //! [`SchedStats`]:

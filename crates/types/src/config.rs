@@ -464,15 +464,18 @@ pub struct EngineConfig {
     /// it is issued to a different healthy backend and the first success
     /// wins. `0.0` (the default) disables hedging; values >= 1.0 set the
     /// lateness threshold as a multiple of the expected latency (2.0 ~ "tail
-    /// beyond twice the typical request"). Requires a multi-backend pool.
+    /// beyond twice the typical request"). The backend pool is the one
+    /// hedging layer — every request through it arms a hedge timer — so
+    /// without [`EngineConfig::backends`] this has no effect.
     pub hedge_multiplier: f64,
     /// Hedged requests: floor on the lateness threshold, milliseconds, so a
     /// near-zero EWMA cannot make every request look late.
     pub hedge_min_ms: f64,
     /// Per-query wall-clock deadline, milliseconds. Scans check it between
-    /// dispatch waves and fail the query with
-    /// [`crate::ErrorKind::DeadlineExceeded`] (carrying elapsed time and
-    /// calls issued so far) once it passes. `None` (the default) means no
+    /// dispatch waves, and a wave (of any size, the one-shot full-query
+    /// prompt included) is cancelled mid-flight when it fires; either way
+    /// the query fails with [`crate::ErrorKind::DeadlineExceeded`] (carrying
+    /// elapsed time and calls issued so far). `None` (the default) means no
     /// deadline.
     pub deadline_ms: Option<f64>,
     /// Graceful degradation: when enabled, a batched LLM scan cut short by a

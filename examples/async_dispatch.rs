@@ -1,14 +1,12 @@
 //! The event-driven dispatch core in one picture: 64 in-flight LLM calls
 //! served by 4 scheduler worker threads.
 //!
-//! Before the reactor, every in-flight request pinned one OS thread (a scan
-//! worker blocking inside the call), so 64 concurrent calls meant ~64
-//! threads. Now a worker *submits* its whole wave through the non-blocking
-//! `LanguageModel::submit` API and parks on the reactor, so the process
-//! holds `llm_slots = 64` in-flight requests on little more than its 4
-//! worker threads — the example samples `/proc/self/status` while the
-//! workload runs and prints peak OS threads next to the peak in-flight
-//! gauge.
+//! No in-flight request pins an OS thread: a worker *submits* its whole wave
+//! through the poll-based `LanguageModel::submit` API and parks on the
+//! reactor, so the process holds `llm_slots = 64` in-flight requests on
+//! little more than its 4 worker threads — the example samples
+//! `/proc/self/status` while the workload runs and prints peak OS threads
+//! next to the peak in-flight gauge.
 //!
 //! Run with: `cargo run --release --example async_dispatch`
 
@@ -59,7 +57,7 @@ fn subject_engine() -> Engine {
     config.enable_prompt_cache = false; // every query pays its real wave
     let mut engine = Engine::with_catalog(catalog, config);
     // 20ms simulated round trips — represented as reactor timers, never as
-    // sleeping threads, because SimLlm serves the async submit API.
+    // sleeping threads.
     let sim =
         SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7).with_simulated_latency_ms(20.0);
     engine.attach_model(Arc::new(sim)).expect("no backend list");
@@ -79,13 +77,8 @@ fn os_threads() -> Option<u64> {
 }
 
 fn main() {
-    let engine = subject_engine();
-    assert!(
-        engine.client().expect("model attached").supports_async(),
-        "simulator must advertise async submit"
-    );
     let sched = QueryScheduler::new(
-        engine,
+        subject_engine(),
         SchedConfig::default()
             .with_workers(WORKERS)
             .with_llm_slots(LLM_SLOTS)
@@ -157,8 +150,8 @@ fn main() {
                 "peak OS threads         : {peak}  (main + sampler + {WORKERS} workers; \
                  no thread per in-flight call)"
             );
-            // The acceptance bar: 64 in-flight calls on ~8 threads. Without
-            // the reactor this process would peak near 64+ threads.
+            // The acceptance bar: 64 in-flight calls on ~8 threads; a thread
+            // per in-flight call would peak near 64+.
             assert!(
                 peak <= 8,
                 "event-driven dispatch should not spawn per-call threads (saw {peak})"

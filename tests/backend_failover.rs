@@ -194,25 +194,19 @@ fn latency_aware_routing_starves_the_slow_outlier() {
     );
 }
 
-/// The multi-backend scenarios above now run through the event-driven
-/// reactor (pools of `RemoteLlm` endpoints advertise async submit), so their
-/// byte-identical guarantees already cover it; this pins that fact so a
-/// regression that silently falls back to thread-per-request dispatch — or
-/// silently changes results — fails loudly.
+/// A pooled engine with one member hard down returns the rows and pays the
+/// calls of the non-pooled sequential run (parallelism 1, no pool), and its
+/// waves really overlap: failover happens inside the pool, out of sight of
+/// the wave planner.
 #[test]
-fn pooled_engines_dispatch_through_the_reactor_and_keep_results() {
-    let engine = multi_backend_engine(60, 4, 0.0, RoutingPolicy::RoundRobin, true);
-    assert!(
-        engine.client().unwrap().supports_async(),
-        "a pool of RemoteLlm endpoints must advertise async submit"
-    );
-    let reactor = engine.execute(SCAN_SQL).unwrap();
-    // Same rows as the non-pooled blocking baseline (latency 0 ⇒ par_map).
-    let blocking = parallel_scan_engine(60, 1, 0.0).execute(SCAN_SQL).unwrap();
-    assert_eq!(blocking.rows(), reactor.rows());
-    assert_eq!(blocking.usage.calls, reactor.usage.calls);
-    // Waves really overlapped on the reactor.
-    assert!(reactor.metrics.peak_in_flight >= 2, "{:?}", reactor.metrics);
+fn pooled_engines_keep_the_sequential_results_and_overlap_their_waves() {
+    let pooled = multi_backend_engine(60, 4, 0.0, RoutingPolicy::RoundRobin, true)
+        .execute(SCAN_SQL)
+        .unwrap();
+    let sequential = parallel_scan_engine(60, 1, 0.0).execute(SCAN_SQL).unwrap();
+    assert_eq!(sequential.rows(), pooled.rows());
+    assert_eq!(sequential.usage.calls, pooled.usage.calls);
+    assert!(pooled.metrics.peak_in_flight >= 2, "{:?}", pooled.metrics);
 }
 
 /// Cost-aware routing avoids the premium-priced backend entirely while the

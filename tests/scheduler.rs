@@ -414,7 +414,6 @@ fn async_core_holds_64_in_flight_calls_on_4_worker_threads() {
 
     // Unscheduled baseline on an identical engine.
     let baseline_engine = build_engine(64);
-    assert!(baseline_engine.client().unwrap().supports_async());
     let baseline: Vec<(Vec<llmsql_types::Row>, u64)> = queries
         .iter()
         .map(|(_, sql)| {

@@ -78,19 +78,27 @@ fn shared_reactor_on_vs_off_is_byte_identical() {
 }
 
 #[test]
-fn blocking_and_reactor_paths_agree() {
-    // Zero simulated latency forces the blocking par_map path; positive
-    // latency takes the reactor path. Same rows, same logical calls.
-    let blocking = batched_tuple_scan_engine(30, 4, 3, 0.0)
+fn inline_and_parked_waves_agree_with_the_sequential_run() {
+    // The reference is the sequential run: parallelism 1, unbatched, zero
+    // latency, so every wave is one prompt resolved inline. Wide batched
+    // waves — resolved inline at zero latency, parked on timers otherwise —
+    // return the same rows for the same logical calls.
+    let sequential = batched_tuple_scan_engine(30, 1, 1, 0.0)
         .expect("valid batched scan engine")
         .execute(SCAN_SQL)
         .unwrap();
-    let reactor = batched_tuple_scan_engine(30, 4, 3, 0.5)
-        .expect("valid batched scan engine")
-        .execute(SCAN_SQL)
-        .unwrap();
-    assert_eq!(blocking.rows(), reactor.rows());
-    assert_eq!(blocking.metrics.llm_calls(), reactor.metrics.llm_calls());
+    for latency_ms in [0.0, 0.5] {
+        let wide = batched_tuple_scan_engine(30, 4, 3, latency_ms)
+            .expect("valid batched scan engine")
+            .execute(SCAN_SQL)
+            .unwrap();
+        assert_eq!(sequential.rows(), wide.rows(), "{latency_ms}ms");
+        assert_eq!(
+            sequential.metrics.llm_calls(),
+            wide.metrics.llm_calls(),
+            "{latency_ms}ms"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
