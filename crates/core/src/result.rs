@@ -65,7 +65,7 @@ impl QueryResult {
         self.metrics.incomplete.as_ref()
     }
 
-    /// True when the rows are a partial (page-aligned prefix) result
+    /// True when the rows are a partial (exact prefix) result
     /// delivered under graceful degradation rather than the full answer.
     pub fn is_partial(&self) -> bool {
         self.metrics.incomplete.is_some()

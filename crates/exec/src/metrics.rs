@@ -90,7 +90,7 @@ pub struct ExecMetrics {
     pub op_stats: BTreeMap<String, OpStats>,
     /// Set when graceful degradation cut this query short
     /// (`EngineConfig::with_partial_results`): the rows produced are an
-    /// exact page-aligned prefix of the full result, and this marker carries
+    /// exact prefix of the full result, and this marker carries
     /// the triggering fault plus the accounting at the moment of the cut.
     /// `None` = the result is complete.
     pub incomplete: Option<Incomplete>,

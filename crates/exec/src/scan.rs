@@ -5,51 +5,58 @@
 //! * [`table_scan`] — read a materialized table from `llmsql-store`
 //!   (Traditional mode, and the ground-truth oracle).
 //! * [`llm_scan`] — materialize a *virtual* relation by prompting the model;
-//!   how exactly depends on the [`PromptStrategy`].
+//!   which prompts depends on the [`PromptStrategy`].
 //! * [`hybrid_scan`] — read the materialized (but incomplete) table and fill
 //!   NULL cells by prompting the model for the missing attribute values.
 //!
-//! # Concurrent dispatch
+//! # One driver, four plans
 //!
-//! Model calls dominate query latency, so every LLM-backed scan dispatches
-//! its prompts in *waves* of up to [`ExecContext::scan_fanout`] concurrent
-//! requests (`EngineConfig::parallelism`). There is one dispatch path: every
-//! prompt of a wave — of one prompt or of sixty-four — becomes a poll-based
-//! `llmsql_llm::ClientCall` and the calling thread parks on the
-//! [`crate::reactor`] until the wave drains, so slot gating, single-flight
-//! coalescing and mid-flight deadlines apply to every request alike. Waves
-//! preserve the sequential scan's semantics exactly:
+//! A scan over the model *is* a sequence of prompts, and a prompting
+//! strategy only decides which prompts. So a strategy is a `PromptPlan` —
+//! "with room for `cap` prompts, which come next" and "here is the answer to
+//! prompt `i`" — and there are four: `Pages` (`row_batch` pagination),
+//! `Enumerate` (the key list that opens the per-tuple strategies), `Lookups`
+//! (one `lookup` per row with missing cells, be it an enumerated key or a
+//! stored row with NULLs) and `FilterChecks` (one `filter_check` per
+//! candidate row). `TupleAtATime` is enumerate → lookups,
+//! `DecomposedOperators` is enumerate → lookups → filter checks, and the
+//! hybrid scan is lookups over the stored rows.
 //!
-//! * Prompts are planned deterministically (page offsets, tuple order), so
-//!   the prompt *set* does not depend on thread interleaving; completions are
-//!   reassembled in page/tuple order before any row is emitted. Same seed +
-//!   same query ⇒ byte-identical rows at any parallelism.
-//! * Call budgets (`max_llm_calls`) bound the wave size up front, so
-//!   parallelism never issues calls a sequential run would have skipped.
-//! * Pagination is speculative: a wave assumes every page comes back full.
-//!   When the relation ends mid-wave, responses after the first short page
-//!   are discarded. Wave sizes ramp up TCP-style (1, 2, 4, … capped at the
-//!   fanout), so the extra calls a scan can issue past the end of the
-//!   relation are bounded by the smaller of `parallelism - 1` and the page
-//!   count the relation already served — an empty relation costs at most
-//!   one call, as in a sequential run. Models that report a
-//!   relation-cardinality hint (`LanguageModel::relation_cardinality`)
-//!   eliminate the tail overshoot entirely: pages past the reported end are
-//!   never planned, and an empty relation costs zero calls. Budget-capped
-//!   scans (`LIMIT`/`max_scan_rows` reached before exhaustion) issue exactly
-//!   the sequential call count. Cost accounting reports every issued call
-//!   faithfully.
+//! Everything that is not prompt content lives once, in `Driver::drive`:
 //!
-//! # Multi-backend fan-out
+//! * **Waves.** Model calls dominate query latency, so prompts are
+//!   dispatched in waves of up to [`ExecContext::scan_fanout`] concurrent
+//!   requests (`EngineConfig::parallelism`). Every prompt of a wave — of one
+//!   prompt or of sixty-four — becomes a poll-based `llmsql_llm::ClientCall`
+//!   and the calling thread parks on the [`crate::reactor`] until the wave
+//!   drains, so slot gating, single-flight coalescing and mid-flight
+//!   deadlines apply to every request alike.
+//! * **Determinism.** A plan is a pure function of the answers consumed so
+//!   far, and answers are consumed strictly in prompt order, so the prompt
+//!   *set* does not depend on thread interleaving: same seed + same query ⇒
+//!   byte-identical rows and logical call counts at any parallelism and any
+//!   `batch_rows_per_call`.
+//! * **Call budget.** `max_llm_calls` is query-global and bounds every wave
+//!   up front, so parallelism never issues calls a sequential run would have
+//!   skipped. It counts *logical* prompts: a retried, failed-over or packed
+//!   prompt costs one unit however it travelled.
+//! * **Tuple batching.** Per-tuple prompts travel packed,
+//!   `EngineConfig::batch_rows_per_call` to a request; the composite answer
+//!   is split back before the plan sees it.
+//! * **Deadline and partial results.** The deadline is checked before each
+//!   wave is paid for and fires mid-wave on the reactor. A lapsed deadline or
+//!   a backend-layer failure fails the query — or, with
+//!   `EngineConfig::partial_results`, cuts the scan short: consumption stops
+//!   at the first failed answer, so every strategy delivers exactly the rows
+//!   for which all the prompts it needs were answered before that point (a
+//!   prefix in page, key or stored-row order; nothing while the filter checks
+//!   of a decomposed scan are still to come), labelled by an [`Incomplete`]
+//!   marker.
 //!
-//! When the client wraps a `BackendPool`, the concurrent requests of one wave
-//! spread across the pool's endpoints per its routing policy (round-robin
-//! interleaves a wave; least-in-flight reacts to stragglers). This is
-//! invisible to the wave planner: pooled backends are semantically identical
-//! and failover happens inside the pool, so rows stay byte-identical and the
-//! query-global call budget (`max_llm_calls`) keeps counting *logical*
-//! prompts — a retried or failed-over prompt consumes exactly one unit of
-//! budget no matter how many physical attempts it took.
+//! When the client wraps a `BackendPool`, the requests of one wave spread
+//! across its endpoints per the routing policy. That is invisible here:
+//! pooled backends are semantically identical and failover happens inside
+//! the pool, so rows and logical calls stay byte-identical.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,7 +64,7 @@ use std::time::Instant;
 use llmsql_llm::prompt::TaskSpec;
 use llmsql_llm::{
     pack_prompts, parse_pipe_rows, parse_value_lines, parse_yes_no, split_response, ClientCall,
-    CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer,
+    CompletionRequest, CompletionResponse, LlmClient, ParsedRows, YesNoAnswer,
 };
 use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
@@ -71,8 +78,9 @@ use crate::metrics::{InFlightGuard, SharedMetrics};
 use crate::reactor::{self, Completion, DriveOutcome};
 use crate::slots::CallSlots;
 
-/// Parameters of a scan, extracted from the logical plan node. Borrows the
-/// plan's data — constructing a spec allocates nothing.
+/// Parameters of a scan, extracted from the logical plan node, which alone
+/// says what the optimizer pushed. Borrows the plan's data — constructing a
+/// spec allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanSpec<'a> {
     /// Catalog table name.
@@ -103,32 +111,18 @@ impl ScanSpec<'_> {
             .min(ctx.config.max_scan_rows)
     }
 
-    /// Render the pushed filter as SQL text for the prompt, if any (and if the
-    /// engine is allowed to push predicates into prompts).
-    fn prompt_filter(&self, ctx: &ExecContext) -> Option<String> {
-        if !ctx.config.enable_predicate_pushdown {
-            return None;
-        }
-        self.pushed_filter.and_then(|f| f.to_sql_text().ok())
+    /// The pushed filter as SQL text for a prompt, if there is one.
+    fn prompt_filter(&self) -> Result<Option<String>> {
+        self.pushed_filter.map(BoundExpr::to_sql_text).transpose()
     }
 
-    /// The column names to request from the model (respecting projection
-    /// pruning configuration).
-    fn prompt_column_names(&self, ctx: &ExecContext) -> (Vec<usize>, Vec<String>, Vec<DataType>) {
-        let indices = if ctx.config.enable_projection_pruning {
-            self.needed_columns()
-        } else {
-            (0..self.table_schema.arity()).collect()
-        };
-        let names = indices
-            .iter()
-            .map(|&i| self.table_schema.columns[i].name.clone())
-            .collect();
-        let types = indices
-            .iter()
-            .map(|&i| self.table_schema.columns[i].data_type)
-            .collect();
-        (indices, names, types)
+    /// Whether `row` passes the pushed filter, evaluated locally (a row with
+    /// missing evidence does not: NULL is not TRUE).
+    fn passes(&self, row: &Row) -> Result<bool> {
+        match self.pushed_filter {
+            Some(filter) => Ok(eval_predicate(filter, row)? == Some(true)),
+            None => Ok(true),
+        }
     }
 
     /// Index of the primary-key column (first column when none is marked).
@@ -139,96 +133,30 @@ impl ScanSpec<'_> {
             .position(|c| c.primary_key)
             .unwrap_or(0)
     }
+
+    /// The display form of `row`'s key, as per-tuple prompts name an entity.
+    fn key_text(&self, row: &Row) -> String {
+        row.get(self.key_column()).to_display_string()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Wave dispatch
+// Dispatch
 // ---------------------------------------------------------------------------
 
-/// Issue one wave of prompts concurrently, returning responses in prompt
-/// order. Every prompt is recorded as one LLM call of `kind` and tracked in
-/// the in-flight gauge while outstanding.
-///
-/// The whole wave is submitted through poll-based [`ClientCall`]s and the
-/// calling thread parks on the [`crate::reactor`] — one OS thread holds
-/// every in-flight request of the wave, so deployment concurrency is bounded
-/// by slot capacity, not thread count. Under a cross-query scheduler each
-/// request additionally holds a global call slot while in flight (a
-/// non-blocking `try_acquire` gate, with the wait spent parked);
-/// prompt-cache hits and single-flight followers bypass the slot pool. The
-/// wave is fully planned before any slot is taken, so throttling delays
-/// dispatch but never changes the prompt set, the rows, or the logical call
-/// count.
-fn dispatch_wave(
-    ctx: &ExecContext,
-    client: &LlmClient,
-    kind: &str,
-    prompts: &[String],
-) -> Vec<Result<CompletionResponse>> {
-    ctx.metrics.update(|m| {
-        for _ in prompts {
-            m.record_llm_call(kind);
-        }
-    });
-    dispatch_physical(ctx, client, prompts)
-}
-
-/// Dispatch a wave of one prompt (an enumeration, a one-shot full-query
-/// prompt) with the accounting, slot gating, coalescing and mid-flight
-/// deadline of any other wave; the prompt is recorded as one LLM call of
-/// `kind`.
+/// Dispatch a one-shot prompt (the full-query strategy's) with the
+/// accounting, slot gating, coalescing and mid-flight deadline of a scan
+/// wave; the prompt is recorded as one LLM call of `kind`.
 pub fn dispatch_one(
     ctx: &ExecContext,
     client: &LlmClient,
     kind: &str,
     prompt: String,
 ) -> Result<CompletionResponse> {
-    dispatch_wave(ctx, client, kind, &[prompt])
+    ctx.metrics.update(|m| m.record_llm_call(kind));
+    dispatch_physical(ctx, client, &[prompt])
         .pop()
-        .expect("one prompt in, one response out")
-}
-
-/// Issue a wave of **per-tuple** prompts with tuple batching: chunks of up to
-/// `EngineConfig::batch_rows_per_call` prompts are packed into one composite
-/// request each, and every composite answer is split back into per-prompt
-/// responses. Logical calls are recorded per *original* prompt — the budget
-/// charge and `llm_calls_by_kind` are byte-identical at any batch size —
-/// while the physical wave shrinks by the batch factor. Only per-tuple task
-/// kinds route through here (lookups, filter checks); page-sized `row_batch`
-/// prompts are already batches.
-fn dispatch_wave_batched(
-    ctx: &ExecContext,
-    client: &LlmClient,
-    kind: &str,
-    prompts: &[String],
-) -> Vec<Result<CompletionResponse>> {
-    let rows_per_call = ctx.config.batch_rows_per_call.max(1);
-    if rows_per_call <= 1 || prompts.len() <= 1 {
-        return dispatch_wave(ctx, client, kind, prompts);
-    }
-    ctx.metrics.update(|m| {
-        for _ in prompts {
-            m.record_llm_call(kind);
-        }
-    });
-    let composites: Vec<String> = prompts.chunks(rows_per_call).map(pack_prompts).collect();
-    let responses = dispatch_physical(ctx, client, &composites);
-    let mut out = Vec::with_capacity(prompts.len());
-    for (chunk, response) in prompts.chunks(rows_per_call).zip(responses) {
-        match response {
-            Ok(response) => {
-                if chunk.len() > 1 {
-                    ctx.metrics.update(|m| m.batched_rows += chunk.len() as u64);
-                }
-                out.extend(split_response(&response, chunk.len()).into_iter().map(Ok));
-            }
-            // A failed composite fails each member identically — the same
-            // per-prompt outcome independent dispatch would produce under
-            // the same fault.
-            Err(err) => out.extend(chunk.iter().map(|_| Err(err.clone()))),
-        }
-    }
-    out
+        .unwrap_or_else(|| Err(Error::execution("a wave of one prompt drained empty")))
 }
 
 /// Where a [`WaveOp`] deposits its response: read by the dispatching thread
@@ -304,7 +232,9 @@ impl Completion for WaveOp {
 /// Dispatch an already-accounted wave: submit every prompt as a poll-based
 /// call and park until the wave drains (or the query deadline fires
 /// mid-wave, in which case unfinished calls are cancelled by drop and
-/// reported as `DeadlineExceeded` with partial accounting). With a
+/// reported as `DeadlineExceeded` with partial accounting). Under a
+/// cross-query scheduler each request holds a global call slot while in
+/// flight, which delays dispatch but never changes the prompt set. With a
 /// deployment-shared reactor attached the wave joins the shared event loop —
 /// one driving thread interleaves completions from every query — otherwise
 /// the calling thread drives a private loop for just this wave, whose first
@@ -356,13 +286,527 @@ fn dispatch_physical(
         .collect()
 }
 
-/// LLM calls already issued for this query.
-fn calls_used(ctx: &ExecContext) -> usize {
-    ctx.metrics.llm_call_count() as usize
+// ---------------------------------------------------------------------------
+// The scan driver
+// ---------------------------------------------------------------------------
+
+/// What a prompting strategy contributes to a scan: which prompts come next,
+/// and what an answer means. A plan holds only finished rows, so a scan cut
+/// short delivers them as they stand.
+trait PromptPlan {
+    /// The task kind every prompt of this plan is accounted under.
+    const KIND: &'static str;
+    /// Per-tuple prompts, packed `batch_rows_per_call` to a request.
+    const PACKS: bool = false;
+    /// The relation's end is unknown, so waves ramp up 1, 2, 4, … and
+    /// shrink near the deadline (see [`Pages`]).
+    const SPECULATIVE: bool = false;
+
+    /// The next wave: at most `cap` prompts, planned from what was consumed
+    /// so far. Empty means the plan is finished.
+    fn next(&mut self, cap: usize) -> Result<Vec<String>>;
+
+    /// Consume the answer to prompt `i` of the wave `next` returned last.
+    /// Called in prompt order, and never past a failed answer.
+    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow>;
+}
+
+/// What the driver does after an accepted answer.
+#[derive(PartialEq)]
+enum Flow {
+    /// Go on with the wave.
+    Continue,
+    /// The plan is finished; answers still unconsumed are discarded.
+    Done,
+}
+
+/// Runs the plans of one scan: the one wave loop, and the one place each
+/// dispatch policy lives (see the module docs).
+struct Driver<'a> {
+    ctx: &'a ExecContext,
+    /// The fault that cut this scan short under `partial_results`. Once set,
+    /// no plan of the scan issues another prompt.
+    cut: Option<Error>,
+}
+
+impl Driver<'_> {
+    /// Drive `plan` until it is finished or the scan is cut short.
+    fn drive<P: PromptPlan>(&mut self, plan: &mut P) -> Result<()> {
+        let ctx = self.ctx;
+        let client = ctx.require_client()?;
+        let fanout = ctx.scan_fanout();
+        let packing = ctx.config.batch_rows_per_call.max(1);
+        let per_request = if P::PACKS { packing } else { 1 };
+        let mut ramp = if P::SPECULATIVE { 1 } else { fanout };
+        // Wall-time EWMA of completed speculative waves — the basis for
+        // deadline-aware wave sizing. `None` until the first wave lands.
+        let mut wave_ewma_ms: Option<f64> = None;
+        while self.cut.is_none() {
+            // The call cap is query-global: every scan of the query draws on
+            // it through the metrics channel.
+            let calls_used = ctx.metrics.llm_call_count() as usize;
+            let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used);
+            let mut cap = fanout.min(ramp).min(call_budget);
+            // Deadline-aware wave sizing: with the deadline less than two
+            // typical waves away, shrink to a single probe prompt — either
+            // it finishes the scan or the deadline check fires with at most
+            // one prompt of overshoot. Only how many prompts fly
+            // concurrently changes, never which.
+            if let (Some(deadline), Some(est_ms)) = (ctx.deadline_instant(), wave_ewma_ms) {
+                let remaining = deadline.saturating_duration_since(reactor::now());
+                if remaining.as_secs_f64() * 1000.0 < est_ms * 2.0 {
+                    cap = cap.min(1);
+                }
+            }
+            let prompts = plan.next(cap)?;
+            if prompts.is_empty() {
+                break;
+            }
+            // A query past its deadline fails before paying for another wave.
+            if let Err(err) = ctx.check_deadline() {
+                return self.cut_short(err);
+            }
+            // Logical calls are recorded per planned prompt, so the budget
+            // charge and `llm_calls_by_kind` are the same at any batch size.
+            ctx.metrics.update(|m| {
+                for _ in &prompts {
+                    m.record_llm_call(P::KIND);
+                }
+            });
+            let packed: Vec<String>;
+            let requests = if per_request > 1 && prompts.len() > 1 {
+                packed = prompts.chunks(per_request).map(pack_prompts).collect();
+                &packed
+            } else {
+                &prompts
+            };
+            let wave_started = P::SPECULATIVE.then(reactor::now);
+            let responses = dispatch_physical(ctx, client, requests);
+            if let Some(started) = wave_started {
+                let ms = started.elapsed().as_secs_f64() * 1000.0;
+                wave_ewma_ms = Some(wave_ewma_ms.map_or(ms, |prev| 0.7 * prev + 0.3 * ms));
+            }
+            let mut consumed = 0;
+            for (members, response) in prompts.chunks(per_request).zip(responses) {
+                let response = match response {
+                    Ok(response) => response,
+                    // Earlier answers were consumed in order, so the plan
+                    // holds an exact prefix. A failed composite fails each
+                    // member identically, as independent dispatch would.
+                    Err(err) => return self.cut_short(err),
+                };
+                let (whole, parts) = if members.len() == 1 {
+                    (Some(response), None)
+                } else {
+                    ctx.metrics
+                        .update(|m| m.batched_rows += members.len() as u64);
+                    (None, Some(split_response(&response, members.len())))
+                };
+                for answer in whole.into_iter().chain(parts.into_iter().flatten()) {
+                    if plan.accept(consumed, answer)? == Flow::Done {
+                        return Ok(());
+                    }
+                    consumed += 1;
+                }
+            }
+            ramp = ramp.saturating_mul(2).min(fanout);
+        }
+        Ok(())
+    }
+
+    /// Graceful degradation (`EngineConfig::with_partial_results`): a lapsed
+    /// deadline or an unrecoverable backend layer mid-scan keeps the rows
+    /// already assembled. Any other error, or the switch off, fails the query.
+    fn cut_short(&mut self, err: Error) -> Result<()> {
+        let degradable = matches!(err.kind, ErrorKind::DeadlineExceeded | ErrorKind::Llm);
+        if !(self.ctx.config.partial_results && degradable) {
+            return Err(err);
+        }
+        self.cut = Some(err);
+        Ok(())
+    }
+
+    /// Hand over the scan's rows; if it was cut short, record the fault and
+    /// the accounting at the cut as the query's [`Incomplete`] marker (the
+    /// first cut of a query wins).
+    fn finish(self, rows: Vec<Row>) -> Vec<Row> {
+        if let Some(err) = self.cut {
+            let marker = Incomplete {
+                kind: err.kind,
+                message: err.message,
+                rows_delivered: rows.len() as u64,
+                calls_spent: self.ctx.metrics.llm_call_count(),
+            };
+            self.ctx.metrics.update(|m| {
+                m.incomplete.get_or_insert(marker);
+            });
+        }
+        rows
+    }
+}
+
+/// Account the lines of an answer that did not parse.
+fn note_dropped(ctx: &ExecContext, parsed: &ParsedRows) {
+    if parsed.dropped_lines > 0 {
+        ctx.metrics
+            .update(|m| m.dropped_lines += parsed.dropped_lines as u64);
+    }
+}
+
+/// A row of the base arity holding `values` at `columns`, NULL elsewhere.
+fn widen(columns: &[usize], values: &Row, arity: usize) -> Row {
+    let mut full = vec![Value::Null; arity];
+    for (vi, &idx) in columns.iter().enumerate() {
+        full[idx] = values.get(vi).clone();
+    }
+    Row::new(full)
 }
 
 // ---------------------------------------------------------------------------
-// Traditional scan
+// Plans
+// ---------------------------------------------------------------------------
+
+/// Page through the relation with `row_batch` prompts at precomputed
+/// offsets.
+///
+/// Pagination is speculative: a wave assumes every page comes back full, and
+/// answers after the first short page are discarded. Nothing is known about
+/// the relation's size before the first answer, so the driver ramps wave
+/// sizes up TCP-style (1, 2, 4, … capped at the fanout): the calls a scan
+/// can issue past the relation's end are bounded by the smaller of
+/// `parallelism - 1` and the page count the relation already served — an
+/// empty relation costs at most one call, as in a sequential run.
+/// Budget-capped scans (`LIMIT` or `max_scan_rows` reached before
+/// exhaustion) issue exactly the sequential call count.
+struct Pages<'a> {
+    ctx: &'a ExecContext,
+    spec: &'a ScanSpec<'a>,
+    columns: Vec<usize>,
+    names: Vec<String>,
+    types: Vec<DataType>,
+    filter: Option<String>,
+    budget: usize,
+    page: usize,
+    /// Relation-cardinality hint (`LanguageModel::relation_cardinality`):
+    /// how many lines an unfiltered enumeration would produce. Pages at
+    /// offsets past it can only come back empty, so they are never planned —
+    /// no tail overshoot, and an empty relation costs zero calls. Under a
+    /// pushed filter it is still a sound upper bound, and the short-page
+    /// check still detects the filtered relation's earlier end.
+    hint: Option<usize>,
+    /// Where the next unplanned page starts.
+    offset: usize,
+    /// `(offset, limit)` of each page of the wave in flight.
+    wave: Vec<(usize, usize)>,
+    rows: Vec<Row>,
+}
+
+impl<'a> Pages<'a> {
+    fn new(ctx: &'a ExecContext, spec: &'a ScanSpec<'a>, filter: Option<String>) -> Self {
+        let columns = spec.needed_columns();
+        let column = |&i: &usize| &spec.table_schema.columns[i];
+        let hint = ctx
+            .client
+            .as_ref()
+            .and_then(|c| c.relation_cardinality(spec.table));
+        Pages {
+            ctx,
+            spec,
+            names: columns.iter().map(|i| column(i).name.clone()).collect(),
+            types: columns.iter().map(|i| column(i).data_type).collect(),
+            columns,
+            filter,
+            budget: spec.row_budget(ctx),
+            page: ctx.config.batch_size.max(1),
+            hint: hint.map(|n| n as usize),
+            offset: 0,
+            wave: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl PromptPlan for Pages<'_> {
+    const KIND: &'static str = "row_batch";
+    const SPECULATIVE: bool = true;
+
+    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+        // A wave may only contain *full* pages (`limit` = `page`): their
+        // prompts depend on nothing but the page offset, which advances by
+        // exactly `page` while pages come back full, so they can be fetched
+        // concurrently and still match a sequential run prompt-for-prompt. A
+        // budget-clamped final page is different — its `limit` is
+        // `budget - rows.len()`, which depends on how many rows the earlier
+        // pages actually *parsed* (fidelity noise drops lines) — so it is
+        // always issued alone, planned from the true row count.
+        let room = self.budget - self.rows.len();
+        let full = cap.min(room / self.page);
+        self.wave.clear();
+        self.wave
+            .extend((0..full).map(|k| (self.offset + k * self.page, self.page)));
+        if full == 0 && cap > 0 && room > 0 {
+            self.wave.push((self.offset, room));
+        }
+        let end = self.hint.unwrap_or(usize::MAX);
+        self.wave.retain(|&(at, _)| at < end);
+        let prompts = self.wave.iter().map(|&(offset, limit)| {
+            TaskSpec::RowBatch {
+                table: self.spec.table.to_string(),
+                columns: self.names.clone(),
+                filter: self.filter.clone(),
+                limit,
+                offset,
+            }
+            .to_prompt(Some(self.spec.table_schema))
+        });
+        Ok(prompts.collect())
+    }
+
+    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow> {
+        let (page_offset, want) = self.wave[i];
+        let parsed = parse_pipe_rows(&response.text, &self.types);
+        note_dropped(self.ctx, &parsed);
+        // Lines the model produced for this page, parsed or not: the
+        // relation is exhausted when the model had fewer rows to say than
+        // asked for, not when some lines were malformed. A backend that
+        // emits *more* lines than requested is clamped to the page size —
+        // later pages are dispatched at offsets assuming at most `want`
+        // lines per page, so consuming overshoot would duplicate rows.
+        let got_lines = (parsed.rows.len() + parsed.dropped_lines).min(want);
+        let room = self.budget - self.rows.len();
+        let arity = self.spec.table_schema.arity();
+        let taken = parsed.rows.iter().take(want.min(room));
+        self.rows
+            .extend(taken.map(|partial| widen(&self.columns, partial, arity)));
+        self.offset = page_offset + got_lines;
+        // A short page is the end of the relation: later pages of this wave
+        // were speculative fetches past the end.
+        if got_lines < want || self.rows.len() >= self.budget {
+            return Ok(Flow::Done);
+        }
+        Ok(Flow::Continue)
+    }
+}
+
+/// The key enumeration that opens the per-tuple strategies: one `enumerate`
+/// prompt, answered by one row per key with every other column NULL.
+struct Enumerate<'a> {
+    ctx: &'a ExecContext,
+    spec: &'a ScanSpec<'a>,
+    prompt: Option<String>,
+    rows: Vec<Row>,
+}
+
+impl PromptPlan for Enumerate<'_> {
+    const KIND: &'static str = "enumerate";
+
+    fn next(&mut self, _cap: usize) -> Result<Vec<String>> {
+        // Issued even on a spent call budget: the keys then cost one call
+        // and the lookups they would feed cost none.
+        Ok(self.prompt.take().into_iter().collect())
+    }
+
+    fn accept(&mut self, _i: usize, response: CompletionResponse) -> Result<Flow> {
+        let schema = self.spec.table_schema;
+        let key_idx = self.spec.key_column();
+        let parsed = parse_value_lines(&response.text, schema.columns[key_idx].data_type);
+        note_dropped(self.ctx, &parsed);
+        let keys = parsed.rows.iter().take(self.spec.row_budget(self.ctx));
+        self.rows
+            .extend(keys.map(|key| widen(&[key_idx], key, schema.arity())));
+        Ok(Flow::Continue)
+    }
+}
+
+/// The needed columns `row` has no value for.
+fn missing<'r>(needed: &'r [usize], row: &'r Row) -> impl Iterator<Item = usize> + 'r {
+    needed
+        .iter()
+        .copied()
+        .filter(move |&col| row.get(col).is_null())
+}
+
+/// Walk `source` rows in order and ask one `lookup` per row for the needed
+/// cells it is missing; rows that pass the pushed filter locally are
+/// delivered, up to `budget` of them. The per-tuple strategies feed it the
+/// enumerated keys (the local re-check means the model's own filtering need
+/// not be trusted), the hybrid scan the stored rows.
+///
+/// A wave serves one *segment*: consecutive rows holding at most `cap`
+/// lookups, and never more rows than the row budget has room for — a
+/// sequential scan stops issuing lookups once `budget` rows are delivered,
+/// so fills planned past that point would be calls a sequential run never
+/// makes (rows filtered out only make the scan continue into a *later*
+/// segment). Rows that need no lookup — complete rows, key-only projections
+/// — are delivered without a call.
+struct Lookups<'a> {
+    ctx: &'a ExecContext,
+    spec: &'a ScanSpec<'a>,
+    /// The needed columns other than the key.
+    needed: Vec<usize>,
+    budget: usize,
+    /// The rows come from the store: with the call budget spent they pass
+    /// through unfilled, as in a sequential run, and fills are counted. An
+    /// enumerated key without its lookup is no row at all.
+    stored: bool,
+    source: Vec<Row>,
+    /// The first source row neither delivered nor filtered out yet.
+    cursor: usize,
+    /// The source rows the wave in flight looks up, and its segment's end.
+    wave: Vec<usize>,
+    segment_end: usize,
+    /// Scratch: the column types one answer is parsed against.
+    types: Vec<DataType>,
+    rows: Vec<Row>,
+}
+
+impl<'a> Lookups<'a> {
+    fn new(ctx: &'a ExecContext, spec: &'a ScanSpec<'a>, source: Vec<Row>, stored: bool) -> Self {
+        let key_idx = spec.key_column();
+        let mut needed = spec.needed_columns();
+        needed.retain(|&col| col != key_idx);
+        Lookups {
+            ctx,
+            spec,
+            needed,
+            budget: spec.row_budget(ctx),
+            stored,
+            source,
+            cursor: 0,
+            wave: Vec::new(),
+            segment_end: 0,
+            types: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Deliver the source rows up to `upto`: every one of them has all the
+    /// answers it is going to get.
+    fn deliver(&mut self, upto: usize) -> Result<()> {
+        for slot in &mut self.source[self.cursor..upto] {
+            let row = std::mem::replace(slot, Row::empty());
+            if self.spec.passes(&row)? {
+                self.rows.push(row);
+            }
+        }
+        self.cursor = upto;
+        Ok(())
+    }
+}
+
+impl PromptPlan for Lookups<'_> {
+    const KIND: &'static str = "lookup";
+    const PACKS: bool = true;
+
+    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+        self.wave.clear();
+        if cap == 0 && !self.stored {
+            return Ok(Vec::new());
+        }
+        while self.cursor < self.source.len() && self.rows.len() < self.budget {
+            let room = self.budget - self.rows.len();
+            let segment_cap = self.source.len().min(self.cursor + room);
+            let mut end = self.cursor;
+            while end < segment_cap {
+                if cap > 0 && missing(&self.needed, &self.source[end]).next().is_some() {
+                    if self.wave.len() == cap {
+                        break;
+                    }
+                    self.wave.push(end);
+                }
+                end += 1;
+            }
+            self.segment_end = end;
+            self.deliver(self.wave.first().copied().unwrap_or(end))?;
+            if !self.wave.is_empty() {
+                break;
+            }
+        }
+        let schema = self.spec.table_schema;
+        let prompts = self.wave.iter().map(|&at| {
+            let names = missing(&self.needed, &self.source[at]).map(|c| &schema.columns[c].name);
+            TaskSpec::Lookup {
+                table: self.spec.table.to_string(),
+                key: self.spec.key_text(&self.source[at]),
+                columns: names.cloned().collect(),
+            }
+            .to_prompt(Some(schema))
+        });
+        Ok(prompts.collect())
+    }
+
+    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow> {
+        let row = &mut self.source[self.wave[i]];
+        let columns = &self.spec.table_schema.columns;
+        self.types.clear();
+        self.types
+            .extend(missing(&self.needed, row).map(|col| columns[col].data_type));
+        let parsed = parse_pipe_rows(&response.text, &self.types);
+        note_dropped(self.ctx, &parsed);
+        if let Some(values) = parsed.rows.first() {
+            let mut filled = 0;
+            let mut answers = values.values().iter();
+            for &col in &self.needed {
+                if !row.get(col).is_null() {
+                    continue;
+                }
+                if let Some(value) = answers.next().filter(|v| !v.is_null()) {
+                    row.set(col, value.clone());
+                    filled += 1;
+                }
+            }
+            if self.stored && filled > 0 {
+                self.ctx.metrics.update(|m| m.cells_filled_by_llm += filled);
+            }
+        }
+        // Everything ahead of the next lookup is now final.
+        let upto = self.wave.get(i + 1).copied().unwrap_or(self.segment_end);
+        self.deliver(upto)?;
+        Ok(Flow::Continue)
+    }
+}
+
+/// The decomposed strategy's filter operator: one `filter_check` prompt per
+/// candidate row, keeping the rows the model says yes to, up to `budget`.
+/// A wave never holds more checks than the row budget still has room for —
+/// the rule [`Lookups`] segments follow, for the same reason.
+struct FilterChecks<'a> {
+    spec: &'a ScanSpec<'a>,
+    condition: String,
+    budget: usize,
+    candidates: std::vec::IntoIter<Row>,
+    kept: Vec<Row>,
+}
+
+impl PromptPlan for FilterChecks<'_> {
+    const KIND: &'static str = "filter_check";
+    const PACKS: bool = true;
+
+    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+        let wave = cap.min(self.budget - self.kept.len());
+        let prompts = self.candidates.as_slice().iter().take(wave).map(|row| {
+            TaskSpec::FilterCheck {
+                table: self.spec.table.to_string(),
+                key: self.spec.key_text(row),
+                condition: self.condition.clone(),
+            }
+            .to_prompt(Some(self.spec.table_schema))
+        });
+        Ok(prompts.collect())
+    }
+
+    fn accept(&mut self, _i: usize, response: CompletionResponse) -> Result<Flow> {
+        // Answers arrive in candidate order, one candidate each.
+        let candidate = self.candidates.next();
+        if parse_yes_no(&response.text) == YesNoAnswer::Yes {
+            self.kept.extend(candidate);
+        }
+        Ok(Flow::Continue)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The scans
 // ---------------------------------------------------------------------------
 
 /// Scan a materialized table, applying the pushed filter locally.
@@ -370,10 +814,8 @@ pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Resu
     let mut rows = Vec::new();
     let budget = spec.row_budget(ctx);
     for row in table.scan() {
-        if let Some(filter) = spec.pushed_filter {
-            if eval_predicate(filter, &row)? != Some(true) {
-                continue;
-            }
+        if !spec.passes(&row)? {
+            continue;
         }
         rows.push(row);
         if rows.len() >= budget {
@@ -385,533 +827,79 @@ pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Resu
     Ok(rows)
 }
 
-// ---------------------------------------------------------------------------
-// LLM scan
-// ---------------------------------------------------------------------------
-
 /// Materialize a virtual relation by prompting the model.
 pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
-    let strategy = ctx.config.strategy;
-    let rows = match strategy {
-        PromptStrategy::TupleAtATime => llm_scan_tuple_at_a_time(ctx, spec, true)?,
-        PromptStrategy::DecomposedOperators => llm_scan_decomposed(ctx, spec)?,
+    let mut driver = Driver { ctx, cut: None };
+    let rows = match (ctx.config.strategy, spec.prompt_filter()?) {
+        (PromptStrategy::TupleAtATime, filter) => tuple_rows(&mut driver, spec, filter)?,
+        (PromptStrategy::DecomposedOperators, None) => tuple_rows(&mut driver, spec, None)?,
+        // The filter becomes its own operator: materialize candidates
+        // without it, then check each. The row budget caps the rows the
+        // filter *keeps*, so every key up to the scan cap is a candidate.
+        (PromptStrategy::DecomposedOperators, Some(condition)) => {
+            let candidates = ScanSpec {
+                pushed_filter: None,
+                pushed_limit: None,
+                ..*spec
+            };
+            let mut checks = FilterChecks {
+                spec,
+                condition,
+                budget: spec.row_budget(ctx),
+                candidates: tuple_rows(&mut driver, &candidates, None)?.into_iter(),
+                kept: Vec::new(),
+            };
+            driver.drive(&mut checks)?;
+            checks.kept
+        }
         // FullQuery is handled at the engine level; if a scan still ends up
         // here (e.g. a mixed plan), fall back to batched pagination.
-        PromptStrategy::BatchedRows | PromptStrategy::FullQuery => llm_scan_batched(ctx, spec)?,
+        (PromptStrategy::BatchedRows | PromptStrategy::FullQuery, filter) => {
+            let mut pages = Pages::new(ctx, spec, filter);
+            driver.drive(&mut pages)?;
+            pages.rows
+        }
     };
+    let rows = driver.finish(rows);
     ctx.metrics.update(|m| m.rows_from_llm += rows.len() as u64);
     Ok(rows)
 }
 
-/// Page through the relation with `RowBatch` prompts, dispatching each wave
-/// of pages concurrently at precomputed offsets and reassembling results in
-/// page order.
-fn llm_scan_batched(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
-    let client = ctx.require_client()?;
-    let (indices, names, types) = spec.prompt_column_names(ctx);
-    let filter = spec.prompt_filter(ctx);
-    let budget = spec.row_budget(ctx);
-    let page = ctx.config.batch_size.max(1);
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut offset = 0usize;
-    let mut exhausted = false;
-    // Relation-cardinality hint: when the model reports how many lines an
-    // unfiltered enumeration would produce, pages at offsets past that count
-    // can only come back empty — planning stops there instead of paying for
-    // them. With a pushed filter the hint is still a sound upper bound (the
-    // model emits at most one line per observed row), and the short-page
-    // check below still detects the filtered relation's earlier end. Without
-    // a hint the slow-start ramp bounds the overshoot as before.
-    let cardinality_hint = client.relation_cardinality(spec.table).map(|n| n as usize);
-    // Slow-start ramp: speculative pagination past the end of the relation
-    // wastes calls, and before the first response nothing is known about the
-    // relation's size. The first wave is a single probe page; each full wave
-    // doubles the next one up to the configured fanout, so overshoot at the
-    // relation's end is bounded by what the relation has already
-    // demonstrated (an empty relation costs exactly 1 call, like a
-    // sequential scan).
-    let mut ramp = 1usize;
-    // Wall-time EWMA of completed waves — the basis for deadline-aware wave
-    // sizing below. `None` until the first wave lands.
-    let mut wave_ewma_ms: Option<f64> = None;
-    // Graceful degradation (`EngineConfig::with_partial_results`): when a
-    // deadline lapses or the backend layer becomes unrecoverable mid-scan,
-    // return the rows already assembled instead of discarding completed
-    // work. The cut is deterministic: pages are consumed strictly in page
-    // order and consumption stops at the first failed page, so the delivered
-    // rows are always an exact page-aligned prefix of the full result. The
-    // triggering fault and the accounting at the cut are recorded as a
-    // structured `Incomplete` marker in the metrics (first cut wins).
-    let cut_short = |err: &Error, rows_delivered: usize| -> bool {
-        if !ctx.config.partial_results
-            || !matches!(err.kind, ErrorKind::DeadlineExceeded | ErrorKind::Llm)
-        {
-            return false;
-        }
-        let marker = Incomplete {
-            kind: err.kind,
-            message: err.message.clone(),
-            rows_delivered: rows_delivered as u64,
-            calls_spent: ctx.metrics.llm_call_count(),
-        };
-        ctx.metrics.update(|m| {
-            if m.incomplete.is_none() {
-                m.incomplete = Some(marker);
-            }
-        });
-        true
-    };
-    // The call cap is query-global (shared with any other scans of the same
-    // query through the metrics channel), like in the other strategies.
-    while !exhausted && rows.len() < budget && calls_used(ctx) < ctx.config.max_llm_calls {
-        // Deadline check between waves: a query past its deadline fails
-        // before planning (or paying for) another wave.
-        if let Err(err) = ctx.check_deadline() {
-            if cut_short(&err, rows.len()) {
-                break;
-            }
-            return Err(err);
-        }
-        let call_budget = ctx.config.max_llm_calls - calls_used(ctx);
-        // Plan the wave. A wave may only contain *full* pages (`limit` =
-        // `page`): their prompts depend on nothing but the page offset, which
-        // advances by exactly `page` while pages come back full, so they can
-        // be fetched concurrently and still match a sequential run prompt-
-        // for-prompt. A budget-clamped final page is different — its `limit`
-        // is `budget - rows.len()`, which depends on how many rows the
-        // earlier pages actually *parsed* (fidelity noise drops lines) — so
-        // it is always issued alone, planned from the true row count.
-        let mut wave: Vec<(usize, usize)> = Vec::new(); // (offset, want)
-        let mut planned_rows = rows.len();
-        let mut planned_offset = offset;
-        let mut wave_cap = ctx.scan_fanout().min(ramp).min(call_budget);
-        // Deadline-aware wave sizing: with the deadline less than two typical
-        // waves away, shrink to a single probe page. The query never commits
-        // to a wave it cannot afford — either that page finishes the scan or
-        // the between-wave deadline check fires with at most one page of
-        // overshoot. Pages stay full-sized and sequential, so the prompt set
-        // (and with it rows and logical calls) is unchanged; only how many
-        // pages fly concurrently is.
-        if let (Some(deadline), Some(est_ms)) = (ctx.deadline_instant(), wave_ewma_ms) {
-            let remaining_ms = deadline
-                .saturating_duration_since(reactor::now())
-                .as_secs_f64()
-                * 1000.0;
-            if remaining_ms < est_ms * 2.0 {
-                wave_cap = 1;
-            }
-        }
-        while wave.len() < wave_cap && planned_rows < budget {
-            if cardinality_hint.is_some_and(|n| planned_offset >= n) {
-                break;
-            }
-            let remaining = budget - planned_rows;
-            if remaining < page {
-                // Budget-clamped page: speculation about earlier pages'
-                // parsed counts would leak into its prompt. Issue it alone
-                // (wave of one, planned from actual state) or after the
-                // current wave of full pages drains.
-                if wave.is_empty() {
-                    wave.push((planned_offset, remaining));
-                }
-                break;
-            }
-            wave.push((planned_offset, page));
-            planned_rows += page;
-            planned_offset += page;
-        }
-        if wave.is_empty() {
-            // The hint capped planning at the relation's end: nothing left
-            // to fetch (an empty relation costs zero calls).
-            break;
-        }
-        let prompts: Vec<String> = wave
-            .iter()
-            .map(|&(page_offset, want)| {
-                TaskSpec::RowBatch {
-                    table: spec.table.to_string(),
-                    columns: names.clone(),
-                    filter: filter.clone(),
-                    limit: want,
-                    offset: page_offset,
-                }
-                .to_prompt(Some(spec.table_schema))
-            })
-            .collect();
-        let wave_started = reactor::now();
-        let responses = dispatch_wave(ctx, client, "row_batch", &prompts);
-        let wave_ms = wave_started.elapsed().as_secs_f64() * 1000.0;
-        wave_ewma_ms = Some(wave_ewma_ms.map_or(wave_ms, |prev| 0.7 * prev + 0.3 * wave_ms));
-
-        for (&(page_offset, want), response) in wave.iter().zip(responses) {
-            let response = match response {
-                Ok(response) => response,
-                Err(err) => {
-                    // Pages before this one were already consumed in order;
-                    // stopping here keeps the delivered rows an exact
-                    // page-aligned prefix.
-                    if cut_short(&err, rows.len()) {
-                        exhausted = true;
-                        break;
-                    }
-                    return Err(err);
-                }
-            };
-            let parsed = parse_pipe_rows(&response.text, &types);
-            ctx.metrics
-                .update(|m| m.dropped_lines += parsed.dropped_lines as u64);
-            // Lines the model produced for this page, whether or not they
-            // parsed: the relation is only exhausted when the model had fewer
-            // rows to say than we asked for, not when some lines were
-            // malformed. A backend that disobeys the prompt and emits *more*
-            // lines than requested is clamped to the requested page size —
-            // later pages were (or will be) dispatched at offsets assuming at
-            // most `want` lines per page, so consuming overshoot here would
-            // duplicate rows and desynchronize pagination.
-            let got_lines = (parsed.rows.len() + parsed.dropped_lines).min(want);
-            for partial in parsed.rows.into_iter().take(want) {
-                rows.push(widen_row(&indices, partial, spec.table_schema.arity()));
-                if rows.len() >= budget {
-                    break;
-                }
-            }
-            if got_lines < want {
-                // End of relation: later pages in this wave were speculative
-                // fetches past the end — discard them.
-                exhausted = true;
-                break;
-            }
-            offset = page_offset + got_lines;
-            if rows.len() >= budget {
-                break;
-            }
-        }
-        if !exhausted {
-            ramp = (ramp * 2).min(ctx.scan_fanout().max(1));
-        }
-    }
-    if !ctx.config.enable_predicate_pushdown {
-        apply_local_filter(spec, &mut rows)?;
-    }
-    Ok(rows)
-}
-
-/// Enumerate keys, then one `Lookup` prompt per entity; lookups for distinct
-/// entities are independent and dispatched in concurrent waves.
-fn llm_scan_tuple_at_a_time(
-    ctx: &ExecContext,
+/// Enumerate the keys (with `filter` in the prompt, if any), then look up
+/// the other needed columns of each, in concurrent waves.
+fn tuple_rows(
+    driver: &mut Driver<'_>,
     spec: &ScanSpec<'_>,
-    push_filter_into_enumeration: bool,
+    filter: Option<String>,
 ) -> Result<Vec<Row>> {
-    let client = ctx.require_client()?;
-    let (indices, names, _types) = spec.prompt_column_names(ctx);
-    let budget = spec.row_budget(ctx);
-    let key_idx = spec.key_column();
-    let key_name = spec.table_schema.columns[key_idx].name.clone();
-    let key_type = spec.table_schema.columns[key_idx].data_type;
-
-    // 1. Enumerate entity keys.
-    ctx.check_deadline()?;
-    let filter = if push_filter_into_enumeration {
-        spec.prompt_filter(ctx)
-    } else {
-        None
-    };
-    let enumerate = TaskSpec::Enumerate {
+    let task = TaskSpec::Enumerate {
         table: spec.table.to_string(),
         filter,
-        limit: budget,
+        limit: spec.row_budget(driver.ctx),
         offset: 0,
     };
-    let response = dispatch_one(
-        ctx,
-        client,
-        enumerate.kind(),
-        enumerate.to_prompt(Some(spec.table_schema)),
-    )?;
-    let keys = parse_value_lines(&response.text, key_type);
-    ctx.metrics
-        .update(|m| m.dropped_lines += keys.dropped_lines as u64);
-    let keys: Vec<Value> = keys
-        .rows
-        .into_iter()
-        .take(budget)
-        .map(|row| row.get(0).clone())
-        .collect();
-
-    // 2. One lookup per entity for the remaining columns.
-    let other_names: Vec<String> = names.iter().filter(|n| **n != key_name).cloned().collect();
-    let other_types: Vec<DataType> = indices
-        .iter()
-        .zip(&names)
-        .filter(|(_, n)| **n != key_name)
-        .map(|(&i, _)| spec.table_schema.columns[i].data_type)
-        .collect();
-
-    let mut rows = Vec::new();
-    if other_names.is_empty() {
-        // Key-only projection: no lookups needed; the call-budget check is
-        // kept for parity with the per-lookup path (and hoisted — the loop
-        // itself issues no calls).
-        if calls_used(ctx) < ctx.config.max_llm_calls {
-            for key in keys {
-                let mut full = vec![Value::Null; spec.table_schema.arity()];
-                full[key_idx] = key;
-                rows.push(Row::new(full));
-            }
-        }
-    } else {
-        let mut cursor = 0;
-        while cursor < keys.len() {
-            ctx.check_deadline()?;
-            let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used(ctx));
-            if call_budget == 0 {
-                break;
-            }
-            let wave_len = (keys.len() - cursor)
-                .min(ctx.scan_fanout())
-                .min(call_budget);
-            let wave_keys = &keys[cursor..cursor + wave_len];
-            let prompts: Vec<String> = wave_keys
-                .iter()
-                .map(|key| {
-                    TaskSpec::Lookup {
-                        table: spec.table.to_string(),
-                        key: key.to_display_string(),
-                        columns: other_names.clone(),
-                    }
-                    .to_prompt(Some(spec.table_schema))
-                })
-                .collect();
-            let responses = dispatch_wave_batched(ctx, client, "lookup", &prompts);
-            for (key, response) in wave_keys.iter().zip(responses) {
-                let response = response?;
-                let parsed = parse_pipe_rows(&response.text, &other_types);
-                ctx.metrics
-                    .update(|m| m.dropped_lines += parsed.dropped_lines as u64);
-                let mut full = vec![Value::Null; spec.table_schema.arity()];
-                full[key_idx] = key.clone();
-                if let Some(values) = parsed.rows.into_iter().next() {
-                    let mut vi = 0;
-                    for (&idx, name) in indices.iter().zip(&names) {
-                        if *name == key_name {
-                            continue;
-                        }
-                        full[idx] = values.get(vi).clone();
-                        vi += 1;
-                    }
-                }
-                rows.push(Row::new(full));
-            }
-            cursor += wave_len;
-        }
-    }
-
-    // The per-tuple strategy re-checks the predicate locally: it has the
-    // attribute values in hand, so it does not need to trust the model's
-    // filtering.
-    apply_local_filter(spec, &mut rows)?;
-    Ok(rows)
+    let mut keys = Enumerate {
+        ctx: driver.ctx,
+        spec,
+        prompt: Some(task.to_prompt(Some(spec.table_schema))),
+        rows: Vec::new(),
+    };
+    driver.drive(&mut keys)?;
+    let mut lookups = Lookups::new(driver.ctx, spec, keys.rows, false);
+    driver.drive(&mut lookups)?;
+    Ok(lookups.rows)
 }
-
-/// Decomposed-operator strategy: enumerate + lookups *without* pushing the
-/// predicate, then a `FilterCheck` prompt per candidate row, dispatched in
-/// concurrent waves.
-fn llm_scan_decomposed(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
-    let client = ctx.require_client()?;
-    // Materialize without the filter so the filter becomes its own operator.
-    let unfiltered_spec = ScanSpec {
-        pushed_filter: None,
-        ..*spec
-    };
-    let rows = llm_scan_tuple_at_a_time(ctx, &unfiltered_spec, false)?;
-    let Some(filter) = spec.pushed_filter else {
-        return Ok(rows);
-    };
-    let Ok(condition) = filter.to_sql_text() else {
-        // Not renderable (should not happen) — fall back to local evaluation.
-        let mut rows = rows;
-        apply_local_filter(spec, &mut rows)?;
-        return Ok(rows);
-    };
-    let key_idx = spec.key_column();
-
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    let mut kept = Vec::new();
-    let mut cursor = 0;
-    while cursor < slots.len() {
-        ctx.check_deadline()?;
-        let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used(ctx));
-        if call_budget == 0 {
-            break;
-        }
-        let wave_len = (slots.len() - cursor)
-            .min(ctx.scan_fanout())
-            .min(call_budget);
-        let prompts: Vec<String> = slots[cursor..cursor + wave_len]
-            .iter()
-            .map(|row| {
-                TaskSpec::FilterCheck {
-                    table: spec.table.to_string(),
-                    key: row
-                        .as_ref()
-                        .expect("unconsumed slot")
-                        .get(key_idx)
-                        .to_display_string(),
-                    condition: condition.clone(),
-                }
-                .to_prompt(Some(spec.table_schema))
-            })
-            .collect();
-        let responses = dispatch_wave_batched(ctx, client, "filter_check", &prompts);
-        for (i, response) in responses.into_iter().enumerate() {
-            let response = response?;
-            if parse_yes_no(&response.text) == YesNoAnswer::Yes {
-                kept.push(slots[cursor + i].take().expect("unconsumed slot"));
-            }
-        }
-        cursor += wave_len;
-    }
-    Ok(kept)
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid scan
-// ---------------------------------------------------------------------------
 
 /// Read a materialized (incomplete) table and fill NULL cells in the needed
-/// columns by asking the model. Fill lookups for distinct rows are
-/// independent and dispatched in concurrent waves.
+/// columns by asking the model, in concurrent waves.
 pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
-    let client = ctx.require_client()?;
-    let (indices, _names, _types) = spec.prompt_column_names(ctx);
-    let key_idx = spec.key_column();
-    let budget = spec.row_budget(ctx);
-
-    let missing_in = |row: &Row| -> Vec<usize> {
-        indices
-            .iter()
-            .copied()
-            .filter(|&i| row.get(i).is_null() && i != key_idx)
-            .collect()
-    };
-
-    let mut all_rows: Vec<Row> = table.scan();
-    let mut rows = Vec::new();
-    let mut cursor = 0;
-    'segments: while cursor < all_rows.len() && rows.len() < budget {
-        ctx.check_deadline()?;
-        // Collect a segment: consecutive rows containing at most one wave's
-        // worth of fill lookups. With the call budget exhausted, remaining
-        // rows pass through unfilled (as in a sequential run). The segment
-        // never spans more rows than the remaining row budget: a sequential
-        // scan stops issuing lookups once `budget` rows are emitted, so
-        // planning fills past that point would pay for lookups a sequential
-        // run never makes (rows filtered out along the way only make the
-        // scan continue into a *later* segment, never skip a lookup).
-        let wave_cap = ctx
-            .config
-            .max_llm_calls
-            .saturating_sub(calls_used(ctx))
-            .min(ctx.scan_fanout());
-        let seg_cap = cursor + (budget - rows.len());
-        let mut seg_end = cursor;
-        let mut lookups: Vec<(usize, Vec<usize>)> = Vec::new(); // (row index, missing cols)
-        while seg_end < all_rows.len() && seg_end < seg_cap {
-            let missing = missing_in(&all_rows[seg_end]);
-            if !missing.is_empty() && wave_cap > 0 {
-                if lookups.len() == wave_cap {
-                    break;
-                }
-                lookups.push((seg_end, missing));
-            }
-            seg_end += 1;
-        }
-
-        let prompts: Vec<String> = lookups
-            .iter()
-            .map(|(row_idx, missing)| {
-                TaskSpec::Lookup {
-                    table: spec.table.to_string(),
-                    key: all_rows[*row_idx].get(key_idx).to_display_string(),
-                    columns: missing
-                        .iter()
-                        .map(|&i| spec.table_schema.columns[i].name.clone())
-                        .collect(),
-                }
-                .to_prompt(Some(spec.table_schema))
-            })
-            .collect();
-        let responses = dispatch_wave_batched(ctx, client, "lookup", &prompts);
-
-        // Apply fills in row order.
-        for ((row_idx, missing), response) in lookups.iter().zip(responses) {
-            let response = response?;
-            let types: Vec<DataType> = missing
-                .iter()
-                .map(|&i| spec.table_schema.columns[i].data_type)
-                .collect();
-            let parsed = parse_pipe_rows(&response.text, &types);
-            ctx.metrics
-                .update(|m| m.dropped_lines += parsed.dropped_lines as u64);
-            if let Some(values) = parsed.rows.into_iter().next() {
-                let row = &mut all_rows[*row_idx];
-                for (vi, &col) in missing.iter().enumerate() {
-                    let v = values.get(vi).clone();
-                    if !v.is_null() {
-                        row.set(col, v);
-                        ctx.metrics.update(|m| m.cells_filled_by_llm += 1);
-                    }
-                }
-            }
-        }
-
-        // Emit the segment's rows in order, applying the pushed filter.
-        for slot in &mut all_rows[cursor..seg_end] {
-            let row = std::mem::replace(slot, Row::empty());
-            if let Some(filter) = spec.pushed_filter {
-                if eval_predicate(filter, &row)? != Some(true) {
-                    continue;
-                }
-            }
-            rows.push(row);
-            if rows.len() >= budget {
-                break 'segments;
-            }
-        }
-        cursor = seg_end;
-    }
+    let mut driver = Driver { ctx, cut: None };
+    let mut fills = Lookups::new(ctx, spec, table.scan(), true);
+    driver.drive(&mut fills)?;
+    let rows = driver.finish(fills.rows);
     ctx.metrics
         .update(|m| m.rows_from_store += rows.len() as u64);
     Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-
-/// Expand a row containing only the prompt columns into the full base arity,
-/// filling non-requested columns with NULL.
-fn widen_row(indices: &[usize], partial: Row, arity: usize) -> Row {
-    let mut full = vec![Value::Null; arity];
-    for (vi, &idx) in indices.iter().enumerate() {
-        full[idx] = partial.get(vi).clone();
-    }
-    Row::new(full)
-}
-
-/// Apply the pushed filter locally (rows with missing evidence are kept out
-/// only when the predicate definitively fails — NULL-tolerant).
-fn apply_local_filter(spec: &ScanSpec<'_>, rows: &mut Vec<Row>) -> Result<()> {
-    if let Some(filter) = spec.pushed_filter {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows.drain(..) {
-            if eval_predicate(filter, &row)? == Some(true) {
-                out.push(row);
-            }
-        }
-        *rows = out;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -946,18 +934,67 @@ mod tests {
         .collect()
     }
 
-    fn context(strategy: PromptStrategy, fidelity: LlmFidelity) -> ExecContext {
+    type Model = Arc<dyn llmsql_llm::LanguageModel>;
+
+    /// A simulator that knows the five countries.
+    fn sim(fidelity: LlmFidelity, seed: u64) -> Model {
         let mut kb = KnowledgeBase::new();
         kb.add_table(country_schema(), world_rows());
-        let sim = SimLlm::new(kb.into_shared(), fidelity, 7);
-        let client = LlmClient::new(Arc::new(sim));
+        Arc::new(SimLlm::new(kb.into_shared(), fidelity, seed))
+    }
+
+    fn context(strategy: PromptStrategy, fidelity: LlmFidelity) -> ExecContext {
+        context_over(sim(fidelity, 7), strategy)
+    }
+
+    fn context_over(model: Model, strategy: PromptStrategy) -> ExecContext {
         let catalog = Catalog::new();
         catalog.create_virtual_table(country_schema()).unwrap();
         let config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(strategy)
             .with_batch_size(2);
-        ExecContext::new(catalog, Some(client), config)
+        ExecContext::new(catalog, Some(LlmClient::new(model)), config)
+    }
+
+    /// The LLM-backed scans: the three strategies over the virtual relation
+    /// and the hybrid fill over the stored fixture.
+    #[derive(Debug, Clone, Copy)]
+    enum Scan {
+        Llm(PromptStrategy),
+        Hybrid,
+    }
+
+    const SCANS: [Scan; 4] = [
+        Scan::Llm(PromptStrategy::BatchedRows),
+        Scan::Llm(PromptStrategy::TupleAtATime),
+        Scan::Llm(PromptStrategy::DecomposedOperators),
+        Scan::Hybrid,
+    ];
+
+    impl Scan {
+        /// Build the fixture over `model`, let `tweak` adjust its
+        /// configuration, and run the scan with `filter` pushed.
+        fn run(
+            self,
+            model: Model,
+            filter: Option<BoundExpr>,
+            tweak: impl FnOnce(&mut EngineConfig),
+        ) -> (Result<Vec<Row>>, ExecContext) {
+            let p = parts(filter, None);
+            match self {
+                Scan::Llm(strategy) => {
+                    let mut ctx = context_over(model, strategy);
+                    tweak(&mut ctx.config);
+                    (llm_scan(&ctx, &p.spec()), ctx)
+                }
+                Scan::Hybrid => {
+                    let (mut ctx, table) = hybrid_fixture_over(model);
+                    tweak(&mut ctx.config);
+                    (hybrid_scan(&ctx, &p.spec(), &table), ctx)
+                }
+            }
+        }
     }
 
     /// Owns the borrowed parts of a [`ScanSpec`] for tests.
@@ -1190,22 +1227,23 @@ mod tests {
     #[test]
     fn lapsed_deadline_fails_the_scan_unless_partial_results_are_on() {
         // Already-lapsed deadline: the strict path fails before paying for a
-        // wave; with partial results on, the scan degrades to an empty
+        // wave; with partial results on, every scan degrades to an empty
         // prefix plus a structured marker instead.
-        let mut strict = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        strict.config.deadline_ms = Some(0.0);
-        let err = llm_scan(&strict, &parts(None, None).spec()).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::DeadlineExceeded);
+        for scan in SCANS {
+            let model = sim(LlmFidelity::perfect(), 7);
+            let (strict, _) = scan.run(model.clone(), None, |c| c.deadline_ms = Some(0.0));
+            assert_eq!(strict.unwrap_err().kind, ErrorKind::DeadlineExceeded);
 
-        let mut graceful = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        graceful.config.deadline_ms = Some(0.0);
-        graceful.config.partial_results = true;
-        let rows = llm_scan(&graceful, &parts(None, None).spec()).unwrap();
-        assert!(rows.is_empty());
-        let marker = graceful.metrics.snapshot().incomplete.unwrap();
-        assert_eq!(marker.kind, ErrorKind::DeadlineExceeded);
-        assert_eq!(marker.rows_delivered, 0);
-        assert_eq!(marker.calls_spent, 0);
+            let (graceful, ctx) = scan.run(model, None, |c| {
+                c.deadline_ms = Some(0.0);
+                c.partial_results = true;
+            });
+            assert!(graceful.unwrap().is_empty(), "{scan:?}");
+            let marker = ctx.metrics.snapshot().incomplete.unwrap();
+            assert_eq!(marker.kind, ErrorKind::DeadlineExceeded, "{scan:?}");
+            assert_eq!(marker.rows_delivered, 0, "{scan:?}");
+            assert_eq!(marker.calls_spent, 0, "{scan:?}");
+        }
     }
 
     #[test]
@@ -1236,42 +1274,49 @@ mod tests {
                 self.inner.fingerprint()
             }
         }
-        let scan_with = |partial: bool| {
-            let mut kb = KnowledgeBase::new();
-            kb.add_table(country_schema(), world_rows());
-            let sim = SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7);
-            let model = DiesAfter {
-                inner: Arc::new(sim),
-                healthy_calls: 1,
+        let dying = |healthy_calls: u64| -> Model {
+            Arc::new(DiesAfter {
+                inner: sim(LlmFidelity::perfect(), 7),
+                healthy_calls,
                 served: AtomicU64::new(0),
-            };
-            let catalog = Catalog::new();
-            catalog.create_virtual_table(country_schema()).unwrap();
-            let mut config = EngineConfig::default()
-                .with_mode(ExecutionMode::LlmOnly)
-                .with_strategy(PromptStrategy::BatchedRows)
-                .with_batch_size(2);
-            config.partial_results = partial;
-            let ctx = ExecContext::new(
-                Catalog::clone(&catalog),
-                Some(LlmClient::new(Arc::new(model))),
-                config,
-            );
-            (llm_scan(&ctx, &parts(None, None).spec()), ctx)
+            })
         };
-        // Strict: the mid-scan loss fails the whole query.
-        let (strict, _) = scan_with(false);
-        assert_eq!(strict.unwrap_err().kind, ErrorKind::Llm);
-        // Graceful: the first page (2 rows — an exact page-aligned prefix)
-        // survives, with the fault recorded in the marker.
-        let (graceful, ctx) = scan_with(true);
-        let rows = graceful.unwrap();
-        assert_eq!(rows.len(), 2, "prefix must be the completed first page");
-        let marker = ctx.metrics.snapshot().incomplete.unwrap();
-        assert_eq!(marker.kind, ErrorKind::Llm);
-        assert_eq!(marker.rows_delivered, 2);
-        assert!(marker.calls_spent >= 2, "both issued calls are accounted");
-        assert!(marker.message.contains("backend lost mid-scan"));
+        // (scan, calls served before the loss, pushed filter, rows surviving)
+        let decomposed = Scan::Llm(PromptStrategy::DecomposedOperators);
+        let cases = [
+            // The first page of two.
+            (SCANS[0], 1, None, 2),
+            // The enumeration and two of five lookups.
+            (SCANS[1], 3, None, 2),
+            // Cut among the lookups, the filter still to check: nothing is
+            // deliverable.
+            (decomposed, 3, Some(gt_filter(60)), 0),
+            // The enumeration, all five lookups and two checks (both yes).
+            (decomposed, 8, Some(gt_filter(60)), 2),
+            // The first of two fills.
+            (Scan::Hybrid, 1, None, 1),
+        ];
+        for (scan, healthy_calls, filter, survivors) in cases {
+            let uncut = scan.run(dying(u64::MAX), filter.clone(), |_| {}).0.unwrap();
+            // Strict: the mid-scan loss fails the whole query.
+            let (strict, _) = scan.run(dying(healthy_calls), filter.clone(), |_| {});
+            assert_eq!(strict.unwrap_err().kind, ErrorKind::Llm, "{scan:?}");
+            // Graceful: exactly the rows whose every prompt was answered
+            // before the loss survive — a prefix of the uncut result — with
+            // the fault and the accounting at the cut in the marker.
+            let (graceful, ctx) =
+                scan.run(dying(healthy_calls), filter, |c| c.partial_results = true);
+            let rows = graceful.unwrap();
+            assert_eq!(rows.len(), survivors, "{scan:?} after {healthy_calls}");
+            assert_eq!(rows[..], uncut[..rows.len()], "{scan:?}: not a prefix");
+            let m = ctx.metrics.snapshot();
+            let marker = m.incomplete.clone().unwrap();
+            assert_eq!(marker.kind, ErrorKind::Llm);
+            assert_eq!(marker.rows_delivered, rows.len() as u64, "{scan:?}");
+            assert_eq!(marker.calls_spent, m.llm_calls(), "{scan:?}");
+            assert_eq!(marker.calls_spent, healthy_calls + 1, "{scan:?}");
+            assert!(marker.message.contains("backend lost mid-scan"));
+        }
     }
 
     #[test]
@@ -1389,6 +1434,11 @@ mod tests {
     }
 
     fn hybrid_fixture() -> (ExecContext, Table) {
+        hybrid_fixture_over(sim(LlmFidelity::perfect(), 3))
+    }
+
+    /// Two stored countries, each with one NULL cell the model can fill.
+    fn hybrid_fixture_over(model: Model) -> (ExecContext, Table) {
         let catalog = Catalog::new();
         let schema = Schema::new(
             "countries",
@@ -1406,16 +1456,9 @@ mod tests {
             ])
             .unwrap();
 
-        let mut kb = KnowledgeBase::new();
-        kb.add_table(country_schema(), world_rows());
-        let client = LlmClient::new(Arc::new(SimLlm::new(
-            kb.into_shared(),
-            LlmFidelity::perfect(),
-            3,
-        )));
         let ctx = ExecContext::new(
             catalog,
-            Some(client),
+            Some(LlmClient::new(model)),
             EngineConfig::default().with_mode(ExecutionMode::Hybrid),
         );
         (ctx, table)
@@ -1487,24 +1530,27 @@ mod tests {
 
     #[test]
     fn parallel_scans_match_sequential_for_all_strategies() {
-        for strategy in [
-            PromptStrategy::BatchedRows,
-            PromptStrategy::TupleAtATime,
-            PromptStrategy::DecomposedOperators,
-        ] {
+        for scan in SCANS {
             for fidelity in [LlmFidelity::perfect(), LlmFidelity::medium()] {
-                let p = parts(Some(gt_filter(40)), None);
-                let seq_ctx = context(strategy, fidelity);
-                let expected = llm_scan(&seq_ctx, &p.spec()).unwrap();
-                for parallelism in [2, 4, 8] {
-                    let mut ctx = context(strategy, fidelity);
-                    ctx.config.parallelism = parallelism;
-                    let got = llm_scan(&ctx, &p.spec()).unwrap();
-                    assert_eq!(
-                        expected, got,
-                        "{strategy:?} diverged at parallelism {parallelism}"
-                    );
-                    assert!(ctx.metrics.snapshot().peak_in_flight >= 1);
+                let run = |parallelism: usize, batch_rows: usize| {
+                    let (rows, ctx) = scan.run(sim(fidelity, 7), Some(gt_filter(40)), |c| {
+                        c.parallelism = parallelism;
+                        c.batch_rows_per_call = batch_rows;
+                    });
+                    (rows.unwrap(), ctx.metrics.snapshot())
+                };
+                let (expected, seq) = run(1, 1);
+                for parallelism in [1, 2, 4, 8] {
+                    for batch_rows in [1, 4] {
+                        let at = format!("{scan:?} at parallelism {parallelism} x {batch_rows}");
+                        let (got, m) = run(parallelism, batch_rows);
+                        assert_eq!(expected, got, "rows diverged: {at}");
+                        assert_eq!(
+                            seq.llm_calls_by_kind, m.llm_calls_by_kind,
+                            "logical calls diverged: {at}"
+                        );
+                        assert!(m.peak_in_flight >= 1);
+                    }
                 }
             }
         }

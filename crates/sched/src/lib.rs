@@ -74,11 +74,12 @@
 //! * **Partial results are deterministic and labelled.** With
 //!   `EngineConfig::with_partial_results`, a query cut short by a lapsed
 //!   deadline or a mid-query backend loss resolves `Ok` with an exact
-//!   page-aligned prefix of the full answer and a
+//!   prefix of the full answer — under every prompt strategy, the rows
+//!   whose prompts were all answered before the first failed one — and a
 //!   [`llmsql_types::Incomplete`] marker (surfaced on
 //!   [`QueryOutcome::incomplete`]) naming the fault and the rows/calls
-//!   spent; the prefix a given cut produces is a function of the completed
-//!   pages, never of scheduling interleavings.
+//!   spent; the prefix a given cut produces is a function of the answers
+//!   consumed in prompt order, never of scheduling interleavings.
 //!
 //! **Workers park on one shared reactor, not inside calls.** The scheduler
 //! attaches a single [`llmsql_exec::SharedReactor`] to the engine, so every

@@ -26,7 +26,7 @@ pub struct QueryOutcome {
     pub llm_calls: u64,
     /// Set when the query was cut short under graceful degradation
     /// (`EngineConfig::with_partial_results`): the result's rows are a
-    /// page-aligned prefix and this marker carries the triggering fault
+    /// prefix of the full answer and this marker carries the triggering fault
     /// plus the rows/calls accounting at the cut. Copied from
     /// `ExecMetrics::incomplete` so QoS layers see it without digging
     /// through the metrics.

@@ -478,12 +478,15 @@ pub struct EngineConfig {
     /// elapsed time and calls issued so far). `None` (the default) means no
     /// deadline.
     pub deadline_ms: Option<f64>,
-    /// Graceful degradation: when enabled, a batched LLM scan cut short by a
-    /// lapsed deadline or a backend-layer failure returns the completed pages
-    /// it already paid for — an exact page-aligned prefix of the full result
-    /// — plus a structured [`crate::Incomplete`] marker in the execution
-    /// metrics, instead of discarding the work with an error. Off by default
-    /// (failures stay failures).
+    /// Graceful degradation: when enabled, an LLM-backed scan (any prompt
+    /// strategy, and the hybrid fill) cut short by a lapsed deadline or a
+    /// backend-layer failure returns the rows it already paid for in full —
+    /// those for which every prompt the strategy needs was answered before
+    /// the first failed one, an exact prefix of the full result in page,
+    /// key or stored-row order — plus a structured [`crate::Incomplete`]
+    /// marker in the execution metrics, instead of discarding the work with
+    /// an error. A decomposed scan cut before its filter checks began
+    /// delivers no rows. Off by default (failures stay failures).
     pub partial_results: bool,
     /// Deterministic fault injection: when set, every backend built from
     /// [`EngineConfig::backends`] consults this seeded [`ChaosPlan`] —

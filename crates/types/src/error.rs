@@ -187,7 +187,8 @@ impl Error {
 /// A structured marker describing why (and where) a query's result was cut
 /// short, attached to partial results produced under graceful degradation
 /// (`EngineConfig::with_partial_results`). The rows that *were* delivered
-/// are always an exact page-aligned prefix of the full result.
+/// are always an exact prefix of the full result, by the per-strategy rule
+/// stated on `EngineConfig::partial_results`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incomplete {
     /// The category of the triggering fault (deadline lapse, backend-layer
@@ -195,7 +196,7 @@ pub struct Incomplete {
     pub kind: ErrorKind,
     /// Human-readable description of the triggering fault.
     pub message: String,
-    /// Rows delivered before the cut (the page-aligned prefix length).
+    /// Rows the cut scan delivered (the prefix length).
     pub rows_delivered: u64,
     /// Logical LLM calls already spent when the query was cut short.
     pub calls_spent: u64,

@@ -47,6 +47,45 @@ fn perfect_fidelity_is_lossless_for_all_decomposed_strategies() {
     }
 }
 
+/// A pushed LIMIT caps the rows that *pass* the filter, whichever operator
+/// applies it: the decomposed strategy checks the filter after the scan has
+/// enumerated, so it must not stop enumerating at `limit` keys. Same rows as
+/// the oracle for every strategy, and the same calls at any parallelism.
+#[test]
+fn limit_counts_rows_that_pass_the_filter_in_every_strategy() {
+    let w = world();
+    let oracle = w.oracle_engine();
+    let queries = [
+        "SELECT name FROM countries WHERE region = 'Europe' LIMIT 3",
+        "SELECT name FROM people WHERE profession = 'scientist' LIMIT 4",
+        "SELECT title FROM movies WHERE rating > 5.0 LIMIT 5",
+    ];
+    for strategy in [
+        PromptStrategy::BatchedRows,
+        PromptStrategy::TupleAtATime,
+        PromptStrategy::DecomposedOperators,
+    ] {
+        let run = |sql: &str, parallelism: usize| {
+            let config = EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(strategy)
+                .with_fidelity(LlmFidelity::perfect())
+                .with_parallelism(parallelism);
+            let result = w.subject_engine(config).unwrap().execute(sql).unwrap();
+            (result.batch, result.metrics.llm_calls())
+        };
+        for (sql, limit) in queries.into_iter().zip([3, 4, 5]) {
+            let expected = oracle.execute(sql).unwrap().batch;
+            assert_eq!(expected.len(), limit, "the world has enough matches: {sql}");
+            let (sequential, calls) = run(sql, 1);
+            assert_eq!(expected, sequential, "{strategy}: {sql}");
+            let (parallel, parallel_calls) = run(sql, 16);
+            assert_eq!(expected, parallel, "{strategy} at parallelism 16: {sql}");
+            assert_eq!(calls, parallel_calls, "{strategy} call count: {sql}");
+        }
+    }
+}
+
 /// Full-query prompting at perfect fidelity answers single-table queries
 /// exactly (joins/aggregates may legitimately diverge through the one-shot
 /// interpreter, which is part of what E2 measures).
