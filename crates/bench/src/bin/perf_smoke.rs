@@ -9,7 +9,9 @@
 //! baseline; with no prior baseline it just emits one. Latency metrics are
 //! recorded for trend visibility but not gated (CI runner jitter makes
 //! absolute-latency gates flappy; throughput over simulated latency is
-//! stable because the work is timer-bound, not CPU-bound).
+//! stable because the work is timer-bound, not CPU-bound). The scan scenario
+//! also reports its round-trip floor, its measured wall time per query and
+//! their ratio, so the report says how far the gated number is from ideal.
 //!
 //! Run with: `cargo run --release --bin perf_smoke`
 
@@ -19,23 +21,36 @@ use llmsql_bench::{batched_tuple_scan_engine, parallel_scan_engine, slow_outlier
 use llmsql_sched::{QueryScheduler, QueryTicket};
 use llmsql_types::{Priority, RoutingPolicy, SchedConfig};
 
-/// The index this run writes: `BENCH_9.json` (PR 9 added the shared
-/// reactor, cross-query coalescing and tuple batching to the gate).
-const BENCH_INDEX: u32 = 9;
+/// The index this run writes: `BENCH_15.json` (PR 15 replaced barrier waves
+/// with the sliding dispatch window, which moved the scan and scheduler
+/// numbers the gate defends).
+const BENCH_INDEX: u32 = 15;
 
 /// Fail CI when a throughput metric drops below this fraction of the
 /// baseline (>25% regression).
 const REGRESSION_TOLERANCE: f64 = 0.75;
 
-/// Scan throughput: a 200-row batched scan (20 pages of 10) over a 5ms
-/// simulated round trip at parallelism 16 — reactor-dispatched waves.
-/// Returns rows/sec.
-fn scan_throughput() -> f64 {
+/// The scan scenario: 200 rows in pages of 10 over a 5ms simulated round
+/// trip at parallelism 16.
+const SCAN_ROWS: usize = 200;
+const SCAN_PAGE: usize = 10;
+const SCAN_FANOUT: usize = 16;
+const SCAN_RTT_MS: f64 = 5.0;
+
+/// The scan scenario's floor: its pages cannot take fewer round trips than
+/// the fanout allows (20 pages at 16-way = 2 round trips = 10 ms).
+fn scan_ideal_ms() -> f64 {
+    SCAN_ROWS.div_ceil(SCAN_PAGE).div_ceil(SCAN_FANOUT) as f64 * SCAN_RTT_MS
+}
+
+/// Scan throughput: the scan scenario, dispatched through the reactor's
+/// sliding window. Returns (rows/sec, wall ms per query).
+fn scan_throughput() -> (f64, f64) {
     // Warm once (build plan caches, fault in the world).
-    parallel_scan_engine(200, 16, 5.0)
+    parallel_scan_engine(SCAN_ROWS, SCAN_FANOUT, SCAN_RTT_MS)
         .execute("SELECT name, population FROM countries")
         .expect("warmup scan");
-    let engine = parallel_scan_engine(200, 16, 5.0);
+    let engine = parallel_scan_engine(SCAN_ROWS, SCAN_FANOUT, SCAN_RTT_MS);
     let started = Instant::now();
     const RUNS: usize = 5;
     let mut rows = 0usize;
@@ -46,7 +61,8 @@ fn scan_throughput() -> f64 {
             .expect("smoke scan");
         rows += result.row_count();
     }
-    rows as f64 / started.elapsed().as_secs_f64()
+    let elapsed = started.elapsed().as_secs_f64();
+    (rows as f64 / elapsed, elapsed * 1000.0 / RUNS as f64)
 }
 
 /// Scheduler throughput: 40 queries over 3 tenants through 4 workers and 32
@@ -221,7 +237,9 @@ fn main() {
     let committed_baseline = previous_baseline(&root);
 
     eprintln!("perf_smoke: scan throughput ...");
-    let scan_rows_per_sec = scan_throughput();
+    let (scan_rows_per_sec, scan_measured_ms) = scan_throughput();
+    let scan_ideal_ms = scan_ideal_ms();
+    let scan_efficiency = scan_ideal_ms / scan_measured_ms;
     eprintln!("perf_smoke: scheduler throughput ...");
     let sched_queries_per_sec = scheduler_throughput();
     eprintln!("perf_smoke: cross-query dedup ...");
@@ -233,6 +251,8 @@ fn main() {
 
     let doc = format!(
         "{{\n  \"bench\": {BENCH_INDEX},\n  \"scan_rows_per_sec\": {scan_rows_per_sec:.1},\n  \
+         \"scan_ideal_ms\": {scan_ideal_ms:.2},\n  \"scan_measured_ms\": {scan_measured_ms:.2},\n  \
+         \"scan_efficiency\": {scan_efficiency:.3},\n  \
          \"sched_queries_per_sec\": {sched_queries_per_sec:.2},\n  \
          \"cross_query_dedup_factor\": {cross_query_dedup_factor:.2},\n  \
          \"batched_scan_rows_per_sec\": {batched_scan_rows_per_sec:.1},\n  \

@@ -45,8 +45,8 @@ pub struct Engine {
     /// by a cross-query scheduler). `None` means unthrottled dispatch.
     slots: Option<Arc<CallSlots>>,
     /// Deployment-shared dispatch reactor (attached by a scheduler): queries
-    /// park their waves on one shared event loop, where completions from
-    /// different queries interleave. `None` = private per-wave loops.
+    /// park their requests on one shared event loop, where completions from
+    /// different queries interleave. `None` = private per-scan loops.
     reactor: Option<Arc<SharedReactor>>,
     /// Deployment-scope single-flight table (attached by a scheduler):
     /// identical in-flight prompts across queries coalesce into one physical
@@ -118,10 +118,10 @@ impl Engine {
         self.slots.as_ref()
     }
 
-    /// Park this engine's dispatch waves on a deployment-shared
-    /// [`SharedReactor`] instead of private per-wave event loops. Attached by
+    /// Park this engine's in-flight requests on a deployment-shared
+    /// [`SharedReactor`] instead of private per-scan event loops. Attached by
     /// `llmsql_sched::QueryScheduler` so completions from every worker's
-    /// queries interleave on one event loop; harmless to set directly. Wave
+    /// queries interleave on one event loop; harmless to set directly. Prompt
     /// planning, rows and logical call accounting are unchanged — only where
     /// in-flight completions are parked is.
     pub fn set_shared_reactor(&mut self, reactor: Arc<SharedReactor>) {
@@ -246,7 +246,7 @@ impl Engine {
     /// Parse and execute one SQL statement under a per-call deadline (in
     /// addition to any engine-wide `EngineConfig::deadline_ms`; the tighter
     /// of the two wins). The deadline clock starts now: scans check it
-    /// between dispatch waves, a wave still in flight when it fires is
+    /// before every request, requests still in flight when it fires are
     /// cancelled, and the query fails with
     /// [`llmsql_types::ErrorKind::DeadlineExceeded`] (carrying elapsed time
     /// and calls issued). Used by the scheduler to grant each
@@ -471,9 +471,9 @@ impl Engine {
         })
     }
 
-    /// Send the entire SQL statement as a single prompt — a wave of one, so
-    /// slot gating, coalescing and the mid-flight deadline are those of any
-    /// scan wave — and parse the completion as the result table.
+    /// Send the entire SQL statement as a single prompt — a window of one,
+    /// so slot gating, coalescing and the mid-flight deadline are those of
+    /// any scan request — and parse the completion as the result table.
     fn execute_full_query(
         &self,
         select: &SelectStatement,
@@ -499,9 +499,9 @@ impl Engine {
             .and_then(|t| self.catalog.schema_of(t).ok());
         let prompt = task.to_prompt(context_schema.as_ref());
         let response = dispatch_one(&ctx, client, task.kind(), prompt)?;
-        // One-shot prompting has no later wave to notice a lapsed deadline:
-        // a response that lands past the budget fails like a scan would at
-        // its next between-wave check.
+        // One-shot prompting has no later request to notice a lapsed
+        // deadline: a response that lands past the budget fails like a scan
+        // would at its next admission.
         ctx.check_deadline()?;
 
         let types: Vec<DataType> = schema.fields.iter().map(|f| f.data_type).collect();
@@ -843,7 +843,7 @@ mod tests {
 
     #[test]
     fn full_query_strategy_honors_deadlines() {
-        // The one-shot path has no wave checkpoints; the deadline is
+        // The one-shot path has no admission checkpoints; the deadline is
         // enforced on the completion itself.
         let oracle = traditional_engine();
         let kb = Engine::knowledge_from_catalog(oracle.catalog()).unwrap();
@@ -882,7 +882,7 @@ mod tests {
         assert!(engine.execute_with_deadline(sql, f64::NAN).is_err());
 
         // An engine-wide deadline combines with the per-call one (tighter
-        // wins): a sub-microsecond budget trips between waves.
+        // wins): a sub-microsecond budget trips at the first admission.
         let mut strict = llm_engine(LlmFidelity::perfect(), PromptStrategy::BatchedRows);
         strict.config_mut().deadline_ms = Some(1e-4);
         let err = strict.execute(sql).unwrap_err();

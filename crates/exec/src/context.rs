@@ -30,10 +30,10 @@ pub struct ExecContext {
     /// Global LLM-call slot pool (cross-query admission). `None` outside a
     /// scheduler: dispatch is bounded only by this query's `parallelism`.
     slots: Option<Arc<CallSlots>>,
-    /// Deployment-shared dispatch reactor. When set, waves from this query
-    /// are submitted to the shared event loop (where completions from other
-    /// queries interleave) instead of a per-wave private loop. `None` outside
-    /// a scheduler.
+    /// Deployment-shared dispatch reactor. When set, requests from this
+    /// query are submitted to the shared event loop (where completions from
+    /// other queries interleave) instead of a per-scan private loop. `None`
+    /// outside a scheduler.
     reactor: Option<Arc<SharedReactor>>,
     /// When this query started executing — the anchor for
     /// `EngineConfig::deadline_ms` (see [`ExecContext::check_deadline`]).
@@ -59,9 +59,9 @@ impl ExecContext {
         }
     }
 
-    /// Fail the query once its deadline has passed. Scans call this between
-    /// dispatch waves, so a straggling wave is the most a late query still
-    /// pays for. The error carries the partial accounting at the moment of
+    /// Fail the query once its deadline has passed. Scans call this before
+    /// admitting a request, so what is already in flight is the most a late
+    /// query still pays for. The error carries the partial accounting at the moment of
     /// failure: elapsed wall time and logical LLM calls already issued.
     pub fn check_deadline(&self) -> Result<()> {
         let Some(deadline_ms) = self.config.deadline_ms else {
@@ -76,8 +76,8 @@ impl ExecContext {
 
     /// The structured `DeadlineExceeded` error with this query's partial
     /// accounting (elapsed wall time, logical calls issued so far). Used by
-    /// [`ExecContext::check_deadline`] between waves and by wave dispatch
-    /// when the deadline fires while calls are parked mid-wave.
+    /// [`ExecContext::check_deadline`] at admission and by the scan driver
+    /// when the deadline fires while calls are parked mid-flight.
     pub fn deadline_error(&self) -> Error {
         let deadline_ms = self.config.deadline_ms.unwrap_or(0.0);
         let elapsed_ms = self.started.elapsed().as_secs_f64() * 1000.0;
@@ -90,7 +90,7 @@ impl ExecContext {
 
     /// The wall-clock instant at which this query's deadline fires, if one
     /// is configured — the abort signal handed to the dispatch reactor so a
-    /// worker parked on in-flight calls still honours the deadline mid-wave.
+    /// worker parked on in-flight calls still honours the deadline.
     pub fn deadline_instant(&self) -> Option<std::time::Instant> {
         self.config
             .deadline_ms
@@ -99,20 +99,20 @@ impl ExecContext {
 
     /// Builder-style: throttle this query's LLM dispatch through a shared
     /// [`CallSlots`] pool (see the [`crate::slots`] module docs for the
-    /// contract). Wave planning is unaffected — only dispatch timing is.
+    /// contract). Prompt planning is unaffected — only dispatch timing is.
     pub fn with_slots(mut self, slots: Arc<CallSlots>) -> Self {
         self.slots = Some(slots);
         self
     }
 
-    /// The attached global slot pool, if any (wave dispatch acquires from it
+    /// The attached global slot pool, if any (dispatch acquires from it
     /// without blocking, one slot per request in flight).
     pub(crate) fn slots(&self) -> Option<&Arc<CallSlots>> {
         self.slots.as_ref()
     }
 
-    /// Builder-style: dispatch this query's waves on a deployment-shared
-    /// [`SharedReactor`] instead of a private per-wave event loop. Wave
+    /// Builder-style: dispatch this query's requests on a deployment-shared
+    /// [`SharedReactor`] instead of a private per-scan event loop. Prompt
     /// planning, results and logical call accounting are unaffected — only
     /// *where* the in-flight completions are parked changes.
     pub fn with_reactor(mut self, reactor: Arc<SharedReactor>) -> Self {

@@ -2,8 +2,8 @@
 //!
 //! Execution is operator-at-a-time (each operator materializes its output),
 //! which keeps every operator easy to verify in isolation. Latency no longer
-//! comes operator-at-a-time, though: scans dispatch their model calls in
-//! concurrent waves (see [`crate::scan`]), and the CPU-bound operators
+//! comes operator-at-a-time, though: scans keep a window of model calls in
+//! flight (see [`crate::scan`]), and the CPU-bound operators
 //! (`Filter`, `Project`, the hash-join build/probe) fan out over the same
 //! worker-pool width once inputs exceed [`PAR_ROW_THRESHOLD`] rows. Both
 //! levels are controlled by `EngineConfig::parallelism` and preserve output

@@ -30,10 +30,10 @@
 //! join, hash aggregate, sort, limit, distinct), and the plan interpreter.
 //!
 //! Execution is operator-at-a-time, but the latency-critical work inside an
-//! operator is parallel: LLM-backed scans dispatch prompt waves concurrently
+//! operator is parallel: LLM-backed scans keep a window of prompts in flight
 //! and CPU-heavy operators fan out above a row-count threshold, all governed
-//! by `EngineConfig::parallelism`. Wave dispatch is event-driven: one
-//! thread parks on the [`reactor`] holding a whole wave of poll-based
+//! by `EngineConfig::parallelism`. Dispatch is event-driven: one thread
+//! parks on the [`reactor`] holding the whole window of poll-based
 //! submissions; the scoped thread pool ([`parallel::par_map`]) serves the
 //! CPU-bound relational operators only. Output order and (for scans) the
 //! set of issued prompts are deterministic, so any parallelism setting
@@ -57,7 +57,9 @@ pub use executor::{
 };
 pub use metrics::{ExecMetrics, InFlightGuard, OpStats, SharedMetrics};
 pub use parallel::{par_map, try_par_map, PAR_ROW_THRESHOLD};
-pub use reactor::{drive, Completion, DriveOutcome, SharedReactor, TimerId, TimerWheel};
+pub use reactor::{
+    drive, Completion, DriveOutcome, LiveSet, SharedReactor, Stream, TimerId, TimerWheel,
+};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
 pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 

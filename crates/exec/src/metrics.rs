@@ -191,7 +191,7 @@ impl SharedMetrics {
     }
 
     /// Total LLM calls recorded so far, without cloning the metrics (cheap
-    /// enough for per-wave budget checks on the dispatch hot path).
+    /// enough for per-request budget checks on the dispatch hot path).
     pub fn llm_call_count(&self) -> u64 {
         self.inner.lock().llm_calls()
     }

@@ -6,7 +6,7 @@
 //! Pinning one OS thread per in-flight request caps deployment-wide
 //! concurrency by thread count, not backend capacity:
 //! `SchedConfig::llm_slots = 64` would need ~64 sleeping threads. Instead a
-//! scan worker *submits* its whole wave through the poll-based API
+//! scan worker *submits* each request through the poll-based API
 //! (`LanguageModel::submit` → `llmsql_llm::CallHandle`) and then parks
 //! **here**, polling the handles as their timers expire — 64 in-flight
 //! simulated calls are then held by the one worker thread that planned
@@ -14,15 +14,22 @@
 //!
 //! # The completion contract
 //!
-//! [`drive`] owns a set of [`Completion`] operations (in practice
-//! `llmsql_llm::ClientCall`s wrapped with per-query accounting) and runs them
-//! to completion:
+//! An event loop — a private [`LiveSet`], or the deployment's
+//! [`SharedReactor`] through a [`Stream`] — holds a **live set** of
+//! [`Completion`] operations (in practice `llmsql_llm::ClientCall`s wrapped
+//! with per-query accounting). The set is open: its owner adds operations
+//! whenever it likes, and waits for them in the order it added them.
 //!
 //! * **submit/poll** — an operation makes progress only inside
 //!   [`Completion::poll`], which must never block; the reactor calls it when
 //!   the operation is *due* ([`Completion::next_wakeup`] has arrived or is
 //!   `None`). Polling is level-triggered: a poll that makes no progress is
 //!   harmless, so the loop can afford to re-poll broadly.
+//! * **head-first waiting** — a wait runs *every* live operation and returns
+//!   as soon as the **head**, the oldest one not yet handed back, has
+//!   resolved — not when some batch has drained. Younger operations keep
+//!   their place and their progress, and are often already resolved when
+//!   their turn comes.
 //! * **timers** — each pending operation's wakeup is armed on the
 //!   [`TimerWheel`]; when an operation completes, its timer is **cancelled**
 //!   (a completed call never fires a stale wakeup). Backoff, hedge-arm and
@@ -34,29 +41,23 @@
 //! * **cancellation / who owns the slot guard** — the *operation* owns its
 //!   slot permit (acquired through its admission gate, held for exactly one
 //!   dispatch, released on resolution). The reactor owns nothing but timers:
-//!   when [`drive`] returns [`DriveOutcome::DeadlineExceeded`], the caller
-//!   simply drops the unfinished operations, and their `Drop` impls release
-//!   permits, single-flight leaderships and per-backend gauges. Dropping is
-//!   cancelling; there is no other cancel path.
-//! * **deadlines** — a query deadline is checked every iteration; firing it
-//!   aborts the whole wave even while calls are parked mid-flight, which is
-//!   what bounds a late query's overhang to one wave.
+//!   dropping a [`LiveSet`] or a [`Stream`] drops its unfinished operations,
+//!   and their `Drop` impls release permits, single-flight leaderships and
+//!   per-backend gauges. Dropping is cancelling; there is no other cancel
+//!   path.
+//! * **deadlines** — a query deadline is checked every iteration; once it
+//!   has fired, a wait on an unresolved head reports
+//!   [`DriveOutcome::DeadlineExceeded`] even while calls are parked
+//!   mid-flight, which is what bounds a late query's overhang to what it
+//!   already had in flight.
 //!
 //! The loop never spins: between polls it sleeps until the wheel's next
 //! deadline (or a short floor when an operation declares itself immediately
 //! pollable, e.g. waiting on a slot another *thread's* reactor will free).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// The dispatch path's clock. Scan-side code reads wall-clock time through
-/// this passthrough instead of calling `Instant::now()` directly, so the
-/// banned-time lint keeps a single allowlisted home (this module) for time
-/// reads on the hot path.
-pub fn now() -> Instant {
-    Instant::now()
-}
 
 /// A poll-driven operation the reactor can run to completion.
 pub trait Completion {
@@ -235,169 +236,234 @@ impl Default for TimerWheel {
     }
 }
 
-/// Run `ops` to completion on the calling thread (see the module docs for
-/// the contract), or until `deadline` fires. The caller inspects its
-/// operations afterwards for results; on [`DriveOutcome::DeadlineExceeded`]
-/// the unfinished ones are simply dropped — that *is* the cancellation.
-pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOutcome {
-    // First pass inline, before any loop state is built: cache hits and
-    // already-resolved handles finish here, so a wave that needs no waiting
-    // (most single-prompt waves of a cached workload) costs no timer wheel.
-    let now = Instant::now();
-    if deadline.is_some_and(|d| now >= d) {
-        return DriveOutcome::DeadlineExceeded;
-    }
-    let mut pending: Vec<usize> = (0..ops.len()).filter(|&i| !ops[i].poll(now)).collect();
-    if pending.is_empty() {
-        return DriveOutcome::Completed;
+impl<C: Completion + ?Sized> Completion for &mut C {
+    fn poll(&mut self, now: Instant) -> bool {
+        (**self).poll(now)
     }
 
-    let mut wheel = TimerWheel::new();
-    // Per-op armed timer (cancelled on completion or re-armed on change).
-    let mut armed: Vec<Option<(TimerId, Instant)>> = ops.iter().map(|_| None).collect();
+    fn next_wakeup(&self, now: Instant) -> Option<Instant> {
+        (**self).next_wakeup(now)
+    }
+}
 
-    loop {
-        let mut now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
-            return DriveOutcome::DeadlineExceeded;
+/// One operation of a [`LiveSet`].
+struct Live<C> {
+    op: C,
+    done: bool,
+    /// The armed timer (cancelled on completion, re-armed on change).
+    armed: Option<(TimerId, Instant)>,
+}
+
+/// The private event loop: a live set of operations in submission order,
+/// driven by the thread that owns it (see the module docs for the contract).
+/// Operations join at any time ([`LiveSet::push`]); [`LiveSet::wait_head`]
+/// runs *all* of them and returns when the oldest resolves. Dropping the set
+/// drops — cancels — whatever is still unfinished.
+pub struct LiveSet<C> {
+    ops: VecDeque<Live<C>>,
+    /// Built by the first wait that has to sleep: operations that resolve
+    /// on their first poll (cache hits, ready handles) cost no timer wheel.
+    wheel: Option<TimerWheel>,
+}
+
+impl<C> Default for LiveSet<C> {
+    fn default() -> Self {
+        LiveSet {
+            ops: VecDeque::new(),
+            wheel: None,
         }
-        // Expire due timers (the fired entries are gone from the wheel, so
-        // their ops must not try to cancel them later).
-        for fired in wheel.advance(now) {
-            for slot in &mut armed {
-                if slot.is_some_and(|(id, _)| id == fired) {
-                    *slot = None;
+    }
+}
+
+impl<C: Completion> LiveSet<C> {
+    /// Accept `op` into the live set. Its first poll happens here, inline —
+    /// that poll is what submits a call — so an admitted operation is in
+    /// flight before the caller does anything else.
+    pub fn push(&mut self, mut op: C) {
+        let done = op.poll(Instant::now());
+        self.ops.push_back(Live {
+            op,
+            done,
+            armed: None,
+        });
+    }
+
+    /// Drive every live operation until the **head** — the oldest one not
+    /// yet handed back — resolves, then drop it and report
+    /// [`DriveOutcome::Completed`]; the caller reads the result from
+    /// wherever the operation wrote it. `None` when the set is empty. Once
+    /// `deadline` has passed an unresolved head reports
+    /// [`DriveOutcome::DeadlineExceeded`] and stays where it is: dropping
+    /// the set is the cancellation.
+    pub fn wait_head(&mut self, deadline: Option<Instant>) -> Option<DriveOutcome> {
+        loop {
+            if self.ops.front()?.done {
+                self.ops.pop_front();
+                return Some(DriveOutcome::Completed);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                return Some(DriveOutcome::DeadlineExceeded);
+            }
+            // Expire due timers (the fired entries are gone from the wheel,
+            // so their operations must not try to cancel them later).
+            if let Some(wheel) = &mut self.wheel {
+                for fired in wheel.advance(now) {
+                    for live in &mut self.ops {
+                        if live.armed.is_some_and(|(id, _)| id == fired) {
+                            live.armed = None;
+                        }
+                    }
                 }
             }
-        }
-
-        // Poll every due operation; completions can cascade (a released slot
-        // permit unblocks a parked op), so keep going until a full pass
-        // completes nothing.
-        loop {
+            // Poll every due operation. Completions can cascade (a released
+            // slot permit unblocks a parked operation), so after any
+            // completion go round again before sleeping.
             let mut progressed = false;
-            pending.retain(|&i| {
-                let due = ops[i].next_wakeup(now).is_none_or(|wake| wake <= now);
-                if due && ops[i].poll(now) {
-                    if let Some((timer, _)) = armed[i].take() {
+            for live in self.ops.iter_mut().filter(|live| !live.done) {
+                let due = live.op.next_wakeup(now).is_none_or(|wake| wake <= now);
+                if due && live.op.poll(now) {
+                    live.done = true;
+                    if let (Some((timer, _)), Some(wheel)) = (live.armed.take(), &mut self.wheel) {
                         wheel.cancel(timer);
                     }
                     progressed = true;
-                    false
-                } else {
-                    true
                 }
-            });
-            if !progressed {
-                break;
             }
-            now = Instant::now();
-        }
-        if pending.is_empty() {
-            return DriveOutcome::Completed;
-        }
-
-        // Re-arm timers to the survivors' current wakeups and sleep until
-        // the earliest of: the wheel, the query deadline, or the
-        // immediate-retry floor for ops that are pollable but blocked on
-        // external state.
-        let mut immediate = false;
-        for &i in &pending {
-            match ops[i].next_wakeup(now) {
-                None => {
-                    immediate = true;
-                    if let Some((timer, _)) = armed[i].take() {
-                        wheel.cancel(timer);
-                    }
-                }
-                Some(wake) => {
-                    let stale = armed[i].is_none_or(|(_, at)| {
-                        let delta = wake.max(at) - wake.min(at);
-                        delta > TICK
-                    });
-                    if stale {
-                        if let Some((timer, _)) = armed[i].take() {
+            if progressed {
+                continue;
+            }
+            // Re-arm timers to the survivors' current wakeups and sleep
+            // until the earliest of: the wheel, the deadline, or the
+            // immediate-retry floor for operations that are pollable but
+            // blocked on external state.
+            let wheel = self.wheel.get_or_insert_with(TimerWheel::new);
+            let mut immediate = false;
+            for live in self.ops.iter_mut().filter(|live| !live.done) {
+                match live.op.next_wakeup(now) {
+                    None => {
+                        immediate = true;
+                        if let Some((timer, _)) = live.armed.take() {
                             wheel.cancel(timer);
                         }
-                        armed[i] = Some((wheel.arm(wake), wake));
+                    }
+                    Some(wake) => {
+                        let stale = live
+                            .armed
+                            .is_none_or(|(_, at)| wake.max(at) - wake.min(at) > TICK);
+                        if stale {
+                            if let Some((timer, _)) = live.armed.take() {
+                                wheel.cancel(timer);
+                            }
+                            live.armed = Some((wheel.arm(wake), wake));
+                        }
                     }
                 }
             }
+            let mut wake_at = wheel.next_deadline();
+            if immediate {
+                let retry = now + IMMEDIATE_RETRY;
+                wake_at = Some(wake_at.map_or(retry, |w| w.min(retry)));
+            }
+            if let Some(d) = deadline {
+                wake_at = Some(wake_at.map_or(d, |w| w.min(d)));
+            }
+            let until = wake_at.unwrap_or(now + IMMEDIATE_RETRY);
+            std::thread::sleep(until.saturating_duration_since(now).max(MIN_SLEEP));
         }
-        let mut wake_at = wheel.next_deadline();
-        if immediate {
-            let retry = now + IMMEDIATE_RETRY;
-            wake_at = Some(wake_at.map_or(retry, |w| w.min(retry)));
-        }
-        if let Some(d) = deadline {
-            wake_at = Some(wake_at.map_or(d, |w| w.min(d)));
-        }
-        let until = wake_at.unwrap_or(now + IMMEDIATE_RETRY);
-        let sleep = until.saturating_duration_since(now).max(MIN_SLEEP);
-        std::thread::sleep(sleep);
     }
 }
 
-/// One operation inside the shared reactor, tagged with the wave that
-/// submitted it.
+/// Run `ops` to completion on the calling thread, or until `deadline`
+/// fires: a [`LiveSet`] fed the whole slice and waited on until it is empty.
+/// The caller inspects its operations afterwards for results; on
+/// [`DriveOutcome::DeadlineExceeded`] the unfinished ones are simply dropped
+/// — that *is* the cancellation.
+pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOutcome {
+    let mut live = LiveSet::default();
+    for op in ops {
+        live.push(op);
+    }
+    loop {
+        match live.wait_head(deadline) {
+            None => return DriveOutcome::Completed,
+            Some(DriveOutcome::Completed) => {}
+            Some(DriveOutcome::DeadlineExceeded) => return DriveOutcome::DeadlineExceeded,
+        }
+    }
+}
+
+/// One operation inside the shared reactor, tagged with the stream that
+/// submitted it and its place in that stream.
 struct TaggedOp {
-    wave: u64,
+    stream: u64,
+    seq: u64,
     op: Box<dyn Completion + Send>,
 }
 
-/// Book-keeping for one submitted wave.
-struct WaveState {
-    /// Operations of this wave not yet completed.
-    remaining: usize,
-    /// The submitting query's deadline; firing it resolves (and cancels)
-    /// only this wave.
+/// Book-keeping for one open [`Stream`].
+struct StreamState {
+    /// Sequence number of the head: the oldest operation not yet handed back
+    /// to the submitter.
+    head: u64,
+    /// Whether each operation from the head on has resolved, in submission
+    /// order.
+    done: VecDeque<bool>,
+    /// The submitting query's deadline; firing it cancels only this stream.
     deadline: Option<Instant>,
-    /// Set exactly once when the wave resolves.
-    outcome: Option<DriveOutcome>,
+    /// The deadline fired: every wait on an unresolved operation reports
+    /// [`DriveOutcome::DeadlineExceeded`].
+    expired: bool,
 }
 
-/// Shared state of a [`SharedReactor`]: the injection queue, per-wave
-/// progress, and the driver seat.
+/// What submitters and the driver share under the state lock.
 struct ReactorState {
-    next_wave: u64,
-    /// Operations submitted but not yet adopted by the driver.
+    next_stream: u64,
+    /// Operations submitted but not yet adopted by a driver.
     injected: Vec<TaggedOp>,
-    waves: HashMap<u64, WaveState>,
+    streams: HashMap<u64, StreamState>,
     /// True while some submitter thread is driving the event loop.
     has_driver: bool,
 }
 
-/// A deployment-wide event loop that many threads submit waves to and park
-/// on — the scheduler-owned singleton form of [`drive`].
+/// A deployment-wide event loop that many threads submit operations to and
+/// park on — the scheduler-owned singleton form of [`LiveSet`].
 ///
 /// # The worker model
 ///
-/// [`drive`] gives one *wave* one private event loop: the submitting thread
+/// A [`LiveSet`] gives one scan one private event loop: the owning thread
 /// polls its own operations and nothing else. A [`SharedReactor`] lifts that
-/// to the deployment: every [`SharedReactor::submit_wave`] call injects its
-/// operations into one shared pool, and exactly one of the parked submitter
-/// threads — the **driver** — runs the event loop for *all* in-flight waves
-/// at once. Completions from different queries therefore interleave on one
-/// loop, which is what makes cross-query effects (deployment-scope prompt
+/// to the deployment: every scan opens a [`Stream`], the streams' operations
+/// land in one shared live set, and exactly one of the parked submitter
+/// threads — the **driver** — runs the event loop for *all* of them at once.
+/// Completions from different queries therefore interleave on one loop,
+/// which is what makes cross-query effects (deployment-scope prompt
 /// coalescing, a single `llm_slots` ceiling) observable within one poll
 /// round instead of across thread-timer boundaries.
 ///
-/// The driver seat is not a dedicated thread: the first submitter to find
-/// the seat empty takes it, drives until **its own wave** resolves, then
-/// hands unfinished foreign operations back to the injection queue and wakes
-/// a parked submitter to take over. Every parked submitter is a driver
-/// candidate, so no wave can be orphaned while its submitter waits.
+/// The driver seat is not a dedicated thread: the first submitter to wait
+/// while the seat is empty takes it and drives until the **head of its own
+/// stream** resolves. Then it leaves — the unfinished operations, its own
+/// later ones included, stay in the live set — and wakes the parked
+/// submitters, one of which takes over. Every parked submitter is a driver
+/// candidate, so no operation can be orphaned while its submitter waits; a
+/// submitter that is busy consuming an answer leaves its operations to
+/// whoever drives, or untouched until it waits again.
 ///
-/// Per-wave semantics are unchanged from [`drive`]: a wave's deadline fires
-/// only that wave (its unfinished operations are dropped — dropping is
-/// cancelling), and [`SharedReactor::submit_wave`] returns the same
-/// [`DriveOutcome`] the private loop would have produced.
+/// Per-stream semantics are those of a [`LiveSet`]: a stream's deadline
+/// fires only that stream, and closing a stream — dropping is cancelling —
+/// takes its unfinished operations out of the loop before [`Stream`]'s drop
+/// returns.
 pub struct SharedReactor {
     state: Mutex<ReactorState>,
+    /// The operations the driver is running. Held by the driver for a poll
+    /// pass and by a closing stream taking its operations back, never while
+    /// parked; taken before `state` where both are held.
+    live: Mutex<Vec<TaggedOp>>,
     /// Wakes the driver: new operations were injected.
     work: Condvar,
-    /// Wakes parked submitters: a wave resolved, or the driver seat freed.
-    wave_done: Condvar,
+    /// Wakes parked submitters: a head resolved, or the driver seat freed.
+    resolved: Condvar,
 }
 
 impl Default for SharedReactor {
@@ -406,29 +472,31 @@ impl Default for SharedReactor {
     }
 }
 
-/// Releases the driver seat on every exit path. A *panicking* driver has
-/// already dropped the local operations it held, so its waves can never
-/// complete: the guard resolves them (and clears the injection queue) so
-/// their submitters observe a deadline abort instead of parking forever.
+/// Releases the driver seat on every exit path. A *panicking* driver may
+/// have left an operation half-polled, so nothing in the loop can be
+/// trusted to complete: the guard drops every operation and expires every
+/// stream, so their submitters observe a deadline abort instead of parking
+/// forever.
 struct DriverSeat<'a> {
     reactor: &'a SharedReactor,
 }
 
 impl Drop for DriverSeat<'_> {
     fn drop(&mut self) {
+        let mut doomed = Vec::new();
+        if std::thread::panicking() {
+            doomed.append(&mut self.reactor.lock_live());
+        }
         let mut state = self.reactor.lock_state();
         state.has_driver = false;
         if std::thread::panicking() {
-            state.injected.clear();
-            for wave in state.waves.values_mut() {
-                if wave.outcome.is_none() {
-                    wave.outcome = Some(DriveOutcome::DeadlineExceeded);
-                }
+            doomed.append(&mut state.injected);
+            for stream in state.streams.values_mut() {
+                stream.expired = true;
             }
         }
         drop(state);
-        self.reactor.wave_done.notify_all();
-        self.reactor.work.notify_all();
+        self.reactor.resolved.notify_all();
     }
 }
 
@@ -438,13 +506,14 @@ impl SharedReactor {
     pub fn new() -> SharedReactor {
         SharedReactor {
             state: Mutex::new(ReactorState {
-                next_wave: 0,
+                next_stream: 0,
                 injected: Vec::new(),
-                waves: HashMap::new(),
+                streams: HashMap::new(),
                 has_driver: false,
             }),
+            live: Mutex::new(Vec::new()),
             work: Condvar::new(),
-            wave_done: Condvar::new(),
+            resolved: Condvar::new(),
         }
     }
 
@@ -452,177 +521,127 @@ impl SharedReactor {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Submit one wave of operations and park until it resolves — the
-    /// shared-loop counterpart of [`drive`]. The calling thread either waits
-    /// for a resolution or becomes the driver itself; see the type docs for
-    /// the worker model. Results are read from wherever the operations write
-    /// them (they are consumed here; on a deadline abort the unfinished ones
-    /// are dropped, which is the cancellation).
-    pub fn submit_wave(
-        &self,
-        ops: Vec<Box<dyn Completion + Send>>,
-        deadline: Option<Instant>,
-    ) -> DriveOutcome {
-        if ops.is_empty() {
-            return DriveOutcome::Completed;
-        }
-        let wave = {
-            let mut state = self.lock_state();
-            let wave = state.next_wave;
-            state.next_wave += 1;
-            state.waves.insert(
-                wave,
-                WaveState {
-                    remaining: ops.len(),
-                    deadline,
-                    outcome: None,
-                },
-            );
-            state
-                .injected
-                .extend(ops.into_iter().map(|op| TaggedOp { wave, op }));
-            wave
-        };
-        self.work.notify_all();
-        loop {
-            let mut state = self.lock_state();
-            if let Some(outcome) = state.waves.get(&wave).and_then(|w| w.outcome) {
-                state.waves.remove(&wave);
-                return outcome;
-            }
-            if state.has_driver {
-                // Park; any wave resolution or driver handoff wakes us.
-                let guard = self
-                    .wave_done
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-                drop(guard);
-            } else {
-                state.has_driver = true;
-                drop(state);
-                return self.drive_waves(wave);
-            }
+    fn lock_live(&self) -> MutexGuard<'_, Vec<TaggedOp>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Open a stream: an in-order sequence of operations whose submitter
+    /// waits on them head first — the shared-loop counterpart of a
+    /// [`LiveSet`]. `deadline` is the submitting query's.
+    pub fn open(&self, deadline: Option<Instant>) -> Stream<'_> {
+        let mut state = self.lock_state();
+        let id = state.next_stream;
+        state.next_stream += 1;
+        state.streams.insert(
+            id,
+            StreamState {
+                head: 0,
+                done: VecDeque::new(),
+                deadline,
+                expired: false,
+            },
+        );
+        Stream {
+            reactor: self,
+            id,
+            next_seq: 0,
+            pushed: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    /// The driver loop: run every in-flight wave's operations until the
-    /// caller's own wave (`own`) resolves, then hand back the seat. The
-    /// polling discipline is identical to [`drive`]: level-triggered polls
-    /// of due operations, cascade re-polls after completions, and sleeps
-    /// bounded by the earliest stored wakeup / wave deadline — interruptible
-    /// by new injections.
-    fn drive_waves(&self, own: u64) -> DriveOutcome {
-        let seat = DriverSeat { reactor: self };
-        let mut local: Vec<TaggedOp> = Vec::new();
-        let mut completed: Vec<u64> = Vec::new();
+    /// The driver loop: run every stream's operations until the head of the
+    /// caller's own stream (`own`) resolves or its deadline fires, then
+    /// leave the seat. The polling discipline is that of
+    /// [`LiveSet::wait_head`]: level-triggered polls of due operations,
+    /// another round after any completion, and sleeps bounded by the
+    /// earliest stored wakeup / stream deadline — interruptible by new
+    /// injections.
+    fn drive_until_head(&self, own: u64) {
+        let _seat = DriverSeat { reactor: self };
+        let mut completed: Vec<(u64, u64)> = Vec::new();
         loop {
-            let mut now = Instant::now();
-            // Intake + wave-deadline firing + own-wave exit check, one lock.
-            let (cancelled, own_outcome) = {
-                let mut state = self.lock_state();
-                local.append(&mut state.injected);
-                let mut cancelled: Vec<u64> = Vec::new();
-                let mut newly_resolved = false;
-                for (&id, wave) in &mut state.waves {
-                    if wave.outcome.is_none() && wave.deadline.is_some_and(|d| now >= d) {
-                        wave.outcome = Some(DriveOutcome::DeadlineExceeded);
-                        newly_resolved = true;
-                    }
-                    if wave.outcome.is_some() {
-                        cancelled.push(id);
-                    }
+            let now = Instant::now();
+            // Intake, deadline firing and the exit check. `live` is held
+            // across the hand-over so a closing stream finds each of its
+            // operations in exactly one of the two places. An expired
+            // stream's operations stay until its submitter, woken here,
+            // closes it: a stream has one cancel path, its own drop.
+            let mut live = self.lock_live();
+            let mut state = self.lock_state();
+            live.append(&mut state.injected);
+            let mut newly_expired = false;
+            for stream in state.streams.values_mut() {
+                if !stream.expired && stream.deadline.is_some_and(|d| now >= d) {
+                    stream.expired = true;
+                    newly_expired = true;
                 }
-                if newly_resolved {
-                    self.wave_done.notify_all();
-                }
-                (cancelled, state.waves.get(&own).and_then(|w| w.outcome))
-            };
-            // Drop resolved waves' operations outside the state lock
-            // (dropping is cancellation and runs arbitrary `Drop` impls).
-            if !cancelled.is_empty() {
-                local.retain(|t| !cancelled.contains(&t.wave));
             }
-            if let Some(outcome) = own_outcome {
-                // Hand unfinished foreign operations back; the seat guard
-                // frees the seat and wakes a successor.
-                let mut state = self.lock_state();
-                state.waves.remove(&own);
-                state.injected.append(&mut local);
-                drop(state);
-                drop(seat);
-                return outcome;
+            let own_resolved = state
+                .streams
+                .get(&own)
+                .is_none_or(|s| s.expired || s.done.front() != Some(&false));
+            drop(state);
+            if newly_expired {
+                self.resolved.notify_all();
+            }
+            if own_resolved {
+                return;
             }
 
             // Poll every due operation; completions can cascade (a freed
-            // slot permit unblocks a parked op — possibly of another wave).
-            loop {
-                let mut progressed = false;
-                local.retain_mut(|t| {
-                    let due = t.op.next_wakeup(now).is_none_or(|wake| wake <= now);
-                    if due && t.op.poll(now) {
-                        completed.push(t.wave);
-                        progressed = true;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if !progressed {
-                    break;
+            // slot permit unblocks a parked operation — possibly of another
+            // stream), so any completion means another round before sleeping.
+            live.retain_mut(|t| {
+                let due = t.op.next_wakeup(now).is_none_or(|wake| wake <= now);
+                let finished = due && t.op.poll(now);
+                if finished {
+                    completed.push((t.stream, t.seq));
                 }
-                now = Instant::now();
-            }
+                !finished
+            });
+            // Operations that are pollable but blocked on external state
+            // get the immediate-retry floor.
+            let wake_at = live
+                .iter()
+                .map(|t| t.op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY))
+                .min();
+            drop(live);
+
+            let mut state = self.lock_state();
             if !completed.is_empty() {
-                let mut state = self.lock_state();
-                let mut newly_resolved = false;
-                for id in completed.drain(..) {
-                    if let Some(wave) = state.waves.get_mut(&id) {
-                        if wave.outcome.is_none() {
-                            wave.remaining -= 1;
-                            if wave.remaining == 0 {
-                                wave.outcome = Some(DriveOutcome::Completed);
-                                newly_resolved = true;
-                            }
-                        }
+                let mut head_resolved = false;
+                for (id, seq) in completed.drain(..) {
+                    // A stream closed meanwhile no longer cares.
+                    let Some(stream) = state.streams.get_mut(&id) else {
+                        continue;
+                    };
+                    if let Some(done) = stream.done.get_mut((seq - stream.head) as usize) {
+                        *done = true;
+                        head_resolved |= seq == stream.head;
                     }
                 }
                 drop(state);
-                if newly_resolved {
-                    self.wave_done.notify_all();
+                if head_resolved {
+                    self.resolved.notify_all();
                 }
-                // Re-check the own wave and the intake queue before sleeping.
                 continue;
             }
 
-            // Sleep until the earliest stored wakeup, wave deadline, or the
-            // immediate-retry floor — woken early by any new injection.
-            let state = self.lock_state();
+            // Sleep until the earliest stored wakeup or stream deadline —
+            // woken early by any new injection.
             if !state.injected.is_empty() {
                 continue;
             }
-            let mut wake_at: Option<Instant> = None;
-            let mut immediate = false;
-            for t in &local {
-                match t.op.next_wakeup(now) {
-                    None => immediate = true,
-                    Some(wake) => wake_at = Some(wake_at.map_or(wake, |w: Instant| w.min(wake))),
-                }
-            }
-            for wave in state.waves.values() {
-                if wave.outcome.is_none() {
-                    if let Some(d) = wave.deadline {
-                        wake_at = Some(wake_at.map_or(d, |w| w.min(d)));
-                    }
-                }
-            }
-            if immediate {
-                let retry = now + IMMEDIATE_RETRY;
-                wake_at = Some(wake_at.map_or(retry, |w| w.min(retry)));
-            }
-            // The fallback bound is unreachable while the own wave is alive
-            // (its operations are local and carry wakeups), but keeps a
-            // defect from becoming an unbounded park.
-            let until = wake_at.unwrap_or(now + Duration::from_millis(10));
+            let deadlines = state.streams.values().filter(|s| !s.expired);
+            let until = wake_at
+                .into_iter()
+                .chain(deadlines.filter_map(|s| s.deadline))
+                .min()
+                // Unreachable while the own head is unresolved (its operation
+                // is live and carries a wakeup), but keeps a defect from
+                // becoming an unbounded park.
+                .unwrap_or(now + Duration::from_millis(10));
             let sleep = until.saturating_duration_since(now).max(MIN_SLEEP);
             let (guard, _timeout) = self
                 .work
@@ -632,9 +651,102 @@ impl SharedReactor {
         }
     }
 
-    /// Waves currently unresolved (parked submitters), advisory.
-    pub fn waves_in_flight(&self) -> usize {
-        self.lock_state().waves.len()
+    /// Streams currently open, advisory.
+    pub fn streams_open(&self) -> usize {
+        self.lock_state().streams.len()
+    }
+}
+
+/// One scan's operations on a [`SharedReactor`], in submission order. The
+/// submitter pushes operations whenever it likes and waits for them head
+/// first; closing the stream (drop) cancels whatever is unfinished.
+pub struct Stream<'a> {
+    reactor: &'a SharedReactor,
+    id: u64,
+    next_seq: u64,
+    /// Whether each operation pushed since the last wait resolved on its
+    /// first poll, and the ones that did not: handed to the loop by the next
+    /// wait, so a round of admissions costs one lock and one driver wake-up.
+    pushed: Vec<bool>,
+    pending: Vec<TaggedOp>,
+}
+
+impl Stream<'_> {
+    /// Accept `op` into the stream. As in [`LiveSet::push`], its first poll
+    /// happens here, inline, on the submitter's thread; if that does not
+    /// resolve it, it joins the shared live set when the submitter next
+    /// waits.
+    pub fn push(&mut self, mut op: Box<dyn Completion + Send>) {
+        let done = op.poll(Instant::now());
+        self.pushed.push(done);
+        if !done {
+            self.pending.push(TaggedOp {
+                stream: self.id,
+                seq: self.next_seq,
+                op,
+            });
+        }
+        self.next_seq += 1;
+    }
+
+    /// Park until the stream's **head** operation resolves — the shared-loop
+    /// counterpart of [`LiveSet::wait_head`], with the same return values.
+    /// The calling thread either waits for a driver to resolve it or
+    /// becomes the driver itself; see [`SharedReactor`] for the worker
+    /// model.
+    pub fn wait_head(&mut self) -> Option<DriveOutcome> {
+        let reactor = self.reactor;
+        let mut state = reactor.lock_state();
+        if let Some(stream) = state.streams.get_mut(&self.id) {
+            stream.done.extend(self.pushed.drain(..));
+        }
+        if !self.pending.is_empty() {
+            state.injected.append(&mut self.pending);
+            reactor.work.notify_all();
+        }
+        loop {
+            let stream = state.streams.get_mut(&self.id)?;
+            match *stream.done.front()? {
+                true => {
+                    stream.done.pop_front();
+                    stream.head += 1;
+                    return Some(DriveOutcome::Completed);
+                }
+                false if stream.expired => return Some(DriveOutcome::DeadlineExceeded),
+                false => {}
+            }
+            if state.has_driver {
+                // Park; any head resolution or driver hand-off wakes us.
+                state = reactor
+                    .resolved
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            } else {
+                state.has_driver = true;
+                drop(state);
+                reactor.drive_until_head(self.id);
+                state = reactor.lock_state();
+            }
+        }
+    }
+}
+
+impl Drop for Stream<'_> {
+    fn drop(&mut self) {
+        let mut state = self.reactor.lock_state();
+        let unfinished = state
+            .streams
+            .remove(&self.id)
+            .is_some_and(|stream| stream.done.contains(&false));
+        if !unfinished {
+            return;
+        }
+        // Cancel: take the unfinished operations out of the loop, wherever
+        // they are, and drop them here — outside both locks.
+        let mine = |t: &mut TaggedOp| t.stream == self.id;
+        let mut cancelled: Vec<TaggedOp> = state.injected.extract_if(.., mine).collect();
+        drop(state);
+        cancelled.extend(self.reactor.lock_live().extract_if(.., mine));
     }
 }
 
@@ -853,6 +965,26 @@ mod tests {
         );
     }
 
+    /// Push `ops` onto a fresh stream of `reactor` and wait for each, head
+    /// first: how a batch of operations runs on the shared loop.
+    fn run_stream(
+        reactor: &SharedReactor,
+        ops: Vec<Box<dyn Completion + Send>>,
+        deadline: Option<Instant>,
+    ) -> DriveOutcome {
+        let mut stream = reactor.open(deadline);
+        for op in ops {
+            stream.push(op);
+        }
+        loop {
+            match stream.wait_head() {
+                None => return DriveOutcome::Completed,
+                Some(DriveOutcome::Completed) => {}
+                Some(DriveOutcome::DeadlineExceeded) => return DriveOutcome::DeadlineExceeded,
+            }
+        }
+    }
+
     /// A Send-able timed op for cross-thread shared-reactor tests: completes
     /// after `ready_at`, flips a shared flag.
     struct SharedTimedOp {
@@ -864,7 +996,7 @@ mod tests {
         fn poll(&mut self, now: Instant) -> bool {
             if now >= self.ready_at {
                 // ordering: Relaxed — test flag; the submitting thread's
-                // join (and submit_wave's mutex) publish it to the asserts.
+                // join (and the reactor's state mutex) publish it to the asserts.
                 self.done.store(true, std::sync::atomic::Ordering::Relaxed);
                 return true;
             }
@@ -876,19 +1008,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_reactor_interleaves_waves_from_many_threads() {
+    fn shared_reactor_interleaves_streams_from_many_threads() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         // 4 submitters × 8 ops of ~10ms each on ONE shared loop: with the
-        // waves interleaving, the whole deployment finishes in ~one round
-        // trip; thread-per-wave serialization would be fine too, but a
-        // non-interleaving reactor (one wave at a time) would take ~40ms+.
+        // streams interleaving, the whole deployment finishes in ~one round
+        // trip; thread-per-stream serialization would be fine too, but a
+        // non-interleaving reactor (one stream at a time) would take ~40ms+.
         let reactor = Arc::new(SharedReactor::new());
         let start = Instant::now();
         let flags: Vec<Arc<AtomicBool>> =
             (0..32).map(|_| Arc::new(AtomicBool::new(false))).collect();
         std::thread::scope(|scope| {
-            for wave_idx in 0..4 {
+            for stream_idx in 0..4 {
                 let reactor = Arc::clone(&reactor);
                 let flags = &flags;
                 scope.spawn(move || {
@@ -897,12 +1029,12 @@ mod tests {
                             Box::new(SharedTimedOp {
                                 ready_at: start
                                     + Duration::from_millis(10)
-                                    + Duration::from_micros((wave_idx * 8 + i) * 50),
-                                done: Arc::clone(&flags[(wave_idx * 8 + i) as usize]),
+                                    + Duration::from_micros((stream_idx * 8 + i) * 50),
+                                done: Arc::clone(&flags[(stream_idx * 8 + i) as usize]),
                             }) as Box<dyn Completion + Send>
                         })
                         .collect();
-                    let outcome = reactor.submit_wave(ops, None);
+                    let outcome = run_stream(&reactor, ops, None);
                     assert_eq!(outcome, DriveOutcome::Completed);
                 });
             }
@@ -914,16 +1046,16 @@ mod tests {
                 .all(|f| f.load(std::sync::atomic::Ordering::Relaxed)),
             "an op was dropped without completing"
         );
-        assert_eq!(reactor.waves_in_flight(), 0, "wave table leaked");
+        assert_eq!(reactor.streams_open(), 0, "stream table leaked");
         let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_millis(200),
-            "waves did not interleave: {elapsed:?}"
+            "streams did not interleave: {elapsed:?}"
         );
     }
 
     #[test]
-    fn a_wave_deadline_fires_only_its_own_wave() {
+    fn a_stream_deadline_fires_only_its_own_stream() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         let reactor = Arc::new(SharedReactor::new());
@@ -939,7 +1071,7 @@ mod tests {
                         ready_at: start + Duration::from_millis(500),
                         done: slow_done,
                     })];
-                    let outcome = reactor.submit_wave(ops, Some(start + Duration::from_millis(5)));
+                    let outcome = run_stream(&reactor, ops, Some(start + Duration::from_millis(5)));
                     assert_eq!(outcome, DriveOutcome::DeadlineExceeded);
                 });
             }
@@ -951,7 +1083,7 @@ mod tests {
                         ready_at: start + Duration::from_millis(15),
                         done: ok_done,
                     })];
-                    let outcome = reactor.submit_wave(ops, None);
+                    let outcome = run_stream(&reactor, ops, None);
                     assert_eq!(outcome, DriveOutcome::Completed);
                 });
             }
@@ -967,10 +1099,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_waves_reuse_the_shared_reactor() {
+    fn sequential_streams_reuse_the_shared_reactor() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        // The driver seat must be released and re-taken across waves.
+        // The driver seat must be released and re-taken across streams.
         let reactor = SharedReactor::new();
         for _ in 0..3 {
             let done = Arc::new(AtomicBool::new(false));
@@ -979,20 +1111,127 @@ mod tests {
                 ready_at: start + Duration::from_millis(2),
                 done: Arc::clone(&done),
             })];
-            assert_eq!(reactor.submit_wave(ops, None), DriveOutcome::Completed);
+            assert_eq!(run_stream(&reactor, ops, None), DriveOutcome::Completed);
             // ordering: Relaxed — single-threaded here.
             assert!(done.load(std::sync::atomic::Ordering::Relaxed));
         }
-        assert_eq!(reactor.waves_in_flight(), 0);
+        assert_eq!(reactor.streams_open(), 0);
     }
 
     #[test]
-    fn empty_waves_complete_without_touching_the_loop() {
+    fn empty_streams_complete_without_touching_the_loop() {
         let reactor = SharedReactor::new();
         assert_eq!(
-            reactor.submit_wave(Vec::new(), None),
+            run_stream(&reactor, Vec::new(), None),
             DriveOutcome::Completed
         );
-        assert_eq!(reactor.waves_in_flight(), 0);
+        assert_eq!(reactor.streams_open(), 0);
+    }
+
+    /// Resolves at `ready_at`; says when it was dropped, resolved or not.
+    struct Tracked {
+        ready_at: Instant,
+        dropped: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Tracked {
+        fn after(delay: Duration) -> (Tracked, std::sync::Arc<std::sync::atomic::AtomicBool>) {
+            let dropped = std::sync::Arc::default();
+            let op = Tracked {
+                ready_at: Instant::now() + delay,
+                dropped: std::sync::Arc::clone(&dropped),
+            };
+            (op, dropped)
+        }
+    }
+
+    impl Completion for Tracked {
+        fn poll(&mut self, now: Instant) -> bool {
+            now >= self.ready_at
+        }
+        fn next_wakeup(&self, _now: Instant) -> Option<Instant> {
+            Some(self.ready_at)
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            // ordering: SeqCst — test flag read from another thread right
+            // after the drop; no cheaper ordering is worth arguing for.
+            self.dropped
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    const NEVER: Duration = Duration::from_hours(1);
+
+    #[test]
+    fn a_live_set_hands_back_its_head_while_younger_operations_fly() {
+        // ordering: SeqCst throughout — see `Tracked::drop`.
+        use std::sync::atomic::Ordering::SeqCst;
+        let mut live = LiveSet::default();
+        let (head, head_dropped) = Tracked::after(Duration::from_millis(2));
+        let (stuck, stuck_dropped) = Tracked::after(NEVER);
+        live.push(head);
+        live.push(stuck);
+        // The head resolves; the wait does not hold out for the batch.
+        assert_eq!(live.wait_head(None), Some(DriveOutcome::Completed));
+        assert!(head_dropped.load(SeqCst), "a resolved head is handed back");
+        assert!(!stuck_dropped.load(SeqCst));
+        // An operation admitted mid-flight runs behind the stuck one and
+        // resolves there, but the wait is for the head.
+        let (late, late_dropped) = Tracked::after(Duration::ZERO);
+        live.push(late);
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert_eq!(
+            live.wait_head(Some(soon)),
+            Some(DriveOutcome::DeadlineExceeded)
+        );
+        assert!(!stuck_dropped.load(SeqCst), "an expired head stays put");
+        // Dropping the set is the cancellation.
+        drop(live);
+        assert!(stuck_dropped.load(SeqCst) && late_dropped.load(SeqCst));
+        assert_eq!(LiveSet::<Tracked>::default().wait_head(None), None);
+    }
+
+    #[test]
+    fn closing_a_stream_takes_its_operations_out_of_the_loop() {
+        // ordering: SeqCst throughout — see `Tracked::drop`.
+        use std::sync::atomic::Ordering::SeqCst;
+        // Three streams on one loop: one runs to completion, one is closed
+        // with an operation in flight, one hits its deadline. Whichever
+        // thread holds the driver seat, a closed stream's unfinished
+        // operations are gone when its drop returns — the other streams'
+        // are not touched.
+        let reactor = SharedReactor::new();
+        let (kept, kept_dropped) = Tracked::after(Duration::from_millis(20));
+        std::thread::scope(|scope| {
+            let patient = scope.spawn(|| run_stream(&reactor, vec![Box::new(kept)], None));
+            let hurried = scope.spawn(|| {
+                let (stuck, stuck_dropped) = Tracked::after(NEVER);
+                let deadline = Instant::now() + Duration::from_millis(5);
+                let outcome = run_stream(&reactor, vec![Box::new(stuck)], Some(deadline));
+                assert_eq!(outcome, DriveOutcome::DeadlineExceeded);
+                assert!(stuck_dropped.load(SeqCst), "expired operation still live");
+            });
+
+            let mut stream = reactor.open(None);
+            let (quick, _) = Tracked::after(Duration::from_millis(1));
+            let (stuck, stuck_dropped) = Tracked::after(NEVER);
+            stream.push(Box::new(quick));
+            stream.push(Box::new(stuck));
+            assert_eq!(stream.wait_head(), Some(DriveOutcome::Completed));
+            assert!(!stuck_dropped.load(SeqCst));
+            drop(stream);
+            assert!(
+                stuck_dropped.load(SeqCst),
+                "closed stream left an operation"
+            );
+
+            hurried.join().unwrap();
+            assert_eq!(patient.join().unwrap(), DriveOutcome::Completed);
+        });
+        assert!(kept_dropped.load(SeqCst), "a resolved operation is dropped");
+        assert_eq!(reactor.streams_open(), 0);
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! A scan over the model *is* a sequence of prompts, and a prompting
 //! strategy only decides which prompts. So a strategy is a `PromptPlan` —
-//! "with room for `cap` prompts, which come next" and "here is the answer to
-//! prompt `i`" — and there are four: `Pages` (`row_batch` pagination),
+//! "which prompts come next" and "here is the answer to the oldest one in
+//! flight" — and there are four: `Pages` (`row_batch` pagination),
 //! `Enumerate` (the key list that opens the per-tuple strategies), `Lookups`
 //! (one `lookup` per row with missing cells, be it an enumerated key or a
 //! stored row with NULLs) and `FilterChecks` (one `filter_check` per
@@ -24,40 +24,58 @@
 //!
 //! Everything that is not prompt content lives once, in `Driver::drive`:
 //!
-//! * **Waves.** Model calls dominate query latency, so prompts are
-//!   dispatched in waves of up to [`ExecContext::scan_fanout`] concurrent
-//!   requests (`EngineConfig::parallelism`). Every prompt of a wave — of one
-//!   prompt or of sixty-four — becomes a poll-based `llmsql_llm::ClientCall`
-//!   and the calling thread parks on the [`crate::reactor`] until the wave
-//!   drains, so slot gating, single-flight coalescing and mid-flight
-//!   deadlines apply to every request alike.
-//! * **Determinism.** A plan is a pure function of the answers consumed so
-//!   far, and answers are consumed strictly in prompt order, so the prompt
-//!   *set* does not depend on thread interleaving: same seed + same query ⇒
-//!   byte-identical rows and logical call counts at any parallelism and any
-//!   `batch_rows_per_call`.
-//! * **Call budget.** `max_llm_calls` is query-global and bounds every wave
-//!   up front, so parallelism never issues calls a sequential run would have
-//!   skipped. It counts *logical* prompts: a retried, failed-over or packed
-//!   prompt costs one unit however it travelled.
+//! * **The window.** Model calls dominate query latency, so a scan keeps
+//!   several prompts in flight: prompt *i* may be in flight iff
+//!   `i < consumed + W`, where `consumed` counts the answers the plan has
+//!   taken — strictly in prompt order — and `W` is the plan's window, at
+//!   most [`ExecContext::scan_fanout`] (`EngineConfig::parallelism`). After
+//!   every consumed request the driver admits whatever became eligible, so a
+//!   slow answer holds back only what lies more than `W` behind it. Every
+//!   request is a poll-based `llmsql_llm::ClientCall` on the
+//!   [`crate::reactor`]; the calling thread parks there until the *oldest*
+//!   one resolves, so slot gating, single-flight coalescing and mid-flight
+//!   deadlines apply to every request alike. A plan that knows its prompts
+//!   up front has `W` = the fanout; `Pages` speculates, and starts where the
+//!   planner expects the scan to end (see there).
+//! * **Determinism.** Admission is keyed on the consumed prefix, never on
+//!   which request happened to complete first, and a plan is a pure function
+//!   of the answers consumed so far. So the prompt *set* and the composition
+//!   of every packed request are a pure function of (query, seed, config):
+//!   same seed + same query ⇒ byte-identical rows at any parallelism and any
+//!   `batch_rows_per_call`, and identical logical call counts wherever a
+//!   cardinality hint, a row budget or parallelism 1 ends the scan (a scan
+//!   that only a filter ends may page past the end; `Pages` bounds by how
+//!   much).
+//! * **Call budget.** `max_llm_calls` is query-global and bounds every
+//!   admission, so parallelism never issues calls a sequential run would
+//!   have skipped. It counts *logical* prompts: a retried, failed-over or
+//!   packed prompt costs one unit however it travelled.
 //! * **Tuple batching.** Per-tuple prompts travel packed,
-//!   `EngineConfig::batch_rows_per_call` to a request; the composite answer
-//!   is split back before the plan sees it.
-//! * **Deadline and partial results.** The deadline is checked before each
-//!   wave is paid for and fires mid-wave on the reactor. A lapsed deadline or
-//!   a backend-layer failure fails the query — or, with
+//!   `EngineConfig::batch_rows_per_call` to a request — a request is
+//!   admitted only once the window has room for a whole one, so every
+//!   request but a plan's last is full — and the composite answer is split
+//!   back before the plan sees it.
+//! * **Deadline and partial results.** A lapsed deadline stops admission,
+//!   and fires mid-flight on the reactor. A lapsed deadline or a
+//!   backend-layer failure fails the query — or, with
 //!   `EngineConfig::partial_results`, cuts the scan short: consumption stops
 //!   at the first failed answer, so every strategy delivers exactly the rows
 //!   for which all the prompts it needs were answered before that point (a
 //!   prefix in page, key or stored-row order; nothing while the filter checks
 //!   of a decomposed scan are still to come), labelled by an [`Incomplete`]
 //!   marker.
+//! * **Everything drains.** When a plan finishes early (`Flow::Done`), is
+//!   cut, or fails, the requests still in flight are cancelled by drop
+//!   before `drive` returns: call slots, in-flight gauges, hedge permits,
+//!   breaker probes and coalescer entries are back to zero, and a dropped
+//!   coalescing leader hands over to its followers.
 //!
-//! When the client wraps a `BackendPool`, the requests of one wave spread
+//! When the client wraps a `BackendPool`, the requests in flight spread
 //! across its endpoints per the routing policy. That is invisible here:
 //! pooled backends are semantically identical and failover happens inside
 //! the pool, so rows and logical calls stay byte-identical.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,7 +84,7 @@ use llmsql_llm::{
     pack_prompts, parse_pipe_rows, parse_value_lines, parse_yes_no, split_response, ClientCall,
     CompletionRequest, CompletionResponse, LlmClient, ParsedRows, YesNoAnswer,
 };
-use llmsql_plan::BoundExpr;
+use llmsql_plan::{estimate_scan_rows, BoundExpr};
 use llmsql_store::Table;
 use llmsql_types::{
     DataType, Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value,
@@ -75,7 +93,7 @@ use llmsql_types::{
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
 use crate::metrics::{InFlightGuard, SharedMetrics};
-use crate::reactor::{self, Completion, DriveOutcome};
+use crate::reactor::{Completion, DriveOutcome, LiveSet, Stream};
 use crate::slots::CallSlots;
 
 /// Parameters of a scan, extracted from the logical plan node, which alone
@@ -146,7 +164,7 @@ impl ScanSpec<'_> {
 
 /// Dispatch a one-shot prompt (the full-query strategy's) with the
 /// accounting, slot gating, coalescing and mid-flight deadline of a scan
-/// wave; the prompt is recorded as one LLM call of `kind`.
+/// request; the prompt is recorded as one LLM call of `kind`.
 pub fn dispatch_one(
     ctx: &ExecContext,
     client: &LlmClient,
@@ -154,22 +172,21 @@ pub fn dispatch_one(
     prompt: String,
 ) -> Result<CompletionResponse> {
     ctx.metrics.update(|m| m.record_llm_call(kind));
-    dispatch_physical(ctx, client, &[prompt])
-        .pop()
-        .unwrap_or_else(|| Err(Error::execution("a wave of one prompt drained empty")))
+    let mut flight = InFlight::new(ctx);
+    flight.push(client.start_call(CompletionRequest::new(prompt)));
+    flight.wait_head()
 }
 
-/// Where a [`WaveOp`] deposits its response: read by the dispatching thread
-/// after the wave drains, written by whichever thread happens to be driving
-/// the (possibly shared) reactor when the call completes.
+/// Where a [`RequestOp`] deposits its response: read by the dispatching
+/// thread once the request resolves, written by whichever thread happens to
+/// be driving the (possibly shared) reactor when the call completes.
 type ResultSlot = Arc<parking_lot::Mutex<Option<Result<CompletionResponse>>>>;
 
-/// One wave entry on the reactor: a [`ClientCall`] plus this query's
-/// accounting — the in-flight gauge held for the whole flight and the
-/// non-blocking slot gate with its wait measurement. Owned (`'static`) so a
-/// wave can be handed to the deployment-shared reactor where another
-/// query's worker may drive it.
-struct WaveOp {
+/// One request on the reactor: a [`ClientCall`] plus this query's accounting
+/// — the in-flight gauge held for the whole flight and the non-blocking slot
+/// gate with its wait measurement. Owned (`'static`) so it can be handed to
+/// the deployment-shared reactor where another query's worker may drive it.
+struct RequestOp {
     metrics: SharedMetrics,
     slots: Option<Arc<CallSlots>>,
     call: ClientCall,
@@ -178,14 +195,10 @@ struct WaveOp {
     /// accumulated toward `slot_wait_ms`).
     slot_wait_started: Option<Instant>,
     result: ResultSlot,
-    done: bool,
 }
 
-impl Completion for WaveOp {
+impl Completion for RequestOp {
     fn poll(&mut self, now: Instant) -> bool {
-        if self.done {
-            return true;
-        }
         let metrics = &self.metrics;
         let slots = &self.slots;
         let slot_wait_started = &mut self.slot_wait_started;
@@ -220,7 +233,6 @@ impl Completion for WaveOp {
             metrics.update(|m| m.coalesced_calls += 1);
         }
         *self.result.lock() = Some(result);
-        self.done = true;
         true
     }
 
@@ -229,61 +241,74 @@ impl Completion for WaveOp {
     }
 }
 
-/// Dispatch an already-accounted wave: submit every prompt as a poll-based
-/// call and park until the wave drains (or the query deadline fires
-/// mid-wave, in which case unfinished calls are cancelled by drop and
-/// reported as `DeadlineExceeded` with partial accounting). Under a
-/// cross-query scheduler each request holds a global call slot while in
-/// flight, which delays dispatch but never changes the prompt set. With a
-/// deployment-shared reactor attached the wave joins the shared event loop —
-/// one driving thread interleaves completions from every query — otherwise
-/// the calling thread drives a private loop for just this wave, whose first
-/// pass resolves cache hits and ready handles inline.
-fn dispatch_physical(
-    ctx: &ExecContext,
-    client: &LlmClient,
-    prompts: &[String],
-) -> Vec<Result<CompletionResponse>> {
-    let result_slots: Vec<ResultSlot> = prompts
-        .iter()
-        .map(|_| Arc::new(parking_lot::Mutex::new(None)))
-        .collect();
-    let ops: Vec<WaveOp> = prompts
-        .iter()
-        .zip(&result_slots)
-        .map(|(prompt, slot)| WaveOp {
-            metrics: ctx.metrics.clone(),
-            slots: ctx.slots().map(Arc::clone),
-            call: client.start_call(CompletionRequest::new(prompt.as_str())),
-            _in_flight: ctx.metrics.track_in_flight(),
+/// The event loop a scan's requests live on.
+enum Lane<'a> {
+    /// The calling thread drives a private loop for just this scan, whose
+    /// first poll resolves cache hits and ready handles inline.
+    Private(LiveSet<RequestOp>),
+    /// The deployment-shared loop — one driving thread interleaves
+    /// completions from every query.
+    Shared(Stream<'a>),
+}
+
+/// The requests of one scan in flight, oldest first. Under a cross-query
+/// scheduler each holds a global call slot while in flight, which delays
+/// dispatch but never changes the prompt set. Dropping it cancels whatever
+/// has not resolved.
+struct InFlight<'a> {
+    ctx: &'a ExecContext,
+    lane: Lane<'a>,
+    /// Where each request in flight deposits its answer, oldest first.
+    results: VecDeque<ResultSlot>,
+}
+
+impl<'a> InFlight<'a> {
+    fn new(ctx: &'a ExecContext) -> Self {
+        let lane = match ctx.reactor() {
+            Some(shared) => Lane::Shared(shared.open(ctx.deadline_instant())),
+            None => Lane::Private(LiveSet::default()),
+        };
+        InFlight {
+            ctx,
+            lane,
+            results: VecDeque::new(),
+        }
+    }
+
+    /// Put an already-accounted request in flight.
+    fn push(&mut self, call: ClientCall) {
+        let result = ResultSlot::default();
+        let op = RequestOp {
+            metrics: self.ctx.metrics.clone(),
+            slots: self.ctx.slots().map(Arc::clone),
+            call,
+            _in_flight: self.ctx.metrics.track_in_flight(),
             slot_wait_started: None,
-            result: Arc::clone(slot),
-            done: false,
-        })
-        .collect();
-    let outcome = if let Some(shared) = ctx.reactor() {
-        shared.submit_wave(
-            ops.into_iter()
-                .map(|op| Box::new(op) as Box<dyn Completion + Send>)
-                .collect(),
-            ctx.deadline_instant(),
-        )
-    } else {
-        let mut ops = ops;
-        reactor::drive(&mut ops, ctx.deadline_instant())
-    };
-    debug_assert!(
-        outcome == DriveOutcome::Completed || ctx.config.deadline_ms.is_some(),
-        "reactor aborted without a deadline"
-    );
-    result_slots
-        .into_iter()
-        .map(|slot| {
-            slot.lock()
-                .take()
-                .unwrap_or_else(|| Err(ctx.deadline_error()))
-        })
-        .collect()
+            result: Arc::clone(&result),
+        };
+        self.results.push_back(result);
+        match &mut self.lane {
+            Lane::Private(live) => live.push(op),
+            Lane::Shared(stream) => stream.push(Box::new(op)),
+        }
+    }
+
+    /// Park until the oldest request in flight resolves and take its answer.
+    /// If the query deadline fires first the answer is `DeadlineExceeded`
+    /// with partial accounting, and the request stays in flight for the drop
+    /// to cancel.
+    fn wait_head(&mut self) -> Result<CompletionResponse> {
+        let outcome = match &mut self.lane {
+            Lane::Private(live) => live.wait_head(self.ctx.deadline_instant()),
+            Lane::Shared(stream) => stream.wait_head(),
+        };
+        if outcome == Some(DriveOutcome::DeadlineExceeded) {
+            return Err(self.ctx.deadline_error());
+        }
+        let slot = outcome.and_then(|_| self.results.pop_front());
+        let answer = slot.and_then(|slot| slot.lock().take());
+        answer.unwrap_or_else(|| Err(Error::execution("no request in flight to wait for")))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,29 +323,39 @@ trait PromptPlan {
     const KIND: &'static str;
     /// Per-tuple prompts, packed `batch_rows_per_call` to a request.
     const PACKS: bool = false;
-    /// The relation's end is unknown, so waves ramp up 1, 2, 4, … and
-    /// shrink near the deadline (see [`Pages`]).
-    const SPECULATIVE: bool = false;
 
-    /// The next wave: at most `cap` prompts, planned from what was consumed
-    /// so far. Empty means the plan is finished.
+    /// How many prompts may be in flight at once, before the driver clamps
+    /// it to `1..=fanout`. A function of the answers consumed so far only.
+    fn window(&self) -> usize {
+        usize::MAX
+    }
+
+    /// Up to `cap` further prompts, planned from the answers consumed so far
+    /// and the prompts still in flight; `cap` is 0 once the call budget is
+    /// spent. Empty means nothing more can be asked until another answer is
+    /// consumed — the plan is finished once nothing is in flight either.
     fn next(&mut self, cap: usize) -> Result<Vec<String>>;
 
-    /// Consume the answer to prompt `i` of the wave `next` returned last.
-    /// Called in prompt order, and never past a failed answer.
-    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow>;
+    /// Consume the answer to the oldest prompt in flight. Called in prompt
+    /// order, and never past a failed answer.
+    fn accept(&mut self, response: CompletionResponse) -> Result<Flow>;
 }
 
 /// What the driver does after an accepted answer.
 #[derive(PartialEq)]
 enum Flow {
-    /// Go on with the wave.
+    /// Go on.
     Continue,
-    /// The plan is finished; answers still unconsumed are discarded.
+    /// The plan is finished; requests still in flight are cancelled.
     Done,
 }
 
-/// Runs the plans of one scan: the one wave loop, and the one place each
+/// An answer arrived that no prompt in flight asked for: a driver bug.
+fn unasked() -> Error {
+    Error::execution("an answer arrived for no prompt in flight")
+}
+
+/// Runs the plans of one scan: the one dispatch loop, and the one place each
 /// dispatch policy lives (see the module docs).
 struct Driver<'a> {
     ctx: &'a ExecContext,
@@ -335,81 +370,62 @@ impl Driver<'_> {
         let ctx = self.ctx;
         let client = ctx.require_client()?;
         let fanout = ctx.scan_fanout();
-        let packing = ctx.config.batch_rows_per_call.max(1);
-        let per_request = if P::PACKS { packing } else { 1 };
-        let mut ramp = if P::SPECULATIVE { 1 } else { fanout };
-        // Wall-time EWMA of completed speculative waves — the basis for
-        // deadline-aware wave sizing. `None` until the first wave lands.
-        let mut wave_ewma_ms: Option<f64> = None;
+        let packing = if P::PACKS {
+            ctx.config.batch_rows_per_call
+        } else {
+            1
+        };
+        let per_request = packing.clamp(1, fanout);
+        let mut flight = InFlight::new(ctx);
+        // How many prompts each request in flight carries, oldest first.
+        let mut members: VecDeque<usize> = VecDeque::new();
         while self.cut.is_none() {
-            // The call cap is query-global: every scan of the query draws on
-            // it through the metrics channel.
-            let calls_used = ctx.metrics.llm_call_count() as usize;
-            let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used);
-            let mut cap = fanout.min(ramp).min(call_budget);
-            // Deadline-aware wave sizing: with the deadline less than two
-            // typical waves away, shrink to a single probe prompt — either
-            // it finishes the scan or the deadline check fires with at most
-            // one prompt of overshoot. Only how many prompts fly
-            // concurrently changes, never which.
-            if let (Some(deadline), Some(est_ms)) = (ctx.deadline_instant(), wave_ewma_ms) {
-                let remaining = deadline.saturating_duration_since(reactor::now());
-                if remaining.as_secs_f64() * 1000.0 < est_ms * 2.0 {
-                    cap = cap.min(1);
+            // Admit every request the window has room for: prompt `i` is
+            // eligible iff `i < consumed + window`.
+            while members.iter().sum::<usize>() + per_request <= plan.window().clamp(1, fanout) {
+                // The call cap is query-global: every scan of the query
+                // draws on it through the metrics channel.
+                let calls_used = ctx.metrics.llm_call_count() as usize;
+                let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used);
+                let prompts = plan.next(per_request.min(call_budget))?;
+                if prompts.is_empty() {
+                    break;
                 }
-            }
-            let prompts = plan.next(cap)?;
-            if prompts.is_empty() {
-                break;
-            }
-            // A query past its deadline fails before paying for another wave.
-            if let Err(err) = ctx.check_deadline() {
-                return self.cut_short(err);
-            }
-            // Logical calls are recorded per planned prompt, so the budget
-            // charge and `llm_calls_by_kind` are the same at any batch size.
-            ctx.metrics.update(|m| {
-                for _ in &prompts {
-                    m.record_llm_call(P::KIND);
+                // A query past its deadline pays for nothing more, and
+                // waits for nothing more.
+                if let Err(err) = ctx.check_deadline() {
+                    return self.cut_short(err);
                 }
-            });
-            let packed: Vec<String>;
-            let requests = if per_request > 1 && prompts.len() > 1 {
-                packed = prompts.chunks(per_request).map(pack_prompts).collect();
-                &packed
-            } else {
-                &prompts
-            };
-            let wave_started = P::SPECULATIVE.then(reactor::now);
-            let responses = dispatch_physical(ctx, client, requests);
-            if let Some(started) = wave_started {
-                let ms = started.elapsed().as_secs_f64() * 1000.0;
-                wave_ewma_ms = Some(wave_ewma_ms.map_or(ms, |prev| 0.7 * prev + 0.3 * ms));
-            }
-            let mut consumed = 0;
-            for (members, response) in prompts.chunks(per_request).zip(responses) {
-                let response = match response {
-                    Ok(response) => response,
-                    // Earlier answers were consumed in order, so the plan
-                    // holds an exact prefix. A failed composite fails each
-                    // member identically, as independent dispatch would.
-                    Err(err) => return self.cut_short(err),
-                };
-                let (whole, parts) = if members.len() == 1 {
-                    (Some(response), None)
-                } else {
-                    ctx.metrics
-                        .update(|m| m.batched_rows += members.len() as u64);
-                    (None, Some(split_response(&response, members.len())))
-                };
-                for answer in whole.into_iter().chain(parts.into_iter().flatten()) {
-                    if plan.accept(consumed, answer)? == Flow::Done {
-                        return Ok(());
+                // Logical calls are recorded per planned prompt, so the
+                // budget charge and `llm_calls_by_kind` are the same at any
+                // batch size.
+                ctx.metrics.update(|m| {
+                    for _ in &prompts {
+                        m.record_llm_call(P::KIND);
                     }
-                    consumed += 1;
+                });
+                flight.push(client.start_call(CompletionRequest::new(pack_prompts(&prompts))));
+                members.push_back(prompts.len());
+            }
+            // Nothing in flight and nothing to admit: the plan is finished.
+            let Some(asked) = members.pop_front() else {
+                break;
+            };
+            let response = match flight.wait_head() {
+                Ok(response) => response,
+                // Earlier answers were consumed in order, so the plan holds
+                // an exact prefix. A failed composite fails each member
+                // identically, as independent dispatch would.
+                Err(err) => return self.cut_short(err),
+            };
+            if asked > 1 {
+                ctx.metrics.update(|m| m.batched_rows += asked as u64);
+            }
+            for answer in split_response(&response, asked) {
+                if plan.accept(answer)? == Flow::Done {
+                    return Ok(());
                 }
             }
-            ramp = ramp.saturating_mul(2).min(fanout);
         }
         Ok(())
     }
@@ -469,15 +485,27 @@ fn widen(columns: &[usize], values: &Row, arity: usize) -> Row {
 /// Page through the relation with `row_batch` prompts at precomputed
 /// offsets.
 ///
-/// Pagination is speculative: a wave assumes every page comes back full, and
-/// answers after the first short page are discarded. Nothing is known about
-/// the relation's size before the first answer, so the driver ramps wave
-/// sizes up TCP-style (1, 2, 4, … capped at the fanout): the calls a scan
-/// can issue past the relation's end are bounded by the smaller of
-/// `parallelism - 1` and the page count the relation already served — an
-/// empty relation costs at most one call, as in a sequential run.
-/// Budget-capped scans (`LIMIT` or `max_scan_rows` reached before
-/// exhaustion) issue exactly the sequential call count.
+/// Pagination is speculative: a page is asked for on the assumption that
+/// every page before it comes back full, and once a short page is consumed
+/// the pages still in flight are cancelled. So the window is sized by what
+/// is known about the relation's end:
+///
+/// * **Where it starts.** With a cardinality hint, `W₀` is the page count
+///   the planner expects the scan to take — `llmsql_plan::estimate_scan_rows`
+///   (hint, pushed filter's selectivity, row budget), the very number EXPLAIN
+///   prints as the scan's rows, over the page size. With no hint nothing is
+///   known before the first answer, and `W₀` = 1.
+/// * **How it grows.** By one per full page consumed — evidence that the
+///   relation goes on — up to the fanout: `W(c) = min(fanout, W₀ + c)`. From
+///   `W₀` = 1 that doubles the pages in flight each round trip.
+/// * **What it can waste.** A scan that a filter ends on its `k`-th page
+///   (`k` full pages served) has issued `min(fanout, W₀ + k) − 1` calls past
+///   the end: without a hint at most `min(fanout − 1, k)`, and an empty
+///   relation costs one call as in a sequential run; with a hint, a wrong
+///   estimate costs at most the estimated pages − 1. Pages past the hint are
+///   never planned, so an unfiltered hinted scan wastes nothing, and a
+///   budget-capped scan (`LIMIT` or `max_scan_rows` reached before
+///   exhaustion) issues exactly the sequential call count.
 struct Pages<'a> {
     ctx: &'a ExecContext,
     spec: &'a ScanSpec<'a>,
@@ -494,10 +522,12 @@ struct Pages<'a> {
     /// pushed filter it is still a sound upper bound, and the short-page
     /// check still detects the filtered relation's earlier end.
     hint: Option<usize>,
+    /// `W₀` plus the full pages consumed.
+    window: usize,
     /// Where the next unplanned page starts.
     offset: usize,
-    /// `(offset, limit)` of each page of the wave in flight.
-    wave: Vec<(usize, usize)>,
+    /// The `limit` of each page in flight, oldest first.
+    in_flight: VecDeque<usize>,
     rows: Vec<Row>,
 }
 
@@ -509,6 +539,11 @@ impl<'a> Pages<'a> {
             .client
             .as_ref()
             .and_then(|c| c.relation_cardinality(spec.table));
+        let page = ctx.config.batch_size.max(1);
+        let max_rows = ctx.config.max_scan_rows;
+        let expected_rows = hint.map_or(0.0, |n| {
+            estimate_scan_rows(n, max_rows, spec.pushed_filter, spec.pushed_limit)
+        });
         Pages {
             ctx,
             spec,
@@ -517,10 +552,11 @@ impl<'a> Pages<'a> {
             columns,
             filter,
             budget: spec.row_budget(ctx),
-            page: ctx.config.batch_size.max(1),
+            page,
             hint: hint.map(|n| n as usize),
+            window: (expected_rows / page as f64).ceil() as usize,
             offset: 0,
-            wave: Vec::new(),
+            in_flight: VecDeque::new(),
             rows: Vec::new(),
         }
     }
@@ -528,42 +564,43 @@ impl<'a> Pages<'a> {
 
 impl PromptPlan for Pages<'_> {
     const KIND: &'static str = "row_batch";
-    const SPECULATIVE: bool = true;
 
-    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
-        // A wave may only contain *full* pages (`limit` = `page`): their
-        // prompts depend on nothing but the page offset, which advances by
-        // exactly `page` while pages come back full, so they can be fetched
-        // concurrently and still match a sequential run prompt-for-prompt. A
-        // budget-clamped final page is different — its `limit` is
-        // `budget - rows.len()`, which depends on how many rows the earlier
-        // pages actually *parsed* (fidelity noise drops lines) — so it is
-        // always issued alone, planned from the true row count.
-        let room = self.budget - self.rows.len();
-        let full = cap.min(room / self.page);
-        self.wave.clear();
-        self.wave
-            .extend((0..full).map(|k| (self.offset + k * self.page, self.page)));
-        if full == 0 && cap > 0 && room > 0 {
-            self.wave.push((self.offset, room));
-        }
-        let end = self.hint.unwrap_or(usize::MAX);
-        self.wave.retain(|&(at, _)| at < end);
-        let prompts = self.wave.iter().map(|&(offset, limit)| {
-            TaskSpec::RowBatch {
-                table: self.spec.table.to_string(),
-                columns: self.names.clone(),
-                filter: self.filter.clone(),
-                limit,
-                offset,
-            }
-            .to_prompt(Some(self.spec.table_schema))
-        });
-        Ok(prompts.collect())
+    fn window(&self) -> usize {
+        self.window
     }
 
-    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow> {
-        let (page_offset, want) = self.wave[i];
+    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+        // Only *full* pages (`limit` = `page`) fly together: their prompts
+        // depend on nothing but the page offset, which advances by exactly
+        // `page` while pages come back full, so they can be fetched
+        // concurrently and still match a sequential run prompt-for-prompt —
+        // as long as the row budget has room for every one of them coming
+        // back full. A budget-clamped final page is different — its `limit`
+        // is `budget - rows.len()`, which depends on how many rows the
+        // earlier pages actually *parsed* (fidelity noise drops lines) — so
+        // it is issued alone, planned from the true row count.
+        let reserved: usize = self.in_flight.iter().sum();
+        let limit = (self.budget.saturating_sub(self.rows.len() + reserved)).min(self.page);
+        let clamped_in_company = limit < self.page && !self.in_flight.is_empty();
+        let past_the_hint = self.hint.is_some_and(|end| self.offset >= end);
+        if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
+            return Ok(Vec::new());
+        }
+        let prompt = TaskSpec::RowBatch {
+            table: self.spec.table.to_string(),
+            columns: self.names.clone(),
+            filter: self.filter.clone(),
+            limit,
+            offset: self.offset,
+        }
+        .to_prompt(Some(self.spec.table_schema));
+        self.offset += limit;
+        self.in_flight.push_back(limit);
+        Ok(vec![prompt])
+    }
+
+    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+        let want = self.in_flight.pop_front().ok_or_else(unasked)?;
         let parsed = parse_pipe_rows(&response.text, &self.types);
         note_dropped(self.ctx, &parsed);
         // Lines the model produced for this page, parsed or not: the
@@ -578,12 +615,12 @@ impl PromptPlan for Pages<'_> {
         let taken = parsed.rows.iter().take(want.min(room));
         self.rows
             .extend(taken.map(|partial| widen(&self.columns, partial, arity)));
-        self.offset = page_offset + got_lines;
-        // A short page is the end of the relation: later pages of this wave
+        // A short page is the end of the relation: the pages still in flight
         // were speculative fetches past the end.
         if got_lines < want || self.rows.len() >= self.budget {
             return Ok(Flow::Done);
         }
+        self.window += 1;
         Ok(Flow::Continue)
     }
 }
@@ -606,7 +643,7 @@ impl PromptPlan for Enumerate<'_> {
         Ok(self.prompt.take().into_iter().collect())
     }
 
-    fn accept(&mut self, _i: usize, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
         let schema = self.spec.table_schema;
         let key_idx = self.spec.key_column();
         let parsed = parse_value_lines(&response.text, schema.columns[key_idx].data_type);
@@ -632,13 +669,13 @@ fn missing<'r>(needed: &'r [usize], row: &'r Row) -> impl Iterator<Item = usize>
 /// enumerated keys (the local re-check means the model's own filtering need
 /// not be trusted), the hybrid scan the stored rows.
 ///
-/// A wave serves one *segment*: consecutive rows holding at most `cap`
-/// lookups, and never more rows than the row budget has room for — a
-/// sequential scan stops issuing lookups once `budget` rows are delivered,
-/// so fills planned past that point would be calls a sequential run never
-/// makes (rows filtered out only make the scan continue into a *later*
-/// segment). Rows that need no lookup — complete rows, key-only projections
-/// — are delivered without a call.
+/// Planning never runs further ahead than the row budget has room for: the
+/// rows delivered plus the rows planned but not yet final stay within
+/// `budget`. A sequential scan stops issuing lookups once `budget` rows are
+/// delivered, so a fill planned past that point would be a call a sequential
+/// run never makes (a row filtered out makes room for a *later* one). Rows
+/// that need no lookup — complete rows, key-only projections — are delivered
+/// without a call.
 struct Lookups<'a> {
     ctx: &'a ExecContext,
     spec: &'a ScanSpec<'a>,
@@ -652,9 +689,11 @@ struct Lookups<'a> {
     source: Vec<Row>,
     /// The first source row neither delivered nor filtered out yet.
     cursor: usize,
-    /// The source rows the wave in flight looks up, and its segment's end.
-    wave: Vec<usize>,
-    segment_end: usize,
+    /// The first source row not planned yet; the rows from `cursor` to here
+    /// await a lookup in flight or queue behind one.
+    planned: usize,
+    /// The source rows with a lookup in flight, oldest first.
+    in_flight: VecDeque<usize>,
     /// Scratch: the column types one answer is parsed against.
     types: Vec<DataType>,
     rows: Vec<Row>,
@@ -673,16 +712,17 @@ impl<'a> Lookups<'a> {
             stored,
             source,
             cursor: 0,
-            wave: Vec::new(),
-            segment_end: 0,
+            planned: 0,
+            in_flight: VecDeque::new(),
             types: Vec::new(),
             rows: Vec::new(),
         }
     }
 
-    /// Deliver the source rows up to `upto`: every one of them has all the
-    /// answers it is going to get.
-    fn deliver(&mut self, upto: usize) -> Result<()> {
+    /// Deliver the source rows ahead of the oldest lookup in flight: every
+    /// one of them has all the answers it is going to get.
+    fn deliver(&mut self) -> Result<()> {
+        let upto = self.in_flight.front().copied().unwrap_or(self.planned);
         for slot in &mut self.source[self.cursor..upto] {
             let row = std::mem::replace(slot, Row::empty());
             if self.spec.passes(&row)? {
@@ -699,44 +739,43 @@ impl PromptPlan for Lookups<'_> {
     const PACKS: bool = true;
 
     fn next(&mut self, cap: usize) -> Result<Vec<String>> {
-        self.wave.clear();
+        let mut prompts = Vec::new();
         if cap == 0 && !self.stored {
-            return Ok(Vec::new());
-        }
-        while self.cursor < self.source.len() && self.rows.len() < self.budget {
-            let room = self.budget - self.rows.len();
-            let segment_cap = self.source.len().min(self.cursor + room);
-            let mut end = self.cursor;
-            while end < segment_cap {
-                if cap > 0 && missing(&self.needed, &self.source[end]).next().is_some() {
-                    if self.wave.len() == cap {
-                        break;
-                    }
-                    self.wave.push(end);
-                }
-                end += 1;
-            }
-            self.segment_end = end;
-            self.deliver(self.wave.first().copied().unwrap_or(end))?;
-            if !self.wave.is_empty() {
-                break;
-            }
+            return Ok(prompts);
         }
         let schema = self.spec.table_schema;
-        let prompts = self.wave.iter().map(|&at| {
-            let names = missing(&self.needed, &self.source[at]).map(|c| &schema.columns[c].name);
-            TaskSpec::Lookup {
-                table: self.spec.table.to_string(),
-                key: self.spec.key_text(&self.source[at]),
-                columns: names.cloned().collect(),
+        loop {
+            let before = (self.planned, self.cursor);
+            while self.planned < self.source.len()
+                && self.rows.len() + (self.planned - self.cursor) < self.budget
+            {
+                let row = &self.source[self.planned];
+                if cap > 0 && missing(&self.needed, row).next().is_some() {
+                    if prompts.len() == cap {
+                        break;
+                    }
+                    let names = missing(&self.needed, row).map(|c| &schema.columns[c].name);
+                    let task = TaskSpec::Lookup {
+                        table: self.spec.table.to_string(),
+                        key: self.spec.key_text(row),
+                        columns: names.cloned().collect(),
+                    };
+                    prompts.push(task.to_prompt(Some(schema)));
+                    self.in_flight.push_back(self.planned);
+                }
+                self.planned += 1;
             }
-            .to_prompt(Some(schema))
-        });
-        Ok(prompts.collect())
+            // Delivery can filter rows out, which makes room to plan on.
+            self.deliver()?;
+            if (self.planned, self.cursor) == before {
+                return Ok(prompts);
+            }
+        }
     }
 
-    fn accept(&mut self, i: usize, response: CompletionResponse) -> Result<Flow> {
-        let row = &mut self.source[self.wave[i]];
+    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+        let at = self.in_flight.pop_front().ok_or_else(unasked)?;
+        let row = &mut self.source[at];
         let columns = &self.spec.table_schema.columns;
         self.types.clear();
         self.types
@@ -759,22 +798,24 @@ impl PromptPlan for Lookups<'_> {
                 self.ctx.metrics.update(|m| m.cells_filled_by_llm += filled);
             }
         }
-        // Everything ahead of the next lookup is now final.
-        let upto = self.wave.get(i + 1).copied().unwrap_or(self.segment_end);
-        self.deliver(upto)?;
+        // Everything ahead of the next lookup in flight is now final.
+        self.deliver()?;
         Ok(Flow::Continue)
     }
 }
 
 /// The decomposed strategy's filter operator: one `filter_check` prompt per
 /// candidate row, keeping the rows the model says yes to, up to `budget`.
-/// A wave never holds more checks than the row budget still has room for —
-/// the rule [`Lookups`] segments follow, for the same reason.
+/// No more checks are in flight than the row budget still has room for — the
+/// rule [`Lookups`] follows, for the same reason.
 struct FilterChecks<'a> {
     spec: &'a ScanSpec<'a>,
     condition: String,
     budget: usize,
+    /// The candidates not yet answered for; the first `in_flight` of them
+    /// have a check in flight.
     candidates: std::vec::IntoIter<Row>,
+    in_flight: usize,
     kept: Vec<Row>,
 }
 
@@ -783,21 +824,27 @@ impl PromptPlan for FilterChecks<'_> {
     const PACKS: bool = true;
 
     fn next(&mut self, cap: usize) -> Result<Vec<String>> {
-        let wave = cap.min(self.budget - self.kept.len());
-        let prompts = self.candidates.as_slice().iter().take(wave).map(|row| {
-            TaskSpec::FilterCheck {
-                table: self.spec.table.to_string(),
-                key: self.spec.key_text(row),
-                condition: self.condition.clone(),
-            }
-            .to_prompt(Some(self.spec.table_schema))
-        });
-        Ok(prompts.collect())
+        let room = self.budget.saturating_sub(self.kept.len() + self.in_flight);
+        let unasked = self.candidates.as_slice().iter().skip(self.in_flight);
+        let prompts: Vec<String> = unasked
+            .take(cap.min(room))
+            .map(|row| {
+                TaskSpec::FilterCheck {
+                    table: self.spec.table.to_string(),
+                    key: self.spec.key_text(row),
+                    condition: self.condition.clone(),
+                }
+                .to_prompt(Some(self.spec.table_schema))
+            })
+            .collect();
+        self.in_flight += prompts.len();
+        Ok(prompts)
     }
 
-    fn accept(&mut self, _i: usize, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
         // Answers arrive in candidate order, one candidate each.
         let candidate = self.candidates.next();
+        self.in_flight = self.in_flight.saturating_sub(1);
         if parse_yes_no(&response.text) == YesNoAnswer::Yes {
             self.kept.extend(candidate);
         }
@@ -847,6 +894,7 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
                 condition,
                 budget: spec.row_budget(ctx),
                 candidates: tuple_rows(&mut driver, &candidates, None)?.into_iter(),
+                in_flight: 0,
                 kept: Vec::new(),
             };
             driver.drive(&mut checks)?;
@@ -866,7 +914,7 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
 }
 
 /// Enumerate the keys (with `filter` in the prompt, if any), then look up
-/// the other needed columns of each, in concurrent waves.
+/// the other needed columns of each, a window of them at a time.
 fn tuple_rows(
     driver: &mut Driver<'_>,
     spec: &ScanSpec<'_>,
@@ -891,7 +939,7 @@ fn tuple_rows(
 }
 
 /// Read a materialized (incomplete) table and fill NULL cells in the needed
-/// columns by asking the model, in concurrent waves.
+/// columns by asking the model, a window of lookups at a time.
 pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
     let mut fills = Lookups::new(ctx, spec, table.scan(), true);
@@ -1098,11 +1146,10 @@ mod tests {
     fn budget_clamped_scan_under_noise_matches_sequential() {
         // Regression: a row budget close to the table size makes the final
         // page's `limit` depend on how many rows earlier pages *parsed*.
-        // With fidelity noise dropping lines, an optimistic wave planner
-        // would issue that page with a speculated limit (a different prompt
-        // than sequential), changing both results and call counts. Waves
-        // must therefore contain only full pages and issue clamped pages
-        // alone.
+        // With fidelity noise dropping lines, an optimistic planner would
+        // issue that page with a speculated limit (a different prompt than
+        // sequential), changing both results and call counts. Only full
+        // pages may therefore fly together; a clamped page is issued alone.
         let big_schema = Schema::virtual_table(
             "countries",
             vec![
@@ -1154,7 +1201,7 @@ mod tests {
     fn cardinality_hint_eliminates_tail_overshoot() {
         // 20 rows at page size 5 is an exact multiple: without a hint the
         // scan must probe past the end (a sequential run pays 1 extra empty
-        // page; a ramped wave can pay more). The simulator reports its
+        // page; a speculating window can pay more). The simulator reports its
         // observed cardinality, so planning stops at page 4 exactly — same
         // rows, minimal calls, at any parallelism.
         let schema = country_schema();
@@ -1201,7 +1248,7 @@ mod tests {
             assert_eq!(
                 ctx.metrics.snapshot().llm_calls(),
                 4,
-                "ramped wave overshot the hinted end at parallelism {parallelism}"
+                "the window overshot the hinted end at parallelism {parallelism}"
             );
         }
     }
@@ -1227,7 +1274,7 @@ mod tests {
     #[test]
     fn lapsed_deadline_fails_the_scan_unless_partial_results_are_on() {
         // Already-lapsed deadline: the strict path fails before paying for a
-        // wave; with partial results on, every scan degrades to an empty
+        // prompt; with partial results on, every scan degrades to an empty
         // prefix plus a structured marker instead.
         for scan in SCANS {
             let model = sim(LlmFidelity::perfect(), 7);
@@ -1356,7 +1403,7 @@ mod tests {
                 llmsql_types::ErrorKind::DeadlineExceeded,
                 "{strategy:?}"
             );
-            // Partial accounting: the scan failed before its first wave, so
+            // Partial accounting: the scan failed before its first prompt, so
             // zero calls were issued — and the error says so.
             assert!(err.message.contains("0 LLM call(s) issued"), "{err}");
             assert_eq!(ctx.metrics.snapshot().llm_calls(), 0, "{strategy:?}");
@@ -1379,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn max_llm_calls_caps_waves() {
+    fn max_llm_calls_caps_admission() {
         for parallelism in [1, 4] {
             let mut ctx = context(PromptStrategy::TupleAtATime, LlmFidelity::perfect());
             ctx.config.parallelism = parallelism;
@@ -1552,6 +1599,426 @@ mod tests {
                         assert!(m.peak_in_flight >= 1);
                     }
                 }
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The window: determinism, the overshoot bound, stragglers, draining
+    // -----------------------------------------------------------------------
+
+    use llmsql_llm::{CallHandle, CallMachine, LanguageModel};
+    use parking_lot::Mutex;
+    use std::time::Duration;
+
+    /// What a [`Probe`] saw, in the order it happened.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Event {
+        Submitted(String),
+        Resolved(String),
+    }
+
+    /// When a [`Probe`] lets an answer be seen.
+    #[derive(Clone, Copy)]
+    enum Pace {
+        /// This long after the request was submitted.
+        After(Duration),
+        /// Once the reactor has polled the request this many times — a
+        /// straggler that owes nothing to the wall clock.
+        Polls(usize),
+    }
+
+    const NEVER: Pace = Pace::After(Duration::from_hours(1));
+    const AT_ONCE: Pace = Pace::After(Duration::ZERO);
+
+    /// Wraps a model to script when each answer arrives, withhold the
+    /// cardinality hint, and record what was asked and answered.
+    struct Probe {
+        inner: Model,
+        hinted: bool,
+        pace: Box<dyn Fn(&str) -> Pace + Send + Sync>,
+        log: Arc<Mutex<Vec<Event>>>,
+    }
+
+    impl Probe {
+        fn over(
+            inner: Model,
+            hinted: bool,
+            pace: impl Fn(&str) -> Pace + Send + Sync + 'static,
+        ) -> (Model, Arc<Mutex<Vec<Event>>>) {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let probe = Probe {
+                inner,
+                hinted,
+                pace: Box::new(pace),
+                log: Arc::clone(&log),
+            };
+            (Arc::new(probe), log)
+        }
+    }
+
+    impl LanguageModel for Probe {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn fingerprint(&self) -> String {
+            self.inner.fingerprint()
+        }
+        fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
+            self.inner.complete(request)
+        }
+        fn submit(&self, request: &CompletionRequest) -> CallHandle {
+            self.log
+                .lock()
+                .push(Event::Submitted(request.prompt.clone()));
+            CallHandle::machine(Box::new(ProbeCall {
+                prompt: request.prompt.clone(),
+                result: Some(self.inner.complete(request)),
+                pace: (self.pace)(&request.prompt),
+                submitted: Instant::now(),
+                polls: 0,
+                log: Arc::clone(&self.log),
+            }))
+        }
+        fn relation_cardinality(&self, table: &str) -> Option<u64> {
+            self.inner
+                .relation_cardinality(table)
+                .filter(|_| self.hinted)
+        }
+    }
+
+    struct ProbeCall {
+        prompt: String,
+        result: Option<Result<CompletionResponse>>,
+        pace: Pace,
+        submitted: Instant,
+        polls: usize,
+        log: Arc<Mutex<Vec<Event>>>,
+    }
+
+    impl CallMachine for ProbeCall {
+        fn poll(&mut self, now: Instant) -> Option<Result<CompletionResponse>> {
+            self.polls += 1;
+            let ready = match self.pace {
+                Pace::After(delay) => now >= self.submitted + delay,
+                Pace::Polls(polls) => self.polls > polls,
+            };
+            let result = self.result.take_if(|_| ready)?;
+            self.log.lock().push(Event::Resolved(self.prompt.clone()));
+            Some(result)
+        }
+        fn next_wakeup(&self, _now: Instant) -> Option<Instant> {
+            match self.pace {
+                Pace::After(delay) => Some(self.submitted + delay),
+                Pace::Polls(_) => None,
+            }
+        }
+    }
+
+    /// `count` countries with populations 0, 1, 2, …, the first two named as
+    /// the hybrid fixture's stored rows are.
+    fn numbered_world(count: usize) -> Model {
+        let rows = (0..count).map(|i| {
+            let name = match i {
+                0 => "France".to_string(),
+                1 => "Japan".to_string(),
+                _ => format!("Country {i:03}"),
+            };
+            Row::new(vec![name.into(), "Europe".into(), Value::Int(i as i64)])
+        });
+        let mut kb = KnowledgeBase::new();
+        kb.add_table(country_schema(), rows.collect());
+        Arc::new(SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7))
+    }
+
+    /// `population < bound`.
+    fn lt_filter(bound: i64) -> BoundExpr {
+        BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(2, "population", DataType::Int)),
+            op: llmsql_sql::ast::BinaryOp::Lt,
+            right: Box::new(BoundExpr::lit(bound)),
+        }
+    }
+
+    /// The prompts a [`Probe`] was sent, sorted: the multiset a scan asked.
+    fn prompts_asked(log: &Mutex<Vec<Event>>) -> Vec<String> {
+        let mut asked: Vec<String> = log
+            .lock()
+            .iter()
+            .filter_map(|event| match event {
+                Event::Submitted(prompt) => Some(prompt.clone()),
+                Event::Resolved(_) => None,
+            })
+            .collect();
+        asked.sort();
+        asked
+    }
+
+    #[test]
+    fn completion_order_never_changes_what_a_scan_asks_or_returns() {
+        // Every answer is late by a pseudo-random 0–300µs keyed on (prompt,
+        // jitter seed), so requests complete in a different order under each
+        // seed. Rows, logical calls and the multiset of submitted prompts —
+        // packed requests included — must not notice.
+        let jitter = |seed: u64| {
+            move |prompt: &str| {
+                let hash = prompt.bytes().fold(seed ^ 0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+                Pace::After(Duration::from_micros((hash >> 20) % 300))
+            }
+        };
+        for scan in SCANS {
+            for filter in [None, Some(gt_filter(9))] {
+                for hinted in [true, false] {
+                    let run = |seed: u64, parallelism: usize, batch_rows: usize| {
+                        let (model, log) = Probe::over(numbered_world(23), hinted, jitter(seed));
+                        let (rows, ctx) = scan.run(model, filter.clone(), |c| {
+                            c.parallelism = parallelism;
+                            c.batch_rows_per_call = batch_rows;
+                        });
+                        let calls = ctx.metrics.snapshot().llm_calls_by_kind;
+                        (rows.unwrap(), calls, prompts_asked(&log))
+                    };
+                    let sequential = run(1, 1, 1).0;
+                    for parallelism in [1, 2, 4, 8, 16] {
+                        for batch_rows in [1, 4] {
+                            let at = format!(
+                                "{scan:?}, filter {}, hint {hinted}, {parallelism} x {batch_rows}",
+                                filter.is_some()
+                            );
+                            let one = run(1, parallelism, batch_rows);
+                            let other = run(2, parallelism, batch_rows);
+                            assert_eq!(one.0, sequential, "rows diverged: {at}");
+                            assert_eq!(one.0, other.0, "rows depend on timing: {at}");
+                            assert_eq!(one.1, other.1, "calls depend on timing: {at}");
+                            assert_eq!(one.2, other.2, "prompts depend on timing: {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The two ways a paged scan ends. A row budget ends it exactly
+        /// where a sequential run ends; a relation that runs out — only a
+        /// filter or the model knows where — is paged past by no more than
+        /// the window was wide when the short page was consumed, and never
+        /// past a cardinality hint.
+        #[test]
+        fn paging_past_the_end_is_bounded_and_budget_capped_scans_are_exact(
+            size in 0usize..70,
+            page in 1usize..9,
+            keep in proptest::option::of(0i64..70),
+            parallelism in 1usize..17,
+            limit in proptest::option::of(1usize..80),
+        ) {
+            for hinted in [true, false] {
+                let filter = keep.map(lt_filter);
+                let mut p = parts(filter.clone(), None);
+                p.pushed_limit = limit;
+                let run = |parallelism: usize| {
+                    let (model, _) = Probe::over(numbered_world(size), hinted, |_| AT_ONCE);
+                    let mut ctx = context_over(model, PromptStrategy::BatchedRows);
+                    ctx.config.batch_size = page;
+                    ctx.config.parallelism = parallelism;
+                    let rows = llm_scan(&ctx, &p.spec()).unwrap();
+                    (rows, ctx.metrics.snapshot().llm_calls() as usize)
+                };
+                let (expected, sequential_calls) = run(1);
+                let (rows, calls) = run(parallelism);
+                let at = format!(
+                    "{size} rows, page {page}, keep {keep:?}, limit {limit:?}, \
+                     parallelism {parallelism}, hint {hinted}"
+                );
+                proptest::prop_assert_eq!(&rows, &expected, "rows diverged: {}", at);
+                // What a scan asking one page at a time must pay: the pages
+                // up to the budget; or every full page plus the short one
+                // that ends the relation, unless the hint rules that one out.
+                let capped = Some(rows.len()) == limit;
+                let pages_needed = if capped {
+                    rows.len().div_ceil(page)
+                } else if hinted {
+                    (rows.len() / page + 1).min(size.div_ceil(page))
+                } else {
+                    rows.len() / page + 1
+                };
+                proptest::prop_assert_eq!(sequential_calls, pages_needed, "sequential: {}", at);
+                if capped {
+                    proptest::prop_assert_eq!(calls, sequential_calls, "budget-capped: {}", at);
+                    continue;
+                }
+                let first_window = if hinted {
+                    let max_scan_rows = EngineConfig::default().max_scan_rows;
+                    let expected_rows =
+                        estimate_scan_rows(size as u64, max_scan_rows, filter.as_ref(), limit);
+                    ((expected_rows / page as f64).ceil() as usize).clamp(1, parallelism)
+                } else {
+                    1
+                };
+                let full_pages = rows.len() / page;
+                let bound = parallelism.min(first_window + full_pages) - 1;
+                proptest::prop_assert!(
+                    (sequential_calls..=sequential_calls + bound).contains(&calls),
+                    "{} calls against {} sequential, bound {}: {}",
+                    calls, sequential_calls, bound, at
+                );
+                if hinted && filter.is_none() {
+                    proptest::prop_assert_eq!(calls, sequential_calls, "hint-ended: {}", at);
+                }
+            }
+        }
+    }
+
+    /// The `row_batch` prompt of page `index` of a scan in pages of `page`.
+    fn page_prompt(p: &SpecParts, page: usize, index: usize) -> String {
+        TaskSpec::RowBatch {
+            table: "countries".into(),
+            columns: p.schema.columns.iter().map(|c| c.name.clone()).collect(),
+            filter: None,
+            limit: page,
+            offset: index * page,
+        }
+        .to_prompt(Some(&p.schema))
+    }
+
+    #[test]
+    fn a_straggler_holds_back_only_what_lies_a_window_behind_it() {
+        // 20 pages of 2 at fanout 4; page 5 answers only after the reactor
+        // has polled it 40 times, every other page at once. Read off the
+        // model's event log, no clock involved: at every submission the
+        // window invariant held, and while page 5 was the straggler the
+        // whole window behind it was put in flight — and nothing beyond.
+        const FANOUT: usize = 4;
+        const STRAGGLER: usize = 5;
+        for hinted in [true, false] {
+            let p = parts(None, None);
+            // Without the hint the scan pages past the 20th page to find the end.
+            let prompts: Vec<String> = (0..24).map(|i| page_prompt(&p, 2, i)).collect();
+            let slow = prompts[STRAGGLER].clone();
+            let (model, log) = Probe::over(numbered_world(40), hinted, move |prompt| {
+                if prompt == slow {
+                    Pace::Polls(40)
+                } else {
+                    AT_ONCE
+                }
+            });
+            let mut ctx = context_over(model, PromptStrategy::BatchedRows);
+            ctx.config.parallelism = FANOUT;
+            assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 40);
+
+            let index = |prompt: &String| prompts.iter().position(|q| q == prompt).unwrap();
+            let first_window = if hinted { FANOUT } else { 1 };
+            let window = |consumed: usize| FANOUT.min(first_window + consumed);
+            let mut resolved = [false; 24];
+            let mut submitted_before_straggler_resolved = Vec::new();
+            for event in log.lock().iter() {
+                match event {
+                    Event::Submitted(prompt) => {
+                        // Answers are consumed in order, so no more were
+                        // consumed than the resolved prefix is long.
+                        let prefix = resolved.iter().take_while(|&&done| done).count();
+                        assert!(
+                            index(prompt) < prefix + window(prefix),
+                            "page {} submitted with only {prefix} consumable (hint {hinted})",
+                            index(prompt)
+                        );
+                        if !resolved[STRAGGLER] {
+                            submitted_before_straggler_resolved.push(index(prompt));
+                        }
+                    }
+                    Event::Resolved(prompt) => resolved[index(prompt)] = true,
+                }
+            }
+            let behind = STRAGGLER + window(STRAGGLER);
+            assert_eq!(
+                submitted_before_straggler_resolved,
+                (0..behind).collect::<Vec<_>>(),
+                "hint {hinted}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_scan_that_ends_with_requests_in_flight_leaves_nothing_behind() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Ending {
+            /// The empty page 3 finishes the plan; pages 4–10 never answer.
+            Finished,
+            /// Page 2 never answers and the deadline fires mid-flight.
+            Deadline,
+            /// The same, degraded to the two pages consumed.
+            DeadlineCut,
+        }
+        // 40 rows in pages of 2 at fanout 8, `population < 6` pushed: three
+        // full pages, then an empty one. The hint makes the planner expect 7
+        // pages, so pages 0–6 go out at once and 7–10 follow as full pages
+        // are consumed. How many pages ever answer decides how the scan ends
+        // — finished, failed or cut — each time with requests still
+        // unresolved. They hold call
+        // slots, the in-flight gauge and single-flight leaderships, and all
+        // of it must be back when the scan returns, on the private loop and
+        // on a shared reactor alike.
+        let p = parts(Some(lt_filter(6)), None);
+        for ending in [Ending::Finished, Ending::Deadline, Ending::DeadlineCut] {
+            for shared in [false, true] {
+                let at = format!("{ending:?}, shared reactor {shared}");
+                let answered = if ending == Ending::Finished { 4 } else { 2 };
+                // Pages are submitted in order: the first `answered` answer.
+                let submissions = Mutex::new(0);
+                let (model, log) = Probe::over(numbered_world(40), true, move |_| {
+                    let mut submissions = submissions.lock();
+                    *submissions += 1;
+                    if *submissions <= answered {
+                        AT_ONCE
+                    } else {
+                        NEVER
+                    }
+                });
+                let slots = Arc::new(CallSlots::new(16));
+                let reactor = Arc::new(crate::reactor::SharedReactor::new());
+                let mut ctx =
+                    context_over(model, PromptStrategy::BatchedRows).with_slots(Arc::clone(&slots));
+                if shared {
+                    ctx = ctx.with_reactor(Arc::clone(&reactor));
+                }
+                ctx.config.parallelism = 8;
+                if ending != Ending::Finished {
+                    ctx.config.deadline_ms = Some(40.0);
+                    ctx.config.partial_results = ending == Ending::DeadlineCut;
+                }
+
+                let outcome = llm_scan(&ctx, &p.spec());
+                match ending {
+                    Ending::Finished => assert_eq!(outcome.unwrap().len(), 6, "{at}"),
+                    Ending::Deadline => {
+                        assert_eq!(
+                            outcome.unwrap_err().kind,
+                            ErrorKind::DeadlineExceeded,
+                            "{at}"
+                        );
+                    }
+                    Ending::DeadlineCut => assert_eq!(outcome.unwrap().len(), 4, "{at}"),
+                }
+                let asked = prompts_asked(&log).len();
+                let resolved = log
+                    .lock()
+                    .iter()
+                    .filter(|e| matches!(e, Event::Resolved(_)))
+                    .count();
+                // 3 full pages consumed: 3 + min(8, 7 + 3) planned; with
+                // page 2 stuck, 2 + min(8, 7 + 2).
+                let planned = if ending == Ending::Finished { 11 } else { 10 };
+                assert_eq!(asked, planned, "{at}");
+                assert_eq!(ctx.metrics.snapshot().llm_calls(), planned as u64, "{at}");
+                assert_eq!(resolved, answered, "{at}");
+
+                assert_eq!(ctx.metrics.in_flight(), 0, "in-flight gauge: {at}");
+                assert_eq!(slots.in_use(), 0, "call slots: {at}");
+                let coalescer = ctx.client.as_ref().unwrap().coalescer().unwrap();
+                assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");
+                assert_eq!(reactor.streams_open(), 0, "streams: {at}");
             }
         }
     }

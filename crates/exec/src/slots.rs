@@ -12,11 +12,11 @@
 //! The slot/ticket contract (relied on by `llmsql-sched`):
 //!
 //! * A slot is held only for the duration of one dispatched model request
-//!   and released on every exit path (RAII guard) — slots are never held
-//!   across waves, so waiting for a slot cannot deadlock: some holder is
-//!   always inside a completion that finishes.
+//!   and released on every exit path (RAII guard), so waiting for a slot
+//!   cannot deadlock: some holder is always inside a completion that
+//!   finishes, and whoever waits polls it.
 //! * Slot acquisition throttles *when* a planned prompt is sent, never
-//!   *whether* — wave planning happens before acquisition, so a query's
+//!   *whether* — prompt planning happens before acquisition, so a query's
 //!   prompt set, row output and logical call count are byte-identical with
 //!   or without a slot pool.
 //! * Waits are measured: the time a worker blocked waiting for a slot is

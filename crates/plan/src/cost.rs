@@ -59,15 +59,12 @@ impl CostParams {
         self
     }
 
-    /// Estimated base cardinality of a relation, capped by `max_scan_rows`
-    /// (a scan never requests more).
-    fn base_rows(&self, table: &str) -> f64 {
-        let rows = self
-            .cardinality_hints
+    /// Estimated base cardinality of a relation: its hint, or the fallback.
+    fn cardinality(&self, table: &str) -> u64 {
+        self.cardinality_hints
             .get(table)
             .copied()
-            .unwrap_or(self.default_rows);
-        (rows.min(self.max_scan_rows as u64)) as f64
+            .unwrap_or(self.default_rows)
     }
 }
 
@@ -182,15 +179,12 @@ fn cost_node(
             pushed_limit,
             ..
         } => {
-            let base = params.base_rows(table);
-            let sel = pushed_filter
-                .as_ref()
-                .map(estimate_selectivity)
-                .unwrap_or(1.0);
-            let mut rows = base * sel;
-            if let Some(limit) = pushed_limit {
-                rows = rows.min(*limit as f64);
-            }
+            let rows = estimate_scan_rows(
+                params.cardinality(table),
+                params.max_scan_rows,
+                pushed_filter.as_ref(),
+                *pushed_limit,
+            );
             if !virtual_table {
                 OperatorCost {
                     rows_out: rows,
@@ -298,6 +292,23 @@ fn cost_node(
 // ---------------------------------------------------------------------------
 // Selectivity heuristics
 // ---------------------------------------------------------------------------
+
+/// Estimated rows a scan emits: the relation's cardinality capped by
+/// `max_scan_rows` (a scan never requests more), thinned by the pushed
+/// filter's selectivity and capped by the pushed LIMIT. This is a scan's
+/// `rows_out` in [`cost_plan`] — the number EXPLAIN prints — and the number
+/// the executor's scan driver sizes its first dispatch window from, so the
+/// two cannot drift.
+pub fn estimate_scan_rows(
+    cardinality: u64,
+    max_scan_rows: usize,
+    pushed_filter: Option<&BoundExpr>,
+    pushed_limit: Option<usize>,
+) -> f64 {
+    let base = cardinality.min(max_scan_rows as u64) as f64;
+    let rows = base * pushed_filter.map_or(1.0, estimate_selectivity);
+    pushed_limit.map_or(rows, |limit| rows.min(limit as f64))
+}
 
 /// Estimated fraction of rows a predicate keeps, in `[0.001, 1.0]` (the
 /// floor keeps downstream estimates from collapsing to zero — a plan still

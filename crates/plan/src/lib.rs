@@ -19,7 +19,7 @@ pub mod optimizer;
 pub mod rules;
 
 pub use binder::{bind_select, schema_from_create};
-pub use cost::{cost_plan, CostParams, NodeCost, OperatorCost, PlanCost};
+pub use cost::{cost_plan, estimate_scan_rows, CostParams, NodeCost, OperatorCost, PlanCost};
 pub use expr::{bind_expr, conjoin, split_conjunction, BoundExpr};
 pub use lint::{lint_plan, PlanDiagnostic, Severity};
 pub use logical::{estimate_llm_calls, LogicalPlan, SortKey};

@@ -27,7 +27,7 @@
 //!   it to the engine; every scan worker of every running query takes a slot
 //!   for exactly the duration of one model request. Global in-flight never
 //!   exceeds the pool, *whatever* each query's `parallelism` is — and
-//!   because waves are planned before slots are taken, throttling delays
+//!   because prompts are planned before slots are taken, throttling delays
 //!   dispatch without changing any query's prompt set, rows, or logical
 //!   call count (see the slot/ticket contract in [`llmsql_exec::slots`]).
 //!
@@ -83,17 +83,18 @@
 //!
 //! **Workers park on one shared reactor, not inside calls.** The scheduler
 //! attaches a single [`llmsql_exec::SharedReactor`] to the engine, so every
-//! worker's waves land on *one* deployment-wide event loop: a worker submits
-//! its whole wave and either drives the loop (first in wins the driver seat, servicing
-//! *all* queries' completions until its own wave resolves) or parks on a
-//! condvar until a driver resolves its wave for it. Completions from
+//! worker's requests land on *one* deployment-wide event loop: a worker
+//! submits what its scan's window admits and, to consume the oldest answer,
+//! either drives the loop (first in wins the driver seat, servicing *all*
+//! queries' completions until that answer is in) or parks on a condvar until
+//! a driver resolves it. Completions from
 //! different queries therefore interleave on one clock, `llm_slots` is the
 //! only deployment-wide in-flight ceiling, and 64 slots on 4 workers is the
 //! normal shape — not 64 blocked threads (`examples/async_dispatch.rs`
 //! measures exactly this). Slot waits are parked-and-polled, and surface
 //! in the `SchedStats::total_slot_wait_ms` / `ExecMetrics::slot_wait_ms`
-//! accounting. A model whose `submit` is the blocking adapter runs its
-//! wave's requests one after another inside the poll; every guarantee above
+//! accounting. A model whose `submit` is the blocking adapter runs a
+//! scan's requests one after another inside the poll; every guarantee above
 //! still holds.
 //!
 //! The global view buys two cross-query optimizations, both accounted in

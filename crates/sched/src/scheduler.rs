@@ -262,8 +262,8 @@ impl QueryScheduler {
     ///    while it queues is cancelled when a worker picks it, never
     ///    executed; its ticket resolves with `DeadlineExceeded`.
     /// 3. **Runtime enforcement.** A query that starts in time runs with its
-    ///    *remaining* budget: scans check the deadline between dispatch
-    ///    waves and fail with `DeadlineExceeded` carrying partial accounting
+    ///    *remaining* budget: scans check the deadline before every
+    ///    request and fail with `DeadlineExceeded` carrying partial accounting
     ///    (elapsed, calls issued).
     pub fn submit_with_deadline(
         &self,

@@ -471,9 +471,9 @@ pub struct EngineConfig {
     /// Hedged requests: floor on the lateness threshold, milliseconds, so a
     /// near-zero EWMA cannot make every request look late.
     pub hedge_min_ms: f64,
-    /// Per-query wall-clock deadline, milliseconds. Scans check it between
-    /// dispatch waves, and a wave (of any size, the one-shot full-query
-    /// prompt included) is cancelled mid-flight when it fires; either way
+    /// Per-query wall-clock deadline, milliseconds. Scans check it before
+    /// every request, and the requests in flight (the one-shot full-query
+    /// prompt included) are cancelled when it fires; either way
     /// the query fails with [`crate::ErrorKind::DeadlineExceeded`] (carrying
     /// elapsed time and calls issued so far). `None` (the default) means no
     /// deadline.

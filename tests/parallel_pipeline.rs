@@ -20,28 +20,30 @@ fn run_scan(parallelism: usize, latency_ms: f64) -> (QueryResult, f64) {
 
 #[test]
 fn four_way_dispatch_doubles_scan_throughput() {
-    // 10 pages x 40ms sequential = 400ms+; 4-way slow-start dispatches them
-    // in 4 waves (1+2+4+3), i.e. ~160ms of latency, a theoretical 2.5x. The
+    // 10 pages x 40ms sequential = 400ms+. The relation's cardinality hint
+    // says 10 pages, so the 4-way window opens full and the pages go out in
+    // 3 rounds (4+4+2), i.e. ~120ms of latency, a theoretical 3.3x. The
     // latency is set high enough that per-query CPU overhead (significant in
     // debug builds on a single core) cannot mask the win. Wall-clock ratios
-    // jitter on loaded CI runners, so the 2x expectation gets three
-    // attempts; a hard 1.5x floor then still catches any real regression
-    // (losing the overlap entirely would put the ratio near 1.0).
+    // jitter on loaded CI runners, so the 2.5x expectation gets three
+    // attempts; a hard 2x floor then still catches any real regression (a
+    // window that opened at 1 and grew would take 4 rounds, 2.5x at best;
+    // losing the overlap entirely would put the ratio near 1.0).
     let mut last = (0.0, 0.0);
     for _attempt in 0..3 {
         let (sequential, seq_ms) = run_scan(1, 40.0);
         let (parallel, par_ms) = run_scan(4, 40.0);
         assert_eq!(sequential.row_count(), 100);
         assert_eq!(sequential.rows(), parallel.rows(), "rows diverged");
-        if seq_ms >= 2.0 * par_ms {
+        if seq_ms >= 2.5 * par_ms {
             return;
         }
         last = (seq_ms, par_ms);
-        eprintln!("timing attempt below 2x ({seq_ms:.1}ms vs {par_ms:.1}ms)");
+        eprintln!("timing attempt below 2.5x ({seq_ms:.1}ms vs {par_ms:.1}ms)");
     }
     assert!(
-        last.0 >= 1.5 * last.1,
-        "4-way dispatch shows no meaningful overlap: sequential {:.1}ms, parallel {:.1}ms",
+        last.0 >= 2.0 * last.1,
+        "4-way dispatch shows too little overlap: sequential {:.1}ms, parallel {:.1}ms",
         last.0,
         last.1
     );

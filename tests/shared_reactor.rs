@@ -154,3 +154,51 @@ fn concurrent_identical_queries_coalesce_below_0_3x_physical() {
     assert!(stats.coalesced_calls > 0, "no cross-query coalescing fired");
     assert!(stats.batched_rows > 0, "no tuple batching fired");
 }
+
+// ---------------------------------------------------------------------------
+// Draining: a query that ends with requests in flight leaves nothing behind
+// ---------------------------------------------------------------------------
+
+#[test]
+fn queries_that_end_with_requests_in_flight_drain_the_shared_loop() {
+    use llmsql_bench::parallel_scan_engine;
+    use llmsql_types::ErrorKind;
+    // 200 rows in pages of 10 at fanout 8 over 20 ms round trips; two
+    // queries share the scheduler's reactor, slot pool and coalescer. The
+    // filter keeps 25 rows, so that scan ends on its third page while pages
+    // its window speculated past the end are still in flight (the planner
+    // expected 66 rows, 7 pages). The full scan needs three round trips and
+    // has 30 ms: its deadline fires with a window of requests parked. Each
+    // must take its own requests out of the shared loop — and nothing else.
+    const FILTERED: &str = "SELECT name, population FROM countries WHERE population < 1030475";
+    let sequential = parallel_scan_engine(200, 1, 0.0).execute(FILTERED).unwrap();
+    assert_eq!(sequential.row_count(), 25);
+    assert_eq!(sequential.metrics.llm_calls(), 3);
+
+    let sched = QueryScheduler::new(
+        parallel_scan_engine(200, 8, 20.0),
+        SchedConfig::default()
+            .with_workers(2)
+            .with_llm_slots(32)
+            .paused(),
+    )
+    .unwrap();
+    let filtered = sched.submit("a", Priority::NORMAL, FILTERED).unwrap();
+    let doomed = sched
+        .submit_with_deadline("b", Priority::NORMAL, SCAN_SQL, 30.0)
+        .unwrap();
+    sched.resume();
+
+    let outcome = filtered.wait();
+    assert_eq!(outcome.result.unwrap().rows(), sequential.rows());
+    // Two full pages served from a first window of 7: min(8, 7 + 2) − 1
+    // calls past the sequential run's 3, and exactly that many.
+    assert_eq!(outcome.llm_calls, 3 + 7);
+    let err = doomed.wait().result.unwrap_err();
+    assert_eq!(err.kind, ErrorKind::DeadlineExceeded);
+
+    let engine = sched.engine();
+    assert_eq!(engine.call_slots().unwrap().in_use(), 0, "call slots");
+    assert_eq!(engine.prompt_coalescer().unwrap().in_flight(), 0);
+    assert_eq!(engine.shared_reactor().unwrap().streams_open(), 0);
+}
