@@ -22,6 +22,13 @@
 //! `DecomposedOperators` is enumerate → lookups → filter checks, and the
 //! hybrid scan is lookups over the stored rows.
 //!
+//! The prompts of one plan differ in a key, or in a limit and an offset, and
+//! in nothing else. So a plan builds the rest — table, columns, filter, the
+//! schema's description, the instructions — once, as a
+//! [`PromptTemplate`], and `next` only renders the varying field into it:
+//! the text is byte for byte what `TaskSpec::to_prompt` gives for that one
+//! task, since that is the same renderer.
+//!
 //! Everything that is not prompt content lives once, in `Driver::drive`:
 //!
 //! * **The window.** Model calls dominate query latency, so a scan keeps
@@ -75,11 +82,11 @@
 //! pooled backends are semantically identical and failover happens inside
 //! the pool, so rows and logical calls stay byte-identical.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-use llmsql_llm::prompt::TaskSpec;
+use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
     pack_prompts, parse_pipe_rows, parse_value_lines, parse_yes_no, split_response, ClientCall,
     CompletionRequest, CompletionResponse, LlmClient, ParsedRows, YesNoAnswer,
@@ -377,12 +384,14 @@ impl Driver<'_> {
         };
         let per_request = packing.clamp(1, fanout);
         let mut flight = InFlight::new(ctx);
-        // How many prompts each request in flight carries, oldest first.
+        // How many prompts each request in flight carries, oldest first, and
+        // their sum.
         let mut members: VecDeque<usize> = VecDeque::new();
+        let mut prompts_in_flight = 0;
         while self.cut.is_none() {
             // Admit every request the window has room for: prompt `i` is
             // eligible iff `i < consumed + window`.
-            while members.iter().sum::<usize>() + per_request <= plan.window().clamp(1, fanout) {
+            while prompts_in_flight + per_request <= plan.window().clamp(1, fanout) {
                 // The call cap is query-global: every scan of the query
                 // draws on it through the metrics channel.
                 let calls_used = ctx.metrics.llm_call_count() as usize;
@@ -406,11 +415,13 @@ impl Driver<'_> {
                 });
                 flight.push(client.start_call(CompletionRequest::new(pack_prompts(&prompts))));
                 members.push_back(prompts.len());
+                prompts_in_flight += prompts.len();
             }
             // Nothing in flight and nothing to admit: the plan is finished.
             let Some(asked) = members.pop_front() else {
                 break;
             };
+            prompts_in_flight -= asked;
             let response = match flight.wait_head() {
                 Ok(response) => response,
                 // Earlier answers were consumed in order, so the plan holds
@@ -506,13 +517,17 @@ fn widen(columns: &[usize], values: &Row, arity: usize) -> Row {
 ///   never planned, so an unfiltered hinted scan wastes nothing, and a
 ///   budget-capped scan (`LIMIT` or `max_scan_rows` reached before
 ///   exhaustion) issues exactly the sequential call count.
+///
+/// A page's prompt is the plan's one template with the page's limit and
+/// offset rendered in.
 struct Pages<'a> {
     ctx: &'a ExecContext,
     spec: &'a ScanSpec<'a>,
     columns: Vec<usize>,
-    names: Vec<String>,
     types: Vec<DataType>,
-    filter: Option<String>,
+    /// Everything a page's prompt says but its limit and offset — table,
+    /// column list, filter, the schema's description — rendered once.
+    template: PromptTemplate,
     budget: usize,
     page: usize,
     /// Relation-cardinality hint (`LanguageModel::relation_cardinality`):
@@ -535,6 +550,7 @@ impl<'a> Pages<'a> {
     fn new(ctx: &'a ExecContext, spec: &'a ScanSpec<'a>, filter: Option<String>) -> Self {
         let columns = spec.needed_columns();
         let column = |&i: &usize| &spec.table_schema.columns[i];
+        let names: Vec<&str> = columns.iter().map(|i| column(i).name.as_str()).collect();
         let hint = ctx
             .client
             .as_ref()
@@ -547,10 +563,14 @@ impl<'a> Pages<'a> {
         Pages {
             ctx,
             spec,
-            names: columns.iter().map(|i| column(i).name.clone()).collect(),
             types: columns.iter().map(|i| column(i).data_type).collect(),
+            template: PromptTemplate::row_batch(
+                spec.table,
+                &names,
+                filter.as_deref(),
+                Some(spec.table_schema),
+            ),
             columns,
-            filter,
             budget: spec.row_budget(ctx),
             page,
             hint: hint.map(|n| n as usize),
@@ -586,14 +606,7 @@ impl PromptPlan for Pages<'_> {
         if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
             return Ok(Vec::new());
         }
-        let prompt = TaskSpec::RowBatch {
-            table: self.spec.table.to_string(),
-            columns: self.names.clone(),
-            filter: self.filter.clone(),
-            limit,
-            offset: self.offset,
-        }
-        .to_prompt(Some(self.spec.table_schema));
+        let prompt = self.template.render_page(limit, self.offset);
         self.offset += limit;
         self.in_flight.push_back(limit);
         Ok(vec![prompt])
@@ -676,6 +689,12 @@ fn missing<'r>(needed: &'r [usize], row: &'r Row) -> impl Iterator<Item = usize>
 /// run never makes (a row filtered out makes room for a *later* one). Rows
 /// that need no lookup — complete rows, key-only projections — are delivered
 /// without a call.
+///
+/// A lookup's prompt varies with the row's key and with which columns the row
+/// is missing. The key is what `render_key` writes; the rest is a
+/// [`PromptTemplate`] per missing-column set, built the first time a row with
+/// that set is planned: one set for enumerated keys (every needed column is
+/// missing), as many as the stored rows' NULL patterns for a hybrid fill.
 struct Lookups<'a> {
     ctx: &'a ExecContext,
     spec: &'a ScanSpec<'a>,
@@ -696,6 +715,10 @@ struct Lookups<'a> {
     in_flight: VecDeque<usize>,
     /// Scratch: the column types one answer is parsed against.
     types: Vec<DataType>,
+    /// The lookup template of each missing-column set met so far.
+    templates: HashMap<Vec<usize>, PromptTemplate>,
+    /// Scratch: the missing-column set of the row being planned.
+    missing: Vec<usize>,
     rows: Vec<Row>,
 }
 
@@ -715,8 +738,28 @@ impl<'a> Lookups<'a> {
             planned: 0,
             in_flight: VecDeque::new(),
             types: Vec::new(),
+            templates: HashMap::new(),
+            missing: Vec::new(),
             rows: Vec::new(),
         }
+    }
+
+    /// The lookup prompt for `row`, which is missing the columns in
+    /// `self.missing`.
+    fn prompt_for(&mut self, row: usize) -> String {
+        let spec = self.spec;
+        let template = match self.templates.get(self.missing.as_slice()) {
+            Some(template) => template,
+            None => {
+                let columns = &spec.table_schema.columns;
+                let names: Vec<&str> = self.missing.iter().map(|&c| &*columns[c].name).collect();
+                let template = PromptTemplate::lookup(spec.table, &names, Some(spec.table_schema));
+                self.templates
+                    .entry(self.missing.clone())
+                    .or_insert(template)
+            }
+        };
+        template.render_key(&spec.key_text(&self.source[row]))
     }
 
     /// Deliver the source rows ahead of the oldest lookup in flight: every
@@ -743,24 +786,19 @@ impl PromptPlan for Lookups<'_> {
         if cap == 0 && !self.stored {
             return Ok(prompts);
         }
-        let schema = self.spec.table_schema;
         loop {
             let before = (self.planned, self.cursor);
             while self.planned < self.source.len()
                 && self.rows.len() + (self.planned - self.cursor) < self.budget
             {
-                let row = &self.source[self.planned];
-                if cap > 0 && missing(&self.needed, row).next().is_some() {
+                self.missing.clear();
+                self.missing
+                    .extend(missing(&self.needed, &self.source[self.planned]));
+                if cap > 0 && !self.missing.is_empty() {
                     if prompts.len() == cap {
                         break;
                     }
-                    let names = missing(&self.needed, row).map(|c| &schema.columns[c].name);
-                    let task = TaskSpec::Lookup {
-                        table: self.spec.table.to_string(),
-                        key: self.spec.key_text(row),
-                        columns: names.cloned().collect(),
-                    };
-                    prompts.push(task.to_prompt(Some(schema)));
+                    prompts.push(self.prompt_for(self.planned));
                     self.in_flight.push_back(self.planned);
                 }
                 self.planned += 1;
@@ -807,10 +845,13 @@ impl PromptPlan for Lookups<'_> {
 /// The decomposed strategy's filter operator: one `filter_check` prompt per
 /// candidate row, keeping the rows the model says yes to, up to `budget`.
 /// No more checks are in flight than the row budget still has room for — the
-/// rule [`Lookups`] follows, for the same reason.
+/// rule [`Lookups`] follows, for the same reason. A check's prompt is the
+/// plan's one template with the candidate's key rendered in.
 struct FilterChecks<'a> {
     spec: &'a ScanSpec<'a>,
-    condition: String,
+    /// Everything a check's prompt says but the candidate's key — table,
+    /// condition, the schema's description — rendered once.
+    template: PromptTemplate,
     budget: usize,
     /// The candidates not yet answered for; the first `in_flight` of them
     /// have a check in flight.
@@ -828,14 +869,7 @@ impl PromptPlan for FilterChecks<'_> {
         let unasked = self.candidates.as_slice().iter().skip(self.in_flight);
         let prompts: Vec<String> = unasked
             .take(cap.min(room))
-            .map(|row| {
-                TaskSpec::FilterCheck {
-                    table: self.spec.table.to_string(),
-                    key: self.spec.key_text(row),
-                    condition: self.condition.clone(),
-                }
-                .to_prompt(Some(self.spec.table_schema))
-            })
+            .map(|row| self.template.render_key(&self.spec.key_text(row)))
             .collect();
         self.in_flight += prompts.len();
         Ok(prompts)
@@ -891,7 +925,11 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
             };
             let mut checks = FilterChecks {
                 spec,
-                condition,
+                template: PromptTemplate::filter_check(
+                    spec.table,
+                    &condition,
+                    Some(spec.table_schema),
+                ),
                 budget: spec.row_budget(ctx),
                 candidates: tuple_rows(&mut driver, &candidates, None)?.into_iter(),
                 in_flight: 0,
@@ -920,16 +958,12 @@ fn tuple_rows(
     spec: &ScanSpec<'_>,
     filter: Option<String>,
 ) -> Result<Vec<Row>> {
-    let task = TaskSpec::Enumerate {
-        table: spec.table.to_string(),
-        filter,
-        limit: spec.row_budget(driver.ctx),
-        offset: 0,
-    };
+    let template =
+        PromptTemplate::enumerate(spec.table, filter.as_deref(), Some(spec.table_schema));
     let mut keys = Enumerate {
         ctx: driver.ctx,
         spec,
-        prompt: Some(task.to_prompt(Some(spec.table_schema))),
+        prompt: Some(template.render_page(spec.row_budget(driver.ctx), 0)),
         rows: Vec::new(),
     };
     driver.drive(&mut keys)?;
@@ -953,6 +987,7 @@ pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llmsql_llm::prompt::TaskSpec;
     use llmsql_llm::{KnowledgeBase, LlmClient, SimLlm};
     use llmsql_store::Catalog;
     use llmsql_types::{Column, EngineConfig, ExecutionMode, LlmFidelity};
@@ -1486,6 +1521,14 @@ mod tests {
 
     /// Two stored countries, each with one NULL cell the model can fill.
     fn hybrid_fixture_over(model: Model) -> (ExecContext, Table) {
+        let stored = vec![
+            Row::new(vec!["France".into(), "Europe".into(), Value::Null]),
+            Row::new(vec!["Japan".into(), Value::Null, Value::Int(125)]),
+        ];
+        hybrid_fixture_storing(model, stored)
+    }
+
+    fn hybrid_fixture_storing(model: Model, stored: Vec<Row>) -> (ExecContext, Table) {
         let catalog = Catalog::new();
         let schema = Schema::new(
             "countries",
@@ -1496,12 +1539,7 @@ mod tests {
             ],
         );
         let table = catalog.create_table(schema).unwrap();
-        table
-            .insert_many(vec![
-                Row::new(vec!["France".into(), "Europe".into(), Value::Null]),
-                Row::new(vec!["Japan".into(), Value::Null, Value::Int(125)]),
-            ])
-            .unwrap();
+        table.insert_many(stored).unwrap();
 
         let ctx = ExecContext::new(
             catalog,
@@ -1796,6 +1834,80 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hybrid_fill_asks_each_row_the_one_off_lookup_of_its_missing_columns() {
+        // The stored rows cycle through four NULL patterns — region,
+        // population, both, neither — so the fill needs three lookup
+        // templates and meets them interleaved. What it submits must be, row
+        // for row, the prompt rendered from scratch for that row alone.
+        const ROWS: usize = 14;
+        // (region stored, population stored)
+        const PATTERNS: [(bool, bool); 4] =
+            [(false, true), (true, false), (false, false), (true, true)];
+        let stored: Vec<Row> = (0..ROWS)
+            .map(|i| {
+                let name = match i {
+                    0 => "France".to_string(),
+                    1 => "Japan".to_string(),
+                    _ => format!("Country {i:03}"),
+                };
+                let (region, population) = PATTERNS[i % 4];
+                let region = if region { "Europe".into() } else { Value::Null };
+                let population = if population {
+                    Value::Int(i as i64)
+                } else {
+                    Value::Null
+                };
+                Row::new(vec![name.into(), region, population])
+            })
+            .collect();
+        let p = parts(None, None);
+        let mut expected: Vec<String> = stored
+            .iter()
+            .filter_map(|row| {
+                let columns: Vec<String> = missing(&[1, 2], row)
+                    .map(|col| p.schema.columns[col].name.clone())
+                    .collect();
+                (!columns.is_empty()).then(|| {
+                    TaskSpec::Lookup {
+                        table: "countries".into(),
+                        key: row.get(0).to_display_string(),
+                        columns,
+                    }
+                    .to_prompt(Some(&p.schema))
+                })
+            })
+            .collect();
+        expected.sort();
+        let sets: std::collections::BTreeSet<&str> = expected
+            .iter()
+            .filter_map(|prompt| prompt.lines().find(|line| line.starts_with("columns: ")))
+            .collect();
+        assert_eq!(sets.len(), 3, "the fixture must need three templates");
+        assert_eq!(expected.len(), ROWS - ROWS / 4);
+
+        for batch_rows in [1, 4] {
+            for parallelism in [1, 8] {
+                let (model, log) = Probe::over(numbered_world(ROWS), true, |_| AT_ONCE);
+                let (mut ctx, table) = hybrid_fixture_storing(model, stored.clone());
+                ctx.config.parallelism = parallelism;
+                ctx.config.batch_rows_per_call = batch_rows;
+                let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
+                assert_eq!(rows.len(), ROWS);
+                assert!(rows
+                    .iter()
+                    .all(|row| !row.get(1).is_null() && !row.get(2).is_null()));
+                let mut asked: Vec<String> = prompts_asked(&log)
+                    .iter()
+                    .flat_map(|request| llmsql_llm::batch::split_prompt(request))
+                    .map(String::from)
+                    .collect();
+                asked.sort();
+                assert_eq!(asked, expected, "{parallelism} x {batch_rows}");
             }
         }
     }

@@ -5,30 +5,31 @@
 //! (seed, prompt) the cache does not change answers — it only changes the
 //! call count and cost, which is exactly what the cost experiments measure.
 //!
-//! Keys are opaque strings; [`crate::LlmClient`] composes them from the model
-//! fingerprint plus the request parameters (`max_tokens`, `temperature`) plus
-//! the prompt, so one cache instance can safely be shared between clients
-//! over different model configurations without collisions.
+//! Keys are [`RequestKey`]s: [`crate::LlmClient`] composes the text from the
+//! model fingerprint plus the request parameters (`max_tokens`,
+//! `temperature`) plus the prompt — so one cache instance can safely be
+//! shared between clients over different model configurations without
+//! collisions — and hashes it once. Every lookup and store below reuses that
+//! hash; a match is a match of the full text (see [`crate::key`]). A caller
+//! holding only the text passes it and pays for the hash here.
 //!
 //! The map is split into [`PromptCache::DEFAULT_SHARDS`] independently locked
-//! shards selected by a hash of the prompt, so concurrent scan workers
-//! completing different prompts do not serialize on one lock. Hit/miss
-//! counters are lock-free `AtomicU64`s: a cache read costs one shard read
-//! lock and one atomic increment (the old design took three lock
-//! acquisitions per read).
+//! shards, so concurrent scan workers completing different prompts do not
+//! serialize on one lock. The shard index and the shard's bucket index are
+//! both cut from the key's one hash, from different bits
+//! (`RequestKey::shard`). Hit/miss counters are lock-free `AtomicU64`s: a
+//! cache read costs one shard read lock and one atomic increment.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
+use crate::key::{KeyMap, RequestKey};
 use crate::model::CompletionResponse;
 
 /// A thread-safe, sharded prompt → completion cache.
 pub struct PromptCache {
-    shards: Box<[RwLock<HashMap<String, CompletionResponse>>]>,
+    shards: Box<[RwLock<KeyMap<CompletionResponse>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -52,7 +53,7 @@ impl PromptCache {
     pub fn with_shards(shards: usize) -> Self {
         let shards = shards.max(1);
         PromptCache {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -63,15 +64,13 @@ impl PromptCache {
         self.shards.len()
     }
 
-    fn shard_for(&self, key: &str) -> &RwLock<HashMap<String, CompletionResponse>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
+    fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<CompletionResponse>> {
+        &self.shards[key.shard(self.shards.len())]
     }
 
-    /// Look up a key.
-    pub fn get(&self, key: &str) -> Option<CompletionResponse> {
-        let found = self.shard_for(key).read().get(key).cloned();
+    /// Look up a key, counting the hit or miss.
+    pub fn get(&self, key: impl Into<RequestKey>) -> Option<CompletionResponse> {
+        let found = self.peek(&key.into());
         // ordering: Relaxed — hit/miss are advisory statistics; nothing is
         // published under them and exact interleaving is irrelevant.
         if found.is_some() {
@@ -82,8 +81,15 @@ impl PromptCache {
         found
     }
 
+    /// Look up a key without counting: for a caller re-checking a key whose
+    /// miss [`PromptCache::get`] already counted.
+    pub(crate) fn peek(&self, key: &RequestKey) -> Option<CompletionResponse> {
+        self.shard_for(key).read().get(key).cloned()
+    }
+
     /// Store a completion.
-    pub fn put(&self, key: String, response: CompletionResponse) {
+    pub fn put(&self, key: impl Into<RequestKey>, response: CompletionResponse) {
+        let key = key.into();
         self.shard_for(&key).write().insert(key, response);
     }
 
@@ -137,7 +143,7 @@ mod tests {
     fn put_get_roundtrip() {
         let cache = PromptCache::new();
         assert!(cache.get("p").is_none());
-        cache.put("p".into(), resp("r"));
+        cache.put("p", resp("r"));
         assert_eq!(cache.get("p").unwrap().text, "r");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
@@ -147,16 +153,30 @@ mod tests {
     fn stats_track_hits_and_misses() {
         let cache = PromptCache::new();
         cache.get("a");
-        cache.put("a".into(), resp("x"));
+        cache.put("a", resp("x"));
         cache.get("a");
         cache.get("b");
         assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]
+    fn keys_that_share_a_hash_do_not_share_an_answer() {
+        let cache = PromptCache::new();
+        let stored = RequestKey::with_hash(42, "one prompt");
+        let other = RequestKey::with_hash(42, "another prompt");
+        cache.put(&stored, resp("one answer"));
+        assert!(cache.get(&other).is_none(), "a hash match served an answer");
+        assert_eq!(cache.get(&stored).unwrap().text, "one answer");
+        cache.put(&other, resp("another answer"));
+        assert_eq!(cache.get(&stored).unwrap().text, "one answer");
+        assert_eq!(cache.get(&other).unwrap().text, "another answer");
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn clear_resets_everything() {
         let cache = PromptCache::new();
-        cache.put("a".into(), resp("x"));
+        cache.put("a", resp("x"));
         cache.get("a");
         cache.clear();
         assert!(cache.is_empty());
@@ -175,7 +195,7 @@ mod tests {
         let populated = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
         assert!(populated > 1, "all keys landed in one shard");
         for i in 0..200 {
-            assert!(cache.get(&format!("prompt-{i}")).is_some());
+            assert!(cache.get(format!("prompt-{i}")).is_some());
         }
         assert_eq!(cache.stats(), (200, 0));
     }
@@ -184,7 +204,7 @@ mod tests {
     fn single_shard_still_works() {
         let cache = PromptCache::with_shards(0);
         assert_eq!(cache.shard_count(), 1);
-        cache.put("p".into(), resp("r"));
+        cache.put("p", resp("r"));
         assert_eq!(cache.get("p").unwrap().text, "r");
     }
 

@@ -24,13 +24,21 @@
 //!   physical call, so per-query retry/error semantics are unchanged.
 //! * Entries are removed the moment they resolve: coalescing joins requests
 //!   that are in flight *at the same time*, it is not a response cache.
+//!
+//! The table is keyed by [`RequestKey`], the request text hashed once where
+//! the client built it: claiming and resolving reuse that hash, the guard
+//! keeps a reference to the key rather than a copy, and two requests share a
+//! flight only when their full text is equal — never on a hash match alone
+//! (see [`crate::key`]). There is one map behind one lock, so the hash only
+//! ever picks a bucket.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use llmsql_types::Result;
 use parking_lot::Mutex;
 
+use crate::key::{KeyMap, RequestKey};
 use crate::model::CompletionResponse;
 
 /// The state of one in-flight coalescing entry. Followers hold an `Arc` to
@@ -75,7 +83,7 @@ impl CoalesceEntry {
 /// per scheduler/deployment.
 #[derive(Default)]
 pub struct PromptCoalescer {
-    entries: Mutex<HashMap<String, Arc<CoalesceEntry>>>,
+    entries: Mutex<KeyMap<Arc<CoalesceEntry>>>,
     /// Lifetime counters (leaders claimed / followers served), advisory.
     stats: Mutex<CoalesceStats>,
 }
@@ -105,25 +113,29 @@ impl PromptCoalescer {
 
     /// Claim `key`: the first claimant becomes the leader, concurrent
     /// claimants become followers of the leader's entry.
-    pub fn claim(self: &Arc<Self>, key: &str) -> Claim {
-        let mut entries = self.entries.lock();
-        if let Some(entry) = entries.get(key) {
-            let entry = Arc::clone(entry);
-            drop(entries);
-            self.stats.lock().followers_served += 1;
-            return Claim::Follower(entry);
+    pub fn claim(self: &Arc<Self>, key: impl Into<RequestKey>) -> Claim {
+        let claim = match self.entries.lock().entry(key.into()) {
+            Entry::Occupied(flight) => Claim::Follower(Arc::clone(flight.get())),
+            Entry::Vacant(free) => {
+                let entry = Arc::new(CoalesceEntry {
+                    state: Mutex::new(EntryState::Pending),
+                });
+                let key = free.key().clone();
+                free.insert(Arc::clone(&entry));
+                Claim::Leader(CoalesceGuard {
+                    coalescer: Arc::clone(self),
+                    key,
+                    entry: Some(entry),
+                })
+            }
+        };
+        let mut stats = self.stats.lock();
+        match claim {
+            Claim::Leader(_) => stats.leaders += 1,
+            Claim::Follower(_) => stats.followers_served += 1,
         }
-        let entry = Arc::new(CoalesceEntry {
-            state: Mutex::new(EntryState::Pending),
-        });
-        entries.insert(key.to_string(), Arc::clone(&entry));
-        drop(entries);
-        self.stats.lock().leaders += 1;
-        Claim::Leader(CoalesceGuard {
-            coalescer: Arc::clone(self),
-            key: key.to_string(),
-            entry: Some(entry),
-        })
+        drop(stats);
+        claim
     }
 
     /// Advisory lifetime counters.
@@ -137,7 +149,7 @@ impl PromptCoalescer {
     }
 
     /// Unlink `key` and resolve `entry` to `state`.
-    fn resolve(&self, key: &str, entry: &CoalesceEntry, state: EntryState) {
+    fn resolve(&self, key: &RequestKey, entry: &CoalesceEntry, state: EntryState) {
         // Unlink first so late claimants start a fresh flight rather than
         // following a resolved entry (coalescing is not a cache).
         self.entries.lock().remove(key);
@@ -151,7 +163,7 @@ impl PromptCoalescer {
 /// re-claim and issue their own calls.
 pub struct CoalesceGuard {
     coalescer: Arc<PromptCoalescer>,
-    key: String,
+    key: RequestKey,
     entry: Option<Arc<CoalesceEntry>>,
 }
 
@@ -251,6 +263,31 @@ mod tests {
         guard.publish(&Ok(response("a")));
         // The flight resolved; a later identical request starts fresh.
         assert!(matches!(co.claim("k"), Claim::Leader(_)));
+    }
+
+    #[test]
+    fn keys_that_share_a_hash_lead_independently() {
+        let co = Arc::new(PromptCoalescer::new());
+        let one = RequestKey::with_hash(42, "one prompt");
+        let other = RequestKey::with_hash(42, "another prompt");
+        let Claim::Leader(guard_one) = co.claim(&one) else {
+            panic!("first claim of one key must lead");
+        };
+        let Claim::Leader(guard_other) = co.claim(&other) else {
+            panic!("a hash match made a follower of another prompt");
+        };
+        let Claim::Follower(entry) = co.claim(&one) else {
+            panic!("an equal key must follow");
+        };
+        assert_eq!(co.in_flight(), 2);
+        guard_other.publish(&Ok(response("another answer")));
+        assert!(matches!(entry.poll(), FollowerPoll::Pending));
+        guard_one.publish(&Ok(response("one answer")));
+        match entry.poll() {
+            FollowerPoll::Ready(r) => assert_eq!(r.text, "one answer"),
+            _ => panic!("follower must see its own leader's response"),
+        }
+        assert_eq!(co.in_flight(), 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod cache;
 pub mod coalesce;
 pub mod cost;
 pub mod eval;
+pub mod key;
 pub mod knowledge;
 pub mod model;
 pub mod noise;
@@ -48,11 +49,12 @@ pub use batch::{is_packed, pack_prompts, split_response, BATCH_SEPARATOR};
 pub use cache::PromptCache;
 pub use coalesce::{Claim, CoalesceStats, FollowerPoll, PromptCoalescer};
 pub use cost::UsageStats;
+pub use key::RequestKey;
 pub use knowledge::{KbTable, KnowledgeBase};
 pub use model::{ClientCall, CompletionRequest, CompletionResponse, LanguageModel, LlmClient};
 pub use noise::NoiseModel;
 pub use parse::{parse_pipe_rows, parse_value_lines, parse_yes_no, ParsedRows, YesNoAnswer};
-pub use prompt::{describe_schema, parse_task, TaskSpec};
+pub use prompt::{describe_schema, parse_task, PromptTemplate, TaskSpec};
 pub use sim::SimLlm;
 pub use tokenizer::count_tokens;
 
@@ -103,7 +105,49 @@ mod proptests {
         ]
     }
 
+    /// Keys built from what a key must survive unescaped: the characters the
+    /// prompt and key formats give meaning to, and the batch separator.
+    fn arb_awkward_key() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("\"".to_string()),
+            Just("|".to_string()),
+            Just(":".to_string()),
+            Just("\n".to_string()),
+            Just("\u{1f}".to_string()),
+            Just(BATCH_SEPARATOR.to_string()),
+            "[A-Za-z ]{0,6}",
+        ];
+        proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
+    }
+
     proptest! {
+        /// A template renders a key the way the engine always formatted the
+        /// whole prompt: every byte of the key lands verbatim, in both places.
+        #[test]
+        fn template_renders_the_formatted_prompt(
+            key in arb_awkward_key(),
+            columns in proptest::collection::vec("[a-z][a-z0-9_]{0,8}", 1..4),
+        ) {
+            let lookup = format!(
+                "### TASK\nkind: lookup\ntable: t\nkey: {key}\ncolumns: {}\n### CONTEXT\n\
+                 (no additional context)\n### INSTRUCTIONS\nYou are acting as the storage layer \
+                 of a relational database. For the single entity identified by \"{key}\", return \
+                 the values of the columns [{}] in that exact order on one line, separated by \
+                 \" | \". Write NULL for values you do not know. No commentary.",
+                columns.join(" | "),
+                columns.join(", ")
+            );
+            prop_assert_eq!(PromptTemplate::lookup("t", &columns, None).render_key(&key), lookup);
+            let check = format!(
+                "### TASK\nkind: filter_check\ntable: t\nkey: {key}\ncondition: a > 1\n### CONTEXT\n\
+                 (no additional context)\n### INSTRUCTIONS\nConsider the entity identified by \
+                 \"{key}\" in the relation described above. Does it satisfy the condition \
+                 `a > 1`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, \
+                 answer \"unknown\"."
+            );
+            prop_assert_eq!(PromptTemplate::filter_check("t", "a > 1", None).render_key(&key), check);
+        }
+
         /// Prompt build → parse recovers the task spec, for arbitrary specs.
         #[test]
         fn prompt_roundtrip(spec in arb_task()) {

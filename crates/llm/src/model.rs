@@ -8,6 +8,7 @@
 //! endpoints); a production deployment would add an HTTP-backed endpoint
 //! without touching the engine.
 
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,6 +20,7 @@ use crate::backend::{BackendPool, BackendStats, CallHandle};
 use crate::cache::PromptCache;
 use crate::coalesce::{Claim, CoalesceEntry, CoalesceGuard, FollowerPoll, PromptCoalescer};
 use crate::cost::UsageStats;
+use crate::key::RequestKey;
 
 /// A completion request.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,12 +222,19 @@ impl LlmClient {
     /// The cache / single-flight key for a request: the model fingerprint
     /// plus every request parameter that can change the completion. Two
     /// queries sharing a prompt string but differing in model config,
-    /// `max_tokens` or `temperature` never collide.
-    fn request_key(&self, request: &CompletionRequest) -> String {
-        format!(
+    /// `max_tokens` or `temperature` never collide. The text is hashed here,
+    /// once; every table the call consults reuses that hash.
+    fn request_key(&self, request: &CompletionRequest) -> RequestKey {
+        // Room for the prompt up front: a packed prompt runs to kilobytes,
+        // and growing into it would copy it several times over.
+        let mut text = String::with_capacity(self.fingerprint.len() + request.prompt.len() + 48);
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            text,
             "{}\u{1f}{}\u{1f}{}\u{1f}{}",
             self.fingerprint, request.max_tokens, request.temperature, request.prompt
-        )
+        );
+        RequestKey::new(text)
     }
 
     /// Issue a completion and block for it: [`LlmClient::start_call`],
@@ -333,9 +342,9 @@ enum CcState {
 pub struct ClientCall {
     client: LlmClient,
     request: CompletionRequest,
-    /// Cache / single-flight key, formatted once; `None` when the client has
-    /// neither.
-    key: Option<String>,
+    /// Cache / single-flight key, formatted and hashed once; `None` when the
+    /// client has neither.
+    key: Option<RequestKey>,
     /// Held while this call leads its key's flight; published with the
     /// outcome when the flight ends, abandoned by drop.
     guard: Option<CoalesceGuard>,
@@ -360,7 +369,12 @@ impl ClientCall {
             match &mut self.state {
                 CcState::Start => {
                     if let Some(key) = &self.key {
-                        let hit = self.client.cache.as_ref().and_then(|c| c.get(key));
+                        // A leader is here again only to close the race
+                        // below: its miss is already counted.
+                        let hit = self.client.cache.as_ref().and_then(|c| match self.guard {
+                            None => c.get(key),
+                            Some(_) => c.peek(key),
+                        });
                         if let Some(hit) = hit {
                             // A leader that finds the answer cached abandons
                             // its claim; its followers re-check the cache.
@@ -400,7 +414,7 @@ impl ClientCall {
                         // call, no usage record — only the leader pays.
                         self.coalesced = true;
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key.clone(), response.clone());
+                            cache.put(key, response.clone());
                         }
                         self.state = CcState::Done;
                         return Some(Ok(response));
@@ -431,7 +445,7 @@ impl ClientCall {
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key.clone(), response.clone());
+                            cache.put(key, response.clone());
                         }
                     }
                     // Publish after the cache write, so a request arriving
@@ -553,6 +567,28 @@ mod tests {
         assert_eq!(client.cache_len(), 1);
         client.clear_cache();
         assert_eq!(client.cache_len(), 0);
+    }
+
+    #[test]
+    fn a_led_miss_is_counted_once() {
+        // A miss goes on to claim leadership and re-checks the cache under
+        // the claim; that second look must not count as a second miss.
+        const PROMPTS: u64 = 7;
+        let cache = Arc::new(PromptCache::new());
+        let client =
+            LlmClient::with_shared_cache(Arc::new(CannedModel::new("x")), Arc::clone(&cache));
+        let pass = || {
+            for i in 0..PROMPTS {
+                let request = CompletionRequest::new(format!("prompt {i}"));
+                client.complete(&request).unwrap();
+            }
+        };
+        pass();
+        assert_eq!(cache.stats(), (0, PROMPTS), "cold pass");
+        pass();
+        assert_eq!(cache.stats(), (PROMPTS, PROMPTS), "warm pass");
+        assert_eq!(client.usage().calls, PROMPTS);
+        assert_eq!(client.usage().cache_hits, PROMPTS);
     }
 
     #[test]

@@ -11,8 +11,30 @@
 //! * `### INSTRUCTIONS` — the answer-format contract (one value per line,
 //!   pipe-separated rows, "yes"/"no", ...).
 //!
+//! # One renderer
+//!
+//! A scan asks hundreds of prompts that differ in a few bytes, so prompt
+//! text is produced in two steps and nowhere else:
+//!
+//! * A [`PromptTemplate`] **fixes** everything a plan's prompts share — the
+//!   task kind, the table, the column list, the filter or condition text,
+//!   the whole `### CONTEXT` section and the instruction boilerplate —
+//!   written once into one buffer, with the positions of the varying fields
+//!   marked.
+//! * `render` **writes** only those fields — the entity key; or the page's
+//!   limit and offset, with the "skipping the first …" clause that exists
+//!   only at a non-zero offset — between slices of that buffer, into one
+//!   `String` of exactly the final size.
+//!
+//! [`TaskSpec::to_prompt`] is the one-off form: it builds the template and
+//! renders it once. The model is addressed by prompt text (prompt cache,
+//! single-flight table, recorded replays), so the bytes are pinned by
+//! snapshot (`tests/prompt_bytes.rs`).
+//!
 //! [`parse_task`] recovers the spec from a prompt; `build → parse` round-trips
 //! (property-tested in `lib.rs`).
+
+use std::fmt::Write;
 
 use llmsql_types::{Error, Result, Schema};
 
@@ -93,182 +115,337 @@ impl TaskSpec {
         }
     }
 
-    /// Render the `### TASK` header.
-    fn header(&self) -> String {
-        let mut lines = vec!["### TASK".to_string(), format!("kind: {}", self.kind())];
+    /// Build the full prompt text for this task against the given schema:
+    /// the task's [`PromptTemplate`], rendered once.
+    pub fn to_prompt(&self, schema: Option<&Schema>) -> String {
         match self {
             TaskSpec::Enumerate {
                 table,
                 filter,
                 limit,
                 offset,
-            } => {
-                lines.push(format!("table: {table}"));
-                if let Some(f) = filter {
-                    lines.push(format!("filter: {f}"));
-                }
-                lines.push(format!("limit: {limit}"));
-                lines.push(format!("offset: {offset}"));
-            }
+            } => PromptTemplate::enumerate(table, filter.as_deref(), schema)
+                .render_page(*limit, *offset),
             TaskSpec::RowBatch {
                 table,
                 columns,
                 filter,
                 limit,
                 offset,
-            } => {
-                lines.push(format!("table: {table}"));
-                lines.push(format!("columns: {}", columns.join(" | ")));
-                if let Some(f) = filter {
-                    lines.push(format!("filter: {f}"));
-                }
-                lines.push(format!("limit: {limit}"));
-                lines.push(format!("offset: {offset}"));
-            }
+            } => PromptTemplate::row_batch(table, columns, filter.as_deref(), schema)
+                .render_page(*limit, *offset),
             TaskSpec::Lookup {
                 table,
                 key,
                 columns,
-            } => {
-                lines.push(format!("table: {table}"));
-                lines.push(format!("key: {key}"));
-                lines.push(format!("columns: {}", columns.join(" | ")));
-            }
+            } => PromptTemplate::lookup(table, columns, schema).render_key(key),
             TaskSpec::FilterCheck {
                 table,
                 key,
                 condition,
-            } => {
-                lines.push(format!("table: {table}"));
-                lines.push(format!("key: {key}"));
-                lines.push(format!("condition: {condition}"));
-            }
+            } => PromptTemplate::filter_check(table, condition, schema).render_key(key),
             TaskSpec::FullQuery { sql, columns } => {
-                lines.push(format!("sql: {sql}"));
-                lines.push(format!("columns: {}", columns.join(" | ")));
+                PromptTemplate::full_query(sql, columns, schema).text
             }
-        }
-        lines.join("\n")
-    }
-
-    /// Render the natural-language instruction section.
-    fn instructions(&self) -> String {
-        match self {
-            TaskSpec::Enumerate {
-                limit,
-                filter,
-                offset,
-                ..
-            } => {
-                let mut s = format!(
-                    "You are acting as the storage layer of a relational database. \
-                     Using only your internal knowledge, list up to {limit} distinct entities \
-                     of the relation described above"
-                );
-                if filter.is_some() {
-                    s.push_str(" that satisfy the filter condition");
-                }
-                if *offset > 0 {
-                    s.push_str(&format!(
-                        ", skipping the first {offset} entities you would otherwise list"
-                    ));
-                }
-                s.push_str(
-                    ". Respond with exactly one entity identifier per line, no numbering, \
-                     no commentary. If you know fewer entities, list only those you know.",
-                );
-                s
-            }
-            TaskSpec::RowBatch {
-                limit,
-                filter,
-                offset,
-                columns,
-                ..
-            } => {
-                let mut s = format!(
-                    "You are acting as the storage layer of a relational database. \
-                     Produce up to {limit} rows of the relation described above, returning the \
-                     columns [{}] in that exact order",
-                    columns.join(", ")
-                );
-                if filter.is_some() {
-                    s.push_str(", including only rows that satisfy the filter condition");
-                }
-                if *offset > 0 {
-                    s.push_str(&format!(
-                        ", skipping the first {offset} rows you would otherwise return"
-                    ));
-                }
-                s.push_str(
-                    ". Respond with one row per line, column values separated by \" | \". \
-                     Write NULL for values you do not know. No header, no commentary.",
-                );
-                s
-            }
-            TaskSpec::Lookup { key, columns, .. } => format!(
-                "You are acting as the storage layer of a relational database. For the single \
-                 entity identified by \"{key}\", return the values of the columns [{}] in that \
-                 exact order on one line, separated by \" | \". Write NULL for values you do \
-                 not know. No commentary.",
-                columns.join(", ")
-            ),
-            TaskSpec::FilterCheck { key, condition, .. } => format!(
-                "Consider the entity identified by \"{key}\" in the relation described above. \
-                 Does it satisfy the condition `{condition}`? Answer with exactly one word: \
-                 \"yes\" or \"no\". If you are unsure, answer \"unknown\"."
-            ),
-            TaskSpec::FullQuery { sql, .. } => format!(
-                "You are acting as a complete SQL database engine whose data is your internal \
-                 world knowledge. Execute the following SQL query and return the result table:\n\
-                 {sql}\n\
-                 Respond with one result row per line, column values separated by \" | \", \
-                 in the column order of the SELECT list. Write NULL for unknown values. \
-                 No header, no commentary."
-            ),
         }
     }
+}
 
-    /// Build the full prompt text for this task against the given schema.
-    pub fn to_prompt(&self, schema: Option<&Schema>) -> String {
-        let mut out = self.header();
-        out.push_str("\n### CONTEXT\n");
-        match schema {
-            Some(s) => out.push_str(&describe_schema(s)),
-            None => out.push_str("(no additional context)"),
+/// A field [`PromptTemplate::render`] writes: the only bytes that differ
+/// between the prompts of one plan.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The entity key.
+    Key,
+    /// The page's row limit.
+    Limit,
+    /// The page's offset.
+    Offset,
+    /// `, skipping the first {offset} {what}` — written only when the offset
+    /// is non-zero.
+    Skipping(&'static str),
+}
+
+const SKIPPING: &str = ", skipping the first ";
+
+/// Decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+fn push_number(out: &mut String, n: usize) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// Everything the prompts of one plan have in common, rendered once (see the
+/// module docs). Build it with the constructor named after the task kind and
+/// call [`PromptTemplate::render_key`] or [`PromptTemplate::render_page`] per
+/// prompt; the result is byte-identical to [`TaskSpec::to_prompt`] of the
+/// same task, which is implemented by exactly that.
+#[derive(Debug, Clone)]
+pub struct PromptTemplate {
+    /// Every fixed byte of the prompt, in order.
+    text: String,
+    /// Where the varying fields go: positions in `text`, ascending.
+    slots: Vec<(usize, Slot)>,
+}
+
+impl PromptTemplate {
+    /// The template of [`TaskSpec::Enumerate`] prompts over `table`; render
+    /// with [`PromptTemplate::render_page`].
+    pub fn enumerate(table: &str, filter: Option<&str>, schema: Option<&Schema>) -> Self {
+        let mut t = Self::begin("enumerate");
+        t.line("table", table);
+        t.page_lines(filter);
+        t.context(schema);
+        t.text.push_str(
+            "You are acting as the storage layer of a relational database. \
+             Using only your internal knowledge, list up to ",
+        );
+        t.slot(Slot::Limit);
+        t.text
+            .push_str(" distinct entities of the relation described above");
+        if filter.is_some() {
+            t.text.push_str(" that satisfy the filter condition");
         }
-        out.push_str("\n### INSTRUCTIONS\n");
-        out.push_str(&self.instructions());
+        t.slot(Slot::Skipping(" entities you would otherwise list"));
+        t.text.push_str(
+            ". Respond with exactly one entity identifier per line, no numbering, \
+             no commentary. If you know fewer entities, list only those you know.",
+        );
+        t
+    }
+
+    /// The template of [`TaskSpec::RowBatch`] prompts for `columns` of
+    /// `table`; render with [`PromptTemplate::render_page`].
+    pub fn row_batch(
+        table: &str,
+        columns: &[impl AsRef<str>],
+        filter: Option<&str>,
+        schema: Option<&Schema>,
+    ) -> Self {
+        let mut t = Self::begin("row_batch");
+        t.line("table", table);
+        t.columns_line(columns);
+        t.page_lines(filter);
+        t.context(schema);
+        t.text.push_str(
+            "You are acting as the storage layer of a relational database. \
+             Produce up to ",
+        );
+        t.slot(Slot::Limit);
+        t.text
+            .push_str(" rows of the relation described above, returning the columns [");
+        t.joined(columns, ", ");
+        t.text.push_str("] in that exact order");
+        if filter.is_some() {
+            t.text
+                .push_str(", including only rows that satisfy the filter condition");
+        }
+        t.slot(Slot::Skipping(" rows you would otherwise return"));
+        t.text.push_str(
+            ". Respond with one row per line, column values separated by \" | \". \
+             Write NULL for values you do not know. No header, no commentary.",
+        );
+        t
+    }
+
+    /// The template of [`TaskSpec::Lookup`] prompts for `columns` of one
+    /// entity of `table`; render with [`PromptTemplate::render_key`].
+    pub fn lookup(table: &str, columns: &[impl AsRef<str>], schema: Option<&Schema>) -> Self {
+        let mut t = Self::begin("lookup");
+        t.line("table", table);
+        t.key_line();
+        t.columns_line(columns);
+        t.context(schema);
+        t.text.push_str(
+            "You are acting as the storage layer of a relational database. For the single \
+             entity identified by \"",
+        );
+        t.slot(Slot::Key);
+        t.text.push_str("\", return the values of the columns [");
+        t.joined(columns, ", ");
+        t.text.push_str(
+            "] in that exact order on one line, separated by \" | \". Write NULL for values \
+             you do not know. No commentary.",
+        );
+        t
+    }
+
+    /// The template of [`TaskSpec::FilterCheck`] prompts asking `condition`
+    /// of one entity of `table`; render with [`PromptTemplate::render_key`].
+    pub fn filter_check(table: &str, condition: &str, schema: Option<&Schema>) -> Self {
+        let mut t = Self::begin("filter_check");
+        t.line("table", table);
+        t.key_line();
+        t.line("condition", condition);
+        t.context(schema);
+        t.text.push_str("Consider the entity identified by \"");
+        t.slot(Slot::Key);
+        t.text
+            .push_str("\" in the relation described above. Does it satisfy the condition `");
+        t.text.push_str(condition);
+        t.text.push_str(
+            "`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, answer \
+             \"unknown\".",
+        );
+        t
+    }
+
+    /// The [`TaskSpec::FullQuery`] prompt: nothing in it varies.
+    fn full_query(sql: &str, columns: &[String], schema: Option<&Schema>) -> Self {
+        let mut t = Self::begin("full_query");
+        t.line("sql", sql);
+        t.columns_line(columns);
+        t.context(schema);
+        t.text.push_str(
+            "You are acting as a complete SQL database engine whose data is your internal \
+             world knowledge. Execute the following SQL query and return the result table:\n",
+        );
+        t.text.push_str(sql);
+        t.text.push_str(
+            "\nRespond with one result row per line, column values separated by \" | \", \
+             in the column order of the SELECT list. Write NULL for unknown values. \
+             No header, no commentary.",
+        );
+        t
+    }
+
+    /// The prompt for the entity `key`.
+    pub fn render_key(&self, key: &str) -> String {
+        self.render(key, 0, 0)
+    }
+
+    /// The prompt for the page of up to `limit` rows starting at `offset`.
+    pub fn render_page(&self, limit: usize, offset: usize) -> String {
+        self.render("", limit, offset)
+    }
+
+    /// Copy the fixed text, writing each slot's field where it belongs.
+    fn render(&self, key: &str, limit: usize, offset: usize) -> String {
+        let width = |slot: Slot| match slot {
+            Slot::Key => key.len(),
+            Slot::Limit => digits(limit),
+            Slot::Offset => digits(offset),
+            Slot::Skipping(_) if offset == 0 => 0,
+            Slot::Skipping(what) => SKIPPING.len() + digits(offset) + what.len(),
+        };
+        let fields: usize = self.slots.iter().map(|&(_, slot)| width(slot)).sum();
+        let mut out = String::with_capacity(self.text.len() + fields);
+        let mut from = 0;
+        for &(at, slot) in &self.slots {
+            out.push_str(&self.text[from..at]);
+            from = at;
+            match slot {
+                Slot::Key => out.push_str(key),
+                Slot::Limit => push_number(&mut out, limit),
+                Slot::Offset => push_number(&mut out, offset),
+                Slot::Skipping(_) if offset == 0 => {}
+                Slot::Skipping(what) => {
+                    out.push_str(SKIPPING);
+                    push_number(&mut out, offset);
+                    out.push_str(what);
+                }
+            }
+        }
+        out.push_str(&self.text[from..]);
         out
+    }
+
+    /// The `### TASK` header up to the task kind.
+    fn begin(kind: &str) -> Self {
+        PromptTemplate {
+            text: format!("### TASK\nkind: {kind}"),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Mark the end of the text so far as the place of a varying field.
+    fn slot(&mut self, slot: Slot) {
+        self.slots.push((self.text.len(), slot));
+    }
+
+    /// One `name: value` header line.
+    fn line(&mut self, name: &str, value: &str) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.text, "\n{name}: {value}");
+    }
+
+    /// `items`, separated by `separator`.
+    fn joined(&mut self, items: &[impl AsRef<str>], separator: &str) {
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.text.push_str(separator);
+            }
+            self.text.push_str(item.as_ref());
+        }
+    }
+
+    /// The `columns:` header line.
+    fn columns_line(&mut self, columns: &[impl AsRef<str>]) {
+        self.text.push_str("\ncolumns: ");
+        self.joined(columns, " | ");
+    }
+
+    /// The `key:` header line.
+    fn key_line(&mut self) {
+        self.text.push_str("\nkey: ");
+        self.slot(Slot::Key);
+    }
+
+    /// The header lines of a paginated task: filter, limit, offset.
+    fn page_lines(&mut self, filter: Option<&str>) {
+        if let Some(filter) = filter {
+            self.line("filter", filter);
+        }
+        self.text.push_str("\nlimit: ");
+        self.slot(Slot::Limit);
+        self.text.push_str("\noffset: ");
+        self.slot(Slot::Offset);
+    }
+
+    /// The `### CONTEXT` section and the `### INSTRUCTIONS` heading.
+    fn context(&mut self, schema: Option<&Schema>) {
+        self.text.push_str("\n### CONTEXT\n");
+        match schema {
+            Some(schema) => write_schema(&mut self.text, schema),
+            None => self.text.push_str("(no additional context)"),
+        }
+        self.text.push_str("\n### INSTRUCTIONS\n");
     }
 }
 
 /// Natural-language description of a relation used in the CONTEXT section.
 pub fn describe_schema(schema: &Schema) -> String {
-    let mut s = format!(
-        "The relation '{}' describes {}.",
+    let mut out = String::new();
+    write_schema(&mut out, schema);
+    out
+}
+
+fn write_schema(out: &mut String, schema: &Schema) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "The relation '{}' describes {}. Its columns are: ",
         schema.name,
         schema.prompt_phrase()
     );
-    s.push_str(" Its columns are: ");
-    let cols: Vec<String> = schema
-        .columns
-        .iter()
-        .map(|c| {
-            let mut d = format!("{} ({}", c.name, c.data_type.to_string().to_lowercase());
-            if let Some(desc) = &c.description {
-                d.push_str(&format!(", {desc}"));
-            }
-            if c.primary_key {
-                d.push_str(", identifies the entity");
-            }
-            d.push(')');
-            d
-        })
-        .collect();
-    s.push_str(&cols.join("; "));
-    s.push('.');
-    s
+    for (i, column) in schema.columns.iter().enumerate() {
+        if i > 0 {
+            out.push_str("; ");
+        }
+        let data_type = column.data_type.to_string().to_lowercase();
+        let _ = write!(out, "{} ({data_type}", column.name);
+        if let Some(description) = &column.description {
+            let _ = write!(out, ", {description}");
+        }
+        if column.primary_key {
+            out.push_str(", identifies the entity");
+        }
+        out.push(')');
+    }
+    out.push('.');
 }
 
 /// Recover the [`TaskSpec`] from a prompt built by [`TaskSpec::to_prompt`].
@@ -429,6 +606,58 @@ mod tests {
             let prompt = spec.to_prompt(Some(&schema()));
             let parsed = parse_task(&prompt).unwrap();
             assert_eq!(parsed, spec, "prompt was:\n{prompt}");
+        }
+    }
+
+    #[test]
+    fn a_template_renders_what_to_prompt_does_into_an_exactly_sized_string() {
+        let schema = schema();
+        let columns = vec!["name".to_string(), "population".to_string()];
+        let pages = [
+            PromptTemplate::row_batch("countries", &columns, Some("population > 5"), Some(&schema)),
+            PromptTemplate::row_batch("countries", &columns, None, None),
+        ];
+        for (limit, offset) in [
+            (1, 0),
+            (9, 9),
+            (10, 10),
+            (100, 99),
+            (usize::MAX, usize::MAX),
+        ] {
+            for (template, filter) in pages.iter().zip([Some("population > 5"), None]) {
+                let prompt = template.render_page(limit, offset);
+                let spec = TaskSpec::RowBatch {
+                    table: "countries".into(),
+                    columns: columns.clone(),
+                    filter: filter.map(String::from),
+                    limit,
+                    offset,
+                };
+                assert_eq!(prompt, spec.to_prompt(filter.map(|_| &schema)));
+                assert_eq!(
+                    prompt.capacity(),
+                    prompt.len(),
+                    "sized for {limit} + {offset}"
+                );
+            }
+            let prompt = PromptTemplate::enumerate("countries", None, Some(&schema))
+                .render_page(limit, offset);
+            assert_eq!(
+                prompt.capacity(),
+                prompt.len(),
+                "sized for {limit} + {offset}"
+            );
+        }
+        let lookups = PromptTemplate::lookup("countries", &columns, Some(&schema));
+        for key in ["", "France", "Côte d'Ivoire", "a \"quoted\" | key"] {
+            let prompt = lookups.render_key(key);
+            let spec = TaskSpec::Lookup {
+                table: "countries".into(),
+                key: key.into(),
+                columns: columns.clone(),
+            };
+            assert_eq!(prompt, spec.to_prompt(Some(&schema)));
+            assert_eq!(prompt.capacity(), prompt.len(), "sized for {key:?}");
         }
     }
 
