@@ -9,7 +9,7 @@
 
 use llmsql_bench::{experiment_world, llm_config, QUERIES_PER_CLASS};
 use llmsql_core::EvalOptions;
-use llmsql_types::{EngineConfig, LlmFidelity, PromptStrategy};
+use llmsql_types::{EngineConfig, LlmFidelity, OptimizerOptions, PromptStrategy};
 use llmsql_workload::{fmt_f2, fmt_score, run_suite, standard_suite, Report};
 
 fn main() {
@@ -28,19 +28,17 @@ fn main() {
         ("all rules on", base.clone()),
         ("no predicate pushdown", {
             let mut c = base.clone();
-            c.enable_predicate_pushdown = false;
+            c.optimizer.predicate_pushdown = false;
             c
         }),
         ("no projection pruning", {
             let mut c = base.clone();
-            c.enable_projection_pruning = false;
+            c.optimizer.projection_pruning = false;
             c
         }),
         ("optimizer off", {
             let mut c = base.clone();
-            c.enable_optimizer = false;
-            c.enable_predicate_pushdown = false;
-            c.enable_projection_pruning = false;
+            c.optimizer = OptimizerOptions::disabled();
             c
         }),
         ("all rules on + prompt cache", {

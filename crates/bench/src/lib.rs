@@ -92,7 +92,7 @@ pub fn parallel_world(rows: usize, fidelity: LlmFidelity, latency_ms: f64) -> (C
 /// The standard parallel-dispatch scenario shared by the bench, the speedup
 /// integration test and the `parallel_scan` example: a batched LLM-only scan
 /// of a [`parallel_world`] relation in pages of 10, prompt cache off (every
-/// run pays the full call pattern), with the given worker-pool width.
+/// run pays the full call pattern), keeping `parallelism` requests in flight.
 pub fn parallel_scan_engine(rows: usize, parallelism: usize, latency_ms: f64) -> Engine {
     let (catalog, sim) = parallel_world(rows, LlmFidelity::perfect(), latency_ms);
     let mut config = EngineConfig::default()

@@ -13,7 +13,7 @@ use llmsql_llm::{
 };
 use llmsql_plan::{
     bind_select, cost_plan, lint_plan, optimize_traced, schema_from_create, CostParams,
-    LogicalPlan, OptimizerOptions, RuleTrace,
+    LogicalPlan, RuleTrace,
 };
 use llmsql_sql::ast::{InsertStatement, SelectStatement, Statement};
 use llmsql_sql::parse_statement;
@@ -347,16 +347,7 @@ impl Engine {
     /// (`EXPLAIN` prints the trace).
     pub fn plan_select_traced(&self, select: &SelectStatement) -> Result<(LogicalPlan, RuleTrace)> {
         let bound = bind_select(&self.catalog, select)?;
-        let options = if self.config.enable_optimizer {
-            OptimizerOptions {
-                predicate_pushdown: self.config.enable_predicate_pushdown,
-                projection_pruning: self.config.enable_projection_pruning,
-                ..OptimizerOptions::default()
-            }
-        } else {
-            OptimizerOptions::disabled()
-        };
-        Ok(optimize_traced(bound, &options))
+        Ok(optimize_traced(bound, &self.config.optimizer))
     }
 
     /// Cost-model parameters for a plan: engine config plus cardinality

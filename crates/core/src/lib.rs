@@ -59,5 +59,5 @@ pub use result::QueryResult;
 
 // Re-export the configuration types users need to drive the engine.
 pub use llmsql_types::{
-    EngineConfig, ExecutionMode, LlmCostModel, LlmFidelity, PromptStrategy, Value,
+    EngineConfig, ExecutionMode, LlmCostModel, LlmFidelity, OptimizerOptions, PromptStrategy, Value,
 };

@@ -125,10 +125,18 @@ impl ExecContext {
         self.reactor.as_ref()
     }
 
-    /// Copy this query's per-backend physical-call counters (the delta since
-    /// context creation) into [`crate::ExecMetrics`]. Called once at the end
-    /// of plan execution; callers driving scans directly can invoke it
-    /// manually before snapshotting metrics.
+    /// Copy the per-backend physical-call counters' delta since context
+    /// creation into [`crate::ExecMetrics`] (`backend_calls`,
+    /// `backend_errors`, `backend_latency_ms`, `hedges_issued`,
+    /// `hedges_won`). Called once at the end of plan execution; callers
+    /// driving scans directly can invoke it manually before snapshotting
+    /// metrics.
+    ///
+    /// The counters are the *pool's*, not the query's: exact for a
+    /// standalone engine; a deployment-wide delta under a scheduler, where
+    /// one engine and one pool serve several workers and a query's numbers
+    /// include the attempts concurrent queries made meanwhile. Per-query
+    /// attribution needs the registry of ROADMAP item 2(c).
     pub fn sync_backend_metrics(&self) {
         let Some(stats) = self
             .client

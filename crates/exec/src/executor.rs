@@ -1,24 +1,23 @@
 //! The plan interpreter: turns a [`LogicalPlan`] into rows.
 //!
 //! Execution is operator-at-a-time (each operator materializes its output),
-//! which keeps every operator easy to verify in isolation. Latency no longer
-//! comes operator-at-a-time, though: scans keep a window of model calls in
-//! flight (see [`crate::scan`]), and the CPU-bound operators
-//! (`Filter`, `Project`, the hash-join build/probe) fan out over the same
-//! worker-pool width once inputs exceed [`PAR_ROW_THRESHOLD`] rows. Both
-//! levels are controlled by `EngineConfig::parallelism` and preserve output
-//! order exactly, so plans produce identical rows at any setting.
+//! which keeps every operator easy to verify in isolation. The only latency
+//! worth overlapping is the model round trip, and that happens inside a
+//! scan: it keeps a window of `EngineConfig::parallelism` model calls in
+//! flight (see [`crate::scan`]). The relational operators above a scan run
+//! on the calling thread — their inputs are capped by `max_scan_rows` and
+//! cost microseconds, less than spawning a thread does — so a plan produces
+//! identical rows at any `parallelism`.
 
 use std::collections::HashMap;
 
 use llmsql_plan::{BoundExpr, LogicalPlan, SortKey};
 use llmsql_sql::ast::{BinaryOp, JoinKind};
 use llmsql_store::CatalogEntry;
-use llmsql_types::{Batch, Error, ExecutionMode, RelSchema, Result, Row, Value};
+use llmsql_types::{Batch, Error, ExecutionMode, Result, Row, Value};
 
 use crate::context::ExecContext;
 use crate::eval::{eval, eval_predicate, AggAccumulator};
-use crate::parallel::{par_map, try_par_map, PAR_ROW_THRESHOLD};
 use crate::scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 /// Execute a logical plan and return the result batch.
@@ -96,26 +95,35 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
         }
         LogicalPlan::Filter { input, predicate } => {
             ctx.metrics.update(|m| m.record_operator("Filter"));
-            let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            let keep = try_par_map(operator_parallelism(ctx, rows.len()), &rows, |_, row| {
-                Ok(eval_predicate(predicate, row)? == Some(true))
-            })?;
-            Ok(rows
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(row, keep)| keep.then_some(row))
-                .collect())
+            let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
+            // In place. `retain` cannot stop early, so the first error parks
+            // here and the rest of the pass evaluates nothing.
+            let mut error = None;
+            rows.retain(|row| {
+                if error.is_some() {
+                    return false;
+                }
+                match eval_predicate(predicate, row) {
+                    Ok(keep) => keep == Some(true),
+                    Err(e) => {
+                        error = Some(e);
+                        false
+                    }
+                }
+            });
+            error.map_or(Ok(rows), Err)
         }
         LogicalPlan::Project { input, exprs, .. } => {
             ctx.metrics.update(|m| m.record_operator("Project"));
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            try_par_map(operator_parallelism(ctx, rows.len()), &rows, |_, row| {
-                exprs
-                    .iter()
-                    .map(|e| eval(e, row))
-                    .collect::<Result<Vec<Value>>>()
-                    .map(Row::new)
-            })
+            // Consuming the input lets the output rows be collected into the
+            // input's own buffer: one pass and no second vector.
+            rows.into_iter()
+                .map(|row| {
+                    let values: Result<Vec<Value>> = exprs.iter().map(|e| eval(e, &row)).collect();
+                    values.map(Row::new)
+                })
+                .collect()
         }
         LogicalPlan::Join {
             left,
@@ -127,14 +135,13 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             ctx.metrics.update(|m| m.record_operator("Join"));
             let left_rows = execute_rows_at(ctx, left, &format!("{path}.0"))?;
             let right_rows = execute_rows_at(ctx, right, &format!("{path}.1"))?;
-            join_rows_with_parallelism(
+            join_rows(
                 &left_rows,
                 &right_rows,
                 left.schema().len(),
                 right.schema().len(),
                 *kind,
                 on.as_ref(),
-                operator_parallelism(ctx, left_rows.len().max(right_rows.len())),
             )
         }
         LogicalPlan::Aggregate {
@@ -241,20 +248,11 @@ fn equi_keys(on: &BoundExpr, left_arity: usize) -> (Vec<(usize, usize)>, Vec<Bou
     (keys, residual)
 }
 
-/// The worker-pool width to use for a CPU-bound operator over `rows` rows:
-/// the configured parallelism once the input is large enough to amortize
-/// thread spawns, else sequential.
-fn operator_parallelism(ctx: &ExecContext, rows: usize) -> usize {
-    if rows >= PAR_ROW_THRESHOLD {
-        ctx.config.parallelism.max(1)
-    } else {
-        1
-    }
-}
-
-/// Join two row sets. Uses a hash join on equi-key conjuncts when possible,
-/// falling back to a nested loop; residual conditions are applied to each
-/// candidate pair. Handles INNER, LEFT, RIGHT and CROSS joins.
+/// Join two row sets: a hash join on the equi-key conjuncts of `on` when
+/// there are any, else a nested loop; what is left of the condition is
+/// applied to each candidate pair. Handles INNER, LEFT, RIGHT and CROSS
+/// joins. Output order is left-row order, then build-side row order per key;
+/// the first error in that order is the one reported.
 pub fn join_rows(
     left_rows: &[Row],
     right_rows: &[Row],
@@ -262,23 +260,6 @@ pub fn join_rows(
     right_arity: usize,
     kind: JoinKind,
     on: Option<&BoundExpr>,
-) -> Result<Vec<Row>> {
-    join_rows_with_parallelism(left_rows, right_rows, left_arity, right_arity, kind, on, 1)
-}
-
-/// [`join_rows`] with an explicit worker-pool width. Key extraction, probe
-/// and residual evaluation fan out across workers; output order (left row
-/// order, then build-side insertion order per key) is identical at any
-/// width. Join keys are borrowed from the input rows — the build side
-/// allocates no per-row key clones.
-pub fn join_rows_with_parallelism(
-    left_rows: &[Row],
-    right_rows: &[Row],
-    left_arity: usize,
-    right_arity: usize,
-    kind: JoinKind,
-    on: Option<&BoundExpr>,
-    parallelism: usize,
 ) -> Result<Vec<Row>> {
     // RIGHT JOIN is a LEFT JOIN with sides swapped then columns reordered.
     if kind == JoinKind::Right {
@@ -292,14 +273,13 @@ pub fn join_rows_with_parallelism(
             })
             .expect("total remap")
         });
-        let swapped = join_rows_with_parallelism(
+        let swapped = join_rows(
             right_rows,
             left_rows,
             right_arity,
             left_arity,
             JoinKind::Left,
             swapped_on.as_ref(),
-            parallelism,
         )?;
         return Ok(swapped
             .into_iter()
@@ -317,81 +297,68 @@ pub fn join_rows_with_parallelism(
         Some(on) => equi_keys(on, left_arity),
         None => (vec![], vec![]),
     };
-    let residual_pred = llmsql_plan::conjoin(&residual);
-
+    let pad_to = (kind == JoinKind::Left).then_some(left_arity + right_arity);
     let mut out = Vec::new();
-    if !keys.is_empty() {
-        // Hash join: build on the right side, keying by reference into the
-        // build rows (no per-row `Vec<Value>` clones). Key extraction is
-        // embarrassingly parallel; the map insert stays sequential to keep
-        // per-key candidate order equal to build-row order.
-        let right_keys: Vec<Option<Vec<&Value>>> = par_map(parallelism, right_rows, |_, r| {
-            let key: Vec<&Value> = keys.iter().map(|(_, ri)| r.get(*ri)).collect();
-            (!key.iter().any(|v| v.is_null())).then_some(key)
-        });
-        let mut table: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
-        for (r, key) in right_rows.iter().zip(right_keys) {
-            if let Some(key) = key {
-                table.entry(key).or_default().push(r);
-            }
+    if keys.is_empty() {
+        // Nested loop: every right row is a candidate for every left row.
+        for l in left_rows {
+            push_matches(&mut out, l, right_rows.iter(), on, pad_to)?;
         }
-        // Probe left rows in parallel; each worker emits its row's matches,
-        // concatenated afterwards in left-row order.
-        let table = &table;
-        let residual_pred = &residual_pred;
-        let per_left: Vec<Result<Vec<Row>>> = par_map(parallelism, left_rows, |_, l| {
-            let key: Vec<&Value> = keys.iter().map(|(li, _)| l.get(*li)).collect();
-            let mut matches = Vec::new();
-            if !key.iter().any(|v| v.is_null()) {
-                if let Some(candidates) = table.get(&key) {
-                    for r in candidates {
-                        let combined = l.concat(r);
-                        let keep = match residual_pred {
-                            Some(p) => eval_predicate(p, &combined)? == Some(true),
-                            None => true,
-                        };
-                        if keep {
-                            matches.push(combined);
-                        }
-                    }
-                }
-            }
-            if matches.is_empty() && kind == JoinKind::Left {
-                let mut padded = l.clone();
-                padded.resize(left_arity + right_arity);
-                matches.push(padded);
-            }
-            Ok(matches)
-        });
-        for matches in per_left {
-            out.extend(matches?);
-        }
-    } else {
-        // Nested loop, parallel over the outer (left) side.
-        let per_left: Vec<Result<Vec<Row>>> = par_map(parallelism, left_rows, |_, l| {
-            let mut matches = Vec::new();
-            for r in right_rows {
-                let combined = l.concat(r);
-                let keep = match on {
-                    Some(p) => eval_predicate(p, &combined)? == Some(true),
-                    None => true,
-                };
-                if keep {
-                    matches.push(combined);
-                }
-            }
-            if matches.is_empty() && kind == JoinKind::Left {
-                let mut padded = l.clone();
-                padded.resize(left_arity + right_arity);
-                matches.push(padded);
-            }
-            Ok(matches)
-        });
-        for matches in per_left {
-            out.extend(matches?);
+        return Ok(out);
+    }
+    // Hash join: build on the right side in one pass, keyed by reference
+    // into the build rows (no per-row `Vec<Value>` clones), then probe and
+    // push straight into `out`. A NULL key matches nothing on either side.
+    let mut table: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
+    for r in right_rows {
+        let key: Vec<&Value> = keys.iter().map(|(_, ri)| r.get(*ri)).collect();
+        if !key.iter().any(|v| v.is_null()) {
+            table.entry(key).or_default().push(r);
         }
     }
+    let residual = llmsql_plan::conjoin(&residual);
+    let mut key = Vec::with_capacity(keys.len());
+    for l in left_rows {
+        key.clear();
+        key.extend(keys.iter().map(|(li, _)| l.get(*li)));
+        let candidates = if key.iter().any(|v| v.is_null()) {
+            None
+        } else {
+            table.get(&key)
+        };
+        let candidates = candidates.into_iter().flatten().copied();
+        push_matches(&mut out, l, candidates, residual.as_ref(), pad_to)?;
+    }
     Ok(out)
+}
+
+/// Append to `out` every `l ++ r` over `candidates` that passes `pred`. A
+/// left row left without a match is padded with NULLs to `pad_to` columns
+/// (LEFT JOIN) or dropped (`None`).
+fn push_matches<'a>(
+    out: &mut Vec<Row>,
+    l: &Row,
+    candidates: impl Iterator<Item = &'a Row>,
+    pred: Option<&BoundExpr>,
+    pad_to: Option<usize>,
+) -> Result<()> {
+    let before = out.len();
+    for r in candidates {
+        let combined = l.concat(r);
+        let keep = match pred {
+            Some(p) => eval_predicate(p, &combined)? == Some(true),
+            None => true,
+        };
+        if keep {
+            out.push(combined);
+        }
+    }
+    if let (true, Some(width)) = (out.len() == before, pad_to) {
+        let mut padded = l.clone();
+        padded.resize(width);
+        out.push(padded);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -507,21 +474,6 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
         *slot = taken[src].take().expect("each source row moved once");
     }
     Ok(())
-}
-
-/// Convenience for tests and benchmarks: execute and render as an ASCII table.
-pub fn execute_to_table(ctx: &ExecContext, plan: &LogicalPlan) -> Result<String> {
-    Ok(execute(ctx, plan)?.to_ascii_table())
-}
-
-/// Build an empty batch with the plan's schema (used for EXPLAIN-only paths).
-pub fn empty_result(plan: &LogicalPlan) -> Batch {
-    Batch::empty(plan.schema())
-}
-
-/// Helper: look up the output schema of a plan (re-exported convenience).
-pub fn output_schema(plan: &LogicalPlan) -> RelSchema {
-    plan.schema()
 }
 
 #[cfg(test)]

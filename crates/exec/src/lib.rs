@@ -29,15 +29,15 @@
 //! storage layer, relational operators (filter, project, hash/nested-loop
 //! join, hash aggregate, sort, limit, distinct), and the plan interpreter.
 //!
-//! Execution is operator-at-a-time, but the latency-critical work inside an
-//! operator is parallel: LLM-backed scans keep a window of prompts in flight
-//! and CPU-heavy operators fan out above a row-count threshold, all governed
-//! by `EngineConfig::parallelism`. Dispatch is event-driven: one thread
+//! Execution is operator-at-a-time and single-threaded per query. The one
+//! latency worth overlapping is the model round trip: an LLM-backed scan
+//! keeps a window of `EngineConfig::parallelism` prompts in flight, and that
+//! is all `parallelism` means. Dispatch is event-driven — the query's thread
 //! parks on the [`reactor`] holding the whole window of poll-based
-//! submissions; the scoped thread pool ([`parallel::par_map`]) serves the
-//! CPU-bound relational operators only. Output order and (for scans) the
-//! set of issued prompts are deterministic, so any parallelism setting
-//! produces byte-identical results for a fixed seed.
+//! submissions — and the relational operators above a scan run on that same
+//! thread; no thread is spawned here. Output order and (for scans) the set
+//! of issued prompts are deterministic, so any parallelism setting produces
+//! byte-identical results for a fixed seed.
 
 #![warn(missing_docs)]
 
@@ -45,18 +45,14 @@ pub mod context;
 pub mod eval;
 pub mod executor;
 pub mod metrics;
-pub mod parallel;
 pub mod reactor;
 pub mod scan;
 pub mod slots;
 
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
-pub use executor::{
-    aggregate_rows, execute, execute_rows, join_rows, join_rows_with_parallelism, sort_rows,
-};
+pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
 pub use metrics::{ExecMetrics, InFlightGuard, OpStats, SharedMetrics};
-pub use parallel::{par_map, try_par_map, PAR_ROW_THRESHOLD};
 pub use reactor::{
     drive, Completion, DriveOutcome, LiveSet, SharedReactor, Stream, TimerId, TimerWheel,
 };

@@ -47,14 +47,16 @@ pub struct ExecMetrics {
     pub peak_in_flight: u64,
     /// Dispatches that went through a shared cross-query slot pool.
     pub slot_waits: u64,
-    /// Hedged requests issued on this query's behalf: duplicates of a late
+    /// Hedged requests issued while this query ran: duplicates of a late
     /// in-flight request sent to a sibling backend. Hedges are physical
     /// attempts — they never consume the logical call budget
     /// (`max_llm_calls`), like retries — but each held a call slot while in
-    /// flight.
+    /// flight. Exact for a standalone engine; a deployment-wide delta under
+    /// a scheduler (see [`crate::ExecContext::sync_backend_metrics`]).
     pub hedges_issued: u64,
     /// Hedges whose response beat the late primary (each one shaved the
-    /// difference off this query's tail latency).
+    /// difference off a tail latency). Exact for a standalone engine; a
+    /// deployment-wide delta under a scheduler.
     pub hedges_won: u64,
     /// Logical calls served by deployment-scope coalescing: an identical
     /// request (possibly from another query on the shared reactor) was
@@ -76,11 +78,17 @@ pub struct ExecMetrics {
     pub llm_calls_by_kind: BTreeMap<String, u64>,
     /// Physical attempts per backend (multi-backend deployments only;
     /// includes failed attempts and retries, so the sum can exceed
-    /// [`ExecMetrics::llm_calls`], which counts *logical* prompts).
+    /// [`ExecMetrics::llm_calls`], which counts *logical* prompts). Like the
+    /// two maps below, a delta of the *pool's* counter over the query's
+    /// lifetime: exact for a standalone engine; a deployment-wide delta
+    /// under a scheduler (see [`crate::ExecContext::sync_backend_metrics`]).
     pub backend_calls: BTreeMap<String, u64>,
-    /// Failed attempts per backend.
+    /// Failed attempts per backend. Exact for a standalone engine; a
+    /// deployment-wide delta under a scheduler.
     pub backend_errors: BTreeMap<String, u64>,
     /// Reported completion latency accumulated per backend, milliseconds.
+    /// Exact for a standalone engine; a deployment-wide delta under a
+    /// scheduler.
     pub backend_latency_ms: BTreeMap<String, f64>,
     /// Plan nodes executed, by operator name.
     pub operators: BTreeMap<String, u64>,

@@ -1,5 +1,5 @@
-//! The event-driven dispatch core: a timer wheel plus a completion-polling
-//! event loop that lets **one OS thread hold many in-flight LLM calls**.
+//! The event-driven dispatch core: a completion-polling event loop that lets
+//! **one OS thread hold many in-flight LLM calls**.
 //!
 //! # Why
 //!
@@ -8,7 +8,7 @@
 //! `SchedConfig::llm_slots = 64` would need ~64 sleeping threads. Instead a
 //! scan worker *submits* each request through the poll-based API
 //! (`LanguageModel::submit` → `llmsql_llm::CallHandle`) and then parks
-//! **here**, polling the handles as their timers expire — 64 in-flight
+//! **here**, polling the handles as their wakeups arrive — 64 in-flight
 //! simulated calls are then held by the one worker thread that planned
 //! them.
 //!
@@ -30,17 +30,19 @@
 //!   resolved — not when some batch has drained. Younger operations keep
 //!   their place and their progress, and are often already resolved when
 //!   their turn comes.
-//! * **timers** — each pending operation's wakeup is armed on the
-//!   [`TimerWheel`]; when an operation completes, its timer is **cancelled**
-//!   (a completed call never fires a stale wakeup). Backoff, hedge-arm and
-//!   simulated-latency deadlines all flow through the same wheel.
+//! * **wake-ups** — the loop keeps no timer state of its own. Every round
+//!   visits every live operation anyway, so it reads each survivor's
+//!   [`Completion::next_wakeup`] there and sleeps until the earliest;
+//!   nothing is armed and nothing is cancelled, so a completed call cannot
+//!   leave a stale wakeup behind. Backoff, hedge-arm and simulated-latency
+//!   deadlines all reach the loop this one way, in both loops.
 //! * **completion cascades** — finishing one operation can unblock another
 //!   (dropping a slot permit frees capacity a parked operation is waiting
 //!   for), so after any completion the loop re-polls every due operation
 //!   before sleeping again.
 //! * **cancellation / who owns the slot guard** — the *operation* owns its
 //!   slot permit (acquired through its admission gate, held for exactly one
-//!   dispatch, released on resolution). The reactor owns nothing but timers:
+//!   dispatch, released on resolution). The reactor owns nothing besides:
 //!   dropping a [`LiveSet`] or a [`Stream`] drops its unfinished operations,
 //!   and their `Drop` impls release permits, single-flight leaderships and
 //!   per-backend gauges. Dropping is cancelling; there is no other cancel
@@ -51,9 +53,11 @@
 //!   mid-flight, which is what bounds a late query's overhang to what it
 //!   already had in flight.
 //!
-//! The loop never spins: between polls it sleeps until the wheel's next
-//! deadline (or a short floor when an operation declares itself immediately
-//! pollable, e.g. waiting on a slot another *thread's* reactor will free).
+//! The loop never spins: between polls it sleeps until the earliest wakeup
+//! its operations report, exactly (a short floor stands in when an operation
+//! declares itself immediately pollable, e.g. waiting on a slot another
+//! *thread's* reactor will free), or the deadline — never for less than
+//! `MIN_SLEEP`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -85,7 +89,7 @@ pub enum DriveOutcome {
     DeadlineExceeded,
 }
 
-/// Timer granularity: fine enough that sub-millisecond backoffs and
+/// [`TimerWheel`] granularity: fine enough that sub-millisecond backoffs and
 /// follower retries are not rounded into oblivion, coarse enough that the
 /// wheel stays tiny.
 const TICK: Duration = Duration::from_micros(250);
@@ -104,7 +108,8 @@ const MIN_SLEEP: Duration = Duration::from_micros(50);
 const IMMEDIATE_RETRY: Duration = Duration::from_micros(250);
 
 /// Identifies one armed timer; returned by [`TimerWheel::arm`] and required
-/// for [`TimerWheel::cancel`].
+/// for [`TimerWheel::cancel`]. Kept, like the wheel, for the benchmark's
+/// probe only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerId {
     id: u64,
@@ -119,6 +124,12 @@ struct WheelEntry {
 /// A hashed timer wheel: O(1) arm/cancel, expiry by advancing a cursor over
 /// the slots. Entries past one revolution stay in their slot and fire on the
 /// revolution their absolute tick falls in.
+///
+/// **No engine path uses it.** Both event loops read wakeups from their
+/// operations (see the module docs). The wheel and [`TimerId`] stay exported,
+/// signatures unchanged, because the frozen benchmark package's probe
+/// (`exec.reactor.timer_ns`) imports them; they go when that package is next
+/// opened (ROADMAP item 4b).
 pub struct TimerWheel {
     slots: Vec<Vec<WheelEntry>>,
     epoch: Instant,
@@ -246,31 +257,33 @@ impl<C: Completion + ?Sized> Completion for &mut C {
     }
 }
 
+/// When `op` next wants a poll, for a loop about to sleep. An operation that
+/// says "immediately" yet did not resolve is blocked on state another thread
+/// will change (a slot permit, say) and gets the [`IMMEDIATE_RETRY`] floor.
+fn wake_time<C: Completion + ?Sized>(op: &C, now: Instant) -> Instant {
+    op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY)
+}
+
 /// One operation of a [`LiveSet`].
 struct Live<C> {
     op: C,
     done: bool,
-    /// The armed timer (cancelled on completion, re-armed on change).
-    armed: Option<(TimerId, Instant)>,
 }
 
 /// The private event loop: a live set of operations in submission order,
 /// driven by the thread that owns it (see the module docs for the contract).
 /// Operations join at any time ([`LiveSet::push`]); [`LiveSet::wait_head`]
-/// runs *all* of them and returns when the oldest resolves. Dropping the set
-/// drops — cancels — whatever is still unfinished.
+/// runs *all* of them and returns when the oldest resolves. The set keeps no
+/// timer state: each round reads the operations' own wakeups. Dropping the
+/// set drops — cancels — whatever is still unfinished.
 pub struct LiveSet<C> {
     ops: VecDeque<Live<C>>,
-    /// Built by the first wait that has to sleep: operations that resolve
-    /// on their first poll (cache hits, ready handles) cost no timer wheel.
-    wheel: Option<TimerWheel>,
 }
 
 impl<C> Default for LiveSet<C> {
     fn default() -> Self {
         LiveSet {
             ops: VecDeque::new(),
-            wheel: None,
         }
     }
 }
@@ -281,11 +294,7 @@ impl<C: Completion> LiveSet<C> {
     /// flight before the caller does anything else.
     pub fn push(&mut self, mut op: C) {
         let done = op.poll(Instant::now());
-        self.ops.push_back(Live {
-            op,
-            done,
-            armed: None,
-        });
+        self.ops.push_back(Live { op, done });
     }
 
     /// Drive every live operation until the **head** — the oldest one not
@@ -295,6 +304,11 @@ impl<C: Completion> LiveSet<C> {
     /// `deadline` has passed an unresolved head reports
     /// [`DriveOutcome::DeadlineExceeded`] and stays where it is: dropping
     /// the set is the cancellation.
+    ///
+    /// The sleep rule, shared with [`SharedReactor`]'s driver loop: poll
+    /// every due operation; after any completion go round again; otherwise
+    /// sleep until the earliest of the survivors' `wake_time`s and the
+    /// deadline, and never for less than `MIN_SLEEP`.
     pub fn wait_head(&mut self, deadline: Option<Instant>) -> Option<DriveOutcome> {
         loop {
             if self.ops.front()?.done {
@@ -305,70 +319,28 @@ impl<C: Completion> LiveSet<C> {
             if deadline.is_some_and(|d| now >= d) {
                 return Some(DriveOutcome::DeadlineExceeded);
             }
-            // Expire due timers (the fired entries are gone from the wheel,
-            // so their operations must not try to cancel them later).
-            if let Some(wheel) = &mut self.wheel {
-                for fired in wheel.advance(now) {
-                    for live in &mut self.ops {
-                        if live.armed.is_some_and(|(id, _)| id == fired) {
-                            live.armed = None;
-                        }
-                    }
-                }
-            }
-            // Poll every due operation. Completions can cascade (a released
-            // slot permit unblocks a parked operation), so after any
-            // completion go round again before sleeping.
+            // Completions can cascade (a released slot permit unblocks a
+            // parked operation), hence the extra round before any sleep.
             let mut progressed = false;
             for live in self.ops.iter_mut().filter(|live| !live.done) {
                 let due = live.op.next_wakeup(now).is_none_or(|wake| wake <= now);
                 if due && live.op.poll(now) {
                     live.done = true;
-                    if let (Some((timer, _)), Some(wheel)) = (live.armed.take(), &mut self.wheel) {
-                        wheel.cancel(timer);
-                    }
                     progressed = true;
                 }
             }
             if progressed {
                 continue;
             }
-            // Re-arm timers to the survivors' current wakeups and sleep
-            // until the earliest of: the wheel, the deadline, or the
-            // immediate-retry floor for operations that are pollable but
-            // blocked on external state.
-            let wheel = self.wheel.get_or_insert_with(TimerWheel::new);
-            let mut immediate = false;
-            for live in self.ops.iter_mut().filter(|live| !live.done) {
-                match live.op.next_wakeup(now) {
-                    None => {
-                        immediate = true;
-                        if let Some((timer, _)) = live.armed.take() {
-                            wheel.cancel(timer);
-                        }
-                    }
-                    Some(wake) => {
-                        let stale = live
-                            .armed
-                            .is_none_or(|(_, at)| wake.max(at) - wake.min(at) > TICK);
-                        if stale {
-                            if let Some((timer, _)) = live.armed.take() {
-                                wheel.cancel(timer);
-                            }
-                            live.armed = Some((wheel.arm(wake), wake));
-                        }
-                    }
-                }
-            }
-            let mut wake_at = wheel.next_deadline();
-            if immediate {
-                let retry = now + IMMEDIATE_RETRY;
-                wake_at = Some(wake_at.map_or(retry, |w| w.min(retry)));
-            }
-            if let Some(d) = deadline {
-                wake_at = Some(wake_at.map_or(d, |w| w.min(d)));
-            }
-            let until = wake_at.unwrap_or(now + IMMEDIATE_RETRY);
+            let until = self
+                .ops
+                .iter()
+                .filter(|live| !live.done)
+                .map(|live| wake_time(&live.op, now))
+                .chain(deadline)
+                .min()
+                // Unreachable: the unresolved head is live.
+                .unwrap_or(now + IMMEDIATE_RETRY);
             std::thread::sleep(until.saturating_duration_since(now).max(MIN_SLEEP));
         }
     }
@@ -378,7 +350,9 @@ impl<C: Completion> LiveSet<C> {
 /// fires: a [`LiveSet`] fed the whole slice and waited on until it is empty.
 /// The caller inspects its operations afterwards for results; on
 /// [`DriveOutcome::DeadlineExceeded`] the unfinished ones are simply dropped
-/// — that *is* the cancellation.
+/// — that *is* the cancellation. The engine itself feeds a [`LiveSet`]
+/// directly; this wrapper stays for the frozen benchmark package's probe
+/// (ROADMAP item 4b).
 pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOutcome {
     let mut live = LiveSet::default();
     for op in ops {
@@ -552,11 +526,13 @@ impl SharedReactor {
 
     /// The driver loop: run every stream's operations until the head of the
     /// caller's own stream (`own`) resolves or its deadline fires, then
-    /// leave the seat. The polling discipline is that of
-    /// [`LiveSet::wait_head`]: level-triggered polls of due operations,
-    /// another round after any completion, and sleeps bounded by the
-    /// earliest stored wakeup / stream deadline — interruptible by new
-    /// injections.
+    /// leave the seat.
+    ///
+    /// The sleep rule is [`LiveSet::wait_head`]'s: poll every due operation;
+    /// after any completion go round again; otherwise sleep until the
+    /// earliest of the survivors' `wake_time`s and the stream deadlines, and
+    /// never for less than `MIN_SLEEP`. The one addition is that a new
+    /// injection interrupts the sleep.
     fn drive_until_head(&self, own: u64) {
         let _seat = DriverSeat { reactor: self };
         let mut completed: Vec<(u64, u64)> = Vec::new();
@@ -600,12 +576,7 @@ impl SharedReactor {
                 }
                 !finished
             });
-            // Operations that are pollable but blocked on external state
-            // get the immediate-retry floor.
-            let wake_at = live
-                .iter()
-                .map(|t| t.op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY))
-                .min();
+            let wake_at = live.iter().map(|t| wake_time(&*t.op, now)).min();
             drop(live);
 
             let mut state = self.lock_state();

@@ -49,7 +49,7 @@ pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 /// wall clock or sleep. Everything else either routes through these or
 /// carries a `banned-time` ledger entry with a reason.
 pub const TIME_ALLOWLIST: &[&str] = &[
-    // The event loop: owns the timer wheel, converts deadlines to parks.
+    // The event loop: reads the clock, converts wakeups and deadlines to parks.
     "crates/exec/src/reactor.rs",
     // The benchmark harness shim: measuring wall time is its purpose.
     "crates/shims/criterion/src/lib.rs",

@@ -184,11 +184,6 @@ impl LlmClient {
         client
     }
 
-    /// The wrapped model's name.
-    pub fn model_name(&self) -> String {
-        self.model.name()
-    }
-
     /// Per-backend physical-call counters, when the client wraps a pool.
     pub fn backend_stats(&self) -> Option<Vec<BackendStats>> {
         self.pool.as_ref().map(|p| p.stats())

@@ -22,55 +22,17 @@
 use crate::logical::LogicalPlan;
 use crate::rules::{self, RuleTrace, ALL_RULES};
 
-/// Which rules run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizerOptions {
-    /// Fold literal-only subexpressions at plan time.
-    pub constant_folding: bool,
-    /// Push filters into scans (and through joins).
-    pub predicate_pushdown: bool,
-    /// Push LIMIT into scans when order-insensitive.
-    pub limit_pushdown: bool,
-    /// Reorder AND-ed conjuncts by estimated selectivity and cost.
-    pub conjunct_reordering: bool,
-    /// Prune unused columns from LLM scans.
-    pub projection_pruning: bool,
-}
+pub use llmsql_types::OptimizerOptions;
 
-impl Default for OptimizerOptions {
-    fn default() -> Self {
-        OptimizerOptions {
-            constant_folding: true,
-            predicate_pushdown: true,
-            limit_pushdown: true,
-            conjunct_reordering: true,
-            projection_pruning: true,
-        }
-    }
-}
-
-impl OptimizerOptions {
-    /// All rules disabled (the ablation baseline).
-    pub fn disabled() -> Self {
-        OptimizerOptions {
-            constant_folding: false,
-            predicate_pushdown: false,
-            limit_pushdown: false,
-            conjunct_reordering: false,
-            projection_pruning: false,
-        }
-    }
-
-    /// Is the rule with the given registry key enabled?
-    fn enables(&self, rule: &str) -> bool {
-        match rule {
-            rules::RULE_CONSTANT_FOLD => self.constant_folding,
-            rules::RULE_PREDICATE_PUSHDOWN => self.predicate_pushdown,
-            rules::RULE_LIMIT_PUSHDOWN => self.limit_pushdown,
-            rules::RULE_LLM_CONJUNCT_REORDER => self.conjunct_reordering,
-            rules::RULE_PROJECTION_PRUNE => self.projection_pruning,
-            _ => false,
-        }
+/// Does `options` enable the rule with the given registry key?
+fn enables(options: &OptimizerOptions, rule: &str) -> bool {
+    match rule {
+        rules::RULE_CONSTANT_FOLD => options.constant_folding,
+        rules::RULE_PREDICATE_PUSHDOWN => options.predicate_pushdown,
+        rules::RULE_LIMIT_PUSHDOWN => options.limit_pushdown,
+        rules::RULE_LLM_CONJUNCT_REORDER => options.conjunct_reordering,
+        rules::RULE_PROJECTION_PRUNE => options.projection_pruning,
+        _ => false,
     }
 }
 
@@ -88,7 +50,7 @@ pub fn optimize_traced(plan: LogicalPlan, options: &OptimizerOptions) -> (Logica
     let mut plan = plan;
     let mut trace = RuleTrace::default();
     for &(rule, apply) in ALL_RULES {
-        if !options.enables(rule) {
+        if !enables(options, rule) {
             continue;
         }
         let rewritten = apply(plan.clone());

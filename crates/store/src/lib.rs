@@ -2,8 +2,7 @@
 //! # llmsql-store
 //!
 //! The relational storage substrate: an in-memory row store with a catalog,
-//! hash and B-tree secondary indexes, CSV import/export, and controlled
-//! degradation utilities.
+//! hash and B-tree secondary indexes, and controlled degradation utilities.
 //!
 //! In the reproduction this crate plays two roles:
 //!
@@ -17,13 +16,11 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod csv;
 pub mod degrade;
 pub mod index;
 pub mod table;
 
 pub use catalog::{Catalog, CatalogEntry};
-pub use csv::{dump_csv, load_csv_into, parse_csv, table_from_csv, to_csv};
 pub use degrade::{degrade_catalog, degrade_table, DegradeReport, DegradeSpec};
 pub use index::{BTreeIndex, HashIndex, Index};
 pub use table::{simple_schema, table_with_rows, ColumnStats, Table};
@@ -35,21 +32,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// CSV round-trips arbitrary cell content.
-        #[test]
-        fn csv_roundtrip(cells in proptest::collection::vec(
-            proptest::collection::vec("[ -~]{0,12}", 1..5), 0..8)) {
-            // normalise ragged rows to the same width
-            let width = cells.iter().map(|r| r.len()).max().unwrap_or(1);
-            let rows: Vec<Vec<String>> = cells
-                .into_iter()
-                .map(|mut r| { r.resize(width, String::new()); r })
-                .collect();
-            let text = to_csv(&rows);
-            let parsed = parse_csv(&text).unwrap();
-            prop_assert_eq!(parsed, rows);
-        }
-
         /// Hash-index lookups agree with a scan for random integer data.
         #[test]
         fn index_lookup_matches_scan(values in proptest::collection::vec(0i64..50, 1..100)) {

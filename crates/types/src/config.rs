@@ -405,6 +405,47 @@ impl LlmCostModel {
     }
 }
 
+/// Which optimizer rewrite rules run; one switch per rule in the registry
+/// (`llmsql_plan::rules`). The ablation experiment (E9) measures each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OptimizerOptions {
+    /// Fold literal-only subexpressions at plan time.
+    pub constant_folding: bool,
+    /// Push filters into scans (and through joins).
+    pub predicate_pushdown: bool,
+    /// Push LIMIT into scans when order-insensitive.
+    pub limit_pushdown: bool,
+    /// Reorder AND-ed conjuncts by estimated selectivity and cost.
+    pub conjunct_reordering: bool,
+    /// Prune unused columns from LLM scans.
+    pub projection_pruning: bool,
+}
+
+impl Default for OptimizerOptions {
+    fn default() -> Self {
+        OptimizerOptions {
+            constant_folding: true,
+            predicate_pushdown: true,
+            limit_pushdown: true,
+            conjunct_reordering: true,
+            projection_pruning: true,
+        }
+    }
+}
+
+impl OptimizerOptions {
+    /// All rules disabled (the ablation baseline).
+    pub fn disabled() -> Self {
+        OptimizerOptions {
+            constant_folding: false,
+            predicate_pushdown: false,
+            limit_pushdown: false,
+            conjunct_reordering: false,
+            projection_pruning: false,
+        }
+    }
+}
+
 /// Top-level engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -432,11 +473,13 @@ pub struct EngineConfig {
     pub max_llm_calls: usize,
     /// Random seed driving the simulator's noise; fixed for reproducibility.
     pub seed: u64,
-    /// Worker threads used to dispatch independent LLM requests (and to run
-    /// CPU-heavy relational operators) concurrently. `1` means fully
-    /// sequential execution; results are identical at any setting because
-    /// scans reassemble completions in page/tuple order and the simulator's
-    /// noise is a pure function of `(seed, prompt)`.
+    /// The scan window: how many model requests one scan keeps in flight at
+    /// once, and nothing else. No thread is spawned — the query's own thread
+    /// holds the whole window on the reactor, and the relational operators
+    /// above a scan run on that thread. `1` means one request at a time;
+    /// results are identical at any setting because scans reassemble
+    /// completions in page/tuple order and the simulator's noise is a pure
+    /// function of `(seed, prompt)`.
     pub parallelism: usize,
     /// Multi-backend deployment: when non-empty, the attached model is served
     /// through a pool of these endpoints (with failover) instead of being
@@ -496,12 +539,10 @@ pub struct EngineConfig {
     pub chaos: Option<ChaosPlan>,
     /// Whether the prompt cache is enabled.
     pub enable_prompt_cache: bool,
-    /// Whether optimizer rules run (turned off by the ablation experiment).
-    pub enable_optimizer: bool,
-    /// Whether predicate pushdown into prompts is enabled (ablation).
-    pub enable_predicate_pushdown: bool,
-    /// Whether projection pruning into prompts is enabled (ablation).
-    pub enable_projection_pruning: bool,
+    /// Which optimizer rules run. All by default; the ablation experiment
+    /// turns rules off one at a time, and [`OptimizerOptions::disabled`] is
+    /// "optimizer off".
+    pub optimizer: OptimizerOptions,
     /// Per-query spend budget in dollars, checked *statically*: the plan
     /// analyzer flags (and `EXPLAIN` reports) any plan whose estimated LLM
     /// spend exceeds it. `None` (the default) means no budget — nothing is
@@ -535,9 +576,7 @@ impl Default for EngineConfig {
             partial_results: false,
             chaos: None,
             enable_prompt_cache: true,
-            enable_optimizer: true,
-            enable_predicate_pushdown: true,
-            enable_projection_pruning: true,
+            optimizer: OptimizerOptions::default(),
             cost_budget_usd: None,
         }
     }
@@ -575,8 +614,8 @@ impl EngineConfig {
         self.batch_rows_per_call = rows_per_call;
         self
     }
-    /// Builder-style: set the worker-pool width for concurrent LLM dispatch
-    /// and parallel relational operators.
+    /// Builder-style: set how many model requests one scan keeps in flight
+    /// (see [`EngineConfig::parallelism`]).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self

@@ -44,8 +44,8 @@ pub mod value;
 
 pub use chaos::{ChaosEffect, ChaosFault, ChaosPlan, ChaosWindow};
 pub use config::{
-    BackendSpec, EngineConfig, ExecutionMode, LlmCostModel, LlmFidelity, PromptStrategy,
-    RoutingPolicy,
+    BackendSpec, EngineConfig, ExecutionMode, LlmCostModel, LlmFidelity, OptimizerOptions,
+    PromptStrategy, RoutingPolicy,
 };
 pub use error::{Error, ErrorKind, Incomplete, Result};
 pub use ewma::AtomicEwmaMs;

@@ -1,8 +1,8 @@
 //! Rows and row batches.
 //!
 //! The executor is a pull-based iterator over [`Row`]s; batches are used at
-//! the edges (result sets, LLM completions parsed into groups of rows, CSV
-//! loading) where materialization is natural.
+//! the edges (result sets, LLM completions parsed into groups of rows) where
+//! materialization is natural.
 
 use std::fmt;
 

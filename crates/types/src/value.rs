@@ -211,7 +211,7 @@ impl Value {
         }
     }
 
-    /// Render the value the way it is embedded into prompts and CSV files.
+    /// Render the value the way it is embedded into prompts.
     pub fn to_display_string(&self) -> String {
         match self {
             Value::Null => "NULL".to_string(),

@@ -14,7 +14,9 @@
 //! cargo run --example explain_analyze
 //! ```
 
-use llmsql_core::{Engine, EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
+use llmsql_core::{
+    Engine, EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy,
+};
 
 const SQL: &str = "SELECT name FROM countries WHERE population > 50 AND region LIKE '%a%'";
 
@@ -24,9 +26,7 @@ fn subject(optimize: bool, oracle: &Engine) -> Result<Engine, Box<dyn std::error
         .with_strategy(PromptStrategy::BatchedRows)
         .with_fidelity(LlmFidelity::perfect());
     if !optimize {
-        config.enable_optimizer = false;
-        config.enable_predicate_pushdown = false;
-        config.enable_projection_pruning = false;
+        config.optimizer = OptimizerOptions::disabled();
     }
     let kb = Engine::knowledge_from_catalog(oracle.catalog())?;
     let mut engine = Engine::with_catalog(oracle.catalog().deep_clone()?, config);

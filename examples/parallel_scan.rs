@@ -1,6 +1,7 @@
 //! Demonstrates concurrent LLM dispatch: the same 100-row virtual-table scan
-//! executed sequentially and with 4- and 8-way worker pools, against a
-//! simulator that sleeps 2ms per request like a real endpoint would.
+//! executed with 1, 4 and 8 model requests in flight at a time — one thread
+//! holding the whole window, no worker pool — against a simulator that takes
+//! 2ms per request like a real endpoint would.
 //!
 //! Run with: `cargo run --release --example parallel_scan`
 

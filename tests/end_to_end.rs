@@ -226,8 +226,8 @@ fn optimizer_rules_reduce_model_traffic() {
         let mut config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_fidelity(LlmFidelity::perfect());
-        config.enable_predicate_pushdown = pushdown;
-        config.enable_projection_pruning = pruning;
+        config.optimizer.predicate_pushdown = pushdown;
+        config.optimizer.projection_pruning = pruning;
         config.enable_prompt_cache = false;
         let subject = w.subject_engine(config).unwrap();
         let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();

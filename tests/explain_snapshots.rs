@@ -11,7 +11,7 @@
 //! ```
 
 use llmsql_core::Engine;
-use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
+use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy};
 
 /// Replace the digits of every `wall=<float>ms` occurrence with `NN` so
 /// ANALYZE output is stable across runs (no regex: plain scan-and-rewrite).
@@ -53,9 +53,7 @@ fn engine(optimize: bool) -> Engine {
         .with_strategy(PromptStrategy::BatchedRows)
         .with_fidelity(LlmFidelity::perfect());
     if !optimize {
-        config.enable_optimizer = false;
-        config.enable_predicate_pushdown = false;
-        config.enable_projection_pruning = false;
+        config.optimizer = OptimizerOptions::disabled();
     }
     let oracle = Engine::new(EngineConfig::default().with_mode(ExecutionMode::Traditional));
     oracle

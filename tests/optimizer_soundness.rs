@@ -6,7 +6,9 @@
 //! answers.
 
 use llmsql_core::Engine;
-use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy, Row};
+use llmsql_types::{
+    EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy, Row,
+};
 use llmsql_workload::{standard_suite, World, WorldSpec};
 
 fn world() -> World {
@@ -26,9 +28,7 @@ fn subject(w: &World, optimize: bool) -> Engine {
         .with_strategy(PromptStrategy::BatchedRows)
         .with_fidelity(LlmFidelity::perfect());
     if !optimize {
-        config.enable_optimizer = false;
-        config.enable_predicate_pushdown = false;
-        config.enable_projection_pruning = false;
+        config.optimizer = OptimizerOptions::disabled();
     }
     w.subject_engine(config).unwrap()
 }

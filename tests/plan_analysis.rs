@@ -7,7 +7,9 @@
 
 use llmsql_core::Engine;
 use llmsql_store::Catalog;
-use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy, Row};
+use llmsql_types::{
+    EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy, Row,
+};
 
 const ROWS: usize = 1000;
 
@@ -60,9 +62,7 @@ fn llm_engine(catalog: &Catalog, configure: impl FnOnce(EngineConfig) -> EngineC
 }
 
 fn disable_optimizer(mut config: EngineConfig) -> EngineConfig {
-    config.enable_optimizer = false;
-    config.enable_predicate_pushdown = false;
-    config.enable_projection_pruning = false;
+    config.optimizer = OptimizerOptions::disabled();
     config
 }
 
@@ -160,7 +160,7 @@ fn each_seeded_hazard_fires_exactly_one_lint() {
     // the filter reaches the scan, pruning is disabled so the scan still
     // fetches every column for a one-column projection.
     let no_prune = llm_engine(&catalog, |mut c| {
-        c.enable_projection_pruning = false;
+        c.optimizer.projection_pruning = false;
         c
     });
     let text = explain(&no_prune, "SELECT id FROM items WHERE score > 900");

@@ -11,7 +11,7 @@
 
 use llmsql_core::{score_batches, Engine, EvalOptions};
 use llmsql_store::{degrade_catalog, DegradeSpec};
-use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
+use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy};
 use llmsql_workload::{join_chain_suite, standard_suite, World, WorldSpec};
 
 fn world() -> World {
@@ -30,9 +30,7 @@ fn optimizer_never_changes_traditional_answers() {
     let w = world();
     let optimized = w.oracle_engine();
     let mut config = EngineConfig::default().with_mode(ExecutionMode::Traditional);
-    config.enable_optimizer = false;
-    config.enable_predicate_pushdown = false;
-    config.enable_projection_pruning = false;
+    config.optimizer = OptimizerOptions::disabled();
     let unoptimized = Engine::with_catalog(w.catalog.clone(), config);
 
     let queries: Vec<_> = standard_suite(&w, 3)
