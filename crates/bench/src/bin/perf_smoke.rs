@@ -100,7 +100,8 @@ fn scheduler_throughput() -> f64 {
 }
 
 /// Cross-query dedup: 8 identical queries released simultaneously on 8
-/// workers, all sharing one reactor and coalescer. Every query is charged
+/// workers, each on its own event loop, all sharing the scheduler's
+/// coalescer. Every query is charged
 /// its full logical call budget, but concurrent identical prompts collapse
 /// into one physical request. Returns logical calls / physical calls — the
 /// deployment-wide fan-in factor (≈ query count under perfect overlap, 1.0

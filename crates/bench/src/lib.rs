@@ -109,8 +109,8 @@ pub fn parallel_scan_engine(rows: usize, parallelism: usize, latency_ms: f64) ->
     engine
 }
 
-/// The tuple-batching scenario shared by the bench gate and the
-/// shared-reactor tests: a tuple-at-a-time LLM-only scan of a
+/// The tuple-batching scenario shared by the bench gate and
+/// `tests/cross_query_dispatch.rs`: a tuple-at-a-time LLM-only scan of a
 /// [`parallel_world`] relation where up to `batch_rows_per_call` per-tuple
 /// prompts pack into one physical request
 /// (`EngineConfig::batch_rows_per_call`), prompt cache off.

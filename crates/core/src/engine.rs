@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_exec::{
-    dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext, SharedReactor,
+    dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext,
 };
 use llmsql_llm::prompt::TaskSpec;
 use llmsql_llm::{
@@ -44,10 +44,6 @@ pub struct Engine {
     /// Global LLM-call slot pool shared with other engines/queries (attached
     /// by a cross-query scheduler). `None` means unthrottled dispatch.
     slots: Option<Arc<CallSlots>>,
-    /// Deployment-shared dispatch reactor (attached by a scheduler): queries
-    /// park their requests on one shared event loop, where completions from
-    /// different queries interleave. `None` = private per-scan loops.
-    reactor: Option<Arc<SharedReactor>>,
     /// Deployment-scope single-flight table (attached by a scheduler):
     /// identical in-flight prompts across queries coalesce into one physical
     /// call. `None` = the client's own table (dedup within this engine).
@@ -62,7 +58,6 @@ impl Engine {
             config,
             client: None,
             slots: None,
-            reactor: None,
             coalescer: None,
         }
     }
@@ -74,7 +69,6 @@ impl Engine {
             config,
             client: None,
             slots: None,
-            reactor: None,
             coalescer: None,
         }
     }
@@ -118,24 +112,9 @@ impl Engine {
         self.slots.as_ref()
     }
 
-    /// Park this engine's in-flight requests on a deployment-shared
-    /// [`SharedReactor`] instead of private per-scan event loops. Attached by
-    /// `llmsql_sched::QueryScheduler` so completions from every worker's
-    /// queries interleave on one event loop; harmless to set directly. Prompt
-    /// planning, rows and logical call accounting are unchanged — only where
-    /// in-flight completions are parked is.
-    pub fn set_shared_reactor(&mut self, reactor: Arc<SharedReactor>) {
-        self.reactor = Some(reactor);
-    }
-
-    /// The attached shared reactor, if any.
-    pub fn shared_reactor(&self) -> Option<&Arc<SharedReactor>> {
-        self.reactor.as_ref()
-    }
-
     /// Coalesce this engine's in-flight prompts against a deployment-scope
     /// single-flight table: identical concurrent requests (typically from
-    /// different queries sharing the reactor) collapse into one physical call
+    /// different queries, each on its own thread) collapse into one physical call
     /// whose success fans out to every waiter. Attached by
     /// `llmsql_sched::QueryScheduler`; survives a later
     /// [`Engine::attach_model`]. Logical call accounting is unchanged —
@@ -422,16 +401,13 @@ impl Engine {
 
     /// The execution context of one query: this engine's catalog, client and
     /// configuration under the query's effective deadline, dispatching
-    /// through the attached slot pool and shared reactor (if any).
+    /// through the attached slot pool (if any).
     fn exec_context(&self, deadline_ms: Option<f64>) -> ExecContext {
         let mut config = self.config.clone();
         config.deadline_ms = deadline_ms;
         let mut ctx = ExecContext::new(self.catalog.clone(), self.client.clone(), config);
         if let Some(slots) = &self.slots {
             ctx = ctx.with_slots(Arc::clone(slots));
-        }
-        if let Some(reactor) = &self.reactor {
-            ctx = ctx.with_reactor(Arc::clone(reactor));
         }
         ctx
     }

@@ -8,7 +8,6 @@ use llmsql_store::Catalog;
 use llmsql_types::{EngineConfig, Error, Result};
 
 use crate::metrics::SharedMetrics;
-use crate::reactor::SharedReactor;
 use crate::slots::CallSlots;
 
 /// Everything an operator needs: the catalog, the (optional) LLM client, the
@@ -30,11 +29,6 @@ pub struct ExecContext {
     /// Global LLM-call slot pool (cross-query admission). `None` outside a
     /// scheduler: dispatch is bounded only by this query's `parallelism`.
     slots: Option<Arc<CallSlots>>,
-    /// Deployment-shared dispatch reactor. When set, requests from this
-    /// query are submitted to the shared event loop (where completions from
-    /// other queries interleave) instead of a per-scan private loop. `None`
-    /// outside a scheduler.
-    reactor: Option<Arc<SharedReactor>>,
     /// When this query started executing — the anchor for
     /// `EngineConfig::deadline_ms` (see [`ExecContext::check_deadline`]).
     started: Instant,
@@ -54,7 +48,6 @@ impl ExecContext {
             metrics: SharedMetrics::new(),
             backend_baseline,
             slots: None,
-            reactor: None,
             started: Instant::now(),
         }
     }
@@ -89,8 +82,8 @@ impl ExecContext {
     }
 
     /// The wall-clock instant at which this query's deadline fires, if one
-    /// is configured — the abort signal handed to the dispatch reactor so a
-    /// worker parked on in-flight calls still honours the deadline.
+    /// is configured — the abort signal handed to the scan's event loop so a
+    /// thread parked on in-flight calls still honours the deadline.
     pub fn deadline_instant(&self) -> Option<std::time::Instant> {
         self.config
             .deadline_ms
@@ -109,20 +102,6 @@ impl ExecContext {
     /// without blocking, one slot per request in flight).
     pub(crate) fn slots(&self) -> Option<&Arc<CallSlots>> {
         self.slots.as_ref()
-    }
-
-    /// Builder-style: dispatch this query's requests on a deployment-shared
-    /// [`SharedReactor`] instead of a private per-scan event loop. Prompt
-    /// planning, results and logical call accounting are unaffected — only
-    /// *where* the in-flight completions are parked changes.
-    pub fn with_reactor(mut self, reactor: Arc<SharedReactor>) -> Self {
-        self.reactor = Some(reactor);
-        self
-    }
-
-    /// The attached shared reactor, if any.
-    pub(crate) fn reactor(&self) -> Option<&Arc<SharedReactor>> {
-        self.reactor.as_ref()
     }
 
     /// Copy the per-backend physical-call counters' delta since context

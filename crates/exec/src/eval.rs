@@ -1,10 +1,12 @@
 //! Scalar evaluation of [`BoundExpr`] against rows, and aggregate
-//! accumulators. This is the engine's own evaluator — distinct from the
+//! accumulators. This is the engine's own tree-walker — distinct from the
 //! simulator's (`llmsql-llm`), which models the *model's* reading of pushed
-//! predicates.
+//! predicates; what an operator does to values is [`llmsql_sql::eval`] for
+//! both, so the two cannot disagree on it.
 
 use llmsql_plan::BoundExpr;
-use llmsql_sql::ast::{AggregateFunc, BinaryOp, UnaryOp};
+use llmsql_sql::ast::AggregateFunc;
+use llmsql_sql::eval::{binary, truthy, unary};
 use llmsql_types::{Error, Result, Row, Value};
 
 /// Evaluate an expression against a row. Aggregates are rejected (they are
@@ -16,25 +18,19 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
         BoundExpr::Binary { left, op, right } => {
             let l = eval(left, row)?;
             let r = eval(right, row)?;
-            binary(&l, *op, &r)
+            binary(&l, *op, &r).ok_or_else(|| {
+                Error::execution(format!(
+                    "invalid operands for arithmetic: {} {} {}",
+                    l.type_name(),
+                    op,
+                    r.type_name()
+                ))
+            })
         }
         BoundExpr::Unary { op, expr } => {
             let v = eval(expr, row)?;
-            match op {
-                UnaryOp::Not => Ok(match v {
-                    Value::Null => Value::Null,
-                    other => Value::Bool(!truthy(&other)),
-                }),
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(Error::execution(format!(
-                        "cannot negate {}",
-                        other.type_name()
-                    ))),
-                },
-            }
+            unary(*op, &v)
+                .ok_or_else(|| Error::execution(format!("cannot negate {}", v.type_name())))
         }
         BoundExpr::IsNull { expr, negated } => {
             let v = eval(expr, row)?;
@@ -118,111 +114,6 @@ pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
         Value::Bool(b) => Some(b),
         other => Some(truthy(&other)),
     })
-}
-
-fn truthy(v: &Value) -> bool {
-    match v {
-        Value::Bool(b) => *b,
-        Value::Int(i) => *i != 0,
-        Value::Float(f) => *f != 0.0,
-        Value::Text(s) => !s.is_empty(),
-        Value::Null => false,
-    }
-}
-
-fn binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
-    use BinaryOp::*;
-    if matches!(op, And | Or) {
-        let lb = if l.is_null() { None } else { Some(truthy(l)) };
-        let rb = if r.is_null() { None } else { Some(truthy(r)) };
-        return Ok(match (op, lb, rb) {
-            (And, Some(false), _) | (And, _, Some(false)) => Value::Bool(false),
-            (And, Some(true), Some(true)) => Value::Bool(true),
-            (Or, Some(true), _) | (Or, _, Some(true)) => Value::Bool(true),
-            (Or, Some(false), Some(false)) => Value::Bool(false),
-            _ => Value::Null,
-        });
-    }
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    let out = match op {
-        Plus | Minus | Multiply | Divide | Modulo => arith(l, op, r).ok_or_else(|| {
-            Error::execution(format!(
-                "invalid operands for arithmetic: {} {} {}",
-                l.type_name(),
-                op,
-                r.type_name()
-            ))
-        })?,
-        Eq => Value::Bool(l.semantic_eq(r)),
-        NotEq => Value::Bool(!l.semantic_eq(r)),
-        Lt => Value::Bool(l.total_cmp(r) == std::cmp::Ordering::Less),
-        LtEq => Value::Bool(l.total_cmp(r) != std::cmp::Ordering::Greater),
-        Gt => Value::Bool(l.total_cmp(r) == std::cmp::Ordering::Greater),
-        GtEq => Value::Bool(l.total_cmp(r) != std::cmp::Ordering::Less),
-        Like => Value::Bool(llmsql_llm::eval::like_match(
-            &l.to_display_string(),
-            &r.to_display_string(),
-        )),
-        Concat => Value::Text(format!(
-            "{}{}",
-            l.to_display_string(),
-            r.to_display_string()
-        )),
-        And | Or => unreachable!(),
-    };
-    Ok(out)
-}
-
-fn arith(l: &Value, op: BinaryOp, r: &Value) -> Option<Value> {
-    use BinaryOp::*;
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Some(match op {
-            Plus => Value::Int(a.wrapping_add(*b)),
-            Minus => Value::Int(a.wrapping_sub(*b)),
-            Multiply => Value::Int(a.wrapping_mul(*b)),
-            Divide => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*a as f64 / *b as f64)
-                }
-            }
-            Modulo => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a % b)
-                }
-            }
-            _ => return None,
-        }),
-        _ => {
-            let a = l.as_f64()?;
-            let b = r.as_f64()?;
-            Some(match op {
-                Plus => Value::Float(a + b),
-                Minus => Value::Float(a - b),
-                Multiply => Value::Float(a * b),
-                Divide => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a / b)
-                    }
-                }
-                Modulo => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a % b)
-                    }
-                }
-                _ => return None,
-            })
-        }
-    }
 }
 
 /// A running aggregate.
@@ -315,6 +206,7 @@ impl AggAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llmsql_sql::ast::BinaryOp;
     use llmsql_types::DataType;
 
     fn col(i: usize) -> BoundExpr {

@@ -33,9 +33,10 @@
 //! latency worth overlapping is the model round trip: an LLM-backed scan
 //! keeps a window of `EngineConfig::parallelism` prompts in flight, and that
 //! is all `parallelism` means. Dispatch is event-driven — the query's thread
-//! parks on the [`reactor`] holding the whole window of poll-based
-//! submissions — and the relational operators above a scan run on that same
-//! thread; no thread is spawned here. Output order and (for scans) the set
+//! parks on the scan's own event loop ([`reactor`]) holding the whole window
+//! of poll-based submissions, with or without a scheduler above it — and the
+//! relational operators above a scan run on that same thread; no thread is
+//! spawned here. Output order and (for scans) the set
 //! of issued prompts are deterministic, so any parallelism setting produces
 //! byte-identical results for a fixed seed.
 
@@ -53,9 +54,7 @@ pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
 pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
 pub use metrics::{ExecMetrics, InFlightGuard, OpStats, SharedMetrics};
-pub use reactor::{
-    drive, Completion, DriveOutcome, LiveSet, SharedReactor, Stream, TimerId, TimerWheel,
-};
+pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerId, TimerWheel};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
 pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 
@@ -135,6 +134,49 @@ mod proptests {
             sorted_input.sort_unstable();
             let got: Vec<i64> = rows.iter().map(|r| r.get(0).as_int().unwrap()).collect();
             prop_assert_eq!(got, sorted_input);
+        }
+
+        /// No integer operands make an operator panic, in the engine's
+        /// tree-walker or in the simulated model's, and the two agree on
+        /// every answer — whatever is drawn, each case also crosses it with
+        /// the values integer arithmetic overflows or divides by zero on.
+        #[test]
+        fn integer_operators_never_panic_and_both_evaluators_agree(
+            a in any::<i64>(),
+            b in any::<i64>(),
+        ) {
+            use llmsql_sql::ast::{Expr, UnaryOp};
+            use BinaryOp::*;
+            let ops = [
+                Plus, Minus, Multiply, Divide, Modulo, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or,
+                Like, Concat,
+            ];
+            let operands = [a, b, i64::MIN, i64::MAX, -1, 0, 1];
+            let no_columns = llmsql_types::Schema::new("t", vec![]);
+            let row = Row::empty();
+            let model = |expr: &Expr| llmsql_llm::eval::eval_expr(&no_columns, &row, expr).ok();
+            let lit = |v: i64| Expr::Literal(Value::Int(v));
+            for x in operands {
+                let negated = BoundExpr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(BoundExpr::lit(Value::Int(x))),
+                };
+                let asked = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(lit(x)) };
+                prop_assert_eq!(eval(&negated, &row).ok(), model(&asked), "-({})", x);
+                for y in operands {
+                    for op in ops {
+                        let bound = BoundExpr::Binary {
+                            left: Box::new(BoundExpr::lit(Value::Int(x))),
+                            op,
+                            right: Box::new(BoundExpr::lit(Value::Int(y))),
+                        };
+                        let asked = Expr::binary(lit(x), op, lit(y));
+                        let engine = eval(&bound, &row).ok();
+                        prop_assert!(engine.is_some(), "{} {} {}", x, op, y);
+                        prop_assert_eq!(engine, model(&asked), "{} {} {}", x, op, y);
+                    }
+                }
+            }
         }
 
         /// COUNT(*) equals the number of input rows for any grouping.

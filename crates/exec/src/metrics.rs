@@ -59,7 +59,7 @@ pub struct ExecMetrics {
     /// deployment-wide delta under a scheduler.
     pub hedges_won: u64,
     /// Logical calls served by deployment-scope coalescing: an identical
-    /// request (possibly from another query on the shared reactor) was
+    /// request (possibly from another query of the deployment) was
     /// already in flight, and its successful response fanned out here. These
     /// calls are counted in `llm_calls_by_kind` like any other — the logical
     /// budget is charged — but issued zero physical requests.
@@ -118,48 +118,6 @@ impl ExecMetrics {
     /// Record an executed operator.
     pub fn record_operator(&mut self, name: &str) {
         *self.operators.entry(name.to_string()).or_default() += 1;
-    }
-
-    /// Merge another metrics object into this one.
-    pub fn merge(&mut self, other: &ExecMetrics) {
-        self.rows_from_store += other.rows_from_store;
-        self.rows_from_llm += other.rows_from_llm;
-        self.rows_output += other.rows_output;
-        self.dropped_lines += other.dropped_lines;
-        self.cells_filled_by_llm += other.cells_filled_by_llm;
-        self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
-        self.slot_waits += other.slot_waits;
-        self.slot_wait_ms += other.slot_wait_ms;
-        self.hedges_issued += other.hedges_issued;
-        self.hedges_won += other.hedges_won;
-        self.coalesced_calls += other.coalesced_calls;
-        self.batched_rows += other.batched_rows;
-        for (k, v) in &other.llm_calls_by_kind {
-            *self.llm_calls_by_kind.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.backend_calls {
-            *self.backend_calls.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.backend_errors {
-            *self.backend_errors.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.backend_latency_ms {
-            *self.backend_latency_ms.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.operators {
-            *self.operators.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.op_stats {
-            let s = self.op_stats.entry(k.clone()).or_default();
-            s.rows_out += v.rows_out;
-            s.llm_calls += v.llm_calls;
-            s.wall_ms += v.wall_ms;
-        }
-        // First marker wins: the earliest cut is the one that shaped the
-        // delivered prefix; later merges must not rewrite the story.
-        if self.incomplete.is_none() {
-            self.incomplete.clone_from(&other.incomplete);
-        }
     }
 }
 
@@ -268,51 +226,6 @@ mod tests {
         assert_eq!(m.llm_calls_by_kind["row_batch"], 2);
         assert_eq!(m.operators["Filter"], 1);
         assert!(m.to_string().contains("llm_calls=3"));
-    }
-
-    #[test]
-    fn merge_adds_up() {
-        let mut a = ExecMetrics {
-            rows_from_llm: 5,
-            peak_in_flight: 2,
-            ..ExecMetrics::default()
-        };
-        a.record_llm_call("lookup");
-        let mut b = ExecMetrics {
-            rows_from_llm: 7,
-            peak_in_flight: 4,
-            ..ExecMetrics::default()
-        };
-        b.record_llm_call("lookup");
-        b.record_llm_call("enumerate");
-        a.merge(&b);
-        assert_eq!(a.rows_from_llm, 12);
-        assert_eq!(a.llm_calls(), 3);
-        assert_eq!(a.peak_in_flight, 4);
-    }
-
-    #[test]
-    fn merge_keeps_the_first_incomplete_marker() {
-        use llmsql_types::ErrorKind;
-        let marker = |rows: u64| Incomplete {
-            kind: ErrorKind::DeadlineExceeded,
-            message: "cut".to_string(),
-            rows_delivered: rows,
-            calls_spent: 1,
-        };
-        let mut a = ExecMetrics {
-            incomplete: Some(marker(10)),
-            ..ExecMetrics::default()
-        };
-        let b = ExecMetrics {
-            incomplete: Some(marker(99)),
-            ..ExecMetrics::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.incomplete.as_ref().unwrap().rows_delivered, 10);
-        let mut c = ExecMetrics::default();
-        c.merge(&b);
-        assert_eq!(c.incomplete.as_ref().unwrap().rows_delivered, 99);
     }
 
     #[test]

@@ -6,25 +6,30 @@
 //! Pinning one OS thread per in-flight request caps deployment-wide
 //! concurrency by thread count, not backend capacity:
 //! `SchedConfig::llm_slots = 64` would need ~64 sleeping threads. Instead a
-//! scan worker *submits* each request through the poll-based API
+//! scan *submits* each request through the poll-based API
 //! (`LanguageModel::submit` → `llmsql_llm::CallHandle`) and then parks
 //! **here**, polling the handles as their wakeups arrive — 64 in-flight
-//! simulated calls are then held by the one worker thread that planned
-//! them.
+//! simulated calls are then held by the one thread that planned them.
+//!
+//! There is one event loop, [`LiveSet`], and every scan drives its own on the
+//! query's thread — standalone or under a scheduler alike. Operations never
+//! leave the thread that made them, so they need be neither `Send` nor
+//! `'static`. What concurrent queries share is not a loop but the state
+//! their operations poll: the call-slot pool, the prompt coalescer, the
+//! backend pool's hedge gate.
 //!
 //! # The completion contract
 //!
-//! An event loop — a private [`LiveSet`], or the deployment's
-//! [`SharedReactor`] through a [`Stream`] — holds a **live set** of
-//! [`Completion`] operations (in practice `llmsql_llm::ClientCall`s wrapped
-//! with per-query accounting). The set is open: its owner adds operations
-//! whenever it likes, and waits for them in the order it added them.
+//! A [`LiveSet`] holds a **live set** of [`Completion`] operations (in
+//! practice `llmsql_llm::ClientCall`s wrapped with per-query accounting).
+//! The set is open: its owner adds operations whenever it likes, and waits
+//! for them in the order it added them.
 //!
 //! * **submit/poll** — an operation makes progress only inside
-//!   [`Completion::poll`], which must never block; the reactor calls it when
+//!   [`Completion::poll`], which must never block; the loop calls it when
 //!   the operation is *due* ([`Completion::next_wakeup`] has arrived or is
 //!   `None`). Polling is level-triggered: a poll that makes no progress is
-//!   harmless, so the loop can afford to re-poll broadly.
+//!   harmless.
 //! * **head-first waiting** — a wait runs *every* live operation and returns
 //!   as soon as the **head**, the oldest one not yet handed back, has
 //!   resolved — not when some batch has drained. Younger operations keep
@@ -35,35 +40,32 @@
 //!   [`Completion::next_wakeup`] there and sleeps until the earliest;
 //!   nothing is armed and nothing is cancelled, so a completed call cannot
 //!   leave a stale wakeup behind. Backoff, hedge-arm and simulated-latency
-//!   deadlines all reach the loop this one way, in both loops.
+//!   deadlines all reach the loop this one way. So does waiting on another
+//!   *query*: an operation blocked on a call slot or on a coalescing leader
+//!   stores a short retry deadline and is re-polled when that is due —
+//!   nothing wakes it sooner.
 //! * **completion cascades** — finishing one operation can unblock another
 //!   (dropping a slot permit frees capacity a parked operation is waiting
 //!   for), so after any completion the loop re-polls every due operation
 //!   before sleeping again.
 //! * **cancellation / who owns the slot guard** — the *operation* owns its
 //!   slot permit (acquired through its admission gate, held for exactly one
-//!   dispatch, released on resolution). The reactor owns nothing besides:
-//!   dropping a [`LiveSet`] or a [`Stream`] drops its unfinished operations,
-//!   and their `Drop` impls release permits, single-flight leaderships and
+//!   dispatch, released on resolution). The loop owns nothing besides:
+//!   dropping a [`LiveSet`] drops its unfinished operations, and their
+//!   `Drop` impls release permits, single-flight leaderships and
 //!   per-backend gauges. Dropping is cancelling; there is no other cancel
 //!   path.
 //! * **deadlines** — a query deadline is checked every iteration; once it
-//!   has fired, a wait on an unresolved head reports
-//!   [`DriveOutcome::DeadlineExceeded`] even while calls are parked
-//!   mid-flight, which is what bounds a late query's overhang to what it
-//!   already had in flight.
+//!   has fired, a wait on an unresolved head reports [`Expired`] even while
+//!   calls are parked mid-flight, which is what bounds a late query's
+//!   overhang to what it already had in flight.
 //!
-//! The loop never spins: between polls it sleeps until the earliest wakeup
-//! its operations report, exactly (a short floor stands in when an operation
-//! declares itself immediately pollable, e.g. waiting on a slot another
-//! *thread's* reactor will free), or the deadline — never for less than
-//! `MIN_SLEEP`.
+//! The loop never spins; [`LiveSet::wait_head`] states the sleep rule.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// A poll-driven operation the reactor can run to completion.
+/// A poll-driven operation a [`LiveSet`] can run to completion.
 pub trait Completion {
     /// Attempt progress; `true` once the operation has finished. Not called
     /// again after returning `true`. Must never block.
@@ -74,7 +76,7 @@ pub trait Completion {
     ///
     /// Must be derived from *stored* state (a flight's ready time, a parked
     /// retry deadline set when parking). Returning `now + δ` unconditionally
-    /// makes the wakeup recede forever — the reactor's due-check would never
+    /// makes the wakeup recede forever — the loop's due-check would never
     /// find the operation due, and it would never be polled again.
     fn next_wakeup(&self, now: Instant) -> Option<Instant>;
 }
@@ -103,8 +105,7 @@ const WHEEL_SLOTS: usize = 256;
 const MIN_SLEEP: Duration = Duration::from_micros(50);
 
 /// How long an "immediately pollable but unproductive" operation may delay
-/// the next poll round — the cross-thread fallback for operations waiting on
-/// state (a slot permit) that another thread's reactor will free.
+/// the next poll round: it is blocked on state another thread will change.
 const IMMEDIATE_RETRY: Duration = Duration::from_micros(250);
 
 /// Identifies one armed timer; returned by [`TimerWheel::arm`] and required
@@ -125,7 +126,7 @@ struct WheelEntry {
 /// the slots. Entries past one revolution stay in their slot and fire on the
 /// revolution their absolute tick falls in.
 ///
-/// **No engine path uses it.** Both event loops read wakeups from their
+/// **No engine path uses it.** The event loop reads wakeups from its
 /// operations (see the module docs). The wheel and [`TimerId`] stay exported,
 /// signatures unchanged, because the frozen benchmark package's probe
 /// (`exec.reactor.timer_ns`) imports them; they go when that package is next
@@ -257,21 +258,18 @@ impl<C: Completion + ?Sized> Completion for &mut C {
     }
 }
 
-/// When `op` next wants a poll, for a loop about to sleep. An operation that
-/// says "immediately" yet did not resolve is blocked on state another thread
-/// will change (a slot permit, say) and gets the [`IMMEDIATE_RETRY`] floor.
-fn wake_time<C: Completion + ?Sized>(op: &C, now: Instant) -> Instant {
-    op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY)
-}
-
 /// One operation of a [`LiveSet`].
 struct Live<C> {
     op: C,
     done: bool,
 }
 
-/// The private event loop: a live set of operations in submission order,
-/// driven by the thread that owns it (see the module docs for the contract).
+/// The deadline passed while the head of a [`LiveSet`] was unresolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expired;
+
+/// The event loop: a live set of operations in submission order, driven by
+/// the thread that owns it (see the module docs for the contract).
 /// Operations join at any time ([`LiveSet::push`]); [`LiveSet::wait_head`]
 /// runs *all* of them and returns when the oldest resolves. The set keeps no
 /// timer state: each round reads the operations' own wakeups. Dropping the
@@ -298,26 +296,25 @@ impl<C: Completion> LiveSet<C> {
     }
 
     /// Drive every live operation until the **head** — the oldest one not
-    /// yet handed back — resolves, then drop it and report
-    /// [`DriveOutcome::Completed`]; the caller reads the result from
-    /// wherever the operation wrote it. `None` when the set is empty. Once
-    /// `deadline` has passed an unresolved head reports
-    /// [`DriveOutcome::DeadlineExceeded`] and stays where it is: dropping
-    /// the set is the cancellation.
+    /// yet handed back — resolves, then hand it back: whatever the operation
+    /// resolved to is the caller's to read off it. `None` when the set is
+    /// empty. Once `deadline` has passed an unresolved head reports
+    /// [`Expired`] and stays where it is: dropping the set is the
+    /// cancellation.
     ///
-    /// The sleep rule, shared with [`SharedReactor`]'s driver loop: poll
-    /// every due operation; after any completion go round again; otherwise
-    /// sleep until the earliest of the survivors' `wake_time`s and the
-    /// deadline, and never for less than `MIN_SLEEP`.
-    pub fn wait_head(&mut self, deadline: Option<Instant>) -> Option<DriveOutcome> {
+    /// The sleep rule: poll every due operation; after any completion go
+    /// round again; otherwise sleep until the earliest wakeup the survivors
+    /// report (`IMMEDIATE_RETRY` from now for one that says "immediately"
+    /// yet did not resolve) or the deadline — never for less than
+    /// `MIN_SLEEP`.
+    pub fn wait_head(&mut self, deadline: Option<Instant>) -> Option<Result<C, Expired>> {
         loop {
             if self.ops.front()?.done {
-                self.ops.pop_front();
-                return Some(DriveOutcome::Completed);
+                return self.ops.pop_front().map(|live| Ok(live.op));
             }
             let now = Instant::now();
             if deadline.is_some_and(|d| now >= d) {
-                return Some(DriveOutcome::DeadlineExceeded);
+                return Some(Err(Expired));
             }
             // Completions can cascade (a released slot permit unblocks a
             // parked operation), hence the extra round before any sleep.
@@ -336,7 +333,7 @@ impl<C: Completion> LiveSet<C> {
                 .ops
                 .iter()
                 .filter(|live| !live.done)
-                .map(|live| wake_time(&live.op, now))
+                .map(|live| live.op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY))
                 .chain(deadline)
                 .min()
                 // Unreachable: the unresolved head is live.
@@ -361,369 +358,17 @@ pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOu
     loop {
         match live.wait_head(deadline) {
             None => return DriveOutcome::Completed,
-            Some(DriveOutcome::Completed) => {}
-            Some(DriveOutcome::DeadlineExceeded) => return DriveOutcome::DeadlineExceeded,
+            Some(Ok(_)) => {}
+            Some(Err(Expired)) => return DriveOutcome::DeadlineExceeded,
         }
-    }
-}
-
-/// One operation inside the shared reactor, tagged with the stream that
-/// submitted it and its place in that stream.
-struct TaggedOp {
-    stream: u64,
-    seq: u64,
-    op: Box<dyn Completion + Send>,
-}
-
-/// Book-keeping for one open [`Stream`].
-struct StreamState {
-    /// Sequence number of the head: the oldest operation not yet handed back
-    /// to the submitter.
-    head: u64,
-    /// Whether each operation from the head on has resolved, in submission
-    /// order.
-    done: VecDeque<bool>,
-    /// The submitting query's deadline; firing it cancels only this stream.
-    deadline: Option<Instant>,
-    /// The deadline fired: every wait on an unresolved operation reports
-    /// [`DriveOutcome::DeadlineExceeded`].
-    expired: bool,
-}
-
-/// What submitters and the driver share under the state lock.
-struct ReactorState {
-    next_stream: u64,
-    /// Operations submitted but not yet adopted by a driver.
-    injected: Vec<TaggedOp>,
-    streams: HashMap<u64, StreamState>,
-    /// True while some submitter thread is driving the event loop.
-    has_driver: bool,
-}
-
-/// A deployment-wide event loop that many threads submit operations to and
-/// park on — the scheduler-owned singleton form of [`LiveSet`].
-///
-/// # The worker model
-///
-/// A [`LiveSet`] gives one scan one private event loop: the owning thread
-/// polls its own operations and nothing else. A [`SharedReactor`] lifts that
-/// to the deployment: every scan opens a [`Stream`], the streams' operations
-/// land in one shared live set, and exactly one of the parked submitter
-/// threads — the **driver** — runs the event loop for *all* of them at once.
-/// Completions from different queries therefore interleave on one loop,
-/// which is what makes cross-query effects (deployment-scope prompt
-/// coalescing, a single `llm_slots` ceiling) observable within one poll
-/// round instead of across thread-timer boundaries.
-///
-/// The driver seat is not a dedicated thread: the first submitter to wait
-/// while the seat is empty takes it and drives until the **head of its own
-/// stream** resolves. Then it leaves — the unfinished operations, its own
-/// later ones included, stay in the live set — and wakes the parked
-/// submitters, one of which takes over. Every parked submitter is a driver
-/// candidate, so no operation can be orphaned while its submitter waits; a
-/// submitter that is busy consuming an answer leaves its operations to
-/// whoever drives, or untouched until it waits again.
-///
-/// Per-stream semantics are those of a [`LiveSet`]: a stream's deadline
-/// fires only that stream, and closing a stream — dropping is cancelling —
-/// takes its unfinished operations out of the loop before [`Stream`]'s drop
-/// returns.
-pub struct SharedReactor {
-    state: Mutex<ReactorState>,
-    /// The operations the driver is running. Held by the driver for a poll
-    /// pass and by a closing stream taking its operations back, never while
-    /// parked; taken before `state` where both are held.
-    live: Mutex<Vec<TaggedOp>>,
-    /// Wakes the driver: new operations were injected.
-    work: Condvar,
-    /// Wakes parked submitters: a head resolved, or the driver seat freed.
-    resolved: Condvar,
-}
-
-impl Default for SharedReactor {
-    fn default() -> Self {
-        SharedReactor::new()
-    }
-}
-
-/// Releases the driver seat on every exit path. A *panicking* driver may
-/// have left an operation half-polled, so nothing in the loop can be
-/// trusted to complete: the guard drops every operation and expires every
-/// stream, so their submitters observe a deadline abort instead of parking
-/// forever.
-struct DriverSeat<'a> {
-    reactor: &'a SharedReactor,
-}
-
-impl Drop for DriverSeat<'_> {
-    fn drop(&mut self) {
-        let mut doomed = Vec::new();
-        if std::thread::panicking() {
-            doomed.append(&mut self.reactor.lock_live());
-        }
-        let mut state = self.reactor.lock_state();
-        state.has_driver = false;
-        if std::thread::panicking() {
-            doomed.append(&mut state.injected);
-            for stream in state.streams.values_mut() {
-                stream.expired = true;
-            }
-        }
-        drop(state);
-        self.reactor.resolved.notify_all();
-    }
-}
-
-impl SharedReactor {
-    /// An empty shared reactor (typically wrapped in an `Arc` and attached
-    /// to an engine by the scheduler that owns the deployment).
-    pub fn new() -> SharedReactor {
-        SharedReactor {
-            state: Mutex::new(ReactorState {
-                next_stream: 0,
-                injected: Vec::new(),
-                streams: HashMap::new(),
-                has_driver: false,
-            }),
-            live: Mutex::new(Vec::new()),
-            work: Condvar::new(),
-            resolved: Condvar::new(),
-        }
-    }
-
-    fn lock_state(&self) -> MutexGuard<'_, ReactorState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_live(&self) -> MutexGuard<'_, Vec<TaggedOp>> {
-        self.live.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Open a stream: an in-order sequence of operations whose submitter
-    /// waits on them head first — the shared-loop counterpart of a
-    /// [`LiveSet`]. `deadline` is the submitting query's.
-    pub fn open(&self, deadline: Option<Instant>) -> Stream<'_> {
-        let mut state = self.lock_state();
-        let id = state.next_stream;
-        state.next_stream += 1;
-        state.streams.insert(
-            id,
-            StreamState {
-                head: 0,
-                done: VecDeque::new(),
-                deadline,
-                expired: false,
-            },
-        );
-        Stream {
-            reactor: self,
-            id,
-            next_seq: 0,
-            pushed: Vec::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// The driver loop: run every stream's operations until the head of the
-    /// caller's own stream (`own`) resolves or its deadline fires, then
-    /// leave the seat.
-    ///
-    /// The sleep rule is [`LiveSet::wait_head`]'s: poll every due operation;
-    /// after any completion go round again; otherwise sleep until the
-    /// earliest of the survivors' `wake_time`s and the stream deadlines, and
-    /// never for less than `MIN_SLEEP`. The one addition is that a new
-    /// injection interrupts the sleep.
-    fn drive_until_head(&self, own: u64) {
-        let _seat = DriverSeat { reactor: self };
-        let mut completed: Vec<(u64, u64)> = Vec::new();
-        loop {
-            let now = Instant::now();
-            // Intake, deadline firing and the exit check. `live` is held
-            // across the hand-over so a closing stream finds each of its
-            // operations in exactly one of the two places. An expired
-            // stream's operations stay until its submitter, woken here,
-            // closes it: a stream has one cancel path, its own drop.
-            let mut live = self.lock_live();
-            let mut state = self.lock_state();
-            live.append(&mut state.injected);
-            let mut newly_expired = false;
-            for stream in state.streams.values_mut() {
-                if !stream.expired && stream.deadline.is_some_and(|d| now >= d) {
-                    stream.expired = true;
-                    newly_expired = true;
-                }
-            }
-            let own_resolved = state
-                .streams
-                .get(&own)
-                .is_none_or(|s| s.expired || s.done.front() != Some(&false));
-            drop(state);
-            if newly_expired {
-                self.resolved.notify_all();
-            }
-            if own_resolved {
-                return;
-            }
-
-            // Poll every due operation; completions can cascade (a freed
-            // slot permit unblocks a parked operation — possibly of another
-            // stream), so any completion means another round before sleeping.
-            live.retain_mut(|t| {
-                let due = t.op.next_wakeup(now).is_none_or(|wake| wake <= now);
-                let finished = due && t.op.poll(now);
-                if finished {
-                    completed.push((t.stream, t.seq));
-                }
-                !finished
-            });
-            let wake_at = live.iter().map(|t| wake_time(&*t.op, now)).min();
-            drop(live);
-
-            let mut state = self.lock_state();
-            if !completed.is_empty() {
-                let mut head_resolved = false;
-                for (id, seq) in completed.drain(..) {
-                    // A stream closed meanwhile no longer cares.
-                    let Some(stream) = state.streams.get_mut(&id) else {
-                        continue;
-                    };
-                    if let Some(done) = stream.done.get_mut((seq - stream.head) as usize) {
-                        *done = true;
-                        head_resolved |= seq == stream.head;
-                    }
-                }
-                drop(state);
-                if head_resolved {
-                    self.resolved.notify_all();
-                }
-                continue;
-            }
-
-            // Sleep until the earliest stored wakeup or stream deadline —
-            // woken early by any new injection.
-            if !state.injected.is_empty() {
-                continue;
-            }
-            let deadlines = state.streams.values().filter(|s| !s.expired);
-            let until = wake_at
-                .into_iter()
-                .chain(deadlines.filter_map(|s| s.deadline))
-                .min()
-                // Unreachable while the own head is unresolved (its operation
-                // is live and carries a wakeup), but keeps a defect from
-                // becoming an unbounded park.
-                .unwrap_or(now + Duration::from_millis(10));
-            let sleep = until.saturating_duration_since(now).max(MIN_SLEEP);
-            let (guard, _timeout) = self
-                .work
-                .wait_timeout(state, sleep)
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(guard);
-        }
-    }
-
-    /// Streams currently open, advisory.
-    pub fn streams_open(&self) -> usize {
-        self.lock_state().streams.len()
-    }
-}
-
-/// One scan's operations on a [`SharedReactor`], in submission order. The
-/// submitter pushes operations whenever it likes and waits for them head
-/// first; closing the stream (drop) cancels whatever is unfinished.
-pub struct Stream<'a> {
-    reactor: &'a SharedReactor,
-    id: u64,
-    next_seq: u64,
-    /// Whether each operation pushed since the last wait resolved on its
-    /// first poll, and the ones that did not: handed to the loop by the next
-    /// wait, so a round of admissions costs one lock and one driver wake-up.
-    pushed: Vec<bool>,
-    pending: Vec<TaggedOp>,
-}
-
-impl Stream<'_> {
-    /// Accept `op` into the stream. As in [`LiveSet::push`], its first poll
-    /// happens here, inline, on the submitter's thread; if that does not
-    /// resolve it, it joins the shared live set when the submitter next
-    /// waits.
-    pub fn push(&mut self, mut op: Box<dyn Completion + Send>) {
-        let done = op.poll(Instant::now());
-        self.pushed.push(done);
-        if !done {
-            self.pending.push(TaggedOp {
-                stream: self.id,
-                seq: self.next_seq,
-                op,
-            });
-        }
-        self.next_seq += 1;
-    }
-
-    /// Park until the stream's **head** operation resolves — the shared-loop
-    /// counterpart of [`LiveSet::wait_head`], with the same return values.
-    /// The calling thread either waits for a driver to resolve it or
-    /// becomes the driver itself; see [`SharedReactor`] for the worker
-    /// model.
-    pub fn wait_head(&mut self) -> Option<DriveOutcome> {
-        let reactor = self.reactor;
-        let mut state = reactor.lock_state();
-        if let Some(stream) = state.streams.get_mut(&self.id) {
-            stream.done.extend(self.pushed.drain(..));
-        }
-        if !self.pending.is_empty() {
-            state.injected.append(&mut self.pending);
-            reactor.work.notify_all();
-        }
-        loop {
-            let stream = state.streams.get_mut(&self.id)?;
-            match *stream.done.front()? {
-                true => {
-                    stream.done.pop_front();
-                    stream.head += 1;
-                    return Some(DriveOutcome::Completed);
-                }
-                false if stream.expired => return Some(DriveOutcome::DeadlineExceeded),
-                false => {}
-            }
-            if state.has_driver {
-                // Park; any head resolution or driver hand-off wakes us.
-                state = reactor
-                    .resolved
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            } else {
-                state.has_driver = true;
-                drop(state);
-                reactor.drive_until_head(self.id);
-                state = reactor.lock_state();
-            }
-        }
-    }
-}
-
-impl Drop for Stream<'_> {
-    fn drop(&mut self) {
-        let mut state = self.reactor.lock_state();
-        let unfinished = state
-            .streams
-            .remove(&self.id)
-            .is_some_and(|stream| stream.done.contains(&false));
-        if !unfinished {
-            return;
-        }
-        // Cancel: take the unfinished operations out of the loop, wherever
-        // they are, and drop them here — outside both locks.
-        let mine = |t: &mut TaggedOp| t.stream == self.id;
-        let mut cancelled: Vec<TaggedOp> = state.injected.extract_if(.., mine).collect();
-        drop(state);
-        cancelled.extend(self.reactor.lock_live().extract_if(.., mine));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn wheel_fires_in_deadline_order() {
@@ -868,7 +513,6 @@ mod tests {
     /// first completes — exercising the completion-cascade re-poll.
     #[test]
     fn drive_cascades_completions_that_unblock_parked_ops() {
-        use std::cell::Cell;
         struct SlotOp<'a> {
             slot_free: &'a Cell<bool>,
             holds: bool,
@@ -936,181 +580,20 @@ mod tests {
         );
     }
 
-    /// Push `ops` onto a fresh stream of `reactor` and wait for each, head
-    /// first: how a batch of operations runs on the shared loop.
-    fn run_stream(
-        reactor: &SharedReactor,
-        ops: Vec<Box<dyn Completion + Send>>,
-        deadline: Option<Instant>,
-    ) -> DriveOutcome {
-        let mut stream = reactor.open(deadline);
-        for op in ops {
-            stream.push(op);
-        }
-        loop {
-            match stream.wait_head() {
-                None => return DriveOutcome::Completed,
-                Some(DriveOutcome::Completed) => {}
-                Some(DriveOutcome::DeadlineExceeded) => return DriveOutcome::DeadlineExceeded,
-            }
-        }
-    }
-
-    /// A Send-able timed op for cross-thread shared-reactor tests: completes
-    /// after `ready_at`, flips a shared flag.
-    struct SharedTimedOp {
-        ready_at: Instant,
-        done: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    }
-
-    impl Completion for SharedTimedOp {
-        fn poll(&mut self, now: Instant) -> bool {
-            if now >= self.ready_at {
-                // ordering: Relaxed — test flag; the submitting thread's
-                // join (and the reactor's state mutex) publish it to the asserts.
-                self.done.store(true, std::sync::atomic::Ordering::Relaxed);
-                return true;
-            }
-            false
-        }
-        fn next_wakeup(&self, _now: Instant) -> Option<Instant> {
-            Some(self.ready_at)
-        }
-    }
-
-    #[test]
-    fn shared_reactor_interleaves_streams_from_many_threads() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // 4 submitters × 8 ops of ~10ms each on ONE shared loop: with the
-        // streams interleaving, the whole deployment finishes in ~one round
-        // trip; thread-per-stream serialization would be fine too, but a
-        // non-interleaving reactor (one stream at a time) would take ~40ms+.
-        let reactor = Arc::new(SharedReactor::new());
-        let start = Instant::now();
-        let flags: Vec<Arc<AtomicBool>> =
-            (0..32).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        std::thread::scope(|scope| {
-            for stream_idx in 0..4 {
-                let reactor = Arc::clone(&reactor);
-                let flags = &flags;
-                scope.spawn(move || {
-                    let ops: Vec<Box<dyn Completion + Send>> = (0..8)
-                        .map(|i| {
-                            Box::new(SharedTimedOp {
-                                ready_at: start
-                                    + Duration::from_millis(10)
-                                    + Duration::from_micros((stream_idx * 8 + i) * 50),
-                                done: Arc::clone(&flags[(stream_idx * 8 + i) as usize]),
-                            }) as Box<dyn Completion + Send>
-                        })
-                        .collect();
-                    let outcome = run_stream(&reactor, ops, None);
-                    assert_eq!(outcome, DriveOutcome::Completed);
-                });
-            }
-        });
-        assert!(
-            flags
-                .iter()
-                // ordering: Relaxed — read after scope join; join synchronizes.
-                .all(|f| f.load(std::sync::atomic::Ordering::Relaxed)),
-            "an op was dropped without completing"
-        );
-        assert_eq!(reactor.streams_open(), 0, "stream table leaked");
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(200),
-            "streams did not interleave: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn a_stream_deadline_fires_only_its_own_stream() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let reactor = Arc::new(SharedReactor::new());
-        let start = Instant::now();
-        let slow_done = Arc::new(AtomicBool::new(false));
-        let ok_done = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            {
-                let reactor = Arc::clone(&reactor);
-                let slow_done = Arc::clone(&slow_done);
-                scope.spawn(move || {
-                    let ops: Vec<Box<dyn Completion + Send>> = vec![Box::new(SharedTimedOp {
-                        ready_at: start + Duration::from_millis(500),
-                        done: slow_done,
-                    })];
-                    let outcome = run_stream(&reactor, ops, Some(start + Duration::from_millis(5)));
-                    assert_eq!(outcome, DriveOutcome::DeadlineExceeded);
-                });
-            }
-            {
-                let reactor = Arc::clone(&reactor);
-                let ok_done = Arc::clone(&ok_done);
-                scope.spawn(move || {
-                    let ops: Vec<Box<dyn Completion + Send>> = vec![Box::new(SharedTimedOp {
-                        ready_at: start + Duration::from_millis(15),
-                        done: ok_done,
-                    })];
-                    let outcome = run_stream(&reactor, ops, None);
-                    assert_eq!(outcome, DriveOutcome::Completed);
-                });
-            }
-        });
-        // ordering: Relaxed — read after scope join; join synchronizes.
-        assert!(!slow_done.load(std::sync::atomic::Ordering::Relaxed));
-        // ordering: Relaxed — read after scope join; join synchronizes.
-        assert!(ok_done.load(std::sync::atomic::Ordering::Relaxed));
-        assert!(
-            start.elapsed() < Duration::from_millis(400),
-            "deadline abort waited for the cancelled call"
-        );
-    }
-
-    #[test]
-    fn sequential_streams_reuse_the_shared_reactor() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // The driver seat must be released and re-taken across streams.
-        let reactor = SharedReactor::new();
-        for _ in 0..3 {
-            let done = Arc::new(AtomicBool::new(false));
-            let start = Instant::now();
-            let ops: Vec<Box<dyn Completion + Send>> = vec![Box::new(SharedTimedOp {
-                ready_at: start + Duration::from_millis(2),
-                done: Arc::clone(&done),
-            })];
-            assert_eq!(run_stream(&reactor, ops, None), DriveOutcome::Completed);
-            // ordering: Relaxed — single-threaded here.
-            assert!(done.load(std::sync::atomic::Ordering::Relaxed));
-        }
-        assert_eq!(reactor.streams_open(), 0);
-    }
-
-    #[test]
-    fn empty_streams_complete_without_touching_the_loop() {
-        let reactor = SharedReactor::new();
-        assert_eq!(
-            run_stream(&reactor, Vec::new(), None),
-            DriveOutcome::Completed
-        );
-        assert_eq!(reactor.streams_open(), 0);
-    }
-
     /// Resolves at `ready_at`; says when it was dropped, resolved or not.
     struct Tracked {
+        name: &'static str,
         ready_at: Instant,
-        dropped: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        dropped: Rc<Cell<bool>>,
     }
 
     impl Tracked {
-        fn after(delay: Duration) -> (Tracked, std::sync::Arc<std::sync::atomic::AtomicBool>) {
-            let dropped = std::sync::Arc::default();
+        fn after(name: &'static str, delay: Duration) -> (Tracked, Rc<Cell<bool>>) {
+            let dropped = Rc::default();
             let op = Tracked {
+                name,
                 ready_at: Instant::now() + delay,
-                dropped: std::sync::Arc::clone(&dropped),
+                dropped: Rc::clone(&dropped),
             };
             (op, dropped)
         }
@@ -1127,82 +610,34 @@ mod tests {
 
     impl Drop for Tracked {
         fn drop(&mut self) {
-            // ordering: SeqCst — test flag read from another thread right
-            // after the drop; no cheaper ordering is worth arguing for.
-            self.dropped
-                .store(true, std::sync::atomic::Ordering::SeqCst);
+            self.dropped.set(true);
         }
     }
 
-    const NEVER: Duration = Duration::from_hours(1);
-
     #[test]
     fn a_live_set_hands_back_its_head_while_younger_operations_fly() {
-        // ordering: SeqCst throughout — see `Tracked::drop`.
-        use std::sync::atomic::Ordering::SeqCst;
+        const NEVER: Duration = Duration::from_hours(1);
         let mut live = LiveSet::default();
-        let (head, head_dropped) = Tracked::after(Duration::from_millis(2));
-        let (stuck, stuck_dropped) = Tracked::after(NEVER);
+        let (head, head_dropped) = Tracked::after("head", Duration::from_millis(2));
+        let (stuck, stuck_dropped) = Tracked::after("stuck", NEVER);
         live.push(head);
         live.push(stuck);
-        // The head resolves; the wait does not hold out for the batch.
-        assert_eq!(live.wait_head(None), Some(DriveOutcome::Completed));
-        assert!(head_dropped.load(SeqCst), "a resolved head is handed back");
-        assert!(!stuck_dropped.load(SeqCst));
+        // The head resolves; the wait does not hold out for the batch, and
+        // the operation comes back to the caller, whole.
+        let handed_back = live.wait_head(None).unwrap().ok().unwrap();
+        assert_eq!(handed_back.name, "head");
+        assert!(!head_dropped.get(), "the set dropped what it hands back");
+        assert!(!stuck_dropped.get());
         // An operation admitted mid-flight runs behind the stuck one and
         // resolves there, but the wait is for the head.
-        let (late, late_dropped) = Tracked::after(Duration::ZERO);
+        let (late, late_dropped) = Tracked::after("late", Duration::ZERO);
         live.push(late);
         let soon = Instant::now() + Duration::from_millis(5);
-        assert_eq!(
-            live.wait_head(Some(soon)),
-            Some(DriveOutcome::DeadlineExceeded)
-        );
-        assert!(!stuck_dropped.load(SeqCst), "an expired head stays put");
+        assert!(matches!(live.wait_head(Some(soon)), Some(Err(Expired))));
+        assert!(!stuck_dropped.get(), "an expired head stays put");
         // Dropping the set is the cancellation.
         drop(live);
-        assert!(stuck_dropped.load(SeqCst) && late_dropped.load(SeqCst));
-        assert_eq!(LiveSet::<Tracked>::default().wait_head(None), None);
-    }
-
-    #[test]
-    fn closing_a_stream_takes_its_operations_out_of_the_loop() {
-        // ordering: SeqCst throughout — see `Tracked::drop`.
-        use std::sync::atomic::Ordering::SeqCst;
-        // Three streams on one loop: one runs to completion, one is closed
-        // with an operation in flight, one hits its deadline. Whichever
-        // thread holds the driver seat, a closed stream's unfinished
-        // operations are gone when its drop returns — the other streams'
-        // are not touched.
-        let reactor = SharedReactor::new();
-        let (kept, kept_dropped) = Tracked::after(Duration::from_millis(20));
-        std::thread::scope(|scope| {
-            let patient = scope.spawn(|| run_stream(&reactor, vec![Box::new(kept)], None));
-            let hurried = scope.spawn(|| {
-                let (stuck, stuck_dropped) = Tracked::after(NEVER);
-                let deadline = Instant::now() + Duration::from_millis(5);
-                let outcome = run_stream(&reactor, vec![Box::new(stuck)], Some(deadline));
-                assert_eq!(outcome, DriveOutcome::DeadlineExceeded);
-                assert!(stuck_dropped.load(SeqCst), "expired operation still live");
-            });
-
-            let mut stream = reactor.open(None);
-            let (quick, _) = Tracked::after(Duration::from_millis(1));
-            let (stuck, stuck_dropped) = Tracked::after(NEVER);
-            stream.push(Box::new(quick));
-            stream.push(Box::new(stuck));
-            assert_eq!(stream.wait_head(), Some(DriveOutcome::Completed));
-            assert!(!stuck_dropped.load(SeqCst));
-            drop(stream);
-            assert!(
-                stuck_dropped.load(SeqCst),
-                "closed stream left an operation"
-            );
-
-            hurried.join().unwrap();
-            assert_eq!(patient.join().unwrap(), DriveOutcome::Completed);
-        });
-        assert!(kept_dropped.load(SeqCst), "a resolved operation is dropped");
-        assert_eq!(reactor.streams_open(), 0);
+        assert!(stuck_dropped.get() && late_dropped.get());
+        assert!(LiveSet::<Tracked>::default().wait_head(None).is_none());
     }
 }

@@ -38,10 +38,11 @@
 //!   most [`ExecContext::scan_fanout`] (`EngineConfig::parallelism`). After
 //!   every consumed request the driver admits whatever became eligible, so a
 //!   slow answer holds back only what lies more than `W` behind it. Every
-//!   request is a poll-based `llmsql_llm::ClientCall` on the
-//!   [`crate::reactor`]; the calling thread parks there until the *oldest*
-//!   one resolves, so slot gating, single-flight coalescing and mid-flight
-//!   deadlines apply to every request alike. A plan that knows its prompts
+//!   request is a poll-based `llmsql_llm::ClientCall` on the scan's own
+//!   event loop ([`crate::reactor`]), standalone or under a scheduler; the
+//!   query's thread parks there until the *oldest* one resolves, so slot
+//!   gating, single-flight coalescing and mid-flight deadlines apply to
+//!   every request alike. A plan that knows its prompts
 //!   up front has `W` = the fanout; `Pages` speculates, and starts where the
 //!   planner expects the scan to end (see there).
 //! * **Determinism.** Admission is keyed on the consumed prefix, never on
@@ -100,7 +101,7 @@ use llmsql_types::{
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
 use crate::metrics::{InFlightGuard, SharedMetrics};
-use crate::reactor::{Completion, DriveOutcome, LiveSet, Stream};
+use crate::reactor::{Completion, Expired, LiveSet};
 use crate::slots::CallSlots;
 
 /// Parameters of a scan, extracted from the logical plan node, which alone
@@ -184,35 +185,31 @@ pub fn dispatch_one(
     flight.wait_head()
 }
 
-/// Where a [`RequestOp`] deposits its response: read by the dispatching
-/// thread once the request resolves, written by whichever thread happens to
-/// be driving the (possibly shared) reactor when the call completes.
-type ResultSlot = Arc<parking_lot::Mutex<Option<Result<CompletionResponse>>>>;
-
-/// One request on the reactor: a [`ClientCall`] plus this query's accounting
-/// — the in-flight gauge held for the whole flight and the non-blocking slot
-/// gate with its wait measurement. Owned (`'static`) so it can be handed to
-/// the deployment-shared reactor where another query's worker may drive it.
-struct RequestOp {
-    metrics: SharedMetrics,
-    slots: Option<Arc<CallSlots>>,
+/// One request on the event loop: a [`ClientCall`] plus this query's
+/// accounting — the in-flight gauge held for the whole flight and the
+/// non-blocking slot gate with its wait measurement. It never leaves the
+/// query's thread, so it borrows the query's metrics and slot pool.
+struct RequestOp<'a> {
+    metrics: &'a SharedMetrics,
+    slots: Option<&'a Arc<CallSlots>>,
     call: ClientCall,
     _in_flight: InFlightGuard,
     /// When this op first found the slot pool saturated (the wait being
     /// accumulated toward `slot_wait_ms`).
     slot_wait_started: Option<Instant>,
-    result: ResultSlot,
+    /// What the call resolved to, for the waiter to take.
+    answer: Option<Result<CompletionResponse>>,
 }
 
-impl Completion for RequestOp {
+impl Completion for RequestOp<'_> {
     fn poll(&mut self, now: Instant) -> bool {
-        let metrics = &self.metrics;
-        let slots = &self.slots;
+        let metrics = self.metrics;
+        let slots = self.slots;
         let slot_wait_started = &mut self.slot_wait_started;
         // The admission gate: grant immediately without a pool; otherwise
         // try_acquire and account the parked wait on grant.
         let mut gate = || -> Option<Box<dyn std::any::Any + Send>> {
-            let Some(slots) = slots.as_ref() else {
+            let Some(slots) = slots else {
                 return Some(Box::new(()));
             };
             match slots.try_acquire_owned() {
@@ -233,13 +230,13 @@ impl Completion for RequestOp {
                 }
             }
         };
-        let Some(result) = self.call.poll(now, &mut gate) else {
+        let Some(answer) = self.call.poll(now, &mut gate) else {
             return false;
         };
         if self.call.coalesced() {
             metrics.update(|m| m.coalesced_calls += 1);
         }
-        *self.result.lock() = Some(result);
+        self.answer = Some(answer);
         true
     }
 
@@ -248,56 +245,33 @@ impl Completion for RequestOp {
     }
 }
 
-/// The event loop a scan's requests live on.
-enum Lane<'a> {
-    /// The calling thread drives a private loop for just this scan, whose
-    /// first poll resolves cache hits and ready handles inline.
-    Private(LiveSet<RequestOp>),
-    /// The deployment-shared loop — one driving thread interleaves
-    /// completions from every query.
-    Shared(Stream<'a>),
-}
-
-/// The requests of one scan in flight, oldest first. Under a cross-query
-/// scheduler each holds a global call slot while in flight, which delays
-/// dispatch but never changes the prompt set. Dropping it cancels whatever
-/// has not resolved.
+/// The requests of one scan in flight, oldest first, on the scan's own event
+/// loop. Under a cross-query scheduler each holds a global call slot while in
+/// flight, which delays dispatch but never changes the prompt set. Dropping
+/// it cancels whatever has not resolved.
 struct InFlight<'a> {
     ctx: &'a ExecContext,
-    lane: Lane<'a>,
-    /// Where each request in flight deposits its answer, oldest first.
-    results: VecDeque<ResultSlot>,
+    live: LiveSet<RequestOp<'a>>,
 }
 
 impl<'a> InFlight<'a> {
     fn new(ctx: &'a ExecContext) -> Self {
-        let lane = match ctx.reactor() {
-            Some(shared) => Lane::Shared(shared.open(ctx.deadline_instant())),
-            None => Lane::Private(LiveSet::default()),
-        };
         InFlight {
             ctx,
-            lane,
-            results: VecDeque::new(),
+            live: LiveSet::default(),
         }
     }
 
     /// Put an already-accounted request in flight.
     fn push(&mut self, call: ClientCall) {
-        let result = ResultSlot::default();
-        let op = RequestOp {
-            metrics: self.ctx.metrics.clone(),
-            slots: self.ctx.slots().map(Arc::clone),
+        self.live.push(RequestOp {
+            metrics: &self.ctx.metrics,
+            slots: self.ctx.slots(),
             call,
             _in_flight: self.ctx.metrics.track_in_flight(),
             slot_wait_started: None,
-            result: Arc::clone(&result),
-        };
-        self.results.push_back(result);
-        match &mut self.lane {
-            Lane::Private(live) => live.push(op),
-            Lane::Shared(stream) => stream.push(Box::new(op)),
-        }
+            answer: None,
+        });
     }
 
     /// Park until the oldest request in flight resolves and take its answer.
@@ -305,16 +279,13 @@ impl<'a> InFlight<'a> {
     /// with partial accounting, and the request stays in flight for the drop
     /// to cancel.
     fn wait_head(&mut self) -> Result<CompletionResponse> {
-        let outcome = match &mut self.lane {
-            Lane::Private(live) => live.wait_head(self.ctx.deadline_instant()),
-            Lane::Shared(stream) => stream.wait_head(),
-        };
-        if outcome == Some(DriveOutcome::DeadlineExceeded) {
-            return Err(self.ctx.deadline_error());
+        match self.live.wait_head(self.ctx.deadline_instant()) {
+            Some(Ok(op)) => op
+                .answer
+                .unwrap_or_else(|| Err(Error::execution("a request resolved without an answer"))),
+            Some(Err(Expired)) => Err(self.ctx.deadline_error()),
+            None => Err(Error::execution("no request in flight to wait for")),
         }
-        let slot = outcome.and_then(|_| self.results.pop_front());
-        let answer = slot.and_then(|slot| slot.lock().take());
-        answer.unwrap_or_else(|| Err(Error::execution("no request in flight to wait for")))
     }
 }
 
@@ -2068,70 +2039,62 @@ mod tests {
         // pages, so pages 0–6 go out at once and 7–10 follow as full pages
         // are consumed. How many pages ever answer decides how the scan ends
         // — finished, failed or cut — each time with requests still
-        // unresolved. They hold call
-        // slots, the in-flight gauge and single-flight leaderships, and all
-        // of it must be back when the scan returns, on the private loop and
-        // on a shared reactor alike.
+        // unresolved. They hold call slots, the in-flight gauge and
+        // single-flight leaderships, and all of it must be back when the scan
+        // returns.
         let p = parts(Some(lt_filter(6)), None);
         for ending in [Ending::Finished, Ending::Deadline, Ending::DeadlineCut] {
-            for shared in [false, true] {
-                let at = format!("{ending:?}, shared reactor {shared}");
-                let answered = if ending == Ending::Finished { 4 } else { 2 };
-                // Pages are submitted in order: the first `answered` answer.
-                let submissions = Mutex::new(0);
-                let (model, log) = Probe::over(numbered_world(40), true, move |_| {
-                    let mut submissions = submissions.lock();
-                    *submissions += 1;
-                    if *submissions <= answered {
-                        AT_ONCE
-                    } else {
-                        NEVER
-                    }
-                });
-                let slots = Arc::new(CallSlots::new(16));
-                let reactor = Arc::new(crate::reactor::SharedReactor::new());
-                let mut ctx =
-                    context_over(model, PromptStrategy::BatchedRows).with_slots(Arc::clone(&slots));
-                if shared {
-                    ctx = ctx.with_reactor(Arc::clone(&reactor));
+            let at = format!("{ending:?}");
+            let answered = if ending == Ending::Finished { 4 } else { 2 };
+            // Pages are submitted in order: the first `answered` answer.
+            let submissions = Mutex::new(0);
+            let (model, log) = Probe::over(numbered_world(40), true, move |_| {
+                let mut submissions = submissions.lock();
+                *submissions += 1;
+                if *submissions <= answered {
+                    AT_ONCE
+                } else {
+                    NEVER
                 }
-                ctx.config.parallelism = 8;
-                if ending != Ending::Finished {
-                    ctx.config.deadline_ms = Some(40.0);
-                    ctx.config.partial_results = ending == Ending::DeadlineCut;
-                }
-
-                let outcome = llm_scan(&ctx, &p.spec());
-                match ending {
-                    Ending::Finished => assert_eq!(outcome.unwrap().len(), 6, "{at}"),
-                    Ending::Deadline => {
-                        assert_eq!(
-                            outcome.unwrap_err().kind,
-                            ErrorKind::DeadlineExceeded,
-                            "{at}"
-                        );
-                    }
-                    Ending::DeadlineCut => assert_eq!(outcome.unwrap().len(), 4, "{at}"),
-                }
-                let asked = prompts_asked(&log).len();
-                let resolved = log
-                    .lock()
-                    .iter()
-                    .filter(|e| matches!(e, Event::Resolved(_)))
-                    .count();
-                // 3 full pages consumed: 3 + min(8, 7 + 3) planned; with
-                // page 2 stuck, 2 + min(8, 7 + 2).
-                let planned = if ending == Ending::Finished { 11 } else { 10 };
-                assert_eq!(asked, planned, "{at}");
-                assert_eq!(ctx.metrics.snapshot().llm_calls(), planned as u64, "{at}");
-                assert_eq!(resolved, answered, "{at}");
-
-                assert_eq!(ctx.metrics.in_flight(), 0, "in-flight gauge: {at}");
-                assert_eq!(slots.in_use(), 0, "call slots: {at}");
-                let coalescer = ctx.client.as_ref().unwrap().coalescer().unwrap();
-                assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");
-                assert_eq!(reactor.streams_open(), 0, "streams: {at}");
+            });
+            let slots = Arc::new(CallSlots::new(16));
+            let mut ctx =
+                context_over(model, PromptStrategy::BatchedRows).with_slots(Arc::clone(&slots));
+            ctx.config.parallelism = 8;
+            if ending != Ending::Finished {
+                ctx.config.deadline_ms = Some(40.0);
+                ctx.config.partial_results = ending == Ending::DeadlineCut;
             }
+
+            let outcome = llm_scan(&ctx, &p.spec());
+            match ending {
+                Ending::Finished => assert_eq!(outcome.unwrap().len(), 6, "{at}"),
+                Ending::Deadline => {
+                    assert_eq!(
+                        outcome.unwrap_err().kind,
+                        ErrorKind::DeadlineExceeded,
+                        "{at}"
+                    );
+                }
+                Ending::DeadlineCut => assert_eq!(outcome.unwrap().len(), 4, "{at}"),
+            }
+            let asked = prompts_asked(&log).len();
+            let resolved = log
+                .lock()
+                .iter()
+                .filter(|e| matches!(e, Event::Resolved(_)))
+                .count();
+            // 3 full pages consumed: 3 + min(8, 7 + 3) planned; with
+            // page 2 stuck, 2 + min(8, 7 + 2).
+            let planned = if ending == Ending::Finished { 11 } else { 10 };
+            assert_eq!(asked, planned, "{at}");
+            assert_eq!(ctx.metrics.snapshot().llm_calls(), planned as u64, "{at}");
+            assert_eq!(resolved, answered, "{at}");
+
+            assert_eq!(ctx.metrics.in_flight(), 0, "in-flight gauge: {at}");
+            assert_eq!(slots.in_use(), 0, "call slots: {at}");
+            let coalescer = ctx.client.as_ref().unwrap().coalescer().unwrap();
+            assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");
         }
     }
 }

@@ -144,8 +144,8 @@ impl CallSlots {
     }
 
     /// Fold an externally measured blocked wait into the contention counters.
-    /// Wave dispatch waits for capacity by re-polling
-    /// [`CallSlots::try_acquire_owned`] from its reactor instead of blocking
+    /// A scan waits for capacity by re-polling
+    /// [`CallSlots::try_acquire_owned`] from its event loop instead of blocking
     /// in [`CallSlots::acquire`]; the time it spent parked must still show up
     /// in `contended_acquisitions` / `total_wait_ms`, or over-subscription
     /// would be invisible. Zero

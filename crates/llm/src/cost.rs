@@ -36,16 +36,6 @@ impl UsageStats {
         self.prompt_tokens + self.completion_tokens
     }
 
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &UsageStats) {
-        self.calls += other.calls;
-        self.cache_hits += other.cache_hits;
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
-        self.cost_usd += other.cost_usd;
-        self.latency_ms += other.latency_ms;
-    }
-
     /// The difference `self - baseline`, useful to isolate the usage of a
     /// single query from a shared client.
     pub fn since(&self, baseline: &UsageStats) -> UsageStats {
@@ -105,7 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_since() {
+    fn since_isolates_the_usage_after_a_snapshot() {
         let mut a = UsageStats::default();
         a.record(&resp(10, 10));
         let snapshot = a.clone();
@@ -113,11 +103,6 @@ mod tests {
         let delta = a.since(&snapshot);
         assert_eq!(delta.calls, 1);
         assert_eq!(delta.total_tokens(), 10);
-
-        let mut b = UsageStats::default();
-        b.merge(&a);
-        b.merge(&delta);
-        assert_eq!(b.calls, 3);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! prompt and applying it to facts it recalls". It supports the subset of SQL
 //! expressions the prompt builder ever pushes down: comparisons, boolean
 //! connectives, arithmetic, LIKE, IN, BETWEEN, IS NULL over the relation's
-//! columns and literals.
+//! columns and literals. What an operator does to values is
+//! [`llmsql_sql::eval`], the engine's own kernel: a scan trusts the model's
+//! filtering, so a model at perfect fidelity must filter as the engine would.
 
-use llmsql_sql::ast::{BinaryOp, Expr, UnaryOp};
+use llmsql_sql::ast::Expr;
+use llmsql_sql::eval::{binary, truthy, unary};
 use llmsql_sql::parse_expression;
 use llmsql_types::{Error, Result, Row, Schema, Value};
 
@@ -26,16 +29,6 @@ pub fn eval_predicate_text(schema: &Schema, row: &Row, predicate: &str) -> Resul
     })
 }
 
-fn truthy(v: &Value) -> bool {
-    match v {
-        Value::Bool(b) => *b,
-        Value::Int(i) => *i != 0,
-        Value::Float(f) => *f != 0.0,
-        Value::Text(s) => !s.is_empty(),
-        Value::Null => false,
-    }
-}
-
 /// Evaluate an expression against a row of the relation.
 pub fn eval_expr(schema: &Schema, row: &Row, expr: &Expr) -> Result<Value> {
     match expr {
@@ -51,18 +44,7 @@ pub fn eval_expr(schema: &Schema, row: &Row, expr: &Expr) -> Result<Value> {
         }
         Expr::Unary { op, expr } => {
             let v = eval_expr(schema, row, expr)?;
-            match op {
-                UnaryOp::Not => Ok(match v {
-                    Value::Null => Value::Null,
-                    other => Value::Bool(!truthy(&other)),
-                }),
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(Error::llm(format!("cannot negate {}", other.type_name()))),
-                },
-            }
+            unary(*op, &v).ok_or_else(|| Error::llm(format!("cannot negate {}", v.type_name())))
         }
         Expr::IsNull { expr, negated } => {
             let v = eval_expr(schema, row, expr)?;
@@ -72,7 +54,7 @@ pub fn eval_expr(schema: &Schema, row: &Row, expr: &Expr) -> Result<Value> {
         Expr::Binary { left, op, right } => {
             let l = eval_expr(schema, row, left)?;
             let r = eval_expr(schema, row, right)?;
-            eval_binary(&l, *op, &r)
+            binary(&l, *op, &r).ok_or_else(|| Error::llm("invalid arithmetic operands"))
         }
         Expr::InList {
             expr,
@@ -132,147 +114,6 @@ pub fn eval_expr(schema: &Schema, row: &Row, expr: &Expr) -> Result<Value> {
             "aggregate expressions cannot appear in pushed-down predicates",
         )),
     }
-}
-
-fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value> {
-    use BinaryOp::*;
-    // Logical connectives use SQL three-valued logic.
-    if matches!(op, And | Or) {
-        let lb = if l.is_null() { None } else { Some(truthy(l)) };
-        let rb = if r.is_null() { None } else { Some(truthy(r)) };
-        return Ok(match (op, lb, rb) {
-            (And, Some(false), _) | (And, _, Some(false)) => Value::Bool(false),
-            (And, Some(true), Some(true)) => Value::Bool(true),
-            (Or, Some(true), _) | (Or, _, Some(true)) => Value::Bool(true),
-            (Or, Some(false), Some(false)) => Value::Bool(false),
-            _ => Value::Null,
-        });
-    }
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    match op {
-        Plus | Minus | Multiply | Divide | Modulo => {
-            arith(l, op, r).ok_or_else(|| Error::llm("invalid arithmetic operands"))
-        }
-        Eq => Ok(Value::Bool(l.semantic_eq(r))),
-        NotEq => Ok(Value::Bool(!l.semantic_eq(r))),
-        Lt => Ok(Value::Bool(
-            num_or_text_cmp(l, r) == std::cmp::Ordering::Less,
-        )),
-        LtEq => Ok(Value::Bool(
-            num_or_text_cmp(l, r) != std::cmp::Ordering::Greater,
-        )),
-        Gt => Ok(Value::Bool(
-            num_or_text_cmp(l, r) == std::cmp::Ordering::Greater,
-        )),
-        GtEq => Ok(Value::Bool(
-            num_or_text_cmp(l, r) != std::cmp::Ordering::Less,
-        )),
-        Like => Ok(Value::Bool(like_match(
-            &l.to_display_string(),
-            &r.to_display_string(),
-        ))),
-        Concat => Ok(Value::Text(format!(
-            "{}{}",
-            l.to_display_string(),
-            r.to_display_string()
-        ))),
-        And | Or => unreachable!("handled above"),
-    }
-}
-
-fn num_or_text_cmp(l: &Value, r: &Value) -> std::cmp::Ordering {
-    l.total_cmp(r)
-}
-
-fn arith(l: &Value, op: BinaryOp, r: &Value) -> Option<Value> {
-    use BinaryOp::*;
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Some(match op {
-            Plus => Value::Int(a.wrapping_add(*b)),
-            Minus => Value::Int(a.wrapping_sub(*b)),
-            Multiply => Value::Int(a.wrapping_mul(*b)),
-            Divide => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-            Modulo => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a % b)
-                }
-            }
-            _ => return None,
-        }),
-        _ => {
-            let a = l.as_f64()?;
-            let b = r.as_f64()?;
-            Some(match op {
-                Plus => Value::Float(a + b),
-                Minus => Value::Float(a - b),
-                Multiply => Value::Float(a * b),
-                Divide => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a / b)
-                    }
-                }
-                Modulo => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a % b)
-                    }
-                }
-                _ => return None,
-            })
-        }
-    }
-}
-
-/// SQL LIKE matching with `%` (any run) and `_` (single char), case-insensitive
-/// (mirrors how an LLM treats string questions).
-///
-/// Iterative two-pointer algorithm with `%`-backtracking: on a mismatch the
-/// scan resumes one text position past where the most recent `%` started
-/// matching, so the worst case is O(|text| × |pattern|) — never the
-/// exponential blowup (and stack overflow) of naive recursion on adversarial
-/// patterns like `%a%a%a%b`.
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let mut ti = 0; // cursor into text
-    let mut pi = 0; // cursor into pattern
-                    // Backtracking state: the pattern index just past the last `%`, and the
-                    // text index that `%` is currently assumed to have consumed up to.
-    let mut star_pi = usize::MAX;
-    let mut star_ti = 0;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi].eq_ignore_ascii_case(&t[ti])) {
-            ti += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_pi = pi + 1;
-            star_ti = ti;
-            pi = star_pi;
-        } else if star_pi != usize::MAX {
-            // Mismatch after a `%`: widen that `%` by one character and
-            // retry the remainder of the pattern from there.
-            star_ti += 1;
-            ti = star_ti;
-            pi = star_pi;
-        } else {
-            return false;
-        }
-    }
-    // Text exhausted: the remaining pattern must be all `%`.
-    p[pi..].iter().all(|&c| c == '%')
 }
 
 #[cfg(test)]
@@ -384,75 +225,5 @@ mod tests {
     fn unknown_column_errors() {
         assert!(eval_predicate_text(&schema(), &row(), "gdp > 1").is_err());
         assert!(eval_predicate_text(&schema(), &row(), "SUM(population) > 1").is_err());
-    }
-
-    #[test]
-    fn like_edge_cases() {
-        assert!(like_match("", ""));
-        assert!(like_match("", "%"));
-        assert!(!like_match("", "_"));
-        assert!(like_match("abc", "%"));
-        assert!(like_match("abc", "a%c"));
-        assert!(like_match("ABC", "abc"));
-        assert!(!like_match("abc", "a%d"));
-        assert!(like_match("a|b", "a|b"));
-        assert!(like_match("abc", "%%%"));
-        assert!(like_match("abc", "%_c"));
-        assert!(like_match("abc", "_b_"));
-        assert!(!like_match("abc", "abcd"));
-        assert!(!like_match("abcd", "abc"));
-        assert!(like_match("ab%cd", "ab%cd"));
-    }
-
-    #[test]
-    fn like_adversarial_pattern_is_fast() {
-        // Regression: the old recursive matcher backtracked exponentially on
-        // repeated `%x` groups over a long non-matching text (and could
-        // overflow the stack). The iterative matcher is O(|text|·|pattern|).
-        let text: String = "a".repeat(5_000);
-        let pattern = "%a%a%a%a%a%a%a%a%a%a%b";
-        let start = std::time::Instant::now();
-        assert!(!like_match(&text, pattern));
-        assert!(like_match(&(text.clone() + "b"), pattern));
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < std::time::Duration::from_secs(1),
-            "adversarial LIKE took {elapsed:?}"
-        );
-    }
-
-    /// Naive exponential reference matcher: `%` tries every split. Only safe
-    /// on the short inputs the property test generates.
-    fn naive_like(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some((&'%', rest)) => (0..=t.len()).any(|k| naive_like(&t[k..], rest)),
-            Some((&'_', rest)) => !t.is_empty() && naive_like(&t[1..], rest),
-            Some((pc, rest)) => match t.split_first() {
-                Some((tc, trest)) => tc.eq_ignore_ascii_case(pc) && naive_like(trest, rest),
-                None => false,
-            },
-        }
-    }
-
-    proptest::proptest! {
-        /// The iterative matcher agrees with the naive reference on random
-        /// pattern/text pairs over a small alphabet (dense in collisions, so
-        /// `%`-backtracking paths actually get exercised).
-        #[test]
-        fn like_matches_naive_reference(
-            text in "[abAB]{0,10}",
-            pattern in "[ab%_]{0,8}",
-        ) {
-            let t: Vec<char> = text.chars().collect();
-            let p: Vec<char> = pattern.chars().collect();
-            proptest::prop_assert_eq!(
-                like_match(&text, &pattern),
-                naive_like(&t, &p),
-                "text={:?} pattern={:?}",
-                text,
-                pattern
-            );
-        }
     }
 }

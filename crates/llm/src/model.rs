@@ -283,10 +283,11 @@ impl LlmClient {
 }
 
 /// How soon a single-flight follower re-checks its leader's entry, and how
-/// soon a slot-starved call re-consults the admission gate. Event loops also
-/// re-poll eagerly after any completion in the same loop (a completion is
-/// what frees a slot), so this is a cross-thread fallback, not the primary
-/// wake mechanism.
+/// soon a slot-starved call re-consults the admission gate. An event loop
+/// re-polls an operation only once its stored wake-up is *due* — a
+/// completion elsewhere, in the same loop or another thread's, wakes nobody
+/// — so this is the bound on how late a follower or a slot waiter notices,
+/// in every deployment shape.
 const CLIENT_CALL_RETRY: Duration = Duration::from_micros(500);
 
 /// Which phase of its life a [`ClientCall`] is in.
@@ -302,7 +303,7 @@ enum CcState {
     },
     /// Leader without a permit: the admission gate said "no capacity";
     /// re-consult it at `retry_at` (absolute, so the event loop's due-check
-    /// actually comes due — a completion elsewhere may re-poll sooner).
+    /// actually comes due).
     AwaitingSlot { retry_at: Instant },
     /// Dispatched to the model.
     InFlight { handle: CallHandle },

@@ -81,24 +81,25 @@
 //!   spent; the prefix a given cut produces is a function of the answers
 //!   consumed in prompt order, never of scheduling interleavings.
 //!
-//! **Workers park on one shared reactor, not inside calls.** The scheduler
-//! attaches a single [`llmsql_exec::SharedReactor`] to the engine, so every
-//! worker's requests land on *one* deployment-wide event loop: a worker
-//! submits what its scan's window admits and, to consume the oldest answer,
-//! either drives the loop (first in wins the driver seat, servicing *all*
-//! queries' completions until that answer is in) or parks on a condvar until
-//! a driver resolves it. Completions from
-//! different queries therefore interleave on one clock, `llm_slots` is the
-//! only deployment-wide in-flight ceiling, and 64 slots on 4 workers is the
-//! normal shape — not 64 blocked threads (`examples/async_dispatch.rs`
-//! measures exactly this). Slot waits are parked-and-polled, and surface
-//! in the `SchedStats::total_slot_wait_ms` / `ExecMetrics::slot_wait_ms`
-//! accounting. A model whose `submit` is the blocking adapter runs a
-//! scan's requests one after another inside the poll; every guarantee above
-//! still holds.
+//! **Workers park on their own event loop, not inside calls.** A query runs
+//! on the worker that picked it up, and each of its scans drives a private
+//! [`llmsql_exec::LiveSet`] there: the worker submits what the scan's window
+//! admits and polls those requests until the oldest answer is in — the same
+//! loop a standalone engine runs. A worker therefore holds a whole window of
+//! requests, `llm_slots` is the only deployment-wide in-flight ceiling, and
+//! 64 slots on 4 workers is the normal shape — not 64 blocked threads
+//! (`examples/async_dispatch.rs` measures exactly this). What the workers
+//! share is the state their requests poll: the [`llmsql_exec::CallSlots`]
+//! pool, the prompt coalescer, the backend pool's hedge gate. A request
+//! waiting on another query — for a slot, or for a coalescing leader's
+//! answer — re-polls on a short stored retry deadline; its waits are
+//! parked-and-polled, and surface in the `SchedStats::total_slot_wait_ms` /
+//! `ExecMetrics::slot_wait_ms` accounting. A model whose `submit` is the
+//! blocking adapter runs a scan's requests one after another inside the
+//! poll; every guarantee above still holds.
 //!
-//! The global view buys two cross-query optimizations, both accounted in
-//! [`SchedStats`]:
+//! Two optimizations take physical requests below logical calls, both
+//! accounted in [`SchedStats`]:
 //!
 //! * **Prompt coalescing** (`llmsql_llm::PromptCoalescer`, attached by the
 //!   scheduler): identical in-flight `(fingerprint, prompt, params)` calls

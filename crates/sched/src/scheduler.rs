@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use llmsql_core::Engine;
-use llmsql_exec::{CallSlots, SharedReactor};
+use llmsql_exec::CallSlots;
 use llmsql_llm::PromptCoalescer;
 use llmsql_types::{AtomicEwmaMs, Error, Priority, Result, SchedConfig, SchedPolicy, TenantId};
 
@@ -185,11 +185,9 @@ impl QueryScheduler {
         config.validate()?;
         let slots = Arc::new(CallSlots::new(config.llm_slots));
         engine.set_call_slots(Arc::clone(&slots));
-        // One event loop for the whole deployment: completions from every
-        // worker's query interleave on the shared reactor, and identical
+        // One single-flight table for the whole deployment: identical
         // in-flight prompts from different queries coalesce into one
         // physical request.
-        engine.set_shared_reactor(Arc::new(SharedReactor::default()));
         engine.set_prompt_coalescer(Arc::new(PromptCoalescer::new()));
         let worker_count = config.workers;
         let start_paused = config.start_paused;

@@ -2,7 +2,9 @@
 //! # llmsql-sql
 //!
 //! A hand-written SQL front end: lexer, recursive-descent parser, AST, and a
-//! SQL printer that round-trips with the parser.
+//! SQL printer that round-trips with the parser — plus the scalar kernel
+//! ([`eval`]): what the operators of that AST do to values, shared by every
+//! evaluator in the engine.
 //!
 //! The dialect covers what the paper's workloads need: `SELECT` with joins,
 //! grouping, ordering and limits; `CREATE [VIRTUAL] TABLE` with
@@ -18,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod eval;
 pub mod lexer;
 pub mod parser;
 pub mod token;

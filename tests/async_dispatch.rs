@@ -262,7 +262,7 @@ fn resources_drain_after_completed_cancelled_and_failed_queries() {
     assert_eq!(err.kind, ErrorKind::Llm, "{err}");
     assert_drained(&engine, "failed direct");
 
-    // Scheduled: workers park their waves on the shared reactor.
+    // Scheduled: two workers over one slot pool and one coalescer.
     let (engine, model) = build();
     let sched = QueryScheduler::new(
         engine,

@@ -238,8 +238,8 @@ fn partial_results_change_nothing_on_a_healthy_run() {
 fn coalescing_stays_deterministic_through_an_error_burst() {
     // Shared-dispatch deployment under fire: an error burst takes every
     // edge-a attempt down for the whole horizon while 4 identical queries
-    // run concurrently on one scheduler — shared reactor, cross-query
-    // coalescer, retries absorbing the burst. A coalesced leader's failure
+    // run concurrently on one scheduler — cross-query coalescer, retries
+    // absorbing the burst. A coalesced leader's failure
     // must abandon the in-flight entry (followers re-claim and retry), so
     // rows and per-query logical call counts stay byte-identical to the
     // fault-free single-query baseline.

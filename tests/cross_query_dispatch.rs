@@ -1,29 +1,17 @@
-//! Acceptance scenarios for the shared deployment reactor: cross-query
-//! prompt coalescing, tuple batching, and the determinism contract — rows
-//! and per-query logical call counts are byte-identical whatever the batch
-//! size and whether or not the shared reactor/coalescer are attached.
-
-use std::sync::Arc;
+//! Acceptance scenarios for what concurrent queries share — the call-slot
+//! pool and the deployment's prompt coalescer — and for tuple batching, under
+//! the determinism contract: rows and per-query logical call counts are
+//! byte-identical whatever the batch size and however many queries run
+//! alongside.
 
 use llmsql_bench::batched_tuple_scan_engine;
-use llmsql_core::Engine;
-use llmsql_exec::SharedReactor;
-use llmsql_llm::PromptCoalescer;
 use llmsql_sched::{QueryScheduler, QueryTicket};
 use llmsql_types::{Priority, SchedConfig};
 
 const SCAN_SQL: &str = "SELECT name, population FROM countries";
 
-/// Attach a private shared reactor + coalescer to `engine` (what the
-/// scheduler does deployment-wide, here on a standalone engine).
-fn with_shared_dispatch(mut engine: Engine) -> Engine {
-    engine.set_shared_reactor(Arc::new(SharedReactor::default()));
-    engine.set_prompt_coalescer(Arc::new(PromptCoalescer::new()));
-    engine
-}
-
 // ---------------------------------------------------------------------------
-// Determinism: batching and the shared reactor never change answers
+// Determinism: batching never changes answers
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -56,24 +44,6 @@ fn batch_size_never_changes_rows_or_logical_calls() {
                 "batch {batch} issued as many physical calls as unbatched"
             );
         }
-    }
-}
-
-#[test]
-fn shared_reactor_on_vs_off_is_byte_identical() {
-    for batch in [1, 3, 16] {
-        let solo = batched_tuple_scan_engine(40, 8, batch, 0.5).expect("valid batched scan engine");
-        let baseline = solo.execute(SCAN_SQL).unwrap();
-        let shared_engine = with_shared_dispatch(
-            batched_tuple_scan_engine(40, 8, batch, 0.5).expect("valid batched scan engine"),
-        );
-        let shared = shared_engine.execute(SCAN_SQL).unwrap();
-        assert_eq!(shared.rows(), baseline.rows(), "batch {batch}");
-        assert_eq!(
-            shared.metrics.llm_calls(),
-            baseline.metrics.llm_calls(),
-            "batch {batch}"
-        );
     }
 }
 
@@ -116,8 +86,8 @@ fn concurrent_identical_queries_coalesce_below_0_3x_physical() {
     let unshared_total = 8 * baseline_calls;
 
     // Subject: the same 64-prompt working set, 8 identical queries released
-    // simultaneously on one scheduler — shared reactor, coalescer, and 4
-    // tuples packed per physical request.
+    // simultaneously on one scheduler — one coalescer for all of them, and
+    // 4 tuples packed per physical request.
     let sched = QueryScheduler::new(
         batched_tuple_scan_engine(64, 8, 4, 4.0).expect("valid batched scan engine"),
         SchedConfig::default()
@@ -160,16 +130,16 @@ fn concurrent_identical_queries_coalesce_below_0_3x_physical() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn queries_that_end_with_requests_in_flight_drain_the_shared_loop() {
+fn queries_that_end_with_requests_in_flight_drain_the_deployment() {
     use llmsql_bench::parallel_scan_engine;
     use llmsql_types::ErrorKind;
     // 200 rows in pages of 10 at fanout 8 over 20 ms round trips; two
-    // queries share the scheduler's reactor, slot pool and coalescer. The
+    // queries share the scheduler's slot pool and coalescer. The
     // filter keeps 25 rows, so that scan ends on its third page while pages
     // its window speculated past the end are still in flight (the planner
     // expected 66 rows, 7 pages). The full scan needs three round trips and
     // has 30 ms: its deadline fires with a window of requests parked. Each
-    // must take its own requests out of the shared loop — and nothing else.
+    // must give back what its own requests held — and nothing else.
     const FILTERED: &str = "SELECT name, population FROM countries WHERE population < 1030475";
     let sequential = parallel_scan_engine(200, 1, 0.0).execute(FILTERED).unwrap();
     assert_eq!(sequential.row_count(), 25);
@@ -200,5 +170,56 @@ fn queries_that_end_with_requests_in_flight_drain_the_shared_loop() {
     let engine = sched.engine();
     assert_eq!(engine.call_slots().unwrap().in_use(), 0, "call slots");
     assert_eq!(engine.prompt_coalescer().unwrap().in_flight(), 0);
-    assert_eq!(engine.shared_reactor().unwrap().streams_open(), 0);
+}
+
+#[test]
+fn a_leader_cancelled_on_another_thread_hands_its_flights_to_the_follower() {
+    use llmsql_bench::parallel_scan_engine;
+    use llmsql_types::ErrorKind;
+    use std::time::{Duration, Instant};
+    // Two identical 20-page scans on two workers over 60 ms round trips.
+    // The first has 40 ms: it puts its first window of 8 pages in flight,
+    // leads all 8, and its deadline fires before any can answer. The second
+    // is submitted once those 8 flights are claimed, so it follows them —
+    // and when the first query's drop abandons them, on another thread, the
+    // second must notice, re-claim each and finish the scan on its own.
+    let sequential = parallel_scan_engine(200, 1, 0.0).execute(SCAN_SQL).unwrap();
+    assert_eq!(sequential.row_count(), 200);
+
+    let sched = QueryScheduler::new(
+        parallel_scan_engine(200, 8, 60.0),
+        SchedConfig::default().with_workers(2).with_llm_slots(32),
+    )
+    .unwrap();
+    let doomed = sched
+        .submit_with_deadline("a", Priority::NORMAL, SCAN_SQL, 40.0)
+        .unwrap();
+    let coalescer = sched.engine().prompt_coalescer().unwrap();
+    let submitted = Instant::now();
+    while coalescer.in_flight() < 8 {
+        assert!(
+            submitted.elapsed() < Duration::from_millis(40),
+            "the first window was never seen in flight"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let survivor = sched.submit("b", Priority::NORMAL, SCAN_SQL).unwrap();
+
+    let err = doomed.wait().result.unwrap_err();
+    assert_eq!(err.kind, ErrorKind::DeadlineExceeded);
+    let outcome = survivor.wait();
+    assert_eq!(outcome.result.unwrap().rows(), sequential.rows());
+    assert_eq!(outcome.llm_calls, sequential.metrics.llm_calls());
+    // The first query published nothing, so every flight the second joined
+    // as a follower it had to re-claim to get an answer at all.
+    let stats = coalescer.stats();
+    assert!(
+        stats.followers_served > 0,
+        "the second query never followed"
+    );
+    assert!(stats.leaders > 20, "no abandoned flight was re-claimed");
+
+    let engine = sched.engine();
+    assert_eq!(engine.call_slots().unwrap().in_use(), 0, "call slots");
+    assert_eq!(coalescer.in_flight(), 0, "coalescer entries");
 }

@@ -86,6 +86,39 @@ fn limit_counts_rows_that_pass_the_filter_in_every_strategy() {
     }
 }
 
+/// A scan trusts the model's reading of a pushed filter, so the simulated
+/// model and the engine must do the same arithmetic. `/` is a float division
+/// in SQL as the oracle runs it: no population is its own predecessor's
+/// double, and every population's half exceeds its predecessor's — while a
+/// model dividing integers would say so of the odd ones only.
+#[test]
+fn pushed_arithmetic_filters_match_the_oracle_in_every_strategy() {
+    let w = world();
+    let oracle = w.oracle_engine();
+    let queries = [
+        "SELECT name, population FROM countries WHERE population / 2 = (population - 1) / 2",
+        "SELECT name, population FROM countries WHERE population / 2 > (population - 1) / 2",
+    ];
+    for (sql, expected_rows) in queries.into_iter().zip([0, 25]) {
+        let truth = oracle.execute(sql).unwrap();
+        assert_eq!(truth.row_count(), expected_rows, "{sql}");
+        for strategy in [
+            PromptStrategy::FullQuery,
+            PromptStrategy::BatchedRows,
+            PromptStrategy::TupleAtATime,
+            PromptStrategy::DecomposedOperators,
+        ] {
+            let config = EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(strategy)
+                .with_fidelity(LlmFidelity::perfect());
+            let answer = w.subject_engine(config).unwrap().execute(sql).unwrap();
+            let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+            assert!(score.exact, "{strategy}: '{sql}' diverged: {score:?}");
+        }
+    }
+}
+
 /// Full-query prompting at perfect fidelity answers single-table queries
 /// exactly (joins/aggregates may legitimately diverge through the one-shot
 /// interpreter, which is part of what E2 measures).

@@ -106,6 +106,27 @@ fn arithmetic_case_cast_concat() {
 }
 
 #[test]
+fn integer_extremes_give_an_answer_never_a_panic() {
+    let e = engine();
+    let scalar = |sql: &str| e.execute(sql).unwrap().scalar();
+    const MIN: &str = "(-9223372036854775807 - 1)";
+    // The one remainder and the one negation i64 cannot represent wrap, as
+    // `+ - *` do; `/` is a float division and cannot overflow.
+    assert_eq!(scalar(&format!("SELECT {MIN} % -1")), Some(Value::Int(0)));
+    assert_eq!(
+        scalar(&format!("SELECT -{MIN}")),
+        Some(Value::Int(i64::MIN))
+    );
+    assert_eq!(
+        scalar(&format!("SELECT {MIN} / -1")),
+        Some(Value::Float(9_223_372_036_854_775_808.0))
+    );
+    assert_eq!(scalar("SELECT 7 / 2"), Some(Value::Float(3.5)));
+    assert_eq!(scalar("SELECT 7 % 0"), Some(Value::Null));
+    assert_eq!(scalar("SELECT 7 / 0"), Some(Value::Null));
+}
+
+#[test]
 fn joins_inner_left_right_cross() {
     let e = engine();
     // inner join drops donald (NULL dept)
