@@ -228,13 +228,12 @@ fn equi_keys(on: &BoundExpr, left_arity: usize) -> (Vec<(usize, usize)>, Vec<Bou
             right,
         } = &conjunct
         {
-            if let (BoundExpr::Column { index: a, .. }, BoundExpr::Column { index: b, .. }) =
-                (left.as_ref(), right.as_ref())
-            {
-                let (l, r) = if *a < left_arity && *b >= left_arity {
-                    (*a, *b - left_arity)
-                } else if *b < left_arity && *a >= left_arity {
-                    (*b, *a - left_arity)
+            if let (BoundExpr::Column(a), BoundExpr::Column(b)) = (left.as_ref(), right.as_ref()) {
+                let (a, b) = (a.index, b.index);
+                let (l, r) = if a < left_arity && b >= left_arity {
+                    (a, b - left_arity)
+                } else if b < left_arity && a >= left_arity {
+                    (b, a - left_arity)
                 } else {
                     residual.push(conjunct.clone());
                     continue;
@@ -418,7 +417,7 @@ pub fn aggregate_rows(
         .into_iter()
         .map(|(key, accs)| {
             let mut values = key;
-            values.extend(accs.iter().map(super::eval::AggAccumulator::finish));
+            values.extend(accs.iter().map(AggAccumulator::finish));
             Row::new(values)
         })
         .collect())

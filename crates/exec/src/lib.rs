@@ -86,6 +86,113 @@ mod proptests {
         out
     }
 
+    /// The relation the generated predicates are over.
+    const COLUMNS: [(&str, DataType); 4] = [
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("s", DataType::Text),
+        ("b", DataType::Bool),
+    ];
+
+    fn arb_int() -> impl Strategy<Value = i64> {
+        prop_oneof![any::<i64>(), -3i64..4, Just(i64::MIN), Just(i64::MAX)]
+    }
+
+    fn arb_float() -> impl Strategy<Value = f64> {
+        (-40i64..40).prop_map(|quarters| quarters as f64 / 4.0)
+    }
+
+    /// Rows of [`COLUMNS`], each value NULL about one time in four.
+    fn arb_row() -> impl Strategy<Value = Row> {
+        use proptest::option::of;
+        (
+            of(arb_int()),
+            of(arb_float()),
+            of("[a-c]{0,3}"),
+            of(any::<bool>()),
+        )
+            .prop_map(|(n, x, s, b)| {
+                let or_null = |v: Option<Value>| v.unwrap_or(Value::Null);
+                Row::new(vec![
+                    or_null(n.map(Value::Int)),
+                    or_null(x.map(Value::Float)),
+                    or_null(s.map(Value::Text)),
+                    or_null(b.map(Value::Bool)),
+                ])
+            })
+    }
+
+    /// Bound expressions over [`COLUMNS`] using every construct SQL has.
+    fn arb_predicate() -> impl Strategy<Value = BoundExpr> {
+        use llmsql_sql::ast::UnaryOp;
+        use BinaryOp::*;
+        const OPS: [BinaryOp; 15] = [
+            Plus, Minus, Multiply, Divide, Modulo, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or, Like,
+            Concat,
+        ];
+        let boxed = |e: BoundExpr| Box::new(e);
+        let leaf = prop_oneof![
+            (0usize..COLUMNS.len()).prop_map(|i| BoundExpr::col(i, COLUMNS[i].0, COLUMNS[i].1)),
+            arb_int().prop_map(BoundExpr::lit),
+            arb_float().prop_map(BoundExpr::lit),
+            "[a-c%_']{0,3}".prop_map(BoundExpr::lit),
+            any::<bool>().prop_map(BoundExpr::lit),
+            Just(BoundExpr::Literal(Value::Null)),
+        ];
+        leaf.prop_recursive(3, 32, 4, move |inner| {
+            let op = (0usize..OPS.len()).prop_map(|i| OPS[i]);
+            // The four column types are the four types there are.
+            let data_type = (0usize..COLUMNS.len()).prop_map(|i| COLUMNS[i].1);
+            let list = proptest::collection::vec(inner.clone(), 1..4);
+            let branches = proptest::collection::vec((inner.clone(), inner.clone()), 1..3);
+            let else_expr = proptest::option::of(inner.clone());
+            prop_oneof![
+                (inner.clone(), op, inner.clone())
+                    .prop_map(|(l, op, r)| BoundExpr::binary(l, op, r)),
+                inner.clone().prop_map(move |e| BoundExpr::Unary {
+                    op: UnaryOp::Not,
+                    expr: boxed(e)
+                }),
+                // A negated literal is a literal, as the parser makes it.
+                inner.clone().prop_map(move |e| match e {
+                    BoundExpr::Literal(Value::Int(i)) => BoundExpr::lit(i.wrapping_neg()),
+                    BoundExpr::Literal(Value::Float(f)) => BoundExpr::lit(-f),
+                    e => BoundExpr::Unary {
+                        op: UnaryOp::Neg,
+                        expr: boxed(e)
+                    },
+                }),
+                (inner.clone(), any::<bool>()).prop_map(move |(e, negated)| BoundExpr::IsNull {
+                    expr: boxed(e),
+                    negated
+                }),
+                (inner.clone(), list, any::<bool>()).prop_map(move |(e, list, negated)| {
+                    BoundExpr::InList {
+                        expr: boxed(e),
+                        list,
+                        negated,
+                    }
+                }),
+                (inner.clone(), inner.clone(), inner.clone(), any::<bool>()).prop_map(
+                    move |(e, low, high, negated)| BoundExpr::Between {
+                        expr: boxed(e),
+                        low: boxed(low),
+                        high: boxed(high),
+                        negated,
+                    }
+                ),
+                (inner.clone(), data_type).prop_map(move |(e, data_type)| BoundExpr::Cast {
+                    expr: boxed(e),
+                    data_type
+                }),
+                (branches, else_expr).prop_map(move |(branches, else_expr)| BoundExpr::Case {
+                    branches,
+                    else_expr: else_expr.map(boxed),
+                }),
+            ]
+        })
+    }
+
     proptest! {
         #[test]
         fn hash_join_matches_nested_loop(
@@ -136,45 +243,34 @@ mod proptests {
             prop_assert_eq!(got, sorted_input);
         }
 
-        /// No integer operands make an operator panic, in the engine's
-        /// tree-walker or in the simulated model's, and the two agree on
-        /// every answer — whatever is drawn, each case also crosses it with
-        /// the values integer arithmetic overflows or divides by zero on.
+        /// The trip a pushed filter makes: the engine prints the bound
+        /// predicate into a prompt, the model parses that text, resolves
+        /// its names against the relation and evaluates it per row. Whatever
+        /// predicate and row are drawn — every construct, NULLs in the row
+        /// and in the lists, the integers arithmetic overflows or divides
+        /// by zero on — the model computes what the engine computes from
+        /// the tree it started with (or fails where it fails), and neither
+        /// panics. The walker is shared; printing, parsing and name
+        /// resolution are what can still come apart.
         #[test]
-        fn integer_operators_never_panic_and_both_evaluators_agree(
-            a in any::<i64>(),
-            b in any::<i64>(),
+        fn a_pushed_filter_means_to_the_model_what_it_means_to_the_engine(
+            predicates in proptest::collection::vec(arb_predicate(), 64..65),
+            rows in proptest::collection::vec(arb_row(), 8..9),
         ) {
-            use llmsql_sql::ast::{Expr, UnaryOp};
-            use BinaryOp::*;
-            let ops = [
-                Plus, Minus, Multiply, Divide, Modulo, Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or,
-                Like, Concat,
-            ];
-            let operands = [a, b, i64::MIN, i64::MAX, -1, 0, 1];
-            let no_columns = llmsql_types::Schema::new("t", vec![]);
-            let row = Row::empty();
-            let model = |expr: &Expr| llmsql_llm::eval::eval_expr(&no_columns, &row, expr).ok();
-            let lit = |v: i64| Expr::Literal(Value::Int(v));
-            for x in operands {
-                let negated = BoundExpr::Unary {
-                    op: UnaryOp::Neg,
-                    expr: Box::new(BoundExpr::lit(Value::Int(x))),
-                };
-                let asked = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(lit(x)) };
-                prop_assert_eq!(eval(&negated, &row).ok(), model(&asked), "-({})", x);
-                for y in operands {
-                    for op in ops {
-                        let bound = BoundExpr::Binary {
-                            left: Box::new(BoundExpr::lit(Value::Int(x))),
-                            op,
-                            right: Box::new(BoundExpr::lit(Value::Int(y))),
-                        };
-                        let asked = Expr::binary(lit(x), op, lit(y));
-                        let engine = eval(&bound, &row).ok();
-                        prop_assert!(engine.is_some(), "{} {} {}", x, op, y);
-                        prop_assert_eq!(engine, model(&asked), "{} {} {}", x, op, y);
-                    }
+            let relation = llmsql_types::Schema::new(
+                "t",
+                COLUMNS
+                    .iter()
+                    .map(|(name, data_type)| llmsql_types::Column::new(*name, *data_type))
+                    .collect(),
+            );
+            for predicate in &predicates {
+                let text = predicate.to_sql_text().unwrap();
+                let read = llmsql_llm::eval::read_predicate(&relation, &text)
+                    .unwrap_or_else(|e| panic!("the model cannot read {text}: {e}"));
+                for row in &rows {
+                    let model = llmsql_llm::eval::eval_value(&read, row).ok();
+                    prop_assert_eq!(eval(predicate, row).ok(), model, "{} over {:?}", text, row);
                 }
             }
         }

@@ -1,119 +1,54 @@
-//! A small expression evaluator the *simulator* uses to interpret filter
-//! predicates that the engine pushed into prompts.
+//! How the *simulator* applies the conditions it reads in a prompt.
 //!
-//! This is intentionally separate from the engine's own evaluator
-//! (`llmsql-exec`): it models "the language model reading a condition in the
-//! prompt and applying it to facts it recalls". It supports the subset of SQL
-//! expressions the prompt builder ever pushes down: comparisons, boolean
-//! connectives, arithmetic, LIKE, IN, BETWEEN, IS NULL over the relation's
-//! columns and literals. What an operator does to values is
-//! [`llmsql_sql::eval`], the engine's own kernel: a scan trusts the model's
-//! filtering, so a model at perfect fidelity must filter as the engine would.
+//! This models "the language model reading a condition in the prompt and
+//! applying it to facts it recalls": the predicate arrives as SQL text, the
+//! model parses it and resolves its column names to positions in the
+//! relation — once per prompt — and then evaluates it per row with
+//! [`llmsql_sql::eval::eval`], the walker the engine itself uses. A scan
+//! trusts the model's filtering, so a model at perfect fidelity must filter
+//! as the engine would; sharing the evaluator is what guarantees it. Only
+//! the reading (names to positions) and the error kind are the model's own.
 
 use llmsql_sql::ast::Expr;
-use llmsql_sql::eval::{binary, truthy, unary};
+use llmsql_sql::eval::{eval, truth};
 use llmsql_sql::parse_expression;
-use llmsql_types::{Error, Result, Row, Schema, Value};
+use llmsql_types::{Error, ErrorKind, Result, Row, Schema, Value};
 
-/// Evaluate a predicate (given as SQL text) against a row of the relation.
-///
-/// Returns `Ok(None)` when the predicate value is SQL UNKNOWN (three-valued
-/// logic) — the caller usually treats that as "does not satisfy".
-pub fn eval_predicate_text(schema: &Schema, row: &Row, predicate: &str) -> Result<Option<bool>> {
-    let expr = parse_expression(predicate)?;
-    let v = eval_expr(schema, row, &expr)?;
-    Ok(match v {
-        Value::Null => None,
-        Value::Bool(b) => Some(b),
-        other => Some(truthy(&other)),
+/// An expression as the model holds it after reading a prompt: column
+/// references are positions in the rows it will be applied to.
+pub type ReadExpr = Expr<usize>;
+
+/// Read a predicate (given as SQL text) against the relation it is about.
+/// The table qualifier of a column, if any, is ignored: the prompt is about
+/// one relation.
+pub fn read_predicate(schema: &Schema, predicate: &str) -> Result<ReadExpr> {
+    parse_expression(predicate)?.try_map_columns(&|c| {
+        schema.index_of(&c.name).map(Expr::Column).ok_or_else(|| {
+            Error::llm(format!(
+                "predicate references unknown column '{}' of '{}'",
+                c.name, schema.name
+            ))
+        })
     })
 }
 
-/// Evaluate an expression against a row of the relation.
-pub fn eval_expr(schema: &Schema, row: &Row, expr: &Expr) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { name, .. } => {
-            let idx = schema.index_of(name).ok_or_else(|| {
-                Error::llm(format!(
-                    "predicate references unknown column '{name}' of '{}'",
-                    schema.name
-                ))
-            })?;
-            Ok(row.get(idx).clone())
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_expr(schema, row, expr)?;
-            unary(*op, &v).ok_or_else(|| Error::llm(format!("cannot negate {}", v.type_name())))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(schema, row, expr)?;
-            let is_null = v.is_null();
-            Ok(Value::Bool(if *negated { !is_null } else { is_null }))
-        }
-        Expr::Binary { left, op, right } => {
-            let l = eval_expr(schema, row, left)?;
-            let r = eval_expr(schema, row, right)?;
-            binary(&l, *op, &r).ok_or_else(|| Error::llm("invalid arithmetic operands"))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_expr(schema, row, expr)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let iv = eval_expr(schema, row, item)?;
-                if v.semantic_eq(&iv) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(if *negated { !found } else { found }))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_expr(schema, row, expr)?;
-            let lo = eval_expr(schema, row, low)?;
-            let hi = eval_expr(schema, row, high)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
-            }
-            let within = v.total_cmp(&lo) != std::cmp::Ordering::Less
-                && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
-            Ok(Value::Bool(if *negated { !within } else { within }))
-        }
-        Expr::Cast { expr, data_type } => {
-            let v = eval_expr(schema, row, expr)?;
-            v.cast(*data_type).map_err(|e| Error::llm(e.message))
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (cond, val) in branches {
-                let c = eval_expr(schema, row, cond)?;
-                if truthy(&c) {
-                    return eval_expr(schema, row, val);
-                }
-            }
-            match else_expr {
-                Some(e) => eval_expr(schema, row, e),
-                None => Ok(Value::Null),
-            }
-        }
-        Expr::Aggregate { .. } => Err(Error::llm(
-            "aggregate expressions cannot appear in pushed-down predicates",
-        )),
-    }
+/// Evaluate an expression the model has read against a row.
+pub fn eval_value(expr: &ReadExpr, row: &Row) -> Result<Value> {
+    eval(expr, &|&i| row.get(i), ErrorKind::Llm)
+}
+
+/// Evaluate a predicate the model has read against a row.
+///
+/// Returns `Ok(None)` when the predicate value is SQL UNKNOWN (three-valued
+/// logic) — the caller usually treats that as "does not satisfy".
+pub fn eval_predicate(predicate: &ReadExpr, row: &Row) -> Result<Option<bool>> {
+    eval_value(predicate, row).map(|v| truth(&v))
+}
+
+/// Read a predicate (given as SQL text) and evaluate it against one row of
+/// the relation.
+pub fn eval_predicate_text(schema: &Schema, row: &Row, predicate: &str) -> Result<Option<bool>> {
+    eval_predicate(&read_predicate(schema, predicate)?, row)
 }
 
 #[cfg(test)]
@@ -196,6 +131,9 @@ mod tests {
     fn in_between_like() {
         assert_eq!(check("region IN ('Europe', 'Asia')"), Some(true));
         assert_eq!(check("region NOT IN ('Europe')"), Some(false));
+        // A NULL item makes "not found" unknown, as in the engine.
+        assert_eq!(check("region IN ('Europe', NULL)"), Some(true));
+        assert_eq!(check("region NOT IN ('Asia', NULL)"), None);
         assert_eq!(
             check("population BETWEEN 1000000 AND 100000000"),
             Some(true)
@@ -217,6 +155,8 @@ mod tests {
             Some(true)
         );
         assert_eq!(check("CAST(area AS INTEGER) = 643801"), Some(true));
+        // A cast that fails is NULL, not an error.
+        assert_eq!(check("CAST(name AS INTEGER) IS NULL"), Some(true));
         // division by zero yields NULL -> unknown
         assert_eq!(check("population / 0 > 1"), None);
     }

@@ -27,13 +27,12 @@
 
 use std::sync::Arc;
 
-use llmsql_sql::ast::{
-    AggregateFunc, Expr, JoinKind, SelectItem, SelectStatement, Statement, TableExpr,
-};
+use llmsql_sql::ast::{Expr, JoinKind, SelectItem, SelectStatement, Statement, TableExpr};
+use llmsql_sql::eval::AggAccumulator;
 use llmsql_sql::parse_statement;
-use llmsql_types::{DataType, Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
+use llmsql_types::{Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
 
-use crate::eval::{eval_expr, eval_predicate_text};
+use crate::eval::{eval_predicate, eval_predicate_text, eval_value, read_predicate, ReadExpr};
 use crate::knowledge::{normalize_key, KnowledgeBase};
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel};
 use crate::noise::{hash01, NoiseModel};
@@ -191,21 +190,11 @@ impl SimLlm {
             .iter()
             .position(|c| c.primary_key)
             .unwrap_or(0);
-        let mut keys = Vec::new();
-        for row in &rows {
-            if let Some(pred) = filter {
-                match eval_predicate_text(&schema, row, pred) {
-                    Ok(Some(true)) => {}
-                    Ok(_) => continue,
-                    // A predicate the "model" cannot make sense of is simply
-                    // ignored (it lists everything) — a realistic failure.
-                    Err(_) => {}
-                }
-            }
-            keys.push(row.get(key_col).to_display_string());
-        }
-        Ok(keys
-            .into_iter()
+        let filter = read_filter(&schema, filter);
+        Ok(rows
+            .iter()
+            .filter(|row| lists(filter.as_ref(), row))
+            .map(|row| row.get(key_col).to_display_string())
             .skip(offset)
             .take(limit.min(self.max_rows_per_completion))
             .collect())
@@ -221,26 +210,20 @@ impl SimLlm {
     ) -> Result<Vec<String>> {
         let (schema, rows) = self.observed_table(table)?;
         let col_indices: Vec<Option<usize>> = columns.iter().map(|c| schema.index_of(c)).collect();
-        let mut lines = Vec::new();
-        for row in &rows {
-            if let Some(pred) = filter {
-                match eval_predicate_text(&schema, row, pred) {
-                    Ok(Some(true)) => {}
-                    Ok(_) => continue,
-                    Err(_) => {}
-                }
-            }
-            let fields: Vec<String> = col_indices
-                .iter()
-                .map(|idx| match idx {
-                    Some(i) => row.get(*i).to_display_string(),
-                    None => "NULL".to_string(),
-                })
-                .collect();
-            lines.push(fields.join(" | "));
-        }
-        Ok(lines
-            .into_iter()
+        let filter = read_filter(&schema, filter);
+        Ok(rows
+            .iter()
+            .filter(|row| lists(filter.as_ref(), row))
+            .map(|row| {
+                let fields: Vec<String> = col_indices
+                    .iter()
+                    .map(|idx| match idx {
+                        Some(i) => row.get(*i).to_display_string(),
+                        None => "NULL".to_string(),
+                    })
+                    .collect();
+                fields.join(" | ")
+            })
             .skip(offset)
             .take(limit.min(self.max_rows_per_completion))
             .collect())
@@ -251,17 +234,16 @@ impl SimLlm {
         let schema = &kb_table.schema;
         let key_value = Value::Text(key.to_string());
         let key_norm = normalize_key(&key_value);
-        let row = kb_table.row_for_key(&key_value);
-
-        let known = row.is_some() && self.noise.knows_entity(table, &key_norm);
+        let known_row = kb_table
+            .row_for_key(&key_value)
+            .filter(|_| self.noise.knows_entity(table, &key_norm));
         let fields: Vec<String> = columns
             .iter()
             .map(|c| {
                 let Some(col) = schema.index_of(c) else {
                     return "NULL".to_string();
                 };
-                if known {
-                    let row = row.expect("known implies row");
+                if let Some(row) = known_row {
                     match self.observe_attr(table, &key_norm, schema, row, col) {
                         Some(v) => v.to_display_string(),
                         None => "unknown".to_string(),
@@ -324,12 +306,8 @@ impl SimLlm {
 
         // WHERE
         if let Some(pred) = &stmt.selection {
-            let pred = rewrite_columns(pred, &names)?;
-            let schema = flat_schema(&names);
-            rows.retain(|r| {
-                matches!(eval_expr(&schema, r, &pred), Ok(Value::Bool(true)))
-                    || matches!(eval_expr(&schema, r, &pred), Ok(Value::Int(i)) if i != 0)
-            });
+            let pred = resolve(pred, &names)?;
+            rows.retain(|r| matches!(eval_predicate(&pred, r), Ok(Some(true))));
         }
 
         // Join penalty: one-shot prompting over joined relations is less
@@ -343,45 +321,36 @@ impl SimLlm {
             });
         }
 
-        let schema = flat_schema(&names);
-        let mut out_rows: Vec<Vec<Value>> = Vec::new();
-
-        if stmt.is_aggregate() {
-            out_rows = self.eval_aggregate(&stmt, &names, &schema, &rows)?;
+        let mut out_rows: Vec<Vec<Value>> = if stmt.is_aggregate() {
+            self.eval_aggregate(&stmt, &names, &rows)?
         } else {
-            for row in &rows {
-                let mut out = Vec::new();
-                for item in &stmt.projection {
-                    match item {
-                        SelectItem::Wildcard => {
-                            out.extend(row.values().iter().cloned());
-                        }
-                        SelectItem::QualifiedWildcard(q) => {
-                            for (i, (qual, _)) in names.iter().enumerate() {
-                                if qual.as_deref() == Some(q.as_str()) {
-                                    out.push(row.get(i).clone());
-                                }
-                            }
-                        }
-                        SelectItem::Expr { expr, .. } => {
-                            let e = rewrite_columns(expr, &names)?;
-                            out.push(eval_expr(&schema, row, &e).unwrap_or(Value::Null));
-                        }
-                    }
+            // The projection as expressions over the joined row, wildcards
+            // expanded to the positions they stand for.
+            let mut exprs: Vec<ReadExpr> = Vec::new();
+            for item in &stmt.projection {
+                match item {
+                    SelectItem::Wildcard => exprs.extend((0..names.len()).map(Expr::Column)),
+                    SelectItem::QualifiedWildcard(q) => exprs.extend(
+                        (0..names.len())
+                            .filter(|i| names[*i].0.as_deref() == Some(q.as_str()))
+                            .map(Expr::Column),
+                    ),
+                    SelectItem::Expr { expr, .. } => exprs.push(resolve(expr, &names)?),
                 }
-                out_rows.push(out);
             }
-        }
+            rows.iter()
+                .map(|row| exprs.iter().map(|e| value_or_null(e, row)).collect())
+                .collect()
+        };
 
         // ORDER BY (best effort: only plain column references are honoured).
-        if !stmt.order_by.is_empty() && !stmt.is_aggregate() {
+        if !stmt.is_aggregate() {
             if let Some(first) = stmt.order_by.first() {
-                if let Ok(e) = rewrite_columns(&first.expr, &names) {
-                    let schema = flat_schema(&names);
+                if let Ok(e) = resolve(&first.expr, &names) {
                     let mut keyed: Vec<(Value, Vec<Value>)> = rows
                         .iter()
-                        .zip(out_rows.iter())
-                        .map(|(r, o)| (eval_expr(&schema, r, &e).unwrap_or(Value::Null), o.clone()))
+                        .map(|r| value_or_null(&e, r))
+                        .zip(out_rows)
                         .collect();
                     keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
                     if !first.ascending {
@@ -451,22 +420,16 @@ impl SimLlm {
             } => {
                 let (lnames, lrows) = self.eval_table_expr(left)?;
                 let (rnames, rrows) = self.eval_table_expr(right)?;
-                let mut names = lnames.clone();
-                names.extend(rnames.iter().cloned());
-                let schema = flat_schema(&names);
-                let on_expr = match on {
-                    Some(o) => Some(rewrite_columns(o, &names)?),
-                    None => None,
-                };
+                let mut names = lnames;
+                names.extend(rnames);
+                let on_expr = on.as_ref().map(|o| resolve(o, &names)).transpose()?;
                 let mut rows = Vec::new();
                 for l in &lrows {
                     let mut matched = false;
                     for r in &rrows {
                         let combined = l.concat(r);
                         let keep = match &on_expr {
-                            Some(e) => {
-                                matches!(eval_expr(&schema, &combined, e), Ok(Value::Bool(true)))
-                            }
+                            Some(e) => matches!(eval_predicate(e, &combined), Ok(Some(true))),
                             None => true,
                         };
                         if keep {
@@ -492,111 +455,42 @@ impl SimLlm {
         &self,
         stmt: &SelectStatement,
         names: &[(Option<String>, String)],
-        schema: &Schema,
         rows: &[Row],
     ) -> Result<Vec<Vec<Value>>> {
         use std::collections::BTreeMap;
-        // Group rows by the group-by key values.
-        let group_exprs: Vec<Expr> = stmt
+        let group_exprs: Vec<ReadExpr> = stmt
             .group_by
             .iter()
-            .map(|e| rewrite_columns(e, names))
+            .map(|e| resolve(e, names))
             .collect::<Result<_>>()?;
+        let items: Vec<ReadExpr> = stmt
+            .projection
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => resolve(expr, names),
+                _ => Err(Error::llm(
+                    "wildcard projections are not supported with GROUP BY in one-shot prompts",
+                )),
+            })
+            .collect::<Result<_>>()?;
+        // Group rows by the group-by key values.
         let mut groups: BTreeMap<Vec<Value>, Vec<&Row>> = BTreeMap::new();
         for row in rows {
-            let key: Vec<Value> = group_exprs
-                .iter()
-                .map(|e| eval_expr(schema, row, e).unwrap_or(Value::Null))
-                .collect();
+            let key = group_exprs.iter().map(|e| value_or_null(e, row)).collect();
             groups.entry(key).or_default().push(row);
         }
         if groups.is_empty() && stmt.group_by.is_empty() {
             groups.insert(vec![], vec![]);
         }
-
-        let mut out = Vec::new();
-        for (key, members) in groups {
-            let mut row_out = Vec::new();
-            for item in &stmt.projection {
-                match item {
-                    SelectItem::Expr { expr, .. } => {
-                        let v = self.eval_projection_with_aggregates(
-                            expr,
-                            names,
-                            schema,
-                            &key,
-                            &group_exprs,
-                            &members,
-                        )?;
-                        row_out.push(v);
-                    }
-                    _ => return Err(Error::llm(
-                        "wildcard projections are not supported with GROUP BY in one-shot prompts",
-                    )),
-                }
-            }
-            out.push(row_out);
-        }
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn eval_projection_with_aggregates(
-        &self,
-        expr: &Expr,
-        names: &[(Option<String>, String)],
-        schema: &Schema,
-        group_key: &[Value],
-        group_exprs: &[Expr],
-        members: &[&Row],
-    ) -> Result<Value> {
-        match expr {
-            Expr::Aggregate {
-                func,
-                arg,
-                distinct,
-            } => {
-                let mut values: Vec<Value> = Vec::new();
-                for row in members {
-                    match arg {
-                        None => values.push(Value::Int(1)),
-                        Some(a) => {
-                            let e = rewrite_columns(a, names)?;
-                            let v = eval_expr(schema, row, &e).unwrap_or(Value::Null);
-                            if !v.is_null() {
-                                values.push(v);
-                            }
-                        }
-                    }
-                }
-                if *distinct {
-                    let mut seen = Vec::new();
-                    values.retain(|v| {
-                        if seen.iter().any(|s: &Value| s.semantic_eq(v)) {
-                            false
-                        } else {
-                            seen.push(v.clone());
-                            true
-                        }
-                    });
-                }
-                Ok(compute_aggregate(*func, &values))
-            }
-            // A projection expression that is one of the group-by expressions
-            // evaluates to the group key.
-            other => {
-                let rewritten = rewrite_columns(other, names)?;
-                for (i, g) in group_exprs.iter().enumerate() {
-                    if *g == rewritten {
-                        return Ok(group_key[i].clone());
-                    }
-                }
-                match members.first() {
-                    Some(row) => Ok(eval_expr(schema, row, &rewritten).unwrap_or(Value::Null)),
-                    None => Ok(Value::Null),
-                }
-            }
-        }
+        Ok(groups
+            .iter()
+            .map(|(key, members)| {
+                items
+                    .iter()
+                    .map(|item| group_value(item, key, &group_exprs, members))
+                    .collect()
+            })
+            .collect())
     }
 
     /// Render the completion text: join lines, apply per-line format noise.
@@ -618,149 +512,69 @@ impl SimLlm {
     }
 }
 
-/// Compute an aggregate over already-collected values.
-pub fn compute_aggregate(func: AggregateFunc, values: &[Value]) -> Value {
-    match func {
-        AggregateFunc::Count => Value::Int(values.len() as i64),
-        AggregateFunc::Sum => {
-            if values.is_empty() {
-                return Value::Null;
-            }
-            let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-            if all_int {
-                Value::Int(values.iter().filter_map(|v| v.as_int()).sum())
-            } else {
-                Value::Float(values.iter().filter_map(|v| v.as_f64()).sum())
+/// One projected value of one group: an aggregate call runs over the
+/// group's members, an expression that is one of the group-by expressions is
+/// the group key, anything else is read off the first member.
+fn group_value(
+    item: &ReadExpr,
+    key: &[Value],
+    group_exprs: &[ReadExpr],
+    members: &[&Row],
+) -> Value {
+    if let Expr::Aggregate {
+        func,
+        arg,
+        distinct,
+    } = item
+    {
+        let mut acc = AggAccumulator::new(*func, *distinct);
+        for row in members {
+            match arg {
+                None => acc.update(&Value::Int(1)),
+                Some(a) => acc.update(&value_or_null(a, row)),
             }
         }
-        AggregateFunc::Avg => {
-            if values.is_empty() {
-                return Value::Null;
-            }
-            let sum: f64 = values.iter().filter_map(|v| v.as_f64()).sum();
-            Value::Float(sum / values.len() as f64)
-        }
-        AggregateFunc::Min => values
-            .iter()
-            .min_by(|a, b| a.total_cmp(b))
-            .cloned()
-            .unwrap_or(Value::Null),
-        AggregateFunc::Max => values
-            .iter()
-            .max_by(|a, b| a.total_cmp(b))
-            .cloned()
-            .unwrap_or(Value::Null),
+        return acc.finish();
     }
-}
-
-/// Build a throwaway schema whose column names are `__c0`, `__c1`, ... so the
-/// simulator's evaluator can run over joined rows.
-fn flat_schema(names: &[(Option<String>, String)]) -> Schema {
-    let columns = (0..names.len().max(1))
-        .map(|i| llmsql_types::Column::new(format!("__c{i}"), DataType::Text))
-        .collect();
-    Schema {
-        name: "__joined".to_string(),
-        columns,
-        virtual_table: false,
-        description: None,
+    if let Some(i) = group_exprs.iter().position(|g| g == item) {
+        return key[i].clone();
     }
+    members
+        .first()
+        .map_or(Value::Null, |row| value_or_null(item, row))
 }
 
-/// Rewrite column references in an expression to the positional `__cN` names
-/// of [`flat_schema`], resolving qualifiers against `names`.
-fn rewrite_columns(expr: &Expr, names: &[(Option<String>, String)]) -> Result<Expr> {
-    let resolve = |qualifier: &Option<String>, name: &str| -> Result<usize> {
-        let name_l = name.to_ascii_lowercase();
-        let qual_l = qualifier.as_ref().map(|q| q.to_ascii_lowercase());
-        let mut matches = names.iter().enumerate().filter(|(_, (q, n))| {
-            *n == name_l
-                && match &qual_l {
-                    Some(want) => q.as_deref() == Some(want.as_str()),
-                    None => true,
-                }
-        });
-        match (matches.next(), matches.next()) {
-            (Some((i, _)), None) => Ok(i),
-            (Some((i, _)), Some(_)) => Ok(i), // ambiguous: the model just picks the first
-            (None, _) => Err(Error::llm(format!("unknown column '{name}'"))),
-        }
-    };
-    rewrite(expr, &resolve)
+/// The pushed filter of a scan prompt, read once per prompt. A predicate the
+/// "model" cannot make sense of is simply ignored (it lists everything) — a
+/// realistic failure.
+fn read_filter(schema: &Schema, filter: Option<&str>) -> Option<ReadExpr> {
+    filter.and_then(|f| read_predicate(schema, f).ok())
 }
 
-fn rewrite(expr: &Expr, resolve: &impl Fn(&Option<String>, &str) -> Result<usize>) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Column { qualifier, name } => Expr::Column {
-            qualifier: None,
-            name: format!("__c{}", resolve(qualifier, name)?),
-        },
-        Expr::Literal(v) => Expr::Literal(v.clone()),
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite(left, resolve)?),
-            op: *op,
-            right: Box::new(rewrite(right, resolve)?),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite(expr, resolve)?),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite(expr, resolve)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rewrite(expr, resolve)?),
-            list: list
-                .iter()
-                .map(|e| rewrite(e, resolve))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rewrite(expr, resolve)?),
-            low: Box::new(rewrite(low, resolve)?),
-            high: Box::new(rewrite(high, resolve)?),
-            negated: *negated,
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => Expr::Aggregate {
-            func: *func,
-            arg: match arg {
-                Some(a) => Some(Box::new(rewrite(a, resolve)?)),
-                None => None,
-            },
-            distinct: *distinct,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(rewrite(expr, resolve)?),
-            data_type: *data_type,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((rewrite(c, resolve)?, rewrite(v, resolve)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(rewrite(e, resolve)?)),
-                None => None,
-            },
-        },
+/// Whether the model lists `row` under `filter`; a row it cannot evaluate
+/// the filter on is listed too.
+fn lists(filter: Option<&ReadExpr>, row: &Row) -> bool {
+    filter.is_none_or(|f| matches!(eval_predicate(f, row), Ok(Some(true)) | Err(_)))
+}
+
+/// The value the model reads off `row` for `expr`; what it cannot compute it
+/// leaves blank.
+fn value_or_null(expr: &ReadExpr, row: &Row) -> Value {
+    eval_value(expr, row).unwrap_or(Value::Null)
+}
+
+/// Resolve the column references of a one-shot query's expression to
+/// positions in the joined row, matching qualifiers against `names`.
+fn resolve(expr: &Expr, names: &[(Option<String>, String)]) -> Result<ReadExpr> {
+    expr.clone().try_map_columns(&|c| {
+        let name_l = c.name.to_ascii_lowercase();
+        let qual_l = c.qualifier.as_ref().map(|q| q.to_ascii_lowercase());
+        // Ambiguous: the model just picks the first.
+        names
+            .iter()
+            .position(|(q, n)| *n == name_l && (qual_l.is_none() || *q == qual_l))
+            .map(Expr::Column)
+            .ok_or_else(|| Error::llm(format!("unknown column '{}'", c.name)))
     })
 }
 
@@ -925,7 +739,7 @@ impl SimLlm {
 mod tests {
     use super::*;
     use crate::parse::{parse_pipe_rows, parse_value_lines, parse_yes_no, YesNoAnswer};
-    use llmsql_types::Column;
+    use llmsql_types::{Column, DataType};
 
     fn world() -> Arc<KnowledgeBase> {
         let schema = Schema::virtual_table(
@@ -1343,23 +1157,5 @@ mod tests {
         assert!(resp.cost_usd > 0.0);
         assert!(resp.latency_ms > 0.0);
         assert!(sim.name().starts_with("sim-llm"));
-    }
-
-    #[test]
-    fn aggregate_helper() {
-        let vals = vec![Value::Int(1), Value::Int(5), Value::Int(3)];
-        assert_eq!(
-            compute_aggregate(AggregateFunc::Count, &vals),
-            Value::Int(3)
-        );
-        assert_eq!(compute_aggregate(AggregateFunc::Sum, &vals), Value::Int(9));
-        assert_eq!(
-            compute_aggregate(AggregateFunc::Avg, &vals),
-            Value::Float(3.0)
-        );
-        assert_eq!(compute_aggregate(AggregateFunc::Min, &vals), Value::Int(1));
-        assert_eq!(compute_aggregate(AggregateFunc::Max, &vals), Value::Int(5));
-        assert_eq!(compute_aggregate(AggregateFunc::Sum, &[]), Value::Null);
-        assert_eq!(compute_aggregate(AggregateFunc::Count, &[]), Value::Int(0));
     }
 }

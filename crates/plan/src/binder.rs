@@ -1,7 +1,9 @@
 //! The binder: semantic analysis turning a parsed `SELECT` into a
 //! [`LogicalPlan`] against a catalog of schemas.
 
-use llmsql_sql::ast::{Expr, JoinKind, OrderByItem, SelectItem, SelectStatement, TableExpr};
+use llmsql_sql::ast::{
+    ColumnRef, Expr, JoinKind, OrderByItem, SelectItem, SelectStatement, TableExpr,
+};
 use llmsql_store::Catalog;
 use llmsql_types::{DataType, Error, Field, RelSchema, Result, Schema};
 
@@ -115,10 +117,10 @@ impl Binder<'_> {
                     }
                     for f in &schema.fields {
                         out.push((
-                            Expr::Column {
+                            Expr::Column(ColumnRef {
                                 qualifier: f.qualifier.clone(),
                                 name: f.name.clone(),
-                            },
+                            }),
                             None,
                         ));
                     }
@@ -137,10 +139,10 @@ impl Binder<'_> {
                     }
                     for f in matched {
                         out.push((
-                            Expr::Column {
+                            Expr::Column(ColumnRef {
                                 qualifier: f.qualifier.clone(),
                                 name: f.name.clone(),
-                            },
+                            }),
                             None,
                         ));
                     }
@@ -294,7 +296,7 @@ impl Binder<'_> {
         // Rewrite an expression over the aggregate output: group expressions
         // and aggregate calls become column references.
         let rewrite = |expr: &BoundExpr| -> Result<BoundExpr> {
-            rewrite_post_aggregate(expr, &group_exprs, &aggregates).ok_or_else(|| {
+            rewrite_post_aggregate(expr.clone(), &group_exprs, &aggregates).ok_or_else(|| {
                 Error::binding(format!(
                     "expression '{expr}' must appear in the GROUP BY clause or be used in an aggregate function"
                 ))
@@ -454,99 +456,25 @@ impl Binder<'_> {
 /// column, any aggregate call becomes a reference to its aggregate column.
 /// Returns `None` when a leaf column survives un-grouped (invalid query).
 fn rewrite_post_aggregate(
-    expr: &BoundExpr,
+    expr: BoundExpr,
     group_exprs: &[BoundExpr],
     aggregates: &[BoundExpr],
 ) -> Option<BoundExpr> {
-    // Exact match with a group expression?
-    for (i, g) in group_exprs.iter().enumerate() {
-        if expr == g {
-            return Some(BoundExpr::Column {
-                index: i,
-                name: g.default_name(),
-                data_type: g.data_type(),
-            });
-        }
+    let output =
+        |index: usize, e: &BoundExpr| BoundExpr::col(index, &e.default_name(), e.data_type());
+    if let Some(i) = group_exprs.iter().position(|g| *g == expr) {
+        return Some(output(i, &expr));
     }
-    // An aggregate call?
     if matches!(expr, BoundExpr::Aggregate { .. }) {
-        let pos = aggregates.iter().position(|a| a == expr)?;
-        return Some(BoundExpr::Column {
-            index: group_exprs.len() + pos,
-            name: expr.default_name(),
-            data_type: expr.data_type(),
-        });
+        let pos = aggregates.iter().position(|a| *a == expr)?;
+        return Some(output(group_exprs.len() + pos, &expr));
     }
     // Otherwise recurse; bare columns that are not part of a group expression
     // are invalid.
-    let out = match expr {
-        BoundExpr::Literal(v) => BoundExpr::Literal(v.clone()),
-        BoundExpr::Column { .. } => return None,
-        BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(rewrite_post_aggregate(left, group_exprs, aggregates)?),
-            op: *op,
-            right: Box::new(rewrite_post_aggregate(right, group_exprs, aggregates)?),
-        },
-        BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_post_aggregate(expr, group_exprs, aggregates)?),
-        },
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(rewrite_post_aggregate(expr, group_exprs, aggregates)?),
-            negated: *negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(rewrite_post_aggregate(expr, group_exprs, aggregates)?),
-            list: list
-                .iter()
-                .map(|e| rewrite_post_aggregate(e, group_exprs, aggregates))
-                .collect::<Option<Vec<_>>>()?,
-            negated: *negated,
-        },
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(rewrite_post_aggregate(expr, group_exprs, aggregates)?),
-            low: Box::new(rewrite_post_aggregate(low, group_exprs, aggregates)?),
-            high: Box::new(rewrite_post_aggregate(high, group_exprs, aggregates)?),
-            negated: *negated,
-        },
-        BoundExpr::Cast { expr, data_type } => BoundExpr::Cast {
-            expr: Box::new(rewrite_post_aggregate(expr, group_exprs, aggregates)?),
-            data_type: *data_type,
-        },
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => BoundExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    Some((
-                        rewrite_post_aggregate(c, group_exprs, aggregates)?,
-                        rewrite_post_aggregate(v, group_exprs, aggregates)?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(rewrite_post_aggregate(
-                    e,
-                    group_exprs,
-                    aggregates,
-                )?)),
-                None => None,
-            },
-        },
-        BoundExpr::Aggregate { .. } => unreachable!("handled above"),
-    };
-    Some(out)
+    expr.try_map_children(&|_| Err(()), |e| {
+        rewrite_post_aggregate(e, group_exprs, aggregates).ok_or(())
+    })
+    .ok()
 }
 
 /// Bind a CREATE TABLE column list into a [`Schema`].

@@ -398,8 +398,8 @@ fn has_equi_conjunct(on: &BoundExpr) -> bool {
                 op: BinaryOp::Eq,
                 left,
                 right,
-            } if matches!(left.as_ref(), BoundExpr::Column { .. })
-                && matches!(right.as_ref(), BoundExpr::Column { .. })
+            } if matches!(left.as_ref(), BoundExpr::Column(_))
+                && matches!(right.as_ref(), BoundExpr::Column(_))
         )
     })
 }

@@ -1,516 +1,22 @@
-//! Bound (resolved) expressions.
+//! Binding expressions: from the parser's column names to [`BoundExpr`].
 //!
-//! The binder turns AST expressions into [`BoundExpr`]s whose column
-//! references carry the flat input-row index, the original name and the data
-//! type. Bound expressions can be rendered back to SQL text (used when a
-//! predicate is pushed down into a prompt) and report their result type.
+//! The tree is `llmsql-sql`'s one [`Expr`]; binding changes only what a
+//! column reference holds — the flat input-row index, the resolved name and
+//! the data type ([`BoundColumn`]) — through the tree's one rebuild. This
+//! module owns how a bound expression is made and how predicates are taken
+//! apart into conjuncts and put back together.
 
-use std::fmt;
+use llmsql_sql::ast::{BinaryOp, Expr};
+use llmsql_types::{RelSchema, Result};
 
-use llmsql_sql::ast::{AggregateFunc, BinaryOp, Expr, UnaryOp};
-use llmsql_types::{DataType, Error, RelSchema, Result, Value};
-
-/// An expression with resolved column references.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BoundExpr {
-    /// A literal value.
-    Literal(Value),
-    /// A resolved column reference.
-    Column {
-        /// Index into the flattened input row.
-        index: usize,
-        /// Column name (for display / prompt rendering).
-        name: String,
-        /// Data type of the column.
-        data_type: DataType,
-    },
-    /// Binary operation.
-    Binary {
-        /// Left operand.
-        left: Box<BoundExpr>,
-        /// Operator.
-        op: BinaryOp,
-        /// Right operand.
-        right: Box<BoundExpr>,
-    },
-    /// Unary operation.
-    Unary {
-        /// Operator.
-        op: UnaryOp,
-        /// Operand.
-        expr: Box<BoundExpr>,
-    },
-    /// IS NULL / IS NOT NULL.
-    IsNull {
-        /// Operand.
-        expr: Box<BoundExpr>,
-        /// Negated (IS NOT NULL).
-        negated: bool,
-    },
-    /// IN list.
-    InList {
-        /// Operand.
-        expr: Box<BoundExpr>,
-        /// List items.
-        list: Vec<BoundExpr>,
-        /// Negated (NOT IN).
-        negated: bool,
-    },
-    /// BETWEEN.
-    Between {
-        /// Operand.
-        expr: Box<BoundExpr>,
-        /// Lower bound.
-        low: Box<BoundExpr>,
-        /// Upper bound.
-        high: Box<BoundExpr>,
-        /// Negated (NOT BETWEEN).
-        negated: bool,
-    },
-    /// CAST.
-    Cast {
-        /// Operand.
-        expr: Box<BoundExpr>,
-        /// Target type.
-        data_type: DataType,
-    },
-    /// CASE WHEN.
-    Case {
-        /// WHEN/THEN branches.
-        branches: Vec<(BoundExpr, BoundExpr)>,
-        /// ELSE expression.
-        else_expr: Option<Box<BoundExpr>>,
-    },
-    /// An aggregate call. Only valid underneath an Aggregate plan node; the
-    /// executor's scalar evaluator rejects it.
-    Aggregate {
-        /// Which aggregate.
-        func: AggregateFunc,
-        /// Argument (`None` = COUNT(*)).
-        arg: Option<Box<BoundExpr>>,
-        /// DISTINCT aggregate.
-        distinct: bool,
-    },
-}
-
-impl BoundExpr {
-    /// Convenience: a literal.
-    pub fn lit(v: impl Into<Value>) -> BoundExpr {
-        BoundExpr::Literal(v.into())
-    }
-
-    /// Convenience: a column reference.
-    pub fn col(index: usize, name: &str, data_type: DataType) -> BoundExpr {
-        BoundExpr::Column {
-            index,
-            name: name.to_string(),
-            data_type,
-        }
-    }
-
-    /// The static result type of the expression (best effort).
-    pub fn data_type(&self) -> DataType {
-        match self {
-            BoundExpr::Literal(v) => v.data_type().unwrap_or(DataType::Text),
-            BoundExpr::Column { data_type, .. } => *data_type,
-            BoundExpr::Binary { left, op, right } => match op {
-                BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq
-                | BinaryOp::Like => DataType::Bool,
-                BinaryOp::Concat => DataType::Text,
-                BinaryOp::Divide => DataType::Float,
-                _ => left.data_type().widen(right.data_type()),
-            },
-            BoundExpr::Unary { op, expr } => match op {
-                UnaryOp::Not => DataType::Bool,
-                UnaryOp::Neg => expr.data_type(),
-            },
-            BoundExpr::IsNull { .. } => DataType::Bool,
-            BoundExpr::InList { .. } | BoundExpr::Between { .. } => DataType::Bool,
-            BoundExpr::Cast { data_type, .. } => *data_type,
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => branches
-                .first()
-                .map(|(_, v)| v.data_type())
-                .or_else(|| else_expr.as_ref().map(|e| e.data_type()))
-                .unwrap_or(DataType::Text),
-            BoundExpr::Aggregate { func, arg, .. } => match func {
-                AggregateFunc::Count => DataType::Int,
-                AggregateFunc::Avg => DataType::Float,
-                AggregateFunc::Sum | AggregateFunc::Min | AggregateFunc::Max => {
-                    arg.as_ref().map(|a| a.data_type()).unwrap_or(DataType::Int)
-                }
-            },
-        }
-    }
-
-    /// True if this expression (recursively) contains an aggregate.
-    pub fn contains_aggregate(&self) -> bool {
-        match self {
-            BoundExpr::Aggregate { .. } => true,
-            BoundExpr::Literal(_) | BoundExpr::Column { .. } => false,
-            BoundExpr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::IsNull { expr, .. }
-            | BoundExpr::Cast { expr, .. } => expr.contains_aggregate(),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
-            }
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr
-                        .as_ref()
-                        .map(|e| e.contains_aggregate())
-                        .unwrap_or(false)
-            }
-        }
-    }
-
-    /// Indices of all referenced input columns.
-    pub fn referenced_indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let BoundExpr::Column { index, .. } = e {
-                out.push(*index);
-            }
-        });
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Visit every node of the expression tree.
-    pub fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
-        f(self);
-        match self {
-            BoundExpr::Literal(_) | BoundExpr::Column { .. } => {}
-            BoundExpr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::IsNull { expr, .. }
-            | BoundExpr::Cast { expr, .. } => expr.visit(f),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
-            }
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
-            }
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.visit(f);
-                    v.visit(f);
-                }
-                if let Some(e) = else_expr {
-                    e.visit(f);
-                }
-            }
-            BoundExpr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    a.visit(f);
-                }
-            }
-        }
-    }
-
-    /// Rewrite column indices through a mapping (used when pushing
-    /// expressions through projections or to one side of a join). Returns
-    /// `None` when a referenced column is not present in the mapping.
-    pub fn remap_columns(&self, map: &impl Fn(usize) -> Option<usize>) -> Option<BoundExpr> {
-        Some(match self {
-            BoundExpr::Literal(v) => BoundExpr::Literal(v.clone()),
-            BoundExpr::Column {
-                index,
-                name,
-                data_type,
-            } => BoundExpr::Column {
-                index: map(*index)?,
-                name: name.clone(),
-                data_type: *data_type,
-            },
-            BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-                left: Box::new(left.remap_columns(map)?),
-                op: *op,
-                right: Box::new(right.remap_columns(map)?),
-            },
-            BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-                op: *op,
-                expr: Box::new(expr.remap_columns(map)?),
-            },
-            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(expr.remap_columns(map)?),
-                negated: *negated,
-            },
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(expr.remap_columns(map)?),
-                list: list
-                    .iter()
-                    .map(|e| e.remap_columns(map))
-                    .collect::<Option<Vec<_>>>()?,
-                negated: *negated,
-            },
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(expr.remap_columns(map)?),
-                low: Box::new(low.remap_columns(map)?),
-                high: Box::new(high.remap_columns(map)?),
-                negated: *negated,
-            },
-            BoundExpr::Cast { expr, data_type } => BoundExpr::Cast {
-                expr: Box::new(expr.remap_columns(map)?),
-                data_type: *data_type,
-            },
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => BoundExpr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| Some((c.remap_columns(map)?, v.remap_columns(map)?)))
-                    .collect::<Option<Vec<_>>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(Box::new(e.remap_columns(map)?)),
-                    None => None,
-                },
-            },
-            BoundExpr::Aggregate {
-                func,
-                arg,
-                distinct,
-            } => BoundExpr::Aggregate {
-                func: *func,
-                arg: match arg {
-                    Some(a) => Some(Box::new(a.remap_columns(map)?)),
-                    None => None,
-                },
-                distinct: *distinct,
-            },
-        })
-    }
-
-    /// Render the expression as SQL text over the referenced column *names*
-    /// (used when pushing a predicate into a prompt). Fails if the expression
-    /// contains an aggregate.
-    pub fn to_sql_text(&self) -> Result<String> {
-        if self.contains_aggregate() {
-            return Err(Error::plan("cannot push an aggregate into a prompt"));
-        }
-        Ok(self.to_string())
-    }
-
-    /// A default output name for this expression.
-    pub fn default_name(&self) -> String {
-        match self {
-            BoundExpr::Column { name, .. } => name.clone(),
-            BoundExpr::Aggregate { func, arg, .. } => match arg {
-                Some(a) => format!("{}({})", func.sql().to_ascii_lowercase(), a.default_name()),
-                None => format!("{}(*)", func.sql().to_ascii_lowercase()),
-            },
-            BoundExpr::Literal(v) => v.to_display_string(),
-            other => other.to_string().to_ascii_lowercase(),
-        }
-    }
-}
-
-impl fmt::Display for BoundExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BoundExpr::Literal(v) => match v {
-                Value::Null => write!(f, "NULL"),
-                Value::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
-                other => write!(f, "{other}"),
-            },
-            BoundExpr::Column { name, .. } => write!(f, "{name}"),
-            BoundExpr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),
-            BoundExpr::Unary { op, expr } => match op {
-                UnaryOp::Not => write!(f, "(NOT {expr})"),
-                UnaryOp::Neg => write!(f, "(-{expr})"),
-            },
-            BoundExpr::IsNull { expr, negated } => {
-                if *negated {
-                    write!(f, "({expr} IS NOT NULL)")
-                } else {
-                    write!(f, "({expr} IS NULL)")
-                }
-            }
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                write!(f, "({expr} ")?;
-                if *negated {
-                    write!(f, "NOT ")?;
-                }
-                write!(f, "IN (")?;
-                for (i, e) in list.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "))")
-            }
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                write!(f, "({expr} ")?;
-                if *negated {
-                    write!(f, "NOT ")?;
-                }
-                write!(f, "BETWEEN {low} AND {high})")
-            }
-            BoundExpr::Cast { expr, data_type } => write!(f, "CAST({expr} AS {data_type})"),
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                write!(f, "CASE")?;
-                for (c, v) in branches {
-                    write!(f, " WHEN {c} THEN {v}")?;
-                }
-                if let Some(e) = else_expr {
-                    write!(f, " ELSE {e}")?;
-                }
-                write!(f, " END")
-            }
-            BoundExpr::Aggregate {
-                func,
-                arg,
-                distinct,
-            } => {
-                write!(f, "{func}(")?;
-                if *distinct {
-                    write!(f, "DISTINCT ")?;
-                }
-                match arg {
-                    Some(a) => write!(f, "{a}")?,
-                    None => write!(f, "*")?,
-                }
-                write!(f, ")")
-            }
-        }
-    }
-}
+pub use llmsql_sql::bound::{BoundColumn, BoundExpr};
 
 /// Bind an AST expression against an input schema.
 pub fn bind_expr(expr: &Expr, schema: &RelSchema) -> Result<BoundExpr> {
-    Ok(match expr {
-        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-        Expr::Column { qualifier, name } => {
-            let index = schema.resolve(qualifier.as_deref(), name)?;
-            let field = &schema.fields[index];
-            BoundExpr::Column {
-                index,
-                name: field.name.clone(),
-                data_type: field.data_type,
-            }
-        }
-        Expr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(bind_expr(left, schema)?),
-            op: *op,
-            right: Box::new(bind_expr(right, schema)?),
-        },
-        Expr::Unary { op, expr } => BoundExpr::Unary {
-            op: *op,
-            expr: Box::new(bind_expr(expr, schema)?),
-        },
-        Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(bind_expr(expr, schema)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(bind_expr(expr, schema)?),
-            list: list
-                .iter()
-                .map(|e| bind_expr(e, schema))
-                .collect::<Result<Vec<_>>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(bind_expr(expr, schema)?),
-            low: Box::new(bind_expr(low, schema)?),
-            high: Box::new(bind_expr(high, schema)?),
-            negated: *negated,
-        },
-        Expr::Cast { expr, data_type } => BoundExpr::Cast {
-            expr: Box::new(bind_expr(expr, schema)?),
-            data_type: *data_type,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => BoundExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((bind_expr(c, schema)?, bind_expr(v, schema)?)))
-                .collect::<Result<Vec<_>>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(bind_expr(e, schema)?)),
-                None => None,
-            },
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => BoundExpr::Aggregate {
-            func: *func,
-            arg: match arg {
-                Some(a) => Some(Box::new(bind_expr(a, schema)?)),
-                None => None,
-            },
-            distinct: *distinct,
-        },
+    expr.clone().try_map_columns(&|c| {
+        let index = schema.resolve(c.qualifier.as_deref(), &c.name)?;
+        let field = &schema.fields[index];
+        Ok(BoundExpr::col(index, &field.name, field.data_type))
     })
 }
 
@@ -532,20 +38,14 @@ pub fn split_conjunction(expr: &BoundExpr) -> Vec<BoundExpr> {
 
 /// Combine predicates with AND; `None` when the slice is empty.
 pub fn conjoin(exprs: &[BoundExpr]) -> Option<BoundExpr> {
-    let mut iter = exprs.iter().cloned();
-    let first = iter.next()?;
-    Some(iter.fold(first, |acc, e| BoundExpr::Binary {
-        left: Box::new(acc),
-        op: BinaryOp::And,
-        right: Box::new(e),
-    }))
+    exprs.iter().cloned().reduce(BoundExpr::and)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llmsql_sql::parse_expression;
-    use llmsql_types::Field;
+    use llmsql_types::{DataType, Field};
 
     fn schema() -> RelSchema {
         RelSchema::new(vec![

@@ -8,6 +8,8 @@
 //! never change a query's result rows. A `WHERE` clause that folds to `TRUE`
 //! removes its Filter node entirely.
 
+use std::convert::Infallible;
+
 use llmsql_sql::ast::{BinaryOp, UnaryOp};
 use llmsql_types::Value;
 
@@ -83,107 +85,50 @@ pub fn apply(plan: LogicalPlan) -> LogicalPlan {
 
 /// Fold one expression bottom-up.
 pub fn fold_expr(expr: BoundExpr) -> BoundExpr {
-    match expr {
-        BoundExpr::Binary { left, op, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            fold_binary(left, op, right)
-        }
+    let Ok(rebuilt) = expr.try_map_children(&|c| Ok::<_, Infallible>(BoundExpr::Column(c)), |e| {
+        Ok(fold_expr(e))
+    });
+    match rebuilt {
+        BoundExpr::Binary { left, op, right } => fold_binary(left, op, right),
         BoundExpr::Unary { op, expr } => {
-            let inner = fold_expr(*expr);
-            match (op, &inner) {
-                (UnaryOp::Not, BoundExpr::Literal(Value::Bool(b))) => BoundExpr::lit(!*b),
-                (UnaryOp::Neg, BoundExpr::Literal(Value::Int(i))) => match i.checked_neg() {
-                    Some(n) => BoundExpr::lit(n),
-                    None => BoundExpr::Unary {
-                        op,
-                        expr: Box::new(inner),
-                    },
-                },
-                _ => BoundExpr::Unary {
-                    op,
-                    expr: Box::new(inner),
-                },
-            }
+            let folded = match (op, expr.as_ref()) {
+                (UnaryOp::Not, BoundExpr::Literal(Value::Bool(b))) => Some(BoundExpr::lit(!*b)),
+                (UnaryOp::Neg, BoundExpr::Literal(Value::Int(i))) => {
+                    i.checked_neg().map(BoundExpr::lit)
+                }
+                _ => None,
+            };
+            folded.unwrap_or(BoundExpr::Unary { op, expr })
         }
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(fold_expr(*expr)),
-            negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(fold_expr(*expr)),
-            low: Box::new(fold_expr(*low)),
-            high: Box::new(fold_expr(*high)),
-            negated,
-        },
-        BoundExpr::Cast { expr, data_type } => BoundExpr::Cast {
-            expr: Box::new(fold_expr(*expr)),
-            data_type,
-        },
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => BoundExpr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
-        },
-        BoundExpr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => BoundExpr::Aggregate {
-            func,
-            arg: arg.map(|a| Box::new(fold_expr(*a))),
-            distinct,
-        },
-        leaf @ (BoundExpr::Literal(_) | BoundExpr::Column { .. }) => leaf,
+        other => other,
     }
 }
 
-fn fold_binary(left: BoundExpr, op: BinaryOp, right: BoundExpr) -> BoundExpr {
-    use BoundExpr::Literal;
+/// Fold a binary node whose operands are already folded (boxed as the
+/// rebuild left them, so a node that does not fold is put back as it is).
+fn fold_binary(left: Box<BoundExpr>, op: BinaryOp, right: Box<BoundExpr>) -> BoundExpr {
+    use llmsql_sql::ast::Expr::Literal;
     // Three-valued-logic-safe boolean identities. `FALSE AND x` is FALSE and
     // `TRUE OR x` is TRUE even when x is NULL, so both eliminations hold.
-    match (op, &left, &right) {
-        (BinaryOp::And, Literal(Value::Bool(true)), _) => return right,
-        (BinaryOp::And, _, Literal(Value::Bool(true))) => return left,
+    match (op, left.as_ref(), right.as_ref()) {
+        (BinaryOp::And, Literal(Value::Bool(true)), _) => return *right,
+        (BinaryOp::And, _, Literal(Value::Bool(true))) => return *left,
         (BinaryOp::And, Literal(Value::Bool(false)), _)
         | (BinaryOp::And, _, Literal(Value::Bool(false))) => return BoundExpr::lit(false),
-        (BinaryOp::Or, Literal(Value::Bool(false)), _) => return right,
-        (BinaryOp::Or, _, Literal(Value::Bool(false))) => return left,
+        (BinaryOp::Or, Literal(Value::Bool(false)), _) => return *right,
+        (BinaryOp::Or, _, Literal(Value::Bool(false))) => return *left,
         (BinaryOp::Or, Literal(Value::Bool(true)), _)
         | (BinaryOp::Or, _, Literal(Value::Bool(true))) => return BoundExpr::lit(true),
         _ => {}
     }
     // Literal-only arithmetic and comparisons, same-type and non-NULL only
     // (mixed-type coercion stays with the runtime evaluator).
-    if let (Literal(a), Literal(b)) = (&left, &right) {
+    if let (Literal(a), Literal(b)) = (left.as_ref(), right.as_ref()) {
         if let Some(folded) = fold_literals(a, op, b) {
             return folded;
         }
     }
-    BoundExpr::Binary {
-        left: Box::new(left),
-        op,
-        right: Box::new(right),
-    }
+    BoundExpr::Binary { left, op, right }
 }
 
 fn fold_literals(a: &Value, op: BinaryOp, b: &Value) -> Option<BoundExpr> {

@@ -6,21 +6,11 @@
 //! engine: an LLM predicate costs ~6 orders of magnitude more than a native
 //! one, so every row the prompt filters out is a row never paid for.
 
-use llmsql_sql::ast::{BinaryOp, JoinKind};
+use llmsql_sql::ast::JoinKind;
 
 use crate::expr::{conjoin, split_conjunction, BoundExpr};
 use crate::logical::LogicalPlan;
 use crate::rules::map_children;
-
-/// Conjoin exactly two predicates (total, unlike the slice-based
-/// [`conjoin`], which returns `None` for an empty slice).
-fn and2(a: BoundExpr, b: BoundExpr) -> BoundExpr {
-    BoundExpr::Binary {
-        left: Box::new(a),
-        op: BinaryOp::And,
-        right: Box::new(b),
-    }
-}
 
 /// Apply the rule to a whole plan.
 pub fn apply(plan: LogicalPlan) -> LogicalPlan {
@@ -48,7 +38,7 @@ fn push_predicate_into(plan: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
             pushed_limit,
         } => {
             let combined = match pushed_filter {
-                Some(existing) => and2(existing, predicate),
+                Some(existing) => existing.and(predicate),
                 None => predicate,
             };
             LogicalPlan::Scan {
@@ -67,7 +57,7 @@ fn push_predicate_into(plan: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
             predicate: inner,
         } => {
             // Merge consecutive filters and keep pushing.
-            push_predicate_into(*input, and2(inner, predicate))
+            push_predicate_into(*input, inner.and(predicate))
         }
         LogicalPlan::Join {
             left,

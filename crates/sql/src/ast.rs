@@ -3,6 +3,9 @@
 //! The AST is deliberately close to the surface syntax; name resolution and
 //! typing happen later in the binder (`llmsql-plan`). Display impls render the
 //! tree back to SQL, which the parser round-trips (property-tested).
+//!
+//! The scalar expression, [`Expr`], is the one tree every layer uses: the
+//! binder changes what its column references hold, not the type.
 
 use std::fmt;
 
@@ -330,110 +333,106 @@ impl fmt::Display for AggregateFunc {
     }
 }
 
-/// A scalar expression.
+/// A column reference as written in SQL text: `t.col` or `col`. What an
+/// [`Expr`] holds until the binder resolves names.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub struct ColumnRef {
+    /// Optional table qualifier.
+    pub qualifier: Option<String>,
+    /// Column name.
+    pub name: String,
+}
+
+/// A scalar expression, generic over what a column reference is: a
+/// [`ColumnRef`] as parsed, a [`crate::bound::BoundColumn`] once the binder
+/// has resolved it, a bare row position for the simulated model. There is
+/// one tree, so there is one of each traversal — [`Expr::visit`],
+/// [`Expr::try_map_children`], the printer (`Display`) and the evaluator
+/// ([`crate::eval::eval`]) — and a construct added here cannot mean one
+/// thing to the engine and another to the model.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Expr<C = ColumnRef> {
     /// A literal value.
     Literal(Value),
-    /// A column reference, optionally qualified: `t.col` or `col`.
-    Column {
-        /// Optional table qualifier.
-        qualifier: Option<String>,
-        /// Column name.
-        name: String,
-    },
+    /// A column reference.
+    Column(C),
     /// Binary operation.
     Binary {
         /// Left operand.
-        left: Box<Expr>,
+        left: Box<Expr<C>>,
         /// Operator.
         op: BinaryOp,
         /// Right operand.
-        right: Box<Expr>,
+        right: Box<Expr<C>>,
     },
     /// Unary operation.
     Unary {
         /// Operator.
         op: UnaryOp,
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<C>>,
     },
     /// `expr IS NULL` / `expr IS NOT NULL`.
     IsNull {
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<C>>,
         /// True for IS NOT NULL.
         negated: bool,
     },
     /// `expr [NOT] IN (v1, v2, ...)`.
     InList {
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<C>>,
         /// List items.
-        list: Vec<Expr>,
+        list: Vec<Expr<C>>,
         /// True for NOT IN.
         negated: bool,
     },
     /// `expr [NOT] BETWEEN low AND high`.
     Between {
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<C>>,
         /// Low bound.
-        low: Box<Expr>,
+        low: Box<Expr<C>>,
         /// High bound.
-        high: Box<Expr>,
+        high: Box<Expr<C>>,
         /// True for NOT BETWEEN.
         negated: bool,
     },
-    /// An aggregate function call.
+    /// An aggregate function call. Only valid underneath an Aggregate plan
+    /// node; the scalar evaluator rejects it.
     Aggregate {
         /// Which aggregate.
         func: AggregateFunc,
         /// Argument; `None` encodes `COUNT(*)`.
-        arg: Option<Box<Expr>>,
+        arg: Option<Box<Expr<C>>>,
         /// DISTINCT aggregates, e.g. COUNT(DISTINCT x).
         distinct: bool,
     },
     /// `CAST(expr AS type)`.
     Cast {
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<C>>,
         /// Target type.
         data_type: DataType,
     },
     /// `CASE WHEN cond THEN val [WHEN ...] [ELSE val] END`.
     Case {
         /// WHEN/THEN branches.
-        branches: Vec<(Expr, Expr)>,
+        branches: Vec<(Expr<C>, Expr<C>)>,
         /// ELSE expression.
-        else_expr: Option<Box<Expr>>,
+        else_expr: Option<Box<Expr<C>>>,
     },
 }
 
-impl Expr {
-    /// Convenience constructor for a column reference.
-    pub fn col(name: &str) -> Expr {
-        Expr::Column {
-            qualifier: None,
-            name: name.to_string(),
-        }
-    }
-
-    /// Convenience constructor for a qualified column reference.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(qualifier.to_string()),
-            name: name.to_string(),
-        }
-    }
-
+impl<C> Expr<C> {
     /// Convenience constructor for a literal.
-    pub fn lit(value: impl Into<Value>) -> Expr {
+    pub fn lit(value: impl Into<Value>) -> Self {
         Expr::Literal(value.into())
     }
 
     /// Convenience constructor for a binary expression.
-    pub fn binary(left: Expr, op: BinaryOp, right: Expr) -> Expr {
+    pub fn binary(left: Self, op: BinaryOp, right: Self) -> Self {
         Expr::Binary {
             left: Box::new(left),
             op,
@@ -442,79 +441,45 @@ impl Expr {
     }
 
     /// `self AND other` (convenience).
-    pub fn and(self, other: Expr) -> Expr {
+    pub fn and(self, other: Self) -> Self {
         Expr::binary(self, BinaryOp::And, other)
     }
 
     /// True if this expression (recursively) contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } => false,
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.contains_aggregate()
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr
-                        .as_ref()
-                        .map(|e| e.contains_aggregate())
-                        .unwrap_or(false)
-            }
-        }
+        let mut found = false;
+        self.visit(&mut |e| found |= matches!(e, Expr::Aggregate { .. }));
+        found
     }
 
-    /// Collect all column references in the expression.
-    pub fn referenced_columns(&self) -> Vec<(Option<String>, String)> {
-        let mut out = Vec::new();
-        self.visit_columns(&mut |qualifier, name| {
-            out.push((qualifier.map(|s| s.to_string()), name.to_string()));
-        });
-        out
-    }
-
-    /// Visit every column reference.
-    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
+    /// Visit every node of the expression tree, a node before its children.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Self)) {
+        f(self);
         match self {
-            Expr::Column { qualifier, name } => f(qualifier.as_deref(), name),
-            Expr::Literal(_) => {}
+            Expr::Literal(_) | Expr::Column(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.visit_columns(f);
-                right.visit_columns(f);
+                left.visit(f);
+                right.visit(f);
             }
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.visit_columns(f)
+                expr.visit(f);
             }
             Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
+                expr.visit(f);
                 for e in list {
-                    e.visit_columns(f);
+                    e.visit(f);
                 }
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.visit_columns(f);
-                low.visit_columns(f);
-                high.visit_columns(f);
+                expr.visit(f);
+                low.visit(f);
+                high.visit(f);
             }
             Expr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.visit_columns(f);
+                    a.visit(f);
                 }
             }
             Expr::Case {
@@ -522,28 +487,128 @@ impl Expr {
                 else_expr,
             } => {
                 for (c, v) in branches {
-                    c.visit_columns(f);
-                    v.visit_columns(f);
+                    c.visit(f);
+                    v.visit(f);
                 }
                 if let Some(e) = else_expr {
-                    e.visit_columns(f);
+                    e.visit(f);
                 }
             }
         }
     }
 
-    /// A short name for this expression, used as the default output column
-    /// name when no alias is given.
-    pub fn default_name(&self) -> String {
-        match self {
-            Expr::Column { name, .. } => name.to_ascii_lowercase(),
-            Expr::Aggregate { func, arg, .. } => match arg {
-                Some(a) => format!("{}({})", func.sql().to_ascii_lowercase(), a.default_name()),
-                None => format!("{}(*)", func.sql().to_ascii_lowercase()),
+    /// The one structural rebuild: this node with its column reference
+    /// replaced by `column(c)` and every child expression by `child(e)`, in
+    /// source order, stopping at the first error. It does not recurse — a
+    /// caller that wants the whole tree rebuilt calls itself from `child` —
+    /// and it may change what a column reference is (`bind_expr` goes from
+    /// names to indices through it). `Option` callers use `E = ()`,
+    /// infallible ones [`std::convert::Infallible`].
+    pub fn try_map_children<D, E>(
+        self,
+        column: &impl Fn(C) -> Result<Expr<D>, E>,
+        mut child: impl FnMut(Expr<C>) -> Result<Expr<D>, E>,
+    ) -> Result<Expr<D>, E> {
+        Ok(match self {
+            Expr::Literal(v) => Expr::Literal(v),
+            Expr::Column(c) => return column(c),
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(child(*left)?),
+                op,
+                right: Box::new(child(*right)?),
             },
-            Expr::Literal(v) => v.to_display_string(),
-            other => format!("{other}").to_ascii_lowercase(),
-        }
+            Expr::Unary { op, expr } => Expr::Unary {
+                op,
+                expr: Box::new(child(*expr)?),
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(child(*expr)?),
+                negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: Box::new(child(*expr)?),
+                list: list.into_iter().map(&mut child).collect::<Result<_, E>>()?,
+                negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: Box::new(child(*expr)?),
+                low: Box::new(child(*low)?),
+                high: Box::new(child(*high)?),
+                negated,
+            },
+            Expr::Aggregate {
+                func,
+                arg,
+                distinct,
+            } => Expr::Aggregate {
+                func,
+                arg: arg.map(|a| child(*a).map(Box::new)).transpose()?,
+                distinct,
+            },
+            Expr::Cast { expr, data_type } => Expr::Cast {
+                expr: Box::new(child(*expr)?),
+                data_type,
+            },
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Expr::Case {
+                branches: branches
+                    .into_iter()
+                    .map(|(c, v)| Ok((child(c)?, child(v)?)))
+                    .collect::<Result<_, E>>()?,
+                else_expr: else_expr.map(|e| child(*e).map(Box::new)).transpose()?,
+            },
+        })
+    }
+
+    /// Rebuild the whole tree with every column reference replaced by
+    /// `column(c)`: how names become indices, indices other indices.
+    pub fn try_map_columns<D, E>(
+        self,
+        column: &impl Fn(C) -> Result<Expr<D>, E>,
+    ) -> Result<Expr<D>, E> {
+        self.try_map_children(column, |e| e.try_map_columns(column))
+    }
+}
+
+impl Expr {
+    /// Convenience constructor for a column reference. (Not `col`: that is
+    /// the bound instantiation's constructor, and a bare `Expr::col(..)` path
+    /// could not tell the two apart.)
+    pub fn column(name: &str) -> Expr {
+        Expr::Column(ColumnRef {
+            qualifier: None,
+            name: name.to_string(),
+        })
+    }
+
+    /// Convenience constructor for a qualified column reference.
+    pub fn qcol(qualifier: &str, name: &str) -> Expr {
+        Expr::Column(ColumnRef {
+            qualifier: Some(qualifier.to_string()),
+            name: name.to_string(),
+        })
+    }
+
+    /// Collect all column references in the expression.
+    pub fn referenced_columns(&self) -> Vec<(Option<String>, String)> {
+        let mut out = Vec::new();
+        self.visit(&mut |e| {
+            if let Expr::Column(c) = e {
+                out.push((c.qualifier.clone(), c.name.clone()));
+            }
+        });
+        out
     }
 }
 
@@ -594,9 +659,9 @@ mod tests {
 
     #[test]
     fn expr_builders() {
-        let e = Expr::binary(Expr::col("a"), BinaryOp::Gt, Expr::lit(5i64));
+        let e = Expr::binary(Expr::column("a"), BinaryOp::Gt, Expr::lit(5i64));
         assert!(matches!(e, Expr::Binary { .. }));
-        let conj = Expr::col("x").and(Expr::col("y"));
+        let conj = Expr::column("x").and(Expr::column("y"));
         assert!(matches!(
             conj,
             Expr::Binary {
@@ -610,20 +675,20 @@ mod tests {
     fn aggregate_detection() {
         let agg = Expr::Aggregate {
             func: AggregateFunc::Sum,
-            arg: Some(Box::new(Expr::col("population"))),
+            arg: Some(Box::new(Expr::column("population"))),
             distinct: false,
         };
         assert!(agg.contains_aggregate());
         let nested = Expr::binary(agg, BinaryOp::Plus, Expr::lit(1i64));
         assert!(nested.contains_aggregate());
-        assert!(!Expr::col("a").contains_aggregate());
+        assert!(!Expr::column("a").contains_aggregate());
     }
 
     #[test]
     fn select_is_aggregate() {
         let mut s = SelectStatement::empty();
         assert!(!s.is_aggregate());
-        s.group_by.push(Expr::col("region"));
+        s.group_by.push(Expr::column("region"));
         assert!(s.is_aggregate());
 
         let mut s2 = SelectStatement::empty();
@@ -644,9 +709,9 @@ mod tests {
             Expr::qcol("t", "a"),
             BinaryOp::And,
             Expr::Between {
-                expr: Box::new(Expr::col("b")),
+                expr: Box::new(Expr::column("b")),
                 low: Box::new(Expr::lit(1i64)),
-                high: Box::new(Expr::col("c")),
+                high: Box::new(Expr::column("c")),
                 negated: false,
             },
         );
@@ -682,13 +747,17 @@ mod tests {
 
     #[test]
     fn default_names() {
-        assert_eq!(Expr::col("Pop").default_name(), "pop");
-        let agg = Expr::Aggregate {
+        use crate::bound::BoundExpr;
+        let pop = BoundExpr::col(0, "pop", DataType::Int);
+        assert_eq!(pop.default_name(), "pop");
+        let agg = BoundExpr::Aggregate {
             func: AggregateFunc::Count,
             arg: None,
             distinct: false,
         };
         assert_eq!(agg.default_name(), "count(*)");
+        let sum = BoundExpr::binary(pop, BinaryOp::Plus, BoundExpr::lit(1i64));
+        assert_eq!(sum.default_name(), "(pop + 1)");
     }
 
     #[test]

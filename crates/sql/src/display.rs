@@ -130,18 +130,30 @@ impl fmt::Display for TableExpr {
     }
 }
 
-impl fmt::Display for Expr {
+impl fmt::Display for ColumnRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.qualifier {
+            Some(q) => write!(f, "{q}.{}", self.name),
+            None => write!(f, "{}", self.name),
+        }
+    }
+}
+
+/// The one expression printer: the text a statement prints as, and — over
+/// bound columns, which print as their bare names — the text of a predicate
+/// pushed into a prompt.
+impl<C: fmt::Display> fmt::Display for Expr<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Literal(v) => match v {
                 Value::Null => write!(f, "NULL"),
                 Value::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
+                // The one integer with no literal: its digits overflow before
+                // the sign applies, so the lexer would read a float back.
+                Value::Int(i64::MIN) => write!(f, "({} - 1)", i64::MIN + 1),
                 other => write!(f, "{other}"),
             },
-            Expr::Column { qualifier, name } => match qualifier {
-                Some(q) => write!(f, "{q}.{name}"),
-                None => write!(f, "{name}"),
-            },
+            Expr::Column(c) => write!(f, "{c}"),
             Expr::Binary { left, op, right } => {
                 write!(f, "({left} {op} {right})")
             }

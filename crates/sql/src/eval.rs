@@ -1,21 +1,125 @@
-//! The scalar kernel: what SQL's operators do to [`Value`]s.
+//! The evaluator: what a SQL expression means over [`Value`]s.
 //!
-//! Two tree-walkers evaluate SQL expressions — the engine's, over bound
-//! plans (`llmsql-exec`), and the simulated model's, over the predicate text
-//! it reads in a prompt (`llmsql-llm`). A scan trusts the model's filtering,
-//! so the two must agree on every operator or rows differ by prompt
-//! strategy. They agree by sharing this module: each walker keeps its own
-//! tree, column lookup and error kind, and applies unary and binary
-//! operators here. (`IN`, `BETWEEN`, `CASE` and `CAST` are still written in
-//! each walker; ROADMAP item 1(e) lists where those two copies differ.)
+//! A scan trusts the model's filtering, so a predicate pushed into a prompt
+//! must mean to the (simulated) model exactly what it means to the engine, or
+//! rows differ by prompt strategy. It does by construction: there is one
+//! tree-walker, [`eval`], over the one tree ([`Expr`]), and it owns every
+//! construct — operators ([`unary`], [`binary`]), `IS NULL`, `IN`, `BETWEEN`,
+//! `CAST`, `CASE` — as [`AggAccumulator`] owns every aggregate. A caller
+//! supplies only what differs between the engine (`llmsql-exec`) and the
+//! model (`llmsql-llm`): how a column reference finds its value in the row at
+//! hand, and the [`ErrorKind`] an ill-typed operation is reported under.
 //!
-//! Nothing in here panics, whatever the operands: integer `+ - * %` and
-//! negation wrap, `/` is always a float division, and `/ 0` and `% 0` are
-//! `NULL`.
+//! Nothing in here panics, whatever the operands: integer `+ - * %`,
+//! negation and `SUM` wrap, `/` is always a float division, `/ 0` and `% 0`
+//! are `NULL`, and a cast that fails is `NULL` (values an LLM produced are
+//! dirty; one of them must not fail the query).
 
-use llmsql_types::Value;
+use llmsql_types::{Error, ErrorKind, Result, Value};
 
-use crate::ast::{BinaryOp, UnaryOp};
+use crate::ast::{AggregateFunc, BinaryOp, Expr, UnaryOp};
+
+/// Evaluate `expr` over one row: `column` is the row's value for a column
+/// reference, `kind` the category an error is raised under. Aggregates are
+/// rejected (they are computed by [`AggAccumulator`] over many rows).
+pub fn eval<'v, C>(
+    expr: &Expr<C>,
+    column: &impl Fn(&C) -> &'v Value,
+    kind: ErrorKind,
+) -> Result<Value> {
+    let sub = |e: &Expr<C>| eval(e, column, kind);
+    match expr {
+        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Column(c) => Ok(column(c).clone()),
+        Expr::Binary { left, op, right } => {
+            let l = sub(left)?;
+            let r = sub(right)?;
+            binary(&l, *op, &r).ok_or_else(|| {
+                Error::new(
+                    kind,
+                    format!(
+                        "invalid operands for arithmetic: {} {} {}",
+                        l.type_name(),
+                        op,
+                        r.type_name()
+                    ),
+                )
+            })
+        }
+        Expr::Unary { op, expr } => {
+            let v = sub(expr)?;
+            unary(*op, &v)
+                .ok_or_else(|| Error::new(kind, format!("cannot negate {}", v.type_name())))
+        }
+        Expr::IsNull { expr, negated } => Ok(Value::Bool(sub(expr)?.is_null() != *negated)),
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = sub(expr)?;
+            if v.is_null() {
+                return Ok(Value::Null);
+            }
+            // Three-valued: a NULL item makes "not found" unknown.
+            let mut saw_null = false;
+            for item in list {
+                let iv = sub(item)?;
+                if iv.is_null() {
+                    saw_null = true;
+                } else if v.semantic_eq(&iv) {
+                    return Ok(Value::Bool(!*negated));
+                }
+            }
+            Ok(if saw_null {
+                Value::Null
+            } else {
+                Value::Bool(*negated)
+            })
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = sub(expr)?;
+            let lo = sub(low)?;
+            let hi = sub(high)?;
+            if v.is_null() || lo.is_null() || hi.is_null() {
+                return Ok(Value::Null);
+            }
+            let within = v.total_cmp(&lo) != std::cmp::Ordering::Less
+                && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
+            Ok(Value::Bool(within != *negated))
+        }
+        // Follow the lenient philosophy at runtime: failed casts of dirty
+        // (LLM-produced) values degrade to NULL instead of failing the
+        // whole query.
+        Expr::Cast { expr, data_type } => Ok(sub(expr)?.cast(*data_type).unwrap_or(Value::Null)),
+        Expr::Case {
+            branches,
+            else_expr,
+        } => {
+            for (cond, val) in branches {
+                if truthy(&sub(cond)?) {
+                    return sub(val);
+                }
+            }
+            else_expr.as_ref().map_or(Ok(Value::Null), |e| sub(e))
+        }
+        Expr::Aggregate { .. } => Err(Error::new(
+            kind,
+            "aggregate expression evaluated outside an aggregate operator",
+        )),
+    }
+}
+
+/// What a value means where SQL wants a condition, three-valued: `None` is
+/// UNKNOWN (a `WHERE` or `ON` keeps a row only on `Some(true)`).
+pub fn truth(v: &Value) -> Option<bool> {
+    (!v.is_null()).then(|| truthy(v))
+}
 
 /// Whether a value counts as true where SQL wants a condition. `NULL` is not
 /// true; callers that need three-valued logic check for it first.
@@ -48,17 +152,13 @@ pub fn binary(l: &Value, op: BinaryOp, r: &Value) -> Option<Value> {
     use std::cmp::Ordering::{Greater, Less};
     use BinaryOp::*;
     Some(match op {
-        And | Or => {
-            let lb = (!l.is_null()).then(|| truthy(l));
-            let rb = (!r.is_null()).then(|| truthy(r));
-            match (op, lb, rb) {
-                (And, Some(false), _) | (And, _, Some(false)) => Value::Bool(false),
-                (And, Some(true), Some(true)) => Value::Bool(true),
-                (Or, Some(true), _) | (Or, _, Some(true)) => Value::Bool(true),
-                (Or, Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            }
-        }
+        And | Or => match (op, truth(l), truth(r)) {
+            (And, Some(false), _) | (And, _, Some(false)) => Value::Bool(false),
+            (And, Some(true), Some(true)) => Value::Bool(true),
+            (Or, Some(true), _) | (Or, _, Some(true)) => Value::Bool(true),
+            (Or, Some(false), Some(false)) => Value::Bool(false),
+            _ => Value::Null,
+        },
         _ if l.is_null() || r.is_null() => Value::Null,
         Plus | Minus | Multiply | Divide | Modulo => return arith(l, op, r),
         Eq => Value::Bool(l.semantic_eq(r)),
@@ -142,6 +242,94 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     }
     // Text exhausted: the remaining pattern must be all `%`.
     p[pi..].iter().all(|&c| c == '%')
+}
+
+/// A running aggregate: the one implementation of `COUNT` / `SUM` / `AVG` /
+/// `MIN` / `MAX` (integer sums wrap, as integer `+` does).
+#[derive(Debug, Clone)]
+pub struct AggAccumulator {
+    func: AggregateFunc,
+    distinct: bool,
+    seen: Vec<Value>,
+    count: i64,
+    sum: f64,
+    sum_int: i64,
+    all_int: bool,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl AggAccumulator {
+    /// Create an accumulator for the given aggregate.
+    pub fn new(func: AggregateFunc, distinct: bool) -> Self {
+        AggAccumulator {
+            func,
+            distinct,
+            seen: Vec::new(),
+            count: 0,
+            sum: 0.0,
+            sum_int: 0,
+            all_int: true,
+            min: None,
+            max: None,
+        }
+    }
+
+    /// Feed one value. `Value::Null` is ignored; for `COUNT(*)` the caller
+    /// feeds `Value::Int(1)` per row.
+    pub fn update(&mut self, value: &Value) {
+        if value.is_null() {
+            return;
+        }
+        if self.distinct {
+            if self.seen.iter().any(|s| s.semantic_eq(value)) {
+                return;
+            }
+            self.seen.push(value.clone());
+        }
+        self.count += 1;
+        if let Some(f) = value.as_f64() {
+            self.sum += f;
+        }
+        if let Some(i) = value.as_int() {
+            self.sum_int = self.sum_int.wrapping_add(i);
+        } else {
+            self.all_int = false;
+        }
+        match &self.min {
+            Some(m) if value.total_cmp(m) != std::cmp::Ordering::Less => {}
+            _ => self.min = Some(value.clone()),
+        }
+        match &self.max {
+            Some(m) if value.total_cmp(m) != std::cmp::Ordering::Greater => {}
+            _ => self.max = Some(value.clone()),
+        }
+    }
+
+    /// Produce the final aggregate value.
+    pub fn finish(&self) -> Value {
+        match self.func {
+            AggregateFunc::Count => Value::Int(self.count),
+            AggregateFunc::Sum => {
+                if self.count == 0 {
+                    Value::Null
+                } else if self.all_int {
+                    Value::Int(self.sum_int)
+                } else {
+                    Value::Float(self.sum)
+                }
+            }
+            AggregateFunc::Avg => {
+                if self.count == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(self.sum / self.count as f64)
+                }
+            }
+            AggregateFunc::Min => self.min.clone().unwrap_or(Value::Null),
+            AggregateFunc::Max => self.max.clone().unwrap_or(Value::Null),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +445,63 @@ mod tests {
             elapsed < std::time::Duration::from_secs(1),
             "adversarial LIKE took {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn accumulators() {
+        let vals = [Value::Int(3), Value::Int(1), Value::Null, Value::Int(3)];
+        let mut count = AggAccumulator::new(AggregateFunc::Count, false);
+        let mut count_d = AggAccumulator::new(AggregateFunc::Count, true);
+        let mut sum = AggAccumulator::new(AggregateFunc::Sum, false);
+        let mut avg = AggAccumulator::new(AggregateFunc::Avg, false);
+        let mut min = AggAccumulator::new(AggregateFunc::Min, false);
+        let mut max = AggAccumulator::new(AggregateFunc::Max, false);
+        for v in &vals {
+            for acc in [
+                &mut count,
+                &mut count_d,
+                &mut sum,
+                &mut avg,
+                &mut min,
+                &mut max,
+            ] {
+                acc.update(v);
+            }
+        }
+        assert_eq!(count.finish(), Value::Int(3));
+        assert_eq!(count_d.finish(), Value::Int(2));
+        assert_eq!(sum.finish(), Value::Int(7));
+        assert_eq!(avg.finish(), Value::Float(7.0 / 3.0));
+        assert_eq!(min.finish(), Value::Int(1));
+        assert_eq!(max.finish(), Value::Int(3));
+    }
+
+    #[test]
+    fn empty_accumulators() {
+        assert_eq!(
+            AggAccumulator::new(AggregateFunc::Count, false).finish(),
+            Value::Int(0)
+        );
+        assert_eq!(
+            AggAccumulator::new(AggregateFunc::Sum, false).finish(),
+            Value::Null
+        );
+        assert_eq!(
+            AggAccumulator::new(AggregateFunc::Avg, false).finish(),
+            Value::Null
+        );
+        assert_eq!(
+            AggAccumulator::new(AggregateFunc::Min, false).finish(),
+            Value::Null
+        );
+    }
+
+    #[test]
+    fn float_sum_when_mixed() {
+        let mut sum = AggAccumulator::new(AggregateFunc::Sum, false);
+        sum.update(&Value::Int(1));
+        sum.update(&Value::Float(2.5));
+        assert_eq!(sum.finish(), Value::Float(3.5));
     }
 
     /// Naive exponential reference matcher: `%` tries every split. Only safe

@@ -2,9 +2,9 @@
 //! # llmsql-sql
 //!
 //! A hand-written SQL front end: lexer, recursive-descent parser, AST, and a
-//! SQL printer that round-trips with the parser — plus the scalar kernel
-//! ([`eval`]): what the operators of that AST do to values, shared by every
-//! evaluator in the engine.
+//! SQL printer that round-trips with the parser — plus the one expression
+//! tree every layer shares ([`Expr`], generic over its column reference;
+//! [`bound`] is the binder's instantiation) and its one evaluator ([`eval`]).
 //!
 //! The dialect covers what the paper's workloads need: `SELECT` with joins,
 //! grouping, ordering and limits; `CREATE [VIRTUAL] TABLE` with
@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod bound;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
@@ -28,8 +29,8 @@ pub mod token;
 mod display;
 
 pub use ast::{
-    AggregateFunc, BinaryOp, ColumnDef, CreateTableStatement, Expr, InsertStatement, JoinKind,
-    OrderByItem, SelectItem, SelectStatement, Statement, TableExpr, UnaryOp,
+    AggregateFunc, BinaryOp, ColumnDef, ColumnRef, CreateTableStatement, Expr, InsertStatement,
+    JoinKind, OrderByItem, SelectItem, SelectStatement, Statement, TableExpr, UnaryOp,
 };
 pub use lexer::tokenize;
 pub use parser::{parse_expression, parse_script, parse_statement};
@@ -52,7 +53,7 @@ mod proptests {
     fn arb_expr() -> impl Strategy<Value = Expr> {
         let leaf = prop_oneof![
             (-1000i64..1000).prop_map(|i| Expr::Literal(Value::Int(i))),
-            arb_ident().prop_map(|s| Expr::col(&s)),
+            arb_ident().prop_map(|s| Expr::column(&s)),
             "[a-z]{1,5}".prop_map(|s| Expr::Literal(Value::Text(s))),
             Just(Expr::Literal(Value::Null)),
             Just(Expr::Literal(Value::Bool(true))),
@@ -115,7 +116,7 @@ mod proptests {
             stmt.distinct = distinct;
             stmt.limit = limit;
             for c in &cols {
-                stmt.projection.push(SelectItem::Expr { expr: Expr::col(c), alias: None });
+                stmt.projection.push(SelectItem::Expr { expr: Expr::column(c), alias: None });
             }
             stmt.from = Some(TableExpr::Table { name: "t".into(), alias: None });
             let sql1 = Statement::Select(Box::new(stmt)).to_string();

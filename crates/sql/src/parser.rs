@@ -773,15 +773,15 @@ impl Parser {
         let first = self.parse_identifier()?;
         if self.consume_token(&Token::Dot) {
             let second = self.parse_identifier()?;
-            Ok(Expr::Column {
+            Ok(Expr::Column(ColumnRef {
                 qualifier: Some(first),
                 name: second,
-            })
+            }))
         } else {
-            Ok(Expr::Column {
+            Ok(Expr::Column(ColumnRef {
                 qualifier: None,
                 name: first,
-            })
+            }))
         }
     }
 }

@@ -90,7 +90,10 @@ fn limit_counts_rows_that_pass_the_filter_in_every_strategy() {
 /// model and the engine must do the same arithmetic. `/` is a float division
 /// in SQL as the oracle runs it: no population is its own predecessor's
 /// double, and every population's half exceeds its predecessor's — while a
-/// model dividing integers would say so of the odd ones only.
+/// model dividing integers would say so of the odd ones only. The same goes
+/// for what is not an operator: a NULL in an `IN` list makes "not found"
+/// unknown, a cast that fails is NULL rather than an error, and a WHERE value
+/// of any type counts as a condition the way the engine counts it.
 #[test]
 fn pushed_arithmetic_filters_match_the_oracle_in_every_strategy() {
     let w = world();
@@ -98,8 +101,14 @@ fn pushed_arithmetic_filters_match_the_oracle_in_every_strategy() {
     let queries = [
         "SELECT name, population FROM countries WHERE population / 2 = (population - 1) / 2",
         "SELECT name, population FROM countries WHERE population / 2 > (population - 1) / 2",
+        "SELECT name FROM countries WHERE region NOT IN ('Europe', NULL)",
+        "SELECT name FROM countries WHERE NOT (region IN ('Europe', NULL))",
+        "SELECT name FROM countries WHERE CAST(name AS INTEGER) IS NULL",
+        "SELECT name FROM countries WHERE population / 3.0",
+        "SELECT name FROM countries WHERE name",
+        "SELECT name FROM countries WHERE CASE WHEN population > 1000 THEN 1.5 ELSE 0 END",
     ];
-    for (sql, expected_rows) in queries.into_iter().zip([0, 25]) {
+    for (sql, expected_rows) in queries.into_iter().zip([0, 25, 0, 0, 25, 25, 25, 25]) {
         let truth = oracle.execute(sql).unwrap();
         assert_eq!(truth.row_count(), expected_rows, "{sql}");
         for strategy in [

@@ -3,6 +3,8 @@
 //! hand-computed answers.
 
 use llmsql_core::{Engine, EngineConfig, ExecutionMode, Value};
+use llmsql_types::{LlmFidelity, PromptStrategy};
+use llmsql_workload::{World, WorldSpec};
 
 fn engine() -> Engine {
     let e = Engine::new(EngineConfig::default().with_mode(ExecutionMode::Traditional));
@@ -124,6 +126,40 @@ fn integer_extremes_give_an_answer_never_a_panic() {
     assert_eq!(scalar("SELECT 7 / 2"), Some(Value::Float(3.5)));
     assert_eq!(scalar("SELECT 7 % 0"), Some(Value::Null));
     assert_eq!(scalar("SELECT 7 / 0"), Some(Value::Null));
+
+    // An integer SUM wraps as `+` does, and the model asked for the whole
+    // query in one prompt sums as the engine does.
+    let w = World::generate(WorldSpec {
+        countries: 15,
+        cities_per_country: 1,
+        people: 0,
+        movies: 0,
+        seed: 41,
+    })
+    .unwrap();
+    let one_shot = EngineConfig::default()
+        .with_mode(ExecutionMode::LlmOnly)
+        .with_strategy(PromptStrategy::FullQuery)
+        .with_fidelity(LlmFidelity::perfect());
+    let model = w.subject_engine(one_shot).unwrap();
+    let oracle = w.oracle_engine();
+    let answers = [
+        ("SUM", Value::Int(i64::MAX - 14)),
+        ("AVG", Value::Float(i64::MAX as f64)),
+    ];
+    for (aggregate, expected) in answers {
+        let sql =
+            format!("SELECT {aggregate}(9223372036854775807 + population * 0) FROM countries");
+        assert_eq!(
+            oracle.execute(&sql).unwrap().scalar(),
+            Some(expected.clone())
+        );
+        assert_eq!(
+            model.execute(&sql).unwrap().scalar(),
+            Some(expected),
+            "{sql}"
+        );
+    }
 }
 
 #[test]
