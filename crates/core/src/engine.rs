@@ -330,9 +330,9 @@ impl Engine {
     }
 
     /// Cost-model parameters for a plan: engine config plus cardinality
-    /// hints for every scanned relation — from the attached model
-    /// (`LanguageModel::relation_cardinality`) for virtual tables, from the
-    /// stored row count for materialized ones.
+    /// hints for every scanned relation — what the attached model's client
+    /// holds (`LlmClient::relation_cardinality`: the number the scans page
+    /// to) for virtual tables, the stored row count for materialized ones.
     pub fn cost_params_for(&self, plan: &LogicalPlan) -> CostParams {
         let mut params = CostParams::from_config(&self.config);
         for table in plan.scanned_tables() {

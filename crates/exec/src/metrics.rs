@@ -112,12 +112,23 @@ impl ExecMetrics {
 
     /// Record one LLM prompt of the given kind.
     pub fn record_llm_call(&mut self, kind: &str) {
-        *self.llm_calls_by_kind.entry(kind.to_string()).or_default() += 1;
+        bump(&mut self.llm_calls_by_kind, kind);
     }
 
     /// Record an executed operator.
     pub fn record_operator(&mut self, name: &str) {
-        *self.operators.entry(name.to_string()).or_default() += 1;
+        bump(&mut self.operators, name);
+    }
+}
+
+/// Count one more `name`. The name is copied only the first time it is
+/// seen: a scan records hundreds of prompts of one kind.
+fn bump(counts: &mut BTreeMap<String, u64>, name: &str) {
+    match counts.get_mut(name) {
+        Some(count) => *count += 1,
+        None => {
+            counts.insert(name.to_string(), 1);
+        }
     }
 }
 

@@ -501,8 +501,12 @@ struct Pages<'a> {
     template: PromptTemplate,
     budget: usize,
     page: usize,
-    /// Relation-cardinality hint (`LanguageModel::relation_cardinality`):
-    /// how many lines an unfiltered enumeration would produce. Pages at
+    /// Relation-cardinality hint: how many lines an unfiltered enumeration
+    /// would produce. Read from `LlmClient::relation_cardinality`, which
+    /// asked the model the first time any scan, plan or EXPLAIN on this
+    /// client named the table and has held the answer since — so every scan
+    /// of a relation pages to the same end, and building one costs a map
+    /// lookup, not a question to the model. Pages at
     /// offsets past it can only come back empty, so they are never planned —
     /// no tail overshoot, and an empty relation costs zero calls. Under a
     /// pushed filter it is still a sound upper bound, and the short-page

@@ -8,8 +8,9 @@
 //! endpoints); a production deployment would add an HTTP-backed endpoint
 //! without touching the engine.
 
+use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -112,15 +113,22 @@ pub trait LanguageModel: Send + Sync {
     /// entities are missing, fabricated ones included). Scans use the hint to
     /// stop speculative pagination at the relation's end instead of paying
     /// for pages past it. `None` (the default) means the model offers no
-    /// hint and scans probe for the end as before. When a hint is returned
-    /// it must be exact and stable across calls, or pagination desyncs.
+    /// hint and scans probe for the end as before.
+    ///
+    /// An [`LlmClient`] asks once per table and holds the answer — `None`
+    /// included — for as long as it lives; every scan, plan and EXPLAIN over
+    /// that client reads the held answer. So a hint must be exact, and
+    /// stable for as long as the model is attached: a relation that grew
+    /// would be paged only to its old end. An implementation may be as slow
+    /// as a metadata round trip; it is not on any scan's per-query path.
     fn relation_cardinality(&self, _table: &str) -> Option<u64> {
         None
     }
 }
 
 /// The client the executor uses: wraps a model with a prompt cache, a
-/// single-flight table and a usage accumulator. Cloning shares all three.
+/// single-flight table, a usage accumulator and the relation-cardinality
+/// hints the model has given. Cloning shares all four.
 #[derive(Clone)]
 pub struct LlmClient {
     model: Arc<dyn LanguageModel>,
@@ -139,7 +147,18 @@ pub struct LlmClient {
     /// deployment's so the dedup spans clients and queries. `None` (a
     /// cache-less client nobody attached a table to) means no dedup.
     coalescer: Option<Arc<PromptCoalescer>>,
+    /// What the model answered to [`LanguageModel::relation_cardinality`],
+    /// per table, `None` included: the model is asked once, however many
+    /// scans, queries and worker threads share this client. Nothing
+    /// invalidates an entry — the trait forbids the answer from changing
+    /// while the model is attached, and attaching another model builds
+    /// another client.
+    cardinalities: Arc<Mutex<HashMap<String, CardinalityCell>>>,
 }
+
+/// One table's remembered hint. The cell, not the map's lock, is what a
+/// second asker waits on, so the model is called with no lock of ours held.
+type CardinalityCell = Arc<OnceLock<Option<u64>>>;
 
 impl LlmClient {
     /// Wrap a model with caching enabled.
@@ -168,6 +187,7 @@ impl LlmClient {
             fingerprint,
             usage: Arc::new(Mutex::new(UsageStats::default())),
             coalescer: None,
+            cardinalities: Arc::default(),
         }
     }
 
@@ -209,9 +229,18 @@ impl LlmClient {
     }
 
     /// The wrapped model's observed cardinality of `table`, if it reports
-    /// one (see [`LanguageModel::relation_cardinality`]).
+    /// one (see [`LanguageModel::relation_cardinality`]). The model is asked
+    /// the first time a table is named; this client and its clones remember
+    /// the answer from then on.
     pub fn relation_cardinality(&self, table: &str) -> Option<u64> {
-        self.model.relation_cardinality(table)
+        let cell = {
+            let mut memo = self.cardinalities.lock();
+            if let Some(known) = memo.get(table).and_then(|cell| cell.get()) {
+                return *known;
+            }
+            Arc::clone(memo.entry(table.to_string()).or_default())
+        };
+        *cell.get_or_init(|| self.model.relation_cardinality(table))
     }
 
     /// The cache / single-flight key for a request: the model fingerprint
@@ -890,5 +919,56 @@ mod tests {
             .unwrap();
         assert_eq!(client.usage().calls, 2, "different max_tokens collided");
         assert_eq!(client.cache_len(), 2);
+    }
+
+    /// A model that knows one relation's size and counts how often it is
+    /// asked for any.
+    struct Census {
+        asks: Mutex<usize>,
+    }
+
+    impl LanguageModel for Census {
+        fn name(&self) -> String {
+            "census".to_string()
+        }
+        fn complete(&self, _: &CompletionRequest) -> Result<CompletionResponse> {
+            Err(llmsql_types::Error::llm("not under test"))
+        }
+        fn relation_cardinality(&self, table: &str) -> Option<u64> {
+            *self.asks.lock() += 1;
+            (table == "towns").then_some(37)
+        }
+    }
+
+    #[test]
+    fn a_cardinality_is_asked_for_once_by_a_client_and_all_its_clones() {
+        const THREADS: usize = 8;
+        let model = Arc::new(Census {
+            asks: Mutex::new(0),
+        });
+        let client = LlmClient::new(Arc::clone(&model) as Arc<dyn LanguageModel>);
+        // Every thread's first ask races the others'.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                let client = client.clone();
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        assert_eq!(client.relation_cardinality("towns"), Some(37));
+                    }
+                });
+            }
+        });
+        assert_eq!(*model.asks.lock(), 1);
+        // "No hint" is an answer too, and held like one.
+        assert_eq!(client.relation_cardinality("rivers"), None);
+        assert_eq!(client.clone().relation_cardinality("rivers"), None);
+        assert_eq!(*model.asks.lock(), 2);
+        // Another client over the same model starts with nothing.
+        let other = LlmClient::without_cache(Arc::clone(&model) as Arc<dyn LanguageModel>);
+        assert_eq!(other.relation_cardinality("towns"), Some(37));
+        assert_eq!(*model.asks.lock(), 3);
     }
 }

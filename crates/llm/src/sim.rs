@@ -33,7 +33,7 @@ use llmsql_sql::parse_statement;
 use llmsql_types::{Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
 
 use crate::eval::{eval_predicate, eval_predicate_text, eval_value, read_predicate, ReadExpr};
-use crate::knowledge::{normalize_key, KnowledgeBase};
+use crate::knowledge::{normalize_key, KbTable, KnowledgeBase};
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel};
 use crate::noise::{hash01, NoiseModel};
 use crate::prompt::{parse_task, TaskSpec};
@@ -136,20 +136,29 @@ impl SimLlm {
         Row::new(values)
     }
 
+    /// The knowledge base's rows whose entity the model has not forgotten.
+    fn known_rows<'a>(
+        &'a self,
+        table: &'a str,
+        kb_table: &'a KbTable,
+    ) -> impl Iterator<Item = &'a Row> + 'a {
+        let key_col = kb_table.key_column();
+        kb_table.rows.iter().filter(move |row| {
+            self.noise
+                .knows_entity(table, &normalize_key(row.get(key_col)))
+        })
+    }
+
     /// All rows of a relation as the model believes them to be: unknown
     /// entities are missing, fabricated entities are appended.
     fn observed_table(&self, table: &str) -> Result<(Schema, Vec<Row>)> {
         let kb_table = self.kb.table(table)?;
         let schema = kb_table.schema.clone();
         let key_col = kb_table.key_column();
-        let mut rows = Vec::new();
-        for row in &kb_table.rows {
-            let key_norm = normalize_key(row.get(key_col));
-            if !self.noise.knows_entity(table, &key_norm) {
-                continue;
-            }
-            rows.push(self.observe_row(table, &schema, row));
-        }
+        let mut rows: Vec<Row> = self
+            .known_rows(table, kb_table)
+            .map(|row| self.observe_row(table, &schema, row))
+            .collect();
         // Fabricated entities.
         let fabricated = self.noise.fabricated_entity_count(table, rows.len());
         for i in 0..fabricated {
@@ -629,10 +638,12 @@ impl LanguageModel for SimLlm {
     /// forgotten ones plus fabricated ones — exactly the number of lines an
     /// unfiltered enumeration of the relation would produce, and a pure
     /// function of `(seed, table)`, so the hint is stable across calls.
+    /// Counted (one hash per entity), not materialised: `observed_table`
+    /// would also run every attribute of every row through the noise model.
     fn relation_cardinality(&self, table: &str) -> Option<u64> {
-        self.observed_table(table)
-            .ok()
-            .map(|(_, rows)| rows.len() as u64)
+        let kb_table = self.kb.table(table).ok()?;
+        let known = self.known_rows(table, kb_table).count();
+        Some((known + self.noise.fabricated_entity_count(table, known)) as u64)
     }
 }
 
@@ -818,6 +829,49 @@ mod tests {
         );
         let parsed = parse_value_lines(&text, DataType::Text);
         assert_eq!(parsed.rows.len(), 6);
+    }
+
+    #[test]
+    fn cardinality_is_counted_equal_to_the_observed_table() {
+        // The hint is counted, the pages are cut from `observed_table`: they
+        // must agree at every fidelity, or a hinted scan stops early or late.
+        let schema = |name: &str| {
+            Schema::virtual_table(
+                name,
+                vec![
+                    Column::new("id", DataType::Text).primary_key(),
+                    Column::new("size", DataType::Int),
+                ],
+            )
+        };
+        let mut kb = KnowledgeBase::new();
+        let parts = (0..80).map(|i| Row::new(vec![format!("part-{i}").into(), Value::Int(i)]));
+        kb.add_table(schema("parts"), parts.collect());
+        kb.add_table(schema("nothing"), Vec::new());
+        let kb = kb.into_shared();
+        let presets = [
+            LlmFidelity::perfect(),
+            LlmFidelity::strong(),
+            LlmFidelity::medium(),
+            LlmFidelity::weak(),
+        ];
+        for fidelity in presets {
+            for seed in [1, 7, 42] {
+                let sim = SimLlm::new(Arc::clone(&kb), fidelity, seed);
+                for table in ["parts", "nothing"] {
+                    let observed = sim.observed_table(table).unwrap().1.len() as u64;
+                    assert_eq!(
+                        sim.relation_cardinality(table),
+                        Some(observed),
+                        "{table} at {fidelity:?}, seed {seed}"
+                    );
+                }
+                assert_eq!(sim.relation_cardinality("unheard_of"), None);
+            }
+        }
+        let noisy = SimLlm::new(Arc::clone(&kb), LlmFidelity::weak(), 7);
+        assert_ne!(noisy.relation_cardinality("parts"), Some(80));
+        assert_eq!(perfect().relation_cardinality("countries"), Some(6));
     }
 
     #[test]

@@ -96,16 +96,32 @@ mod tests {
 
     #[test]
     fn sql_text_roundtrips_through_parser() {
-        for sql in [
-            "population > 10 AND region = 'Europe'",
-            "name LIKE 'F%'",
-            "population BETWEEN 1 AND 10",
-            "region IN ('Europe', 'Asia')",
-            "region IS NOT NULL",
+        for (sql, pushed) in [
+            (
+                "population > 10 AND region = 'Europe'",
+                "((population > 10) AND (region = 'Europe'))",
+            ),
+            ("name LIKE 'F%'", "(name LIKE 'F%')"),
+            (
+                "population BETWEEN 1 AND 10",
+                "(population BETWEEN 1 AND 10)",
+            ),
+            (
+                "region IN ('Europe', 'Asia')",
+                "(region IN ('Europe', 'Asia'))",
+            ),
+            ("region IS NOT NULL", "(region IS NOT NULL)"),
+            // What a prompt says is what the query said, whatever the script.
+            ("name = 'São Tomé'", "(name = 'São Tomé')"),
+            (
+                "name LIKE 'Côte d''Ivoire%' OR region = '日本'",
+                "((name LIKE 'Côte d''Ivoire%') OR (region = '日本'))",
+            ),
         ] {
             let text = bind(sql).to_sql_text().unwrap();
-            // must be parseable again
-            assert!(parse_expression(&text).is_ok(), "text: {text}");
+            assert_eq!(text, pushed);
+            // and the model reads back the predicate the engine wrote
+            assert_eq!(bind(&text).to_sql_text().unwrap(), text);
         }
     }
 

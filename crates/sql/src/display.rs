@@ -290,6 +290,9 @@ impl fmt::Display for InsertStatement {
 
 #[cfg(test)]
 mod tests {
+    use llmsql_types::Value;
+
+    use crate::ast::{BinaryOp, Expr};
     use crate::parser::{parse_expression, parse_statement};
 
     fn roundtrip_stmt(sql: &str) {
@@ -348,6 +351,40 @@ mod tests {
         assert_eq!(e.to_string(), "((NOT x) AND y)");
         let e = parse_expression("price BETWEEN 1 AND 10").unwrap();
         assert_eq!(e.to_string(), "(price BETWEEN 1 AND 10)");
+    }
+
+    /// Trees built from Rust strings, not from SQL text: a lexer that mangles
+    /// a literal mangles it the same way on every parse, so only a tree that
+    /// never went through it can tell.
+    #[test]
+    fn text_outside_ascii_survives_print_parse_print() {
+        let cases = [
+            (
+                Expr::Literal(Value::Text("Côte d'Ivoire".into())),
+                "'Côte d''Ivoire'",
+            ),
+            (Expr::Literal(Value::Text("São Tomé".into())), "'São Tomé'"),
+            (
+                Expr::binary(
+                    Expr::column("Länder"),
+                    BinaryOp::Eq,
+                    Expr::Literal(Value::Text("日本".into())),
+                ),
+                "(Länder = '日本')",
+            ),
+        ];
+        for (tree, text) in cases {
+            assert_eq!(tree.to_string(), text);
+            let reparsed = parse_expression(text).unwrap();
+            assert_eq!(reparsed, tree, "{text}");
+            assert_eq!(reparsed.to_string(), text);
+        }
+        // A quoted identifier prints bare and reads back as the same name.
+        let quoted = parse_statement(r#"SELECT "Länder" FROM t WHERE "Länder" = 'Åland'"#).unwrap();
+        let printed = quoted.to_string();
+        assert_eq!(printed, "SELECT Länder FROM t WHERE (Länder = 'Åland')");
+        assert_eq!(parse_statement(&printed).unwrap(), quoted);
+        assert_eq!(parse_statement(&printed).unwrap().to_string(), printed);
     }
 
     #[test]

@@ -32,9 +32,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(mut self) -> Result<Vec<SpannedToken>> {
-        while self.pos < self.bytes.len() {
+        while let Some(c) = self.peek(0) {
             let start = self.pos;
-            let c = self.bytes[self.pos] as char;
             match c {
                 c if c.is_ascii_whitespace() => {
                     self.pos += 1;
@@ -146,7 +145,7 @@ impl<'a> Lexer<'a> {
                 '\'' => self.lex_string()?,
                 '"' => self.lex_quoted_ident()?,
                 c if c.is_ascii_digit() => self.lex_number()?,
-                c if c.is_ascii_alphabetic() || c == '_' => self.lex_word(),
+                c if c.is_alphabetic() || c == '_' => self.lex_word(),
                 other => {
                     return Err(Error::parse(format!("unexpected character '{other}'")).at(start))
                 }
@@ -156,8 +155,13 @@ impl<'a> Lexer<'a> {
         Ok(self.tokens)
     }
 
+    /// The character `ahead` characters past `pos`. `pos` is always on a
+    /// character boundary: every advance is by the `len_utf8` of a character
+    /// `peek` returned (1 for the ASCII ones the grammar is made of), and the
+    /// comment skippers stop on ASCII bytes, which no multi-byte sequence
+    /// contains.
     fn peek(&self, ahead: usize) -> Option<char> {
-        self.bytes.get(self.pos + ahead).map(|b| *b as char)
+        self.src.get(self.pos..)?.chars().nth(ahead)
     }
 
     fn push(&mut self, token: Token, offset: usize) {
@@ -298,8 +302,8 @@ impl<'a> Lexer<'a> {
     fn lex_word(&mut self) {
         let start = self.pos;
         while let Some(c) = self.peek(0) {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                self.pos += 1;
+            if c.is_alphanumeric() || c == '_' {
+                self.pos += c.len_utf8();
             } else {
                 break;
             }
@@ -379,6 +383,39 @@ mod tests {
             toks(r#""Weird Name" "#),
             vec![Token::Ident("Weird Name".into()), Token::Eof]
         );
+    }
+
+    #[test]
+    fn text_outside_ascii_is_read_whole() {
+        // A character is one token's worth of text however many bytes it
+        // takes: nothing is cut to its first byte.
+        assert_eq!(
+            toks("'Côte d''Ivoire' = 'São Tomé'"),
+            vec![
+                Token::String("Côte d'Ivoire".into()),
+                Token::Eq,
+                Token::String("São Tomé".into()),
+                Token::Eof
+            ]
+        );
+        assert_eq!(
+            toks(
+                r#""Länder" größe_2 -- é
+                /* ü */ x"#
+            ),
+            vec![
+                Token::Ident("Länder".into()),
+                Token::Ident("größe_2".into()),
+                Token::Ident("x".into()),
+                Token::Eof
+            ]
+        );
+        // Offsets stay byte offsets into the source text.
+        let spanned = tokenize("'é' x").unwrap();
+        assert_eq!(spanned[1].offset, 5);
+        let err = tokenize("a € b").unwrap_err();
+        assert!(err.to_string().contains('€'), "{err}");
+        assert_eq!(err.offset, Some(2));
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod proptests {
         let leaf = prop_oneof![
             (-1000i64..1000).prop_map(|i| Expr::Literal(Value::Int(i))),
             arb_ident().prop_map(|s| Expr::column(&s)),
-            "[a-z]{1,5}".prop_map(|s| Expr::Literal(Value::Text(s))),
+            "[a-zãéôß日' ]{1,5}".prop_map(|s| Expr::Literal(Value::Text(s))),
             Just(Expr::Literal(Value::Null)),
             Just(Expr::Literal(Value::Bool(true))),
         ];
@@ -95,15 +95,15 @@ mod proptests {
             prop_assert_eq!(reparsed, e);
         }
 
-        /// The lexer never panics on arbitrary ASCII input.
+        /// The lexer never panics on arbitrary input, ASCII or not.
         #[test]
-        fn lexer_never_panics(s in "[ -~]{0,80}") {
+        fn lexer_never_panics(s in "[ -~éß€日]{0,80}") {
             let _ = tokenize(&s);
         }
 
-        /// The parser never panics on arbitrary ASCII input.
+        /// The parser never panics on arbitrary input, ASCII or not.
         #[test]
-        fn parser_never_panics(s in "[ -~]{0,80}") {
+        fn parser_never_panics(s in "[ -~éß€日]{0,80}") {
             let _ = parse_statement(&s);
         }
 

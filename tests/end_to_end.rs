@@ -128,6 +128,58 @@ fn pushed_arithmetic_filters_match_the_oracle_in_every_strategy() {
     }
 }
 
+/// A literal outside ASCII reaches the model as it was written. The rows go
+/// into the store as Rust strings, not through SQL text: the oracle shares
+/// the lexer, so a literal mangled on the way in would be mangled the same
+/// way for both engines and the comparison alone would see nothing.
+#[test]
+fn a_name_outside_ascii_is_found_in_every_strategy() {
+    let w = world();
+    let countries = w.catalog.table("countries").unwrap();
+    for (name, capital) in [
+        ("São Tomé", "Água Grande"),
+        ("Côte d'Ivoire", "Yamoussoukro"),
+    ] {
+        let mut row = countries.scan()[0].clone();
+        row.set(0, Value::Text(name.to_string()));
+        row.set(2, Value::Text(capital.to_string()));
+        countries.insert(row).unwrap();
+    }
+    let oracle = w.oracle_engine();
+    let queries = [
+        (
+            "SELECT name, capital FROM countries WHERE name = 'São Tomé'",
+            "São Tomé",
+        ),
+        (
+            "SELECT name, capital FROM countries WHERE name = 'Côte d''Ivoire'",
+            "Côte d'Ivoire",
+        ),
+        (
+            "SELECT name, capital FROM countries WHERE capital LIKE 'Água%'",
+            "São Tomé",
+        ),
+    ];
+    for (sql, name) in queries {
+        let truth = oracle.execute(sql).unwrap();
+        assert_eq!(truth.row_count(), 1, "{sql}");
+        assert_eq!(truth.rows()[0].get(0), &Value::Text(name.to_string()));
+        for strategy in [
+            PromptStrategy::FullQuery,
+            PromptStrategy::BatchedRows,
+            PromptStrategy::TupleAtATime,
+            PromptStrategy::DecomposedOperators,
+        ] {
+            let config = EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(strategy)
+                .with_fidelity(LlmFidelity::perfect());
+            let answer = w.subject_engine(config).unwrap().execute(sql).unwrap();
+            assert_eq!(answer.batch, truth.batch, "{strategy}: {sql}");
+        }
+    }
+}
+
 /// Full-query prompting at perfect fidelity answers single-table queries
 /// exactly (joins/aggregates may legitimately diverge through the one-shot
 /// interpreter, which is part of what E2 measures).
