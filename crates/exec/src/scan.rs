@@ -89,8 +89,8 @@ use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
-    pack_prompts, parse_pipe_rows, parse_value_lines, parse_yes_no, split_response, ClientCall,
-    CompletionRequest, CompletionResponse, LlmClient, ParsedRows, YesNoAnswer,
+    pack_prompts, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, ClientCall,
+    CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer, BATCH_SEPARATOR,
 };
 use llmsql_plan::{estimate_scan_rows, BoundExpr};
 use llmsql_store::Table;
@@ -314,9 +314,10 @@ trait PromptPlan {
     /// consumed — the plan is finished once nothing is in flight either.
     fn next(&mut self, cap: usize) -> Result<Vec<String>>;
 
-    /// Consume the answer to the oldest prompt in flight. Called in prompt
-    /// order, and never past a failed answer.
-    fn accept(&mut self, response: CompletionResponse) -> Result<Flow>;
+    /// Consume the answer to the oldest prompt in flight: the text the model
+    /// replied to that prompt with, borrowed from the completion it
+    /// travelled in. Called in prompt order, and never past a failed answer.
+    fn accept(&mut self, answer: &str) -> Result<Flow>;
 }
 
 /// What the driver does after an accepted answer.
@@ -403,7 +404,7 @@ impl Driver<'_> {
             if asked > 1 {
                 ctx.metrics.update(|m| m.batched_rows += asked as u64);
             }
-            for answer in split_response(&response, asked) {
+            for answer in split_sections(&response.text, asked) {
                 if plan.accept(answer)? == Flow::Done {
                     return Ok(());
                 }
@@ -444,20 +445,11 @@ impl Driver<'_> {
 }
 
 /// Account the lines of an answer that did not parse.
-fn note_dropped(ctx: &ExecContext, parsed: &ParsedRows) {
-    if parsed.dropped_lines > 0 {
+fn note_dropped(ctx: &ExecContext, dropped_lines: usize) {
+    if dropped_lines > 0 {
         ctx.metrics
-            .update(|m| m.dropped_lines += parsed.dropped_lines as u64);
+            .update(|m| m.dropped_lines += dropped_lines as u64);
     }
-}
-
-/// A row of the base arity holding `values` at `columns`, NULL elsewhere.
-fn widen(columns: &[usize], values: &Row, arity: usize) -> Row {
-    let mut full = vec![Value::Null; arity];
-    for (vi, &idx) in columns.iter().enumerate() {
-        full[idx] = values.get(vi).clone();
-    }
-    Row::new(full)
 }
 
 // ---------------------------------------------------------------------------
@@ -587,22 +579,32 @@ impl PromptPlan for Pages<'_> {
         Ok(vec![prompt])
     }
 
-    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, answer: &str) -> Result<Flow> {
         let want = self.in_flight.pop_front().ok_or_else(unasked)?;
-        let parsed = parse_pipe_rows(&response.text, &self.types);
-        note_dropped(self.ctx, &parsed);
+        // A backend that emits *more* lines than requested is clamped to the
+        // page size — later pages are dispatched at offsets assuming at most
+        // `want` lines per page, so consuming overshoot would duplicate rows.
+        let keep = want.min(self.budget - self.rows.len());
+        let arity = self.spec.table_schema.arity();
+        let (columns, rows) = (&self.columns, &mut self.rows);
+        let mut parsed = 0;
+        // Each kept line's cells go straight to their columns of a row of
+        // the base arity, NULL elsewhere.
+        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
+            if parsed < keep {
+                let mut full = vec![Value::Null; arity];
+                for (cell, &column) in cells.iter_mut().zip(columns) {
+                    full[column] = std::mem::take(cell);
+                }
+                rows.push(Row::new(full));
+            }
+            parsed += 1;
+        });
+        note_dropped(self.ctx, dropped);
         // Lines the model produced for this page, parsed or not: the
         // relation is exhausted when the model had fewer rows to say than
-        // asked for, not when some lines were malformed. A backend that
-        // emits *more* lines than requested is clamped to the page size —
-        // later pages are dispatched at offsets assuming at most `want`
-        // lines per page, so consuming overshoot would duplicate rows.
-        let got_lines = (parsed.rows.len() + parsed.dropped_lines).min(want);
-        let room = self.budget - self.rows.len();
-        let arity = self.spec.table_schema.arity();
-        let taken = parsed.rows.iter().take(want.min(room));
-        self.rows
-            .extend(taken.map(|partial| widen(&self.columns, partial, arity)));
+        // asked for, not when some lines were malformed.
+        let got_lines = (parsed + dropped).min(want);
         // A short page is the end of the relation: the pages still in flight
         // were speculative fetches past the end.
         if got_lines < want || self.rows.len() >= self.budget {
@@ -631,14 +633,26 @@ impl PromptPlan for Enumerate<'_> {
         Ok(self.prompt.take().into_iter().collect())
     }
 
-    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, answer: &str) -> Result<Flow> {
         let schema = self.spec.table_schema;
         let key_idx = self.spec.key_column();
-        let parsed = parse_value_lines(&response.text, schema.columns[key_idx].data_type);
-        note_dropped(self.ctx, &parsed);
-        let keys = parsed.rows.iter().take(self.spec.row_budget(self.ctx));
-        self.rows
-            .extend(keys.map(|key| widen(&[key_idx], key, schema.arity())));
+        let budget = self.spec.row_budget(self.ctx);
+        let rows = &mut self.rows;
+        // A key is model output on its way into the next prompts, verbatim.
+        // One that holds the batch separator would cut a packed request in
+        // the wrong place and shift every later member's answer onto the
+        // wrong row, so it is no key: dropped, and counted.
+        let mut unpackable = 0;
+        let dropped = scan_value_lines(answer, schema.columns[key_idx].data_type, |key| {
+            if key.as_str().is_some_and(|k| k.contains(BATCH_SEPARATOR)) {
+                unpackable += 1;
+            } else if rows.len() < budget {
+                let mut full = vec![Value::Null; schema.arity()];
+                full[key_idx] = key;
+                rows.push(Row::new(full));
+            }
+        });
+        note_dropped(self.ctx, dropped + unpackable);
         Ok(Flow::Continue)
     }
 }
@@ -786,30 +800,36 @@ impl PromptPlan for Lookups<'_> {
         }
     }
 
-    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, answer: &str) -> Result<Flow> {
         let at = self.in_flight.pop_front().ok_or_else(unasked)?;
         let row = &mut self.source[at];
         let columns = &self.spec.table_schema.columns;
         self.types.clear();
         self.types
             .extend(missing(&self.needed, row).map(|col| columns[col].data_type));
-        let parsed = parse_pipe_rows(&response.text, &self.types);
-        note_dropped(self.ctx, &parsed);
-        if let Some(values) = parsed.rows.first() {
-            let mut filled = 0;
-            let mut answers = values.values().iter();
-            for &col in &self.needed {
+        // The first line that reads as a row answers for the missing cells,
+        // in column order; a cell it leaves NULL stays missing.
+        let mut answered = false;
+        let mut filled = 0;
+        let needed = &self.needed;
+        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
+            if std::mem::replace(&mut answered, true) {
+                return;
+            }
+            let mut cells = cells.iter_mut();
+            for &col in needed {
                 if !row.get(col).is_null() {
                     continue;
                 }
-                if let Some(value) = answers.next().filter(|v| !v.is_null()) {
-                    row.set(col, value.clone());
+                if let Some(cell) = cells.next().filter(|cell| !cell.is_null()) {
+                    row.set(col, std::mem::take(cell));
                     filled += 1;
                 }
             }
-            if self.stored && filled > 0 {
-                self.ctx.metrics.update(|m| m.cells_filled_by_llm += filled);
-            }
+        });
+        note_dropped(self.ctx, dropped);
+        if self.stored && filled > 0 {
+            self.ctx.metrics.update(|m| m.cells_filled_by_llm += filled);
         }
         // Everything ahead of the next lookup in flight is now final.
         self.deliver()?;
@@ -850,11 +870,11 @@ impl PromptPlan for FilterChecks<'_> {
         Ok(prompts)
     }
 
-    fn accept(&mut self, response: CompletionResponse) -> Result<Flow> {
+    fn accept(&mut self, answer: &str) -> Result<Flow> {
         // Answers arrive in candidate order, one candidate each.
         let candidate = self.candidates.next();
         self.in_flight = self.in_flight.saturating_sub(1);
-        if parse_yes_no(&response.text) == YesNoAnswer::Yes {
+        if parse_yes_no(answer) == YesNoAnswer::Yes {
             self.kept.extend(candidate);
         }
         Ok(Flow::Continue)
@@ -1112,6 +1132,23 @@ mod tests {
             // pruned column (region) is NULL
             assert!(r.get(1).is_null());
             assert!(r.get(2).as_int().unwrap() > 60);
+        }
+    }
+
+    #[test]
+    fn a_page_row_is_null_outside_the_asked_columns() {
+        // Asked for in an order that is not the table's: each cell lands at
+        // its own column of a full-width row, and the column nobody asked
+        // for is NULL.
+        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
+        let rows = llm_scan(&ctx, &parts(None, Some(vec![2, 0])).spec()).unwrap();
+        let world = world_rows();
+        assert_eq!(rows.len(), world.len());
+        for (row, truth) in rows.iter().zip(&world) {
+            assert_eq!(row.arity(), 3);
+            assert_eq!(row.get(0), truth.get(0));
+            assert!(row.get(1).is_null());
+            assert_eq!(row.get(2), truth.get(2));
         }
     }
 

@@ -6,8 +6,8 @@
 //! per-tuple parsers are untouched), joined by an unambiguous separator
 //! line. A model that understands the separator ([`crate::SimLlm`] does)
 //! answers each member section independently and joins the answers with the
-//! same separator; [`split_response`] cuts the combined completion back into
-//! one response per member, dividing the physical cost evenly.
+//! same separator; [`split_sections`] cuts the combined completion back into
+//! one answer per member, borrowed from the completion's text.
 //!
 //! Rows and logical call counts are byte-identical at any
 //! `batch_rows_per_call`: only the number of physical calls changes.
@@ -41,33 +41,41 @@ pub fn split_prompt(prompt: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Split one physical completion over a packed prompt back into `members`
-/// per-member responses. Sections map to members in order; a completion
-/// with fewer sections than members yields empty text for the tail (the
-/// per-tuple parsers treat empty text as "no answer", mirroring what a
-/// truncated unpacked completion would produce). The physical token and
-/// dollar cost is divided evenly across members so per-query usage sums
-/// stay meaningful.
+/// The answer text of each of the `members` prompts one physical completion
+/// replied to, in member order, borrowed from `text`. An unpacked completion
+/// (`members` ≤ 1) is its one member's answer whole. Sections map to members
+/// in order; a completion with fewer sections than members yields empty text
+/// for the tail (the per-tuple parsers treat empty text as "no answer",
+/// mirroring what a truncated unpacked completion would produce), and
+/// sections past the last member are ignored.
+pub fn split_sections(text: &str, members: usize) -> impl Iterator<Item = &str> {
+    let packed = members > 1;
+    // `splitn(1, ..)` yields the text uncut, separator or not.
+    text.splitn(if packed { usize::MAX } else { 1 }, BATCH_SEPARATOR)
+        .map(move |part| {
+            if packed {
+                part.trim_matches('\n')
+            } else {
+                part
+            }
+        })
+        .chain(std::iter::repeat(""))
+        .take(members.max(1))
+}
+
+/// [`split_sections`] as one owned response per member, the physical token
+/// and dollar cost divided evenly. No engine path reads a per-member share
+/// (a scan hands its plans the borrowed sections); the benchmark's
+/// `llm.batch.pack_split_ns` probe calls this.
 pub fn split_response(response: &CompletionResponse, members: usize) -> Vec<CompletionResponse> {
-    if members <= 1 {
-        return vec![response.clone()];
-    }
-    let mut sections: Vec<&str> = response
-        .text
-        .split(BATCH_SEPARATOR)
-        .map(|part| part.trim_matches('\n'))
-        .collect();
-    sections.resize(members, "");
-    let share = |total: usize| total / members;
-    sections
-        .into_iter()
-        .take(members)
+    let shares = members.max(1);
+    split_sections(&response.text, members)
         .map(|text| CompletionResponse {
             text: text.to_string(),
-            prompt_tokens: share(response.prompt_tokens),
-            completion_tokens: share(response.completion_tokens),
+            prompt_tokens: response.prompt_tokens / shares,
+            completion_tokens: response.completion_tokens / shares,
             latency_ms: response.latency_ms,
-            cost_usd: response.cost_usd / members as f64,
+            cost_usd: response.cost_usd / shares as f64,
         })
         .collect()
 }
@@ -108,6 +116,27 @@ mod tests {
         assert_eq!(parts[2].text, "c|3");
         assert!((parts[0].cost_usd - 0.1).abs() < 1e-12);
         assert_eq!(parts[0].prompt_tokens, 10);
+    }
+
+    #[test]
+    fn sections_are_slices_of_the_answer_and_an_unpacked_answer_is_whole() {
+        let text = format!("a|1\n{BATCH_SEPARATOR}\nb|2\n{BATCH_SEPARATOR}\nc|3");
+        let sections: Vec<&str> = split_sections(&text, 2).collect();
+        // Sections past the last member are ignored.
+        assert_eq!(sections, ["a|1", "b|2"]);
+        let within = text.as_bytes().as_ptr_range();
+        for section in sections {
+            assert!(within.contains(&section.as_ptr()));
+        }
+        // One member: never cut, whatever the text holds.
+        assert_eq!(
+            split_sections(&text, 1).collect::<Vec<_>>(),
+            [text.as_str()]
+        );
+        assert_eq!(
+            split_sections("\nyes\n", 0).collect::<Vec<_>>(),
+            ["\nyes\n"]
+        );
     }
 
     #[test]

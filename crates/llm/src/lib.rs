@@ -45,7 +45,7 @@ pub use backend::{
     Backend, BackendPool, BackendStats, CallHandle, CallMachine, DirectBackend, HedgePermitGate,
     PoolCall, RemoteLlm,
 };
-pub use batch::{is_packed, pack_prompts, split_response, BATCH_SEPARATOR};
+pub use batch::{is_packed, pack_prompts, split_response, split_sections, BATCH_SEPARATOR};
 pub use cache::PromptCache;
 pub use coalesce::{Claim, CoalesceStats, FollowerPoll, PromptCoalescer};
 pub use cost::UsageStats;
@@ -53,7 +53,10 @@ pub use key::RequestKey;
 pub use knowledge::{KbTable, KnowledgeBase};
 pub use model::{ClientCall, CompletionRequest, CompletionResponse, LanguageModel, LlmClient};
 pub use noise::NoiseModel;
-pub use parse::{parse_pipe_rows, parse_value_lines, parse_yes_no, ParsedRows, YesNoAnswer};
+pub use parse::{
+    parse_pipe_rows, parse_value_lines, parse_yes_no, scan_pipe_rows, scan_value_lines, ParsedRows,
+    YesNoAnswer,
+};
 pub use prompt::{describe_schema, parse_task, PromptTemplate, TaskSpec};
 pub use sim::SimLlm;
 pub use tokenizer::count_tokens;
@@ -106,7 +109,9 @@ mod proptests {
     }
 
     /// Keys built from what a key must survive unescaped: the characters the
-    /// prompt and key formats give meaning to, and the batch separator.
+    /// prompt and key formats give meaning to. (Not the batch separator: a
+    /// key that holds it never reaches a template — the scan that read it
+    /// off an enumerate answer drops it, counted.)
     fn arb_awkward_key() -> impl Strategy<Value = String> {
         let piece = prop_oneof![
             Just("\"".to_string()),
@@ -114,7 +119,6 @@ mod proptests {
             Just(":".to_string()),
             Just("\n".to_string()),
             Just("\u{1f}".to_string()),
-            Just(BATCH_SEPARATOR.to_string()),
             "[A-Za-z ]{0,6}",
         ];
         proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
@@ -157,12 +161,55 @@ mod proptests {
             prop_assert_eq!(parsed, spec);
         }
 
-        /// The tolerant row parser never panics and never returns more rows
-        /// than input lines.
+        /// Whatever a completion says and wherever it was cut off, reading it
+        /// never panics: the section splitter hands every member a slice of
+        /// the text with no separator left in it, and no reader returns more
+        /// rows than its section has lines.
         #[test]
-        fn parser_row_bound(text in "[ -~\n]{0,400}") {
-            let parsed = parse_pipe_rows(&text, &[llmsql_types::DataType::Text, llmsql_types::DataType::Int]);
-            prop_assert!(parsed.rows.len() <= text.lines().count());
+        fn parser_row_bound(
+            sections in proptest::collection::vec("[ -~\n]{0,100}", 1..6),
+            odd in proptest::option::of("[é日\u{a0}|]{1,4}"),
+            members in 1usize..7,
+            cut in 0usize..600,
+        ) {
+            use llmsql_types::DataType;
+            let mut text = sections.join(&format!("\n{BATCH_SEPARATOR}\n"));
+            text.extend(odd);
+            // A completion stopped by `max_tokens` ends anywhere, mid-section
+            // and mid-separator included.
+            let mut cut = cut.min(text.len());
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let text = &text[..cut];
+            let answers: Vec<&str> = split_sections(text, members).collect();
+            prop_assert_eq!(answers.len(), members);
+            let bounds = text.as_bytes().as_ptr_range();
+            for answer in answers {
+                prop_assert!(members == 1 || !answer.contains(BATCH_SEPARATOR));
+                let inside = answer.as_bytes().as_ptr_range();
+                prop_assert!(
+                    answer.is_empty() || (bounds.start <= inside.start && inside.end <= bounds.end)
+                );
+                let lines = answer.lines().count();
+                let types = [DataType::Text, DataType::Int];
+                prop_assert!(parse_pipe_rows(answer, &types).rows.len() <= lines);
+                for ty in [DataType::Text, DataType::Int, DataType::Float, DataType::Bool] {
+                    prop_assert!(parse_value_lines(answer, ty).rows.len() <= lines);
+                }
+                parse_yes_no(answer);
+            }
+            let owned = split_response(
+                &CompletionResponse {
+                    text: text.to_string(),
+                    prompt_tokens: 7,
+                    completion_tokens: 7,
+                    latency_ms: 1.0,
+                    cost_usd: 0.5,
+                },
+                members,
+            );
+            prop_assert!(owned.iter().map(|r| r.text.as_str()).eq(split_sections(text, members)));
         }
 
         /// Token counting is monotone under concatenation.

@@ -19,9 +19,10 @@ use crate::schema::DataType;
 /// the expression evaluator). Floats are wrapped so that `Value` can be
 /// `Eq + Hash` (needed for hash joins and group-by); NaN compares equal to
 /// itself and sorts last.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL NULL / unknown.
+    #[default]
     Null,
     /// Boolean.
     Bool(bool),
@@ -153,14 +154,14 @@ impl Value {
     /// erroring, because noisy completions must not abort query execution.
     pub fn from_llm_text(raw: &str, ty: DataType) -> Value {
         let trimmed = normalize_llm_text(raw);
-        if trimmed.is_empty() || is_nullish(&trimmed) {
+        if trimmed.is_empty() || is_nullish(trimmed) {
             return Value::Null;
         }
         match ty {
-            DataType::Text => Value::Text(trimmed),
-            DataType::Int => parse_int_lenient(&trimmed).map_or(Value::Null, Value::Int),
-            DataType::Float => parse_float_lenient(&trimmed).map_or(Value::Null, Value::Float),
-            DataType::Bool => parse_bool_lenient(&trimmed).map_or(Value::Null, Value::Bool),
+            DataType::Text => Value::Text(trimmed.to_string()),
+            DataType::Int => parse_int_lenient(trimmed).map_or(Value::Null, Value::Int),
+            DataType::Float => parse_float_lenient(trimmed).map_or(Value::Null, Value::Float),
+            DataType::Bool => parse_bool_lenient(trimmed).map_or(Value::Null, Value::Bool),
         }
     }
 
@@ -253,40 +254,68 @@ pub fn format_float(f: f64) -> String {
 
 /// Strip markdown/formatting artefacts commonly produced by LLM completions:
 /// surrounding whitespace, quotes, backticks, bullets and trailing periods.
-pub fn normalize_llm_text(raw: &str) -> String {
+/// It only ever trims, so the result is a subslice of `raw`.
+pub fn normalize_llm_text(raw: &str) -> &str {
+    // What a model usually writes starts and ends on a letter or a digit,
+    // with at most the spaces that pad a `|`: no bullet, quoting or period
+    // to peel, and no char to decode.
+    let bytes = raw.as_bytes();
+    let start = bytes.iter().take_while(|&&b| b == b' ').count();
+    let end = bytes.len() - bytes.iter().rev().take_while(|&&b| b == b' ').count();
+    // Spaces are ASCII, so both are char boundaries; `None` is all spaces.
+    if let Some(inner) = raw.get(start..end) {
+        let plain = |end: Option<&u8>| end.is_some_and(u8::is_ascii_alphanumeric);
+        if plain(inner.as_bytes().first()) && plain(inner.as_bytes().last()) {
+            return inner;
+        }
+    }
     let mut s = raw.trim();
-    // strip list bullets like "- " or "* " or "1. "
+    // strip list bullets like "- " or "* "
     if let Some(rest) = s.strip_prefix("- ").or_else(|| s.strip_prefix("* ")) {
         s = rest.trim_start();
     }
     // Repeatedly peel quoting/markdown characters and a single trailing
     // period until the string stabilises ("* `Tokyo`." -> "Tokyo").
-    let mut cur = s.to_string();
     loop {
-        let trimmed = cur
-            .trim_matches(|c| c == '`' || c == '"' || c == '\'' || c == '*')
-            .trim();
-        let trimmed = trimmed.strip_suffix('.').unwrap_or(trimmed).trim();
-        if trimmed == cur {
-            break;
+        let peeled = s.trim_matches(['`', '"', '\'', '*']).trim();
+        let peeled = peeled.strip_suffix('.').unwrap_or(peeled).trim();
+        if peeled.len() == s.len() {
+            return s;
         }
-        cur = trimmed.to_string();
+        s = peeled;
     }
-    cur
 }
 
-fn is_nullish(s: &str) -> bool {
-    let lower = s.to_ascii_lowercase();
-    matches!(
-        lower.as_str(),
-        "null" | "none" | "n/a" | "na" | "unknown" | "nil" | "-" | "?"
-    )
+/// True for the words a model writes in place of a value it does not know
+/// (`s` already normalised; any ASCII case).
+pub fn is_nullish(s: &str) -> bool {
+    const WORDS: [&str; 8] = ["null", "none", "n/a", "na", "unknown", "nil", "-", "?"];
+    s.len() <= 7 && WORDS.iter().any(|word| s.eq_ignore_ascii_case(word))
+}
+
+/// `s` without thousands separators, copied only if it holds any.
+fn without_separators(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.bytes().any(|b| b == b',' || b == b'_') {
+        s.chars().filter(|c| *c != ',' && *c != '_').collect()
+    } else {
+        s.into()
+    }
+}
+
+/// The leading run of `s` made of ASCII bytes `accepts` takes.
+fn ascii_prefix(s: &str, accepts: impl Fn(u8) -> bool) -> &str {
+    let len = s.bytes().take_while(|&b| accepts(b)).count();
+    s.get(..len).unwrap_or(s)
 }
 
 /// Parse an integer tolerating thousands separators, surrounding text such as
 /// units, and an optional leading sign.
 pub fn parse_int_lenient(s: &str) -> Option<i64> {
-    let cleaned: String = s.chars().filter(|c| *c != ',' && *c != '_').collect();
+    // What a model usually writes parses as it stands.
+    if let Ok(v) = s.parse::<i64>() {
+        return Some(v);
+    }
+    let cleaned = without_separators(s);
     let cleaned = cleaned.trim();
     if let Ok(v) = cleaned.parse::<i64>() {
         return Some(v);
@@ -298,41 +327,35 @@ pub fn parse_int_lenient(s: &str) -> Option<i64> {
             return Some(f as i64);
         }
     }
-    let numeric_prefix: String = cleaned
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '-' || *c == '+')
-        .collect();
-    if numeric_prefix.is_empty() || numeric_prefix == "-" || numeric_prefix == "+" {
-        None
-    } else {
-        numeric_prefix.parse::<i64>().ok()
-    }
+    ascii_prefix(cleaned, |b| b.is_ascii_digit() || b == b'-' || b == b'+')
+        .parse::<i64>()
+        .ok()
 }
 
 /// Parse a float tolerating thousands separators and trailing units.
 pub fn parse_float_lenient(s: &str) -> Option<f64> {
-    let cleaned: String = s.chars().filter(|c| *c != ',' && *c != '_').collect();
+    let cleaned = without_separators(s);
     let cleaned = cleaned.trim();
     if let Ok(v) = cleaned.parse::<f64>() {
         return Some(v);
     }
-    let numeric_prefix: String = cleaned
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '-' || *c == '+' || *c == '.' || *c == 'e')
-        .collect();
-    if numeric_prefix.is_empty() {
-        None
-    } else {
-        numeric_prefix.parse::<f64>().ok()
-    }
+    ascii_prefix(cleaned, |b| {
+        b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e')
+    })
+    .parse::<f64>()
+    .ok()
 }
 
 /// Parse a boolean tolerating yes/no style answers.
 pub fn parse_bool_lenient(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "true" | "t" | "yes" | "y" | "1" => Some(true),
-        "false" | "f" | "no" | "n" | "0" => Some(false),
-        _ => None,
+    let s = s.trim();
+    let is_any = |words: &[&str]| words.iter().any(|word| s.eq_ignore_ascii_case(word));
+    if is_any(&["true", "t", "yes", "y", "1"]) {
+        Some(true)
+    } else if is_any(&["false", "f", "no", "n", "0"]) {
+        Some(false)
+    } else {
+        None
     }
 }
 
