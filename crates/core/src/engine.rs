@@ -12,7 +12,7 @@ use llmsql_llm::{
     parse_pipe_rows, BackendPool, KnowledgeBase, LanguageModel, LlmClient, PromptCoalescer, SimLlm,
 };
 use llmsql_plan::{
-    bind_select, cost_plan, lint_plan, optimize_traced, schema_from_create, CostParams,
+    bind_select, cost_plan, lint_plan, optimize, optimize_traced, schema_from_create, CostParams,
     LogicalPlan, RuleTrace,
 };
 use llmsql_sql::ast::{InsertStatement, SelectStatement, Statement};
@@ -317,13 +317,16 @@ impl Engine {
         Ok(result)
     }
 
-    /// Bind and optimize a SELECT into a logical plan.
+    /// Bind and optimize a SELECT into a logical plan — what every executed
+    /// statement pays before its first prompt.
     pub fn plan_select(&self, select: &SelectStatement) -> Result<LogicalPlan> {
-        Ok(self.plan_select_traced(select)?.0)
+        let bound = bind_select(&self.catalog, select)?;
+        Ok(optimize(bound, &self.config.optimizer))
     }
 
     /// Bind and optimize a SELECT, also reporting which rewrite rules fired
-    /// (`EXPLAIN` prints the trace).
+    /// (`EXPLAIN` prints the trace). The same plan as [`Engine::plan_select`]
+    /// at the cost of a plan copy per rule.
     pub fn plan_select_traced(&self, select: &SelectStatement) -> Result<(LogicalPlan, RuleTrace)> {
         let bound = bind_select(&self.catalog, select)?;
         Ok(optimize_traced(bound, &self.config.optimizer))
@@ -432,7 +435,6 @@ impl Engine {
         let batch = execute_plan(&ctx, &plan)?;
         Ok(QueryResult {
             metrics: ctx.metrics.snapshot(),
-            plan: Some(plan.explain()),
             batch,
             ..QueryResult::default()
         })
@@ -491,7 +493,6 @@ impl Engine {
         Ok(QueryResult {
             batch: Batch::new(schema, rows),
             metrics: ctx.metrics.snapshot(),
-            plan: Some(plan.explain()),
             ..QueryResult::default()
         })
     }
@@ -649,7 +650,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.row_count(), 2);
         assert_eq!(r.rows()[0].get(0), &Value::Text("Germany".into()));
-        assert!(r.plan.is_some());
+        assert!(r.plan.is_none(), "only EXPLAIN renders plan text");
         assert_eq!(r.metrics.llm_calls(), 0);
     }
 
@@ -660,6 +661,7 @@ mod tests {
             .execute("INSERT INTO countries (name, population) VALUES ('Peru', 34)")
             .unwrap();
         assert_eq!(r.rows_affected, 1);
+        assert!(r.plan.is_none());
         let q = engine
             .execute("SELECT region FROM countries WHERE name = 'Peru'")
             .unwrap();
@@ -694,6 +696,7 @@ mod tests {
         let d = engine.execute("DESCRIBE countries").unwrap();
         assert_eq!(d.row_count(), 3);
         assert_eq!(d.column_names()[0], "column");
+        assert!(d.plan.is_none());
         let e = engine
             .execute("EXPLAIN SELECT name FROM countries WHERE population > 1")
             .unwrap();

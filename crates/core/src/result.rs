@@ -16,7 +16,9 @@ pub struct QueryResult {
     /// Model usage attributable to this statement (calls, tokens, cost,
     /// simulated latency).
     pub usage: UsageStats,
-    /// The optimized plan, when the statement was a query (EXPLAIN text).
+    /// The text of `EXPLAIN` / `EXPLAIN ANALYZE` (the annotated plan, also
+    /// returned line by line as the rows); `None` for every other statement —
+    /// a plain SELECT renders nothing it was not asked for.
     pub plan: Option<String>,
     /// Wall-clock engine time in milliseconds (excludes simulated model
     /// latency, which is reported in `usage.latency_ms`).

@@ -178,7 +178,7 @@ pub fn dispatch_one(
     client: &LlmClient,
     kind: &str,
     prompt: String,
-) -> Result<CompletionResponse> {
+) -> Result<Arc<CompletionResponse>> {
     ctx.metrics.update(|m| m.record_llm_call(kind));
     let mut flight = InFlight::new(ctx);
     flight.push(client.start_call(CompletionRequest::new(prompt)));
@@ -198,7 +198,7 @@ struct RequestOp<'a> {
     /// accumulated toward `slot_wait_ms`).
     slot_wait_started: Option<Instant>,
     /// What the call resolved to, for the waiter to take.
-    answer: Option<Result<CompletionResponse>>,
+    answer: Option<Result<Arc<CompletionResponse>>>,
 }
 
 impl Completion for RequestOp<'_> {
@@ -278,7 +278,7 @@ impl<'a> InFlight<'a> {
     /// If the query deadline fires first the answer is `DeadlineExceeded`
     /// with partial accounting, and the request stays in flight for the drop
     /// to cancel.
-    fn wait_head(&mut self) -> Result<CompletionResponse> {
+    fn wait_head(&mut self) -> Result<Arc<CompletionResponse>> {
         match self.live.wait_head(self.ctx.deadline_instant()) {
             Some(Ok(op)) => op
                 .answer

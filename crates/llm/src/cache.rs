@@ -13,6 +13,11 @@
 //! hash; a match is a match of the full text (see [`crate::key`]). A caller
 //! holding only the text passes it and pays for the hash here.
 //!
+//! An entry is an `Arc<CompletionResponse>`: a hit hands out the entry's own
+//! allocation, so the answer text is never copied on the way to the scan that
+//! reads it, and an answer lives as long as its entry or the scan still
+//! reading it — [`PromptCache::clear`] mid-scan takes nothing from the scan.
+//!
 //! The map is split into [`PromptCache::DEFAULT_SHARDS`] independently locked
 //! shards, so concurrent scan workers completing different prompts do not
 //! serialize on one lock. The shard index and the shard's bucket index are
@@ -21,6 +26,7 @@
 //! cache read costs one shard read lock and one atomic increment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -29,7 +35,7 @@ use crate::model::CompletionResponse;
 
 /// A thread-safe, sharded prompt → completion cache.
 pub struct PromptCache {
-    shards: Box<[RwLock<KeyMap<CompletionResponse>>]>,
+    shards: Box<[RwLock<KeyMap<Arc<CompletionResponse>>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -64,12 +70,13 @@ impl PromptCache {
         self.shards.len()
     }
 
-    fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<CompletionResponse>> {
+    fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<Arc<CompletionResponse>>> {
         &self.shards[key.shard(self.shards.len())]
     }
 
-    /// Look up a key, counting the hit or miss.
-    pub fn get(&self, key: impl Into<RequestKey>) -> Option<CompletionResponse> {
+    /// Look up a key, counting the hit or miss. A hit shares the entry: a
+    /// reference-count bump, no copy of the answer.
+    pub fn get(&self, key: impl Into<RequestKey>) -> Option<Arc<CompletionResponse>> {
         let found = self.peek(&key.into());
         // ordering: Relaxed — hit/miss are advisory statistics; nothing is
         // published under them and exact interleaving is irrelevant.
@@ -83,14 +90,15 @@ impl PromptCache {
 
     /// Look up a key without counting: for a caller re-checking a key whose
     /// miss [`PromptCache::get`] already counted.
-    pub(crate) fn peek(&self, key: &RequestKey) -> Option<CompletionResponse> {
+    pub(crate) fn peek(&self, key: &RequestKey) -> Option<Arc<CompletionResponse>> {
         self.shard_for(key).read().get(key).cloned()
     }
 
-    /// Store a completion.
-    pub fn put(&self, key: impl Into<RequestKey>, response: CompletionResponse) {
+    /// Store a completion: an owned response is moved into a new shared
+    /// allocation, an `Arc` is stored as it is.
+    pub fn put(&self, key: impl Into<RequestKey>, response: impl Into<Arc<CompletionResponse>>) {
         let key = key.into();
-        self.shard_for(&key).write().insert(key, response);
+        self.shard_for(&key).write().insert(key, response.into());
     }
 
     /// Number of cached prompts.
@@ -147,6 +155,24 @@ mod tests {
         assert_eq!(cache.get("p").unwrap().text, "r");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn a_hit_is_the_entry_not_a_copy_of_it() {
+        let cache = PromptCache::new();
+        let shared = Arc::new(resp("r"));
+        cache.put("p", Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&cache.get("p").unwrap(), &shared));
+        // An owned response is moved into one allocation every hit shares.
+        cache.put("q", resp("s"));
+        assert!(Arc::ptr_eq(
+            &cache.get("q").unwrap(),
+            &cache.get("q").unwrap()
+        ));
+        // An answer outlives its entry for whoever still reads it.
+        cache.clear();
+        assert_eq!(shared.text, "r");
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

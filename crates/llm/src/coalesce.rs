@@ -5,12 +5,14 @@
 //! [`PromptCoalescer`] claims its request key here after a cache miss and
 //! before dispatching. The first claimant (the **leader**) issues the
 //! physical call; concurrent claimants of the same key (**followers**) park
-//! on the entry and receive a clone of the leader's successful response —
-//! zero physical calls, while each query still records its own *logical*
-//! call. This is the only in-flight table there is: a cached client owns a
-//! private one, so the waves of one query never pay twice for one prompt,
-//! and a scheduler swaps in one table for the whole deployment
-//! (`LlmClient::set_coalescer`), which lifts the same dedup across queries.
+//! on the entry and receive the leader's successful response — the same
+//! `Arc<CompletionResponse>` the leader returns and its cache holds, never a
+//! copy of the text — zero physical calls, while each query still records
+//! its own *logical* call. This is the only in-flight table there is: a
+//! cached client owns a private one, so the waves of one query never pay
+//! twice for one prompt, and a scheduler swaps in one table for the whole
+//! deployment (`LlmClient::set_coalescer`), which lifts the same dedup
+//! across queries.
 //!
 //! The accounting contract:
 //!
@@ -46,8 +48,8 @@ use crate::model::CompletionResponse;
 enum EntryState {
     /// The leader's physical call is still in flight.
     Pending,
-    /// The leader completed successfully; followers clone this response.
-    Done(CompletionResponse),
+    /// The leader completed successfully; followers share this response.
+    Done(Arc<CompletionResponse>),
     /// The leader failed or was dropped. Followers must re-claim the key
     /// (the entry is already unlinked from the table).
     Abandoned,
@@ -62,8 +64,8 @@ pub struct CoalesceEntry {
 pub enum FollowerPoll {
     /// The leader is still in flight; poll again later.
     Pending,
-    /// The leader succeeded: here is a clone of its response.
-    Ready(CompletionResponse),
+    /// The leader succeeded: here is its response, shared.
+    Ready(Arc<CompletionResponse>),
     /// The leader failed or vanished; re-claim the key.
     Abandoned,
 }
@@ -73,7 +75,7 @@ impl CoalesceEntry {
     pub fn poll(&self) -> FollowerPoll {
         match &*self.state.lock() {
             EntryState::Pending => FollowerPoll::Pending,
-            EntryState::Done(response) => FollowerPoll::Ready(response.clone()),
+            EntryState::Done(response) => FollowerPoll::Ready(Arc::clone(response)),
             EntryState::Abandoned => FollowerPoll::Abandoned,
         }
     }
@@ -93,7 +95,7 @@ pub struct PromptCoalescer {
 pub struct CoalesceStats {
     /// Requests that claimed leadership (issued a physical call).
     pub leaders: u64,
-    /// Requests served a fanned-out clone (zero physical calls).
+    /// Requests served the leader's fanned-out answer (zero physical calls).
     pub followers_served: u64,
 }
 
@@ -170,11 +172,17 @@ pub struct CoalesceGuard {
 impl CoalesceGuard {
     /// Resolve the entry with the leader's outcome: successes fan out to
     /// every follower, failures abandon the entry (followers retry on their
-    /// own physical calls, preserving per-query error semantics).
-    pub fn publish(mut self, outcome: &Result<CompletionResponse>) {
+    /// own physical calls, preserving per-query error semantics). A leader
+    /// holding an `Arc<CompletionResponse>` shares it (the clone below is a
+    /// reference-count bump); a caller that lends an owned response has it
+    /// copied into a new one.
+    pub fn publish<R>(mut self, outcome: &Result<R>)
+    where
+        R: Clone + Into<Arc<CompletionResponse>>,
+    {
         if let Some(entry) = self.entry.take() {
             let state = match outcome {
-                Ok(response) => EntryState::Done(response.clone()),
+                Ok(response) => EntryState::Done(response.clone().into()),
                 Err(_) => EntryState::Abandoned,
             };
             self.coalescer.resolve(&self.key, &entry, state);
@@ -226,6 +234,25 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_answer_is_published_without_a_copy() {
+        let co = Arc::new(PromptCoalescer::new());
+        let Claim::Leader(guard) = co.claim("k") else {
+            panic!("first claim must lead");
+        };
+        let Claim::Follower(entry) = co.claim("k") else {
+            panic!("second claim must follow");
+        };
+        let answer = Arc::new(response("answer"));
+        guard.publish(&Ok(Arc::clone(&answer)));
+        for _ in 0..2 {
+            match entry.poll() {
+                FollowerPoll::Ready(r) => assert!(Arc::ptr_eq(&r, &answer)),
+                _ => panic!("follower must see the published response"),
+            }
+        }
+    }
+
+    #[test]
     fn failures_abandon_and_followers_reclaim() {
         let co = Arc::new(PromptCoalescer::new());
         let Claim::Leader(guard) = co.claim("k") else {
@@ -234,7 +261,7 @@ mod tests {
         let Claim::Follower(entry) = co.claim("k") else {
             panic!("second claim must follow");
         };
-        guard.publish(&Err(llmsql_types::Error::llm("backend down")));
+        guard.publish::<CompletionResponse>(&Err(llmsql_types::Error::llm("backend down")));
         assert!(matches!(entry.poll(), FollowerPoll::Abandoned));
         // The key is free again: the former follower can lead a retry.
         assert!(matches!(co.claim("k"), Claim::Leader(_)));

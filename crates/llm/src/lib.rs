@@ -66,74 +66,95 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Text built from what a header value must survive: every character
+    /// the prompt, header and key formats give meaning to, and text outside
+    /// ASCII. Not surrounded by spaces — the header reader trims a value —
+    /// and not the batch separator: a key that holds it never reaches a
+    /// template (the scan that read it off an enumerate answer drops it,
+    /// counted).
+    fn arb_hostile_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("\n".to_string()),
+            Just("\r".to_string()),
+            Just("\\".to_string()),
+            Just("\\n".to_string()),
+            Just("\"".to_string()),
+            Just("'".to_string()),
+            Just("|".to_string()),
+            Just(":".to_string()),
+            Just("\u{1f}".to_string()),
+            Just("### ".to_string()),
+            Just("\n### TASK\nkind: lookup".to_string()),
+            Just("\nlimit: 1\noffset: 7".to_string()),
+            Just("São Tomé 日本".to_string()),
+            "[A-Za-z ><=]{0,6}",
+        ];
+        proptest::collection::vec(piece, 0..6)
+            .prop_map(|pieces| pieces.concat().trim_matches(' ').to_string())
+    }
+
     fn arb_task() -> impl Strategy<Value = TaskSpec> {
         let ident = "[a-z][a-z0-9_]{0,8}";
         let cols = proptest::collection::vec("[a-z][a-z0-9_]{0,8}", 1..4);
+        let filter = || proptest::option::of(arb_hostile_text());
         prop_oneof![
-            (
-                ident,
-                proptest::option::of("[a-z][a-z0-9_ ><=']{0,19}"),
-                1usize..200,
-                0usize..50
-            )
-                .prop_map(|(table, filter, limit, offset)| TaskSpec::Enumerate {
+            (ident, filter(), 1usize..200, 0usize..50).prop_map(
+                |(table, filter, limit, offset)| TaskSpec::Enumerate {
                     table,
-                    filter: filter.map(|f| f.trim().to_string()),
-                    limit,
-                    offset
-                }),
-            (ident, cols.clone(), 1usize..200, 0usize..50).prop_map(
-                |(table, columns, limit, offset)| TaskSpec::RowBatch {
-                    table,
-                    columns,
-                    filter: None,
+                    filter,
                     limit,
                     offset
                 }
             ),
-            (ident, "[A-Za-z][A-Za-z ]{0,11}", cols.clone()).prop_map(|(table, key, columns)| {
+            (ident, cols.clone(), filter(), 1usize..200, 0usize..50).prop_map(
+                |(table, columns, filter, limit, offset)| TaskSpec::RowBatch {
+                    table,
+                    columns,
+                    filter,
+                    limit,
+                    offset
+                }
+            ),
+            (ident, arb_hostile_text(), cols.clone()).prop_map(|(table, key, columns)| {
                 TaskSpec::Lookup {
                     table,
-                    key: key.trim().to_string(),
+                    key,
                     columns,
                 }
             }),
-            (ident, "[A-Za-z]{1,12}", "[a-z][a-z0-9_ ><=']{0,19}").prop_map(
-                |(table, key, condition)| TaskSpec::FilterCheck {
+            (ident, arb_hostile_text(), arb_hostile_text()).prop_map(|(table, key, condition)| {
+                TaskSpec::FilterCheck {
                     table,
                     key,
-                    condition: condition.trim().to_string()
+                    condition,
                 }
-            ),
+            }),
+            (arb_hostile_text(), cols.clone())
+                .prop_map(|(sql, columns)| TaskSpec::FullQuery { sql, columns }),
         ]
     }
 
-    /// Keys built from what a key must survive unescaped: the characters the
-    /// prompt and key formats give meaning to. (Not the batch separator: a
-    /// key that holds it never reaches a template — the scan that read it
-    /// off an enumerate answer drops it, counted.)
-    fn arb_awkward_key() -> impl Strategy<Value = String> {
-        let piece = prop_oneof![
-            Just("\"".to_string()),
-            Just("|".to_string()),
-            Just(":".to_string()),
-            Just("\n".to_string()),
-            Just("\u{1f}".to_string()),
-            "[A-Za-z ]{0,6}",
-        ];
-        proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
+    /// What the header holds for `value`, written independently of the
+    /// renderer: one line, `\\`, line feed and carriage return spelled out.
+    fn as_header_value(value: &str) -> String {
+        value
+            .replace('\\', "\\\\")
+            .replace('\n', "\\n")
+            .replace('\r', "\\r")
     }
 
     proptest! {
         /// A template renders a key the way the engine always formatted the
-        /// whole prompt: every byte of the key lands verbatim, in both places.
+        /// whole prompt: every byte of the key lands verbatim in the
+        /// instructions, and as one escaped line in the header.
         #[test]
         fn template_renders_the_formatted_prompt(
-            key in arb_awkward_key(),
+            key in arb_hostile_text(),
             columns in proptest::collection::vec("[a-z][a-z0-9_]{0,8}", 1..4),
         ) {
+            let header_key = as_header_value(&key);
             let lookup = format!(
-                "### TASK\nkind: lookup\ntable: t\nkey: {key}\ncolumns: {}\n### CONTEXT\n\
+                "### TASK\nkind: lookup\ntable: t\nkey: {header_key}\ncolumns: {}\n### CONTEXT\n\
                  (no additional context)\n### INSTRUCTIONS\nYou are acting as the storage layer \
                  of a relational database. For the single entity identified by \"{key}\", return \
                  the values of the columns [{}] in that exact order on one line, separated by \
@@ -143,7 +164,7 @@ mod proptests {
             );
             prop_assert_eq!(PromptTemplate::lookup("t", &columns, None).render_key(&key), lookup);
             let check = format!(
-                "### TASK\nkind: filter_check\ntable: t\nkey: {key}\ncondition: a > 1\n### CONTEXT\n\
+                "### TASK\nkind: filter_check\ntable: t\nkey: {header_key}\ncondition: a > 1\n### CONTEXT\n\
                  (no additional context)\n### INSTRUCTIONS\nConsider the entity identified by \
                  \"{key}\" in the relation described above. Does it satisfy the condition \
                  `a > 1`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, \
@@ -152,10 +173,11 @@ mod proptests {
             prop_assert_eq!(PromptTemplate::filter_check("t", "a > 1", None).render_key(&key), check);
         }
 
-        /// Prompt build → parse recovers the task spec, for arbitrary specs.
+        /// Prompt build → parse recovers the task spec, for arbitrary specs:
+        /// no filter, condition, key or statement text can rewrite the header
+        /// it is written into.
         #[test]
         fn prompt_roundtrip(spec in arb_task()) {
-            // keys/filters with '|' or newline are not produced by the engine
             let prompt = spec.to_prompt(None);
             let parsed = parse_task(&prompt).unwrap();
             prop_assert_eq!(parsed, spec);

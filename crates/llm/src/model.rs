@@ -389,7 +389,7 @@ impl ClientCall {
         &mut self,
         now: Instant,
         gate: &mut dyn FnMut() -> Option<Box<dyn std::any::Any + Send>>,
-    ) -> Option<Result<CompletionResponse>> {
+    ) -> Option<Result<Arc<CompletionResponse>>> {
         loop {
             match &mut self.state {
                 CcState::Start => {
@@ -439,7 +439,7 @@ impl ClientCall {
                         // call, no usage record — only the leader pays.
                         self.coalesced = true;
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key, response.clone());
+                            cache.put(key, Arc::clone(&response));
                         }
                         self.state = CcState::Done;
                         return Some(Ok(response));
@@ -465,12 +465,14 @@ impl ClientCall {
                     }
                 },
                 CcState::InFlight { handle } => {
-                    let outcome = handle.poll(now)?;
+                    // The one allocation of an answer: the cache entry, the
+                    // followers and the caller all share it from here.
+                    let outcome = handle.poll(now)?.map(Arc::new);
                     self.permit = None;
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key, response.clone());
+                            cache.put(key, Arc::clone(response));
                         }
                     }
                     // Publish after the cache write, so a request arriving
@@ -507,13 +509,15 @@ impl ClientCall {
 
     /// Block the calling thread until the call resolves, admitting its
     /// dispatch unconditionally — for callers with no event loop and no
-    /// slot pool.
+    /// slot pool. Such a caller owns its answer: the text is copied only if
+    /// a cache entry or a follower still shares it.
     pub fn wait(mut self) -> Result<CompletionResponse> {
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
         crate::wait::block_on(|now| {
             self.poll(now, &mut grant)
                 .ok_or_else(|| self.next_wakeup(now))
         })
+        .map(Arc::unwrap_or_clone)
     }
 }
 
@@ -822,6 +826,51 @@ mod tests {
         assert!(follower.coalesced());
         assert_eq!(*model.calls.lock(), 1, "follower dispatched a duplicate");
         assert_eq!(client.usage().calls, 1, "only the leader pays");
+    }
+
+    #[test]
+    fn one_answer_is_allocated_once_and_shared_by_everyone_who_reads_it() {
+        let model = Arc::new(CannedModel::new("x"));
+        let client = LlmClient::new(model.clone());
+        let request = CompletionRequest::new("same");
+        let mut deny = || None;
+        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
+
+        let mut leader = client.start_call(request.clone());
+        assert!(leader.poll(Instant::now(), &mut deny).is_none());
+        let mut followers: Vec<ClientCall> =
+            (0..3).map(|_| client.start_call(request.clone())).collect();
+        for follower in &mut followers {
+            assert!(follower.poll(Instant::now(), &mut deny).is_none());
+        }
+        let led = leader.poll(Instant::now(), &mut grant).unwrap().unwrap();
+        let cache = client.cache.as_ref().unwrap();
+        let entry = cache.peek(&client.request_key(&request)).unwrap();
+        assert!(Arc::ptr_eq(&led, &entry), "the cache holds a copy");
+        for follower in &mut followers {
+            let followed = follower.poll(Instant::now(), &mut deny).unwrap().unwrap();
+            assert!(Arc::ptr_eq(&followed, &led), "a follower was handed a copy");
+        }
+        // The followers' own cache writes stored the same allocation again.
+        drop(entry);
+        let entry = cache.peek(&client.request_key(&request)).unwrap();
+        assert!(Arc::ptr_eq(&led, &entry));
+        let hit = client
+            .start_call(request.clone())
+            .poll(Instant::now(), &mut deny)
+            .unwrap()
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &entry), "a hit copied the entry");
+        assert_eq!(*model.calls.lock(), 1);
+
+        // An answer lives as long as whoever reads it, not as long as its
+        // entry; a caller with no event loop gets one of its own.
+        client.clear_cache();
+        assert_eq!(client.cache_len(), 0);
+        assert_eq!(hit.text, "x");
+        drop((led, entry));
+        assert_eq!(Arc::strong_count(&hit), 1);
+        assert_eq!(client.complete(&request).unwrap(), *hit);
     }
 
     #[test]

@@ -33,7 +33,22 @@
 //!
 //! [`parse_task`] recovers the spec from a prompt; `build → parse` round-trips
 //! (property-tested in `lib.rs`).
+//!
+//! # Header values are untrusted text
+//!
+//! The header is line-oriented and its values come from SQL text (a pushed
+//! filter, a condition, the whole statement) and from stored or model-given
+//! entity keys, any of which may hold a line break — the lexer accepts one
+//! inside `'…'`. The header writer therefore owns one escaping rule:
+//! in a value, `\` is written `\\`, a newline `\n` and a carriage return
+//! `\r`, so a value is always one line, and [`parse_task`] undoes it. A
+//! section heading is `### ` *at the start of a line*, which an escaped value
+//! cannot produce. A value with none of the three characters — every prompt
+//! the engine rendered before the rule existed — is written as it always was.
+//! The prose under `### INSTRUCTIONS` repeats the key, condition or statement
+//! as written: nothing reads it back.
 
+use std::borrow::Cow;
 use std::fmt::Write;
 
 use llmsql_types::{Error, Result, Schema};
@@ -155,8 +170,10 @@ impl TaskSpec {
 /// between the prompts of one plan.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// The entity key.
+    /// The entity key, as written.
     Key,
+    /// The entity key as a header value: escaped.
+    HeaderKey,
     /// The page's row limit.
     Limit,
     /// The page's offset.
@@ -167,6 +184,43 @@ enum Slot {
 }
 
 const SKIPPING: &str = ", skipping the first ";
+
+/// A header value as the header holds it: one line (see the module docs).
+fn escape_value(value: &str) -> Cow<'_, str> {
+    if !value.contains(['\\', '\n', '\r']) {
+        return Cow::Borrowed(value);
+    }
+    let mut out = String::with_capacity(value.len() + 8);
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
+
+/// The value a header line holds, [`escape_value`] undone. A backslash before
+/// anything else stands for itself: no writer of ours produces one.
+fn unescape_value(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('\\') | None => out.push('\\'),
+            Some(other) => out.extend(['\\', other]),
+        }
+    }
+    out
+}
 
 /// Decimal digits of `n`.
 fn digits(n: usize) -> usize {
@@ -324,8 +378,10 @@ impl PromptTemplate {
 
     /// Copy the fixed text, writing each slot's field where it belongs.
     fn render(&self, key: &str, limit: usize, offset: usize) -> String {
+        let header_key = escape_value(key);
         let width = |slot: Slot| match slot {
             Slot::Key => key.len(),
+            Slot::HeaderKey => header_key.len(),
             Slot::Limit => digits(limit),
             Slot::Offset => digits(offset),
             Slot::Skipping(_) if offset == 0 => 0,
@@ -339,6 +395,7 @@ impl PromptTemplate {
             from = at;
             match slot {
                 Slot::Key => out.push_str(key),
+                Slot::HeaderKey => out.push_str(&header_key),
                 Slot::Limit => push_number(&mut out, limit),
                 Slot::Offset => push_number(&mut out, offset),
                 Slot::Skipping(_) if offset == 0 => {}
@@ -369,7 +426,7 @@ impl PromptTemplate {
     /// One `name: value` header line.
     fn line(&mut self, name: &str, value: &str) {
         // Writing to a `String` cannot fail.
-        let _ = write!(self.text, "\n{name}: {value}");
+        let _ = write!(self.text, "\n{name}: {}", escape_value(value));
     }
 
     /// `items`, separated by `separator`.
@@ -391,7 +448,7 @@ impl PromptTemplate {
     /// The `key:` header line.
     fn key_line(&mut self) {
         self.text.push_str("\nkey: ");
-        self.slot(Slot::Key);
+        self.slot(Slot::HeaderKey);
     }
 
     /// The header lines of a paginated task: filter, limit, offset.
@@ -450,18 +507,22 @@ fn write_schema(out: &mut String, schema: &Schema) {
 
 /// Recover the [`TaskSpec`] from a prompt built by [`TaskSpec::to_prompt`].
 pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
-    let task_section = prompt
-        .split("### ")
-        .find(|s| s.starts_with("TASK"))
+    // A heading is `### ` at the start of a line; the header runs from the
+    // `### TASK` line to the next heading.
+    let mut lines = prompt
+        .lines()
+        .skip_while(|line| !line.starts_with("### TASK"));
+    lines
+        .next()
         .ok_or_else(|| Error::llm("prompt has no ### TASK section"))?;
     let mut kind = None;
     let mut fields: Vec<(String, String)> = Vec::new();
-    for line in task_section.lines().skip(1) {
+    for line in lines.take_while(|line| !line.starts_with("### ")) {
         let Some((k, v)) = line.split_once(':') else {
             continue;
         };
         let k = k.trim().to_string();
-        let v = v.trim().to_string();
+        let v = unescape_value(v.trim());
         if k == "kind" {
             kind = Some(v);
         } else {

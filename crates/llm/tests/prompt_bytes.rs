@@ -273,3 +273,45 @@ fn every_task_kind_renders_its_pinned_bytes() {
         assert_eq!(prompt, expected, "prompt bytes moved for {spec:?}");
     }
 }
+
+/// The header's one escaping rule, pinned: a value is always one line
+/// (`\` → `\\`, line feed → `\n`, carriage return → `\r`), the instructions
+/// repeat it as written, and `parse_task` reads back what was rendered.
+#[test]
+fn a_value_that_holds_a_line_break_is_one_escaped_header_line() {
+    let page = TaskSpec::RowBatch {
+        table: "countries".into(),
+        columns: vec!["name".into()],
+        filter: Some("(name = 'a\nlimit: 1\noffset: 7')".into()),
+        limit: 20,
+        offset: 0,
+    };
+    let prompt = page.to_prompt(None);
+    assert!(
+        prompt.starts_with(
+            "### TASK\nkind: row_batch\ntable: countries\ncolumns: name\n\
+             filter: (name = 'a\\nlimit: 1\\noffset: 7')\nlimit: 20\noffset: 0\n### CONTEXT\n"
+        ),
+        "{prompt}"
+    );
+    assert_eq!(llmsql_llm::parse_task(&prompt).unwrap(), page);
+
+    let lookup = TaskSpec::Lookup {
+        table: "countries".into(),
+        key: "two\r\nlines \\n ### TASK".into(),
+        columns: vec!["capital".into()],
+    };
+    let prompt = lookup.to_prompt(None);
+    assert!(
+        prompt.starts_with(
+            "### TASK\nkind: lookup\ntable: countries\n\
+             key: two\\r\\nlines \\\\n ### TASK\ncolumns: capital\n### CONTEXT\n"
+        ),
+        "{prompt}"
+    );
+    assert!(
+        prompt.contains("identified by \"two\r\nlines \\n ### TASK\", return"),
+        "{prompt}"
+    );
+    assert_eq!(llmsql_llm::parse_task(&prompt).unwrap(), lookup);
+}

@@ -14,10 +14,15 @@
 //!   first.
 //! * **Projection pruning** narrows the set of columns a prompt asks for.
 //!
-//! The driver runs enabled rules in that fixed order and records which ones
-//! actually changed the plan in a [`RuleTrace`] (`EXPLAIN` prints it). Each
-//! rule can be disabled individually through [`OptimizerOptions`]; the
-//! ablation experiment (E9) measures the effect of each.
+//! The driver runs enabled rules in that fixed order. There is one loop and
+//! two ways in: [`optimize`], which every executed statement takes, moves the
+//! plan through the rules by value; [`optimize_traced`], which `EXPLAIN`
+//! takes, also records which rules actually changed the plan in a
+//! [`RuleTrace`] — it keeps a copy of each rule's input to compare with its
+//! output, a cost only the caller who wants the trace pays. Both return the
+//! same plan. Each rule can be disabled individually through
+//! [`OptimizerOptions`]; the ablation experiment (E9) measures the effect of
+//! each.
 
 use crate::logical::LogicalPlan;
 use crate::rules::{self, RuleTrace, ALL_RULES};
@@ -36,30 +41,48 @@ fn enables(options: &OptimizerOptions, rule: &str) -> bool {
     }
 }
 
-/// Optimize a plan with the given options.
+/// Optimize a plan with the given options. The plan moves through the rules
+/// by value: nothing is cloned and nothing compared.
 pub fn optimize(plan: LogicalPlan, options: &OptimizerOptions) -> LogicalPlan {
-    optimize_traced(plan, options).0
+    run_rules(plan, options, None)
 }
 
 /// Optimize a plan and report which rules actually changed it.
 ///
 /// A rule "fires" when its output differs structurally from its input
 /// (plans are compared with `PartialEq`), so the trace lists rewrites that
-/// did something, not merely rules that were enabled.
+/// did something, not merely rules that were enabled. Learning that costs a
+/// copy and a comparison of the plan per enabled rule — `EXPLAIN` pays it,
+/// [`optimize`] does not.
 pub fn optimize_traced(plan: LogicalPlan, options: &OptimizerOptions) -> (LogicalPlan, RuleTrace) {
-    let mut plan = plan;
     let mut trace = RuleTrace::default();
+    let plan = run_rules(plan, options, Some(&mut trace));
+    (plan, trace)
+}
+
+/// The driver: the enabled rules of [`ALL_RULES`], in registry order. Only a
+/// caller that asked for a trace pays for the before/after comparison.
+fn run_rules(
+    mut plan: LogicalPlan,
+    options: &OptimizerOptions,
+    mut trace: Option<&mut RuleTrace>,
+) -> LogicalPlan {
     for &(rule, apply) in ALL_RULES {
         if !enables(options, rule) {
             continue;
         }
-        let rewritten = apply(plan.clone());
-        if rewritten != plan {
-            trace.fired.push(rule);
-        }
-        plan = rewritten;
+        plan = match trace.as_deref_mut() {
+            None => apply(plan),
+            Some(trace) => {
+                let rewritten = apply(plan.clone());
+                if rewritten != plan {
+                    trace.fired.push(rule);
+                }
+                rewritten
+            }
+        };
     }
-    (plan, trace)
+    plan
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use std::fmt;
 use llmsql_types::{DataType, Error, Result};
 
 use crate::ast::{AggregateFunc, BinaryOp, Expr, UnaryOp};
+use crate::display::Ident;
 
 /// A resolved column reference.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +28,7 @@ pub struct BoundColumn {
 
 impl fmt::Display for BoundColumn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
+        write!(f, "{}", Ident(&self.name))
     }
 }
 

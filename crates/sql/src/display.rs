@@ -2,13 +2,39 @@
 //!
 //! The printer produces canonical SQL that the parser accepts again; the
 //! round-trip property (`parse(print(ast)) == ast` modulo literal folding) is
-//! checked by property tests in `lib.rs`.
+//! checked by property tests in `lib.rs`. Every identifier goes through
+//! [`Ident`], so a name the lexer would not read back as one bare word is
+//! written quoted.
 
 use std::fmt;
 
 use llmsql_types::Value;
 
 use crate::ast::*;
+use crate::lexer::{continues_word, starts_word};
+use crate::token::Keyword;
+
+/// An identifier as SQL text. A bare word — what the lexer reads as one
+/// word (a letter or `_`, then letters, digits and `_`) and not as a keyword
+/// — prints as it is; anything else
+/// (`first name`, `order`, an empty name) prints as `"…"` with an inner `"`
+/// doubled, which is how the lexer reads a quoted identifier.
+pub(crate) struct Ident<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.0;
+        let mut chars = name.chars();
+        let bare = chars.next().is_some_and(starts_word)
+            && chars.all(continues_word)
+            && Keyword::parse(name).is_none();
+        if bare {
+            f.write_str(name)
+        } else {
+            write!(f, "\"{}\"", name.replace('"', "\"\""))
+        }
+    }
+}
 
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -20,7 +46,7 @@ impl fmt::Display for Statement {
                 if *if_exists {
                     write!(f, "IF EXISTS ")?;
                 }
-                write!(f, "{name}")
+                write!(f, "{}", Ident(name))
             }
             Statement::Insert(i) => write!(f, "{i}"),
             Statement::Explain { statement, analyze } => {
@@ -30,7 +56,7 @@ impl fmt::Display for Statement {
                 }
                 write!(f, "{statement}")
             }
-            Statement::Describe { name } => write!(f, "DESCRIBE {name}"),
+            Statement::Describe { name } => write!(f, "DESCRIBE {}", Ident(name)),
         }
     }
 }
@@ -91,11 +117,11 @@ impl fmt::Display for SelectItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SelectItem::Wildcard => write!(f, "*"),
-            SelectItem::QualifiedWildcard(q) => write!(f, "{q}.*"),
+            SelectItem::QualifiedWildcard(q) => write!(f, "{}.*", Ident(q)),
             SelectItem::Expr { expr, alias } => {
                 write!(f, "{expr}")?;
                 if let Some(a) = alias {
-                    write!(f, " AS {a}")?;
+                    write!(f, " AS {}", Ident(a))?;
                 }
                 Ok(())
             }
@@ -107,13 +133,13 @@ impl fmt::Display for TableExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TableExpr::Table { name, alias } => {
-                write!(f, "{name}")?;
+                write!(f, "{}", Ident(name))?;
                 if let Some(a) = alias {
-                    write!(f, " AS {a}")?;
+                    write!(f, " AS {}", Ident(a))?;
                 }
                 Ok(())
             }
-            TableExpr::Subquery { query, alias } => write!(f, "({query}) AS {alias}"),
+            TableExpr::Subquery { query, alias } => write!(f, "({query}) AS {}", Ident(alias)),
             TableExpr::Join {
                 left,
                 right,
@@ -132,10 +158,10 @@ impl fmt::Display for TableExpr {
 
 impl fmt::Display for ColumnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.qualifier {
-            Some(q) => write!(f, "{q}.{}", self.name),
-            None => write!(f, "{}", self.name),
+        if let Some(q) = &self.qualifier {
+            write!(f, "{}.", Ident(q))?;
         }
+        write!(f, "{}", Ident(&self.name))
     }
 }
 
@@ -241,12 +267,12 @@ impl fmt::Display for CreateTableStatement {
         if self.if_not_exists {
             write!(f, "IF NOT EXISTS ")?;
         }
-        write!(f, "{} (", self.name)?;
+        write!(f, "{} (", Ident(&self.name))?;
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{} {}", c.name, c.data_type)?;
+            write!(f, "{} {}", Ident(&c.name), c.data_type)?;
             if c.primary_key {
                 write!(f, " PRIMARY KEY")?;
             } else if c.not_null {
@@ -266,9 +292,16 @@ impl fmt::Display for CreateTableStatement {
 
 impl fmt::Display for InsertStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "INSERT INTO {}", self.table)?;
+        write!(f, "INSERT INTO {}", Ident(&self.table))?;
         if !self.columns.is_empty() {
-            write!(f, " ({})", self.columns.join(", "))?;
+            write!(f, " (")?;
+            for (i, column) in self.columns.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{}", Ident(column))?;
+            }
+            write!(f, ")")?;
         }
         write!(f, " VALUES ")?;
         for (i, row) in self.values.iter().enumerate() {
@@ -379,12 +412,35 @@ mod tests {
             assert_eq!(reparsed, tree, "{text}");
             assert_eq!(reparsed.to_string(), text);
         }
-        // A quoted identifier prints bare and reads back as the same name.
+        // A quoted identifier that is a bare word prints bare and reads back
+        // as the same name.
         let quoted = parse_statement(r#"SELECT "Länder" FROM t WHERE "Länder" = 'Åland'"#).unwrap();
         let printed = quoted.to_string();
         assert_eq!(printed, "SELECT Länder FROM t WHERE (Länder = 'Åland')");
         assert_eq!(parse_statement(&printed).unwrap(), quoted);
         assert_eq!(parse_statement(&printed).unwrap().to_string(), printed);
+    }
+
+    #[test]
+    fn a_name_that_is_not_a_bare_word_prints_quoted() {
+        let sql = r#"SELECT "first name", t."order", "say ""hi""" AS "select" FROM "my t" AS t WHERE ("order" > 5)"#;
+        let parsed = parse_statement(sql).unwrap();
+        assert_eq!(parsed.to_string(), sql);
+        assert_eq!(parse_statement(&parsed.to_string()).unwrap(), parsed);
+        // Bare words — `_`, digits after the first character, any alphabet —
+        // print as they always did.
+        for name in ["name", "_x1", "Länder", "birth_year"] {
+            assert_eq!(Expr::column(name).to_string(), name);
+        }
+        for (name, text) in [
+            ("", r#""""#),
+            ("1st", r#""1st""#),
+            ("a-b", r#""a-b""#),
+            ("NULL", r#""NULL""#),
+        ] {
+            assert_eq!(Expr::column(name).to_string(), text);
+            assert_eq!(parse_expression(text).unwrap(), Expr::column(name));
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A hand-written SQL lexer.
 //!
 //! Produces a vector of [`SpannedToken`]s. Supports single-quoted strings with
-//! `''` escaping, double-quoted identifiers, line comments (`-- ...`), block
-//! comments (`/* ... */`), integer and float literals (including exponents),
-//! and the usual operator set.
+//! `''` escaping, double-quoted identifiers with `""` escaping, line comments
+//! (`-- ...`), block comments (`/* ... */`), integer and float literals
+//! (including exponents), and the usual operator set.
 
 use llmsql_types::{Error, Result};
 
@@ -145,7 +145,7 @@ impl<'a> Lexer<'a> {
                 '\'' => self.lex_string()?,
                 '"' => self.lex_quoted_ident()?,
                 c if c.is_ascii_digit() => self.lex_number()?,
-                c if c.is_alphabetic() || c == '_' => self.lex_word(),
+                c if starts_word(c) => self.lex_word(),
                 other => {
                     return Err(Error::parse(format!("unexpected character '{other}'")).at(start))
                 }
@@ -233,8 +233,13 @@ impl<'a> Lexer<'a> {
             match self.peek(0) {
                 None => return Err(Error::parse("unterminated quoted identifier").at(start)),
                 Some('"') => {
-                    self.pos += 1;
-                    break;
+                    if self.peek(1) == Some('"') {
+                        out.push('"');
+                        self.pos += 2;
+                    } else {
+                        self.pos += 1;
+                        break;
+                    }
                 }
                 Some(c) => {
                     out.push(c);
@@ -302,7 +307,7 @@ impl<'a> Lexer<'a> {
     fn lex_word(&mut self) {
         let start = self.pos;
         while let Some(c) = self.peek(0) {
-            if c.is_alphanumeric() || c == '_' {
+            if continues_word(c) {
                 self.pos += c.len_utf8();
             } else {
                 break;
@@ -314,6 +319,17 @@ impl<'a> Lexer<'a> {
             None => self.push(Token::Ident(word.to_string()), start),
         }
     }
+}
+
+/// May `c` begin a bare word (a keyword or an unquoted identifier)? The
+/// printer asks the same question to decide whether a name needs quotes.
+pub(crate) fn starts_word(c: char) -> bool {
+    c.is_alphabetic() || c == '_'
+}
+
+/// May `c` continue a bare word?
+pub(crate) fn continues_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
 }
 
 #[cfg(test)]
@@ -382,6 +398,15 @@ mod tests {
         assert_eq!(
             toks(r#""Weird Name" "#),
             vec![Token::Ident("Weird Name".into()), Token::Eof]
+        );
+        // A doubled quote is one quote inside the name, as in a string.
+        assert_eq!(
+            toks(r#""a ""b"" c" """""#),
+            vec![
+                Token::Ident(r#"a "b" c"#.into()),
+                Token::Ident("\"".into()),
+                Token::Eof
+            ]
         );
     }
 

@@ -41,12 +41,17 @@ mod proptests {
     use llmsql_types::Value;
     use proptest::prelude::*;
 
-    /// Random identifiers that are not SQL keywords (a column literally named
-    /// `in` or `end` would not round-trip without quoting).
+    /// Random identifiers: bare words, keywords (a column literally named
+    /// `in` or `end`) and names with a space or a `"` in them — the last two
+    /// kinds only round-trip because the printer quotes them.
     fn arb_ident() -> impl Strategy<Value = String> {
-        "[a-z][a-z0-9_]{0,6}".prop_filter("identifier must not be a keyword", |s| {
-            crate::token::Keyword::parse(s).is_none()
-        })
+        prop_oneof![
+            "[a-z][a-z0-9_]{0,6}",
+            "[a-zé \"][a-z0-9_ \"]{0,6}",
+            Just("order".to_string()),
+            Just("End".to_string()),
+            Just("first name".to_string()),
+        ]
     }
 
     /// Strategy producing random (simple but representative) expressions.

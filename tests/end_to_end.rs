@@ -308,6 +308,44 @@ fn prompt_cache_reduces_calls_but_not_answers() {
     assert!(second.usage.cache_hits > 0);
 }
 
+/// A cache hit shares the entry's answer with the scan that reads it, so an
+/// answer must outlive its entry: emptying the cache under running queries
+/// costs model calls, never rows.
+#[test]
+fn clearing_the_cache_under_running_queries_changes_no_row() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let w = world();
+    let subject = w
+        .subject_engine(
+            EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(PromptStrategy::BatchedRows)
+                .with_fidelity(LlmFidelity::perfect())
+                .with_batch_size(5),
+        )
+        .unwrap();
+    let sql = "SELECT c.name, ci.name FROM countries c JOIN cities ci ON ci.country = c.name";
+    let baseline = subject.execute(sql).unwrap().batch;
+    assert!(baseline.len() >= 25);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let client = subject.client().unwrap();
+            // ordering: Relaxed — a stop flag; the scope's join publishes
+            // everything else.
+            while !done.load(Ordering::Relaxed) {
+                client.clear_cache();
+                std::thread::yield_now();
+            }
+        });
+        for _ in 0..200 {
+            assert_eq!(subject.execute(sql).unwrap().batch, baseline);
+        }
+        // ordering: Relaxed — see above.
+        done.store(true, Ordering::Relaxed);
+    });
+}
+
 /// Pushing predicates and projections into prompts reduces model calls and
 /// tokens without reducing accuracy at perfect fidelity (the E9 claim).
 #[test]
