@@ -266,7 +266,6 @@ impl Engine {
             (a, b) => a.or(b),
         };
         let start = Instant::now();
-        let usage_before = self.client.as_ref().map(|c| c.usage()).unwrap_or_default();
 
         let mut result = match statement {
             Statement::Select(select) => self.execute_select(select, sql_text, deadline_ms)?,
@@ -311,9 +310,8 @@ impl Engine {
         };
 
         result.engine_ms = start.elapsed().as_secs_f64() * 1000.0;
-        if let Some(client) = &self.client {
-            result.usage = client.usage().since(&usage_before);
-        }
+        // The statement's bill is what its own requests did.
+        result.usage = result.metrics.usage.clone();
         Ok(result)
     }
 
@@ -383,7 +381,7 @@ impl Engine {
         let metrics = if analyze {
             let ctx = self.exec_context(deadline_ms);
             execute_plan(&ctx, &plan)?;
-            Some(ctx.metrics.snapshot())
+            Some(ctx.metrics.into_inner())
         } else {
             None
         };
@@ -434,7 +432,7 @@ impl Engine {
         let ctx = self.exec_context(deadline_ms);
         let batch = execute_plan(&ctx, &plan)?;
         Ok(QueryResult {
-            metrics: ctx.metrics.snapshot(),
+            metrics: ctx.metrics.into_inner(),
             batch,
             ..QueryResult::default()
         })
@@ -475,15 +473,10 @@ impl Engine {
 
         let types: Vec<DataType> = schema.fields.iter().map(|f| f.data_type).collect();
         let parsed = parse_pipe_rows(&response.text, &types);
-        ctx.metrics.update(|m| {
-            m.dropped_lines = parsed.dropped_lines as u64;
-            m.rows_from_llm = parsed.rows.len() as u64;
-            m.rows_output = parsed.rows.len() as u64;
-        });
-        // Multi-backend deployments: this one prompt may have failed over /
-        // retried; surface the physical per-backend deltas like plan
-        // execution does.
-        ctx.sync_backend_metrics();
+        let mut metrics = ctx.metrics.into_inner();
+        metrics.dropped_lines = parsed.dropped_lines as u64;
+        metrics.rows_from_llm = parsed.rows.len() as u64;
+        metrics.rows_output = parsed.rows.len() as u64;
 
         let mut rows = parsed.rows;
         for row in &mut rows {
@@ -492,7 +485,7 @@ impl Engine {
 
         Ok(QueryResult {
             batch: Batch::new(schema, rows),
-            metrics: ctx.metrics.snapshot(),
+            metrics,
             ..QueryResult::default()
         })
     }

@@ -11,10 +11,14 @@ pub struct QueryResult {
     pub batch: Batch,
     /// Rows affected by DDL/DML (inserted rows, dropped tables, ...).
     pub rows_affected: usize,
-    /// Execution metrics (operator counts, LLM calls by kind, parse drops).
+    /// The statement's ledger (LLM calls by kind, per-backend attempts,
+    /// per-operator actuals, parse drops): written by this statement's own
+    /// calls, never derived from a deployment-wide counter.
     pub metrics: ExecMetrics,
-    /// Model usage attributable to this statement (calls, tokens, cost,
-    /// simulated latency).
+    /// What the model served this statement's own requests (calls, cache
+    /// hits, tokens, cost, simulated latency) — a copy of `metrics.usage`.
+    /// Summed over the statements of a deployment it is the client's
+    /// `LlmClient::usage`, whatever ran concurrently.
     pub usage: UsageStats,
     /// The text of `EXPLAIN` / `EXPLAIN ANALYZE` (the annotated plan, also
     /// returned line by line as the rows); `None` for every other statement —

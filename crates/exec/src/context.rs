@@ -1,18 +1,19 @@
 //! Execution context shared by all operators of one query.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use llmsql_llm::{BackendStats, LlmClient};
+use llmsql_llm::LlmClient;
 use llmsql_store::Catalog;
 use llmsql_types::{EngineConfig, Error, Result};
 
-use crate::metrics::SharedMetrics;
+use crate::metrics::ExecMetrics;
 use crate::slots::CallSlots;
 
 /// Everything an operator needs: the catalog, the (optional) LLM client, the
-/// engine configuration and the metrics sink.
-#[derive(Clone)]
+/// engine configuration and the query's ledger. One query, one context, one
+/// thread: it is neither cloned nor shared.
 pub struct ExecContext {
     /// The catalog resolving table names to stored tables / virtual schemas.
     pub catalog: Catalog,
@@ -20,12 +21,10 @@ pub struct ExecContext {
     pub client: Option<LlmClient>,
     /// Engine configuration (mode, strategy, batch size, caps).
     pub config: EngineConfig,
-    /// Metrics sink.
-    pub metrics: SharedMetrics,
-    /// Per-backend counters at context creation: the client (and its pool)
-    /// outlive a single query, so this query's contribution is the delta
-    /// against this snapshot (see [`ExecContext::sync_backend_metrics`]).
-    backend_baseline: Vec<BackendStats>,
+    /// The query's ledger (see [`crate::metrics`]): written through
+    /// short-lived borrows by the operators of this query's thread, taken
+    /// out with `into_inner` when the query is done.
+    pub metrics: RefCell<ExecMetrics>,
     /// Global LLM-call slot pool (cross-query admission). `None` outside a
     /// scheduler: dispatch is bounded only by this query's `parallelism`.
     slots: Option<Arc<CallSlots>>,
@@ -37,16 +36,11 @@ pub struct ExecContext {
 impl ExecContext {
     /// Create a context.
     pub fn new(catalog: Catalog, client: Option<LlmClient>, config: EngineConfig) -> Self {
-        let backend_baseline = client
-            .as_ref()
-            .and_then(llmsql_llm::LlmClient::backend_stats)
-            .unwrap_or_default();
         ExecContext {
             catalog,
             client,
             config,
-            metrics: SharedMetrics::new(),
-            backend_baseline,
+            metrics: RefCell::default(),
             slots: None,
             started: Instant::now(),
         }
@@ -74,7 +68,7 @@ impl ExecContext {
     pub fn deadline_error(&self) -> Error {
         let deadline_ms = self.config.deadline_ms.unwrap_or(0.0);
         let elapsed_ms = self.started.elapsed().as_secs_f64() * 1000.0;
-        let calls = self.metrics.llm_call_count();
+        let calls = self.metrics.borrow().llm_calls();
         Error::deadline_exceeded(format!(
             "query exceeded its {deadline_ms:.0}ms deadline after {elapsed_ms:.1}ms \
              with {calls} LLM call(s) issued"
@@ -102,52 +96,6 @@ impl ExecContext {
     /// without blocking, one slot per request in flight).
     pub(crate) fn slots(&self) -> Option<&Arc<CallSlots>> {
         self.slots.as_ref()
-    }
-
-    /// Copy the per-backend physical-call counters' delta since context
-    /// creation into [`crate::ExecMetrics`] (`backend_calls`,
-    /// `backend_errors`, `backend_latency_ms`, `hedges_issued`,
-    /// `hedges_won`). Called once at the end of plan execution; callers
-    /// driving scans directly can invoke it manually before snapshotting
-    /// metrics.
-    ///
-    /// The counters are the *pool's*, not the query's: exact for a
-    /// standalone engine; a deployment-wide delta under a scheduler, where
-    /// one engine and one pool serve several workers and a query's numbers
-    /// include the attempts concurrent queries made meanwhile. Per-query
-    /// attribution needs the registry of ROADMAP item 2(c).
-    pub fn sync_backend_metrics(&self) {
-        let Some(stats) = self
-            .client
-            .as_ref()
-            .and_then(llmsql_llm::LlmClient::backend_stats)
-        else {
-            return;
-        };
-        self.metrics.update(|m| {
-            m.hedges_issued = 0;
-            m.hedges_won = 0;
-            for current in &stats {
-                let base = self
-                    .backend_baseline
-                    .iter()
-                    .find(|b| b.id == current.id)
-                    .cloned()
-                    .unwrap_or_default();
-                m.backend_calls
-                    .insert(current.id.clone(), current.calls.saturating_sub(base.calls));
-                m.backend_errors.insert(
-                    current.id.clone(),
-                    current.errors.saturating_sub(base.errors),
-                );
-                m.backend_latency_ms.insert(
-                    current.id.clone(),
-                    (current.latency_ms - base.latency_ms).max(0.0),
-                );
-                m.hedges_issued += current.hedges.saturating_sub(base.hedges);
-                m.hedges_won += current.hedges_won.saturating_sub(base.hedges_won);
-            }
-        });
     }
 
     /// The LLM client, or an error explaining that the query needs one.

@@ -23,10 +23,7 @@ use crate::scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
 /// Execute a logical plan and return the result batch.
 pub fn execute(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Batch> {
     let rows = execute_rows(ctx, plan)?;
-    ctx.metrics.update(|m| m.rows_output = rows.len() as u64);
-    // Multi-backend deployments: surface this query's per-backend
-    // physical-call counters alongside the logical-call metrics.
-    ctx.sync_backend_metrics();
+    ctx.metrics.borrow_mut().rows_output = rows.len() as u64;
     Ok(Batch::new(plan.schema(), rows))
 }
 
@@ -39,24 +36,23 @@ pub fn execute_rows(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Vec<Row>> {
 /// `"0.1"` = its second child), recording per-operator actuals — output
 /// rows, wall time, and the LLM calls issued while the subtree ran — under
 /// that path in [`crate::metrics::ExecMetrics::op_stats`]. Call attribution
-/// works by before/after deltas of the shared call counter, which is exact
-/// because operators run one at a time: a child completes before its parent
-/// does any work of its own.
+/// reads the query's own ledger before and after, which is exact because
+/// nobody else writes it and operators run one at a time: a child completes
+/// before its parent does any work of its own.
 fn execute_rows_at(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
-    let calls_before = ctx.metrics.llm_call_count();
+    let calls_before = ctx.metrics.borrow().llm_calls();
     // Per-operator wall clock for EXPLAIN ANALYZE. Deliberately not routed
     // through the reactor: this measures the whole operator (including CPU
     // work), not an I/O deadline — carried as a banned-time ledger entry.
     let started = std::time::Instant::now();
     let rows = execute_node(ctx, plan, path)?;
     let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-    let calls = ctx.metrics.llm_call_count().saturating_sub(calls_before);
-    ctx.metrics.update(|m| {
-        let s = m.op_stats.entry(path.to_string()).or_default();
-        s.rows_out += rows.len() as u64;
-        s.llm_calls += calls;
-        s.wall_ms += wall_ms;
-    });
+    let mut ledger = ctx.metrics.borrow_mut();
+    let calls = ledger.llm_calls() - calls_before;
+    let s = ledger.op_stats.entry(path.to_string()).or_default();
+    s.rows_out += rows.len() as u64;
+    s.llm_calls += calls;
+    s.wall_ms += wall_ms;
     Ok(rows)
 }
 
@@ -71,7 +67,6 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             pushed_limit,
             ..
         } => {
-            ctx.metrics.update(|m| m.record_operator("Scan"));
             let spec = ScanSpec {
                 table,
                 table_schema,
@@ -81,20 +76,17 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             };
             execute_scan(ctx, &spec, *virtual_table)
         }
-        LogicalPlan::Values { rows, .. } => {
-            ctx.metrics.update(|m| m.record_operator("Values"));
-            rows.iter()
-                .map(|exprs| {
-                    exprs
-                        .iter()
-                        .map(|e| eval(e, &Row::empty()))
-                        .collect::<Result<Vec<Value>>>()
-                        .map(Row::new)
-                })
-                .collect()
-        }
+        LogicalPlan::Values { rows, .. } => rows
+            .iter()
+            .map(|exprs| {
+                exprs
+                    .iter()
+                    .map(|e| eval(e, &Row::empty()))
+                    .collect::<Result<Vec<Value>>>()
+                    .map(Row::new)
+            })
+            .collect(),
         LogicalPlan::Filter { input, predicate } => {
-            ctx.metrics.update(|m| m.record_operator("Filter"));
             let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             // In place. `retain` cannot stop early, so the first error parks
             // here and the rest of the pass evaluates nothing.
@@ -114,7 +106,6 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             error.map_or(Ok(rows), Err)
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            ctx.metrics.update(|m| m.record_operator("Project"));
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             // Consuming the input lets the output rows be collected into the
             // input's own buffer: one pass and no second vector.
@@ -132,7 +123,6 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             on,
             ..
         } => {
-            ctx.metrics.update(|m| m.record_operator("Join"));
             let left_rows = execute_rows_at(ctx, left, &format!("{path}.0"))?;
             let right_rows = execute_rows_at(ctx, right, &format!("{path}.1"))?;
             join_rows(
@@ -150,12 +140,10 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             aggregates,
             ..
         } => {
-            ctx.metrics.update(|m| m.record_operator("Aggregate"));
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             aggregate_rows(&rows, group_exprs, aggregates)
         }
         LogicalPlan::Sort { input, keys } => {
-            ctx.metrics.update(|m| m.record_operator("Sort"));
             let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             sort_rows(&mut rows, keys)?;
             Ok(rows)
@@ -165,7 +153,6 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             limit,
             offset,
         } => {
-            ctx.metrics.update(|m| m.record_operator("Limit"));
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             let iter = rows.into_iter().skip(*offset);
             Ok(match limit {
@@ -174,7 +161,6 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             })
         }
         LogicalPlan::Distinct { input } => {
-            ctx.metrics.update(|m| m.record_operator("Distinct"));
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
             let mut seen = std::collections::HashSet::new();
             Ok(rows
@@ -781,10 +767,9 @@ mod tests {
             },
         );
         let batch = execute(&ctx, &plan).unwrap();
-        let m = ctx.metrics.snapshot();
+        let m = ctx.metrics.borrow();
         assert_eq!(m.rows_output, batch.len() as u64);
-        assert!(m.operators.contains_key("Scan"));
-        assert!(m.operators.contains_key("Project"));
+        assert_eq!(m.op_stats["0"].rows_out, batch.len() as u64);
         assert_eq!(m.llm_calls(), 0);
     }
 

@@ -53,7 +53,7 @@ pub mod slots;
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
 pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
-pub use metrics::{ExecMetrics, InFlightGuard, OpStats, SharedMetrics};
+pub use metrics::{ExecMetrics, OpStats};
 pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerId, TimerWheel};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
 pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};

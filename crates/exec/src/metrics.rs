@@ -1,17 +1,21 @@
-//! Execution metrics collected while a query runs.
+//! What one query did: the ledger its execution fills in.
 //!
-//! Counter updates funnel through [`SharedMetrics`], which operators on any
-//! worker thread can clone and update concurrently. In-flight request
-//! tracking is lock-free (`AtomicU64`) so it can sit directly on the LLM
-//! dispatch hot path.
+//! [`ExecMetrics`] is a plain value. The query's [`crate::ExecContext`] owns
+//! it, only the query's thread writes it, and the result carries it out. The
+//! one rule of accounting: a per-query number is written by the query's own
+//! calls — each request folds what it itself did into the ledger as it leaves
+//! the scan's event loop, resolved or cancelled — and a deployment number by
+//! the shared object that counts it (`LlmClient::usage`,
+//! `BackendPool::stats`, the scheduler's `SchedStats`). Neither is ever
+//! derived from the other by subtraction, so a query's bill does not depend
+//! on what its neighbours did meanwhile, and at quiescence the bills of all
+//! queries sum to the deployment's counters.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
+use llmsql_llm::{ClientCall, UsageStats};
 use llmsql_types::Incomplete;
-use parking_lot::Mutex;
 
 /// Actuals for one executed plan node, reported by `EXPLAIN ANALYZE`.
 ///
@@ -28,7 +32,8 @@ pub struct OpStats {
     pub wall_ms: f64,
 }
 
-/// Metrics for one query execution.
+/// The ledger of one query execution (see the module docs for who writes
+/// it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecMetrics {
     /// Rows read from materialized tables.
@@ -41,22 +46,20 @@ pub struct ExecMetrics {
     pub dropped_lines: u64,
     /// NULL cells filled from the model by hybrid scans.
     pub cells_filled_by_llm: u64,
-    /// Highest number of LLM requests that were in flight at the same time
-    /// (1 under sequential dispatch, up to `EngineConfig::parallelism` under
-    /// concurrent dispatch).
+    /// Highest number of this query's LLM requests that were on its event
+    /// loop at the same time (1 under sequential dispatch, up to
+    /// `EngineConfig::parallelism` under concurrent dispatch).
     pub peak_in_flight: u64,
     /// Dispatches that went through a shared cross-query slot pool.
     pub slot_waits: u64,
-    /// Hedged requests issued while this query ran: duplicates of a late
+    /// Hedged requests this query's calls issued: duplicates of a late
     /// in-flight request sent to a sibling backend. Hedges are physical
     /// attempts — they never consume the logical call budget
     /// (`max_llm_calls`), like retries — but each held a call slot while in
-    /// flight. Exact for a standalone engine; a deployment-wide delta under
-    /// a scheduler (see [`crate::ExecContext::sync_backend_metrics`]).
+    /// flight.
     pub hedges_issued: u64,
     /// Hedges whose response beat the late primary (each one shaved the
-    /// difference off a tail latency). Exact for a standalone engine; a
-    /// deployment-wide delta under a scheduler.
+    /// difference off a tail latency).
     pub hedges_won: u64,
     /// Logical calls served by deployment-scope coalescing: an identical
     /// request (possibly from another query of the deployment) was
@@ -76,22 +79,23 @@ pub struct ExecMetrics {
     pub slot_wait_ms: f64,
     /// LLM prompts issued, by task kind ("row_batch", "lookup", ...).
     pub llm_calls_by_kind: BTreeMap<String, u64>,
-    /// Physical attempts per backend (multi-backend deployments only;
-    /// includes failed attempts and retries, so the sum can exceed
-    /// [`ExecMetrics::llm_calls`], which counts *logical* prompts). Like the
-    /// two maps below, a delta of the *pool's* counter over the query's
-    /// lifetime: exact for a standalone engine; a deployment-wide delta
-    /// under a scheduler (see [`crate::ExecContext::sync_backend_metrics`]).
+    /// What the model served this query's requests: completions and their
+    /// tokens, dollars and reported latency, and cache hits. A request
+    /// answered by another query's identical in-flight one is in
+    /// `coalesced_calls` instead — only the leader pays — and a request
+    /// cancelled before its answer landed paid nothing.
+    pub usage: UsageStats,
+    /// Physical attempts this query's requests made, per backend of the pool
+    /// (multi-backend deployments only). Failed attempts, retries, hedges
+    /// and the attempts of requests cancelled mid-flight are all in, so the
+    /// sum can exceed [`ExecMetrics::llm_calls`], which counts *logical*
+    /// prompts. This map and the two below name every backend a request was
+    /// routed over, those it never reached at zero.
     pub backend_calls: BTreeMap<String, u64>,
-    /// Failed attempts per backend. Exact for a standalone engine; a
-    /// deployment-wide delta under a scheduler.
+    /// Failed attempts per backend.
     pub backend_errors: BTreeMap<String, u64>,
     /// Reported completion latency accumulated per backend, milliseconds.
-    /// Exact for a standalone engine; a deployment-wide delta under a
-    /// scheduler.
     pub backend_latency_ms: BTreeMap<String, f64>,
-    /// Plan nodes executed, by operator name.
-    pub operators: BTreeMap<String, u64>,
     /// Per-operator actuals, keyed by the node's pre-order path (`"0"` =
     /// root, `"0.1"` = its second child — the same scheme the static cost
     /// model uses, so `EXPLAIN ANALYZE` can join estimates to actuals).
@@ -112,22 +116,40 @@ impl ExecMetrics {
 
     /// Record one LLM prompt of the given kind.
     pub fn record_llm_call(&mut self, kind: &str) {
-        bump(&mut self.llm_calls_by_kind, kind);
+        add(&mut self.llm_calls_by_kind, kind, 1);
     }
 
-    /// Record an executed operator.
-    pub fn record_operator(&mut self, name: &str) {
-        bump(&mut self.operators, name);
+    /// Fold in what one request did, as it leaves the scan's event loop —
+    /// answered, failed or cancelled mid-flight: what the model served it,
+    /// whether another query's flight answered it, its own attempts on each
+    /// backend of the pool, and the call slot it was granted after waiting
+    /// `slot_wait_us` for it (`None` = it never went through a slot pool).
+    /// This is the only writer of the fields it touches.
+    pub fn record_request(&mut self, call: &ClientCall, slot_wait_us: Option<u64>) {
+        self.usage.absorb(call.usage());
+        self.coalesced_calls += u64::from(call.coalesced());
+        if let Some(waited_us) = slot_wait_us {
+            self.slot_waits += 1;
+            self.slot_wait_ms += waited_us as f64 / 1000.0;
+        }
+        call.backend_receipts(&mut |backend, receipt| {
+            add(&mut self.backend_calls, backend, receipt.calls);
+            add(&mut self.backend_errors, backend, receipt.errors);
+            add(&mut self.backend_latency_ms, backend, receipt.latency_ms);
+            self.hedges_issued += receipt.hedges;
+            self.hedges_won += receipt.hedges_won;
+        });
     }
 }
 
-/// Count one more `name`. The name is copied only the first time it is
-/// seen: a scan records hundreds of prompts of one kind.
-fn bump(counts: &mut BTreeMap<String, u64>, name: &str) {
-    match counts.get_mut(name) {
-        Some(count) => *count += 1,
+/// Add `n` to `name`'s total. The name is copied only the first time it is
+/// seen: a scan records hundreds of prompts of one kind, and a pooled one
+/// as many receipts per backend.
+fn add<T: std::ops::AddAssign>(totals: &mut BTreeMap<String, T>, name: &str, n: T) {
+    match totals.get_mut(name) {
+        Some(total) => *total += n,
         None => {
-            counts.insert(name.to_string(), 1);
+            totals.insert(name.to_string(), n);
         }
     }
 }
@@ -148,80 +170,6 @@ impl fmt::Display for ExecMetrics {
     }
 }
 
-/// A shared, thread-safe metrics handle.
-#[derive(Clone, Default)]
-pub struct SharedMetrics {
-    inner: Arc<Mutex<ExecMetrics>>,
-    in_flight: Arc<AtomicU64>,
-    peak_in_flight: Arc<AtomicU64>,
-}
-
-impl SharedMetrics {
-    /// Create a fresh handle.
-    pub fn new() -> Self {
-        SharedMetrics::default()
-    }
-
-    /// Run a closure with mutable access to the metrics.
-    pub fn update(&self, f: impl FnOnce(&mut ExecMetrics)) {
-        f(&mut self.inner.lock());
-    }
-
-    /// Total LLM calls recorded so far, without cloning the metrics (cheap
-    /// enough for per-request budget checks on the dispatch hot path).
-    pub fn llm_call_count(&self) -> u64 {
-        self.inner.lock().llm_calls()
-    }
-
-    /// Snapshot the current metrics (including the in-flight peak).
-    pub fn snapshot(&self) -> ExecMetrics {
-        let mut m = self.inner.lock().clone();
-        // ordering: SeqCst — the in-flight gauge pairs increments with peak
-        // observation across threads; SeqCst keeps gauge and peak totally
-        // ordered so a snapshot can never report peak < a gauge value some
-        // thread already observed. Cold path (snapshots), cost irrelevant.
-        m.peak_in_flight = m
-            .peak_in_flight
-            .max(self.peak_in_flight.load(Ordering::SeqCst));
-        m
-    }
-
-    /// Mark one LLM request as in flight; the returned guard decrements the
-    /// gauge on drop. The observed maximum is reported as
-    /// [`ExecMetrics::peak_in_flight`].
-    pub fn track_in_flight(&self) -> InFlightGuard {
-        // ordering: SeqCst — increment and peak update must appear in one
-        // total order with the decrements in InFlightGuard::drop, so the
-        // recorded peak equals the true maximum concurrency (the
-        // parallel-pipeline tests assert exact peaks).
-        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak_in_flight.fetch_max(now, Ordering::SeqCst);
-        InFlightGuard {
-            in_flight: Arc::clone(&self.in_flight),
-        }
-    }
-
-    /// Requests currently in flight (0 when idle).
-    pub fn in_flight(&self) -> u64 {
-        // ordering: SeqCst — read in the same total order as the gauge
-        // updates above; cold path, cost irrelevant.
-        self.in_flight.load(Ordering::SeqCst)
-    }
-}
-
-/// RAII guard for one in-flight LLM request.
-pub struct InFlightGuard {
-    in_flight: Arc<AtomicU64>,
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        // ordering: SeqCst — pairs with the fetch_add in track_in_flight;
-        // see the peak-accuracy note there.
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,52 +180,8 @@ mod tests {
         m.record_llm_call("row_batch");
         m.record_llm_call("row_batch");
         m.record_llm_call("lookup");
-        m.record_operator("Filter");
         assert_eq!(m.llm_calls(), 3);
         assert_eq!(m.llm_calls_by_kind["row_batch"], 2);
-        assert_eq!(m.operators["Filter"], 1);
         assert!(m.to_string().contains("llm_calls=3"));
-    }
-
-    #[test]
-    fn shared_handle() {
-        let shared = SharedMetrics::new();
-        let clone = shared.clone();
-        clone.update(|m| m.rows_output = 9);
-        assert_eq!(shared.snapshot().rows_output, 9);
-    }
-
-    #[test]
-    fn in_flight_gauge_tracks_peak() {
-        let shared = SharedMetrics::new();
-        assert_eq!(shared.in_flight(), 0);
-        {
-            let _a = shared.track_in_flight();
-            let _b = shared.track_in_flight();
-            assert_eq!(shared.in_flight(), 2);
-            {
-                let _c = shared.track_in_flight();
-                assert_eq!(shared.in_flight(), 3);
-            }
-            assert_eq!(shared.in_flight(), 2);
-        }
-        assert_eq!(shared.in_flight(), 0);
-        assert_eq!(shared.snapshot().peak_in_flight, 3);
-    }
-
-    #[test]
-    fn peak_survives_across_threads() {
-        let shared = SharedMetrics::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let handle = shared.clone();
-                scope.spawn(move || {
-                    let _g = handle.track_in_flight();
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                });
-            }
-        });
-        assert!(shared.snapshot().peak_in_flight >= 2);
-        assert_eq!(shared.in_flight(), 0);
     }
 }

@@ -287,6 +287,17 @@ impl<C> Default for LiveSet<C> {
 }
 
 impl<C: Completion> LiveSet<C> {
+    /// Operations in the set: accepted and not yet handed back, resolved or
+    /// not.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when every accepted operation has been handed back.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
     /// Accept `op` into the live set. Its first poll happens here, inline —
     /// that poll is what submits a call — so an admitted operation is in
     /// flight before the caller does anything else.

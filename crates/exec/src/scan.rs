@@ -83,6 +83,7 @@
 //! pooled backends are semantically identical and failover happens inside
 //! the pool, so rows and logical calls stay byte-identical.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,7 +101,7 @@ use llmsql_types::{
 
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
-use crate::metrics::{InFlightGuard, SharedMetrics};
+use crate::metrics::ExecMetrics;
 use crate::reactor::{Completion, Expired, LiveSet};
 use crate::slots::CallSlots;
 
@@ -179,35 +180,37 @@ pub fn dispatch_one(
     kind: &str,
     prompt: String,
 ) -> Result<Arc<CompletionResponse>> {
-    ctx.metrics.update(|m| m.record_llm_call(kind));
+    ctx.metrics.borrow_mut().record_llm_call(kind);
     let mut flight = InFlight::new(ctx);
     flight.push(client.start_call(CompletionRequest::new(prompt)));
     flight.wait_head()
 }
 
-/// One request on the event loop: a [`ClientCall`] plus this query's
-/// accounting — the in-flight gauge held for the whole flight and the
-/// non-blocking slot gate with its wait measurement. It never leaves the
-/// query's thread, so it borrows the query's metrics and slot pool.
+/// One request on the event loop: a [`ClientCall`] and the non-blocking slot
+/// gate with its wait measurement. It never leaves the query's thread, so it
+/// borrows the query's ledger and slot pool. The ledger is written once per
+/// request, when the request leaves the loop — handed back resolved or
+/// dropped in flight — with what the request itself did
+/// ([`ExecMetrics::record_request`]).
 struct RequestOp<'a> {
-    metrics: &'a SharedMetrics,
+    ledger: &'a RefCell<ExecMetrics>,
     slots: Option<&'a Arc<CallSlots>>,
     call: ClientCall,
-    _in_flight: InFlightGuard,
-    /// When this op first found the slot pool saturated (the wait being
-    /// accumulated toward `slot_wait_ms`).
+    /// When this op first found the slot pool saturated.
     slot_wait_started: Option<Instant>,
+    /// How long the op had been parked when the pool granted its slot, µs.
+    slot_wait_us: Option<u64>,
     /// What the call resolved to, for the waiter to take.
     answer: Option<Result<Arc<CompletionResponse>>>,
 }
 
 impl Completion for RequestOp<'_> {
     fn poll(&mut self, now: Instant) -> bool {
-        let metrics = self.metrics;
         let slots = self.slots;
         let slot_wait_started = &mut self.slot_wait_started;
+        let slot_wait_us = &mut self.slot_wait_us;
         // The admission gate: grant immediately without a pool; otherwise
-        // try_acquire and account the parked wait on grant.
+        // try_acquire and note the parked wait on grant.
         let mut gate = || -> Option<Box<dyn std::any::Any + Send>> {
             let Some(slots) = slots else {
                 return Some(Box::new(()));
@@ -217,10 +220,7 @@ impl Completion for RequestOp<'_> {
                     let waited_us = slot_wait_started
                         .take()
                         .map_or(0, |since| since.elapsed().as_micros() as u64);
-                    metrics.update(|m| {
-                        m.slot_waits += 1;
-                        m.slot_wait_ms += waited_us as f64 / 1000.0;
-                    });
+                    *slot_wait_us = Some(waited_us);
                     slots.record_blocked_wait(waited_us);
                     Some(Box::new(guard))
                 }
@@ -233,15 +233,23 @@ impl Completion for RequestOp<'_> {
         let Some(answer) = self.call.poll(now, &mut gate) else {
             return false;
         };
-        if self.call.coalesced() {
-            metrics.update(|m| m.coalesced_calls += 1);
-        }
         self.answer = Some(answer);
         true
     }
 
     fn next_wakeup(&self, now: Instant) -> Option<Instant> {
         self.call.next_wakeup(now)
+    }
+}
+
+impl Drop for RequestOp<'_> {
+    fn drop(&mut self) {
+        // No borrow of the ledger is ever held while a request leaves the
+        // loop; `try_` only so that a drop during some unwind cannot panic
+        // again.
+        if let Ok(mut ledger) = self.ledger.try_borrow_mut() {
+            ledger.record_request(&self.call, self.slot_wait_us);
+        }
     }
 }
 
@@ -265,13 +273,15 @@ impl<'a> InFlight<'a> {
     /// Put an already-accounted request in flight.
     fn push(&mut self, call: ClientCall) {
         self.live.push(RequestOp {
-            metrics: &self.ctx.metrics,
+            ledger: &self.ctx.metrics,
             slots: self.ctx.slots(),
             call,
-            _in_flight: self.ctx.metrics.track_in_flight(),
             slot_wait_started: None,
+            slot_wait_us: None,
             answer: None,
         });
+        let mut ledger = self.ctx.metrics.borrow_mut();
+        ledger.peak_in_flight = ledger.peak_in_flight.max(self.live.len() as u64);
     }
 
     /// Park until the oldest request in flight resolves and take its answer.
@@ -280,8 +290,9 @@ impl<'a> InFlight<'a> {
     /// to cancel.
     fn wait_head(&mut self) -> Result<Arc<CompletionResponse>> {
         match self.live.wait_head(self.ctx.deadline_instant()) {
-            Some(Ok(op)) => op
+            Some(Ok(mut op)) => op
                 .answer
+                .take()
                 .unwrap_or_else(|| Err(Error::execution("a request resolved without an answer"))),
             Some(Err(Expired)) => Err(self.ctx.deadline_error()),
             None => Err(Error::execution("no request in flight to wait for")),
@@ -365,8 +376,8 @@ impl Driver<'_> {
             // eligible iff `i < consumed + window`.
             while prompts_in_flight + per_request <= plan.window().clamp(1, fanout) {
                 // The call cap is query-global: every scan of the query
-                // draws on it through the metrics channel.
-                let calls_used = ctx.metrics.llm_call_count() as usize;
+                // draws on it through the query's ledger.
+                let calls_used = ctx.metrics.borrow().llm_calls() as usize;
                 let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used);
                 let prompts = plan.next(per_request.min(call_budget))?;
                 if prompts.is_empty() {
@@ -380,11 +391,9 @@ impl Driver<'_> {
                 // Logical calls are recorded per planned prompt, so the
                 // budget charge and `llm_calls_by_kind` are the same at any
                 // batch size.
-                ctx.metrics.update(|m| {
-                    for _ in &prompts {
-                        m.record_llm_call(P::KIND);
-                    }
-                });
+                for _ in &prompts {
+                    ctx.metrics.borrow_mut().record_llm_call(P::KIND);
+                }
                 flight.push(client.start_call(CompletionRequest::new(pack_prompts(&prompts))));
                 members.push_back(prompts.len());
                 prompts_in_flight += prompts.len();
@@ -402,7 +411,7 @@ impl Driver<'_> {
                 Err(err) => return self.cut_short(err),
             };
             if asked > 1 {
-                ctx.metrics.update(|m| m.batched_rows += asked as u64);
+                ctx.metrics.borrow_mut().batched_rows += asked as u64;
             }
             for answer in split_sections(&response.text, asked) {
                 if plan.accept(answer)? == Flow::Done {
@@ -434,11 +443,13 @@ impl Driver<'_> {
                 kind: err.kind,
                 message: err.message,
                 rows_delivered: rows.len() as u64,
-                calls_spent: self.ctx.metrics.llm_call_count(),
+                calls_spent: self.ctx.metrics.borrow().llm_calls(),
             };
-            self.ctx.metrics.update(|m| {
-                m.incomplete.get_or_insert(marker);
-            });
+            self.ctx
+                .metrics
+                .borrow_mut()
+                .incomplete
+                .get_or_insert(marker);
         }
         rows
     }
@@ -447,8 +458,7 @@ impl Driver<'_> {
 /// Account the lines of an answer that did not parse.
 fn note_dropped(ctx: &ExecContext, dropped_lines: usize) {
     if dropped_lines > 0 {
-        ctx.metrics
-            .update(|m| m.dropped_lines += dropped_lines as u64);
+        ctx.metrics.borrow_mut().dropped_lines += dropped_lines as u64;
     }
 }
 
@@ -829,7 +839,7 @@ impl PromptPlan for Lookups<'_> {
         });
         note_dropped(self.ctx, dropped);
         if self.stored && filled > 0 {
-            self.ctx.metrics.update(|m| m.cells_filled_by_llm += filled);
+            self.ctx.metrics.borrow_mut().cells_filled_by_llm += filled;
         }
         // Everything ahead of the next lookup in flight is now final.
         self.deliver()?;
@@ -898,8 +908,7 @@ pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Resu
             break;
         }
     }
-    ctx.metrics
-        .update(|m| m.rows_from_store += rows.len() as u64);
+    ctx.metrics.borrow_mut().rows_from_store += rows.len() as u64;
     Ok(rows)
 }
 
@@ -942,7 +951,7 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
         }
     };
     let rows = driver.finish(rows);
-    ctx.metrics.update(|m| m.rows_from_llm += rows.len() as u64);
+    ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
     Ok(rows)
 }
 
@@ -974,8 +983,7 @@ pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Res
     let mut fills = Lookups::new(ctx, spec, table.scan(), true);
     driver.drive(&mut fills)?;
     let rows = driver.finish(fills.rows);
-    ctx.metrics
-        .update(|m| m.rows_from_store += rows.len() as u64);
+    ctx.metrics.borrow_mut().rows_from_store += rows.len() as u64;
     Ok(rows)
 }
 
@@ -1117,7 +1125,7 @@ mod tests {
         let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
         let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
         assert_eq!(rows.len(), 5);
-        let m = ctx.metrics.snapshot();
+        let m = ctx.metrics.borrow();
         // page size 2 over 5 rows: at least 3 calls
         assert!(m.llm_calls_by_kind["row_batch"] >= 3);
         assert_eq!(m.rows_from_llm, 5);
@@ -1157,7 +1165,7 @@ mod tests {
         let ctx = context(PromptStrategy::TupleAtATime, LlmFidelity::perfect());
         let rows = llm_scan(&ctx, &parts(Some(gt_filter(60)), None).spec()).unwrap();
         assert_eq!(rows.len(), 3);
-        let m = ctx.metrics.snapshot();
+        let m = ctx.metrics.borrow();
         assert_eq!(m.llm_calls_by_kind["enumerate"], 1);
         assert!(m.llm_calls_by_kind["lookup"] >= 3);
     }
@@ -1167,7 +1175,7 @@ mod tests {
         let ctx = context(PromptStrategy::DecomposedOperators, LlmFidelity::perfect());
         let rows = llm_scan(&ctx, &parts(Some(gt_filter(60)), None).spec()).unwrap();
         assert_eq!(rows.len(), 3);
-        let m = ctx.metrics.snapshot();
+        let m = ctx.metrics.borrow();
         assert_eq!(m.llm_calls_by_kind["filter_check"], 5);
     }
 
@@ -1178,7 +1186,7 @@ mod tests {
         p.pushed_limit = Some(2);
         let rows = llm_scan(&ctx, &p.spec()).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(ctx.metrics.snapshot().llm_calls(), 1);
+        assert_eq!(ctx.metrics.borrow().llm_calls(), 1);
     }
 
     #[test]
@@ -1231,14 +1239,14 @@ mod tests {
         let p = parts(None, None);
         let seq_ctx = context_with(1);
         let expected = llm_scan(&seq_ctx, &p.spec()).unwrap();
-        let expected_calls = seq_ctx.metrics.snapshot().llm_calls();
+        let expected_calls = seq_ctx.metrics.borrow().llm_calls();
         for parallelism in [4, 8] {
             let ctx = context_with(parallelism);
             let got = llm_scan(&ctx, &p.spec()).unwrap();
             assert_eq!(expected, got, "rows diverged at parallelism {parallelism}");
             assert_eq!(
                 expected_calls,
-                ctx.metrics.snapshot().llm_calls(),
+                ctx.metrics.borrow().llm_calls(),
                 "call count diverged at parallelism {parallelism}"
             );
         }
@@ -1284,7 +1292,7 @@ mod tests {
         let expected = llm_scan(&seq_ctx, &p.spec()).unwrap();
         assert_eq!(expected.len(), 20);
         assert_eq!(
-            seq_ctx.metrics.snapshot().llm_calls(),
+            seq_ctx.metrics.borrow().llm_calls(),
             4,
             "hint should stop the sequential scan at exactly 4 full pages"
         );
@@ -1293,7 +1301,7 @@ mod tests {
             let got = llm_scan(&ctx, &p.spec()).unwrap();
             assert_eq!(expected, got, "rows diverged at parallelism {parallelism}");
             assert_eq!(
-                ctx.metrics.snapshot().llm_calls(),
+                ctx.metrics.borrow().llm_calls(),
                 4,
                 "the window overshot the hinted end at parallelism {parallelism}"
             );
@@ -1315,7 +1323,7 @@ mod tests {
         let ctx = ExecContext::new(catalog, Some(LlmClient::new(Arc::new(sim))), config);
         let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
         assert!(rows.is_empty());
-        assert_eq!(ctx.metrics.snapshot().llm_calls(), 0);
+        assert_eq!(ctx.metrics.borrow().llm_calls(), 0);
     }
 
     #[test]
@@ -1333,7 +1341,7 @@ mod tests {
                 c.partial_results = true;
             });
             assert!(graceful.unwrap().is_empty(), "{scan:?}");
-            let marker = ctx.metrics.snapshot().incomplete.unwrap();
+            let marker = ctx.metrics.borrow().incomplete.clone().unwrap();
             assert_eq!(marker.kind, ErrorKind::DeadlineExceeded, "{scan:?}");
             assert_eq!(marker.rows_delivered, 0, "{scan:?}");
             assert_eq!(marker.calls_spent, 0, "{scan:?}");
@@ -1403,7 +1411,7 @@ mod tests {
             let rows = graceful.unwrap();
             assert_eq!(rows.len(), survivors, "{scan:?} after {healthy_calls}");
             assert_eq!(rows[..], uncut[..rows.len()], "{scan:?}: not a prefix");
-            let m = ctx.metrics.snapshot();
+            let m = ctx.metrics.borrow();
             let marker = m.incomplete.clone().unwrap();
             assert_eq!(marker.kind, ErrorKind::Llm);
             assert_eq!(marker.rows_delivered, rows.len() as u64, "{scan:?}");
@@ -1419,7 +1427,7 @@ mod tests {
         let p = parts(None, None);
         let free_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
         let expected = llm_scan(&free_ctx, &p.spec()).unwrap();
-        let expected_calls = free_ctx.metrics.snapshot().llm_calls();
+        let expected_calls = free_ctx.metrics.borrow().llm_calls();
 
         let slots = Arc::new(CallSlots::new(2));
         let mut throttled_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
@@ -1427,7 +1435,7 @@ mod tests {
         let throttled_ctx = throttled_ctx.with_slots(Arc::clone(&slots));
         let got = llm_scan(&throttled_ctx, &p.spec()).unwrap();
         assert_eq!(expected, got, "slot throttling changed scan output");
-        let m = throttled_ctx.metrics.snapshot();
+        let m = throttled_ctx.metrics.borrow();
         assert_eq!(expected_calls, m.llm_calls());
         assert_eq!(m.slot_waits, m.llm_calls(), "every dispatch takes a slot");
         assert!(slots.peak_in_use() <= 2, "slot cap exceeded");
@@ -1453,7 +1461,7 @@ mod tests {
             // Partial accounting: the scan failed before its first prompt, so
             // zero calls were issued — and the error says so.
             assert!(err.message.contains("0 LLM call(s) issued"), "{err}");
-            assert_eq!(ctx.metrics.snapshot().llm_calls(), 0, "{strategy:?}");
+            assert_eq!(ctx.metrics.borrow().llm_calls(), 0, "{strategy:?}");
         }
     }
 
@@ -1467,8 +1475,8 @@ mod tests {
         let got = llm_scan(&deadline_ctx, &p.spec()).unwrap();
         assert_eq!(expected, got, "an unhit deadline changed scan output");
         assert_eq!(
-            free_ctx.metrics.snapshot().llm_calls(),
-            deadline_ctx.metrics.snapshot().llm_calls()
+            free_ctx.metrics.borrow().llm_calls(),
+            deadline_ctx.metrics.borrow().llm_calls()
         );
     }
 
@@ -1481,7 +1489,7 @@ mod tests {
             ctx.config.max_llm_calls = 3;
             let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
             assert_eq!(rows.len(), 2, "parallelism {parallelism}");
-            assert_eq!(ctx.metrics.snapshot().llm_calls(), 3);
+            assert_eq!(ctx.metrics.borrow().llm_calls(), 3);
         }
     }
 
@@ -1503,7 +1511,7 @@ mod tests {
                 second.len() <= 2,
                 "parallelism {parallelism}: second scan exceeded the shared budget"
             );
-            assert!(ctx.metrics.snapshot().llm_calls() <= 4);
+            assert!(ctx.metrics.borrow().llm_calls() <= 4);
         }
     }
 
@@ -1524,7 +1532,7 @@ mod tests {
         let p = parts(Some(gt_filter(60)), None);
         let rows = table_scan(&ctx, &p.spec(), &table).unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(ctx.metrics.snapshot().rows_from_store, 3);
+        assert_eq!(ctx.metrics.borrow().rows_from_store, 3);
     }
 
     fn hybrid_fixture() -> (ExecContext, Table) {
@@ -1570,7 +1578,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get(2), &Value::Int(68));
         assert_eq!(rows[1].get(1), &Value::Text("Asia".into()));
-        let m = ctx.metrics.snapshot();
+        let m = ctx.metrics.borrow();
         assert_eq!(m.cells_filled_by_llm, 2);
         assert_eq!(m.llm_calls_by_kind["lookup"], 2);
     }
@@ -1590,7 +1598,7 @@ mod tests {
             let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
             assert_eq!(rows.len(), 1);
             assert_eq!(
-                ctx.metrics.snapshot().llm_calls(),
+                ctx.metrics.borrow().llm_calls(),
                 1,
                 "parallelism {parallelism} issued lookups past the row budget"
             );
@@ -1608,8 +1616,8 @@ mod tests {
         let got = hybrid_scan(&par_ctx, &p.spec(), &par_table).unwrap();
         assert_eq!(expected, got);
         assert_eq!(
-            seq_ctx.metrics.snapshot().llm_calls(),
-            par_ctx.metrics.snapshot().llm_calls()
+            seq_ctx.metrics.borrow().llm_calls(),
+            par_ctx.metrics.borrow().llm_calls()
         );
     }
 
@@ -1634,7 +1642,7 @@ mod tests {
                         c.parallelism = parallelism;
                         c.batch_rows_per_call = batch_rows;
                     });
-                    (rows.unwrap(), ctx.metrics.snapshot())
+                    (rows.unwrap(), ctx.metrics.into_inner())
                 };
                 let (expected, seq) = run(1, 1);
                 for parallelism in [1, 2, 4, 8] {
@@ -1827,7 +1835,7 @@ mod tests {
                             c.parallelism = parallelism;
                             c.batch_rows_per_call = batch_rows;
                         });
-                        let calls = ctx.metrics.snapshot().llm_calls_by_kind;
+                        let calls = ctx.metrics.into_inner().llm_calls_by_kind;
                         (rows.unwrap(), calls, prompts_asked(&log))
                     };
                     let sequential = run(1, 1, 1).0;
@@ -1948,7 +1956,7 @@ mod tests {
                     ctx.config.batch_size = page;
                     ctx.config.parallelism = parallelism;
                     let rows = llm_scan(&ctx, &p.spec()).unwrap();
-                    (rows, ctx.metrics.snapshot().llm_calls() as usize)
+                    (rows, ctx.metrics.into_inner().llm_calls() as usize)
                 };
                 let (expected, sequential_calls) = run(1);
                 let (rows, calls) = run(parallelism);
@@ -2129,10 +2137,12 @@ mod tests {
             // page 2 stuck, 2 + min(8, 7 + 2).
             let planned = if ending == Ending::Finished { 11 } else { 10 };
             assert_eq!(asked, planned, "{at}");
-            assert_eq!(ctx.metrics.snapshot().llm_calls(), planned as u64, "{at}");
+            assert_eq!(ctx.metrics.borrow().llm_calls(), planned as u64, "{at}");
             assert_eq!(resolved, answered, "{at}");
 
-            assert_eq!(ctx.metrics.in_flight(), 0, "in-flight gauge: {at}");
+            // Cancelled or answered, every request left the loop through
+            // the ledger: each was granted a slot on its first poll.
+            assert_eq!(ctx.metrics.borrow().slot_waits, planned as u64, "{at}");
             assert_eq!(slots.in_use(), 0, "call slots: {at}");
             let coalescer = ctx.client.as_ref().unwrap().coalescer().unwrap();
             assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");

@@ -54,7 +54,12 @@
 //! * **Accounting.** Retries, failover attempts and hedges are *physical*
 //!   calls — they show up in the per-backend counters
 //!   ([`BackendPool::stats`]) but never in the engine's logical call budget
-//!   (`max_llm_calls`), which counts prompts, not attempts.
+//!   (`max_llm_calls`), which counts prompts, not attempts. Each is counted
+//!   once, where the attempt launches or is harvested, on the pool's counter
+//!   and on the [`BackendReceipt`] of the call that made it
+//!   ([`CallMachine::backend_receipts`]): a query's share of the pool's
+//!   counters is the sum of its calls' receipts, never a difference of two
+//!   snapshots.
 //!
 //! # Circuit breaker (backend health tracking)
 //!
@@ -184,6 +189,11 @@ pub trait CallMachine: Send {
     /// The earliest instant at which [`CallMachine::poll`] can make further
     /// progress, or `None` when it should be polled immediately.
     fn next_wakeup(&self, now: Instant) -> Option<Instant>;
+
+    /// What this call has done so far on each backend it was routed over,
+    /// in routing order; readable while the call is pending and after it
+    /// resolved. A machine that routes nowhere reports nothing.
+    fn backend_receipts(&self, _visit: &mut dyn FnMut(&str, &BackendReceipt)) {}
 }
 
 /// The completion handle returned by [`Backend::submit`] /
@@ -253,6 +263,14 @@ impl CallHandle {
             HandleInner::Ready(_) => None,
             HandleInner::Timed { ready_at, .. } => Some(*ready_at),
             HandleInner::Machine(machine) => machine.next_wakeup(now),
+        }
+    }
+
+    /// [`CallMachine::backend_receipts`] of the machine driving this handle,
+    /// if one does.
+    pub fn backend_receipts(&self, visit: &mut dyn FnMut(&str, &BackendReceipt)) {
+        if let HandleInner::Machine(machine) = &self.inner {
+            machine.backend_receipts(visit);
         }
     }
 
@@ -527,6 +545,25 @@ pub struct BackendStats {
     pub hedges_won: u64,
 }
 
+/// One call's own share of one backend's [`BackendStats`]: what that call,
+/// and nothing else, did there. Every event is counted on the backend's
+/// counters and on the receipt of the call that caused it at the same site,
+/// so the receipts of all calls sum to the pool's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BackendReceipt {
+    /// Physical attempts this call issued to the backend (failed ones,
+    /// retries and a hedge included).
+    pub calls: u64,
+    /// Attempts that returned an error.
+    pub errors: u64,
+    /// Reported completion latency of the attempts that succeeded, ms.
+    pub latency_ms: f64,
+    /// Hedges this call issued to the backend (at most one).
+    pub hedges: u64,
+    /// Hedges issued to the backend that beat the late primary.
+    pub hedges_won: u64,
+}
+
 /// Lock-free per-backend counters (see [`BackendStats`] for the snapshot).
 #[derive(Default)]
 struct SlotCounters {
@@ -710,18 +747,21 @@ struct SlotShared {
 impl SlotShared {
     /// Record one successful attempt: reported-latency accumulator and the
     /// measured-latency EWMA. Primary and hedge flights account alike.
+    /// Returns the reported latency as accumulated, microseconds.
     fn record_success(
         &self,
         reported_latency_ms: f64,
         measured_ms: f64,
         now_ms: u64,
         decay_half_life_ms: f64,
-    ) {
+    ) -> u64 {
+        let reported_us = round_latency_us(reported_latency_ms);
         // ordering: Relaxed — latency_us is a monotone statistic.
         self.counters
             .latency_us
-            .fetch_add(round_latency_us(reported_latency_ms), Ordering::Relaxed);
+            .fetch_add(reported_us, Ordering::Relaxed);
         self.observe_latency(measured_ms, now_ms, decay_half_life_ms);
+        reported_us
     }
 
     /// Fold one measured latency into the EWMA and restart its staleness
@@ -819,11 +859,8 @@ pub struct BackendPool {
     retries: usize,
     /// Exponential backoff base between attempts, milliseconds.
     backoff_base_ms: f64,
-    /// Circuit breaker: consecutive errors that open a backend's breaker
-    /// (0 = breaker disabled).
-    breaker_threshold: u64,
-    /// Circuit breaker: cooldown before a half-open probe, milliseconds.
-    breaker_cooldown_ms: f64,
+    /// Breaker and latency-tracking settings, and the clock they run on.
+    health: Health,
     /// Hedged requests: lateness threshold as a multiple of the pool's
     /// lowest latency EWMA (0 = hedging disabled).
     hedge_multiplier: f64,
@@ -831,11 +868,30 @@ pub struct BackendPool {
     hedge_min_ms: f64,
     /// Hedge admission gate (see [`HedgePermitGate`]); `None` = always admit.
     hedge_gate: parking_lot::Mutex<Option<HedgePermitGate>>,
+}
+
+/// What judging an attempt's outcome needs of its pool: the breaker and
+/// latency-tracking settings and the clock they run on. Copied into every
+/// [`PoolCall`], which can outlive a borrow of the pool.
+#[derive(Clone, Copy)]
+struct Health {
+    /// Circuit breaker: consecutive errors that open a backend's breaker
+    /// (0 = breaker disabled).
+    breaker_threshold: u64,
+    /// Circuit breaker: cooldown before a half-open probe, milliseconds.
+    breaker_cooldown_ms: f64,
     /// Half-life for read-side decay of the latency EWMAs, milliseconds
     /// (0 disables decay). See [`BackendPool::with_latency_decay`].
     decay_half_life_ms: f64,
     /// Monotonic base for the breakers' cooldown clocks.
     epoch: Instant,
+}
+
+impl Health {
+    /// Milliseconds since pool creation (the breakers' cooldown clock).
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
+    }
 }
 
 /// Hard cap on a single backoff sleep so a misconfigured base cannot stall
@@ -886,13 +942,15 @@ impl BackendPool {
             rr_cursor: AtomicUsize::new(0),
             retries: 1,
             backoff_base_ms: 1.0,
-            breaker_threshold: 0,
-            breaker_cooldown_ms: 250.0,
+            health: Health {
+                breaker_threshold: 0,
+                breaker_cooldown_ms: 250.0,
+                decay_half_life_ms: DEFAULT_DECAY_HALF_LIFE_MS,
+                epoch: Instant::now(),
+            },
             hedge_multiplier: 0.0,
             hedge_min_ms: 1.0,
             hedge_gate: parking_lot::Mutex::new(None),
-            decay_half_life_ms: DEFAULT_DECAY_HALF_LIFE_MS,
-            epoch: Instant::now(),
         })
     }
 
@@ -954,8 +1012,8 @@ impl BackendPool {
     /// after `cooldown_ms` (see the module docs). `threshold == 0` disables
     /// the breaker (the default).
     pub fn with_breaker(mut self, threshold: usize, cooldown_ms: f64) -> Self {
-        self.breaker_threshold = threshold as u64;
-        self.breaker_cooldown_ms = cooldown_ms.max(0.0);
+        self.health.breaker_threshold = threshold as u64;
+        self.health.breaker_cooldown_ms = cooldown_ms.max(0.0);
         self
     }
 
@@ -980,7 +1038,7 @@ impl BackendPool {
     /// receive traffic, and so never get the fresh sample proving it
     /// recovered. Decay is on by default (2s half-life); 0 disables it.
     pub fn with_latency_decay(mut self, half_life_ms: f64) -> Self {
-        self.decay_half_life_ms = half_life_ms.max(0.0);
+        self.health.decay_half_life_ms = half_life_ms.max(0.0);
         self
     }
 
@@ -1042,21 +1100,17 @@ impl BackendPool {
     /// what this returns is exactly the estimate routing and hedging act on,
     /// so an idle backend's entry visibly drifts back toward zero.
     pub fn latency_ewma_ms(&self) -> Vec<(String, Option<f64>)> {
-        let now_ms = self.now_ms();
+        let now_ms = self.health.now_ms();
         self.slots
             .iter()
             .map(|slot| {
                 (
                     slot.backend.id().to_string(),
-                    slot.shared.decayed_ewma(now_ms, self.decay_half_life_ms),
+                    slot.shared
+                        .decayed_ewma(now_ms, self.health.decay_half_life_ms),
                 )
             })
             .collect()
-    }
-
-    /// Milliseconds since pool creation (the breakers' cooldown clock).
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
     }
 
     /// Candidate order for the next request under the configured policy.
@@ -1090,12 +1144,12 @@ impl BackendPool {
                 // pool explores each member once before settling. Reads are
                 // staleness-decayed, so a sidelined backend's average drifts
                 // down until it wins a probe request and refreshes itself.
-                let now_ms = self.now_ms();
+                let now_ms = self.health.now_ms();
                 order.sort_by(|&a, &b| {
                     let ewma = |i: usize| {
                         self.slots[i]
                             .shared
-                            .decayed_ewma(now_ms, self.decay_half_life_ms)
+                            .decayed_ewma(now_ms, self.health.decay_half_life_ms)
                             .unwrap_or(0.0)
                     };
                     ewma(a).total_cmp(&ewma(b)).then(a.cmp(&b))
@@ -1134,6 +1188,7 @@ impl BackendPool {
             .map(|&i| PoolCandidate {
                 backend: Arc::clone(&self.slots[i].backend),
                 shared: Arc::clone(&self.slots[i].shared),
+                receipt: BackendReceipt::default(),
             })
             .collect();
         let hedge_plan = if self.hedge_multiplier > 0.0 {
@@ -1146,10 +1201,7 @@ impl BackendPool {
             cands,
             retries: self.retries,
             backoff_base_ms: self.backoff_base_ms,
-            breaker_threshold: self.breaker_threshold,
-            breaker_cooldown_ms: self.breaker_cooldown_ms,
-            decay_half_life_ms: self.decay_half_life_ms,
-            epoch: self.epoch,
+            health: self.health,
             walk: WalkState::Next,
             pos: 0,
             attempt: 0,
@@ -1177,7 +1229,7 @@ impl BackendPool {
             return None;
         }
         let breaker_closed = |i: usize| {
-            self.breaker_threshold == 0
+            self.health.breaker_threshold == 0
                 || self.slots[i]
                     .shared
                     .breaker
@@ -1191,11 +1243,11 @@ impl BackendPool {
         if !breaker_closed(primary) {
             return None;
         }
-        let now_ms = self.now_ms();
+        let now_ms = self.health.now_ms();
         let decayed = |i: usize| {
             self.slots[i]
                 .shared
-                .decayed_ewma(now_ms, self.decay_half_life_ms)
+                .decayed_ewma(now_ms, self.health.decay_half_life_ms)
         };
         let floor_ms = order
             .iter()
@@ -1225,35 +1277,59 @@ impl BackendPool {
 struct PoolCandidate {
     backend: Arc<dyn Backend>,
     shared: Arc<SlotShared>,
+    /// What this call has done on this backend so far.
+    receipt: BackendReceipt,
 }
 
 /// One in-flight attempt inside a [`PoolCall`]: owns the per-backend
 /// `in_flight` increment (and, for a half-open probe, the probe flag) so that
 /// dropping the flight — cancellation by abandonment — always restores the
 /// backend's gauges.
+///
+/// Every attempt event is counted here and nowhere else — a launch, a retry
+/// and a hedge in [`Flight::launch`]; a success, an error and a hedge won in
+/// [`Flight::harvest`] — each on the backend's counters and on the call's
+/// [`BackendReceipt`] together.
 struct Flight {
     handle: CallHandle,
     started: Instant,
     probe: bool,
+    /// A duplicate of a late primary rather than a step of the walk.
+    hedge: bool,
+    /// Index (into the call's candidates) of the backend serving it.
+    cand: usize,
     shared: Arc<SlotShared>,
     /// True while the in-flight increment is still owed back.
     open: bool,
 }
 
 impl Flight {
+    /// Launch attempt `attempt` (> 0 is a retry) of `request` on
+    /// `cands[cand]`.
     fn launch(
-        cand: &PoolCandidate,
+        cands: &mut [PoolCandidate],
+        cand: usize,
         request: &CompletionRequest,
         attempt: usize,
         probe: bool,
+        hedge: bool,
     ) -> Flight {
+        let at = &mut cands[cand];
+        let counters = &at.shared.counters;
         // ordering: Relaxed — calls is a statistic; in_flight is an advisory
         // gauge (a routing hint); no memory is published under either.
-        cand.shared.counters.calls.fetch_add(1, Ordering::Relaxed);
-        cand.shared
-            .counters
-            .in_flight
-            .fetch_add(1, Ordering::Relaxed);
+        counters.calls.fetch_add(1, Ordering::Relaxed);
+        counters.in_flight.fetch_add(1, Ordering::Relaxed);
+        at.receipt.calls += 1;
+        if attempt > 0 {
+            // ordering: Relaxed — statistics counter.
+            counters.retries.fetch_add(1, Ordering::Relaxed);
+        }
+        if hedge {
+            // ordering: Relaxed — statistics counter.
+            counters.hedges.fetch_add(1, Ordering::Relaxed);
+            at.receipt.hedges += 1;
+        }
         // The flight owns its gauges before the backend runs, so a backend
         // that panics inside `submit` still releases them (and a probe
         // claim) on unwind.
@@ -1263,15 +1339,67 @@ impl Flight {
             },
             started: Instant::now(),
             probe,
-            shared: Arc::clone(&cand.shared),
+            hedge,
+            cand,
+            shared: Arc::clone(&at.shared),
             open: true,
         };
-        flight.handle = cand.backend.submit(request, attempt);
+        flight.handle = at.backend.submit(request, attempt);
         flight
     }
 
+    /// Poll the attempt; once it has resolved, release its gauges and count
+    /// its outcome. A failure also says whether this backend is spent for
+    /// the call — a probe gets a single attempt, and a breaker the failure
+    /// just opened dooms any retry.
+    fn harvest(
+        &mut self,
+        now: Instant,
+        cands: &mut [PoolCandidate],
+        health: &Health,
+    ) -> Option<std::result::Result<CompletionResponse, (Error, bool)>> {
+        let outcome = self.handle.poll(now)?;
+        let measured_ms = now.saturating_duration_since(self.started).as_secs_f64() * 1000.0;
+        self.close();
+        let receipt = &mut cands[self.cand].receipt;
+        Some(match outcome {
+            Ok(response) => {
+                let reported_us = self.shared.record_success(
+                    response.latency_ms,
+                    measured_ms,
+                    health.now_ms(),
+                    health.decay_half_life_ms,
+                );
+                receipt.latency_ms += reported_us as f64 / 1000.0;
+                if health.breaker_threshold > 0 {
+                    self.shared.breaker.on_success();
+                }
+                if self.hedge {
+                    // ordering: Relaxed — statistics counter.
+                    self.shared
+                        .counters
+                        .hedges_won
+                        .fetch_add(1, Ordering::Relaxed);
+                    receipt.hedges_won += 1;
+                }
+                Ok(response)
+            }
+            Err(e) => {
+                let opened = self.shared.record_error(
+                    health.now_ms(),
+                    health.breaker_threshold,
+                    health.breaker_cooldown_ms,
+                    self.probe,
+                );
+                receipt.errors += 1;
+                Err((e, self.probe || opened))
+            }
+        })
+    }
+
     /// Normal resolution: release the in-flight increment; breaker state is
-    /// the caller's job (`on_success`/`on_error` own the probe flag there).
+    /// [`Flight::harvest`]'s job (`on_success`/`on_error` own the probe flag
+    /// there).
     fn close(&mut self) {
         if self.open {
             self.open = false;
@@ -1342,10 +1470,7 @@ pub struct PoolCall {
     cands: Vec<PoolCandidate>,
     retries: usize,
     backoff_base_ms: f64,
-    breaker_threshold: u64,
-    breaker_cooldown_ms: f64,
-    decay_half_life_ms: f64,
-    epoch: Instant,
+    health: Health,
     walk: WalkState,
     /// Index (into `cands`) of the candidate the walk is currently on.
     pos: usize,
@@ -1368,10 +1493,6 @@ pub struct PoolCall {
 }
 
 impl PoolCall {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     /// Resolve the whole call: abandon whatever is still in flight.
     fn finish(&mut self) {
         self.walk = WalkState::Done;
@@ -1381,18 +1502,17 @@ impl PoolCall {
         self.hedge_fire_at = None;
     }
 
-    /// Launch the next attempt on the current candidate (attempt > 0 is a
-    /// retry) and arm the hedge timer when this is the primary's first shot.
+    /// Launch the next attempt on the current candidate and arm the hedge
+    /// timer when this is the primary's first shot.
     fn launch_attempt(&mut self, probe: bool) {
-        if self.attempt > 0 {
-            // ordering: Relaxed — statistics counter.
-            self.cands[self.pos]
-                .shared
-                .counters
-                .retries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let flight = Flight::launch(&self.cands[self.pos], &self.request, self.attempt, probe);
+        let flight = Flight::launch(
+            &mut self.cands,
+            self.pos,
+            &self.request,
+            self.attempt,
+            probe,
+            false,
+        );
         if self.pos == 0 && self.attempt == 0 {
             if let Some((_, threshold_ms)) = self.hedge_plan {
                 self.hedge_fire_at =
@@ -1408,47 +1528,22 @@ impl PoolCall {
     /// still working. Returns the final result when the hedge won.
     fn poll_hedge(&mut self, now: Instant) -> Option<Result<CompletionResponse>> {
         if let Some(flight) = &mut self.hedge_flight {
-            if let Some(outcome) = flight.handle.poll(now) {
-                let measured_ms =
-                    now.saturating_duration_since(flight.started).as_secs_f64() * 1000.0;
-                flight.close();
-                let shared = Arc::clone(&flight.shared);
-                self.hedge_flight = None;
-                self.held_permit = None; // slot released with the flight
-                match outcome {
-                    Ok(response) => {
-                        shared.record_success(
-                            response.latency_ms,
-                            measured_ms,
-                            self.now_ms(),
-                            self.decay_half_life_ms,
+            let outcome = flight.harvest(now, &mut self.cands, &self.health)?;
+            self.hedge_flight = None;
+            self.held_permit = None; // slot released with the flight
+            match outcome {
+                Ok(response) => {
+                    if let Some(beaten) = &self.flight {
+                        beaten.shared.observe_latency_at_least(
+                            now.saturating_duration_since(beaten.started).as_secs_f64() * 1000.0,
+                            self.health.now_ms(),
+                            self.health.decay_half_life_ms,
                         );
-                        if self.breaker_threshold > 0 {
-                            shared.breaker.on_success();
-                        }
-                        // ordering: Relaxed — statistics counter.
-                        shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-                        if let Some(beaten) = &self.flight {
-                            beaten.shared.observe_latency_at_least(
-                                now.saturating_duration_since(beaten.started).as_secs_f64()
-                                    * 1000.0,
-                                self.now_ms(),
-                                self.decay_half_life_ms,
-                            );
-                        }
-                        self.finish();
-                        return Some(Ok(response));
                     }
-                    Err(e) => {
-                        shared.record_error(
-                            self.now_ms(),
-                            self.breaker_threshold,
-                            self.breaker_cooldown_ms,
-                            false,
-                        );
-                        self.last_err = Some(e);
-                    }
+                    self.finish();
+                    return Some(Ok(response));
                 }
+                Err((e, _)) => self.last_err = Some(e),
             }
             return None;
         }
@@ -1466,11 +1561,15 @@ impl PoolCall {
                         Some(gate) => gate(),
                     };
                     if let Some(permit) = permit {
-                        let cand = &self.cands[target];
-                        // ordering: Relaxed — statistics counter.
-                        cand.shared.counters.hedges.fetch_add(1, Ordering::Relaxed);
                         self.held_permit = Some(permit);
-                        self.hedge_flight = Some(Flight::launch(cand, &self.request, 0, false));
+                        self.hedge_flight = Some(Flight::launch(
+                            &mut self.cands,
+                            target,
+                            &self.request,
+                            0,
+                            false,
+                            true,
+                        ));
                         self.hedge_used = Some(target);
                     }
                 }
@@ -1521,15 +1620,12 @@ impl CallMachine for PoolCall {
                         self.pos += 1;
                         continue;
                     }
-                    let probe = if self.breaker_threshold > 0 {
-                        match self.cands[self.pos].shared.breaker.admission(self.now_ms()) {
+                    let probe = if self.health.breaker_threshold > 0 {
+                        let cand = &self.cands[self.pos].shared;
+                        match cand.breaker.admission(self.health.now_ms()) {
                             Admission::Skip => {
                                 // ordering: Relaxed — statistics counter.
-                                self.cands[self.pos]
-                                    .shared
-                                    .counters
-                                    .short_circuits
-                                    .fetch_add(1, Ordering::Relaxed);
+                                cand.counters.short_circuits.fetch_add(1, Ordering::Relaxed);
                                 self.short_circuited += 1;
                                 self.pos += 1;
                                 continue;
@@ -1545,38 +1641,16 @@ impl CallMachine for PoolCall {
                 }
                 WalkState::InFlight => {
                     let flight = self.flight.as_mut().expect("in-flight walk has a flight");
-                    let outcome = flight.handle.poll(now)?;
-                    let measured_ms =
-                        now.saturating_duration_since(flight.started).as_secs_f64() * 1000.0;
-                    let probe = flight.probe;
-                    flight.close();
-                    let shared = Arc::clone(&flight.shared);
+                    let outcome = flight.harvest(now, &mut self.cands, &self.health)?;
                     self.flight = None;
                     match outcome {
                         Ok(response) => {
-                            shared.record_success(
-                                response.latency_ms,
-                                measured_ms,
-                                self.now_ms(),
-                                self.decay_half_life_ms,
-                            );
-                            if self.breaker_threshold > 0 {
-                                shared.breaker.on_success();
-                            }
                             self.finish();
                             return Some(Ok(response));
                         }
-                        Err(e) => {
-                            let opened = shared.record_error(
-                                self.now_ms(),
-                                self.breaker_threshold,
-                                self.breaker_cooldown_ms,
-                                probe,
-                            );
+                        Err((e, spent)) => {
                             self.last_err = Some(e);
-                            // A probe gets a single attempt; an open breaker
-                            // makes remaining retries doomed — fail over.
-                            if probe || opened || self.attempt >= self.retries {
+                            if spent || self.attempt >= self.retries {
                                 self.pos += 1;
                                 self.walk = WalkState::Next;
                             } else {
@@ -1638,6 +1712,12 @@ impl CallMachine for PoolCall {
             fold(Some(fire_at));
         }
         earliest
+    }
+
+    fn backend_receipts(&self, visit: &mut dyn FnMut(&str, &BackendReceipt)) {
+        for cand in &self.cands {
+            visit(cand.backend.id(), &cand.receipt);
+        }
     }
 }
 

@@ -36,19 +36,14 @@ impl UsageStats {
         self.prompt_tokens + self.completion_tokens
     }
 
-    /// The difference `self - baseline`, useful to isolate the usage of a
-    /// single query from a shared client.
-    pub fn since(&self, baseline: &UsageStats) -> UsageStats {
-        UsageStats {
-            calls: self.calls.saturating_sub(baseline.calls),
-            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
-            prompt_tokens: self.prompt_tokens.saturating_sub(baseline.prompt_tokens),
-            completion_tokens: self
-                .completion_tokens
-                .saturating_sub(baseline.completion_tokens),
-            cost_usd: (self.cost_usd - baseline.cost_usd).max(0.0),
-            latency_ms: (self.latency_ms - baseline.latency_ms).max(0.0),
-        }
+    /// Add `other`'s totals to these: how a query sums its calls' usage.
+    pub fn absorb(&mut self, other: &UsageStats) {
+        self.calls += other.calls;
+        self.cache_hits += other.cache_hits;
+        self.prompt_tokens += other.prompt_tokens;
+        self.completion_tokens += other.completion_tokens;
+        self.cost_usd += other.cost_usd;
+        self.latency_ms += other.latency_ms;
     }
 }
 
@@ -95,14 +90,16 @@ mod tests {
     }
 
     #[test]
-    fn since_isolates_the_usage_after_a_snapshot() {
-        let mut a = UsageStats::default();
-        a.record(&resp(10, 10));
-        let snapshot = a.clone();
-        a.record(&resp(5, 5));
-        let delta = a.since(&snapshot);
-        assert_eq!(delta.calls, 1);
-        assert_eq!(delta.total_tokens(), 10);
+    fn absorb_adds_every_field() {
+        let mut one = UsageStats::default();
+        one.record(&resp(10, 10));
+        one.cache_hits = 2;
+        let mut total = one.clone();
+        total.absorb(&one);
+        assert_eq!((total.calls, total.cache_hits), (2, 4));
+        assert_eq!(total.total_tokens(), 40);
+        assert!((total.cost_usd - 0.02).abs() < 1e-12);
+        assert!((total.latency_ms - 200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod tokenizer;
 mod wait;
 
 pub use backend::{
-    Backend, BackendPool, BackendStats, CallHandle, CallMachine, DirectBackend, HedgePermitGate,
-    PoolCall, RemoteLlm,
+    Backend, BackendPool, BackendReceipt, BackendStats, CallHandle, CallMachine, DirectBackend,
+    HedgePermitGate, PoolCall, RemoteLlm,
 };
 pub use batch::{is_packed, pack_prompts, split_response, split_sections, BATCH_SEPARATOR};
 pub use cache::PromptCache;
@@ -95,7 +95,12 @@ mod proptests {
 
     fn arb_task() -> impl Strategy<Value = TaskSpec> {
         let ident = "[a-z][a-z0-9_]{0,8}";
-        let cols = proptest::collection::vec("[a-z][a-z0-9_]{0,8}", 1..4);
+        // A column name is any quoted identifier: hostile too, `|` — the
+        // `columns:` line's own separator — included. Never empty.
+        let cols = || {
+            let column = ("[a-z]", arb_hostile_text()).prop_map(|(first, rest)| first + &rest);
+            proptest::collection::vec(column, 1..4)
+        };
         let filter = || proptest::option::of(arb_hostile_text());
         prop_oneof![
             (ident, filter(), 1usize..200, 0usize..50).prop_map(
@@ -106,7 +111,7 @@ mod proptests {
                     offset
                 }
             ),
-            (ident, cols.clone(), filter(), 1usize..200, 0usize..50).prop_map(
+            (ident, cols(), filter(), 1usize..200, 0usize..50).prop_map(
                 |(table, columns, filter, limit, offset)| TaskSpec::RowBatch {
                     table,
                     columns,
@@ -115,7 +120,7 @@ mod proptests {
                     offset
                 }
             ),
-            (ident, arb_hostile_text(), cols.clone()).prop_map(|(table, key, columns)| {
+            (ident, arb_hostile_text(), cols()).prop_map(|(table, key, columns)| {
                 TaskSpec::Lookup {
                     table,
                     key,
@@ -129,7 +134,7 @@ mod proptests {
                     condition,
                 }
             }),
-            (arb_hostile_text(), cols.clone())
+            (arb_hostile_text(), cols())
                 .prop_map(|(sql, columns)| TaskSpec::FullQuery { sql, columns }),
         ]
     }

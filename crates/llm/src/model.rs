@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 
 use llmsql_types::{LlmCostModel, Result};
 
-use crate::backend::{BackendPool, BackendStats, CallHandle};
+use crate::backend::{BackendPool, BackendReceipt, BackendStats, CallHandle};
 use crate::cache::PromptCache;
 use crate::coalesce::{Claim, CoalesceEntry, CoalesceGuard, FollowerPoll, PromptCoalescer};
 use crate::cost::UsageStats;
@@ -283,7 +283,9 @@ impl LlmClient {
             key,
             guard: None,
             coalesced: false,
+            usage: UsageStats::default(),
             permit: None,
+            handle: None,
             state: CcState::Start,
         }
     }
@@ -334,8 +336,8 @@ enum CcState {
     /// re-consult it at `retry_at` (absolute, so the event loop's due-check
     /// actually comes due).
     AwaitingSlot { retry_at: Instant },
-    /// Dispatched to the model.
-    InFlight { handle: CallHandle },
+    /// Dispatched to the model: the call's handle is resolving.
+    InFlight,
     /// Resolved (result already handed out).
     Done,
 }
@@ -375,8 +377,14 @@ pub struct ClientCall {
     guard: Option<CoalesceGuard>,
     /// True when the result was served from another call's in-flight request.
     coalesced: bool,
+    /// What this call added to the client's [`LlmClient::usage`]: written
+    /// beside it, at the same two sites.
+    usage: UsageStats,
     /// The admission permit held from dispatch to resolution.
     permit: Option<Box<dyn std::any::Any + Send>>,
+    /// The model-side flight, from dispatch on. Kept once it has resolved:
+    /// it holds what the flight did (see [`ClientCall::backend_receipts`]).
+    handle: Option<CallHandle>,
     state: CcState,
 }
 
@@ -405,6 +413,7 @@ impl ClientCall {
                             // its claim; its followers re-check the cache.
                             self.guard = None;
                             self.client.usage.lock().cache_hits += 1;
+                            self.usage.cache_hits += 1;
                             self.state = CcState::Done;
                             return Some(Ok(hit));
                         }
@@ -454,8 +463,8 @@ impl ClientCall {
                 CcState::AwaitingSlot { .. } => match gate() {
                     Some(permit) => {
                         self.permit = Some(permit);
-                        let handle = self.client.model.submit(&self.request);
-                        self.state = CcState::InFlight { handle };
+                        self.handle = Some(self.client.model.submit(&self.request));
+                        self.state = CcState::InFlight;
                     }
                     None => {
                         self.state = CcState::AwaitingSlot {
@@ -464,13 +473,14 @@ impl ClientCall {
                         return None;
                     }
                 },
-                CcState::InFlight { handle } => {
+                CcState::InFlight => {
                     // The one allocation of an answer: the cache entry, the
                     // followers and the caller all share it from here.
-                    let outcome = handle.poll(now)?.map(Arc::new);
+                    let outcome = self.handle.as_mut()?.poll(now)?.map(Arc::new);
                     self.permit = None;
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
+                        self.usage.record(response);
                         if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
                             cache.put(key, Arc::clone(response));
                         }
@@ -497,7 +507,7 @@ impl ClientCall {
             CcState::Follower { retry_at, .. } | CcState::AwaitingSlot { retry_at } => {
                 Some(*retry_at)
             }
-            CcState::InFlight { handle } => handle.next_wakeup(now),
+            CcState::InFlight => self.handle.as_ref()?.next_wakeup(now),
         }
     }
 
@@ -505,6 +515,23 @@ impl ClientCall {
     /// in-flight request (zero physical calls issued by this one).
     pub fn coalesced(&self) -> bool {
         self.coalesced
+    }
+
+    /// This call's own share of [`LlmClient::usage`]: one cache hit, or the
+    /// one completion the model served it — nothing for a follower, a failed
+    /// call or one still pending.
+    pub fn usage(&self) -> &UsageStats {
+        &self.usage
+    }
+
+    /// This call's own share of [`LlmClient::backend_stats`]: what its flight
+    /// has done on each backend of the pool, in routing order (see
+    /// [`crate::CallMachine::backend_receipts`]). Readable at any time — a
+    /// call dropped mid-flight has paid for its attempts all the same.
+    pub fn backend_receipts(&self, visit: &mut dyn FnMut(&str, &BackendReceipt)) {
+        if let Some(handle) = &self.handle {
+            handle.backend_receipts(visit);
+        }
     }
 
     /// Block the calling thread until the call resolves, admitting its

@@ -43,8 +43,11 @@
 //! in a value, `\` is written `\\`, a newline `\n` and a carriage return
 //! `\r`, so a value is always one line, and [`parse_task`] undoes it. A
 //! section heading is `### ` *at the start of a line*, which an escaped value
-//! cannot produce. A value with none of the three characters — every prompt
-//! the engine rendered before the rule existed — is written as it always was.
+//! cannot produce. The `columns:` line is a list: its names are joined by
+//! ` | `, so within a name the writer also spells `|` as `\|`, and the reader
+//! splits only at a `|` no backslash escapes. A value with none of these
+//! characters — every prompt the engine rendered before the rule existed — is
+//! written as it always was.
 //! The prose under `### INSTRUCTIONS` repeats the key, condition or statement
 //! as written: nothing reads it back.
 
@@ -186,8 +189,10 @@ enum Slot {
 const SKIPPING: &str = ", skipping the first ";
 
 /// A header value as the header holds it: one line (see the module docs).
-fn escape_value(value: &str) -> Cow<'_, str> {
-    if !value.contains(['\\', '\n', '\r']) {
+/// An item of a list also has its `|` escaped: the list's separator.
+fn escape_value(value: &str, in_list: bool) -> Cow<'_, str> {
+    let special = |c: char| matches!(c, '\\' | '\n' | '\r') || (in_list && c == '|');
+    if !value.contains(special) {
         return Cow::Borrowed(value);
     }
     let mut out = String::with_capacity(value.len() + 8);
@@ -196,6 +201,7 @@ fn escape_value(value: &str) -> Cow<'_, str> {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
+            '|' if in_list => out.push_str("\\|"),
             c => out.push(c),
         }
     }
@@ -215,11 +221,37 @@ fn unescape_value(line: &str) -> String {
         match chars.next() {
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
+            Some('|') => out.push('|'),
             Some('\\') | None => out.push('\\'),
             Some(other) => out.extend(['\\', other]),
         }
     }
     out
+}
+
+/// The items of a list header line: cut at every `|` no backslash escapes,
+/// then each read as a value. Empty items are skipped.
+fn unescape_list(line: &str) -> Vec<String> {
+    let mut items = Vec::new();
+    let mut start = 0;
+    let mut escaped = false;
+    for (at, c) in line.char_indices() {
+        if escaped {
+            escaped = false;
+        } else if c == '\\' {
+            escaped = true;
+        } else if c == '|' {
+            items.push(&line[start..at]);
+            start = at + 1;
+        }
+    }
+    items.push(&line[start..]);
+    items
+        .into_iter()
+        .map(str::trim)
+        .filter(|item| !item.is_empty())
+        .map(unescape_value)
+        .collect()
 }
 
 /// Decimal digits of `n`.
@@ -378,7 +410,7 @@ impl PromptTemplate {
 
     /// Copy the fixed text, writing each slot's field where it belongs.
     fn render(&self, key: &str, limit: usize, offset: usize) -> String {
-        let header_key = escape_value(key);
+        let header_key = escape_value(key, false);
         let width = |slot: Slot| match slot {
             Slot::Key => key.len(),
             Slot::HeaderKey => header_key.len(),
@@ -426,7 +458,7 @@ impl PromptTemplate {
     /// One `name: value` header line.
     fn line(&mut self, name: &str, value: &str) {
         // Writing to a `String` cannot fail.
-        let _ = write!(self.text, "\n{name}: {}", escape_value(value));
+        let _ = write!(self.text, "\n{name}: {}", escape_value(value, false));
     }
 
     /// `items`, separated by `separator`.
@@ -439,10 +471,15 @@ impl PromptTemplate {
         }
     }
 
-    /// The `columns:` header line.
+    /// The `columns:` header line: a list.
     fn columns_line(&mut self, columns: &[impl AsRef<str>]) {
         self.text.push_str("\ncolumns: ");
-        self.joined(columns, " | ");
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                self.text.push_str(" | ");
+            }
+            self.text.push_str(&escape_value(column.as_ref(), true));
+        }
     }
 
     /// The `key:` header line.
@@ -515,39 +552,30 @@ pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
     lines
         .next()
         .ok_or_else(|| Error::llm("prompt has no ### TASK section"))?;
+    // Values stay as written until asked for: how one is read depends on
+    // the field.
     let mut kind = None;
-    let mut fields: Vec<(String, String)> = Vec::new();
+    let mut fields: Vec<(&str, &str)> = Vec::new();
     for line in lines.take_while(|line| !line.starts_with("### ")) {
         let Some((k, v)) = line.split_once(':') else {
             continue;
         };
-        let k = k.trim().to_string();
-        let v = unescape_value(v.trim());
+        let (k, v) = (k.trim(), v.trim());
         if k == "kind" {
-            kind = Some(v);
+            kind = Some(unescape_value(v));
         } else {
             fields.push((k, v));
         }
     }
     let kind = kind.ok_or_else(|| Error::llm("task header missing 'kind'"))?;
-    let get = |name: &str| -> Option<String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
-    };
-    let require = |name: &str| -> Result<String> {
-        get(name).ok_or_else(|| Error::llm(format!("task header missing '{name}'")))
-    };
+    let raw = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+    let missing = |name: &str| Error::llm(format!("task header missing '{name}'"));
+    let get = |name: &str| raw(name).map(unescape_value);
+    let require = |name: &str| get(name).ok_or_else(|| missing(name));
     let parse_usize = |name: &str, default: usize| -> usize {
-        get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        raw(name).and_then(|v| v.parse().ok()).unwrap_or(default)
     };
-    let parse_columns = |v: String| -> Vec<String> {
-        v.split('|')
-            .map(|c| c.trim().to_string())
-            .filter(|c| !c.is_empty())
-            .collect()
-    };
+    let columns = || raw("columns").map(unescape_list);
 
     let spec = match kind.as_str() {
         "enumerate" => TaskSpec::Enumerate {
@@ -558,7 +586,7 @@ pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
         },
         "row_batch" => TaskSpec::RowBatch {
             table: require("table")?,
-            columns: parse_columns(require("columns")?),
+            columns: columns().ok_or_else(|| missing("columns"))?,
             filter: get("filter"),
             limit: parse_usize("limit", 100),
             offset: parse_usize("offset", 0),
@@ -566,7 +594,7 @@ pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
         "lookup" => TaskSpec::Lookup {
             table: require("table")?,
             key: require("key")?,
-            columns: parse_columns(require("columns")?),
+            columns: columns().ok_or_else(|| missing("columns"))?,
         },
         "filter_check" => TaskSpec::FilterCheck {
             table: require("table")?,
@@ -575,7 +603,7 @@ pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
         },
         "full_query" => TaskSpec::FullQuery {
             sql: require("sql")?,
-            columns: get("columns").map(parse_columns).unwrap_or_default(),
+            columns: columns().unwrap_or_default(),
         },
         other => return Err(Error::llm(format!("unknown task kind '{other}'"))),
     };

@@ -2,17 +2,15 @@
 //!
 //! The store is the traditional-DBMS baseline of the reproduction and also
 //! the *ground-truth oracle* the accuracy experiments compare LLM answers
-//! against. It is deliberately simple: a `Vec<Row>` guarded by a `RwLock`,
-//! with optional hash / B-tree indexes maintained on mutation.
+//! against. It is deliberately simple: a `Vec<Row>` guarded by a `RwLock`.
+//! There are no indexes — no statement, planner rule or operator would read
+//! one; a primary key is enforced by a scan on insert.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use llmsql_types::{DataType, Error, Result, Row, Schema, Value};
-
-use crate::index::{BTreeIndex, HashIndex, Index};
 
 /// A handle to a table; cheap to clone.
 #[derive(Clone)]
@@ -23,8 +21,6 @@ pub struct Table {
 struct TableInner {
     schema: Schema,
     rows: Vec<Row>,
-    /// Secondary indexes keyed by column index.
-    indexes: BTreeMap<usize, Index>,
     /// Monotonically increasing version, bumped on every mutation; used by
     /// readers that want to detect concurrent changes.
     version: u64,
@@ -34,19 +30,12 @@ impl Table {
     /// Create an empty table for the given schema.
     pub fn new(schema: Schema) -> Result<Self> {
         schema.validate()?;
-        let mut inner = TableInner {
-            schema,
-            rows: Vec::new(),
-            indexes: BTreeMap::new(),
-            version: 0,
-        };
-        // Primary-key columns automatically get a hash index for uniqueness
-        // checks and point lookups.
-        for idx in inner.schema.primary_key_indices() {
-            inner.indexes.insert(idx, Index::Hash(HashIndex::new()));
-        }
         Ok(Table {
-            inner: Arc::new(RwLock::new(inner)),
+            inner: Arc::new(RwLock::new(TableInner {
+                schema,
+                rows: Vec::new(),
+                version: 0,
+            })),
         })
     }
 
@@ -145,17 +134,6 @@ impl Table {
             coerced.push(row);
         }
 
-        let base = inner.rows.len();
-        for (offset, row) in coerced.iter().enumerate() {
-            let row_id = base + offset;
-            let indexed: Vec<usize> = inner.indexes.keys().copied().collect();
-            for col in indexed {
-                let value = row.get(col).clone();
-                if let Some(index) = inner.indexes.get_mut(&col) {
-                    index.insert(value, row_id);
-                }
-            }
-        }
         let n = coerced.len();
         inner.rows.extend(coerced);
         inner.version += 1;
@@ -186,88 +164,12 @@ impl Table {
         }
     }
 
-    /// Point lookup through an index if one exists on the column, otherwise a
-    /// scan.
+    /// The rows whose `column` holds `value`.
     pub fn lookup(&self, column: usize, value: &Value) -> Vec<Row> {
-        let inner = self.inner.read();
-        if let Some(index) = inner.indexes.get(&column) {
-            index
-                .get(value)
-                .into_iter()
-                .filter_map(|row_id| inner.rows.get(row_id).cloned())
-                .collect()
-        } else {
-            inner
-                .rows
-                .iter()
-                .filter(|r| r.get(column) == value)
-                .cloned()
-                .collect()
-        }
-    }
-
-    /// Range lookup `[low, high]` (inclusive bounds, either optional) on a
-    /// column; uses a B-tree index when available.
-    pub fn range_lookup(
-        &self,
-        column: usize,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Vec<Row> {
-        let inner = self.inner.read();
-        if let Some(Index::BTree(btree)) = inner.indexes.get(&column) {
-            return btree
-                .range(low, high)
-                .into_iter()
-                .filter_map(|row_id| inner.rows.get(row_id).cloned())
-                .collect();
-        }
-        inner
-            .rows
-            .iter()
-            .filter(|r| {
-                let v = r.get(column);
-                if v.is_null() {
-                    return false;
-                }
-                let ge = low
-                    .map(|l| v.total_cmp(l) != std::cmp::Ordering::Less)
-                    .unwrap_or(true);
-                let le = high
-                    .map(|h| v.total_cmp(h) != std::cmp::Ordering::Greater)
-                    .unwrap_or(true);
-                ge && le
-            })
-            .cloned()
-            .collect()
-    }
-
-    /// Build a secondary index on a column.
-    pub fn create_index(&self, column_name: &str, btree: bool) -> Result<()> {
-        let mut inner = self.inner.write();
-        let col = inner
-            .schema
-            .index_of(column_name)
-            .ok_or_else(|| Error::schema(format!("no column '{column_name}'")))?;
-        let mut index = if btree {
-            Index::BTree(BTreeIndex::new())
-        } else {
-            Index::Hash(HashIndex::new())
-        };
-        for (row_id, row) in inner.rows.iter().enumerate() {
-            index.insert(row.get(col).clone(), row_id);
-        }
-        inner.indexes.insert(col, index);
-        Ok(())
-    }
-
-    /// True if the column has an index.
-    pub fn has_index(&self, column: usize) -> bool {
-        self.inner.read().indexes.contains_key(&column)
+        self.scan_filtered(|r| r.get(column) == value)
     }
 
     /// Update rows matching `pred`, applying `f`; returns the number updated.
-    /// Indexes are rebuilt afterwards.
     pub fn update_where(&self, pred: impl Fn(&Row) -> bool, f: impl Fn(&mut Row)) -> Result<usize> {
         let mut inner = self.inner.write();
         let schema = inner.schema.clone();
@@ -286,7 +188,6 @@ impl Table {
         }
         inner.rows = new_rows;
         inner.version += 1;
-        Self::rebuild_indexes(&mut inner);
         Ok(updated)
     }
 
@@ -298,7 +199,6 @@ impl Table {
         let deleted = before - inner.rows.len();
         if deleted > 0 {
             inner.version += 1;
-            Self::rebuild_indexes(&mut inner);
         }
         deleted
     }
@@ -308,23 +208,6 @@ impl Table {
         let mut inner = self.inner.write();
         inner.rows.clear();
         inner.version += 1;
-        Self::rebuild_indexes(&mut inner);
-    }
-
-    fn rebuild_indexes(inner: &mut TableInner) {
-        let cols: Vec<usize> = inner.indexes.keys().copied().collect();
-        for col in cols {
-            let is_btree = matches!(inner.indexes.get(&col), Some(Index::BTree(_)));
-            let mut index = if is_btree {
-                Index::BTree(BTreeIndex::new())
-            } else {
-                Index::Hash(HashIndex::new())
-            };
-            for (row_id, row) in inner.rows.iter().enumerate() {
-                index.insert(row.get(col).clone(), row_id);
-            }
-            inner.indexes.insert(col, index);
-        }
     }
 
     /// Simple per-column statistics used by the planner's cost model.
@@ -472,26 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn point_lookup_uses_pk_index() {
+    fn lookup_finds_the_rows_holding_a_value() {
         let t = sample_table();
-        assert!(t.has_index(0));
         let rows = t.lookup(0, &Value::Text("bob".into()));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), &Value::Int(25));
-        // non-indexed column falls back to scan
         let rows = t.lookup(2, &Value::Text("paris".into()));
         assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn range_lookup_with_and_without_index() {
-        let t = sample_table();
-        let rows = t.range_lookup(1, Some(&Value::Int(26)), None);
-        assert_eq!(rows.len(), 2);
-        t.create_index("age", true).unwrap();
-        let rows = t.range_lookup(1, Some(&Value::Int(26)), Some(&Value::Int(31)));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(0), &Value::Text("alice".into()));
     }
 
     #[test]
@@ -522,10 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn pk_index_survives_mutation() {
+    fn lookup_sees_a_delete() {
         let t = sample_table();
         t.delete_where(|r| r.get(0) == &Value::Text("alice".into()));
-        // index rebuilt: lookup of remaining key still works
         let rows = t.lookup(0, &Value::Text("carol".into()));
         assert_eq!(rows.len(), 1);
         let rows = t.lookup(0, &Value::Text("alice".into()));

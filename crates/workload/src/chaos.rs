@@ -5,7 +5,7 @@
 //! a 200-row `countries` scan at parallelism 8 over four simulated
 //! endpoints, with a single [`ChaosPlan`] scheduling a hard-down outage, a
 //! 20× latency storm and an error burst. Three invariants are checked by
-//! [`ChaosSuiteOutcome::verify`]:
+//! [`ChaosSuiteOutcome::verify`], and a fourth at the end of every run:
 //!
 //! 1. **Faults never change answers.** The rows produced under chaos (with
 //!    breakers, hedging and failover absorbing the faults) are byte-identical
@@ -15,9 +15,14 @@
 //! 3. **Chaos is deterministic.** With interleaving-independent routing
 //!    ([`RoutingPolicy::PromptHash`], breakers and hedging off), the same
 //!    seed reproduces identical per-backend counters run over run.
+//! 4. **Accounting is conserved.** Each run is one query on a fresh
+//!    deployment, so the query's own bill — model calls, tokens, per-backend
+//!    attempts and errors, hedges — equals the deployment's counters however
+//!    many retries, failovers and hedges the faults caused
+//!    ([`run_chaos_scan`] fails otherwise).
 
-use llmsql_core::Engine;
-use llmsql_llm::BackendStats;
+use llmsql_core::{Engine, QueryResult};
+use llmsql_llm::{BackendStats, UsageStats};
 use llmsql_types::{
     BackendSpec, Batch, ChaosFault, ChaosPlan, EngineConfig, Error, ExecutionMode, LlmFidelity,
     PromptStrategy, Result, RoutingPolicy,
@@ -120,13 +125,82 @@ pub struct ChaosReport {
     pub backend_stats: Vec<BackendStats>,
 }
 
-/// Execute the scenario scan on `engine` and collect the report.
+/// The conservation invariant of accounting: the bills of `results` — every
+/// query a deployment has served, all finished — sum to the deployment's own
+/// counters, the client's `usage` and the pool's per-backend `backends`:
+/// model calls, cache hits, tokens, dollars and reported latency; attempts,
+/// errors and reported latency per backend; hedges issued and won. Fails
+/// naming the first number that does not add up.
+pub fn check_accounting_conserved(
+    results: &[QueryResult],
+    usage: &UsageStats,
+    backends: &[BackendStats],
+) -> Result<()> {
+    let differs = |what: &str, billed: f64, counted: f64| {
+        let tolerance = 1e-9 * billed.abs().max(counted.abs()).max(1.0);
+        if (billed - counted).abs() <= tolerance {
+            return Ok(());
+        }
+        Err(Error::execution(format!(
+            "accounting is not conserved: {what}: the queries were billed {billed}, \
+             the deployment counted {counted}"
+        )))
+    };
+    let mut billed = UsageStats::default();
+    for result in results {
+        billed.absorb(&result.usage);
+    }
+    differs("model calls", billed.calls as f64, usage.calls as f64)?;
+    differs(
+        "cache hits",
+        billed.cache_hits as f64,
+        usage.cache_hits as f64,
+    )?;
+    differs(
+        "tokens",
+        billed.total_tokens() as f64,
+        usage.total_tokens() as f64,
+    )?;
+    differs("USD", billed.cost_usd, usage.cost_usd)?;
+    differs("model latency", billed.latency_ms, usage.latency_ms)?;
+    let metrics = || results.iter().map(|r| &r.metrics);
+    for backend in backends {
+        let id = &backend.id;
+        let (mut calls, mut errors, mut latency_ms) = (0, 0, 0.0);
+        for m in metrics() {
+            calls += m.backend_calls.get(id).copied().unwrap_or(0);
+            errors += m.backend_errors.get(id).copied().unwrap_or(0);
+            latency_ms += m.backend_latency_ms.get(id).copied().unwrap_or(0.0);
+        }
+        differs(
+            &format!("attempts on {id}"),
+            calls as f64,
+            backend.calls as f64,
+        )?;
+        differs(
+            &format!("errors on {id}"),
+            errors as f64,
+            backend.errors as f64,
+        )?;
+        differs(&format!("latency on {id}"), latency_ms, backend.latency_ms)?;
+    }
+    let hedges: u64 = metrics().map(|m| m.hedges_issued).sum();
+    let counted: u64 = backends.iter().map(|b| b.hedges).sum();
+    differs("hedges issued", hedges as f64, counted as f64)?;
+    let won: u64 = metrics().map(|m| m.hedges_won).sum();
+    let counted: u64 = backends.iter().map(|b| b.hedges_won).sum();
+    differs("hedges won", won as f64, counted as f64)
+}
+
+/// Execute the scenario scan on `engine` (fresh: the scan is all its client
+/// and pool have served), check that the query's bill is the deployment's
+/// ([`check_accounting_conserved`]), and collect the report.
 pub fn run_chaos_scan(engine: &Engine) -> Result<ChaosReport> {
     let result = engine.execute(CHAOS_SQL)?;
-    let backend_stats = engine
-        .client()
-        .and_then(|c| c.backend_stats())
-        .unwrap_or_default();
+    let client = engine.client();
+    let backend_stats = client.and_then(|c| c.backend_stats()).unwrap_or_default();
+    let usage = client.map(|c| c.usage()).unwrap_or_default();
+    check_accounting_conserved(std::slice::from_ref(&result), &usage, &backend_stats)?;
     Ok(ChaosReport {
         logical_calls: result.metrics.llm_calls(),
         attempts: backend_stats.iter().map(|s| s.calls).sum(),

@@ -22,8 +22,8 @@ pub mod report;
 pub mod world;
 
 pub use chaos::{
-    chaos_engine, chaos_plan, chaos_world_spec, run_chaos_scan, run_chaos_suite, ChaosReport,
-    ChaosSuiteOutcome, CHAOS_BACKENDS, CHAOS_ROWS, CHAOS_SQL,
+    chaos_engine, chaos_plan, chaos_world_spec, check_accounting_conserved, run_chaos_scan,
+    run_chaos_suite, ChaosReport, ChaosSuiteOutcome, CHAOS_BACKENDS, CHAOS_ROWS, CHAOS_SQL,
 };
 pub use harness::{run_suite, CaseOutcome, SuiteOutcome};
 pub use queries::{

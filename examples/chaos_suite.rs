@@ -8,7 +8,9 @@
 //! 1. rows under chaos are byte-identical to the fault-free run,
 //! 2. physical retry spend stays under `logical × backends × (1 + retries)`
 //!    plus hedges,
-//! 3. the same seed reproduces identical per-backend counters.
+//! 3. the same seed reproduces identical per-backend counters,
+//! 4. every run's query is billed exactly what its deployment counted
+//!    (checked as each run ends).
 //!
 //! Run with: `cargo run --release --example chaos_suite`
 
@@ -48,7 +50,7 @@ fn main() {
     outcome.verify().expect("robustness invariants must hold");
     println!(
         "\nall invariants hold: rows byte-identical, {} attempts <= ceiling {}, \
-         per-backend stats reproduce exactly",
+         per-backend stats reproduce exactly, every query's bill is its deployment's",
         outcome.absorbed.attempts, outcome.attempt_ceiling
     );
 }

@@ -2,6 +2,8 @@
 //! traffic shapes share one engine through a `QueryScheduler` — admission
 //! control bounds the queue, a weighted fair-share policy divides LLM call
 //! slots 4:2:1, and every ticket reports queue/run/slot-wait accounting.
+//! Each result carries its own bill, so a tenant's dollars are the sum of its
+//! queries' — and the tenants' sum to what the deployment's client counted.
 //!
 //! Run with: `cargo run --release --example concurrent_queries`
 
@@ -113,5 +115,29 @@ fn main() {
         println!("  {tenant:<12} {calls:>5}");
     }
     assert!(stats.peak_slots_in_use <= stats.slot_capacity as u64);
+
+    // A query's bill is what its own requests did, whatever ran beside it:
+    // per-tenant spend is a plain sum over the tenant's outcomes.
+    let mut tenant_usd = std::collections::BTreeMap::<&str, (u64, f64)>::new();
+    for outcome in &outcomes {
+        let usage = &outcome.result.as_ref().expect("checked above").usage;
+        let (calls, usd) = tenant_usd.entry(outcome.tenant.as_str()).or_default();
+        *calls += usage.calls;
+        *usd += usage.cost_usd;
+    }
+    println!("per-tenant spend (summed from the outcomes):");
+    for (tenant, (calls, usd)) in &tenant_usd {
+        println!("  {tenant:<12} {calls:>5} model calls  ${usd:.4}");
+    }
+    let deployment = sched.engine().client().expect("model attached").usage();
+    let (calls, usd) = tenant_usd
+        .values()
+        .fold((0, 0.0), |(c, u), (calls, usd)| (c + calls, u + usd));
+    println!(
+        "  {:<12} {:>5} model calls  ${:.4}  (the client's own count)",
+        "deployment", deployment.calls, deployment.cost_usd
+    );
+    assert_eq!(calls, deployment.calls, "tenant bills != the deployment's");
+    assert!((usd - deployment.cost_usd).abs() < 1e-9);
     println!("\nidentical rows and call counts under concurrent scheduling ✓");
 }

@@ -108,6 +108,32 @@ fn a_quoted_or_keyword_column_name_reaches_the_model_as_sql_that_parses() {
     );
 }
 
+/// ROADMAP item 1(c): the `columns:` header line is a list joined by ` | `,
+/// and a quoted column name may hold that separator, the escape character or
+/// a line break: each must still read back as the one column it names.
+#[test]
+fn a_column_name_holding_the_list_separator_or_a_line_break_is_still_one_column() {
+    let values: Vec<String> = (0..12)
+        .map(|i| format!("('k{i:02}', {i}, {}, {})", i * 2, i * 3))
+        .collect();
+    let script = format!(
+        "CREATE TABLE t (name TEXT PRIMARY KEY, \"a | b\" INTEGER, \"two\nlines\" INTEGER, \
+         \"back\\slash|\" INTEGER); INSERT INTO t VALUES {};",
+        values.join(", ")
+    );
+    assert_every_strategy_matches_the_oracle(
+        &script,
+        &[
+            ("SELECT name, \"a | b\" FROM t WHERE \"a | b\" > 5", 6),
+            ("SELECT \"two\nlines\", \"a | b\" FROM t", 12),
+            (
+                "SELECT \"back\\slash|\", name FROM t WHERE \"two\nlines\" < 8",
+                4,
+            ),
+        ],
+    );
+}
+
 /// ROADMAP item 1(d): a key cannot hold a line break on an answer line, but a
 /// stored one can, and a hybrid scan names the entity by it on a `key:` line.
 #[test]
