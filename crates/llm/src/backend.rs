@@ -37,7 +37,10 @@
 //!   with exponential backoff between attempts (`backoff_base_ms *
 //!   2^attempt`, capped). The first success wins; if every candidate is
 //!   exhausted the last error is returned. Backoff is a timer surfaced
-//!   through [`CallMachine::next_wakeup`], never a sleep.
+//!   through [`CallMachine::next_wakeup`], never a sleep. With hedging on
+//!   the policy picks only the primary: the failover candidates behind it
+//!   are sorted once per request by health (see "Latency tracking and
+//!   hedged requests"), so the walk and the hedge follow one order.
 //! * **Attempts are handles.** Each attempt is one [`Backend::submit`]: it
 //!   returns a [`CallHandle`] at once and must not wait out the round trip.
 //!   [`CallHandle::poll`] is non-blocking and yields the result exactly once
@@ -125,7 +128,7 @@
 //! [`Backend::submit`] to the handle resolving, updated on success only —
 //! distinct from
 //! [`BackendStats::latency_ms`], which accumulates the *reported* simulated
-//! latencies). The EWMA powers two mechanisms:
+//! latencies). The EWMA powers three mechanisms:
 //!
 //! * [`llmsql_types::RoutingPolicy::LatencyAware`] orders candidates by
 //!   ascending EWMA; sample-less backends sort first so a cold pool explores
@@ -134,22 +137,32 @@
 //!   once it has been in flight longer than
 //!   `multiplier × (lowest EWMA among healthy backends)`, floored at
 //!   `min_ms`. Every hedgeable request arms a timer for that instant when
-//!   its primary launches; if the timer expires while the primary is still
-//!   working, exactly one duplicate ("hedge") goes to a different healthy
-//!   backend. The first success wins and the loser is dropped, which
-//!   cancels it; the time a beaten flight had already taken is folded into
-//!   its backend's EWMA where it exceeds the estimate, so a member that only
-//!   ever loses still gets sampled. Because arming a timer costs nothing, a
-//!   one-off stall on a usually-fast backend is hedged just like a
-//!   chronically slow one.
+//!   the walk launches its first attempt; if the timer expires while that
+//!   candidate is still working, exactly one duplicate ("hedge") goes to the
+//!   next healthy candidate of the walk. The first success wins and the
+//!   loser is dropped, which cancels it; the time a beaten flight had
+//!   already taken is folded into its backend's EWMA where it exceeds the
+//!   estimate, so a member that only ever loses still gets sampled. Because
+//!   arming a timer costs nothing, a one-off stall on a usually-fast backend
+//!   is hedged just like a chronically slow one.
+//! * **Failover by health.** With hedging on, [`BackendPool::submit_call`]
+//!   keeps the policy's primary and sorts the candidates behind it once per
+//!   request: breaker-closed before open, then lowest decayed EWMA first
+//!   (sample-less last), then registration order. Failover walks that
+//!   order and the hedge goes to its next closed candidate, so the fastest
+//!   healthy sibling is both the hedge target and the first failover stop —
+//!   one rule for where the next attempt goes. A request whose primary
+//!   fails or is short-circuited therefore lands on the healthiest sibling,
+//!   not on whichever backend the policy's rotation puts next.
 //!
 //! The hedging contract:
 //!
 //! * **A hedge may fire only when** (a) hedging is enabled
-//!   (`multiplier > 0`) and the pool has ≥ 2 backends, (b) at least one
-//!   healthy backend has a latency sample (otherwise "late" is undefined and
-//!   the request takes the plain candidate walk), (c) the primary's breaker
-//!   is closed, and (d) the hedge admission gate grants capacity
+//!   (`multiplier > 0`), (b) at least one healthy backend has a latency
+//!   sample (otherwise "late" is undefined and the request takes the plain
+//!   candidate walk), (c) at least two candidates' breakers are closed — the
+//!   timer covers the first one the walk launches, and the hedge goes to the
+//!   next closed one — and (d) the hedge admission gate grants capacity
 //!   ([`BackendPool::set_hedge_permit_gate`] — wired to
 //!   `CallSlots::try_acquire_owned` under a cross-query scheduler, so a
 //!   hedge only ever uses *spare* slot capacity and never queues behind
@@ -164,8 +177,12 @@
 //!   whole flight, but never consumes the engine's logical `max_llm_calls`
 //!   budget (which counts prompts, like retries).
 //! * Hedging, like the breaker, trades physical-trace reproducibility for
-//!   latency: whether a hedge fires depends on wall-clock timing. Completion
-//!   text, rows, and logical call counts are unaffected.
+//!   latency: whether a hedge fires depends on wall-clock timing, and the
+//!   failover order behind the primary follows measured health, not the
+//!   policy. With hedging off the walk is the policy's order verbatim (so
+//!   [`RoutingPolicy::PromptHash`]'s physical trace stays a pure function
+//!   of the prompt). Completion text, rows, and logical call counts are
+//!   unaffected either way.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -435,16 +452,19 @@ struct RemoteCall {
 
 impl CallMachine for RemoteCall {
     fn poll(&mut self, now: Instant) -> Option<Result<CompletionResponse>> {
-        if self.staged.is_none() {
-            let outcome = self.inner.poll(now)?;
-            let repriced = outcome
-                .map(|resp| reprice_response(self.cost_model, self.endpoint_latency_ms, resp));
-            self.staged = Some((repriced, now + self.endpoint_latency));
-        }
-        let (_, ready_at) = self.staged.as_ref().expect("just staged");
-        if now >= *ready_at {
-            Some(self.staged.take().expect("just checked").0)
+        let (result, ready_at) = match self.staged.take() {
+            Some(staged) => staged,
+            None => {
+                let outcome = self.inner.poll(now)?;
+                let repriced = outcome
+                    .map(|resp| reprice_response(self.cost_model, self.endpoint_latency_ms, resp));
+                (repriced, now + self.endpoint_latency)
+            }
+        };
+        if now >= ready_at {
+            Some(result)
         } else {
+            self.staged = Some((result, ready_at));
             None
         }
     }
@@ -830,6 +850,15 @@ impl SlotShared {
         };
         self.counters.ewma.decayed(idle_ms, half_life_ms)
     }
+
+    /// True while the breaker is closed (never opened, or reset by a
+    /// success). An expired cooldown still reads open: that backend's next
+    /// request is a probe, not ordinary traffic.
+    fn breaker_closed(&self) -> bool {
+        // ordering: Acquire — same pairing as admission(): a "closed" read
+        // implies the preceding error-count reset is visible.
+        self.breaker.open_until_ms.load(Ordering::Acquire) == 0
+    }
 }
 
 struct PoolSlot {
@@ -1019,9 +1048,11 @@ impl BackendPool {
 
     /// Builder-style: enable hedged requests (see the module docs for the
     /// full contract). A request late by `multiplier ×` the pool's lowest
-    /// latency EWMA (floored at `min_ms`) gets one duplicate on a different
-    /// healthy backend; first success wins. `multiplier == 0` disables
-    /// hedging (the default).
+    /// latency EWMA (floored at `min_ms`) gets one duplicate on the next
+    /// healthy candidate of its walk; first success wins. With hedging on,
+    /// the candidates behind the routing policy's primary are walked in
+    /// order of health, not in the policy's order. `multiplier == 0`
+    /// disables hedging (the default).
     pub fn with_hedging(mut self, multiplier: f64, min_ms: f64) -> Self {
         self.hedge_multiplier = multiplier.max(0.0);
         self.hedge_min_ms = min_ms.max(0.0);
@@ -1182,7 +1213,14 @@ impl BackendPool {
     /// it mid-flight cancels cleanly. [`BackendPool::complete`] is this,
     /// waited on.
     pub fn submit_call(&self, request: &CompletionRequest) -> PoolCall {
-        let order = self.candidate_order(request);
+        let mut order = self.candidate_order(request);
+        let hedge_threshold_ms = if self.hedge_multiplier > 0.0 {
+            let now_ms = self.health.now_ms();
+            self.sort_by_health(&mut order[1..], now_ms);
+            self.hedge_threshold_ms(&order, now_ms)
+        } else {
+            None
+        };
         let cands: Vec<PoolCandidate> = order
             .iter()
             .map(|&i| PoolCandidate {
@@ -1191,11 +1229,6 @@ impl BackendPool {
                 receipt: BackendReceipt::default(),
             })
             .collect();
-        let hedge_plan = if self.hedge_multiplier > 0.0 {
-            self.hedge_plan(&order)
-        } else {
-            None
-        };
         PoolCall {
             request: request.clone(),
             cands,
@@ -1205,8 +1238,7 @@ impl BackendPool {
             walk: WalkState::Next,
             pos: 0,
             attempt: 0,
-            flight: None,
-            hedge_plan,
+            hedge_threshold_ms,
             hedge_fire_at: None,
             hedge_flight: None,
             hedge_used: None,
@@ -1217,59 +1249,48 @@ impl BackendPool {
         }
     }
 
-    /// The hedge plan for a request routed in `order`: the position (in
-    /// `order`) of the hedge target and the in-flight time, milliseconds,
-    /// after which the primary counts as late. A request is hedgeable when
-    /// its primary's breaker is closed and a sampled healthy sibling defines
-    /// the (decayed-EWMA) lateness floor; the target is the fastest-known
-    /// healthy sibling. A timer is armed for every plan and the decision is
-    /// taken at expiry, against the primary's *actual* progress.
-    fn hedge_plan(&self, order: &[usize]) -> Option<(usize, f64)> {
-        if self.slots.len() < 2 {
-            return None;
-        }
-        let breaker_closed = |i: usize| {
-            self.health.breaker_threshold == 0
-                || self.slots[i]
-                    .shared
-                    .breaker
-                    .open_until_ms
-                    // ordering: Acquire — same pairing as admission(): a
-                    // "closed" read implies the preceding reset is visible.
-                    .load(Ordering::Acquire)
-                    == 0
-        };
-        let primary = *order.first()?;
-        if !breaker_closed(primary) {
-            return None;
-        }
-        let now_ms = self.health.now_ms();
-        let decayed = |i: usize| {
-            self.slots[i]
-                .shared
+    /// Sort failover candidates (slot indices) by health: breaker-closed
+    /// before open, then lowest decayed EWMA first with sample-less last,
+    /// then slot index. The key ends in the index, so the order is total and
+    /// an unstable (allocation-free) sort is deterministic.
+    fn sort_by_health(&self, candidates: &mut [usize], now_ms: u64) {
+        let key = |i: usize| {
+            let shared = &self.slots[i].shared;
+            let ewma_ms = shared
                 .decayed_ewma(now_ms, self.health.decay_half_life_ms)
+                .unwrap_or(f64::INFINITY);
+            (!shared.breaker_closed(), ewma_ms)
         };
-        let floor_ms = order
-            .iter()
-            .filter(|&&i| breaker_closed(i))
-            .filter_map(|&i| decayed(i))
-            .fold(f64::INFINITY, f64::min);
-        if !floor_ms.is_finite() {
-            return None;
+        candidates.sort_unstable_by(|&a, &b| {
+            let ((open_a, ewma_a), (open_b, ewma_b)) = (key(a), key(b));
+            open_a
+                .cmp(&open_b)
+                .then(ewma_a.total_cmp(&ewma_b))
+                .then(a.cmp(&b))
+        });
+    }
+
+    /// The in-flight time, milliseconds, after which a request routed in
+    /// `order` counts as late: `multiplier ×` the lowest decayed EWMA among
+    /// breaker-closed backends, floored at `min_ms`. A request is hedgeable
+    /// when that floor is defined (some closed backend has a sample) and at
+    /// least two candidates are closed — one for the walk's first launch,
+    /// one for its hedge. A timer is armed for every hedgeable request and
+    /// the decision is taken at expiry, against the first launch's *actual*
+    /// progress.
+    fn hedge_threshold_ms(&self, order: &[usize], now_ms: u64) -> Option<f64> {
+        let (mut closed, mut floor_ms) = (0, f64::INFINITY);
+        for &i in order {
+            let shared = &self.slots[i].shared;
+            if shared.breaker_closed() {
+                closed += 1;
+                if let Some(ewma_ms) = shared.decayed_ewma(now_ms, self.health.decay_half_life_ms) {
+                    floor_ms = floor_ms.min(ewma_ms);
+                }
+            }
         }
-        let (target, _) = order
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|&(_, &i)| breaker_closed(i))
-            .min_by(|&(_, &a), &(_, &b)| {
-                let key = |i: usize| decayed(i).unwrap_or(f64::INFINITY);
-                key(a).total_cmp(&key(b)).then(a.cmp(&b))
-            })?;
-        Some((
-            target,
-            (self.hedge_multiplier * floor_ms).max(self.hedge_min_ms),
-        ))
+        (closed >= 2 && floor_ms.is_finite())
+            .then(|| (self.hedge_multiplier * floor_ms).max(self.hedge_min_ms))
     }
 }
 
@@ -1434,8 +1455,8 @@ impl Drop for Flight {
 enum WalkState {
     /// Advance to the next admissible candidate and launch attempt 0.
     Next,
-    /// The current candidate has an attempt in flight.
-    InFlight,
+    /// The current candidate has this attempt in flight.
+    InFlight(Flight),
     /// The current candidate failed a retryable attempt; the next attempt
     /// launches once the backoff timer expires.
     Backoff { until: Instant },
@@ -1476,12 +1497,12 @@ pub struct PoolCall {
     pos: usize,
     /// Attempt ordinal on the current candidate.
     attempt: usize,
-    flight: Option<Flight>,
-    /// Candidate index (into `cands`) the hedge would go to and the
-    /// lateness threshold that arms it, ms (`None` = not hedgeable).
-    hedge_plan: Option<(usize, f64)>,
-    /// When the armed hedge timer expires (set when the primary launches).
-    hedge_fire_at: Option<Instant>,
+    /// The lateness threshold that arms the hedge timer, ms (`None` = not
+    /// hedgeable, or already armed).
+    hedge_threshold_ms: Option<f64>,
+    /// When the armed hedge timer expires and the candidate index (into
+    /// `cands`) it covers — set at the walk's first launch.
+    hedge_fire_at: Option<(Instant, usize)>,
     hedge_flight: Option<Flight>,
     /// Candidate index consumed by a fired hedge (excluded from failover).
     hedge_used: Option<usize>,
@@ -1495,15 +1516,14 @@ pub struct PoolCall {
 impl PoolCall {
     /// Resolve the whole call: abandon whatever is still in flight.
     fn finish(&mut self) {
-        self.walk = WalkState::Done;
-        self.flight = None; // Drop releases gauges
+        self.walk = WalkState::Done; // dropping the flight releases its gauges
         self.hedge_flight = None;
         self.held_permit = None;
         self.hedge_fire_at = None;
     }
 
-    /// Launch the next attempt on the current candidate and arm the hedge
-    /// timer when this is the primary's first shot.
+    /// Launch the next attempt on the current candidate and, at the walk's
+    /// first launch, arm the hedge timer to cover this candidate.
     fn launch_attempt(&mut self, probe: bool) {
         let flight = Flight::launch(
             &mut self.cands,
@@ -1513,19 +1533,18 @@ impl PoolCall {
             probe,
             false,
         );
-        if self.pos == 0 && self.attempt == 0 {
-            if let Some((_, threshold_ms)) = self.hedge_plan {
-                self.hedge_fire_at =
-                    Some(flight.started + Duration::from_secs_f64(threshold_ms / 1000.0));
-            }
+        if let Some(threshold_ms) = self.hedge_threshold_ms.take() {
+            self.hedge_fire_at = Some((
+                flight.started + Duration::from_secs_f64(threshold_ms / 1000.0),
+                self.pos,
+            ));
         }
-        self.flight = Some(flight);
-        self.walk = WalkState::InFlight;
+        self.walk = WalkState::InFlight(flight);
     }
 
     /// Drive the hedge side: harvest a finished hedge (a win resolves the
-    /// call) and fire the armed timer when it expires while the primary is
-    /// still working. Returns the final result when the hedge won.
+    /// call) and fire the armed timer when it expires while the candidate it
+    /// covers is still working. Returns the final result when the hedge won.
     fn poll_hedge(&mut self, now: Instant) -> Option<Result<CompletionResponse>> {
         if let Some(flight) = &mut self.hedge_flight {
             let outcome = flight.harvest(now, &mut self.cands, &self.health)?;
@@ -1533,7 +1552,7 @@ impl PoolCall {
             self.held_permit = None; // slot released with the flight
             match outcome {
                 Ok(response) => {
-                    if let Some(beaten) = &self.flight {
+                    if let WalkState::InFlight(beaten) = &self.walk {
                         beaten.shared.observe_latency_at_least(
                             now.saturating_duration_since(beaten.started).as_secs_f64() * 1000.0,
                             self.health.now_ms(),
@@ -1547,15 +1566,26 @@ impl PoolCall {
             }
             return None;
         }
-        // Timer-armed firing: one shot, only while the original primary is
-        // still the active candidate (failover has its own protocol), and
-        // only with the admission gate's blessing — a veto disarms for good.
-        if let (Some(fire_at), Some((target, _))) = (self.hedge_fire_at, self.hedge_plan) {
+        // Timer-armed firing: one shot, only while the covered candidate is
+        // still the active one (failover has its own protocol), only if a
+        // closed candidate follows it in the walk — the next one is the
+        // healthiest sibling left — and only with the admission gate's
+        // blessing: a veto disarms for good.
+        if let Some((fire_at, covered)) = self.hedge_fire_at {
             if now >= fire_at {
                 self.hedge_fire_at = None;
-                let primary_active = self.pos == 0
-                    && matches!(self.walk, WalkState::InFlight | WalkState::Backoff { .. });
-                if primary_active && self.hedge_used.is_none() {
+                let covered_active = self.pos == covered
+                    && matches!(
+                        self.walk,
+                        WalkState::InFlight(_) | WalkState::Backoff { .. }
+                    );
+                let target = covered_active
+                    .then(|| {
+                        (covered + 1..self.cands.len())
+                            .find(|&c| self.cands[c].shared.breaker_closed())
+                    })
+                    .flatten();
+                if let Some(target) = target {
                     let permit = match &self.hedge_gate {
                         None => Some(Box::new(()) as Box<dyn std::any::Any + Send>),
                         Some(gate) => gate(),
@@ -1602,7 +1632,7 @@ impl CallMachine for PoolCall {
             return Some(win);
         }
         loop {
-            match self.walk {
+            match &mut self.walk {
                 WalkState::Next => {
                     if self.pos >= self.cands.len() {
                         if self.hedge_flight.is_some() {
@@ -1639,10 +1669,8 @@ impl CallMachine for PoolCall {
                     self.attempt = 0;
                     self.launch_attempt(probe);
                 }
-                WalkState::InFlight => {
-                    let flight = self.flight.as_mut().expect("in-flight walk has a flight");
+                WalkState::InFlight(flight) => {
                     let outcome = flight.harvest(now, &mut self.cands, &self.health)?;
-                    self.flight = None;
                     match outcome {
                         Ok(response) => {
                             self.finish();
@@ -1666,7 +1694,7 @@ impl CallMachine for PoolCall {
                     }
                 }
                 WalkState::Backoff { until } => {
-                    if now < until {
+                    if now < *until {
                         return None;
                     }
                     self.launch_attempt(false);
@@ -1693,12 +1721,9 @@ impl CallMachine for PoolCall {
         };
         match &self.walk {
             WalkState::Next | WalkState::Done => return None,
-            WalkState::InFlight => match self.flight.as_ref() {
-                Some(flight) => match flight.handle.next_wakeup(now) {
-                    None => return None,
-                    wake => fold(wake),
-                },
+            WalkState::InFlight(flight) => match flight.handle.next_wakeup(now) {
                 None => return None,
+                wake => fold(wake),
             },
             WalkState::Backoff { until } => fold(Some(*until)),
             WalkState::AwaitHedge => {}
@@ -1708,7 +1733,7 @@ impl CallMachine for PoolCall {
                 None => return None,
                 wake => fold(wake),
             }
-        } else if let Some(fire_at) = self.hedge_fire_at {
+        } else if let Some((fire_at, _)) = self.hedge_fire_at {
             fold(Some(fire_at));
         }
         earliest
@@ -2781,6 +2806,129 @@ mod tests {
                 "{entry}: gauge leak: {stats:?}"
             );
         }
+    }
+
+    /// Give slot `slot` a latency sample of `ms` as though a request had
+    /// just measured it.
+    fn warm(pool: &BackendPool, slot: usize, ms: f64) {
+        pool.slots[slot].shared.observe_latency(
+            ms,
+            pool.health.now_ms(),
+            pool.health.decay_half_life_ms,
+        );
+    }
+
+    /// Open slot `slot`'s breaker for longer than any test runs.
+    fn trip(pool: &BackendPool, slot: usize) {
+        pool.slots[slot]
+            .shared
+            .breaker
+            .open(pool.health.now_ms(), 60_000.0);
+    }
+
+    #[test]
+    fn hedged_failover_lands_on_the_fastest_sibling_not_the_next_in_rotation() {
+        // The primary is hard down and fails fast, before its hedge timer
+        // fires; its rotation successor is 40× slower than the two others.
+        // Failover must follow health, not registration order.
+        let (_, pool) = pool_over(
+            &[
+                spec("b0").failing(),
+                spec("b1").with_latency_ms(40.0),
+                spec("b2").with_latency_ms(1.0),
+                spec("b3").with_latency_ms(1.0),
+            ],
+            RoutingPolicy::CostAware, // static order: b0 is always primary
+        );
+        let pool = pool.with_hedging(3.0, 1.0);
+        for (slot, ms) in [(1, 40.0), (2, 1.0), (3, 1.0)] {
+            warm(&pool, slot, ms);
+        }
+        let started = Instant::now();
+        let resp = pool.complete(&CompletionRequest::new("x")).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(resp.text, "m:x");
+        let calls: Vec<u64> = pool.stats().iter().map(|s| s.calls).collect();
+        assert_eq!(
+            calls,
+            vec![2, 0, 1, 0],
+            "failover skipped the fast siblings"
+        );
+        assert!(
+            elapsed < Duration::from_millis(20),
+            "failover landed on the slow backend: took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn the_hedge_goes_to_the_first_closed_candidate_of_the_sorted_walk() {
+        // Registration order b0..b3; b2 is the fastest but breaker-open, b3
+        // is faster than b1. The walk keeps the primary and sorts the rest:
+        // b0, b3, b1, b2 — and a stall on b0 is hedged to b3.
+        let model = Arc::new(EchoModel::new("m"));
+        let backends: Vec<Arc<AdjustableBackend>> = [("b0", 60), ("b1", 3), ("b2", 1), ("b3", 2)]
+            .iter()
+            .map(|&(id, ms)| AdjustableBackend::new(id, Arc::clone(&model) as _, ms))
+            .collect();
+        let pool = BackendPool::new(
+            backends
+                .iter()
+                .map(|b| Arc::clone(b) as Arc<dyn Backend>)
+                .collect(),
+            RoutingPolicy::CostAware,
+        )
+        .unwrap()
+        .with_breaker(3, 60_000.0)
+        .with_hedging(3.0, 1.0);
+        for (slot, ms) in [(0, 1.0), (1, 3.0), (2, 0.5), (3, 2.0)] {
+            warm(&pool, slot, ms);
+        }
+        trip(&pool, 2);
+        let call = pool.submit_call(&CompletionRequest::new("stall"));
+        let walk: Vec<&str> = call.cands.iter().map(|c| c.backend.id()).collect();
+        assert_eq!(walk, ["b0", "b3", "b1", "b2"]);
+        let resp = CallHandle::machine(Box::new(call)).wait().unwrap();
+        assert_eq!(resp.text, "m:stall");
+        let hedges: Vec<u64> = pool.stats().iter().map(|s| s.hedges).collect();
+        assert_eq!(hedges, vec![0, 0, 0, 1], "{:?}", pool.stats());
+    }
+
+    #[test]
+    fn a_short_circuited_primary_still_has_its_first_launch_hedged() {
+        // The primary's breaker is open, so the walk's first launch is the
+        // healthiest sibling — which stalls this once. The hedge timer must
+        // cover that launch, not give up because the primary is skipped.
+        let model = Arc::new(EchoModel::new("m"));
+        let backends: Vec<Arc<AdjustableBackend>> = [("b0", 1), ("b1", 60), ("b2", 2)]
+            .iter()
+            .map(|&(id, ms)| AdjustableBackend::new(id, Arc::clone(&model) as _, ms))
+            .collect();
+        let pool = BackendPool::new(
+            backends
+                .iter()
+                .map(|b| Arc::clone(b) as Arc<dyn Backend>)
+                .collect(),
+            RoutingPolicy::CostAware,
+        )
+        .unwrap()
+        .with_breaker(3, 60_000.0)
+        .with_hedging(3.0, 1.0);
+        for (slot, ms) in [(0, 1.0), (1, 1.0), (2, 2.0)] {
+            warm(&pool, slot, ms);
+        }
+        trip(&pool, 0);
+        let started = Instant::now();
+        let resp = pool.complete(&CompletionRequest::new("stall")).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(resp.text, "m:stall");
+        let stats = pool.stats();
+        assert_eq!(stats[0].calls, 0, "{stats:?}");
+        assert_eq!((stats[2].hedges, stats[2].hedges_won), (1, 1), "{stats:?}");
+        assert!(
+            elapsed < Duration::from_millis(40),
+            "the stalled first launch was not hedged: took {elapsed:?}"
+        );
+        assert!(stats.iter().all(|s| s.in_flight == 0), "{stats:?}");
     }
 
     #[test]

@@ -111,6 +111,12 @@ impl fmt::Display for PromptStrategy {
 /// Routing never changes query *results*: every backend of a pool must be
 /// semantically identical (same completion text for the same prompt), so the
 /// policy only shifts latency, load distribution and spend.
+///
+/// With hedging off ([`EngineConfig::hedge_multiplier`] `== 0`) the policy
+/// orders the whole candidate walk: primary, then failover in the policy's
+/// order. With hedging on it picks only the primary; every policy's failover
+/// — `CostAware`'s included — then goes by health (breaker-closed backends
+/// first, lowest measured latency first), the same order the hedge follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Rotate through the backends in registration order.
@@ -124,10 +130,12 @@ pub enum RoutingPolicy {
     /// traffic.
     CostAware,
     /// Start the candidate walk at `hash(prompt) % pool_size`: the backend
-    /// serving each prompt is a pure function of the prompt text, so the
-    /// *physical* per-backend trace is reproducible at any parallelism —
-    /// round robin's cursor advances in request-arrival order, which thread
-    /// interleaving scrambles; a prompt hash does not.
+    /// serving each prompt is a pure function of the prompt text, so with
+    /// hedging off the *physical* per-backend trace is reproducible at any
+    /// parallelism — round robin's cursor advances in request-arrival order,
+    /// which thread interleaving scrambles; a prompt hash does not. With
+    /// hedging on, hedges and the health-ordered failover depend on measured
+    /// timing, so only the primary stays a function of the prompt.
     PromptHash,
     /// Prefer the backend with the lowest exponentially-weighted moving
     /// average of *measured* request latency (ties broken by registration
@@ -504,12 +512,17 @@ pub struct EngineConfig {
     /// Hedged requests: once a dispatched request has been in flight longer
     /// than `hedge_multiplier` times the pool's lowest per-backend latency
     /// EWMA (but at least [`EngineConfig::hedge_min_ms`]), one duplicate of
-    /// it is issued to a different healthy backend and the first success
-    /// wins. `0.0` (the default) disables hedging; values >= 1.0 set the
-    /// lateness threshold as a multiple of the expected latency (2.0 ~ "tail
-    /// beyond twice the typical request"). The backend pool is the one
-    /// hedging layer — every request through it arms a hedge timer — so
-    /// without [`EngineConfig::backends`] this has no effect.
+    /// it is issued to the next healthy backend of its walk and the first
+    /// success wins. `0.0` (the default) disables hedging; values >= 1.0 set
+    /// the lateness threshold as a multiple of the expected latency (2.0 ~
+    /// "tail beyond twice the typical request"). With hedging on, the
+    /// backends behind the routing policy's primary are walked in order of
+    /// health (breaker-closed first, lowest measured latency first) rather
+    /// than in the policy's order, so a request whose primary fails lands on
+    /// the healthiest sibling: physical-trace reproducibility is traded for
+    /// latency (see [`RoutingPolicy`]). The backend pool is the one hedging
+    /// layer — every request through it arms a hedge timer — so without
+    /// [`EngineConfig::backends`] this has no effect.
     pub hedge_multiplier: f64,
     /// Hedged requests: floor on the lateness threshold, milliseconds, so a
     /// near-zero EWMA cannot make every request look late.
