@@ -51,8 +51,6 @@ pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 pub const TIME_ALLOWLIST: &[&str] = &[
     // The event loop: reads the clock, converts wakeups and deadlines to parks.
     "crates/exec/src/reactor.rs",
-    // The benchmark harness shim: measuring wall time is its purpose.
-    "crates/shims/criterion/src/lib.rs",
 ];
 
 /// Atomic ordering variants that require justification. `cmp::Ordering`
@@ -278,7 +276,7 @@ mod tests {
         assert!(classify("src/lib.rs").is_lib);
         assert!(classify("src/lib.rs").is_crate_root);
         assert!(classify("crates/types/src/lib.rs").is_crate_root);
-        assert!(!classify("crates/bench/src/bin/perf_smoke.rs").is_lib);
+        assert!(!classify("crates/workload/src/bin/reproduce.rs").is_lib);
         assert!(!classify("tests/scheduler.rs").is_lib);
         assert!(!classify("examples/quickstart.rs").is_lib);
         assert!(!classify("crates/lint/tests/fixtures/bad_unwrap.rs").is_lib);

@@ -24,8 +24,11 @@ pub struct CaseOutcome {
     pub tokens: u64,
     /// Simulated model cost in dollars.
     pub cost_usd: f64,
-    /// Simulated model latency plus engine time, in milliseconds.
-    pub latency_ms: f64,
+    /// Simulated model latency in milliseconds: a function of the answers,
+    /// so it repeats exactly.
+    pub model_latency_ms: f64,
+    /// Engine wall time in milliseconds; varies run to run.
+    pub engine_ms: f64,
 }
 
 /// The outcome of running a whole suite.
@@ -69,12 +72,21 @@ impl SuiteOutcome {
         self.cases.iter().map(|c| c.cost_usd).sum()
     }
 
-    /// Mean end-to-end latency per query in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
+    /// Mean simulated model latency per query in milliseconds.
+    pub fn mean_model_latency_ms(&self) -> f64 {
+        self.mean(|c| c.model_latency_ms)
+    }
+
+    /// Mean engine wall time per query in milliseconds.
+    pub fn mean_engine_ms(&self) -> f64 {
+        self.mean(|c| c.engine_ms)
+    }
+
+    fn mean(&self, of: impl Fn(&CaseOutcome) -> f64) -> f64 {
         if self.cases.is_empty() {
             0.0
         } else {
-            self.cases.iter().map(|c| c.latency_ms).sum::<f64>() / self.cases.len() as f64
+            self.cases.iter().map(of).sum::<f64>() / self.cases.len() as f64
         }
     }
 }
@@ -103,15 +115,15 @@ pub fn run_suite(
         } else {
             *options
         };
-        let (score, usage, llm_calls, cells_filled, latency) = match subject.execute(&case.sql) {
+        let (score, usage, llm_calls, cells_filled, engine_ms) = match subject.execute(&case.sql) {
             Ok(actual) => {
                 let score = score_batches(&actual.batch, &expected.batch, &case_options);
                 (
                     score,
-                    actual.usage.clone(),
+                    actual.usage,
                     actual.metrics.llm_calls(),
                     actual.metrics.cells_filled_by_llm,
-                    actual.total_latency_ms(),
+                    actual.engine_ms,
                 )
             }
             Err(_) => (
@@ -129,7 +141,8 @@ pub fn run_suite(
             cells_filled,
             tokens: usage.total_tokens(),
             cost_usd: usage.cost_usd,
-            latency_ms: latency,
+            model_latency_ms: usage.latency_ms,
+            engine_ms,
         });
     }
     Ok(outcome)
@@ -166,7 +179,7 @@ mod tests {
         assert!(outcome.total_llm_calls() > 0);
         assert!(outcome.total_tokens() > 0);
         assert!(outcome.total_cost_usd() > 0.0);
-        assert!(outcome.mean_latency_ms() > 0.0);
+        assert!(outcome.mean_model_latency_ms() > 0.0);
     }
 
     #[test]

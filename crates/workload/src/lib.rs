@@ -11,7 +11,9 @@
 //!   every answer,
 //! * [`chaos`] — the seeded chaos-suite scenario: a multi-backend scan under
 //!   a deterministic fault schedule, with robustness invariants,
-//! * [`report`] — plain-text tables for the experiment binaries.
+//! * [`report`] — the paper's tables as typed cells, rendered as text,
+//! * [`reproduce`] — one function per table of the paper; the `reproduce`
+//!   binary prints them all.
 
 #![warn(missing_docs)]
 
@@ -19,6 +21,7 @@ pub mod chaos;
 pub mod harness;
 pub mod queries;
 pub mod report;
+pub mod reproduce;
 pub mod world;
 
 pub use chaos::{
@@ -30,5 +33,5 @@ pub use queries::{
     cardinality_suite, class_suite, join_chain_suite, multi_tenant_suite, standard_suite,
     QueryCase, QueryClass,
 };
-pub use report::{fmt_f2, fmt_score, Report};
+pub use report::{Cell, Report};
 pub use world::{mixed_backend_config, World, WorldSpec};

@@ -18,6 +18,7 @@ fn main() {
     // ---- Hedged requests + EWMA routing --------------------------------
     // Baseline: one healthy backend, sequential scan.
     let baseline = parallel_scan_engine(ROWS, 1, 0.0)
+        .expect("baseline scenario")
         .execute(SCAN_SQL)
         .expect("baseline scan");
 
@@ -26,7 +27,8 @@ fn main() {
     // members, and hedging rescues the requests that discover the outlier:
     // once a request is late by 3× the pool's fastest EWMA, a duplicate
     // goes to a fast sibling and the first success wins.
-    let engine = slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true);
+    let engine =
+        slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true).expect("outlier scenario");
     let hedged = engine.execute(SCAN_SQL).expect("hedged scan");
     assert_eq!(
         baseline.rows(),
@@ -60,7 +62,7 @@ fn main() {
     // lapses while it waits and it is cancelled without executing a single
     // LLM call, while its deadline-free companion runs normally.
     let sched = QueryScheduler::new(
-        slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true),
+        slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true).expect("outlier scenario"),
         SchedConfig::default().with_workers(1).paused(),
     )
     .expect("scheduler");

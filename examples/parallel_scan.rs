@@ -13,7 +13,7 @@ fn main() {
     let sql = "SELECT name, population FROM countries";
     let mut baseline_rows = None;
     for parallelism in [1usize, 4, 8] {
-        let engine = parallel_scan_engine(100, parallelism, 2.0);
+        let engine = parallel_scan_engine(100, parallelism, 2.0).unwrap();
         let start = Instant::now();
         let result = engine.execute(sql).unwrap();
         let elapsed = start.elapsed();

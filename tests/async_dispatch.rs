@@ -65,11 +65,15 @@ fn lookup_engine(rows: usize, parallelism: usize, latency_ms: f64) -> Engine {
 /// wave is one prompt that resolves inline.
 #[test]
 fn reactor_waves_match_sequential_waves_byte_for_byte() {
-    let sequential = parallel_scan_engine(60, 1, 0.0).execute(SCAN_SQL).unwrap();
+    let sequential = parallel_scan_engine(60, 1, 0.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
     assert_eq!(sequential.metrics.peak_in_flight, 1);
 
     for latency_ms in [0.0, 2.0] {
         let wide = parallel_scan_engine(60, 4, latency_ms)
+            .unwrap()
             .execute(SCAN_SQL)
             .unwrap();
         assert_eq!(
@@ -143,7 +147,7 @@ fn deadline_fires_while_calls_are_parked_in_the_reactor() {
 #[test]
 fn deadlines_fire_mid_flight_on_single_prompt_waves_and_full_query() {
     let full_query_engine = {
-        let (catalog, sim) = parallel_world(60, LlmFidelity::perfect(), 50.0);
+        let (catalog, sim) = parallel_world(60, LlmFidelity::perfect(), 50.0).unwrap();
         let mut config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(PromptStrategy::FullQuery);
@@ -153,7 +157,10 @@ fn deadlines_fire_mid_flight_on_single_prompt_waves_and_full_query() {
         engine
     };
     for (label, engine) in [
-        ("parallelism-1 scan", parallel_scan_engine(60, 1, 50.0)),
+        (
+            "parallelism-1 scan",
+            parallel_scan_engine(60, 1, 50.0).unwrap(),
+        ),
         ("full query", full_query_engine),
     ] {
         let started = Instant::now();
@@ -209,7 +216,7 @@ impl LanguageModel for Breakable {
 #[test]
 fn resources_drain_after_completed_cancelled_and_failed_queries() {
     let build = || {
-        let (catalog, sim) = parallel_world(40, LlmFidelity::perfect(), 40.0);
+        let (catalog, sim) = parallel_world(40, LlmFidelity::perfect(), 40.0).unwrap();
         let mut config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(PromptStrategy::BatchedRows)
@@ -295,7 +302,7 @@ fn resources_drain_after_completed_cancelled_and_failed_queries() {
 #[test]
 fn reactor_scans_are_parallelism_invariant_under_noise() {
     let build = |parallelism: usize| {
-        let (catalog, sim) = llmsql_bench::parallel_world(50, LlmFidelity::medium(), 1.0);
+        let (catalog, sim) = llmsql_bench::parallel_world(50, LlmFidelity::medium(), 1.0).unwrap();
         let mut config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(PromptStrategy::BatchedRows)

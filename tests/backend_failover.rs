@@ -13,11 +13,15 @@ const SCAN_SQL: &str = "SELECT name, population FROM countries";
 /// the single-backend run, with per-backend counters visible in metrics.
 #[test]
 fn failing_backend_does_not_change_rows_or_call_counts() {
-    let single = parallel_scan_engine(100, 4, 0.0).execute(SCAN_SQL).unwrap();
+    let single = parallel_scan_engine(100, 4, 0.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
     assert_eq!(single.row_count(), 100);
 
     for policy in RoutingPolicy::ALL {
         let pooled = multi_backend_engine(100, 4, 0.0, policy, true)
+            .unwrap()
             .execute(SCAN_SQL)
             .unwrap();
         assert_eq!(
@@ -71,7 +75,7 @@ fn failover_is_deterministic_across_runs() {
         (RoutingPolicy::CostAware, 4),
     ] {
         let run = || {
-            let engine = multi_backend_engine(60, parallelism, 0.0, policy, true);
+            let engine = multi_backend_engine(60, parallelism, 0.0, policy, true).unwrap();
             let result = engine.execute(SCAN_SQL).unwrap();
             (
                 result.rows().to_vec(),
@@ -90,10 +94,12 @@ fn failover_is_deterministic_across_runs() {
 #[test]
 fn pooled_scan_is_parallelism_invariant() {
     let baseline = multi_backend_engine(50, 1, 0.0, RoutingPolicy::RoundRobin, true)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     for parallelism in [2, 4, 8] {
         let result = multi_backend_engine(50, parallelism, 0.0, RoutingPolicy::RoundRobin, true)
+            .unwrap()
             .execute(SCAN_SQL)
             .unwrap();
         assert_eq!(
@@ -113,6 +119,7 @@ fn pooled_scan_is_parallelism_invariant() {
 #[test]
 fn healthy_pool_spreads_load_and_budget_counts_logical_calls() {
     let result = multi_backend_engine(100, 4, 0.0, RoutingPolicy::RoundRobin, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     let m = &result.metrics;
@@ -135,10 +142,14 @@ fn healthy_pool_spreads_load_and_budget_counts_logical_calls() {
 /// 10× round trip).
 #[test]
 fn hedging_with_a_slow_outlier_keeps_results_and_wins_hedges() {
-    let baseline = parallel_scan_engine(100, 1, 0.0).execute(SCAN_SQL).unwrap();
+    let baseline = parallel_scan_engine(100, 1, 0.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
     assert_eq!(baseline.row_count(), 100);
 
     let hedged = slow_outlier_engine(100, 4, RoutingPolicy::LatencyAware, true)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     assert_eq!(
@@ -160,6 +171,7 @@ fn hedging_with_a_slow_outlier_keeps_results_and_wins_hedges() {
 
     // The same deployment without hedging: identical rows, zero hedges.
     let unhedged = slow_outlier_engine(100, 4, RoutingPolicy::LatencyAware, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     assert_eq!(baseline.rows(), unhedged.rows());
@@ -175,6 +187,7 @@ fn hedging_with_a_slow_outlier_keeps_results_and_wins_hedges() {
 #[test]
 fn latency_aware_routing_starves_the_slow_outlier() {
     let result = slow_outlier_engine(300, 4, RoutingPolicy::LatencyAware, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     let m = &result.metrics;
@@ -185,6 +198,7 @@ fn latency_aware_routing_starves_the_slow_outlier() {
         m.backend_calls
     );
     let round_robin = slow_outlier_engine(300, 4, RoutingPolicy::RoundRobin, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     assert_eq!(result.rows(), round_robin.rows());
@@ -201,9 +215,13 @@ fn latency_aware_routing_starves_the_slow_outlier() {
 #[test]
 fn pooled_engines_keep_the_sequential_results_and_overlap_their_waves() {
     let pooled = multi_backend_engine(60, 4, 0.0, RoutingPolicy::RoundRobin, true)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
-    let sequential = parallel_scan_engine(60, 1, 0.0).execute(SCAN_SQL).unwrap();
+    let sequential = parallel_scan_engine(60, 1, 0.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
     assert_eq!(sequential.rows(), pooled.rows());
     assert_eq!(sequential.usage.calls, pooled.usage.calls);
     assert!(pooled.metrics.peak_in_flight >= 2, "{:?}", pooled.metrics);
@@ -214,6 +232,7 @@ fn pooled_engines_keep_the_sequential_results_and_overlap_their_waves() {
 #[test]
 fn cost_aware_routing_prefers_cheap_backends() {
     let cost_aware = multi_backend_engine(100, 4, 0.0, RoutingPolicy::CostAware, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     assert_eq!(
@@ -223,6 +242,7 @@ fn cost_aware_routing_prefers_cheap_backends() {
     );
 
     let round_robin = multi_backend_engine(100, 4, 0.0, RoutingPolicy::RoundRobin, false)
+        .unwrap()
         .execute(SCAN_SQL)
         .unwrap();
     assert!(round_robin.metrics.backend_calls["edge-c"] > 0);

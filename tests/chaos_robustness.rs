@@ -56,7 +56,7 @@ fn overload_flood_sheds_low_priority_with_exact_counters() {
     // Flood past llm_slots with mixed-priority tenants: 2 slots, queries at
     // parallelism 4. Paused admission builds the backlog deterministically.
     let sched = QueryScheduler::new(
-        parallel_scan_engine(60, 4, 2.0),
+        parallel_scan_engine(60, 4, 2.0).unwrap(),
         SchedConfig::default()
             .with_workers(2)
             .with_llm_slots(2)

@@ -141,12 +141,15 @@ fn queries_that_end_with_requests_in_flight_drain_the_deployment() {
     // has 30 ms: its deadline fires with a window of requests parked. Each
     // must give back what its own requests held — and nothing else.
     const FILTERED: &str = "SELECT name, population FROM countries WHERE population < 1030475";
-    let sequential = parallel_scan_engine(200, 1, 0.0).execute(FILTERED).unwrap();
+    let sequential = parallel_scan_engine(200, 1, 0.0)
+        .unwrap()
+        .execute(FILTERED)
+        .unwrap();
     assert_eq!(sequential.row_count(), 25);
     assert_eq!(sequential.metrics.llm_calls(), 3);
 
     let sched = QueryScheduler::new(
-        parallel_scan_engine(200, 8, 20.0),
+        parallel_scan_engine(200, 8, 20.0).unwrap(),
         SchedConfig::default()
             .with_workers(2)
             .with_llm_slots(32)
@@ -183,11 +186,14 @@ fn a_leader_cancelled_on_another_thread_hands_its_flights_to_the_follower() {
     // is submitted once those 8 flights are claimed, so it follows them —
     // and when the first query's drop abandons them, on another thread, the
     // second must notice, re-claim each and finish the scan on its own.
-    let sequential = parallel_scan_engine(200, 1, 0.0).execute(SCAN_SQL).unwrap();
+    let sequential = parallel_scan_engine(200, 1, 0.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
     assert_eq!(sequential.row_count(), 200);
 
     let sched = QueryScheduler::new(
-        parallel_scan_engine(200, 8, 60.0),
+        parallel_scan_engine(200, 8, 60.0).unwrap(),
         SchedConfig::default().with_workers(2).with_llm_slots(32),
     )
     .unwrap();

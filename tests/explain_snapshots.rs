@@ -10,6 +10,8 @@
 //! UPDATE_SNAPSHOTS=1 cargo test --test explain_snapshots
 //! ```
 
+mod snapshot;
+
 use llmsql_core::Engine;
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy};
 
@@ -32,18 +34,7 @@ fn normalize(text: &str) -> String {
 }
 
 fn check_snapshot(name: &str, actual: &str) {
-    let path = format!("{}/tests/snapshots/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-    let actual = normalize(actual);
-    if std::env::var("UPDATE_SNAPSHOTS").is_ok() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing snapshot {path} ({e}); run with UPDATE_SNAPSHOTS=1"));
-    assert_eq!(
-        actual, expected,
-        "EXPLAIN text drifted from {name}.txt; if intended, rerun with UPDATE_SNAPSHOTS=1"
-    );
+    snapshot::check(name, &normalize(actual));
 }
 
 /// A small fixed relation so the estimates are stable.

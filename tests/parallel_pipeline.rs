@@ -15,7 +15,7 @@ const SCAN_SQL: &str = "SELECT name, population FROM countries";
 /// A 100-row batched scan (10 pages of 10) against a simulator with the
 /// given per-call latency.
 fn run_scan(parallelism: usize, latency_ms: f64) -> (QueryResult, f64) {
-    let engine = parallel_scan_engine(100, parallelism, latency_ms);
+    let engine = parallel_scan_engine(100, parallelism, latency_ms).unwrap();
     let start = Instant::now();
     let result = engine.execute(SCAN_SQL).unwrap();
     (result, start.elapsed().as_secs_f64() * 1000.0)

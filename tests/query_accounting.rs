@@ -68,7 +68,7 @@ fn assert_conserved(results: &[QueryResult], usage: &UsageStats, backends: &[Bac
 #[test]
 fn a_query_in_company_reports_its_solo_bill_and_the_bills_sum_to_the_deployment() {
     const ROWS: usize = 120;
-    let engine = || multi_backend_engine(ROWS, 4, 2.0, RoutingPolicy::PromptHash, true);
+    let engine = || multi_backend_engine(ROWS, 4, 2.0, RoutingPolicy::PromptHash, true).unwrap();
     let sqls: Vec<String> = (0..8)
         .map(|i| format!("SELECT name, population FROM countries WHERE population >= {i}"))
         .collect();
@@ -94,7 +94,7 @@ fn a_query_in_company_reports_its_solo_bill_and_the_bills_sum_to_the_deployment(
 /// for and never answered.
 #[test]
 fn attempts_of_pages_cancelled_in_flight_are_on_the_bill_of_the_query_that_made_them() {
-    let engine = slow_outlier_engine(200, 8, RoutingPolicy::RoundRobin, false);
+    let engine = slow_outlier_engine(200, 8, RoutingPolicy::RoundRobin, false).unwrap();
     // Populations grow with the row number: `< cut` keeps the first 15, 14, …
     let sqls: Vec<String> = (0..4)
         .map(|i| {
@@ -126,7 +126,7 @@ fn attempts_of_pages_cancelled_in_flight_are_on_the_bill_of_the_query_that_made_
 /// to the query whose request armed the hedge.
 #[test]
 fn hedges_and_the_flights_they_beat_are_on_the_bill_of_the_query_that_hedged() {
-    let engine = slow_outlier_engine(120, 4, RoutingPolicy::RoundRobin, true);
+    let engine = slow_outlier_engine(120, 4, RoutingPolicy::RoundRobin, true).unwrap();
     let sqls: Vec<String> = (0..4)
         .map(|i| format!("SELECT name, region FROM countries WHERE population >= {i}"))
         .collect();
@@ -148,7 +148,7 @@ fn hedges_and_the_flights_they_beat_are_on_the_bill_of_the_query_that_hedged() {
 /// pays for it; the other is answered by it and pays nothing.
 #[test]
 fn a_coalesced_follower_pays_nothing_and_its_leader_pays_once() {
-    let (catalog, sim) = parallel_world(20, LlmFidelity::perfect(), 60.0);
+    let (catalog, sim) = parallel_world(20, LlmFidelity::perfect(), 60.0).unwrap();
     let mut config = EngineConfig::default()
         .with_mode(ExecutionMode::LlmOnly)
         .with_strategy(PromptStrategy::FullQuery);

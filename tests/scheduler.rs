@@ -50,7 +50,7 @@ fn concurrent_queries_match_sequential_and_respect_the_slot_pool() {
     let queries = workload();
 
     // Sequential baseline: a fresh identical engine, one query at a time.
-    let baseline_engine = parallel_scan_engine(ROWS, 4, 1.0);
+    let baseline_engine = parallel_scan_engine(ROWS, 4, 1.0).unwrap();
     let baseline: Vec<(Vec<llmsql_types::Row>, u64)> = queries
         .iter()
         .map(|(_, sql)| {
@@ -62,7 +62,7 @@ fn concurrent_queries_match_sequential_and_respect_the_slot_pool() {
     // The same queries through a scheduler: 4 query workers racing over 3
     // global call slots, each query itself 4-way parallel.
     let sched = QueryScheduler::new(
-        parallel_scan_engine(ROWS, 4, 1.0),
+        parallel_scan_engine(ROWS, 4, 1.0).unwrap(),
         SchedConfig::default().with_workers(4).with_llm_slots(SLOTS),
     )
     .unwrap();
@@ -129,14 +129,15 @@ fn breaker_bounds_dead_backend_attempts_across_a_scheduled_run() {
     const THRESHOLD: usize = 3;
     let queries = workload();
 
-    let baseline_engine = parallel_scan_engine(ROWS, 4, 0.0);
+    let baseline_engine = parallel_scan_engine(ROWS, 4, 0.0).unwrap();
     let expected: Vec<Vec<llmsql_types::Row>> = queries
         .iter()
         .map(|(_, sql)| baseline_engine.execute(sql).unwrap().rows().to_vec())
         .collect();
 
     let breaker_engine = || {
-        let (catalog, sim) = parallel_world(ROWS, llmsql_types::LlmFidelity::perfect(), 0.0);
+        let (catalog, sim) =
+            parallel_world(ROWS, llmsql_types::LlmFidelity::perfect(), 0.0).unwrap();
         let base = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(PromptStrategy::BatchedRows)
@@ -211,7 +212,7 @@ fn breaker_bounds_dead_backend_attempts_across_a_scheduled_run() {
 #[test]
 fn weighted_fair_share_tracks_weights_end_to_end() {
     let sched = QueryScheduler::new(
-        parallel_scan_engine(30, 1, 0.0),
+        parallel_scan_engine(30, 1, 0.0).unwrap(),
         SchedConfig::default()
             .with_workers(1)
             .with_policy(llmsql_types::SchedPolicy::WeightedFair)
@@ -256,7 +257,7 @@ fn weighted_fair_share_tracks_weights_end_to_end() {
 #[test]
 fn deadline_shorter_than_queue_wait_is_cancelled_never_executed() {
     let sched = QueryScheduler::new(
-        parallel_scan_engine(ROWS, 4, 1.0),
+        parallel_scan_engine(ROWS, 4, 1.0).unwrap(),
         SchedConfig::default().with_workers(1).paused(),
     )
     .unwrap();
@@ -302,7 +303,7 @@ fn deadline_shorter_than_queue_wait_is_cancelled_never_executed() {
 #[test]
 fn scheduled_hedging_respects_slots_and_keeps_results() {
     let queries = workload();
-    let baseline_engine = parallel_scan_engine(ROWS, 4, 0.0);
+    let baseline_engine = parallel_scan_engine(ROWS, 4, 0.0).unwrap();
     let baseline: Vec<(Vec<llmsql_types::Row>, u64)> = queries
         .iter()
         .map(|(_, sql)| {
@@ -313,7 +314,7 @@ fn scheduled_hedging_respects_slots_and_keeps_results() {
 
     const HEDGE_SLOTS: usize = 8;
     let sched = QueryScheduler::new(
-        slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true),
+        slow_outlier_engine(ROWS, 4, RoutingPolicy::LatencyAware, true).unwrap(),
         SchedConfig::default()
             .with_workers(4)
             .with_llm_slots(HEDGE_SLOTS),
