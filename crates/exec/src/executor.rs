@@ -248,16 +248,18 @@ pub fn join_rows(
 ) -> Result<Vec<Row>> {
     // RIGHT JOIN is a LEFT JOIN with sides swapped then columns reordered.
     if kind == JoinKind::Right {
-        let swapped_on = on.map(|e| {
-            e.remap_columns(&|i| {
-                Some(if i < left_arity {
-                    i + right_arity
-                } else {
-                    i - left_arity
+        let swapped_on = on
+            .map(|e| {
+                e.remap_columns(&|i| match i {
+                    i if i < left_arity => Some(i + right_arity),
+                    i if i < left_arity + right_arity => Some(i - left_arity),
+                    _ => None,
+                })
+                .ok_or_else(|| {
+                    Error::execution("a join condition names a column outside both inputs")
                 })
             })
-            .expect("total remap")
-        });
+            .transpose()?;
         let swapped = join_rows(
             right_rows,
             left_rows,
@@ -451,12 +453,12 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
         std::cmp::Ordering::Equal
     });
     // Apply the permutation by moving rows (no deep clones).
-    let mut taken: Vec<Option<Row>> = rows
+    let mut taken: Vec<Row> = rows
         .iter_mut()
-        .map(|r| Some(std::mem::replace(r, Row::empty())))
+        .map(|r| std::mem::replace(r, Row::empty()))
         .collect();
     for (slot, &src) in rows.iter_mut().zip(&order) {
-        *slot = taken[src].take().expect("each source row moved once");
+        *slot = std::mem::replace(&mut taken[src], Row::empty());
     }
     Ok(())
 }
@@ -829,5 +831,21 @@ mod tests {
         // k1 ascending groups z first; within k1 = 1 the NULL k2 leads even
         // under DESC.
         assert_eq!(order, vec!["z", "y", "x"]);
+    }
+
+    #[test]
+    fn a_right_join_on_a_column_outside_both_inputs_is_an_error() {
+        use llmsql_types::DataType;
+        let left = vec![Row::new(vec![Value::Int(1)])];
+        let right = vec![Row::new(vec![Value::Int(1)])];
+        let on = |column: usize| BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(0, "l", DataType::Int)),
+            op: BinaryOp::Eq,
+            right: Box::new(BoundExpr::col(column, "r", DataType::Int)),
+        };
+        let joined = join_rows(&left, &right, 1, 1, JoinKind::Right, Some(&on(1))).unwrap();
+        assert_eq!(joined, vec![Row::new(vec![Value::Int(1), Value::Int(1)])]);
+        let err = join_rows(&left, &right, 1, 1, JoinKind::Right, Some(&on(2))).unwrap_err();
+        assert_eq!(err.kind, llmsql_types::ErrorKind::Execution, "{err}");
     }
 }

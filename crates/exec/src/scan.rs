@@ -43,8 +43,9 @@
 //!   query's thread parks there until the *oldest* one resolves, so slot
 //!   gating, single-flight coalescing and mid-flight deadlines apply to
 //!   every request alike. A plan that knows its prompts
-//!   up front has `W` = the fanout; `Pages` speculates, and starts where the
-//!   planner expects the scan to end (see there).
+//!   up front has `W` = the fanout; `Pages` speculates: it starts where the
+//!   planner expects the scan to end, and once the answers have passed that
+//!   estimate only the cardinality hint bounds it (see there).
 //! * **Determinism.** Admission is keyed on the consumed prefix, never on
 //!   which request happened to complete first, and a plan is a pure function
 //!   of the answers consumed so far. So the prompt *set* and the composition
@@ -478,18 +479,26 @@ fn note_dropped(ctx: &ExecContext, dropped_lines: usize) {
 ///   the planner expects the scan to take — `llmsql_plan::estimate_scan_rows`
 ///   (hint, pushed filter's selectivity, row budget), the very number EXPLAIN
 ///   prints as the scan's rows, over the page size. With no hint nothing is
-///   known before the first answer, and `W₀` = 1.
-/// * **How it grows.** By one per full page consumed — evidence that the
-///   relation goes on — up to the fanout: `W(c) = min(fanout, W₀ + c)`. From
-///   `W₀` = 1 that doubles the pages in flight each round trip.
+///   known before the first answer, and one page goes out.
+/// * **How it grows.** With a hint, by one per full page consumed — evidence
+///   that the relation goes on — while fewer than `W₀` are:
+///   `W(c) = min(fanout, W₀ + c)` for `c < W₀`. At `c = W₀` the filtered
+///   relation has reached the planner's estimate, which then bounds nothing:
+///   from there `W` = the fanout, and the hint alone bounds speculation. So
+///   an estimate that is too low costs at most one round trip more than an
+///   exact one. Without a hint the window is slow start, one page per full
+///   page consumed, `W(c) = min(fanout, max(1, c))`: it doubles the pages in
+///   flight each round trip from the second on.
 /// * **What it can waste.** A scan that a filter ends on its `k`-th page
-///   (`k` full pages served) has issued `min(fanout, W₀ + k) − 1` calls past
-///   the end: without a hint at most `min(fanout − 1, k)`, and an empty
-///   relation costs one call as in a sequential run; with a hint, a wrong
-///   estimate costs at most the estimated pages − 1. Pages past the hint are
-///   never planned, so an unfiltered hinted scan wastes nothing, and a
-///   budget-capped scan (`LIMIT` or `max_scan_rows` reached before
-///   exhaustion) issues exactly the sequential call count.
+///   (`k` full pages served) has issued `min(W(k), hint pages − k) − 1`
+///   calls past the end. Without a hint that is at most `min(fanout − 1, k)`,
+///   and an empty relation costs one call as in a sequential run. With a
+///   hint it is `min(fanout, W₀ + k) − 1` at most while `k < W₀` — an
+///   estimate that is too high costs at most the estimated pages − 1 over
+///   an exact one — and `min(fanout, hint pages − k) − 1` once `k ≥ W₀`.
+///   Pages past the hint are never planned, so an unfiltered hinted scan
+///   wastes nothing, and a budget-capped scan (`LIMIT` or `max_scan_rows`
+///   reached before exhaustion) issues exactly the sequential call count.
 ///
 /// A page's prompt is the plan's one template with the page's limit and
 /// offset rendered in.
@@ -514,8 +523,11 @@ struct Pages<'a> {
     /// pushed filter it is still a sound upper bound, and the short-page
     /// check still detects the filtered relation's earlier end.
     hint: Option<usize>,
-    /// `W₀` plus the full pages consumed.
-    window: usize,
+    /// `W₀`: the pages the planner expects the scan to take (0 without a
+    /// hint).
+    first_window: usize,
+    /// Full pages consumed.
+    full_consumed: usize,
     /// Where the next unplanned page starts.
     offset: usize,
     /// The `limit` of each page in flight, oldest first.
@@ -551,7 +563,8 @@ impl<'a> Pages<'a> {
             budget: spec.row_budget(ctx),
             page,
             hint: hint.map(|n| n as usize),
-            window: (expected_rows / page as f64).ceil() as usize,
+            first_window: (expected_rows / page as f64).ceil() as usize,
+            full_consumed: 0,
             offset: 0,
             in_flight: VecDeque::new(),
             rows: Vec::new(),
@@ -563,7 +576,12 @@ impl PromptPlan for Pages<'_> {
     const KIND: &'static str = "row_batch";
 
     fn window(&self) -> usize {
-        self.window
+        // The answers have passed the planner's estimate: only the hint
+        // still bounds what may be asked.
+        if self.hint.is_some() && self.full_consumed >= self.first_window {
+            return usize::MAX;
+        }
+        self.first_window + self.full_consumed
     }
 
     fn next(&mut self, cap: usize) -> Result<Vec<String>> {
@@ -620,7 +638,7 @@ impl PromptPlan for Pages<'_> {
         if got_lines < want || self.rows.len() >= self.budget {
             return Ok(Flow::Done);
         }
-        self.window += 1;
+        self.full_consumed += 1;
         Ok(Flow::Continue)
     }
 }
@@ -1798,6 +1816,25 @@ mod tests {
         }
     }
 
+    /// `population BETWEEN low AND high`.
+    fn between_filter(low: i64, high: i64) -> BoundExpr {
+        BoundExpr::Between {
+            expr: Box::new(BoundExpr::col(2, "population", DataType::Int)),
+            low: Box::new(BoundExpr::lit(low)),
+            high: Box::new(BoundExpr::lit(high)),
+            negated: false,
+        }
+    }
+
+    /// `region = 'Europe'`: every row of [`numbered_world`].
+    fn in_europe() -> BoundExpr {
+        BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(1, "region", DataType::Text)),
+            op: llmsql_sql::ast::BinaryOp::Eq,
+            right: Box::new(BoundExpr::lit("Europe")),
+        }
+    }
+
     /// The prompts a [`Probe`] was sent, sorted: the multiset a scan asked.
     fn prompts_asked(log: &Mutex<Vec<Event>>) -> Vec<String> {
         let mut asked: Vec<String> = log
@@ -1942,12 +1979,19 @@ mod tests {
         fn paging_past_the_end_is_bounded_and_budget_capped_scans_are_exact(
             size in 0usize..70,
             page in 1usize..9,
-            keep in proptest::option::of(0i64..70),
+            keep in proptest::option::of((0usize..3, 0i64..70)),
             parallelism in 1usize..17,
             limit in proptest::option::of(1usize..80),
         ) {
             for hinted in [true, false] {
-                let filter = keep.map(lt_filter);
+                // The planner expects `<` to keep a third of the relation,
+                // `BETWEEN` a quarter and `=` a tenth; `region = 'Europe'`
+                // keeps all of it.
+                let filter = keep.map(|(shape, keep)| match shape {
+                    0 => lt_filter(keep),
+                    1 => between_filter(0, keep),
+                    _ => in_europe(),
+                });
                 let mut p = parts(filter.clone(), None);
                 p.pushed_limit = limit;
                 let run = |parallelism: usize| {
@@ -1961,7 +2005,7 @@ mod tests {
                 let (expected, sequential_calls) = run(1);
                 let (rows, calls) = run(parallelism);
                 let at = format!(
-                    "{size} rows, page {page}, keep {keep:?}, limit {limit:?}, \
+                    "{size} rows, page {page}, filter (shape, keep) {keep:?}, limit {limit:?}, \
                      parallelism {parallelism}, hint {hinted}"
                 );
                 proptest::prop_assert_eq!(&rows, &expected, "rows diverged: {}", at);
@@ -1981,16 +2025,24 @@ mod tests {
                     proptest::prop_assert_eq!(calls, sequential_calls, "budget-capped: {}", at);
                     continue;
                 }
-                let first_window = if hinted {
+                // The window when the short page was consumed, less that page.
+                let full_pages = rows.len() / page;
+                let bound = if hinted {
                     let max_scan_rows = EngineConfig::default().max_scan_rows;
                     let expected_rows =
                         estimate_scan_rows(size as u64, max_scan_rows, filter.as_ref(), limit);
-                    ((expected_rows / page as f64).ceil() as usize).clamp(1, parallelism)
+                    let first_window = (expected_rows / page as f64).ceil() as usize;
+                    if full_pages < first_window {
+                        parallelism.min(first_window + full_pages) - 1
+                    } else {
+                        // Past the estimate only the hint bounds the window.
+                        parallelism
+                            .min(size.div_ceil(page) - full_pages)
+                            .saturating_sub(1)
+                    }
                 } else {
-                    1
+                    parallelism.min(1 + full_pages) - 1
                 };
-                let full_pages = rows.len() / page;
-                let bound = parallelism.min(first_window + full_pages) - 1;
                 proptest::prop_assert!(
                     (sequential_calls..=sequential_calls + bound).contains(&calls),
                     "{} calls against {} sequential, bound {}: {}",
@@ -2008,11 +2060,72 @@ mod tests {
         TaskSpec::RowBatch {
             table: "countries".into(),
             columns: p.schema.columns.iter().map(|c| c.name.clone()).collect(),
-            filter: None,
+            filter: p.spec().prompt_filter().unwrap(),
             limit: page,
             offset: index * page,
         }
         .to_prompt(Some(&p.schema))
+    }
+
+    #[test]
+    fn a_hinted_scan_past_its_estimate_opens_the_window_to_the_fanout() {
+        // 200 rows in pages of 10 at fanout 16, every row passing the pushed
+        // filter. The planner expects `BETWEEN` to keep a quarter of them
+        // (`W₀` = 5 pages) and `=` a tenth (`W₀` = 2). The first `W₀` pages
+        // answer at once, every later one only after the reactor has polled
+        // it 40 times, so no clock is involved. Read off the model's event
+        // log: by the time any page past `W₀` resolves, the first `W₀` have
+        // come back full and refuted the estimate, and the second round put
+        // every page the fanout allows in flight — `W₀ + 16`. For `BETWEEN`
+        // that is all 20 pages, two rounds where slow growth took three
+        // (5 + 10 + 5); for `=` it is 18 — 16 in flight behind the 2
+        // consumed — three rounds where slow growth took four (2 + 4 + 8 +
+        // 6).
+        const PAGE: usize = 10;
+        const FANOUT: usize = 16;
+        for (filter, first_window) in [(between_filter(0, 199), 5), (in_europe(), 2)] {
+            let expected_rows = estimate_scan_rows(200, usize::MAX, Some(&filter), None);
+            assert_eq!(
+                (expected_rows / PAGE as f64).ceil() as usize,
+                first_window,
+                "{filter}"
+            );
+            let p = parts(Some(filter), None);
+            let prompts: Vec<String> = (0..20).map(|i| page_prompt(&p, PAGE, i)).collect();
+            let late = prompts[first_window..].to_vec();
+            let (model, log) = Probe::over(numbered_world(200), true, move |prompt| {
+                if late.iter().any(|q| q == prompt) {
+                    Pace::Polls(40)
+                } else {
+                    AT_ONCE
+                }
+            });
+            let mut ctx = context_over(model, PromptStrategy::BatchedRows);
+            ctx.config.batch_size = PAGE;
+            ctx.config.parallelism = FANOUT;
+            assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
+            assert_eq!(ctx.metrics.borrow().llm_calls(), 20);
+
+            let index = |prompt: &String| prompts.iter().position(|q| q == prompt).unwrap();
+            let log = log.lock();
+            let first_late_answer = log
+                .iter()
+                .position(|e| matches!(e, Event::Resolved(q) if index(q) >= first_window))
+                .unwrap();
+            let submitted: Vec<usize> = log[..first_late_answer]
+                .iter()
+                .filter_map(|event| match event {
+                    Event::Submitted(prompt) => Some(index(prompt)),
+                    Event::Resolved(_) => None,
+                })
+                .collect();
+            let second_round_ends = (first_window + FANOUT).min(20);
+            assert_eq!(
+                submitted,
+                (0..second_round_ends).collect::<Vec<_>>(),
+                "W₀ = {first_window}"
+            );
+        }
     }
 
     #[test]

@@ -297,8 +297,11 @@ fn cost_node(
 /// `max_scan_rows` (a scan never requests more), thinned by the pushed
 /// filter's selectivity and capped by the pushed LIMIT. This is a scan's
 /// `rows_out` in [`cost_plan`] — the number EXPLAIN prints — and the number
-/// the executor's scan driver sizes its first dispatch window from, so the
-/// two cannot drift.
+/// the executor's paged scan sizes its first dispatch window from (`W₀`, in
+/// pages), so the two cannot drift. Against an exact estimate, an
+/// underestimate costs that scan at most one round trip (once the answers
+/// pass the estimate, the window opens to the fanout) and an overestimate
+/// at most the estimated pages − 1 calls past the relation's end.
 pub fn estimate_scan_rows(
     cardinality: u64,
     max_scan_rows: usize,

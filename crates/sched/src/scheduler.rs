@@ -564,15 +564,14 @@ fn run_job(core: &SchedCore, job: Job) {
     // queue-time accounting it did accumulate.
     let expired = job
         .deadline_ms
-        .is_some_and(|deadline_ms| queue_ms >= deadline_ms);
-    if expired {
+        .filter(|&deadline_ms| queue_ms >= deadline_ms);
+    if expired.is_some() {
         // ordering: Relaxed — statistics counter; the ticket resolution that
         // callers wait on synchronizes via its own mutex/condvar.
         core.deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
     let run_start = Instant::now();
-    let result = if expired {
-        let deadline_ms = job.deadline_ms.expect("expired implies a deadline");
+    let result = if let Some(deadline_ms) = expired {
         Err(Error::deadline_exceeded(format!(
             "cancelled unexecuted: queued {queue_ms:.1}ms past its {deadline_ms:.0}ms deadline \
              (0 LLM calls issued)"
@@ -590,7 +589,7 @@ fn run_job(core: &SchedCore, job: Job) {
         .unwrap_or_else(|_| Err(Error::execution("query execution panicked")))
     };
     let run_ms = run_start.elapsed().as_secs_f64() * 1000.0;
-    if !expired {
+    if expired.is_none() {
         core.run_ewma.observe(run_ms);
     }
 

@@ -60,12 +60,13 @@ impl TicketState {
     }
 
     fn wait(&self) -> QueryOutcome {
-        let slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        let mut slot = self
-            .done
-            .wait_while(slot, |o| o.is_none())
-            .unwrap_or_else(|e| e.into_inner());
-        slot.take().expect("wait_while guarantees an outcome")
+        let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(outcome) = slot.take() {
+                return outcome;
+            }
+            slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 
