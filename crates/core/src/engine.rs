@@ -80,31 +80,14 @@ impl Engine {
     /// directly. Throttling delays dispatch only — rows and logical call
     /// counts are unchanged.
     ///
-    /// When the engine routes through a `BackendPool`, the pool's hedge
-    /// admission gate is wired to this slot pool's non-blocking acquire:
-    /// hedges fire only against spare slot capacity and each holds a slot
-    /// while in flight.
+    /// When the engine routes through a `BackendPool`, its hedges fit into
+    /// this slot pool too: a hedge fires only against spare slot capacity
+    /// and holds a slot while in flight.
     pub fn set_call_slots(&mut self, slots: Arc<CallSlots>) {
+        if let Some(pool) = self.client.as_ref().and_then(LlmClient::pool) {
+            pool.set_hedge_slots(Some(Arc::clone(&slots)));
+        }
         self.slots = Some(slots);
-        self.wire_hedge_gate();
-    }
-
-    /// Point the backend pool's hedge admission gate at the attached slot
-    /// pool (no-op without a pool or without slots — hedges are then always
-    /// admitted, bounded only by the pool's one-hedge-per-request rule).
-    fn wire_hedge_gate(&self) {
-        let (Some(slots), Some(pool)) = (
-            self.slots.as_ref(),
-            self.client.as_ref().and_then(|c| c.pool()),
-        ) else {
-            return;
-        };
-        let slots = Arc::clone(slots);
-        pool.set_hedge_permit_gate(Some(Arc::new(move || {
-            slots
-                .try_acquire_owned()
-                .map(|guard| Box::new(guard) as Box<dyn std::any::Any + Send>)
-        })));
     }
 
     /// The attached global slot pool, if any.
@@ -162,11 +145,12 @@ impl Engine {
                 self.config.breaker_cooldown_ms,
             )
             .with_hedging(self.config.hedge_multiplier, self.config.hedge_min_ms);
+            pool.set_hedge_slots(self.slots.clone());
             LlmClient::from_pool(Arc::new(pool), cached)
         });
         // A scheduler may have attached its slot pool / coalescer before the
-        // model was attached; (re)wire both on the fresh client either way.
-        self.wire_hedge_gate();
+        // model was attached; the pool above took the slots, and the fresh
+        // client takes the coalescer.
         if let (Some(coalescer), Some(client)) = (&self.coalescer, &mut self.client) {
             client.set_coalescer(Arc::clone(coalescer));
         }

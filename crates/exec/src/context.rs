@@ -4,12 +4,11 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use llmsql_llm::LlmClient;
+use llmsql_llm::{CallSlots, LlmClient};
 use llmsql_store::Catalog;
 use llmsql_types::{EngineConfig, Error, Result};
 
 use crate::metrics::ExecMetrics;
-use crate::slots::CallSlots;
 
 /// Everything an operator needs: the catalog, the (optional) LLM client, the
 /// engine configuration and the query's ledger. One query, one context, one
@@ -85,7 +84,7 @@ impl ExecContext {
     }
 
     /// Builder-style: throttle this query's LLM dispatch through a shared
-    /// [`CallSlots`] pool (see the [`crate::slots`] module docs for the
+    /// [`CallSlots`] pool (see the [`llmsql_llm::slots`] module docs for the
     /// contract). Prompt planning is unaffected — only dispatch timing is.
     pub fn with_slots(mut self, slots: Arc<CallSlots>) -> Self {
         self.slots = Some(slots);

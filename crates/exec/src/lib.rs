@@ -48,15 +48,14 @@ pub mod executor;
 pub mod metrics;
 pub mod reactor;
 pub mod scan;
-pub mod slots;
 
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
 pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
+pub use llmsql_llm::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use metrics::{ExecMetrics, OpStats};
 pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerId, TimerWheel};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
-pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 
 #[cfg(test)]
 mod proptests {

@@ -15,8 +15,9 @@
 //! query's thread — standalone or under a scheduler alike. Operations never
 //! leave the thread that made them, so they need be neither `Send` nor
 //! `'static`. What concurrent queries share is not a loop but the state
-//! their operations poll: the call-slot pool, the prompt coalescer, the
-//! backend pool's hedge gate.
+//! their operations poll: the call-slot pool (which the backend pool's
+//! hedges draw on too), the prompt coalescer, the backend pool's breakers
+//! and latency averages.
 //!
 //! # The completion contract
 //!

@@ -91,8 +91,8 @@ use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
-    pack_prompts, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, ClientCall,
-    CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer, BATCH_SEPARATOR,
+    pack_prompts, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, CallSlots,
+    ClientCall, CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer, BATCH_SEPARATOR,
 };
 use llmsql_plan::{estimate_scan_rows, BoundExpr};
 use llmsql_store::Table;
@@ -104,7 +104,6 @@ use crate::context::ExecContext;
 use crate::eval::eval_predicate;
 use crate::metrics::ExecMetrics;
 use crate::reactor::{Completion, Expired, LiveSet};
-use crate::slots::CallSlots;
 
 /// Parameters of a scan, extracted from the logical plan node, which alone
 /// says what the optimizer pushed. Borrows the plan's data — constructing a
@@ -218,9 +217,9 @@ impl Completion for RequestOp<'_> {
             };
             match slots.try_acquire_owned() {
                 Some(guard) => {
-                    let waited_us = slot_wait_started
-                        .take()
-                        .map_or(0, |since| since.elapsed().as_micros() as u64);
+                    let waited_us = slot_wait_started.take().map_or(0, |since| {
+                        now.saturating_duration_since(since).as_micros() as u64
+                    });
                     *slot_wait_us = Some(waited_us);
                     slots.record_blocked_wait(waited_us);
                     Some(Box::new(guard))
@@ -479,16 +478,16 @@ fn note_dropped(ctx: &ExecContext, dropped_lines: usize) {
 ///   the planner expects the scan to take — `llmsql_plan::estimate_scan_rows`
 ///   (hint, pushed filter's selectivity, row budget), the very number EXPLAIN
 ///   prints as the scan's rows, over the page size. With no hint nothing is
-///   known before the first answer, and one page goes out.
+///   known before the first answer: `W₀` is one page.
 /// * **How it grows.** With a hint, by one per full page consumed — evidence
 ///   that the relation goes on — while fewer than `W₀` are:
 ///   `W(c) = min(fanout, W₀ + c)` for `c < W₀`. At `c = W₀` the filtered
 ///   relation has reached the planner's estimate, which then bounds nothing:
 ///   from there `W` = the fanout, and the hint alone bounds speculation. So
 ///   an estimate that is too low costs at most one round trip more than an
-///   exact one. Without a hint the window is slow start, one page per full
-///   page consumed, `W(c) = min(fanout, max(1, c))`: it doubles the pages in
-///   flight each round trip from the second on.
+///   exact one. Without a hint the window is slow start, one page more per
+///   full page consumed, `W(c) = min(fanout, 1 + c)`: the pages in flight
+///   double each round trip, 1, 2, 4, 8, …
 /// * **What it can waste.** A scan that a filter ends on its `k`-th page
 ///   (`k` full pages served) has issued `min(W(k), hint pages − k) − 1`
 ///   calls past the end. Without a hint that is at most `min(fanout − 1, k)`,
@@ -523,7 +522,7 @@ struct Pages<'a> {
     /// pushed filter it is still a sound upper bound, and the short-page
     /// check still detects the filtered relation's earlier end.
     hint: Option<usize>,
-    /// `W₀`: the pages the planner expects the scan to take (0 without a
+    /// `W₀`: the pages the planner expects the scan to take (1 without a
     /// hint).
     first_window: usize,
     /// Full pages consumed.
@@ -546,8 +545,10 @@ impl<'a> Pages<'a> {
             .and_then(|c| c.relation_cardinality(spec.table));
         let page = ctx.config.batch_size.max(1);
         let max_rows = ctx.config.max_scan_rows;
-        let expected_rows = hint.map_or(0.0, |n| {
-            estimate_scan_rows(n, max_rows, spec.pushed_filter, spec.pushed_limit)
+        let first_window = hint.map_or(1, |n| {
+            let expected_rows =
+                estimate_scan_rows(n, max_rows, spec.pushed_filter, spec.pushed_limit);
+            (expected_rows / page as f64).ceil() as usize
         });
         Pages {
             ctx,
@@ -563,7 +564,7 @@ impl<'a> Pages<'a> {
             budget: spec.row_budget(ctx),
             page,
             hint: hint.map(|n| n as usize),
-            first_window: (expected_rows / page as f64).ceil() as usize,
+            first_window,
             full_consumed: 0,
             offset: 0,
             in_flight: VecDeque::new(),
@@ -1441,7 +1442,6 @@ mod tests {
 
     #[test]
     fn slot_pool_throttles_dispatch_without_changing_results() {
-        use crate::slots::CallSlots;
         let p = parts(None, None);
         let free_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
         let expected = llm_scan(&free_ctx, &p.spec()).unwrap();
@@ -2183,6 +2183,35 @@ mod tests {
                 "hint {hinted}"
             );
         }
+    }
+
+    #[test]
+    fn an_unhinted_scan_opens_at_one_page_and_doubles_each_round_trip() {
+        // 200 rows in pages of 10 at fanout 16, no cardinality hint, capped
+        // at 200 rows. Every page answers on the reactor's second poll of
+        // it, so each round trip's pages resolve together and no clock is
+        // involved: a round is a run of submissions between two answers in
+        // the model's event log. Slow start opens at one page and consumes
+        // each full page into two more — 1, 2, 4, 8, then the 5 the budget
+        // leaves.
+        let mut p = parts(None, None);
+        p.pushed_limit = Some(200);
+        let (model, log) = Probe::over(numbered_world(200), false, |_| Pace::Polls(1));
+        let mut ctx = context_over(model, PromptStrategy::BatchedRows);
+        ctx.config.batch_size = 10;
+        ctx.config.parallelism = 16;
+        assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
+        let mut rounds: Vec<usize> = Vec::new();
+        let mut answered = true;
+        for event in log.lock().iter() {
+            match event {
+                Event::Submitted(_) if answered => rounds.push(1),
+                Event::Submitted(_) => *rounds.last_mut().unwrap() += 1,
+                Event::Resolved(_) => {}
+            }
+            answered = matches!(event, Event::Resolved(_));
+        }
+        assert_eq!(rounds, [1, 2, 4, 8, 5]);
     }
 
     #[test]

@@ -38,12 +38,13 @@ pub mod noise;
 pub mod parse;
 pub mod prompt;
 pub mod sim;
+pub mod slots;
 pub mod tokenizer;
 mod wait;
 
 pub use backend::{
     Backend, BackendPool, BackendReceipt, BackendStats, CallHandle, CallMachine, DirectBackend,
-    HedgePermitGate, PoolCall, RemoteLlm,
+    PoolCall, RemoteLlm,
 };
 pub use batch::{is_packed, pack_prompts, split_response, split_sections, BATCH_SEPARATOR};
 pub use cache::PromptCache;
@@ -59,6 +60,7 @@ pub use parse::{
 };
 pub use prompt::{describe_schema, parse_task, PromptTemplate, TaskSpec};
 pub use sim::SimLlm;
+pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use tokenizer::count_tokens;
 
 #[cfg(test)]

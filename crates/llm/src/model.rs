@@ -210,7 +210,7 @@ impl LlmClient {
     }
 
     /// The wrapped [`BackendPool`], when this client routes through one
-    /// (hedge-gate wiring and EWMA inspection go through this handle).
+    /// (hedge slots and EWMA inspection go through this handle).
     pub fn pool(&self) -> Option<&Arc<BackendPool>> {
         self.pool.as_ref()
     }

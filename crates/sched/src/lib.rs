@@ -29,7 +29,7 @@
 //!   exceeds the pool, *whatever* each query's `parallelism` is — and
 //!   because prompts are planned before slots are taken, throttling delays
 //!   dispatch without changing any query's prompt set, rows, or logical
-//!   call count (see the slot/ticket contract in [`llmsql_exec::slots`]).
+//!   call count (see the slot/ticket contract in [`llmsql_llm::slots`]).
 //!
 //! * **Per-query tickets.** [`submit`](QueryScheduler::submit) returns a
 //!   [`QueryTicket`]; [`QueryTicket::wait`] blocks until the query ran and
@@ -90,7 +90,8 @@
 //! 64 slots on 4 workers is the normal shape — not 64 blocked threads
 //! (`examples/async_dispatch.rs` measures exactly this). What the workers
 //! share is the state their requests poll: the [`llmsql_exec::CallSlots`]
-//! pool, the prompt coalescer, the backend pool's hedge gate. A request
+//! pool (which the backend pool's hedges draw on too), the prompt
+//! coalescer, the backend pool's breakers and latency averages. A request
 //! waiting on another query — for a slot, or for a coalescing leader's
 //! answer — re-polls on a short stored retry deadline; its waits are
 //! parked-and-polled, and surface in the `SchedStats::total_slot_wait_ms` /
