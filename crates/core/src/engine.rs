@@ -2,7 +2,6 @@
 //! relational store and language-model storage together.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use llmsql_exec::{
     dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext,
@@ -19,8 +18,8 @@ use llmsql_sql::ast::{InsertStatement, SelectStatement, Statement};
 use llmsql_sql::parse_statement;
 use llmsql_store::{Catalog, CatalogEntry};
 use llmsql_types::{
-    Batch, DataType, EngineConfig, Error, ExecutionMode, Field, PromptStrategy, RelSchema, Result,
-    Row, Value,
+    clock, Batch, DataType, EngineConfig, Error, ExecutionMode, Field, PromptStrategy, RelSchema,
+    Result, Row, Value,
 };
 
 use crate::result::QueryResult;
@@ -249,7 +248,7 @@ impl Engine {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        let start = Instant::now();
+        let start = clock::now();
 
         let mut result = match statement {
             Statement::Select(select) => self.execute_select(select, sql_text, deadline_ms)?,
@@ -293,7 +292,7 @@ impl Engine {
             }
         };
 
-        result.engine_ms = start.elapsed().as_secs_f64() * 1000.0;
+        result.engine_ms = (clock::now() - start).as_secs_f64() * 1000.0;
         // The statement's bill is what its own requests did.
         result.usage = result.metrics.usage.clone();
         Ok(result)

@@ -2,11 +2,11 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use llmsql_llm::{CallSlots, LlmClient};
 use llmsql_store::Catalog;
-use llmsql_types::{EngineConfig, Error, Result};
+use llmsql_types::{clock, EngineConfig, Error, Result};
 
 use crate::metrics::ExecMetrics;
 
@@ -18,7 +18,8 @@ pub struct ExecContext {
     pub catalog: Catalog,
     /// The language-model client; `None` in pure traditional deployments.
     pub client: Option<LlmClient>,
-    /// Engine configuration (mode, strategy, batch size, caps).
+    /// Engine configuration (mode, strategy, batch size, caps). Its
+    /// `deadline_ms` is read once, by [`ExecContext::new`].
     pub config: EngineConfig,
     /// The query's ledger (see [`crate::metrics`]): written through
     /// short-lived borrows by the operators of this query's thread, taken
@@ -27,46 +28,48 @@ pub struct ExecContext {
     /// Global LLM-call slot pool (cross-query admission). `None` outside a
     /// scheduler: dispatch is bounded only by this query's `parallelism`.
     slots: Option<Arc<CallSlots>>,
-    /// When this query started executing — the anchor for
-    /// `EngineConfig::deadline_ms` (see [`ExecContext::check_deadline`]).
-    started: Instant,
+    /// When this query's deadline fires, and its `EngineConfig::deadline_ms`:
+    /// that many milliseconds after the context was created. `None` without
+    /// a deadline, and for one past the range an `Instant` can represent,
+    /// which no query outlives.
+    deadline: Option<(Instant, f64)>,
 }
 
 impl ExecContext {
-    /// Create a context.
+    /// Create a context; a configured deadline starts running now.
     pub fn new(catalog: Catalog, client: Option<LlmClient>, config: EngineConfig) -> Self {
+        let deadline = config.deadline_ms.and_then(|ms| {
+            let after = Duration::try_from_secs_f64(ms.max(0.0) / 1000.0).ok()?;
+            Some((clock::now().checked_add(after)?, ms))
+        });
         ExecContext {
             catalog,
             client,
             config,
             metrics: RefCell::default(),
             slots: None,
-            started: Instant::now(),
+            deadline,
         }
     }
 
     /// Fail the query once its deadline has passed. Scans call this before
     /// admitting a request, so what is already in flight is the most a late
     /// query still pays for. The error carries the partial accounting at the moment of
-    /// failure: elapsed wall time and logical LLM calls already issued.
+    /// failure: elapsed time and logical LLM calls already issued.
     pub fn check_deadline(&self) -> Result<()> {
-        let Some(deadline_ms) = self.config.deadline_ms else {
-            return Ok(());
-        };
-        let elapsed_ms = self.started.elapsed().as_secs_f64() * 1000.0;
-        if elapsed_ms > deadline_ms {
-            return Err(self.deadline_error());
+        match self.deadline {
+            Some((at, _)) if clock::now() >= at => Err(self.deadline_error()),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The structured `DeadlineExceeded` error with this query's partial
-    /// accounting (elapsed wall time, logical calls issued so far). Used by
+    /// accounting (elapsed time, logical calls issued so far). Used by
     /// [`ExecContext::check_deadline`] at admission and by the scan driver
     /// when the deadline fires while calls are parked mid-flight.
     pub fn deadline_error(&self) -> Error {
-        let deadline_ms = self.config.deadline_ms.unwrap_or(0.0);
-        let elapsed_ms = self.started.elapsed().as_secs_f64() * 1000.0;
+        let (at, deadline_ms) = self.deadline.unwrap_or((clock::now(), 0.0));
+        let elapsed_ms = deadline_ms + (clock::now() - at).as_secs_f64() * 1000.0;
         let calls = self.metrics.borrow().llm_calls();
         Error::deadline_exceeded(format!(
             "query exceeded its {deadline_ms:.0}ms deadline after {elapsed_ms:.1}ms \
@@ -74,13 +77,11 @@ impl ExecContext {
         ))
     }
 
-    /// The wall-clock instant at which this query's deadline fires, if one
-    /// is configured — the abort signal handed to the scan's event loop so a
-    /// thread parked on in-flight calls still honours the deadline.
-    pub fn deadline_instant(&self) -> Option<std::time::Instant> {
-        self.config
-            .deadline_ms
-            .map(|ms| self.started + std::time::Duration::from_secs_f64(ms.max(0.0) / 1000.0))
+    /// The instant at which this query's deadline fires, if it has one — the
+    /// abort signal handed to the scan's event loop so a thread parked on
+    /// in-flight calls still honours the deadline.
+    pub fn deadline_instant(&self) -> Option<Instant> {
+        self.deadline.map(|(at, _)| at)
     }
 
     /// Builder-style: throttle this query's LLM dispatch through a shared

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use llmsql_plan::{BoundExpr, LogicalPlan, SortKey};
 use llmsql_sql::ast::{BinaryOp, JoinKind};
 use llmsql_store::CatalogEntry;
-use llmsql_types::{Batch, Error, ExecutionMode, Result, Row, Value};
+use llmsql_types::{clock, Batch, Error, ExecutionMode, Result, Row, Value};
 
 use crate::context::ExecContext;
 use crate::eval::{eval, eval_predicate, AggAccumulator};
@@ -41,12 +41,9 @@ pub fn execute_rows(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Vec<Row>> {
 /// before its parent does any work of its own.
 fn execute_rows_at(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
     let calls_before = ctx.metrics.borrow().llm_calls();
-    // Per-operator wall clock for EXPLAIN ANALYZE. Deliberately not routed
-    // through the reactor: this measures the whole operator (including CPU
-    // work), not an I/O deadline — carried as a banned-time ledger entry.
-    let started = std::time::Instant::now();
+    let started = clock::now();
     let rows = execute_node(ctx, plan, path)?;
-    let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+    let wall_ms = (clock::now() - started).as_secs_f64() * 1000.0;
     let mut ledger = ctx.metrics.borrow_mut();
     let calls = ledger.llm_calls() - calls_before;
     let s = ledger.op_stats.entry(path.to_string()).or_default();

@@ -66,6 +66,8 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use llmsql_types::clock;
+
 /// A poll-driven operation a [`LiveSet`] can run to completion.
 pub trait Completion {
     /// Attempt progress; `true` once the operation has finished. Not called
@@ -131,7 +133,7 @@ struct WheelEntry {
 /// operations (see the module docs). The wheel and [`TimerId`] stay exported,
 /// signatures unchanged, because the frozen benchmark package's probe
 /// (`exec.reactor.timer_ns`) imports them; they go when that package is next
-/// opened (ROADMAP item 4b).
+/// opened (ROADMAP item 6(c)).
 pub struct TimerWheel {
     slots: Vec<Vec<WheelEntry>>,
     epoch: Instant,
@@ -146,7 +148,7 @@ impl TimerWheel {
     pub fn new() -> TimerWheel {
         TimerWheel {
             slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            epoch: Instant::now(),
+            epoch: clock::now(),
             cursor: 0,
             next_id: 0,
             live: 0,
@@ -303,7 +305,7 @@ impl<C: Completion> LiveSet<C> {
     /// that poll is what submits a call — so an admitted operation is in
     /// flight before the caller does anything else.
     pub fn push(&mut self, mut op: C) {
-        let done = op.poll(Instant::now());
+        let done = op.poll(clock::now());
         self.ops.push_back(Live { op, done });
     }
 
@@ -324,7 +326,7 @@ impl<C: Completion> LiveSet<C> {
             if self.ops.front()?.done {
                 return self.ops.pop_front().map(|live| Ok(live.op));
             }
-            let now = Instant::now();
+            let now = clock::now();
             if deadline.is_some_and(|d| now >= d) {
                 return Some(Err(Expired));
             }
@@ -350,7 +352,7 @@ impl<C: Completion> LiveSet<C> {
                 .min()
                 // Unreachable: the unresolved head is live.
                 .unwrap_or(now + IMMEDIATE_RETRY);
-            std::thread::sleep(until.saturating_duration_since(now).max(MIN_SLEEP));
+            clock::sleep_until(clock::now() + until.saturating_duration_since(now).max(MIN_SLEEP));
         }
     }
 }
@@ -361,7 +363,7 @@ impl<C: Completion> LiveSet<C> {
 /// [`DriveOutcome::DeadlineExceeded`] the unfinished ones are simply dropped
 /// — that *is* the cancellation. The engine itself feeds a [`LiveSet`]
 /// directly; this wrapper stays for the frozen benchmark package's probe
-/// (ROADMAP item 4b).
+/// (ROADMAP item 6(c)).
 pub fn drive<C: Completion>(ops: &mut [C], deadline: Option<Instant>) -> DriveOutcome {
     let mut live = LiveSet::default();
     for op in ops {
@@ -441,18 +443,16 @@ mod tests {
 
     #[test]
     fn timers_never_fire_before_their_deadline() {
+        // Advanced every 200µs of paused time, a 3ms timer (tick 12 of
+        // 250µs) fires on the 15th step: at its deadline, not a step early.
+        let _paused = clock::pause();
         let mut wheel = TimerWheel::new();
-        let deadline = Instant::now() + Duration::from_millis(3);
+        let deadline = clock::now() + Duration::from_millis(3);
         wheel.arm(deadline);
-        loop {
-            let now = Instant::now();
-            let fired = wheel.advance(now);
-            if !fired.is_empty() {
-                assert!(now >= deadline, "timer fired {:?} early", deadline - now);
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        while wheel.advance(clock::now()).is_empty() {
+            clock::sleep_until(clock::now() + Duration::from_micros(200));
         }
+        assert_eq!(clock::now(), deadline);
     }
 
     /// A synthetic operation: completes after `ready_at`, counts its polls.
@@ -477,9 +477,11 @@ mod tests {
 
     #[test]
     fn drive_completes_overlapping_timers_without_blocking_per_op() {
-        // 32 ops of ~10ms each on one thread: event-driven overlap means the
-        // whole batch completes in ~one round trip, not 32.
-        let start = Instant::now();
+        // 32 ops of 10ms each, started 50µs apart, on one thread:
+        // event-driven overlap means the whole batch completes when the last
+        // one is ready, not after 32 round trips.
+        let _paused = clock::pause();
+        let start = clock::now();
         let mut ops: Vec<TimedOp> = (0..32)
             .map(|i| TimedOp {
                 ready_at: start + Duration::from_millis(10) + Duration::from_micros(i * 50),
@@ -490,23 +492,16 @@ mod tests {
         let outcome = drive(&mut ops, None);
         assert_eq!(outcome, DriveOutcome::Completed);
         assert!(ops.iter().all(|op| op.done));
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(160),
-            "no overlap: 32×10ms took {elapsed:?}"
-        );
-        // Timer-driven polling, not spinning: each op is polled a handful of
-        // times, not thousands.
-        assert!(
-            ops.iter().all(|op| op.polls < 200),
-            "reactor is spinning: {:?}",
-            ops.iter().map(|op| op.polls).max()
-        );
+        assert_eq!(clock::now() - start, Duration::from_micros(11_550));
+        // Timer-driven polling, not spinning: each op is polled once when
+        // pushed and once when its wakeup arrives.
+        assert!(ops.iter().all(|op| op.polls == 2), "reactor is spinning");
     }
 
     #[test]
     fn drive_honours_the_deadline_while_ops_are_parked() {
-        let start = Instant::now();
+        let _paused = clock::pause();
+        let start = clock::now();
         let mut ops = vec![TimedOp {
             ready_at: start + Duration::from_millis(500),
             polls: 0,
@@ -515,10 +510,8 @@ mod tests {
         let outcome = drive(&mut ops, Some(start + Duration::from_millis(5)));
         assert_eq!(outcome, DriveOutcome::DeadlineExceeded);
         assert!(!ops[0].done, "op must be left pending for the caller");
-        assert!(
-            start.elapsed() < Duration::from_millis(100),
-            "deadline abort should not wait for the parked call"
-        );
+        // The abort comes at the deadline, not when the parked call is due.
+        assert_eq!(clock::now() - start, Duration::from_millis(5));
     }
 
     /// Two ops sharing one "slot": the second can only proceed once the
@@ -582,14 +575,14 @@ mod tests {
                 done: false,
             },
         ];
-        let start = Instant::now();
+        let _paused = clock::pause();
+        let start = clock::now();
         assert_eq!(drive(&mut ops, None), DriveOutcome::Completed);
         assert!(ops.iter().all(|op| op.done));
         assert!(slot_free.get(), "slot leaked");
-        assert!(
-            start.elapsed() >= Duration::from_millis(10),
-            "ops overlapped despite sharing one slot"
-        );
+        // The second op takes the slot on the retry that falls due at the
+        // instant the first frees it, so the two run back to back.
+        assert_eq!(clock::now() - start, Duration::from_millis(10));
     }
 
     /// Resolves at `ready_at`; says when it was dropped, resolved or not.
@@ -604,7 +597,7 @@ mod tests {
             let dropped = Rc::default();
             let op = Tracked {
                 name,
-                ready_at: Instant::now() + delay,
+                ready_at: clock::now() + delay,
                 dropped: Rc::clone(&dropped),
             };
             (op, dropped)
@@ -629,6 +622,8 @@ mod tests {
     #[test]
     fn a_live_set_hands_back_its_head_while_younger_operations_fly() {
         const NEVER: Duration = Duration::from_hours(1);
+        let _paused = clock::pause();
+        let start = clock::now();
         let mut live = LiveSet::default();
         let (head, head_dropped) = Tracked::after("head", Duration::from_millis(2));
         let (stuck, stuck_dropped) = Tracked::after("stuck", NEVER);
@@ -638,14 +633,16 @@ mod tests {
         // the operation comes back to the caller, whole.
         let handed_back = live.wait_head(None).unwrap().ok().unwrap();
         assert_eq!(handed_back.name, "head");
+        assert_eq!(clock::now() - start, Duration::from_millis(2));
         assert!(!head_dropped.get(), "the set dropped what it hands back");
         assert!(!stuck_dropped.get());
         // An operation admitted mid-flight runs behind the stuck one and
         // resolves there, but the wait is for the head.
         let (late, late_dropped) = Tracked::after("late", Duration::ZERO);
         live.push(late);
-        let soon = Instant::now() + Duration::from_millis(5);
+        let soon = clock::now() + Duration::from_millis(5);
         assert!(matches!(live.wait_head(Some(soon)), Some(Err(Expired))));
+        assert_eq!(clock::now(), soon);
         assert!(!stuck_dropped.get(), "an expired head stays put");
         // Dropping the set is the cancellation.
         drop(live);

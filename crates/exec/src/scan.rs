@@ -1012,7 +1012,7 @@ mod tests {
     use llmsql_llm::prompt::TaskSpec;
     use llmsql_llm::{KnowledgeBase, LlmClient, SimLlm};
     use llmsql_store::Catalog;
-    use llmsql_types::{Column, EngineConfig, ExecutionMode, LlmFidelity};
+    use llmsql_types::{clock, Column, EngineConfig, ExecutionMode, LlmFidelity};
     use std::sync::Arc;
 
     fn country_schema() -> Schema {
@@ -1049,16 +1049,24 @@ mod tests {
     }
 
     fn context(strategy: PromptStrategy, fidelity: LlmFidelity) -> ExecContext {
-        context_over(sim(fidelity, 7), strategy)
+        context_over(sim(fidelity, 7), strategy, |_| {})
     }
 
-    fn context_over(model: Model, strategy: PromptStrategy) -> ExecContext {
+    /// The virtual-relation fixture over `model`; `tweak` adjusts its
+    /// configuration before the context is created, which is when a
+    /// configured deadline starts running.
+    fn context_over(
+        model: Model,
+        strategy: PromptStrategy,
+        tweak: impl FnOnce(&mut EngineConfig),
+    ) -> ExecContext {
         let catalog = Catalog::new();
         catalog.create_virtual_table(country_schema()).unwrap();
-        let config = EngineConfig::default()
+        let mut config = EngineConfig::default()
             .with_mode(ExecutionMode::LlmOnly)
             .with_strategy(strategy)
             .with_batch_size(2);
+        tweak(&mut config);
         ExecContext::new(catalog, Some(LlmClient::new(model)), config)
     }
 
@@ -1089,13 +1097,11 @@ mod tests {
             let p = parts(filter, None);
             match self {
                 Scan::Llm(strategy) => {
-                    let mut ctx = context_over(model, strategy);
-                    tweak(&mut ctx.config);
+                    let ctx = context_over(model, strategy, tweak);
                     (llm_scan(&ctx, &p.spec()), ctx)
                 }
                 Scan::Hybrid => {
-                    let (mut ctx, table) = hybrid_fixture_over(model);
-                    tweak(&mut ctx.config);
+                    let (ctx, table) = hybrid_fixture_over(model, tweak);
                     (hybrid_scan(&ctx, &p.spec(), &table), ctx)
                 }
             }
@@ -1462,23 +1468,30 @@ mod tests {
 
     #[test]
     fn expired_deadline_fails_scans_with_partial_accounting() {
+        let _paused = clock::pause();
         for strategy in [
             PromptStrategy::BatchedRows,
             PromptStrategy::TupleAtATime,
             PromptStrategy::DecomposedOperators,
         ] {
-            let mut ctx = context(strategy, LlmFidelity::perfect());
-            ctx.config.deadline_ms = Some(2.0);
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            let ctx = context_over(sim(LlmFidelity::perfect(), 7), strategy, |c| {
+                c.deadline_ms = Some(2.0);
+            });
+            clock::sleep_until(clock::now() + std::time::Duration::from_millis(5));
             let err = llm_scan(&ctx, &parts(None, None).spec()).unwrap_err();
             assert_eq!(
                 err.kind,
                 llmsql_types::ErrorKind::DeadlineExceeded,
                 "{strategy:?}"
             );
-            // Partial accounting: the scan failed before its first prompt, so
-            // zero calls were issued — and the error says so.
-            assert!(err.message.contains("0 LLM call(s) issued"), "{err}");
+            // Partial accounting: the scan failed before its first prompt, 5ms
+            // after the context was created, so zero calls were issued — and
+            // the error says so.
+            assert!(
+                err.message
+                    .ends_with("2ms deadline after 5.0ms with 0 LLM call(s) issued"),
+                "{err}"
+            );
             assert_eq!(ctx.metrics.borrow().llm_calls(), 0, "{strategy:?}");
         }
     }
@@ -1488,8 +1501,11 @@ mod tests {
         let p = parts(None, None);
         let free_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
         let expected = llm_scan(&free_ctx, &p.spec()).unwrap();
-        let mut deadline_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
-        deadline_ctx.config.deadline_ms = Some(60_000.0);
+        let deadline_ctx = context_over(
+            sim(LlmFidelity::medium(), 7),
+            PromptStrategy::BatchedRows,
+            |c| c.deadline_ms = Some(60_000.0),
+        );
         let got = llm_scan(&deadline_ctx, &p.spec()).unwrap();
         assert_eq!(expected, got, "an unhit deadline changed scan output");
         assert_eq!(
@@ -1554,19 +1570,28 @@ mod tests {
     }
 
     fn hybrid_fixture() -> (ExecContext, Table) {
-        hybrid_fixture_over(sim(LlmFidelity::perfect(), 3))
+        hybrid_fixture_over(sim(LlmFidelity::perfect(), 3), |_| {})
     }
 
     /// Two stored countries, each with one NULL cell the model can fill.
-    fn hybrid_fixture_over(model: Model) -> (ExecContext, Table) {
+    fn hybrid_fixture_over(
+        model: Model,
+        tweak: impl FnOnce(&mut EngineConfig),
+    ) -> (ExecContext, Table) {
         let stored = vec![
             Row::new(vec!["France".into(), "Europe".into(), Value::Null]),
             Row::new(vec!["Japan".into(), Value::Null, Value::Int(125)]),
         ];
-        hybrid_fixture_storing(model, stored)
+        hybrid_fixture_storing(model, stored, tweak)
     }
 
-    fn hybrid_fixture_storing(model: Model, stored: Vec<Row>) -> (ExecContext, Table) {
+    /// `stored` over `model` in hybrid mode; `tweak` adjusts the
+    /// configuration before the context is created (see [`context_over`]).
+    fn hybrid_fixture_storing(
+        model: Model,
+        stored: Vec<Row>,
+        tweak: impl FnOnce(&mut EngineConfig),
+    ) -> (ExecContext, Table) {
         let catalog = Catalog::new();
         let schema = Schema::new(
             "countries",
@@ -1579,11 +1604,9 @@ mod tests {
         let table = catalog.create_table(schema).unwrap();
         table.insert_many(stored).unwrap();
 
-        let ctx = ExecContext::new(
-            catalog,
-            Some(LlmClient::new(model)),
-            EngineConfig::default().with_mode(ExecutionMode::Hybrid),
-        );
+        let mut config = EngineConfig::default().with_mode(ExecutionMode::Hybrid);
+        tweak(&mut config);
+        let ctx = ExecContext::new(catalog, Some(LlmClient::new(model)), config);
         (ctx, table)
     }
 
@@ -1751,7 +1774,7 @@ mod tests {
                 prompt: request.prompt.clone(),
                 result: Some(self.inner.complete(request)),
                 pace: (self.pace)(&request.prompt),
-                submitted: Instant::now(),
+                submitted: clock::now(),
                 polls: 0,
                 log: Arc::clone(&self.log),
             }))
@@ -1853,6 +1876,7 @@ mod tests {
     fn completion_order_never_changes_what_a_scan_asks_or_returns() {
         // Every answer is late by a pseudo-random 0–300µs keyed on (prompt,
         // jitter seed), so requests complete in a different order under each
+        // seed. On the paused clock that order is a pure function of the
         // seed. Rows, logical calls and the multiset of submitted prompts —
         // packed requests included — must not notice.
         let jitter = |seed: u64| {
@@ -1863,6 +1887,8 @@ mod tests {
                 Pace::After(Duration::from_micros((hash >> 20) % 300))
             }
         };
+        let _paused = clock::pause();
+        let mut reordered = 0;
         for scan in SCANS {
             for filter in [None, Some(gt_filter(9))] {
                 for hinted in [true, false] {
@@ -1873,7 +1899,8 @@ mod tests {
                             c.batch_rows_per_call = batch_rows;
                         });
                         let calls = ctx.metrics.into_inner().llm_calls_by_kind;
-                        (rows.unwrap(), calls, prompts_asked(&log))
+                        let events = log.lock().clone();
+                        (rows.unwrap(), calls, prompts_asked(&log), events)
                     };
                     let sequential = run(1, 1, 1).0;
                     for parallelism in [1, 2, 4, 8, 16] {
@@ -1883,16 +1910,33 @@ mod tests {
                                 filter.is_some()
                             );
                             let one = run(1, parallelism, batch_rows);
-                            let other = run(2, parallelism, batch_rows);
                             assert_eq!(one.0, sequential, "rows diverged: {at}");
-                            assert_eq!(one.0, other.0, "rows depend on timing: {at}");
-                            assert_eq!(one.1, other.1, "calls depend on timing: {at}");
-                            assert_eq!(one.2, other.2, "prompts depend on timing: {at}");
+                            if parallelism == 16 {
+                                let again = run(1, parallelism, batch_rows).3;
+                                assert_eq!(one.3, again, "order is not the seed's: {at}");
+                            }
+                            // A window of one has one order of completion;
+                            // window 8 gets one other seed, to keep the
+                            // test's run time down.
+                            let last_seed = match parallelism {
+                                1 => 1,
+                                8 => 2,
+                                _ => 4,
+                            };
+                            for seed in 2..=last_seed {
+                                let other = run(seed, parallelism, batch_rows);
+                                assert_eq!(one.0, other.0, "rows depend on timing: {at}");
+                                assert_eq!(one.1, other.1, "calls depend on timing: {at}");
+                                assert_eq!(one.2, other.2, "prompts depend on timing: {at}");
+                                reordered += usize::from(one.3 != other.3);
+                            }
                         }
                     }
                 }
             }
         }
+        // The seeds do reorder completions: the property is not vacuous.
+        assert!(reordered > 100, "only {reordered} runs saw another order");
     }
 
     #[test]
@@ -1950,9 +1994,10 @@ mod tests {
         for batch_rows in [1, 4] {
             for parallelism in [1, 8] {
                 let (model, log) = Probe::over(numbered_world(ROWS), true, |_| AT_ONCE);
-                let (mut ctx, table) = hybrid_fixture_storing(model, stored.clone());
-                ctx.config.parallelism = parallelism;
-                ctx.config.batch_rows_per_call = batch_rows;
+                let (ctx, table) = hybrid_fixture_storing(model, stored.clone(), |c| {
+                    c.parallelism = parallelism;
+                    c.batch_rows_per_call = batch_rows;
+                });
                 let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
                 assert_eq!(rows.len(), ROWS);
                 assert!(rows
@@ -1996,9 +2041,10 @@ mod tests {
                 p.pushed_limit = limit;
                 let run = |parallelism: usize| {
                     let (model, _) = Probe::over(numbered_world(size), hinted, |_| AT_ONCE);
-                    let mut ctx = context_over(model, PromptStrategy::BatchedRows);
-                    ctx.config.batch_size = page;
-                    ctx.config.parallelism = parallelism;
+                    let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+                        c.batch_size = page;
+                        c.parallelism = parallelism;
+                    });
                     let rows = llm_scan(&ctx, &p.spec()).unwrap();
                     (rows, ctx.metrics.into_inner().llm_calls() as usize)
                 };
@@ -2100,9 +2146,10 @@ mod tests {
                     AT_ONCE
                 }
             });
-            let mut ctx = context_over(model, PromptStrategy::BatchedRows);
-            ctx.config.batch_size = PAGE;
-            ctx.config.parallelism = FANOUT;
+            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+                c.batch_size = PAGE;
+                c.parallelism = FANOUT;
+            });
             assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
             assert_eq!(ctx.metrics.borrow().llm_calls(), 20);
 
@@ -2149,8 +2196,9 @@ mod tests {
                     AT_ONCE
                 }
             });
-            let mut ctx = context_over(model, PromptStrategy::BatchedRows);
-            ctx.config.parallelism = FANOUT;
+            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+                c.parallelism = FANOUT;
+            });
             assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 40);
 
             let index = |prompt: &String| prompts.iter().position(|q| q == prompt).unwrap();
@@ -2197,9 +2245,10 @@ mod tests {
         let mut p = parts(None, None);
         p.pushed_limit = Some(200);
         let (model, log) = Probe::over(numbered_world(200), false, |_| Pace::Polls(1));
-        let mut ctx = context_over(model, PromptStrategy::BatchedRows);
-        ctx.config.batch_size = 10;
-        ctx.config.parallelism = 16;
+        let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+            c.batch_size = 10;
+            c.parallelism = 16;
+        });
         assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
         let mut rounds: Vec<usize> = Vec::new();
         let mut answered = true;
@@ -2234,6 +2283,7 @@ mod tests {
         // single-flight leaderships, and all of it must be back when the scan
         // returns.
         let p = parts(Some(lt_filter(6)), None);
+        let _paused = clock::pause();
         for ending in [Ending::Finished, Ending::Deadline, Ending::DeadlineCut] {
             let at = format!("{ending:?}");
             let answered = if ending == Ending::Finished { 4 } else { 2 };
@@ -2249,13 +2299,14 @@ mod tests {
                 }
             });
             let slots = Arc::new(CallSlots::new(16));
-            let mut ctx =
-                context_over(model, PromptStrategy::BatchedRows).with_slots(Arc::clone(&slots));
-            ctx.config.parallelism = 8;
-            if ending != Ending::Finished {
-                ctx.config.deadline_ms = Some(40.0);
-                ctx.config.partial_results = ending == Ending::DeadlineCut;
-            }
+            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+                c.parallelism = 8;
+                if ending != Ending::Finished {
+                    c.deadline_ms = Some(40.0);
+                    c.partial_results = ending == Ending::DeadlineCut;
+                }
+            })
+            .with_slots(Arc::clone(&slots));
 
             let outcome = llm_scan(&ctx, &p.spec());
             match ending {

@@ -7,11 +7,11 @@
 //!   SeqCst}` use must carry an `// ordering:` justification comment on the
 //!   same line or within the four lines above it. Applies to *all* code,
 //!   tests included: orderings in stress tests encode invariants too.
-//! - `banned-time` — `Instant::now` / `thread::sleep` are banned in
-//!   non-test library code outside the allowlisted clock/timer modules
-//!   ([`TIME_ALLOWLIST`]). Ad-hoc clocks fragment virtual-time testing and
-//!   make latency accounting drift; new time sources go through the reactor
-//!   or get a ledger entry with a reason.
+//! - `banned-time` — `Instant::now`, `.elapsed()` (which is `Instant::now()
+//!   - self`) and `thread::sleep` are banned in non-test library code outside
+//!   the one clock module ([`TIME_ALLOWLIST`]). A clock read anywhere else is
+//!   a test that cannot pause time and has to sleep; read and wait through
+//!   `llmsql_types::clock` instead.
 //! - `panic-in-lib` — `.unwrap()` / `.expect(` / `println!` are banned in
 //!   non-test library code. Library errors flow through `llmsql_types::
 //!   Result`; stdout belongs to bins and benches.
@@ -45,13 +45,10 @@ pub const RULE_PANIC_IN_LIB: &str = "panic-in-lib";
 pub const RULE_FLOAT_ORDERING: &str = "float-ordering";
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 
-/// The clock/timer module set: the only library files allowed to read the
-/// wall clock or sleep. Everything else either routes through these or
-/// carries a `banned-time` ledger entry with a reason.
-pub const TIME_ALLOWLIST: &[&str] = &[
-    // The event loop: reads the clock, converts wakeups and deadlines to parks.
-    "crates/exec/src/reactor.rs",
-];
+/// The only library files allowed to read the wall clock or sleep: the one
+/// clock, whose `now` / `sleep_until` everything else goes through (and
+/// which a test can pause).
+pub const TIME_ALLOWLIST: &[&str] = &["crates/types/src/clock.rs"];
 
 /// Atomic ordering variants that require justification. `cmp::Ordering`
 /// variants (`Less`/`Equal`/`Greater`) are deliberately not listed.
@@ -186,13 +183,15 @@ fn marker_coverage(lines: &[Line], marker: &str) -> Vec<bool> {
     covered
 }
 
-/// Wall-clock reads and blocking sleeps outside the clock/timer modules.
+/// Wall-clock reads and blocking sleeps outside the clock module.
 fn check_banned_time(rel_path: &str, lines: &[Line], out: &mut Vec<Violation>) {
     for line in lines {
         if line.in_test {
             continue;
         }
-        let hit = line.code.contains("Instant::now") || line.code.contains("thread::sleep");
+        let hit = line.code.contains("Instant::now")
+            || line.code.contains(".elapsed()")
+            || line.code.contains("thread::sleep");
         if hit {
             out.push(Violation {
                 rule: RULE_BANNED_TIME,
@@ -339,7 +338,7 @@ mod tests {
         assert_eq!(check_file("crates/x/src/a.rs", lib).len(), 1);
         assert!(check_file("tests/foo.rs", lib).is_empty());
         assert!(
-            check_file("crates/exec/src/reactor.rs", lib).is_empty(),
+            check_file("crates/types/src/clock.rs", lib).is_empty(),
             "allowlisted"
         );
     }

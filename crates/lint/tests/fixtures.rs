@@ -48,9 +48,17 @@ fn bad_instant_is_flagged() {
 }
 
 #[test]
+fn bad_elapsed_is_flagged() {
+    assert_eq!(
+        lint_as_lib(include_str!("fixtures/bad_elapsed.rs")),
+        vec![RULE_BANNED_TIME]
+    );
+}
+
+#[test]
 fn sleep_in_allowlisted_clock_module_passes() {
     let src = include_str!("fixtures/bad_sleep.rs");
-    assert!(check_file("crates/exec/src/reactor.rs", src).is_empty());
+    assert!(check_file("crates/types/src/clock.rs", src).is_empty());
 }
 
 #[test]

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use llmsql_types::{BackendSpec, ChaosEffect, ChaosPlan, Error, LlmCostModel, Result};
 
 use super::BackendReceipt;
-use crate::model::{CompletionRequest, CompletionResponse, LanguageModel};
+use crate::model::{block_on, CompletionRequest, CompletionResponse, LanguageModel};
 use crate::noise::hash01;
 
 /// A poll-driven completion state machine: anything that makes progress when
@@ -142,7 +142,7 @@ impl CallHandle {
     /// to [`CallHandle::next_wakeup`]. This is how every blocking `complete`
     /// in this crate is built from its `submit`.
     pub fn wait(mut self) -> Result<CompletionResponse> {
-        crate::wait::block_on(|now| self.poll(now).ok_or_else(|| self.next_wakeup(now)))
+        block_on(|now| self.poll(now).ok_or_else(|| self.next_wakeup(now)))
     }
 }
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_types::{
-    AtomicEwmaMs, BackendSpec, ChaosPlan, Error, LlmCostModel, Result, RoutingPolicy,
+    clock, AtomicEwmaMs, BackendSpec, ChaosPlan, Error, LlmCostModel, Result, RoutingPolicy,
 };
 
 use super::{Backend, CallHandle, PoolCall, RemoteLlm};
@@ -471,7 +471,7 @@ impl BackendPool {
                 breaker_cooldown_ms: 250.0,
                 hedge_multiplier: 0.0,
                 hedge_min_ms: 1.0,
-                epoch: Instant::now(),
+                epoch: clock::now(),
             },
             hedge_slots: parking_lot::Mutex::new(None),
         })
@@ -610,7 +610,7 @@ impl BackendPool {
     /// out of [`BackendStats`] because it is measured and would break
     /// trace-reproducibility comparisons of deterministic counter snapshots.
     pub fn latency_ewma_ms(&self) -> Vec<(String, Option<f64>)> {
-        let now_ms = self.settings.epoch.elapsed().as_millis() as u64;
+        let now_ms = self.settings.ms(clock::now());
         self.members
             .iter()
             .map(|member| (member.backend.id().to_string(), member.decayed_ewma(now_ms)))

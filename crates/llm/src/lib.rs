@@ -40,7 +40,6 @@ pub mod prompt;
 pub mod sim;
 pub mod slots;
 pub mod tokenizer;
-mod wait;
 
 pub use backend::{
     Backend, BackendPool, BackendReceipt, BackendStats, CallHandle, CallMachine, DirectBackend,

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use llmsql_types::{LlmCostModel, Result};
+use llmsql_types::{clock, LlmCostModel, Result};
 
 use crate::backend::{BackendPool, BackendReceipt, BackendStats, CallHandle};
 use crate::cache::PromptCache;
@@ -540,11 +540,27 @@ impl ClientCall {
     /// a cache entry or a follower still shares it.
     pub fn wait(mut self) -> Result<CompletionResponse> {
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
-        crate::wait::block_on(|now| {
+        block_on(|now| {
             self.poll(now, &mut grant)
                 .ok_or_else(|| self.next_wakeup(now))
         })
         .map(Arc::unwrap_or_clone)
+    }
+}
+
+/// Run `step` until it yields a value. Each call either finishes (`Ok`) or
+/// reports when polling can next make progress (`Err(wakeup)`; `None` means
+/// "poll again now"); the thread sleeps on the clock to that wakeup in
+/// between. This is how [`ClientCall::wait`] and [`CallHandle::wait`] block.
+pub(crate) fn block_on<T>(
+    mut step: impl FnMut(Instant) -> std::result::Result<T, Option<Instant>>,
+) -> T {
+    loop {
+        let now = clock::now();
+        match step(now) {
+            Ok(value) => return value,
+            Err(wakeup) => clock::sleep_until(wakeup.unwrap_or(now)),
+        }
     }
 }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use llmsql_sql::ast::{Expr, JoinKind, SelectItem, SelectStatement, Statement, TableExpr};
 use llmsql_sql::eval::AggAccumulator;
 use llmsql_sql::parse_statement;
-use llmsql_types::{Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
+use llmsql_types::{clock, Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
 
 use crate::eval::{eval_predicate, eval_predicate_text, eval_value, read_predicate, ReadExpr};
 use crate::knowledge::{normalize_key, KbTable, KnowledgeBase};
@@ -622,7 +622,7 @@ impl LanguageModel for SimLlm {
     fn submit(&self, request: &CompletionRequest) -> crate::backend::CallHandle {
         let result = self.complete_now(request);
         if self.simulated_latency_ms > 0.0 {
-            let ready_at = std::time::Instant::now()
+            let ready_at = clock::now()
                 + std::time::Duration::from_secs_f64(self.simulated_latency_ms / 1000.0);
             crate::backend::CallHandle::timed(result, ready_at)
         } else {
@@ -1130,9 +1130,10 @@ mod tests {
             limit: 5,
             offset: 0,
         };
-        let start = std::time::Instant::now();
+        let _paused = clock::pause();
+        let start = clock::now();
         complete(&sim, &spec);
-        assert!(start.elapsed().as_millis() >= 15);
+        assert_eq!(clock::now() - start, std::time::Duration::from_millis(20));
     }
 
     #[test]

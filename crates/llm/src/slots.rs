@@ -25,7 +25,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+
+use llmsql_types::clock;
 
 /// A counting semaphore over LLM-call slots. Cheap to share (`Arc`), fair
 /// enough for throttling (wakeups race; the OS picks the winner).
@@ -72,12 +73,12 @@ impl CallSlots {
         if *available == 0 {
             // Measure only the blocked portion, from the moment we found no
             // slot free to the moment one was handed to us.
-            let start = Instant::now();
+            let start = clock::now();
             available = self
                 .freed
                 .wait_while(available, |a| *a == 0)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            waited_us = start.elapsed().as_micros() as u64;
+            waited_us = (clock::now() - start).as_micros() as u64;
         }
         *available -= 1;
         let in_use = (self.capacity - *available) as u64;

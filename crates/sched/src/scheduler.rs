@@ -10,6 +10,7 @@ use std::time::Instant;
 use llmsql_core::Engine;
 use llmsql_exec::CallSlots;
 use llmsql_llm::PromptCoalescer;
+use llmsql_types::clock;
 use llmsql_types::{AtomicEwmaMs, Error, Priority, Result, SchedConfig, SchedPolicy, TenantId};
 
 use crate::ratelimit::TenantLimiter;
@@ -75,7 +76,7 @@ struct SchedCore {
     /// projected-queue-wait estimate at admission.
     run_ewma: AtomicEwmaMs,
     /// The scheduler's millisecond clock origin: token buckets run on
-    /// `epoch.elapsed()` so every bucket shares one monotone clock.
+    /// milliseconds since it, so every bucket shares one monotone clock.
     epoch: Instant,
     /// Lazily-built per-tenant rate limiters (only tenants with a configured
     /// limit ever get an entry).
@@ -85,7 +86,7 @@ struct SchedCore {
 impl SchedCore {
     /// Milliseconds since the scheduler was built (the token-bucket clock).
     fn now_ms(&self) -> u64 {
-        (self.epoch.elapsed().as_secs_f64() * 1000.0) as u64
+        (clock::now() - self.epoch).as_millis() as u64
     }
 
     /// The rate limiter for `tenant`, if the configuration gives it one.
@@ -215,7 +216,7 @@ impl QueryScheduler {
             coalesced_calls: AtomicU64::new(0),
             batched_rows: AtomicU64::new(0),
             run_ewma: AtomicEwmaMs::new(),
-            epoch: Instant::now(),
+            epoch: clock::now(),
             limiters: Mutex::new(BTreeMap::new()),
         });
         let workers = (0..worker_count)
@@ -409,7 +410,7 @@ impl QueryScheduler {
             tenant: tenant.clone(),
             priority,
             seq,
-            submitted: Instant::now(),
+            submitted: clock::now(),
             deadline_ms,
             ticket: Arc::clone(&ticket_state),
         });
@@ -558,7 +559,8 @@ fn worker_loop(core: &SchedCore) {
 }
 
 fn run_job(core: &SchedCore, job: Job) {
-    let queue_ms = job.submitted.elapsed().as_secs_f64() * 1000.0;
+    let run_start = clock::now();
+    let queue_ms = (run_start - job.submitted).as_secs_f64() * 1000.0;
     // Queue cancellation: a query whose deadline passed while it queued is
     // never executed — its ticket resolves with the structured error and the
     // queue-time accounting it did accumulate.
@@ -570,7 +572,6 @@ fn run_job(core: &SchedCore, job: Job) {
         // callers wait on synchronizes via its own mutex/condvar.
         core.deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
-    let run_start = Instant::now();
     let result = if let Some(deadline_ms) = expired {
         Err(Error::deadline_exceeded(format!(
             "cancelled unexecuted: queued {queue_ms:.1}ms past its {deadline_ms:.0}ms deadline \
@@ -588,7 +589,7 @@ fn run_job(core: &SchedCore, job: Job) {
         }))
         .unwrap_or_else(|_| Err(Error::execution("query execution panicked")))
     };
-    let run_ms = run_start.elapsed().as_secs_f64() * 1000.0;
+    let run_ms = (clock::now() - run_start).as_secs_f64() * 1000.0;
     if expired.is_none() {
         core.run_ewma.observe(run_ms);
     }

@@ -25,8 +25,8 @@
 //! # llmsql-types
 //!
 //! Shared primitive types for the `llmsql` engine: scalar [`Value`]s, table
-//! [`Schema`]s, [`Row`]s and [`Batch`]es, the unified [`Error`] type, and the
-//! engine/LLM [`config`] knobs.
+//! [`Schema`]s, [`Row`]s and [`Batch`]es, the unified [`Error`] type, the
+//! engine/LLM [`config`] knobs, and the one [`clock`].
 //!
 //! Every other crate in the workspace depends on this one; it has no
 //! dependencies on the rest of the engine.
@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod clock;
 pub mod config;
 pub mod error;
 pub mod ewma;

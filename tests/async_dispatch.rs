@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use llmsql_bench::{parallel_scan_engine, parallel_world};
 use llmsql_core::Engine;
@@ -17,8 +17,8 @@ use llmsql_llm::{
 use llmsql_sched::QueryScheduler;
 use llmsql_store::Catalog;
 use llmsql_types::{
-    BackendSpec, Column, DataType, EngineConfig, Error, ErrorKind, ExecutionMode, LlmFidelity,
-    Priority, PromptStrategy, Result, Row, SchedConfig, Schema, Value,
+    clock, BackendSpec, Column, DataType, EngineConfig, Error, ErrorKind, ExecutionMode,
+    LlmFidelity, Priority, PromptStrategy, Result, Row, SchedConfig, Schema, Value,
 };
 
 const SCAN_SQL: &str = "SELECT name, population FROM countries";
@@ -91,20 +91,17 @@ fn reactor_waves_match_sequential_waves_byte_for_byte() {
 }
 
 /// One thread really does hold a whole wave: a 48-lookup wave of 30ms calls
-/// drains in ~one round trip through the reactor, not 48.
+/// drains in one round trip through the reactor, not 48.
 #[test]
 fn one_wave_of_in_flight_calls_overlaps_on_the_callers_thread() {
+    let _paused = clock::pause();
     let engine = lookup_engine(48, 48, 30.0);
-    let started = Instant::now();
+    let started = clock::now();
     let result = engine.execute(SCAN_SQL).unwrap();
-    let elapsed = started.elapsed();
     assert_eq!(result.row_count(), 48);
-    // 1 enumerate + 48 lookups at 30ms each: sequential would be ~1.5s; the
-    // reactor needs ~2 round trips (enumerate, then the lookup wave).
-    assert!(
-        elapsed < Duration::from_millis(600),
-        "48-call wave did not overlap: {elapsed:?}"
-    );
+    // 1 enumerate + 48 lookups at 30ms each: sequential would be 1.47s; the
+    // reactor takes 2 round trips (enumerate, then the lookup wave).
+    assert_eq!(clock::now() - started, Duration::from_millis(60));
     assert_eq!(result.metrics.llm_calls(), 49);
     assert!(
         result.metrics.peak_in_flight >= 48,
@@ -118,17 +115,18 @@ fn one_wave_of_in_flight_calls_overlaps_on_the_callers_thread() {
 /// partial accounting — it does not wait for the stragglers.
 #[test]
 fn deadline_fires_while_calls_are_parked_in_the_reactor() {
+    let _paused = clock::pause();
     let engine = lookup_engine(32, 32, 200.0);
-    let started = Instant::now();
-    // Enumerate (~200ms) fits; the 32-lookup wave (ready at ~400ms) does
-    // not: the deadline fires at ~250ms with every lookup parked.
+    let started = clock::now();
+    // Enumerate (200ms) fits; the 32-lookup wave (ready at 400ms) does not:
+    // the deadline fires at 250ms with every lookup parked.
     let err = engine.execute_with_deadline(SCAN_SQL, 250.0).unwrap_err();
-    let elapsed = started.elapsed();
+    assert_eq!(clock::now() - started, Duration::from_millis(250));
     assert_eq!(err.kind, ErrorKind::DeadlineExceeded);
-    assert!(err.message.contains("LLM call(s) issued"), "{err}");
     assert!(
-        elapsed < Duration::from_millis(390),
-        "deadline abort waited for parked calls: {elapsed:?}"
+        err.message
+            .ends_with("250ms deadline after 250.0ms with 33 LLM call(s) issued"),
+        "{err}"
     );
 
     // An unhit deadline on the same deployment changes nothing.
@@ -156,6 +154,7 @@ fn deadlines_fire_mid_flight_on_single_prompt_waves_and_full_query() {
         engine.attach_model(Arc::new(sim)).unwrap();
         engine
     };
+    let _paused = clock::pause();
     for (label, engine) in [
         (
             "parallelism-1 scan",
@@ -163,18 +162,49 @@ fn deadlines_fire_mid_flight_on_single_prompt_waves_and_full_query() {
         ),
         ("full query", full_query_engine),
     ] {
-        let started = Instant::now();
+        let started = clock::now();
         let err = engine.execute_with_deadline(SCAN_SQL, 10.0).unwrap_err();
-        let elapsed = started.elapsed();
+        assert_eq!(clock::now() - started, Duration::from_millis(10), "{label}");
         assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "{label}: {err}");
         assert!(
-            err.message.contains("with 1 LLM call(s) issued"),
+            err.message
+                .ends_with("10ms deadline after 10.0ms with 1 LLM call(s) issued"),
             "{label}: {err}"
         );
-        assert!(
-            elapsed < Duration::from_millis(40),
-            "{label}: deadline abort waited out the round trip: {elapsed:?}"
-        );
+    }
+}
+
+/// A deadline further off than an `Instant` can hold is no deadline at all:
+/// given directly, engine-wide or through the scheduler, it returns the rows
+/// and logical calls of a run without one.
+#[test]
+fn a_deadline_past_the_representable_range_is_no_deadline() {
+    let engine = || parallel_scan_engine(40, 4, 0.0).unwrap();
+    let baseline = engine().execute(SCAN_SQL).unwrap();
+    for deadline_ms in [1e22, 1e300] {
+        let direct = engine().execute_with_deadline(SCAN_SQL, deadline_ms);
+        let mut configured = engine();
+        configured.config_mut().deadline_ms = Some(deadline_ms);
+        let configured = configured.execute(SCAN_SQL);
+        let sched = QueryScheduler::new(engine(), SchedConfig::default()).unwrap();
+        let scheduled = sched
+            .submit_with_deadline("t", Priority::NORMAL, SCAN_SQL, deadline_ms)
+            .unwrap()
+            .wait()
+            .result;
+        for (how, result) in [
+            ("direct", direct),
+            ("configured", configured),
+            ("scheduled", scheduled),
+        ] {
+            let result = result.unwrap_or_else(|e| panic!("{how} at {deadline_ms}: {e}"));
+            assert_eq!(result.rows(), baseline.rows(), "{how} at {deadline_ms}");
+            assert_eq!(
+                result.metrics.llm_calls(),
+                baseline.metrics.llm_calls(),
+                "{how} at {deadline_ms}"
+            );
+        }
     }
 }
 

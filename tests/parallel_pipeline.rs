@@ -3,60 +3,42 @@
 //! producing identical rows and identical cost accounting — and `parallelism`
 //! must mean nothing at all to the relational operators above a scan.
 
-use std::time::Instant;
-
 use llmsql_bench::parallel_scan_engine;
 use llmsql_core::{Engine, QueryResult};
 use llmsql_store::Catalog;
-use llmsql_types::{EngineConfig, ExecutionMode, OptimizerOptions, Row, Value};
+use llmsql_types::{clock, EngineConfig, ExecutionMode, OptimizerOptions, Row, Value};
 
 const SCAN_SQL: &str = "SELECT name, population FROM countries";
 
 /// A 100-row batched scan (10 pages of 10) against a simulator with the
 /// given per-call latency.
-fn run_scan(parallelism: usize, latency_ms: f64) -> (QueryResult, f64) {
+fn run_scan(parallelism: usize, latency_ms: f64) -> QueryResult {
     let engine = parallel_scan_engine(100, parallelism, latency_ms).unwrap();
-    let start = Instant::now();
-    let result = engine.execute(SCAN_SQL).unwrap();
-    (result, start.elapsed().as_secs_f64() * 1000.0)
+    engine.execute(SCAN_SQL).unwrap()
 }
 
 #[test]
 fn four_way_dispatch_doubles_scan_throughput() {
-    // 10 pages x 40ms sequential = 400ms+. The relation's cardinality hint
-    // says 10 pages, so the 4-way window opens full and the pages go out in
-    // 3 rounds (4+4+2), i.e. ~120ms of latency, a theoretical 3.3x. The
-    // latency is set high enough that per-query CPU overhead (significant in
-    // debug builds on a single core) cannot mask the win. Wall-clock ratios
-    // jitter on loaded CI runners, so the 2.5x expectation gets three
-    // attempts; a hard 2x floor then still catches any real regression (a
-    // window that opened at 1 and grew would take 4 rounds, 2.5x at best;
-    // losing the overlap entirely would put the ratio near 1.0).
-    let mut last = (0.0, 0.0);
-    for _attempt in 0..3 {
-        let (sequential, seq_ms) = run_scan(1, 40.0);
-        let (parallel, par_ms) = run_scan(4, 40.0);
-        assert_eq!(sequential.row_count(), 100);
-        assert_eq!(sequential.rows(), parallel.rows(), "rows diverged");
-        if seq_ms >= 2.5 * par_ms {
-            return;
-        }
-        last = (seq_ms, par_ms);
-        eprintln!("timing attempt below 2.5x ({seq_ms:.1}ms vs {par_ms:.1}ms)");
-    }
-    assert!(
-        last.0 >= 2.0 * last.1,
-        "4-way dispatch shows too little overlap: sequential {:.1}ms, parallel {:.1}ms",
-        last.0,
-        last.1
-    );
+    // On the paused clock a query's engine time is exactly its round trips:
+    // 10 pages x 40ms one at a time, and at 4-way — the relation's
+    // cardinality hint says 10 pages, so the window opens full — 3 rounds
+    // (4 + 4 + 2), a 3.3x speed-up. A window that opened at 1 and grew
+    // would take 4 rounds; losing the overlap would take 10.
+    let _paused = clock::pause();
+    let sequential = run_scan(1, 40.0);
+    let parallel = run_scan(4, 40.0);
+    assert_eq!(sequential.row_count(), 100);
+    assert_eq!(sequential.rows(), parallel.rows(), "rows diverged");
+    let micros = |ms: f64| (ms * 1000.0).round() as u64;
+    assert_eq!(micros(sequential.engine_ms), 400_000);
+    assert_eq!(micros(parallel.engine_ms), 120_000);
 }
 
 #[test]
 fn parallelism_does_not_inflate_cost_accounting() {
-    let (sequential, _) = run_scan(1, 0.0);
+    let sequential = run_scan(1, 0.0);
     for parallelism in [4, 8] {
-        let (parallel, _) = run_scan(parallelism, 0.0);
+        let parallel = run_scan(parallelism, 0.0);
         assert_eq!(
             sequential.usage.calls, parallel.usage.calls,
             "call count changed at parallelism {parallelism}"
@@ -79,9 +61,9 @@ fn parallelism_does_not_inflate_cost_accounting() {
 
 #[test]
 fn peak_in_flight_reflects_configured_fanout() {
-    let (sequential, _) = run_scan(1, 0.0);
+    let sequential = run_scan(1, 0.0);
     assert_eq!(sequential.metrics.peak_in_flight, 1);
-    let (parallel, _) = run_scan(4, 2.0);
+    let parallel = run_scan(4, 2.0);
     assert!(
         parallel.metrics.peak_in_flight > 1,
         "expected concurrent requests in flight, saw peak {}",
