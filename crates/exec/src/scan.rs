@@ -92,7 +92,7 @@ use std::time::Instant;
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
     pack_prompts, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, CallSlots,
-    ClientCall, CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer, BATCH_SEPARATOR,
+    ClientCall, CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer,
 };
 use llmsql_plan::{estimate_scan_rows, BoundExpr};
 use llmsql_store::Table;
@@ -667,21 +667,14 @@ impl PromptPlan for Enumerate<'_> {
         let key_idx = self.spec.key_column();
         let budget = self.spec.row_budget(self.ctx);
         let rows = &mut self.rows;
-        // A key is model output on its way into the next prompts, verbatim.
-        // One that holds the batch separator would cut a packed request in
-        // the wrong place and shift every later member's answer onto the
-        // wrong row, so it is no key: dropped, and counted.
-        let mut unpackable = 0;
         let dropped = scan_value_lines(answer, schema.columns[key_idx].data_type, |key| {
-            if key.as_str().is_some_and(|k| k.contains(BATCH_SEPARATOR)) {
-                unpackable += 1;
-            } else if rows.len() < budget {
+            if rows.len() < budget {
                 let mut full = vec![Value::Null; schema.arity()];
                 full[key_idx] = key;
                 rows.push(Row::new(full));
             }
         });
-        note_dropped(self.ctx, dropped + unpackable);
+        note_dropped(self.ctx, dropped);
         Ok(Flow::Continue)
     }
 }

@@ -3,25 +3,47 @@
 //!
 //! Packing is purely a transport optimization: the member prompts are the
 //! exact prompts the scan planned (so logical call accounting and the
-//! per-tuple parsers are untouched), joined by an unambiguous separator
-//! line. A model that understands the separator ([`crate::SimLlm`] does)
-//! answers each member section independently and joins the answers with the
-//! same separator; [`split_sections`] cuts the combined completion back into
-//! one answer per member, borrowed from the completion's text.
+//! per-tuple parsers are untouched), joined by a separator line. A model
+//! that understands the separator ([`crate::SimLlm`] does) answers each
+//! member section independently and packs the answers the same way;
+//! [`split_sections`] cuts the combined completion back into one answer per
+//! member, borrowed from the completion's text.
 //!
+//! A separator counts only as a whole line: it starts the text or follows a
+//! newline, and ends the text or precedes one. No prompt line is untrusted
+//! text alone (`crate::prompt` escapes every line break such text holds), so
+//! a packed prompt splits into exactly the members packed, whatever they say.
 //! Rows and logical call counts are byte-identical at any
 //! `batch_rows_per_call`: only the number of physical calls changes.
 
 use crate::model::CompletionResponse;
 
 /// The separator line between member sections of a packed prompt (and of a
-/// packed completion). Chosen to never occur in task prompts or pipe-format
-/// completions.
+/// packed completion).
 pub const BATCH_SEPARATOR: &str = "=====LLMSQL-BATCH-MEMBER=====";
 
-/// True when `prompt` is a packed composite (contains the separator line).
+/// The pieces of `text` between its separator lines, each without the line
+/// breaks around it.
+fn sections(text: &str) -> impl Iterator<Item = &str> {
+    let mut from = 0;
+    text.match_indices(BATCH_SEPARATOR)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            let end = at + BATCH_SEPARATOR.len();
+            matches!(text[..at].bytes().last(), None | Some(b'\n'))
+                && matches!(text[end..].bytes().next(), None | Some(b'\n'))
+        })
+        .chain([text.len()])
+        .map(move |at| {
+            let section = &text[from..at];
+            from = at + BATCH_SEPARATOR.len();
+            section.trim_matches('\n')
+        })
+}
+
+/// True when `prompt` is a packed composite (holds a separator line).
 pub fn is_packed(prompt: &str) -> bool {
-    prompt.contains(BATCH_SEPARATOR)
+    sections(prompt).nth(1).is_some()
 }
 
 /// Pack `prompts` into one composite prompt. With fewer than two members
@@ -35,10 +57,7 @@ pub fn pack_prompts(prompts: &[String]) -> String {
 
 /// Split a packed prompt back into its member prompts.
 pub fn split_prompt(prompt: &str) -> Vec<&str> {
-    prompt
-        .split(BATCH_SEPARATOR)
-        .map(|part| part.trim_matches('\n'))
-        .collect()
+    sections(prompt).collect()
 }
 
 /// The answer text of each of the `members` prompts one physical completion
@@ -49,16 +68,11 @@ pub fn split_prompt(prompt: &str) -> Vec<&str> {
 /// mirroring what a truncated unpacked completion would produce), and
 /// sections past the last member are ignored.
 pub fn split_sections(text: &str, members: usize) -> impl Iterator<Item = &str> {
-    let packed = members > 1;
-    // `splitn(1, ..)` yields the text uncut, separator or not.
-    text.splitn(if packed { usize::MAX } else { 1 }, BATCH_SEPARATOR)
-        .map(move |part| {
-            if packed {
-                part.trim_matches('\n')
-            } else {
-                part
-            }
-        })
+    // One member's answer is never cut, separator or not.
+    let whole = (members <= 1).then_some(text);
+    whole
+        .into_iter()
+        .chain(sections(text))
         .chain(std::iter::repeat(""))
         .take(members.max(1))
 }
@@ -85,19 +99,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_and_split_round_trip() {
-        let prompts = vec!["alpha\nline".to_string(), "beta".to_string(), "g".into()];
-        let packed = pack_prompts(&prompts);
-        assert!(is_packed(&packed));
-        let members = split_prompt(&packed);
-        assert_eq!(members, vec!["alpha\nline", "beta", "g"]);
-    }
-
-    #[test]
-    fn single_prompt_is_identity() {
-        let prompts = vec!["only".to_string()];
-        assert_eq!(pack_prompts(&prompts), "only");
-        assert!(!is_packed("only"));
+    fn a_separator_counts_only_as_a_whole_line() {
+        let s = BATCH_SEPARATOR;
+        let inside = format!("x{s}y");
+        for text in [inside.clone(), format!("a\n{s}b"), format!("a\n {s}\nb")] {
+            assert!(!is_packed(&text), "{text:?}");
+            assert_eq!(
+                split_sections(&text, 2).collect::<Vec<_>>(),
+                [&text[..], ""]
+            );
+        }
+        for (text, sections) in [
+            (s.to_string(), ["", ""]),
+            (format!("a|1\n{s}"), ["a|1", ""]),
+            (format!("{s}\nb|2"), ["", "b|2"]),
+            (format!("a|1\n{s}\n{inside}"), ["a|1", &inside]),
+        ] {
+            assert!(is_packed(&text), "{text:?}");
+            assert_eq!(split_sections(&text, 2).collect::<Vec<_>>(), sections);
+        }
+        // Cut mid-separator: one section, as the text reads.
+        let cut = format!("a|1\n{}", &s[..10]);
+        assert_eq!(split_sections(&cut, 2).collect::<Vec<_>>(), [&cut[..], ""]);
     }
 
     #[test]

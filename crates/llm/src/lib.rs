@@ -65,16 +65,16 @@ pub use tokenizer::count_tokens;
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use llmsql_types::{Column, DataType, Schema};
     use proptest::prelude::*;
 
-    /// Text built from what a header value must survive: every character
-    /// the prompt, header and key formats give meaning to, and text outside
-    /// ASCII. Not surrounded by spaces — the header reader trims a value —
-    /// and not the batch separator: a key that holds it never reaches a
-    /// template (the scan that read it off an enumerate answer drops it,
-    /// counted).
+    /// Text built from what an untrusted string must survive: every
+    /// character the prompt, header, key and packing formats give meaning
+    /// to, and text outside ASCII.
     fn arb_hostile_text() -> impl Strategy<Value = String> {
         let piece = prop_oneof![
+            Just(BATCH_SEPARATOR.to_string()),
+            Just(format!("\n{BATCH_SEPARATOR}\n")),
             Just("\n".to_string()),
             Just("\r".to_string()),
             Just("\\".to_string()),
@@ -90,8 +90,7 @@ mod proptests {
             Just("São Tomé 日本".to_string()),
             "[A-Za-z ><=]{0,6}",
         ];
-        proptest::collection::vec(piece, 0..6)
-            .prop_map(|pieces| pieces.concat().trim_matches(' ').to_string())
+        proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
     }
 
     fn arb_task() -> impl Strategy<Value = TaskSpec> {
@@ -135,9 +134,36 @@ mod proptests {
                     condition,
                 }
             }),
-            (arb_hostile_text(), cols())
-                .prop_map(|(sql, columns)| TaskSpec::FullQuery { sql, columns }),
+            // A statement starts with its keyword, so the prompt line it
+            // opens is never the separator.
+            (arb_hostile_text(), cols()).prop_map(|(text, columns)| TaskSpec::FullQuery {
+                sql: format!("SELECT {text}"),
+                columns
+            }),
         ]
+    }
+
+    /// A schema whose table name, column names and descriptions are hostile.
+    fn arb_schema() -> impl Strategy<Value = Schema> {
+        let column = (arb_hostile_text(), proptest::option::of(arb_hostile_text()));
+        (
+            arb_hostile_text(),
+            proptest::option::of(arb_hostile_text()),
+            proptest::collection::vec(column, 1..4),
+        )
+            .prop_map(|(table, description, columns)| {
+                let columns = columns
+                    .into_iter()
+                    .map(|(name, description)| Column {
+                        description,
+                        ..Column::new(name, DataType::Text)
+                    })
+                    .collect();
+                Schema {
+                    description,
+                    ..Schema::virtual_table(table, columns)
+                }
+            })
     }
 
     /// What the header holds for `value`, written independently of the
@@ -151,8 +177,8 @@ mod proptests {
 
     proptest! {
         /// A template renders a key the way the engine always formatted the
-        /// whole prompt: every byte of the key lands verbatim in the
-        /// instructions, and as one escaped line in the header.
+        /// whole prompt: every byte of the key lands as one escaped line, in
+        /// the header and in the instructions alike.
         #[test]
         fn template_renders_the_formatted_prompt(
             key in arb_hostile_text(),
@@ -162,7 +188,7 @@ mod proptests {
             let lookup = format!(
                 "### TASK\nkind: lookup\ntable: t\nkey: {header_key}\ncolumns: {}\n### CONTEXT\n\
                  (no additional context)\n### INSTRUCTIONS\nYou are acting as the storage layer \
-                 of a relational database. For the single entity identified by \"{key}\", return \
+                 of a relational database. For the single entity identified by \"{header_key}\", return \
                  the values of the columns [{}] in that exact order on one line, separated by \
                  \" | \". Write NULL for values you do not know. No commentary.",
                 columns.join(" | "),
@@ -172,7 +198,7 @@ mod proptests {
             let check = format!(
                 "### TASK\nkind: filter_check\ntable: t\nkey: {header_key}\ncondition: a > 1\n### CONTEXT\n\
                  (no additional context)\n### INSTRUCTIONS\nConsider the entity identified by \
-                 \"{key}\" in the relation described above. Does it satisfy the condition \
+                 \"{header_key}\" in the relation described above. Does it satisfy the condition \
                  `a > 1`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, \
                  answer \"unknown\"."
             );
@@ -189,10 +215,31 @@ mod proptests {
             prop_assert_eq!(parsed, spec);
         }
 
+        /// Packed members split back into exactly the prompts packed, and
+        /// each reads back as its task, whatever their keys, filters,
+        /// statements and schema text hold — the separator included. One
+        /// prompt alone is sent as it is.
+        #[test]
+        fn pack_and_split_round_trip(
+            specs in proptest::collection::vec(arb_task(), 1..6),
+            schema in arb_schema(),
+        ) {
+            for schema in [None, Some(&schema)] {
+                let members: Vec<String> = specs.iter().map(|s| s.to_prompt(schema)).collect();
+                let packed = pack_prompts(&members);
+                let split = batch::split_prompt(&packed);
+                prop_assert_eq!(&split, &members);
+                prop_assert_eq!(is_packed(&packed), members.len() >= 2);
+                for (member, spec) in split.into_iter().zip(&specs) {
+                    prop_assert_eq!(&parse_task(member).unwrap(), spec);
+                }
+            }
+        }
+
         /// Whatever a completion says and wherever it was cut off, reading it
         /// never panics: the section splitter hands every member a slice of
-        /// the text with no separator left in it, and no reader returns more
-        /// rows than its section has lines.
+        /// the text with no separator line left in it, and no reader returns
+        /// more rows than its section has lines.
         #[test]
         fn parser_row_bound(
             sections in proptest::collection::vec("[ -~\n]{0,100}", 1..6),
@@ -200,7 +247,6 @@ mod proptests {
             members in 1usize..7,
             cut in 0usize..600,
         ) {
-            use llmsql_types::DataType;
             let mut text = sections.join(&format!("\n{BATCH_SEPARATOR}\n"));
             text.extend(odd);
             // A completion stopped by `max_tokens` ends anywhere, mid-section
@@ -214,7 +260,7 @@ mod proptests {
             prop_assert_eq!(answers.len(), members);
             let bounds = text.as_bytes().as_ptr_range();
             for answer in answers {
-                prop_assert!(members == 1 || !answer.contains(BATCH_SEPARATOR));
+                prop_assert!(members == 1 || answer.split('\n').all(|line| line != BATCH_SEPARATOR));
                 let inside = answer.as_bytes().as_ptr_range();
                 prop_assert!(
                     answer.is_empty() || (bounds.start <= inside.start && inside.end <= bounds.end)

@@ -34,22 +34,16 @@
 //! [`parse_task`] recovers the spec from a prompt; `build → parse` round-trips
 //! (property-tested in `lib.rs`).
 //!
-//! # Header values are untrusted text
+//! # One escaping rule
 //!
-//! The header is line-oriented and its values come from SQL text (a pushed
-//! filter, a condition, the whole statement) and from stored or model-given
-//! entity keys, any of which may hold a line break — the lexer accepts one
-//! inside `'…'`. The header writer therefore owns one escaping rule:
-//! in a value, `\` is written `\\`, a newline `\n` and a carriage return
-//! `\r`, so a value is always one line, and [`parse_task`] undoes it. A
-//! section heading is `### ` *at the start of a line*, which an escaped value
-//! cannot produce. The `columns:` line is a list: its names are joined by
-//! ` | `, so within a name the writer also spells `|` as `\|`, and the reader
-//! splits only at a `|` no backslash escapes. A value with none of these
-//! characters — every prompt the engine rendered before the rule existed — is
-//! written as it always was.
-//! The prose under `### INSTRUCTIONS` repeats the key, condition or statement
-//! as written: nothing reads it back.
+//! Every string the engine did not write itself (schema names and
+//! descriptions, filter, condition, statement, entity key) is written, in
+//! header and prose alike, with `\` as `\\`, a newline as `\n` and a carriage
+//! return as `\r`; in the ` | `-joined `columns:` list a `|` is also `\|`.
+//! [`parse_task`] undoes it. So every prompt line starts with the engine's
+//! own text, or with the statement's keyword, and no content can forge a
+//! heading (`### ` at a line start) or [`crate::batch`]'s separator line.
+//! A string with none of these characters keeps its bytes.
 
 use std::borrow::Cow;
 use std::fmt::Write;
@@ -173,10 +167,8 @@ impl TaskSpec {
 /// between the prompts of one plan.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// The entity key, as written.
+    /// The entity key, escaped.
     Key,
-    /// The entity key as a header value: escaped.
-    HeaderKey,
     /// The page's row limit.
     Limit,
     /// The page's offset.
@@ -188,8 +180,8 @@ enum Slot {
 
 const SKIPPING: &str = ", skipping the first ";
 
-/// A header value as the header holds it: one line (see the module docs).
-/// An item of a list also has its `|` escaped: the list's separator.
+/// An untrusted string as the prompt holds it: one line (see the module
+/// docs). An item of a list also has its `|` escaped: the list's separator.
 fn escape_value(value: &str, in_list: bool) -> Cow<'_, str> {
     let special = |c: char| matches!(c, '\\' | '\n' | '\r') || (in_list && c == '|');
     if !value.contains(special) {
@@ -230,7 +222,8 @@ fn unescape_value(line: &str) -> String {
 }
 
 /// The items of a list header line: cut at every `|` no backslash escapes,
-/// then each read as a value. Empty items are skipped.
+/// less the one space on each side of it the writer puts there, then each
+/// read as a value. Empty items are skipped.
 fn unescape_list(line: &str) -> Vec<String> {
     let mut items = Vec::new();
     let mut start = 0;
@@ -241,14 +234,14 @@ fn unescape_list(line: &str) -> Vec<String> {
         } else if c == '\\' {
             escaped = true;
         } else if c == '|' {
-            items.push(&line[start..at]);
-            start = at + 1;
+            let item = &line[start..at];
+            items.push(item.strip_suffix(' ').unwrap_or(item));
+            start = at + 1 + usize::from(line[at + 1..].starts_with(' '));
         }
     }
     items.push(&line[start..]);
     items
         .into_iter()
-        .map(str::trim)
         .filter(|item| !item.is_empty())
         .map(unescape_value)
         .collect()
@@ -323,7 +316,7 @@ impl PromptTemplate {
         t.slot(Slot::Limit);
         t.text
             .push_str(" rows of the relation described above, returning the columns [");
-        t.joined(columns, ", ");
+        t.joined(columns, ", ", false);
         t.text.push_str("] in that exact order");
         if filter.is_some() {
             t.text
@@ -351,7 +344,7 @@ impl PromptTemplate {
         );
         t.slot(Slot::Key);
         t.text.push_str("\", return the values of the columns [");
-        t.joined(columns, ", ");
+        t.joined(columns, ", ", false);
         t.text.push_str(
             "] in that exact order on one line, separated by \" | \". Write NULL for values \
              you do not know. No commentary.",
@@ -371,7 +364,7 @@ impl PromptTemplate {
         t.slot(Slot::Key);
         t.text
             .push_str("\" in the relation described above. Does it satisfy the condition `");
-        t.text.push_str(condition);
+        t.text.push_str(&escape_value(condition, false));
         t.text.push_str(
             "`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, answer \
              \"unknown\".",
@@ -389,7 +382,7 @@ impl PromptTemplate {
             "You are acting as a complete SQL database engine whose data is your internal \
              world knowledge. Execute the following SQL query and return the result table:\n",
         );
-        t.text.push_str(sql);
+        t.text.push_str(&escape_value(sql, false));
         t.text.push_str(
             "\nRespond with one result row per line, column values separated by \" | \", \
              in the column order of the SELECT list. Write NULL for unknown values. \
@@ -410,10 +403,9 @@ impl PromptTemplate {
 
     /// Copy the fixed text, writing each slot's field where it belongs.
     fn render(&self, key: &str, limit: usize, offset: usize) -> String {
-        let header_key = escape_value(key, false);
+        let key = escape_value(key, false);
         let width = |slot: Slot| match slot {
             Slot::Key => key.len(),
-            Slot::HeaderKey => header_key.len(),
             Slot::Limit => digits(limit),
             Slot::Offset => digits(offset),
             Slot::Skipping(_) if offset == 0 => 0,
@@ -426,8 +418,7 @@ impl PromptTemplate {
             out.push_str(&self.text[from..at]);
             from = at;
             match slot {
-                Slot::Key => out.push_str(key),
-                Slot::HeaderKey => out.push_str(&header_key),
+                Slot::Key => out.push_str(&key),
                 Slot::Limit => push_number(&mut out, limit),
                 Slot::Offset => push_number(&mut out, offset),
                 Slot::Skipping(_) if offset == 0 => {}
@@ -461,31 +452,27 @@ impl PromptTemplate {
         let _ = write!(self.text, "\n{name}: {}", escape_value(value, false));
     }
 
-    /// `items`, separated by `separator`.
-    fn joined(&mut self, items: &[impl AsRef<str>], separator: &str) {
+    /// `items`, escaped (as list items when `in_list`) and separated by
+    /// `separator`.
+    fn joined(&mut self, items: &[impl AsRef<str>], separator: &str, in_list: bool) {
         for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 self.text.push_str(separator);
             }
-            self.text.push_str(item.as_ref());
+            self.text.push_str(&escape_value(item.as_ref(), in_list));
         }
     }
 
     /// The `columns:` header line: a list.
     fn columns_line(&mut self, columns: &[impl AsRef<str>]) {
         self.text.push_str("\ncolumns: ");
-        for (i, column) in columns.iter().enumerate() {
-            if i > 0 {
-                self.text.push_str(" | ");
-            }
-            self.text.push_str(&escape_value(column.as_ref(), true));
-        }
+        self.joined(columns, " | ", true);
     }
 
     /// The `key:` header line.
     fn key_line(&mut self) {
         self.text.push_str("\nkey: ");
-        self.slot(Slot::HeaderKey);
+        self.slot(Slot::Key);
     }
 
     /// The header lines of a paginated task: filter, limit, offset.
@@ -522,17 +509,17 @@ fn write_schema(out: &mut String, schema: &Schema) {
     let _ = write!(
         out,
         "The relation '{}' describes {}. Its columns are: ",
-        schema.name,
-        schema.prompt_phrase()
+        escape_value(&schema.name, false),
+        escape_value(&schema.prompt_phrase(), false)
     );
     for (i, column) in schema.columns.iter().enumerate() {
         if i > 0 {
             out.push_str("; ");
         }
         let data_type = column.data_type.to_string().to_lowercase();
-        let _ = write!(out, "{} ({data_type}", column.name);
+        let _ = write!(out, "{} ({data_type}", escape_value(&column.name, false));
         if let Some(description) = &column.description {
-            let _ = write!(out, ", {description}");
+            let _ = write!(out, ", {}", escape_value(description, false));
         }
         if column.primary_key {
             out.push_str(", identifies the entity");
@@ -560,7 +547,8 @@ pub fn parse_task(prompt: &str) -> Result<TaskSpec> {
         let Some((k, v)) = line.split_once(':') else {
             continue;
         };
-        let (k, v) = (k.trim(), v.trim());
+        // The writer puts one space after the colon; any other is the value's.
+        let v = v.strip_prefix(' ').unwrap_or(v);
         if k == "kind" {
             kind = Some(unescape_value(v));
         } else {

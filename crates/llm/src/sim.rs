@@ -653,7 +653,7 @@ impl SimLlm {
     /// timer).
     fn complete_now(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
         // Packed composite (tuple batching): answer each member task
-        // independently and join the answers with the same separator. Each
+        // independently and pack the answers the way the prompts were. Each
         // member goes through the full single-task path — including its own
         // noise draws, keyed on the member prompt — so a batched answer is
         // byte-identical to the unbatched answers it replaces, at any batch
@@ -676,7 +676,7 @@ impl SimLlm {
             }
             let prompt_tokens = count_tokens(&request.prompt);
             return Ok(CompletionResponse {
-                text: texts.join(&format!("\n{}\n", crate::batch::BATCH_SEPARATOR)),
+                text: crate::batch::pack_prompts(&texts),
                 prompt_tokens,
                 completion_tokens,
                 // One request, one round trip: the composite pays a single

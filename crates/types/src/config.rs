@@ -19,25 +19,6 @@ pub enum ExecutionMode {
     Hybrid,
 }
 
-impl ExecutionMode {
-    /// All modes, for sweeps.
-    pub const ALL: [ExecutionMode; 3] = [
-        ExecutionMode::Traditional,
-        ExecutionMode::LlmOnly,
-        ExecutionMode::Hybrid,
-    ];
-
-    /// Parse from a user-facing name.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "traditional" | "store" | "baseline" => Ok(ExecutionMode::Traditional),
-            "llm" | "llm_only" | "llm-only" | "llmonly" => Ok(ExecutionMode::LlmOnly),
-            "hybrid" => Ok(ExecutionMode::Hybrid),
-            other => Err(Error::config(format!("unknown execution mode '{other}'"))),
-        }
-    }
-}
-
 impl fmt::Display for ExecutionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -83,19 +64,6 @@ impl PromptStrategy {
             PromptStrategy::BatchedRows => "batched-rows",
             PromptStrategy::TupleAtATime => "tuple-at-a-time",
             PromptStrategy::DecomposedOperators => "decomposed-ops",
-        }
-    }
-
-    /// Parse from a user-facing name.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().replace('_', "-").as_str() {
-            "full-query" | "fullquery" | "full" => Ok(PromptStrategy::FullQuery),
-            "batched-rows" | "batched" | "batch" => Ok(PromptStrategy::BatchedRows),
-            "tuple-at-a-time" | "tuple" => Ok(PromptStrategy::TupleAtATime),
-            "decomposed-ops" | "decomposed" | "operators" => {
-                Ok(PromptStrategy::DecomposedOperators)
-            }
-            other => Err(Error::config(format!("unknown prompt strategy '{other}'"))),
         }
     }
 }
@@ -165,18 +133,6 @@ impl RoutingPolicy {
             RoutingPolicy::CostAware => "cost-aware",
             RoutingPolicy::PromptHash => "prompt-hash",
             RoutingPolicy::LatencyAware => "latency-aware",
-        }
-    }
-
-    /// Parse from a user-facing name.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().replace('_', "-").as_str() {
-            "round-robin" | "roundrobin" | "rr" => Ok(RoutingPolicy::RoundRobin),
-            "least-in-flight" | "least-loaded" | "lif" => Ok(RoutingPolicy::LeastInFlight),
-            "cost-aware" | "cheapest" | "cost" => Ok(RoutingPolicy::CostAware),
-            "prompt-hash" | "prompthash" | "hash" => Ok(RoutingPolicy::PromptHash),
-            "latency-aware" | "latency" | "ewma" => Ok(RoutingPolicy::LatencyAware),
-            other => Err(Error::config(format!("unknown routing policy '{other}'"))),
         }
     }
 }
@@ -764,28 +720,17 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(
-            ExecutionMode::parse("traditional").unwrap(),
-            ExecutionMode::Traditional
-        );
-        assert_eq!(
-            ExecutionMode::parse("LLM-only").unwrap(),
-            ExecutionMode::LlmOnly
-        );
-        assert_eq!(
-            ExecutionMode::parse("hybrid").unwrap(),
-            ExecutionMode::Hybrid
-        );
-        assert!(ExecutionMode::parse("quantum").is_err());
         assert_eq!(ExecutionMode::Traditional.to_string(), "traditional");
+        assert_eq!(ExecutionMode::LlmOnly.to_string(), "llm-only");
+        assert_eq!(ExecutionMode::Hybrid.to_string(), "hybrid");
     }
 
     #[test]
     fn strategy_parsing_and_labels() {
         for s in PromptStrategy::ALL {
-            assert_eq!(PromptStrategy::parse(s.label()).unwrap(), s);
+            assert_eq!(s.to_string(), s.label());
         }
-        assert!(PromptStrategy::parse("telepathy").is_err());
+        assert_eq!(PromptStrategy::TupleAtATime.label(), "tuple-at-a-time");
     }
 
     #[test]
@@ -863,18 +808,8 @@ mod tests {
     #[test]
     fn routing_policy_parsing_and_labels() {
         for p in RoutingPolicy::ALL {
-            assert_eq!(RoutingPolicy::parse(p.label()).unwrap(), p);
             assert_eq!(p.to_string(), p.label());
         }
-        assert_eq!(
-            RoutingPolicy::parse("rr").unwrap(),
-            RoutingPolicy::RoundRobin
-        );
-        assert_eq!(
-            RoutingPolicy::parse("cheapest").unwrap(),
-            RoutingPolicy::CostAware
-        );
-        assert!(RoutingPolicy::parse("dowsing").is_err());
         assert_eq!(RoutingPolicy::default(), RoutingPolicy::RoundRobin);
     }
 

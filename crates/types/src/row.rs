@@ -186,61 +186,61 @@ impl Batch {
 
     /// Render as an ASCII table (for examples and experiment binaries).
     pub fn to_ascii_table(&self) -> String {
-        use std::fmt::Write as _;
         let headers: Vec<String> = self
             .schema
             .fields
             .iter()
             .map(super::schema::Field::qualified_name)
             .collect();
-        let mut widths: Vec<usize> = headers.iter().map(std::string::String::len).collect();
-        let rendered: Vec<Vec<String>> = self
+        let rows: Vec<Vec<String>> = self
             .rows
             .iter()
             .map(|r| {
-                (0..headers.len().max(r.arity()))
+                (0..headers.len())
                     .map(|i| r.get(i).to_display_string())
                     .collect()
             })
             .collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                if i >= widths.len() {
-                    widths.push(cell.len());
-                } else if cell.len() > widths[i] {
-                    widths[i] = cell.len();
-                }
-            }
-        }
-        let sep = || {
-            let mut s = String::from("+");
-            for w in &widths {
-                s.push_str(&"-".repeat(w + 2));
-                s.push('+');
-            }
-            s
-        };
-        let mut out = String::new();
-        out.push_str(&sep());
-        out.push('\n');
-        out.push('|');
-        for (h, w) in headers.iter().zip(&widths) {
-            let _ = write!(out, " {h:w$} |");
-        }
-        out.push('\n');
-        out.push_str(&sep());
-        out.push('\n');
-        for row in &rendered {
-            out.push('|');
-            for (i, w) in widths.iter().enumerate() {
-                let cell = row.get(i).map_or("", String::as_str);
-                let _ = write!(out, " {cell:w$} |");
-            }
-            out.push('\n');
-        }
-        out.push_str(&sep());
-        out
+        ascii_grid(&headers, &rows)
     }
+}
+
+/// A fixed-width text grid: a `+---+` rule, the `headers` as `| cell |`, a
+/// rule, one line per row and a closing rule, each column as wide as its
+/// widest cell. A row shorter than the headers leaves its last cells blank;
+/// cells past the last header are not drawn. No newline follows the last
+/// rule.
+pub fn ascii_grid(headers: &[String], rows: &[Vec<String>]) -> String {
+    use std::fmt::Write as _;
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+    for row in rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let mut rule = String::from("+");
+    for w in &widths {
+        rule.push_str(&"-".repeat(w + 2));
+        rule.push('+');
+    }
+    let line = |out: &mut String, cells: &[String]| {
+        out.push('|');
+        for (i, w) in widths.iter().enumerate() {
+            let cell = cells.get(i).map_or("", String::as_str);
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, " {cell:w$} |");
+        }
+        out.push('\n');
+    };
+    let mut out = format!("{rule}\n");
+    line(&mut out, headers);
+    out.push_str(&rule);
+    out.push('\n');
+    for row in rows {
+        line(&mut out, row);
+    }
+    out.push_str(&rule);
+    out
 }
 
 #[cfg(test)]

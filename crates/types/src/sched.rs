@@ -59,31 +59,12 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// All policies, for sweeps.
-    pub const ALL: [SchedPolicy; 3] = [
-        SchedPolicy::Fifo,
-        SchedPolicy::Priority,
-        SchedPolicy::WeightedFair,
-    ];
-
     /// Short label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
             SchedPolicy::Fifo => "fifo",
             SchedPolicy::Priority => "priority",
             SchedPolicy::WeightedFair => "weighted-fair",
-        }
-    }
-
-    /// Parse from a user-facing name.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s.to_ascii_lowercase().replace('_', "-").as_str() {
-            "fifo" | "arrival" => Ok(SchedPolicy::Fifo),
-            "priority" | "prio" => Ok(SchedPolicy::Priority),
-            "weighted-fair" | "fair" | "drr" | "wfq" => Ok(SchedPolicy::WeightedFair),
-            other => Err(Error::config(format!(
-                "unknown scheduling policy '{other}'"
-            ))),
         }
     }
 }
@@ -367,15 +348,13 @@ mod tests {
 
     #[test]
     fn policy_parsing_round_trips() {
-        for p in SchedPolicy::ALL {
-            assert_eq!(SchedPolicy::parse(p.label()).unwrap(), p);
+        for p in [
+            SchedPolicy::Fifo,
+            SchedPolicy::Priority,
+            SchedPolicy::WeightedFair,
+        ] {
             assert_eq!(p.to_string(), p.label());
         }
-        assert_eq!(
-            SchedPolicy::parse("drr").unwrap(),
-            SchedPolicy::WeightedFair
-        );
-        assert!(SchedPolicy::parse("lottery").is_err());
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
     }
 

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use llmsql_types::row::ascii_grid;
+
 /// One table cell. A number keeps its value, so a test reads the table
 /// rather than its text.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,36 +143,8 @@ impl Report {
             .iter()
             .map(|row| row.iter().take(cols).map(Cell::to_string).collect())
             .collect();
-        let mut widths: Vec<usize> = self.headers[..cols].iter().map(String::len).collect();
-        for row in &rows {
-            for (width, cell) in widths.iter_mut().zip(row) {
-                *width = (*width).max(cell.len());
-            }
-        }
-        let mut sep = String::from("+");
-        for w in &widths {
-            sep.push_str(&"-".repeat(w + 2));
-            sep.push('+');
-        }
-        sep.push('\n');
-        let line = |cells: &[String]| {
-            let mut out = String::from("|");
-            for (i, w) in widths.iter().enumerate() {
-                let cell = cells.get(i).map_or("", String::as_str);
-                out.push_str(&format!(" {cell:w$} |"));
-            }
-            out.push('\n');
-            out
-        };
-        let mut out = format!("== {} ==\n", self.title);
-        out.push_str(&sep);
-        out.push_str(&line(&self.headers[..cols]));
-        out.push_str(&sep);
-        for row in &rows {
-            out.push_str(&line(row));
-        }
-        out.push_str(&sep);
-        out
+        let grid = ascii_grid(&self.headers[..cols], &rows);
+        format!("== {} ==\n{grid}\n", self.title)
     }
 }
 

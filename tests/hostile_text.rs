@@ -4,11 +4,16 @@
 //! a keyword — every prompting strategy must return the oracle's rows.
 
 use llmsql_core::Engine;
+use llmsql_llm::BATCH_SEPARATOR;
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy, Value};
 
 /// A traditional engine over the tables `ddl_and_rows` creates, and one
-/// LLM-only engine per strategy whose model knows exactly those tables.
-fn oracle_and_subjects(ddl_and_rows: &str) -> (Engine, Vec<(PromptStrategy, Engine)>) {
+/// LLM-only engine per strategy whose model knows exactly those tables, its
+/// config last passed through `configure`.
+fn oracle_and_subjects(
+    ddl_and_rows: &str,
+    configure: impl Fn(EngineConfig) -> EngineConfig,
+) -> (Engine, Vec<(PromptStrategy, Engine)>) {
     let oracle = Engine::new(EngineConfig::default().with_mode(ExecutionMode::Traditional));
     oracle.execute_script(ddl_and_rows).unwrap();
     let subjects = PromptStrategy::ALL
@@ -17,11 +22,13 @@ fn oracle_and_subjects(ddl_and_rows: &str) -> (Engine, Vec<(PromptStrategy, Engi
             let kb = Engine::knowledge_from_catalog(oracle.catalog()).unwrap();
             let mut engine = Engine::with_catalog(
                 oracle.catalog().deep_clone().unwrap(),
-                EngineConfig::default()
-                    .with_mode(ExecutionMode::LlmOnly)
-                    .with_strategy(strategy)
-                    .with_fidelity(LlmFidelity::perfect())
-                    .with_batch_size(10),
+                configure(
+                    EngineConfig::default()
+                        .with_mode(ExecutionMode::LlmOnly)
+                        .with_strategy(strategy)
+                        .with_fidelity(LlmFidelity::perfect())
+                        .with_batch_size(10),
+                ),
             );
             engine.attach_simulator(kb.into_shared()).unwrap();
             (strategy, engine)
@@ -47,7 +54,15 @@ fn sorted_rows(engine: &Engine, sql: &str) -> Vec<String> {
 }
 
 fn assert_every_strategy_matches_the_oracle(script: &str, queries: &[(&str, usize)]) {
-    let (oracle, subjects) = oracle_and_subjects(script);
+    assert_every_strategy_matches_the_oracle_under(script, queries, |config| config);
+}
+
+fn assert_every_strategy_matches_the_oracle_under(
+    script: &str,
+    queries: &[(&str, usize)],
+    configure: impl Fn(EngineConfig) -> EngineConfig,
+) {
+    let (oracle, subjects) = oracle_and_subjects(script, configure);
     for &(sql, expected) in queries {
         let truth = sorted_rows(&oracle, sql);
         assert_eq!(truth.len(), expected, "the oracle itself, on {sql:?}");
@@ -160,4 +175,98 @@ fn a_stored_key_holding_a_line_break_is_still_the_key_the_model_is_asked_about()
     hybrid.attach_simulator(kb.into_shared()).unwrap();
     let sql = "SELECT title, pages FROM notes";
     assert_eq!(sorted_rows(&hybrid, sql), sorted_rows(&truth, sql));
+}
+
+/// The header writes one space after `name:` and one on each side of ` | `;
+/// a space of the name's own, at either end, is still the name's.
+#[test]
+fn a_column_name_with_a_space_at_either_end_is_still_its_column() {
+    let values: Vec<String> = (0..12)
+        .map(|i| format!("('k{i:02}', {i}, {})", i * 2))
+        .collect();
+    let script = format!(
+        "CREATE TABLE t (name TEXT PRIMARY KEY, \"n \" INTEGER, \" m\" INTEGER); \
+         INSERT INTO t VALUES {};",
+        values.join(", ")
+    );
+    assert_every_strategy_matches_the_oracle(
+        &script,
+        &[
+            ("SELECT name, \"n \" FROM t", 12),
+            ("SELECT \" m\", name, \"n \" FROM t WHERE \" m\" > 6", 8),
+        ],
+    );
+}
+
+/// ROADMAP item 9: a key holding the batch separator, said by the model or
+/// stored, is written into prompts on lines that are never the separator, so
+/// it can neither split a single prompt nor shift a packed request's members.
+#[test]
+fn a_key_holding_the_batch_separator_frames_no_packed_request() {
+    let s = BATCH_SEPARATOR;
+    let keys: Vec<String> = (0..9)
+        .map(|i| format!("k{i:02}"))
+        .chain([format!("x{s}y"), s.to_string()])
+        .collect();
+    let rows: Vec<String> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| format!("('{key}', {i})"))
+        .collect();
+    let script = format!(
+        "CREATE TABLE t (name TEXT PRIMARY KEY, n INTEGER); INSERT INTO t VALUES {};",
+        rows.join(", ")
+    );
+    for rows_per_call in [1, 4] {
+        assert_every_strategy_matches_the_oracle_under(
+            &script,
+            &[
+                ("SELECT name, n FROM t", 11),
+                ("SELECT name FROM t WHERE n >= 3", 8),
+            ],
+            |config| {
+                config
+                    .with_parallelism(4)
+                    .with_batch_rows_per_call(rows_per_call)
+            },
+        );
+    }
+
+    let stored = [
+        format!("x{s}y"),
+        s.to_string(),
+        format!("a\n{s}\nb"),
+        "plain".into(),
+    ];
+    let insert = |value: &dyn Fn(usize) -> String| {
+        let rows: Vec<String> = stored
+            .iter()
+            .enumerate()
+            .map(|(i, key)| format!("('{key}', {})", value(i)))
+            .collect();
+        format!(
+            "CREATE TABLE notes (title TEXT PRIMARY KEY, pages INTEGER); INSERT INTO notes VALUES {};",
+            rows.join(", ")
+        )
+    };
+    let truth = Engine::new(EngineConfig::default().with_mode(ExecutionMode::Traditional));
+    truth.execute_script(&insert(&|i| i.to_string())).unwrap();
+    let sql = "SELECT title, pages FROM notes";
+    for rows_per_call in [1, 4] {
+        let kb = Engine::knowledge_from_catalog(truth.catalog()).unwrap();
+        let mut hybrid = Engine::new(
+            EngineConfig::default()
+                .with_mode(ExecutionMode::Hybrid)
+                .with_fidelity(LlmFidelity::perfect())
+                .with_parallelism(4)
+                .with_batch_rows_per_call(rows_per_call),
+        );
+        hybrid.execute_script(&insert(&|_| "NULL".into())).unwrap();
+        hybrid.attach_simulator(kb.into_shared()).unwrap();
+        assert_eq!(
+            sorted_rows(&hybrid, sql),
+            sorted_rows(&truth, sql),
+            "{rows_per_call} per call"
+        );
+    }
 }
