@@ -22,7 +22,7 @@ pub use binder::{bind_select, schema_from_create};
 pub use cost::{cost_plan, estimate_scan_rows, CostParams, NodeCost, OperatorCost, PlanCost};
 pub use expr::{bind_expr, conjoin, split_conjunction, BoundExpr};
 pub use lint::{lint_plan, PlanDiagnostic, Severity};
-pub use logical::{estimate_llm_calls, LogicalPlan, SortKey};
+pub use logical::{LogicalPlan, SortKey};
 pub use optimizer::{optimize, optimize_traced, OptimizerOptions};
 pub use rules::RuleTrace;
 

@@ -315,25 +315,6 @@ impl LogicalPlan {
     }
 }
 
-/// A rough estimate of the number of LLM calls a plan will issue under the
-/// given batch size, assuming `est_rows` rows per virtual relation. Used by
-/// EXPLAIN output and by the ablation experiment's reporting.
-pub fn estimate_llm_calls(plan: &LogicalPlan, batch_size: usize, est_rows: usize) -> usize {
-    let mut calls = 0usize;
-    plan.visit(&mut |p| {
-        if let LogicalPlan::Scan {
-            virtual_table: true,
-            pushed_limit,
-            ..
-        } = p
-        {
-            let rows = pushed_limit.map(|l| l.min(est_rows)).unwrap_or(est_rows);
-            calls += rows.div_ceil(batch_size.max(1)).max(1);
-        }
-    });
-    calls
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,19 +390,5 @@ mod tests {
         assert!(text.contains("LlmScan t"));
         // indentation increases with depth
         assert!(text.lines().nth(2).unwrap().starts_with("    "));
-    }
-
-    #[test]
-    fn llm_call_estimate() {
-        let plan = scan(true);
-        assert_eq!(estimate_llm_calls(&plan, 20, 100), 5);
-        assert_eq!(estimate_llm_calls(&plan, 200, 100), 1);
-        assert_eq!(estimate_llm_calls(&scan(false), 20, 100), 0);
-        // A pushed limit caps the estimate.
-        let mut limited = scan(true);
-        if let LogicalPlan::Scan { pushed_limit, .. } = &mut limited {
-            *pushed_limit = Some(10);
-        }
-        assert_eq!(estimate_llm_calls(&limited, 20, 100), 1);
     }
 }

@@ -3,11 +3,9 @@
 //!
 //! The cross-query scheduler: the shared runtime that sits between client
 //! sessions and one `llmsql_core::Engine`, arbitrating the engine's scarcest
-//! resource — LLM-call slots — between many concurrent queries.
-//!
-//! PR 1 made a *single* query parallel and PR 2 gave it multiple backends;
-//! neither stops two queries from dispatching `2 × parallelism` requests at
-//! once. [`QueryScheduler`] closes that gap with three mechanisms:
+//! resource — LLM-call slots — between many concurrent queries. A query's
+//! `parallelism` bounds its own requests in flight; [`QueryScheduler`]
+//! bounds them across queries with three mechanisms:
 //!
 //! * **Admission control.** [`QueryScheduler::submit`] enqueues a query under
 //!   a tenant and a [`llmsql_types::Priority`]. The queue is bounded
@@ -38,11 +36,18 @@
 //!   the global completion ordinal — the accounting a billing or QoS layer
 //!   needs per query.
 //!
-//! Backend *health* tracking (the circuit breaker that stops a hard-down
-//! backend from costing retries on every request) lives one layer down, in
-//! `llmsql_llm::backend`, enabled via `EngineConfig::with_circuit_breaker`;
-//! the scheduler composes with it by simply running queries against an
-//! engine so configured.
+//! # Admission is a transition function on given time
+//!
+//! The queue — admitted jobs, per-tenant counts and token buckets, the
+//! run-time EWMA and every [`SchedStats`] counter — is plain data that three
+//! transitions change: admit, pick and finish, each at an instant it is
+//! handed. Only the thread shell around it reads the clock, once per event,
+//! and it holds the queue, the pause flag and the shutdown flag under one
+//! lock. [`QueryScheduler::stats`] is therefore one exact snapshot: at any
+//! moment `rejected` is the number of rejections handed out, `completed` the
+//! number of tickets resolved, and `queued` the admitted queries no worker
+//! has picked. The policy and admission tests drive the queue on synthetic
+//! instants with no engine, thread or sleep.
 //!
 //! # Failure-handling contract
 //!
@@ -54,16 +59,14 @@
 //!   away at admission — per-tenant token-bucket throttle, watermark-based
 //!   load shedding ([`llmsql_types::SchedConfig`]'s `shed_queue_watermark` /
 //!   `shed_wait_watermark_ms`), a full global or tenant queue, or a
-//!   hopeless-deadline projection — never started and consumed no LLM
-//!   calls; resubmitting it is always safe. Every one of these rejections
-//!   carries a `retry_after_ms` hint
-//!   ([`llmsql_types::Error::retry_after_ms`]): structurally for throttle
-//!   and shed ([`llmsql_types::ErrorKind::Overloaded`]), attached for
-//!   queue-full and deadline rejections — one shape for all backoff loops.
-//!   Shedding drops strictly-lower-priority work first and is counted in
-//!   [`SchedStats::shed`] / [`SchedStats::throttled`] (both also in
-//!   `rejected`), so `rejected` always equals the rejection errors handed
-//!   out.
+//!   hopeless-deadline projection — never started, consumed no LLM calls
+//!   and spent no rate-limit token; resubmitting it is always safe. Each
+//!   carries a `retry_after_ms` hint ([`llmsql_types::Error::retry_after_ms`]):
+//!   structurally for throttle and shed ([`llmsql_types::ErrorKind::Overloaded`]),
+//!   attached for queue-full and deadline rejections. Shedding drops
+//!   strictly-lower-priority work first; [`SchedStats::shed`] and
+//!   [`SchedStats::throttled`] are also counted in `rejected`, which always
+//!   equals the rejection errors handed out.
 //!
 //! * **Retries and hedges are budget-free.** Fault recovery below the
 //!   scheduler (backend retries, hedged requests, failover) never consumes
@@ -83,21 +86,17 @@
 //!
 //! **Workers park on their own event loop, not inside calls.** A query runs
 //! on the worker that picked it up, and each of its scans drives a private
-//! [`llmsql_exec::LiveSet`] there: the worker submits what the scan's window
-//! admits and polls those requests until the oldest answer is in — the same
-//! loop a standalone engine runs. A worker therefore holds a whole window of
-//! requests, `llm_slots` is the only deployment-wide in-flight ceiling, and
-//! 64 slots on 4 workers is the normal shape — not 64 blocked threads
-//! (`examples/async_dispatch.rs` measures exactly this). What the workers
-//! share is the state their requests poll: the [`llmsql_exec::CallSlots`]
-//! pool (which the backend pool's hedges draw on too), the prompt
-//! coalescer, the backend pool's breakers and latency averages. A request
-//! waiting on another query — for a slot, or for a coalescing leader's
-//! answer — re-polls on a short stored retry deadline; its waits are
-//! parked-and-polled, and surface in the `SchedStats::total_slot_wait_ms` /
-//! `ExecMetrics::slot_wait_ms` accounting. A model whose `submit` is the
-//! blocking adapter runs a scan's requests one after another inside the
-//! poll; every guarantee above still holds.
+//! [`llmsql_exec::LiveSet`] there, the same loop a standalone engine runs. A
+//! worker therefore holds a whole window of requests, and `llm_slots` is the
+//! only deployment-wide in-flight ceiling: 64 slots on 4 workers is the
+//! normal shape, not 64 blocked threads (`examples/async_dispatch.rs`). The
+//! workers share only the state their requests poll: the
+//! [`llmsql_exec::CallSlots`] pool (which the backend pool's hedges draw on
+//! too), the prompt coalescer, and the backend pool's breakers and latency
+//! averages. A request waiting on another query — for a slot, or for a
+//! coalescing leader's answer — re-polls on a short stored retry deadline,
+//! and its waits surface in `SchedStats::total_slot_wait_ms` /
+//! `ExecMetrics::slot_wait_ms`.
 //!
 //! Two optimizations take physical requests below logical calls, both
 //! accounted in [`SchedStats`]:
@@ -133,10 +132,10 @@
 
 #![warn(missing_docs)]
 
+mod queue;
 mod ratelimit;
 mod scheduler;
 mod ticket;
 
-pub use ratelimit::{TenantLimiter, TokenBucket};
 pub use scheduler::{QueryScheduler, SchedStats};
 pub use ticket::{QueryOutcome, QueryTicket};

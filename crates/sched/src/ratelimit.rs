@@ -1,125 +1,90 @@
 //! Per-tenant token buckets for admission-time overload shedding.
 //!
-//! Buckets are parameterized on an explicit millisecond clock (`now_ms`)
-//! instead of reading wall time themselves: the scheduler passes its epoch
-//! clock, and tests drive any schedule of arrivals deterministically —
-//! including the property test below, which checks the core token-bucket
-//! invariant (admissions never exceed burst + elapsed × rate) over arbitrary
-//! arrival schedules.
-
-use std::sync::Mutex;
+//! Plain data on an explicit millisecond clock (`now_ms`): the queue passes
+//! milliseconds since its epoch, and tests drive any schedule of arrivals
+//! deterministically — including the property test below, which checks the
+//! core token-bucket invariant (admissions never exceed burst + elapsed ×
+//! rate) over arbitrary arrival schedules. Nothing here reads a clock or
+//! takes a lock.
 
 use llmsql_types::TenantRateLimit;
 
-/// Mutable bucket state, guarded by one mutex (admission is control-plane).
-struct BucketState {
+/// A token bucket: `capacity` burst tokens, refilled continuously at
+/// `refill_per_ms`. Behaviour is a pure function of the call schedule.
+#[derive(Debug, Clone)]
+struct TokenBucket {
+    capacity: f64,
+    refill_per_ms: f64,
     /// Current token balance. May go negative on the post-paid call axis.
     tokens: f64,
     /// Clock of the last refill, milliseconds.
     last_ms: u64,
 }
 
-/// A token bucket: `capacity` burst tokens, refilled continuously at
-/// `refill_per_ms`. All operations take the current clock explicitly, so
-/// behaviour is a pure function of the call schedule.
-pub struct TokenBucket {
-    capacity: f64,
-    refill_per_ms: f64,
-    state: Mutex<BucketState>,
-}
-
-impl std::fmt::Debug for TokenBucket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenBucket")
-            .field("capacity", &self.capacity)
-            .field("refill_per_ms", &self.refill_per_ms)
-            .finish_non_exhaustive()
-    }
-}
-
 impl TokenBucket {
     /// A bucket holding `burst` tokens, refilled at `rate_per_sec`, starting
     /// full at clock `now_ms`.
-    pub fn new(rate_per_sec: f64, burst: f64, now_ms: u64) -> TokenBucket {
+    fn new(rate_per_sec: f64, burst: f64, now_ms: u64) -> TokenBucket {
         TokenBucket {
             capacity: burst,
             refill_per_ms: rate_per_sec / 1000.0,
-            state: Mutex::new(BucketState {
-                tokens: burst,
-                last_ms: now_ms,
-            }),
+            tokens: burst,
+            last_ms: now_ms,
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BucketState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Credit the time elapsed since the last refill, clamped to capacity
     /// (a debt balance climbs back through zero at the refill rate).
-    fn refill(&self, s: &mut BucketState, now_ms: u64) {
-        let elapsed_ms = now_ms.saturating_sub(s.last_ms) as f64;
-        s.last_ms = s.last_ms.max(now_ms);
-        s.tokens = (s.tokens + elapsed_ms * self.refill_per_ms).min(self.capacity);
+    fn refill(&mut self, now_ms: u64) {
+        let elapsed_ms = now_ms.saturating_sub(self.last_ms) as f64;
+        self.last_ms = self.last_ms.max(now_ms);
+        self.tokens = (self.tokens + elapsed_ms * self.refill_per_ms).min(self.capacity);
     }
 
     /// How long until `need` tokens have dripped in, rounded up, ≥ 1 ms.
     fn eta_ms(&self, need: f64) -> u64 {
-        if self.refill_per_ms <= 0.0 {
-            return u64::MAX;
-        }
         (need / self.refill_per_ms).ceil().max(1.0) as u64
     }
 
     /// Take `cost` tokens at clock `now_ms`, or report how many milliseconds
     /// until the balance would cover the cost.
-    pub fn try_take(&self, now_ms: u64, cost: f64) -> Result<(), u64> {
-        let mut s = self.lock();
-        self.refill(&mut s, now_ms);
-        if s.tokens >= cost {
-            s.tokens -= cost;
+    fn try_take(&mut self, now_ms: u64, cost: f64) -> Result<(), u64> {
+        self.refill(now_ms);
+        if self.tokens >= cost {
+            self.tokens -= cost;
             Ok(())
         } else {
-            Err(self.eta_ms(cost - s.tokens))
+            Err(self.eta_ms(cost - self.tokens))
         }
     }
 
     /// Require a positive balance (the post-paid axis: the exact cost is
     /// only known at completion). `Err` carries the milliseconds until the
     /// balance turns positive again.
-    pub fn check_credit(&self, now_ms: u64) -> Result<(), u64> {
-        let mut s = self.lock();
-        self.refill(&mut s, now_ms);
-        if s.tokens > 0.0 {
+    fn check_credit(&mut self, now_ms: u64) -> Result<(), u64> {
+        self.refill(now_ms);
+        if self.tokens > 0.0 {
             Ok(())
         } else {
             // +1ms so the hinted wait leaves a strictly positive balance
             // even when the debt divides the refill rate exactly.
-            Err(self.eta_ms(-s.tokens).saturating_add(1))
+            Err(self.eta_ms(-self.tokens).saturating_add(1))
         }
     }
 
     /// Charge `amount` tokens at completion. The balance may go negative —
     /// a burst overdraws once, then [`TokenBucket::check_credit`] holds the
     /// tenant until the debt is repaid at the refill rate.
-    pub fn debit(&self, now_ms: u64, amount: f64) {
-        let mut s = self.lock();
-        self.refill(&mut s, now_ms);
-        s.tokens -= amount;
-    }
-
-    /// The balance at clock `now_ms` (observability and tests).
-    pub fn balance(&self, now_ms: u64) -> f64 {
-        let mut s = self.lock();
-        self.refill(&mut s, now_ms);
-        s.tokens
+    fn debit(&mut self, now_ms: u64, amount: f64) {
+        self.refill(now_ms);
+        self.tokens -= amount;
     }
 }
 
 /// One tenant's admission limiter: a pre-paid query bucket and a post-paid
 /// LLM-call bucket, each optional (a zero rate disables the axis).
-#[derive(Debug)]
-pub struct TenantLimiter {
+#[derive(Debug, Clone)]
+pub(crate) struct TenantLimiter {
     queries: Option<TokenBucket>,
     calls: Option<TokenBucket>,
 }
@@ -127,7 +92,7 @@ pub struct TenantLimiter {
 impl TenantLimiter {
     /// Build the limiter from its configured [`TenantRateLimit`], with both
     /// buckets full at clock `now_ms`.
-    pub fn new(limit: TenantRateLimit, now_ms: u64) -> TenantLimiter {
+    pub(crate) fn new(limit: TenantRateLimit, now_ms: u64) -> TenantLimiter {
         let bucket = |rate: f64, burst: f64| {
             (rate > 0.0).then(|| TokenBucket::new(rate, burst.max(1.0), now_ms))
         };
@@ -141,22 +106,19 @@ impl TenantLimiter {
     /// (checked first, so a rejection never burns a query token) and the
     /// query axis is charged one token. `Err` is the retry-after hint in
     /// milliseconds.
-    pub fn admit(&self, now_ms: u64) -> Result<(), u64> {
-        if let Some(calls) = &self.calls {
+    pub(crate) fn admit(&mut self, now_ms: u64) -> Result<(), u64> {
+        if let Some(calls) = &mut self.calls {
             calls.check_credit(now_ms)?;
         }
-        if let Some(queries) = &self.queries {
+        if let Some(queries) = &mut self.queries {
             queries.try_take(now_ms, 1.0)?;
         }
         Ok(())
     }
 
     /// Charge the LLM calls a completed query actually consumed.
-    pub fn charge_calls(&self, now_ms: u64, calls: u64) {
-        if calls == 0 {
-            return;
-        }
-        if let Some(bucket) = &self.calls {
+    pub(crate) fn charge_calls(&mut self, now_ms: u64, calls: u64) {
+        if let Some(bucket) = &mut self.calls {
             bucket.debit(now_ms, calls as f64);
         }
     }
@@ -166,10 +128,18 @@ impl TenantLimiter {
 mod tests {
     use super::*;
 
+    impl TokenBucket {
+        /// The balance at clock `now_ms`.
+        fn balance(&mut self, now_ms: u64) -> f64 {
+            self.refill(now_ms);
+            self.tokens
+        }
+    }
+
     #[test]
     fn burst_then_sustained_rate() {
         // 2-token burst, 1 token/sec.
-        let bucket = TokenBucket::new(1.0, 2.0, 0);
+        let mut bucket = TokenBucket::new(1.0, 2.0, 0);
         assert!(bucket.try_take(0, 1.0).is_ok());
         assert!(bucket.try_take(0, 1.0).is_ok());
         let retry = bucket.try_take(0, 1.0).unwrap_err();
@@ -182,7 +152,7 @@ mod tests {
 
     #[test]
     fn refill_clamps_to_capacity() {
-        let bucket = TokenBucket::new(100.0, 3.0, 0);
+        let mut bucket = TokenBucket::new(100.0, 3.0, 0);
         // An hour idle does not bank more than the burst.
         assert_eq!(bucket.balance(3_600_000), 3.0);
         for _ in 0..3 {
@@ -194,7 +164,7 @@ mod tests {
     #[test]
     fn post_paid_debt_blocks_credit_until_repaid() {
         // 10 calls/sec, burst 5.
-        let bucket = TokenBucket::new(10.0, 5.0, 0);
+        let mut bucket = TokenBucket::new(10.0, 5.0, 0);
         assert!(bucket.check_credit(0).is_ok());
         // A big query overdraws: balance goes negative, credit is refused
         // until the debt drains at the refill rate.
@@ -214,18 +184,18 @@ mod tests {
             llm_calls_per_sec: 10.0,
             call_burst: 5.0,
         };
-        let limiter = TenantLimiter::new(limit, 0);
+        let mut limiter = TenantLimiter::new(limit, 0);
         assert!(limiter.admit(0).is_ok());
         limiter.charge_calls(0, 50); // deep in debt
         let retry = limiter.admit(200).unwrap_err();
         assert!(retry > 1000, "call debt dominates: {retry}");
         // The failed admission did not burn the (refilled) query token.
-        assert!(limiter.queries.as_ref().unwrap().balance(200) > 1e-9);
+        assert!(limiter.queries.as_mut().unwrap().balance(200) > 1e-9);
     }
 
     #[test]
     fn disabled_axes_never_reject() {
-        let limiter = TenantLimiter::new(TenantRateLimit::queries(0.0, 0.0), 0);
+        let mut limiter = TenantLimiter::new(TenantRateLimit::queries(0.0, 0.0), 0);
         for t in 0..100 {
             assert!(limiter.admit(t).is_ok());
             limiter.charge_calls(t, 1_000_000);
@@ -246,7 +216,7 @@ mod tests {
                 burst in 1.0f64..10.0,
                 gaps_ms in proptest::collection::vec(0u64..400, 1..80),
             ) {
-                let bucket = TokenBucket::new(rate_per_sec, burst, 0);
+                let mut bucket = TokenBucket::new(rate_per_sec, burst, 0);
                 let mut now_ms = 0u64;
                 let mut accepted = 0u64;
                 for gap in &gaps_ms {
@@ -271,7 +241,7 @@ mod tests {
                 burst in 1.0f64..10.0,
                 drains in 1u32..20,
             ) {
-                let bucket = TokenBucket::new(rate_per_sec, burst, 0);
+                let mut bucket = TokenBucket::new(rate_per_sec, burst, 0);
                 for _ in 0..drains {
                     let _ = bucket.try_take(0, 1.0);
                 }

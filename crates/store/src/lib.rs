@@ -21,4 +21,4 @@ pub mod table;
 
 pub use catalog::{Catalog, CatalogEntry};
 pub use degrade::{degrade_catalog, degrade_table, DegradeReport, DegradeSpec};
-pub use table::{simple_schema, table_with_rows, ColumnStats, Table};
+pub use table::{simple_schema, table_with_rows, Table};

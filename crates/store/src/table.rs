@@ -209,43 +209,6 @@ impl Table {
         inner.rows.clear();
         inner.version += 1;
     }
-
-    /// Simple per-column statistics used by the planner's cost model.
-    pub fn column_stats(&self, column: usize) -> ColumnStats {
-        let inner = self.inner.read();
-        let mut stats = ColumnStats::default();
-        let mut distinct = std::collections::HashSet::new();
-        for row in &inner.rows {
-            let v = row.get(column);
-            stats.row_count += 1;
-            if v.is_null() {
-                stats.null_count += 1;
-                continue;
-            }
-            distinct.insert(v.clone());
-            if let Some(f) = v.as_f64() {
-                stats.min = Some(stats.min.map_or(f, |m: f64| m.min(f)));
-                stats.max = Some(stats.max.map_or(f, |m: f64| m.max(f)));
-            }
-        }
-        stats.distinct_count = distinct.len();
-        stats
-    }
-}
-
-/// Per-column statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnStats {
-    /// Total rows.
-    pub row_count: usize,
-    /// Rows where the column is NULL.
-    pub null_count: usize,
-    /// Number of distinct non-NULL values.
-    pub distinct_count: usize,
-    /// Minimum numeric value, if the column is numeric.
-    pub min: Option<f64>,
-    /// Maximum numeric value, if the column is numeric.
-    pub max: Option<f64>,
 }
 
 /// Build a schema + table pair in one call (test/workload convenience).
@@ -399,20 +362,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let rows = t.lookup(0, &Value::Text("alice".into()));
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn column_stats() {
-        let t = sample_table();
-        let s = t.column_stats(1);
-        assert_eq!(s.row_count, 3);
-        assert_eq!(s.null_count, 0);
-        assert_eq!(s.distinct_count, 3);
-        assert_eq!(s.min, Some(25.0));
-        assert_eq!(s.max, Some(35.0));
-        let s2 = t.column_stats(2);
-        assert_eq!(s2.distinct_count, 2);
-        assert_eq!(s2.min, None);
     }
 
     #[test]

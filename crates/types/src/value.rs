@@ -188,15 +188,6 @@ impl Value {
         }
     }
 
-    /// SQL equality with NULL semantics: comparing anything with NULL yields
-    /// `None` (unknown); numeric types compare across int/float.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.semantic_eq(other))
-    }
-
     /// Non-SQL equality used for grouping and joining: NULL == NULL and
     /// numerics compare across int/float.
     pub fn semantic_eq(&self, other: &Value) -> bool {
@@ -586,15 +577,6 @@ mod tests {
         assert_eq!(vals[0], Value::Float(-1.0));
         assert_eq!(vals[1], Value::Float(1.0));
         assert!(matches!(vals[2], Value::Float(f) if f.is_nan()));
-    }
-
-    #[test]
-    fn sql_eq_null_is_unknown() {
-        assert_eq!(Value::Null.sql_eq(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Null), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Float(1.0)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
     }
 
     #[test]
