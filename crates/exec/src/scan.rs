@@ -25,9 +25,11 @@
 //! The prompts of one plan differ in a key, or in a limit and an offset, and
 //! in nothing else. So a plan builds the rest — table, columns, filter, the
 //! schema's description, the instructions — once, as a
-//! [`PromptTemplate`], and `next` only renders the varying field into it:
-//! the text is byte for byte what `TaskSpec::to_prompt` gives for that one
-//! task, since that is the same renderer.
+//! [`PromptTemplate`], and `next` hands the driver only what varies: a page
+//! plan renders its limit and offset in, a per-tuple plan hands over the
+//! template and the key. Either way a prompt is byte for byte what
+//! `TaskSpec::to_prompt` gives for that one task, since that is the same
+//! renderer.
 //!
 //! Everything that is not prompt content lives once, in `Driver::drive`:
 //!
@@ -63,7 +65,12 @@
 //!   `EngineConfig::batch_rows_per_call` to a request — a request is
 //!   admitted only once the window has room for a whole one, so every
 //!   request but a plan's last is full — and the composite answer is split
-//!   back before the plan sees it.
+//!   back before the plan sees it. A request states each template once:
+//!   [`pack_keys`] writes a run of one template's keys as one section — the
+//!   fixed text, a `key:` line per prompt, instructions naming each entity —
+//!   so its prompt tokens grow by a key line, not a whole prompt, per
+//!   member. The model recovers every member as its exact one-key prompt
+//!   (`llmsql_llm::batch`).
 //! * **Deadline and partial results.** A lapsed deadline stops admission,
 //!   and fires mid-flight on the reactor. A lapsed deadline or a
 //!   backend-layer failure fails the query — or, with
@@ -86,12 +93,13 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
-    pack_prompts, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, CallSlots,
+    pack_keys, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, CallSlots,
     ClientCall, CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer,
 };
 use llmsql_plan::{estimate_scan_rows, BoundExpr};
@@ -304,6 +312,16 @@ impl<'a> InFlight<'a> {
 // The scan driver
 // ---------------------------------------------------------------------------
 
+/// The prompts a plan asks next, in prompt order.
+enum Asks {
+    /// One whole prompt: a page, or the key enumeration.
+    Prompt(String),
+    /// Per-tuple prompts, each `template.render_key(key)`. The driver packs
+    /// them into one request ([`pack_keys`]), which states each template's
+    /// fixed text once.
+    Keys(Vec<(Rc<PromptTemplate>, String)>),
+}
+
 /// What a prompting strategy contributes to a scan: which prompts come next,
 /// and what an answer means. A plan holds only finished rows, so a scan cut
 /// short delivers them as they stand.
@@ -321,9 +339,9 @@ trait PromptPlan {
 
     /// Up to `cap` further prompts, planned from the answers consumed so far
     /// and the prompts still in flight; `cap` is 0 once the call budget is
-    /// spent. Empty means nothing more can be asked until another answer is
+    /// spent. `None` means nothing more can be asked until another answer is
     /// consumed — the plan is finished once nothing is in flight either.
-    fn next(&mut self, cap: usize) -> Result<Vec<String>>;
+    fn next(&mut self, cap: usize) -> Result<Option<Asks>>;
 
     /// Consume the answer to the oldest prompt in flight: the text the model
     /// replied to that prompt with, borrowed from the completion it
@@ -379,24 +397,30 @@ impl Driver<'_> {
                 // draws on it through the query's ledger.
                 let calls_used = ctx.metrics.borrow().llm_calls() as usize;
                 let call_budget = ctx.config.max_llm_calls.saturating_sub(calls_used);
-                let prompts = plan.next(per_request.min(call_budget))?;
-                if prompts.is_empty() {
+                let Some(asks) = plan.next(per_request.min(call_budget))? else {
                     break;
-                }
+                };
                 // A query past its deadline pays for nothing more, and
                 // waits for nothing more.
                 if let Err(err) = ctx.check_deadline() {
                     return self.cut_short(err);
                 }
+                let (prompt, asked) = match asks {
+                    Asks::Prompt(prompt) => (prompt, 1),
+                    Asks::Keys(keys) => {
+                        let members = keys.iter().map(|(t, key)| (&**t, key.as_str()));
+                        (pack_keys(members), keys.len())
+                    }
+                };
                 // Logical calls are recorded per planned prompt, so the
                 // budget charge and `llm_calls_by_kind` are the same at any
                 // batch size.
-                for _ in &prompts {
+                for _ in 0..asked {
                     ctx.metrics.borrow_mut().record_llm_call(P::KIND);
                 }
-                flight.push(client.start_call(CompletionRequest::new(pack_prompts(&prompts))));
-                members.push_back(prompts.len());
-                prompts_in_flight += prompts.len();
+                flight.push(client.start_call(CompletionRequest::new(prompt)));
+                members.push_back(asked);
+                prompts_in_flight += asked;
             }
             // Nothing in flight and nothing to admit: the plan is finished.
             let Some(asked) = members.pop_front() else {
@@ -585,7 +609,7 @@ impl PromptPlan for Pages<'_> {
         self.first_window + self.full_consumed
     }
 
-    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
         // Only *full* pages (`limit` = `page`) fly together: their prompts
         // depend on nothing but the page offset, which advances by exactly
         // `page` while pages come back full, so they can be fetched
@@ -600,12 +624,12 @@ impl PromptPlan for Pages<'_> {
         let clamped_in_company = limit < self.page && !self.in_flight.is_empty();
         let past_the_hint = self.hint.is_some_and(|end| self.offset >= end);
         if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         let prompt = self.template.render_page(limit, self.offset);
         self.offset += limit;
         self.in_flight.push_back(limit);
-        Ok(vec![prompt])
+        Ok(Some(Asks::Prompt(prompt)))
     }
 
     fn accept(&mut self, answer: &str) -> Result<Flow> {
@@ -656,10 +680,10 @@ struct Enumerate<'a> {
 impl PromptPlan for Enumerate<'_> {
     const KIND: &'static str = "enumerate";
 
-    fn next(&mut self, _cap: usize) -> Result<Vec<String>> {
+    fn next(&mut self, _cap: usize) -> Result<Option<Asks>> {
         // Issued even on a spent call budget: the keys then cost one call
         // and the lookups they would feed cost none.
-        Ok(self.prompt.take().into_iter().collect())
+        Ok(self.prompt.take().map(Asks::Prompt))
     }
 
     fn accept(&mut self, answer: &str) -> Result<Flow> {
@@ -706,6 +730,7 @@ fn missing<'r>(needed: &'r [usize], row: &'r Row) -> impl Iterator<Item = usize>
 /// [`PromptTemplate`] per missing-column set, built the first time a row with
 /// that set is planned: one set for enumerated keys (every needed column is
 /// missing), as many as the stored rows' NULL patterns for a hybrid fill.
+/// The plan hands the driver each lookup as its template and key.
 struct Lookups<'a> {
     ctx: &'a ExecContext,
     spec: &'a ScanSpec<'a>,
@@ -727,7 +752,7 @@ struct Lookups<'a> {
     /// Scratch: the column types one answer is parsed against.
     types: Vec<DataType>,
     /// The lookup template of each missing-column set met so far.
-    templates: HashMap<Vec<usize>, PromptTemplate>,
+    templates: HashMap<Vec<usize>, Rc<PromptTemplate>>,
     /// Scratch: the missing-column set of the row being planned.
     missing: Vec<usize>,
     rows: Vec<Row>,
@@ -755,9 +780,9 @@ impl<'a> Lookups<'a> {
         }
     }
 
-    /// The lookup prompt for `row`, which is missing the columns in
-    /// `self.missing`.
-    fn prompt_for(&mut self, row: usize) -> String {
+    /// The lookup for `row`, which is missing the columns in
+    /// `self.missing`: its template and key.
+    fn lookup_for(&mut self, row: usize) -> (Rc<PromptTemplate>, String) {
         let spec = self.spec;
         let template = match self.templates.get(self.missing.as_slice()) {
             Some(template) => template,
@@ -767,10 +792,10 @@ impl<'a> Lookups<'a> {
                 let template = PromptTemplate::lookup(spec.table, &names, Some(spec.table_schema));
                 self.templates
                     .entry(self.missing.clone())
-                    .or_insert(template)
+                    .or_insert(Rc::new(template))
             }
         };
-        template.render_key(&spec.key_text(&self.source[row]))
+        (Rc::clone(template), spec.key_text(&self.source[row]))
     }
 
     /// Deliver the source rows ahead of the oldest lookup in flight: every
@@ -792,10 +817,10 @@ impl PromptPlan for Lookups<'_> {
     const KIND: &'static str = "lookup";
     const PACKS: bool = true;
 
-    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
-        let mut prompts = Vec::new();
+    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
+        let mut lookups = Vec::new();
         if cap == 0 && !self.stored {
-            return Ok(prompts);
+            return Ok(None);
         }
         loop {
             let before = (self.planned, self.cursor);
@@ -806,10 +831,10 @@ impl PromptPlan for Lookups<'_> {
                 self.missing
                     .extend(missing(&self.needed, &self.source[self.planned]));
                 if cap > 0 && !self.missing.is_empty() {
-                    if prompts.len() == cap {
+                    if lookups.len() == cap {
                         break;
                     }
-                    prompts.push(self.prompt_for(self.planned));
+                    lookups.push(self.lookup_for(self.planned));
                     self.in_flight.push_back(self.planned);
                 }
                 self.planned += 1;
@@ -817,7 +842,7 @@ impl PromptPlan for Lookups<'_> {
             // Delivery can filter rows out, which makes room to plan on.
             self.deliver()?;
             if (self.planned, self.cursor) == before {
-                return Ok(prompts);
+                return Ok((!lookups.is_empty()).then_some(Asks::Keys(lookups)));
             }
         }
     }
@@ -863,12 +888,13 @@ impl PromptPlan for Lookups<'_> {
 /// candidate row, keeping the rows the model says yes to, up to `budget`.
 /// No more checks are in flight than the row budget still has room for — the
 /// rule [`Lookups`] follows, for the same reason. A check's prompt is the
-/// plan's one template with the candidate's key rendered in.
+/// plan's one template with the candidate's key rendered in; the plan hands
+/// the driver that template and the key.
 struct FilterChecks<'a> {
     spec: &'a ScanSpec<'a>,
     /// Everything a check's prompt says but the candidate's key — table,
     /// condition, the schema's description — rendered once.
-    template: PromptTemplate,
+    template: Rc<PromptTemplate>,
     budget: usize,
     /// The candidates not yet answered for; the first `in_flight` of them
     /// have a check in flight.
@@ -881,15 +907,15 @@ impl PromptPlan for FilterChecks<'_> {
     const KIND: &'static str = "filter_check";
     const PACKS: bool = true;
 
-    fn next(&mut self, cap: usize) -> Result<Vec<String>> {
+    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
         let room = self.budget.saturating_sub(self.kept.len() + self.in_flight);
         let unasked = self.candidates.as_slice().iter().skip(self.in_flight);
-        let prompts: Vec<String> = unasked
+        let checks: Vec<_> = unasked
             .take(cap.min(room))
-            .map(|row| self.template.render_key(&self.spec.key_text(row)))
+            .map(|row| (Rc::clone(&self.template), self.spec.key_text(row)))
             .collect();
-        self.in_flight += prompts.len();
-        Ok(prompts)
+        self.in_flight += checks.len();
+        Ok((!checks.is_empty()).then_some(Asks::Keys(checks)))
     }
 
     fn accept(&mut self, answer: &str) -> Result<Flow> {
@@ -941,11 +967,11 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
             };
             let mut checks = FilterChecks {
                 spec,
-                template: PromptTemplate::filter_check(
+                template: Rc::new(PromptTemplate::filter_check(
                     spec.table,
                     &condition,
                     Some(spec.table_schema),
-                ),
+                )),
                 budget: spec.row_budget(ctx),
                 candidates: tuple_rows(&mut driver, &candidates, None)?.into_iter(),
                 in_flight: 0,
@@ -1999,7 +2025,6 @@ mod tests {
                 let mut asked: Vec<String> = prompts_asked(&log)
                     .iter()
                     .flat_map(|request| llmsql_llm::batch::split_prompt(request))
-                    .map(String::from)
                     .collect();
                 asked.sort();
                 assert_eq!(asked, expected, "{parallelism} x {batch_rows}");

@@ -3,23 +3,37 @@
 //!
 //! Packing is purely a transport optimization: the member prompts are the
 //! exact prompts the scan planned (so logical call accounting and the
-//! per-tuple parsers are untouched), joined by a separator line. A model
-//! that understands the separator ([`crate::SimLlm`] does) answers each
-//! member section independently and packs the answers the same way;
-//! [`split_sections`] cuts the combined completion back into one answer per
-//! member, borrowed from the completion's text.
+//! per-tuple parsers are untouched), but a request states what they share
+//! once. Consecutive members of one [`PromptTemplate`] form one section —
+//! the template's fixed text once, one `key:` line per member in order, and
+//! instructions that name each entity and ask for one answer section per
+//! entity; a template change starts a new section after a separator line
+//! ([`pack_keys`]). A model that understands
+//! the format ([`crate::SimLlm`] does) recovers the members
+//! ([`split_prompt`]), answers each independently and packs the answers
+//! with separator lines ([`pack_prompts`]); [`split_sections`] cuts the
+//! combined completion back into one answer per member, borrowed from the
+//! completion's text.
+//!
+//! The recovery rule: cut the request at its separator lines; a section
+//! with two or more `key:` lines stands for one prompt per key —
+//! `render_key` of that key, rebuilt from the section's text alone — and any
+//! other section is one prompt as it stands (so prompts joined whole by
+//! [`pack_prompts`] split back too).
 //!
 //! A separator counts only as a whole line: it starts the text or follows a
 //! newline, and ends the text or precedes one. No prompt line is untrusted
 //! text alone (`crate::prompt` escapes every line break such text holds), so
 //! a packed prompt splits into exactly the members packed, whatever they say.
 //! Rows and logical call counts are byte-identical at any
-//! `batch_rows_per_call`: only the number of physical calls changes.
+//! `batch_rows_per_call`: only the number of physical calls and the prompt
+//! tokens change.
 
 use crate::model::CompletionResponse;
+use crate::prompt::{KeyedSection, PromptTemplate};
 
-/// The separator line between member sections of a packed prompt (and of a
-/// packed completion).
+/// The separator line between the sections of a packed prompt (one per run
+/// of a template) and of a packed completion (one per member).
 pub const BATCH_SEPARATOR: &str = "=====LLMSQL-BATCH-MEMBER=====";
 
 /// The pieces of `text` between its separator lines, each without the line
@@ -41,23 +55,59 @@ fn sections(text: &str) -> impl Iterator<Item = &str> {
         })
 }
 
-/// True when `prompt` is a packed composite (holds a separator line).
+/// True when `prompt` carries two or more member prompts.
 pub fn is_packed(prompt: &str) -> bool {
-    sections(prompt).nth(1).is_some()
+    let mut sections = sections(prompt);
+    let first = sections.next().unwrap_or_default();
+    sections.next().is_some() || KeyedSection::parse(first).is_some()
 }
 
-/// Pack `prompts` into one composite prompt. With fewer than two members
-/// this is the identity (a single prompt is sent unwrapped).
-pub fn pack_prompts(prompts: &[String]) -> String {
-    if prompts.len() == 1 {
-        return prompts[0].clone();
+/// Join `texts` with separator lines: the answer sections of a packed
+/// completion. With fewer than two members this is the identity (a single
+/// answer is sent unwrapped).
+pub fn pack_prompts(texts: &[String]) -> String {
+    if texts.len() == 1 {
+        return texts[0].clone();
     }
-    prompts.join(&format!("\n{BATCH_SEPARATOR}\n"))
+    texts.join(&format!("\n{BATCH_SEPARATOR}\n"))
 }
 
-/// Split a packed prompt back into its member prompts.
-pub fn split_prompt(prompt: &str) -> Vec<&str> {
-    sections(prompt).collect()
+/// The prompt of one request carrying `template.render_key(key)` for each
+/// member, in order: each run of consecutive members of one template (the
+/// same value, by address) is one section, and sections are divided by
+/// separator lines. One member alone is its prompt unwrapped.
+pub fn pack_keys<'a>(members: impl IntoIterator<Item = (&'a PromptTemplate, &'a str)>) -> String {
+    let mut out = String::new();
+    let mut run: Option<&PromptTemplate> = None;
+    let mut keys: Vec<&str> = Vec::new();
+    for (template, key) in members {
+        if let Some(done) = run.filter(|done| !std::ptr::eq(*done, template)) {
+            done.write_keys(&mut out, &keys);
+            out.push('\n');
+            out.push_str(BATCH_SEPARATOR);
+            out.push('\n');
+            keys.clear();
+        }
+        run = Some(template);
+        keys.push(key);
+    }
+    if let Some(last) = run {
+        last.write_keys(&mut out, &keys);
+    }
+    out
+}
+
+/// The member prompts of a request, in order (see the module docs for the
+/// recovery rule).
+pub fn split_prompt(prompt: &str) -> Vec<String> {
+    let mut members = Vec::new();
+    for section in sections(prompt) {
+        match KeyedSection::parse(section) {
+            Some(keyed) => members.extend(keyed.members()),
+            None => members.push(section.to_string()),
+        }
+    }
+    members
 }
 
 /// The answer text of each of the `members` prompts one physical completion

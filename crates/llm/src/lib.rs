@@ -45,7 +45,9 @@ pub use backend::{
     Backend, BackendPool, BackendReceipt, BackendStats, CallHandle, CallMachine, DirectBackend,
     PoolCall, RemoteLlm,
 };
-pub use batch::{is_packed, pack_prompts, split_response, split_sections, BATCH_SEPARATOR};
+pub use batch::{
+    is_packed, pack_keys, pack_prompts, split_response, split_sections, BATCH_SEPARATOR,
+};
 pub use cache::PromptCache;
 pub use coalesce::{Claim, CoalesceStats, FollowerPoll, PromptCoalescer};
 pub use cost::UsageStats;
@@ -93,14 +95,15 @@ mod proptests {
         proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
     }
 
+    /// A column list. A column name is any quoted identifier: hostile too,
+    /// `|` — the `columns:` line's own separator — included. Never empty.
+    fn arb_columns() -> impl Strategy<Value = Vec<String>> {
+        let column = ("[a-z]", arb_hostile_text()).prop_map(|(first, rest)| first + &rest);
+        proptest::collection::vec(column, 1..4)
+    }
+
     fn arb_task() -> impl Strategy<Value = TaskSpec> {
         let ident = "[a-z][a-z0-9_]{0,8}";
-        // A column name is any quoted identifier: hostile too, `|` — the
-        // `columns:` line's own separator — included. Never empty.
-        let cols = || {
-            let column = ("[a-z]", arb_hostile_text()).prop_map(|(first, rest)| first + &rest);
-            proptest::collection::vec(column, 1..4)
-        };
         let filter = || proptest::option::of(arb_hostile_text());
         prop_oneof![
             (ident, filter(), 1usize..200, 0usize..50).prop_map(
@@ -111,7 +114,7 @@ mod proptests {
                     offset
                 }
             ),
-            (ident, cols(), filter(), 1usize..200, 0usize..50).prop_map(
+            (ident, arb_columns(), filter(), 1usize..200, 0usize..50).prop_map(
                 |(table, columns, filter, limit, offset)| TaskSpec::RowBatch {
                     table,
                     columns,
@@ -120,7 +123,7 @@ mod proptests {
                     offset
                 }
             ),
-            (ident, arb_hostile_text(), cols()).prop_map(|(table, key, columns)| {
+            (ident, arb_hostile_text(), arb_columns()).prop_map(|(table, key, columns)| {
                 TaskSpec::Lookup {
                     table,
                     key,
@@ -136,11 +139,69 @@ mod proptests {
             }),
             // A statement starts with its keyword, so the prompt line it
             // opens is never the separator.
-            (arb_hostile_text(), cols()).prop_map(|(text, columns)| TaskSpec::FullQuery {
+            (arb_hostile_text(), arb_columns()).prop_map(|(text, columns)| TaskSpec::FullQuery {
                 sql: format!("SELECT {text}"),
                 columns
             }),
         ]
+    }
+
+    /// A lookup or filter-check task with an empty key: the template of a
+    /// run of per-tuple prompts.
+    fn arb_keyed_task() -> impl Strategy<Value = TaskSpec> {
+        let ident = "[a-z][a-z0-9_]{0,8}";
+        prop_oneof![
+            (ident, arb_columns()).prop_map(|(table, columns)| TaskSpec::Lookup {
+                table,
+                key: String::new(),
+                columns,
+            }),
+            (ident, arb_hostile_text()).prop_map(|(table, condition)| TaskSpec::FilterCheck {
+                table,
+                key: String::new(),
+                condition,
+            }),
+        ]
+    }
+
+    /// A key as hostile as the packed format gets: the characters it gives
+    /// meaning to, spaces the header's `: ` could swallow, a whole `key:`
+    /// line, the separator, and nothing at all.
+    fn arb_key() -> impl Strategy<Value = String> {
+        prop_oneof![
+            arb_hostile_text(),
+            (arb_hostile_text(), "[ ]{0,2}", "[ ]{0,2}")
+                .prop_map(|(text, before, after)| before + &text + &after),
+            Just(String::new()),
+            Just("key: ".to_string()),
+            Just("x\nkey: y".to_string()),
+            Just(BATCH_SEPARATOR.to_string()),
+            Just("\\".to_string()),
+            Just("\n".to_string()),
+            Just("\r".to_string()),
+        ]
+    }
+
+    /// `task` asking about `key` instead.
+    fn with_key(task: &TaskSpec, key: &str) -> TaskSpec {
+        let mut task = task.clone();
+        if let TaskSpec::Lookup { key: k, .. } | TaskSpec::FilterCheck { key: k, .. } = &mut task {
+            *k = key.to_string();
+        }
+        task
+    }
+
+    /// The template `task`'s prompt is rendered from.
+    fn template_of(task: &TaskSpec, schema: Option<&Schema>) -> PromptTemplate {
+        match task {
+            TaskSpec::Lookup { table, columns, .. } => {
+                PromptTemplate::lookup(table, columns, schema)
+            }
+            TaskSpec::FilterCheck {
+                table, condition, ..
+            } => PromptTemplate::filter_check(table, condition, schema),
+            other => unreachable!("not a per-tuple task: {other:?}"),
+        }
     }
 
     /// A schema whose table name, column names and descriptions are hostile.
@@ -215,24 +276,53 @@ mod proptests {
             prop_assert_eq!(parsed, spec);
         }
 
-        /// Packed members split back into exactly the prompts packed, and
-        /// each reads back as its task, whatever their keys, filters,
-        /// statements and schema text hold — the separator included. One
-        /// prompt alone is sent as it is.
+        /// A packed request splits back into exactly the per-tuple prompts
+        /// packed, each rendered one at a time, and each reads back as its
+        /// task — whatever the keys and the schema text hold, and however the
+        /// members' templates alternate. One member alone is sent as
+        /// `render_key` writes it.
         #[test]
         fn pack_and_split_round_trip(
+            tasks in proptest::collection::vec(arb_keyed_task(), 1..4),
+            picks in proptest::collection::vec((0usize..3, arb_key()), 1..7),
+            schema in arb_schema(),
+        ) {
+            for schema in [None, Some(&schema)] {
+                let templates: Vec<PromptTemplate> =
+                    tasks.iter().map(|task| template_of(task, schema)).collect();
+                let members: Vec<(usize, &str)> = picks
+                    .iter()
+                    .map(|(pick, key)| (pick % tasks.len(), key.as_str()))
+                    .collect();
+                let packed = pack_keys(members.iter().map(|&(t, key)| (&templates[t], key)));
+                let singles: Vec<String> = members
+                    .iter()
+                    .map(|&(t, key)| templates[t].render_key(key))
+                    .collect();
+                let split = batch::split_prompt(&packed);
+                prop_assert_eq!(&split, &singles);
+                prop_assert_eq!(is_packed(&packed), members.len() >= 2);
+                for (member, &(t, key)) in split.iter().zip(&members) {
+                    prop_assert_eq!(parse_task(member).unwrap(), with_key(&tasks[t], key));
+                }
+                if let [single] = singles.as_slice() {
+                    prop_assert_eq!(&packed, single);
+                }
+            }
+        }
+
+        /// Whole prompts joined by separator lines split back as they were:
+        /// a section that is not a run of keys is one prompt.
+        #[test]
+        fn joined_prompts_split_back_whole(
             specs in proptest::collection::vec(arb_task(), 1..6),
             schema in arb_schema(),
         ) {
             for schema in [None, Some(&schema)] {
                 let members: Vec<String> = specs.iter().map(|s| s.to_prompt(schema)).collect();
-                let packed = pack_prompts(&members);
-                let split = batch::split_prompt(&packed);
-                prop_assert_eq!(&split, &members);
-                prop_assert_eq!(is_packed(&packed), members.len() >= 2);
-                for (member, spec) in split.into_iter().zip(&specs) {
-                    prop_assert_eq!(&parse_task(member).unwrap(), spec);
-                }
+                let joined = pack_prompts(&members);
+                prop_assert_eq!(batch::split_prompt(&joined), members.clone());
+                prop_assert_eq!(is_packed(&joined), members.len() >= 2);
             }
         }
 

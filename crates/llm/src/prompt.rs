@@ -21,10 +21,19 @@
 //!   the whole `### CONTEXT` section and the instruction boilerplate —
 //!   written once into one buffer, with the positions of the varying fields
 //!   marked.
-//! * `render` **writes** only those fields — the entity key; or the page's
-//!   limit and offset, with the "skipping the first …" clause that exists
-//!   only at a non-zero offset — between slices of that buffer, into one
-//!   `String` of exactly the final size.
+//! * `render` **writes** only those fields — the entity key, in the `key:`
+//!   line and where the instructions name the entity; or the page's limit
+//!   and offset, with the "skipping the first …" clause that exists only at
+//!   a non-zero offset — between slices of that buffer, into one `String` of
+//!   exactly the final size.
+//!
+//! A run of keys renders as one template too (`write_keys`): one key is
+//! exactly [`PromptTemplate::render_key`]'s prompt; several are the fixed
+//! text once, one `key:` line per key in order, and instructions that name
+//! "each entity named on a `key:` line" and ask for one answer section per
+//! entity. That is the section a packed request carries ([`crate::batch`]),
+//! and `KeyedSection` reads it back into the one-key prompts it stands for,
+//! byte for byte.
 //!
 //! [`TaskSpec::to_prompt`] is the one-off form: it builds the template and
 //! renders it once. The model is addressed by prompt text (prompt cache,
@@ -49,6 +58,8 @@ use std::borrow::Cow;
 use std::fmt::Write;
 
 use llmsql_types::{Error, Result, Schema};
+
+use crate::batch::BATCH_SEPARATOR;
 
 /// The kinds of requests the engine sends to the model.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,8 +178,12 @@ impl TaskSpec {
 /// between the prompts of one plan.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// The entity key, escaped.
+    /// The `key:` header line's value: the entity key, escaped; in a packed
+    /// section, every key, each on a `key:` line of its own.
     Key,
+    /// Where the instructions name the entity: `one` and the quoted key, or
+    /// `each` in a packed section.
+    Entity(&'static Naming),
     /// The page's row limit.
     Limit,
     /// The page's offset.
@@ -179,6 +194,39 @@ enum Slot {
 }
 
 const SKIPPING: &str = ", skipping the first ";
+
+/// What starts a `key:` header line.
+const KEY_LINE: &str = "\nkey: ";
+
+/// The heading that opens the instructions.
+const INSTRUCTIONS: &str = "\n### INSTRUCTIONS\n";
+
+/// How the instructions of a per-tuple prompt name its entity.
+#[derive(Debug)]
+struct Naming {
+    /// Before the quoted key of a one-key prompt.
+    one: &'static str,
+    /// In place of `one` and the key in a packed section.
+    each: &'static str,
+}
+
+const LOOKUP_NAMING: Naming = Naming {
+    one: "For the single entity identified by ",
+    each: "For each entity named on a `key:` line",
+};
+
+const CHECK_NAMING: Naming = Naming {
+    one: "Consider the entity identified by ",
+    each: "Consider each entity named on a `key:` line",
+};
+
+/// The sentence that closes a packed section's instructions, around the
+/// separator line it asks for.
+const EACH_ANSWER: [&str; 2] = [
+    " Answer the entities in the order of their `key:` lines, one section \
+     each, with a line reading exactly \"",
+    "\" between two sections.",
+];
 
 /// An untrusted string as the prompt holds it: one line (see the module
 /// docs). An item of a list also has its `|` escaped: the list's separator.
@@ -338,12 +386,10 @@ impl PromptTemplate {
         t.key_line();
         t.columns_line(columns);
         t.context(schema);
-        t.text.push_str(
-            "You are acting as the storage layer of a relational database. For the single \
-             entity identified by \"",
-        );
-        t.slot(Slot::Key);
-        t.text.push_str("\", return the values of the columns [");
+        t.text
+            .push_str("You are acting as the storage layer of a relational database. ");
+        t.slot(Slot::Entity(&LOOKUP_NAMING));
+        t.text.push_str(", return the values of the columns [");
         t.joined(columns, ", ", false);
         t.text.push_str(
             "] in that exact order on one line, separated by \" | \". Write NULL for values \
@@ -360,10 +406,9 @@ impl PromptTemplate {
         t.key_line();
         t.line("condition", condition);
         t.context(schema);
-        t.text.push_str("Consider the entity identified by \"");
-        t.slot(Slot::Key);
+        t.slot(Slot::Entity(&CHECK_NAMING));
         t.text
-            .push_str("\" in the relation described above. Does it satisfy the condition `");
+            .push_str(" in the relation described above. Does it satisfy the condition `");
         t.text.push_str(&escape_value(condition, false));
         t.text.push_str(
             "`? Answer with exactly one word: \"yes\" or \"no\". If you are unsure, answer \
@@ -401,36 +446,84 @@ impl PromptTemplate {
         self.render("", limit, offset)
     }
 
+    /// Append the prompt of a run of entity keys to `out` (see the module
+    /// docs): for one key exactly [`PromptTemplate::render_key`]'s, for more
+    /// one packed section that states the fixed text once.
+    pub(crate) fn write_keys(&self, out: &mut String, keys: &[&str]) {
+        let keys: Vec<Cow<'_, str>> = keys.iter().map(|key| escape_value(key, false)).collect();
+        self.write(out, &keys, 0, 0);
+    }
+
     /// Copy the fixed text, writing each slot's field where it belongs.
     fn render(&self, key: &str, limit: usize, offset: usize) -> String {
-        let key = escape_value(key, false);
-        let width = |slot: Slot| match slot {
-            Slot::Key => key.len(),
-            Slot::Limit => digits(limit),
-            Slot::Offset => digits(offset),
-            Slot::Skipping(_) if offset == 0 => 0,
-            Slot::Skipping(what) => SKIPPING.len() + digits(offset) + what.len(),
+        let mut out = String::new();
+        self.write(&mut out, &[escape_value(key, false)], limit, offset);
+        out
+    }
+
+    /// Append the fixed text to `out`, each slot's field where it belongs:
+    /// `keys` (escaped) are one prompt's key, or a packed section's. `out`
+    /// grows once, by exactly what is written.
+    fn write(&self, out: &mut String, keys: &[Cow<'_, str>], limit: usize, offset: usize) {
+        let key_bytes: usize = keys.iter().map(|key| key.len()).sum();
+        let width = |slot: Slot| match (slot, keys) {
+            (Slot::Key, _) => key_bytes + KEY_LINE.len() * keys.len().saturating_sub(1),
+            (Slot::Entity(naming), [key]) => naming.one.len() + 2 + key.len(),
+            (Slot::Entity(naming), _) => {
+                naming.each.len()
+                    + EACH_ANSWER[0].len()
+                    + BATCH_SEPARATOR.len()
+                    + EACH_ANSWER[1].len()
+            }
+            (Slot::Limit, _) => digits(limit),
+            (Slot::Offset, _) => digits(offset),
+            (Slot::Skipping(_), _) if offset == 0 => 0,
+            (Slot::Skipping(what), _) => SKIPPING.len() + digits(offset) + what.len(),
         };
         let fields: usize = self.slots.iter().map(|&(_, slot)| width(slot)).sum();
-        let mut out = String::with_capacity(self.text.len() + fields);
+        out.reserve_exact(self.text.len() + fields);
+        let mut named_each = false;
         let mut from = 0;
         for &(at, slot) in &self.slots {
             out.push_str(&self.text[from..at]);
             from = at;
             match slot {
-                Slot::Key => out.push_str(&key),
-                Slot::Limit => push_number(&mut out, limit),
-                Slot::Offset => push_number(&mut out, offset),
+                Slot::Key => {
+                    for (i, key) in keys.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(KEY_LINE);
+                        }
+                        out.push_str(key);
+                    }
+                }
+                Slot::Entity(naming) => match keys {
+                    [key] => {
+                        out.push_str(naming.one);
+                        out.push('"');
+                        out.push_str(key);
+                        out.push('"');
+                    }
+                    _ => {
+                        out.push_str(naming.each);
+                        named_each = true;
+                    }
+                },
+                Slot::Limit => push_number(out, limit),
+                Slot::Offset => push_number(out, offset),
                 Slot::Skipping(_) if offset == 0 => {}
                 Slot::Skipping(what) => {
                     out.push_str(SKIPPING);
-                    push_number(&mut out, offset);
+                    push_number(out, offset);
                     out.push_str(what);
                 }
             }
         }
         out.push_str(&self.text[from..]);
-        out
+        if named_each {
+            out.push_str(EACH_ANSWER[0]);
+            out.push_str(BATCH_SEPARATOR);
+            out.push_str(EACH_ANSWER[1]);
+        }
     }
 
     /// The `### TASK` header up to the task kind.
@@ -471,7 +564,7 @@ impl PromptTemplate {
 
     /// The `key:` header line.
     fn key_line(&mut self) {
-        self.text.push_str("\nkey: ");
+        self.text.push_str(KEY_LINE);
         self.slot(Slot::Key);
     }
 
@@ -493,7 +586,86 @@ impl PromptTemplate {
             Some(schema) => write_schema(&mut self.text, schema),
             None => self.text.push_str("(no additional context)"),
         }
-        self.text.push_str("\n### INSTRUCTIONS\n");
+        self.text.push_str(INSTRUCTIONS);
+    }
+}
+
+/// A packed section (see the module docs) cut around its keys: each key it
+/// holds stands for the prompt `head`, key, `middle`, the one-key naming,
+/// `rest` — exactly [`PromptTemplate::render_key`]'s for that key.
+#[derive(Debug)]
+pub(crate) struct KeyedSection<'a> {
+    /// Up to the first key: the header's `### TASK` … `key: `.
+    head: &'a str,
+    /// The values of the `key:` lines as written, joined by [`KEY_LINE`].
+    keys: &'a str,
+    /// From the end of the last key line to where the instructions name the
+    /// entity.
+    middle: &'a str,
+    naming: &'static Naming,
+    /// The instructions after the naming, without the closing sentence.
+    rest: &'a str,
+}
+
+impl<'a> KeyedSection<'a> {
+    /// `section` cut around its keys, if it is a lookup or filter-check
+    /// section of two or more; `None` when it is one prompt.
+    ///
+    /// Every cut is at text the engine wrote: the header lines before and
+    /// between the keys are one line each (their values are escaped), the
+    /// context is one line, and the instructions before the naming are
+    /// fixed text.
+    pub(crate) fn parse(section: &'a str) -> Option<Self> {
+        let kind = section.strip_prefix("### TASK\nkind: ")?;
+        let naming = match &kind[..kind.find('\n')?] {
+            "lookup" => &LOOKUP_NAMING,
+            "filter_check" => &CHECK_NAMING,
+            _ => return None,
+        };
+        let first = section.find(KEY_LINE)? + KEY_LINE.len();
+        let mut end = first;
+        loop {
+            end += section[end..].find('\n')?;
+            if !section[end..].starts_with(KEY_LINE) {
+                break;
+            }
+            end += KEY_LINE.len();
+        }
+        let keys = &section[first..end];
+        if !keys.contains(KEY_LINE) {
+            return None;
+        }
+        let body = section
+            .strip_suffix(EACH_ANSWER[1])?
+            .strip_suffix(BATCH_SEPARATOR)?
+            .strip_suffix(EACH_ANSWER[0])?;
+        let instructions = end + body.get(end..)?.find(INSTRUCTIONS)? + INSTRUCTIONS.len();
+        let named = instructions + body[instructions..].find(naming.each)?;
+        Some(KeyedSection {
+            head: &section[..first],
+            keys,
+            middle: &section[end..named],
+            naming,
+            rest: &body[named + naming.each.len()..],
+        })
+    }
+
+    /// The one-key prompts the section stands for, in key order.
+    pub(crate) fn members(&self) -> impl Iterator<Item = String> + '_ {
+        let naming = self.naming.one;
+        self.keys.split(KEY_LINE).map(move |key| {
+            [
+                self.head,
+                key,
+                self.middle,
+                naming,
+                "\"",
+                key,
+                "\"",
+                self.rest,
+            ]
+            .concat()
+        })
     }
 }
 
@@ -736,6 +908,9 @@ mod tests {
             assert_eq!(prompt, spec.to_prompt(Some(&schema)));
             assert_eq!(prompt.capacity(), prompt.len(), "sized for {key:?}");
         }
+        let mut packed = String::new();
+        lookups.write_keys(&mut packed, &["", "France", "a \"quoted\" | key"]);
+        assert_eq!(packed.capacity(), packed.len(), "sized for a run of keys");
     }
 
     #[test]

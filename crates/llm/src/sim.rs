@@ -653,9 +653,10 @@ impl SimLlm {
     /// timer).
     fn complete_now(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
         // Packed composite (tuple batching): answer each member task
-        // independently and pack the answers the way the prompts were. Each
-        // member goes through the full single-task path — including its own
-        // noise draws, keyed on the member prompt — so a batched answer is
+        // independently and pack the answers with separator lines. Each
+        // member is recovered as the exact one-task prompt it stands for and
+        // goes through the full single-task path — including its own noise
+        // draws, keyed on the member prompt — so a batched answer is
         // byte-identical to the unbatched answers it replaces, at any batch
         // size. The per-member token budget is the caller's budget: the
         // packing contract gives every member the full page allowance.
@@ -663,17 +664,17 @@ impl SimLlm {
             let members = crate::batch::split_prompt(&request.prompt);
             let mut texts = Vec::with_capacity(members.len());
             let mut completion_tokens = 0;
-            let mut cost_usd = 0.0;
-            for member in &members {
+            for prompt in members {
                 let response = self.complete_now(&CompletionRequest {
-                    prompt: (*member).to_string(),
+                    prompt,
                     max_tokens: request.max_tokens,
                     temperature: request.temperature,
                 })?;
                 completion_tokens += response.completion_tokens;
-                cost_usd += response.cost_usd;
                 texts.push(response.text);
             }
+            // The request is billed as sent: its own prompt tokens, which
+            // state what the members share once.
             let prompt_tokens = count_tokens(&request.prompt);
             return Ok(CompletionResponse {
                 text: crate::batch::pack_prompts(&texts),
@@ -682,7 +683,9 @@ impl SimLlm {
                 // One request, one round trip: the composite pays a single
                 // simulated latency, which is the whole point of batching.
                 latency_ms: self.cost_model.request_latency_ms(completion_tokens),
-                cost_usd,
+                cost_usd: self
+                    .cost_model
+                    .request_cost_usd(prompt_tokens, completion_tokens),
             });
         }
         let task = parse_task(&request.prompt)?;
@@ -750,6 +753,7 @@ impl SimLlm {
 mod tests {
     use super::*;
     use crate::parse::{parse_pipe_rows, parse_value_lines, parse_yes_no, YesNoAnswer};
+    use crate::prompt::PromptTemplate;
     use llmsql_types::{Column, DataType};
 
     fn world() -> Arc<KnowledgeBase> {
@@ -881,27 +885,49 @@ mod tests {
         // draws are keyed on the member prompt, so even a noisy simulator
         // agrees at any batch size.
         let sim = SimLlm::new(world(), LlmFidelity::medium(), 9);
-        let prompts: Vec<String> = ["France", "Japan", "Iceland"]
-            .iter()
-            .map(|key| {
-                TaskSpec::Lookup {
-                    table: "countries".into(),
-                    key: (*key).to_string(),
-                    columns: vec!["capital".into(), "population".into()],
-                }
-                .to_prompt(None)
-            })
-            .collect();
-        let packed = crate::batch::pack_prompts(&prompts);
+        let template = PromptTemplate::lookup("countries", &["capital", "population"], None);
+        let keys = ["France", "Japan", "Iceland"];
+        let packed = crate::batch::pack_keys(keys.iter().map(|&key| (&template, key)));
         let composite = sim.complete(&CompletionRequest::new(packed)).unwrap();
-        let parts = crate::batch::split_response(&composite, prompts.len());
-        assert_eq!(parts.len(), prompts.len());
-        for (prompt, part) in prompts.iter().zip(&parts) {
+        let parts = crate::batch::split_response(&composite, keys.len());
+        assert_eq!(parts.len(), keys.len());
+        for (key, part) in keys.iter().zip(&parts) {
             let single = sim
-                .complete(&CompletionRequest::new(prompt.as_str()))
+                .complete(&CompletionRequest::new(template.render_key(key)))
                 .unwrap();
             assert_eq!(single.text, part.text);
         }
+    }
+
+    #[test]
+    fn a_packed_request_is_priced_at_its_own_token_counts() {
+        let sim = perfect();
+        let template = PromptTemplate::filter_check("countries", "population > 1", None);
+        let keys = ["France", "Japan", "Iceland", "Peru"];
+        let packed = crate::batch::pack_keys(keys.iter().map(|&key| (&template, key)));
+        let response = sim
+            .complete(&CompletionRequest::new(packed.as_str()))
+            .unwrap();
+        assert_eq!(response.prompt_tokens, count_tokens(&packed));
+        let cost_model = sim.cost_model();
+        assert_eq!(
+            response.cost_usd,
+            cost_model.request_cost_usd(response.prompt_tokens, response.completion_tokens)
+        );
+        // Stating the template once is what makes the request cheaper than
+        // its members asked one by one.
+        let singles: f64 = keys
+            .iter()
+            .map(|key| {
+                let request = CompletionRequest::new(template.render_key(key));
+                sim.complete(&request).unwrap().cost_usd
+            })
+            .sum();
+        assert!(
+            response.cost_usd < singles,
+            "{} vs {singles}",
+            response.cost_usd
+        );
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! The model is addressed by prompt text — the prompt cache, the
 //! single-flight table and a replayed recording all key on it — so one
 //! changed byte is a different request. These snapshots are the full
-//! literal text of every task kind as the engine has always rendered it;
+//! literal text of every task kind as the engine has always rendered it,
+//! and of the packed requests that carry several per-tuple prompts;
 //! whatever renders prompts must reproduce them exactly.
 
-use llmsql_llm::prompt::TaskSpec;
+use llmsql_llm::batch::split_prompt;
+use llmsql_llm::prompt::{PromptTemplate, TaskSpec};
+use llmsql_llm::{is_packed, pack_keys};
 use llmsql_types::{Column, DataType, Schema};
 
 fn schema() -> Schema {
@@ -314,4 +317,92 @@ fn a_value_that_holds_a_line_break_is_one_escaped_header_line() {
         "{prompt}"
     );
     assert_eq!(llmsql_llm::parse_task(&prompt).unwrap(), lookup);
+}
+
+/// (the templates, the members as (template, key), the packed request)
+type PackedCase = (
+    Vec<PromptTemplate>,
+    Vec<(usize, &'static str)>,
+    &'static str,
+);
+
+fn packed_golden(schema: &Schema) -> Vec<PackedCase> {
+    let lookup = |columns: &[&str]| PromptTemplate::lookup("countries", columns, Some(schema));
+    let check = PromptTemplate::filter_check("countries", "population > 100000000", Some(schema));
+    vec![
+        // four lookups of one template: the template once, four key lines
+        (
+            vec![lookup(&["capital", "population"])],
+            vec![(0, "France"), (0, "Japan"), (0, "Iceland"), (0, "São Tomé")],
+            r#"### TASK
+kind: lookup
+table: countries
+key: France
+key: Japan
+key: Iceland
+key: São Tomé
+columns: capital | population
+### CONTEXT
+The relation 'countries' describes sovereign countries of the world. Its columns are: name (text, the common English name, identifies the entity); capital (text); population (integer, population in 2023).
+### INSTRUCTIONS
+You are acting as the storage layer of a relational database. For each entity named on a `key:` line, return the values of the columns [capital, population] in that exact order on one line, separated by " | ". Write NULL for values you do not know. No commentary. Answer the entities in the order of their `key:` lines, one section each, with a line reading exactly "=====LLMSQL-BATCH-MEMBER=====" between two sections."#,
+        ),
+        // two filter checks
+        (
+            vec![check],
+            vec![(0, "Japan"), (0, "Peru")],
+            r#"### TASK
+kind: filter_check
+table: countries
+key: Japan
+key: Peru
+condition: population > 100000000
+### CONTEXT
+The relation 'countries' describes sovereign countries of the world. Its columns are: name (text, the common English name, identifies the entity); capital (text); population (integer, population in 2023).
+### INSTRUCTIONS
+Consider each entity named on a `key:` line in the relation described above. Does it satisfy the condition `population > 100000000`? Answer with exactly one word: "yes" or "no". If you are unsure, answer "unknown". Answer the entities in the order of their `key:` lines, one section each, with a line reading exactly "=====LLMSQL-BATCH-MEMBER=====" between two sections."#,
+        ),
+        // a hybrid fill over two NULL patterns: a section per template
+        (
+            vec![lookup(&["capital"]), lookup(&["population"])],
+            vec![(0, "France"), (0, "Japan"), (1, "Peru")],
+            r#"### TASK
+kind: lookup
+table: countries
+key: France
+key: Japan
+columns: capital
+### CONTEXT
+The relation 'countries' describes sovereign countries of the world. Its columns are: name (text, the common English name, identifies the entity); capital (text); population (integer, population in 2023).
+### INSTRUCTIONS
+You are acting as the storage layer of a relational database. For each entity named on a `key:` line, return the values of the columns [capital] in that exact order on one line, separated by " | ". Write NULL for values you do not know. No commentary. Answer the entities in the order of their `key:` lines, one section each, with a line reading exactly "=====LLMSQL-BATCH-MEMBER=====" between two sections.
+=====LLMSQL-BATCH-MEMBER=====
+### TASK
+kind: lookup
+table: countries
+key: Peru
+columns: population
+### CONTEXT
+The relation 'countries' describes sovereign countries of the world. Its columns are: name (text, the common English name, identifies the entity); capital (text); population (integer, population in 2023).
+### INSTRUCTIONS
+You are acting as the storage layer of a relational database. For the single entity identified by "Peru", return the values of the columns [population] in that exact order on one line, separated by " | ". Write NULL for values you do not know. No commentary."#,
+        ),
+    ]
+}
+
+/// A packed request states each run's template once, and splits back into
+/// exactly the one-key prompts its members are.
+#[test]
+fn every_packed_request_renders_its_pinned_bytes() {
+    let schema = schema();
+    for (templates, members, expected) in packed_golden(&schema) {
+        let packed = pack_keys(members.iter().map(|&(t, key)| (&templates[t], key)));
+        assert_eq!(packed, expected, "packed bytes moved");
+        assert!(is_packed(&packed));
+        let singles: Vec<String> = members
+            .iter()
+            .map(|&(t, key)| templates[t].render_key(key))
+            .collect();
+        assert_eq!(split_prompt(&packed), singles);
+    }
 }

@@ -425,10 +425,14 @@ pub struct EngineConfig {
     pub batch_size: usize,
     /// Tuple batching: how many per-tuple prompts (lookups, filter checks)
     /// may be packed into one physical LLM call where the scan strategy
-    /// allows. The structured answer is split back per tuple, so rows and
-    /// *logical* call counts are byte-identical at any setting — only the
-    /// physical call count (and therefore cost) changes. `1` (the default)
-    /// disables packing and preserves the one-prompt-per-call trace.
+    /// allows. A packed request states what its prompts share — the task
+    /// header, the relation's context, the instructions — once, with one
+    /// `key:` line per prompt, so its prompt tokens grow by a key per member
+    /// rather than by a whole prompt. The structured answer is split back
+    /// per tuple, so rows and *logical* call counts are byte-identical at
+    /// any setting — only the physical call count and the tokens (and
+    /// therefore cost) change. `1` (the default) disables packing and
+    /// preserves the one-prompt-per-call trace.
     pub batch_rows_per_call: usize,
     /// Hard cap on rows requested from a single virtual-table scan; protects
     /// against unbounded enumeration prompts.

@@ -163,7 +163,7 @@ impl LanguageModel for Scripted {
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
         let answers: Vec<String> = split_prompt(&request.prompt)
             .into_iter()
-            .map(|member| self.answer(member))
+            .map(|member| self.answer(&member))
             .collect();
         Ok(CompletionResponse {
             text: pack_prompts(&answers),

@@ -469,3 +469,52 @@ fn virtual_table_declared_in_sql_is_answered_by_the_model() {
         assert!(truth.contains(row.get(0)), "hallucinated {:?}", row.get(0));
     }
 }
+
+/// Tuple batching states what a request's per-tuple prompts share once: at
+/// four prompts a request the same scans ask the same logical calls and
+/// return the same rows in a quarter of the requests, for under 40 % of the
+/// prompt tokens — and the dollars fall with the tokens. The counts are
+/// exact: the model is deterministic and the cache is off.
+#[test]
+fn packed_requests_state_their_template_once() {
+    let w = world();
+    let scans = [
+        (
+            PromptStrategy::TupleAtATime,
+            "SELECT name, capital, population FROM countries",
+            // (requests, prompt tokens) at 1 and at 4 prompts a request
+            [(26, 6603), (8, 2438)],
+        ),
+        (
+            PromptStrategy::DecomposedOperators,
+            "SELECT name, capital FROM countries WHERE population > 50000000",
+            [(51, 12780), (15, 4588)],
+        ),
+    ];
+    for (strategy, sql, expected) in scans {
+        let run = |batch_rows_per_call: usize| {
+            let mut config = EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(strategy)
+                .with_fidelity(LlmFidelity::perfect())
+                .with_parallelism(16)
+                .with_batch_rows_per_call(batch_rows_per_call);
+            config.enable_prompt_cache = false;
+            w.subject_engine(config).unwrap().execute(sql).unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.batch, four.batch, "{strategy}");
+        assert!(!one.batch.rows.is_empty(), "{strategy}");
+        assert_eq!(
+            one.metrics.llm_calls_by_kind, four.metrics.llm_calls_by_kind,
+            "{strategy}"
+        );
+        let counts = [&one, &four].map(|r| (r.usage.calls, r.usage.prompt_tokens));
+        assert_eq!(counts, expected, "{strategy}: (requests, prompt tokens)");
+        assert!(
+            four.usage.prompt_tokens * 10 < one.usage.prompt_tokens * 4,
+            "{strategy}"
+        );
+        assert!(four.usage.cost_usd < one.usage.cost_usd, "{strategy}");
+    }
+}
