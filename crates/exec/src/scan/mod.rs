@@ -14,13 +14,23 @@
 //! A scan over the model *is* a sequence of prompts, and a prompting
 //! strategy only decides which prompts. So a strategy is a `PromptPlan` —
 //! "which prompts come next" and "here is the answer to the oldest one in
-//! flight" — and there are four: `Pages` (`row_batch` pagination),
-//! `Enumerate` (the key list that opens the per-tuple strategies), `Lookups`
-//! (one `lookup` per row with missing cells, be it an enumerated key or a
-//! stored row with NULLs) and `FilterChecks` (one `filter_check` per
-//! candidate row). `TupleAtATime` is enumerate → lookups,
-//! `DecomposedOperators` is enumerate → lookups → filter checks, and the
-//! hybrid scan is lookups over the stored rows.
+//! flight" — and there are four: `Pages` (`row_batch` pagination, in
+//! `pages.rs`), and in `tuples.rs` `Enumerate` (the key list that opens the
+//! per-tuple strategies), `Lookups` (one `lookup` per row with missing
+//! cells, be it an enumerated key or a stored row with NULLs) and
+//! `FilterChecks` (one `filter_check` per candidate row). `TupleAtATime` is
+//! enumerate → lookups, `DecomposedOperators` is enumerate → lookups →
+//! filter checks, and the hybrid scan is lookups over the stored rows.
+//!
+//! A plan is plain data over given answers. It is built from the
+//! [`ScanSpec`], the configuration values it reads (page size,
+//! `max_scan_rows`, the row budget) and the cardinality hint, all handed in;
+//! `next` and `accept` read nothing else, and what an answer did for the
+//! ledger — lines dropped, cells filled — comes back in `accept`'s
+//! `Accepted`. So a plan runs, and is tested, with no context, client or
+//! model, and this file's `Driver` is the scan's one shell: the only scan
+//! code that touches the [`ExecContext`], the client, the clock and the
+//! ledger.
 //!
 //! The prompts of one plan differ in a key, or in a limit and an offset, and
 //! in nothing else. So a plan builds the rest — table, columns, filter, the
@@ -80,8 +90,8 @@
 //!   prefix in page, key or stored-row order; nothing while the filter checks
 //!   of a decomposed scan are still to come), labelled by an [`Incomplete`]
 //!   marker.
-//! * **Everything drains.** When a plan finishes early (`Flow::Done`), is
-//!   cut, or fails, the requests still in flight are cancelled by drop
+//! * **Everything drains.** When a plan finishes early (`Accepted::done`),
+//!   is cut, or fails, the requests still in flight are cancelled by drop
 //!   before `drive` returns: call slots, in-flight gauges, hedge permits,
 //!   breaker probes and coalescer entries are back to zero, and a dropped
 //!   coalescing leader hands over to its followers.
@@ -91,26 +101,24 @@
 //! pooled backends are semantically identical and failover happens inside
 //! the pool, so rows and logical calls stay byte-identical.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+mod pages;
+mod tuples;
+
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
-    pack_keys, parse_yes_no, scan_pipe_rows, scan_value_lines, split_sections, CallSlots,
-    ClientCall, CompletionRequest, CompletionResponse, LlmClient, YesNoAnswer,
+    pack_keys, split_sections, ClientCall, CompletionRequest, CompletionResponse, LlmClient,
 };
-use llmsql_plan::{estimate_scan_rows, BoundExpr};
+use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
-use llmsql_types::{
-    DataType, Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value,
-};
+use llmsql_types::{Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema};
 
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
-use crate::metrics::ExecMetrics;
 use crate::reactor::{Completion, Expired, LiveSet};
 
 /// Parameters of a scan, extracted from the logical plan node, which alone
@@ -139,11 +147,9 @@ impl ScanSpec<'_> {
         }
     }
 
-    /// The per-scan row budget.
-    fn row_budget(&self, ctx: &ExecContext) -> usize {
-        self.pushed_limit
-            .unwrap_or(usize::MAX)
-            .min(ctx.config.max_scan_rows)
+    /// The per-scan row budget under the configured `max_scan_rows`.
+    fn row_budget(&self, max_scan_rows: usize) -> usize {
+        self.pushed_limit.unwrap_or(usize::MAX).min(max_scan_rows)
     }
 
     /// The pushed filter as SQL text for a prompt, if there is one.
@@ -196,13 +202,12 @@ pub fn dispatch_one(
 
 /// One request on the event loop: a [`ClientCall`] and the non-blocking slot
 /// gate with its wait measurement. It never leaves the query's thread, so it
-/// borrows the query's ledger and slot pool. The ledger is written once per
-/// request, when the request leaves the loop — handed back resolved or
-/// dropped in flight — with what the request itself did
-/// ([`ExecMetrics::record_request`]).
+/// borrows the query's context for its ledger and slot pool. The ledger is
+/// written once per request, when the request leaves the loop — handed back
+/// resolved or dropped in flight — with what the request itself did
+/// ([`crate::ExecMetrics::record_request`]).
 struct RequestOp<'a> {
-    ledger: &'a RefCell<ExecMetrics>,
-    slots: Option<&'a Arc<CallSlots>>,
+    ctx: &'a ExecContext,
     call: ClientCall,
     /// When this op first found the slot pool saturated.
     slot_wait_started: Option<Instant>,
@@ -214,7 +219,7 @@ struct RequestOp<'a> {
 
 impl Completion for RequestOp<'_> {
     fn poll(&mut self, now: Instant) -> bool {
-        let slots = self.slots;
+        let slots = self.ctx.slots();
         let slot_wait_started = &mut self.slot_wait_started;
         let slot_wait_us = &mut self.slot_wait_us;
         // The admission gate: grant immediately without a pool; otherwise
@@ -223,20 +228,16 @@ impl Completion for RequestOp<'_> {
             let Some(slots) = slots else {
                 return Some(Box::new(()));
             };
-            match slots.try_acquire_owned() {
-                Some(guard) => {
-                    let waited_us = slot_wait_started.take().map_or(0, |since| {
-                        now.saturating_duration_since(since).as_micros() as u64
-                    });
-                    *slot_wait_us = Some(waited_us);
-                    slots.record_blocked_wait(waited_us);
-                    Some(Box::new(guard))
-                }
-                None => {
-                    slot_wait_started.get_or_insert(now);
-                    None
-                }
-            }
+            let Some(guard) = slots.try_acquire_owned() else {
+                slot_wait_started.get_or_insert(now);
+                return None;
+            };
+            let waited_us = slot_wait_started.take().map_or(0, |since| {
+                now.saturating_duration_since(since).as_micros() as u64
+            });
+            *slot_wait_us = Some(waited_us);
+            slots.record_blocked_wait(waited_us);
+            Some(Box::new(guard))
         };
         let Some(answer) = self.call.poll(now, &mut gate) else {
             return false;
@@ -255,7 +256,7 @@ impl Drop for RequestOp<'_> {
         // No borrow of the ledger is ever held while a request leaves the
         // loop; `try_` only so that a drop during some unwind cannot panic
         // again.
-        if let Ok(mut ledger) = self.ledger.try_borrow_mut() {
+        if let Ok(mut ledger) = self.ctx.metrics.try_borrow_mut() {
             ledger.record_request(&self.call, self.slot_wait_us);
         }
     }
@@ -281,8 +282,7 @@ impl<'a> InFlight<'a> {
     /// Put an already-accounted request in flight.
     fn push(&mut self, call: ClientCall) {
         self.live.push(RequestOp {
-            ledger: &self.ctx.metrics,
-            slots: self.ctx.slots(),
+            ctx: self.ctx,
             call,
             slot_wait_started: None,
             slot_wait_us: None,
@@ -346,16 +346,19 @@ trait PromptPlan {
     /// Consume the answer to the oldest prompt in flight: the text the model
     /// replied to that prompt with, borrowed from the completion it
     /// travelled in. Called in prompt order, and never past a failed answer.
-    fn accept(&mut self, answer: &str) -> Result<Flow>;
+    fn accept(&mut self, answer: &str) -> Result<Accepted>;
 }
 
-/// What the driver does after an accepted answer.
-#[derive(PartialEq)]
-enum Flow {
-    /// Go on.
-    Continue,
+/// What consuming one answer did: whether the plan is finished, and what
+/// the driver folds into the query's ledger for it.
+#[derive(Default)]
+struct Accepted {
     /// The plan is finished; requests still in flight are cancelled.
-    Done,
+    done: bool,
+    /// Lines of the answer that did not parse.
+    dropped_lines: u64,
+    /// Stored NULL cells the answer filled.
+    cells_filled: u64,
 }
 
 /// An answer arrived that no prompt in flight asked for: a driver bug.
@@ -378,12 +381,8 @@ impl Driver<'_> {
         let ctx = self.ctx;
         let client = ctx.require_client()?;
         let fanout = ctx.scan_fanout();
-        let packing = if P::PACKS {
-            ctx.config.batch_rows_per_call
-        } else {
-            1
-        };
-        let per_request = packing.clamp(1, fanout);
+        let batch = ctx.config.batch_rows_per_call.clamp(1, fanout);
+        let per_request = if P::PACKS { batch } else { 1 };
         let mut flight = InFlight::new(ctx);
         // How many prompts each request in flight carries, oldest first, and
         // their sum.
@@ -434,11 +433,14 @@ impl Driver<'_> {
                 // identically, as independent dispatch would.
                 Err(err) => return self.cut_short(err),
             };
-            if asked > 1 {
-                ctx.metrics.borrow_mut().batched_rows += asked as u64;
-            }
+            let mut ledger = ctx.metrics.borrow_mut();
+            ledger.batched_rows += if asked > 1 { asked as u64 } else { 0 };
             for answer in split_sections(&response.text, asked) {
-                if plan.accept(answer)? == Flow::Done {
+                let accepted = plan.accept(answer)?;
+                ledger.dropped_lines += accepted.dropped_lines;
+                ledger.cells_filled_by_llm += accepted.cells_filled;
+                if accepted.done {
+                    // The ledger borrow ends before the flight drops.
                     return Ok(());
                 }
             }
@@ -463,469 +465,16 @@ impl Driver<'_> {
     /// first cut of a query wins).
     fn finish(self, rows: Vec<Row>) -> Vec<Row> {
         if let Some(err) = self.cut {
-            let marker = Incomplete {
+            let mut ledger = self.ctx.metrics.borrow_mut();
+            let calls_spent = ledger.llm_calls();
+            ledger.incomplete.get_or_insert(Incomplete {
                 kind: err.kind,
                 message: err.message,
                 rows_delivered: rows.len() as u64,
-                calls_spent: self.ctx.metrics.borrow().llm_calls(),
-            };
-            self.ctx
-                .metrics
-                .borrow_mut()
-                .incomplete
-                .get_or_insert(marker);
+                calls_spent,
+            });
         }
         rows
-    }
-}
-
-/// Account the lines of an answer that did not parse.
-fn note_dropped(ctx: &ExecContext, dropped_lines: usize) {
-    if dropped_lines > 0 {
-        ctx.metrics.borrow_mut().dropped_lines += dropped_lines as u64;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plans
-// ---------------------------------------------------------------------------
-
-/// Page through the relation with `row_batch` prompts at precomputed
-/// offsets.
-///
-/// Pagination is speculative: a page is asked for on the assumption that
-/// every page before it comes back full, and once a short page is consumed
-/// the pages still in flight are cancelled. So the window is sized by what
-/// is known about the relation's end:
-///
-/// * **Where it starts.** With a cardinality hint, `W₀` is the page count
-///   the planner expects the scan to take — `llmsql_plan::estimate_scan_rows`
-///   (hint, pushed filter's selectivity, row budget), the very number EXPLAIN
-///   prints as the scan's rows, over the page size. With no hint nothing is
-///   known before the first answer: `W₀` is one page.
-/// * **How it grows.** With a hint, by one per full page consumed — evidence
-///   that the relation goes on — while fewer than `W₀` are:
-///   `W(c) = min(fanout, W₀ + c)` for `c < W₀`. At `c = W₀` the filtered
-///   relation has reached the planner's estimate, which then bounds nothing:
-///   from there `W` = the fanout, and the hint alone bounds speculation. So
-///   an estimate that is too low costs at most one round trip more than an
-///   exact one. Without a hint the window is slow start, one page more per
-///   full page consumed, `W(c) = min(fanout, 1 + c)`: the pages in flight
-///   double each round trip, 1, 2, 4, 8, …
-/// * **What it can waste.** A scan that a filter ends on its `k`-th page
-///   (`k` full pages served) has issued `min(W(k), hint pages − k) − 1`
-///   calls past the end. Without a hint that is at most `min(fanout − 1, k)`,
-///   and an empty relation costs one call as in a sequential run. With a
-///   hint it is `min(fanout, W₀ + k) − 1` at most while `k < W₀` — an
-///   estimate that is too high costs at most the estimated pages − 1 over
-///   an exact one — and `min(fanout, hint pages − k) − 1` once `k ≥ W₀`.
-///   Pages past the hint are never planned, so an unfiltered hinted scan
-///   wastes nothing, and a budget-capped scan (`LIMIT` or `max_scan_rows`
-///   reached before exhaustion) issues exactly the sequential call count.
-///
-/// A page's prompt is the plan's one template with the page's limit and
-/// offset rendered in.
-struct Pages<'a> {
-    ctx: &'a ExecContext,
-    spec: &'a ScanSpec<'a>,
-    columns: Vec<usize>,
-    types: Vec<DataType>,
-    /// Everything a page's prompt says but its limit and offset — table,
-    /// column list, filter, the schema's description — rendered once.
-    template: PromptTemplate,
-    budget: usize,
-    page: usize,
-    /// Relation-cardinality hint: how many lines an unfiltered enumeration
-    /// would produce. Read from `LlmClient::relation_cardinality`, which
-    /// asked the model the first time any scan, plan or EXPLAIN on this
-    /// client named the table and has held the answer since — so every scan
-    /// of a relation pages to the same end, and building one costs a map
-    /// lookup, not a question to the model. Pages at
-    /// offsets past it can only come back empty, so they are never planned —
-    /// no tail overshoot, and an empty relation costs zero calls. Under a
-    /// pushed filter it is still a sound upper bound, and the short-page
-    /// check still detects the filtered relation's earlier end.
-    hint: Option<usize>,
-    /// `W₀`: the pages the planner expects the scan to take (1 without a
-    /// hint).
-    first_window: usize,
-    /// Full pages consumed.
-    full_consumed: usize,
-    /// Where the next unplanned page starts.
-    offset: usize,
-    /// The `limit` of each page in flight, oldest first.
-    in_flight: VecDeque<usize>,
-    rows: Vec<Row>,
-}
-
-impl<'a> Pages<'a> {
-    fn new(ctx: &'a ExecContext, spec: &'a ScanSpec<'a>, filter: Option<String>) -> Self {
-        let columns = spec.needed_columns();
-        let column = |&i: &usize| &spec.table_schema.columns[i];
-        let names: Vec<&str> = columns.iter().map(|i| column(i).name.as_str()).collect();
-        let hint = ctx
-            .client
-            .as_ref()
-            .and_then(|c| c.relation_cardinality(spec.table));
-        let page = ctx.config.batch_size.max(1);
-        let max_rows = ctx.config.max_scan_rows;
-        let first_window = hint.map_or(1, |n| {
-            let expected_rows =
-                estimate_scan_rows(n, max_rows, spec.pushed_filter, spec.pushed_limit);
-            (expected_rows / page as f64).ceil() as usize
-        });
-        Pages {
-            ctx,
-            spec,
-            types: columns.iter().map(|i| column(i).data_type).collect(),
-            template: PromptTemplate::row_batch(
-                spec.table,
-                &names,
-                filter.as_deref(),
-                Some(spec.table_schema),
-            ),
-            columns,
-            budget: spec.row_budget(ctx),
-            page,
-            hint: hint.map(|n| n as usize),
-            first_window,
-            full_consumed: 0,
-            offset: 0,
-            in_flight: VecDeque::new(),
-            rows: Vec::new(),
-        }
-    }
-}
-
-impl PromptPlan for Pages<'_> {
-    const KIND: &'static str = "row_batch";
-
-    fn window(&self) -> usize {
-        // The answers have passed the planner's estimate: only the hint
-        // still bounds what may be asked.
-        if self.hint.is_some() && self.full_consumed >= self.first_window {
-            return usize::MAX;
-        }
-        self.first_window + self.full_consumed
-    }
-
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
-        // Only *full* pages (`limit` = `page`) fly together: their prompts
-        // depend on nothing but the page offset, which advances by exactly
-        // `page` while pages come back full, so they can be fetched
-        // concurrently and still match a sequential run prompt-for-prompt —
-        // as long as the row budget has room for every one of them coming
-        // back full. A budget-clamped final page is different — its `limit`
-        // is `budget - rows.len()`, which depends on how many rows the
-        // earlier pages actually *parsed* (fidelity noise drops lines) — so
-        // it is issued alone, planned from the true row count.
-        let reserved: usize = self.in_flight.iter().sum();
-        let limit = (self.budget.saturating_sub(self.rows.len() + reserved)).min(self.page);
-        let clamped_in_company = limit < self.page && !self.in_flight.is_empty();
-        let past_the_hint = self.hint.is_some_and(|end| self.offset >= end);
-        if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
-            return Ok(None);
-        }
-        let prompt = self.template.render_page(limit, self.offset);
-        self.offset += limit;
-        self.in_flight.push_back(limit);
-        Ok(Some(Asks::Prompt(prompt)))
-    }
-
-    fn accept(&mut self, answer: &str) -> Result<Flow> {
-        let want = self.in_flight.pop_front().ok_or_else(unasked)?;
-        // A backend that emits *more* lines than requested is clamped to the
-        // page size — later pages are dispatched at offsets assuming at most
-        // `want` lines per page, so consuming overshoot would duplicate rows.
-        let keep = want.min(self.budget - self.rows.len());
-        let arity = self.spec.table_schema.arity();
-        let (columns, rows) = (&self.columns, &mut self.rows);
-        let mut parsed = 0;
-        // Each kept line's cells go straight to their columns of a row of
-        // the base arity, NULL elsewhere.
-        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
-            if parsed < keep {
-                let mut full = vec![Value::Null; arity];
-                for (cell, &column) in cells.iter_mut().zip(columns) {
-                    full[column] = std::mem::take(cell);
-                }
-                rows.push(Row::new(full));
-            }
-            parsed += 1;
-        });
-        note_dropped(self.ctx, dropped);
-        // Lines the model produced for this page, parsed or not: the
-        // relation is exhausted when the model had fewer rows to say than
-        // asked for, not when some lines were malformed.
-        let got_lines = (parsed + dropped).min(want);
-        // A short page is the end of the relation: the pages still in flight
-        // were speculative fetches past the end.
-        if got_lines < want || self.rows.len() >= self.budget {
-            return Ok(Flow::Done);
-        }
-        self.full_consumed += 1;
-        Ok(Flow::Continue)
-    }
-}
-
-/// The key enumeration that opens the per-tuple strategies: one `enumerate`
-/// prompt, answered by one row per key with every other column NULL.
-struct Enumerate<'a> {
-    ctx: &'a ExecContext,
-    spec: &'a ScanSpec<'a>,
-    prompt: Option<String>,
-    rows: Vec<Row>,
-}
-
-impl PromptPlan for Enumerate<'_> {
-    const KIND: &'static str = "enumerate";
-
-    fn next(&mut self, _cap: usize) -> Result<Option<Asks>> {
-        // Issued even on a spent call budget: the keys then cost one call
-        // and the lookups they would feed cost none.
-        Ok(self.prompt.take().map(Asks::Prompt))
-    }
-
-    fn accept(&mut self, answer: &str) -> Result<Flow> {
-        let schema = self.spec.table_schema;
-        let key_idx = self.spec.key_column();
-        let budget = self.spec.row_budget(self.ctx);
-        let rows = &mut self.rows;
-        let dropped = scan_value_lines(answer, schema.columns[key_idx].data_type, |key| {
-            if rows.len() < budget {
-                let mut full = vec![Value::Null; schema.arity()];
-                full[key_idx] = key;
-                rows.push(Row::new(full));
-            }
-        });
-        note_dropped(self.ctx, dropped);
-        Ok(Flow::Continue)
-    }
-}
-
-/// The needed columns `row` has no value for.
-fn missing<'r>(needed: &'r [usize], row: &'r Row) -> impl Iterator<Item = usize> + 'r {
-    needed
-        .iter()
-        .copied()
-        .filter(move |&col| row.get(col).is_null())
-}
-
-/// Walk `source` rows in order and ask one `lookup` per row for the needed
-/// cells it is missing; rows that pass the pushed filter locally are
-/// delivered, up to `budget` of them. The per-tuple strategies feed it the
-/// enumerated keys (the local re-check means the model's own filtering need
-/// not be trusted), the hybrid scan the stored rows.
-///
-/// Planning never runs further ahead than the row budget has room for: the
-/// rows delivered plus the rows planned but not yet final stay within
-/// `budget`. A sequential scan stops issuing lookups once `budget` rows are
-/// delivered, so a fill planned past that point would be a call a sequential
-/// run never makes (a row filtered out makes room for a *later* one). Rows
-/// that need no lookup — complete rows, key-only projections — are delivered
-/// without a call.
-///
-/// A lookup's prompt varies with the row's key and with which columns the row
-/// is missing. The key is what `render_key` writes; the rest is a
-/// [`PromptTemplate`] per missing-column set, built the first time a row with
-/// that set is planned: one set for enumerated keys (every needed column is
-/// missing), as many as the stored rows' NULL patterns for a hybrid fill.
-/// The plan hands the driver each lookup as its template and key.
-struct Lookups<'a> {
-    ctx: &'a ExecContext,
-    spec: &'a ScanSpec<'a>,
-    /// The needed columns other than the key.
-    needed: Vec<usize>,
-    budget: usize,
-    /// The rows come from the store: with the call budget spent they pass
-    /// through unfilled, as in a sequential run, and fills are counted. An
-    /// enumerated key without its lookup is no row at all.
-    stored: bool,
-    source: Vec<Row>,
-    /// The first source row neither delivered nor filtered out yet.
-    cursor: usize,
-    /// The first source row not planned yet; the rows from `cursor` to here
-    /// await a lookup in flight or queue behind one.
-    planned: usize,
-    /// The source rows with a lookup in flight, oldest first.
-    in_flight: VecDeque<usize>,
-    /// Scratch: the column types one answer is parsed against.
-    types: Vec<DataType>,
-    /// The lookup template of each missing-column set met so far.
-    templates: HashMap<Vec<usize>, Rc<PromptTemplate>>,
-    /// Scratch: the missing-column set of the row being planned.
-    missing: Vec<usize>,
-    rows: Vec<Row>,
-}
-
-impl<'a> Lookups<'a> {
-    fn new(ctx: &'a ExecContext, spec: &'a ScanSpec<'a>, source: Vec<Row>, stored: bool) -> Self {
-        let key_idx = spec.key_column();
-        let mut needed = spec.needed_columns();
-        needed.retain(|&col| col != key_idx);
-        Lookups {
-            ctx,
-            spec,
-            needed,
-            budget: spec.row_budget(ctx),
-            stored,
-            source,
-            cursor: 0,
-            planned: 0,
-            in_flight: VecDeque::new(),
-            types: Vec::new(),
-            templates: HashMap::new(),
-            missing: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// The lookup for `row`, which is missing the columns in
-    /// `self.missing`: its template and key.
-    fn lookup_for(&mut self, row: usize) -> (Rc<PromptTemplate>, String) {
-        let spec = self.spec;
-        let template = match self.templates.get(self.missing.as_slice()) {
-            Some(template) => template,
-            None => {
-                let columns = &spec.table_schema.columns;
-                let names: Vec<&str> = self.missing.iter().map(|&c| &*columns[c].name).collect();
-                let template = PromptTemplate::lookup(spec.table, &names, Some(spec.table_schema));
-                self.templates
-                    .entry(self.missing.clone())
-                    .or_insert(Rc::new(template))
-            }
-        };
-        (Rc::clone(template), spec.key_text(&self.source[row]))
-    }
-
-    /// Deliver the source rows ahead of the oldest lookup in flight: every
-    /// one of them has all the answers it is going to get.
-    fn deliver(&mut self) -> Result<()> {
-        let upto = self.in_flight.front().copied().unwrap_or(self.planned);
-        for slot in &mut self.source[self.cursor..upto] {
-            let row = std::mem::replace(slot, Row::empty());
-            if self.spec.passes(&row)? {
-                self.rows.push(row);
-            }
-        }
-        self.cursor = upto;
-        Ok(())
-    }
-}
-
-impl PromptPlan for Lookups<'_> {
-    const KIND: &'static str = "lookup";
-    const PACKS: bool = true;
-
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
-        let mut lookups = Vec::new();
-        if cap == 0 && !self.stored {
-            return Ok(None);
-        }
-        loop {
-            let before = (self.planned, self.cursor);
-            while self.planned < self.source.len()
-                && self.rows.len() + (self.planned - self.cursor) < self.budget
-            {
-                self.missing.clear();
-                self.missing
-                    .extend(missing(&self.needed, &self.source[self.planned]));
-                if cap > 0 && !self.missing.is_empty() {
-                    if lookups.len() == cap {
-                        break;
-                    }
-                    lookups.push(self.lookup_for(self.planned));
-                    self.in_flight.push_back(self.planned);
-                }
-                self.planned += 1;
-            }
-            // Delivery can filter rows out, which makes room to plan on.
-            self.deliver()?;
-            if (self.planned, self.cursor) == before {
-                return Ok((!lookups.is_empty()).then_some(Asks::Keys(lookups)));
-            }
-        }
-    }
-
-    fn accept(&mut self, answer: &str) -> Result<Flow> {
-        let at = self.in_flight.pop_front().ok_or_else(unasked)?;
-        let row = &mut self.source[at];
-        let columns = &self.spec.table_schema.columns;
-        self.types.clear();
-        self.types
-            .extend(missing(&self.needed, row).map(|col| columns[col].data_type));
-        // The first line that reads as a row answers for the missing cells,
-        // in column order; a cell it leaves NULL stays missing.
-        let mut answered = false;
-        let mut filled = 0;
-        let needed = &self.needed;
-        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
-            if std::mem::replace(&mut answered, true) {
-                return;
-            }
-            let mut cells = cells.iter_mut();
-            for &col in needed {
-                if !row.get(col).is_null() {
-                    continue;
-                }
-                if let Some(cell) = cells.next().filter(|cell| !cell.is_null()) {
-                    row.set(col, std::mem::take(cell));
-                    filled += 1;
-                }
-            }
-        });
-        note_dropped(self.ctx, dropped);
-        if self.stored && filled > 0 {
-            self.ctx.metrics.borrow_mut().cells_filled_by_llm += filled;
-        }
-        // Everything ahead of the next lookup in flight is now final.
-        self.deliver()?;
-        Ok(Flow::Continue)
-    }
-}
-
-/// The decomposed strategy's filter operator: one `filter_check` prompt per
-/// candidate row, keeping the rows the model says yes to, up to `budget`.
-/// No more checks are in flight than the row budget still has room for — the
-/// rule [`Lookups`] follows, for the same reason. A check's prompt is the
-/// plan's one template with the candidate's key rendered in; the plan hands
-/// the driver that template and the key.
-struct FilterChecks<'a> {
-    spec: &'a ScanSpec<'a>,
-    /// Everything a check's prompt says but the candidate's key — table,
-    /// condition, the schema's description — rendered once.
-    template: Rc<PromptTemplate>,
-    budget: usize,
-    /// The candidates not yet answered for; the first `in_flight` of them
-    /// have a check in flight.
-    candidates: std::vec::IntoIter<Row>,
-    in_flight: usize,
-    kept: Vec<Row>,
-}
-
-impl PromptPlan for FilterChecks<'_> {
-    const KIND: &'static str = "filter_check";
-    const PACKS: bool = true;
-
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
-        let room = self.budget.saturating_sub(self.kept.len() + self.in_flight);
-        let unasked = self.candidates.as_slice().iter().skip(self.in_flight);
-        let checks: Vec<_> = unasked
-            .take(cap.min(room))
-            .map(|row| (Rc::clone(&self.template), self.spec.key_text(row)))
-            .collect();
-        self.in_flight += checks.len();
-        Ok((!checks.is_empty()).then_some(Asks::Keys(checks)))
-    }
-
-    fn accept(&mut self, answer: &str) -> Result<Flow> {
-        // Answers arrive in candidate order, one candidate each.
-        let candidate = self.candidates.next();
-        self.in_flight = self.in_flight.saturating_sub(1);
-        if parse_yes_no(answer) == YesNoAnswer::Yes {
-            self.kept.extend(candidate);
-        }
-        Ok(Flow::Continue)
     }
 }
 
@@ -936,7 +485,7 @@ impl PromptPlan for FilterChecks<'_> {
 /// Scan a materialized table, applying the pushed filter locally.
 pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    let budget = spec.row_budget(ctx);
+    let budget = spec.row_budget(ctx.config.max_scan_rows);
     for row in table.scan() {
         if !spec.passes(&row)? {
             continue;
@@ -953,9 +502,10 @@ pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Resu
 /// Materialize a virtual relation by prompting the model.
 pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
-    let rows = match (ctx.config.strategy, spec.prompt_filter()?) {
-        (PromptStrategy::TupleAtATime, filter) => tuple_rows(&mut driver, spec, filter)?,
-        (PromptStrategy::DecomposedOperators, None) => tuple_rows(&mut driver, spec, None)?,
+    let config = &ctx.config;
+    let rows = match (config.strategy, spec.prompt_filter()?) {
+        (PromptStrategy::TupleAtATime, _) => tuple_rows(&mut driver, *spec)?,
+        (PromptStrategy::DecomposedOperators, None) => tuple_rows(&mut driver, *spec)?,
         // The filter becomes its own operator: materialize candidates
         // without it, then check each. The row budget caps the rows the
         // filter *keeps*, so every key up to the scan cap is a candidate.
@@ -965,25 +515,23 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
                 pushed_limit: None,
                 ..*spec
             };
-            let mut checks = FilterChecks {
-                spec,
-                template: Rc::new(PromptTemplate::filter_check(
-                    spec.table,
-                    &condition,
-                    Some(spec.table_schema),
-                )),
-                budget: spec.row_budget(ctx),
-                candidates: tuple_rows(&mut driver, &candidates, None)?.into_iter(),
-                in_flight: 0,
-                kept: Vec::new(),
-            };
+            let candidates = tuple_rows(&mut driver, candidates)?;
+            let budget = spec.row_budget(config.max_scan_rows);
+            let mut checks = tuples::FilterChecks::new(*spec, &condition, budget, candidates);
             driver.drive(&mut checks)?;
             checks.kept
         }
         // FullQuery is handled at the engine level; if a scan still ends up
         // here (e.g. a mixed plan), fall back to batched pagination.
         (PromptStrategy::BatchedRows | PromptStrategy::FullQuery, filter) => {
-            let mut pages = Pages::new(ctx, spec, filter);
+            // Relation-cardinality hint: `LlmClient::relation_cardinality`
+            // asked the model the first time any scan, plan or EXPLAIN on
+            // this client named the table and has held the answer since, so
+            // every scan of a relation pages to the same end, and this costs
+            // a map lookup, not a question to the model.
+            let hint = ctx.require_client()?.relation_cardinality(spec.table);
+            let (page, max_rows) = (config.batch_size, config.max_scan_rows);
+            let mut pages = pages::Pages::new(*spec, filter.as_deref(), page, max_rows, hint);
             driver.drive(&mut pages)?;
             pages.rows
         }
@@ -993,23 +541,13 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-/// Enumerate the keys (with `filter` in the prompt, if any), then look up
-/// the other needed columns of each, a window of them at a time.
-fn tuple_rows(
-    driver: &mut Driver<'_>,
-    spec: &ScanSpec<'_>,
-    filter: Option<String>,
-) -> Result<Vec<Row>> {
-    let template =
-        PromptTemplate::enumerate(spec.table, filter.as_deref(), Some(spec.table_schema));
-    let mut keys = Enumerate {
-        ctx: driver.ctx,
-        spec,
-        prompt: Some(template.render_page(spec.row_budget(driver.ctx), 0)),
-        rows: Vec::new(),
-    };
+/// Enumerate the keys (with the pushed filter in the prompt, if any), then
+/// look up the other needed columns of each, a window of them at a time.
+fn tuple_rows(driver: &mut Driver<'_>, spec: ScanSpec<'_>) -> Result<Vec<Row>> {
+    let budget = spec.row_budget(driver.ctx.config.max_scan_rows);
+    let mut keys = tuples::Enumerate::new(spec, budget)?;
     driver.drive(&mut keys)?;
-    let mut lookups = Lookups::new(driver.ctx, spec, keys.rows, false);
+    let mut lookups = tuples::Lookups::new(spec, keys.rows, false, budget);
     driver.drive(&mut lookups)?;
     Ok(lookups.rows)
 }
@@ -1018,7 +556,8 @@ fn tuple_rows(
 /// columns by asking the model, a window of lookups at a time.
 pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
-    let mut fills = Lookups::new(ctx, spec, table.scan(), true);
+    let budget = spec.row_budget(ctx.config.max_scan_rows);
+    let mut fills = tuples::Lookups::new(*spec, table.scan(), true, budget);
     driver.drive(&mut fills)?;
     let rows = driver.finish(fills.rows);
     ctx.metrics.borrow_mut().rows_from_store += rows.len() as u64;
@@ -1027,12 +566,19 @@ pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Res
 
 #[cfg(test)]
 mod tests {
+    use super::pages::Pages;
+    use super::tuples::{missing, Enumerate, FilterChecks, Lookups};
     use super::*;
     use llmsql_llm::prompt::TaskSpec;
-    use llmsql_llm::{KnowledgeBase, LlmClient, SimLlm};
+    use llmsql_llm::{CallSlots, KnowledgeBase, LlmClient, SimLlm};
+    use llmsql_plan::estimate_scan_rows;
     use llmsql_store::Catalog;
-    use llmsql_types::{clock, Column, EngineConfig, ExecutionMode, LlmFidelity};
+    use llmsql_types::{clock, Column, DataType, EngineConfig, ExecutionMode, LlmFidelity, Value};
     use std::sync::Arc;
+
+    // -----------------------------------------------------------------------
+    // The relation: five countries, and the specs of scans over them
+    // -----------------------------------------------------------------------
 
     fn country_schema() -> Schema {
         Schema::virtual_table(
@@ -1045,7 +591,7 @@ mod tests {
         )
     }
 
-    fn world_rows() -> Vec<Row> {
+    pub(super) fn world_rows() -> Vec<Row> {
         [
             ("France", "Europe", 68),
             ("Germany", "Europe", 84),
@@ -1057,6 +603,398 @@ mod tests {
         .map(|(n, r, p)| Row::new(vec![(*n).into(), (*r).into(), Value::Int(*p)]))
         .collect()
     }
+
+    /// `count` countries in Europe with populations 0, 1, 2, …, the first
+    /// two named as the hybrid fixture's stored rows are.
+    pub(super) fn numbered_rows(count: usize) -> Vec<Row> {
+        (0..count)
+            .map(|i| {
+                let name = match i {
+                    0 => "France".to_string(),
+                    1 => "Japan".to_string(),
+                    _ => format!("Country {i:03}"),
+                };
+                Row::new(vec![name.into(), "Europe".into(), Value::Int(i as i64)])
+            })
+            .collect()
+    }
+
+    /// Owns the borrowed parts of a [`ScanSpec`] for tests.
+    pub(super) struct SpecParts {
+        pub(super) schema: Schema,
+        pub(super) filter: Option<BoundExpr>,
+        pub(super) prompt_columns: Option<Vec<usize>>,
+        pub(super) pushed_limit: Option<usize>,
+    }
+
+    pub(super) fn parts(
+        filter: Option<BoundExpr>,
+        prompt_columns: Option<Vec<usize>>,
+    ) -> SpecParts {
+        SpecParts {
+            schema: country_schema(),
+            filter,
+            prompt_columns,
+            pushed_limit: None,
+        }
+    }
+
+    impl SpecParts {
+        pub(super) fn spec(&self) -> ScanSpec<'_> {
+            ScanSpec {
+                table: "countries",
+                table_schema: &self.schema,
+                pushed_filter: self.filter.as_ref(),
+                prompt_columns: self.prompt_columns.as_deref(),
+                pushed_limit: self.pushed_limit,
+            }
+        }
+    }
+
+    pub(super) fn gt_filter(population: i64) -> BoundExpr {
+        BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(2, "population", DataType::Int)),
+            op: llmsql_sql::ast::BinaryOp::Gt,
+            right: Box::new(BoundExpr::lit(population)),
+        }
+    }
+
+    /// `population < bound`.
+    pub(super) fn lt_filter(bound: i64) -> BoundExpr {
+        BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(2, "population", DataType::Int)),
+            op: llmsql_sql::ast::BinaryOp::Lt,
+            right: Box::new(BoundExpr::lit(bound)),
+        }
+    }
+
+    /// `population BETWEEN low AND high`.
+    pub(super) fn between_filter(low: i64, high: i64) -> BoundExpr {
+        BoundExpr::Between {
+            expr: Box::new(BoundExpr::col(2, "population", DataType::Int)),
+            low: Box::new(BoundExpr::lit(low)),
+            high: Box::new(BoundExpr::lit(high)),
+            negated: false,
+        }
+    }
+
+    /// `region = 'Europe'`: every row of [`numbered_rows`].
+    pub(super) fn in_europe() -> BoundExpr {
+        BoundExpr::Binary {
+            left: Box::new(BoundExpr::col(1, "region", DataType::Text)),
+            op: llmsql_sql::ast::BinaryOp::Eq,
+            right: Box::new(BoundExpr::lit("Europe")),
+        }
+    }
+
+    /// The `row_batch` prompt of page `index` of a scan in pages of `page`.
+    pub(super) fn page_prompt(p: &SpecParts, page: usize, index: usize) -> String {
+        TaskSpec::RowBatch {
+            table: "countries".into(),
+            columns: (p.spec().needed_columns().iter())
+                .map(|&c| p.schema.columns[c].name.clone())
+                .collect(),
+            filter: p.spec().prompt_filter().unwrap(),
+            limit: page,
+            offset: index * page,
+        }
+        .to_prompt(Some(&p.schema))
+    }
+
+    /// The `lookup` prompt asking `key` for `columns`.
+    pub(super) fn lookup_prompt(key: &str, columns: &[usize]) -> String {
+        let schema = country_schema();
+        TaskSpec::Lookup {
+            table: "countries".into(),
+            key: key.into(),
+            columns: columns
+                .iter()
+                .map(|&c| schema.columns[c].name.clone())
+                .collect(),
+        }
+        .to_prompt(Some(&schema))
+    }
+
+    // -----------------------------------------------------------------------
+    // Plans on given answers: no context, client or model
+    // -----------------------------------------------------------------------
+
+    /// What a plan planned and consumed on given answers.
+    #[derive(Debug, Default, PartialEq)]
+    pub(super) struct Replay {
+        /// Every prompt planned, in order, each as the model reads it alone.
+        pub(super) prompts: Vec<String>,
+        /// For each prompt, how many answers had been consumed when it was
+        /// planned.
+        pub(super) planned_after: Vec<usize>,
+        /// The answers consumed.
+        pub(super) consumed: usize,
+        /// `Accepted::dropped_lines`, summed over the answers consumed.
+        pub(super) dropped_lines: u64,
+        /// `Accepted::cells_filled`, summed over the answers consumed.
+        pub(super) cells_filled: u64,
+    }
+
+    /// Run `plan` the way [`Driver::drive`] runs it, on answers given by
+    /// `answer(i, prompt)` for the `i`-th prompt planned: prompt `i` is
+    /// planned iff `i < consumed + window` (the window clamped to
+    /// `1..=fanout`), per-tuple prompts `batch` to a request, `calls`
+    /// prompts in all, answers consumed oldest first until the plan is done
+    /// or nothing is left in flight. Fails if a `next(cap)` plans more than
+    /// `cap` prompts.
+    pub(super) fn replay<P: PromptPlan>(
+        plan: &mut P,
+        fanout: usize,
+        batch: usize,
+        calls: usize,
+        answer: impl Fn(usize, &str) -> String,
+    ) -> Replay {
+        let per_request = if P::PACKS { batch.clamp(1, fanout) } else { 1 };
+        let mut out = Replay::default();
+        let mut requests = VecDeque::new();
+        let mut in_flight = 0;
+        loop {
+            while in_flight + per_request <= plan.window().clamp(1, fanout) {
+                let cap = per_request.min(calls.saturating_sub(out.prompts.len()));
+                let Some(asks) = plan.next(cap).unwrap() else {
+                    break;
+                };
+                let prompts: Vec<String> = match asks {
+                    Asks::Prompt(prompt) => vec![prompt],
+                    Asks::Keys(keys) => keys.iter().map(|(t, key)| t.render_key(key)).collect(),
+                };
+                // Only the key enumeration is asked on a spent budget.
+                assert!(
+                    prompts.len() <= cap || P::KIND == "enumerate",
+                    "{} {} prompts planned at cap {cap}",
+                    prompts.len(),
+                    P::KIND
+                );
+                let planned_after = std::iter::repeat_n(out.consumed, prompts.len());
+                out.planned_after.extend(planned_after);
+                requests.push_back(prompts.len());
+                in_flight += prompts.len();
+                out.prompts.extend(prompts);
+            }
+            let Some(asked) = requests.pop_front() else {
+                return out;
+            };
+            in_flight -= asked;
+            for _ in 0..asked {
+                let i = out.consumed;
+                let accepted = plan.accept(&answer(i, &out.prompts[i])).unwrap();
+                out.consumed += 1;
+                out.dropped_lines += accepted.dropped_lines;
+                out.cells_filled += accepted.cells_filled;
+                if accepted.done {
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// The value of the header line `name: …` of `prompt`.
+    pub(super) fn field<'p>(prompt: &'p str, name: &str) -> &'p str {
+        prompt
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(": "))
+            .unwrap_or_else(|| panic!("no `{name}:` line in {prompt}"))
+    }
+
+    /// The columns a lookup `prompt` asks for.
+    fn asked_columns(prompt: &str) -> Vec<usize> {
+        let schema = country_schema();
+        (field(prompt, "columns").split(" | "))
+            .map(|name| schema.index_of(name).unwrap())
+            .collect()
+    }
+
+    /// `row`'s cells at `columns`, as a model writes one answer line.
+    fn line_of(row: &Row, columns: &[usize]) -> String {
+        let cells: Vec<String> = columns
+            .iter()
+            .map(|&c| row.get(c).to_display_string())
+            .collect();
+        cells.join(" | ")
+    }
+
+    /// A model that knows `rows` and answers each page its slice of them, in
+    /// the asked `columns`.
+    pub(super) fn pages_of(rows: Vec<Row>, columns: Vec<usize>) -> impl Fn(usize, &str) -> String {
+        move |_, prompt| {
+            let offset: usize = field(prompt, "offset").parse().unwrap();
+            let limit: usize = field(prompt, "limit").parse().unwrap();
+            let page = rows.iter().skip(offset).take(limit);
+            let lines: Vec<String> = page.map(|row| line_of(row, &columns)).collect();
+            lines.join("\n")
+        }
+    }
+
+    /// A model that knows `rows` and answers each lookup with the asked
+    /// columns of the row named by its key.
+    pub(super) fn lookups_in(rows: Vec<Row>) -> impl Fn(usize, &str) -> String {
+        move |_, prompt| {
+            let key = field(prompt, "key");
+            let row = rows
+                .iter()
+                .find(|row| row.get(0).to_display_string() == key);
+            row.map(|row| line_of(row, &asked_columns(prompt)))
+                .unwrap_or_default()
+        }
+    }
+
+    /// Two stored countries, each with one NULL cell the model can fill.
+    pub(super) fn stored_with_nulls() -> Vec<Row> {
+        vec![
+            Row::new(vec!["France".into(), "Europe".into(), Value::Null]),
+            Row::new(vec!["Japan".into(), Value::Null, Value::Int(125)]),
+        ]
+    }
+
+    /// What a plan planned and consumed on given answers, and its rows.
+    type Run = (Replay, Vec<Row>);
+
+    proptest::proptest! {
+        /// Every plan, fed seeded answers of every awkward shape — short,
+        /// empty and overlong pages, answers past the hint, key lists with
+        /// duplicates, blank lookups, hedged checks, chatter lines before
+        /// any of them — keeps the invariants the driver relies on:
+        /// * what it plans depends only on the answers it has consumed: at
+        ///   any window and packing it plans the sequential run's prompts,
+        ///   consumes the same answers and delivers the same rows, and where
+        ///   one run plans further the other's prompts are a prefix of its;
+        /// * no page past the cardinality hint is planned;
+        /// * no `next(cap)` plans more than `cap` prompts (checked in
+        ///   [`replay`]), so no run plans more than its call budget;
+        /// * the same answers twice plan the same prompts twice.
+        #[test]
+        fn every_plan_on_given_answers_keeps_the_drivers_invariants(
+            shapes in proptest::collection::vec((0usize..5, 0usize..3), 1..24),
+            scan in (
+                1usize..6,
+                proptest::option::of(0u64..30),
+                proptest::option::of(1usize..20),
+                proptest::option::of(0i64..30),
+            ),
+            schedule in (1usize..17, 1usize..6, 1usize..40),
+        ) {
+            let (page, hint, limit, keep) = scan;
+            let (fanout, batch, calls) = schedule;
+            let mut p = parts(keep.map(lt_filter), None);
+            p.pushed_limit = limit;
+            let spec = p.spec();
+            let text = spec.prompt_filter().unwrap();
+            let budget = spec.row_budget(usize::MAX);
+            let answer = |i: usize, prompt: &str| {
+                let (shape, chatter) = shapes[i % shapes.len()];
+                shaped_answer(shape, chatter, i, prompt)
+            };
+            // The stored rows of a hybrid fill: the shapes pick each row's
+            // NULLs, and some names repeat.
+            let stored_rows: Vec<Row> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(shape, _))| {
+                    let mut row = numbered_rows(30)[i % 7].clone();
+                    for col in [1, 2].into_iter().filter(|col| shape & col != 0) {
+                        row.set(col, Value::Null);
+                    }
+                    row
+                })
+                .collect();
+            let keys: Vec<Row> = stored_rows
+                .iter()
+                .map(|row| Row::new(vec![row.get(0).clone(), Value::Null, Value::Null]))
+                .collect();
+            // Run a plan, built afresh by `plan(fanout, batch)`, at window 1
+            // and at the drawn window and packing, and hold the runs to the
+            // invariants.
+            let schedules = |plan: &dyn Fn(usize, usize) -> Run| {
+                let (sequential, expected) = plan(1, 1);
+                for (fanout, batch) in [(fanout, batch), (16, 4)] {
+                    let (spread, rows) = plan(fanout, batch);
+                    let n = sequential.prompts.len().min(spread.prompts.len());
+                    assert_eq!(sequential.prompts[..n], spread.prompts[..n], "not a prefix");
+                    assert_eq!(sequential.consumed, spread.consumed);
+                    assert_eq!(expected, rows);
+                    assert_eq!(sequential.dropped_lines, spread.dropped_lines);
+                    assert_eq!(sequential.cells_filled, spread.cells_filled);
+                    assert_eq!(plan(fanout, batch), (spread, rows), "replayed");
+                }
+            };
+            let pages = |fanout, batch| {
+                let mut plan = Pages::new(spec, text.as_deref(), page, usize::MAX, hint);
+                (replay(&mut plan, fanout, batch, calls, answer), plan.rows)
+            };
+            schedules(&pages);
+            let planned = pages(fanout, batch).0.prompts.len();
+            proptest::prop_assert!(planned <= calls);
+            if let Some(hint) = hint {
+                proptest::prop_assert!(planned <= (hint as usize).div_ceil(page), "past the hint");
+            }
+            schedules(&|fanout, batch| {
+                let mut plan = Enumerate::new(spec, budget).unwrap();
+                (replay(&mut plan, fanout, batch, calls, answer), plan.rows)
+            });
+            for (source, stored) in [(&keys, false), (&stored_rows, true)] {
+                schedules(&|fanout, batch| {
+                    let mut plan = Lookups::new(spec, source.clone(), stored, budget);
+                    (replay(&mut plan, fanout, batch, calls, answer), plan.rows)
+                });
+            }
+            schedules(&|fanout, batch| {
+                let mut plan = FilterChecks::new(spec, "population < 9", budget, keys.clone());
+                (replay(&mut plan, fanout, batch, calls, answer), plan.kept)
+            });
+        }
+    }
+
+    /// The `i`-th answer of a model whose `shape` picks how it answers
+    /// `prompt`, after `chatter` lines of commentary. A page is full (0),
+    /// short (1), empty (2), overlong (3) or full with its first row repeated
+    /// and its last line garbled (4), whatever the hint says; an enumeration lists a few keys, some twice,
+    /// or none; a lookup answers, leaves a cell NULL or says nothing; a
+    /// check says yes, no or something else.
+    fn shaped_answer(shape: usize, chatter: usize, i: usize, prompt: &str) -> String {
+        let world = numbered_rows(60);
+        let mut lines = vec!["Here are the results:".to_string(); chatter];
+        match field(prompt, "kind") {
+            "row_batch" => {
+                let offset: usize = field(prompt, "offset").parse().unwrap();
+                let limit: usize = field(prompt, "limit").parse().unwrap();
+                let count = [limit, limit / 2, 0, limit + 2, limit][shape];
+                let page = world.iter().skip(offset).take(count);
+                lines.extend(page.map(|row| line_of(row, &[0, 1, 2])));
+                if shape == 4 && lines.len() > chatter + 2 {
+                    let last = lines.len() - 1;
+                    lines[last - 1] = lines[chatter].clone();
+                    lines[last] = "garbled".into();
+                }
+            }
+            "enumerate" => {
+                let count = [3, 6, 0, 9, 5][shape];
+                lines.extend((0..count).map(|k| world[(i + k) % 7].get(0).to_display_string()));
+            }
+            "lookup" => {
+                let row = world
+                    .iter()
+                    .find(|row| row.get(0).to_display_string() == field(prompt, "key"));
+                let columns = asked_columns(prompt);
+                match (shape, row) {
+                    (0 | 3 | 4, Some(row)) => lines.push(line_of(row, &columns)),
+                    (1, _) => lines.push(vec!["NULL"; columns.len()].join(" | ")),
+                    _ => {}
+                }
+            }
+            _ => lines.push(["yes", "no", "unknown", "Yes.", "no"][shape].to_string()),
+        }
+        lines.join("\n")
+    }
+
+    // -----------------------------------------------------------------------
+    // The driver: admission, cut-short, drain and completion order, over a
+    // simulated model
+    // -----------------------------------------------------------------------
 
     type Model = Arc<dyn llmsql_llm::LanguageModel>;
 
@@ -1125,249 +1063,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Owns the borrowed parts of a [`ScanSpec`] for tests.
-    struct SpecParts {
-        schema: Schema,
-        filter: Option<BoundExpr>,
-        prompt_columns: Option<Vec<usize>>,
-        pushed_limit: Option<usize>,
-    }
-
-    fn parts(filter: Option<BoundExpr>, prompt_columns: Option<Vec<usize>>) -> SpecParts {
-        SpecParts {
-            schema: country_schema(),
-            filter,
-            prompt_columns,
-            pushed_limit: None,
-        }
-    }
-
-    impl SpecParts {
-        fn spec(&self) -> ScanSpec<'_> {
-            ScanSpec {
-                table: "countries",
-                table_schema: &self.schema,
-                pushed_filter: self.filter.as_ref(),
-                prompt_columns: self.prompt_columns.as_deref(),
-                pushed_limit: self.pushed_limit,
-            }
-        }
-    }
-
-    fn gt_filter(population: i64) -> BoundExpr {
-        BoundExpr::Binary {
-            left: Box::new(BoundExpr::col(2, "population", DataType::Int)),
-            op: llmsql_sql::ast::BinaryOp::Gt,
-            right: Box::new(BoundExpr::lit(population)),
-        }
-    }
-
-    #[test]
-    fn batched_scan_pages_through_table() {
-        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
-        assert_eq!(rows.len(), 5);
-        let m = ctx.metrics.borrow();
-        // page size 2 over 5 rows: at least 3 calls
-        assert!(m.llm_calls_by_kind["row_batch"] >= 3);
-        assert_eq!(m.rows_from_llm, 5);
-    }
-
-    #[test]
-    fn batched_scan_with_filter_and_pruning() {
-        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        let rows = llm_scan(&ctx, &parts(Some(gt_filter(60)), Some(vec![0, 2])).spec()).unwrap();
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            // pruned column (region) is NULL
-            assert!(r.get(1).is_null());
-            assert!(r.get(2).as_int().unwrap() > 60);
-        }
-    }
-
-    #[test]
-    fn a_page_row_is_null_outside_the_asked_columns() {
-        // Asked for in an order that is not the table's: each cell lands at
-        // its own column of a full-width row, and the column nobody asked
-        // for is NULL.
-        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        let rows = llm_scan(&ctx, &parts(None, Some(vec![2, 0])).spec()).unwrap();
-        let world = world_rows();
-        assert_eq!(rows.len(), world.len());
-        for (row, truth) in rows.iter().zip(&world) {
-            assert_eq!(row.arity(), 3);
-            assert_eq!(row.get(0), truth.get(0));
-            assert!(row.get(1).is_null());
-            assert_eq!(row.get(2), truth.get(2));
-        }
-    }
-
-    #[test]
-    fn tuple_strategy_issues_lookup_per_row() {
-        let ctx = context(PromptStrategy::TupleAtATime, LlmFidelity::perfect());
-        let rows = llm_scan(&ctx, &parts(Some(gt_filter(60)), None).spec()).unwrap();
-        assert_eq!(rows.len(), 3);
-        let m = ctx.metrics.borrow();
-        assert_eq!(m.llm_calls_by_kind["enumerate"], 1);
-        assert!(m.llm_calls_by_kind["lookup"] >= 3);
-    }
-
-    #[test]
-    fn decomposed_strategy_uses_filter_checks() {
-        let ctx = context(PromptStrategy::DecomposedOperators, LlmFidelity::perfect());
-        let rows = llm_scan(&ctx, &parts(Some(gt_filter(60)), None).spec()).unwrap();
-        assert_eq!(rows.len(), 3);
-        let m = ctx.metrics.borrow();
-        assert_eq!(m.llm_calls_by_kind["filter_check"], 5);
-    }
-
-    #[test]
-    fn pushed_limit_caps_rows_and_calls() {
-        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        let mut p = parts(None, None);
-        p.pushed_limit = Some(2);
-        let rows = llm_scan(&ctx, &p.spec()).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(ctx.metrics.borrow().llm_calls(), 1);
-    }
-
-    #[test]
-    fn max_scan_rows_is_respected() {
-        let mut ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-        ctx.config.max_scan_rows = 3;
-        let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
-        assert_eq!(rows.len(), 3);
-    }
-
-    #[test]
-    fn budget_clamped_scan_under_noise_matches_sequential() {
-        // Regression: a row budget close to the table size makes the final
-        // page's `limit` depend on how many rows earlier pages *parsed*.
-        // With fidelity noise dropping lines, an optimistic planner would
-        // issue that page with a speculated limit (a different prompt than
-        // sequential), changing both results and call counts. Only full
-        // pages may therefore fly together; a clamped page is issued alone.
-        let big_schema = Schema::virtual_table(
-            "countries",
-            vec![
-                Column::new("name", DataType::Text).primary_key(),
-                Column::new("region", DataType::Text),
-                Column::new("population", DataType::Int),
-            ],
-        );
-        let big_rows: Vec<Row> = (0..60)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Text(format!("Country {i:04}")),
-                    Value::Text("Europe".into()),
-                    Value::Int(1000 + i64::from(i)),
-                ])
-            })
-            .collect();
-        let context_with = |parallelism: usize| {
-            let mut kb = KnowledgeBase::new();
-            kb.add_table(big_schema.clone(), big_rows.clone());
-            let sim = SimLlm::new(kb.into_shared(), LlmFidelity::medium(), 7);
-            let catalog = Catalog::new();
-            catalog.create_virtual_table(big_schema.clone()).unwrap();
-            let mut config = EngineConfig::default()
-                .with_mode(ExecutionMode::LlmOnly)
-                .with_strategy(PromptStrategy::BatchedRows)
-                .with_batch_size(5)
-                .with_parallelism(parallelism);
-            config.max_scan_rows = 12;
-            ExecContext::new(catalog, Some(LlmClient::new(Arc::new(sim))), config)
-        };
-        let p = parts(None, None);
-        let seq_ctx = context_with(1);
-        let expected = llm_scan(&seq_ctx, &p.spec()).unwrap();
-        let expected_calls = seq_ctx.metrics.borrow().llm_calls();
-        for parallelism in [4, 8] {
-            let ctx = context_with(parallelism);
-            let got = llm_scan(&ctx, &p.spec()).unwrap();
-            assert_eq!(expected, got, "rows diverged at parallelism {parallelism}");
-            assert_eq!(
-                expected_calls,
-                ctx.metrics.borrow().llm_calls(),
-                "call count diverged at parallelism {parallelism}"
-            );
-        }
-    }
-
-    #[test]
-    fn cardinality_hint_eliminates_tail_overshoot() {
-        // 20 rows at page size 5 is an exact multiple: without a hint the
-        // scan must probe past the end (a sequential run pays 1 extra empty
-        // page; a speculating window can pay more). The simulator reports its
-        // observed cardinality, so planning stops at page 4 exactly — same
-        // rows, minimal calls, at any parallelism.
-        let schema = country_schema();
-        let rows_20: Vec<Row> = (0..20)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Text(format!("Country {i:02}")),
-                    Value::Text("Europe".into()),
-                    Value::Int(100 + i64::from(i)),
-                ])
-            })
-            .collect();
-        let context_with = |parallelism: usize| {
-            let mut kb = KnowledgeBase::new();
-            kb.add_table(schema.clone(), rows_20.clone());
-            let sim = SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7);
-            let catalog = Catalog::new();
-            catalog.create_virtual_table(schema.clone()).unwrap();
-            let config = EngineConfig::default()
-                .with_mode(ExecutionMode::LlmOnly)
-                .with_strategy(PromptStrategy::BatchedRows)
-                .with_batch_size(5)
-                .with_parallelism(parallelism);
-            ExecContext::new(catalog, Some(LlmClient::new(Arc::new(sim))), config)
-        };
-        let p = SpecParts {
-            schema: country_schema(),
-            filter: None,
-            prompt_columns: None,
-            pushed_limit: None,
-        };
-        let seq_ctx = context_with(1);
-        let expected = llm_scan(&seq_ctx, &p.spec()).unwrap();
-        assert_eq!(expected.len(), 20);
-        assert_eq!(
-            seq_ctx.metrics.borrow().llm_calls(),
-            4,
-            "hint should stop the sequential scan at exactly 4 full pages"
-        );
-        for parallelism in [4, 8] {
-            let ctx = context_with(parallelism);
-            let got = llm_scan(&ctx, &p.spec()).unwrap();
-            assert_eq!(expected, got, "rows diverged at parallelism {parallelism}");
-            assert_eq!(
-                ctx.metrics.borrow().llm_calls(),
-                4,
-                "the window overshot the hinted end at parallelism {parallelism}"
-            );
-        }
-    }
-
-    #[test]
-    fn cardinality_hint_makes_empty_relations_free() {
-        let schema = country_schema();
-        let mut kb = KnowledgeBase::new();
-        kb.add_table(schema.clone(), Vec::new());
-        let sim = SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7);
-        let catalog = Catalog::new();
-        catalog.create_virtual_table(schema).unwrap();
-        let config = EngineConfig::default()
-            .with_mode(ExecutionMode::LlmOnly)
-            .with_strategy(PromptStrategy::BatchedRows)
-            .with_batch_size(5);
-        let ctx = ExecContext::new(catalog, Some(LlmClient::new(Arc::new(sim))), config);
-        let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
-        assert!(rows.is_empty());
-        assert_eq!(ctx.metrics.borrow().llm_calls(), 0);
     }
 
     #[test]
@@ -1588,20 +1283,12 @@ mod tests {
         assert_eq!(ctx.metrics.borrow().rows_from_store, 3);
     }
 
-    fn hybrid_fixture() -> (ExecContext, Table) {
-        hybrid_fixture_over(sim(LlmFidelity::perfect(), 3), |_| {})
-    }
-
-    /// Two stored countries, each with one NULL cell the model can fill.
+    /// [`stored_with_nulls`] over `model` in hybrid mode.
     fn hybrid_fixture_over(
         model: Model,
         tweak: impl FnOnce(&mut EngineConfig),
     ) -> (ExecContext, Table) {
-        let stored = vec![
-            Row::new(vec!["France".into(), "Europe".into(), Value::Null]),
-            Row::new(vec!["Japan".into(), Value::Null, Value::Int(125)]),
-        ];
-        hybrid_fixture_storing(model, stored, tweak)
+        hybrid_fixture_storing(model, stored_with_nulls(), tweak)
     }
 
     /// `stored` over `model` in hybrid mode; `tweak` adjusts the
@@ -1630,58 +1317,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_scan_fills_nulls() {
-        // Store with some NULL populations; the model knows the truth.
-        let (ctx, table) = hybrid_fixture();
-        let p = parts(None, None);
-        let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get(2), &Value::Int(68));
-        assert_eq!(rows[1].get(1), &Value::Text("Asia".into()));
-        let m = ctx.metrics.borrow();
-        assert_eq!(m.cells_filled_by_llm, 2);
-        assert_eq!(m.llm_calls_by_kind["lookup"], 2);
-    }
-
-    #[test]
-    fn hybrid_scan_stops_filling_at_row_budget() {
-        // Regression: a pushed LIMIT must stop fill lookups exactly where a
-        // sequential row-at-a-time scan would — planning fills for rows past
-        // the budget pays for calls that are never needed.
-        for parallelism in [1, 8] {
-            let (mut ctx, table) = hybrid_fixture();
-            ctx.config.parallelism = parallelism;
-            let mut p = parts(None, None);
-            // Both stored rows have a missing cell, but only the first is
-            // within the budget.
-            p.pushed_limit = Some(1);
-            let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
-            assert_eq!(rows.len(), 1);
-            assert_eq!(
-                ctx.metrics.borrow().llm_calls(),
-                1,
-                "parallelism {parallelism} issued lookups past the row budget"
-            );
-        }
-    }
-
-    #[test]
-    fn hybrid_scan_parallel_matches_sequential() {
-        let (seq_ctx, seq_table) = hybrid_fixture();
-        let p = parts(None, None);
-        let expected = hybrid_scan(&seq_ctx, &p.spec(), &seq_table).unwrap();
-
-        let (mut par_ctx, par_table) = hybrid_fixture();
-        par_ctx.config.parallelism = 4;
-        let got = hybrid_scan(&par_ctx, &p.spec(), &par_table).unwrap();
-        assert_eq!(expected, got);
-        assert_eq!(
-            seq_ctx.metrics.borrow().llm_calls(),
-            par_ctx.metrics.borrow().llm_calls()
-        );
-    }
-
-    #[test]
     fn weak_model_loses_rows() {
         let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::weak());
         let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
@@ -1695,6 +1330,18 @@ mod tests {
 
     #[test]
     fn parallel_scans_match_sequential_for_all_strategies() {
+        // The logical calls are recorded under each plan's own kind.
+        let kinds = |scan: Scan| match scan {
+            Scan::Llm(PromptStrategy::BatchedRows) => vec!["row_batch"],
+            Scan::Llm(PromptStrategy::DecomposedOperators) => {
+                vec!["enumerate", "filter_check", "lookup"]
+            }
+            Scan::Llm(_) => vec!["enumerate", "lookup"],
+            Scan::Hybrid => vec!["lookup"],
+        };
+        // What `accept` hands back reaches the ledger, so the comparisons of
+        // the moved counts below are not vacuous.
+        let (mut dropped, mut filled) = (0, 0);
         for scan in SCANS {
             for fidelity in [LlmFidelity::perfect(), LlmFidelity::medium()] {
                 let run = |parallelism: usize, batch_rows: usize| {
@@ -1705,6 +1352,11 @@ mod tests {
                     (rows.unwrap(), ctx.metrics.into_inner())
                 };
                 let (expected, seq) = run(1, 1);
+                assert!(seq.llm_calls_by_kind.keys().eq(kinds(scan)), "{scan:?}");
+                let delivered = seq.rows_from_llm + seq.rows_from_store;
+                assert_eq!(delivered, expected.len() as u64, "{scan:?}");
+                dropped += seq.dropped_lines;
+                filled += seq.cells_filled_by_llm;
                 for parallelism in [1, 2, 4, 8] {
                     for batch_rows in [1, 4] {
                         let at = format!("{scan:?} at parallelism {parallelism} x {batch_rows}");
@@ -1714,11 +1366,20 @@ mod tests {
                             seq.llm_calls_by_kind, m.llm_calls_by_kind,
                             "logical calls diverged: {at}"
                         );
+                        assert_eq!(seq.dropped_lines, m.dropped_lines, "drops diverged: {at}");
+                        assert_eq!(
+                            seq.cells_filled_by_llm, m.cells_filled_by_llm,
+                            "fills diverged: {at}"
+                        );
                         assert!(m.peak_in_flight >= 1);
                     }
                 }
             }
         }
+        assert!(
+            dropped > 0 && filled > 0,
+            "dropped {dropped}, filled {filled}"
+        );
     }
 
     // -----------------------------------------------------------------------
@@ -1836,45 +1497,9 @@ mod tests {
     /// `count` countries with populations 0, 1, 2, …, the first two named as
     /// the hybrid fixture's stored rows are.
     fn numbered_world(count: usize) -> Model {
-        let rows = (0..count).map(|i| {
-            let name = match i {
-                0 => "France".to_string(),
-                1 => "Japan".to_string(),
-                _ => format!("Country {i:03}"),
-            };
-            Row::new(vec![name.into(), "Europe".into(), Value::Int(i as i64)])
-        });
         let mut kb = KnowledgeBase::new();
-        kb.add_table(country_schema(), rows.collect());
+        kb.add_table(country_schema(), numbered_rows(count));
         Arc::new(SimLlm::new(kb.into_shared(), LlmFidelity::perfect(), 7))
-    }
-
-    /// `population < bound`.
-    fn lt_filter(bound: i64) -> BoundExpr {
-        BoundExpr::Binary {
-            left: Box::new(BoundExpr::col(2, "population", DataType::Int)),
-            op: llmsql_sql::ast::BinaryOp::Lt,
-            right: Box::new(BoundExpr::lit(bound)),
-        }
-    }
-
-    /// `population BETWEEN low AND high`.
-    fn between_filter(low: i64, high: i64) -> BoundExpr {
-        BoundExpr::Between {
-            expr: Box::new(BoundExpr::col(2, "population", DataType::Int)),
-            low: Box::new(BoundExpr::lit(low)),
-            high: Box::new(BoundExpr::lit(high)),
-            negated: false,
-        }
-    }
-
-    /// `region = 'Europe'`: every row of [`numbered_world`].
-    fn in_europe() -> BoundExpr {
-        BoundExpr::Binary {
-            left: Box::new(BoundExpr::col(1, "region", DataType::Text)),
-            op: llmsql_sql::ast::BinaryOp::Eq,
-            right: Box::new(BoundExpr::lit("Europe")),
-        }
     }
 
     /// The prompts a [`Probe`] was sent, sorted: the multiset a scan asked.
@@ -2119,80 +1744,6 @@ mod tests {
         }
     }
 
-    /// The `row_batch` prompt of page `index` of a scan in pages of `page`.
-    fn page_prompt(p: &SpecParts, page: usize, index: usize) -> String {
-        TaskSpec::RowBatch {
-            table: "countries".into(),
-            columns: p.schema.columns.iter().map(|c| c.name.clone()).collect(),
-            filter: p.spec().prompt_filter().unwrap(),
-            limit: page,
-            offset: index * page,
-        }
-        .to_prompt(Some(&p.schema))
-    }
-
-    #[test]
-    fn a_hinted_scan_past_its_estimate_opens_the_window_to_the_fanout() {
-        // 200 rows in pages of 10 at fanout 16, every row passing the pushed
-        // filter. The planner expects `BETWEEN` to keep a quarter of them
-        // (`W₀` = 5 pages) and `=` a tenth (`W₀` = 2). The first `W₀` pages
-        // answer at once, every later one only after the reactor has polled
-        // it 40 times, so no clock is involved. Read off the model's event
-        // log: by the time any page past `W₀` resolves, the first `W₀` have
-        // come back full and refuted the estimate, and the second round put
-        // every page the fanout allows in flight — `W₀ + 16`. For `BETWEEN`
-        // that is all 20 pages, two rounds where slow growth took three
-        // (5 + 10 + 5); for `=` it is 18 — 16 in flight behind the 2
-        // consumed — three rounds where slow growth took four (2 + 4 + 8 +
-        // 6).
-        const PAGE: usize = 10;
-        const FANOUT: usize = 16;
-        for (filter, first_window) in [(between_filter(0, 199), 5), (in_europe(), 2)] {
-            let expected_rows = estimate_scan_rows(200, usize::MAX, Some(&filter), None);
-            assert_eq!(
-                (expected_rows / PAGE as f64).ceil() as usize,
-                first_window,
-                "{filter}"
-            );
-            let p = parts(Some(filter), None);
-            let prompts: Vec<String> = (0..20).map(|i| page_prompt(&p, PAGE, i)).collect();
-            let late = prompts[first_window..].to_vec();
-            let (model, log) = Probe::over(numbered_world(200), true, move |prompt| {
-                if late.iter().any(|q| q == prompt) {
-                    Pace::Polls(40)
-                } else {
-                    AT_ONCE
-                }
-            });
-            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
-                c.batch_size = PAGE;
-                c.parallelism = FANOUT;
-            });
-            assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
-            assert_eq!(ctx.metrics.borrow().llm_calls(), 20);
-
-            let index = |prompt: &String| prompts.iter().position(|q| q == prompt).unwrap();
-            let log = log.lock();
-            let first_late_answer = log
-                .iter()
-                .position(|e| matches!(e, Event::Resolved(q) if index(q) >= first_window))
-                .unwrap();
-            let submitted: Vec<usize> = log[..first_late_answer]
-                .iter()
-                .filter_map(|event| match event {
-                    Event::Submitted(prompt) => Some(index(prompt)),
-                    Event::Resolved(_) => None,
-                })
-                .collect();
-            let second_round_ends = (first_window + FANOUT).min(20);
-            assert_eq!(
-                submitted,
-                (0..second_round_ends).collect::<Vec<_>>(),
-                "W₀ = {first_window}"
-            );
-        }
-    }
-
     #[test]
     fn a_straggler_holds_back_only_what_lies_a_window_behind_it() {
         // 20 pages of 2 at fanout 4; page 5 answers only after the reactor
@@ -2249,36 +1800,6 @@ mod tests {
                 "hint {hinted}"
             );
         }
-    }
-
-    #[test]
-    fn an_unhinted_scan_opens_at_one_page_and_doubles_each_round_trip() {
-        // 200 rows in pages of 10 at fanout 16, no cardinality hint, capped
-        // at 200 rows. Every page answers on the reactor's second poll of
-        // it, so each round trip's pages resolve together and no clock is
-        // involved: a round is a run of submissions between two answers in
-        // the model's event log. Slow start opens at one page and consumes
-        // each full page into two more — 1, 2, 4, 8, then the 5 the budget
-        // leaves.
-        let mut p = parts(None, None);
-        p.pushed_limit = Some(200);
-        let (model, log) = Probe::over(numbered_world(200), false, |_| Pace::Polls(1));
-        let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
-            c.batch_size = 10;
-            c.parallelism = 16;
-        });
-        assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 200);
-        let mut rounds: Vec<usize> = Vec::new();
-        let mut answered = true;
-        for event in log.lock().iter() {
-            match event {
-                Event::Submitted(_) if answered => rounds.push(1),
-                Event::Submitted(_) => *rounds.last_mut().unwrap() += 1,
-                Event::Resolved(_) => {}
-            }
-            answered = matches!(event, Event::Resolved(_));
-        }
-        assert_eq!(rounds, [1, 2, 4, 8, 5]);
     }
 
     #[test]

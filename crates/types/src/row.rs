@@ -1,8 +1,9 @@
 //! Rows and row batches.
 //!
-//! The executor is a pull-based iterator over [`Row`]s; batches are used at
-//! the edges (result sets, LLM completions parsed into groups of rows) where
-//! materialization is natural.
+//! The executor is not an iterator: it runs one operator at a time, and each
+//! operator returns its whole output as a materialized `Vec<Row>` that the
+//! operator above consumes. A [`Batch`] is such a vector together with its
+//! schema: a query's result set.
 
 use std::fmt;
 
