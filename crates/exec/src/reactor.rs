@@ -38,17 +38,20 @@
 //!   their turn comes.
 //! * **wake-ups** — the loop keeps no timer state of its own. Every round
 //!   visits every live operation anyway, so it reads each survivor's
-//!   [`Completion::next_wakeup`] there and sleeps until the earliest;
+//!   [`Completion::next_wakeup`] there and parks until the earliest;
 //!   nothing is armed and nothing is cancelled, so a completed call cannot
 //!   leave a stale wakeup behind. Backoff, hedge-arm and simulated-latency
-//!   deadlines all reach the loop this one way. So does waiting on another
-//!   *query*: an operation blocked on a call slot or on a coalescing leader
-//!   stores a short retry deadline and is re-polled when that is due —
-//!   nothing wakes it sooner.
+//!   deadlines all reach the loop this one way. Waiting on another *query*
+//!   does not: an operation blocked on a call slot or on a coalescing
+//!   leader reports no wake-up, having registered the loop's thread with
+//!   the slot pool or the coalescing entry, and the release or publish that
+//!   unblocks it unparks the thread ([`clock::park_until`]). No poll period
+//!   stands in for that wake-up, so a paused loop waiting on a real-clock
+//!   thread moves no virtual time.
 //! * **completion cascades** — finishing one operation can unblock another
 //!   (dropping a slot permit frees capacity a parked operation is waiting
 //!   for), so after any completion the loop re-polls every due operation
-//!   before sleeping again.
+//!   before parking again.
 //! * **cancellation / who owns the slot guard** — the *operation* owns its
 //!   slot permit (acquired through its admission gate, held for exactly one
 //!   dispatch, released on resolution). The loop owns nothing besides:
@@ -61,7 +64,7 @@
 //!   calls are parked mid-flight, which is what bounds a late query's
 //!   overhang to what it already had in flight.
 //!
-//! The loop never spins; [`LiveSet::wait_head`] states the sleep rule.
+//! The loop never spins; [`LiveSet::wait_head`] states the park rule.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -75,12 +78,15 @@ pub trait Completion {
     fn poll(&mut self, now: Instant) -> bool;
 
     /// The earliest instant at which another [`Completion::poll`] can make
-    /// progress, or `None` for "poll me immediately".
+    /// progress: a timer. `None` after a poll that made no progress means
+    /// the operation is blocked on state another thread changes, and that
+    /// it registered the polling thread to be unparked when it does
+    /// ([`clock::park_until`]); it never means "poll me again soon".
     ///
-    /// Must be derived from *stored* state (a flight's ready time, a parked
-    /// retry deadline set when parking). Returning `now + δ` unconditionally
-    /// makes the wakeup recede forever — the loop's due-check would never
-    /// find the operation due, and it would never be polled again.
+    /// Must be derived from *stored* state (a flight's ready time, a backoff
+    /// deadline). Returning `now + δ` unconditionally makes the wakeup
+    /// recede forever — the loop's due-check would never find the operation
+    /// due, and it would never be polled again.
     fn next_wakeup(&self, now: Instant) -> Option<Instant>;
 }
 
@@ -94,9 +100,8 @@ pub enum DriveOutcome {
     DeadlineExceeded,
 }
 
-/// [`TimerWheel`] granularity: fine enough that sub-millisecond backoffs and
-/// follower retries are not rounded into oblivion, coarse enough that the
-/// wheel stays tiny.
+/// [`TimerWheel`] granularity: fine enough that sub-millisecond backoffs are
+/// not rounded into oblivion, coarse enough that the wheel stays tiny.
 const TICK: Duration = Duration::from_micros(250);
 
 /// Wheel size. With 250µs ticks one revolution covers 64ms — longer
@@ -104,12 +109,9 @@ const TICK: Duration = Duration::from_micros(250);
 /// tick).
 const WHEEL_SLOTS: usize = 256;
 
-/// Sleep floor: below this, yielding to the OS costs more than it saves.
+/// Floor of a timer wait: below this, yielding to the OS costs more than it
+/// saves.
 const MIN_SLEEP: Duration = Duration::from_micros(50);
-
-/// How long an "immediately pollable but unproductive" operation may delay
-/// the next poll round: it is blocked on state another thread will change.
-const IMMEDIATE_RETRY: Duration = Duration::from_micros(250);
 
 /// Identifies one armed timer; returned by [`TimerWheel::arm`] and required
 /// for [`TimerWheel::cancel`]. Kept, like the wheel, for the benchmark's
@@ -316,11 +318,10 @@ impl<C: Completion> LiveSet<C> {
     /// [`Expired`] and stays where it is: dropping the set is the
     /// cancellation.
     ///
-    /// The sleep rule: poll every due operation; after any completion go
-    /// round again; otherwise sleep until the earliest wakeup the survivors
-    /// report (`IMMEDIATE_RETRY` from now for one that says "immediately"
-    /// yet did not resolve) or the deadline — never for less than
-    /// `MIN_SLEEP`.
+    /// The park rule: poll every due operation; after any completion go
+    /// round again; otherwise park until the earliest timer the survivors
+    /// report or the deadline — never for less than `MIN_SLEEP` — or, with
+    /// neither, until a thread an operation waits on unparks this one.
     pub fn wait_head(&mut self, deadline: Option<Instant>) -> Option<Result<C, Expired>> {
         loop {
             if self.ops.front()?.done {
@@ -343,16 +344,16 @@ impl<C: Completion> LiveSet<C> {
             if progressed {
                 continue;
             }
-            let until = self
+            let timer = self
                 .ops
                 .iter()
                 .filter(|live| !live.done)
-                .map(|live| live.op.next_wakeup(now).unwrap_or(now + IMMEDIATE_RETRY))
+                .filter_map(|live| live.op.next_wakeup(now))
                 .chain(deadline)
-                .min()
-                // Unreachable: the unresolved head is live.
-                .unwrap_or(now + IMMEDIATE_RETRY);
-            clock::sleep_until(clock::now() + until.saturating_duration_since(now).max(MIN_SLEEP));
+                .min();
+            clock::park_until(
+                timer.map(|t| clock::now() + t.saturating_duration_since(now).max(MIN_SLEEP)),
+            );
         }
     }
 }
@@ -450,7 +451,7 @@ mod tests {
         let deadline = clock::now() + Duration::from_millis(3);
         wheel.arm(deadline);
         while wheel.advance(clock::now()).is_empty() {
-            clock::sleep_until(clock::now() + Duration::from_micros(200));
+            clock::park_until(Some(clock::now() + Duration::from_micros(200)));
         }
         assert_eq!(clock::now(), deadline);
     }
@@ -515,16 +516,14 @@ mod tests {
     }
 
     /// Two ops sharing one "slot": the second can only proceed once the
-    /// first completes — exercising the completion-cascade re-poll.
+    /// first completes — exercising the completion-cascade re-poll. A
+    /// blocked op reports no wake-up; the cascade alone re-polls it.
     #[test]
     fn drive_cascades_completions_that_unblock_parked_ops() {
         struct SlotOp<'a> {
             slot_free: &'a Cell<bool>,
             holds: bool,
             ready_at: Option<Instant>,
-            /// Absolute retry deadline while parked (per the
-            /// [`Completion::next_wakeup`] contract: stored, not `now + δ`).
-            retry_at: Option<Instant>,
             latency: Duration,
             done: bool,
         }
@@ -535,7 +534,6 @@ mod tests {
                 }
                 if !self.holds {
                     if !self.slot_free.get() {
-                        self.retry_at = Some(now + Duration::from_micros(250));
                         return false;
                     }
                     self.slot_free.set(false);
@@ -549,11 +547,7 @@ mod tests {
                 self.done
             }
             fn next_wakeup(&self, _now: Instant) -> Option<Instant> {
-                if self.holds {
-                    self.ready_at
-                } else {
-                    self.retry_at
-                }
+                self.ready_at
             }
         }
         let slot_free = Cell::new(true);
@@ -562,7 +556,6 @@ mod tests {
                 slot_free: &slot_free,
                 holds: false,
                 ready_at: None,
-                retry_at: None,
                 latency: Duration::from_millis(5),
                 done: false,
             },
@@ -570,7 +563,6 @@ mod tests {
                 slot_free: &slot_free,
                 holds: false,
                 ready_at: None,
-                retry_at: None,
                 latency: Duration::from_millis(5),
                 done: false,
             },
@@ -580,8 +572,8 @@ mod tests {
         assert_eq!(drive(&mut ops, None), DriveOutcome::Completed);
         assert!(ops.iter().all(|op| op.done));
         assert!(slot_free.get(), "slot leaked");
-        // The second op takes the slot on the retry that falls due at the
-        // instant the first frees it, so the two run back to back.
+        // The second op takes the slot in the round in which the first frees
+        // it, so the two run back to back.
         assert_eq!(clock::now() - start, Duration::from_millis(10));
     }
 

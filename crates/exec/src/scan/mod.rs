@@ -1191,7 +1191,7 @@ mod tests {
             let ctx = context_over(sim(LlmFidelity::perfect(), 7), strategy, |c| {
                 c.deadline_ms = Some(2.0);
             });
-            clock::sleep_until(clock::now() + std::time::Duration::from_millis(5));
+            clock::park_until(Some(clock::now() + std::time::Duration::from_millis(5)));
             let err = llm_scan(&ctx, &parts(None, None).spec()).unwrap_err();
             assert_eq!(
                 err.kind,
@@ -1403,7 +1403,7 @@ mod tests {
         /// This long after the request was submitted.
         After(Duration),
         /// Once the reactor has polled the request this many times — a
-        /// straggler that owes nothing to the wall clock.
+        /// straggler that owes nothing to the wall clock, always due.
         Polls(usize),
     }
 
@@ -1489,7 +1489,7 @@ mod tests {
         fn next_wakeup(&self, _now: Instant) -> Option<Instant> {
             match self.pace {
                 Pace::After(delay) => Some(self.submitted + delay),
-                Pace::Polls(_) => None,
+                Pace::Polls(_) => Some(self.submitted),
             }
         }
     }

@@ -8,10 +8,12 @@
 //!   same line or within the four lines above it. Applies to *all* code,
 //!   tests included: orderings in stress tests encode invariants too.
 //! - `banned-time` — `Instant::now`, `.elapsed()` (which is `Instant::now()
-//!   - self`) and `thread::sleep` are banned in non-test library code outside
-//!   the one clock module ([`TIME_ALLOWLIST`]). A clock read anywhere else is
-//!   a test that cannot pause time and has to sleep; read and wait through
-//!   `llmsql_types::clock` instead.
+//!   - self`), `thread::sleep`, `thread::park` / `park_timeout` and
+//!   `Condvar` are banned in non-test library code outside the one clock
+//!   module ([`TIME_ALLOWLIST`]). A clock read anywhere else is a test that
+//!   cannot pause time and has to sleep, and a wait anywhere else is one a
+//!   paused or deployment clock cannot see; read through `clock::now` and
+//!   wait through `clock::park_until` instead.
 //! - `panic-in-lib` — `.unwrap()` / `.expect(` / `println!` are banned in
 //!   non-test library code. Library errors flow through `llmsql_types::
 //!   Result`; stdout belongs to bins and benches.
@@ -45,9 +47,9 @@ pub const RULE_PANIC_IN_LIB: &str = "panic-in-lib";
 pub const RULE_FLOAT_ORDERING: &str = "float-ordering";
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 
-/// The only library files allowed to read the wall clock or sleep: the one
-/// clock, whose `now` / `sleep_until` everything else goes through (and
-/// which a test can pause).
+/// The only library files allowed to read the wall clock or block a thread:
+/// the one clock, whose `now` / `park_until` everything else goes through
+/// (and which a test can pause).
 pub const TIME_ALLOWLIST: &[&str] = &["crates/types/src/clock.rs"];
 
 /// Atomic ordering variants that require justification. `cmp::Ordering`
@@ -183,16 +185,23 @@ fn marker_coverage(lines: &[Line], marker: &str) -> Vec<bool> {
     covered
 }
 
-/// Wall-clock reads and blocking sleeps outside the clock module.
+/// What reads the wall clock or blocks a thread, outside the clock module.
+const BANNED_TIME: &[&str] = &[
+    "Instant::now",
+    ".elapsed()",
+    "thread::sleep",
+    "thread::park",
+    "park_timeout",
+    "Condvar",
+];
+
+/// Wall-clock reads and thread waits outside the clock module.
 fn check_banned_time(rel_path: &str, lines: &[Line], out: &mut Vec<Violation>) {
     for line in lines {
         if line.in_test {
             continue;
         }
-        let hit = line.code.contains("Instant::now")
-            || line.code.contains(".elapsed()")
-            || line.code.contains("thread::sleep");
-        if hit {
+        if BANNED_TIME.iter().any(|banned| line.code.contains(banned)) {
             out.push(Violation {
                 rule: RULE_BANNED_TIME,
                 file: rel_path.to_string(),
@@ -336,6 +345,13 @@ mod tests {
         assert!(check_file("crates/x/src/a.rs", src).is_empty());
         let lib = "fn f() { thread::sleep(d); }\n";
         assert_eq!(check_file("crates/x/src/a.rs", lib).len(), 1);
+        for wait in [
+            "thread::park();",
+            "park_timeout(d);",
+            "let c = Condvar::new();",
+        ] {
+            assert_eq!(check_file("crates/x/src/a.rs", wait).len(), 1, "{wait}");
+        }
         assert!(check_file("tests/foo.rs", lib).is_empty());
         assert!(
             check_file("crates/types/src/clock.rs", lib).is_empty(),

@@ -40,6 +40,19 @@ fn bad_sleep_is_flagged() {
 }
 
 #[test]
+fn bad_wait_is_flagged() {
+    let src = include_str!("fixtures/bad_wait.rs");
+    assert_eq!(lint_as_lib(src), vec![RULE_BANNED_TIME]);
+    let lines: Vec<usize> = check_file("crates/fixture/src/module.rs", src)
+        .into_iter()
+        .map(|v| v.line)
+        .collect();
+    // The import, the parameter, the park and the timed park.
+    assert_eq!(lines, vec![3, 5, 13, 14]);
+    assert!(check_file("crates/types/src/clock.rs", src).is_empty());
+}
+
+#[test]
 fn bad_instant_is_flagged() {
     assert_eq!(
         lint_as_lib(include_str!("fixtures/bad_instant.rs")),

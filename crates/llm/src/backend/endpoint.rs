@@ -44,7 +44,10 @@ pub trait CallMachine: Send {
     fn poll(&mut self, now: Instant) -> Option<Result<CompletionResponse>>;
 
     /// The earliest instant at which [`CallMachine::poll`] can make further
-    /// progress, or `None` when it should be polled immediately.
+    /// progress. `None` after a poll that made no progress means the machine
+    /// waits on another thread, which unparks the polling one
+    /// (`llmsql_types::clock::park_until`); before the first poll and after
+    /// the result it means "nothing to wait for".
     fn next_wakeup(&self, now: Instant) -> Option<Instant>;
 
     /// What this call has done so far on each backend it was routed over,
@@ -121,7 +124,8 @@ impl CallHandle {
         }
     }
 
-    /// When the next [`CallHandle::poll`] can make progress (`None` = now).
+    /// When the next [`CallHandle::poll`] can make progress, read as
+    /// [`CallMachine::next_wakeup`] is.
     pub fn next_wakeup(&self, now: Instant) -> Option<Instant> {
         match &self.inner {
             HandleInner::Ready(_) => None,

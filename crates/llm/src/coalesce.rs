@@ -8,7 +8,8 @@
 //! on the entry and receive the leader's successful response — the same
 //! `Arc<CompletionResponse>` the leader returns and its cache holds, never a
 //! copy of the text — zero physical calls, while each query still records
-//! its own *logical* call. This is the only in-flight table there is: a
+//! its own *logical* call. A follower registers its thread on the entry, and
+//! resolving the entry wakes every registered thread. This is the only in-flight table there is: a
 //! cached client owns a private one, so the waves of one query never pay
 //! twice for one prompt, and a scheduler swaps in one table for the whole
 //! deployment (`LlmClient::set_coalescer`), which lifts the same dedup
@@ -37,7 +38,7 @@
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use llmsql_types::Result;
+use llmsql_types::{clock, Result};
 use parking_lot::Mutex;
 
 use crate::key::{KeyMap, RequestKey};
@@ -46,8 +47,9 @@ use crate::model::CompletionResponse;
 /// The state of one in-flight coalescing entry. Followers hold an `Arc` to
 /// it and poll; the leader resolves it exactly once.
 enum EntryState {
-    /// The leader's physical call is still in flight.
-    Pending,
+    /// The leader's physical call is still in flight; the threads of the
+    /// followers that found it so wait to be woken when it resolves.
+    Pending(Vec<clock::Unparker>),
     /// The leader completed successfully; followers share this response.
     Done(Arc<CompletionResponse>),
     /// The leader failed or was dropped. Followers must re-claim the key
@@ -62,7 +64,8 @@ pub struct CoalesceEntry {
 
 /// What a follower observed when polling its entry.
 pub enum FollowerPoll {
-    /// The leader is still in flight; poll again later.
+    /// The leader is still in flight; the calling thread is woken when it
+    /// resolves.
     Pending,
     /// The leader succeeded: here is its response, shared.
     Ready(Arc<CompletionResponse>),
@@ -71,10 +74,14 @@ pub enum FollowerPoll {
 }
 
 impl CoalesceEntry {
-    /// Non-blocking follower poll.
+    /// Non-blocking follower poll. A pending entry registers the calling
+    /// thread, to be unparked when the entry resolves.
     pub fn poll(&self) -> FollowerPoll {
-        match &*self.state.lock() {
-            EntryState::Pending => FollowerPoll::Pending,
+        match &mut *self.state.lock() {
+            EntryState::Pending(waiters) => {
+                clock::enlist(waiters);
+                FollowerPoll::Pending
+            }
             EntryState::Done(response) => FollowerPoll::Ready(Arc::clone(response)),
             EntryState::Abandoned => FollowerPoll::Abandoned,
         }
@@ -120,7 +127,7 @@ impl PromptCoalescer {
             Entry::Occupied(flight) => Claim::Follower(Arc::clone(flight.get())),
             Entry::Vacant(free) => {
                 let entry = Arc::new(CoalesceEntry {
-                    state: Mutex::new(EntryState::Pending),
+                    state: Mutex::new(EntryState::Pending(Vec::new())),
                 });
                 let key = free.key().clone();
                 free.insert(Arc::clone(&entry));
@@ -150,12 +157,15 @@ impl PromptCoalescer {
         self.entries.lock().len()
     }
 
-    /// Unlink `key` and resolve `entry` to `state`.
+    /// Unlink `key`, resolve `entry` to `state` and wake its followers.
     fn resolve(&self, key: &RequestKey, entry: &CoalesceEntry, state: EntryState) {
         // Unlink first so late claimants start a fresh flight rather than
         // following a resolved entry (coalescing is not a cache).
         self.entries.lock().remove(key);
-        *entry.state.lock() = state;
+        let resolved = std::mem::replace(&mut *entry.state.lock(), state);
+        if let EntryState::Pending(waiters) = resolved {
+            waiters.iter().for_each(clock::Unparker::unpark);
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -313,29 +313,17 @@ impl LlmClient {
     }
 }
 
-/// How soon a single-flight follower re-checks its leader's entry, and how
-/// soon a slot-starved call re-consults the admission gate. An event loop
-/// re-polls an operation only once its stored wake-up is *due* — a
-/// completion elsewhere, in the same loop or another thread's, wakes nobody
-/// — so this is the bound on how late a follower or a slot waiter notices,
-/// in every deployment shape.
-const CLIENT_CALL_RETRY: Duration = Duration::from_micros(500);
-
 /// Which phase of its life a [`ClientCall`] is in.
 enum CcState {
     /// Not yet dispatched: check the cache, claim single-flight leadership.
     Start,
     /// An identical request is in flight (on this client or, with a
-    /// deployment-scope table, on another client/query); poll the shared
-    /// entry at `retry_at` for its fanned-out result.
-    Follower {
-        entry: Arc<CoalesceEntry>,
-        retry_at: Instant,
-    },
-    /// Leader without a permit: the admission gate said "no capacity";
-    /// re-consult it at `retry_at` (absolute, so the event loop's due-check
-    /// actually comes due).
-    AwaitingSlot { retry_at: Instant },
+    /// deployment-scope table, on another client/query); the shared entry
+    /// wakes this thread when the leader's flight resolves.
+    Follower(Arc<CoalesceEntry>),
+    /// Leader without a permit: the admission gate said "no capacity", and
+    /// wakes this thread when it may have some.
+    AwaitingSlot,
     /// Dispatched to the model: the call's handle is resolving.
     InFlight,
     /// Resolved (result already handed out).
@@ -359,10 +347,13 @@ enum CcState {
 ///   that fails abandons the entry and followers re-claim, so error and
 ///   retry semantics per query are unchanged.
 /// * The gate is consulted only when this call leads (or does no dedup) and
-///   a real dispatch is imminent; a `None` verdict parks the call (the gate
-///   is re-consulted on later polls), a permit is held until the model
-///   resolves and released with the call — the call owns the slot guard for
-///   exactly the dispatch it gates.
+///   a real dispatch is imminent; a `None` verdict parks the call until the
+///   gate wakes the polling thread (a [`crate::CallSlots`] release does), a
+///   permit is held until the model resolves and released with the call —
+///   the call owns the slot guard for exactly the dispatch it gates.
+/// * A call that waits on another — its leader, or the gate — reports no
+///   wake-up ([`ClientCall::next_wakeup`] is `None`): it is blocked until
+///   that other call's thread unparks this one, never polled on a timer.
 /// * Dropping the call mid-flight abandons its leadership (so followers
 ///   elect a new leader instead of waiting forever) and releases the
 ///   permit; the model-side flight is abandoned.
@@ -391,8 +382,9 @@ pub struct ClientCall {
 impl ClientCall {
     /// Attempt progress. `gate` is the admission gate: called right before a
     /// real dispatch; `Some(permit)` admits (the permit is held for the
-    /// flight), `None` parks the call until a later poll. Returns the final
-    /// result exactly once; `None` while pending.
+    /// flight), `None` parks the call, and the gate must then unpark the
+    /// calling thread when capacity may be free. Returns the final result
+    /// exactly once; `None` while pending.
     pub fn poll(
         &mut self,
         now: Instant,
@@ -427,22 +419,16 @@ impl ClientCall {
                                     continue;
                                 }
                                 Claim::Follower(entry) => {
-                                    self.state = CcState::Follower {
-                                        entry,
-                                        retry_at: now + CLIENT_CALL_RETRY,
-                                    };
-                                    return None;
+                                    self.state = CcState::Follower(entry);
+                                    continue;
                                 }
                             }
                         }
                     }
-                    self.state = CcState::AwaitingSlot { retry_at: now };
+                    self.state = CcState::AwaitingSlot;
                 }
-                CcState::Follower { entry, retry_at } => match entry.poll() {
-                    FollowerPoll::Pending => {
-                        *retry_at = now + CLIENT_CALL_RETRY;
-                        return None;
-                    }
+                CcState::Follower(entry) => match entry.poll() {
+                    FollowerPoll::Pending => return None,
                     FollowerPoll::Ready(response) => {
                         // Served from another call's flight: no physical
                         // call, no usage record — only the leader pays.
@@ -460,19 +446,11 @@ impl ClientCall {
                         self.state = CcState::Start;
                     }
                 },
-                CcState::AwaitingSlot { .. } => match gate() {
-                    Some(permit) => {
-                        self.permit = Some(permit);
-                        self.handle = Some(self.client.model.submit(&self.request));
-                        self.state = CcState::InFlight;
-                    }
-                    None => {
-                        self.state = CcState::AwaitingSlot {
-                            retry_at: now + CLIENT_CALL_RETRY,
-                        };
-                        return None;
-                    }
-                },
+                CcState::AwaitingSlot => {
+                    self.permit = Some(gate()?);
+                    self.handle = Some(self.client.model.submit(&self.request));
+                    self.state = CcState::InFlight;
+                }
                 CcState::InFlight => {
                     // The one allocation of an answer: the cache entry, the
                     // followers and the caller all share it from here.
@@ -500,14 +478,13 @@ impl ClientCall {
         }
     }
 
-    /// When the next [`ClientCall::poll`] can make progress (`None` = now).
+    /// When the next [`ClientCall::poll`] can make progress: the flight's
+    /// timer, or `None` while the call waits for another thread to unpark
+    /// it (see the type's contract).
     pub fn next_wakeup(&self, now: Instant) -> Option<Instant> {
         match &self.state {
-            CcState::Start | CcState::Done => None,
-            CcState::Follower { retry_at, .. } | CcState::AwaitingSlot { retry_at } => {
-                Some(*retry_at)
-            }
             CcState::InFlight => self.handle.as_ref()?.next_wakeup(now),
+            _ => None,
         }
     }
 
@@ -550,8 +527,9 @@ impl ClientCall {
 
 /// Run `step` until it yields a value. Each call either finishes (`Ok`) or
 /// reports when polling can next make progress (`Err(wakeup)`; `None` means
-/// "poll again now"); the thread sleeps on the clock to that wakeup in
-/// between. This is how [`ClientCall::wait`] and [`CallHandle::wait`] block.
+/// when another thread unparks this one); the thread parks on the clock
+/// until then. This is how [`ClientCall::wait`] and [`CallHandle::wait`]
+/// block.
 pub(crate) fn block_on<T>(
     mut step: impl FnMut(Instant) -> std::result::Result<T, Option<Instant>>,
 ) -> T {
@@ -559,7 +537,7 @@ pub(crate) fn block_on<T>(
         let now = clock::now();
         match step(now) {
             Ok(value) => return value,
-            Err(wakeup) => clock::sleep_until(wakeup.unwrap_or(now)),
+            Err(wakeup) => clock::park_until(wakeup),
         }
     }
 }
@@ -833,7 +811,7 @@ mod tests {
                         if let Some(result) = call.poll(Instant::now(), &mut gate) {
                             break result.unwrap();
                         }
-                        std::thread::sleep(Duration::from_micros(200));
+                        std::thread::sleep(std::time::Duration::from_micros(200));
                     }
                 });
             }

@@ -14,7 +14,13 @@
 //! * A slot is held only for the duration of one dispatched model request
 //!   and released on every exit path (RAII guard), so waiting for a slot
 //!   cannot deadlock: some holder is always inside a completion that
-//!   finishes, and whoever waits polls it.
+//!   finishes.
+//! * A thread that finds no slot free is registered, under the pool's lock,
+//!   as a waiter, and parks ([`llmsql_types::clock::park_until`]). Every
+//!   release wakes every registered thread: a waiter may have been
+//!   cancelled since it registered, and waking only it would strand the
+//!   rest. Each thread is registered once, so the list is no longer than
+//!   the number of threads that dispatch.
 //! * Slot acquisition throttles *when* a planned prompt is sent, never
 //!   *whether* — prompt planning happens before acquisition, so a query's
 //!   prompt set, row output and logical call count are byte-identical with
@@ -24,16 +30,17 @@
 //!   visible per query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use llmsql_types::clock;
+use parking_lot::Mutex;
 
 /// A counting semaphore over LLM-call slots. Cheap to share (`Arc`), fair
-/// enough for throttling (wakeups race; the OS picks the winner).
+/// enough for throttling: a release wakes every waiter, and the first to
+/// come back takes the slot.
 pub struct CallSlots {
     capacity: usize,
-    available: Mutex<usize>,
-    freed: Condvar,
+    free: Mutex<Free>,
     /// Highest number of slots ever held at once (global in-flight peak).
     peak_in_use: AtomicU64,
     /// Total acquisitions that had to block.
@@ -42,14 +49,22 @@ pub struct CallSlots {
     wait_us: AtomicU64,
 }
 
+/// The free slots and the threads waiting for one, under one lock.
+struct Free {
+    slots: usize,
+    waiters: Vec<clock::Unparker>,
+}
+
 impl CallSlots {
     /// Create a pool of `capacity` slots (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         CallSlots {
             capacity,
-            available: Mutex::new(capacity),
-            freed: Condvar::new(),
+            free: Mutex::new(Free {
+                slots: capacity,
+                waiters: Vec::new(),
+            }),
             peak_in_use: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
@@ -59,63 +74,47 @@ impl CallSlots {
     /// Block until a slot is free and take it. Returns the guard (releasing
     /// on drop) and how long the call blocked, in milliseconds.
     ///
-    /// Accounting only charges *real* waits: a condvar that wakes spuriously
-    /// with a slot already free, or an acquisition that never blocked at
-    /// all, contributes neither to `contended_acquisitions` nor to
+    /// Accounting only charges *real* waits: an acquisition that never
+    /// parked contributes neither to `contended_acquisitions` nor to
     /// `total_wait_ms` (both counters are monotone — they only ever
     /// `fetch_add` a non-negative measured duration).
     pub fn acquire(&self) -> (SlotGuard<'_>, f64) {
-        let mut available = self
-            .available
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut waited_us = 0u64;
-        if *available == 0 {
-            // Measure only the blocked portion, from the moment we found no
-            // slot free to the moment one was handed to us.
-            let start = clock::now();
-            available = self
-                .freed
-                .wait_while(available, |a| *a == 0)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            waited_us = (clock::now() - start).as_micros() as u64;
+        let mut blocked_since = None;
+        while !self.take() {
+            blocked_since.get_or_insert_with(clock::now);
+            clock::park_until(None);
         }
-        *available -= 1;
-        let in_use = (self.capacity - *available) as u64;
-        drop(available);
-        // ordering: Relaxed — in_use was computed under the mutex (which
-        // orders the slot handoff); these counters are advisory statistics
-        // layered on top, not synchronization.
-        self.peak_in_use.fetch_max(in_use, Ordering::Relaxed);
-        if waited_us > 0 {
-            // ordering: Relaxed — monotone statistics; see above.
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            self.wait_us.fetch_add(waited_us, Ordering::Relaxed);
-        }
+        let waited_us = blocked_since.map_or(0, |since| (clock::now() - since).as_micros() as u64);
+        self.record_blocked_wait(waited_us);
         (SlotGuard { pool: self }, waited_us as f64 / 1000.0)
     }
 
     /// Take a slot only if one is free right now, without blocking; the
     /// guard owns an `Arc` to the pool, so it can outlive the caller's
     /// stack frame (hedged requests hand it to a worker thread). Returns
-    /// `None` when the pool is saturated.
+    /// `None` when the pool is saturated, and then the next release wakes
+    /// the calling thread.
     pub fn try_acquire_owned(self: &Arc<Self>) -> Option<OwnedSlotGuard> {
-        let mut available = self
-            .available
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *available == 0 {
-            return None;
-        }
-        *available -= 1;
-        let in_use = (self.capacity - *available) as u64;
-        drop(available);
-        // ordering: Relaxed — statistic over a mutex-ordered value, as in
-        // acquire() above.
-        self.peak_in_use.fetch_max(in_use, Ordering::Relaxed);
-        Some(OwnedSlotGuard {
+        self.take().then(|| OwnedSlotGuard {
             pool: Arc::clone(self),
         })
+    }
+
+    /// Take a free slot, or register the calling thread as a waiter.
+    fn take(&self) -> bool {
+        let mut free = self.free.lock();
+        if free.slots == 0 {
+            clock::enlist(&mut free.waiters);
+            return false;
+        }
+        free.slots -= 1;
+        let in_use = (self.capacity - free.slots) as u64;
+        drop(free);
+        // ordering: Relaxed — in_use was computed under the mutex (which
+        // orders the slot handoff); these counters are advisory statistics
+        // layered on top, not synchronization.
+        self.peak_in_use.fetch_max(in_use, Ordering::Relaxed);
+        true
     }
 
     /// The configured slot count.
@@ -125,11 +124,7 @@ impl CallSlots {
 
     /// Slots currently held.
     pub fn in_use(&self) -> usize {
-        self.capacity
-            - *self
-                .available
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.capacity - self.free.lock().slots
     }
 
     /// Highest number of slots ever held at once.
@@ -144,18 +139,17 @@ impl CallSlots {
         self.contended.load(Ordering::Relaxed)
     }
 
-    /// Fold an externally measured blocked wait into the contention counters.
-    /// A scan waits for capacity by re-polling
-    /// [`CallSlots::try_acquire_owned`] from its event loop instead of blocking
-    /// in [`CallSlots::acquire`]; the time it spent parked must still show up
+    /// Fold a measured blocked wait into the contention counters. A scan
+    /// waits for capacity on its event loop, parked after a failed
+    /// [`CallSlots::try_acquire_owned`], rather than in
+    /// [`CallSlots::acquire`]; the time it spent parked must still show up
     /// in `contended_acquisitions` / `total_wait_ms`, or over-subscription
-    /// would be invisible. Zero
-    /// waits are ignored, keeping the "only real waits are charged"
-    /// invariant.
+    /// would be invisible. Zero waits are ignored, keeping the "only real
+    /// waits are charged" invariant.
     pub fn record_blocked_wait(&self, waited_us: u64) {
         if waited_us > 0 {
-            // ordering: Relaxed — monotone statistics, same contract as the
-            // counters charged in acquire().
+            // ordering: Relaxed — monotone statistics, same contract as
+            // peak_in_use in take().
             self.contended.fetch_add(1, Ordering::Relaxed);
             self.wait_us.fetch_add(waited_us, Ordering::Relaxed);
         }
@@ -168,14 +162,12 @@ impl CallSlots {
     }
 
     fn release(&self) {
-        let mut available = self
-            .available
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *available += 1;
-        debug_assert!(*available <= self.capacity);
-        drop(available);
-        self.freed.notify_one();
+        let mut free = self.free.lock();
+        free.slots += 1;
+        debug_assert!(free.slots <= self.capacity);
+        let waiters = std::mem::take(&mut free.waiters);
+        drop(free);
+        waiters.iter().for_each(clock::Unparker::unpark);
     }
 }
 
@@ -333,6 +325,43 @@ mod tests {
         assert_eq!(slots.peak_in_use(), 2);
         // Non-blocking acquisition is never counted as contention.
         assert_eq!(slots.contended_acquisitions(), 0);
+    }
+
+    #[test]
+    fn a_release_wakes_a_waiter_registered_behind_a_cancelled_one() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let slots = Arc::new(CallSlots::new(1));
+        let held = slots.try_acquire_owned().expect("the one slot is free");
+        // B finds the pool full, which registers it, and then goes away
+        // without looking again: a cancelled waiter.
+        let b = Arc::clone(&slots);
+        std::thread::spawn(move || assert!(b.try_acquire_owned().is_none()))
+            .join()
+            .unwrap();
+        // C registers behind B and parks until it holds a slot.
+        let (tx, rx) = channel();
+        let c = Arc::clone(&slots);
+        let waiter = std::thread::spawn(move || {
+            let mut registered = Some(tx.clone());
+            while c.try_acquire_owned().is_none() {
+                if let Some(registered) = registered.take() {
+                    registered.send("registered").unwrap();
+                }
+                clock::park_until(None);
+            }
+            tx.send("acquired").unwrap();
+        });
+        let hang = Duration::from_secs(10);
+        assert_eq!(rx.recv_timeout(hang), Ok("registered"));
+        drop(held);
+        assert_eq!(
+            rx.recv_timeout(hang),
+            Ok("acquired"),
+            "the release woke only the cancelled waiter"
+        );
+        waiter.join().unwrap();
+        assert_eq!(slots.in_use(), 0);
     }
 
     #[test]

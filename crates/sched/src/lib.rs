@@ -94,9 +94,13 @@
 //! [`llmsql_exec::CallSlots`] pool (which the backend pool's hedges draw on
 //! too), the prompt coalescer, and the backend pool's breakers and latency
 //! averages. A request waiting on another query — for a slot, or for a
-//! coalescing leader's answer — re-polls on a short stored retry deadline,
-//! and its waits surface in `SchedStats::total_slot_wait_ms` /
-//! `ExecMetrics::slot_wait_ms`.
+//! coalescing leader's answer — registers its worker's thread with the slot
+//! pool or the coalescing entry and parks; the release or publish that
+//! unblocks it unparks the thread (`llmsql_types::clock::park_until`). Its
+//! waits surface in `SchedStats::total_slot_wait_ms` /
+//! `ExecMetrics::slot_wait_ms`. Idle workers and ticket holders park and
+//! are unparked the same way, by `submit`, `resume`, shutdown and the
+//! worker that fulfils the ticket.
 //!
 //! Two optimizations take physical requests below logical calls, both
 //! accounted in [`SchedStats`]:

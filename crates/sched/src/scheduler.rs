@@ -1,12 +1,13 @@
 //! The scheduler's thread shell around the [`Queue`]: one mutex over the
-//! queue and the pause and shutdown flags, the workers that wait on its
-//! condvar, and the tickets. This is the crate's only clock reader: it reads
+//! queue, the pause and shutdown flags and the idle workers, the workers
+//! that park until `submit`, `resume` or shutdown wakes them, and the
+//! tickets. This is the crate's only clock reader: it reads
 //! `clock::now()` once per admission, pick and finish and hands the instant
 //! to the queue.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -27,13 +28,14 @@ struct Shared {
     queue: Queue<Work>,
     paused: bool,
     shutdown: bool,
+    /// Workers parked for want of work, each once.
+    idle: Vec<clock::Unparker>,
 }
 
 struct SchedCore {
     engine: Engine,
     slots: Arc<CallSlots>,
     state: Mutex<Shared>,
-    work: Condvar,
 }
 
 impl SchedCore {
@@ -123,8 +125,8 @@ impl QueryScheduler {
                 paused: config.start_paused,
                 shutdown: false,
                 queue: Queue::new(config, clock::now()),
+                idle: Vec::new(),
             }),
-            work: Condvar::new(),
         });
         let workers = (0..worker_count)
             .map(|i| {
@@ -200,8 +202,9 @@ impl QueryScheduler {
             return Err(Error::scheduler("scheduler is shutting down"));
         }
         let id = state.queue.admit(submission, clock::now())?;
+        let worker = state.idle.pop();
         drop(state);
-        self.core.work.notify_one();
+        worker.iter().for_each(clock::Unparker::unpark);
         Ok(QueryTicket {
             state: ticket,
             id,
@@ -213,8 +216,9 @@ impl QueryScheduler {
     /// [`llmsql_types::SchedConfig::start_paused`]: queued queries start
     /// executing. Idempotent.
     pub fn resume(&self) {
-        self.core.lock().paused = false;
-        self.core.work.notify_all();
+        let mut state = self.core.lock();
+        state.paused = false;
+        state.idle.drain(..).for_each(|worker| worker.unpark());
     }
 
     /// The scheduled engine (for catalog inspection, backend stats, ...).
@@ -241,18 +245,24 @@ impl Drop for QueryScheduler {
     fn drop(&mut self) {
         let mut state = self.core.lock();
         (state.shutdown, state.paused) = (true, false);
+        state.idle.drain(..).for_each(|worker| worker.unpark());
         drop(state);
-        self.core.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
+/// Pick and serve jobs until shutdown finds the queue empty. A worker with
+/// nothing to pick parks among the idle; whoever wakes it took it off that
+/// list, and a worker woken by anything else takes itself off, so a busy
+/// worker is never the one a submission wakes.
 fn worker_loop(core: &SchedCore) {
+    let me = clock::unparker();
     loop {
         let mut state = core.lock();
         let (picked, now) = loop {
+            state.idle.retain(|worker| *worker != me);
             if !state.paused {
                 let now = clock::now();
                 if let Some(picked) = state.queue.pick(now) {
@@ -262,7 +272,10 @@ fn worker_loop(core: &SchedCore) {
                     return;
                 }
             }
-            state = core.work.wait(state).unwrap_or_else(|e| e.into_inner());
+            state.idle.push(me.clone());
+            drop(state);
+            clock::park_until(None);
+            state = core.lock();
         };
         drop(state);
         serve(core, picked, now);

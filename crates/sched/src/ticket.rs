@@ -1,10 +1,10 @@
 //! Query tickets: the handle a submitter holds while the scheduler runs (or
 //! queues) their query, and the outcome it resolves to.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use llmsql_core::QueryResult;
-use llmsql_types::{Incomplete, Priority, Result, TenantId};
+use llmsql_types::{clock, Incomplete, Priority, Result, TenantId};
 
 /// Everything known about one scheduled query once it finished.
 #[derive(Debug, Clone)]
@@ -38,34 +38,42 @@ pub struct QueryOutcome {
 
 /// Shared slot the worker fulfills and the ticket holder waits on.
 pub(crate) struct TicketState {
-    outcome: Mutex<Option<QueryOutcome>>,
-    done: Condvar,
+    slot: Mutex<Slot>,
+}
+
+/// The outcome once it is in, and the thread parked waiting for it.
+#[derive(Default)]
+struct Slot {
+    outcome: Option<QueryOutcome>,
+    waiter: Option<clock::Unparker>,
 }
 
 impl TicketState {
     pub(crate) fn new() -> Arc<TicketState> {
         Arc::new(TicketState {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
+            slot: Mutex::default(),
         })
     }
 
     /// Deliver the outcome and wake the waiter. Called exactly once.
     pub(crate) fn fulfill(&self, outcome: QueryOutcome) {
-        let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(slot.is_none(), "ticket fulfilled twice");
-        *slot = Some(outcome);
-        drop(slot);
-        self.done.notify_all();
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        debug_assert!(slot.outcome.is_none(), "ticket fulfilled twice");
+        slot.outcome = Some(outcome);
+        if let Some(waiter) = slot.waiter.take() {
+            waiter.unpark();
+        }
     }
 
     fn wait(&self) -> QueryOutcome {
-        let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(outcome) = slot.take() {
+            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(outcome) = slot.outcome.take() {
                 return outcome;
             }
-            slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
+            slot.waiter = Some(clock::unparker());
+            drop(slot);
+            clock::park_until(None);
         }
     }
 }
