@@ -13,7 +13,10 @@
 //!   a deterministic fault schedule, with robustness invariants,
 //! * [`report`] — the paper's tables as typed cells, rendered as text,
 //! * [`reproduce`] — one function per table of the paper; the `reproduce`
-//!   binary prints them all.
+//!   binary prints them all,
+//! * [`virtual_latency`] — single-client scenarios on a paused clock: each
+//!   query's latency is its model time along the critical path; the
+//!   `virtual_latency` binary prints them.
 
 #![warn(missing_docs)]
 
@@ -22,6 +25,7 @@ pub mod harness;
 pub mod queries;
 pub mod report;
 pub mod reproduce;
+pub mod virtual_latency;
 pub mod world;
 
 pub use chaos::{
