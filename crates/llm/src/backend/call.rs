@@ -6,29 +6,37 @@
 //! (`backoff_base_ms × 2^attempt`, capped); a breaker-open candidate is
 //! skipped and an expired one gets a single probe. The first success wins;
 //! once every candidate is spent the last error is returned. With hedging
-//! on, the first poll keeps the policy's primary and sorts the rest by what
-//! the pool knows at that instant — breaker-closed first, then lowest
-//! decayed EWMA (sample-less last), then registration order — so the
-//! healthiest sibling is both the first failover stop and the hedge target.
-//! With hedging off the walk is the policy's order verbatim (so
-//! `PromptHash`'s physical trace stays a pure function of the prompt).
-//! Every attempt is counted once, in [`Flight::launch`] or
-//! [`Flight::harvest`], on the pool's counters and on the call's
-//! [`BackendReceipt`] together, so a query's share of the pool's counters is
-//! the sum of its calls' receipts.
+//! on, the first poll orders the walk by what the pool knows at that
+//! instant. Each member's health key is (breaker open, expected time to a
+//! success): its decayed latency EWMA ÷ (1 − its decayed failure share),
+//! sample-less last, then registration order. The policy's primary keeps
+//! its place and the rest follow in health order — unless the pool already
+//! expects the primary to be late: closed, sampled, and its expected time
+//! past the hedge threshold below. Then the primary takes its place in
+//! health order too, and the call's first attempt goes to a sibling instead
+//! of a doomed primary plus a hedge. Either way the healthiest sibling is
+//! both the first failover stop and the hedge target. With hedging off the
+//! walk is the policy's order verbatim (so `PromptHash`'s physical trace
+//! stays a pure function of the prompt). Every attempt is counted once, in
+//! [`Flight::launch`] or [`Flight::harvest`], on the pool's counters and on
+//! the call's [`BackendReceipt`] together, so a query's share of the pool's
+//! counters is the sum of its calls' receipts.
 //!
 //! **Hedging.** The first poll arms a timer at `multiplier × (lowest decayed
-//! EWMA among closed candidates)`, floored at `min_ms`, to cover the first
-//! launch; if it expires while that candidate still works, one duplicate
-//! goes to the next closed candidate. First success wins; the loser is
-//! dropped, and a beaten flight's time so far is folded into its backend's
-//! EWMA where it exceeds the estimate, so a member that only ever loses
-//! still gets sampled. A hedge fires only when hedging is on, some closed
-//! candidate has a sample, at least two are closed, and — when the pool
-//! gates hedges on call slots ([`super::BackendPool::set_hedge_slots`]; a
-//! scheduler does) — a slot is free at that instant, so a hedge only uses
-//! spare capacity; a veto disarms it for good. Text is the same whichever
-//! flight wins.
+//! latency EWMA among closed candidates)`, floored at `min_ms` — the hedge
+//! threshold — to cover the first launch; if it expires while that
+//! candidate still works, one duplicate goes to the next closed candidate.
+//! The timer is for the lateness the pool did not see coming: a primary it
+//! expects to be late does not launch first at all. First success wins; the
+//! loser is dropped, and a beaten flight's time so far is folded into its
+//! backend's EWMA where it exceeds the estimate, so a member that only ever
+//! loses still gets sampled. A member the walk passes over gets no samples,
+//! so its decayed estimate falls until it is tried again. A hedge fires only
+//! when hedging is on, some closed candidate has a sample, at least two are
+//! closed, and — when the pool gates hedges on call slots
+//! ([`super::BackendPool::set_hedge_slots`]; a scheduler does) — a slot is
+//! free at that instant, so a hedge only uses spare capacity; a veto
+//! disarms it for good. Text is the same whichever flight wins.
 //!
 //! **Transitions.** A call's state is its walk ([`Walk`], with the `pos` it
 //! stands on and the `attempt` ordinal there) and its hedge ([`Hedge`]).
@@ -430,8 +438,8 @@ impl PoolCall {
     }
 
     /// Order the candidates by what the pool knows at `now` — the decayed
-    /// EWMAs and the breakers — and say how long the first launch may run
-    /// before it is late (`None`: the call is not hedgeable).
+    /// health averages and the breakers — and say how long the first launch
+    /// may run before it is late (`None`: the call is not hedgeable).
     fn route(&mut self, now: Instant) -> Option<f64> {
         let now_ms = self.settings.ms(now);
         let ewma = |cand: &PoolCandidate| cand.member.decayed_ewma(now_ms);
@@ -449,19 +457,6 @@ impl PoolCall {
         if self.settings.hedge_multiplier <= 0.0 {
             return None;
         }
-        // Keep the primary; the rest by health. The key ends in the slot
-        // index, so the order is total and an unstable sort deterministic.
-        let health = |cand: &PoolCandidate| {
-            let open = !cand.member.breaker_closed();
-            (open, ewma(cand).unwrap_or(f64::INFINITY))
-        };
-        self.cands[1..].sort_unstable_by(|a, b| {
-            let ((open_a, ewma_a), (open_b, ewma_b)) = (health(a), health(b));
-            open_a
-                .cmp(&open_b)
-                .then(ewma_a.total_cmp(&ewma_b))
-                .then(a.index.cmp(&b.index))
-        });
         let (mut closed, mut floor_ms) = (0, f64::INFINITY);
         for cand in self.cands.iter().filter(|c| c.member.breaker_closed()) {
             closed += 1;
@@ -469,8 +464,35 @@ impl PoolCall {
                 floor_ms = floor_ms.min(ewma_ms);
             }
         }
-        (closed >= 2 && floor_ms.is_finite())
-            .then(|| (self.settings.hedge_multiplier * floor_ms).max(self.settings.hedge_min_ms))
+        let threshold_ms = (closed >= 2 && floor_ms.is_finite())
+            .then(|| (self.settings.hedge_multiplier * floor_ms).max(self.settings.hedge_min_ms));
+        // The primary launches first unless the pool already expects it to
+        // be late: closed, sampled, and its expected time to a success past
+        // the threshold. An open primary stays first, for the walk to skip
+        // or probe. The rest go by health; the key ends in the slot index,
+        // so the order is total and an unstable sort deterministic.
+        let primary = &self.cands[0].member;
+        let late = threshold_ms.is_some_and(|threshold_ms| {
+            primary.breaker_closed()
+                && primary
+                    .expected_ms(now_ms)
+                    .is_some_and(|expected_ms| expected_ms > threshold_ms)
+        });
+        let health = |cand: &PoolCandidate| {
+            let open = !cand.member.breaker_closed();
+            (
+                open,
+                cand.member.expected_ms(now_ms).unwrap_or(f64::INFINITY),
+            )
+        };
+        self.cands[usize::from(!late)..].sort_unstable_by(|a, b| {
+            let ((open_a, expected_a), (open_b, expected_b)) = (health(a), health(b));
+            open_a
+                .cmp(&open_b)
+                .then(expected_a.total_cmp(&expected_b))
+                .then(a.index.cmp(&b.index))
+        });
+        threshold_ms
     }
 
     /// Walk on from `cands[pos]`: skip the hedge's target (I3) and what the

@@ -2,12 +2,12 @@
 //! one endpoint ([`Backend`], the [`CallHandle`] an attempt returns,
 //! [`RemoteLlm`], [`DirectBackend`]); `pool.rs`, the members and what is
 //! known about them ([`BackendPool`]: routing policy, counters, breakers,
-//! latency averages); `call.rs`, one request's walk over the pool as a
+//! health averages); `call.rs`, one request's walk over the pool as a
 //! transition system ([`PoolCall`]), its invariants beside its transitions.
 //!
 //! **Time** enters the pool only as the `now` of a poll: the walk launches
 //! attempts at it ([`Backend::submit`] is handed it), measures latencies to
-//! it, and counts breaker cooldowns and EWMA staleness in milliseconds from
+//! it, and counts breaker cooldowns and health staleness in milliseconds from
 //! the pool's epoch to it. Nothing below the poll reads the clock, so a test
 //! drives a call on synthetic instants — submit, poll at
 //! [`CallMachine::next_wakeup`], never sleep — and names the instant it
@@ -37,7 +37,7 @@ pub use pool::{BackendPool, BackendReceipt, BackendStats};
 
 #[cfg(test)]
 mod tests {
-    use super::pool::{Admission, BreakerState};
+    use super::pool::{Admission, BreakerState, Member};
     use super::*;
     use crate::model::{CompletionRequest, CompletionResponse, LanguageModel};
     use crate::slots::CallSlots;
@@ -947,26 +947,25 @@ mod tests {
 
     #[test]
     fn hedge_fires_on_a_late_primary_and_the_fast_sibling_wins() {
-        let (_, pool) = pool_over(
-            &[
-                spec("slow").with_latency_ms(40.0),
-                spec("fast").with_latency_ms(1.0),
-            ],
-            RoutingPolicy::RoundRobin,
-        );
-        let pool = pool.with_hedging(3.0, 1.0);
+        // The slow member answers its warm-up in 2ms, so its estimate is
+        // under the 3ms threshold when it stalls for 40: the pool cannot see
+        // the stall coming, and only the hedge rescues the call.
+        let (backends, pool) =
+            adjustable_pool(&[("slow", 2), ("fast", 1)], RoutingPolicy::RoundRobin);
+        let pool = pool.with_backoff_base_ms(0.0).with_hedging(3.0, 1.0);
         let t0 = epoch(&pool);
         // Warm-up: round robin alternates, giving both backends an EWMA
         // sample. No hedge can fire before any sample exists (lateness is
         // undefined), so these take the plain walk.
         let (_, t1) = send(&pool, "w0", t0); // -> slow
         let (_, t2) = send(&pool, "w1", t1); // -> fast
-        assert_eq!((t1, t2), (t0 + ms(40), t0 + ms(41)));
+        assert_eq!((t1, t2), (t0 + ms(2), t0 + ms(3)));
         assert_eq!(total_hedges(&pool), 0);
         // This request starts on the slow backend, goes late at 3× the fast
         // EWMA and is hedged to the fast sibling, which answers 1ms later.
         // The completion text is identical either way (fingerprint equality),
         // so rows can never change.
+        backends[0].set_delay(40);
         let (resp, at) = send(&pool, "p", t2);
         assert_eq!(resp.unwrap().text, "m:p");
         assert_eq!(at, t2 + ms(3) + ms(1));
@@ -977,37 +976,19 @@ mod tests {
 
     #[test]
     fn hedge_gate_veto_and_permit_semantics() {
-        // The pool's hedges fit into a real call-slot pool of one slot.
-        let (_, pool) = pool_over(
-            &[
-                spec("slow").with_latency_ms(30.0),
-                spec("fast").with_latency_ms(1.0),
-            ],
-            RoutingPolicy::RoundRobin,
-        );
-        let pool = pool.with_hedging(3.0, 1.0);
+        // The pool's hedges fit into a real call-slot pool of one slot. The
+        // slow member answers its warm-up in 2ms and then stalls for 30, so
+        // each stall is unexpected: its estimate stays under the 3ms
+        // threshold (a beaten flight adds a 4ms lower bound, no more).
+        let (backends, pool) =
+            adjustable_pool(&[("slow", 2), ("fast", 1)], RoutingPolicy::RoundRobin);
+        let pool = pool.with_backoff_base_ms(0.0).with_hedging(3.0, 1.0);
         let slots = Arc::new(CallSlots::new(1));
         pool.set_hedge_slots(Some(Arc::clone(&slots)));
         let t0 = epoch(&pool);
         let (_, now) = send(&pool, "w0", t0); // -> slow
         let (_, now) = send(&pool, "w1", now); // -> fast
-
-        // Saturated: the late primary is simply waited out; no hedge.
-        let held = slots.try_acquire_owned().unwrap();
-        let (resp, at) = send(&pool, "vetoed", now);
-        assert_eq!(resp.unwrap().text, "m:vetoed");
-        assert_eq!(at, now + ms(30), "a vetoed hedge must not shorten the call");
-        assert_eq!(
-            total_hedges(&pool),
-            0,
-            "a saturated pool must veto the hedge"
-        );
-        assert_eq!(slots.in_use(), 1);
-        drop(held);
-
-        // Round-robin parity: this filler lands on the fast backend (no
-        // hedge), so the next request starts on the slow one again.
-        let (_, now) = send(&pool, "filler", at);
+        backends[0].set_delay(30);
 
         // Free: the hedge takes the slot when it fires, holds it for its whole
         // flight and gives it back when the call resolves.
@@ -1025,6 +1006,23 @@ mod tests {
         assert_eq!(at, now + ms(4));
         assert_eq!(slots.in_use(), 0, "the hedge's slot outlived it");
         assert_eq!(total_hedges(&pool), 1);
+
+        // Round-robin parity: this filler lands on the fast backend (no
+        // hedge), so the next request starts on the slow one again.
+        let (_, now) = send(&pool, "filler", at);
+
+        // Saturated: the late primary is simply waited out; no hedge.
+        let held = slots.try_acquire_owned().unwrap();
+        let (resp, at) = send(&pool, "vetoed", now);
+        assert_eq!(resp.unwrap().text, "m:vetoed");
+        assert_eq!(at, now + ms(30), "a vetoed hedge must not shorten the call");
+        assert_eq!(
+            total_hedges(&pool),
+            1,
+            "a saturated pool must veto the hedge"
+        );
+        assert_eq!(slots.in_use(), 1);
+        drop(held);
     }
 
     #[test]
@@ -1180,6 +1178,109 @@ mod tests {
     }
 
     #[test]
+    fn a_known_late_primary_sends_its_one_attempt_to_the_healthiest_sibling() {
+        // The primary's estimate (40ms) is already past the hedge threshold
+        // (3 × b2's 1ms): launching it first would buy a doomed flight plus a
+        // hedge. It takes its place in health order instead, and the call's
+        // one attempt goes to b2, answered at b2's latency with no hedge.
+        let (_, pool) = adjustable_pool(
+            &[("b0", 40), ("b1", 3), ("b2", 1), ("b3", 2)],
+            RoutingPolicy::CostAware, // static order: b0 is the primary
+        );
+        let pool = pool.with_hedging(3.0, 1.0);
+        let t0 = epoch(&pool);
+        for (slot, ms) in [(0, 40.0), (1, 3.0), (2, 1.0), (3, 2.0)] {
+            warm(&pool, slot, ms, t0);
+        }
+        let mut call = pool.submit_call(&CompletionRequest::new("x"));
+        assert!(call.poll(t0).is_none());
+        let walk: Vec<&str> = call.cands.iter().map(|c| c.member.backend.id()).collect();
+        assert_eq!(walk, ["b2", "b3", "b1", "b0"]);
+        let (resp, at) = run(&mut call, t0);
+        assert_eq!(resp.unwrap().text, "m:x");
+        assert_eq!(at, t0 + ms(1), "the known-late primary launched first");
+        let calls: Vec<u64> = pool.stats().iter().map(|s| s.calls).collect();
+        assert_eq!(calls, [0, 0, 1, 0]);
+        assert_eq!(total_hedges(&pool), 0);
+    }
+
+    #[test]
+    fn a_fast_member_that_fails_three_attempts_in_four_sorts_behind_a_healthy_slower_one() {
+        // `flaky` answers in 1ms but fails 3 attempts in 4, so a success
+        // there is expected to take 1 / (1 − share) ms — more than `steady`'s
+        // 2.5ms. The primary's breaker is open, so the call's first launch is
+        // the head of the health order: `steady`, answered at 2.5ms.
+        let (_, pool) = pool_over(
+            &[
+                spec("primary").with_latency_ms(1.0),
+                spec("flaky").with_latency_ms(1.0),
+                spec("steady").with_latency_ms(2.5),
+            ],
+            RoutingPolicy::CostAware, // static order: primary first
+        );
+        let pool = pool.with_breaker(3, 60_000.0).with_hedging(3.0, 1.0);
+        let t0 = epoch(&pool);
+        for (slot, ms) in [(0, 1.0), (1, 1.0), (2, 2.5)] {
+            warm(&pool, slot, ms, t0);
+        }
+        let flaky = &pool.members[1];
+        for _ in 0..4 {
+            flaky.record_success(1.0, 1.0, 0);
+            for _ in 0..3 {
+                flaky.record_error(0, 0, 0.0, false);
+            }
+        }
+        let expected = flaky.expected_ms(0).unwrap();
+        assert!(expected > 2.5, "flaky expects {expected}ms per success");
+        trip(&pool, 0, t0);
+        let mut call = pool.submit_call(&CompletionRequest::new("x"));
+        assert!(call.poll(t0).is_none());
+        let walk: Vec<&str> = call.cands.iter().map(|c| c.member.backend.id()).collect();
+        assert_eq!(walk, ["primary", "steady", "flaky"]);
+        let (resp, at) = run(&mut call, t0);
+        assert_eq!(resp.unwrap().text, "m:x");
+        assert_eq!(at, t0 + Duration::from_micros(2_500));
+        let calls: Vec<u64> = pool.stats().iter().map(|s| s.calls).collect();
+        assert_eq!(calls, [0, 0, 1]);
+    }
+
+    #[test]
+    fn a_diverted_primary_takes_its_prompts_back_once_its_estimate_decays() {
+        // b0 once measured 12ms, past the 3ms threshold (3 × b1's 1ms), so
+        // its prompts go to b1, which keeps sampling itself fresh. b0 gets no
+        // samples while diverted, so its estimate halves every 2s; the first
+        // call after it falls under the threshold launches on b0 again.
+        let (_, pool) = adjustable_pool(&[("b0", 2), ("b1", 1)], RoutingPolicy::CostAware);
+        let pool = pool.with_hedging(3.0, 1.0);
+        let t0 = epoch(&pool);
+        warm(&pool, 0, 12.0, t0);
+        warm(&pool, 1, 1.0, t0);
+        let (mut now, mut diverted) = (t0, 0);
+        loop {
+            let late = ewma_at(&pool, 0, now).unwrap() > 3.0 * ewma_at(&pool, 1, now).unwrap();
+            let before = pool.stats()[0].calls;
+            let prompt = format!("p{diverted}");
+            let (resp, at) = send(&pool, &prompt, now);
+            assert_eq!(resp.unwrap().text, format!("m:{prompt}"));
+            let on_b0 = pool.stats()[0].calls > before;
+            assert_eq!(on_b0, !late, "{prompt} at {:?}", now - t0);
+            assert_eq!(at, now + ms(if on_b0 { 2 } else { 1 }));
+            if on_b0 {
+                break;
+            }
+            diverted += 1;
+            now = at + ms(250);
+        }
+        // 12ms falls under 3 × b1's 250ms-idle 1ms (2.75ms) after 4.25s:
+        // the 18th call, at 17 × 251ms.
+        assert_eq!((diverted, now - t0), (17, ms(17 * 251)));
+        // b0's sample replaced the stale estimate: the next call stays.
+        let (_, at) = send(&pool, "again", now + ms(2 + 250));
+        assert_eq!(at, now + ms(2 + 250 + 2));
+        assert_eq!(total_hedges(&pool), 0);
+    }
+
+    #[test]
     fn a_short_circuited_primary_still_has_its_first_launch_hedged() {
         // The primary's breaker is open, so the walk's first launch is the
         // healthiest sibling — which stalls this once. The hedge timer must
@@ -1245,19 +1346,23 @@ mod tests {
 
     #[test]
     fn hedge_timer_vs_primary_completion_races_stay_consistent() {
-        // The primary's delay cycles 2..6ms around a threshold of 1× the moving
-        // EWMA, so across many calls some are won by the primary, some by the
-        // hedge, and some timers fire at the very instant the primary answers.
-        // Whatever happens: the response text is always correct, no call
-        // outlasts its primary, slots never leak, counters stay consistent and
-        // gauges drain to zero.
+        // The primary's delay cycles 2..6ms around a 4ms threshold (the
+        // floor), so across many calls some are won by the primary, some by
+        // the hedge, and some timers fire at the very instant the primary
+        // answers. Each call comes after 20s of idling, so every estimate
+        // has decayed far below the threshold: the primary's lateness is
+        // never expected, and it always launches first. Whatever happens:
+        // the response text is always correct, no call outlasts its
+        // primary, slots never leak, counters stay consistent and gauges
+        // drain to zero.
         let (backends, pool) = adjustable_pool(&[("p", 2), ("s", 2)], RoutingPolicy::CostAware);
-        let pool = pool.with_backoff_base_ms(0.0).with_hedging(1.0, 1.0);
+        let pool = pool.with_backoff_base_ms(0.0).with_hedging(1.0, 4.0);
         let slots = Arc::new(CallSlots::new(4));
         pool.set_hedge_slots(Some(Arc::clone(&slots)));
+        let idle = ms(10 * 2_000);
         let mut now = epoch(&pool);
         for prompt in ["warm-p", "warm-s"] {
-            now = send(&pool, prompt, now).1;
+            now = send(&pool, prompt, now).1 + idle;
         }
         for i in 0..60u64 {
             let delay = 2 + (i % 5);
@@ -1267,12 +1372,13 @@ mod tests {
             assert_eq!(resp.unwrap().text, format!("m:{prompt}"));
             assert!(at <= now + ms(delay), "race-{i} outlasted its primary");
             assert_eq!(slots.in_use(), 0, "race-{i} leaked its hedge's slot");
-            now = at;
+            now = at + idle;
         }
         let stats = pool.stats();
         let hedges: u64 = stats.iter().map(|s| s.hedges).sum();
         let hedges_won: u64 = stats.iter().map(|s| s.hedges_won).sum();
         assert!(hedges_won >= 1 && hedges_won < hedges, "{stats:?}");
+        assert_eq!(stats[0].calls, 2 + 60, "a primary was diverted: {stats:?}");
         assert!(
             stats.iter().all(|s| s.in_flight == 0),
             "gauge leak: {stats:?}"
@@ -1489,12 +1595,24 @@ mod tests {
             for i in 0..Self::CALLS {
                 let prompt = format!("p{i}");
                 let mut call = pool.submit_call(&CompletionRequest::new(prompt.clone()));
+                let policy_order = walk_of(&call);
+                let head = walk_head(&pool, &call, now);
                 let mut outcome = None;
                 for step in 0..10_000 {
                     if (i, step) == self.dropped {
                         break;
                     }
                     outcome = call.poll(now);
+                    if step == 0 {
+                        // The walk starts at the policy's primary unless
+                        // hedging is on and the pool expects it to be late;
+                        // with hedging off it is the policy's order verbatim.
+                        let walk = walk_of(&call);
+                        assert_eq!(walk[0], head, "{self:?}: call {i}");
+                        if !self.hedging {
+                            assert_eq!(walk, policy_order, "{self:?}");
+                        }
+                    }
                     let (mut attempts, mut hedges) = (0, 0);
                     call.backend_receipts(&mut |_, receipt| {
                         attempts += receipt.calls;
@@ -1520,6 +1638,63 @@ mod tests {
             }
             (resolved, pool.stats())
         }
+    }
+
+    /// The backends of `call`'s walk, in order.
+    fn walk_of(call: &PoolCall) -> Vec<String> {
+        call.cands
+            .iter()
+            .map(|c| c.member.backend.id().to_string())
+            .collect()
+    }
+
+    /// Where `call`'s first poll at `now` must start its walk: at the
+    /// policy's primary, unless it is known-late — hedging on, at least two
+    /// closed members, one sampled, and the primary closed with an expected
+    /// time past `multiplier × the lowest closed estimate` (floored at
+    /// `min_ms`). Then the walk is in health order, and starts at the member
+    /// with the least (breaker open, expected time, registration index).
+    fn walk_head(pool: &BackendPool, call: &PoolCall, now: Instant) -> String {
+        let settings = &pool.settings;
+        let now_ms = settings.ms(now);
+        let closed: Vec<&Member> = pool
+            .members
+            .iter()
+            .filter(|m| m.breaker_closed())
+            .map(|m| &**m)
+            .collect();
+        let floor_ms = closed
+            .iter()
+            .filter_map(|m| m.decayed_ewma(now_ms))
+            .fold(f64::INFINITY, f64::min);
+        let primary = &call.cands[0].member;
+        let late = settings.hedge_multiplier > 0.0
+            && closed.len() >= 2
+            && floor_ms.is_finite()
+            && primary.breaker_closed()
+            && primary.expected_ms(now_ms).is_some_and(|expected_ms| {
+                expected_ms > (settings.hedge_multiplier * floor_ms).max(settings.hedge_min_ms)
+            });
+        if !late {
+            return primary.backend.id().to_string();
+        }
+        let health = |m: &Member| {
+            let open = !m.breaker_closed();
+            (open, m.expected_ms(now_ms).unwrap_or(f64::INFINITY))
+        };
+        let (_, healthiest) = pool
+            .members
+            .iter()
+            .enumerate()
+            .min_by(|(a_index, a), (b_index, b)| {
+                let ((open_a, expected_a), (open_b, expected_b)) = (health(a), health(b));
+                open_a
+                    .cmp(&open_b)
+                    .then(expected_a.total_cmp(&expected_b))
+                    .then(a_index.cmp(b_index))
+            })
+            .expect("a pool has members");
+        healthiest.backend.id().to_string()
     }
 
     #[test]

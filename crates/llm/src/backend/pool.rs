@@ -1,5 +1,5 @@
 //! The pool's members and what it knows about them: [`BackendPool`], its
-//! routing policy, per-backend counters, circuit breakers and latency
+//! routing policy, per-backend counters, circuit breakers and health
 //! averages, all lock-free. [`BackendPool::submit_call`] hands each request
 //! a [`PoolCall`] over the members, in the policy's order as far as the
 //! policy needs no clock; what the call learns of a member lands in that
@@ -20,16 +20,22 @@
 //! on, the physical trace depends on the instants calls are polled at; text
 //! never does.
 //!
-//! **Latency tracking.** Each member keeps an EWMA of its *measured*
-//! latency — from the poll that launched an attempt to the poll that found
-//! it resolved, successes only; [`BackendStats::latency_ms`] is the
-//! *reported* latency. Every read that decides something halves the average
-//! per [`DECAY_HALF_LIFE_MS`] since the member's last sample, so a backend
-//! whose scary average chased traffic away drifts back into contention and
-//! is re-probed. The averages order [`RoutingPolicy::LatencyAware`]'s
-//! candidates (sample-less first, so a cold pool explores every member) and,
-//! with hedging on, every call's failover and hedge. Breaker cooldowns and
-//! staleness count milliseconds from the pool's epoch to a poll's `now`.
+//! **Health.** Each member keeps two decayed averages of what its attempts
+//! did: an EWMA of its *measured* latency — from the poll that launched an
+//! attempt to the poll that found it resolved, successes only
+//! ([`BackendStats::latency_ms`] is the *reported* latency) — and its
+//! *failure share*, an EWMA of attempt outcomes (1 a failure, 0 a success).
+//! Every read that decides something halves each average per
+//! [`DECAY_HALF_LIFE_MS`] since its last sample, so a backend whose scary
+//! average chased traffic away drifts back into contention and is
+//! re-probed. Together they give the member's *expected time to a success*,
+//! latency ÷ (1 − failure share): the expected number of attempts times the
+//! cost of each. The latency averages order
+//! [`RoutingPolicy::LatencyAware`]'s candidates (sample-less first, so a
+//! cold pool explores every member); with hedging on, the expected times
+//! order every call's failover and hedge, and decide whether the policy's
+//! primary launches first (`call.rs`). Breaker cooldowns and staleness
+//! count milliseconds from the pool's epoch to a poll's `now`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -106,10 +112,57 @@ pub(super) struct SlotCounters {
     pub(super) hedges: AtomicU64,
     pub(super) hedges_won: AtomicU64,
     /// EWMA of *measured* successful-request latency, milliseconds.
+    latency: Decayed,
+    /// EWMA of attempt outcomes: 1 per failed attempt, 0 per success.
+    failures: Decayed,
+}
+
+/// An EWMA whose reads decay with staleness: [`DECAY_HALF_LIFE_MS`] of idle
+/// time halves what a read returns (see [`AtomicEwmaMs::decayed`]).
+#[derive(Default)]
+struct Decayed {
     ewma: AtomicEwmaMs,
     /// Pool-epoch time (ms, saturated to ≥ 1 so 0 keeps meaning "never") of
-    /// the latest EWMA sample — the staleness clock for read-side decay.
+    /// the latest sample — the staleness clock for read-side decay.
     last_sample_ms: AtomicU64,
+}
+
+impl Decayed {
+    /// Fold one sample in and restart the staleness clock.
+    ///
+    /// A sample landing after the estimate went stale (idle ≥ 2 decay
+    /// half-lives) *replaces* the average instead of merging into it: the
+    /// decayed read already declared the old value untrustworthy, so letting
+    /// it drag the fresh observation would keep a recovered backend pinned
+    /// to its obsolete history for many more samples.
+    fn observe(&self, sample: f64, now_ms: u64) {
+        // ordering: Relaxed — last_sample_ms is a freshness hint where a
+        // stale read only makes one sample merge instead of replace (both
+        // outcomes valid).
+        let last = self.last_sample_ms.load(Ordering::Relaxed);
+        let stale = last != 0 && now_ms.saturating_sub(last) as f64 >= 2.0 * DECAY_HALF_LIFE_MS;
+        if stale {
+            self.ewma.set(sample);
+        } else {
+            self.ewma.observe(sample);
+        }
+        // ordering: Relaxed — freshness hint, see the load above.
+        self.last_sample_ms.store(now_ms.max(1), Ordering::Relaxed);
+    }
+
+    /// The average discounted for the time since its last sample; `None`
+    /// before the first.
+    fn read(&self, now_ms: u64) -> Option<f64> {
+        // ordering: Relaxed — freshness hint read; a stale value only skews
+        // the advisory decay estimate.
+        let last = self.last_sample_ms.load(Ordering::Relaxed);
+        let idle_ms = if last == 0 {
+            0.0
+        } else {
+            now_ms.saturating_sub(last) as f64
+        };
+        self.ewma.decayed(idle_ms, DECAY_HALF_LIFE_MS)
+    }
 }
 
 /// Reported completion latency → accumulated microseconds. Rounds to the
@@ -270,15 +323,16 @@ impl BreakerState {
     }
 }
 
-/// Half-life of the read-side decay of the latency EWMAs, milliseconds.
+/// Half-life of the read-side decay of the health averages, milliseconds.
 /// Long enough that decay is invisible within one query (sub-second), short
 /// enough that a backend sidelined by a stale scary average re-enters
 /// contention within a few seconds of idling.
 pub(super) const DECAY_HALF_LIFE_MS: f64 = 2_000.0;
 
-/// One member of a pool: its endpoint, counters and breaker, behind one
-/// `Arc` that the pool and every [`PoolCall`] routed over it share — a call
-/// can outlive a borrow of the pool.
+/// One member of a pool: its endpoint, counters, health averages (latency
+/// and failure share, see the module docs) and breaker, behind one `Arc`
+/// that the pool and every [`PoolCall`] routed over it share — a call can
+/// outlive a borrow of the pool.
 pub(super) struct Member {
     pub(super) backend: Arc<dyn Backend>,
     pub(super) counters: SlotCounters,
@@ -286,9 +340,10 @@ pub(super) struct Member {
 }
 
 impl Member {
-    /// Record one successful attempt: reported-latency accumulator and the
-    /// measured-latency EWMA. Primary and hedge flights account alike.
-    /// Returns the reported latency as accumulated, microseconds.
+    /// Record one successful attempt: reported-latency accumulator, the
+    /// measured-latency EWMA and the failure share. Primary and hedge
+    /// flights account alike. Returns the reported latency as accumulated,
+    /// microseconds.
     pub(super) fn record_success(&self, reported_ms: f64, measured_ms: f64, now_ms: u64) -> u64 {
         let reported_us = round_latency_us(reported_ms);
         // ordering: Relaxed — latency_us is a monotone statistic.
@@ -296,32 +351,13 @@ impl Member {
             .latency_us
             .fetch_add(reported_us, Ordering::Relaxed);
         self.observe_latency(measured_ms, now_ms);
+        self.counters.failures.observe(0.0, now_ms);
         reported_us
     }
 
-    /// Fold one measured latency into the EWMA and restart its staleness
-    /// clock (for decayed reads).
-    ///
-    /// A sample landing after the estimate went stale (idle ≥ 2 decay
-    /// half-lives) *replaces* the average instead of merging into it: the
-    /// decayed read already declared the old value untrustworthy, so letting
-    /// it drag the fresh observation would keep a recovered backend pinned
-    /// to its obsolete history for many more samples.
+    /// Fold one measured latency into the EWMA.
     pub(super) fn observe_latency(&self, measured_ms: f64, now_ms: u64) {
-        // ordering: Relaxed — last_sample_ms is a freshness hint where a
-        // stale read only makes one sample merge instead of replace (both
-        // outcomes valid).
-        let last = self.counters.last_sample_ms.load(Ordering::Relaxed);
-        let stale = last != 0 && now_ms.saturating_sub(last) as f64 >= 2.0 * DECAY_HALF_LIFE_MS;
-        if stale {
-            self.counters.ewma.set(measured_ms);
-        } else {
-            self.counters.ewma.observe(measured_ms);
-        }
-        // ordering: Relaxed — freshness hint, see the load above.
-        self.counters
-            .last_sample_ms
-            .store(now_ms.max(1), Ordering::Relaxed);
+        self.counters.latency.observe(measured_ms, now_ms);
     }
 
     /// Fold in a *lower bound* on this backend's latency: the time a flight
@@ -339,8 +375,9 @@ impl Member {
         }
     }
 
-    /// Record one failed attempt; returns true when the breaker just opened
-    /// (so the caller fails over instead of burning retries).
+    /// Record one failed attempt in the counters and the failure share;
+    /// returns true when the breaker just opened (so the caller fails over
+    /// instead of burning retries).
     pub(super) fn record_error(
         &self,
         now_ms: u64,
@@ -351,22 +388,28 @@ impl Member {
         // ordering: Relaxed — statistics counter; breaker decisions use the
         // separately-ordered BreakerState word, not this.
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.failures.observe(1.0, now_ms);
         threshold > 0 && self.breaker.on_error(now_ms, threshold, cooldown_ms, probe)
     }
 
-    /// The latency EWMA discounted for staleness (see
-    /// [`AtomicEwmaMs::decayed`]): [`DECAY_HALF_LIFE_MS`] of idle time
-    /// halves the estimate.
+    /// The latency EWMA discounted for staleness: [`DECAY_HALF_LIFE_MS`] of
+    /// idle time halves the estimate.
     pub(super) fn decayed_ewma(&self, now_ms: u64) -> Option<f64> {
-        // ordering: Relaxed — freshness hint read; a stale value only skews
-        // the advisory decay estimate.
-        let last = self.counters.last_sample_ms.load(Ordering::Relaxed);
-        let idle_ms = if last == 0 {
-            0.0
+        self.counters.latency.read(now_ms)
+    }
+
+    /// The expected time to a success at `now_ms`: the decayed latency EWMA
+    /// ÷ (1 − the decayed failure share) — the expected number of attempts
+    /// times the cost of each. Infinite for a member whose every recent
+    /// attempt failed; `None` before its first success.
+    pub(super) fn expected_ms(&self, now_ms: u64) -> Option<f64> {
+        let latency_ms = self.decayed_ewma(now_ms)?;
+        let share = self.counters.failures.read(now_ms).unwrap_or(0.0);
+        Some(if share < 1.0 {
+            latency_ms / (1.0 - share)
         } else {
-            now_ms.saturating_sub(last) as f64
-        };
-        self.counters.ewma.decayed(idle_ms, DECAY_HALF_LIFE_MS)
+            f64::INFINITY
+        })
     }
 
     /// True while the breaker is closed (never opened, or reset by a
@@ -545,8 +588,10 @@ impl BackendPool {
     /// EWMA (floored at `min_ms`) gets one duplicate on the next healthy
     /// candidate of its walk; first success wins. With hedging on, the
     /// candidates behind the routing policy's primary are walked in order
-    /// of health, not in the policy's order. `multiplier == 0` disables
-    /// hedging (the default).
+    /// of health (expected time to a success), not in the policy's order,
+    /// and a primary already expected to take longer than that threshold
+    /// takes its place in that order instead of launching first.
+    /// `multiplier == 0` disables hedging (the default).
     pub fn with_hedging(mut self, multiplier: f64, min_ms: f64) -> Self {
         self.settings.hedge_multiplier = multiplier.max(0.0);
         self.settings.hedge_min_ms = min_ms.max(0.0);

@@ -68,8 +68,9 @@ const CHAOS_SEEDS: std::ops::Range<u64> = 0..16;
 pub struct PausedRun {
     /// Virtual latency of each measured query, in run order, ms.
     pub latencies_ms: Vec<f64>,
-    /// Each measured query's ideal critical path, ms (see the module docs).
-    pub ideal_ms: Vec<f64>,
+    /// The measured queries' ideal critical paths (see the module docs),
+    /// summed, ms.
+    pub ideal_ms: f64,
     /// Physical attempts, summed over the measured queries.
     pub attempts: u64,
     /// Failed attempts, summed over the measured queries.
@@ -107,7 +108,7 @@ impl PausedRun {
         self.latencies_ms
             .push(clock::now().duration_since(start).as_secs_f64() * 1000.0);
         let rounds = metrics.llm_calls().div_ceil(parallelism.max(1) as u64);
-        self.ideal_ms.push(rounds as f64 * rtt_ms);
+        self.ideal_ms += rounds as f64 * rtt_ms;
         self.attempts += if metrics.backend_calls.is_empty() {
             // A model served without a pool: one attempt per request.
             metrics.usage.calls
@@ -121,7 +122,7 @@ impl PausedRun {
     /// Fold in another run's queries, after this run's.
     fn extend(&mut self, other: PausedRun) {
         self.latencies_ms.extend(other.latencies_ms);
-        self.ideal_ms.extend(other.ideal_ms);
+        self.ideal_ms += other.ideal_ms;
         self.attempts += other.attempts;
         self.errors += other.errors;
         self.hedges += other.hedges;
@@ -151,7 +152,7 @@ impl PausedRun {
 
     /// Mean ideal critical path, ms.
     pub fn ideal_mean_ms(&self) -> f64 {
-        self.per_query(self.ideal_ms.iter().sum())
+        self.per_query(self.ideal_ms)
     }
 
     /// `total` spread over the measured queries.
@@ -311,7 +312,7 @@ pub fn tail_faulty(plan_seed: u64, order_seed: u64) -> Result<PausedRun> {
 }
 
 /// The chaos suite's scan under its fault plan, one fresh deployment per
-/// seed of [`CHAOS_SEEDS`]: with breakers and hedging (`resilient`), or
+/// seed of `CHAOS_SEEDS`: with breakers and hedging (`resilient`), or
 /// with both off. Its slowest healthy member, `edge-d`, answers in 2.5 ms.
 pub fn chaos_suite(resilient: bool) -> Result<PausedRun> {
     let mut all = PausedRun::default();

@@ -4,12 +4,19 @@
 //! `BackendPool::stats`). Every scenario runs its queries concurrently
 //! through a `QueryScheduler` over one engine, one client and one pool.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use llmsql_bench::{multi_backend_engine, parallel_world, slow_outlier_engine};
 use llmsql_core::{Engine, QueryResult};
-use llmsql_llm::{BackendStats, UsageStats};
+use llmsql_llm::{
+    Backend, BackendPool, BackendStats, CallHandle, CompletionRequest, LanguageModel, UsageStats,
+};
 use llmsql_sched::{QueryScheduler, QueryTicket};
 use llmsql_types::{
-    EngineConfig, ExecutionMode, LlmFidelity, Priority, PromptStrategy, RoutingPolicy, SchedConfig,
+    EngineConfig, ExecutionMode, LlmCostModel, LlmFidelity, Priority, PromptStrategy,
+    RoutingPolicy, SchedConfig,
 };
 use llmsql_workload::check_accounting_conserved;
 
@@ -121,18 +128,87 @@ fn attempts_of_pages_cancelled_in_flight_are_on_the_bill_of_the_query_that_made_
     assert_conserved(&results, &usage, &backends);
 }
 
+/// A pool member that answers in 3 ms — except, when it `stalls`, every
+/// other attempt from its ninth on, which takes 100. Its first eight answers
+/// (the scans' first waves, launched before any member had an estimate, so
+/// not hedgeable, among them) are fast; after that its estimate mixes fast
+/// answers with the lower bounds its hedged stalls leave, so it stays under
+/// the hedge threshold (3 × the fastest estimate, which an event loop busy
+/// with four queries' answers can read at several times 3 ms): each stall
+/// is unexpected, and the member keeps the prompts routing gives it.
+struct StallingMember {
+    id: &'static str,
+    model: Arc<dyn LanguageModel>,
+    stalls: bool,
+    attempts: AtomicU64,
+}
+
+impl Backend for StallingMember {
+    fn id(&self) -> &str {
+        self.id
+    }
+    fn submit(&self, request: &CompletionRequest, _attempt: usize, now: Instant) -> CallHandle {
+        // ordering: Relaxed — a per-member attempt counter; no memory rides
+        // on it.
+        let n = self.attempts.fetch_add(1, Ordering::Relaxed);
+        let rtt_ms = if self.stalls && n >= 8 && n.is_multiple_of(2) {
+            100
+        } else {
+            3
+        };
+        CallHandle::timed(
+            self.model.complete(request),
+            now + Duration::from_millis(rtt_ms),
+        )
+    }
+    fn fingerprint(&self) -> String {
+        self.model.fingerprint()
+    }
+    fn cost_model(&self) -> LlmCostModel {
+        self.model.cost_model()
+    }
+    fn relation_cardinality(&self, table: &str) -> Option<u64> {
+        self.model.relation_cardinality(table)
+    }
+}
+
 /// (b) A hedged run: the duplicates sent after a late primary, the ones that
 /// won, and the primaries they beat (dropped unanswered) are all attributed
 /// to the query whose request armed the hedge.
 #[test]
 fn hedges_and_the_flights_they_beat_are_on_the_bill_of_the_query_that_hedged() {
-    let engine = slow_outlier_engine(120, 4, RoutingPolicy::RoundRobin, true).unwrap();
+    const ROWS: usize = 120;
+    let (catalog, sim) = parallel_world(ROWS, LlmFidelity::perfect(), 0.0).unwrap();
+    let model: Arc<dyn LanguageModel> = Arc::new(sim);
+    let members = ["edge-1", "edge-2", "edge-3"].map(|id| {
+        Arc::new(StallingMember {
+            id,
+            model: Arc::clone(&model),
+            stalls: id == "edge-3",
+            attempts: AtomicU64::new(0),
+        }) as Arc<dyn Backend>
+    });
+    let pool = Arc::new(
+        BackendPool::new(members.to_vec(), RoutingPolicy::RoundRobin)
+            .unwrap()
+            .with_backoff_base_ms(0.0)
+            .with_hedging(3.0, 1.0),
+    );
+    let mut config = EngineConfig::default()
+        .with_mode(ExecutionMode::LlmOnly)
+        .with_strategy(PromptStrategy::BatchedRows)
+        .with_batch_size(10)
+        .with_parallelism(4);
+    config.max_scan_rows = ROWS;
+    config.enable_prompt_cache = false;
+    let mut engine = Engine::with_catalog(catalog, config);
+    engine.attach_model(Arc::clone(&pool) as _).unwrap();
     let sqls: Vec<String> = (0..4)
         .map(|i| format!("SELECT name, region FROM countries WHERE population >= {i}"))
         .collect();
-    let (results, usage, backends) = run_concurrently(engine, 4, &sqls);
+    let (results, usage, _) = run_concurrently(engine, 4, &sqls);
     let won: u64 = results.iter().map(|r| r.metrics.hedges_won).sum();
-    assert!(won > 0, "no hedge ever beat the slow backend");
+    assert!(won > 0, "no hedge ever beat a stalled flight");
     for result in &results {
         let m = &result.metrics;
         assert_eq!(result.usage.calls, 12);
@@ -141,7 +217,7 @@ fn hedges_and_the_flights_they_beat_are_on_the_bill_of_the_query_that_hedged() {
         let attempts: u64 = m.backend_calls.values().sum();
         assert_eq!(attempts, 12 + m.hedges_issued, "{m:?}");
     }
-    assert_conserved(&results, &usage, &backends);
+    assert_conserved(&results, &usage, &pool.stats());
 }
 
 /// (c) Two identical one-prompt queries at once: one leads the flight and
@@ -154,7 +230,7 @@ fn a_coalesced_follower_pays_nothing_and_its_leader_pays_once() {
         .with_strategy(PromptStrategy::FullQuery);
     config.enable_prompt_cache = false;
     let mut engine = Engine::with_catalog(catalog, config);
-    engine.attach_model(std::sync::Arc::new(sim)).unwrap();
+    engine.attach_model(Arc::new(sim)).unwrap();
     let sql = "SELECT name FROM countries".to_string();
     let (results, usage, backends) = run_concurrently(engine, 2, &[sql.clone(), sql]);
     assert_eq!(results[0].rows(), results[1].rows());
