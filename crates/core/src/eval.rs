@@ -12,49 +12,13 @@
 //! * **F1** — their harmonic mean.
 //!
 //! Tuples are normalised before comparison (case-insensitive text, trimmed
-//! whitespace, int/float unification, configurable numeric tolerance) so that
-//! harmless formatting differences do not count as errors.
+//! whitespace, int/float unification) so that harmless formatting
+//! differences do not count as errors; values then match exactly. Row order
+//! counts only where the caller says it does (a top-k query's).
 
 use std::collections::HashMap;
 
 use llmsql_types::{Batch, Row, Value};
-
-/// Options controlling tuple comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvalOptions {
-    /// Relative tolerance when comparing numeric values (0.0 = exact).
-    pub numeric_tolerance: f64,
-    /// Whether row order matters (true only for ORDER BY experiments).
-    pub order_sensitive: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            numeric_tolerance: 0.0,
-            order_sensitive: false,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Exact, order-insensitive comparison (the default).
-    pub fn exact() -> Self {
-        EvalOptions::default()
-    }
-
-    /// Allow numeric values to differ by the given relative tolerance.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.numeric_tolerance = tol;
-        self
-    }
-
-    /// Make the comparison order sensitive.
-    pub fn order_sensitive(mut self) -> Self {
-        self.order_sensitive = true;
-        self
-    }
-}
 
 /// The outcome of scoring a result against the oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,87 +83,44 @@ fn normalize(v: &Value) -> Value {
     }
 }
 
-/// Do two values match under the options?
-fn values_match(a: &Value, b: &Value, options: &EvalOptions) -> bool {
-    let a = normalize(a);
-    let b = normalize(b);
-    if a.semantic_eq(&b) {
-        return true;
-    }
-    if options.numeric_tolerance > 0.0 {
-        if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-            let scale = x.abs().max(y.abs()).max(1e-12);
-            return (x - y).abs() / scale <= options.numeric_tolerance;
-        }
-    }
-    false
+/// Do two rows match value for value, once normalised?
+fn rows_match(a: &Row, b: &Row) -> bool {
+    a.arity() == b.arity()
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| normalize(x).semantic_eq(&normalize(y)))
 }
 
-/// Do two rows match under the options?
-fn rows_match(a: &Row, b: &Row, options: &EvalOptions) -> bool {
-    if a.arity() != b.arity() {
-        return false;
-    }
-    a.values()
-        .iter()
-        .zip(b.values())
-        .all(|(x, y)| values_match(x, y, options))
-}
-
-/// A hashable normalised key for exact (tolerance-free) bag matching.
+/// A hashable normalised key for bag matching.
 fn row_key(row: &Row) -> Vec<Value> {
     row.values().iter().map(normalize).collect()
 }
 
-/// Score `actual` against the oracle answer `expected`.
-pub fn score_batches(actual: &Batch, expected: &Batch, options: &EvalOptions) -> ResultScore {
-    score_rows(&actual.rows, &expected.rows, options)
+/// Score `actual` against the oracle answer `expected`; with `ordered`, an
+/// exact answer must also list the rows in the oracle's order.
+pub fn score_batches(actual: &Batch, expected: &Batch, ordered: bool) -> ResultScore {
+    score_rows(&actual.rows, &expected.rows, ordered)
 }
 
-/// Score row sets directly.
-pub fn score_rows(actual: &[Row], expected: &[Row], options: &EvalOptions) -> ResultScore {
-    let matched = if options.numeric_tolerance == 0.0 {
-        // Fast path: exact bag intersection via hashing.
-        let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-        for e in expected {
-            *counts.entry(row_key(e)).or_default() += 1;
-        }
-        let mut matched = 0;
-        for a in actual {
-            if let Some(c) = counts.get_mut(&row_key(a)) {
-                if *c > 0 {
-                    *c -= 1;
-                    matched += 1;
-                }
+/// Score row sets directly: the bag intersection, by hashing.
+pub fn score_rows(actual: &[Row], expected: &[Row], ordered: bool) -> ResultScore {
+    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
+    for e in expected {
+        *counts.entry(row_key(e)).or_default() += 1;
+    }
+    let mut matched = 0;
+    for a in actual {
+        if let Some(c) = counts.get_mut(&row_key(a)) {
+            if *c > 0 {
+                *c -= 1;
+                matched += 1;
             }
         }
-        matched
-    } else {
-        // Tolerant path: greedy bipartite matching.
-        let mut used = vec![false; expected.len()];
-        let mut matched = 0;
-        for a in actual {
-            for (i, e) in expected.iter().enumerate() {
-                if !used[i] && rows_match(a, e, options) {
-                    used[i] = true;
-                    matched += 1;
-                    break;
-                }
-            }
-        }
-        matched
-    };
-
-    let bag_exact = matched == actual.len() && matched == expected.len();
-    let exact = if options.order_sensitive {
-        bag_exact
-            && actual
-                .iter()
-                .zip(expected)
-                .all(|(a, e)| rows_match(a, e, options))
-    } else {
-        bag_exact
-    };
+    }
+    let exact = matched == actual.len()
+        && matched == expected.len()
+        && (!ordered || actual.iter().zip(expected).all(|(a, e)| rows_match(a, e)));
     ResultScore::from_counts(actual.len(), expected.len(), matched, exact)
 }
 
@@ -267,7 +188,7 @@ mod tests {
     #[test]
     fn perfect_match() {
         let a = vec![row(&["France", "Paris"]), row(&["Japan", "Tokyo"])];
-        let s = score_rows(&a, &a.clone(), &EvalOptions::exact());
+        let s = score_rows(&a, &a.clone(), false);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 1.0);
         assert_eq!(s.f1, 1.0);
@@ -278,7 +199,7 @@ mod tests {
     fn missing_and_hallucinated_rows() {
         let expected = vec![row(&["a"]), row(&["b"]), row(&["c"]), row(&["d"])];
         let actual = vec![row(&["a"]), row(&["b"]), row(&["zz"])];
-        let s = score_rows(&actual, &expected, &EvalOptions::exact());
+        let s = score_rows(&actual, &expected, false);
         assert_eq!(s.matched, 2);
         assert!((s.precision - 2.0 / 3.0).abs() < 1e-9);
         assert!((s.recall - 0.5).abs() < 1e-9);
@@ -290,39 +211,20 @@ mod tests {
     fn normalization_ignores_case_and_int_float() {
         let expected = vec![Row::new(vec!["France".into(), Value::Int(68)])];
         let actual = vec![Row::new(vec!["  france ".into(), Value::Float(68.0)])];
-        let s = score_rows(&actual, &expected, &EvalOptions::exact());
+        let s = score_rows(&actual, &expected, false);
         assert!(s.exact);
-    }
-
-    #[test]
-    fn numeric_tolerance() {
-        let expected = vec![Row::new(vec![Value::Int(100)])];
-        let close = vec![Row::new(vec![Value::Int(101)])];
-        let strict = score_rows(&close, &expected, &EvalOptions::exact());
-        assert_eq!(strict.matched, 0);
-        let tolerant = score_rows(
-            &close,
-            &expected,
-            &EvalOptions::exact().with_tolerance(0.05),
-        );
-        assert_eq!(tolerant.matched, 1);
-        let far = vec![Row::new(vec![Value::Int(150)])];
-        assert_eq!(
-            score_rows(&far, &expected, &EvalOptions::exact().with_tolerance(0.05)).matched,
-            0
-        );
     }
 
     #[test]
     fn duplicate_rows_counted_as_bag() {
         let expected = vec![row(&["x"]), row(&["x"])];
         let actual = vec![row(&["x"])];
-        let s = score_rows(&actual, &expected, &EvalOptions::exact());
+        let s = score_rows(&actual, &expected, false);
         assert_eq!(s.matched, 1);
         assert_eq!(s.recall, 0.5);
         // over-reporting duplicates hurts precision
         let actual3 = vec![row(&["x"]), row(&["x"]), row(&["x"])];
-        let s3 = score_rows(&actual3, &expected, &EvalOptions::exact());
+        let s3 = score_rows(&actual3, &expected, false);
         assert_eq!(s3.matched, 2);
         assert!((s3.precision - 2.0 / 3.0).abs() < 1e-9);
     }
@@ -331,27 +233,23 @@ mod tests {
     fn order_sensitivity() {
         let expected = vec![row(&["a"]), row(&["b"])];
         let reversed = vec![row(&["b"]), row(&["a"])];
-        let unordered = score_rows(&reversed, &expected, &EvalOptions::exact());
+        let unordered = score_rows(&reversed, &expected, false);
         assert!(unordered.exact);
-        let ordered = score_rows(
-            &reversed,
-            &expected,
-            &EvalOptions::exact().order_sensitive(),
-        );
+        let ordered = score_rows(&reversed, &expected, true);
         assert!(!ordered.exact);
         assert_eq!(ordered.f1, 1.0); // bag still matches
     }
 
     #[test]
     fn empty_results() {
-        let s = score_rows(&[], &[], &EvalOptions::exact());
+        let s = score_rows(&[], &[], false);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 1.0);
         assert!(s.exact);
-        let s = score_rows(&[], &[row(&["a"])], &EvalOptions::exact());
+        let s = score_rows(&[], &[row(&["a"])], false);
         assert_eq!(s.recall, 0.0);
         assert_eq!(s.precision, 0.0);
-        let s = score_rows(&[row(&["a"])], &[], &EvalOptions::exact());
+        let s = score_rows(&[row(&["a"])], &[], false);
         assert_eq!(s.precision, 0.0);
         assert_eq!(s.recall, 1.0);
     }
@@ -359,12 +257,8 @@ mod tests {
     #[test]
     fn suite_macro_average() {
         let mut suite = SuiteScore::default();
-        suite.push(score_rows(
-            &[row(&["a"])],
-            &[row(&["a"])],
-            &EvalOptions::exact(),
-        ));
-        suite.push(score_rows(&[], &[row(&["a"])], &EvalOptions::exact()));
+        suite.push(score_rows(&[row(&["a"])], &[row(&["a"])], false));
+        suite.push(score_rows(&[], &[row(&["a"])], false));
         assert_eq!(suite.len(), 2);
         assert!((suite.precision() - 0.5).abs() < 1e-9);
         assert!((suite.recall() - 0.5).abs() < 1e-9);

@@ -19,7 +19,7 @@
 //! accuracy experiment in `EXPERIMENTS.md`.
 //!
 //! ```
-//! use llmsql_core::{Engine, eval::{score_batches, EvalOptions}};
+//! use llmsql_core::{Engine, eval::score_batches};
 //! use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
 //!
 //! // Ground truth lives in a traditional engine.
@@ -41,7 +41,7 @@
 //! let sql = "SELECT name FROM countries WHERE population > 100";
 //! let expected = oracle.execute(sql).unwrap();
 //! let actual = subject.execute(sql).unwrap();
-//! let score = score_batches(&actual.batch, &expected.batch, &EvalOptions::exact());
+//! let score = score_batches(&actual.batch, &expected.batch, false);
 //! assert!(score.exact);
 //! ```
 
@@ -53,7 +53,7 @@ pub mod explain;
 pub mod result;
 
 pub use engine::Engine;
-pub use eval::{score_batches, score_rows, EvalOptions, ResultScore, SuiteScore};
+pub use eval::{score_batches, score_rows, ResultScore, SuiteScore};
 pub use explain::render_explain;
 pub use result::QueryResult;
 

@@ -1,7 +1,6 @@
 //! Query results returned by the engine.
 
 use llmsql_exec::ExecMetrics;
-use llmsql_llm::UsageStats;
 use llmsql_types::{Batch, Incomplete, Row, Value};
 
 /// The result of executing one SQL statement.
@@ -15,17 +14,12 @@ pub struct QueryResult {
     /// per-operator actuals, parse drops): written by this statement's own
     /// calls, never derived from a deployment-wide counter.
     pub metrics: ExecMetrics,
-    /// What the model served this statement's own requests (calls, cache
-    /// hits, tokens, cost, simulated latency) — a copy of `metrics.usage`.
-    /// Summed over the statements of a deployment it is the client's
-    /// `LlmClient::usage`, whatever ran concurrently.
-    pub usage: UsageStats,
     /// The text of `EXPLAIN` / `EXPLAIN ANALYZE` (the annotated plan, also
     /// returned line by line as the rows); `None` for every other statement —
     /// a plain SELECT renders nothing it was not asked for.
     pub plan: Option<String>,
     /// Wall-clock engine time in milliseconds (excludes simulated model
-    /// latency, which is reported in `usage.latency_ms`).
+    /// latency, which is reported in `metrics.usage.latency_ms`).
     pub engine_ms: f64,
 }
 
@@ -61,7 +55,7 @@ impl QueryResult {
 
     /// Total end-to-end latency: engine time plus simulated model latency.
     pub fn total_latency_ms(&self) -> f64 {
-        self.engine_ms + self.usage.latency_ms
+        self.engine_ms + self.metrics.usage.latency_ms
     }
 
     /// The graceful-degradation marker, when this result was cut short
@@ -115,7 +109,7 @@ mod tests {
             engine_ms: 2.0,
             ..QueryResult::default()
         };
-        r.usage.latency_ms = 100.0;
+        r.metrics.usage.latency_ms = 100.0;
         assert_eq!(r.total_latency_ms(), 102.0);
     }
 }

@@ -54,7 +54,7 @@ pub use eval::{eval, eval_predicate, AggAccumulator};
 pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
 pub use llmsql_llm::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use metrics::{ExecMetrics, OpStats};
-pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerId, TimerWheel};
+pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerWheel};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 #[cfg(test)]

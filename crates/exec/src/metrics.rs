@@ -83,7 +83,9 @@ pub struct ExecMetrics {
     /// tokens, dollars and reported latency, and cache hits. A request
     /// answered by another query's identical in-flight one is in
     /// `coalesced_calls` instead — only the leader pays — and a request
-    /// cancelled before its answer landed paid nothing.
+    /// cancelled before its answer landed paid nothing. Summed over the
+    /// queries of a deployment it is the client's `LlmClient::usage`,
+    /// whatever ran concurrently.
     pub usage: UsageStats,
     /// Physical attempts this query's requests made, per backend of the pool
     /// (multi-backend deployments only). Failed attempts, retries, hedges

@@ -100,156 +100,39 @@ pub enum DriveOutcome {
     DeadlineExceeded,
 }
 
-/// [`TimerWheel`] granularity: fine enough that sub-millisecond backoffs are
-/// not rounded into oblivion, coarse enough that the wheel stays tiny.
-const TICK: Duration = Duration::from_micros(250);
-
-/// Wheel size. With 250µs ticks one revolution covers 64ms — longer
-/// deadlines simply survive extra revolutions (the entry stores its absolute
-/// tick).
-const WHEEL_SLOTS: usize = 256;
-
 /// Floor of a timer wait: below this, yielding to the OS costs more than it
 /// saves.
 const MIN_SLEEP: Duration = Duration::from_micros(50);
 
-/// Identifies one armed timer; returned by [`TimerWheel::arm`] and required
-/// for [`TimerWheel::cancel`]. Kept, like the wheel, for the benchmark's
-/// probe only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId {
-    id: u64,
-    tick: u64,
-}
-
-struct WheelEntry {
-    id: u64,
-    tick: u64,
-}
-
-/// A hashed timer wheel: O(1) arm/cancel, expiry by advancing a cursor over
-/// the slots. Entries past one revolution stay in their slot and fire on the
-/// revolution their absolute tick falls in.
+/// A list of armed deadlines, expired by [`TimerWheel::advance`].
 ///
 /// **No engine path uses it.** The event loop reads wakeups from its
-/// operations (see the module docs). The wheel and [`TimerId`] stay exported,
-/// signatures unchanged, because the frozen benchmark package's probe
-/// (`exec.reactor.timer_ns`) imports them; they go when that package is next
-/// opened (ROADMAP item 6(c)).
+/// operations (see the module docs). It stays, as small as the probe's use,
+/// because the frozen benchmark package's probe (`exec.reactor.timer_ns`)
+/// imports it; it goes when that package is next opened (ROADMAP item 6(c)).
+#[derive(Default)]
 pub struct TimerWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    epoch: Instant,
-    /// Ticks fully expired so far (entries with `tick <= cursor` are gone).
-    cursor: u64,
-    next_id: u64,
-    live: usize,
+    deadlines: Vec<Instant>,
 }
 
 impl TimerWheel {
-    /// An empty wheel whose tick 0 is "now".
+    /// An empty wheel.
     pub fn new() -> TimerWheel {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            epoch: clock::now(),
-            cursor: 0,
-            next_id: 0,
-            live: 0,
-        }
+        TimerWheel::default()
     }
 
-    /// The absolute tick covering `deadline`, rounded **up** so a timer never
-    /// fires before its deadline.
-    fn tick_for(&self, deadline: Instant) -> u64 {
-        let since = deadline.saturating_duration_since(self.epoch);
-        (since.as_nanos() as u64).div_ceil(TICK.as_nanos() as u64)
+    /// Arm a timer for `deadline`.
+    pub fn arm(&mut self, deadline: Instant) {
+        self.deadlines.push(deadline);
     }
 
-    /// Arm a timer for `deadline`. Deadlines in the past land on the next
-    /// unexpired tick and fire on the next [`TimerWheel::advance`].
-    pub fn arm(&mut self, deadline: Instant) -> TimerId {
-        let tick = self.tick_for(deadline).max(self.cursor + 1);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(WheelEntry { id, tick });
-        self.live += 1;
-        TimerId { id, tick }
-    }
-
-    /// Cancel an armed timer; `true` when it was still pending (a timer that
-    /// already fired — or was already cancelled — returns `false`).
-    pub fn cancel(&mut self, timer: TimerId) -> bool {
-        let slot = &mut self.slots[(timer.tick % WHEEL_SLOTS as u64) as usize];
-        match slot.iter().position(|e| e.id == timer.id) {
-            Some(index) => {
-                slot.swap_remove(index);
-                self.live -= 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Expire every timer whose deadline is at or before `now`, in deadline
-    /// order, advancing the cursor.
-    pub fn advance(&mut self, now: Instant) -> Vec<TimerId> {
-        let now_tick =
-            now.saturating_duration_since(self.epoch).as_nanos() as u64 / TICK.as_nanos() as u64;
-        if now_tick <= self.cursor || self.live == 0 {
-            self.cursor = self.cursor.max(now_tick);
-            return Vec::new();
-        }
-        let mut fired = Vec::new();
-        // Visit each slot at most once per advance: a span longer than one
-        // revolution has wrapped past every slot anyway.
-        let span = (now_tick - self.cursor).min(WHEEL_SLOTS as u64);
-        for offset in 1..=span {
-            let slot = &mut self.slots[((self.cursor + offset) % WHEEL_SLOTS as u64) as usize];
-            let mut index = 0;
-            while index < slot.len() {
-                if slot[index].tick <= now_tick {
-                    let entry = slot.swap_remove(index);
-                    fired.push(TimerId {
-                        id: entry.id,
-                        tick: entry.tick,
-                    });
-                } else {
-                    index += 1;
-                }
-            }
-        }
-        self.live -= fired.len();
-        self.cursor = now_tick;
-        fired.sort_by_key(|t| t.tick);
+    /// Expire every timer whose deadline is at or before `now`, returning
+    /// their deadlines in order.
+    pub fn advance(&mut self, now: Instant) -> Vec<Instant> {
+        let (mut fired, armed): (Vec<_>, _) = self.deadlines.drain(..).partition(|&d| d <= now);
+        self.deadlines = armed;
+        fired.sort_unstable();
         fired
-    }
-
-    /// The earliest armed deadline, or `None` when the wheel is empty.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        if self.live == 0 {
-            return None;
-        }
-        let tick = self
-            .slots
-            .iter()
-            .flat_map(|slot| slot.iter().map(|e| e.tick))
-            .min()?;
-        Some(self.epoch + TICK * tick as u32)
-    }
-
-    /// Number of armed timers.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no timer is armed.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        TimerWheel::new()
     }
 }
 
@@ -389,63 +272,24 @@ mod tests {
     fn wheel_fires_in_deadline_order() {
         let mut wheel = TimerWheel::new();
         let base = Instant::now();
-        let late = wheel.arm(base + Duration::from_millis(8));
-        let early = wheel.arm(base + Duration::from_millis(2));
-        let mid = wheel.arm(base + Duration::from_millis(5));
-        assert_eq!(wheel.len(), 3);
-        assert!(wheel.next_deadline().unwrap() <= base + Duration::from_millis(3));
-
+        let late = base + Duration::from_millis(8);
+        let early = base + Duration::from_millis(2);
+        let mid = base + Duration::from_millis(5);
+        for deadline in [late, early, mid] {
+            wheel.arm(deadline);
+        }
         // Nothing due yet.
         assert!(wheel.advance(base + Duration::from_micros(100)).is_empty());
         // The early and mid timers fire together, ordered by deadline.
-        let fired = wheel.advance(base + Duration::from_millis(6));
-        assert_eq!(fired, vec![early, mid]);
-        let fired = wheel.advance(base + Duration::from_millis(10));
-        assert_eq!(fired, vec![late]);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn cancelled_timers_never_fire_and_fired_timers_cannot_cancel() {
-        let mut wheel = TimerWheel::new();
-        let base = Instant::now();
-        let keep = wheel.arm(base + Duration::from_millis(1));
-        let drop_me = wheel.arm(base + Duration::from_millis(1));
-        assert!(wheel.cancel(drop_me), "pending timer should cancel");
-        assert!(!wheel.cancel(drop_me), "double-cancel reports not-pending");
-        let fired = wheel.advance(base + Duration::from_millis(2));
-        assert_eq!(fired, vec![keep], "cancelled timer fired");
-        assert!(
-            !wheel.cancel(keep),
-            "a fired timer is gone; cancelling it must be a no-op"
-        );
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn timers_beyond_one_revolution_survive_the_wrap() {
-        // 256 slots at 250µs = 64ms per revolution; a 200ms timer must not
-        // fire when its slot first comes around.
-        let mut wheel = TimerWheel::new();
-        let base = Instant::now();
-        let far = wheel.arm(base + Duration::from_millis(200));
-        let near = wheel.arm(base + Duration::from_millis(1));
-        assert_eq!(wheel.advance(base + Duration::from_millis(70)), vec![near]);
-        assert!(
-            wheel.advance(base + Duration::from_millis(140)).is_empty(),
-            "far timer fired a revolution early"
-        );
-        assert_eq!(
-            wheel.advance(base + Duration::from_millis(201)),
-            vec![far],
-            "far timer lost across revolutions"
-        );
+        assert_eq!(wheel.advance(base + Duration::from_millis(6)), [early, mid]);
+        assert_eq!(wheel.advance(base + Duration::from_millis(10)), [late]);
+        assert!(wheel.advance(base + Duration::from_secs(1)).is_empty());
     }
 
     #[test]
     fn timers_never_fire_before_their_deadline() {
-        // Advanced every 200µs of paused time, a 3ms timer (tick 12 of
-        // 250µs) fires on the 15th step: at its deadline, not a step early.
+        // Advanced every 200µs of paused time, a 3ms timer fires on the
+        // 15th step: at its deadline, not a step early.
         let _paused = clock::pause();
         let mut wheel = TimerWheel::new();
         let deadline = clock::now() + Duration::from_millis(3);

@@ -4,7 +4,7 @@
 //! The engine's core claim — byte-identical rows and call counts at any
 //! parallelism — rests on lock-free code being *correct*, and nothing about
 //! a wrong `Ordering::Relaxed` fails a unit test. This crate is the cheap,
-//! deterministic first line: a token-level scanner ([`scanner`]) plus four
+//! deterministic first line: a token-level scanner ([`scanner`]) plus six
 //! rules ([`rules`]) with a ratcheting baseline ledger ([`ledger`]).
 //!
 //! Run it three ways, all equivalent:
@@ -99,14 +99,24 @@ pub fn lint_repo(root: &Path) -> Report {
     let mut report = Report::default();
     let mut violations = Vec::new();
 
-    let files = collect_rs_files(root, &mut report);
+    let files = collect_rs_files(root, &["crates", "src"], &mut report);
     report.files_scanned = files.len();
-    for rel in &files {
+    // `tests/` and `examples/` are read for uses of library functions only.
+    let users = collect_rs_files(root, &["tests", "examples"], &mut report);
+    let mut scanned = Vec::new();
+    let read = files.iter().map(|rel| (rel, true));
+    for (rel, lint) in read.chain(users.iter().map(|rel| (rel, false))) {
         match std::fs::read_to_string(root.join(rel)) {
-            Ok(src) => violations.extend(rules::check_file(rel, &src)),
+            Ok(src) => {
+                if lint {
+                    violations.extend(rules::check_file(rel, &src));
+                }
+                scanned.push((rel.clone(), scanner::scan_source(&src)));
+            }
             Err(e) => report.ledger_errors.push(format!("read {rel}: {e}")),
         }
     }
+    violations.extend(rules::check_dead_pub(&scanned));
 
     let ledger_path = root.join("crates/lint/lint.ledger");
     let ledger_text = match std::fs::read_to_string(&ledger_path) {
@@ -135,11 +145,11 @@ pub fn lint_repo(root: &Path) -> Report {
     report
 }
 
-/// Collect the scan set: every `.rs` under `crates/` and `src/`, skipping
-/// build output and the lint fixture tree (fixtures are deliberately bad).
-fn collect_rs_files(root: &Path, report: &mut Report) -> Vec<String> {
+/// Collect every `.rs` under the `tops` directories, skipping build output
+/// and the lint fixture tree (fixtures are deliberately bad).
+fn collect_rs_files(root: &Path, tops: &[&str], report: &mut Report) -> Vec<String> {
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
+    for top in tops {
         walk(&root.join(top), root, &mut files, report);
     }
     files.sort();

@@ -24,14 +24,21 @@
 //!   sort determinism; use `f64::total_cmp` or justify why NaN cannot reach
 //!   the comparison.
 //! - `forbid-unsafe` — every crate root must carry `#![forbid(unsafe_code)]`.
+//! - `dead-pub` — a `pub fn` in non-test library code (the offline shims
+//!   excepted) whose name, as a whole word of the code channel, appears
+//!   nowhere else: on no non-test line of its own file but its definition,
+//!   and on no line of any other file. A function only its own unit test
+//!   calls is dead code with a test attached. This rule reads the whole
+//!   tree at once ([`check_dead_pub`]); the others read one file.
+
+use std::collections::HashMap;
 
 use crate::scanner::{scan_source, Line};
 
 /// A single rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule key (also the ledger key): `atomic-ordering`, `banned-time`,
-    /// `panic-in-lib`, or `forbid-unsafe`.
+    /// Rule key (also the ledger key): one of the `RULE_*` constants.
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub file: String,
@@ -46,6 +53,7 @@ pub const RULE_BANNED_TIME: &str = "banned-time";
 pub const RULE_PANIC_IN_LIB: &str = "panic-in-lib";
 pub const RULE_FLOAT_ORDERING: &str = "float-ordering";
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
+pub const RULE_DEAD_PUB: &str = "dead-pub";
 
 /// The only library files allowed to read the wall clock or block a thread:
 /// the one clock, whose `now` / `park_until` everything else goes through
@@ -104,7 +112,7 @@ pub fn classify(rel_path: &str) -> FileKind {
     }
 }
 
-/// Run every rule over one file. `rel_path` must be repo-relative with
+/// Run every per-file rule over one file. `rel_path` must be repo-relative with
 /// forward slashes; it drives classification and appears in violations.
 pub fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let kind = classify(rel_path);
@@ -272,6 +280,59 @@ fn check_forbid_unsafe(rel_path: &str, lines: &[Line], out: &mut Vec<Violation>)
             excerpt: "missing #![forbid(unsafe_code)] in crate root".to_string(),
         });
     }
+}
+
+/// `dead-pub` over a whole tree: `files` pairs each repo-relative path with
+/// its scanned lines. Only library files are checked, but every file counts
+/// as a user, so pass the test and example trees too.
+pub fn check_dead_pub(files: &[(String, Vec<Line>)]) -> Vec<Violation> {
+    // Each word of the code channel -> the files naming it, ascending.
+    let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (index, (_, lines)) in files.iter().enumerate() {
+        for word in lines.iter().flat_map(|line| words(&line.code)) {
+            let at = named_in.entry(word).or_default();
+            if at.last() != Some(&index) {
+                at.push(index);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (index, (rel_path, lines)) in files.iter().enumerate() {
+        if !classify(rel_path).is_lib || rel_path.starts_with("crates/shims/") {
+            continue;
+        }
+        for (at, def) in lines.iter().enumerate().filter(|(_, line)| !line.in_test) {
+            let Some(name) = pub_fn_name(&def.code) else {
+                continue;
+            };
+            let elsewhere = named_in[name].iter().any(|&file| file != index);
+            let at_home = lines.iter().enumerate().any(|(k, line)| {
+                k != at && !line.in_test && words(&line.code).any(|word| word == name)
+            });
+            if !elsewhere && !at_home {
+                out.push(Violation {
+                    rule: RULE_DEAD_PUB,
+                    file: rel_path.clone(),
+                    line: def.number,
+                    excerpt: def.code.trim().to_string(),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The identifiers and numbers of a code line.
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+}
+
+/// The name a `pub fn` (or `pub const fn`) line defines.
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    words(rest.strip_prefix("fn ")?).next()
 }
 
 #[cfg(test)]

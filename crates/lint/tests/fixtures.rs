@@ -3,9 +3,10 @@
 //! which the repo walker skips, so they never pollute the real lint run.
 
 use llmsql_lint::rules::{
-    check_file, RULE_ATOMIC_ORDERING, RULE_BANNED_TIME, RULE_FLOAT_ORDERING, RULE_FORBID_UNSAFE,
-    RULE_PANIC_IN_LIB,
+    check_dead_pub, check_file, RULE_ATOMIC_ORDERING, RULE_BANNED_TIME, RULE_DEAD_PUB,
+    RULE_FLOAT_ORDERING, RULE_FORBID_UNSAFE, RULE_PANIC_IN_LIB,
 };
+use llmsql_lint::scanner::scan_source;
 
 /// Lint a fixture as if it sat at a library (non-root) path.
 fn lint_as_lib(src: &str) -> Vec<&'static str> {
@@ -138,4 +139,31 @@ fn non_lib_paths_skip_time_and_panic_rules() {
     assert!(check_file("crates/fixture/tests/t.rs", src).is_empty());
     assert!(check_file("crates/fixture/src/bin/tool.rs", src).is_empty());
     assert!(check_file("crates/fixture/benches/b.rs", src).is_empty());
+}
+
+#[test]
+fn dead_pub_flags_what_only_its_own_test_or_a_comment_names() {
+    let flagged = |library: &str| {
+        let files = [
+            (library, include_str!("fixtures/dead_pub.rs")),
+            (
+                "examples/user.rs",
+                include_str!("fixtures/dead_pub_user.rs"),
+            ),
+        ]
+        .map(|(path, src)| (path.to_string(), scan_source(src)));
+        check_dead_pub(&files)
+            .into_iter()
+            .map(|v| (v.rule, v.line))
+            .collect::<Vec<_>>()
+    };
+    // `only_tested` and `only_named`; the file that calls
+    // `called_elsewhere` is read for uses and checked for nothing.
+    assert_eq!(
+        flagged("crates/fixture/src/module.rs"),
+        [(RULE_DEAD_PUB, 5), (RULE_DEAD_PUB, 20)]
+    );
+    // Only library code is checked, and the shims are not.
+    assert!(flagged("crates/fixture/tests/t.rs").is_empty());
+    assert!(flagged("crates/shims/fixture/src/lib.rs").is_empty());
 }

@@ -11,8 +11,7 @@
 //! the pool's epoch to it. Nothing below the poll reads the clock, so a test
 //! drives a call on synthetic instants — submit, poll at
 //! [`CallMachine::next_wakeup`], never sleep — and names the instant it
-//! resolves. The pool reads the clock when it is built (its epoch) and in
-//! [`BackendPool::latency_ewma_ms`], a reader no decision takes.
+//! resolves. The pool reads the clock once, when it is built (its epoch).
 //!
 //! **The failure-handling contract**, relied on by the scheduler and the
 //! chaos harness:
@@ -361,7 +360,6 @@ mod tests {
         assert_eq!(pool.fingerprint(), model.fingerprint());
         assert_eq!(pool.len(), 2);
         assert!(!pool.is_empty());
-        assert_eq!(pool.policy(), RoutingPolicy::LeastInFlight);
     }
 
     #[test]

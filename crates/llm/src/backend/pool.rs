@@ -269,10 +269,11 @@ impl BreakerState {
     /// below [`PROBE_IN_FLIGHT`] instead of overflowing (or colliding with
     /// the sentinel, which would read as a phantom probe).
     pub(super) fn open(&self, now_ms: u64, cooldown_ms: f64) {
-        let cooldown = cooldown_ms.max(0.0) as u64; // f64→u64 casts saturate
-                                                    // ordering: Release — publishes the expiry (and the error history
-                                                    // before it) to admission()'s Acquire load; the probe CAS there is
-                                                    // against this exact value.
+        // f64→u64 casts saturate.
+        let cooldown = cooldown_ms.max(0.0) as u64;
+        // ordering: Release — publishes the expiry (and the error history
+        // before it) to admission()'s Acquire load; the probe CAS there is
+        // against this exact value.
         self.open_until_ms.store(
             now_ms
                 .saturating_add(cooldown)
@@ -616,11 +617,6 @@ impl BackendPool {
         self.members.is_empty()
     }
 
-    /// The routing policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.settings.policy
-    }
-
     /// Per-backend counter snapshots, in registration order.
     pub fn stats(&self) -> Vec<BackendStats> {
         self.members
@@ -645,20 +641,6 @@ impl BackendPool {
                     hedges_won: counters.hedges_won.load(Ordering::Relaxed),
                 }
             })
-            .collect()
-    }
-
-    /// The measured latency EWMA per backend (registration order), `None`
-    /// before a backend's first successful request, decayed to the instant
-    /// of the read: exactly the estimate routing and hedging would act on
-    /// now, so an idle backend's entry visibly drifts back toward zero. Kept
-    /// out of [`BackendStats`] because it is measured and would break
-    /// trace-reproducibility comparisons of deterministic counter snapshots.
-    pub fn latency_ewma_ms(&self) -> Vec<(String, Option<f64>)> {
-        let now_ms = self.settings.ms(clock::now());
-        self.members
-            .iter()
-            .map(|member| (member.backend.id().to_string(), member.decayed_ewma(now_ms)))
             .collect()
     }
 

@@ -18,12 +18,12 @@
 //! reads it, and an answer lives as long as its entry or the scan still
 //! reading it — [`PromptCache::clear`] mid-scan takes nothing from the scan.
 //!
-//! The map is split into [`PromptCache::DEFAULT_SHARDS`] independently locked
-//! shards, so concurrent scan workers completing different prompts do not
-//! serialize on one lock. The shard index and the shard's bucket index are
-//! both cut from the key's one hash, from different bits
-//! (`RequestKey::shard`). Hit/miss counters are lock-free `AtomicU64`s: a
-//! cache read costs one shard read lock and one atomic increment.
+//! The map is split into 16 independently locked shards, so queries
+//! completing different prompts on different threads do not serialize on
+//! one lock. The shard index and the shard's bucket index are both cut from
+//! the key's one hash, from different bits (`RequestKey::shard`). Hit/miss
+//! counters are lock-free `AtomicU64`s: a cache read costs one shard read
+//! lock and one atomic increment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,9 +33,12 @@ use parking_lot::RwLock;
 use crate::key::{KeyMap, RequestKey};
 use crate::model::CompletionResponse;
 
+/// Shards the key space is split into.
+const SHARDS: usize = 16;
+
 /// A thread-safe, sharded prompt → completion cache.
 pub struct PromptCache {
-    shards: Box<[RwLock<KeyMap<Arc<CompletionResponse>>>]>,
+    shards: [RwLock<KeyMap<Arc<CompletionResponse>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -47,31 +50,17 @@ impl Default for PromptCache {
 }
 
 impl PromptCache {
-    /// Shard count used by [`PromptCache::new`].
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// Create an empty cache with the default shard count.
+    /// Create an empty cache.
     pub fn new() -> Self {
-        PromptCache::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// Create an empty cache with an explicit shard count (rounded up to 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
         PromptCache {
-            shards: (0..shards).map(|_| RwLock::default()).collect(),
+            shards: std::array::from_fn(|_| RwLock::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Number of shards the key space is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<Arc<CompletionResponse>>> {
-        &self.shards[key.shard(self.shards.len())]
+        &self.shards[key.shard(SHARDS)]
     }
 
     /// Look up a key, counting the hit or miss. A hit shares the entry: a
@@ -211,27 +200,18 @@ mod tests {
 
     #[test]
     fn entries_spread_across_shards() {
-        let cache = PromptCache::with_shards(8);
-        assert_eq!(cache.shard_count(), 8);
+        let cache = PromptCache::new();
         for i in 0..200 {
             cache.put(format!("prompt-{i}"), resp("x"));
         }
         assert_eq!(cache.len(), 200);
-        // With 200 keys over 8 shards, more than one shard must be populated.
+        // With 200 keys over 16 shards, more than one shard must be populated.
         let populated = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
         assert!(populated > 1, "all keys landed in one shard");
         for i in 0..200 {
             assert!(cache.get(format!("prompt-{i}")).is_some());
         }
         assert_eq!(cache.stats(), (200, 0));
-    }
-
-    #[test]
-    fn single_shard_still_works() {
-        let cache = PromptCache::with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
-        cache.put("p", resp("r"));
-        assert_eq!(cache.get("p").unwrap().text, "r");
     }
 
     #[test]

@@ -66,26 +66,12 @@ impl KbTable {
         self.rows.is_empty()
     }
 
-    /// All entity keys, in storage order.
-    pub fn entity_keys(&self) -> Vec<Value> {
-        self.rows
-            .iter()
-            .map(|r| r.get(self.key_col).clone())
-            .collect()
-    }
-
     /// Find the full row for an entity key (fuzzy: case-insensitive match of
     /// the rendered value).
     pub fn row_for_key(&self, key: &Value) -> Option<&Row> {
         self.key_index
             .get(&normalize_key(key))
             .and_then(|&i| self.rows.get(i))
-    }
-
-    /// Look up one attribute of one entity.
-    pub fn fact(&self, key: &Value, column: &str) -> Option<Value> {
-        let col = self.schema.index_of(column)?;
-        self.row_for_key(key).map(|r| r.get(col).clone())
     }
 }
 
@@ -107,11 +93,6 @@ impl KnowledgeBase {
         self.tables.insert(name, KbTable::new(schema, rows));
     }
 
-    /// Names of all relations.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Number of relations.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -122,29 +103,11 @@ impl KnowledgeBase {
         self.tables.is_empty()
     }
 
-    /// Total number of facts (non-null attribute values) across relations.
-    pub fn fact_count(&self) -> usize {
-        self.tables
-            .values()
-            .map(|t| {
-                t.rows
-                    .iter()
-                    .map(|r| r.values().iter().filter(|v| !v.is_null()).count())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
     /// Look up a relation by (case-insensitive) name.
     pub fn table(&self, name: &str) -> Result<&KbTable> {
         self.tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::llm(format!("the model knows no relation named '{name}'")))
-    }
-
-    /// True if a relation with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
     }
 
     /// Wrap in an `Arc` for sharing with the simulator.
@@ -190,8 +153,6 @@ mod tests {
         let kb = kb();
         assert!(kb.table("Countries").is_ok());
         assert!(kb.table("unknown").is_err());
-        assert!(kb.contains("COUNTRIES"));
-        assert_eq!(kb.table_names(), vec!["countries".to_string()]);
         assert_eq!(kb.len(), 1);
     }
 
@@ -201,41 +162,10 @@ mod tests {
         let t = kb.table("countries").unwrap();
         assert_eq!(t.len(), 3);
         assert_eq!(t.key_column(), 0);
-        assert_eq!(
-            t.entity_keys(),
-            vec![
-                Value::Text("France".into()),
-                Value::Text("Japan".into()),
-                Value::Text("Peru".into())
-            ]
-        );
         // fuzzy key match
         let row = t.row_for_key(&Value::Text("  france ".into())).unwrap();
         assert_eq!(row.get(1), &Value::Text("Paris".into()));
         assert!(t.row_for_key(&Value::Text("Narnia".into())).is_none());
-    }
-
-    #[test]
-    fn fact_lookup() {
-        let kb = kb();
-        let t = kb.table("countries").unwrap();
-        assert_eq!(
-            t.fact(&Value::Text("Japan".into()), "capital"),
-            Some(Value::Text("Tokyo".into()))
-        );
-        assert_eq!(
-            t.fact(&Value::Text("Peru".into()), "population"),
-            Some(Value::Null)
-        );
-        assert_eq!(t.fact(&Value::Text("Japan".into()), "bogus"), None);
-        assert_eq!(t.fact(&Value::Text("Narnia".into()), "capital"), None);
-    }
-
-    #[test]
-    fn fact_count_ignores_nulls() {
-        let kb = kb();
-        // 3 rows x 3 cols = 9 cells, one NULL
-        assert_eq!(kb.fact_count(), 8);
     }
 
     #[test]

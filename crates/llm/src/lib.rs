@@ -59,7 +59,7 @@ pub use parse::{
     parse_pipe_rows, parse_value_lines, parse_yes_no, scan_pipe_rows, scan_value_lines, ParsedRows,
     YesNoAnswer,
 };
-pub use prompt::{describe_schema, parse_task, PromptTemplate, TaskSpec};
+pub use prompt::{parse_task, PromptTemplate, TaskSpec};
 pub use sim::SimLlm;
 pub use slots::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use tokenizer::count_tokens;

@@ -670,12 +670,6 @@ impl<'a> KeyedSection<'a> {
 }
 
 /// Natural-language description of a relation used in the CONTEXT section.
-pub fn describe_schema(schema: &Schema) -> String {
-    let mut out = String::new();
-    write_schema(&mut out, schema);
-    out
-}
-
 fn write_schema(out: &mut String, schema: &Schema) {
     // Writing to a `String` cannot fail.
     let _ = write!(
@@ -791,7 +785,8 @@ mod tests {
 
     #[test]
     fn describe_schema_mentions_columns_and_descriptions() {
-        let d = describe_schema(&schema());
+        let mut d = String::new();
+        write_schema(&mut d, &schema());
         assert!(d.contains("sovereign countries"));
         assert!(d.contains("population in 2023"));
         assert!(d.contains("identifies the entity"));

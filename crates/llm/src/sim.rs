@@ -79,11 +79,6 @@ impl SimLlm {
         self
     }
 
-    /// The fidelity this simulator was configured with.
-    pub fn fidelity(&self) -> LlmFidelity {
-        self.noise.fidelity
-    }
-
     /// The knowledge base backing this simulator.
     pub fn knowledge(&self) -> &Arc<KnowledgeBase> {
         &self.kb

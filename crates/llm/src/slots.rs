@@ -43,8 +43,6 @@ pub struct CallSlots {
     free: Mutex<Free>,
     /// Highest number of slots ever held at once (global in-flight peak).
     peak_in_use: AtomicU64,
-    /// Total acquisitions that had to block.
-    contended: AtomicU64,
     /// Total time acquisitions spent blocked, microseconds.
     wait_us: AtomicU64,
 }
@@ -66,7 +64,6 @@ impl CallSlots {
                 waiters: Vec::new(),
             }),
             peak_in_use: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
         }
     }
@@ -75,9 +72,8 @@ impl CallSlots {
     /// on drop) and how long the call blocked, in milliseconds.
     ///
     /// Accounting only charges *real* waits: an acquisition that never
-    /// parked contributes neither to `contended_acquisitions` nor to
-    /// `total_wait_ms` (both counters are monotone — they only ever
-    /// `fetch_add` a non-negative measured duration).
+    /// parked adds nothing to `total_wait_ms` (which is monotone — it only
+    /// ever `fetch_add`s a non-negative measured duration).
     pub fn acquire(&self) -> (SlotGuard<'_>, f64) {
         let mut blocked_since = None;
         while !self.take() {
@@ -133,24 +129,15 @@ impl CallSlots {
         self.peak_in_use.load(Ordering::Relaxed)
     }
 
-    /// Acquisitions that had to block for a slot.
-    pub fn contended_acquisitions(&self) -> u64 {
-        // ordering: Relaxed — advisory statistics read.
-        self.contended.load(Ordering::Relaxed)
-    }
-
-    /// Fold a measured blocked wait into the contention counters. A scan
-    /// waits for capacity on its event loop, parked after a failed
+    /// Fold a measured blocked wait into `total_wait_ms`. A scan waits for
+    /// capacity on its event loop, parked after a failed
     /// [`CallSlots::try_acquire_owned`], rather than in
     /// [`CallSlots::acquire`]; the time it spent parked must still show up
-    /// in `contended_acquisitions` / `total_wait_ms`, or over-subscription
-    /// would be invisible. Zero waits are ignored, keeping the "only real
-    /// waits are charged" invariant.
+    /// in `total_wait_ms`, or over-subscription would be invisible.
     pub fn record_blocked_wait(&self, waited_us: u64) {
         if waited_us > 0 {
-            // ordering: Relaxed — monotone statistics, same contract as
+            // ordering: Relaxed — a monotone statistic, same contract as
             // peak_in_use in take().
-            self.contended.fetch_add(1, Ordering::Relaxed);
             self.wait_us.fetch_add(waited_us, Ordering::Relaxed);
         }
     }
@@ -212,7 +199,7 @@ mod tests {
         }
         assert_eq!(slots.in_use(), 0);
         assert_eq!(slots.peak_in_use(), 2);
-        assert_eq!(slots.contended_acquisitions(), 0);
+        assert_eq!(slots.total_wait_ms(), 0.0);
     }
 
     #[test]
@@ -247,27 +234,26 @@ mod tests {
         assert_eq!(slots.peak_in_use(), 3);
         assert_eq!(slots.in_use(), 0);
         // 12 threads over 3 slots: someone must have blocked.
-        assert!(slots.contended_acquisitions() > 0);
+        assert!(slots.total_wait_ms() > 0.0);
     }
 
     #[test]
     fn uncontended_acquisitions_charge_no_wait() {
         // Regression: acquisitions that never block (including back-to-back
-        // reacquisition through the free list) must not count as contended
-        // or accumulate wait time.
+        // reacquisition through the free list) must not accumulate wait
+        // time.
         let slots = CallSlots::new(2);
         for _ in 0..100 {
             let (_g, waited_ms) = slots.acquire();
             assert_eq!(waited_ms, 0.0);
         }
-        assert_eq!(slots.contended_acquisitions(), 0);
         assert_eq!(slots.total_wait_ms(), 0.0);
     }
 
     #[test]
     fn wait_accounting_is_monotone_under_concurrent_readers() {
         // 8 writers hammer a 1-slot pool while a reader samples
-        // total_wait_ms / contended_acquisitions: both must only ever grow.
+        // total_wait_ms: it must only ever grow.
         let slots = Arc::new(CallSlots::new(1));
         let stop = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
@@ -276,16 +262,12 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
                     let mut last_wait = 0.0f64;
-                    let mut last_contended = 0u64;
                     // ordering: Relaxed — plain stop flag; no data rides on
                     // it, the reader only needs eventual visibility.
                     while stop.load(Ordering::Relaxed) == 0 {
                         let wait = slots.total_wait_ms();
-                        let contended = slots.contended_acquisitions();
                         assert!(wait >= last_wait, "total_wait_ms went backwards");
-                        assert!(contended >= last_contended, "contended went backwards");
                         last_wait = wait;
-                        last_contended = contended;
                     }
                 });
             }
@@ -305,8 +287,7 @@ mod tests {
             stop.store(1, Ordering::Relaxed);
         });
         // 8 threads over 1 slot: some acquisition must have measurably
-        // blocked, and every contended acquisition contributed wait time.
-        assert!(slots.contended_acquisitions() > 0);
+        // blocked.
         assert!(slots.total_wait_ms() > 0.0);
     }
 
@@ -323,8 +304,8 @@ mod tests {
         drop(b);
         assert_eq!(slots.in_use(), 0);
         assert_eq!(slots.peak_in_use(), 2);
-        // Non-blocking acquisition is never counted as contention.
-        assert_eq!(slots.contended_acquisitions(), 0);
+        // Non-blocking acquisition is never counted as a wait.
+        assert_eq!(slots.total_wait_ms(), 0.0);
     }
 
     #[test]

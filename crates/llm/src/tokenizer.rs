@@ -8,78 +8,59 @@
 /// Maximum characters per sub-word chunk; real BPE pieces average ~4 chars.
 const CHUNK: usize = 4;
 
-/// A token produced by [`tokenize`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenPiece {
-    /// The piece text.
-    pub text: String,
-    /// Whether the piece was preceded by whitespace in the original text.
-    pub leading_space: bool,
-}
-
-/// Split text into sub-word token pieces.
-pub fn tokenize(text: &str) -> Vec<TokenPiece> {
-    let mut out = Vec::new();
-    let mut word = String::new();
-    let mut pending_space = false;
-
-    let flush = |word: &mut String, out: &mut Vec<TokenPiece>, leading: bool| {
-        if word.is_empty() {
-            return;
-        }
-        let chars: Vec<char> = word.chars().collect();
-        let mut first = true;
-        for chunk in chars.chunks(CHUNK) {
-            out.push(TokenPiece {
-                text: chunk.iter().collect(),
-                leading_space: leading && first,
-            });
-            first = false;
-        }
-        word.clear();
-    };
-
+/// Number of tokens in a text: one per punctuation character, and one per
+/// started 4 characters of each alphanumeric run. Whitespace only
+/// separates runs.
+pub fn count_tokens(text: &str) -> usize {
+    let mut tokens = 0;
+    // Characters of the alphanumeric run the scan is in.
+    let mut run = 0;
     for c in text.chars() {
         if c.is_whitespace() {
-            flush(&mut word, &mut out, pending_space);
-            pending_space = true;
+            run = 0;
         } else if c.is_alphanumeric() {
-            word.push(c);
+            if run % CHUNK == 0 {
+                tokens += 1;
+            }
+            run += 1;
         } else {
-            // punctuation is its own token
-            flush(&mut word, &mut out, pending_space);
-            out.push(TokenPiece {
-                text: c.to_string(),
-                leading_space: pending_space,
-            });
-            pending_space = false;
+            run = 0;
+            tokens += 1;
         }
     }
-    flush(&mut word, &mut out, pending_space);
-    out
-}
-
-/// Number of tokens in a text.
-pub fn count_tokens(text: &str) -> usize {
-    tokenize(text).len()
-}
-
-/// Reconstruct text from token pieces (whitespace is normalised to single
-/// spaces; used only to check that tokenization loses no content).
-pub fn detokenize(pieces: &[TokenPiece]) -> String {
-    let mut out = String::new();
-    for (i, p) in pieces.iter().enumerate() {
-        if p.leading_space && i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&p.text);
-    }
-    out
+    tokens
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The piecewise tokenizer `count_tokens` replaced, kept as its
+    /// reference: the pieces a text splits into, each alphanumeric word
+    /// chunked by [`CHUNK`] characters and each punctuation character a
+    /// piece of its own.
+    fn reference_pieces(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut word = String::new();
+        let flush = |word: &mut String, out: &mut Vec<String>| {
+            let chars: Vec<char> = word.chars().collect();
+            out.extend(chars.chunks(CHUNK).map(|chunk| chunk.iter().collect()));
+            word.clear();
+        };
+        for c in text.chars() {
+            if c.is_whitespace() {
+                flush(&mut word, &mut out);
+            } else if c.is_alphanumeric() {
+                word.push(c);
+            } else {
+                flush(&mut word, &mut out);
+                out.push(c.to_string());
+            }
+        }
+        flush(&mut word, &mut out);
+        out
+    }
 
     #[test]
     fn short_words_are_single_tokens() {
@@ -105,23 +86,35 @@ mod tests {
     }
 
     #[test]
-    fn detokenize_preserves_content_words() {
-        let text = "List the population of France, Germany and Japan.";
-        let pieces = tokenize(text);
-        let rebuilt = detokenize(&pieces);
-        // All alphanumeric content survives
-        let strip = |s: &str| {
-            s.chars()
-                .filter(|c| c.is_alphanumeric())
-                .collect::<String>()
-        };
-        assert_eq!(strip(&rebuilt), strip(text));
-    }
-
-    #[test]
     fn counts_scale_with_length() {
         let short = count_tokens("a b c");
         let long = count_tokens(&"a b c ".repeat(50));
         assert!(long > short * 40);
+    }
+
+    /// Text from the alphabets a prompt or an answer can hold: ASCII
+    /// punctuation, Unicode whitespace, letters and digits outside ASCII,
+    /// combining marks, emoji, and the prompt format's own lines.
+    fn arb_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            "[!-/:-@\\[-`{-~]{1,3}",
+            "[a-zA-Z0-9]{1,9}",
+            "[ \r\t\n\u{a0}\u{2003}\u{3000}\u{85}\u{2028}]{1,2}",
+            "[éßΩдж日本語٣५〇]{1,6}",
+            "[e\u{301}\u{308}\u{94d}\u{5b0}]{1,3}",
+            "[😀🎉👍🏽\u{200d}❤\u{fe0f}]{1,3}",
+            Just("### ".to_string()),
+            Just("### TASK\n".to_string()),
+            Just("key: São Tomé\n".to_string()),
+            Just("columns: name | capital\n".to_string()),
+        ];
+        proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #[test]
+        fn counts_the_reference_pieces(text in arb_text()) {
+            prop_assert_eq!(count_tokens(&text), reference_pieces(&text).len());
+        }
     }
 }

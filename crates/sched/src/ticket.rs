@@ -104,11 +104,6 @@ impl QueryTicket {
         self.id
     }
 
-    /// The tenant this query was submitted under.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
     /// Block until the query completes and take its [`QueryOutcome`].
     pub fn wait(self) -> QueryOutcome {
         self.state.wait()
@@ -143,7 +138,6 @@ mod tests {
             tenant: "t".to_string(),
         };
         assert_eq!(ticket.id(), 1);
-        assert_eq!(ticket.tenant(), "t");
         assert_eq!(ticket.wait().finish_seq, 7);
     }
 

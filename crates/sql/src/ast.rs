@@ -236,25 +236,6 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    /// Whether this operator yields a boolean.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq
-                | BinaryOp::Like
-        )
-    }
-
-    /// Whether this operator is a logical connective.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinaryOp::And | BinaryOp::Or)
-    }
-
     /// SQL spelling.
     pub fn sql(&self) -> &'static str {
         match self {
@@ -591,25 +572,6 @@ impl Expr {
             name: name.to_string(),
         })
     }
-
-    /// Convenience constructor for a qualified column reference.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::Column(ColumnRef {
-            qualifier: Some(qualifier.to_string()),
-            name: name.to_string(),
-        })
-    }
-
-    /// Collect all column references in the expression.
-    pub fn referenced_columns(&self) -> Vec<(Option<String>, String)> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let Expr::Column(c) = e {
-                out.push((c.qualifier.clone(), c.name.clone()));
-            }
-        });
-        out
-    }
 }
 
 /// A column definition in CREATE TABLE.
@@ -704,24 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_collects_all() {
-        let e = Expr::binary(
-            Expr::qcol("t", "a"),
-            BinaryOp::And,
-            Expr::Between {
-                expr: Box::new(Expr::column("b")),
-                low: Box::new(Expr::lit(1i64)),
-                high: Box::new(Expr::column("c")),
-                negated: false,
-            },
-        );
-        let cols = e.referenced_columns();
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols[0], (Some("t".to_string()), "a".to_string()));
-        assert_eq!(cols[1], (None, "b".to_string()));
-    }
-
-    #[test]
     fn table_expr_helpers() {
         let join = TableExpr::Join {
             left: Box::new(TableExpr::Table {
@@ -768,9 +712,6 @@ mod tests {
 
     #[test]
     fn binary_op_properties() {
-        assert!(BinaryOp::Eq.is_comparison());
-        assert!(!BinaryOp::Plus.is_comparison());
-        assert!(BinaryOp::And.is_logical());
         assert_eq!(BinaryOp::NotEq.sql(), "<>");
     }
 }

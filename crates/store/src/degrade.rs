@@ -44,15 +44,6 @@ impl DegradeSpec {
             seed,
         }
     }
-
-    /// Spec that only drops whole rows.
-    pub fn missing_rows(fraction: f64, seed: u64) -> Self {
-        DegradeSpec {
-            null_fraction: 0.0,
-            drop_row_fraction: fraction,
-            seed,
-        }
-    }
 }
 
 /// Statistics about what a degradation pass removed.
@@ -172,7 +163,12 @@ mod tests {
     #[test]
     fn row_dropping() {
         let t = big_table();
-        let (d, report) = degrade_table(&t, &DegradeSpec::missing_rows(0.25, 9)).unwrap();
+        let spec = DegradeSpec {
+            null_fraction: 0.0,
+            drop_row_fraction: 0.25,
+            seed: 9,
+        };
+        let (d, report) = degrade_table(&t, &spec).unwrap();
         assert_eq!(report.kept_rows, d.row_count());
         assert_eq!(report.kept_rows + report.dropped_rows, 200);
         assert!(report.dropped_rows > 20 && report.dropped_rows < 90);

@@ -21,9 +21,6 @@ pub struct Table {
 struct TableInner {
     schema: Schema,
     rows: Vec<Row>,
-    /// Monotonically increasing version, bumped on every mutation; used by
-    /// readers that want to detect concurrent changes.
-    version: u64,
 }
 
 impl Table {
@@ -34,7 +31,6 @@ impl Table {
             inner: Arc::new(RwLock::new(TableInner {
                 schema,
                 rows: Vec::new(),
-                version: 0,
             })),
         })
     }
@@ -52,11 +48,6 @@ impl Table {
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.inner.read().rows.len()
-    }
-
-    /// Current mutation version.
-    pub fn version(&self) -> u64 {
-        self.inner.read().version
     }
 
     /// Validate and coerce a row against the schema: arity check, type
@@ -136,78 +127,12 @@ impl Table {
 
         let n = coerced.len();
         inner.rows.extend(coerced);
-        inner.version += 1;
         Ok(n)
     }
 
     /// Full scan: clone out all rows.
     pub fn scan(&self) -> Vec<Row> {
         self.inner.read().rows.clone()
-    }
-
-    /// Scan with a filter applied while the read lock is held.
-    pub fn scan_filtered(&self, mut pred: impl FnMut(&Row) -> bool) -> Vec<Row> {
-        self.inner
-            .read()
-            .rows
-            .iter()
-            .filter(|r| pred(r))
-            .cloned()
-            .collect()
-    }
-
-    /// Iterate rows without cloning the whole table; the callback runs under
-    /// the read lock.
-    pub fn for_each(&self, mut f: impl FnMut(&Row)) {
-        for row in &self.inner.read().rows {
-            f(row);
-        }
-    }
-
-    /// The rows whose `column` holds `value`.
-    pub fn lookup(&self, column: usize, value: &Value) -> Vec<Row> {
-        self.scan_filtered(|r| r.get(column) == value)
-    }
-
-    /// Update rows matching `pred`, applying `f`; returns the number updated.
-    pub fn update_where(&self, pred: impl Fn(&Row) -> bool, f: impl Fn(&mut Row)) -> Result<usize> {
-        let mut inner = self.inner.write();
-        let schema = inner.schema.clone();
-        let mut updated = 0;
-        let mut new_rows = Vec::with_capacity(inner.rows.len());
-        for row in inner.rows.iter() {
-            if pred(row) {
-                let mut r = row.clone();
-                f(&mut r);
-                let r = Self::coerce_row(&schema, r)?;
-                new_rows.push(r);
-                updated += 1;
-            } else {
-                new_rows.push(row.clone());
-            }
-        }
-        inner.rows = new_rows;
-        inner.version += 1;
-        Ok(updated)
-    }
-
-    /// Delete rows matching `pred`; returns the number deleted.
-    pub fn delete_where(&self, pred: impl Fn(&Row) -> bool) -> usize {
-        let mut inner = self.inner.write();
-        let before = inner.rows.len();
-        inner.rows.retain(|r| !pred(r));
-        let deleted = before - inner.rows.len();
-        if deleted > 0 {
-            inner.version += 1;
-        }
-        deleted
-    }
-
-    /// Remove all rows.
-    pub fn truncate(&self) {
-        let mut inner = self.inner.write();
-        inner.rows.clear();
-        inner.version += 1;
     }
 }
 
@@ -318,66 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn lookup_finds_the_rows_holding_a_value() {
-        let t = sample_table();
-        let rows = t.lookup(0, &Value::Text("bob".into()));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(1), &Value::Int(25));
-        let rows = t.lookup(2, &Value::Text("paris".into()));
-        assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn update_and_delete() {
-        let t = sample_table();
-        let n = t
-            .update_where(
-                |r| r.get(2) == &Value::Text("paris".into()),
-                |r| r.set(2, "berlin".into()),
-            )
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(t.lookup(2, &Value::Text("berlin".into())).len(), 2);
-
-        let deleted = t.delete_where(|r| r.get(1) == &Value::Int(25));
-        assert_eq!(deleted, 1);
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.delete_where(|_| false), 0);
-    }
-
-    #[test]
-    fn truncate_and_version() {
-        let t = sample_table();
-        let v0 = t.version();
-        t.truncate();
-        assert_eq!(t.row_count(), 0);
-        assert!(t.version() > v0);
-    }
-
-    #[test]
-    fn lookup_sees_a_delete() {
-        let t = sample_table();
-        t.delete_where(|r| r.get(0) == &Value::Text("alice".into()));
-        let rows = t.lookup(0, &Value::Text("carol".into()));
-        assert_eq!(rows.len(), 1);
-        let rows = t.lookup(0, &Value::Text("alice".into()));
-        assert!(rows.is_empty());
-    }
-
-    #[test]
     fn simple_schema_builder() {
         let s = simple_schema("t", &[("id", DataType::Int), ("x", DataType::Float)]);
         assert!(s.columns[0].primary_key);
         assert!(!s.columns[1].primary_key);
-    }
-
-    #[test]
-    fn scan_filtered_and_for_each() {
-        let t = sample_table();
-        let rows = t.scan_filtered(|r| r.get(1).as_int().unwrap_or(0) > 26);
-        assert_eq!(rows.len(), 2);
-        let mut count = 0;
-        t.for_each(|_| count += 1);
-        assert_eq!(count, 3);
     }
 }

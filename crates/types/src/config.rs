@@ -83,8 +83,13 @@ impl fmt::Display for PromptStrategy {
 /// With hedging off ([`EngineConfig::hedge_multiplier`] `== 0`) the policy
 /// orders the whole candidate walk: primary, then failover in the policy's
 /// order. With hedging on it picks only the primary; every policy's failover
-/// — `CostAware`'s included — then goes by health (breaker-closed backends
-/// first, lowest measured latency first), the same order the hedge follows.
+/// — `CostAware`'s included — then goes by health, the same order the hedge
+/// follows: breaker-closed backends first, then the shortest expected time
+/// to a success (the decayed latency EWMA ÷ (1 − the decayed failure
+/// share)), backends without a sample last. A primary the pool already
+/// expects to be late — breaker closed, sampled, and its expected time to a
+/// success past the hedge threshold — does not launch first: it takes its
+/// place in health order too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Rotate through the backends in registration order.
@@ -477,10 +482,13 @@ pub struct EngineConfig {
     /// the lateness threshold as a multiple of the expected latency (2.0 ~
     /// "tail beyond twice the typical request"). With hedging on, the
     /// backends behind the routing policy's primary are walked in order of
-    /// health (breaker-closed first, lowest measured latency first) rather
-    /// than in the policy's order, so a request whose primary fails lands on
-    /// the healthiest sibling: physical-trace reproducibility is traded for
-    /// latency (see [`RoutingPolicy`]). The backend pool is the one hedging
+    /// health (breaker-closed first, then shortest expected time to a
+    /// success: EWMA ÷ (1 − failure share)) rather than in the policy's
+    /// order, so a request whose primary fails lands on the healthiest
+    /// sibling, and a primary already expected to be late (its expected time
+    /// past the threshold) takes its place in that order instead of
+    /// launching first: physical-trace reproducibility is traded for latency
+    /// (see [`RoutingPolicy`]). The backend pool is the one hedging
     /// layer — every request through it arms a hedge timer — so without
     /// [`EngineConfig::backends`] this has no effect.
     pub hedge_multiplier: f64,

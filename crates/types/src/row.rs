@@ -44,16 +44,6 @@ impl Row {
         self.values.get(idx).unwrap_or(&NULL)
     }
 
-    /// Access a value by index, if present.
-    pub fn try_get(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
-    }
-
-    /// Mutable access to a value.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
-        self.values.get_mut(idx)
-    }
-
     /// Replace the value at `idx`; extends with NULLs when needed.
     pub fn set(&mut self, idx: usize, value: Value) {
         if idx >= self.values.len() {
@@ -90,11 +80,6 @@ impl Row {
         Row {
             values: indices.iter().map(|&i| self.get(i).clone()).collect(),
         }
-    }
-
-    /// Count NULL values in the row.
-    pub fn null_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_null()).count()
     }
 
     /// True if every value in the row is NULL.
@@ -259,7 +244,6 @@ mod tests {
         assert_eq!(r.arity(), 2);
         assert_eq!(r.get(0), &Value::Int(1));
         assert_eq!(r.get(99), &Value::Null);
-        assert_eq!(r.try_get(99), None);
         assert_eq!(r[1], Value::Text("a".into()));
     }
 
@@ -285,7 +269,6 @@ mod tests {
     #[test]
     fn null_counting() {
         let r = Row::new(vec![Value::Null, Value::Int(1), Value::Null]);
-        assert_eq!(r.null_count(), 2);
         assert!(!r.all_null());
         assert!(Row::new(vec![Value::Null, Value::Null]).all_null());
         assert!(!Row::empty().all_null());

@@ -148,7 +148,7 @@ pub fn check_accounting_conserved(
     };
     let mut billed = UsageStats::default();
     for result in results {
-        billed.absorb(&result.usage);
+        billed.absorb(&result.metrics.usage);
     }
     differs("model calls", billed.calls as f64, usage.calls as f64)?;
     differs(

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use llmsql_core::{score_batches, Engine, EvalOptions, ResultScore, SuiteScore};
+use llmsql_core::{score_batches, Engine, ResultScore, SuiteScore};
 use llmsql_llm::UsageStats;
 use llmsql_types::Result;
 
@@ -96,38 +96,26 @@ impl SuiteOutcome {
 /// Queries that fail on the subject engine score zero (the failure is the
 /// system's fault); queries that fail on the *oracle* are skipped (they are
 /// malformed for the ground truth and cannot be scored).
-pub fn run_suite(
-    oracle: &Engine,
-    subject: &Engine,
-    queries: &[QueryCase],
-    options: &EvalOptions,
-) -> Result<SuiteOutcome> {
+pub fn run_suite(oracle: &Engine, subject: &Engine, queries: &[QueryCase]) -> Result<SuiteOutcome> {
     let mut outcome = SuiteOutcome::default();
     for case in queries {
         let Ok(expected) = oracle.execute(&case.sql) else {
             continue;
         };
-        let case_options = if case.order_sensitive {
-            EvalOptions {
-                order_sensitive: true,
-                ..*options
-            }
-        } else {
-            *options
-        };
         let (score, usage, llm_calls, cells_filled, engine_ms) = match subject.execute(&case.sql) {
             Ok(actual) => {
-                let score = score_batches(&actual.batch, &expected.batch, &case_options);
+                let score = score_batches(&actual.batch, &expected.batch, case.order_sensitive);
+                let llm_calls = actual.metrics.llm_calls();
                 (
                     score,
-                    actual.usage,
-                    actual.metrics.llm_calls(),
+                    actual.metrics.usage,
+                    llm_calls,
                     actual.metrics.cells_filled_by_llm,
                     actual.engine_ms,
                 )
             }
             Err(_) => (
-                score_batches(&Default::default(), &expected.batch, &case_options),
+                score_batches(&Default::default(), &expected.batch, case.order_sensitive),
                 UsageStats::default(),
                 0,
                 0,
@@ -172,7 +160,7 @@ mod tests {
             )
             .unwrap();
         let suite = standard_suite(&w, 2);
-        let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();
+        let outcome = run_suite(&oracle, &subject, &suite).unwrap();
         assert_eq!(outcome.cases.len(), suite.len());
         let overall = outcome.overall();
         assert!(overall.f1() > 0.999, "f1 = {}", overall.f1());
@@ -195,10 +183,7 @@ mod tests {
                         .with_fidelity(fidelity),
                 )
                 .unwrap();
-            run_suite(&oracle, &subject, &suite, &EvalOptions::exact())
-                .unwrap()
-                .overall()
-                .f1()
+            run_suite(&oracle, &subject, &suite).unwrap().overall().f1()
         };
         let strong = f1_of(LlmFidelity::perfect());
         let weak = f1_of(LlmFidelity::weak());
@@ -223,8 +208,8 @@ mod tests {
         let suite = standard_suite(&w, 2);
         let single = w.subject_engine(base()).unwrap();
         let pooled = w.subject_engine_multi_backend(base()).unwrap();
-        let single_out = run_suite(&oracle, &single, &suite, &EvalOptions::exact()).unwrap();
-        let pooled_out = run_suite(&oracle, &pooled, &suite, &EvalOptions::exact()).unwrap();
+        let single_out = run_suite(&oracle, &single, &suite).unwrap();
+        let pooled_out = run_suite(&oracle, &pooled, &suite).unwrap();
         for (a, b) in single_out.cases.iter().zip(&pooled_out.cases) {
             assert_eq!(a.case.sql, b.case.sql);
             assert_eq!(a.score, b.score, "score diverged on {}", a.case.sql);
@@ -245,7 +230,7 @@ mod tests {
             )
             .unwrap();
         let suite = standard_suite(&w, 2);
-        let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();
+        let outcome = run_suite(&oracle, &subject, &suite).unwrap();
         let by_class = outcome.by_class();
         let total: usize = by_class.values().map(|s| s.len()).sum();
         assert_eq!(total, outcome.cases.len());

@@ -8,7 +8,6 @@
 //! configuration, so numbers are comparable across tables. Every cell is a
 //! function of (seed, config) except the timing columns (engine wall time).
 
-use llmsql_core::EvalOptions;
 use llmsql_store::{degrade_catalog, DegradeSpec};
 use llmsql_types::{
     EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy, Result,
@@ -59,12 +58,7 @@ fn llm_config(strategy: PromptStrategy, fidelity: LlmFidelity) -> EngineConfig {
 /// `config`, scoring every answer exactly.
 fn run(world: &World, config: EngineConfig, suite: &[QueryCase]) -> Result<SuiteOutcome> {
     let subject = world.subject_engine(config)?;
-    run_suite(
-        &world.oracle_engine(),
-        &subject,
-        suite,
-        &EvalOptions::exact(),
-    )
+    run_suite(&world.oracle_engine(), &subject, suite)
 }
 
 fn of_class(outcome: &SuiteOutcome, class: QueryClass) -> Vec<&CaseOutcome> {
@@ -316,7 +310,7 @@ pub fn e6_hybrid() -> Result<Report> {
             ("hybrid", &hybrid),
             ("llm-only", &llm_only),
         ] {
-            let outcome = run_suite(&oracle, engine, &suite, &EvalOptions::exact())?;
+            let outcome = run_suite(&oracle, engine, &suite)?;
             let overall = outcome.overall();
             let filled: u64 = outcome.cases.iter().map(|c| c.cells_filled).sum();
             report.row(vec![

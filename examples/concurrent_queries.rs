@@ -120,7 +120,8 @@ fn main() {
     // per-tenant spend is a plain sum over the tenant's outcomes.
     let mut tenant_usd = std::collections::BTreeMap::<&str, (u64, f64)>::new();
     for outcome in &outcomes {
-        let usage = &outcome.result.as_ref().expect("checked above").usage;
+        let result = outcome.result.as_ref().expect("checked above");
+        let usage = &result.metrics.usage;
         let (calls, usd) = tenant_usd.entry(outcome.tenant.as_str()).or_default();
         *calls += usage.calls;
         *usd += usage.cost_usd;

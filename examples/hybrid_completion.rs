@@ -10,7 +10,7 @@
 //! cargo run --example hybrid_completion
 //! ```
 
-use llmsql_core::{score_batches, Engine, EvalOptions};
+use llmsql_core::{score_batches, Engine};
 use llmsql_store::{degrade_catalog, DegradeSpec};
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
 use llmsql_workload::{World, WorldSpec};
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("llm-only (model alone)     ", &llm_only),
         ] {
             let answer = engine.execute(sql)?;
-            let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+            let score = score_batches(&answer.batch, &truth.batch, false);
             println!(
                 "  {label}: F1 {:.2}  (precision {:.2}, recall {:.2}; {} model calls, {} cells filled)",
                 score.f1,

@@ -21,8 +21,8 @@ fn main() {
     println!(
         "single backend : {} rows, {} calls, ${:.4}, {:.1} ms wall",
         baseline.row_count(),
-        baseline.usage.calls,
-        baseline.usage.cost_usd,
+        baseline.metrics.usage.calls,
+        baseline.metrics.usage.cost_usd,
         baseline.engine_ms
     );
 
@@ -30,12 +30,15 @@ fn main() {
         let engine = multi_backend_engine(100, 4, 1.0, policy, true).unwrap();
         let result = engine.execute(sql).unwrap();
         assert_eq!(result.rows(), baseline.rows(), "rows diverged");
-        assert_eq!(result.usage.calls, baseline.usage.calls, "calls diverged");
+        assert_eq!(
+            result.metrics.usage.calls, baseline.metrics.usage.calls,
+            "calls diverged"
+        );
         println!(
             "\n{policy} (edge-a is hard down): {} rows, {} logical calls, ${:.4}, {:.1} ms wall",
             result.row_count(),
-            result.usage.calls,
-            result.usage.cost_usd,
+            result.metrics.usage.calls,
+            result.metrics.usage.cost_usd,
             result.engine_ms
         );
         for (backend, calls) in &result.metrics.backend_calls {

@@ -21,7 +21,7 @@ fn main() {
             "parallelism {parallelism}: {} rows in {:>7.1?}  ({} calls, peak {} in flight)",
             result.row_count(),
             elapsed,
-            result.usage.calls,
+            result.metrics.usage.calls,
             result.metrics.peak_in_flight,
         );
         match &baseline_rows {

@@ -6,7 +6,7 @@
 //! cargo run --example prompt_strategies
 //! ```
 
-use llmsql_core::{score_batches, EvalOptions};
+use llmsql_core::score_batches;
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
 use llmsql_workload::{World, WorldSpec};
 
@@ -33,16 +33,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_fidelity(LlmFidelity::strong()),
         )?;
         let answer = subject.execute(sql)?;
-        let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+        let score = score_batches(&answer.batch, &truth.batch, false);
         println!("strategy: {strategy}");
         println!(
             "  rows {:>3}   F1 {:.2}   calls {:>3}   tokens {:>6}   cost ${:.4}   simulated latency {:>7.0} ms",
             answer.row_count(),
             score.f1,
             answer.metrics.llm_calls(),
-            answer.usage.total_tokens(),
-            answer.usage.cost_usd,
-            answer.usage.latency_ms,
+            answer.metrics.usage.total_tokens(),
+            answer.metrics.usage.cost_usd,
+            answer.metrics.usage.latency_ms,
         );
         // Show which prompt kinds this strategy used.
         let kinds: Vec<String> = answer

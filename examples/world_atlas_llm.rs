@@ -10,7 +10,7 @@
 //! cargo run --example world_atlas_llm
 //! ```
 
-use llmsql_core::{score_batches, EvalOptions};
+use llmsql_core::score_batches;
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy};
 use llmsql_workload::{World, WorldSpec};
 
@@ -45,14 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("SQL> {sql}");
         let truth = oracle.execute(sql)?;
         let answer = subject.execute(sql)?;
-        let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+        let score = score_batches(&answer.batch, &truth.batch, false);
         println!("{}", answer.to_ascii_table());
         println!(
             "  model: {} calls, {} tokens, ${:.4}, ~{:.0} ms simulated latency",
             answer.metrics.llm_calls(),
-            answer.usage.total_tokens(),
-            answer.usage.cost_usd,
-            answer.usage.latency_ms,
+            answer.metrics.usage.total_tokens(),
+            answer.metrics.usage.cost_usd,
+            answer.metrics.usage.latency_ms,
         );
         println!(
             "  accuracy vs ground truth: precision {:.2}, recall {:.2}, F1 {:.2}{}",

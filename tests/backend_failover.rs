@@ -30,7 +30,7 @@ fn failing_backend_does_not_change_rows_or_call_counts() {
             "rows diverged under {policy} with a failing backend"
         );
         assert_eq!(
-            single.usage.calls, pooled.usage.calls,
+            single.metrics.usage.calls, pooled.metrics.usage.calls,
             "logical call count diverged under {policy}"
         );
         assert_eq!(
@@ -108,7 +108,7 @@ fn pooled_scan_is_parallelism_invariant() {
             "rows diverged at parallelism {parallelism}"
         );
         assert_eq!(
-            baseline.usage.calls, result.usage.calls,
+            baseline.metrics.usage.calls, result.metrics.usage.calls,
             "call count diverged at parallelism {parallelism}"
         );
     }
@@ -158,7 +158,7 @@ fn hedging_with_a_slow_outlier_keeps_results_and_wins_hedges() {
         "hedging changed the rows a scan returns"
     );
     assert_eq!(
-        baseline.usage.calls, hedged.usage.calls,
+        baseline.metrics.usage.calls, hedged.metrics.usage.calls,
         "hedges must not consume the logical call budget"
     );
     assert_eq!(baseline.metrics.llm_calls(), hedged.metrics.llm_calls());
@@ -223,7 +223,7 @@ fn pooled_engines_keep_the_sequential_results_and_overlap_their_waves() {
         .execute(SCAN_SQL)
         .unwrap();
     assert_eq!(sequential.rows(), pooled.rows());
-    assert_eq!(sequential.usage.calls, pooled.usage.calls);
+    assert_eq!(sequential.metrics.usage.calls, pooled.metrics.usage.calls);
     assert!(pooled.metrics.peak_in_flight >= 2, "{:?}", pooled.metrics);
 }
 
@@ -247,9 +247,9 @@ fn cost_aware_routing_prefers_cheap_backends() {
         .unwrap();
     assert!(round_robin.metrics.backend_calls["edge-c"] > 0);
     assert!(
-        cost_aware.usage.cost_usd < round_robin.usage.cost_usd,
+        cost_aware.metrics.usage.cost_usd < round_robin.metrics.usage.cost_usd,
         "cost-aware spend {} should undercut round-robin spend {}",
-        cost_aware.usage.cost_usd,
-        round_robin.usage.cost_usd
+        cost_aware.metrics.usage.cost_usd,
+        round_robin.metrics.usage.cost_usd
     );
 }

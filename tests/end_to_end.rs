@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning every crate: SQL text in, scored
 //! answers out, across execution modes and prompting strategies.
 
-use llmsql_core::{score_batches, Engine, EvalOptions};
+use llmsql_core::{score_batches, Engine};
 use llmsql_store::{degrade_catalog, DegradeSpec};
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, PromptStrategy, Value};
 use llmsql_workload::{run_suite, standard_suite, World, WorldSpec};
@@ -37,7 +37,7 @@ fn perfect_fidelity_is_lossless_for_all_decomposed_strategies() {
                     .with_fidelity(LlmFidelity::perfect()),
             )
             .unwrap();
-        let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();
+        let outcome = run_suite(&oracle, &subject, &suite).unwrap();
         let overall = outcome.overall();
         assert!(
             overall.f1() > 0.999,
@@ -122,7 +122,7 @@ fn pushed_arithmetic_filters_match_the_oracle_in_every_strategy() {
                 .with_strategy(strategy)
                 .with_fidelity(LlmFidelity::perfect());
             let answer = w.subject_engine(config).unwrap().execute(sql).unwrap();
-            let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+            let score = score_batches(&answer.batch, &truth.batch, false);
             assert!(score.exact, "{strategy}: '{sql}' diverged: {score:?}");
         }
     }
@@ -202,7 +202,7 @@ fn full_query_strategy_handles_single_table_queries() {
     ] {
         let truth = oracle.execute(sql).unwrap();
         let answer = subject.execute(sql).unwrap();
-        let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+        let score = score_batches(&answer.batch, &truth.batch, false);
         assert!(score.exact, "query '{sql}' diverged: {score:?}");
         assert_eq!(answer.metrics.llm_calls(), 1, "full-query must be one call");
     }
@@ -228,7 +228,7 @@ fn accuracy_improves_with_model_quality() {
                     .with_fidelity(fidelity),
             )
             .unwrap();
-        let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();
+        let outcome = run_suite(&oracle, &subject, &suite).unwrap();
         f1s.push(outcome.overall().f1());
     }
     assert!(
@@ -274,10 +274,10 @@ fn hybrid_execution_recovers_missing_values() {
     let damaged_score = score_batches(
         &traditional.execute(sql).unwrap().batch,
         &truth.batch,
-        &EvalOptions::exact(),
+        false,
     );
     let hybrid_result = hybrid.execute(sql).unwrap();
-    let hybrid_score = score_batches(&hybrid_result.batch, &truth.batch, &EvalOptions::exact());
+    let hybrid_score = score_batches(&hybrid_result.batch, &truth.batch, false);
 
     assert!(hybrid_score.f1 >= damaged_score.f1);
     assert!(
@@ -302,10 +302,10 @@ fn prompt_cache_reduces_calls_but_not_answers() {
     let first = subject.execute(sql).unwrap();
     let second = subject.execute(sql).unwrap();
     assert_eq!(first.batch, second.batch);
-    assert!(first.usage.calls > 0);
+    assert!(first.metrics.usage.calls > 0);
     // The second run is served from the cache: no new model calls.
-    assert_eq!(second.usage.calls, 0);
-    assert!(second.usage.cache_hits > 0);
+    assert_eq!(second.metrics.usage.calls, 0);
+    assert!(second.metrics.usage.cache_hits > 0);
 }
 
 /// A cache hit shares the entry's answer with the scan that reads it, so an
@@ -362,7 +362,7 @@ fn optimizer_rules_reduce_model_traffic() {
         config.optimizer.projection_pruning = pruning;
         config.enable_prompt_cache = false;
         let subject = w.subject_engine(config).unwrap();
-        let outcome = run_suite(&oracle, &subject, &suite, &EvalOptions::exact()).unwrap();
+        let outcome = run_suite(&oracle, &subject, &suite).unwrap();
         (
             outcome.overall().f1(),
             outcome.total_llm_calls(),
@@ -404,8 +404,8 @@ fn usage_accounting_is_consistent() {
     let mut sum_tokens = 0;
     for sql in queries {
         let r = subject.execute(sql).unwrap();
-        sum_calls += r.usage.calls;
-        sum_tokens += r.usage.total_tokens();
+        sum_calls += r.metrics.usage.calls;
+        sum_tokens += r.metrics.usage.total_tokens();
     }
     let total = subject.client().unwrap().usage();
     assert_eq!(total.calls, sum_calls);
@@ -427,7 +427,7 @@ fn traditional_mode_never_calls_the_model() {
         .unwrap();
     assert!(r.row_count() > 0);
     assert_eq!(r.metrics.llm_calls(), 0);
-    assert_eq!(r.usage.calls, 0);
+    assert_eq!(r.metrics.usage.calls, 0);
 }
 
 /// DDL + DML + query flow built from scratch through the public API, ending
@@ -509,12 +509,15 @@ fn packed_requests_state_their_template_once() {
             one.metrics.llm_calls_by_kind, four.metrics.llm_calls_by_kind,
             "{strategy}"
         );
-        let counts = [&one, &four].map(|r| (r.usage.calls, r.usage.prompt_tokens));
+        let counts = [&one, &four].map(|r| (r.metrics.usage.calls, r.metrics.usage.prompt_tokens));
         assert_eq!(counts, expected, "{strategy}: (requests, prompt tokens)");
         assert!(
-            four.usage.prompt_tokens * 10 < one.usage.prompt_tokens * 4,
+            four.metrics.usage.prompt_tokens * 10 < one.metrics.usage.prompt_tokens * 4,
             "{strategy}"
         );
-        assert!(four.usage.cost_usd < one.usage.cost_usd, "{strategy}");
+        assert!(
+            four.metrics.usage.cost_usd < one.metrics.usage.cost_usd,
+            "{strategy}"
+        );
     }
 }

@@ -40,19 +40,25 @@ fn parallelism_does_not_inflate_cost_accounting() {
     for parallelism in [4, 8] {
         let parallel = run_scan(parallelism, 0.0);
         assert_eq!(
-            sequential.usage.calls, parallel.usage.calls,
+            sequential.metrics.usage.calls, parallel.metrics.usage.calls,
             "call count changed at parallelism {parallelism}"
         );
-        assert_eq!(sequential.usage.cache_hits, parallel.usage.cache_hits);
-        assert_eq!(sequential.usage.prompt_tokens, parallel.usage.prompt_tokens);
         assert_eq!(
-            sequential.usage.completion_tokens,
-            parallel.usage.completion_tokens
+            sequential.metrics.usage.cache_hits,
+            parallel.metrics.usage.cache_hits
+        );
+        assert_eq!(
+            sequential.metrics.usage.prompt_tokens,
+            parallel.metrics.usage.prompt_tokens
+        );
+        assert_eq!(
+            sequential.metrics.usage.completion_tokens,
+            parallel.metrics.usage.completion_tokens
         );
         // Cost totals sum identical per-call costs; only the accumulation
         // order differs across threads.
         assert!(
-            (sequential.usage.cost_usd - parallel.usage.cost_usd).abs() < 1e-9,
+            (sequential.metrics.usage.cost_usd - parallel.metrics.usage.cost_usd).abs() < 1e-9,
             "cost diverged at parallelism {parallelism}"
         );
         assert_eq!(sequential.metrics.llm_calls(), parallel.metrics.llm_calls());

@@ -59,9 +59,6 @@ fn run_concurrently(
 
 /// Σ over `results` of every per-query number equals the deployment's.
 fn assert_conserved(results: &[QueryResult], usage: &UsageStats, backends: &[BackendStats]) {
-    for result in results {
-        assert_eq!(result.usage, result.metrics.usage);
-    }
     check_accounting_conserved(results, usage, backends).unwrap();
     for backend in backends {
         assert_eq!(backend.in_flight, 0, "{} is not quiescent", backend.id);
@@ -83,8 +80,8 @@ fn a_query_in_company_reports_its_solo_bill_and_the_bills_sum_to_the_deployment(
     for (sql, result) in sqls.iter().zip(&results) {
         let solo = engine().execute(sql).unwrap();
         assert_eq!(result.rows(), solo.rows(), "{sql}");
-        assert_eq!(result.usage.calls, 12, "{sql}");
-        assert_eq!(result.usage, solo.usage, "{sql}");
+        assert_eq!(result.metrics.usage.calls, 12, "{sql}");
+        assert_eq!(result.metrics.usage, solo.metrics.usage, "{sql}");
         let (m, s) = (&result.metrics, &solo.metrics);
         assert_eq!(m.backend_calls, s.backend_calls, "{sql}");
         assert_eq!(m.backend_errors, s.backend_errors, "{sql}");
@@ -116,7 +113,7 @@ fn attempts_of_pages_cancelled_in_flight_are_on_the_bill_of_the_query_that_made_
         let m = &result.metrics;
         let made: u64 = m.backend_calls.values().sum();
         assert_eq!(made, m.llm_calls(), "one attempt per page: {m:?}");
-        assert!(result.usage.calls <= made, "{m:?}");
+        assert!(result.metrics.usage.calls <= made, "{m:?}");
         attempts += made;
     }
     // A third of the pages went to the slow backend, and none of those was
@@ -211,7 +208,7 @@ fn hedges_and_the_flights_they_beat_are_on_the_bill_of_the_query_that_hedged() {
     assert!(won > 0, "no hedge ever beat a stalled flight");
     for result in &results {
         let m = &result.metrics;
-        assert_eq!(result.usage.calls, 12);
+        assert_eq!(result.metrics.usage.calls, 12);
         assert!(m.hedges_issued >= m.hedges_won, "{m:?}");
         // Every request made one primary attempt, and one more per hedge.
         let attempts: u64 = m.backend_calls.values().sum();
@@ -236,12 +233,12 @@ fn a_coalesced_follower_pays_nothing_and_its_leader_pays_once() {
     assert_eq!(results[0].rows(), results[1].rows());
     let mut bills: Vec<(u64, u64)> = results
         .iter()
-        .map(|r| (r.usage.calls, r.metrics.coalesced_calls))
+        .map(|r| (r.metrics.usage.calls, r.metrics.coalesced_calls))
         .collect();
     bills.sort_unstable();
     assert_eq!(bills, [(0, 1), (1, 0)], "(model calls, coalesced calls)");
-    let follower = results.iter().find(|r| r.usage.calls == 0).unwrap();
-    assert_eq!(follower.usage, UsageStats::default());
+    let follower = results.iter().find(|r| r.metrics.usage.calls == 0).unwrap();
+    assert_eq!(follower.metrics.usage, UsageStats::default());
     assert_eq!(
         follower.metrics.llm_calls(),
         1,

@@ -9,7 +9,7 @@
 //!   seeds,
 //! * degradation + hybrid completion round-trips at perfect fidelity.
 
-use llmsql_core::{score_batches, Engine, EvalOptions};
+use llmsql_core::{score_batches, Engine};
 use llmsql_store::{degrade_catalog, DegradeSpec};
 use llmsql_types::{EngineConfig, ExecutionMode, LlmFidelity, OptimizerOptions, PromptStrategy};
 use llmsql_workload::{join_chain_suite, standard_suite, World, WorldSpec};
@@ -40,7 +40,7 @@ fn optimizer_never_changes_traditional_answers() {
     for q in queries {
         let a = optimized.execute(&q.sql).unwrap();
         let b = unoptimized.execute(&q.sql).unwrap();
-        let score = score_batches(&a.batch, &b.batch, &EvalOptions::exact());
+        let score = score_batches(&a.batch, &b.batch, false);
         assert!(
             score.exact,
             "optimizer changed the answer of {}: {score:?}",
@@ -65,12 +65,7 @@ fn llm_only_at_perfect_fidelity_is_a_drop_in_replacement() {
         for q in standard_suite(&w, 2) {
             let truth = oracle.execute(&q.sql).unwrap();
             let answer = subject.execute(&q.sql).unwrap();
-            let options = if q.order_sensitive {
-                EvalOptions::exact().order_sensitive()
-            } else {
-                EvalOptions::exact()
-            };
-            let score = score_batches(&answer.batch, &truth.batch, &options);
+            let score = score_batches(&answer.batch, &truth.batch, q.order_sensitive);
             assert!(
                 score.exact,
                 "strategy {strategy}, query {} diverged: {score:?}\n{}",
@@ -121,7 +116,7 @@ fn degradation_then_hybrid_completion_round_trips() {
         // referenced cell was refilled; at perfect fidelity they must be.
         let truth = oracle.execute(&q.sql).unwrap();
         let answer = hybrid.execute(&q.sql).unwrap();
-        let score = score_batches(&answer.batch, &truth.batch, &EvalOptions::exact());
+        let score = score_batches(&answer.batch, &truth.batch, false);
         assert!(
             score.exact,
             "hybrid at perfect fidelity diverged on {}: {score:?}",
@@ -152,11 +147,7 @@ fn fidelity_knobs_shift_precision_and_recall_in_the_expected_direction() {
                 .with_fidelity(forgetful),
         )
         .unwrap();
-    let score = score_batches(
-        &subject.execute(sql).unwrap().batch,
-        &truth.batch,
-        &EvalOptions::exact(),
-    );
+    let score = score_batches(&subject.execute(sql).unwrap().batch, &truth.batch, false);
     assert!(
         score.recall < 0.9,
         "forgetful model should miss rows: {score:?}"
@@ -180,11 +171,7 @@ fn fidelity_knobs_shift_precision_and_recall_in_the_expected_direction() {
                 .with_fidelity(fabulist),
         )
         .unwrap();
-    let score = score_batches(
-        &subject.execute(sql).unwrap().batch,
-        &truth.batch,
-        &EvalOptions::exact(),
-    );
+    let score = score_batches(&subject.execute(sql).unwrap().batch, &truth.batch, false);
     assert!(
         score.precision < 1.0,
         "fabricating model should hallucinate rows: {score:?}"
