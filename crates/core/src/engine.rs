@@ -524,7 +524,7 @@ impl Engine {
                 format!("INSERT values must be constant expressions: {}", e.message),
             )
         })?;
-        eval_expr(&bound, &Row::empty())
+        eval_expr(&bound, &Row::empty()).map(std::borrow::Cow::into_owned)
     }
 
     fn describe(&self, name: &str) -> Result<QueryResult> {

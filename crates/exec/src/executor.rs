@@ -9,7 +9,9 @@
 //! cost microseconds, less than spawning a thread does — so a plan produces
 //! identical rows at any `parallelism`.
 
-use std::collections::HashMap;
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use llmsql_plan::{BoundExpr, LogicalPlan, SortKey};
 use llmsql_sql::ast::{BinaryOp, JoinKind};
@@ -17,7 +19,7 @@ use llmsql_store::CatalogEntry;
 use llmsql_types::{clock, Batch, Error, ExecutionMode, Result, Row, Value};
 
 use crate::context::ExecContext;
-use crate::eval::{eval, eval_predicate, AggAccumulator};
+use crate::eval::{eval, eval_pair_predicate, eval_predicate, AggAccumulator};
 use crate::scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 /// Execute a logical plan and return the result batch.
@@ -78,7 +80,7 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             .map(|exprs| {
                 exprs
                     .iter()
-                    .map(|e| eval(e, &Row::empty()))
+                    .map(|e| eval(e, &Row::empty()).map(Cow::into_owned))
                     .collect::<Result<Vec<Value>>>()
                     .map(Row::new)
             })
@@ -104,14 +106,7 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
         }
         LogicalPlan::Project { input, exprs, .. } => {
             let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            // Consuming the input lets the output rows be collected into the
-            // input's own buffer: one pass and no second vector.
-            rows.into_iter()
-                .map(|row| {
-                    let values: Result<Vec<Value>> = exprs.iter().map(|e| eval(e, &row)).collect();
-                    values.map(Row::new)
-                })
-                .collect()
+            project_rows(rows, exprs)
         }
         LogicalPlan::Join {
             left,
@@ -158,14 +153,67 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             })
         }
         LogicalPlan::Distinct { input } => {
-            let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            let mut seen = std::collections::HashSet::new();
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
+            // Mark each row's first occurrence by reference, then keep those
+            // in place: no row is cloned.
+            let mut seen = HashSet::with_capacity(rows.len());
+            let first: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
+            drop(seen);
+            let mut first = first.into_iter();
+            rows.retain(|_| first.next().unwrap_or(false));
+            Ok(rows)
         }
     }
+}
+
+/// Project every row through `exprs`, each output row built in its input
+/// row's own buffer. The computed expressions are evaluated first, while
+/// every input cell is still in place; then each column that one bare
+/// reference uses and no other expression reads is moved out of the input
+/// instead of copied. (Moving a column at its first bare use would leave
+/// `NULL` behind for a later `population + 1` to read.)
+fn project_rows(mut rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
+    let moves = movable_columns(exprs);
+    let mut staged: Vec<Value> = Vec::with_capacity(exprs.len());
+    for row in &mut rows {
+        for (expr, moved) in exprs.iter().zip(&moves) {
+            staged.push(match moved {
+                Some(_) => Value::Null,
+                None => eval(expr, row)?.into_owned(),
+            });
+        }
+        let mut values = std::mem::take(row).into_values();
+        for (slot, moved) in staged.iter_mut().zip(&moves) {
+            if let Some(i) = *moved {
+                *slot = values.get_mut(i).map(std::mem::take).unwrap_or_default();
+            }
+        }
+        values.clear();
+        values.append(&mut staged);
+        *row = Row::new(values);
+    }
+    Ok(rows)
+}
+
+/// For each projected expression, the input column it may take by move: it
+/// is a bare reference to that column, and no expression of the list reads
+/// the column anywhere else.
+fn movable_columns(exprs: &[BoundExpr]) -> Vec<Option<usize>> {
+    let mut reads: HashMap<usize, usize> = HashMap::new();
+    for expr in exprs {
+        expr.visit(&mut |e| {
+            if let BoundExpr::Column(c) = e {
+                *reads.entry(c.index).or_default() += 1;
+            }
+        });
+    }
+    exprs
+        .iter()
+        .map(|expr| match expr {
+            BoundExpr::Column(c) if reads.get(&c.index) == Some(&1) => Some(c.index),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Pick the physical scan for a logical scan based on the execution mode and
@@ -265,14 +313,15 @@ pub fn join_rows(
             JoinKind::Left,
             swapped_on.as_ref(),
         )?;
+        // Each swapped row is `r ++ l`: rotating it in place moves every
+        // cell once.
         return Ok(swapped
             .into_iter()
             .map(|row| {
-                let vals = row.into_values();
-                let (r, l) = vals.split_at(right_arity);
-                let mut out = l.to_vec();
-                out.extend(r.iter().cloned());
-                Row::new(out)
+                let mut values = row.into_values();
+                let mid = right_arity.min(values.len());
+                values.rotate_left(mid);
+                Row::new(values)
             })
             .collect());
     }
@@ -316,9 +365,10 @@ pub fn join_rows(
     Ok(out)
 }
 
-/// Append to `out` every `l ++ r` over `candidates` that passes `pred`. A
-/// left row left without a match is padded with NULLs to `pad_to` columns
-/// (LEFT JOIN) or dropped (`None`).
+/// Append to `out` every `l ++ r` over `candidates` that passes `pred`,
+/// which reads the pair's cells where they are: only a kept pair is copied
+/// into a row. A left row left without a match is padded with NULLs to
+/// `pad_to` columns (LEFT JOIN) or dropped (`None`).
 fn push_matches<'a>(
     out: &mut Vec<Row>,
     l: &Row,
@@ -328,13 +378,12 @@ fn push_matches<'a>(
 ) -> Result<()> {
     let before = out.len();
     for r in candidates {
-        let combined = l.concat(r);
         let keep = match pred {
-            Some(p) => eval_predicate(p, &combined)? == Some(true),
+            Some(p) => eval_pair_predicate(p, l, r)? == Some(true),
             None => true,
         };
         if keep {
-            out.push(combined);
+            out.push(l.concat(r));
         }
     }
     if let (true, Some(width)) = (out.len() == before, pad_to) {
@@ -349,13 +398,67 @@ fn push_matches<'a>(
 // Aggregation and sorting
 // ---------------------------------------------------------------------------
 
-/// Hash aggregation.
+/// A group key as [`aggregate_rows`] compares it: a group's owned key, or a
+/// row's group values borrowed where they are. Ordered as `Vec<Value>` is,
+/// cell by cell, so the map of owned keys answers a borrowed probe.
+trait GroupKey {
+    fn cells(&self) -> usize;
+    fn cell(&self, i: usize) -> &Value;
+}
+
+impl GroupKey for Vec<Value> {
+    fn cells(&self) -> usize {
+        self.len()
+    }
+    fn cell(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl GroupKey for Vec<Cow<'_, Value>> {
+    fn cells(&self) -> usize {
+        self.len()
+    }
+    fn cell(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl<'a> Borrow<dyn GroupKey + 'a> for Vec<Value> {
+    fn borrow(&self) -> &(dyn GroupKey + 'a) {
+        self
+    }
+}
+
+impl Ord for dyn GroupKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (0..self.cells())
+            .map(|i| self.cell(i))
+            .cmp((0..other.cells()).map(|i| other.cell(i)))
+    }
+}
+
+impl PartialOrd for dyn GroupKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn GroupKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn GroupKey + '_ {}
+
+/// Hash aggregation. A row's group values and aggregate arguments are read
+/// in place; a group's key is copied once, when the group is new.
 pub fn aggregate_rows(
     rows: &[Row],
     group_exprs: &[BoundExpr],
     aggregates: &[BoundExpr],
 ) -> Result<Vec<Row>> {
-    use std::collections::BTreeMap;
     let mut groups: BTreeMap<Vec<Value>, Vec<AggAccumulator>> = BTreeMap::new();
 
     let make_accs = || -> Result<Vec<AggAccumulator>> {
@@ -372,24 +475,30 @@ pub fn aggregate_rows(
             .collect()
     };
 
-    for row in rows {
-        let key: Vec<Value> = group_exprs
-            .iter()
-            .map(|e| eval(e, row))
-            .collect::<Result<_>>()?;
-        let accs = match groups.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(make_accs()?),
-        };
+    let fold = |accs: &mut [AggAccumulator], row: &Row| -> Result<()> {
         for (acc, agg) in accs.iter_mut().zip(aggregates) {
             let BoundExpr::Aggregate { arg, .. } = agg else {
                 unreachable!("validated above")
             };
-            let value = match arg {
-                None => Value::Int(1),
-                Some(a) => eval(a, row)?,
-            };
-            acc.update(&value);
+            match arg {
+                None => acc.update(&Value::Int(1)),
+                Some(a) => acc.update(&*eval(a, row)?),
+            }
+        }
+        Ok(())
+    };
+    let mut probe: Vec<Cow<'_, Value>> = Vec::with_capacity(group_exprs.len());
+    for row in rows {
+        probe.clear();
+        for e in group_exprs {
+            probe.push(eval(e, row)?);
+        }
+        if let Some(accs) = groups.get_mut(&probe as &dyn GroupKey) {
+            fold(accs, row)?;
+        } else {
+            let mut accs = make_accs()?;
+            fold(&mut accs, row)?;
+            groups.insert(probe.drain(..).map(Cow::into_owned).collect(), accs);
         }
     }
 
@@ -413,27 +522,44 @@ pub fn aggregate_rows(
 /// ASC — we extend it to DESC so missing evidence always surfaces at the top
 /// rather than flipping ends with the direction).
 pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
-    // Precompute key values (keeps the comparator infallible) and sort an
-    // index permutation: rows — arbitrarily wide — are never cloned, only
-    // moved once into their sorted slots at the end.
-    let key_values: Vec<Vec<Value>> = rows
-        .iter()
-        .map(|row| {
-            keys.iter()
-                .map(|k| eval(&k.expr, row))
-                .collect::<Result<Vec<_>>>()
-        })
-        .collect::<Result<_>>()?;
+    let mut order = sorted_order(rows, keys)?;
+    // Apply the permutation in place, one cycle at a time: `order[j]` is the
+    // row that belongs at `j`, and a placed slot is marked `order[j] = j`.
+    for start in 0..order.len() {
+        let mut j = start;
+        loop {
+            let src = std::mem::replace(&mut order[j], j);
+            if src == start {
+                break;
+            }
+            rows.swap(j, src);
+            j = src;
+        }
+    }
+    Ok(())
+}
+
+/// The stable sorted order of `rows` under `keys`, as row indices. The key
+/// values are evaluated once per row (keeping the comparator infallible) and
+/// borrowed where a key is a column or a literal.
+fn sorted_order(rows: &[Row], keys: &[SortKey]) -> Result<Vec<usize>> {
+    let width = keys.len();
+    let mut key_values: Vec<Cow<'_, Value>> = Vec::with_capacity(rows.len() * width);
+    for row in rows {
+        for key in keys {
+            key_values.push(eval(&key.expr, row)?);
+        }
+    }
     let mut order: Vec<usize> = (0..rows.len()).collect();
     // Stable sort over indices: equal keys keep input order.
     order.sort_by(|&a, &b| {
-        for (i, key) in keys.iter().enumerate() {
-            let (ka, kb) = (&key_values[a][i], &key_values[b][i]);
+        let (ka, kb) = (&key_values[a * width..], &key_values[b * width..]);
+        for ((key, ka), kb) in keys.iter().zip(ka).zip(kb) {
             let ord = match (ka.is_null(), kb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
+                (true, true) => Ordering::Equal,
                 // NULLS FIRST regardless of direction.
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
+                (true, false) => Ordering::Less,
+                (false, true) => Ordering::Greater,
                 (false, false) => {
                     let ord = ka.total_cmp(kb);
                     if key.ascending {
@@ -443,21 +569,13 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
                     }
                 }
             };
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
-    // Apply the permutation by moving rows (no deep clones).
-    let mut taken: Vec<Row> = rows
-        .iter_mut()
-        .map(|r| std::mem::replace(r, Row::empty()))
-        .collect();
-    for (slot, &src) in rows.iter_mut().zip(&order) {
-        *slot = std::mem::replace(&mut taken[src], Row::empty());
-    }
-    Ok(())
+    Ok(order)
 }
 
 #[cfg(test)]

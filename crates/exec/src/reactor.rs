@@ -174,6 +174,17 @@ impl<C> Default for LiveSet<C> {
     }
 }
 
+impl<C> LiveSet<C> {
+    /// An empty set with room for `room` operations before it grows: a scan
+    /// sizes it to its window, so a window of one takes one operation's worth
+    /// of memory, not the four a first `push` would reserve.
+    pub fn with_capacity(room: usize) -> Self {
+        LiveSet {
+            ops: VecDeque::with_capacity(room),
+        }
+    }
+}
+
 impl<C: Completion> LiveSet<C> {
     /// Operations in the set: accepted and not yet handed back, resolved or
     /// not.

@@ -104,6 +104,7 @@
 mod pages;
 mod tuples;
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -115,7 +116,7 @@ use llmsql_llm::{
 };
 use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
-use llmsql_types::{Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema};
+use llmsql_types::{Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value};
 
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
@@ -175,9 +176,13 @@ impl ScanSpec<'_> {
             .unwrap_or(0)
     }
 
-    /// The display form of `row`'s key, as per-tuple prompts name an entity.
-    fn key_text(&self, row: &Row) -> String {
-        row.get(self.key_column()).to_display_string()
+    /// The display form of `row`'s key, as per-tuple prompts name an entity:
+    /// a text key is borrowed from the row.
+    fn key_text<'r>(&self, row: &'r Row) -> Cow<'r, str> {
+        match row.get(self.key_column()) {
+            Value::Text(key) => Cow::Borrowed(key),
+            key => Cow::Owned(key.to_display_string()),
+        }
     }
 }
 
@@ -195,7 +200,7 @@ pub fn dispatch_one(
     prompt: String,
 ) -> Result<Arc<CompletionResponse>> {
     ctx.metrics.borrow_mut().record_llm_call(kind);
-    let mut flight = InFlight::new(ctx);
+    let mut flight = InFlight::new(ctx, 1);
     flight.push(client.start_call(CompletionRequest::new(prompt)));
     flight.wait_head()
 }
@@ -272,10 +277,11 @@ struct InFlight<'a> {
 }
 
 impl<'a> InFlight<'a> {
-    fn new(ctx: &'a ExecContext) -> Self {
+    /// An empty flight with room for `window` requests.
+    fn new(ctx: &'a ExecContext, window: usize) -> Self {
         InFlight {
             ctx,
-            live: LiveSet::default(),
+            live: LiveSet::with_capacity(window),
         }
     }
 
@@ -313,13 +319,13 @@ impl<'a> InFlight<'a> {
 // ---------------------------------------------------------------------------
 
 /// The prompts a plan asks next, in prompt order.
-enum Asks {
+enum Asks<'p> {
     /// One whole prompt: a page, or the key enumeration.
     Prompt(String),
-    /// Per-tuple prompts, each `template.render_key(key)`. The driver packs
-    /// them into one request ([`pack_keys`]), which states each template's
-    /// fixed text once.
-    Keys(Vec<(Rc<PromptTemplate>, String)>),
+    /// Per-tuple prompts, each `template.render_key(key)`, a key borrowed
+    /// from the plan's row where it can be. The driver packs them into one
+    /// request ([`pack_keys`]), which states each template's fixed text once.
+    Keys(Vec<(Rc<PromptTemplate>, Cow<'p, str>)>),
 }
 
 /// What a prompting strategy contributes to a scan: which prompts come next,
@@ -341,7 +347,7 @@ trait PromptPlan {
     /// and the prompts still in flight; `cap` is 0 once the call budget is
     /// spent. `None` means nothing more can be asked until another answer is
     /// consumed — the plan is finished once nothing is in flight either.
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>>;
+    fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>>;
 
     /// Consume the answer to the oldest prompt in flight: the text the model
     /// replied to that prompt with, borrowed from the completion it
@@ -383,7 +389,7 @@ impl Driver<'_> {
         let fanout = ctx.scan_fanout();
         let batch = ctx.config.batch_rows_per_call.clamp(1, fanout);
         let per_request = if P::PACKS { batch } else { 1 };
-        let mut flight = InFlight::new(ctx);
+        let mut flight = InFlight::new(ctx, fanout / per_request);
         // How many prompts each request in flight carries, oldest first, and
         // their sum.
         let mut members: VecDeque<usize> = VecDeque::new();
@@ -407,7 +413,7 @@ impl Driver<'_> {
                 let (prompt, asked) = match asks {
                     Asks::Prompt(prompt) => (prompt, 1),
                     Asks::Keys(keys) => {
-                        let members = keys.iter().map(|(t, key)| (&**t, key.as_str()));
+                        let members = keys.iter().map(|(t, key)| (&**t, &**key));
                         (pack_keys(members), keys.len())
                     }
                 };

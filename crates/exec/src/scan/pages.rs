@@ -124,7 +124,7 @@ impl PromptPlan for Pages<'_> {
         self.first_window + self.full_consumed
     }
 
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
+    fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
         // Only *full* pages (`limit` = `page`) fly together: their prompts
         // depend on nothing but the page offset, which advances by exactly
         // `page` while pages come back full, so they can be fetched

@@ -38,7 +38,7 @@ impl<'a> Enumerate<'a> {
 impl PromptPlan for Enumerate<'_> {
     const KIND: &'static str = "enumerate";
 
-    fn next(&mut self, _cap: usize) -> Result<Option<Asks>> {
+    fn next(&mut self, _cap: usize) -> Result<Option<Asks<'_>>> {
         // Issued even on a spent call budget: the keys then cost one call
         // and the lookups they would feed cost none.
         Ok(self.prompt.take().map(Asks::Prompt))
@@ -138,9 +138,8 @@ impl<'a> Lookups<'a> {
         }
     }
 
-    /// The lookup for `row`, which is missing the columns in
-    /// `self.missing`: its template and key.
-    fn lookup_for(&mut self, row: usize) -> (Rc<PromptTemplate>, String) {
+    /// The lookup template of a row missing the columns in `self.missing`.
+    fn template_for_missing(&mut self) -> Rc<PromptTemplate> {
         let spec = self.spec;
         let template = match self.templates.get(self.missing.as_slice()) {
             Some(template) => template,
@@ -153,7 +152,7 @@ impl<'a> Lookups<'a> {
                     .or_insert(Rc::new(template))
             }
         };
-        (Rc::clone(template), spec.key_text(&self.source[row]))
+        Rc::clone(template)
     }
 
     /// Deliver the source rows ahead of the oldest lookup in flight: every
@@ -175,11 +174,13 @@ impl PromptPlan for Lookups<'_> {
     const KIND: &'static str = "lookup";
     const PACKS: bool = true;
 
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
-        let mut lookups = Vec::new();
+    fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
         if cap == 0 && !self.stored {
             return Ok(None);
         }
+        // The templates of the lookups planned here, in order; their rows
+        // are the last as many entries of `in_flight`.
+        let mut templates = Vec::new();
         loop {
             let before = (self.planned, self.cursor);
             while self.planned < self.source.len()
@@ -189,10 +190,10 @@ impl PromptPlan for Lookups<'_> {
                 self.missing
                     .extend(missing(&self.needed, &self.source[self.planned]));
                 if cap > 0 && !self.missing.is_empty() {
-                    if lookups.len() == cap {
+                    if templates.len() == cap {
                         break;
                     }
-                    lookups.push(self.lookup_for(self.planned));
+                    templates.push(self.template_for_missing());
                     self.in_flight.push_back(self.planned);
                 }
                 self.planned += 1;
@@ -200,9 +201,23 @@ impl PromptPlan for Lookups<'_> {
             // Delivery can filter rows out, which makes room to plan on.
             self.deliver()?;
             if (self.planned, self.cursor) == before {
-                return Ok((!lookups.is_empty()).then_some(Asks::Keys(lookups)));
+                break;
             }
         }
+        if templates.is_empty() {
+            return Ok(None);
+        }
+        // A row with a lookup in flight stays in `source` until its answer
+        // is in, so each key is borrowed from its row.
+        let rows = self
+            .in_flight
+            .range(self.in_flight.len() - templates.len()..);
+        let keys = templates
+            .into_iter()
+            .zip(rows)
+            .map(|(template, &row)| (template, self.spec.key_text(&self.source[row])))
+            .collect();
+        Ok(Some(Asks::Keys(keys)))
     }
 
     fn accept(&mut self, answer: &str) -> Result<Accepted> {
@@ -281,7 +296,7 @@ impl PromptPlan for FilterChecks<'_> {
     const KIND: &'static str = "filter_check";
     const PACKS: bool = true;
 
-    fn next(&mut self, cap: usize) -> Result<Option<Asks>> {
+    fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
         let room = self.budget.saturating_sub(self.kept.len() + self.in_flight);
         let unasked = self.candidates.as_slice().iter().skip(self.in_flight);
         let checks: Vec<_> = unasked
@@ -468,7 +483,7 @@ mod tests {
             .collect();
         assert_eq!(run.prompts, asked);
         assert_eq!(run.planned_after, [0; 4], "one request");
-        let names: Vec<String> = lookups.rows.iter().map(|row| spec.key_text(row)).collect();
+        let names: Vec<_> = lookups.rows.iter().map(|row| spec.key_text(row)).collect();
         assert_eq!(names, ["France", "Japan", "France", "Peru"]);
         assert!(lookups.rows.iter().all(|row| !row.get(2).is_null()));
     }

@@ -9,6 +9,8 @@
 //! as the engine would; sharing the evaluator is what guarantees it. Only
 //! the reading (names to positions) and the error kind are the model's own.
 
+use std::borrow::Cow;
+
 use llmsql_sql::ast::Expr;
 use llmsql_sql::eval::{eval, truth};
 use llmsql_sql::parse_expression;
@@ -32,8 +34,9 @@ pub fn read_predicate(schema: &Schema, predicate: &str) -> Result<ReadExpr> {
     })
 }
 
-/// Evaluate an expression the model has read against a row.
-pub fn eval_value(expr: &ReadExpr, row: &Row) -> Result<Value> {
+/// Evaluate an expression the model has read against a row: a column or a
+/// literal comes back borrowed, a computed value owned.
+pub fn eval_value<'a>(expr: &'a ReadExpr, row: &'a Row) -> Result<Cow<'a, Value>> {
     eval(expr, &|&i| row.get(i), ErrorKind::Llm)
 }
 

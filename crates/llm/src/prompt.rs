@@ -682,8 +682,10 @@ fn write_schema(out: &mut String, schema: &Schema) {
         if i > 0 {
             out.push_str("; ");
         }
-        let data_type = column.data_type.to_string().to_lowercase();
-        let _ = write!(out, "{} ({data_type}", escape_value(&column.name, false));
+        let _ = write!(out, "{} (", escape_value(&column.name, false));
+        let data_type = out.len();
+        out.push_str(column.data_type.sql());
+        out[data_type..].make_ascii_lowercase();
         if let Some(description) = &column.description {
             let _ = write!(out, ", {}", escape_value(description, false));
         }

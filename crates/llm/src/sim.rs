@@ -25,6 +25,7 @@
 //!   fidelity noise is byte-identical regardless of how calls interleave
 //!   across threads.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use llmsql_sql::ast::{Expr, JoinKind, SelectItem, SelectStatement, Statement, TableExpr};
@@ -535,7 +536,7 @@ fn group_value(
         for row in members {
             match arg {
                 None => acc.update(&Value::Int(1)),
-                Some(a) => acc.update(&value_or_null(a, row)),
+                Some(a) => acc.update(&eval_value(a, row).unwrap_or(Cow::Owned(Value::Null))),
             }
         }
         return acc.finish();
@@ -564,7 +565,7 @@ fn lists(filter: Option<&ReadExpr>, row: &Row) -> bool {
 /// The value the model reads off `row` for `expr`; what it cannot compute it
 /// leaves blank.
 fn value_or_null(expr: &ReadExpr, row: &Row) -> Value {
-    eval_value(expr, row).unwrap_or(Value::Null)
+    eval_value(expr, row).map_or(Value::Null, Cow::into_owned)
 }
 
 /// Resolve the column references of a one-shot query's expression to

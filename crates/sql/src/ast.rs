@@ -297,7 +297,7 @@ impl AggregateFunc {
 
     /// Parse from a (case-insensitive) name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_uppercase().as_str() {
+        match llmsql_types::ascii_upper(name, &mut [0; 8])? {
             "COUNT" => Some(AggregateFunc::Count),
             "SUM" => Some(AggregateFunc::Sum),
             "AVG" => Some(AggregateFunc::Avg),

@@ -10,31 +10,42 @@
 //! model (`llmsql-llm`): how a column reference finds its value in the row at
 //! hand, and the [`ErrorKind`] an ill-typed operation is reported under.
 //!
+//! [`eval`] copies nothing it only reads: a column reference comes back
+//! borrowed from the row and a literal from the tree ([`Cow::Borrowed`]), and
+//! only a value the walker computes is owned. A caller that keeps the value
+//! pays for the copy ([`Cow::into_owned`]); one that only compares or tests
+//! it pays nothing.
+//!
 //! Nothing in here panics, whatever the operands: integer `+ - * %`,
 //! negation and `SUM` wrap, `/` is always a float division, `/ 0` and `% 0`
 //! are `NULL`, and a cast that fails is `NULL` (values an LLM produced are
 //! dirty; one of them must not fail the query).
+
+use std::borrow::Cow;
 
 use llmsql_types::{Error, ErrorKind, Result, Value};
 
 use crate::ast::{AggregateFunc, BinaryOp, Expr, UnaryOp};
 
 /// Evaluate `expr` over one row: `column` is the row's value for a column
-/// reference, `kind` the category an error is raised under. Aggregates are
-/// rejected (they are computed by [`AggAccumulator`] over many rows).
+/// reference, `kind` the category an error is raised under. A column
+/// reference or a literal comes back borrowed, a computed value owned.
+/// Aggregates are rejected (they are computed by [`AggAccumulator`] over many
+/// rows).
 pub fn eval<'v, C>(
-    expr: &Expr<C>,
+    expr: &'v Expr<C>,
     column: &impl Fn(&C) -> &'v Value,
     kind: ErrorKind,
-) -> Result<Value> {
-    let sub = |e: &Expr<C>| eval(e, column, kind);
+) -> Result<Cow<'v, Value>> {
+    let sub = |e: &'v Expr<C>| eval(e, column, kind);
+    let owned = |v: Value| Ok(Cow::Owned(v));
     match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(c) => Ok(column(c).clone()),
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Column(c) => Ok(Cow::Borrowed(column(c))),
         Expr::Binary { left, op, right } => {
             let l = sub(left)?;
             let r = sub(right)?;
-            binary(&l, *op, &r).ok_or_else(|| {
+            let value = binary(&l, *op, &r).ok_or_else(|| {
                 Error::new(
                     kind,
                     format!(
@@ -44,14 +55,16 @@ pub fn eval<'v, C>(
                         r.type_name()
                     ),
                 )
-            })
+            })?;
+            owned(value)
         }
         Expr::Unary { op, expr } => {
             let v = sub(expr)?;
-            unary(*op, &v)
-                .ok_or_else(|| Error::new(kind, format!("cannot negate {}", v.type_name())))
+            let value = unary(*op, &v)
+                .ok_or_else(|| Error::new(kind, format!("cannot negate {}", v.type_name())))?;
+            owned(value)
         }
-        Expr::IsNull { expr, negated } => Ok(Value::Bool(sub(expr)?.is_null() != *negated)),
+        Expr::IsNull { expr, negated } => owned(Value::Bool(sub(expr)?.is_null() != *negated)),
         Expr::InList {
             expr,
             list,
@@ -59,7 +72,7 @@ pub fn eval<'v, C>(
         } => {
             let v = sub(expr)?;
             if v.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             // Three-valued: a NULL item makes "not found" unknown.
             let mut saw_null = false;
@@ -68,10 +81,10 @@ pub fn eval<'v, C>(
                 if iv.is_null() {
                     saw_null = true;
                 } else if v.semantic_eq(&iv) {
-                    return Ok(Value::Bool(!*negated));
+                    return owned(Value::Bool(!*negated));
                 }
             }
-            Ok(if saw_null {
+            owned(if saw_null {
                 Value::Null
             } else {
                 Value::Bool(*negated)
@@ -87,26 +100,26 @@ pub fn eval<'v, C>(
             let lo = sub(low)?;
             let hi = sub(high)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let within = v.total_cmp(&lo) != std::cmp::Ordering::Less
                 && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
-            Ok(Value::Bool(within != *negated))
+            owned(Value::Bool(within != *negated))
         }
         // Follow the lenient philosophy at runtime: failed casts of dirty
         // (LLM-produced) values degrade to NULL instead of failing the
         // whole query.
-        Expr::Cast { expr, data_type } => Ok(sub(expr)?.cast(*data_type).unwrap_or(Value::Null)),
+        Expr::Cast { expr, data_type } => owned(sub(expr)?.cast(*data_type).unwrap_or(Value::Null)),
         Expr::Case {
             branches,
             else_expr,
         } => {
             for (cond, val) in branches {
-                if truthy(&sub(cond)?) {
+                if truthy(&*sub(cond)?) {
                     return sub(val);
                 }
             }
-            else_expr.as_ref().map_or(Ok(Value::Null), |e| sub(e))
+            else_expr.as_deref().map_or(owned(Value::Null), sub)
         }
         Expr::Aggregate { .. } => Err(Error::new(
             kind,

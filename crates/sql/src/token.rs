@@ -72,8 +72,7 @@ pub enum Keyword {
 impl Keyword {
     /// Try to interpret a word as a keyword (case-insensitive).
     pub fn parse(word: &str) -> Option<Keyword> {
-        let up = word.to_ascii_uppercase();
-        let kw = match up.as_str() {
+        let kw = match llmsql_types::ascii_upper(word, &mut [0; 16])? {
             "SELECT" => Keyword::Select,
             "FROM" => Keyword::From,
             "WHERE" => Keyword::Where,

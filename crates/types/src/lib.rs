@@ -52,7 +52,7 @@ pub use error::{Error, ErrorKind, Incomplete, Result};
 pub use ewma::AtomicEwmaMs;
 pub use row::{Batch, Row};
 pub use sched::{Priority, SchedConfig, SchedPolicy, TenantId, TenantRateLimit};
-pub use schema::{Column, ColumnRef, DataType, Field, RelSchema, Schema};
+pub use schema::{ascii_upper, Column, ColumnRef, DataType, Field, RelSchema, Schema};
 pub use value::Value;
 
 #[cfg(test)]

@@ -23,10 +23,41 @@ pub enum DataType {
     Text,
 }
 
+/// `word` in ASCII upper case, written into `buf`: what a case-insensitive
+/// match against upper-case names (keywords, type names, aggregates) reads,
+/// without allocating. `None` when `word` does not fit, which makes it longer
+/// than any name such a match lists.
+pub fn ascii_upper<'b>(word: &str, buf: &'b mut [u8]) -> Option<&'b str> {
+    let upper = buf.get_mut(..word.len())?;
+    upper.copy_from_slice(word.as_bytes());
+    upper.make_ascii_uppercase();
+    std::str::from_utf8(upper).ok()
+}
+
+/// Whether `stored` is `name` in ASCII lower case, byte for byte: what
+/// `stored == name.to_ascii_lowercase()` answers, without allocating.
+fn is_lowercase_of(stored: &str, name: &str) -> bool {
+    stored.len() == name.len()
+        && stored
+            .bytes()
+            .zip(name.bytes())
+            .all(|(s, n)| s == n.to_ascii_lowercase())
+}
+
 impl DataType {
+    /// The SQL name, upper case (`INTEGER`).
+    pub fn sql(self) -> &'static str {
+        match self {
+            DataType::Bool => "BOOLEAN",
+            DataType::Int => "INTEGER",
+            DataType::Float => "FLOAT",
+            DataType::Text => "TEXT",
+        }
+    }
+
     /// Parse a SQL type name.
     pub fn parse(name: &str) -> Option<DataType> {
-        match name.to_ascii_uppercase().as_str() {
+        match ascii_upper(name, &mut [0; 16])? {
             "BOOL" | "BOOLEAN" => Some(DataType::Bool),
             "INT" | "INTEGER" | "BIGINT" | "SMALLINT" => Some(DataType::Int),
             "FLOAT" | "DOUBLE" | "REAL" | "DECIMAL" | "NUMERIC" => Some(DataType::Float),
@@ -52,13 +83,7 @@ impl DataType {
 
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DataType::Bool => "BOOLEAN",
-            DataType::Int => "INTEGER",
-            DataType::Float => "FLOAT",
-            DataType::Text => "TEXT",
-        };
-        write!(f, "{s}")
+        f.write_str(self.sql())
     }
 }
 
@@ -360,12 +385,13 @@ impl RelSchema {
     ///
     /// Returns an error when the name is ambiguous or unknown.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let name_l = name.to_ascii_lowercase();
-        let qual_l = qualifier.map(str::to_ascii_lowercase);
         let mut matches = self.fields.iter().enumerate().filter(|(_, f)| {
-            f.name == name_l
-                && match &qual_l {
-                    Some(q) => f.qualifier.as_deref() == Some(q.as_str()),
+            is_lowercase_of(&f.name, name)
+                && match qualifier {
+                    Some(q) => f
+                        .qualifier
+                        .as_deref()
+                        .is_some_and(|fq| is_lowercase_of(fq, q)),
                     None => true,
                 }
         });
@@ -420,6 +446,34 @@ mod tests {
         assert_eq!(DataType::parse("bool"), Some(DataType::Bool));
         assert_eq!(DataType::parse("blob"), None);
         assert_eq!(DataType::Int.to_string(), "INTEGER");
+    }
+
+    #[test]
+    fn case_folding_without_allocation_matches_the_allocating_forms() {
+        let words = [
+            "sElEcT",
+            "x",
+            "",
+            "Ünïcode",
+            "名前",
+            "verylongidentifier_name",
+        ];
+        for word in words {
+            let upper = word.to_ascii_uppercase();
+            let fits = (upper.len() <= 16).then_some(upper.as_str());
+            assert_eq!(ascii_upper(word, &mut [0; 16]), fits, "{word}");
+            for stored in ["select", "Select", "x", "", "Ünïcode", "ünïcode"] {
+                assert_eq!(
+                    is_lowercase_of(stored, word),
+                    stored == word.to_ascii_lowercase(),
+                    "{stored} / {word}"
+                );
+            }
+        }
+        let fields = RelSchema::from_table(&sample_schema(), "C");
+        assert_eq!(fields.resolve(Some("c"), "Capital").ok(), Some(1));
+        assert_eq!(fields.resolve(Some("COUNTRIES"), "capital").ok(), None);
+        assert_eq!(fields.resolve(None, "AREA_KM2").ok(), Some(3));
     }
 
     #[test]

@@ -298,3 +298,56 @@ fn insert_update_visibility_and_null_handling() {
         vec!["alan", "edsger"]
     );
 }
+
+/// A projection builds each output row in its input row's buffer, moving a
+/// column only where one bare reference uses it and nothing else reads it.
+/// Here `population` and `name` are read by a computed expression or a
+/// second reference too, so each must still be in place for every reader;
+/// `capital` alone is moved. Moving a column at its first bare use would read
+/// NULL for `population + 1` and `name || '!'`.
+#[test]
+fn a_projection_moves_a_column_only_when_nothing_else_reads_it() {
+    let w = World::generate(WorldSpec::tiny()).unwrap();
+    let sql = "SELECT population, population + 1, name, name, name || '!', capital FROM countries";
+    let countries = w.catalog.table("countries").unwrap();
+    let mut expected: Vec<Vec<Value>> = countries
+        .scan()
+        .iter()
+        .map(|row| {
+            let (name, capital, population) = (row.get(0), row.get(2), row.get(3));
+            let Value::Int(p) = population else {
+                panic!("population is not an integer: {population}")
+            };
+            let Value::Text(n) = name else {
+                panic!("name is not text: {name}")
+            };
+            vec![
+                population.clone(),
+                Value::Int(p + 1),
+                name.clone(),
+                name.clone(),
+                Value::Text(format!("{n}!")),
+                capital.clone(),
+            ]
+        })
+        .collect();
+    expected.sort();
+    assert!(!expected.is_empty());
+    let llm_only = EngineConfig::default()
+        .with_mode(ExecutionMode::LlmOnly)
+        .with_fidelity(LlmFidelity::perfect());
+    for (label, engine) in [
+        ("Traditional", w.oracle_engine()),
+        ("LlmOnly", w.subject_engine(llm_only).unwrap()),
+    ] {
+        let mut rows: Vec<Vec<Value>> = engine
+            .execute(sql)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect();
+        rows.sort();
+        assert_eq!(rows, expected, "{label}");
+    }
+}
