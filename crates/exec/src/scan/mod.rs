@@ -167,19 +167,10 @@ impl ScanSpec<'_> {
         }
     }
 
-    /// Index of the primary-key column (first column when none is marked).
-    fn key_column(&self) -> usize {
-        self.table_schema
-            .columns
-            .iter()
-            .position(|c| c.primary_key)
-            .unwrap_or(0)
-    }
-
     /// The display form of `row`'s key, as per-tuple prompts name an entity:
     /// a text key is borrowed from the row.
     fn key_text<'r>(&self, row: &'r Row) -> Cow<'r, str> {
-        match row.get(self.key_column()) {
+        match row.get(self.table_schema.key_column()) {
             Value::Text(key) => Cow::Borrowed(key),
             key => Cow::Owned(key.to_display_string()),
         }

@@ -46,7 +46,7 @@ impl PromptPlan for Enumerate<'_> {
 
     fn accept(&mut self, answer: &str) -> Result<Accepted> {
         let schema = self.spec.table_schema;
-        let key_idx = self.spec.key_column();
+        let key_idx = schema.key_column();
         let (budget, rows) = (self.budget, &mut self.rows);
         let dropped = scan_value_lines(answer, schema.columns[key_idx].data_type, |key| {
             if rows.len() < budget {
@@ -121,7 +121,7 @@ impl<'a> Lookups<'a> {
     /// keys — and deliver up to `budget` of them.
     pub(super) fn new(spec: ScanSpec<'a>, source: Vec<Row>, stored: bool, budget: usize) -> Self {
         let mut needed = spec.needed_columns();
-        needed.retain(|&col| col != spec.key_column());
+        needed.retain(|&col| col != spec.table_schema.key_column());
         Lookups {
             spec,
             needed,

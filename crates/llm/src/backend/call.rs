@@ -5,22 +5,30 @@
 //! `1 + retries` attempts with exponential backoff between them
 //! (`backoff_base_ms × 2^attempt`, capped); a breaker-open candidate is
 //! skipped and an expired one gets a single probe. The first success wins;
-//! once every candidate is spent the last error is returned. With hedging
-//! on, the first poll orders the walk by what the pool knows at that
-//! instant. Each member's health key is (breaker open, expected time to a
-//! success): its decayed latency EWMA ÷ (1 − its decayed failure share),
-//! sample-less last, then registration order. The policy's primary keeps
-//! its place and the rest follow in health order — unless the pool already
-//! expects the primary to be late: closed, sampled, and its expected time
-//! past the hedge threshold below. Then the primary takes its place in
-//! health order too, and the call's first attempt goes to a sibling instead
-//! of a doomed primary plus a hedge. Either way the healthiest sibling is
-//! both the first failover stop and the hedge target. With hedging off the
-//! walk is the policy's order verbatim (so `PromptHash`'s physical trace
-//! stays a pure function of the prompt). Every attempt is counted once, in
-//! [`Flight::launch`] or [`Flight::harvest`], on the pool's counters and on
-//! the call's [`BackendReceipt`] together, so a query's share of the pool's
-//! counters is the sum of its calls' receipts.
+//! once every candidate is spent the last error is returned. Every attempt
+//! is counted once, in [`Flight::launch`] or [`Flight::harvest`], on the
+//! pool's counters and on the call's [`BackendReceipt`] together, so a
+//! query's share of the pool's counters is the sum of its calls' receipts.
+//!
+//! **The routing order** (stated here only). The first poll orders the walk
+//! by what the pool knows at that instant. Each member's *health key* is
+//! (breaker open, expected time to a success, registration index); the
+//! expected time is its decayed latency EWMA ÷ (1 − its decayed failure
+//! share), and a member without a success sorts last.
+//!
+//! * `RoutingPolicy::LatencyAware`: the whole walk is in health order,
+//!   hedging or not, except that a member no attempt has resolved on yet
+//!   comes first, so a cold pool explores every member once. Failures count:
+//!   a hard-down member is tried once, then sorts last, as does an open one.
+//! * Any other policy, hedging on: the policy's primary keeps its place and
+//!   the rest follow in health order — unless the pool already expects the
+//!   primary to be late: closed, sampled, and its expected time past the
+//!   hedge threshold below. Then the primary takes its place in health
+//!   order too, and the call's first attempt goes to a sibling instead of a
+//!   doomed primary plus a hedge. Either way the healthiest sibling is both
+//!   the first failover stop and the hedge target.
+//! * Any other policy, hedging off: the policy's order verbatim (so
+//!   `PromptHash`'s physical trace stays a pure function of the prompt).
 //!
 //! **Hedging.** The first poll arms a timer at `multiplier × (lowest decayed
 //! latency EWMA among closed candidates)`, floored at `min_ms` — the hedge
@@ -441,36 +449,26 @@ impl PoolCall {
     /// health averages and the breakers — and say how long the first launch
     /// may run before it is late (`None`: the call is not hedgeable).
     fn route(&mut self, now: Instant) -> Option<f64> {
+        let explore = self.settings.policy == RoutingPolicy::LatencyAware;
+        let hedging = self.settings.hedge_multiplier > 0.0;
+        if !explore && !hedging {
+            return None; // the walk is the policy's order
+        }
         let now_ms = self.settings.ms(now);
-        let ewma = |cand: &PoolCandidate| cand.member.decayed_ewma(now_ms);
-        if self.settings.policy == RoutingPolicy::LatencyAware {
-            // Lowest measured EWMA first; backends without a sample sort
-            // ahead of everything (0.0 < any clamped sample) so a cold pool
-            // explores each member once before settling. Reads are decayed,
-            // so a sidelined backend's average drifts down until it wins a
-            // request and refreshes itself.
-            self.cands.sort_unstable_by(|a, b| {
-                let (ewma_a, ewma_b) = (ewma(a).unwrap_or(0.0), ewma(b).unwrap_or(0.0));
-                ewma_a.total_cmp(&ewma_b).then(a.index.cmp(&b.index))
-            });
-        }
-        if self.settings.hedge_multiplier <= 0.0 {
-            return None;
-        }
         let (mut closed, mut floor_ms) = (0, f64::INFINITY);
         for cand in self.cands.iter().filter(|c| c.member.breaker_closed()) {
             closed += 1;
-            if let Some(ewma_ms) = ewma(cand) {
+            if let Some(ewma_ms) = cand.member.decayed_ewma(now_ms) {
                 floor_ms = floor_ms.min(ewma_ms);
             }
         }
-        let threshold_ms = (closed >= 2 && floor_ms.is_finite())
+        let threshold_ms = (hedging && closed >= 2 && floor_ms.is_finite())
             .then(|| (self.settings.hedge_multiplier * floor_ms).max(self.settings.hedge_min_ms));
-        // The primary launches first unless the pool already expects it to
-        // be late: closed, sampled, and its expected time to a success past
-        // the threshold. An open primary stays first, for the walk to skip
-        // or probe. The rest go by health; the key ends in the slot index,
-        // so the order is total and an unstable sort deterministic.
+        // Latency-aware routing walks every candidate in health order. Other
+        // policies launch their primary first unless the pool already expects
+        // it to be late: closed, sampled, and its expected time to a success
+        // past the threshold. An open primary stays first, for the walk to
+        // skip or probe. The rest go by health.
         let primary = &self.cands[0].member;
         let late = threshold_ms.is_some_and(|threshold_ms| {
             primary.breaker_closed()
@@ -478,14 +476,22 @@ impl PoolCall {
                     .expected_ms(now_ms)
                     .is_some_and(|expected_ms| expected_ms > threshold_ms)
         });
+        let from = usize::from(!explore && !late);
+        // The health key: (breaker open, expected time to a success), then
+        // the slot index, so the order is total and an unstable sort
+        // deterministic. A member without a success sorts last — except that
+        // latency-aware routing puts one no attempt has resolved on first, so
+        // a cold pool explores every member once.
         let health = |cand: &PoolCandidate| {
-            let open = !cand.member.breaker_closed();
-            (
-                open,
-                cand.member.expected_ms(now_ms).unwrap_or(f64::INFINITY),
-            )
+            let member = &cand.member;
+            let expected_ms = match member.expected_ms(now_ms) {
+                Some(expected_ms) => expected_ms,
+                None if explore && member.untried() => f64::NEG_INFINITY,
+                None => f64::INFINITY,
+            };
+            (!member.breaker_closed(), expected_ms)
         };
-        self.cands[usize::from(!late)..].sort_unstable_by(|a, b| {
+        self.cands[from..].sort_unstable_by(|a, b| {
             let ((open_a, expected_a), (open_b, expected_b)) = (health(a), health(b));
             open_a
                 .cmp(&open_b)

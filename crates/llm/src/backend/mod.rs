@@ -944,6 +944,28 @@ mod tests {
     }
 
     #[test]
+    fn latency_aware_tries_a_hard_down_member_once_then_sorts_it_last() {
+        // No breaker, no hedging: the health key alone must keep a member
+        // that only ever fails out of the way. A latency EWMA samples
+        // successes only, so an order by it alone retries `down` first on
+        // every call (12 attempts over six calls).
+        let (_, pool) = pool_over(
+            &[spec("down").failing(), spec("up")],
+            RoutingPolicy::LatencyAware,
+        );
+        let retries = pool.settings.retries as u64;
+        let mut now = epoch(&pool);
+        for i in 0..6 {
+            let (resp, at) = send(&pool, &format!("p{i}"), now);
+            assert_eq!(resp.unwrap().text, format!("m:p{i}"));
+            now = at + ms(1);
+        }
+        let stats = pool.stats();
+        assert_eq!(stats[0].calls, 1 + retries, "{stats:?}");
+        assert_eq!(stats[1].calls, 6, "{stats:?}");
+    }
+
+    #[test]
     fn hedge_fires_on_a_late_primary_and_the_fast_sibling_wins() {
         // The slow member answers its warm-up in 2ms, so its estimate is
         // under the 3ms threshold when it stalls for 40: the pool cannot see
@@ -1512,6 +1534,8 @@ mod tests {
     /// One case of [`the_walk_keeps_its_invariants_on_synthetic_time`].
     #[derive(Debug)]
     struct WalkCase {
+        /// `PromptHash` or `LatencyAware`.
+        policy: RoutingPolicy,
         /// Per backend: round trip (ms) and error rate.
         backends: Vec<(u64, f64)>,
         retries: usize,
@@ -1533,6 +1557,8 @@ mod tests {
             let backends = (0..2 + rng.below(3))
                 .map(|_| (rng.below(6) as u64, ERROR_RATES[rng.below(4)]))
                 .collect();
+            // The policy is drawn last, so a `PromptHash` case is the case
+            // its seed drew before there was a choice.
             WalkCase {
                 backends,
                 retries: rng.below(3),
@@ -1540,6 +1566,7 @@ mod tests {
                 hedging: rng.below(2) == 1,
                 slots: [None, Some(false), Some(true)][rng.below(3)],
                 dropped: (rng.below(Self::CALLS), rng.below(4)),
+                policy: [RoutingPolicy::PromptHash, RoutingPolicy::LatencyAware][rng.below(2)],
             }
         }
 
@@ -1558,7 +1585,7 @@ mod tests {
                         .with_error_rate(error_rate)
                 })
                 .collect();
-            let (_, mut pool) = pool_over(&specs, RoutingPolicy::PromptHash);
+            let (_, mut pool) = pool_over(&specs, self.policy);
             pool = pool.with_retries(self.retries).with_backoff_base_ms(0.5);
             if self.breaker {
                 pool = pool.with_breaker(2, 5.0);
@@ -1595,6 +1622,7 @@ mod tests {
                 let mut call = pool.submit_call(&CompletionRequest::new(prompt.clone()));
                 let policy_order = walk_of(&call);
                 let head = walk_head(&pool, &call, now);
+                let health = health_order(&pool, now);
                 let mut outcome = None;
                 for step in 0..10_000 {
                     if (i, step) == self.dropped {
@@ -1605,9 +1633,12 @@ mod tests {
                         // The walk starts at the policy's primary unless
                         // hedging is on and the pool expects it to be late;
                         // with hedging off it is the policy's order verbatim.
+                        // Latency-aware, it is the health order.
                         let walk = walk_of(&call);
                         assert_eq!(walk[0], head, "{self:?}: call {i}");
-                        if !self.hedging {
+                        if self.policy == RoutingPolicy::LatencyAware {
+                            assert_eq!(walk, health, "{self:?}: call {i}");
+                        } else if !self.hedging {
                             assert_eq!(walk, policy_order, "{self:?}");
                         }
                     }
@@ -1646,12 +1677,44 @@ mod tests {
             .collect()
     }
 
-    /// Where `call`'s first poll at `now` must start its walk: at the
-    /// policy's primary, unless it is known-late — hedging on, at least two
-    /// closed members, one sampled, and the primary closed with an expected
-    /// time past `multiplier × the lowest closed estimate` (floored at
-    /// `min_ms`). Then the walk is in health order, and starts at the member
-    /// with the least (breaker open, expected time, registration index).
+    /// The pool's members in health order at `now`: least (breaker open,
+    /// expected time to a success, registration index) first, and a member
+    /// without a success last — except that under `LatencyAware` one that no
+    /// attempt has resolved on comes first.
+    fn health_order(pool: &BackendPool, now: Instant) -> Vec<String> {
+        let now_ms = pool.settings.ms(now);
+        let explore = pool.settings.policy == RoutingPolicy::LatencyAware;
+        let mut keyed: Vec<_> = pool
+            .members
+            .iter()
+            .enumerate()
+            .map(|(index, m)| {
+                let expected_ms = m.expected_ms(now_ms);
+                let explored_first = explore && expected_ms.is_none() && m.untried();
+                let key = (
+                    !m.breaker_closed(),
+                    !explored_first,
+                    expected_ms.unwrap_or(f64::INFINITY),
+                    index,
+                );
+                (key, m.backend.id().to_string())
+            })
+            .collect();
+        keyed.sort_by(|(a, _), (b, _)| {
+            (a.0, a.1)
+                .cmp(&(b.0, b.1))
+                .then(a.2.total_cmp(&b.2))
+                .then(a.3.cmp(&b.3))
+        });
+        keyed.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Where `call`'s first poll at `now` must start its walk. Latency-aware:
+    /// at the head of the health order. Otherwise at the policy's primary,
+    /// unless it is known-late — hedging on, at least two closed members,
+    /// one sampled, and the primary closed with an expected time past
+    /// `multiplier × the lowest closed estimate` (floored at `min_ms`). Then
+    /// the walk is in health order too.
     fn walk_head(pool: &BackendPool, call: &PoolCall, now: Instant) -> String {
         let settings = &pool.settings;
         let now_ms = settings.ms(now);
@@ -1673,40 +1736,27 @@ mod tests {
             && primary.expected_ms(now_ms).is_some_and(|expected_ms| {
                 expected_ms > (settings.hedge_multiplier * floor_ms).max(settings.hedge_min_ms)
             });
-        if !late {
+        if settings.policy != RoutingPolicy::LatencyAware && !late {
             return primary.backend.id().to_string();
         }
-        let health = |m: &Member| {
-            let open = !m.breaker_closed();
-            (open, m.expected_ms(now_ms).unwrap_or(f64::INFINITY))
-        };
-        let (_, healthiest) = pool
-            .members
-            .iter()
-            .enumerate()
-            .min_by(|(a_index, a), (b_index, b)| {
-                let ((open_a, expected_a), (open_b, expected_b)) = (health(a), health(b));
-                open_a
-                    .cmp(&open_b)
-                    .then(expected_a.total_cmp(&expected_b))
-                    .then(a_index.cmp(b_index))
-            })
-            .expect("a pool has members");
-        healthiest.backend.id().to_string()
+        health_order(pool, now).swap_remove(0)
     }
 
     #[test]
     fn the_walk_keeps_its_invariants_on_synthetic_time() {
-        // Seeded cases over 2–4 backends with random round trips and error
-        // rates, 0–2 retries, breaker and hedging on or off, hedges gated by a
-        // free or saturated call slot or not at all, and one call dropped at a
-        // random poll. Within a case: a call answers with the model's text
+        // Seeded cases under `PromptHash` or `LatencyAware` over 2–4
+        // backends with random round trips and error rates, 0–2 retries,
+        // breaker and hedging on or off, hedges gated by a free or saturated
+        // call slot or not at all, and one call dropped at a random poll.
+        // Within a case: the first poll's walk is where `walk_head` says it
+        // starts (and, latency-aware, the whole `health_order`); a call
+        // answers with the model's text
         // whenever some backend cannot fail, spends at most
         // `backends × (1 + retries) + 1` attempts and one hedge, and leaves no
         // gauge or slot behind, resolved or dropped. Across two runs of a
         // case: every call resolves at the same instant, with identical
         // counters — time is the polls' and nothing else's.
-        for seed in 0..192 {
+        for seed in 0..384 {
             let case = WalkCase::draw(seed);
             let first = case.run();
             assert_eq!(first, case.run(), "{case:?} is not deterministic");

@@ -30,12 +30,9 @@
 //! average chased traffic away drifts back into contention and is
 //! re-probed. Together they give the member's *expected time to a success*,
 //! latency ÷ (1 − failure share): the expected number of attempts times the
-//! cost of each. The latency averages order
-//! [`RoutingPolicy::LatencyAware`]'s candidates (sample-less first, so a
-//! cold pool explores every member); with hedging on, the expected times
-//! order every call's failover and hedge, and decide whether the policy's
-//! primary launches first (`call.rs`). Breaker cooldowns and staleness
-//! count milliseconds from the pool's epoch to a poll's `now`.
+//! cost of each, and the key of the health order a call walks in (stated
+//! in `call.rs`'s module docs). Breaker cooldowns and staleness count
+//! milliseconds from the pool's epoch to a poll's `now`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -365,8 +362,10 @@ impl Member {
     /// had already taken when a hedge beat it. The flight is about to be
     /// cancelled, so this is the only sample it will give; where the bound
     /// exceeds the current estimate it is informative. Without it a slow
-    /// member whose every request is hedged away stays unsampled, and
-    /// latency-aware routing keeps exploring it first.
+    /// member whose every request is hedged away never gets an estimate: the
+    /// pool could never expect it to be late, and latency-aware routing,
+    /// which explores members no attempt has resolved on, would launch on it
+    /// first every time.
     pub(super) fn observe_latency_at_least(&self, elapsed_ms: f64, now_ms: u64) {
         if self
             .decayed_ewma(now_ms)
@@ -411,6 +410,12 @@ impl Member {
         } else {
             f64::INFINITY
         })
+    }
+
+    /// True until one of its attempts resolves: every outcome, success or
+    /// failure, samples the failure share.
+    pub(super) fn untried(&self) -> bool {
+        self.counters.failures.ewma.get().is_none()
     }
 
     /// True while the breaker is closed (never opened, or reset by a
@@ -587,11 +592,8 @@ impl BackendPool {
     /// Builder-style: enable hedged requests (see `call.rs` for the full
     /// contract). A request late by `multiplier ×` the pool's lowest latency
     /// EWMA (floored at `min_ms`) gets one duplicate on the next healthy
-    /// candidate of its walk; first success wins. With hedging on, the
-    /// candidates behind the routing policy's primary are walked in order
-    /// of health (expected time to a success), not in the policy's order,
-    /// and a primary already expected to take longer than that threshold
-    /// takes its place in that order instead of launching first.
+    /// candidate of its walk; first success wins. With hedging on, every
+    /// policy's walk goes by health (`call.rs` states the order).
     /// `multiplier == 0` disables hedging (the default).
     pub fn with_hedging(mut self, multiplier: f64, min_ms: f64) -> Self {
         self.settings.hedge_multiplier = multiplier.max(0.0);
@@ -646,7 +648,7 @@ impl BackendPool {
 
     /// Candidate order for the next request under the configured policy,
     /// as far as the policy needs no clock: latency-aware ordering reads the
-    /// decayed EWMAs, so it waits for the call's first poll.
+    /// decayed health averages, so it waits for the call's first poll.
     fn candidate_order(&self, request: &CompletionRequest) -> Vec<usize> {
         let n = self.members.len();
         let mut order: Vec<usize> = (0..n).collect();

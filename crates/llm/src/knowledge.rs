@@ -34,11 +34,7 @@ pub fn normalize_key(value: &Value) -> String {
 impl KbTable {
     /// Build a knowledge-base relation from a schema and rows.
     pub fn new(schema: Schema, rows: Vec<Row>) -> Self {
-        let key_col = schema
-            .columns
-            .iter()
-            .position(|c| c.primary_key)
-            .unwrap_or(0);
+        let key_col = schema.key_column();
         let mut key_index = HashMap::new();
         for (i, row) in rows.iter().enumerate() {
             key_index.insert(normalize_key(row.get(key_col)), i);

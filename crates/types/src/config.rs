@@ -81,15 +81,10 @@ impl fmt::Display for PromptStrategy {
 /// policy only shifts latency, load distribution and spend.
 ///
 /// With hedging off ([`EngineConfig::hedge_multiplier`] `== 0`) the policy
-/// orders the whole candidate walk: primary, then failover in the policy's
-/// order. With hedging on it picks only the primary; every policy's failover
-/// — `CostAware`'s included — then goes by health, the same order the hedge
-/// follows: breaker-closed backends first, then the shortest expected time
-/// to a success (the decayed latency EWMA ÷ (1 − the decayed failure
-/// share)), backends without a sample last. A primary the pool already
-/// expects to be late — breaker closed, sampled, and its expected time to a
-/// success past the hedge threshold — does not launch first: it takes its
-/// place in health order too.
+/// orders the whole candidate walk; with hedging on, failover and the hedge
+/// go by the pool's health order, and `LatencyAware` is that order either
+/// way. The order is stated once, in the module docs of the `llmsql-llm`
+/// crate's `backend/call.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Rotate through the backends in registration order.
@@ -107,16 +102,14 @@ pub enum RoutingPolicy {
     /// hedging off the *physical* per-backend trace is reproducible at any
     /// parallelism — round robin's cursor advances in request-arrival order,
     /// which thread interleaving scrambles; a prompt hash does not. With
-    /// hedging on, hedges and the health-ordered failover depend on measured
-    /// timing, so only the primary stays a function of the prompt.
+    /// hedging on, the walk depends on measured timing: failover and the
+    /// hedge go by health, and a primary the pool expects to be late does
+    /// not launch first.
     PromptHash,
-    /// Prefer the backend with the lowest exponentially-weighted moving
-    /// average of *measured* request latency (ties broken by registration
-    /// order). Backends without a sample yet sort first, so a cold pool
-    /// explores every member once before settling on the fastest. The EWMA
-    /// also drives hedged requests when hedging is enabled. Note the EWMA
-    /// only updates on success — pair this policy with the circuit breaker
-    /// to keep hard-down (sample-less) backends out of rotation.
+    /// Walk the backends in the pool's health order, hedging or not: a cold
+    /// pool explores every member once, then the shortest expected time to
+    /// a success — measured latency and failure share both — goes first
+    /// (the order is stated in the module docs of `backend/call.rs`).
     LatencyAware,
 }
 
@@ -480,17 +473,11 @@ pub struct EngineConfig {
     /// it is issued to the next healthy backend of its walk and the first
     /// success wins. `0.0` (the default) disables hedging; values >= 1.0 set
     /// the lateness threshold as a multiple of the expected latency (2.0 ~
-    /// "tail beyond twice the typical request"). With hedging on, the
-    /// backends behind the routing policy's primary are walked in order of
-    /// health (breaker-closed first, then shortest expected time to a
-    /// success: EWMA ÷ (1 − failure share)) rather than in the policy's
-    /// order, so a request whose primary fails lands on the healthiest
-    /// sibling, and a primary already expected to be late (its expected time
-    /// past the threshold) takes its place in that order instead of
-    /// launching first: physical-trace reproducibility is traded for latency
-    /// (see [`RoutingPolicy`]). The backend pool is the one hedging
-    /// layer — every request through it arms a hedge timer — so without
-    /// [`EngineConfig::backends`] this has no effect.
+    /// "tail beyond twice the typical request"). With hedging on, every
+    /// policy's walk goes by the pool's health order, trading physical-trace
+    /// reproducibility for latency (see [`RoutingPolicy`]). The backend pool
+    /// is the one hedging layer — every request through it arms a hedge
+    /// timer — so without [`EngineConfig::backends`] this has no effect.
     pub hedge_multiplier: f64,
     /// Hedged requests: floor on the lateness threshold, milliseconds, so a
     /// near-zero EWMA cannot make every request look late.

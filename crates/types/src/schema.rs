@@ -222,13 +222,11 @@ impl Schema {
             .collect()
     }
 
-    /// The key column (first PK column, else first column). Virtual tables use
-    /// this as the entity identifier when enumerating rows via prompts.
-    pub fn key_column(&self) -> &Column {
-        self.columns
-            .iter()
-            .find(|c| c.primary_key)
-            .unwrap_or(&self.columns[0])
+    /// Index of the key column (first PK column, else column 0): the entity
+    /// identifier a per-tuple prompt names, so the engine and the simulated
+    /// model must both pick it here.
+    pub fn key_column(&self) -> usize {
+        self.columns.iter().position(|c| c.primary_key).unwrap_or(0)
     }
 
     /// The phrase describing the entity set for prompt construction.
@@ -502,9 +500,17 @@ mod tests {
     #[test]
     fn key_column_prefers_primary_key() {
         let s = sample_schema();
-        assert_eq!(s.key_column().name, "name");
+        assert_eq!(s.columns[s.key_column()].name, "name");
         let s2 = Schema::new("t", vec![Column::new("a", DataType::Int)]);
-        assert_eq!(s2.key_column().name, "a");
+        assert_eq!(s2.key_column(), 0);
+        let s3 = Schema::new(
+            "t",
+            vec![
+                Column::new("a", DataType::Int),
+                Column::new("b", DataType::Text).primary_key(),
+            ],
+        );
+        assert_eq!(s3.key_column(), 1);
     }
 
     #[test]

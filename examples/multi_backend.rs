@@ -5,7 +5,8 @@
 //! does the work, what it costs and how long the scan takes do. Each
 //! request takes a simulated 1 ms round trip, so the wall time printed per
 //! policy shows what its routing costs a scan that keeps four requests in
-//! flight.
+//! flight. Under `LatencyAware` it asserts that the hard-down member is
+//! tried once (`1 + backend_retries` attempts) and then sorts last.
 //!
 //! Run with: `cargo run --release --example multi_backend`
 
@@ -50,6 +51,16 @@ fn main() {
                     .backend_latency_ms
                     .get(backend)
                     .unwrap_or(&0.0),
+            );
+        }
+        if policy == RoutingPolicy::LatencyAware {
+            // Latency-aware routing counts failures: the hard-down member
+            // gets one candidate's worth of attempts, then sorts last.
+            let down = result.metrics.backend_calls.get("edge-a").copied();
+            let budget = 1 + engine.config().backend_retries as u64;
+            assert!(
+                down.unwrap_or(0) <= budget,
+                "{policy}: edge-a took {down:?} attempts, at most {budget} allowed"
             );
         }
     }
