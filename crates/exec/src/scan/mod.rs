@@ -112,11 +112,13 @@ use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{
-    pack_keys, split_sections, ClientCall, CompletionRequest, CompletionResponse, LlmClient,
+    pack_keys, split_sections, Answer, ClientCall, CompletionRequest, LlmClient, Page,
 };
 use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
-use llmsql_types::{Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value};
+use llmsql_types::{
+    DataType, Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value,
+};
 
 use crate::context::ExecContext;
 use crate::eval::eval_predicate;
@@ -189,7 +191,7 @@ pub fn dispatch_one(
     client: &LlmClient,
     kind: &str,
     prompt: String,
-) -> Result<Arc<CompletionResponse>> {
+) -> Result<Arc<Answer>> {
     ctx.metrics.borrow_mut().record_llm_call(kind);
     let mut flight = InFlight::new(ctx, 1);
     flight.push(client.start_call(CompletionRequest::new(prompt)));
@@ -210,7 +212,7 @@ struct RequestOp<'a> {
     /// How long the op had been parked when the pool granted its slot, µs.
     slot_wait_us: Option<u64>,
     /// What the call resolved to, for the waiter to take.
-    answer: Option<Result<Arc<CompletionResponse>>>,
+    answer: Option<Result<Arc<Answer>>>,
 }
 
 impl Completion for RequestOp<'_> {
@@ -293,7 +295,7 @@ impl<'a> InFlight<'a> {
     /// If the query deadline fires first the answer is `DeadlineExceeded`
     /// with partial accounting, and the request stays in flight for the drop
     /// to cancel.
-    fn wait_head(&mut self) -> Result<Arc<CompletionResponse>> {
+    fn wait_head(&mut self) -> Result<Arc<Answer>> {
         match self.live.wait_head(self.ctx.deadline_instant()) {
             Some(Ok(mut op)) => op
                 .answer
@@ -340,10 +342,30 @@ trait PromptPlan {
     /// consumed — the plan is finished once nothing is in flight either.
     fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>>;
 
-    /// Consume the answer to the oldest prompt in flight: the text the model
-    /// replied to that prompt with, borrowed from the completion it
-    /// travelled in. Called in prompt order, and never past a failed answer.
-    fn accept(&mut self, answer: &str) -> Result<Accepted>;
+    /// Consume the answer to the oldest prompt in flight. Called in prompt
+    /// order, and never past a failed answer.
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted>;
+}
+
+/// The answer to one prompt.
+struct Reply<'a> {
+    /// The text the model replied to the prompt with, borrowed from the
+    /// completion it travelled in.
+    text: &'a str,
+    /// That completion, when the prompt travelled alone: its page index is
+    /// this prompt's.
+    alone: Option<&'a Answer>,
+}
+
+impl<'a> Reply<'a> {
+    /// The reply read as pipe-separated rows of `types`: through the index
+    /// its completion keeps, when it has one of its own.
+    fn page(&self, types: &Arc<[DataType]>) -> Result<Page<'a>> {
+        match self.alone {
+            Some(answer) => answer.page(types),
+            None => Page::read(self.text, types),
+        }
+    }
 }
 
 /// What consuming one answer did: whether the plan is finished, and what
@@ -432,8 +454,9 @@ impl Driver<'_> {
             };
             let mut ledger = ctx.metrics.borrow_mut();
             ledger.batched_rows += if asked > 1 { asked as u64 } else { 0 };
-            for answer in split_sections(&response.text, asked) {
-                let accepted = plan.accept(answer)?;
+            let alone = (asked == 1).then_some(&*response);
+            for text in split_sections(&response.text, asked) {
+                let accepted = plan.accept(Reply { text, alone })?;
                 ledger.dropped_lines += accepted.dropped_lines;
                 ledger.cells_filled_by_llm += accepted.cells_filled;
                 if accepted.done {
@@ -567,7 +590,7 @@ mod tests {
     use super::tuples::{missing, Enumerate, FilterChecks, Lookups};
     use super::*;
     use llmsql_llm::prompt::TaskSpec;
-    use llmsql_llm::{CallSlots, KnowledgeBase, LlmClient, SimLlm};
+    use llmsql_llm::{CallSlots, CompletionResponse, KnowledgeBase, LlmClient, SimLlm};
     use llmsql_plan::estimate_scan_rows;
     use llmsql_store::Catalog;
     use llmsql_types::{clock, Column, DataType, EngineConfig, ExecutionMode, LlmFidelity, Value};
@@ -779,7 +802,8 @@ mod tests {
             in_flight -= asked;
             for _ in 0..asked {
                 let i = out.consumed;
-                let accepted = plan.accept(&answer(i, &out.prompts[i])).unwrap();
+                let given = given(answer(i, &out.prompts[i]));
+                let accepted = plan.accept(alone(&given)).unwrap();
                 out.consumed += 1;
                 out.dropped_lines += accepted.dropped_lines;
                 out.cells_filled += accepted.cells_filled;
@@ -787,6 +811,25 @@ mod tests {
                     return out;
                 }
             }
+        }
+    }
+
+    /// `text` as a completion the model returned.
+    pub(super) fn given(text: String) -> Answer {
+        Answer::new(CompletionResponse {
+            text,
+            prompt_tokens: 1,
+            completion_tokens: 1,
+            latency_ms: 0.0,
+            cost_usd: 0.0,
+        })
+    }
+
+    /// The reply of a prompt that travelled alone and was answered `answer`.
+    pub(super) fn alone(answer: &Answer) -> Reply<'_> {
+        Reply {
+            text: &answer.text,
+            alone: Some(answer),
         }
     }
 
@@ -1014,6 +1057,15 @@ mod tests {
         strategy: PromptStrategy,
         tweak: impl FnOnce(&mut EngineConfig),
     ) -> ExecContext {
+        context_with(LlmClient::new(model), strategy, tweak)
+    }
+
+    /// [`context_over`] a given client (and the prompt cache it holds).
+    fn context_with(
+        client: LlmClient,
+        strategy: PromptStrategy,
+        tweak: impl FnOnce(&mut EngineConfig),
+    ) -> ExecContext {
         let catalog = Catalog::new();
         catalog.create_virtual_table(country_schema()).unwrap();
         let mut config = EngineConfig::default()
@@ -1021,7 +1073,7 @@ mod tests {
             .with_strategy(strategy)
             .with_batch_size(2);
         tweak(&mut config);
-        ExecContext::new(catalog, Some(LlmClient::new(model)), config)
+        ExecContext::new(catalog, Some(client), config)
     }
 
     /// The LLM-backed scans: the three strategies over the virtual relation
@@ -1377,6 +1429,48 @@ mod tests {
             dropped > 0 && filled > 0,
             "dropped {dropped}, filled {filled}"
         );
+    }
+
+    #[test]
+    fn a_warm_page_scan_reads_the_cold_scans_rows_and_ledger() {
+        // Two page scans through one client: the first fills its prompt
+        // cache, the second is served every page from it and reads each
+        // cached answer through the page index the first read built. Rows
+        // and ledger are the cold scan's, the noisy model's dropped lines
+        // included.
+        let garbling = LlmFidelity {
+            format_noise: 0.5,
+            ..LlmFidelity::medium()
+        };
+        for parallelism in [1, 16] {
+            let client = LlmClient::new(sim(garbling, 7));
+            let run = || {
+                let ctx = context_with(client.clone(), PromptStrategy::BatchedRows, |c| {
+                    c.parallelism = parallelism;
+                });
+                let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
+                (rows, ctx.metrics.into_inner())
+            };
+            let (cold_rows, cold) = run();
+            let (warm_rows, warm) = run();
+            let at = format!("parallelism {parallelism}");
+            assert_eq!(cold_rows, warm_rows, "{at}");
+            assert!(cold.dropped_lines > 0, "{at}: the model dropped no line");
+            assert_eq!(cold.dropped_lines, warm.dropped_lines, "{at}");
+            assert_eq!(cold.rows_from_llm, warm.rows_from_llm, "{at}");
+            assert_eq!(cold.llm_calls_by_kind, warm.llm_calls_by_kind, "{at}");
+            let pages = cold.llm_calls_by_kind["row_batch"];
+            assert_eq!(
+                (cold.usage.calls, cold.usage.cache_hits),
+                (pages, 0),
+                "{at}"
+            );
+            assert_eq!(
+                (warm.usage.calls, warm.usage.cache_hits),
+                (0, pages),
+                "{at}"
+            );
+        }
     }
 
     // -----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 //! The page plan: a relation read `row_batch` page by page.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use llmsql_llm::{prompt::PromptTemplate, scan_pipe_rows};
+use llmsql_llm::prompt::PromptTemplate;
 use llmsql_plan::estimate_scan_rows;
 use llmsql_types::{DataType, Result, Row, Value};
 
-use super::{unasked, Accepted, Asks, PromptPlan, ScanSpec};
+use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
 
 /// Page through the relation with `row_batch` prompts at precomputed
 /// offsets.
@@ -46,7 +47,7 @@ use super::{unasked, Accepted, Asks, PromptPlan, ScanSpec};
 pub(super) struct Pages<'a> {
     spec: ScanSpec<'a>,
     columns: Vec<usize>,
-    types: Vec<DataType>,
+    types: Arc<[DataType]>,
     /// Everything a page's prompt says but its limit and offset — table,
     /// column list, filter, the schema's description — rendered once.
     template: PromptTemplate,
@@ -147,27 +148,27 @@ impl PromptPlan for Pages<'_> {
         Ok(Some(Asks::Prompt(prompt)))
     }
 
-    fn accept(&mut self, answer: &str) -> Result<Accepted> {
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
         let want = self.in_flight.pop_front().ok_or_else(unasked)?;
         // A backend that emits *more* lines than requested is clamped to the
         // page size — later pages are dispatched at offsets assuming at most
         // `want` lines per page, so consuming overshoot would duplicate rows.
         let keep = want.min(self.budget - self.rows.len());
+        // Read through the answer's page index, cold or warm: a cached answer
+        // is not scanned again.
+        let page = reply.page(&self.types)?;
+        let (parsed, dropped) = (page.lines(), page.dropped_lines());
         let arity = self.spec.table_schema.arity();
-        let (columns, rows) = (&self.columns, &mut self.rows);
-        let mut parsed = 0;
+        self.rows.reserve(keep.min(parsed));
         // Each kept line's cells go straight to their columns of a row of
         // the base arity, NULL elsewhere.
-        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
-            if parsed < keep {
-                let mut full = vec![Value::Null; arity];
-                for (cell, &column) in cells.iter_mut().zip(columns) {
-                    full[column] = std::mem::take(cell);
-                }
-                rows.push(Row::new(full));
+        for cells in page.rows().take(keep) {
+            let mut full = vec![Value::Null; arity];
+            for (cell, &column) in cells.zip(&self.columns) {
+                full[column] = cell;
             }
-            parsed += 1;
-        });
+            self.rows.push(Row::new(full));
+        }
         // Lines the model produced for this page, parsed or not: the
         // relation is exhausted when the model had fewer rows to say than
         // asked for, not when some lines were malformed. A short page is the
@@ -186,8 +187,8 @@ impl PromptPlan for Pages<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{
-        between_filter, field, gt_filter, in_europe, lt_filter, numbered_rows, page_prompt,
-        pages_of, parts, replay, world_rows, Replay,
+        alone, between_filter, field, given, gt_filter, in_europe, lt_filter, numbered_rows,
+        page_prompt, pages_of, parts, replay, world_rows, Replay,
     };
     use super::*;
     use llmsql_llm::prompt::TaskSpec;
@@ -512,7 +513,7 @@ mod tests {
                 seen.push(pages.window());
                 assert!(pages.next(1).unwrap().is_some());
                 let answer = pages
-                    .accept(&lines(10 * consumed..10 * consumed + 10))
+                    .accept(alone(&given(lines(10 * consumed..10 * consumed + 10))))
                     .unwrap();
                 assert!(!answer.done);
             }

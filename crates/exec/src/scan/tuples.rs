@@ -8,7 +8,7 @@ use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{parse_yes_no, scan_pipe_rows, scan_value_lines, YesNoAnswer};
 use llmsql_types::{DataType, Result, Row, Value};
 
-use super::{unasked, Accepted, Asks, PromptPlan, ScanSpec};
+use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
 
 /// The key enumeration that opens the per-tuple strategies: one `enumerate`
 /// prompt, answered by one row per key with every other column NULL.
@@ -44,11 +44,11 @@ impl PromptPlan for Enumerate<'_> {
         Ok(self.prompt.take().map(Asks::Prompt))
     }
 
-    fn accept(&mut self, answer: &str) -> Result<Accepted> {
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
         let schema = self.spec.table_schema;
         let key_idx = schema.key_column();
         let (budget, rows) = (self.budget, &mut self.rows);
-        let dropped = scan_value_lines(answer, schema.columns[key_idx].data_type, |key| {
+        let dropped = scan_value_lines(reply.text, schema.columns[key_idx].data_type, |key| {
             if rows.len() < budget {
                 let mut full = vec![Value::Null; schema.arity()];
                 full[key_idx] = key;
@@ -220,7 +220,7 @@ impl PromptPlan for Lookups<'_> {
         Ok(Some(Asks::Keys(keys)))
     }
 
-    fn accept(&mut self, answer: &str) -> Result<Accepted> {
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
         let at = self.in_flight.pop_front().ok_or_else(unasked)?;
         let row = &mut self.source[at];
         let columns = &self.spec.table_schema.columns;
@@ -232,7 +232,7 @@ impl PromptPlan for Lookups<'_> {
         let mut answered = false;
         let mut filled = 0;
         let needed = &self.needed;
-        let dropped = scan_pipe_rows(answer, &self.types, |cells| {
+        let dropped = scan_pipe_rows(reply.text, &self.types, |cells| {
             if std::mem::replace(&mut answered, true) {
                 return;
             }
@@ -307,11 +307,11 @@ impl PromptPlan for FilterChecks<'_> {
         Ok((!checks.is_empty()).then_some(Asks::Keys(checks)))
     }
 
-    fn accept(&mut self, answer: &str) -> Result<Accepted> {
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
         // Answers arrive in candidate order, one candidate each.
         let candidate = self.candidates.next();
         self.in_flight = self.in_flight.saturating_sub(1);
-        if parse_yes_no(answer) == YesNoAnswer::Yes {
+        if parse_yes_no(reply.text) == YesNoAnswer::Yes {
             self.kept.extend(candidate);
         }
         Ok(Accepted::default())

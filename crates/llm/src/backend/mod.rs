@@ -1642,13 +1642,18 @@ mod tests {
                             assert_eq!(walk, policy_order, "{self:?}");
                         }
                     }
-                    let (mut attempts, mut hedges) = (0, 0);
+                    let (mut attempts, mut hedges, mut latency_ms) = (0, 0, 0.0);
                     call.backend_receipts(&mut |_, receipt| {
                         attempts += receipt.calls;
                         hedges += receipt.hedges;
+                        latency_ms += receipt.latency_ms;
                     });
                     assert!(attempts <= max_attempts, "{self:?}: {attempts} attempts");
                     assert!(hedges <= 1, "{self:?}: {hedges} hedges");
+                    // What `health_order` counts a success by.
+                    if let Some(Ok(_)) = &outcome {
+                        assert!(latency_ms > 0.0, "{self:?}: a success reported no latency");
+                    }
                     if outcome.is_some() {
                         drained("at resolution");
                         break;
@@ -1680,17 +1685,23 @@ mod tests {
     /// The pool's members in health order at `now`: least (breaker open,
     /// expected time to a success, registration index) first, and a member
     /// without a success last — except that under `LatencyAware` one that no
-    /// attempt has resolved on comes first.
+    /// attempt has resolved on comes first. Which those are is read off the
+    /// pool's public counters, not the failure share `Member::untried` reads:
+    /// a failed attempt counts an error, and a successful one adds its
+    /// reported latency, which is positive (`WalkCase::run` checks that every
+    /// success's is).
     fn health_order(pool: &BackendPool, now: Instant) -> Vec<String> {
         let now_ms = pool.settings.ms(now);
         let explore = pool.settings.policy == RoutingPolicy::LatencyAware;
+        let stats = pool.stats();
         let mut keyed: Vec<_> = pool
             .members
             .iter()
             .enumerate()
             .map(|(index, m)| {
                 let expected_ms = m.expected_ms(now_ms);
-                let explored_first = explore && expected_ms.is_none() && m.untried();
+                let resolved = stats[index].errors > 0 || stats[index].latency_ms > 0.0;
+                let explored_first = explore && expected_ms.is_none() && !resolved;
                 let key = (
                     !m.breaker_closed(),
                     !explored_first,

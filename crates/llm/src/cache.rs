@@ -13,10 +13,13 @@
 //! hash; a match is a match of the full text (see [`crate::key`]). A caller
 //! holding only the text passes it and pays for the hash here.
 //!
-//! An entry is an `Arc<CompletionResponse>`: a hit hands out the entry's own
-//! allocation, so the answer text is never copied on the way to the scan that
-//! reads it, and an answer lives as long as its entry or the scan still
-//! reading it — [`PromptCache::clear`] mid-scan takes nothing from the scan.
+//! An entry is an `Arc<Answer>`: the completion response and the page index
+//! the answer was first read for ([`crate::parse`]), in one allocation. A hit
+//! hands out the entry's own allocation, so the answer text is never copied
+//! on the way to the scan that reads it, and a page scan that reads it again
+//! reads the index the first read built instead of the text. An answer and
+//! its index live as long as the entry or the scan still reading it —
+//! [`PromptCache::clear`] mid-scan takes nothing from the scan.
 //!
 //! The map is split into 16 independently locked shards, so queries
 //! completing different prompts on different threads do not serialize on
@@ -31,14 +34,14 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::key::{KeyMap, RequestKey};
-use crate::model::CompletionResponse;
+use crate::parse::Answer;
 
 /// Shards the key space is split into.
 const SHARDS: usize = 16;
 
 /// A thread-safe, sharded prompt → completion cache.
 pub struct PromptCache {
-    shards: [RwLock<KeyMap<Arc<CompletionResponse>>>; SHARDS],
+    shards: [RwLock<KeyMap<Arc<Answer>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -59,13 +62,13 @@ impl PromptCache {
         }
     }
 
-    fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<Arc<CompletionResponse>>> {
+    fn shard_for(&self, key: &RequestKey) -> &RwLock<KeyMap<Arc<Answer>>> {
         &self.shards[key.shard(SHARDS)]
     }
 
     /// Look up a key, counting the hit or miss. A hit shares the entry: a
     /// reference-count bump, no copy of the answer.
-    pub fn get(&self, key: impl Into<RequestKey>) -> Option<Arc<CompletionResponse>> {
+    pub fn get(&self, key: impl Into<RequestKey>) -> Option<Arc<Answer>> {
         let found = self.peek(&key.into());
         // ordering: Relaxed — hit/miss are advisory statistics; nothing is
         // published under them and exact interleaving is irrelevant.
@@ -79,13 +82,14 @@ impl PromptCache {
 
     /// Look up a key without counting: for a caller re-checking a key whose
     /// miss [`PromptCache::get`] already counted.
-    pub(crate) fn peek(&self, key: &RequestKey) -> Option<Arc<CompletionResponse>> {
+    pub(crate) fn peek(&self, key: &RequestKey) -> Option<Arc<Answer>> {
         self.shard_for(key).read().get(key).cloned()
     }
 
     /// Store a completion: an owned response is moved into a new shared
-    /// allocation, an `Arc` is stored as it is.
-    pub fn put(&self, key: impl Into<RequestKey>, response: impl Into<Arc<CompletionResponse>>) {
+    /// answer, an `Arc<Answer>` is stored as it is (with whatever index it
+    /// already holds).
+    pub fn put(&self, key: impl Into<RequestKey>, response: impl Into<Arc<Answer>>) {
         let key = key.into();
         self.shard_for(&key).write().insert(key, response.into());
     }
@@ -125,6 +129,7 @@ impl PromptCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CompletionResponse;
 
     fn resp(text: &str) -> CompletionResponse {
         CompletionResponse {
@@ -149,7 +154,7 @@ mod tests {
     #[test]
     fn a_hit_is_the_entry_not_a_copy_of_it() {
         let cache = PromptCache::new();
-        let shared = Arc::new(resp("r"));
+        let shared = Arc::new(Answer::new(resp("r")));
         cache.put("p", Arc::clone(&shared));
         assert!(Arc::ptr_eq(&cache.get("p").unwrap(), &shared));
         // An owned response is moved into one allocation every hit shares.

@@ -6,8 +6,9 @@
 //! before dispatching. The first claimant (the **leader**) issues the
 //! physical call; concurrent claimants of the same key (**followers**) park
 //! on the entry and receive the leader's successful response — the same
-//! `Arc<CompletionResponse>` the leader returns and its cache holds, never a
-//! copy of the text — zero physical calls, while each query still records
+//! `Arc<Answer>` the leader returns and its cache holds: the response and
+//! the page index the first reader builds beside it ([`crate::parse`]), never
+//! a copy of the text — zero physical calls, while each query still records
 //! its own *logical* call. A follower registers its thread on the entry, and
 //! resolving the entry wakes every registered thread. This is the only in-flight table there is: a
 //! cached client owns a private one, so the waves of one query never pay
@@ -42,7 +43,7 @@ use llmsql_types::{clock, Result};
 use parking_lot::Mutex;
 
 use crate::key::{KeyMap, RequestKey};
-use crate::model::CompletionResponse;
+use crate::parse::Answer;
 
 /// The state of one in-flight coalescing entry. Followers hold an `Arc` to
 /// it and poll; the leader resolves it exactly once.
@@ -51,7 +52,7 @@ enum EntryState {
     /// followers that found it so wait to be woken when it resolves.
     Pending(Vec<clock::Unparker>),
     /// The leader completed successfully; followers share this response.
-    Done(Arc<CompletionResponse>),
+    Done(Arc<Answer>),
     /// The leader failed or was dropped. Followers must re-claim the key
     /// (the entry is already unlinked from the table).
     Abandoned,
@@ -68,7 +69,7 @@ pub enum FollowerPoll {
     /// resolves.
     Pending,
     /// The leader succeeded: here is its response, shared.
-    Ready(Arc<CompletionResponse>),
+    Ready(Arc<Answer>),
     /// The leader failed or vanished; re-claim the key.
     Abandoned,
 }
@@ -183,12 +184,12 @@ impl CoalesceGuard {
     /// Resolve the entry with the leader's outcome: successes fan out to
     /// every follower, failures abandon the entry (followers retry on their
     /// own physical calls, preserving per-query error semantics). A leader
-    /// holding an `Arc<CompletionResponse>` shares it (the clone below is a
+    /// holding an `Arc<Answer>` shares it (the clone below is a
     /// reference-count bump); a caller that lends an owned response has it
-    /// copied into a new one.
+    /// copied into a new answer.
     pub fn publish<R>(mut self, outcome: &Result<R>)
     where
-        R: Clone + Into<Arc<CompletionResponse>>,
+        R: Clone + Into<Arc<Answer>>,
     {
         if let Some(entry) = self.entry.take() {
             let state = match outcome {
@@ -212,6 +213,7 @@ impl Drop for CoalesceGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CompletionResponse;
 
     fn response(text: &str) -> CompletionResponse {
         CompletionResponse {
@@ -252,7 +254,7 @@ mod tests {
         let Claim::Follower(entry) = co.claim("k") else {
             panic!("second claim must follow");
         };
-        let answer = Arc::new(response("answer"));
+        let answer = Arc::new(Answer::new(response("answer")));
         guard.publish(&Ok(Arc::clone(&answer)));
         for _ in 0..2 {
             match entry.poll() {

@@ -56,8 +56,8 @@ pub use knowledge::{KbTable, KnowledgeBase};
 pub use model::{ClientCall, CompletionRequest, CompletionResponse, LanguageModel, LlmClient};
 pub use noise::NoiseModel;
 pub use parse::{
-    parse_pipe_rows, parse_value_lines, parse_yes_no, scan_pipe_rows, scan_value_lines, ParsedRows,
-    YesNoAnswer,
+    parse_pipe_rows, parse_value_lines, parse_yes_no, scan_pipe_rows, scan_value_lines, Answer,
+    Page, ParsedRows, YesNoAnswer,
 };
 pub use prompt::{parse_task, PromptTemplate, TaskSpec};
 pub use sim::SimLlm;

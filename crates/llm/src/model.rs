@@ -22,6 +22,7 @@ use crate::cache::PromptCache;
 use crate::coalesce::{Claim, CoalesceEntry, CoalesceGuard, FollowerPoll, PromptCoalescer};
 use crate::cost::UsageStats;
 use crate::key::RequestKey;
+use crate::parse::Answer;
 
 /// A completion request.
 #[derive(Debug, Clone, PartialEq)]
@@ -379,7 +380,7 @@ impl ClientCall {
         &mut self,
         now: Instant,
         gate: &mut dyn FnMut() -> Option<Box<dyn std::any::Any + Send>>,
-    ) -> Option<Result<Arc<CompletionResponse>>> {
+    ) -> Option<Result<Arc<Answer>>> {
         loop {
             match &mut self.state {
                 CcState::Start => {
@@ -443,8 +444,10 @@ impl ClientCall {
                 }
                 CcState::InFlight => {
                     // The one allocation of an answer: the cache entry, the
-                    // followers and the caller all share it from here.
-                    let outcome = self.handle.as_mut()?.poll(now)?.map(Arc::new);
+                    // followers and the caller all share it, and the page
+                    // index its first reader builds, from here.
+                    let outcome = self.handle.as_mut()?.poll(now)?;
+                    let outcome = outcome.map(|response| Arc::new(Answer::new(response)));
                     self.permit = None;
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
@@ -511,7 +514,12 @@ impl ClientCall {
             self.poll(now, &mut grant)
                 .ok_or_else(|| self.next_wakeup(now))
         })
-        .map(Arc::unwrap_or_clone)
+        .map(|answer| {
+            Arc::try_unwrap(answer).map_or_else(
+                |shared| CompletionResponse::clone(&shared),
+                Answer::into_response,
+            )
+        })
     }
 }
 
@@ -871,7 +879,7 @@ mod tests {
         assert_eq!(hit.text, "x");
         drop((led, entry));
         assert_eq!(Arc::strong_count(&hit), 1);
-        assert_eq!(client.complete(&request).unwrap(), *hit);
+        assert_eq!(client.complete(&request).unwrap(), **hit);
         assert_eq!(*model.calls.lock(), 2, "a cleared cache still answered");
     }
 

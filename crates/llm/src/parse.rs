@@ -13,15 +13,25 @@
 //! query's result — is read by one scanner, which walks the borrowed
 //! answer text once: it cuts a line, decides whether the line is data (below),
 //! strips a list bullet, and reads each `|`-field straight into a typed
-//! [`Value`]. It allocates what a kept cell owns (a text cell's `String`)
-//! and one cell buffer per answer; there is no `Vec` of lines, of fields or
-//! of half-typed rows. Each data line's cells are handed to a *sink* the
-//! caller supplies, which moves them to where the result keeps them:
-//! [`scan_pipe_rows`] and [`scan_value_lines`] take the sink as a closure (a
-//! scan writes a page's cells at their final columns of a full-width row,
-//! fills a source row's missing cells in place, builds key rows), and
-//! [`parse_pipe_rows`] / [`parse_value_lines`] are the sink that collects
-//! narrow rows.
+//! cell. It allocates what a kept cell owns and one cell buffer per answer;
+//! there is no `Vec` of lines, of fields or of half-typed rows. Each data
+//! line's cells are handed to a *sink* the caller supplies, which moves them
+//! to where the result keeps them:
+//!
+//! * [`scan_pipe_rows`] and [`scan_value_lines`] take the sink as a closure
+//!   over [`Value`] cells, a text cell owning its `String` (a lookup fills a
+//!   source row's missing cells in place, a key list builds key rows), and
+//!   [`parse_pipe_rows`] / [`parse_value_lines`] are the sink that collects
+//!   narrow rows.
+//! * The **page index** is the sink a page scan reads through. It keeps,
+//!   for each data line, one 16-byte cell per asked column — NULL, a
+//!   boolean, a number, or a text cell that is a `u32` start and length into
+//!   the answer, so it owns no text — and the answer's data-line and
+//!   dropped-line counts. An [`Answer`] keeps the index it was first read for
+//!   beside its text, so an answer read again (a cache hit, a coalesced
+//!   follower) is not scanned again: [`Page::rows`] builds its rows from the
+//!   cells, allocating only what each row owns. Both sinks read a field by
+//!   the one rule of [`llm_field`].
 //!
 //! # What is not data
 //!
@@ -49,8 +59,16 @@
 //!   NULL for a text column is a NULL value, not a dropped line). Dropped and
 //!   counted — a page's line count decides whether the relation went on.
 
-use llmsql_types::value::is_nullish;
-use llmsql_types::{DataType, Row, Value};
+use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+use llmsql_types::value::{
+    is_nullish, llm_field, parse_bool_lenient, parse_float_lenient, parse_int_lenient,
+};
+use llmsql_types::{DataType, Error, Result, Row, Value};
+
+use crate::model::CompletionResponse;
 
 /// Outcome of parsing a completion into rows.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -68,6 +86,117 @@ enum Layout {
     Pipes,
     /// The whole line is one value.
     WholeLine,
+}
+
+/// How the scanner reads a field into a cell. Every reader reads a field by
+/// the rule of [`llm_field`]; they differ only in where a text cell lives.
+trait Reader {
+    /// What a field becomes.
+    type Cell: Clone + Default;
+    /// The cell `field`, a slice of the answer being scanned, reads as in a
+    /// column of `ty`.
+    fn read(&mut self, field: &str, ty: DataType) -> Self::Cell;
+    /// Whether `cell` holds no value.
+    fn is_null(cell: &Self::Cell) -> bool;
+}
+
+/// Cells as [`Value`]s: a text cell owns its `String`.
+struct Values;
+
+impl Reader for Values {
+    type Cell = Value;
+
+    fn read(&mut self, field: &str, ty: DataType) -> Value {
+        Value::from_llm_text(field, ty)
+    }
+
+    fn is_null(cell: &Value) -> bool {
+        cell.is_null()
+    }
+}
+
+/// A cell of the page index: a value whose text stays in the answer.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Cell {
+    #[default]
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// `len` bytes of the answer from `start`.
+    Text {
+        start: u32,
+        len: u32,
+    },
+}
+
+// The index keeps one of these per asked column of each data line: a decoded
+// `Value` would be half as large again, and its text would be a copy.
+const _: () = assert!(std::mem::size_of::<Cell>() == 16);
+
+/// `n`, an offset into an answer, as an index. Lossless wherever pointers
+/// have 32 bits or more, and an answer's offsets fit any narrower `usize`.
+fn widen(n: u32) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
+impl Cell {
+    /// The value this cell of `answer` holds.
+    fn value(self, answer: &str) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Text { start, len } => {
+                let start = widen(start);
+                Value::Text(answer[start..start + widen(len)].to_string())
+            }
+        }
+    }
+}
+
+/// Cells as the page index keeps them: a text cell is a range of `answer`.
+struct Ranges<'t> {
+    answer: &'t str,
+    /// False once some text cell's offsets did not fit a `u32`: the index is
+    /// then not built (see [`PageIndex::build`]).
+    fits: bool,
+}
+
+impl Reader for Ranges<'_> {
+    type Cell = Cell;
+
+    fn read(&mut self, field: &str, ty: DataType) -> Cell {
+        let Some(value) = llm_field(field) else {
+            return Cell::Null;
+        };
+        match ty {
+            DataType::Text => {
+                // `value` is a slice of the answer, so it starts at or after
+                // the answer does.
+                let start = value
+                    .as_ptr()
+                    .addr()
+                    .checked_sub(self.answer.as_ptr().addr());
+                let start = start.and_then(|start| u32::try_from(start).ok());
+                match (start, u32::try_from(value.len())) {
+                    (Some(start), Ok(len)) => Cell::Text { start, len },
+                    _ => {
+                        self.fits = false;
+                        Cell::Null
+                    }
+                }
+            }
+            DataType::Int => parse_int_lenient(value).map_or(Cell::Null, Cell::Int),
+            DataType::Float => parse_float_lenient(value).map_or(Cell::Null, Cell::Float),
+            DataType::Bool => parse_bool_lenient(value).map_or(Cell::Null, Cell::Bool),
+        }
+    }
+
+    fn is_null(cell: &Cell) -> bool {
+        *cell == Cell::Null
+    }
 }
 
 /// The first line of `text` without its `\n`, and the text after it.
@@ -164,8 +293,8 @@ impl<'a> Iterator for Fields<'a> {
 /// instead of filling them: some numeric column's cell did not read as a
 /// number (`cells` are the line's fields as a row would hold them), and no
 /// field is empty or a NULL word.
-fn looks_like_header(line: &str, types: &[DataType], cells: &[Value]) -> bool {
-    let unread_number = |(ty, cell): (&DataType, &Value)| ty.is_numeric() && cell.is_null();
+fn looks_like_header<R: Reader>(line: &str, types: &[DataType], cells: &[R::Cell]) -> bool {
+    let unread_number = |(ty, cell): (&DataType, &R::Cell)| ty.is_numeric() && R::is_null(cell);
     types.iter().zip(cells).any(unread_number)
         && Fields {
             rest: Some(line),
@@ -175,18 +304,19 @@ fn looks_like_header(line: &str, types: &[DataType], cells: &[Value]) -> bool {
         .all(|field| !field.is_empty() && !is_nullish(field))
 }
 
-/// The one reader of answer text (see the module docs): hand the typed cells
-/// of every data line of `text` to `sink` and return how many lines were
-/// dropped as unusable. The cells are one per entry of `types` (one text
-/// cell if there is none); the sink takes the values it keeps out of the
-/// slice, which the next line overwrites.
-fn scan(
+/// The one reader of answer text (see the module docs): hand the cells
+/// `reader` reads from every data line of `text` to `sink` and return how
+/// many lines were dropped as unusable. The cells are one per entry of
+/// `types` (one text cell if there is none); the sink takes the values it
+/// keeps out of the slice, which the next line overwrites.
+fn scan<R: Reader>(
     text: &str,
     types: &[DataType],
     layout: Layout,
-    mut sink: impl FnMut(&mut [Value]),
+    reader: &mut R,
+    mut sink: impl FnMut(&mut [R::Cell]),
 ) -> usize {
-    let mut cells = vec![Value::Null; types.len().max(1)];
+    let mut cells = vec![R::Cell::default(); types.len().max(1)];
     let mut dropped = 0;
     // The header guess is open until a header or a row was seen.
     let mut first = layout == Layout::Pipes;
@@ -212,7 +342,7 @@ fn scan(
             let ty = types.get(at).copied().unwrap_or(DataType::Text);
             let field = fields.next();
             present += usize::from(field.is_some());
-            *cell = Value::from_llm_text(field.unwrap_or(""), ty);
+            *cell = reader.read(field.unwrap_or(""), ty);
         }
         // Several columns asked for and no separator on the line.
         if cells.len() > 1 && present == 1 {
@@ -223,7 +353,7 @@ fn scan(
         if first
             && present == cells.len()
             && fields.next().is_none()
-            && looks_like_header(line, types, &cells)
+            && looks_like_header::<R>(line, types, &cells)
         {
             first = false;
             continue;
@@ -236,7 +366,7 @@ fn scan(
                 && types.first() == Some(&DataType::Text)
                 && !line.trim().is_empty()
         };
-        if cells.iter().all(Value::is_null) && !says_null() {
+        if cells.iter().all(R::is_null) && !says_null() {
             dropped += 1;
             continue;
         }
@@ -254,13 +384,13 @@ fn scan(
 /// are truncated; rows that do not contain the separator at all (when more
 /// than one column was requested) or read as all NULL are dropped.
 pub fn scan_pipe_rows(text: &str, types: &[DataType], sink: impl FnMut(&mut [Value])) -> usize {
-    scan(text, types, Layout::Pipes, sink)
+    scan(text, types, Layout::Pipes, &mut Values, sink)
 }
 
 /// Read a completion that should contain one scalar value per line, handing
 /// each value to `sink`; returns the number of dropped lines.
 pub fn scan_value_lines(text: &str, ty: DataType, mut sink: impl FnMut(Value)) -> usize {
-    scan(text, &[ty], Layout::WholeLine, |cells| {
+    scan(text, &[ty], Layout::WholeLine, &mut Values, |cells| {
         cells.iter_mut().for_each(|cell| sink(std::mem::take(cell)));
     })
 }
@@ -268,7 +398,7 @@ pub fn scan_value_lines(text: &str, ty: DataType, mut sink: impl FnMut(Value)) -
 /// [`scan`] into the sink that keeps every row, as wide as it was asked for.
 fn collect(text: &str, types: &[DataType], layout: Layout) -> ParsedRows {
     let mut rows = Vec::new();
-    let dropped_lines = scan(text, types, layout, |cells| {
+    let dropped_lines = scan(text, types, layout, &mut Values, |cells| {
         rows.push(cells.iter_mut().map(std::mem::take).collect());
     });
     ParsedRows {
@@ -286,6 +416,160 @@ pub fn parse_value_lines(text: &str, ty: DataType) -> ParsedRows {
 /// column types (see [`scan_pipe_rows`]).
 pub fn parse_pipe_rows(text: &str, types: &[DataType]) -> ParsedRows {
     collect(text, types, Layout::Pipes)
+}
+
+/// The page index of one answer for one list of column types (see the
+/// module docs): the cells of every data line in order, one per type (one
+/// text cell if there is none), and the count of lines dropped.
+#[derive(Debug, Clone)]
+struct PageIndex {
+    /// The reader's own list, shared: building an index allocates only its
+    /// cells.
+    types: Arc<[DataType]>,
+    cells: Vec<Cell>,
+    dropped: usize,
+}
+
+impl PageIndex {
+    /// Index `answer` read as pipe-separated rows of `types`, as
+    /// [`scan_pipe_rows`] reads it. An answer with text past the reach of a
+    /// `u32` offset is refused, never cut.
+    fn build(answer: &str, types: &Arc<[DataType]>) -> Result<PageIndex> {
+        let mut ranges = Ranges { answer, fits: true };
+        // Room for a line's cells per line of the answer, allocated once:
+        // most lines are data. Never more cells than the answer has bytes,
+        // so an answer of blank lines reserves no more than its length.
+        let lines = answer.bytes().filter(|&b| b == b'\n').count() + 1;
+        let width = types.len().max(1);
+        let mut cells = Vec::with_capacity(lines.saturating_mul(width).min(answer.len()));
+        let dropped = scan(answer, types, Layout::Pipes, &mut ranges, |line| {
+            cells.extend_from_slice(line);
+        });
+        if !ranges.fits {
+            let bytes = answer.len();
+            return Err(Error::llm(format!(
+                "an answer of {bytes} bytes is too long to index"
+            )));
+        }
+        Ok(PageIndex {
+            types: Arc::clone(types),
+            cells,
+            dropped,
+        })
+    }
+
+    /// Whether this index was built for `types` (the same list, or an equal
+    /// one: `Arc`'s equality checks the address first).
+    fn reads(&self, types: &Arc<[DataType]>) -> bool {
+        self.types == *types
+    }
+
+    /// Cells per data line.
+    fn width(&self) -> usize {
+        self.types.len().max(1)
+    }
+}
+
+/// An answer read as rows through a page index: the index the answer keeps
+/// ([`crate::Answer::page`]) or one of its own ([`Page::read`]).
+pub struct Page<'a> {
+    answer: &'a str,
+    index: Cow<'a, PageIndex>,
+}
+
+impl<'a> Page<'a> {
+    /// Read `answer` as pipe-separated rows of `types`, into an index no
+    /// one else keeps.
+    pub fn read(answer: &'a str, types: &Arc<[DataType]>) -> Result<Page<'a>> {
+        let index = Cow::Owned(PageIndex::build(answer, types)?);
+        Ok(Page { answer, index })
+    }
+
+    /// The answer's data lines: the rows [`scan_pipe_rows`] hands its sink.
+    pub fn lines(&self) -> usize {
+        self.index.cells.len() / self.index.width()
+    }
+
+    /// Lines dropped as unusable.
+    pub fn dropped_lines(&self) -> usize {
+        self.index.dropped
+    }
+
+    /// Each data line, in order, as the values of its cells, one per type:
+    /// a text value is the one allocation a cell costs.
+    pub fn rows(&self) -> impl Iterator<Item = impl Iterator<Item = Value> + '_> + '_ {
+        let answer = self.answer;
+        let lines = self.index.cells.chunks(self.index.width());
+        lines.map(move |line| line.iter().map(move |cell| cell.value(answer)))
+    }
+}
+
+/// A completion as the engine shares it: the response, and the page index
+/// it was first read for. One allocation per answer, shared as
+/// `Arc<Answer>` by the prompt cache, the coalescer's entry, the
+/// [`crate::ClientCall`] that fetched it and the scan that reads it; the
+/// index is built by the first [`Answer::page`] read and freed with the
+/// answer.
+#[derive(Debug)]
+pub struct Answer {
+    response: CompletionResponse,
+    index: OnceLock<PageIndex>,
+}
+
+impl Answer {
+    /// An answer not yet read.
+    pub fn new(response: CompletionResponse) -> Self {
+        Answer {
+            response,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The response, without its index.
+    pub fn into_response(self) -> CompletionResponse {
+        self.response
+    }
+
+    /// Read this answer as pipe-separated rows of `types`. The first read
+    /// builds the index and keeps it, so every later read with the same types
+    /// reuses it; a read with other types gets an index of its own (as
+    /// [`Page::read`]), which is not kept.
+    pub fn page(&self, types: &Arc<[DataType]>) -> Result<Page<'_>> {
+        let text = &self.response.text;
+        let kept = match self.index.get() {
+            Some(kept) => kept,
+            // A reader racing this one may keep its index first: then this
+            // one is dropped and theirs is read.
+            None => {
+                let built = PageIndex::build(text, types)?;
+                self.index.get_or_init(|| built)
+            }
+        };
+        if kept.reads(types) {
+            Ok(Page {
+                answer: text,
+                index: Cow::Borrowed(kept),
+            })
+        } else {
+            Page::read(text, types)
+        }
+    }
+}
+
+impl Deref for Answer {
+    type Target = CompletionResponse;
+
+    fn deref(&self) -> &CompletionResponse {
+        &self.response
+    }
+}
+
+/// An owned response moves into a new shared answer: what
+/// `PromptCache::put` and `CoalesceGuard::publish` make of one.
+impl From<CompletionResponse> for Arc<Answer> {
+    fn from(response: CompletionResponse) -> Self {
+        Arc::new(Answer::new(response))
+    }
 }
 
 /// The three-valued answer of a yes/no prompt.
@@ -463,6 +747,54 @@ mod tests {
         assert_eq!(parse_yes_no("yes and no"), YesNoAnswer::Yes);
         assert_eq!(parse_yes_no("well: yes and no"), YesNoAnswer::Unknown);
         assert_eq!(parse_yes_no("é — yes"), YesNoAnswer::Yes);
+    }
+
+    /// `text` as a shared answer no one has read.
+    fn answer(text: &str) -> Arc<Answer> {
+        Arc::from(CompletionResponse {
+            text: text.to_string(),
+            prompt_tokens: 1,
+            completion_tokens: 1,
+            latency_ms: 0.0,
+            cost_usd: 0.0,
+        })
+    }
+
+    /// What a page reads: its rows, dropped lines and data lines.
+    fn read(page: &Page<'_>) -> (Vec<Row>, usize, usize) {
+        let rows = page.rows().map(|cells| Row::new(cells.collect())).collect();
+        (rows, page.dropped_lines(), page.lines())
+    }
+
+    #[test]
+    fn an_answer_keeps_the_index_it_was_first_read_for() {
+        let text = "name | population\nFrance | 68\ngarbled\nPeru | 34.5\n";
+        let shared = answer(text);
+        let numbers: Arc<[DataType]> = Arc::new([DataType::Text, DataType::Int]);
+        let first = shared.page(&numbers).unwrap();
+        // A second read of the same answer for the same types — another
+        // reader's list of them — reads the index the first one built and
+        // kept: nothing is scanned again.
+        let reader = Arc::clone(&shared);
+        let same: Arc<[DataType]> = Arc::new([DataType::Text, DataType::Int]);
+        let again = reader.page(&same).unwrap();
+        let kept = shared.index.get().unwrap();
+        assert!(std::ptr::eq(&*first.index, kept));
+        assert!(std::ptr::eq(&*again.index, kept));
+        let parsed = parse_pipe_rows(text, &numbers);
+        let expected = (parsed.rows, parsed.dropped_lines, 2);
+        assert_eq!(read(&first), expected);
+        assert_eq!(read(&again), expected);
+        // Other types read the answer for themselves, into an index that is
+        // not kept: asked for no number, the first line is a row.
+        let words: Arc<[DataType]> = Arc::new([DataType::Text, DataType::Text]);
+        let other = shared.page(&words).unwrap();
+        assert!(matches!(other.index, Cow::Owned(_)));
+        let parsed = parse_pipe_rows(text, &words);
+        assert_eq!(read(&other), (parsed.rows, parsed.dropped_lines, 3));
+        assert!(std::ptr::eq(shared.index.get().unwrap(), kept));
+        // A page of its own reads the same.
+        assert_eq!(read(&Page::read(text, &words).unwrap()), read(&other));
     }
 
     #[test]

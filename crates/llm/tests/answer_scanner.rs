@@ -9,10 +9,18 @@
 //! every generated answer; under the parent's rules it equals it on every
 //! answer neither fix applies to, and that exclusion is a predicate over the
 //! input (`a_fix_applies`), not a list of seeds.
+//!
+//! A page scan reads an answer through its page index (`Answer::page`), the
+//! scanner's other sink, so the index is a third side of the pipe-row
+//! property: the rows it builds, its dropped lines and its line count equal
+//! `parse_pipe_rows`'s on every generated answer.
 
-use llmsql_llm::{parse_pipe_rows, parse_value_lines, parse_yes_no, ParsedRows};
-use llmsql_types::{DataType, Value};
+use llmsql_llm::{
+    parse_pipe_rows, parse_value_lines, parse_yes_no, Answer, CompletionResponse, ParsedRows,
+};
+use llmsql_types::{DataType, Row, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The parser as it was before PR 22, verbatim but for the two rules.
 mod parent {
@@ -342,6 +350,21 @@ fn printed(parsed: &ParsedRows) -> String {
     format!("{parsed:?}")
 }
 
+/// `answer` read through its page index for `types`: the first `keep` rows
+/// the index builds with every dropped line, and the index's line count.
+fn through_the_index(answer: &Answer, types: &Arc<[DataType]>, keep: usize) -> (ParsedRows, usize) {
+    let page = answer.page(types).unwrap();
+    let rows = page
+        .rows()
+        .take(keep)
+        .map(|cells| Row::new(cells.collect()));
+    let parsed = ParsedRows {
+        rows: rows.collect(),
+        dropped_lines: page.dropped_lines(),
+    };
+    (parsed, page.lines())
+}
+
 proptest! {
     #[test]
     fn pipe_rows_mean_what_the_parent_meant(
@@ -350,9 +373,28 @@ proptest! {
     ) {
         let mut untouched = 0;
         for text in &answers {
-            let got = printed(&parse_pipe_rows(text, &types));
+            let parsed = parse_pipe_rows(text, &types);
+            let got = printed(&parsed);
             let fixed = parent::parse_pipe_rows(text, &types, &parent::FIXED);
             prop_assert_eq!(&got, &printed(&fixed), "{:?} as {:?}", text, types);
+            // The index, built by the first read and reused by the others,
+            // keeping fewer rows than the answer has lines and more.
+            let answer = Answer::new(CompletionResponse {
+                text: text.clone(),
+                prompt_tokens: 1,
+                completion_tokens: 1,
+                latency_ms: 0.0,
+                cost_usd: 0.0,
+            });
+            let lines = parsed.rows.len();
+            let shared: Arc<[DataType]> = types.as_slice().into();
+            for keep in [lines / 2, lines.saturating_sub(1), lines, lines + 3] {
+                let (indexed, count) = through_the_index(&answer, &shared, keep);
+                prop_assert_eq!(count, lines, "{:?} as {:?}", text, types);
+                let mut kept = parsed.clone();
+                kept.rows.truncate(keep);
+                prop_assert_eq!(printed(&indexed), printed(&kept), "{:?} as {:?} keeping {}", text, types, keep);
+            }
             if !a_fix_applies(text, &types) {
                 untouched += 1;
                 let parent = parent::parse_pipe_rows(text, &types, &parent::PARENT);

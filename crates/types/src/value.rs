@@ -153,10 +153,9 @@ impl Value {
     /// type. Unlike [`Value::cast`], failures fall back to `Null` instead of
     /// erroring, because noisy completions must not abort query execution.
     pub fn from_llm_text(raw: &str, ty: DataType) -> Value {
-        let trimmed = normalize_llm_text(raw);
-        if trimmed.is_empty() || is_nullish(trimmed) {
+        let Some(trimmed) = llm_field(raw) else {
             return Value::Null;
-        }
+        };
         match ty {
             DataType::Text => Value::Text(trimmed.to_string()),
             DataType::Int => parse_int_lenient(trimmed).map_or(Value::Null, Value::Int),
@@ -275,6 +274,15 @@ pub fn normalize_llm_text(raw: &str) -> &str {
         }
         s = peeled;
     }
+}
+
+/// What a model wrote in the field `raw`, normalized, or `None` when that is
+/// empty or a NULL word: the one rule for a field that holds no value, which
+/// [`Value::from_llm_text`] and `llmsql_llm`'s page index (which keeps a text
+/// cell as a range of the answer) both read a field by.
+pub fn llm_field(raw: &str) -> Option<&str> {
+    let value = normalize_llm_text(raw);
+    (!value.is_empty() && !is_nullish(value)).then_some(value)
 }
 
 /// True for the words a model writes in place of a value it does not know
