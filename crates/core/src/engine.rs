@@ -7,9 +7,7 @@ use llmsql_exec::{
     dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext,
 };
 use llmsql_llm::prompt::TaskSpec;
-use llmsql_llm::{
-    parse_pipe_rows, BackendPool, KnowledgeBase, LanguageModel, LlmClient, PromptCoalescer, SimLlm,
-};
+use llmsql_llm::{parse_pipe_rows, BackendPool, KnowledgeBase, LanguageModel, LlmClient, SimLlm};
 use llmsql_plan::{
     bind_select, cost_plan, lint_plan, optimize, optimize_traced, schema_from_create, CostParams,
     LogicalPlan, RuleTrace,
@@ -43,10 +41,6 @@ pub struct Engine {
     /// Global LLM-call slot pool shared with other engines/queries (attached
     /// by a cross-query scheduler). `None` means unthrottled dispatch.
     slots: Option<Arc<CallSlots>>,
-    /// Deployment-scope single-flight table (attached by a scheduler):
-    /// identical in-flight prompts across queries coalesce into one physical
-    /// call. `None` = the client's own table (dedup within this engine).
-    coalescer: Option<Arc<PromptCoalescer>>,
 }
 
 impl Engine {
@@ -57,7 +51,6 @@ impl Engine {
             config,
             client: None,
             slots: None,
-            coalescer: None,
         }
     }
 
@@ -68,7 +61,6 @@ impl Engine {
             config,
             client: None,
             slots: None,
-            coalescer: None,
         }
     }
 
@@ -81,10 +73,19 @@ impl Engine {
     ///
     /// When the engine routes through a `BackendPool`, its hedges fit into
     /// this slot pool too: a hedge fires only against spare slot capacity
-    /// and holds a slot while in flight.
+    /// and holds a slot while in flight. And since the queries sharing the
+    /// pool run at the same time, the client shares their flights: a
+    /// cache-less client gets a request table that keeps no answers
+    /// ([`LlmClient::share_flights`]), so identical concurrent requests
+    /// collapse into one physical call whose success fans out to every
+    /// waiter. Logical call accounting is unchanged — followers are charged
+    /// their logical call but issue no physical one.
     pub fn set_call_slots(&mut self, slots: Arc<CallSlots>) {
-        if let Some(pool) = self.client.as_ref().and_then(LlmClient::pool) {
-            pool.set_hedge_slots(Some(Arc::clone(&slots)));
+        if let Some(client) = &mut self.client {
+            if let Some(pool) = client.pool() {
+                pool.set_hedge_slots(Some(Arc::clone(&slots)));
+            }
+            client.share_flights();
         }
         self.slots = Some(slots);
     }
@@ -92,25 +93,6 @@ impl Engine {
     /// The attached global slot pool, if any.
     pub fn call_slots(&self) -> Option<&Arc<CallSlots>> {
         self.slots.as_ref()
-    }
-
-    /// Coalesce this engine's in-flight prompts against a deployment-scope
-    /// single-flight table: identical concurrent requests (typically from
-    /// different queries, each on its own thread) collapse into one physical call
-    /// whose success fans out to every waiter. Attached by
-    /// `llmsql_sched::QueryScheduler`; survives a later
-    /// [`Engine::attach_model`]. Logical call accounting is unchanged —
-    /// followers are charged their logical call but issue no physical one.
-    pub fn set_prompt_coalescer(&mut self, coalescer: Arc<PromptCoalescer>) {
-        if let Some(client) = &mut self.client {
-            client.set_coalescer(Arc::clone(&coalescer));
-        }
-        self.coalescer = Some(coalescer);
-    }
-
-    /// The attached prompt coalescer, if any.
-    pub fn prompt_coalescer(&self) -> Option<&Arc<PromptCoalescer>> {
-        self.coalescer.as_ref()
     }
 
     /// Attach a language model (wrapped in a caching, usage-tracking client).
@@ -144,14 +126,11 @@ impl Engine {
                 self.config.breaker_cooldown_ms,
             )
             .with_hedging(self.config.hedge_multiplier, self.config.hedge_min_ms);
-            pool.set_hedge_slots(self.slots.clone());
             LlmClient::from_pool(Arc::new(pool), cached)
         });
-        // A scheduler may have attached its slot pool / coalescer before the
-        // model was attached; the pool above took the slots, and the fresh
-        // client takes the coalescer.
-        if let (Some(coalescer), Some(client)) = (&self.coalescer, &mut self.client) {
-            client.set_coalescer(Arc::clone(coalescer));
+        // A slot pool attached before the model holds for the new client.
+        if let Some(slots) = self.slots.clone() {
+            self.set_call_slots(slots);
         }
         Ok(())
     }

@@ -16,8 +16,8 @@
 //! leave the thread that made them, so they need be neither `Send` nor
 //! `'static`. What concurrent queries share is not a loop but the state
 //! their operations poll: the call-slot pool (which the backend pool's
-//! hedges draw on too), the prompt coalescer, the backend pool's breakers
-//! and latency averages.
+//! hedges draw on too), the client's request table, the backend pool's
+//! breakers and latency averages.
 //!
 //! # The completion contract
 //!
@@ -44,7 +44,7 @@
 //!   deadlines all reach the loop this one way. Waiting on another *query*
 //!   does not: an operation blocked on a call slot or on a coalescing
 //!   leader reports no wake-up, having registered the loop's thread with
-//!   the slot pool or the coalescing entry, and the release or publish that
+//!   the slot pool or the leader's flight, and the release or publish that
 //!   unblocks it unparks the thread ([`clock::park_until`]). No poll period
 //!   stands in for that wake-up, so a paused loop waiting on a real-clock
 //!   thread moves no virtual time.

@@ -93,7 +93,7 @@
 //! * **Everything drains.** When a plan finishes early (`Accepted::done`),
 //!   is cut, or fails, the requests still in flight are cancelled by drop
 //!   before `drive` returns: call slots, in-flight gauges, hedge permits,
-//!   breaker probes and coalescer entries are back to zero, and a dropped
+//!   breaker probes and request-table flights are back to zero, and a dropped
 //!   coalescing leader hands over to its followers.
 //!
 //! When the client wraps a `BackendPool`, the requests in flight spread
@@ -1967,7 +1967,7 @@ mod tests {
             // the ledger: each was granted a slot on its first poll.
             assert_eq!(ctx.metrics.borrow().slot_waits, planned as u64, "{at}");
             assert_eq!(slots.in_use(), 0, "call slots: {at}");
-            let coalescer = ctx.client.as_ref().unwrap().coalescer().unwrap();
+            let coalescer = ctx.client.as_ref().unwrap().table().unwrap();
             assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");
         }
     }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use llmsql_exec::{CallSlots, Completion, LiveSet};
 use llmsql_llm::{
-    ClientCall, CompletionRequest, CompletionResponse, LanguageModel, LlmClient, PromptCoalescer,
+    ClientCall, CompletionRequest, CompletionResponse, LanguageModel, LlmClient, RequestTable,
 };
 use llmsql_types::{clock, Result};
 
@@ -160,9 +160,8 @@ fn a_follower_woken_by_its_leader_on_another_thread_spends_no_virtual_time() {
         asked: Mutex::new(asked),
         release: Mutex::new(released),
     };
-    let coalescer = Arc::new(PromptCoalescer::new());
-    let mut client = LlmClient::without_cache(Arc::new(held));
-    client.set_coalescer(Arc::clone(&coalescer));
+    let coalescer = Arc::new(RequestTable::new());
+    let client = LlmClient::with_shared_cache(Arc::new(held), Arc::clone(&coalescer));
     // The leader claims the prompt on its own thread and holds its answer.
     let leader = {
         let client = client.clone();

@@ -6,8 +6,10 @@
 //! The paper treats an LLM's parametric knowledge as the storage layer of a
 //! DBMS. This crate provides:
 //!
-//! * the [`LanguageModel`] trait and the [`LlmClient`] wrapper (prompt cache +
-//!   usage accounting) the executor talks to,
+//! * the [`LanguageModel`] trait and the [`LlmClient`] wrapper the executor
+//!   talks to: usage accounting, and one [`RequestTable`] per request key
+//!   that is both the prompt cache and the single-flight table ([`cache`],
+//!   where the accounting contract is stated),
 //! * the [`backend`] dispatch subsystem: the [`Backend`] endpoint trait, the
 //!   deterministic [`RemoteLlm`] endpoint simulator, and the [`BackendPool`]
 //!   router (round-robin / least-in-flight / cost-aware routing with bounded
@@ -28,7 +30,6 @@
 pub mod backend;
 pub mod batch;
 pub mod cache;
-pub mod coalesce;
 pub mod cost;
 pub mod eval;
 pub mod key;
@@ -48,8 +49,9 @@ pub use backend::{
 pub use batch::{
     is_packed, pack_keys, pack_prompts, split_response, split_sections, BATCH_SEPARATOR,
 };
-pub use cache::PromptCache;
-pub use coalesce::{Claim, CoalesceStats, FollowerPoll, PromptCoalescer};
+pub use cache::{
+    Claim, Flight, FlightGuard, PromptCache, PromptCoalescer, RequestTable, TableStats,
+};
 pub use cost::UsageStats;
 pub use key::RequestKey;
 pub use knowledge::{KbTable, KnowledgeBase};

@@ -1,7 +1,7 @@
 //! The `LanguageModel` abstraction and the tracked client wrapper.
 //!
 //! The engine only ever talks to a [`LanguageModel`] through a
-//! [`LlmClient`], which adds prompt caching and usage accounting. Two
+//! [`LlmClient`], which adds the request table and usage accounting. Two
 //! implementations ship in this reproduction: the simulator
 //! ([`crate::sim::SimLlm`]) and the multi-backend router
 //! ([`crate::backend::BackendPool`], itself composed of [`crate::backend::Backend`]
@@ -10,7 +10,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::Poll;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -18,8 +20,7 @@ use parking_lot::Mutex;
 use llmsql_types::{clock, LlmCostModel, Result};
 
 use crate::backend::{BackendPool, BackendReceipt, BackendStats, CallHandle};
-use crate::cache::PromptCache;
-use crate::coalesce::{Claim, CoalesceEntry, CoalesceGuard, FollowerPoll, PromptCoalescer};
+use crate::cache::{Claim, Flight, FlightGuard, RequestTable};
 use crate::cost::UsageStats;
 use crate::key::RequestKey;
 use crate::parse::Answer;
@@ -127,27 +128,28 @@ pub trait LanguageModel: Send + Sync {
     }
 }
 
-/// The client the executor uses: wraps a model with a prompt cache, a
-/// single-flight table, a usage accumulator and the relation-cardinality
-/// hints the model has given. Cloning shares all four.
+/// The client the executor uses: wraps a model with a request table, a
+/// usage accumulator and the relation-cardinality hints the model has given.
+/// Cloning shares all three.
 #[derive(Clone)]
 pub struct LlmClient {
     model: Arc<dyn LanguageModel>,
     /// When the model is a [`BackendPool`], a typed handle to it so callers
     /// can read per-backend counters.
     pool: Option<Arc<BackendPool>>,
-    cache: Option<Arc<PromptCache>>,
-    /// Semantic fingerprint of the wrapped model, folded into every cache /
-    /// single-flight key: prompts are only shared between requests that the
-    /// same model configuration would answer identically.
+    /// The request table (see [`crate::cache`]): identical requests in
+    /// flight at the same time collapse into one model call, and a table
+    /// that keeps answers is the prompt cache. `None` means no key is
+    /// computed and nothing is shared.
+    table: Option<Arc<RequestTable>>,
+    /// Semantic fingerprint of the wrapped model, folded into every request
+    /// key: answers are only shared between requests that the same model
+    /// configuration would answer identically.
     fingerprint: Arc<str>,
+    /// What the model answered; taken only when it answers.
     usage: Arc<Mutex<UsageStats>>,
-    /// The single-flight table (see [`crate::coalesce`]): identical requests
-    /// in flight at the same time collapse into one model call. A cached
-    /// client starts with a private table; a scheduler replaces it with the
-    /// deployment's so the dedup spans clients and queries. `None` (a
-    /// cache-less client nobody attached a table to) means no dedup.
-    coalescer: Option<Arc<PromptCoalescer>>,
+    /// Calls served a published answer from the table.
+    cache_hits: Arc<AtomicU64>,
     /// What the model answered to [`LanguageModel::relation_cardinality`],
     /// per table, `None` included: the model is asked once, however many
     /// scans, queries and worker threads share this client. Nothing
@@ -162,32 +164,36 @@ pub struct LlmClient {
 type CardinalityCell = Arc<OnceLock<Option<u64>>>;
 
 impl LlmClient {
-    /// Wrap a model with caching enabled.
+    /// Wrap a model with caching enabled: a private table that keeps
+    /// answers.
     pub fn new(model: Arc<dyn LanguageModel>) -> Self {
-        Self::with_shared_cache(model, Arc::new(PromptCache::new()))
+        Self::with_shared_cache(model, Arc::new(RequestTable::caching()))
     }
 
-    /// Wrap a model over an existing (possibly shared) prompt cache. Clients
-    /// over *different* model configurations can safely share one cache: the
+    /// Wrap a model over an existing (possibly shared) request table. The
+    /// client caches only if the table keeps answers: one from
+    /// [`RequestTable::caching`] does; one from [`RequestTable::new`] (what
+    /// `PromptCache::new()` builds) only joins identical requests in flight
+    /// and serves what [`RequestTable::put`] stored. Clients over
+    /// *different* model configurations can safely share one table: the
     /// model fingerprint is part of every key.
-    pub fn with_shared_cache(model: Arc<dyn LanguageModel>, cache: Arc<PromptCache>) -> Self {
+    pub fn with_shared_cache(model: Arc<dyn LanguageModel>, table: Arc<RequestTable>) -> Self {
         LlmClient {
-            cache: Some(cache),
-            coalescer: Some(Arc::new(PromptCoalescer::new())),
+            table: Some(table),
             ..Self::without_cache(model)
         }
     }
 
-    /// Wrap a model without a prompt cache.
+    /// Wrap a model without a request table: no key, no cache, no dedup.
     pub fn without_cache(model: Arc<dyn LanguageModel>) -> Self {
         let fingerprint: Arc<str> = model.fingerprint().into();
         LlmClient {
             model,
             pool: None,
-            cache: None,
+            table: None,
             fingerprint,
             usage: Arc::new(Mutex::new(UsageStats::default())),
-            coalescer: None,
+            cache_hits: Arc::default(),
             cardinalities: Arc::default(),
         }
     }
@@ -216,17 +222,17 @@ impl LlmClient {
         self.pool.as_ref()
     }
 
-    /// Replace this client's single-flight table with a deployment-scope
-    /// [`PromptCoalescer`], so identical in-flight requests from *different*
-    /// clients and queries collapse into one physical call whose success
-    /// fans out to every waiter.
-    pub fn set_coalescer(&mut self, coalescer: Arc<PromptCoalescer>) {
-        self.coalescer = Some(coalescer);
+    /// Give a client without a table one that keeps no answers, so
+    /// identical requests in flight at once — from the concurrent queries
+    /// of a scheduler — share one physical call. A client with a table
+    /// already shares its flights, and keeps its table.
+    pub fn share_flights(&mut self) {
+        self.table.get_or_insert_with(Arc::default);
     }
 
-    /// The single-flight table this client claims request keys in, if any.
-    pub fn coalescer(&self) -> Option<&Arc<PromptCoalescer>> {
-        self.coalescer.as_ref()
+    /// The request table this client claims request keys in, if any.
+    pub fn table(&self) -> Option<&Arc<RequestTable>> {
+        self.table.as_ref()
     }
 
     /// The wrapped model's observed cardinality of `table`, if it reports
@@ -244,11 +250,11 @@ impl LlmClient {
         *cell.get_or_init(|| self.model.relation_cardinality(table))
     }
 
-    /// The cache / single-flight key for a request: the model fingerprint
-    /// plus every request parameter that can change the completion. Two
-    /// queries sharing a prompt string but differing in model config,
-    /// `max_tokens` or `temperature` never collide. The text is hashed here,
-    /// once; every table the call consults reuses that hash.
+    /// The request-table key for a request: the model fingerprint plus
+    /// every request parameter that can change the completion. Two queries
+    /// sharing a prompt string but differing in model config, `max_tokens`
+    /// or `temperature` never collide. The text is hashed here, once; the
+    /// table's lookup and its leader's publish reuse that hash.
     fn request_key(&self, request: &CompletionRequest) -> RequestKey {
         // Room for the prompt up front: a packed prompt runs to kilobytes,
         // and growing into it would copy it several times over.
@@ -268,16 +274,15 @@ impl LlmClient {
         self.start_call(request.clone()).wait()
     }
 
-    /// Begin one completion as a poll-driven [`ClientCall`]: the cache is
-    /// consulted first, and concurrent calls with an identical request key
-    /// are deduplicated (single-flight) — one queries the model, the others
-    /// take its result — so parallel dispatch never pays for a completion a
-    /// sequential run would have served from the cache. Poll it from an
-    /// event loop (`llmsql_exec::reactor`); dropping it mid-flight releases
-    /// single-flight leadership and any held permit.
+    /// Begin one completion as a poll-driven [`ClientCall`]: the request
+    /// table is consulted first, and concurrent calls with an identical
+    /// request key are deduplicated (single-flight) — one queries the model,
+    /// the others take its result — so parallel dispatch never pays for a
+    /// completion a sequential run would have served from the cache. Poll it
+    /// from an event loop (`llmsql_exec::reactor`); dropping it mid-flight
+    /// releases single-flight leadership and any held permit.
     pub fn start_call(&self, request: CompletionRequest) -> ClientCall {
-        let key =
-            (self.cache.is_some() || self.coalescer.is_some()).then(|| self.request_key(&request));
+        let key = self.table.is_some().then(|| self.request_key(&request));
         ClientCall {
             client: self.clone(),
             request,
@@ -293,25 +298,28 @@ impl LlmClient {
 
     /// A snapshot of accumulated usage.
     pub fn usage(&self) -> UsageStats {
-        self.usage.lock().clone()
+        UsageStats {
+            // ordering: Relaxed — an advisory counter read.
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            ..self.usage.lock().clone()
+        }
     }
 
-    /// Clear the prompt cache.
+    /// Drop the answers the request table keeps (flights in progress stay).
     pub fn clear_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
+        if let Some(table) = &self.table {
+            table.clear();
         }
     }
 }
 
 /// Which phase of its life a [`ClientCall`] is in.
 enum CcState {
-    /// Not yet dispatched: check the cache, claim single-flight leadership.
+    /// Not yet dispatched: look the key up in the request table.
     Start,
-    /// An identical request is in flight (on this client or, with a
-    /// deployment-scope table, on another client/query); the shared entry
-    /// wakes this thread when the leader's flight resolves.
-    Follower(Arc<CoalesceEntry>),
+    /// An identical request is in flight (on this query or another sharing
+    /// the table); its flight wakes this thread when the leader resolves it.
+    Follower(Arc<Flight>),
     /// Leader without a permit: the admission gate said "no capacity", and
     /// wakes this thread when it may have some.
     AwaitingSlot,
@@ -328,15 +336,14 @@ enum CcState {
 ///
 /// * `poll` never blocks (up to the model's `submit`, which for timer-backed
 ///   models is compute only) and returns the result exactly once.
-/// * Cache hits resolve without ever consulting the admission gate, so under
-///   a cross-query scheduler they neither consume nor wait for slot capacity.
-/// * A miss claims its request key in the client's single-flight table
-///   ([`PromptCoalescer`]) before consulting the gate: leaders dispatch,
-///   write the cache and publish their success to every waiter; followers
-///   park without gating and resolve from the leader's fan-out (zero
-///   physical calls, [`ClientCall::coalesced`] reports `true`). A leader
-///   that fails abandons the entry and followers re-claim, so error and
-///   retry semantics per query are unchanged.
+/// * One lookup in the client's [`RequestTable`] comes first, under the
+///   table's accounting contract (see [`crate::cache`]). A hit resolves
+///   without ever consulting the admission gate, so under a cross-query
+///   scheduler it neither consumes nor waits for slot capacity. A follower
+///   parks without gating and resolves from its leader's publish (zero
+///   physical calls, [`ClientCall::coalesced`] reports `true`), or claims
+///   again if the leader failed. A leader dispatches and publishes its
+///   outcome.
 /// * The gate is consulted only when this call leads (or does no dedup) and
 ///   a real dispatch is imminent; a `None` verdict parks the call until the
 ///   gate wakes the polling thread (a [`crate::CallSlots`] release does), a
@@ -351,12 +358,12 @@ enum CcState {
 pub struct ClientCall {
     client: LlmClient,
     request: CompletionRequest,
-    /// Cache / single-flight key, formatted and hashed once; `None` when the
-    /// client has neither.
+    /// Request-table key, formatted and hashed once; `None` when the client
+    /// has no table.
     key: Option<RequestKey>,
     /// Held while this call leads its key's flight; published with the
     /// outcome when the flight ends, abandoned by drop.
-    guard: Option<CoalesceGuard>,
+    guard: Option<FlightGuard>,
     /// True when the result was served from another call's in-flight request.
     coalesced: bool,
     /// What this call added to the client's [`LlmClient::usage`]: written
@@ -384,56 +391,34 @@ impl ClientCall {
         loop {
             match &mut self.state {
                 CcState::Start => {
-                    if let Some(key) = &self.key {
-                        // A leader is here again only to close the race
-                        // below: its miss is already counted.
-                        let hit = self.client.cache.as_ref().and_then(|c| match self.guard {
-                            None => c.get(key),
-                            Some(_) => c.peek(key),
-                        });
-                        if let Some(hit) = hit {
-                            // A leader that finds the answer cached abandons
-                            // its claim; its followers re-check the cache.
-                            self.guard = None;
-                            self.client.usage.lock().cache_hits += 1;
-                            self.usage.cache_hits += 1;
-                            self.state = CcState::Done;
-                            return Some(Ok(hit));
-                        }
-                        if let (None, Some(table)) = (&self.guard, &self.client.coalescer) {
-                            match table.claim(key) {
-                                Claim::Leader(guard) => {
-                                    self.guard = Some(guard);
-                                    // Double-check: a previous leader may have
-                                    // populated the cache between miss and
-                                    // claim.
-                                    continue;
-                                }
-                                Claim::Follower(entry) => {
-                                    self.state = CcState::Follower(entry);
-                                    continue;
-                                }
+                    self.state = CcState::AwaitingSlot;
+                    if let (Some(key), Some(table)) = (&self.key, &self.client.table) {
+                        match table.claim(key) {
+                            Claim::Hit(hit) => {
+                                // ordering: Relaxed — an advisory counter.
+                                self.client.cache_hits.fetch_add(1, Ordering::Relaxed);
+                                self.usage.cache_hits += 1;
+                                self.state = CcState::Done;
+                                return Some(Ok(hit));
                             }
+                            Claim::Leader(guard) => self.guard = Some(guard),
+                            Claim::Follower(flight) => self.state = CcState::Follower(flight),
                         }
                     }
-                    self.state = CcState::AwaitingSlot;
                 }
-                CcState::Follower(entry) => match entry.poll() {
-                    FollowerPoll::Pending => return None,
-                    FollowerPoll::Ready(response) => {
+                CcState::Follower(flight) => match flight.poll() {
+                    Poll::Pending => return None,
+                    Poll::Ready(Some(response)) => {
                         // Served from another call's flight: no physical
                         // call, no usage record — only the leader pays.
                         self.coalesced = true;
-                        if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key, Arc::clone(&response));
-                        }
                         self.state = CcState::Done;
                         return Some(Ok(response));
                     }
-                    FollowerPoll::Abandoned => {
-                        // The leader failed or was cancelled. Start over: we
-                        // re-check the cache and (re-)claim a flight of our
-                        // own, preserving per-query retry semantics.
+                    Poll::Ready(None) => {
+                        // The leader failed or was cancelled. Start over: a
+                        // new lookup, and a flight of our own if the key is
+                        // free, preserving per-query retry semantics.
                         self.state = CcState::Start;
                     }
                 },
@@ -443,7 +428,7 @@ impl ClientCall {
                     self.state = CcState::InFlight;
                 }
                 CcState::InFlight => {
-                    // The one allocation of an answer: the cache entry, the
+                    // The one allocation of an answer: the table's entry, the
                     // followers and the caller all share it, and the page
                     // index its first reader builds, from here.
                     let outcome = self.handle.as_mut()?.poll(now)?;
@@ -452,14 +437,10 @@ impl ClientCall {
                     if let Ok(response) = &outcome {
                         self.client.usage.lock().record(response);
                         self.usage.record(response);
-                        if let (Some(key), Some(cache)) = (&self.key, &self.client.cache) {
-                            cache.put(key, Arc::clone(response));
-                        }
                     }
-                    // Publish after the cache write, so a request arriving
-                    // now finds either the entry or the cached answer:
-                    // successes resolve the followers, failures make them
-                    // re-claim.
+                    // Successes resolve the followers (and stay as a hit if
+                    // the table keeps answers); failures make them claim
+                    // again.
                     if let Some(guard) = self.guard.take() {
                         guard.publish(&outcome);
                     }
@@ -619,10 +600,10 @@ mod tests {
 
     #[test]
     fn a_led_miss_is_counted_once() {
-        // A miss goes on to claim leadership and re-checks the cache under
-        // the claim; that second look must not count as a second miss.
+        // A miss claims leadership in the same lookup; it must count as one
+        // miss, not two.
         const PROMPTS: u64 = 7;
-        let cache = Arc::new(PromptCache::new());
+        let cache = Arc::new(RequestTable::caching());
         let client =
             LlmClient::with_shared_cache(Arc::new(CannedModel::new("x")), Arc::clone(&cache));
         let pass = || {
@@ -631,10 +612,11 @@ mod tests {
                 client.complete(&request).unwrap();
             }
         };
+        let counts = || (cache.stats().hits, cache.stats().misses);
         pass();
-        assert_eq!(cache.stats(), (0, PROMPTS), "cold pass");
+        assert_eq!(counts(), (0, PROMPTS), "cold pass");
         pass();
-        assert_eq!(cache.stats(), (PROMPTS, PROMPTS), "warm pass");
+        assert_eq!(counts(), (PROMPTS, PROMPTS), "warm pass");
         assert_eq!(client.usage().calls, PROMPTS);
         assert_eq!(client.usage().cache_hits, PROMPTS);
     }
@@ -680,9 +662,9 @@ mod tests {
         assert_eq!(*model.calls.lock(), 1, "model called more than once");
         let usage = client.usage();
         assert_eq!(usage.calls, 1);
-        let followers = client.coalescer().unwrap().stats().followers_served;
+        let followers = client.table().unwrap().stats().followers_served;
         assert_eq!(usage.cache_hits + followers, 7);
-        assert_eq!(client.coalescer().unwrap().in_flight(), 0);
+        assert_eq!(client.table().unwrap().in_flight(), 0);
     }
 
     use crate::tokenizer::count_tokens;
@@ -722,7 +704,7 @@ mod tests {
                 })
             }
         }
-        let cache = Arc::new(PromptCache::new());
+        let cache = Arc::new(RequestTable::caching());
         let a = LlmClient::with_shared_cache(Arc::new(NamedModel("model-a")), Arc::clone(&cache));
         let b = LlmClient::with_shared_cache(Arc::new(NamedModel("model-b")), Arc::clone(&cache));
         let req = CompletionRequest::new("shared prompt");
@@ -730,7 +712,7 @@ mod tests {
         assert_eq!(b.complete(&req).unwrap().text, "model-b-answer");
         // Each client still hits its own entry on repeat.
         assert_eq!(a.complete(&req).unwrap().text, "model-a-answer");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.answers(), 2);
     }
 
     #[test]
@@ -854,16 +836,16 @@ mod tests {
             assert!(follower.poll(Instant::now(), &mut deny).is_none());
         }
         let led = leader.poll(Instant::now(), &mut grant).unwrap().unwrap();
-        let cache = client.cache.as_ref().unwrap();
-        let entry = cache.peek(&client.request_key(&request)).unwrap();
+        let table = client.table().unwrap();
+        let entry = table.get(client.request_key(&request)).unwrap();
         assert!(Arc::ptr_eq(&led, &entry), "the cache holds a copy");
         for follower in &mut followers {
             let followed = follower.poll(Instant::now(), &mut deny).unwrap().unwrap();
             assert!(Arc::ptr_eq(&followed, &led), "a follower was handed a copy");
         }
-        // The followers' own cache writes stored the same allocation again.
+        // The followers wrote nothing: the entry is the leader's allocation.
         drop(entry);
-        let entry = cache.peek(&client.request_key(&request)).unwrap();
+        let entry = table.get(client.request_key(&request)).unwrap();
         assert!(Arc::ptr_eq(&led, &entry));
         let hit = client
             .start_call(request.clone())
@@ -904,16 +886,14 @@ mod tests {
 
     #[test]
     fn coalescer_fans_one_flight_out_across_clients() {
-        // Two *distinct* clients (cache off, so neither has a table of its
-        // own) over one model and one coalescer: the first call leads and
-        // pays; an identical concurrent call from the other client follows
-        // and resolves from the fan-out with zero physical calls.
+        // Two *distinct* clients over one model and one table that keeps no
+        // answers: the first call leads and pays; an identical concurrent
+        // call from the other client follows and resolves from the fan-out
+        // with zero physical calls.
         let model = Arc::new(CannedModel::new("x"));
-        let co = Arc::new(PromptCoalescer::new());
-        let mut a = LlmClient::without_cache(model.clone());
-        a.set_coalescer(Arc::clone(&co));
-        let mut b = LlmClient::without_cache(model.clone());
-        b.set_coalescer(Arc::clone(&co));
+        let co = Arc::new(RequestTable::new());
+        let a = LlmClient::with_shared_cache(model.clone(), Arc::clone(&co));
+        let b = LlmClient::with_shared_cache(model.clone(), Arc::clone(&co));
 
         let mut deny = || None;
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
@@ -941,11 +921,9 @@ mod tests {
     #[test]
     fn coalesce_followers_reclaim_after_a_dropped_leader() {
         let model = Arc::new(CannedModel::new("x"));
-        let co = Arc::new(PromptCoalescer::new());
-        let mut a = LlmClient::without_cache(model.clone());
-        a.set_coalescer(Arc::clone(&co));
-        let mut b = LlmClient::without_cache(model.clone());
-        b.set_coalescer(Arc::clone(&co));
+        let co = Arc::new(RequestTable::new());
+        let a = LlmClient::with_shared_cache(model.clone(), Arc::clone(&co));
+        let b = LlmClient::with_shared_cache(model.clone(), Arc::clone(&co));
 
         let mut deny = || None;
         let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
@@ -963,6 +941,69 @@ mod tests {
         assert!(!follower.coalesced(), "reclaimed flights are not coalesced");
         assert_eq!(*model.calls.lock(), 1);
         assert_eq!(b.usage().calls, 1, "new leader pays for its own flight");
+    }
+
+    /// Locks a path takes, counted by the `parking_lot` shim on this thread
+    /// over a model that takes none: a warm hit takes the one shard read
+    /// lock; a cold keyed request takes the shard's read and write locks to
+    /// claim, the usage lock, the write lock to publish and the flight's
+    /// lock; a follower takes the read lock and one flight lock per poll.
+    #[cfg(feature = "lock_audit")]
+    #[test]
+    fn a_warm_hit_takes_one_lock_and_a_cold_request_five() {
+        struct Echo;
+        impl LanguageModel for Echo {
+            fn name(&self) -> String {
+                "echo".into()
+            }
+            fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse> {
+                Ok(CompletionResponse {
+                    text: request.prompt.clone(),
+                    prompt_tokens: 1,
+                    completion_tokens: 1,
+                    latency_ms: 0.0,
+                    cost_usd: 0.0,
+                })
+            }
+        }
+        let locks = |call: &mut dyn FnMut()| {
+            let before = parking_lot::acquisitions();
+            call();
+            parking_lot::acquisitions() - before
+        };
+        let mut deny = || None;
+        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
+        for cached in [true, false] {
+            let client = if cached {
+                LlmClient::new(Arc::new(Echo))
+            } else {
+                let mut client = LlmClient::without_cache(Arc::new(Echo));
+                client.share_flights();
+                client
+            };
+            let request = |prompt: &str| CompletionRequest::new(prompt);
+            let cold = locks(&mut || drop(client.complete(&request("cold")).unwrap()));
+            assert!(
+                cold <= 5,
+                "a cold request took {cold} locks (cached: {cached})"
+            );
+            let warm = locks(&mut || drop(client.complete(&request("cold")).unwrap()));
+            assert_eq!(warm, if cached { 1 } else { cold }, "cached: {cached}");
+
+            let mut leader = client.start_call(request("shared"));
+            assert!(leader.poll(Instant::now(), &mut deny).is_none());
+            let mut follower = client.start_call(request("shared"));
+            let parked =
+                locks(&mut || assert!(follower.poll(Instant::now(), &mut grant).is_none()));
+            leader.poll(Instant::now(), &mut grant).unwrap().unwrap();
+            let served = locks(&mut || drop(follower.poll(Instant::now(), &mut grant).unwrap()));
+            assert!(follower.coalesced());
+            assert_eq!(
+                (parked, served),
+                (2, 1),
+                "a follower's locks (cached: {cached})"
+            );
+        }
     }
 
     #[test]

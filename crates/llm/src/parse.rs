@@ -506,7 +506,7 @@ impl<'a> Page<'a> {
 
 /// A completion as the engine shares it: the response, and the page index
 /// it was first read for. One allocation per answer, shared as
-/// `Arc<Answer>` by the prompt cache, the coalescer's entry, the
+/// `Arc<Answer>` by the request table's entry, the followers' flight, the
 /// [`crate::ClientCall`] that fetched it and the scan that reads it; the
 /// index is built by the first [`Answer::page`] read and freed with the
 /// answer.
@@ -565,7 +565,7 @@ impl Deref for Answer {
 }
 
 /// An owned response moves into a new shared answer: what
-/// `PromptCache::put` and `CoalesceGuard::publish` make of one.
+/// `RequestTable::put` and `FlightGuard::publish` make of one.
 impl From<CompletionResponse> for Arc<Answer> {
     fn from(response: CompletionResponse) -> Self {
         Arc::new(Answer::new(response))

@@ -92,10 +92,10 @@
 //! normal shape, not 64 blocked threads (`examples/async_dispatch.rs`). The
 //! workers share only the state their requests poll: the
 //! [`llmsql_exec::CallSlots`] pool (which the backend pool's hedges draw on
-//! too), the prompt coalescer, and the backend pool's breakers and latency
-//! averages. A request waiting on another query — for a slot, or for a
-//! coalescing leader's answer — registers its worker's thread with the slot
-//! pool or the coalescing entry and parks; the release or publish that
+//! too), the client's request table, and the backend pool's breakers and
+//! latency averages. A request waiting on another query — for a slot, or for
+//! a coalescing leader's answer — registers its worker's thread with the
+//! slot pool or the leader's flight and parks; the release or publish that
 //! unblocks it unparks the thread (`llmsql_types::clock::park_until`). Its
 //! waits surface in `SchedStats::total_slot_wait_ms` /
 //! `ExecMetrics::slot_wait_ms`. Idle workers and ticket holders park and
@@ -105,12 +105,14 @@
 //! Two optimizations take physical requests below logical calls, both
 //! accounted in [`SchedStats`]:
 //!
-//! * **Prompt coalescing** (`llmsql_llm::PromptCoalescer`, attached by the
-//!   scheduler): identical in-flight `(fingerprint, prompt, params)` calls
-//!   from different queries collapse into one physical request whose answer
-//!   fans out to every waiter. Followers are charged their query's *logical*
-//!   call budget but issue zero physical requests
-//!   ([`SchedStats::coalesced_calls`]).
+//! * **Prompt coalescing** (`llmsql_llm::RequestTable`): the engine's one
+//!   client has one table, so identical in-flight `(fingerprint, prompt,
+//!   params)` calls from different queries collapse into one physical
+//!   request whose answer fans out to every waiter. A cached client's table
+//!   already does this; a cache-less one is given a table that keeps no
+//!   answers when the scheduler attaches its slot pool. Followers are charged
+//!   their query's *logical* call budget but issue zero physical requests
+//!   ([`SchedStats::coalesced_calls`]; the contract is `llmsql_llm::cache`'s).
 //! * **Tuple batching** (`EngineConfig::batch_rows_per_call`): where the
 //!   scan strategy allows, up to that many per-tuple prompts pack into one
 //!   request and the structured answer is split back per row — rows and

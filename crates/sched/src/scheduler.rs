@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use llmsql_core::Engine;
 use llmsql_exec::{CallSlots, ExecMetrics};
-use llmsql_llm::PromptCoalescer;
 use llmsql_types::clock;
 use llmsql_types::{Error, Priority, Result, SchedConfig, TenantId};
 
@@ -112,11 +111,11 @@ impl QueryScheduler {
     pub fn new(mut engine: Engine, config: SchedConfig) -> Result<QueryScheduler> {
         config.validate()?;
         let slots = Arc::new(CallSlots::new(config.llm_slots));
+        // One slot pool and one request table for the whole deployment: the
+        // engine's one client already has its table if it caches, and is
+        // given one that keeps no answers if not, so identical in-flight
+        // prompts from different queries coalesce into one physical request.
         engine.set_call_slots(Arc::clone(&slots));
-        // One single-flight table for the whole deployment: identical
-        // in-flight prompts from different queries coalesce into one
-        // physical request.
-        engine.set_prompt_coalescer(Arc::new(PromptCoalescer::new()));
         let worker_count = config.workers;
         let core = Arc::new(SchedCore {
             engine,

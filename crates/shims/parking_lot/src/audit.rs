@@ -15,7 +15,7 @@
 //! that compile to nothing.
 
 use std::backtrace::Backtrace;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex as StdMutex, OnceLock};
@@ -126,6 +126,15 @@ fn graph() -> &'static StdMutex<Graph> {
 thread_local! {
     /// Locks currently held by this thread, in acquisition order.
     static HELD: RefCell<Vec<(u64, String)>> = const { RefCell::new(Vec::new()) };
+    /// Acquisitions this thread has made, of every audited lock.
+    static ACQUIRED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many lock acquisitions (`lock`, `try_lock` that succeeded, `read`,
+/// `write`) the calling thread has made so far. The difference across a
+/// call is the number of locks the call took on this thread.
+pub fn acquisitions() -> u64 {
+    ACQUIRED.with(Cell::get)
 }
 
 /// Guard-side token: pops this lock from the thread's held stack on drop.
@@ -149,6 +158,7 @@ impl Drop for HeldToken {
 /// stack. Panics (naming both locks, with both backtraces) when the
 /// acquisition closes a cycle in the order graph.
 pub fn acquire(meta: &LockMeta) -> HeldToken {
+    ACQUIRED.with(|count| count.set(count.get() + 1));
     let id = meta.ensure_id();
     let label = meta.label(id);
     let holders: Vec<(u64, String)> = HELD.with(|held| held.borrow().clone());

@@ -9,14 +9,19 @@
 //! With the `lock_audit` feature, every acquisition is checked against a
 //! global lock-order graph and a cycle (a lock-order inversion that could
 //! deadlock under the right interleaving) panics with both acquisition
-//! backtraces — see [`audit`](self) internals in `audit.rs`. Without the
-//! feature, the guards are plain newtypes and the audit compiles to nothing.
+//! backtraces — see [`audit`](self) internals in `audit.rs` — and
+//! `acquisitions()` counts the calling thread's acquisitions, so a test can
+//! pin how many locks a path takes. Without the feature, the guards are
+//! plain newtypes and the audit compiles to nothing.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 #[cfg(feature = "lock_audit")]
 mod audit;
+
+#[cfg(feature = "lock_audit")]
+pub use audit::acquisitions;
 
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Default)]

@@ -110,3 +110,22 @@ fn consistent_order_and_reentrant_reads_pass() {
     let g2 = l.read();
     drop((g1, g2));
 }
+
+/// Every acquisition counts once on the thread that makes it, whatever the
+/// lock and however it is taken; a failed `try_lock` takes nothing.
+#[test]
+fn acquisitions_count_each_lock_taken_on_this_thread() {
+    let m = Mutex::new(0u8);
+    let l = RwLock::new(0u8);
+    let before = parking_lot::acquisitions();
+    drop(m.lock());
+    drop((l.read(), l.read()));
+    drop(l.write());
+    {
+        let _held = m.lock();
+        assert!(m.try_lock().is_none());
+    }
+    assert_eq!(parking_lot::acquisitions() - before, 5);
+    let elsewhere = std::thread::spawn(|| parking_lot::acquisitions()).join();
+    assert_eq!(elsewhere.unwrap(), 0, "another thread's count");
+}

@@ -11,8 +11,7 @@ use llmsql_bench::{parallel_scan_engine, parallel_world};
 use llmsql_core::Engine;
 use llmsql_exec::CallSlots;
 use llmsql_llm::{
-    CallHandle, CompletionRequest, CompletionResponse, KnowledgeBase, LanguageModel,
-    PromptCoalescer, SimLlm,
+    CallHandle, CompletionRequest, CompletionResponse, KnowledgeBase, LanguageModel, SimLlm,
 };
 use llmsql_sched::QueryScheduler;
 use llmsql_store::Catalog;
@@ -268,7 +267,7 @@ fn resources_drain_after_completed_cancelled_and_failed_queries() {
     };
     let assert_drained = |engine: &Engine, when: &str| {
         assert_eq!(
-            engine.prompt_coalescer().unwrap().in_flight(),
+            engine.client().unwrap().table().unwrap().in_flight(),
             0,
             "coalescer entry left behind after a {when} query"
         );
@@ -287,7 +286,6 @@ fn resources_drain_after_completed_cancelled_and_failed_queries() {
     // Direct: the engine drives its own waves.
     let (mut engine, model) = build();
     engine.set_call_slots(Arc::new(CallSlots::new(4)));
-    engine.set_prompt_coalescer(Arc::new(PromptCoalescer::new()));
     assert_eq!(engine.execute(SCAN_SQL).unwrap().row_count(), 40);
     assert_drained(&engine, "completed direct");
     let err = engine.execute_with_deadline(SCAN_SQL, 10.0).unwrap_err();

@@ -172,7 +172,7 @@ fn queries_that_end_with_requests_in_flight_drain_the_deployment() {
 
     let engine = sched.engine();
     assert_eq!(engine.call_slots().unwrap().in_use(), 0, "call slots");
-    assert_eq!(engine.prompt_coalescer().unwrap().in_flight(), 0);
+    assert_eq!(engine.client().unwrap().table().unwrap().in_flight(), 0);
 }
 
 #[test]
@@ -200,7 +200,7 @@ fn a_leader_cancelled_on_another_thread_hands_its_flights_to_the_follower() {
     let doomed = sched
         .submit_with_deadline("a", Priority::NORMAL, SCAN_SQL, 40.0)
         .unwrap();
-    let coalescer = sched.engine().prompt_coalescer().unwrap();
+    let coalescer = sched.engine().client().unwrap().table().unwrap();
     let submitted = Instant::now();
     while coalescer.in_flight() < 8 {
         assert!(
