@@ -1,7 +1,11 @@
 //! The engine: the public entry point tying parser, planner, executor,
 //! relational store and language-model storage together.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 use llmsql_exec::{
     dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext,
@@ -41,26 +45,86 @@ pub struct Engine {
     /// Global LLM-call slot pool shared with other engines/queries (attached
     /// by a cross-query scheduler). `None` means unthrottled dispatch.
     slots: Option<Arc<CallSlots>>,
+    /// The plans of `SELECT` texts this engine parsed itself (see
+    /// [`Engine::execute`]).
+    plans: RwLock<PlanTable>,
+}
+
+/// At most this many plans, and as many marks of texts planned once, are
+/// kept per engine; a full set is emptied before its next insert.
+const PLAN_TABLE_CAPACITY: usize = 1024;
+
+/// The plans of `SELECT` texts, keyed by the exact text, all bound under one
+/// catalog generation and this engine's optimizer switches.
+///
+/// A text's plan is kept the second time the text is planned: the first
+/// time leaves only a mark (the text's hash). So an engine that runs each
+/// text once — an oracle, a recording pass, ad-hoc traffic — holds a few
+/// bytes per text and no plans.
+#[derive(Default)]
+struct PlanTable {
+    /// The catalog generation every kept plan was bound under.
+    generation: u64,
+    plans: HashMap<String, Arc<LogicalPlan>>,
+    /// Hashes of the texts planned since the marks were last emptied.
+    planned_once: HashSet<u64>,
+}
+
+impl PlanTable {
+    /// Start over under `generation` if it is newer than the table's.
+    fn advance(&mut self, generation: u64) {
+        if generation > self.generation {
+            self.plans.clear();
+            self.generation = generation;
+        }
+    }
+
+    /// `plan`, bound under `generation`, was just built for `sql`: keep it if
+    /// `sql` was planned before. A plan bound under an older generation
+    /// than the table's is not kept.
+    fn insert(&mut self, sql: &str, generation: u64, plan: Arc<LogicalPlan>) {
+        self.advance(generation);
+        if generation < self.generation {
+            return;
+        }
+        let mark = self.plans.hasher().hash_one(sql);
+        if !self.planned_once.contains(&mark) {
+            if self.planned_once.len() >= PLAN_TABLE_CAPACITY {
+                self.planned_once.clear();
+            }
+            self.planned_once.insert(mark);
+            return;
+        }
+        if self.plans.len() >= PLAN_TABLE_CAPACITY {
+            self.plans.clear();
+        }
+        self.plans.insert(sql.to_owned(), plan);
+    }
+}
+
+/// A statement text on its way in: the plan this engine keeps for it, or
+/// the statement parsed from it.
+enum Prepared {
+    Kept(Arc<LogicalPlan>),
+    Parsed(Statement),
 }
 
 impl Engine {
     /// Create an engine with an empty catalog and no model attached.
     pub fn new(config: EngineConfig) -> Self {
-        Engine {
-            catalog: Catalog::new(),
-            config,
-            client: None,
-            slots: None,
-        }
+        Engine::with_catalog(Catalog::new(), config)
     }
 
     /// Create an engine over an existing catalog.
     pub fn with_catalog(catalog: Catalog, config: EngineConfig) -> Self {
+        let plans = RwLock::new(PlanTable::default());
+        plans.set_audit_name("core.plans");
         Engine {
             catalog,
             config,
             client: None,
             slots: None,
+            plans,
         }
     }
 
@@ -168,8 +232,10 @@ impl Engine {
     }
 
     /// Mutable access to the configuration (mode/strategy switches between
-    /// experiment runs).
+    /// experiment runs). Empties the engine's plan table: the optimizer
+    /// switches are part of every kept plan.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
+        self.plans.get_mut().plans.clear();
         &mut self.config
     }
 
@@ -179,9 +245,23 @@ impl Engine {
     }
 
     /// Parse and execute one SQL statement.
+    ///
+    /// A repeated `SELECT` is planned once: the engine keeps the plan of a
+    /// `SELECT` text it parsed here or in [`Engine::execute_with_deadline`]
+    /// the second time it plans that text, keyed by the exact text, and a
+    /// later call with the same text skips parsing, binding and optimizing
+    /// and runs the kept plan (shared, not copied). A text run only once
+    /// leaves a mark of a few bytes and no plan. Every other statement, a
+    /// statement that fails to parse or plan, `EXPLAIN` (which always plans
+    /// afresh, with its rule trace) and [`Engine::execute_statement`] (whose
+    /// caller parsed the statement, so there is no text to key on) plan each
+    /// time and keep nothing. The kept plans are emptied when the catalog's
+    /// set of tables changes — through any handle sharing it
+    /// ([`Catalog::generation`]) — and by [`Engine::config_mut`]. The table
+    /// is bounded: it holds at most 1 024 plans and 1 024 marks, and a full
+    /// set is emptied before its next insert.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let statement = parse_statement(sql)?;
-        self.execute_statement(&statement, Some(sql))
+        self.execute_sql(sql, None)
     }
 
     /// Parse and execute one SQL statement under a per-call deadline (in
@@ -192,26 +272,72 @@ impl Engine {
     /// [`llmsql_types::ErrorKind::DeadlineExceeded`] (carrying elapsed time
     /// and calls issued). Used by the scheduler to grant each
     /// query only its remaining deadline budget after queueing.
+    ///
+    /// Shares [`Engine::execute`]'s plan table: a `SELECT` text planned by
+    /// either runs its kept plan here, under the same rules.
     pub fn execute_with_deadline(&self, sql: &str, deadline_ms: f64) -> Result<QueryResult> {
-        let statement = parse_statement(sql)?;
-        self.execute_statement_inner(&statement, Some(sql), Some(deadline_ms))
+        self.execute_sql(sql, Some(deadline_ms))
     }
 
     /// Execute an already-parsed statement. `sql_text` (when available) is
-    /// used verbatim for full-query prompting.
+    /// used verbatim for full-query prompting. A `SELECT` is planned on every
+    /// call: no plan is kept or reused for a statement parsed elsewhere.
     pub fn execute_statement(
         &self,
         statement: &Statement,
         sql_text: Option<&str>,
     ) -> Result<QueryResult> {
-        self.execute_statement_inner(statement, sql_text, None)
+        self.timed(None, |deadline_ms| {
+            self.run_statement(statement, sql_text, deadline_ms)
+        })
     }
 
-    fn execute_statement_inner(
+    /// Run `sql` from its kept plan, or parse it (and plan and keep a
+    /// `SELECT`).
+    fn execute_sql(&self, sql: &str, deadline_override_ms: Option<f64>) -> Result<QueryResult> {
+        // Read before binding: a plan bound while the catalog changes is
+        // tagged with the older generation, and the next lookup drops it.
+        let generation = self.catalog.generation();
+        let prepared = match self.kept_plan(sql, generation) {
+            Some(plan) => Prepared::Kept(plan),
+            None => Prepared::Parsed(parse_statement(sql)?),
+        };
+        self.timed(deadline_override_ms, |deadline_ms| {
+            let plan = match prepared {
+                Prepared::Kept(plan) => plan,
+                Prepared::Parsed(Statement::Select(select)) => {
+                    let plan = Arc::new(self.plan_select(&select)?);
+                    self.plans
+                        .write()
+                        .insert(sql, generation, Arc::clone(&plan));
+                    plan
+                }
+                Prepared::Parsed(statement) => {
+                    return self.run_statement(&statement, Some(sql), deadline_ms)
+                }
+            };
+            self.execute_select(&plan, || sql.to_owned(), deadline_ms)
+        })
+    }
+
+    /// The kept plan of `sql`, if it was bound under `generation`. A lookup
+    /// under a newer generation than the table's empties the table.
+    fn kept_plan(&self, sql: &str, generation: u64) -> Option<Arc<LogicalPlan>> {
+        let plans = self.plans.read();
+        if plans.generation == generation {
+            return plans.plans.get(sql).cloned();
+        }
+        drop(plans);
+        self.plans.write().advance(generation);
+        None
+    }
+
+    /// Run `body` under the query's checks and effective deadline, timing it
+    /// into the result's `engine_ms`.
+    fn timed(
         &self,
-        statement: &Statement,
-        sql_text: Option<&str>,
         deadline_override_ms: Option<f64>,
+        body: impl FnOnce(Option<f64>) -> Result<QueryResult>,
     ) -> Result<QueryResult> {
         self.config.validate()?;
         if let Some(d) = deadline_override_ms {
@@ -228,9 +354,24 @@ impl Engine {
             (a, b) => a.or(b),
         };
         let start = clock::now();
+        let mut result = body(deadline_ms)?;
+        result.engine_ms = (clock::now() - start).as_secs_f64() * 1000.0;
+        Ok(result)
+    }
 
-        let mut result = match statement {
-            Statement::Select(select) => self.execute_select(select, sql_text, deadline_ms)?,
+    /// Plan and run one parsed statement.
+    fn run_statement(
+        &self,
+        statement: &Statement,
+        sql_text: Option<&str>,
+        deadline_ms: Option<f64>,
+    ) -> Result<QueryResult> {
+        Ok(match statement {
+            Statement::Select(select) => {
+                let plan = self.plan_select(select)?;
+                let sql = || sql_text.map_or_else(|| statement.to_string(), str::to_owned);
+                self.execute_select(&plan, sql, deadline_ms)?
+            }
             Statement::CreateTable(create) => {
                 let schema = schema_from_create(
                     &create.name,
@@ -269,10 +410,7 @@ impl Engine {
                 };
                 self.execute_explain(select, *analyze, deadline_ms)?
             }
-        };
-
-        result.engine_ms = (clock::now() - start).as_secs_f64() * 1000.0;
-        Ok(result)
+        })
     }
 
     /// Bind and optimize a SELECT into a logical plan — what every executed
@@ -373,24 +511,24 @@ impl Engine {
         ctx
     }
 
+    /// Run a SELECT's plan: through the operators, or as one whole-query
+    /// prompt of the text `sql` gives (asked for only then).
     fn execute_select(
         &self,
-        select: &SelectStatement,
-        sql_text: Option<&str>,
+        plan: &LogicalPlan,
+        sql: impl FnOnce() -> String,
         deadline_ms: Option<f64>,
     ) -> Result<QueryResult> {
-        let plan = self.plan_select(select)?;
-
         // One-shot whole-query prompting.
         if self.config.mode == ExecutionMode::LlmOnly
             && self.config.strategy == PromptStrategy::FullQuery
             && !plan.scanned_tables().is_empty()
         {
-            return self.execute_full_query(select, &plan, sql_text, deadline_ms);
+            return self.execute_full_query(plan, sql(), deadline_ms);
         }
 
         let ctx = self.exec_context(deadline_ms);
-        let batch = execute_plan(&ctx, &plan)?;
+        let batch = execute_plan(&ctx, plan)?;
         Ok(QueryResult {
             metrics: ctx.metrics.into_inner(),
             batch,
@@ -403,18 +541,13 @@ impl Engine {
     /// any scan request — and parse the completion as the result table.
     fn execute_full_query(
         &self,
-        select: &SelectStatement,
         plan: &LogicalPlan,
-        sql_text: Option<&str>,
+        sql: String,
         deadline_ms: Option<f64>,
     ) -> Result<QueryResult> {
         let ctx = self.exec_context(deadline_ms);
         let client = ctx.require_client()?;
         let schema = plan.schema();
-        let sql = match sql_text {
-            Some(text) => text.to_string(),
-            None => Statement::Select(Box::new(select.clone())).to_string(),
-        };
         let task = TaskSpec::FullQuery {
             sql,
             columns: schema.names(),
@@ -807,6 +940,217 @@ mod tests {
         let err = strict.execute(sql).unwrap_err();
         assert_eq!(err.kind, llmsql_types::ErrorKind::DeadlineExceeded);
         assert!(err.message.contains("deadline"), "{err}");
+    }
+
+    /// The plans `engine` keeps, by text.
+    fn kept(engine: &Engine) -> Vec<String> {
+        let mut texts: Vec<String> = engine.plans.read().plans.keys().cloned().collect();
+        texts.sort();
+        texts
+    }
+
+    #[test]
+    fn a_select_text_is_planned_once_and_nothing_else_is_kept() {
+        let engine = traditional_engine();
+        assert!(kept(&engine).is_empty(), "DDL and INSERT keep no plan");
+        let sql = "SELECT name FROM countries WHERE population > 80 ORDER BY name";
+        let first = engine.execute(sql).unwrap();
+        assert!(kept(&engine).is_empty(), "a text run once keeps no plan");
+        assert_eq!(engine.plans.read().planned_once.len(), 1);
+        engine.execute(sql).unwrap();
+        assert_eq!(kept(&engine), [sql]);
+        let plan = Arc::clone(&engine.plans.read().plans[sql]);
+        let again = engine.execute_with_deadline(sql, 60_000.0).unwrap();
+        assert_eq!(first.rows(), again.rows());
+        assert!(
+            Arc::ptr_eq(&plan, &engine.plans.read().plans[sql]),
+            "a hit runs the kept plan, it does not plan again"
+        );
+
+        // EXPLAIN, DESCRIBE, errors and caller-parsed statements keep nothing.
+        let other = "SELECT region FROM countries";
+        let parsed = parse_statement(other).unwrap();
+        for _ in 0..2 {
+            engine.execute(&format!("EXPLAIN {sql}")).unwrap();
+            engine.execute("DESCRIBE countries").unwrap();
+            assert!(engine.execute("SELECT nope FROM countries").is_err());
+            assert!(engine.execute("SELEC name FROM countries").is_err());
+            engine.execute_statement(&parsed, Some(other)).unwrap();
+        }
+        assert_eq!(kept(&engine), [sql]);
+        assert_eq!(engine.plans.read().planned_once.len(), 1);
+    }
+
+    /// The kept plan of every statement of the standard suite is the plan
+    /// `plan_select` builds for it afresh.
+    #[test]
+    fn every_kept_plan_equals_a_fresh_plan() {
+        let world = llmsql_workload::World::generate(llmsql_workload::WorldSpec {
+            countries: 15,
+            cities_per_country: 2,
+            people: 20,
+            movies: 15,
+            seed: 23,
+        })
+        .unwrap();
+        let engine = Engine::with_catalog(
+            world.catalog.deep_clone().unwrap(),
+            EngineConfig::default().with_mode(ExecutionMode::Traditional),
+        );
+        let suite = llmsql_workload::standard_suite(&world, 2);
+        for q in &suite {
+            engine.execute(&q.sql).unwrap();
+            engine.execute(&q.sql).unwrap();
+            let Statement::Select(select) = parse_statement(&q.sql).unwrap() else {
+                panic!("the suite holds only queries: {}", q.sql);
+            };
+            let fresh = engine.plan_select(&select).unwrap();
+            assert_eq!(*engine.plans.read().plans[&q.sql], fresh, "{}", q.sql);
+        }
+        assert!(kept(&engine).len() > 1);
+    }
+
+    /// A plan is bound against the catalog's schemas: when any handle on
+    /// the catalog replaces a table, the next run binds the new one.
+    #[test]
+    fn a_catalog_change_through_any_handle_empties_the_plan_table() {
+        let a = traditional_engine();
+        let b = Engine::with_catalog(
+            a.catalog().clone(),
+            EngineConfig::default().with_mode(ExecutionMode::Traditional),
+        );
+        let sql = "SELECT * FROM countries";
+        for _ in 0..2 {
+            assert_eq!(a.execute(sql).unwrap().column_names().len(), 3);
+        }
+        assert_eq!(kept(&a), [sql]);
+
+        b.execute_script(
+            "DROP TABLE countries; \
+             CREATE TABLE countries (code TEXT PRIMARY KEY, name TEXT); \
+             INSERT INTO countries VALUES ('fr', 'France')",
+        )
+        .unwrap();
+        let r = a.execute(sql).unwrap();
+        assert_eq!(r.column_names(), ["code", "name"]);
+        assert_eq!(r.row_count(), 1);
+        assert_eq!(kept(&a), [sql], "only the new plan is kept");
+        assert_eq!(a.execute(sql).unwrap().column_names(), ["code", "name"]);
+
+        // The same through the catalog's own API.
+        a.catalog().drop_table("countries", false).unwrap();
+        let schema = llmsql_types::Schema::new(
+            "countries",
+            vec![llmsql_types::Column::new("id", DataType::Int).primary_key()],
+        );
+        b.catalog().create_table(schema).unwrap();
+        let r = a.execute(sql).unwrap();
+        assert_eq!(r.column_names(), ["id"]);
+        assert_eq!(r.row_count(), 0);
+    }
+
+    /// The optimizer switches are part of a plan: switching one through
+    /// `config_mut` runs the query as an engine built with it would.
+    #[test]
+    fn config_mut_empties_the_plan_table() {
+        let engine_over = |pushdown: bool| {
+            let oracle = traditional_engine();
+            for i in 0..30 {
+                oracle
+                    .execute(&format!(
+                        "INSERT INTO countries VALUES ('Land{i}', 'Asia', {i})"
+                    ))
+                    .unwrap();
+            }
+            let kb = Engine::knowledge_from_catalog(oracle.catalog()).unwrap();
+            let mut config = EngineConfig::default()
+                .with_mode(ExecutionMode::LlmOnly)
+                .with_strategy(PromptStrategy::BatchedRows)
+                .with_fidelity(LlmFidelity::perfect());
+            config.optimizer.predicate_pushdown = pushdown;
+            let mut engine = Engine::with_catalog(oracle.catalog().deep_clone().unwrap(), config);
+            engine.attach_simulator(kb.into_shared()).unwrap();
+            engine
+        };
+        let sql = "SELECT name FROM countries WHERE population > 70";
+        let mut engine = engine_over(true);
+        let pushed = engine.execute(sql).unwrap();
+        engine.execute(sql).unwrap();
+        assert_eq!(kept(&engine), [sql]);
+        engine.config_mut().optimizer.predicate_pushdown = false;
+        assert!(kept(&engine).is_empty());
+        let switched = engine.execute(sql).unwrap();
+        let fresh = engine_over(false).execute(sql).unwrap();
+        assert_eq!(switched.metrics.llm_calls(), fresh.metrics.llm_calls());
+        assert_ne!(switched.metrics.llm_calls(), pushed.metrics.llm_calls());
+        assert_eq!(switched.rows(), pushed.rows());
+    }
+
+    #[test]
+    fn the_plan_table_is_bounded() {
+        let engine = traditional_engine();
+        let sql = |i: usize| format!("SELECT name FROM countries WHERE population > {i}");
+        let twice = |i: usize| {
+            engine.execute(&sql(i)).unwrap();
+            engine.execute(&sql(i)).unwrap();
+        };
+        for i in 0..PLAN_TABLE_CAPACITY {
+            twice(i);
+        }
+        assert_eq!(kept(&engine).len(), PLAN_TABLE_CAPACITY);
+        assert_eq!(engine.plans.read().planned_once.len(), PLAN_TABLE_CAPACITY);
+        twice(PLAN_TABLE_CAPACITY);
+        assert_eq!(kept(&engine), [sql(PLAN_TABLE_CAPACITY)]);
+        assert_eq!(engine.plans.read().planned_once.len(), 1);
+    }
+
+    /// Four threads run one new text at once, as the scheduler's workers
+    /// do: the first plan only marks the text, so at least two threads plan
+    /// it, each later insert replaces an equal plan, and one is kept.
+    #[test]
+    fn concurrent_misses_on_one_text_keep_one_plan() {
+        let engine = llm_engine(LlmFidelity::perfect(), PromptStrategy::BatchedRows);
+        let sql = "SELECT name, population FROM countries ORDER BY name";
+        let start = std::sync::Barrier::new(4);
+        let rows: Vec<Vec<Row>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let r = engine.execute_with_deadline(sql, 60_000.0).unwrap();
+                        r.rows().to_vec()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(rows.iter().all(|r| r == &rows[0]));
+        assert_eq!(rows[0].len(), 3);
+        assert_eq!(kept(&engine), [sql]);
+    }
+
+    /// Locks a path takes, counted by the `parking_lot` shim on this thread:
+    /// finding a kept plan takes the plan table's read lock and nothing else.
+    /// A warm Traditional `SELECT` takes 3 in all: the hit, then the scan's
+    /// catalog and table read locks. Before plans were kept it took 4: the
+    /// binder's catalog and table read locks, then the scan's.
+    #[cfg(feature = "lock_audit")]
+    #[test]
+    fn a_kept_plan_is_found_under_one_read_lock() {
+        let locks = |call: &mut dyn FnMut()| {
+            let before = parking_lot::acquisitions();
+            call();
+            parking_lot::acquisitions() - before
+        };
+        let engine = traditional_engine();
+        let sql = "SELECT name FROM countries WHERE population > 80";
+        engine.execute(sql).unwrap();
+        engine.execute(sql).unwrap();
+        let generation = engine.catalog().generation();
+        let found = locks(&mut || assert!(engine.kept_plan(sql, generation).is_some()));
+        assert_eq!(found, 1);
+        let warm = locks(&mut || drop(engine.execute(sql).unwrap()));
+        assert_eq!(warm, 3);
     }
 
     #[test]

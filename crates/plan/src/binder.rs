@@ -159,7 +159,7 @@ impl Binder<'_> {
     fn bind_table_expr(&self, expr: &TableExpr) -> Result<LogicalPlan> {
         match expr {
             TableExpr::Table { name, alias } => {
-                let schema = self.catalog.schema_of(name)?;
+                let schema = self.catalog.shared_schema(name)?;
                 let alias = alias
                     .clone()
                     .unwrap_or_else(|| name.clone())

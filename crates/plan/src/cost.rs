@@ -425,7 +425,7 @@ mod tests {
             table: "t".into(),
             alias: "t".into(),
             schema: RelSchema::from_table(&table_schema, "t"),
-            table_schema,
+            table_schema: std::sync::Arc::new(table_schema),
             pushed_filter: filter,
             prompt_columns: None,
             virtual_table,

@@ -7,6 +7,8 @@
 //! prompt) and the set of columns that actually need to be requested from the
 //! model.
 
+use std::sync::Arc;
+
 use llmsql_sql::ast::JoinKind;
 use llmsql_types::{RelSchema, Schema};
 
@@ -30,8 +32,9 @@ pub enum LogicalPlan {
         table: String,
         /// Alias the query knows it by.
         alias: String,
-        /// The base-table schema (with prompt descriptions).
-        table_schema: Schema,
+        /// The base-table schema (with prompt descriptions), shared with the
+        /// catalog that bound the scan.
+        table_schema: Arc<Schema>,
         /// Output schema: all base columns qualified by the alias.
         schema: RelSchema,
         /// Filter pushed into the scan, bound against the base columns.
@@ -332,7 +335,7 @@ mod tests {
             table: "t".into(),
             alias: "t".into(),
             schema: RelSchema::from_table(&table_schema, "t"),
-            table_schema,
+            table_schema: Arc::new(table_schema),
             pushed_filter: None,
             prompt_columns: None,
             virtual_table,

@@ -4,8 +4,14 @@
 //! the executor materializes them through the language model. The catalog is
 //! shared between the planner, the executor and the oracle used by the
 //! accuracy evaluation, and is cheap to clone.
+//!
+//! Schemas are handed out shared (`Arc<Schema>`), so a plan that keeps one
+//! copies nothing. A generation counter moves with every change to the set
+//! of tables, so a kept plan can tell whether what it was bound against
+//! still stands.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -20,15 +26,20 @@ pub enum CatalogEntry {
     /// A materialized table with stored rows.
     Materialized(Table),
     /// A virtual, LLM-backed table: schema only.
-    Virtual(Schema),
+    Virtual(Arc<Schema>),
 }
 
 impl CatalogEntry {
-    /// The schema of the entry.
+    /// The schema of the entry (cloned).
     pub fn schema(&self) -> Schema {
+        Schema::clone(&self.shared_schema())
+    }
+
+    /// The schema of the entry, shared with the catalog.
+    fn shared_schema(&self) -> Arc<Schema> {
         match self {
-            CatalogEntry::Materialized(t) => t.schema(),
-            CatalogEntry::Virtual(s) => s.clone(),
+            CatalogEntry::Materialized(t) => t.shared_schema(),
+            CatalogEntry::Virtual(s) => Arc::clone(s),
         }
     }
 
@@ -49,7 +60,26 @@ impl CatalogEntry {
 /// The catalog; cheap to clone (shared interior).
 #[derive(Clone, Default)]
 pub struct Catalog {
-    entries: Arc<RwLock<BTreeMap<String, CatalogEntry>>>,
+    inner: Arc<CatalogInner>,
+}
+
+#[derive(Default)]
+struct CatalogInner {
+    entries: RwLock<BTreeMap<String, CatalogEntry>>,
+    /// Bumped under the `entries` write lock by every change to the set of
+    /// tables: create, register and a drop that removed one.
+    generation: AtomicU64,
+}
+
+impl CatalogInner {
+    /// Record a change to the set of tables; call with the write lock held.
+    fn changed(&self) {
+        // ordering: Relaxed — the bump happens under the entries write lock,
+        // so a reader that loads the counter before taking the read lock
+        // cannot see a bump from a write that follows its read; the
+        // entries themselves are published by the lock.
+        self.generation.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl Catalog {
@@ -58,16 +88,26 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// The catalog's generation: it moves whenever a table is created,
+    /// registered or dropped (by this handle or any clone of it), and never
+    /// otherwise — inserted rows leave it alone. Anything derived from the
+    /// catalog's schemas stays valid while the generation it read stays.
+    pub fn generation(&self) -> u64 {
+        // ordering: Relaxed — see `CatalogInner::changed`.
+        self.inner.generation.load(Ordering::Relaxed)
+    }
+
     /// Register a materialized table; errors if the name exists.
     pub fn create_table(&self, schema: Schema) -> Result<Table> {
         schema.validate()?;
         let name = schema.name.clone();
-        let mut entries = self.entries.write();
+        let mut entries = self.inner.entries.write();
         if entries.contains_key(&name) {
             return Err(Error::schema(format!("table '{name}' already exists")));
         }
         let table = Table::new(schema)?;
         entries.insert(name, CatalogEntry::Materialized(table.clone()));
+        self.inner.changed();
         Ok(table)
     }
 
@@ -76,11 +116,12 @@ impl Catalog {
         schema.virtual_table = true;
         schema.validate()?;
         let name = schema.name.clone();
-        let mut entries = self.entries.write();
+        let mut entries = self.inner.entries.write();
         if entries.contains_key(&name) {
             return Err(Error::schema(format!("table '{name}' already exists")));
         }
-        entries.insert(name, CatalogEntry::Virtual(schema));
+        entries.insert(name, CatalogEntry::Virtual(Arc::new(schema)));
+        self.inner.changed();
         Ok(())
     }
 
@@ -88,18 +129,24 @@ impl Catalog {
     /// build tables directly).
     pub fn register_table(&self, table: Table) -> Result<()> {
         let name = table.name();
-        let mut entries = self.entries.write();
+        let mut entries = self.inner.entries.write();
         if entries.contains_key(&name) {
             return Err(Error::schema(format!("table '{name}' already exists")));
         }
         entries.insert(name, CatalogEntry::Materialized(table));
+        self.inner.changed();
         Ok(())
     }
 
     /// Drop a table by name. With `if_exists`, missing tables are not errors.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<bool> {
         let key = name.to_ascii_lowercase();
-        let removed = self.entries.write().remove(&key).is_some();
+        let mut entries = self.inner.entries.write();
+        let removed = entries.remove(&key).is_some();
+        if removed {
+            self.inner.changed();
+        }
+        drop(entries);
         if !removed && !if_exists {
             return Err(Error::schema(format!("table '{name}' does not exist")));
         }
@@ -109,16 +156,30 @@ impl Catalog {
     /// Look up an entry by name.
     pub fn get(&self, name: &str) -> Result<CatalogEntry> {
         let key = name.to_ascii_lowercase();
-        self.entries
+        self.inner
+            .entries
             .read()
             .get(&key)
             .cloned()
             .ok_or_else(|| Error::schema(format!("table '{name}' does not exist")))
     }
 
-    /// Look up a schema by name.
+    /// Look up a schema by name (cloned).
     pub fn schema_of(&self, name: &str) -> Result<Schema> {
-        Ok(self.get(name)?.schema())
+        let schema = self.shared_schema(name)?;
+        Ok(Schema::clone(&schema))
+    }
+
+    /// Look up a schema by name, shared with the catalog: no copy of the
+    /// schema or of the entry is made.
+    pub fn shared_schema(&self, name: &str) -> Result<Arc<Schema>> {
+        let key = name.to_ascii_lowercase();
+        self.inner
+            .entries
+            .read()
+            .get(&key)
+            .map(CatalogEntry::shared_schema)
+            .ok_or_else(|| Error::schema(format!("table '{name}' does not exist")))
     }
 
     /// Look up a materialized table, erroring for virtual tables.
@@ -133,22 +194,25 @@ impl Catalog {
 
     /// True if the name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.read().contains_key(&name.to_ascii_lowercase())
+        self.inner
+            .entries
+            .read()
+            .contains_key(&name.to_ascii_lowercase())
     }
 
     /// All table names in sorted order.
     pub fn table_names(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        self.inner.entries.read().keys().cloned().collect()
     }
 
     /// Number of registered tables.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.inner.entries.read().len()
     }
 
     /// True if no tables are registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.inner.entries.read().is_empty()
     }
 
     /// Clone this catalog into a new, independent catalog where every table's
@@ -162,7 +226,7 @@ impl Catalog {
                     let copy = out.create_table(t.schema())?;
                     copy.insert_many(t.scan())?;
                 }
-                CatalogEntry::Virtual(s) => out.create_virtual_table(s)?,
+                CatalogEntry::Virtual(s) => out.create_virtual_table(Schema::clone(&s))?,
             }
         }
         Ok(out)

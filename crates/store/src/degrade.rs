@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use llmsql_types::{Result, Row, Value};
+use llmsql_types::{Result, Row, Schema, Value};
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::table::Table;
@@ -103,7 +103,7 @@ pub fn degrade_catalog(catalog: &Catalog, spec: &DegradeSpec) -> Result<(Catalog
                 total.dropped_rows += report.dropped_rows;
                 total.kept_rows += report.kept_rows;
             }
-            CatalogEntry::Virtual(s) => out.create_virtual_table(s)?,
+            CatalogEntry::Virtual(s) => out.create_virtual_table(Schema::clone(&s))?,
         }
     }
     Ok((out, total))

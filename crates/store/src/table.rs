@@ -19,7 +19,7 @@ pub struct Table {
 }
 
 struct TableInner {
-    schema: Schema,
+    schema: Arc<Schema>,
     rows: Vec<Row>,
 }
 
@@ -29,7 +29,7 @@ impl Table {
         schema.validate()?;
         Ok(Table {
             inner: Arc::new(RwLock::new(TableInner {
-                schema,
+                schema: Arc::new(schema),
                 rows: Vec::new(),
             })),
         })
@@ -37,7 +37,12 @@ impl Table {
 
     /// The table schema (cloned).
     pub fn schema(&self) -> Schema {
-        self.inner.read().schema.clone()
+        Schema::clone(&self.inner.read().schema)
+    }
+
+    /// The table schema, shared with the table.
+    pub(crate) fn shared_schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.inner.read().schema)
     }
 
     /// The table name.
@@ -93,7 +98,7 @@ impl Table {
     /// first so either all rows are inserted or none.
     pub fn insert_many(&self, rows: Vec<Row>) -> Result<usize> {
         let mut inner = self.inner.write();
-        let schema = inner.schema.clone();
+        let schema = Arc::clone(&inner.schema);
         let pk = schema.primary_key_indices();
 
         let mut coerced = Vec::with_capacity(rows.len());

@@ -3,7 +3,8 @@
 //! byte-identical rows to a fully disabled optimizer, and must never issue
 //! *more* LLM calls. This is the property the static cost model and the
 //! rewrite rules are allowed to assume — rewrites change cost, never
-//! answers.
+//! answers. Each query runs twice on each engine, and the second run, from
+//! the plan the engine kept for the text, must repeat the first exactly.
 
 use llmsql_core::Engine;
 use llmsql_plan::rules::{self, ALL_RULES};
@@ -57,6 +58,19 @@ fn optimized_plans_match_unoptimized_rows_with_no_extra_llm_calls() {
     for q in standard_suite(&w, 2) {
         let a = optimized.execute(&q.sql).unwrap();
         let b = unoptimized.execute(&q.sql).unwrap();
+        for (engine, first) in [(&optimized, &a), (&unoptimized, &b)] {
+            let again = engine.execute(&q.sql).unwrap();
+            assert_eq!(
+                again.batch.rows, first.batch.rows,
+                "a kept plan changed the rows of {} ({})",
+                q.id, q.sql
+            );
+            assert_eq!(
+                again.metrics.llm_calls_by_kind, first.metrics.llm_calls_by_kind,
+                "a kept plan changed the calls of {} ({})",
+                q.id, q.sql
+            );
+        }
         assert_eq!(
             canonical(&a.batch.rows, q.order_sensitive),
             canonical(&b.batch.rows, q.order_sensitive),

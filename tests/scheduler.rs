@@ -502,3 +502,33 @@ fn traditional_queries_schedule_without_slots() {
     assert_eq!(outcome.priority, Priority::HIGH);
     assert_eq!(sched.stats().peak_slots_in_use, 0);
 }
+
+/// Four workers take one new text at once, released together from a pause:
+/// each misses the engine's plan table and plans the text itself, and all
+/// four return the rows and logical calls of a lone run.
+#[test]
+fn four_workers_running_one_new_text_agree() {
+    let lone = parallel_scan_engine(ROWS, 4, 1.0)
+        .unwrap()
+        .execute(SCAN_SQL)
+        .unwrap();
+    let sched = QueryScheduler::new(
+        parallel_scan_engine(ROWS, 4, 1.0).unwrap(),
+        SchedConfig::default().with_workers(4).paused(),
+    )
+    .unwrap();
+    let tickets: Vec<QueryTicket> = (0..4)
+        .map(|i| {
+            sched
+                .submit(format!("tenant-{i}"), Priority::NORMAL, SCAN_SQL)
+                .unwrap()
+        })
+        .collect();
+    sched.resume();
+    for outcome in tickets.into_iter().map(QueryTicket::wait) {
+        let result = outcome.result.unwrap();
+        assert_eq!(result.rows(), lone.rows());
+        assert_eq!(result.metrics.llm_calls(), lone.metrics.llm_calls());
+    }
+    assert_eq!(sched.stats().completed, 4);
+}
