@@ -1,51 +1,19 @@
-//! Scalar evaluation of [`BoundExpr`] against rows: the one tree-walker
-//! ([`llmsql_sql::eval::eval`], which the simulated model's reading of a
-//! pushed predicate runs too, so the two cannot disagree) with the engine's
-//! column lookup — the bound index into the row — and the engine's error
-//! kind. A column reference or a literal comes back borrowed (from the row,
-//! from the plan), a computed value owned. Aggregates are
-//! [`AggAccumulator`]'s, re-exported from the same place.
+//! Scalar evaluation of bound expressions against rows: [`eval`],
+//! [`eval_predicate`] and [`AggAccumulator`] live in [`llmsql_plan::ops`],
+//! beside the relational operators that run them, and are re-exported here.
+//! The tests pin what the engine reads from them: borrowed references,
+//! three-valued logic, and errors of the engine's kind.
 
-use std::borrow::Cow;
-
-use llmsql_plan::BoundExpr;
-use llmsql_sql::bound::BoundColumn;
-use llmsql_sql::eval::truth;
-use llmsql_types::{ErrorKind, Result, Row, Value};
-
-pub use llmsql_sql::eval::AggAccumulator;
-
-/// Evaluate an expression against a row. Aggregates are rejected (they are
-/// handled by [`AggAccumulator`] under an Aggregate plan node).
-pub fn eval<'a>(expr: &'a BoundExpr, row: &'a Row) -> Result<Cow<'a, Value>> {
-    llmsql_sql::eval::eval(expr, &|c| row.get(c.index), ErrorKind::Execution)
-}
-
-/// Evaluate a predicate to a three-valued boolean.
-pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
-    eval(expr, row).map(|v| truth(&v))
-}
-
-/// Evaluate a predicate over the row `left ++ right` without building it: a
-/// column past `left`'s cells is read from `right`, as in [`Row::concat`].
-pub(crate) fn eval_pair_predicate(
-    expr: &BoundExpr,
-    left: &Row,
-    right: &Row,
-) -> Result<Option<bool>> {
-    let split = left.arity();
-    let column = |c: &BoundColumn| match c.index.checked_sub(split) {
-        None => left.get(c.index),
-        Some(i) => right.get(i),
-    };
-    llmsql_sql::eval::eval(expr, &column, ErrorKind::Execution).map(|v| truth(&v))
-}
+pub use llmsql_plan::ops::{eval, eval_predicate, AggAccumulator};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
+
+    use llmsql_plan::BoundExpr;
     use llmsql_sql::ast::{AggregateFunc, BinaryOp};
-    use llmsql_types::DataType;
+    use llmsql_types::{DataType, Row, Value};
 
     fn col(i: usize) -> BoundExpr {
         BoundExpr::col(i, &format!("c{i}"), DataType::Int)

@@ -1,5 +1,11 @@
 //! The plan interpreter: turns a [`LogicalPlan`] into rows.
 //!
+//! The walk only dispatches: a scan runs here, and every other node is one
+//! call to its relational operator in [`llmsql_plan::ops`], which the
+//! simulated model's whole-query answer runs too. What the walk adds is the
+//! engine's own: the physical scan it picks per execution mode and the
+//! per-operator actuals it records.
+//!
 //! Execution is operator-at-a-time (each operator materializes its output),
 //! which keeps every operator easy to verify in isolation. The only latency
 //! worth overlapping is the model round trip, and that happens inside a
@@ -9,17 +15,15 @@
 //! cost microseconds, less than spawning a thread does — so a plan produces
 //! identical rows at any `parallelism`.
 
-use std::borrow::{Borrow, Cow};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-use llmsql_plan::{BoundExpr, LogicalPlan, SortKey};
-use llmsql_sql::ast::{BinaryOp, JoinKind};
+use llmsql_plan::ops::{
+    aggregate_rows, distinct_rows, filter_rows, join_rows, limit_rows, project_rows, sort_rows,
+    values_rows,
+};
+use llmsql_plan::LogicalPlan;
 use llmsql_store::CatalogEntry;
-use llmsql_types::{clock, Batch, Error, ExecutionMode, Result, Row, Value};
+use llmsql_types::{clock, Batch, Error, ExecutionMode, Result, Row};
 
 use crate::context::ExecContext;
-use crate::eval::{eval, eval_pair_predicate, eval_predicate, AggAccumulator};
 use crate::scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 /// Execute a logical plan and return the result batch.
@@ -56,6 +60,9 @@ fn execute_rows_at(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<
 }
 
 fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+    // A node's first (or only) input runs at `{path}.0`, a join's right
+    // input at `{path}.1`.
+    let child = |input: &LogicalPlan| execute_rows_at(ctx, input, &format!("{path}.0"));
     match plan {
         LogicalPlan::Scan {
             table,
@@ -75,68 +82,31 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             };
             execute_scan(ctx, &spec, *virtual_table)
         }
-        LogicalPlan::Values { rows, .. } => rows
-            .iter()
-            .map(|exprs| {
-                exprs
-                    .iter()
-                    .map(|e| eval(e, &Row::empty()).map(Cow::into_owned))
-                    .collect::<Result<Vec<Value>>>()
-                    .map(Row::new)
-            })
-            .collect(),
-        LogicalPlan::Filter { input, predicate } => {
-            let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            // In place. `retain` cannot stop early, so the first error parks
-            // here and the rest of the pass evaluates nothing.
-            let mut error = None;
-            rows.retain(|row| {
-                if error.is_some() {
-                    return false;
-                }
-                match eval_predicate(predicate, row) {
-                    Ok(keep) => keep == Some(true),
-                    Err(e) => {
-                        error = Some(e);
-                        false
-                    }
-                }
-            });
-            error.map_or(Ok(rows), Err)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            project_rows(rows, exprs)
-        }
+        LogicalPlan::Values { rows, .. } => values_rows(rows),
+        LogicalPlan::Filter { input, predicate } => filter_rows(child(input)?, predicate),
+        LogicalPlan::Project { input, exprs, .. } => project_rows(child(input)?, exprs),
         LogicalPlan::Join {
             left,
             right,
             kind,
             on,
             ..
-        } => {
-            let left_rows = execute_rows_at(ctx, left, &format!("{path}.0"))?;
-            let right_rows = execute_rows_at(ctx, right, &format!("{path}.1"))?;
-            join_rows(
-                &left_rows,
-                &right_rows,
-                left.schema().len(),
-                right.schema().len(),
-                *kind,
-                on.as_ref(),
-            )
-        }
+        } => join_rows(
+            &child(left)?,
+            &execute_rows_at(ctx, right, &format!("{path}.1"))?,
+            left.arity(),
+            right.arity(),
+            *kind,
+            on.as_ref(),
+        ),
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             aggregates,
             ..
-        } => {
-            let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            aggregate_rows(&rows, group_exprs, aggregates)
-        }
+        } => aggregate_rows(&child(input)?, group_exprs, aggregates),
         LogicalPlan::Sort { input, keys } => {
-            let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
+            let mut rows = child(input)?;
             sort_rows(&mut rows, keys)?;
             Ok(rows)
         }
@@ -144,76 +114,9 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
             input,
             limit,
             offset,
-        } => {
-            let rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            let iter = rows.into_iter().skip(*offset);
-            Ok(match limit {
-                Some(l) => iter.take(*l).collect(),
-                None => iter.collect(),
-            })
-        }
-        LogicalPlan::Distinct { input } => {
-            let mut rows = execute_rows_at(ctx, input, &format!("{path}.0"))?;
-            // Mark each row's first occurrence by reference, then keep those
-            // in place: no row is cloned.
-            let mut seen = HashSet::with_capacity(rows.len());
-            let first: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
-            drop(seen);
-            let mut first = first.into_iter();
-            rows.retain(|_| first.next().unwrap_or(false));
-            Ok(rows)
-        }
+        } => Ok(limit_rows(child(input)?, *limit, *offset)),
+        LogicalPlan::Distinct { input } => Ok(distinct_rows(child(input)?)),
     }
-}
-
-/// Project every row through `exprs`, each output row built in its input
-/// row's own buffer. The computed expressions are evaluated first, while
-/// every input cell is still in place; then each column that one bare
-/// reference uses and no other expression reads is moved out of the input
-/// instead of copied. (Moving a column at its first bare use would leave
-/// `NULL` behind for a later `population + 1` to read.)
-fn project_rows(mut rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
-    let moves = movable_columns(exprs);
-    let mut staged: Vec<Value> = Vec::with_capacity(exprs.len());
-    for row in &mut rows {
-        for (expr, moved) in exprs.iter().zip(&moves) {
-            staged.push(match moved {
-                Some(_) => Value::Null,
-                None => eval(expr, row)?.into_owned(),
-            });
-        }
-        let mut values = std::mem::take(row).into_values();
-        for (slot, moved) in staged.iter_mut().zip(&moves) {
-            if let Some(i) = *moved {
-                *slot = values.get_mut(i).map(std::mem::take).unwrap_or_default();
-            }
-        }
-        values.clear();
-        values.append(&mut staged);
-        *row = Row::new(values);
-    }
-    Ok(rows)
-}
-
-/// For each projected expression, the input column it may take by move: it
-/// is a bare reference to that column, and no expression of the list reads
-/// the column anywhere else.
-fn movable_columns(exprs: &[BoundExpr]) -> Vec<Option<usize>> {
-    let mut reads: HashMap<usize, usize> = HashMap::new();
-    for expr in exprs {
-        expr.visit(&mut |e| {
-            if let BoundExpr::Column(c) = e {
-                *reads.entry(c.index).or_default() += 1;
-            }
-        });
-    }
-    exprs
-        .iter()
-        .map(|expr| match expr {
-            BoundExpr::Column(c) if reads.get(&c.index) == Some(&1) => Some(c.index),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Pick the physical scan for a logical scan based on the execution mode and
@@ -243,348 +146,14 @@ fn execute_scan(ctx: &ExecContext, spec: &ScanSpec, virtual_table: bool) -> Resu
     }
 }
 
-// ---------------------------------------------------------------------------
-// Joins
-// ---------------------------------------------------------------------------
-
-/// Extract equi-join key pairs `(left_index, right_index)` from a join
-/// condition, plus the residual predicate that is not a simple equality.
-fn equi_keys(on: &BoundExpr, left_arity: usize) -> (Vec<(usize, usize)>, Vec<BoundExpr>) {
-    let mut keys = Vec::new();
-    let mut residual = Vec::new();
-    for conjunct in llmsql_plan::split_conjunction(on) {
-        if let BoundExpr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } = &conjunct
-        {
-            if let (BoundExpr::Column(a), BoundExpr::Column(b)) = (left.as_ref(), right.as_ref()) {
-                let (a, b) = (a.index, b.index);
-                let (l, r) = if a < left_arity && b >= left_arity {
-                    (a, b - left_arity)
-                } else if b < left_arity && a >= left_arity {
-                    (b, a - left_arity)
-                } else {
-                    residual.push(conjunct.clone());
-                    continue;
-                };
-                keys.push((l, r));
-                continue;
-            }
-        }
-        residual.push(conjunct.clone());
-    }
-    (keys, residual)
-}
-
-/// Join two row sets: a hash join on the equi-key conjuncts of `on` when
-/// there are any, else a nested loop; what is left of the condition is
-/// applied to each candidate pair. Handles INNER, LEFT, RIGHT and CROSS
-/// joins. Output order is left-row order, then build-side row order per key;
-/// the first error in that order is the one reported.
-pub fn join_rows(
-    left_rows: &[Row],
-    right_rows: &[Row],
-    left_arity: usize,
-    right_arity: usize,
-    kind: JoinKind,
-    on: Option<&BoundExpr>,
-) -> Result<Vec<Row>> {
-    // RIGHT JOIN is a LEFT JOIN with sides swapped then columns reordered.
-    if kind == JoinKind::Right {
-        let swapped_on = on
-            .map(|e| {
-                e.remap_columns(&|i| match i {
-                    i if i < left_arity => Some(i + right_arity),
-                    i if i < left_arity + right_arity => Some(i - left_arity),
-                    _ => None,
-                })
-                .ok_or_else(|| {
-                    Error::execution("a join condition names a column outside both inputs")
-                })
-            })
-            .transpose()?;
-        let swapped = join_rows(
-            right_rows,
-            left_rows,
-            right_arity,
-            left_arity,
-            JoinKind::Left,
-            swapped_on.as_ref(),
-        )?;
-        // Each swapped row is `r ++ l`: rotating it in place moves every
-        // cell once.
-        return Ok(swapped
-            .into_iter()
-            .map(|row| {
-                let mut values = row.into_values();
-                let mid = right_arity.min(values.len());
-                values.rotate_left(mid);
-                Row::new(values)
-            })
-            .collect());
-    }
-
-    let (keys, residual) = match on {
-        Some(on) => equi_keys(on, left_arity),
-        None => (vec![], vec![]),
-    };
-    let pad_to = (kind == JoinKind::Left).then_some(left_arity + right_arity);
-    let mut out = Vec::new();
-    if keys.is_empty() {
-        // Nested loop: every right row is a candidate for every left row.
-        for l in left_rows {
-            push_matches(&mut out, l, right_rows.iter(), on, pad_to)?;
-        }
-        return Ok(out);
-    }
-    // Hash join: build on the right side in one pass, keyed by reference
-    // into the build rows (no per-row `Vec<Value>` clones), then probe and
-    // push straight into `out`. A NULL key matches nothing on either side.
-    let mut table: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
-    for r in right_rows {
-        let key: Vec<&Value> = keys.iter().map(|(_, ri)| r.get(*ri)).collect();
-        if !key.iter().any(|v| v.is_null()) {
-            table.entry(key).or_default().push(r);
-        }
-    }
-    let residual = llmsql_plan::conjoin(&residual);
-    let mut key = Vec::with_capacity(keys.len());
-    for l in left_rows {
-        key.clear();
-        key.extend(keys.iter().map(|(li, _)| l.get(*li)));
-        let candidates = if key.iter().any(|v| v.is_null()) {
-            None
-        } else {
-            table.get(&key)
-        };
-        let candidates = candidates.into_iter().flatten().copied();
-        push_matches(&mut out, l, candidates, residual.as_ref(), pad_to)?;
-    }
-    Ok(out)
-}
-
-/// Append to `out` every `l ++ r` over `candidates` that passes `pred`,
-/// which reads the pair's cells where they are: only a kept pair is copied
-/// into a row. A left row left without a match is padded with NULLs to
-/// `pad_to` columns (LEFT JOIN) or dropped (`None`).
-fn push_matches<'a>(
-    out: &mut Vec<Row>,
-    l: &Row,
-    candidates: impl Iterator<Item = &'a Row>,
-    pred: Option<&BoundExpr>,
-    pad_to: Option<usize>,
-) -> Result<()> {
-    let before = out.len();
-    for r in candidates {
-        let keep = match pred {
-            Some(p) => eval_pair_predicate(p, l, r)? == Some(true),
-            None => true,
-        };
-        if keep {
-            out.push(l.concat(r));
-        }
-    }
-    if let (true, Some(width)) = (out.len() == before, pad_to) {
-        let mut padded = l.clone();
-        padded.resize(width);
-        out.push(padded);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation and sorting
-// ---------------------------------------------------------------------------
-
-/// A group key as [`aggregate_rows`] compares it: a group's owned key, or a
-/// row's group values borrowed where they are. Ordered as `Vec<Value>` is,
-/// cell by cell, so the map of owned keys answers a borrowed probe.
-trait GroupKey {
-    fn cells(&self) -> usize;
-    fn cell(&self, i: usize) -> &Value;
-}
-
-impl GroupKey for Vec<Value> {
-    fn cells(&self) -> usize {
-        self.len()
-    }
-    fn cell(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
-
-impl GroupKey for Vec<Cow<'_, Value>> {
-    fn cells(&self) -> usize {
-        self.len()
-    }
-    fn cell(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
-
-impl<'a> Borrow<dyn GroupKey + 'a> for Vec<Value> {
-    fn borrow(&self) -> &(dyn GroupKey + 'a) {
-        self
-    }
-}
-
-impl Ord for dyn GroupKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (0..self.cells())
-            .map(|i| self.cell(i))
-            .cmp((0..other.cells()).map(|i| other.cell(i)))
-    }
-}
-
-impl PartialOrd for dyn GroupKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn GroupKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn GroupKey + '_ {}
-
-/// Hash aggregation. A row's group values and aggregate arguments are read
-/// in place; a group's key is copied once, when the group is new.
-pub fn aggregate_rows(
-    rows: &[Row],
-    group_exprs: &[BoundExpr],
-    aggregates: &[BoundExpr],
-) -> Result<Vec<Row>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<AggAccumulator>> = BTreeMap::new();
-
-    let make_accs = || -> Result<Vec<AggAccumulator>> {
-        aggregates
-            .iter()
-            .map(|a| match a {
-                BoundExpr::Aggregate { func, distinct, .. } => {
-                    Ok(AggAccumulator::new(*func, *distinct))
-                }
-                other => Err(Error::execution(format!(
-                    "aggregate list contains a non-aggregate expression: {other}"
-                ))),
-            })
-            .collect()
-    };
-
-    let fold = |accs: &mut [AggAccumulator], row: &Row| -> Result<()> {
-        for (acc, agg) in accs.iter_mut().zip(aggregates) {
-            let BoundExpr::Aggregate { arg, .. } = agg else {
-                unreachable!("validated above")
-            };
-            match arg {
-                None => acc.update(&Value::Int(1)),
-                Some(a) => acc.update(&*eval(a, row)?),
-            }
-        }
-        Ok(())
-    };
-    let mut probe: Vec<Cow<'_, Value>> = Vec::with_capacity(group_exprs.len());
-    for row in rows {
-        probe.clear();
-        for e in group_exprs {
-            probe.push(eval(e, row)?);
-        }
-        if let Some(accs) = groups.get_mut(&probe as &dyn GroupKey) {
-            fold(accs, row)?;
-        } else {
-            let mut accs = make_accs()?;
-            fold(&mut accs, row)?;
-            groups.insert(probe.drain(..).map(Cow::into_owned).collect(), accs);
-        }
-    }
-
-    // A global aggregate over zero rows still produces one output row.
-    if groups.is_empty() && group_exprs.is_empty() {
-        groups.insert(vec![], make_accs()?);
-    }
-
-    Ok(groups
-        .into_iter()
-        .map(|(key, accs)| {
-            let mut values = key;
-            values.extend(accs.iter().map(AggAccumulator::finish));
-            Row::new(values)
-        })
-        .collect())
-}
-
-/// Stable multi-key sort. NULL keys sort first under both ASC and DESC
-/// (NULLS FIRST, as in PostgreSQL's `NULLS FIRST` / SQLite's default for
-/// ASC — we extend it to DESC so missing evidence always surfaces at the top
-/// rather than flipping ends with the direction).
-pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
-    let mut order = sorted_order(rows, keys)?;
-    // Apply the permutation in place, one cycle at a time: `order[j]` is the
-    // row that belongs at `j`, and a placed slot is marked `order[j] = j`.
-    for start in 0..order.len() {
-        let mut j = start;
-        loop {
-            let src = std::mem::replace(&mut order[j], j);
-            if src == start {
-                break;
-            }
-            rows.swap(j, src);
-            j = src;
-        }
-    }
-    Ok(())
-}
-
-/// The stable sorted order of `rows` under `keys`, as row indices. The key
-/// values are evaluated once per row (keeping the comparator infallible) and
-/// borrowed where a key is a column or a literal.
-fn sorted_order(rows: &[Row], keys: &[SortKey]) -> Result<Vec<usize>> {
-    let width = keys.len();
-    let mut key_values: Vec<Cow<'_, Value>> = Vec::with_capacity(rows.len() * width);
-    for row in rows {
-        for key in keys {
-            key_values.push(eval(&key.expr, row)?);
-        }
-    }
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    // Stable sort over indices: equal keys keep input order.
-    order.sort_by(|&a, &b| {
-        let (ka, kb) = (&key_values[a * width..], &key_values[b * width..]);
-        for ((key, ka), kb) in keys.iter().zip(ka).zip(kb) {
-            let ord = match (ka.is_null(), kb.is_null()) {
-                (true, true) => Ordering::Equal,
-                // NULLS FIRST regardless of direction.
-                (true, false) => Ordering::Less,
-                (false, true) => Ordering::Greater,
-                (false, false) => {
-                    let ord = ka.total_cmp(kb);
-                    if key.ascending {
-                        ord
-                    } else {
-                        ord.reverse()
-                    }
-                }
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmsql_plan::{bind_select, optimize, OptimizerOptions};
+    use llmsql_plan::{bind_select, optimize, BoundExpr, OptimizerOptions, SortKey};
+    use llmsql_sql::ast::{BinaryOp, JoinKind};
     use llmsql_sql::{parse_statement, Statement};
     use llmsql_store::Catalog;
-    use llmsql_types::{Column, DataType, EngineConfig, Schema};
+    use llmsql_types::{Column, DataType, EngineConfig, Schema, Value};
 
     fn catalog() -> Catalog {
         let cat = Catalog::new();

@@ -24,10 +24,11 @@
 )]
 //! # llmsql-exec
 //!
-//! The execution engine: scalar/aggregate evaluation of bound expressions,
-//! physical scan operators over the relational store and the language-model
-//! storage layer, relational operators (filter, project, hash/nested-loop
-//! join, hash aggregate, sort, limit, distinct), and the plan interpreter.
+//! The execution engine: physical scan operators over the relational store
+//! and the language-model storage layer, and the plan interpreter that runs
+//! them under the relational operators (filter, project, hash/nested-loop
+//! join, hash aggregate, sort, limit, distinct) of `llmsql_plan::ops`, whose
+//! evaluator and three pinned operators this crate re-exports.
 //!
 //! Execution is operator-at-a-time and single-threaded per query. The one
 //! latency worth overlapping is the model round trip: an LLM-backed scan
@@ -51,8 +52,9 @@ pub mod scan;
 
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
-pub use executor::{aggregate_rows, execute, execute_rows, join_rows, sort_rows};
+pub use executor::{execute, execute_rows};
 pub use llmsql_llm::{CallSlots, OwnedSlotGuard, SlotGuard};
+pub use llmsql_plan::ops::{aggregate_rows, join_rows, sort_rows};
 pub use metrics::{ExecMetrics, OpStats};
 pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerWheel};
 pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};

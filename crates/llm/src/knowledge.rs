@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use llmsql_store::Catalog;
 use llmsql_types::{Error, Result, Row, Schema, Value};
 
 /// One relation of the knowledge base.
@@ -104,6 +105,16 @@ impl KnowledgeBase {
         self.tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::llm(format!("the model knows no relation named '{name}'")))
+    }
+
+    /// The relations' schemas as a catalog of virtual tables: what the SQL
+    /// of a whole-query prompt is bound against.
+    pub fn catalog(&self) -> Result<Catalog> {
+        let catalog = Catalog::new();
+        for table in self.tables.values() {
+            catalog.create_virtual_table(table.schema.clone())?;
+        }
+        Ok(catalog)
     }
 
     /// Wrap in an `Arc` for sharing with the simulator.

@@ -13,10 +13,13 @@
 //! * Whether the model "knows" an entity or attribute is a stable function of
 //!   `(seed, table, key, column)` (see [`NoiseModel`]), so paginated and
 //!   repeated prompts observe a consistent world.
-//! * The full-query task runs a crude internal interpreter over the model's
-//!   *observed* (noisy) view of the data, with an extra reliability penalty
-//!   per join — mirroring the empirical finding that one-shot whole-query
-//!   prompting degrades quickly with query complexity.
+//! * The full-query task reads the SQL as the engine does — bound by the
+//!   engine's binder against the knowledge base's schemas — and answers the
+//!   plan with the engine's own relational operators over the model's
+//!   *observed* (noisy) view of the data. Only that view, a reliability
+//!   penalty per join and the rendering are the model's own; the penalty
+//!   mirrors the empirical finding that one-shot whole-query prompting
+//!   degrades quickly with query complexity.
 //! * `SimLlm` is fully thread-safe and cheap to call from many scan workers
 //!   at once: it carries no interior mutability or shared RNG stream. Every
 //!   noise decision is re-derived per call from a hash of
@@ -25,15 +28,18 @@
 //!   fidelity noise is byte-identical regardless of how calls interleave
 //!   across threads.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use llmsql_sql::ast::{Expr, JoinKind, SelectItem, SelectStatement, Statement, TableExpr};
-use llmsql_sql::eval::AggAccumulator;
+use llmsql_plan::ops::{
+    aggregate_rows, distinct_rows, filter_rows, join_rows, limit_rows, project_rows, sort_rows,
+    values_rows,
+};
+use llmsql_plan::{bind_select, LogicalPlan};
+use llmsql_sql::ast::{Statement, TableExpr};
 use llmsql_sql::parse_statement;
 use llmsql_types::{clock, Error, LlmCostModel, LlmFidelity, Result, Row, Schema, Value};
 
-use crate::eval::{eval_predicate, eval_predicate_text, eval_value, read_predicate, ReadExpr};
+use crate::eval::{eval_predicate, eval_predicate_text, read_predicate, ReadExpr};
 use crate::knowledge::{normalize_key, KbTable, KnowledgeBase};
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel};
 use crate::noise::{hash01, NoiseModel};
@@ -117,12 +123,7 @@ impl SimLlm {
     /// The model's observed version of a full row (omitted attributes become
     /// NULL).
     fn observe_row(&self, table: &str, schema: &Schema, row: &Row) -> Row {
-        let key_col = schema
-            .columns
-            .iter()
-            .position(|c| c.primary_key)
-            .unwrap_or(0);
-        let key_norm = normalize_key(row.get(key_col));
+        let key_norm = normalize_key(row.get(schema.key_column()));
         let values: Vec<Value> = (0..schema.arity())
             .map(|i| {
                 self.observe_attr(table, &key_norm, schema, row, i)
@@ -190,11 +191,7 @@ impl SimLlm {
         offset: usize,
     ) -> Result<Vec<String>> {
         let (schema, rows) = self.observed_table(table)?;
-        let key_col = schema
-            .columns
-            .iter()
-            .position(|c| c.primary_key)
-            .unwrap_or(0);
+        let key_col = schema.key_column();
         let filter = read_filter(&schema, filter);
         Ok(rows
             .iter()
@@ -298,204 +295,79 @@ impl SimLlm {
     }
 
     // ------------------------------------------------------------------
-    // Full-query interpretation (one-shot prompting)
+    // Full-query answers (one-shot prompting)
     // ------------------------------------------------------------------
 
+    /// Read the SQL as the engine does — bound against the knowledge base's
+    /// schemas, unoptimized — and answer the plan over the observed tables.
     fn handle_full_query(&self, sql: &str) -> Result<Vec<String>> {
-        let stmt = match parse_statement(sql) {
-            Ok(Statement::Select(s)) => *s,
-            Ok(_) => return Err(Error::llm("full-query prompts must contain a SELECT")),
-            Err(e) => return Err(Error::llm(format!("the model could not read the SQL: {e}"))),
+        let unreadable = |e: Error| Error::llm(format!("the model could not read the SQL: {e}"));
+        let stmt = match parse_statement(sql).map_err(unreadable)? {
+            Statement::Select(s) => s,
+            _ => return Err(Error::llm("full-query prompts must contain a SELECT")),
         };
-        let (names, mut rows) = self.eval_from(&stmt)?;
-
-        // WHERE
-        if let Some(pred) = &stmt.selection {
-            let pred = resolve(pred, &names)?;
-            rows.retain(|r| matches!(eval_predicate(&pred, r), Ok(Some(true))));
-        }
-
-        // Join penalty: one-shot prompting over joined relations is less
-        // reliable; each surviving row is dropped with a probability that
-        // grows with the number of joins.
-        let join_count = stmt.from.as_ref().map(|f| f.join_count()).unwrap_or(0);
-        if join_count > 0 {
-            let penalty = ((1.0 - self.noise.fidelity.recall) * 0.5 * join_count as f64).min(0.9);
-            rows.retain(|r| {
-                hash01(&["join_penalty", &r.to_pipe_string()], self.noise.seed) >= penalty
-            });
-        }
-
-        let mut out_rows: Vec<Vec<Value>> = if stmt.is_aggregate() {
-            self.eval_aggregate(&stmt, &names, &rows)?
-        } else {
-            // The projection as expressions over the joined row, wildcards
-            // expanded to the positions they stand for.
-            let mut exprs: Vec<ReadExpr> = Vec::new();
-            for item in &stmt.projection {
-                match item {
-                    SelectItem::Wildcard => exprs.extend((0..names.len()).map(Expr::Column)),
-                    SelectItem::QualifiedWildcard(q) => exprs.extend(
-                        (0..names.len())
-                            .filter(|i| names[*i].0.as_deref() == Some(q.as_str()))
-                            .map(Expr::Column),
-                    ),
-                    SelectItem::Expr { expr, .. } => exprs.push(resolve(expr, &names)?),
-                }
-            }
-            rows.iter()
-                .map(|row| exprs.iter().map(|e| value_or_null(e, row)).collect())
-                .collect()
-        };
-
-        // ORDER BY (best effort: only plain column references are honoured).
-        if !stmt.is_aggregate() {
-            if let Some(first) = stmt.order_by.first() {
-                if let Ok(e) = resolve(&first.expr, &names) {
-                    let mut keyed: Vec<(Value, Vec<Value>)> = rows
-                        .iter()
-                        .map(|r| value_or_null(&e, r))
-                        .zip(out_rows)
-                        .collect();
-                    keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    if !first.ascending {
-                        keyed.reverse();
-                    }
-                    out_rows = keyed.into_iter().map(|(_, o)| o).collect();
-                }
-            }
-        }
-
-        if let Some(offset) = stmt.offset {
-            out_rows = out_rows.into_iter().skip(offset as usize).collect();
-        }
-        if let Some(limit) = stmt.limit {
-            out_rows.truncate(limit as usize);
-        }
-        out_rows.truncate(self.max_rows_per_completion);
-
-        Ok(out_rows
-            .into_iter()
-            .map(|vals| {
-                vals.iter()
-                    .map(|v| v.to_display_string())
-                    .collect::<Vec<_>>()
-                    .join(" | ")
-            })
-            .collect())
+        let plan = bind_select(&self.kb.catalog()?, &stmt).map_err(unreadable)?;
+        // One-shot prompting over joined relations is less reliable: each
+        // joined row is dropped with a probability that grows with the
+        // number of joins.
+        let joins = stmt.from.as_ref().map_or(0, TableExpr::join_count);
+        let penalty = ((1.0 - self.noise.fidelity.recall) * 0.5 * joins as f64).min(0.9);
+        let mut rows = self.answer(&plan, penalty)?;
+        rows.truncate(self.max_rows_per_completion);
+        Ok(rows.iter().map(Row::to_pipe_string).collect())
     }
 
-    /// Evaluate the FROM clause into a flat list of qualified column names and
-    /// joined (observed) rows.
-    #[allow(clippy::type_complexity)]
-    fn eval_from(
-        &self,
-        stmt: &SelectStatement,
-    ) -> Result<(Vec<(Option<String>, String)>, Vec<Row>)> {
-        let Some(from) = &stmt.from else {
-            return Ok((vec![], vec![Row::empty()]));
-        };
-        self.eval_table_expr(from)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn eval_table_expr(
-        &self,
-        expr: &TableExpr,
-    ) -> Result<(Vec<(Option<String>, String)>, Vec<Row>)> {
-        match expr {
-            TableExpr::Table { name, alias } => {
-                let (schema, rows) = self.observed_table(name)?;
-                let qual = alias.clone().unwrap_or_else(|| name.clone());
-                let names = schema
-                    .columns
-                    .iter()
-                    .map(|c| (Some(qual.to_ascii_lowercase()), c.name.clone()))
-                    .collect();
-                Ok((names, rows))
-            }
-            TableExpr::Subquery { .. } => Err(Error::llm(
-                "the model does not interpret subqueries in one-shot prompts",
-            )),
-            TableExpr::Join {
+    /// The rows of `plan` as the model believes them to be. A scan reads the
+    /// observed table, and every other node is one call to the engine's
+    /// operator for it. The first join met on the way down drops its rows
+    /// at the `penalty` rate; the joins below it drop none.
+    fn answer(&self, plan: &LogicalPlan, penalty: f64) -> Result<Vec<Row>> {
+        let child = |input: &LogicalPlan| self.answer(input, penalty);
+        match plan {
+            LogicalPlan::Scan { table, .. } => Ok(self.observed_table(table)?.1),
+            LogicalPlan::Values { rows, .. } => values_rows(rows),
+            LogicalPlan::Filter { input, predicate } => filter_rows(child(input)?, predicate),
+            LogicalPlan::Project { input, exprs, .. } => project_rows(child(input)?, exprs),
+            LogicalPlan::Join {
                 left,
                 right,
                 kind,
                 on,
+                ..
             } => {
-                let (lnames, lrows) = self.eval_table_expr(left)?;
-                let (rnames, rrows) = self.eval_table_expr(right)?;
-                let mut names = lnames;
-                names.extend(rnames);
-                let on_expr = on.as_ref().map(|o| resolve(o, &names)).transpose()?;
-                let mut rows = Vec::new();
-                for l in &lrows {
-                    let mut matched = false;
-                    for r in &rrows {
-                        let combined = l.concat(r);
-                        let keep = match &on_expr {
-                            Some(e) => matches!(eval_predicate(e, &combined), Ok(Some(true))),
-                            None => true,
-                        };
-                        if keep {
-                            matched = true;
-                            rows.push(combined);
-                        }
-                    }
-                    if !matched && *kind == JoinKind::Left {
-                        let mut combined = l.clone();
-                        combined.resize(names.len());
-                        rows.push(combined);
-                    }
-                    if rows.len() > self.max_rows_per_completion * 4 {
-                        break;
-                    }
+                let mut rows = join_rows(
+                    &self.answer(left, 0.0)?,
+                    &self.answer(right, 0.0)?,
+                    left.arity(),
+                    right.arity(),
+                    *kind,
+                    on.as_ref(),
+                )?;
+                if penalty > 0.0 {
+                    rows.retain(|r| {
+                        hash01(&["join_penalty", &r.to_pipe_string()], self.noise.seed) >= penalty
+                    });
                 }
-                Ok((names, rows))
+                Ok(rows)
             }
+            LogicalPlan::Aggregate {
+                input,
+                group_exprs,
+                aggregates,
+                ..
+            } => aggregate_rows(&child(input)?, group_exprs, aggregates),
+            LogicalPlan::Sort { input, keys } => {
+                let mut rows = child(input)?;
+                sort_rows(&mut rows, keys)?;
+                Ok(rows)
+            }
+            LogicalPlan::Limit {
+                input,
+                limit,
+                offset,
+            } => Ok(limit_rows(child(input)?, *limit, *offset)),
+            LogicalPlan::Distinct { input } => Ok(distinct_rows(child(input)?)),
         }
-    }
-
-    fn eval_aggregate(
-        &self,
-        stmt: &SelectStatement,
-        names: &[(Option<String>, String)],
-        rows: &[Row],
-    ) -> Result<Vec<Vec<Value>>> {
-        use std::collections::BTreeMap;
-        let group_exprs: Vec<ReadExpr> = stmt
-            .group_by
-            .iter()
-            .map(|e| resolve(e, names))
-            .collect::<Result<_>>()?;
-        let items: Vec<ReadExpr> = stmt
-            .projection
-            .iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, .. } => resolve(expr, names),
-                _ => Err(Error::llm(
-                    "wildcard projections are not supported with GROUP BY in one-shot prompts",
-                )),
-            })
-            .collect::<Result<_>>()?;
-        // Group rows by the group-by key values.
-        let mut groups: BTreeMap<Vec<Value>, Vec<&Row>> = BTreeMap::new();
-        for row in rows {
-            let key = group_exprs.iter().map(|e| value_or_null(e, row)).collect();
-            groups.entry(key).or_default().push(row);
-        }
-        if groups.is_empty() && stmt.group_by.is_empty() {
-            groups.insert(vec![], vec![]);
-        }
-        Ok(groups
-            .iter()
-            .map(|(key, members)| {
-                items
-                    .iter()
-                    .map(|item| group_value(item, key, &group_exprs, members))
-                    .collect()
-            })
-            .collect())
     }
 
     /// Render the completion text: join lines, apply per-line format noise.
@@ -517,38 +389,6 @@ impl SimLlm {
     }
 }
 
-/// One projected value of one group: an aggregate call runs over the
-/// group's members, an expression that is one of the group-by expressions is
-/// the group key, anything else is read off the first member.
-fn group_value(
-    item: &ReadExpr,
-    key: &[Value],
-    group_exprs: &[ReadExpr],
-    members: &[&Row],
-) -> Value {
-    if let Expr::Aggregate {
-        func,
-        arg,
-        distinct,
-    } = item
-    {
-        let mut acc = AggAccumulator::new(*func, *distinct);
-        for row in members {
-            match arg {
-                None => acc.update(&Value::Int(1)),
-                Some(a) => acc.update(&eval_value(a, row).unwrap_or(Cow::Owned(Value::Null))),
-            }
-        }
-        return acc.finish();
-    }
-    if let Some(i) = group_exprs.iter().position(|g| g == item) {
-        return key[i].clone();
-    }
-    members
-        .first()
-        .map_or(Value::Null, |row| value_or_null(item, row))
-}
-
 /// The pushed filter of a scan prompt, read once per prompt. A predicate the
 /// "model" cannot make sense of is simply ignored (it lists everything) — a
 /// realistic failure.
@@ -560,27 +400,6 @@ fn read_filter(schema: &Schema, filter: Option<&str>) -> Option<ReadExpr> {
 /// the filter on is listed too.
 fn lists(filter: Option<&ReadExpr>, row: &Row) -> bool {
     filter.is_none_or(|f| matches!(eval_predicate(f, row), Ok(Some(true)) | Err(_)))
-}
-
-/// The value the model reads off `row` for `expr`; what it cannot compute it
-/// leaves blank.
-fn value_or_null(expr: &ReadExpr, row: &Row) -> Value {
-    eval_value(expr, row).map_or(Value::Null, Cow::into_owned)
-}
-
-/// Resolve the column references of a one-shot query's expression to
-/// positions in the joined row, matching qualifiers against `names`.
-fn resolve(expr: &Expr, names: &[(Option<String>, String)]) -> Result<ReadExpr> {
-    expr.clone().try_map_columns(&|c| {
-        let name_l = c.name.to_ascii_lowercase();
-        let qual_l = c.qualifier.as_ref().map(|q| q.to_ascii_lowercase());
-        // Ambiguous: the model just picks the first.
-        names
-            .iter()
-            .position(|(q, n)| *n == name_l && (qual_l.is_none() || *q == qual_l))
-            .map(Expr::Column)
-            .ok_or_else(|| Error::llm(format!("unknown column '{}'", c.name)))
-    })
 }
 
 impl LanguageModel for SimLlm {

@@ -6,7 +6,10 @@
 //! ([`binder`]), the call-minimising rule-based [`optimizer`] (rules live in
 //! [`rules`], one module each), the per-operator LLM [`cost`] model, and the
 //! [`lint`] pass that flags statically-detectable cost hazards. `EXPLAIN`
-//! stitches all three together.
+//! stitches all three together. The relational operators that turn a plan
+//! node's input rows into its output ([`ops`]) live here too, beside the
+//! plan they run: the engine's executor and the simulated model both call
+//! them.
 
 #![warn(missing_docs)]
 
@@ -15,6 +18,7 @@ pub mod cost;
 pub mod expr;
 pub mod lint;
 pub mod logical;
+pub mod ops;
 pub mod optimizer;
 pub mod rules;
 

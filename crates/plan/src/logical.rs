@@ -124,16 +124,28 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// The output schema of this node.
     pub fn schema(&self) -> RelSchema {
+        self.output_schema().clone()
+    }
+
+    /// The number of columns this node outputs, read without copying its
+    /// schema.
+    pub fn arity(&self) -> usize {
+        self.output_schema().len()
+    }
+
+    /// The schema of the nearest node at or below this one that holds one:
+    /// a filter, sort, limit or distinct outputs its input's columns.
+    fn output_schema(&self) -> &RelSchema {
         match self {
             LogicalPlan::Scan { schema, .. }
             | LogicalPlan::Values { schema, .. }
             | LogicalPlan::Project { schema, .. }
             | LogicalPlan::Join { schema, .. }
-            | LogicalPlan::Aggregate { schema, .. } => schema.clone(),
+            | LogicalPlan::Aggregate { schema, .. } => schema,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input } => input.schema(),
+            | LogicalPlan::Distinct { input } => input.output_schema(),
         }
     }
 

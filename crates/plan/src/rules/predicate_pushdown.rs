@@ -66,7 +66,7 @@ fn push_predicate_into(plan: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
             on,
             schema,
         } => {
-            let left_arity = left.schema().len();
+            let left_arity = left.arity();
             let mut to_left: Vec<BoundExpr> = Vec::new();
             let mut to_right: Vec<BoundExpr> = Vec::new();
             let mut keep: Vec<BoundExpr> = Vec::new();

@@ -10,7 +10,7 @@ use crate::logical::LogicalPlan;
 
 /// Apply the rule to a whole plan (every root output column is required).
 pub fn apply(plan: LogicalPlan) -> LogicalPlan {
-    let all: Vec<usize> = (0..plan.schema().len()).collect();
+    let all: Vec<usize> = (0..plan.arity()).collect();
     prune_columns(plan, &all)
 }
 
@@ -33,12 +33,7 @@ fn prune_columns(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
                 needed.extend(f.referenced_indices());
             }
             // Always fetch the key column: LLM scans identify entities by it.
-            let key_idx = table_schema
-                .columns
-                .iter()
-                .position(|c| c.primary_key)
-                .unwrap_or(0);
-            needed.push(key_idx);
+            needed.push(table_schema.key_column());
             needed.sort_unstable();
             needed.dedup();
             needed.retain(|&i| i < table_schema.arity());
@@ -92,7 +87,7 @@ fn prune_columns(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
             on,
             schema,
         } => {
-            let left_arity = left.schema().len();
+            let left_arity = left.arity();
             let mut needed: Vec<usize> = required.to_vec();
             if let Some(on) = &on {
                 needed.extend(on.referenced_indices());
@@ -154,7 +149,7 @@ fn prune_columns(plan: LogicalPlan, required: &[usize]) -> LogicalPlan {
         },
         LogicalPlan::Distinct { input } => {
             // DISTINCT compares whole rows: every input column is required.
-            let all: Vec<usize> = (0..input.schema().len()).collect();
+            let all: Vec<usize> = (0..input.arity()).collect();
             LogicalPlan::Distinct {
                 input: Box::new(prune_columns(*input, &all)),
             }

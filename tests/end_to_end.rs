@@ -17,14 +17,18 @@ fn world() -> World {
     .unwrap()
 }
 
-/// At perfect fidelity, every prompting strategy except one-shot full-query
-/// must reproduce the oracle answer exactly for the whole mixed suite.
+/// At perfect fidelity every prompting strategy, one-shot full-query
+/// included, reproduces the oracle answer of every query of the mixed suite
+/// exactly, in the oracle's order where the query sorts: the simulated model
+/// answers a whole query with the engine's own binder and operators, and
+/// each of this suite's answers fits one completion.
 #[test]
 fn perfect_fidelity_is_lossless_for_all_decomposed_strategies() {
     let w = world();
     let oracle = w.oracle_engine();
     let suite = standard_suite(&w, 3);
     for strategy in [
+        PromptStrategy::FullQuery,
         PromptStrategy::BatchedRows,
         PromptStrategy::TupleAtATime,
         PromptStrategy::DecomposedOperators,
@@ -38,12 +42,13 @@ fn perfect_fidelity_is_lossless_for_all_decomposed_strategies() {
             )
             .unwrap();
         let outcome = run_suite(&oracle, &subject, &suite).unwrap();
-        let overall = outcome.overall();
-        assert!(
-            overall.f1() > 0.999,
-            "strategy {strategy} lost accuracy: F1 = {}",
-            overall.f1()
-        );
+        for case in &outcome.cases {
+            assert!(
+                case.score.exact,
+                "strategy {strategy}: '{}' diverged: {:?}",
+                case.case.sql, case.score
+            );
+        }
     }
 }
 
@@ -180,9 +185,10 @@ fn a_name_outside_ascii_is_found_in_every_strategy() {
     }
 }
 
-/// Full-query prompting at perfect fidelity answers single-table queries
-/// exactly (joins/aggregates may legitimately diverge through the one-shot
-/// interpreter, which is part of what E2 measures).
+/// Full-query prompting at perfect fidelity answers exactly, in the oracle's
+/// order where the query sorts: an outer join keeps its unmatched side, DESC
+/// keeps ties in input order, a second sort key breaks the first one's ties,
+/// and a grouped query's ORDER BY runs before its LIMIT.
 #[test]
 fn full_query_strategy_handles_single_table_queries() {
     let w = world();
@@ -199,10 +205,15 @@ fn full_query_strategy_handles_single_table_queries() {
         "SELECT name, capital FROM countries WHERE region = 'Europe'",
         "SELECT name FROM people WHERE profession = 'scientist'",
         "SELECT title, rating FROM movies WHERE rating > 5.0",
+        "SELECT ci.name, co.name FROM cities ci RIGHT JOIN countries co \
+         ON ci.country = co.name AND co.population < 0",
+        "SELECT name, region FROM countries ORDER BY region DESC LIMIT 5",
+        "SELECT name, region FROM countries ORDER BY region DESC, name ASC LIMIT 5",
+        "SELECT region, COUNT(*) AS n FROM countries GROUP BY region ORDER BY n DESC LIMIT 2",
     ] {
         let truth = oracle.execute(sql).unwrap();
         let answer = subject.execute(sql).unwrap();
-        let score = score_batches(&answer.batch, &truth.batch, false);
+        let score = score_batches(&answer.batch, &truth.batch, sql.contains("ORDER BY"));
         assert!(score.exact, "query '{sql}' diverged: {score:?}");
         assert_eq!(answer.metrics.llm_calls(), 1, "full-query must be one call");
     }
