@@ -1,17 +1,15 @@
 //! The engine: the public entry point tying parser, planner, executor,
 //! relational store and language-model storage together.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use llmsql_exec::{
-    dispatch_one, eval as eval_expr, execute as execute_plan, CallSlots, ExecContext,
-};
-use llmsql_llm::prompt::TaskSpec;
-use llmsql_llm::{parse_pipe_rows, BackendPool, KnowledgeBase, LanguageModel, LlmClient, SimLlm};
+use llmsql_exec::{eval as eval_expr, execute as execute_plan, CallSlots, ExecContext};
+use llmsql_llm::{BackendPool, KnowledgeBase, LanguageModel, LlmClient, SimLlm};
 use llmsql_plan::{
     bind_select, cost_plan, lint_plan, optimize, optimize_traced, schema_from_create, CostParams,
     LogicalPlan, RuleTrace,
@@ -20,8 +18,8 @@ use llmsql_sql::ast::{InsertStatement, SelectStatement, Statement};
 use llmsql_sql::parse_statement;
 use llmsql_store::{Catalog, CatalogEntry};
 use llmsql_types::{
-    clock, Batch, DataType, EngineConfig, Error, ExecutionMode, Field, PromptStrategy, RelSchema,
-    Result, Row, Value,
+    check_deadline_ms, clock, Batch, DataType, EngineConfig, Error, ExecutionMode, Field,
+    RelSchema, Result, Row, Value,
 };
 
 use crate::result::QueryResult;
@@ -280,8 +278,9 @@ impl Engine {
     }
 
     /// Execute an already-parsed statement. `sql_text` (when available) is
-    /// used verbatim for full-query prompting. A `SELECT` is planned on every
-    /// call: no plan is kept or reused for a statement parsed elsewhere.
+    /// used verbatim for full-query prompting; without it, the statement as
+    /// the parser prints it. A `SELECT` is planned on every call: no plan is
+    /// kept or reused for a statement parsed elsewhere.
     pub fn execute_statement(
         &self,
         statement: &Statement,
@@ -316,7 +315,7 @@ impl Engine {
                     return self.run_statement(&statement, Some(sql), deadline_ms)
                 }
             };
-            self.execute_select(&plan, || sql.to_owned(), deadline_ms)
+            self.execute_select(&plan, sql, deadline_ms)
         })
     }
 
@@ -341,11 +340,7 @@ impl Engine {
     ) -> Result<QueryResult> {
         self.config.validate()?;
         if let Some(d) = deadline_override_ms {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(Error::config(
-                    "deadline_ms must be finite and greater than zero",
-                ));
-            }
+            check_deadline_ms(d)?;
         }
         // The effective deadline is the tighter of the engine-wide knob and
         // the per-call override.
@@ -369,8 +364,8 @@ impl Engine {
         Ok(match statement {
             Statement::Select(select) => {
                 let plan = self.plan_select(select)?;
-                let sql = || sql_text.map_or_else(|| statement.to_string(), str::to_owned);
-                self.execute_select(&plan, sql, deadline_ms)?
+                let sql = sql_text.map_or_else(|| Cow::Owned(statement.to_string()), Cow::Borrowed);
+                self.execute_select(&plan, &sql, deadline_ms)?
             }
             Statement::CreateTable(create) => {
                 let schema = schema_from_create(
@@ -473,13 +468,12 @@ impl Engine {
         let params = self.cost_params_for(&plan);
         let cost = cost_plan(&plan, &params);
         let diagnostics = lint_plan(&plan, &params, self.config.cost_budget_usd);
-        // ANALYZE runs the plan through the standard operator path (even
-        // under the one-shot full-query strategy, which has no per-operator
-        // story to report) and keeps its metrics.
+        // ANALYZE runs the plan the way the query runs, and keeps its
+        // metrics: under the full-query strategy as one prompt of the SELECT
+        // as the parser prints it, its actuals on the root line.
         let metrics = if analyze {
-            let ctx = self.exec_context(deadline_ms);
-            execute_plan(&ctx, &plan)?;
-            Some(ctx.metrics.into_inner())
+            let sql = select.to_string();
+            Some(self.execute_select(&plan, &sql, deadline_ms)?.metrics)
         } else {
             None
         };
@@ -498,87 +492,24 @@ impl Engine {
         })
     }
 
-    /// The execution context of one query: this engine's catalog, client and
-    /// configuration under the query's effective deadline, dispatching
-    /// through the attached slot pool (if any).
-    fn exec_context(&self, deadline_ms: Option<f64>) -> ExecContext {
-        let mut config = self.config.clone();
-        config.deadline_ms = deadline_ms;
-        let mut ctx = ExecContext::new(self.catalog.clone(), self.client.clone(), config);
-        if let Some(slots) = &self.slots {
-            ctx = ctx.with_slots(Arc::clone(slots));
-        }
-        ctx
-    }
-
-    /// Run a SELECT's plan: through the operators, or as one whole-query
-    /// prompt of the text `sql` gives (asked for only then).
+    /// Run a SELECT's plan, built from the statement `sql`, under the query's
+    /// effective deadline: the executor decides how (see
+    /// [`llmsql_exec::execute`]). Dispatch goes through the attached slot
+    /// pool, if any.
     fn execute_select(
         &self,
         plan: &LogicalPlan,
-        sql: impl FnOnce() -> String,
+        sql: &str,
         deadline_ms: Option<f64>,
     ) -> Result<QueryResult> {
-        // One-shot whole-query prompting.
-        if self.config.mode == ExecutionMode::LlmOnly
-            && self.config.strategy == PromptStrategy::FullQuery
-            && !plan.scanned_tables().is_empty()
-        {
-            return self.execute_full_query(plan, sql(), deadline_ms);
-        }
-
-        let ctx = self.exec_context(deadline_ms);
+        let client = self.client.as_ref();
+        let mut ctx = ExecContext::new(&self.catalog, client, &self.config, deadline_ms);
+        ctx.statement = Some(sql);
+        ctx.slots = self.slots.as_ref();
         let batch = execute_plan(&ctx, plan)?;
         Ok(QueryResult {
             metrics: ctx.metrics.into_inner(),
             batch,
-            ..QueryResult::default()
-        })
-    }
-
-    /// Send the entire SQL statement as a single prompt — a window of one,
-    /// so slot gating, coalescing and the mid-flight deadline are those of
-    /// any scan request — and parse the completion as the result table.
-    fn execute_full_query(
-        &self,
-        plan: &LogicalPlan,
-        sql: String,
-        deadline_ms: Option<f64>,
-    ) -> Result<QueryResult> {
-        let ctx = self.exec_context(deadline_ms);
-        let client = ctx.require_client()?;
-        let schema = plan.schema();
-        let task = TaskSpec::FullQuery {
-            sql,
-            columns: schema.names(),
-        };
-        // Use the first scanned table's schema as prompt context.
-        let context_schema = plan
-            .scanned_tables()
-            .first()
-            .and_then(|t| self.catalog.schema_of(t).ok());
-        let prompt = task.to_prompt(context_schema.as_ref());
-        let response = dispatch_one(&ctx, client, task.kind(), prompt)?;
-        // One-shot prompting has no later request to notice a lapsed
-        // deadline: a response that lands past the budget fails like a scan
-        // would at its next admission.
-        ctx.check_deadline()?;
-
-        let types: Vec<DataType> = schema.fields.iter().map(|f| f.data_type).collect();
-        let parsed = parse_pipe_rows(&response.text, &types);
-        let mut metrics = ctx.metrics.into_inner();
-        metrics.dropped_lines = parsed.dropped_lines as u64;
-        metrics.rows_from_llm = parsed.rows.len() as u64;
-        metrics.rows_output = parsed.rows.len() as u64;
-
-        let mut rows = parsed.rows;
-        for row in &mut rows {
-            row.resize(schema.len());
-        }
-
-        Ok(QueryResult {
-            batch: Batch::new(schema, rows),
-            metrics,
             ..QueryResult::default()
         })
     }
@@ -699,7 +630,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmsql_types::LlmFidelity;
+    use llmsql_types::{LlmFidelity, PromptStrategy};
 
     fn traditional_engine() -> Engine {
         let engine = Engine::new(EngineConfig::default().with_mode(ExecutionMode::Traditional));
@@ -916,6 +847,56 @@ mod tests {
         // A generous deadline is transparent.
         let ok = engine.execute_with_deadline(sql, 60_000.0).unwrap();
         assert_eq!(ok.row_count(), 2);
+    }
+
+    /// EXPLAIN ANALYZE runs the query the way the query itself runs: under
+    /// every strategy it makes the plain run's calls, kind for kind. Under
+    /// full-query that is one `full_query` prompt, whose actuals are the
+    /// root's.
+    #[test]
+    fn explain_analyze_makes_the_calls_the_query_makes() {
+        let sql = "SELECT name FROM countries WHERE population > 70";
+        for strategy in PromptStrategy::ALL {
+            let engine = llm_engine(LlmFidelity::perfect(), strategy);
+            let plain = engine.execute(sql).unwrap();
+            let analyzed = engine.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let (run, explained) = (&plain.metrics, &analyzed.metrics);
+            assert_eq!(
+                run.llm_calls_by_kind, explained.llm_calls_by_kind,
+                "{strategy:?}"
+            );
+            assert_eq!(run.rows_output, explained.rows_output, "{strategy:?}");
+            assert_eq!(plain.row_count(), 2, "{strategy:?}");
+        }
+        let engine = llm_engine(LlmFidelity::perfect(), PromptStrategy::FullQuery);
+        let analyzed = engine.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let by_kind = &analyzed.metrics.llm_calls_by_kind;
+        assert_eq!(
+            by_kind.iter().collect::<Vec<_>>(),
+            [(&"full_query".into(), &1)]
+        );
+        let text = analyzed.plan.unwrap();
+        let root = text.lines().next().unwrap();
+        assert!(root.contains("[act rows=2 calls=1 "), "{text}");
+    }
+
+    /// A deadline that has lapsed before the first admission costs no call,
+    /// whatever the strategy: a full-query's one prompt is admitted as a
+    /// scan's are.
+    #[test]
+    fn a_lapsed_deadline_issues_no_call_under_any_strategy() {
+        for strategy in PromptStrategy::ALL {
+            let engine = llm_engine(LlmFidelity::perfect(), strategy);
+            let err = engine
+                .execute_with_deadline("SELECT name FROM countries", 1e-6)
+                .unwrap_err();
+            assert_eq!(err.kind, llmsql_types::ErrorKind::DeadlineExceeded);
+            assert!(
+                err.message.ends_with("with 0 LLM call(s) issued"),
+                "{strategy:?}: {err}"
+            );
+            assert_eq!(engine.client().unwrap().usage().calls, 0, "{strategy:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The walk only dispatches: a scan runs here, and every other node is one
 //! call to its relational operator in [`llmsql_plan::ops`], which the
 //! simulated model's whole-query answer runs too. What the walk adds is the
-//! engine's own: the physical scan it picks per execution mode and the
-//! per-operator actuals it records.
+//! engine's own: how the plan runs — operator by operator, or as one
+//! full-query prompt — the physical scan it picks per execution mode and
+//! the per-operator actuals it records.
 //!
 //! Execution is operator-at-a-time (each operator materializes its output),
 //! which keeps every operator easy to verify in isolation. The only latency
@@ -21,21 +22,16 @@ use llmsql_plan::ops::{
 };
 use llmsql_plan::LogicalPlan;
 use llmsql_store::CatalogEntry;
-use llmsql_types::{clock, Batch, Error, ExecutionMode, Result, Row};
+use llmsql_types::{clock, Batch, Error, ExecutionMode, PromptStrategy, Result, Row, Schema};
 
 use crate::context::ExecContext;
-use crate::scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
+use crate::scan::{full_query_scan, hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 /// Execute a logical plan and return the result batch.
-pub fn execute(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Batch> {
-    let rows = execute_rows(ctx, plan)?;
+pub fn execute(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<Batch> {
+    let rows = execute_rows_at(ctx, plan, "0")?;
     ctx.metrics.borrow_mut().rows_output = rows.len() as u64;
     Ok(Batch::new(plan.schema(), rows))
-}
-
-/// Execute a plan node to rows.
-pub fn execute_rows(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Vec<Row>> {
-    execute_rows_at(ctx, plan, "0")
 }
 
 /// Execute a plan node identified by its pre-order path (`"0"` = root,
@@ -45,7 +41,7 @@ pub fn execute_rows(ctx: &ExecContext, plan: &LogicalPlan) -> Result<Vec<Row>> {
 /// reads the query's own ledger before and after, which is exact because
 /// nobody else writes it and operators run one at a time: a child completes
 /// before its parent does any work of its own.
-fn execute_rows_at(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+fn execute_rows_at(ctx: &ExecContext<'_>, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
     let calls_before = ctx.metrics.borrow().llm_calls();
     let started = clock::now();
     let rows = execute_node(ctx, plan, path)?;
@@ -59,7 +55,10 @@ fn execute_rows_at(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<
     Ok(rows)
 }
 
-fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+fn execute_node(ctx: &ExecContext<'_>, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+    if let Some((sql, context)) = one_prompt(ctx, plan, path) {
+        return full_query_scan(ctx, sql, &plan.schema(), context);
+    }
     // A node's first (or only) input runs at `{path}.0`, a join's right
     // input at `{path}.1`.
     let child = |input: &LogicalPlan| execute_rows_at(ctx, input, &format!("{path}.0"));
@@ -119,9 +118,34 @@ fn execute_node(ctx: &ExecContext, plan: &LogicalPlan, path: &str) -> Result<Vec
     }
 }
 
+/// The statement and the first scanned relation's schema, if the node at
+/// `path` is the root of a plan that runs as one full-query prompt: in
+/// LlmOnly mode under the full-query strategy, when the plan scans a table
+/// and the context holds the statement's text.
+fn one_prompt<'a>(
+    ctx: &ExecContext<'a>,
+    plan: &'a LogicalPlan,
+    path: &str,
+) -> Option<(&'a str, &'a Schema)> {
+    let config = ctx.config;
+    let whole = (ExecutionMode::LlmOnly, PromptStrategy::FullQuery);
+    if path != "0" || (config.mode, config.strategy) != whole {
+        return None;
+    }
+    Some((ctx.statement?, first_scan(plan)?))
+}
+
+/// The schema of the first relation `plan` scans, in pre-order.
+fn first_scan(plan: &LogicalPlan) -> Option<&Schema> {
+    match plan {
+        LogicalPlan::Scan { table_schema, .. } => Some(table_schema),
+        _ => plan.children().into_iter().find_map(first_scan),
+    }
+}
+
 /// Pick the physical scan for a logical scan based on the execution mode and
 /// whether the relation is virtual.
-fn execute_scan(ctx: &ExecContext, spec: &ScanSpec, virtual_table: bool) -> Result<Vec<Row>> {
+fn execute_scan(ctx: &ExecContext<'_>, spec: &ScanSpec, virtual_table: bool) -> Result<Vec<Row>> {
     match ctx.config.mode {
         ExecutionMode::Traditional => {
             let entry = ctx.catalog.get(spec.table)?;
@@ -213,14 +237,11 @@ mod tests {
             bind_select(&cat, &select).unwrap(),
             &OptimizerOptions::default(),
         );
-        let ctx = ExecContext::new(
-            cat,
-            None,
-            EngineConfig {
-                mode: ExecutionMode::Traditional,
-                ..EngineConfig::default()
-            },
-        );
+        let config = EngineConfig {
+            mode: ExecutionMode::Traditional,
+            ..EngineConfig::default()
+        };
+        let ctx = ExecContext::new(&cat, None, &config, None);
         execute(&ctx, &plan).unwrap()
     }
 
@@ -422,14 +443,11 @@ mod tests {
             panic!()
         };
         let plan = bind_select(&cat, &select).unwrap();
-        let ctx = ExecContext::new(
-            cat,
-            None,
-            EngineConfig {
-                mode: ExecutionMode::Traditional,
-                ..EngineConfig::default()
-            },
-        );
+        let config = EngineConfig {
+            mode: ExecutionMode::Traditional,
+            ..EngineConfig::default()
+        };
+        let ctx = ExecContext::new(&cat, None, &config, None);
         assert!(execute(&ctx, &plan).is_err());
     }
 
@@ -444,14 +462,11 @@ mod tests {
             bind_select(&cat, &select).unwrap(),
             &OptimizerOptions::default(),
         );
-        let ctx = ExecContext::new(
-            cat,
-            None,
-            EngineConfig {
-                mode: ExecutionMode::Traditional,
-                ..EngineConfig::default()
-            },
-        );
+        let config = EngineConfig {
+            mode: ExecutionMode::Traditional,
+            ..EngineConfig::default()
+        };
+        let ctx = ExecContext::new(&cat, None, &config, None);
         let batch = execute(&ctx, &plan).unwrap();
         let m = ctx.metrics.borrow();
         assert_eq!(m.rows_output, batch.len() as u64);

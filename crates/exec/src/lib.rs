@@ -52,12 +52,12 @@ pub mod scan;
 
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
-pub use executor::{execute, execute_rows};
+pub use executor::execute;
 pub use llmsql_llm::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use llmsql_plan::ops::{aggregate_rows, join_rows, sort_rows};
 pub use metrics::{ExecMetrics, OpStats};
 pub use reactor::{drive, Completion, DriveOutcome, Expired, LiveSet, TimerWheel};
-pub use scan::{dispatch_one, hybrid_scan, llm_scan, table_scan, ScanSpec};
+pub use scan::{hybrid_scan, llm_scan, table_scan, ScanSpec};
 
 #[cfg(test)]
 mod proptests {

@@ -1,6 +1,7 @@
 //! Scan operators: the point where the engine touches storage.
 //!
-//! Three physical scans exist for one logical `Scan` node:
+//! Three physical scans exist for one logical `Scan` node, and one more
+//! answers a whole plan:
 //!
 //! * [`table_scan`] — read a materialized table from `llmsql-store`
 //!   (Traditional mode, and the ground-truth oracle).
@@ -8,29 +9,32 @@
 //!   which prompts depends on the [`PromptStrategy`].
 //! * [`hybrid_scan`] — read the materialized (but incomplete) table and fill
 //!   NULL cells by prompting the model for the missing attribute values.
+//! * `full_query_scan` — the full-query strategy in LlmOnly mode: the
+//!   whole statement as one prompt, its answer read as the result table.
 //!
-//! # One driver, four plans
+//! # One driver, five plans
 //!
 //! A scan over the model *is* a sequence of prompts, and a prompting
 //! strategy only decides which prompts. So a strategy is a `PromptPlan` —
 //! "which prompts come next" and "here is the answer to the oldest one in
-//! flight" — and there are four: `Pages` (`row_batch` pagination, in
-//! `pages.rs`), and in `tuples.rs` `Enumerate` (the key list that opens the
-//! per-tuple strategies), `Lookups` (one `lookup` per row with missing
-//! cells, be it an enumerated key or a stored row with NULLs) and
-//! `FilterChecks` (one `filter_check` per candidate row). `TupleAtATime` is
-//! enumerate → lookups, `DecomposedOperators` is enumerate → lookups →
-//! filter checks, and the hybrid scan is lookups over the stored rows.
+//! flight" — and there are five. In `pages.rs`: `Pages` (`row_batch`
+//! pagination) and `Whole` (the one `full_query` prompt). In `tuples.rs`:
+//! `Enumerate` (the key list that opens the per-tuple strategies), `Lookups`
+//! (one `lookup` per row with missing cells, be it an enumerated key or a
+//! stored row with NULLs) and `FilterChecks` (one `filter_check` per
+//! candidate row). `TupleAtATime` is enumerate → lookups,
+//! `DecomposedOperators` is enumerate → lookups → filter checks, and the
+//! hybrid scan is lookups over the stored rows.
 //!
 //! A plan is plain data over given answers. It is built from the
-//! [`ScanSpec`], the configuration values it reads (page size,
-//! `max_scan_rows`, the row budget) and the cardinality hint, all handed in;
-//! `next` and `accept` read nothing else, and what an answer did for the
-//! ledger — lines dropped, cells filled — comes back in `accept`'s
-//! `Accepted`. So a plan runs, and is tested, with no context, client or
-//! model, and this file's `Driver` is the scan's one shell: the only scan
-//! code that touches the [`ExecContext`], the client, the clock and the
-//! ledger.
+//! [`ScanSpec`] (a `Whole` from the statement), the configuration values it
+//! reads (page size, `max_scan_rows`, the row budget) and the cardinality
+//! hint, all handed in; `next` and `accept` read nothing else, and what an
+//! answer did for the ledger — lines dropped, cells filled — comes back in
+//! `accept`'s `Accepted`. So a plan runs, and is tested, with no context,
+//! client or model, and this file's `Driver` is the scan's one shell: the
+//! only scan code that touches the [`ExecContext`], the client, the clock
+//! and the ledger.
 //!
 //! The prompts of one plan differ in a key, or in a limit and an offset, and
 //! in nothing else. So a plan builds the rest — table, columns, filter, the
@@ -47,7 +51,7 @@
 //!   several prompts in flight: prompt *i* may be in flight iff
 //!   `i < consumed + W`, where `consumed` counts the answers the plan has
 //!   taken — strictly in prompt order — and `W` is the plan's window, at
-//!   most [`ExecContext::scan_fanout`] (`EngineConfig::parallelism`). After
+//!   most the fanout, `EngineConfig::parallelism` (at least 1). After
 //!   every consumed request the driver admits whatever became eligible, so a
 //!   slow answer holds back only what lies more than `W` behind it. Every
 //!   request is a poll-based `llmsql_llm::ClientCall` on the scan's own
@@ -82,13 +86,14 @@
 //!   member. The model recovers every member as its exact one-key prompt
 //!   (`llmsql_llm::batch`).
 //! * **Deadline and partial results.** A lapsed deadline stops admission,
-//!   and fires mid-flight on the reactor. A lapsed deadline or a
-//!   backend-layer failure fails the query — or, with
-//!   `EngineConfig::partial_results`, cuts the scan short: consumption stops
-//!   at the first failed answer, so every strategy delivers exactly the rows
-//!   for which all the prompts it needs were answered before that point (a
-//!   prefix in page, key or stored-row order; nothing while the filter checks
-//!   of a decomposed scan are still to come), labelled by an [`Incomplete`]
+//!   and fires mid-flight on the reactor (a full-query answer landing past
+//!   it counts as lapsed). A lapsed deadline or a backend-layer failure
+//!   fails the query — or, with `EngineConfig::partial_results`, cuts the
+//!   scan short: consumption stops at the first failed answer, so every
+//!   strategy delivers exactly the rows for which all the prompts it needs
+//!   were answered before that point (a prefix in page, key or stored-row
+//!   order; nothing while the filter checks of a decomposed scan are still
+//!   to come; nothing, for a full-query), labelled by an [`Incomplete`]
 //!   marker.
 //! * **Everything drains.** When a plan finishes early (`Accepted::done`),
 //!   is cut, or fails, the requests still in flight are cancelled by drop
@@ -111,13 +116,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
-use llmsql_llm::{
-    pack_keys, split_sections, Answer, ClientCall, CompletionRequest, LlmClient, Page,
-};
+use llmsql_llm::{pack_keys, split_sections, Answer, ClientCall, CompletionRequest, Page};
 use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
 use llmsql_types::{
-    DataType, Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value,
+    DataType, Error, ErrorKind, Incomplete, PromptStrategy, RelSchema, Result, Row, Schema, Value,
 };
 
 use crate::context::ExecContext;
@@ -183,21 +186,6 @@ impl ScanSpec<'_> {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Dispatch a one-shot prompt (the full-query strategy's) with the
-/// accounting, slot gating, coalescing and mid-flight deadline of a scan
-/// request; the prompt is recorded as one LLM call of `kind`.
-pub fn dispatch_one(
-    ctx: &ExecContext,
-    client: &LlmClient,
-    kind: &str,
-    prompt: String,
-) -> Result<Arc<Answer>> {
-    ctx.metrics.borrow_mut().record_llm_call(kind);
-    let mut flight = InFlight::new(ctx, 1);
-    flight.push(client.start_call(CompletionRequest::new(prompt)));
-    flight.wait_head()
-}
-
 /// One request on the event loop: a [`ClientCall`] and the non-blocking slot
 /// gate with its wait measurement. It never leaves the query's thread, so it
 /// borrows the query's context for its ledger and slot pool. The ledger is
@@ -205,7 +193,7 @@ pub fn dispatch_one(
 /// resolved or dropped in flight — with what the request itself did
 /// ([`crate::ExecMetrics::record_request`]).
 struct RequestOp<'a> {
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<'a>,
     call: ClientCall,
     /// When this op first found the slot pool saturated.
     slot_wait_started: Option<Instant>,
@@ -217,7 +205,7 @@ struct RequestOp<'a> {
 
 impl Completion for RequestOp<'_> {
     fn poll(&mut self, now: Instant) -> bool {
-        let slots = self.ctx.slots();
+        let slots = self.ctx.slots;
         let slot_wait_started = &mut self.slot_wait_started;
         let slot_wait_us = &mut self.slot_wait_us;
         // The admission gate: grant immediately without a pool; otherwise
@@ -265,13 +253,13 @@ impl Drop for RequestOp<'_> {
 /// flight, which delays dispatch but never changes the prompt set. Dropping
 /// it cancels whatever has not resolved.
 struct InFlight<'a> {
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<'a>,
     live: LiveSet<RequestOp<'a>>,
 }
 
 impl<'a> InFlight<'a> {
     /// An empty flight with room for `window` requests.
-    fn new(ctx: &'a ExecContext, window: usize) -> Self {
+    fn new(ctx: &'a ExecContext<'a>, window: usize) -> Self {
         InFlight {
             ctx,
             live: LiveSet::with_capacity(window),
@@ -388,7 +376,7 @@ fn unasked() -> Error {
 /// Runs the plans of one scan: the one dispatch loop, and the one place each
 /// dispatch policy lives (see the module docs).
 struct Driver<'a> {
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<'a>,
     /// The fault that cut this scan short under `partial_results`. Once set,
     /// no plan of the scan issues another prompt.
     cut: Option<Error>,
@@ -399,7 +387,7 @@ impl Driver<'_> {
     fn drive<P: PromptPlan>(&mut self, plan: &mut P) -> Result<()> {
         let ctx = self.ctx;
         let client = ctx.require_client()?;
-        let fanout = ctx.scan_fanout();
+        let fanout = ctx.config.parallelism.max(1);
         let batch = ctx.config.batch_rows_per_call.clamp(1, fanout);
         let per_request = if P::PACKS { batch } else { 1 };
         let mut flight = InFlight::new(ctx, fanout / per_request);
@@ -503,7 +491,7 @@ impl Driver<'_> {
 // ---------------------------------------------------------------------------
 
 /// Scan a materialized table, applying the pushed filter locally.
-pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
+pub fn table_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
     let budget = spec.row_budget(ctx.config.max_scan_rows);
     for row in table.scan() {
@@ -520,7 +508,7 @@ pub fn table_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Resu
 }
 
 /// Materialize a virtual relation by prompting the model.
-pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
+pub fn llm_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
     let config = &ctx.config;
     let rows = match (config.strategy, spec.prompt_filter()?) {
@@ -541,8 +529,9 @@ pub fn llm_scan(ctx: &ExecContext, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
             driver.drive(&mut checks)?;
             checks.kept
         }
-        // FullQuery is handled at the engine level; if a scan still ends up
-        // here (e.g. a mixed plan), fall back to batched pagination.
+        // Under FullQuery a scan reaches here in Hybrid mode (only LlmOnly
+        // answers a whole plan with one prompt, `crate::execute`), or with
+        // no statement text in the context: it pages.
         (PromptStrategy::BatchedRows | PromptStrategy::FullQuery, filter) => {
             // Relation-cardinality hint: `LlmClient::relation_cardinality`
             // asked the model the first time any scan, plan or EXPLAIN on
@@ -572,9 +561,32 @@ fn tuple_rows(driver: &mut Driver<'_>, spec: ScanSpec<'_>) -> Result<Vec<Row>> {
     Ok(lookups.rows)
 }
 
+/// Answer a whole query with one `full_query` prompt of the statement
+/// `sql`, its `output` columns and `context`, the schema of the first
+/// relation it scans. An answer landing past the deadline is a lapse.
+pub(crate) fn full_query_scan(
+    ctx: &ExecContext<'_>,
+    sql: &str,
+    output: &RelSchema,
+    context: &Schema,
+) -> Result<Vec<Row>> {
+    let mut driver = Driver { ctx, cut: None };
+    let mut whole = pages::Whole::new(sql, output, context);
+    driver.drive(&mut whole)?;
+    // One prompt has no later admission to notice a lapsed deadline.
+    let late = ctx.check_deadline().err().filter(|_| driver.cut.is_none());
+    if let Some(err) = late {
+        driver.cut_short(err)?;
+        whole.rows.clear();
+    }
+    let rows = driver.finish(whole.rows);
+    ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
+    Ok(rows)
+}
+
 /// Read a materialized (incomplete) table and fill NULL cells in the needed
 /// columns by asking the model, a window of lookups at a time.
-pub fn hybrid_scan(ctx: &ExecContext, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
+pub fn hybrid_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
     let budget = spec.row_budget(ctx.config.max_scan_rows);
     let mut fills = tuples::Lookups::new(*spec, table.scan(), true, budget);
@@ -1045,18 +1057,34 @@ mod tests {
         Arc::new(SimLlm::new(kb.into_shared(), fidelity, seed))
     }
 
-    fn context(strategy: PromptStrategy, fidelity: LlmFidelity) -> ExecContext {
+    /// What a scan's context borrows: a catalog, a client and the
+    /// configuration.
+    struct Setup {
+        catalog: Catalog,
+        client: LlmClient,
+        config: EngineConfig,
+    }
+
+    impl Setup {
+        /// A query's context over the setup; its deadline, the
+        /// configuration's `deadline_ms`, starts running now.
+        fn ctx(&self) -> ExecContext<'_> {
+            let deadline_ms = self.config.deadline_ms;
+            ExecContext::new(&self.catalog, Some(&self.client), &self.config, deadline_ms)
+        }
+    }
+
+    fn context(strategy: PromptStrategy, fidelity: LlmFidelity) -> Setup {
         context_over(sim(fidelity, 7), strategy, |_| {})
     }
 
     /// The virtual-relation fixture over `model`; `tweak` adjusts its
-    /// configuration before the context is created, which is when a
-    /// configured deadline starts running.
+    /// configuration.
     fn context_over(
         model: Model,
         strategy: PromptStrategy,
         tweak: impl FnOnce(&mut EngineConfig),
-    ) -> ExecContext {
+    ) -> Setup {
         context_with(LlmClient::new(model), strategy, tweak)
     }
 
@@ -1065,7 +1093,7 @@ mod tests {
         client: LlmClient,
         strategy: PromptStrategy,
         tweak: impl FnOnce(&mut EngineConfig),
-    ) -> ExecContext {
+    ) -> Setup {
         let catalog = Catalog::new();
         catalog.create_virtual_table(country_schema()).unwrap();
         let mut config = EngineConfig::default()
@@ -1073,42 +1101,66 @@ mod tests {
             .with_strategy(strategy)
             .with_batch_size(2);
         tweak(&mut config);
-        ExecContext::new(catalog, Some(client), config)
+        Setup {
+            catalog,
+            client,
+            config,
+        }
     }
 
-    /// The LLM-backed scans: the three strategies over the virtual relation
-    /// and the hybrid fill over the stored fixture.
+    /// The LLM-backed scans: the three strategies over the virtual relation,
+    /// the hybrid fill over the stored fixture, and the full-query answer
+    /// to a `SELECT` of the virtual relation.
     #[derive(Debug, Clone, Copy)]
     enum Scan {
         Llm(PromptStrategy),
         Hybrid,
+        Whole,
     }
 
-    const SCANS: [Scan; 4] = [
+    const SCANS: [Scan; 5] = [
         Scan::Llm(PromptStrategy::BatchedRows),
         Scan::Llm(PromptStrategy::TupleAtATime),
         Scan::Llm(PromptStrategy::DecomposedOperators),
         Scan::Hybrid,
+        Scan::Whole,
     ];
 
     impl Scan {
         /// Build the fixture over `model`, let `tweak` adjust its
-        /// configuration, and run the scan with `filter` pushed.
+        /// configuration, and run the scan with `filter` pushed (for a
+        /// full-query, in the statement's `WHERE` clause). Returns the rows
+        /// and the query's ledger.
         fn run(
             self,
             model: Model,
             filter: Option<BoundExpr>,
             tweak: impl FnOnce(&mut EngineConfig),
-        ) -> (Result<Vec<Row>>, ExecContext) {
+        ) -> (Result<Vec<Row>>, crate::ExecMetrics) {
             let p = parts(filter, None);
             match self {
                 Scan::Llm(strategy) => {
-                    let ctx = context_over(model, strategy, tweak);
-                    (llm_scan(&ctx, &p.spec()), ctx)
+                    let setup = context_over(model, strategy, tweak);
+                    let ctx = setup.ctx();
+                    (llm_scan(&ctx, &p.spec()), ctx.metrics.into_inner())
                 }
                 Scan::Hybrid => {
-                    let (ctx, table) = hybrid_fixture_over(model, tweak);
-                    (hybrid_scan(&ctx, &p.spec(), &table), ctx)
+                    let (setup, table) = hybrid_fixture_over(model, tweak);
+                    let ctx = setup.ctx();
+                    let rows = hybrid_scan(&ctx, &p.spec(), &table);
+                    (rows, ctx.metrics.into_inner())
+                }
+                Scan::Whole => {
+                    let setup = context_over(model, PromptStrategy::FullQuery, tweak);
+                    let filter = p.spec().prompt_filter().unwrap();
+                    let sql = format!(
+                        "SELECT name, region, population FROM countries{}",
+                        filter.map_or_else(String::new, |f| format!(" WHERE {f}"))
+                    );
+                    let output = RelSchema::from_table(&p.schema, "countries");
+                    let ctx = setup.ctx();
+                    let rows = full_query_scan(&ctx, &sql, &output, &p.schema);
+                    (rows, ctx.metrics.into_inner())
                 }
             }
         }
@@ -1117,19 +1169,21 @@ mod tests {
     #[test]
     fn lapsed_deadline_fails_the_scan_unless_partial_results_are_on() {
         // Already-lapsed deadline: the strict path fails before paying for a
-        // prompt; with partial results on, every scan degrades to an empty
-        // prefix plus a structured marker instead.
+        // prompt — a full-query's one prompt included; with partial results
+        // on, every scan degrades to an empty prefix plus a structured marker
+        // instead.
         for scan in SCANS {
             let model = sim(LlmFidelity::perfect(), 7);
-            let (strict, _) = scan.run(model.clone(), None, |c| c.deadline_ms = Some(0.0));
+            let (strict, m) = scan.run(model.clone(), None, |c| c.deadline_ms = Some(0.0));
             assert_eq!(strict.unwrap_err().kind, ErrorKind::DeadlineExceeded);
+            assert_eq!(m.llm_calls(), 0, "{scan:?}");
 
-            let (graceful, ctx) = scan.run(model, None, |c| {
+            let (graceful, m) = scan.run(model, None, |c| {
                 c.deadline_ms = Some(0.0);
                 c.partial_results = true;
             });
             assert!(graceful.unwrap().is_empty(), "{scan:?}");
-            let marker = ctx.metrics.borrow().incomplete.clone().unwrap();
+            let marker = m.incomplete.clone().unwrap();
             assert_eq!(marker.kind, ErrorKind::DeadlineExceeded, "{scan:?}");
             assert_eq!(marker.rows_delivered, 0, "{scan:?}");
             assert_eq!(marker.calls_spent, 0, "{scan:?}");
@@ -1185,6 +1239,8 @@ mod tests {
             (decomposed, 8, Some(gt_filter(60)), 2),
             // The first of two fills.
             (Scan::Hybrid, 1, None, 1),
+            // A full-query's one prompt: nothing.
+            (Scan::Whole, 0, Some(gt_filter(60)), 0),
         ];
         for (scan, healthy_calls, filter, survivors) in cases {
             let uncut = scan.run(dying(u64::MAX), filter.clone(), |_| {}).0.unwrap();
@@ -1194,12 +1250,11 @@ mod tests {
             // Graceful: exactly the rows whose every prompt was answered
             // before the loss survive — a prefix of the uncut result — with
             // the fault and the accounting at the cut in the marker.
-            let (graceful, ctx) =
+            let (graceful, m) =
                 scan.run(dying(healthy_calls), filter, |c| c.partial_results = true);
             let rows = graceful.unwrap();
             assert_eq!(rows.len(), survivors, "{scan:?} after {healthy_calls}");
             assert_eq!(rows[..], uncut[..rows.len()], "{scan:?}: not a prefix");
-            let m = ctx.metrics.borrow();
             let marker = m.incomplete.clone().unwrap();
             assert_eq!(marker.kind, ErrorKind::Llm);
             assert_eq!(marker.rows_delivered, rows.len() as u64, "{scan:?}");
@@ -1212,14 +1267,16 @@ mod tests {
     #[test]
     fn slot_pool_throttles_dispatch_without_changing_results() {
         let p = parts(None, None);
-        let free_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
+        let free = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
+        let free_ctx = free.ctx();
         let expected = llm_scan(&free_ctx, &p.spec()).unwrap();
         let expected_calls = free_ctx.metrics.borrow().llm_calls();
 
         let slots = Arc::new(CallSlots::new(2));
-        let mut throttled_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
-        throttled_ctx.config.parallelism = 8;
-        let throttled_ctx = throttled_ctx.with_slots(Arc::clone(&slots));
+        let mut throttled = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
+        throttled.config.parallelism = 8;
+        let mut throttled_ctx = throttled.ctx();
+        throttled_ctx.slots = Some(&slots);
         let got = llm_scan(&throttled_ctx, &p.spec()).unwrap();
         assert_eq!(expected, got, "slot throttling changed scan output");
         let m = throttled_ctx.metrics.borrow();
@@ -1237,9 +1294,10 @@ mod tests {
             PromptStrategy::TupleAtATime,
             PromptStrategy::DecomposedOperators,
         ] {
-            let ctx = context_over(sim(LlmFidelity::perfect(), 7), strategy, |c| {
+            let setup = context_over(sim(LlmFidelity::perfect(), 7), strategy, |c| {
                 c.deadline_ms = Some(2.0);
             });
+            let ctx = setup.ctx();
             clock::park_until(Some(clock::now() + std::time::Duration::from_millis(5)));
             let err = llm_scan(&ctx, &parts(None, None).spec()).unwrap_err();
             assert_eq!(
@@ -1262,13 +1320,15 @@ mod tests {
     #[test]
     fn unhit_deadline_leaves_scans_byte_identical() {
         let p = parts(None, None);
-        let free_ctx = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
+        let free = context(PromptStrategy::BatchedRows, LlmFidelity::medium());
+        let free_ctx = free.ctx();
         let expected = llm_scan(&free_ctx, &p.spec()).unwrap();
-        let deadline_ctx = context_over(
+        let deadline = context_over(
             sim(LlmFidelity::medium(), 7),
             PromptStrategy::BatchedRows,
             |c| c.deadline_ms = Some(60_000.0),
         );
+        let deadline_ctx = deadline.ctx();
         let got = llm_scan(&deadline_ctx, &p.spec()).unwrap();
         assert_eq!(expected, got, "an unhit deadline changed scan output");
         assert_eq!(
@@ -1280,10 +1340,11 @@ mod tests {
     #[test]
     fn max_llm_calls_caps_admission() {
         for parallelism in [1, 4] {
-            let mut ctx = context(PromptStrategy::TupleAtATime, LlmFidelity::perfect());
-            ctx.config.parallelism = parallelism;
+            let mut setup = context(PromptStrategy::TupleAtATime, LlmFidelity::perfect());
+            setup.config.parallelism = parallelism;
             // 1 enumerate + at most 2 lookups.
-            ctx.config.max_llm_calls = 3;
+            setup.config.max_llm_calls = 3;
+            let ctx = setup.ctx();
             let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
             assert_eq!(rows.len(), 2, "parallelism {parallelism}");
             assert_eq!(ctx.metrics.borrow().llm_calls(), 3);
@@ -1296,9 +1357,10 @@ mod tests {
         // max_llm_calls budget: the second scan gets only what the first
         // left over.
         for parallelism in [1, 4] {
-            let mut ctx = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
-            ctx.config.parallelism = parallelism;
-            ctx.config.max_llm_calls = 4;
+            let mut setup = context(PromptStrategy::BatchedRows, LlmFidelity::perfect());
+            setup.config.parallelism = parallelism;
+            setup.config.max_llm_calls = 4;
+            let ctx = setup.ctx();
             let p = parts(None, None);
             let first = llm_scan(&ctx, &p.spec()).unwrap();
             // 5 rows at page size 2: the relation needs 3 calls to drain.
@@ -1325,7 +1387,8 @@ mod tests {
         );
         let table = catalog.create_table(schema).unwrap();
         table.insert_many(world_rows()).unwrap();
-        let ctx = ExecContext::new(catalog, None, EngineConfig::default());
+        let config = EngineConfig::default();
+        let ctx = ExecContext::new(&catalog, None, &config, None);
         let p = parts(Some(gt_filter(60)), None);
         let rows = table_scan(&ctx, &p.spec(), &table).unwrap();
         assert_eq!(rows.len(), 3);
@@ -1333,20 +1396,17 @@ mod tests {
     }
 
     /// [`stored_with_nulls`] over `model` in hybrid mode.
-    fn hybrid_fixture_over(
-        model: Model,
-        tweak: impl FnOnce(&mut EngineConfig),
-    ) -> (ExecContext, Table) {
+    fn hybrid_fixture_over(model: Model, tweak: impl FnOnce(&mut EngineConfig)) -> (Setup, Table) {
         hybrid_fixture_storing(model, stored_with_nulls(), tweak)
     }
 
     /// `stored` over `model` in hybrid mode; `tweak` adjusts the
-    /// configuration before the context is created (see [`context_over`]).
+    /// configuration.
     fn hybrid_fixture_storing(
         model: Model,
         stored: Vec<Row>,
         tweak: impl FnOnce(&mut EngineConfig),
-    ) -> (ExecContext, Table) {
+    ) -> (Setup, Table) {
         let catalog = Catalog::new();
         let schema = Schema::new(
             "countries",
@@ -1361,19 +1421,23 @@ mod tests {
 
         let mut config = EngineConfig::default().with_mode(ExecutionMode::Hybrid);
         tweak(&mut config);
-        let ctx = ExecContext::new(catalog, Some(LlmClient::new(model)), config);
-        (ctx, table)
+        let client = LlmClient::new(model);
+        let setup = Setup {
+            catalog,
+            client,
+            config,
+        };
+        (setup, table)
     }
 
     #[test]
     fn weak_model_loses_rows() {
-        let ctx = context(PromptStrategy::BatchedRows, LlmFidelity::weak());
-        let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
+        let weak = || context(PromptStrategy::BatchedRows, LlmFidelity::weak());
+        let rows = llm_scan(&weak().ctx(), &parts(None, None).spec()).unwrap();
         // The weak model forgets entities and mangles lines: strictly fewer
         // than or equal to the real 5, and deterministic for the seed.
         assert!(rows.len() <= 5);
-        let ctx2 = context(PromptStrategy::BatchedRows, LlmFidelity::weak());
-        let rows2 = llm_scan(&ctx2, &parts(None, None).spec()).unwrap();
+        let rows2 = llm_scan(&weak().ctx(), &parts(None, None).spec()).unwrap();
         assert_eq!(rows.len(), rows2.len());
     }
 
@@ -1387,6 +1451,7 @@ mod tests {
             }
             Scan::Llm(_) => vec!["enumerate", "lookup"],
             Scan::Hybrid => vec!["lookup"],
+            Scan::Whole => vec!["full_query"],
         };
         // What `accept` hands back reaches the ledger, so the comparisons of
         // the moved counts below are not vacuous.
@@ -1394,11 +1459,11 @@ mod tests {
         for scan in SCANS {
             for fidelity in [LlmFidelity::perfect(), LlmFidelity::medium()] {
                 let run = |parallelism: usize, batch_rows: usize| {
-                    let (rows, ctx) = scan.run(sim(fidelity, 7), Some(gt_filter(40)), |c| {
+                    let (rows, m) = scan.run(sim(fidelity, 7), Some(gt_filter(40)), |c| {
                         c.parallelism = parallelism;
                         c.batch_rows_per_call = batch_rows;
                     });
-                    (rows.unwrap(), ctx.metrics.into_inner())
+                    (rows.unwrap(), m)
                 };
                 let (expected, seq) = run(1, 1);
                 assert!(seq.llm_calls_by_kind.keys().eq(kinds(scan)), "{scan:?}");
@@ -1445,9 +1510,10 @@ mod tests {
         for parallelism in [1, 16] {
             let client = LlmClient::new(sim(garbling, 7));
             let run = || {
-                let ctx = context_with(client.clone(), PromptStrategy::BatchedRows, |c| {
+                let setup = context_with(client.clone(), PromptStrategy::BatchedRows, |c| {
                     c.parallelism = parallelism;
                 });
+                let ctx = setup.ctx();
                 let rows = llm_scan(&ctx, &parts(None, None).spec()).unwrap();
                 (rows, ctx.metrics.into_inner())
             };
@@ -1629,11 +1695,11 @@ mod tests {
                 for hinted in [true, false] {
                     let run = |seed: u64, parallelism: usize, batch_rows: usize| {
                         let (model, log) = Probe::over(numbered_world(23), hinted, jitter(seed));
-                        let (rows, ctx) = scan.run(model, filter.clone(), |c| {
+                        let (rows, m) = scan.run(model, filter.clone(), |c| {
                             c.parallelism = parallelism;
                             c.batch_rows_per_call = batch_rows;
                         });
-                        let calls = ctx.metrics.into_inner().llm_calls_by_kind;
+                        let calls = m.llm_calls_by_kind;
                         let events = log.lock().clone();
                         (rows.unwrap(), calls, prompts_asked(&log), events)
                     };
@@ -1729,10 +1795,11 @@ mod tests {
         for batch_rows in [1, 4] {
             for parallelism in [1, 8] {
                 let (model, log) = Probe::over(numbered_world(ROWS), true, |_| AT_ONCE);
-                let (ctx, table) = hybrid_fixture_storing(model, stored.clone(), |c| {
+                let (setup, table) = hybrid_fixture_storing(model, stored.clone(), |c| {
                     c.parallelism = parallelism;
                     c.batch_rows_per_call = batch_rows;
                 });
+                let ctx = setup.ctx();
                 let rows = hybrid_scan(&ctx, &p.spec(), &table).unwrap();
                 assert_eq!(rows.len(), ROWS);
                 assert!(rows
@@ -1775,10 +1842,11 @@ mod tests {
                 p.pushed_limit = limit;
                 let run = |parallelism: usize| {
                     let (model, _) = Probe::over(numbered_world(size), hinted, |_| AT_ONCE);
-                    let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+                    let setup = context_over(model, PromptStrategy::BatchedRows, |c| {
                         c.batch_size = page;
                         c.parallelism = parallelism;
                     });
+                    let ctx = setup.ctx();
                     let rows = llm_scan(&ctx, &p.spec()).unwrap();
                     (rows, ctx.metrics.into_inner().llm_calls() as usize)
                 };
@@ -1856,10 +1924,10 @@ mod tests {
                     AT_ONCE
                 }
             });
-            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+            let setup = context_over(model, PromptStrategy::BatchedRows, |c| {
                 c.parallelism = FANOUT;
             });
-            assert_eq!(llm_scan(&ctx, &p.spec()).unwrap().len(), 40);
+            assert_eq!(llm_scan(&setup.ctx(), &p.spec()).unwrap().len(), 40);
 
             let index = |prompt: &String| prompts.iter().position(|q| q == prompt).unwrap();
             let first_window = if hinted { FANOUT } else { 1 };
@@ -1929,14 +1997,15 @@ mod tests {
                 }
             });
             let slots = Arc::new(CallSlots::new(16));
-            let ctx = context_over(model, PromptStrategy::BatchedRows, |c| {
+            let setup = context_over(model, PromptStrategy::BatchedRows, |c| {
                 c.parallelism = 8;
                 if ending != Ending::Finished {
                     c.deadline_ms = Some(40.0);
                     c.partial_results = ending == Ending::DeadlineCut;
                 }
-            })
-            .with_slots(Arc::clone(&slots));
+            });
+            let mut ctx = setup.ctx();
+            ctx.slots = Some(&slots);
 
             let outcome = llm_scan(&ctx, &p.spec());
             match ending {
@@ -1967,7 +2036,7 @@ mod tests {
             // the ledger: each was granted a slot on its first poll.
             assert_eq!(ctx.metrics.borrow().slot_waits, planned as u64, "{at}");
             assert_eq!(slots.in_use(), 0, "call slots: {at}");
-            let coalescer = ctx.client.as_ref().unwrap().table().unwrap();
+            let coalescer = setup.client.table().unwrap();
             assert_eq!(coalescer.in_flight(), 0, "coalescer entries: {at}");
         }
     }

@@ -1,11 +1,12 @@
-//! The page plan: a relation read `row_batch` page by page.
+//! The plans whose answers are rows: a relation read `row_batch` page by
+//! page, and a whole query answered by one `full_query` prompt.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use llmsql_llm::prompt::PromptTemplate;
 use llmsql_plan::estimate_scan_rows;
-use llmsql_types::{DataType, Result, Row, Value};
+use llmsql_types::{DataType, RelSchema, Result, Row, Schema, Value};
 
 use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
 
@@ -179,6 +180,46 @@ impl PromptPlan for Pages<'_> {
         Ok(Accepted {
             done,
             dropped_lines: dropped as u64,
+            cells_filled: 0,
+        })
+    }
+}
+
+/// The whole-query plan: one `full_query` prompt, whose answer is the result
+/// table, read as rows of the output's types.
+pub(super) struct Whole {
+    /// The prompt, until it is asked.
+    prompt: Option<String>,
+    types: Arc<[DataType]>,
+    pub(super) rows: Vec<Row>,
+}
+
+impl Whole {
+    /// The plan asking for `sql` with the `output` columns, described by
+    /// `context`.
+    pub(super) fn new(sql: &str, output: &RelSchema, context: &Schema) -> Self {
+        let prompt = PromptTemplate::full_query(sql, &output.names(), Some(context));
+        Whole {
+            prompt: Some(prompt),
+            types: output.fields.iter().map(|f| f.data_type).collect(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl PromptPlan for Whole {
+    const KIND: &'static str = "full_query";
+
+    fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
+        Ok(self.prompt.take_if(|_| cap > 0).map(Asks::Prompt))
+    }
+
+    fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
+        let page = reply.page(&self.types)?;
+        self.rows = page.rows().map(|cells| Row::new(cells.collect())).collect();
+        Ok(Accepted {
+            done: true,
+            dropped_lines: page.dropped_lines() as u64,
             cells_filled: 0,
         })
     }
@@ -560,5 +601,38 @@ mod tests {
             assert_eq!(run.prompts, asked, "fanout {fanout}");
             assert_eq!(pages.rows, numbered_rows(8));
         }
+    }
+
+    #[test]
+    fn a_whole_query_asks_one_prompt_and_reads_the_answer_as_the_result_table() {
+        use llmsql_types::Field;
+        let p = parts(None, None);
+        let sql = "SELECT name, population FROM countries WHERE population > 60";
+        let output = RelSchema::new(vec![
+            Field::new(None, "name", DataType::Text, false),
+            Field::new(None, "population", DataType::Int, true),
+        ]);
+        // A spent call budget asks nothing.
+        let mut spent = Whole::new(sql, &output, &p.schema);
+        let nothing = replay(&mut spent, 4, 1, 0, |_, _| unreachable!());
+        assert_eq!(nothing, Replay::default());
+
+        // The one prompt is the `full_query` task's, byte for byte; the answer
+        // reads as the parser reads it: commentary skipped, extra cells cut,
+        // a line without a separator dropped.
+        let answer = "Here are the results:\nJapan | 125\nGermany | 84 | 1\ngarbled\nFrance | 68";
+        let mut whole = Whole::new(sql, &output, &p.schema);
+        let run = replay(&mut whole, 4, 1, usize::MAX, |_, _| answer.into());
+        let task = TaskSpec::FullQuery {
+            sql: sql.into(),
+            columns: output.names(),
+        };
+        assert_eq!(run.prompts, [task.to_prompt(Some(&p.schema))]);
+        assert_eq!(run.consumed, 1);
+        let parsed = llmsql_llm::parse_pipe_rows(answer, &[DataType::Text, DataType::Int]);
+        assert_eq!(whole.rows, parsed.rows);
+        assert_eq!(whole.rows.len(), 3);
+        assert_eq!(run.dropped_lines, parsed.dropped_lines as u64);
+        assert_eq!(run.dropped_lines, 1);
     }
 }

@@ -127,17 +127,6 @@ impl TaskSpec {
         }
     }
 
-    /// Short label for metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TaskSpec::Enumerate { .. } => "enumerate",
-            TaskSpec::RowBatch { .. } => "row_batch",
-            TaskSpec::Lookup { .. } => "lookup",
-            TaskSpec::FilterCheck { .. } => "filter_check",
-            TaskSpec::FullQuery { .. } => "full_query",
-        }
-    }
-
     /// Build the full prompt text for this task against the given schema:
     /// the task's [`PromptTemplate`], rendered once.
     pub fn to_prompt(&self, schema: Option<&Schema>) -> String {
@@ -168,7 +157,7 @@ impl TaskSpec {
                 condition,
             } => PromptTemplate::filter_check(table, condition, schema).render_key(key),
             TaskSpec::FullQuery { sql, columns } => {
-                PromptTemplate::full_query(sql, columns, schema).text
+                PromptTemplate::full_query(sql, columns, schema)
             }
         }
     }
@@ -417,8 +406,9 @@ impl PromptTemplate {
         t
     }
 
-    /// The [`TaskSpec::FullQuery`] prompt: nothing in it varies.
-    fn full_query(sql: &str, columns: &[String], schema: Option<&Schema>) -> Self {
+    /// The [`TaskSpec::FullQuery`] prompt for the statement `sql` and its
+    /// output `columns`, whole: nothing in it varies.
+    pub fn full_query(sql: &str, columns: &[impl AsRef<str>], schema: Option<&Schema>) -> String {
         let mut t = Self::begin("full_query");
         t.line("sql", sql);
         t.columns_line(columns);
@@ -433,7 +423,7 @@ impl PromptTemplate {
              in the column order of the SELECT list. Write NULL for unknown values. \
              No header, no commentary.",
         );
-        t
+        t.text
     }
 
     /// The prompt for the entity `key`.
@@ -926,7 +916,6 @@ mod tests {
             columns: vec!["a".into()],
         };
         assert_eq!(spec.table(), Some("t"));
-        assert_eq!(spec.kind(), "lookup");
         let fq = TaskSpec::FullQuery {
             sql: "SELECT 1".into(),
             columns: vec![],

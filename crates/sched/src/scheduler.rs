@@ -14,7 +14,7 @@ use std::time::Instant;
 use llmsql_core::Engine;
 use llmsql_exec::{CallSlots, ExecMetrics};
 use llmsql_types::clock;
-use llmsql_types::{Error, Priority, Result, SchedConfig, TenantId};
+use llmsql_types::{check_deadline_ms, Error, Priority, Result, SchedConfig, TenantId};
 
 use crate::queue::{Pick, Queue, Submission};
 use crate::ticket::{QueryOutcome, QueryTicket, TicketState};
@@ -174,11 +174,7 @@ impl QueryScheduler {
         sql: impl Into<String>,
         deadline_ms: f64,
     ) -> Result<QueryTicket> {
-        if !deadline_ms.is_finite() || deadline_ms <= 0.0 {
-            return Err(Error::config(
-                "deadline_ms must be finite and greater than zero",
-            ));
-        }
+        check_deadline_ms(deadline_ms)?;
         self.submit_inner(tenant.into(), priority, sql.into(), Some(deadline_ms))
     }
 

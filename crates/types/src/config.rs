@@ -408,6 +408,17 @@ impl OptimizerOptions {
     }
 }
 
+/// Check a deadline budget, in milliseconds, as every deadline is checked:
+/// engine-wide, per call and at a scheduler's submit.
+pub fn check_deadline_ms(deadline_ms: f64) -> Result<()> {
+    if !deadline_ms.is_finite() || deadline_ms <= 0.0 {
+        return Err(Error::config(
+            "deadline_ms must be finite and greater than zero",
+        ));
+    }
+    Ok(())
+}
+
 /// Top-level engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -497,7 +508,8 @@ pub struct EngineConfig {
     /// key or stored-row order — plus a structured [`crate::Incomplete`]
     /// marker in the execution metrics, instead of discarding the work with
     /// an error. A decomposed scan cut before its filter checks began
-    /// delivers no rows. Off by default (failures stay failures).
+    /// delivers no rows, and a full-query cut short delivers none either.
+    /// Off by default (failures stay failures).
     pub partial_results: bool,
     /// Deterministic fault injection: when set, every backend built from
     /// [`EngineConfig::backends`] consults this seeded [`ChaosPlan`] —
@@ -678,11 +690,7 @@ impl EngineConfig {
             ));
         }
         if let Some(deadline_ms) = self.deadline_ms {
-            if !deadline_ms.is_finite() || deadline_ms <= 0.0 {
-                return Err(Error::config(
-                    "deadline_ms must be finite and greater than zero",
-                ));
-            }
+            check_deadline_ms(deadline_ms)?;
         }
         if let Some(chaos) = &self.chaos {
             chaos.validate()?;

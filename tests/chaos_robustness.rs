@@ -170,45 +170,57 @@ fn chaos_config() -> EngineConfig {
 fn total_backend_loss_degrades_to_a_partial_result() {
     // Every backend is down for the whole horizon: with partial results on,
     // the query degrades to an empty page-aligned prefix with a structured
-    // marker instead of failing.
+    // marker instead of failing — under every prompt strategy, the one-shot
+    // full-query included.
     let blackout = ChaosPlan::new(5, 1_000)
         .with_window("edge-a", ChaosFault::Outage, 0, 1_000)
         .with_window("edge-b", ChaosFault::Outage, 0, 1_000);
 
     let (catalog, kb) = countries_world(30);
-    let strict_config = chaos_config().with_chaos(blackout.clone());
-    let mut strict = Engine::with_catalog(catalog.deep_clone().unwrap(), strict_config);
-    strict.attach_simulator(kb.clone().into_shared()).unwrap();
-    let err = strict.execute(SCAN_SQL).unwrap_err();
-    assert_eq!(err.kind, ErrorKind::Llm, "{err}");
+    for strategy in PromptStrategy::ALL {
+        let config = chaos_config()
+            .with_strategy(strategy)
+            .with_chaos(blackout.clone());
+        let mut strict = Engine::with_catalog(catalog.deep_clone().unwrap(), config.clone());
+        strict.attach_simulator(kb.clone().into_shared()).unwrap();
+        let err = strict.execute(SCAN_SQL).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Llm, "{strategy:?}: {err}");
 
-    let graceful_config = chaos_config().with_chaos(blackout).with_partial_results();
-    let mut graceful = Engine::with_catalog(catalog, graceful_config);
-    graceful.attach_simulator(kb.into_shared()).unwrap();
-    let result = graceful.execute(SCAN_SQL).unwrap();
-    assert!(result.is_partial());
-    assert_eq!(result.row_count(), 0, "no page completed under blackout");
-    let marker = result.incomplete().unwrap();
-    assert_eq!(marker.kind, ErrorKind::Llm);
-    assert_eq!(marker.rows_delivered, 0);
+        let graceful_config = config.with_partial_results();
+        let mut graceful = Engine::with_catalog(catalog.deep_clone().unwrap(), graceful_config);
+        graceful.attach_simulator(kb.clone().into_shared()).unwrap();
+        let result = graceful.execute(SCAN_SQL).unwrap();
+        assert!(result.is_partial(), "{strategy:?}");
+        assert_eq!(result.row_count(), 0, "{strategy:?}: no prompt completed");
+        let marker = result.incomplete().unwrap();
+        assert_eq!(marker.kind, ErrorKind::Llm, "{strategy:?}");
+        assert_eq!(marker.rows_delivered, 0, "{strategy:?}");
+    }
 }
 
 #[test]
 fn lapsed_deadline_yields_a_deterministic_page_aligned_prefix() {
     // A deadline that lapses immediately cuts the scan before the first
     // wave: zero rows, zero calls, marker names the deadline — and the
-    // outcome is identical run over run (deterministic page boundary).
+    // outcome is identical run over run (deterministic page boundary). A
+    // full-query's one prompt is not issued either.
     let (catalog, kb) = countries_world(30);
-    let mut engine = Engine::with_catalog(catalog, chaos_config().with_partial_results());
-    engine.attach_simulator(kb.into_shared()).unwrap();
-    for _ in 0..2 {
-        let result = engine.execute_with_deadline(SCAN_SQL, 0.000_001).unwrap();
-        assert!(result.is_partial());
-        assert_eq!(result.row_count(), 0);
-        let marker = result.incomplete().unwrap();
-        assert_eq!(marker.kind, ErrorKind::DeadlineExceeded);
-        assert_eq!(marker.rows_delivered, 0);
-        assert_eq!(marker.calls_spent, 0);
+    for strategy in PromptStrategy::ALL {
+        let config = chaos_config()
+            .with_strategy(strategy)
+            .with_partial_results();
+        let mut engine = Engine::with_catalog(catalog.deep_clone().unwrap(), config);
+        engine.attach_simulator(kb.clone().into_shared()).unwrap();
+        for _ in 0..2 {
+            let result = engine.execute_with_deadline(SCAN_SQL, 0.000_001).unwrap();
+            assert!(result.is_partial(), "{strategy:?}");
+            assert_eq!(result.row_count(), 0, "{strategy:?}");
+            let marker = result.incomplete().unwrap();
+            assert_eq!(marker.kind, ErrorKind::DeadlineExceeded, "{strategy:?}");
+            assert_eq!(marker.rows_delivered, 0, "{strategy:?}");
+            assert_eq!(marker.calls_spent, 0, "{strategy:?}");
+        }
+        assert_eq!(engine.client().unwrap().usage().calls, 0, "{strategy:?}");
     }
 }
 
