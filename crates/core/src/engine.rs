@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use llmsql_exec::{eval as eval_expr, execute as execute_plan, CallSlots, ExecContext};
+use llmsql_exec::{
+    eval as eval_expr, execute as execute_plan, CallSlots, CompiledPlan, ExecContext,
+};
 use llmsql_llm::{BackendPool, KnowledgeBase, LanguageModel, LlmClient, SimLlm};
 use llmsql_plan::{
     bind_select, cost_plan, lint_plan, optimize, optimize_traced, schema_from_create, CostParams,
@@ -43,7 +45,7 @@ pub struct Engine {
     /// Global LLM-call slot pool shared with other engines/queries (attached
     /// by a cross-query scheduler). `None` means unthrottled dispatch.
     slots: Option<Arc<CallSlots>>,
-    /// The plans of `SELECT` texts this engine parsed itself (see
+    /// The compiled plans of `SELECT` texts this engine parsed itself (see
     /// [`Engine::execute`]).
     plans: RwLock<PlanTable>,
 }
@@ -52,8 +54,9 @@ pub struct Engine {
 /// kept per engine; a full set is emptied before its next insert.
 const PLAN_TABLE_CAPACITY: usize = 1024;
 
-/// The plans of `SELECT` texts, keyed by the exact text, all bound under one
-/// catalog generation and this engine's optimizer switches.
+/// The compiled plans of `SELECT` texts, keyed by the exact text, all bound
+/// under one catalog generation and compiled for this engine's configuration
+/// and client.
 ///
 /// A text's plan is kept the second time the text is planned: the first
 /// time leaves only a mark (the text's hash). So an engine that runs each
@@ -63,7 +66,7 @@ const PLAN_TABLE_CAPACITY: usize = 1024;
 struct PlanTable {
     /// The catalog generation every kept plan was bound under.
     generation: u64,
-    plans: HashMap<String, Arc<LogicalPlan>>,
+    plans: HashMap<String, Arc<CompiledPlan>>,
     /// Hashes of the texts planned since the marks were last emptied.
     planned_once: HashSet<u64>,
 }
@@ -80,7 +83,7 @@ impl PlanTable {
     /// `plan`, bound under `generation`, was just built for `sql`: keep it if
     /// `sql` was planned before. A plan bound under an older generation
     /// than the table's is not kept.
-    fn insert(&mut self, sql: &str, generation: u64, plan: Arc<LogicalPlan>) {
+    fn insert(&mut self, sql: &str, generation: u64, plan: Arc<CompiledPlan>) {
         self.advance(generation);
         if generation < self.generation {
             return;
@@ -98,13 +101,6 @@ impl PlanTable {
         }
         self.plans.insert(sql.to_owned(), plan);
     }
-}
-
-/// A statement text on its way in: the plan this engine keeps for it, or
-/// the statement parsed from it.
-enum Prepared {
-    Kept(Arc<LogicalPlan>),
-    Parsed(Statement),
 }
 
 impl Engine {
@@ -164,8 +160,11 @@ impl Engine {
     /// (one per [`llmsql_types::BackendSpec`]) with the configured routing
     /// policy and failover; otherwise it is called directly. Fails when the
     /// backend list is invalid (duplicate or empty names, out-of-range
-    /// rates) — the same errors `EngineConfig::validate` reports.
+    /// rates) — the same errors `EngineConfig::validate` reports. Empties
+    /// the engine's plan table: a kept plan is compiled for the client it
+    /// runs through (its model's fingerprint and cardinality hints).
     pub fn attach_model(&mut self, model: Arc<dyn LanguageModel>) -> Result<()> {
+        self.plans.get_mut().plans.clear();
         let cached = self.config.enable_prompt_cache;
         self.client = Some(if self.config.backends.is_empty() {
             if cached {
@@ -231,7 +230,10 @@ impl Engine {
 
     /// Mutable access to the configuration (mode/strategy switches between
     /// experiment runs). Empties the engine's plan table: the optimizer
-    /// switches are part of every kept plan.
+    /// switches are part of every kept plan, and the rest of the
+    /// configuration of its compiled scans — and a kept plan's runs skip
+    /// [`EngineConfig::validate`], which only a configuration that passed it
+    /// can reach.
     pub fn config_mut(&mut self) -> &mut EngineConfig {
         self.plans.get_mut().plans.clear();
         &mut self.config
@@ -248,16 +250,22 @@ impl Engine {
     /// `SELECT` text it parsed here or in [`Engine::execute_with_deadline`]
     /// the second time it plans that text, keyed by the exact text, and a
     /// later call with the same text skips parsing, binding and optimizing
-    /// and runs the kept plan (shared, not copied). A text run only once
-    /// leaves a mark of a few bytes and no plan. Every other statement, a
-    /// statement that fails to parse or plan, `EXPLAIN` (which always plans
-    /// afresh, with its rule trace) and [`Engine::execute_statement`] (whose
-    /// caller parsed the statement, so there is no text to key on) plan each
-    /// time and keep nothing. The kept plans are emptied when the catalog's
-    /// set of tables changes — through any handle sharing it
-    /// ([`Catalog::generation`]) — and by [`Engine::config_mut`]. The table
-    /// is bounded: it holds at most 1 024 plans and 1 024 marks, and a full
-    /// set is emptied before its next insert.
+    /// and runs the kept plan (shared, not copied). A plan is kept compiled:
+    /// with what every run derives from it alone — each model scan's columns,
+    /// filter text, prompt templates and first window, the request keys of
+    /// the prompts it fixes ([`CompiledPlan`]) — so a warm run of a kept plan
+    /// renders none of those prompts again. A text run only once leaves a
+    /// mark of a few bytes and no plan. Every other statement, a statement
+    /// that fails to parse or plan, `EXPLAIN` (which always plans afresh,
+    /// with its rule trace) and [`Engine::execute_statement`] (whose caller
+    /// parsed the statement, so there is no text to key on) plan and compile
+    /// each time and keep nothing. The kept plans are emptied when the
+    /// catalog's set of tables changes — through any handle sharing it
+    /// ([`Catalog::generation`]) — by [`Engine::config_mut`] and by
+    /// [`Engine::attach_model`]; not by `LlmClient::clear_cache`, since no
+    /// compiled state depends on an answer. The table is bounded: it holds at
+    /// most 1 024 plans and 1 024 marks, and a full set is emptied before its
+    /// next insert.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         self.execute_sql(sql, None)
     }
@@ -286,6 +294,7 @@ impl Engine {
         statement: &Statement,
         sql_text: Option<&str>,
     ) -> Result<QueryResult> {
+        self.config.validate()?;
         self.timed(None, |deadline_ms| {
             self.run_statement(statement, sql_text, deadline_ms)
         })
@@ -297,31 +306,32 @@ impl Engine {
         // Read before binding: a plan bound while the catalog changes is
         // tagged with the older generation, and the next lookup drops it.
         let generation = self.catalog.generation();
-        let prepared = match self.kept_plan(sql, generation) {
-            Some(plan) => Prepared::Kept(plan),
-            None => Prepared::Parsed(parse_statement(sql)?),
-        };
+        if let Some(plan) = self.kept_plan(sql, generation) {
+            // Kept under a configuration that passed validation: any change
+            // to it empties the table.
+            return self.timed(deadline_override_ms, |deadline_ms| {
+                self.run_compiled(&self.context(sql, deadline_ms), &plan)
+            });
+        }
+        let statement = parse_statement(sql)?;
+        self.config.validate()?;
         self.timed(deadline_override_ms, |deadline_ms| {
-            let plan = match prepared {
-                Prepared::Kept(plan) => plan,
-                Prepared::Parsed(Statement::Select(select)) => {
-                    let plan = Arc::new(self.plan_select(&select)?);
-                    self.plans
-                        .write()
-                        .insert(sql, generation, Arc::clone(&plan));
-                    plan
-                }
-                Prepared::Parsed(statement) => {
-                    return self.run_statement(&statement, Some(sql), deadline_ms)
-                }
+            let Statement::Select(select) = statement else {
+                return self.run_statement(&statement, Some(sql), deadline_ms);
             };
-            self.execute_select(&plan, sql, deadline_ms)
+            let plan = Arc::new(self.plan_select(&select)?);
+            let ctx = self.context(sql, deadline_ms);
+            let plan = Arc::new(CompiledPlan::new(&ctx, plan)?);
+            self.plans
+                .write()
+                .insert(sql, generation, Arc::clone(&plan));
+            self.run_compiled(&ctx, &plan)
         })
     }
 
     /// The kept plan of `sql`, if it was bound under `generation`. A lookup
     /// under a newer generation than the table's empties the table.
-    fn kept_plan(&self, sql: &str, generation: u64) -> Option<Arc<LogicalPlan>> {
+    fn kept_plan(&self, sql: &str, generation: u64) -> Option<Arc<CompiledPlan>> {
         let plans = self.plans.read();
         if plans.generation == generation {
             return plans.plans.get(sql).cloned();
@@ -331,14 +341,14 @@ impl Engine {
         None
     }
 
-    /// Run `body` under the query's checks and effective deadline, timing it
-    /// into the result's `engine_ms`.
+    /// Run `body` under the per-call deadline's check and the query's
+    /// effective deadline, timing it into the result's `engine_ms`. The
+    /// caller has validated the configuration.
     fn timed(
         &self,
         deadline_override_ms: Option<f64>,
         body: impl FnOnce(Option<f64>) -> Result<QueryResult>,
     ) -> Result<QueryResult> {
-        self.config.validate()?;
         if let Some(d) = deadline_override_ms {
             check_deadline_ms(d)?;
         }
@@ -365,7 +375,7 @@ impl Engine {
             Statement::Select(select) => {
                 let plan = self.plan_select(select)?;
                 let sql = sql_text.map_or_else(|| Cow::Owned(statement.to_string()), Cow::Borrowed);
-                self.execute_select(&plan, &sql, deadline_ms)?
+                self.execute_select(Arc::new(plan), &sql, deadline_ms)?
             }
             Statement::CreateTable(create) => {
                 let schema = schema_from_create(
@@ -471,9 +481,11 @@ impl Engine {
         // ANALYZE runs the plan the way the query runs, and keeps its
         // metrics: under the full-query strategy as one prompt of the SELECT
         // as the parser prints it, its actuals on the root line.
+        let plan = Arc::new(plan);
         let metrics = if analyze {
             let sql = select.to_string();
-            Some(self.execute_select(&plan, &sql, deadline_ms)?.metrics)
+            let run = self.execute_select(Arc::clone(&plan), &sql, deadline_ms)?;
+            Some(run.metrics)
         } else {
             None
         };
@@ -492,23 +504,40 @@ impl Engine {
         })
     }
 
-    /// Run a SELECT's plan, built from the statement `sql`, under the query's
-    /// effective deadline: the executor decides how (see
-    /// [`llmsql_exec::execute`]). Dispatch goes through the attached slot
-    /// pool, if any.
+    /// Compile a SELECT's plan, built from the statement `sql`, and run it
+    /// once under the query's effective deadline.
     fn execute_select(
         &self,
-        plan: &LogicalPlan,
+        plan: Arc<LogicalPlan>,
         sql: &str,
         deadline_ms: Option<f64>,
     ) -> Result<QueryResult> {
-        let client = self.client.as_ref();
-        let mut ctx = ExecContext::new(&self.catalog, client, &self.config, deadline_ms);
+        let ctx = self.context(sql, deadline_ms);
+        let plan = CompiledPlan::new(&ctx, plan)?;
+        self.run_compiled(&ctx, &plan)
+    }
+
+    /// A query's context over this engine, for the statement `sql`: its
+    /// deadline starts now. Dispatch goes through the attached slot pool, if
+    /// any.
+    fn context<'e>(&'e self, sql: &'e str, deadline_ms: Option<f64>) -> ExecContext<'e> {
+        let mut ctx = ExecContext::new(
+            &self.catalog,
+            self.client.as_ref(),
+            &self.config,
+            deadline_ms,
+        );
         ctx.statement = Some(sql);
         ctx.slots = self.slots.as_ref();
-        let batch = execute_plan(&ctx, plan)?;
+        ctx
+    }
+
+    /// Run a compiled SELECT in `ctx`: the executor decides how (see
+    /// [`llmsql_exec::execute`]).
+    fn run_compiled(&self, ctx: &ExecContext<'_>, plan: &CompiledPlan) -> Result<QueryResult> {
+        let batch = execute_plan(ctx, plan)?;
         Ok(QueryResult {
-            metrics: ctx.metrics.into_inner(),
+            metrics: ctx.metrics.take(),
             batch,
             ..QueryResult::default()
         })
@@ -986,7 +1015,12 @@ mod tests {
                 panic!("the suite holds only queries: {}", q.sql);
             };
             let fresh = engine.plan_select(&select).unwrap();
-            assert_eq!(*engine.plans.read().plans[&q.sql], fresh, "{}", q.sql);
+            assert_eq!(
+                *engine.plans.read().plans[&q.sql].plan(),
+                fresh,
+                "{}",
+                q.sql
+            );
         }
         assert!(kept(&engine).len() > 1);
     }
@@ -1132,6 +1166,36 @@ mod tests {
         assert_eq!(found, 1);
         let warm = locks(&mut || drop(engine.execute(sql).unwrap()));
         assert_eq!(warm, 3);
+    }
+
+    /// A warm LlmOnly batched-rows `SELECT` of a kept plan whose three pages
+    /// all hit the request table takes 4 locks: the plan table's read lock
+    /// and one shard read lock per page. The compiled plan holds the scan's
+    /// cardinality hint and each page's request key, whose memo takes no
+    /// lock; before plans were compiled the scan also took the client's hint
+    /// lock, 5 in all.
+    #[cfg(feature = "lock_audit")]
+    #[test]
+    fn a_warm_paged_select_takes_a_lock_per_page_and_one_for_its_plan() {
+        let locks = |call: &mut dyn FnMut()| {
+            let before = parking_lot::acquisitions();
+            call();
+            parking_lot::acquisitions() - before
+        };
+        let mut engine = llm_engine(LlmFidelity::perfect(), PromptStrategy::BatchedRows);
+        engine.config_mut().batch_size = 1;
+        let sql = "SELECT name, population FROM countries";
+        for _ in 0..3 {
+            engine.execute(sql).unwrap();
+        }
+        let mut pages = 0;
+        let warm = locks(&mut || {
+            let result = engine.execute(sql).unwrap();
+            assert_eq!(result.metrics.usage.cache_hits, result.metrics.llm_calls());
+            pages = result.metrics.llm_calls();
+        });
+        assert_eq!(pages, 3);
+        assert_eq!(warm, 4);
     }
 
     #[test]

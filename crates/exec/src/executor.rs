@@ -16,6 +16,8 @@
 //! cost microseconds, less than spawning a thread does — so a plan produces
 //! identical rows at any `parallelism`.
 
+use std::sync::Arc;
+
 use llmsql_plan::ops::{
     aggregate_rows, distinct_rows, filter_rows, join_rows, limit_rows, project_rows, sort_rows,
     values_rows,
@@ -25,26 +27,201 @@ use llmsql_store::CatalogEntry;
 use llmsql_types::{clock, Batch, Error, ExecutionMode, PromptStrategy, Result, Row, Schema};
 
 use crate::context::ExecContext;
-use crate::scan::{full_query_scan, hybrid_scan, llm_scan, table_scan, ScanSpec};
+use crate::scan::{hybrid_scan, table_scan, whole_query_scan, ModelScan, ScanSpec, WholeQuery};
 
-/// Execute a logical plan and return the result batch.
-pub fn execute(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<Batch> {
-    let rows = execute_rows_at(ctx, plan, "0")?;
+/// A plan and what its runs derive from it alone, built once: how it runs —
+/// as one full-query prompt, or operator by operator — and the compiled
+/// form of each of its model scans (see [`crate::scan`]). Built for one
+/// engine's configuration, catalog generation and client: whoever keeps it
+/// across runs drops it when any of those changes.
+pub struct CompiledPlan {
+    plan: Arc<LogicalPlan>,
+    run: Run,
+}
+
+/// How a compiled plan runs.
+enum Run {
+    /// As one `full_query` prompt of the statement.
+    Whole(WholeQuery),
+    /// Operator by operator: per scan, in execution order (the plan's
+    /// scans in pre-order), its compiled model scan, or `None` for a scan
+    /// the store answers.
+    Operators(Vec<Option<ModelScan>>),
+}
+
+impl CompiledPlan {
+    /// Compile `plan` for runs under `ctx`'s configuration, catalog and
+    /// client; `ctx.statement` is the text a full-query prompt sends.
+    pub fn new(ctx: &ExecContext<'_>, plan: Arc<LogicalPlan>) -> Result<Self> {
+        let run = match one_prompt(ctx, &plan) {
+            Some((sql, context)) => Run::Whole(WholeQuery::new(sql, &plan.schema(), context)),
+            None => {
+                let mut scans = Vec::new();
+                compile_scans(ctx, &plan, &mut scans)?;
+                Run::Operators(scans)
+            }
+        };
+        Ok(CompiledPlan { plan, run })
+    }
+
+    /// The logical plan.
+    pub fn plan(&self) -> &LogicalPlan {
+        &self.plan
+    }
+}
+
+/// Compile the model scans of `plan` into `scans`, in pre-order.
+fn compile_scans(
+    ctx: &ExecContext<'_>,
+    plan: &LogicalPlan,
+    scans: &mut Vec<Option<ModelScan>>,
+) -> Result<()> {
+    if let Some((spec, virtual_table)) = scan_spec(plan) {
+        let asks = asks_model(ctx, &spec, virtual_table)?;
+        scans.push(asks.then(|| ModelScan::new(ctx, &spec)).transpose()?);
+        return Ok(());
+    }
+    plan.children()
+        .into_iter()
+        .try_for_each(|child| compile_scans(ctx, child, scans))
+}
+
+/// Whether the mode answers a scan of `spec` from the model: always in
+/// LlmOnly mode, never in Traditional, and in Hybrid for a virtual relation.
+fn asks_model(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, virtual_table: bool) -> Result<bool> {
+    Ok(match ctx.config.mode {
+        ExecutionMode::Traditional => false,
+        ExecutionMode::LlmOnly => true,
+        ExecutionMode::Hybrid => {
+            virtual_table || matches!(ctx.catalog.get(spec.table)?, CatalogEntry::Virtual(_))
+        }
+    })
+}
+
+/// Execute a compiled plan and return the result batch.
+pub fn execute(ctx: &ExecContext<'_>, compiled: &CompiledPlan) -> Result<Batch> {
+    let plan = compiled.plan();
+    let rows = match &compiled.run {
+        Run::Whole(query) => timed(ctx, "0", || whole_query_scan(ctx, query))?,
+        Run::Operators(scans) => {
+            let mut walk = Walk {
+                ctx,
+                scans: scans.iter(),
+            };
+            walk.rows_at(plan, "0")?
+        }
+    };
     ctx.metrics.borrow_mut().rows_output = rows.len() as u64;
     Ok(Batch::new(plan.schema(), rows))
 }
 
-/// Execute a plan node identified by its pre-order path (`"0"` = root,
-/// `"0.1"` = its second child), recording per-operator actuals — output
-/// rows, wall time, and the LLM calls issued while the subtree ran — under
-/// that path in [`crate::metrics::ExecMetrics::op_stats`]. Call attribution
+/// One run's walk of a compiled plan: the context, and the compiled scans
+/// not yet reached.
+struct Walk<'c, 'e> {
+    ctx: &'c ExecContext<'e>,
+    scans: std::slice::Iter<'c, Option<ModelScan>>,
+}
+
+impl Walk<'_, '_> {
+    /// Execute a plan node identified by its pre-order path (`"0"` = root,
+    /// `"0.1"` = its second child), recording per-operator actuals — output
+    /// rows, wall time, and the LLM calls issued while the subtree ran —
+    /// under that path in [`crate::metrics::ExecMetrics::op_stats`].
+    fn rows_at(&mut self, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+        timed(self.ctx, path, || self.node(plan, path))
+    }
+
+    fn node(&mut self, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+        // A node's first (or only) input runs at `{path}.0`, a join's right
+        // input at `{path}.1`.
+        let child =
+            |walk: &mut Self, input: &LogicalPlan| walk.rows_at(input, &format!("{path}.0"));
+        match plan {
+            LogicalPlan::Scan { .. } => {
+                let (spec, _) = scan_spec(plan).ok_or_else(not_a_scan)?;
+                let compiled = self.scans.next().ok_or_else(not_a_scan)?;
+                self.scan(&spec, compiled.as_ref())
+            }
+            LogicalPlan::Values { rows, .. } => values_rows(rows),
+            LogicalPlan::Filter { input, predicate } => filter_rows(child(self, input)?, predicate),
+            LogicalPlan::Project { input, exprs, .. } => project_rows(child(self, input)?, exprs),
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+                ..
+            } => {
+                let left_rows = child(self, left)?;
+                let right_rows = self.rows_at(right, &format!("{path}.1"))?;
+                join_rows(
+                    &left_rows,
+                    &right_rows,
+                    left.arity(),
+                    right.arity(),
+                    *kind,
+                    on.as_ref(),
+                )
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_exprs,
+                aggregates,
+                ..
+            } => aggregate_rows(&child(self, input)?, group_exprs, aggregates),
+            LogicalPlan::Sort { input, keys } => {
+                let mut rows = child(self, input)?;
+                sort_rows(&mut rows, keys)?;
+                Ok(rows)
+            }
+            LogicalPlan::Limit {
+                input,
+                limit,
+                offset,
+            } => Ok(limit_rows(child(self, input)?, *limit, *offset)),
+            LogicalPlan::Distinct { input } => Ok(distinct_rows(child(self, input)?)),
+        }
+    }
+
+    /// Run the scan of `spec`: through its compiled model scan when it asks
+    /// the model, else from the store — as it stands in traditional mode,
+    /// with its NULL cells filled by the model in hybrid mode.
+    fn scan(&self, spec: &ScanSpec<'_>, compiled: Option<&ModelScan>) -> Result<Vec<Row>> {
+        let ctx = self.ctx;
+        if let Some(scan) = compiled {
+            return scan.run(ctx, spec);
+        }
+        let mode = ctx.config.mode;
+        match ctx.catalog.get(spec.table)? {
+            CatalogEntry::Materialized(table) if mode == ExecutionMode::Hybrid => {
+                hybrid_scan(ctx, spec, &table)
+            }
+            CatalogEntry::Materialized(table) => table_scan(ctx, spec, &table),
+            CatalogEntry::Virtual(_) if mode == ExecutionMode::Traditional => {
+                Err(Error::execution(format!(
+                    "table '{}' is virtual; traditional mode cannot scan it",
+                    spec.table
+                )))
+            }
+            // Made virtual since the plan was compiled: compile the scan for
+            // this run.
+            CatalogEntry::Virtual(_) => ModelScan::new(ctx, spec)?.run(ctx, spec),
+        }
+    }
+}
+
+/// Run `body` as the node at `path`, recording its actuals. Call attribution
 /// reads the query's own ledger before and after, which is exact because
 /// nobody else writes it and operators run one at a time: a child completes
 /// before its parent does any work of its own.
-fn execute_rows_at(ctx: &ExecContext<'_>, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
+fn timed(
+    ctx: &ExecContext<'_>,
+    path: &str,
+    body: impl FnOnce() -> Result<Vec<Row>>,
+) -> Result<Vec<Row>> {
     let calls_before = ctx.metrics.borrow().llm_calls();
     let started = clock::now();
-    let rows = execute_node(ctx, plan, path)?;
+    let rows = body()?;
     let wall_ms = (clock::now() - started).as_secs_f64() * 1000.0;
     let mut ledger = ctx.metrics.borrow_mut();
     let calls = ledger.llm_calls() - calls_before;
@@ -55,81 +232,43 @@ fn execute_rows_at(ctx: &ExecContext<'_>, plan: &LogicalPlan, path: &str) -> Res
     Ok(rows)
 }
 
-fn execute_node(ctx: &ExecContext<'_>, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
-    if let Some((sql, context)) = one_prompt(ctx, plan, path) {
-        return full_query_scan(ctx, sql, &plan.schema(), context);
-    }
-    // A node's first (or only) input runs at `{path}.0`, a join's right
-    // input at `{path}.1`.
-    let child = |input: &LogicalPlan| execute_rows_at(ctx, input, &format!("{path}.0"));
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            table_schema,
-            pushed_filter,
-            prompt_columns,
-            virtual_table,
-            pushed_limit,
-            ..
-        } => {
-            let spec = ScanSpec {
-                table,
-                table_schema,
-                pushed_filter: pushed_filter.as_ref(),
-                prompt_columns: prompt_columns.as_deref(),
-                pushed_limit: *pushed_limit,
-            };
-            execute_scan(ctx, &spec, *virtual_table)
-        }
-        LogicalPlan::Values { rows, .. } => values_rows(rows),
-        LogicalPlan::Filter { input, predicate } => filter_rows(child(input)?, predicate),
-        LogicalPlan::Project { input, exprs, .. } => project_rows(child(input)?, exprs),
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => join_rows(
-            &child(left)?,
-            &execute_rows_at(ctx, right, &format!("{path}.1"))?,
-            left.arity(),
-            right.arity(),
-            *kind,
-            on.as_ref(),
-        ),
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggregates,
-            ..
-        } => aggregate_rows(&child(input)?, group_exprs, aggregates),
-        LogicalPlan::Sort { input, keys } => {
-            let mut rows = child(input)?;
-            sort_rows(&mut rows, keys)?;
-            Ok(rows)
-        }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => Ok(limit_rows(child(input)?, *limit, *offset)),
-        LogicalPlan::Distinct { input } => Ok(distinct_rows(child(input)?)),
-    }
+/// A scan node reached where the walk expected none, or past the last
+/// compiled scan: the compiled form does not match its plan.
+fn not_a_scan() -> Error {
+    Error::execution("a compiled plan does not match its scans")
 }
 
-/// The statement and the first scanned relation's schema, if the node at
-/// `path` is the root of a plan that runs as one full-query prompt: in
-/// LlmOnly mode under the full-query strategy, when the plan scans a table
-/// and the context holds the statement's text.
-fn one_prompt<'a>(
-    ctx: &ExecContext<'a>,
-    plan: &'a LogicalPlan,
-    path: &str,
-) -> Option<(&'a str, &'a Schema)> {
+/// The scan spec of a `Scan` node and whether its relation is virtual.
+fn scan_spec(plan: &LogicalPlan) -> Option<(ScanSpec<'_>, bool)> {
+    let LogicalPlan::Scan {
+        table,
+        table_schema,
+        pushed_filter,
+        prompt_columns,
+        virtual_table,
+        pushed_limit,
+        ..
+    } = plan
+    else {
+        return None;
+    };
+    let spec = ScanSpec {
+        table,
+        table_schema,
+        pushed_filter: pushed_filter.as_ref(),
+        prompt_columns: prompt_columns.as_deref(),
+        pushed_limit: *pushed_limit,
+    };
+    Some((spec, *virtual_table))
+}
+
+/// The statement and the first scanned relation's schema, if `plan` runs as
+/// one full-query prompt: in LlmOnly mode under the full-query strategy,
+/// when the plan scans a table and the context holds the statement's text.
+fn one_prompt<'a>(ctx: &ExecContext<'a>, plan: &'a LogicalPlan) -> Option<(&'a str, &'a Schema)> {
     let config = ctx.config;
     let whole = (ExecutionMode::LlmOnly, PromptStrategy::FullQuery);
-    if path != "0" || (config.mode, config.strategy) != whole {
+    if (config.mode, config.strategy) != whole {
         return None;
     }
     Some((ctx.statement?, first_scan(plan)?))
@@ -140,33 +279,6 @@ fn first_scan(plan: &LogicalPlan) -> Option<&Schema> {
     match plan {
         LogicalPlan::Scan { table_schema, .. } => Some(table_schema),
         _ => plan.children().into_iter().find_map(first_scan),
-    }
-}
-
-/// Pick the physical scan for a logical scan based on the execution mode and
-/// whether the relation is virtual.
-fn execute_scan(ctx: &ExecContext<'_>, spec: &ScanSpec, virtual_table: bool) -> Result<Vec<Row>> {
-    match ctx.config.mode {
-        ExecutionMode::Traditional => {
-            let entry = ctx.catalog.get(spec.table)?;
-            match entry {
-                CatalogEntry::Materialized(table) => table_scan(ctx, spec, &table),
-                CatalogEntry::Virtual(_) => Err(Error::execution(format!(
-                    "table '{}' is virtual; traditional mode cannot scan it",
-                    spec.table
-                ))),
-            }
-        }
-        ExecutionMode::LlmOnly => llm_scan(ctx, spec),
-        ExecutionMode::Hybrid => {
-            if virtual_table {
-                return llm_scan(ctx, spec);
-            }
-            match ctx.catalog.get(spec.table)? {
-                CatalogEntry::Materialized(table) => hybrid_scan(ctx, spec, &table),
-                CatalogEntry::Virtual(_) => llm_scan(ctx, spec),
-            }
-        }
     }
 }
 
@@ -227,6 +339,11 @@ mod tests {
         cat
     }
 
+    /// `plan` compiled for runs under `ctx`.
+    fn compiled(ctx: &ExecContext<'_>, plan: LogicalPlan) -> CompiledPlan {
+        CompiledPlan::new(ctx, Arc::new(plan)).unwrap()
+    }
+
     fn run(sql: &str) -> Batch {
         let cat = catalog();
         let stmt = parse_statement(sql).unwrap();
@@ -242,7 +359,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let ctx = ExecContext::new(&cat, None, &config, None);
-        execute(&ctx, &plan).unwrap()
+        execute(&ctx, &compiled(&ctx, plan)).unwrap()
     }
 
     fn cell(batch: &Batch, row: usize, col: usize) -> Value {
@@ -448,7 +565,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let ctx = ExecContext::new(&cat, None, &config, None);
-        assert!(execute(&ctx, &plan).is_err());
+        assert!(execute(&ctx, &compiled(&ctx, plan)).is_err());
     }
 
     #[test]
@@ -467,7 +584,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let ctx = ExecContext::new(&cat, None, &config, None);
-        let batch = execute(&ctx, &plan).unwrap();
+        let batch = execute(&ctx, &compiled(&ctx, plan)).unwrap();
         let m = ctx.metrics.borrow();
         assert_eq!(m.rows_output, batch.len() as u64);
         assert_eq!(m.op_stats["0"].rows_out, batch.len() as u64);

@@ -52,7 +52,7 @@ pub mod scan;
 
 pub use context::ExecContext;
 pub use eval::{eval, eval_predicate, AggAccumulator};
-pub use executor::execute;
+pub use executor::{execute, CompiledPlan};
 pub use llmsql_llm::{CallSlots, OwnedSlotGuard, SlotGuard};
 pub use llmsql_plan::ops::{aggregate_rows, join_rows, sort_rows};
 pub use metrics::{ExecMetrics, OpStats};

@@ -72,6 +72,11 @@ pub struct ExecMetrics {
     /// logical call but shared a single physical request with its chunk
     /// neighbours. Single-member chunks are not counted.
     pub batched_rows: u64,
+    /// Prompts whose text this query built, counted per prompt (each member
+    /// of a packed request is one). A prompt whose request key an earlier
+    /// run of the same kept plan built is not rendered again and is not
+    /// counted, so a warm page served from the request table counts 0.
+    pub prompts_rendered: u64,
     /// Total time this query's workers spent blocked waiting for a global
     /// LLM-call slot, milliseconds (0 outside a scheduler). High values mean
     /// the deployment's slot pool, not this query's parallelism, is the

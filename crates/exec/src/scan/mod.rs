@@ -37,13 +37,49 @@
 //! and the ledger.
 //!
 //! The prompts of one plan differ in a key, or in a limit and an offset, and
-//! in nothing else. So a plan builds the rest — table, columns, filter, the
-//! schema's description, the instructions — once, as a
-//! [`PromptTemplate`], and `next` hands the driver only what varies: a page
-//! plan renders its limit and offset in, a per-tuple plan hands over the
-//! template and the key. Either way a prompt is byte for byte what
-//! `TaskSpec::to_prompt` gives for that one task, since that is the same
-//! renderer.
+//! in nothing else. So the rest — table, columns, filter, the schema's
+//! description, the instructions — is built once, as a [`PromptTemplate`],
+//! and `next` hands the driver only what varies: a page plan renders its
+//! limit and offset in, a per-tuple plan hands over the template and the
+//! key. Either way a prompt is byte for byte what `TaskSpec::to_prompt`
+//! gives for that one task, since that is the same renderer.
+//!
+//! # Compiled once, run many times
+//!
+//! A scan's plan splits in two. What depends only on the plan node, the
+//! configuration and the client's cardinality hint is compiled once, into a
+//! `ModelScan`: the needed columns and their types, the pushed filter's
+//! prompt text, the templates, the first window `Pages` derives from the
+//! hint — and, for the prompts that are functions of the plan alone, the
+//! request key the client builds for each, kept in a `OnceLock` the first
+//! time a run asks it. What depends on the answers — which page comes next,
+//! the rows so far — is the per-run plan over it. The engine keeps a
+//! `SELECT`'s compiled plan ([`crate::CompiledPlan`]) with the plan itself,
+//! so a warm run derives nothing again; a plan that is not kept is compiled,
+//! run once and dropped, the same path.
+//!
+//! Which prompts are compiled and which are rendered per run:
+//!
+//! * **Compiled:** every full `row_batch` page (`limit` = the page size, at
+//!   a multiple of it, within the cardinality hint), the key enumeration of
+//!   the per-tuple strategies, and a whole query's `full_query` prompt. Such
+//!   a prompt is rendered the first time it is asked through a client whose
+//!   request table keeps answers; every later run starts its call from the
+//!   kept key ([`llmsql_llm::LlmClient::start_kept`]), so a warm page that
+//!   the table answers renders no prompt, builds no request and hashes
+//!   nothing. Where such a prompt fills the window with nothing in flight
+//!   ahead of it (parallelism 1, or a window of one page), nothing else can
+//!   be admitted before its answer is consumed, so a table hit is taken
+//!   straight from the kept key ([`llmsql_llm::LlmClient::kept_answer`]),
+//!   with no call on the event loop: the prompts, their order and the ledger
+//!   are the call's. Without such a table (no cache) a key would not outlive
+//!   its flight, so nothing is kept and these prompts render per run as
+//!   well.
+//! * **Rendered per run:** a budget-clamped last page (its `limit` depends
+//!   on how many rows earlier pages parsed), the pages of a scan whose model
+//!   gives no cardinality hint (nothing bounds how many there are), and the
+//!   per-tuple prompts — lookups and filter checks name keys an earlier
+//!   answer gave — packed as below.
 //!
 //! Everything that is not prompt content lives once, in `Driver::drive`:
 //!
@@ -112,15 +148,17 @@ mod tuples;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use llmsql_llm::prompt::PromptTemplate;
-use llmsql_llm::{pack_keys, split_sections, Answer, ClientCall, CompletionRequest, Page};
+use llmsql_llm::{
+    pack_keys, split_sections, Answer, ClientCall, CompletionRequest, Page, RequestKey,
+};
 use llmsql_plan::BoundExpr;
 use llmsql_store::Table;
 use llmsql_types::{
-    DataType, Error, ErrorKind, Incomplete, PromptStrategy, RelSchema, Result, Row, Schema, Value,
+    DataType, Error, ErrorKind, Incomplete, PromptStrategy, Result, Row, Schema, Value,
 };
 
 use crate::context::ExecContext;
@@ -150,6 +188,15 @@ impl ScanSpec<'_> {
         match self.prompt_columns {
             Some(cols) => cols.to_vec(),
             None => (0..self.table_schema.arity()).collect(),
+        }
+    }
+
+    /// The scan of every candidate row: no filter, no pushed limit.
+    fn candidates(self) -> Self {
+        ScanSpec {
+            pushed_filter: None,
+            pushed_limit: None,
+            ..self
         }
     }
 
@@ -301,12 +348,56 @@ impl<'a> InFlight<'a> {
 
 /// The prompts a plan asks next, in prompt order.
 enum Asks<'p> {
-    /// One whole prompt: a page, or the key enumeration.
+    /// One whole prompt, rendered for this run: a page the compiled scan
+    /// keeps no key for.
     Prompt(String),
+    /// One prompt the compiled scan fixes — a full page, the key
+    /// enumeration, a whole query — and the cell its request key is kept in:
+    /// rendered the first time it is asked through a client with a request
+    /// table, and never again ([`llmsql_llm::LlmClient::start_kept`]).
+    Kept(&'p OnceLock<RequestKey>, Render<'p>),
     /// Per-tuple prompts, each `template.render_key(key)`, a key borrowed
     /// from the plan's row where it can be. The driver packs them into one
     /// request ([`pack_keys`]), which states each template's fixed text once.
     Keys(Vec<(Rc<PromptTemplate>, Cow<'p, str>)>),
+}
+
+/// How a kept prompt is written, the times it has to be.
+enum Render<'p> {
+    /// A page of a template: its limit and offset.
+    Page(&'p PromptTemplate, usize, usize),
+    /// A prompt rendered when the scan was compiled.
+    Text(&'p str),
+}
+
+impl Render<'_> {
+    fn text(&self) -> String {
+        match *self {
+            Render::Page(template, limit, offset) => template.render_page(limit, offset),
+            Render::Text(text) => text.to_owned(),
+        }
+    }
+}
+
+/// A prompt a compiled scan asks once per run — the key enumeration, a
+/// whole query — rendered once, and its request key once a run through a
+/// client with a request table has asked it.
+pub(super) struct KeptPrompt {
+    text: String,
+    key: OnceLock<RequestKey>,
+}
+
+impl KeptPrompt {
+    fn new(text: String) -> Self {
+        KeptPrompt {
+            text,
+            key: OnceLock::new(),
+        }
+    }
+
+    fn ask(&self) -> Asks<'_> {
+        Asks::Kept(&self.key, Render::Text(&self.text))
+    }
 }
 
 /// What a prompting strategy contributes to a scan: which prompts come next,
@@ -373,6 +464,29 @@ fn unasked() -> Error {
     Error::execution("an answer arrived for no prompt in flight")
 }
 
+/// Hand `plan` the answer to its oldest request, which carried `asked`
+/// prompts, and fold what it did into the ledger. True when the plan is
+/// finished.
+fn consume<P: PromptPlan>(
+    ctx: &ExecContext<'_>,
+    plan: &mut P,
+    asked: usize,
+    response: &Answer,
+) -> Result<bool> {
+    let mut ledger = ctx.metrics.borrow_mut();
+    ledger.batched_rows += if asked > 1 { asked as u64 } else { 0 };
+    let alone = (asked == 1).then_some(response);
+    for text in split_sections(&response.text, asked) {
+        let accepted = plan.accept(Reply { text, alone })?;
+        ledger.dropped_lines += accepted.dropped_lines;
+        ledger.cells_filled_by_llm += accepted.cells_filled;
+        if accepted.done {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// Runs the plans of one scan: the one dispatch loop, and the one place each
 /// dispatch policy lives (see the module docs).
 struct Driver<'a> {
@@ -398,7 +512,11 @@ impl Driver<'_> {
         while self.cut.is_none() {
             // Admit every request the window has room for: prompt `i` is
             // eligible iff `i < consumed + window`.
-            while prompts_in_flight + per_request <= plan.window().clamp(1, fanout) {
+            loop {
+                let window = plan.window().clamp(1, fanout);
+                if prompts_in_flight + per_request > window {
+                    break;
+                }
                 // The call cap is query-global: every scan of the query
                 // draws on it through the query's ledger.
                 let calls_used = ctx.metrics.borrow().llm_calls() as usize;
@@ -411,20 +529,54 @@ impl Driver<'_> {
                 if let Err(err) = ctx.check_deadline() {
                     return self.cut_short(err);
                 }
-                let (prompt, asked) = match asks {
-                    Asks::Prompt(prompt) => (prompt, 1),
+                // A kept prompt that fills the window, nothing in flight
+                // ahead of it: nothing else can be admitted before its
+                // answer is consumed, so when the request table holds that
+                // answer the prompt goes straight from its key to it, with
+                // no call on the event loop — and the ledger reads as the
+                // call's would: one logical call, one cache hit.
+                let held = match &asks {
+                    Asks::Kept(key, _) if window == 1 && members.is_empty() => {
+                        client.kept_answer(key)
+                    }
+                    _ => None,
+                };
+                if let Some(answer) = held {
+                    drop(asks);
+                    let mut ledger = ctx.metrics.borrow_mut();
+                    ledger.record_llm_call(P::KIND);
+                    ledger.usage.cache_hits += 1;
+                    ledger.peak_in_flight = ledger.peak_in_flight.max(1);
+                    drop(ledger);
+                    if consume(ctx, plan, 1, &answer)? {
+                        return Ok(());
+                    }
+                    continue;
+                }
+                let (call, asked, rendered) = match asks {
+                    Asks::Prompt(prompt) => {
+                        (client.start_call(CompletionRequest::new(prompt)), 1, 1)
+                    }
+                    Asks::Kept(key, render) => {
+                        let (call, rendered) = client.start_kept(key, || render.text());
+                        (call, 1, usize::from(rendered))
+                    }
                     Asks::Keys(keys) => {
                         let members = keys.iter().map(|(t, key)| (&**t, &**key));
-                        (pack_keys(members), keys.len())
+                        let request = CompletionRequest::new(pack_keys(members));
+                        (client.start_call(request), keys.len(), keys.len())
                     }
                 };
                 // Logical calls are recorded per planned prompt, so the
                 // budget charge and `llm_calls_by_kind` are the same at any
                 // batch size.
+                let mut ledger = ctx.metrics.borrow_mut();
                 for _ in 0..asked {
-                    ctx.metrics.borrow_mut().record_llm_call(P::KIND);
+                    ledger.record_llm_call(P::KIND);
                 }
-                flight.push(client.start_call(CompletionRequest::new(prompt)));
+                ledger.prompts_rendered += rendered as u64;
+                drop(ledger);
+                flight.push(call);
                 members.push_back(asked);
                 prompts_in_flight += asked;
             }
@@ -440,17 +592,9 @@ impl Driver<'_> {
                 // identically, as independent dispatch would.
                 Err(err) => return self.cut_short(err),
             };
-            let mut ledger = ctx.metrics.borrow_mut();
-            ledger.batched_rows += if asked > 1 { asked as u64 } else { 0 };
-            let alone = (asked == 1).then_some(&*response);
-            for text in split_sections(&response.text, asked) {
-                let accepted = plan.accept(Reply { text, alone })?;
-                ledger.dropped_lines += accepted.dropped_lines;
-                ledger.cells_filled_by_llm += accepted.cells_filled;
-                if accepted.done {
-                    // The ledger borrow ends before the flight drops.
-                    return Ok(());
-                }
+            if consume(ctx, plan, asked, &response)? {
+                // The flight drops with the requests still in it.
+                return Ok(());
             }
         }
         Ok(())
@@ -507,71 +651,105 @@ pub fn table_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) -> 
     Ok(rows)
 }
 
-/// Materialize a virtual relation by prompting the model.
+/// Materialize a virtual relation by prompting the model: the scan compiled
+/// for this one run (see the module docs).
 pub fn llm_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
-    let mut driver = Driver { ctx, cut: None };
-    let config = &ctx.config;
-    let rows = match (config.strategy, spec.prompt_filter()?) {
-        (PromptStrategy::TupleAtATime, _) => tuple_rows(&mut driver, *spec)?,
-        (PromptStrategy::DecomposedOperators, None) => tuple_rows(&mut driver, *spec)?,
-        // The filter becomes its own operator: materialize candidates
-        // without it, then check each. The row budget caps the rows the
-        // filter *keeps*, so every key up to the scan cap is a candidate.
-        (PromptStrategy::DecomposedOperators, Some(condition)) => {
-            let candidates = ScanSpec {
-                pushed_filter: None,
-                pushed_limit: None,
-                ..*spec
-            };
-            let candidates = tuple_rows(&mut driver, candidates)?;
-            let budget = spec.row_budget(config.max_scan_rows);
-            let mut checks = tuples::FilterChecks::new(*spec, &condition, budget, candidates);
-            driver.drive(&mut checks)?;
-            checks.kept
-        }
-        // Under FullQuery a scan reaches here in Hybrid mode (only LlmOnly
-        // answers a whole plan with one prompt, `crate::execute`), or with
-        // no statement text in the context: it pages.
-        (PromptStrategy::BatchedRows | PromptStrategy::FullQuery, filter) => {
-            // Relation-cardinality hint: `LlmClient::relation_cardinality`
-            // asked the model the first time any scan, plan or EXPLAIN on
-            // this client named the table and has held the answer since, so
-            // every scan of a relation pages to the same end, and this costs
-            // a map lookup, not a question to the model.
-            let hint = ctx.require_client()?.relation_cardinality(spec.table);
-            let (page, max_rows) = (config.batch_size, config.max_scan_rows);
-            let mut pages = pages::Pages::new(*spec, filter.as_deref(), page, max_rows, hint);
-            driver.drive(&mut pages)?;
-            pages.rows
-        }
-    };
-    let rows = driver.finish(rows);
-    ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
-    Ok(rows)
+    ModelScan::new(ctx, spec)?.run(ctx, spec)
 }
 
-/// Enumerate the keys (with the pushed filter in the prompt, if any), then
-/// look up the other needed columns of each, a window of them at a time.
-fn tuple_rows(driver: &mut Driver<'_>, spec: ScanSpec<'_>) -> Result<Vec<Row>> {
+/// What a model scan of one plan node derives from the node, the
+/// configuration and the client's cardinality hint alone (see the module
+/// docs). A compiled plan builds one per model scan, and every run of the
+/// plan reads it.
+pub(crate) enum ModelScan {
+    /// `row_batch` pages: batched rows, and the full-query strategy where a
+    /// scan runs on its own.
+    Pages(pages::PageScan),
+    /// The key enumeration and the per-tuple prompts it leads to.
+    Tuples(tuples::TupleScan),
+}
+
+impl ModelScan {
+    /// Compile the model scan of `spec` under the context's configuration.
+    pub(crate) fn new(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Self> {
+        let config = ctx.config;
+        let filter = spec.prompt_filter()?;
+        Ok(match config.strategy {
+            PromptStrategy::TupleAtATime | PromptStrategy::DecomposedOperators => {
+                let decomposed = config.strategy == PromptStrategy::DecomposedOperators;
+                let scan = tuples::TupleScan::new(*spec, filter, decomposed, config.max_scan_rows);
+                ModelScan::Tuples(scan)
+            }
+            // Under FullQuery a scan reaches here in Hybrid mode (only LlmOnly
+            // answers a whole plan with one prompt, `crate::execute`): it
+            // pages.
+            PromptStrategy::BatchedRows | PromptStrategy::FullQuery => {
+                // Relation-cardinality hint: `LlmClient::relation_cardinality`
+                // asked the model the first time any scan, plan or EXPLAIN on
+                // this client named the table and has held the answer since,
+                // so every scan of a relation pages to the same end.
+                let hint = ctx.require_client()?.relation_cardinality(spec.table);
+                let (page, max_rows) = (config.batch_size, config.max_scan_rows);
+                let scan = pages::PageScan::new(*spec, filter.as_deref(), page, max_rows, hint);
+                ModelScan::Pages(scan)
+            }
+        })
+    }
+
+    /// Run the scan of `spec`, the plan node it was compiled from.
+    pub(crate) fn run(&self, ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
+        let mut driver = Driver { ctx, cut: None };
+        let rows = match self {
+            ModelScan::Pages(scan) => {
+                let mut pages = pages::Pages::new(scan);
+                driver.drive(&mut pages)?;
+                pages.rows
+            }
+            ModelScan::Tuples(scan) => match &scan.condition {
+                None => tuple_rows(&mut driver, *spec, &scan.enumerate)?,
+                // The filter becomes its own operator: materialize
+                // candidates without it, then check each. The row budget
+                // caps the rows the filter *keeps*, so every key up to the
+                // scan cap is a candidate.
+                Some(condition) => {
+                    let candidates = tuple_rows(&mut driver, spec.candidates(), &scan.enumerate)?;
+                    let budget = spec.row_budget(ctx.config.max_scan_rows);
+                    let mut checks =
+                        tuples::FilterChecks::new(*spec, condition, budget, candidates);
+                    driver.drive(&mut checks)?;
+                    checks.kept
+                }
+            },
+        };
+        let rows = driver.finish(rows);
+        ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
+        Ok(rows)
+    }
+}
+
+/// Enumerate the keys by `prompt` (with the pushed filter in it, if any),
+/// then look up the other needed columns of each, a window of them at a
+/// time.
+fn tuple_rows(
+    driver: &mut Driver<'_>,
+    spec: ScanSpec<'_>,
+    prompt: &KeptPrompt,
+) -> Result<Vec<Row>> {
     let budget = spec.row_budget(driver.ctx.config.max_scan_rows);
-    let mut keys = tuples::Enumerate::new(spec, budget)?;
+    let mut keys = tuples::Enumerate::new(spec, budget, prompt);
     driver.drive(&mut keys)?;
     let mut lookups = tuples::Lookups::new(spec, keys.rows, false, budget);
     driver.drive(&mut lookups)?;
     Ok(lookups.rows)
 }
 
-/// Answer a whole query with one `full_query` prompt of the statement
-/// `sql`, its `output` columns and `context`, the schema of the first
-/// relation it scans. An answer landing past the deadline is a lapse.
-pub(crate) fn full_query_scan(
-    ctx: &ExecContext<'_>,
-    sql: &str,
-    output: &RelSchema,
-    context: &Schema,
-) -> Result<Vec<Row>> {
+pub(crate) use pages::WholeQuery;
+
+/// Answer a whole query with its compiled `full_query` prompt. An answer
+/// landing past the deadline is a lapse.
+pub(crate) fn whole_query_scan(ctx: &ExecContext<'_>, query: &WholeQuery) -> Result<Vec<Row>> {
     let mut driver = Driver { ctx, cut: None };
-    let mut whole = pages::Whole::new(sql, output, context);
+    let mut whole = pages::Whole::new(query);
     driver.drive(&mut whole)?;
     // One prompt has no later admission to notice a lapsed deadline.
     let late = ctx.check_deadline().err().filter(|_| driver.cut.is_none());
@@ -598,14 +776,16 @@ pub fn hybrid_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) ->
 
 #[cfg(test)]
 mod tests {
-    use super::pages::Pages;
-    use super::tuples::{missing, Enumerate, FilterChecks, Lookups};
+    use super::pages::{PageScan, Pages};
+    use super::tuples::{enumeration, missing, Enumerate, FilterChecks, Lookups};
     use super::*;
     use llmsql_llm::prompt::TaskSpec;
     use llmsql_llm::{CallSlots, CompletionResponse, KnowledgeBase, LlmClient, SimLlm};
     use llmsql_plan::estimate_scan_rows;
     use llmsql_store::Catalog;
-    use llmsql_types::{clock, Column, DataType, EngineConfig, ExecutionMode, LlmFidelity, Value};
+    use llmsql_types::{
+        clock, Column, DataType, EngineConfig, ExecutionMode, LlmFidelity, RelSchema, Value,
+    };
     use std::sync::Arc;
 
     // -----------------------------------------------------------------------
@@ -793,6 +973,7 @@ mod tests {
                 };
                 let prompts: Vec<String> = match asks {
                     Asks::Prompt(prompt) => vec![prompt],
+                    Asks::Kept(_, render) => vec![render.text()],
                     Asks::Keys(keys) => keys.iter().map(|(t, key)| t.render_key(key)).collect(),
                 };
                 // Only the key enumeration is asked on a spent budget.
@@ -975,7 +1156,8 @@ mod tests {
                 }
             };
             let pages = |fanout, batch| {
-                let mut plan = Pages::new(spec, text.as_deref(), page, usize::MAX, hint);
+                let scan = PageScan::new(spec, text.as_deref(), page, usize::MAX, hint);
+                let mut plan = Pages::new(&scan);
                 (replay(&mut plan, fanout, batch, calls, answer), plan.rows)
             };
             schedules(&pages);
@@ -985,7 +1167,8 @@ mod tests {
                 proptest::prop_assert!(planned <= (hint as usize).div_ceil(page), "past the hint");
             }
             schedules(&|fanout, batch| {
-                let mut plan = Enumerate::new(spec, budget).unwrap();
+                let prompt = enumeration(spec, text.as_deref(), budget);
+                let mut plan = Enumerate::new(spec, budget, &prompt);
                 (replay(&mut plan, fanout, batch, calls, answer), plan.rows)
             });
             for (source, stored) in [(&keys, false), (&stored_rows, true)] {
@@ -1159,7 +1342,8 @@ mod tests {
                     );
                     let output = RelSchema::from_table(&p.schema, "countries");
                     let ctx = setup.ctx();
-                    let rows = full_query_scan(&ctx, &sql, &output, &p.schema);
+                    let query = WholeQuery::new(&sql, &output, &p.schema);
+                    let rows = whole_query_scan(&ctx, &query);
                     (rows, ctx.metrics.into_inner())
                 }
             }

@@ -2,13 +2,89 @@
 //! page, and a whole query answered by one `full_query` prompt.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use llmsql_llm::prompt::PromptTemplate;
+use llmsql_llm::RequestKey;
 use llmsql_plan::estimate_scan_rows;
 use llmsql_types::{DataType, RelSchema, Result, Row, Schema, Value};
 
-use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
+use super::{unasked, Accepted, Asks, KeptPrompt, PromptPlan, Render, Reply, ScanSpec};
+
+/// What every run of one paged scan shares, derived once from the scan's
+/// plan node, the configuration and the relation's cardinality hint: the
+/// columns asked for and their types, the prompt template, the row budget,
+/// the page size, the hint and the first window — and the request key of
+/// each full page, once a run through a client with a request table has
+/// asked it.
+pub(crate) struct PageScan {
+    /// The base table's arity: every row is this wide.
+    arity: usize,
+    columns: Vec<usize>,
+    types: Arc<[DataType]>,
+    /// Everything a page's prompt says but its limit and offset — table,
+    /// column list, filter, the schema's description — rendered once.
+    template: PromptTemplate,
+    budget: usize,
+    page: usize,
+    /// Relation-cardinality hint: how many lines an unfiltered enumeration
+    /// would produce. Pages at offsets past it can only come back empty, so
+    /// they are never planned — no tail overshoot, and an empty relation
+    /// costs zero calls. Under a pushed filter it is still a sound upper
+    /// bound, and the short-page check still detects the filtered
+    /// relation's earlier end.
+    hint: Option<usize>,
+    /// `W₀`: the pages the planner expects the scan to take (1 without a
+    /// hint).
+    first_window: usize,
+    /// The request key of full page `i` — `limit` = `page`, at offset
+    /// `i × page` — one per page the hint allows (none without a hint, which
+    /// bounds nothing). A page with a smaller limit, the budget-clamped last
+    /// one, depends on how many rows earlier answers parsed and is rendered
+    /// afresh.
+    keys: Box<[OnceLock<RequestKey>]>,
+}
+
+impl PageScan {
+    /// The paged scan of `spec` in pages of `page` rows (at least one), with
+    /// `filter` in each prompt, under `max_scan_rows` and the relation's
+    /// cardinality `hint`.
+    pub(super) fn new(
+        spec: ScanSpec<'_>,
+        filter: Option<&str>,
+        page: usize,
+        max_scan_rows: usize,
+        hint: Option<u64>,
+    ) -> Self {
+        let columns = spec.needed_columns();
+        let column = |&i: &usize| &spec.table_schema.columns[i];
+        let names: Vec<&str> = columns.iter().map(|i| column(i).name.as_str()).collect();
+        let page = page.max(1);
+        let budget = spec.row_budget(max_scan_rows);
+        let first_window = hint.map_or(1, |n| {
+            let rows = estimate_scan_rows(n, max_scan_rows, spec.pushed_filter, spec.pushed_limit);
+            (rows / page as f64).ceil() as usize
+        });
+        let hint = hint.map(|n| n as usize);
+        let pages = hint.map_or(0, |n| n.min(budget).div_ceil(page));
+        PageScan {
+            arity: spec.table_schema.arity(),
+            types: columns.iter().map(|i| column(i).data_type).collect(),
+            template: PromptTemplate::row_batch(
+                spec.table,
+                &names,
+                filter,
+                Some(spec.table_schema),
+            ),
+            columns,
+            budget,
+            page,
+            hint,
+            first_window,
+            keys: (0..pages).map(|_| OnceLock::new()).collect(),
+        }
+    }
+}
 
 /// Page through the relation with `row_batch` prompts at precomputed
 /// offsets.
@@ -43,27 +119,11 @@ use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
 ///   wastes nothing, and a budget-capped scan (`LIMIT` or `max_scan_rows`
 ///   reached before exhaustion) issues exactly the sequential call count.
 ///
-/// A page's prompt is the plan's one template with the page's limit and
-/// offset rendered in.
-pub(super) struct Pages<'a> {
-    spec: ScanSpec<'a>,
-    columns: Vec<usize>,
-    types: Arc<[DataType]>,
-    /// Everything a page's prompt says but its limit and offset — table,
-    /// column list, filter, the schema's description — rendered once.
-    template: PromptTemplate,
-    budget: usize,
-    page: usize,
-    /// Relation-cardinality hint: how many lines an unfiltered enumeration
-    /// would produce. Pages at offsets past it can only come back empty, so
-    /// they are never planned — no tail overshoot, and an empty relation
-    /// costs zero calls. Under a pushed filter it is still a sound upper
-    /// bound, and the short-page check still detects the filtered
-    /// relation's earlier end.
-    hint: Option<usize>,
-    /// `W₀`: the pages the planner expects the scan to take (1 without a
-    /// hint).
-    first_window: usize,
+/// A full page's prompt is the scan's template with the page's limit and
+/// offset rendered in, and its request key is kept in the [`PageScan`]; a
+/// budget-clamped page is rendered for the run.
+pub(super) struct Pages<'c> {
+    scan: &'c PageScan,
     /// Full pages consumed.
     full_consumed: usize,
     /// Where the next unplanned page starts.
@@ -73,39 +133,11 @@ pub(super) struct Pages<'a> {
     pub(super) rows: Vec<Row>,
 }
 
-impl<'a> Pages<'a> {
-    /// The plan of `spec` in pages of `page` rows (at least one), with
-    /// `filter` in each prompt, under `max_scan_rows` and the relation's
-    /// cardinality `hint`.
-    pub(super) fn new(
-        spec: ScanSpec<'a>,
-        filter: Option<&str>,
-        page: usize,
-        max_scan_rows: usize,
-        hint: Option<u64>,
-    ) -> Self {
-        let columns = spec.needed_columns();
-        let column = |&i: &usize| &spec.table_schema.columns[i];
-        let names: Vec<&str> = columns.iter().map(|i| column(i).name.as_str()).collect();
-        let page = page.max(1);
-        let first_window = hint.map_or(1, |n| {
-            let rows = estimate_scan_rows(n, max_scan_rows, spec.pushed_filter, spec.pushed_limit);
-            (rows / page as f64).ceil() as usize
-        });
+impl<'c> Pages<'c> {
+    /// A run of `scan`.
+    pub(super) fn new(scan: &'c PageScan) -> Self {
         Pages {
-            spec,
-            types: columns.iter().map(|i| column(i).data_type).collect(),
-            template: PromptTemplate::row_batch(
-                spec.table,
-                &names,
-                filter,
-                Some(spec.table_schema),
-            ),
-            columns,
-            budget: spec.row_budget(max_scan_rows),
-            page,
-            hint: hint.map(|n| n as usize),
-            first_window,
+            scan,
             full_consumed: 0,
             offset: 0,
             in_flight: VecDeque::new(),
@@ -120,10 +152,11 @@ impl PromptPlan for Pages<'_> {
     fn window(&self) -> usize {
         // The answers have passed the planner's estimate: only the hint
         // still bounds what may be asked.
-        if self.hint.is_some() && self.full_consumed >= self.first_window {
+        let first_window = self.scan.first_window;
+        if self.scan.hint.is_some() && self.full_consumed >= first_window {
             return usize::MAX;
         }
-        self.first_window + self.full_consumed
+        first_window + self.full_consumed
     }
 
     fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
@@ -136,36 +169,42 @@ impl PromptPlan for Pages<'_> {
         // is `budget - rows.len()`, which depends on how many rows the
         // earlier pages actually *parsed* (fidelity noise drops lines) — so
         // it is issued alone, planned from the true row count.
+        let scan = self.scan;
         let reserved: usize = self.in_flight.iter().sum();
-        let limit = (self.budget.saturating_sub(self.rows.len() + reserved)).min(self.page);
-        let clamped_in_company = limit < self.page && !self.in_flight.is_empty();
-        let past_the_hint = self.hint.is_some_and(|end| self.offset >= end);
+        let limit = (scan.budget.saturating_sub(self.rows.len() + reserved)).min(scan.page);
+        let clamped_in_company = limit < scan.page && !self.in_flight.is_empty();
+        let past_the_hint = scan.hint.is_some_and(|end| self.offset >= end);
         if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
             return Ok(None);
         }
-        let prompt = self.template.render_page(limit, self.offset);
+        let offset = self.offset;
         self.offset += limit;
         self.in_flight.push_back(limit);
-        Ok(Some(Asks::Prompt(prompt)))
+        let full = limit == scan.page && offset.is_multiple_of(scan.page);
+        let kept = full.then(|| scan.keys.get(offset / scan.page)).flatten();
+        Ok(Some(match kept {
+            Some(key) => Asks::Kept(key, Render::Page(&scan.template, limit, offset)),
+            None => Asks::Prompt(scan.template.render_page(limit, offset)),
+        }))
     }
 
     fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
+        let scan = self.scan;
         let want = self.in_flight.pop_front().ok_or_else(unasked)?;
         // A backend that emits *more* lines than requested is clamped to the
         // page size — later pages are dispatched at offsets assuming at most
         // `want` lines per page, so consuming overshoot would duplicate rows.
-        let keep = want.min(self.budget - self.rows.len());
+        let keep = want.min(scan.budget - self.rows.len());
         // Read through the answer's page index, cold or warm: a cached answer
         // is not scanned again.
-        let page = reply.page(&self.types)?;
+        let page = reply.page(&scan.types)?;
         let (parsed, dropped) = (page.lines(), page.dropped_lines());
-        let arity = self.spec.table_schema.arity();
         self.rows.reserve(keep.min(parsed));
         // Each kept line's cells go straight to their columns of a row of
         // the base arity, NULL elsewhere.
         for cells in page.rows().take(keep) {
-            let mut full = vec![Value::Null; arity];
-            for (cell, &column) in cells.zip(&self.columns) {
+            let mut full = vec![Value::Null; scan.arity];
+            for (cell, &column) in cells.zip(&scan.columns) {
                 full[column] = cell;
             }
             self.rows.push(Row::new(full));
@@ -175,7 +214,7 @@ impl PromptPlan for Pages<'_> {
         // asked for, not when some lines were malformed. A short page is the
         // end of the relation: the pages still in flight were speculative
         // fetches past the end.
-        let done = parsed + dropped < want || self.rows.len() >= self.budget;
+        let done = parsed + dropped < want || self.rows.len() >= scan.budget;
         self.full_consumed += usize::from(!done);
         Ok(Accepted {
             done,
@@ -185,37 +224,60 @@ impl PromptPlan for Pages<'_> {
     }
 }
 
+/// A whole query's one `full_query` prompt, derived once from the
+/// statement: the prompt with its kept request key, and the output's types.
+pub(crate) struct WholeQuery {
+    prompt: KeptPrompt,
+    types: Arc<[DataType]>,
+}
+
+impl WholeQuery {
+    /// The prompt asking for `sql` with the `output` columns, described by
+    /// `context`.
+    pub(crate) fn new(sql: &str, output: &RelSchema, context: &Schema) -> Self {
+        WholeQuery {
+            prompt: KeptPrompt::new(PromptTemplate::full_query(
+                sql,
+                &output.names(),
+                Some(context),
+            )),
+            types: output.fields.iter().map(|f| f.data_type).collect(),
+        }
+    }
+}
+
 /// The whole-query plan: one `full_query` prompt, whose answer is the result
 /// table, read as rows of the output's types.
-pub(super) struct Whole {
-    /// The prompt, until it is asked.
-    prompt: Option<String>,
-    types: Arc<[DataType]>,
+pub(super) struct Whole<'c> {
+    query: &'c WholeQuery,
+    asked: bool,
     pub(super) rows: Vec<Row>,
 }
 
-impl Whole {
-    /// The plan asking for `sql` with the `output` columns, described by
-    /// `context`.
-    pub(super) fn new(sql: &str, output: &RelSchema, context: &Schema) -> Self {
-        let prompt = PromptTemplate::full_query(sql, &output.names(), Some(context));
+impl<'c> Whole<'c> {
+    /// A run of `query`.
+    pub(super) fn new(query: &'c WholeQuery) -> Self {
         Whole {
-            prompt: Some(prompt),
-            types: output.fields.iter().map(|f| f.data_type).collect(),
+            query,
+            asked: false,
             rows: Vec::new(),
         }
     }
 }
 
-impl PromptPlan for Whole {
+impl PromptPlan for Whole<'_> {
     const KIND: &'static str = "full_query";
 
     fn next(&mut self, cap: usize) -> Result<Option<Asks<'_>>> {
-        Ok(self.prompt.take_if(|_| cap > 0).map(Asks::Prompt))
+        if self.asked || cap == 0 {
+            return Ok(None);
+        }
+        self.asked = true;
+        Ok(Some(self.query.prompt.ask()))
     }
 
     fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
-        let page = reply.page(&self.types)?;
+        let page = reply.page(&self.query.types)?;
         self.rows = page.rows().map(|cells| Row::new(cells.collect())).collect();
         Ok(Accepted {
             done: true,
@@ -256,7 +318,8 @@ mod tests {
         let p = parts(None, None);
         let spec = p.spec();
         for fanout in [1, 4] {
-            let mut pages = Pages::new(spec, None, 2, usize::MAX, None);
+            let scan = PageScan::new(spec, None, 2, usize::MAX, None);
+            let mut pages = Pages::new(&scan);
             let run = replay(
                 &mut pages,
                 fanout,
@@ -279,7 +342,8 @@ mod tests {
         let p = parts(Some(gt_filter(60)), Some(vec![0, 2]));
         let spec = p.spec();
         let filter = spec.prompt_filter().unwrap();
-        let mut pages = Pages::new(spec, filter.as_deref(), 2, usize::MAX, None);
+        let scan = PageScan::new(spec, filter.as_deref(), 2, usize::MAX, None);
+        let mut pages = Pages::new(&scan);
         let kept: Vec<Row> = world_rows()
             .into_iter()
             .filter(|row| row.get(2).as_int().unwrap() > 60)
@@ -300,7 +364,8 @@ mod tests {
         // for is NULL.
         let p = parts(None, Some(vec![2, 0]));
         let spec = p.spec();
-        let mut pages = Pages::new(spec, None, 2, usize::MAX, Some(5));
+        let scan = PageScan::new(spec, None, 2, usize::MAX, Some(5));
+        let mut pages = Pages::new(&scan);
         let run = replay(
             &mut pages,
             4,
@@ -325,7 +390,8 @@ mod tests {
         p.pushed_limit = Some(2);
         let spec = p.spec();
         for (fanout, hint) in [(1, None), (8, None), (8, Some(5))] {
-            let mut pages = Pages::new(spec, None, 2, usize::MAX, hint);
+            let scan = PageScan::new(spec, None, 2, usize::MAX, hint);
+            let mut pages = Pages::new(&scan);
             let run = replay(
                 &mut pages,
                 fanout,
@@ -344,7 +410,8 @@ mod tests {
         // row the cap has left.
         let p = parts(None, None);
         let spec = p.spec();
-        let mut pages = Pages::new(spec, None, 2, 3, None);
+        let scan = PageScan::new(spec, None, 2, 3, None);
+        let mut pages = Pages::new(&scan);
         let run = replay(
             &mut pages,
             4,
@@ -403,7 +470,8 @@ mod tests {
         let spec = p.spec();
         for hint in [Some(60), None] {
             let run = |fanout: usize| {
-                let mut pages = Pages::new(spec, None, 5, 12, hint);
+                let scan = PageScan::new(spec, None, 5, 12, hint);
+                let mut pages = Pages::new(&scan);
                 let run = replay(&mut pages, fanout, 1, usize::MAX, noisy);
                 (run, pages.rows)
             };
@@ -434,7 +502,8 @@ mod tests {
         let p = parts(None, None);
         let spec = p.spec();
         let model = || pages_of(numbered_rows(20), vec![0, 1, 2]);
-        let mut unhinted = Pages::new(spec, None, 5, usize::MAX, None);
+        let scan = PageScan::new(spec, None, 5, usize::MAX, None);
+        let mut unhinted = Pages::new(&scan);
         assert_eq!(
             replay(&mut unhinted, 1, 1, usize::MAX, model())
                 .prompts
@@ -442,7 +511,8 @@ mod tests {
             5
         );
         for fanout in [1, 4, 8] {
-            let mut pages = Pages::new(spec, None, 5, usize::MAX, Some(20));
+            let scan = PageScan::new(spec, None, 5, usize::MAX, Some(20));
+            let mut pages = Pages::new(&scan);
             let run = replay(&mut pages, fanout, 1, usize::MAX, model());
             let expected: Vec<String> = (0..4).map(|i| page_prompt(&p, 5, i)).collect();
             assert_eq!(
@@ -457,7 +527,8 @@ mod tests {
     fn cardinality_hint_makes_empty_relations_free() {
         let p = parts(None, None);
         let spec = p.spec();
-        let mut pages = Pages::new(spec, None, 5, usize::MAX, Some(0));
+        let scan = PageScan::new(spec, None, 5, usize::MAX, Some(0));
+        let mut pages = Pages::new(&scan);
         let run = replay(&mut pages, 8, 1, usize::MAX, |_, _| unreachable!());
         assert!(run.prompts.is_empty());
         assert!(pages.rows.is_empty());
@@ -489,7 +560,8 @@ mod tests {
             let p = parts(Some(filter), None);
             let spec = p.spec();
             let text = spec.prompt_filter().unwrap();
-            let mut pages = Pages::new(spec, text.as_deref(), PAGE, usize::MAX, Some(200));
+            let scan = PageScan::new(spec, text.as_deref(), PAGE, usize::MAX, Some(200));
+            let mut pages = Pages::new(&scan);
             let model = pages_of(numbered_rows(200), vec![0, 1, 2]);
             let run = replay(&mut pages, FANOUT, 1, usize::MAX, model);
             let expected: Vec<String> = (0..20).map(|i| page_prompt(&p, PAGE, i)).collect();
@@ -517,7 +589,8 @@ mod tests {
         let mut p = parts(None, None);
         p.pushed_limit = Some(200);
         let spec = p.spec();
-        let mut pages = Pages::new(spec, None, 10, usize::MAX, None);
+        let scan = PageScan::new(spec, None, 10, usize::MAX, None);
+        let mut pages = Pages::new(&scan);
         let model = pages_of(numbered_rows(200), vec![0, 1, 2]);
         let run = replay(&mut pages, 16, 1, usize::MAX, model);
         assert_eq!(pages.rows.len(), 200);
@@ -548,7 +621,8 @@ mod tests {
             ),
             (None, vec![1, 2, 3, 4, 5, 6, 7, 8, 9]),
         ] {
-            let mut pages = Pages::new(spec, None, 10, usize::MAX, hint);
+            let scan = PageScan::new(spec, None, 10, usize::MAX, hint);
+            let mut pages = Pages::new(&scan);
             let mut seen = Vec::new();
             for consumed in 0..windows.len() {
                 seen.push(pages.window());
@@ -571,7 +645,8 @@ mod tests {
         // one row: the relation has ended.
         let p = parts(None, None);
         let spec = p.spec();
-        let mut pages = Pages::new(spec, None, 3, usize::MAX, None);
+        let scan = PageScan::new(spec, None, 3, usize::MAX, None);
+        let mut pages = Pages::new(&scan);
         let answers = [
             lines(0..5),
             format!("{}\ngarbled", lines(3..5)),
@@ -594,7 +669,8 @@ mod tests {
         let p = parts(None, None);
         let spec = p.spec();
         for fanout in [1, 3, 16] {
-            let mut pages = Pages::new(spec, None, 2, usize::MAX, Some(7));
+            let scan = PageScan::new(spec, None, 2, usize::MAX, Some(7));
+            let mut pages = Pages::new(&scan);
             let model = pages_of(numbered_rows(40), vec![0, 1, 2]);
             let run = replay(&mut pages, fanout, 1, usize::MAX, model);
             let asked: Vec<String> = (0..4).map(|i| page_prompt(&p, 2, i)).collect();
@@ -613,7 +689,8 @@ mod tests {
             Field::new(None, "population", DataType::Int, true),
         ]);
         // A spent call budget asks nothing.
-        let mut spent = Whole::new(sql, &output, &p.schema);
+        let query = WholeQuery::new(sql, &output, &p.schema);
+        let mut spent = Whole::new(&query);
         let nothing = replay(&mut spent, 4, 1, 0, |_, _| unreachable!());
         assert_eq!(nothing, Replay::default());
 
@@ -621,7 +698,7 @@ mod tests {
         // reads as the parser reads it: commentary skipped, extra cells cut,
         // a line without a separator dropped.
         let answer = "Here are the results:\nJapan | 125\nGermany | 84 | 1\ngarbled\nFrance | 68";
-        let mut whole = Whole::new(sql, &output, &p.schema);
+        let mut whole = Whole::new(&query);
         let run = replay(&mut whole, 4, 1, usize::MAX, |_, _| answer.into());
         let task = TaskSpec::FullQuery {
             sql: sql.into(),

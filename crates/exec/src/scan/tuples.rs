@@ -8,30 +8,75 @@ use llmsql_llm::prompt::PromptTemplate;
 use llmsql_llm::{parse_yes_no, scan_pipe_rows, scan_value_lines, YesNoAnswer};
 use llmsql_types::{DataType, Result, Row, Value};
 
-use super::{unasked, Accepted, Asks, PromptPlan, Reply, ScanSpec};
+use super::{unasked, Accepted, Asks, KeptPrompt, PromptPlan, Reply, ScanSpec};
+
+/// What every run of one per-tuple scan shares, derived once from the
+/// scan's plan node and the configuration: the key enumeration's prompt with
+/// its kept request key, and the condition a decomposed scan checks per
+/// candidate. The lookups and the checks name keys that earlier answers
+/// gave, so they are rendered per run.
+pub(crate) struct TupleScan {
+    /// The one `enumerate` prompt: over the pushed filter, or over every
+    /// candidate key when the filter is checked per candidate.
+    pub(super) enumerate: KeptPrompt,
+    /// The pushed filter as prompt text, when it becomes the decomposed
+    /// strategy's own operator.
+    pub(super) condition: Option<String>,
+}
+
+impl TupleScan {
+    /// The per-tuple scan of `spec` under `max_scan_rows`, whose pushed
+    /// filter reads `filter` in a prompt. `decomposed`: the filter is checked
+    /// per candidate, so the enumeration lists every key up to the scan cap.
+    pub(super) fn new(
+        spec: ScanSpec<'_>,
+        filter: Option<String>,
+        decomposed: bool,
+        max_scan_rows: usize,
+    ) -> Self {
+        let (filter, condition) = match filter {
+            Some(condition) if decomposed => (None, Some(condition)),
+            filter => (filter, None),
+        };
+        let enumerated = if condition.is_some() {
+            spec.candidates()
+        } else {
+            spec
+        };
+        let budget = enumerated.row_budget(max_scan_rows);
+        TupleScan {
+            enumerate: enumeration(enumerated, filter.as_deref(), budget),
+            condition,
+        }
+    }
+}
+
+/// The prompt enumerating up to `budget` of `spec`'s keys, with `filter` in
+/// it.
+pub(super) fn enumeration(spec: ScanSpec<'_>, filter: Option<&str>, budget: usize) -> KeptPrompt {
+    let template = PromptTemplate::enumerate(spec.table, filter, Some(spec.table_schema));
+    KeptPrompt::new(template.render_page(budget, 0))
+}
 
 /// The key enumeration that opens the per-tuple strategies: one `enumerate`
 /// prompt, answered by one row per key with every other column NULL.
 pub(super) struct Enumerate<'a> {
     spec: ScanSpec<'a>,
     budget: usize,
-    prompt: Option<String>,
+    /// The prompt, until it is asked.
+    prompt: Option<&'a KeptPrompt>,
     pub(super) rows: Vec<Row>,
 }
 
 impl<'a> Enumerate<'a> {
-    /// The enumeration of up to `budget` of `spec`'s keys, with the pushed
-    /// filter in the prompt.
-    pub(super) fn new(spec: ScanSpec<'a>, budget: usize) -> Result<Self> {
-        let filter = spec.prompt_filter()?;
-        let template =
-            PromptTemplate::enumerate(spec.table, filter.as_deref(), Some(spec.table_schema));
-        Ok(Enumerate {
+    /// The enumeration of up to `budget` of `spec`'s keys by `prompt`.
+    pub(super) fn new(spec: ScanSpec<'a>, budget: usize, prompt: &'a KeptPrompt) -> Self {
+        Enumerate {
             spec,
             budget,
-            prompt: Some(template.render_page(budget, 0)),
+            prompt: Some(prompt),
             rows: Vec::new(),
-        })
+        }
     }
 }
 
@@ -41,7 +86,7 @@ impl PromptPlan for Enumerate<'_> {
     fn next(&mut self, _cap: usize) -> Result<Option<Asks<'_>>> {
         // Issued even on a spent call budget: the keys then cost one call
         // and the lookups they would feed cost none.
-        Ok(self.prompt.take().map(Asks::Prompt))
+        Ok(self.prompt.take().map(KeptPrompt::ask))
     }
 
     fn accept(&mut self, reply: Reply<'_>) -> Result<Accepted> {
@@ -336,7 +381,8 @@ mod tests {
         let p = parts(Some(gt_filter(60)), None);
         let spec = p.spec();
         let filter = spec.prompt_filter().unwrap();
-        let mut keys = Enumerate::new(spec, usize::MAX).unwrap();
+        let prompt = enumeration(spec, filter.as_deref(), usize::MAX);
+        let mut keys = Enumerate::new(spec, usize::MAX, &prompt);
         let names = "France\nGermany\nJapan\nPeru\nKenya".to_string();
         let run = replay(&mut keys, 4, 4, usize::MAX, |_, _| names.clone());
         let enumerate = TaskSpec::Enumerate {
@@ -471,7 +517,9 @@ mod tests {
         p.pushed_limit = Some(4);
         let spec = p.spec();
         let budget = spec.row_budget(usize::MAX);
-        let mut keys = Enumerate::new(spec, budget).unwrap();
+        let filter = spec.prompt_filter().unwrap();
+        let prompt = enumeration(spec, filter.as_deref(), budget);
+        let mut keys = Enumerate::new(spec, budget, &prompt);
         let listed = "Here are the keys:\nFrance\nJapan\nFrance\nPeru\nKenya";
         let run = replay(&mut keys, 8, 4, usize::MAX, |_, _| listed.to_string());
         assert_eq!((run.prompts.len(), run.dropped_lines), (1, 0));
@@ -564,7 +612,9 @@ mod tests {
         // so no enumerated key becomes a row; stored rows pass unfilled.
         let p = parts(None, None);
         let spec = p.spec();
-        let mut keys = Enumerate::new(spec, usize::MAX).unwrap();
+        let filter = spec.prompt_filter().unwrap();
+        let prompt = enumeration(spec, filter.as_deref(), usize::MAX);
+        let mut keys = Enumerate::new(spec, usize::MAX, &prompt);
         assert!(keys.next(0).unwrap().is_some());
         let mut lookups = Lookups::new(spec, world_rows(), false, usize::MAX);
         assert!(lookups.next(0).unwrap().is_none());

@@ -118,11 +118,13 @@ pub fn split_prompt(prompt: &str) -> Vec<String> {
 /// mirroring what a truncated unpacked completion would produce), and
 /// sections past the last member are ignored.
 pub fn split_sections(text: &str, members: usize) -> impl Iterator<Item = &str> {
-    // One member's answer is never cut, separator or not.
+    // One member's answer is never cut, separator or not, and is not
+    // searched for one.
     let whole = (members <= 1).then_some(text);
+    let cut = (members > 1).then(|| sections(text));
     whole
         .into_iter()
-        .chain(sections(text))
+        .chain(cut.into_iter().flatten())
         .chain(std::iter::repeat(""))
         .take(members.max(1))
 }

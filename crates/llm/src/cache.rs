@@ -154,6 +154,32 @@ impl RequestTable {
         found
     }
 
+    /// The answer published under `key`, counted as a hit. A miss is not
+    /// counted: the claim that follows it counts it.
+    pub(crate) fn hit(&self, key: &RequestKey) -> Option<Arc<Answer>> {
+        let slot = self.shard(key).read().get(key).cloned();
+        let answer = slot?.ok()?;
+        // ordering: Relaxed — advisory statistics, as in `claim`.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(answer)
+    }
+
+    /// The key an equal `key` is stored under, when the table keeps answers
+    /// and holds one: a caller that keeps `key` keeps this one instead, so
+    /// the table and the caller share one text, and a later claim finds it
+    /// by address.
+    pub(crate) fn kept_key(&self, key: RequestKey) -> Option<RequestKey> {
+        if !self.keeps_answers {
+            return None;
+        }
+        let stored = self
+            .shard(&key)
+            .read()
+            .get_key_value(&key)
+            .map(|(k, _)| k.clone());
+        Some(stored.unwrap_or(key))
+    }
+
     /// Publish an answer under `key` (an owned response is moved into a new
     /// shared answer), unless a flight is in progress there.
     pub fn put(&self, key: impl Into<RequestKey>, response: impl Into<Arc<Answer>>) {

@@ -10,6 +10,11 @@
 //!
 //! Equality still compares the full text: two keys whose hashes collide are
 //! different keys, and one prompt's answer is never served for another.
+//!
+//! A key the client builds ends with its request's prompt and records where
+//! that starts ([`RequestKey::prompt`]), so a call started from a kept key
+//! reads its prompt back out of the key when it leads a dispatch, instead of
+//! rendering it again.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
@@ -20,20 +25,34 @@ use std::sync::{Arc, OnceLock};
 pub struct RequestKey {
     hash: u64,
     text: Arc<str>,
+    /// Where the request's prompt starts in `text`.
+    prompt_at: usize,
 }
 
 impl RequestKey {
-    /// Hash `text`, the one time it is hashed.
+    /// Hash `text`, the one time it is hashed. The whole text is the key's
+    /// prompt.
     pub fn new(text: impl Into<Arc<str>>) -> Self {
+        RequestKey::with_prompt_at(text.into(), 0)
+    }
+
+    /// Hash `text`, whose prompt starts at byte `prompt_at`.
+    pub(crate) fn with_prompt_at(text: Arc<str>, prompt_at: usize) -> Self {
         // One randomly keyed SipHash for the process: keys carry text from
         // outside the program (SQL literals reach the prompt), so the hash
         // must stay unpredictable to whoever writes that text.
         static HASHER: OnceLock<RandomState> = OnceLock::new();
-        let text = text.into();
         RequestKey {
             hash: HASHER.get_or_init(RandomState::new).hash_one(&*text),
             text,
+            prompt_at,
         }
+    }
+
+    /// The prompt of the request this key stands for: the tail of the key's
+    /// text (all of it, for a key built from a bare text).
+    pub fn prompt(&self) -> &str {
+        &self.text[self.prompt_at..]
     }
 
     /// A key with a chosen hash, for forcing two texts to collide.
@@ -42,7 +61,15 @@ impl RequestKey {
         RequestKey {
             hash,
             text: text.into(),
+            prompt_at: 0,
         }
+    }
+
+    /// Whether two keys share one text allocation, as a key and its clones
+    /// do.
+    #[cfg(test)]
+    pub(crate) fn shares_text(&self, other: &RequestKey) -> bool {
+        Arc::ptr_eq(&self.text, &other.text)
     }
 
     /// Which of `shards` maps this key lives in. A `KeyMap` picks its

@@ -130,33 +130,40 @@ pub trait LanguageModel: Send + Sync {
 
 /// The client the executor uses: wraps a model with a request table, a
 /// usage accumulator and the relation-cardinality hints the model has given.
-/// Cloning shares all three.
+/// Cloning shares all three, and costs two reference-count bumps: every
+/// request a scan starts holds a clone.
 #[derive(Clone)]
 pub struct LlmClient {
-    model: Arc<dyn LanguageModel>,
-    /// When the model is a [`BackendPool`], a typed handle to it so callers
-    /// can read per-backend counters.
-    pool: Option<Arc<BackendPool>>,
+    /// What every clone shares and nothing changes once the client is built.
+    shared: Arc<Shared>,
     /// The request table (see [`crate::cache`]): identical requests in
     /// flight at the same time collapse into one model call, and a table
     /// that keeps answers is the prompt cache. `None` means no key is
     /// computed and nothing is shared.
     table: Option<Arc<RequestTable>>,
+}
+
+/// The part of an [`LlmClient`] its clones share.
+struct Shared {
+    model: Arc<dyn LanguageModel>,
+    /// When the model is a [`BackendPool`], a typed handle to it so callers
+    /// can read per-backend counters.
+    pool: Option<Arc<BackendPool>>,
     /// Semantic fingerprint of the wrapped model, folded into every request
     /// key: answers are only shared between requests that the same model
     /// configuration would answer identically.
-    fingerprint: Arc<str>,
+    fingerprint: String,
     /// What the model answered; taken only when it answers.
-    usage: Arc<Mutex<UsageStats>>,
+    usage: Mutex<UsageStats>,
     /// Calls served a published answer from the table.
-    cache_hits: Arc<AtomicU64>,
+    cache_hits: AtomicU64,
     /// What the model answered to [`LanguageModel::relation_cardinality`],
     /// per table, `None` included: the model is asked once, however many
     /// scans, queries and worker threads share this client. Nothing
     /// invalidates an entry — the trait forbids the answer from changing
     /// while the model is attached, and attaching another model builds
     /// another client.
-    cardinalities: Arc<Mutex<HashMap<String, CardinalityCell>>>,
+    cardinalities: Mutex<HashMap<String, CardinalityCell>>,
 }
 
 /// One table's remembered hint. The cell, not the map's lock, is what a
@@ -178,48 +185,54 @@ impl LlmClient {
     /// *different* model configurations can safely share one table: the
     /// model fingerprint is part of every key.
     pub fn with_shared_cache(model: Arc<dyn LanguageModel>, table: Arc<RequestTable>) -> Self {
-        LlmClient {
-            table: Some(table),
-            ..Self::without_cache(model)
-        }
+        LlmClient::over(model, None, Some(table))
     }
 
     /// Wrap a model without a request table: no key, no cache, no dedup.
     pub fn without_cache(model: Arc<dyn LanguageModel>) -> Self {
-        let fingerprint: Arc<str> = model.fingerprint().into();
-        LlmClient {
-            model,
-            pool: None,
-            table: None,
-            fingerprint,
-            usage: Arc::new(Mutex::new(UsageStats::default())),
-            cache_hits: Arc::default(),
-            cardinalities: Arc::default(),
-        }
+        LlmClient::over(model, None, None)
     }
 
     /// Wrap a multi-backend pool (with caching when `cached`). Completions
     /// route through the pool's policy + failover; [`LlmClient::backend_stats`]
     /// exposes the per-backend counters.
     pub fn from_pool(pool: Arc<BackendPool>, cached: bool) -> Self {
-        let mut client = if cached {
-            Self::new(Arc::clone(&pool) as Arc<dyn LanguageModel>)
-        } else {
-            Self::without_cache(Arc::clone(&pool) as Arc<dyn LanguageModel>)
+        let table = cached.then(|| Arc::new(RequestTable::caching()));
+        LlmClient::over(
+            Arc::clone(&pool) as Arc<dyn LanguageModel>,
+            Some(pool),
+            table,
+        )
+    }
+
+    fn over(
+        model: Arc<dyn LanguageModel>,
+        pool: Option<Arc<BackendPool>>,
+        table: Option<Arc<RequestTable>>,
+    ) -> Self {
+        let shared = Shared {
+            fingerprint: model.fingerprint(),
+            model,
+            pool,
+            usage: Mutex::default(),
+            cache_hits: AtomicU64::default(),
+            cardinalities: Mutex::default(),
         };
-        client.pool = Some(pool);
-        client
+        LlmClient {
+            shared: Arc::new(shared),
+            table,
+        }
     }
 
     /// Per-backend physical-call counters, when the client wraps a pool.
     pub fn backend_stats(&self) -> Option<Vec<BackendStats>> {
-        self.pool.as_ref().map(|p| p.stats())
+        self.shared.pool.as_ref().map(|p| p.stats())
     }
 
     /// The wrapped [`BackendPool`], when this client routes through one
     /// (hedge slots and EWMA inspection go through this handle).
     pub fn pool(&self) -> Option<&Arc<BackendPool>> {
-        self.pool.as_ref()
+        self.shared.pool.as_ref()
     }
 
     /// Give a client without a table one that keeps no answers, so
@@ -241,31 +254,36 @@ impl LlmClient {
     /// the answer from then on.
     pub fn relation_cardinality(&self, table: &str) -> Option<u64> {
         let cell = {
-            let mut memo = self.cardinalities.lock();
+            let mut memo = self.shared.cardinalities.lock();
             if let Some(known) = memo.get(table).and_then(|cell| cell.get()) {
                 return *known;
             }
             Arc::clone(memo.entry(table.to_string()).or_default())
         };
-        *cell.get_or_init(|| self.model.relation_cardinality(table))
+        *cell.get_or_init(|| self.shared.model.relation_cardinality(table))
     }
 
     /// The request-table key for a request: the model fingerprint plus
-    /// every request parameter that can change the completion. Two queries
-    /// sharing a prompt string but differing in model config, `max_tokens`
-    /// or `temperature` never collide. The text is hashed here, once; the
-    /// table's lookup and its leader's publish reuse that hash.
+    /// every request parameter that can change the completion, then the
+    /// prompt. Two queries sharing a prompt string but differing in model
+    /// config, `max_tokens` or `temperature` never collide. This is the one
+    /// place a key is written; the text is hashed here, once, and the table's
+    /// lookup and its leader's publish reuse that hash. The key records where
+    /// its prompt starts, so a call started from it can read the prompt back.
     fn request_key(&self, request: &CompletionRequest) -> RequestKey {
         // Room for the prompt up front: a packed prompt runs to kilobytes,
         // and growing into it would copy it several times over.
-        let mut text = String::with_capacity(self.fingerprint.len() + request.prompt.len() + 48);
+        let fingerprint = &self.shared.fingerprint;
+        let mut text = String::with_capacity(fingerprint.len() + request.prompt.len() + 48);
         // Writing to a `String` cannot fail.
         let _ = write!(
             text,
-            "{}\u{1f}{}\u{1f}{}\u{1f}{}",
-            self.fingerprint, request.max_tokens, request.temperature, request.prompt
+            "{}\u{1f}{}\u{1f}{}\u{1f}",
+            fingerprint, request.max_tokens, request.temperature
         );
-        RequestKey::new(text)
+        let prompt_at = text.len();
+        text.push_str(&request.prompt);
+        RequestKey::with_prompt_at(text.into(), prompt_at)
     }
 
     /// Issue a completion and block for it: [`LlmClient::start_call`],
@@ -283,6 +301,58 @@ impl LlmClient {
     /// releases single-flight leadership and any held permit.
     pub fn start_call(&self, request: CompletionRequest) -> ClientCall {
         let key = self.table.is_some().then(|| self.request_key(&request));
+        self.call(Some(request), key)
+    }
+
+    /// Begin a default-parameter completion ([`CompletionRequest::new`]) of
+    /// a prompt that is the same every time it is asked, whose request key
+    /// `kept` holds once it is built: [`LlmClient::start_call`], except that
+    /// through a client whose request table keeps answers only the first
+    /// call renders the prompt and builds its key, and every later one starts
+    /// from the kept key. Such a call renders nothing, and a hit copies and
+    /// hashes nothing: `kept` holds the very key the table stored, when it
+    /// stored one, so the table finds it by address. It builds the request
+    /// only if it leads a dispatch, from the prompt the key ends with. A
+    /// table that keeps no answers would free each key when its flight ends,
+    /// so there, as without a table, nothing is kept and every call renders.
+    /// Returns the call and whether it rendered the prompt.
+    ///
+    /// A key depends on this client's model fingerprint: `kept` must not
+    /// outlive the client it was filled through.
+    pub fn start_kept(
+        &self,
+        kept: &OnceLock<RequestKey>,
+        render: impl FnOnce() -> String,
+    ) -> (ClientCall, bool) {
+        if let Some(key) = kept.get() {
+            return (self.call(None, Some(key.clone())), false);
+        }
+        let request = CompletionRequest::new(render());
+        let key = self.table.as_ref().map(|table| {
+            let key = self.request_key(&request);
+            match table.kept_key(key.clone()) {
+                Some(stored) => kept.get_or_init(|| stored).clone(),
+                None => key,
+            }
+        });
+        (self.call(Some(request), key), true)
+    }
+
+    /// The answer the request table holds for the prompt whose key `kept`
+    /// holds (see [`LlmClient::start_kept`]), counted as a cache hit: what a
+    /// call started from that key would resolve to at its first poll, with
+    /// no call. `None` — and nothing counted — when no key is kept or the
+    /// table holds no answer for it.
+    pub fn kept_answer(&self, kept: &OnceLock<RequestKey>) -> Option<Arc<Answer>> {
+        let answer = self.table.as_ref()?.hit(kept.get()?)?;
+        // ordering: Relaxed — an advisory counter.
+        self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Some(answer)
+    }
+
+    /// A call of `request` under `key`; without a request, the call builds
+    /// the default-parameter request of the key's prompt when it dispatches.
+    fn call(&self, request: Option<CompletionRequest>, key: Option<RequestKey>) -> ClientCall {
         ClientCall {
             client: self.clone(),
             request,
@@ -300,8 +370,8 @@ impl LlmClient {
     pub fn usage(&self) -> UsageStats {
         UsageStats {
             // ordering: Relaxed — an advisory counter read.
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            ..self.usage.lock().clone()
+            cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
+            ..self.shared.usage.lock().clone()
         }
     }
 
@@ -357,7 +427,9 @@ enum CcState {
 ///   permit; the model-side flight is abandoned.
 pub struct ClientCall {
     client: LlmClient,
-    request: CompletionRequest,
+    /// The request, once it exists: a call started from a kept key builds
+    /// it only when it leads a dispatch.
+    request: Option<CompletionRequest>,
     /// Request-table key, formatted and hashed once; `None` when the client
     /// has no table.
     key: Option<RequestKey>,
@@ -396,7 +468,10 @@ impl ClientCall {
                         match table.claim(key) {
                             Claim::Hit(hit) => {
                                 // ordering: Relaxed — an advisory counter.
-                                self.client.cache_hits.fetch_add(1, Ordering::Relaxed);
+                                self.client
+                                    .shared
+                                    .cache_hits
+                                    .fetch_add(1, Ordering::Relaxed);
                                 self.usage.cache_hits += 1;
                                 self.state = CcState::Done;
                                 return Some(Ok(hit));
@@ -424,7 +499,11 @@ impl ClientCall {
                 },
                 CcState::AwaitingSlot => {
                     self.permit = Some(gate()?);
-                    self.handle = Some(self.client.model.submit(&self.request));
+                    let key = &self.key;
+                    let request = self.request.get_or_insert_with(|| {
+                        CompletionRequest::new(key.as_ref().map_or("", RequestKey::prompt))
+                    });
+                    self.handle = Some(self.client.shared.model.submit(request));
                     self.state = CcState::InFlight;
                 }
                 CcState::InFlight => {
@@ -435,7 +514,7 @@ impl ClientCall {
                     let outcome = outcome.map(|response| Arc::new(Answer::new(response)));
                     self.permit = None;
                     if let Ok(response) = &outcome {
-                        self.client.usage.lock().record(response);
+                        self.client.shared.usage.lock().record(response);
                         self.usage.record(response);
                     }
                     // Successes resolve the followers (and stay as a hit if
@@ -1004,6 +1083,82 @@ mod tests {
                 "a follower's locks (cached: {cached})"
             );
         }
+    }
+
+    /// The key `table` stores for `key`'s text.
+    fn stored(table: &RequestTable, key: &RequestKey) -> RequestKey {
+        table.kept_key(key.clone()).unwrap()
+    }
+
+    #[test]
+    fn a_kept_prompt_is_rendered_once_and_its_key_is_the_tables() {
+        let mut grant = || Some(Box::new(()) as Box<dyn std::any::Any + Send>);
+        let model = Arc::new(CannedModel::new("x"));
+        let client = LlmClient::new(model.clone());
+        let renders = std::cell::Cell::new(0);
+        let render = || {
+            renders.set(renders.get() + 1);
+            "kept prompt".to_string()
+        };
+        let run = |kept: &OnceLock<RequestKey>, render: &dyn Fn() -> String| {
+            let (call, rendered) = client.start_kept(kept, render);
+            let answer = call.wait().unwrap();
+            assert_eq!(answer.text, "x");
+            rendered
+        };
+
+        // A table that already answered the prompt: the first kept call
+        // renders, hits, and keeps the table's own key.
+        client
+            .complete(&CompletionRequest::new("kept prompt"))
+            .unwrap();
+        let kept = OnceLock::new();
+        assert!(run(&kept, &render));
+        let table = client.table().unwrap();
+        let key = kept.get().unwrap();
+        assert!(key.shares_text(&stored(table, key)));
+        assert_eq!(key.prompt(), "kept prompt");
+        // Later calls render nothing, and neither does the leader that
+        // refills a cleared table: it dispatches the prompt read back out of
+        // its key, and the table stores that key.
+        assert!(!run(&kept, &render));
+        client.clear_cache();
+        assert!(!run(&kept, &render));
+        assert!(key.shares_text(&stored(table, key)));
+        assert_eq!(renders.get(), 1);
+        assert_eq!(*model.calls.lock(), 2);
+        let mut call = client.start_kept(&kept, || unreachable!()).0;
+        let hit = call.poll(Instant::now(), &mut grant).unwrap().unwrap();
+        assert_eq!(hit.text, "x");
+        assert_eq!(client.usage().cache_hits, 3);
+        // The answer a kept key's call would resolve to, with no call: the
+        // table's own, counted as a hit; nothing, and nothing counted, once
+        // the table holds none.
+        let held = client.kept_answer(&kept).unwrap();
+        assert!(Arc::ptr_eq(&held, &hit));
+        assert_eq!((client.usage().cache_hits, table.stats().hits), (4, 2));
+        client.clear_cache();
+        assert!(client.kept_answer(&kept).is_none());
+        assert!(client.kept_answer(&OnceLock::new()).is_none());
+        assert_eq!((client.usage().cache_hits, table.stats().hits), (4, 0));
+        assert_eq!(table.stats().misses, 0);
+
+        // Without a table, or over one that keeps no answers, nothing is
+        // kept: every call renders.
+        let mut flights_only = LlmClient::without_cache(model.clone());
+        for client in [LlmClient::without_cache(model.clone()), {
+            flights_only.share_flights();
+            flights_only
+        }] {
+            let kept = OnceLock::new();
+            for _ in 0..2 {
+                let (call, rendered) = client.start_kept(&kept, render);
+                assert!(rendered);
+                assert_eq!(call.wait().unwrap().text, "x");
+            }
+            assert!(kept.get().is_none());
+        }
+        assert_eq!(renders.get(), 5);
     }
 
     #[test]

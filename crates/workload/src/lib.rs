@@ -9,6 +9,9 @@
 //! * [`queries`] — benchmark query suites organised by operator class,
 //! * [`harness`] — run a suite on the oracle and a subject engine and score
 //!   every answer,
+//! * [`counters`] — counts per query on a paused clock (logical calls,
+//!   requests, tokens, table hits, prompts rendered); the `counters` binary
+//!   prints them,
 //! * [`chaos`] — the seeded chaos-suite scenario: a multi-backend scan under
 //!   a deterministic fault schedule, with robustness invariants,
 //! * [`report`] — the paper's tables as typed cells, rendered as text,
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod counters;
 pub mod harness;
 pub mod queries;
 pub mod report;
