@@ -7,10 +7,10 @@
 //! executor's recorded actuals, so estimated-vs-actual drift is visible per
 //! operator.
 //!
-//! Estimates and actuals are joined on the node's pre-order path (`"0"`,
-//! `"0.0"`, ...): `LogicalPlan::explain` emits nodes in pre-order,
-//! `cost_plan` produces its `nodes` vector in the same order, and the
-//! executor keys `ExecMetrics::op_stats` by the same scheme.
+//! Estimates and actuals are joined by position in pre-order:
+//! `LogicalPlan::explain` emits nodes in pre-order, `cost_plan` produces its
+//! `nodes` vector in the same order, and the executor numbers
+//! `ExecMetrics::op_stats` the same way, as its walk enters each node.
 
 use llmsql_exec::ExecMetrics;
 use llmsql_plan::{LogicalPlan, PlanCost, PlanDiagnostic, RuleTrace};
@@ -27,7 +27,7 @@ pub fn render_explain(
 ) -> String {
     let mut out = String::new();
     let tree = plan.explain();
-    for (line, node) in tree.lines().zip(&cost.nodes) {
+    for (at, (line, node)) in tree.lines().zip(&cost.nodes).enumerate() {
         out.push_str(line);
         out.push_str(&format!("  [est rows≈{:.0}", node.cost.rows_out));
         if node.cost.llm_calls > 0 {
@@ -38,7 +38,7 @@ pub fn render_explain(
         }
         out.push(']');
         if let Some(metrics) = actuals {
-            if let Some(s) = metrics.op_stats.get(&node.path) {
+            if let Some(s) = metrics.op_stats.get(at) {
                 out.push_str(&format!(
                     "  [act rows={} calls={} wall={:.2}ms]",
                     s.rows_out, s.llm_calls, s.wall_ms

@@ -7,27 +7,42 @@
 //! full-query prompt — the physical scan it picks per execution mode and
 //! the per-operator actuals it records.
 //!
-//! Execution is operator-at-a-time (each operator materializes its output),
-//! which keeps every operator easy to verify in isolation. The only latency
-//! worth overlapping is the model round trip, and that happens inside a
-//! scan: it keeps a window of `EngineConfig::parallelism` model calls in
-//! flight (see [`crate::scan`]). The relational operators above a scan run
-//! on the calling thread — their inputs are capped by `max_scan_rows` and
-//! cost microseconds, less than spawning a thread does — so a plan produces
-//! identical rows at any `parallelism`.
+//! Execution is operator-at-a-time: each operator runs to completion before
+//! its parent does any work of its own, which keeps every operator easy to
+//! verify in isolation. Not every operator materializes its input, though.
+//! An aggregate only folds its input, and a join only reads its probe side
+//! (the left input; the right one under RIGHT JOIN), so a model page scan
+//! under either hands over the pages it consumed instead of rows, and the
+//! operator reads them a line at a time, decoded into one reused row
+//! ([`llmsql_plan::ops::Aggregator`], [`llmsql_plan::ops::HashJoin`]), so
+//! no row is allocated for a line that is only read. Every other input — a
+//! join's build side included — is a `Vec<Row>`, decoded as its scan's
+//! pages arrive.
+//!
+//! The only latency worth overlapping is the model round trip, and that
+//! happens inside a scan: it keeps a window of `EngineConfig::parallelism`
+//! model calls in flight (see [`crate::scan`]). The relational operators
+//! above a scan run on the calling thread — their inputs are capped by
+//! `max_scan_rows` and cost microseconds, less than spawning a thread does —
+//! so a plan produces identical rows at any `parallelism`.
 
 use std::sync::Arc;
 
 use llmsql_plan::ops::{
-    aggregate_rows, distinct_rows, filter_rows, join_rows, limit_rows, project_rows, sort_rows,
-    values_rows,
+    distinct_rows, filter_rows, limit_rows, project_rows, sort_rows, values_rows, Aggregator,
+    HashJoin,
 };
 use llmsql_plan::LogicalPlan;
+use llmsql_sql::ast::JoinKind;
 use llmsql_store::CatalogEntry;
 use llmsql_types::{clock, Batch, Error, ExecutionMode, PromptStrategy, Result, Row, Schema};
 
 use crate::context::ExecContext;
-use crate::scan::{hybrid_scan, table_scan, whole_query_scan, ModelScan, ScanSpec, WholeQuery};
+use crate::metrics::OpStats;
+use crate::scan::{
+    hybrid_scan, llm_scan, table_scan, whole_query_scan, ModelScan, ScanOutput, ScanSpec,
+    WholeQuery,
+};
 
 /// A plan and what its runs derive from it alone, built once: how it runs —
 /// as one full-query prompt, or operator by operator — and the compiled
@@ -102,13 +117,15 @@ fn asks_model(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, virtual_table: bool) -
 pub fn execute(ctx: &ExecContext<'_>, compiled: &CompiledPlan) -> Result<Batch> {
     let plan = compiled.plan();
     let rows = match &compiled.run {
-        Run::Whole(query) => timed(ctx, "0", || whole_query_scan(ctx, query))?,
+        Run::Whole(query) => {
+            timed(ctx, || whole_query_scan(ctx, query).map(ScanOutput::Rows))?.into_rows()?
+        }
         Run::Operators(scans) => {
             let mut walk = Walk {
                 ctx,
                 scans: scans.iter(),
             };
-            walk.rows_at(plan, "0")?
+            walk.rows(plan)?
         }
     };
     ctx.metrics.borrow_mut().rows_output = rows.len() as u64;
@@ -122,29 +139,34 @@ struct Walk<'c, 'e> {
     scans: std::slice::Iter<'c, Option<ModelScan>>,
 }
 
-impl Walk<'_, '_> {
-    /// Execute a plan node identified by its pre-order path (`"0"` = root,
-    /// `"0.1"` = its second child), recording per-operator actuals — output
-    /// rows, wall time, and the LLM calls issued while the subtree ran —
-    /// under that path in [`crate::metrics::ExecMetrics::op_stats`].
-    fn rows_at(&mut self, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
-        timed(self.ctx, path, || self.node(plan, path))
+impl<'c> Walk<'c, '_> {
+    /// The rows of `plan`.
+    fn rows(&mut self, plan: &LogicalPlan) -> Result<Vec<Row>> {
+        self.output(plan, false)?.into_rows()
     }
 
-    fn node(&mut self, plan: &LogicalPlan, path: &str) -> Result<Vec<Row>> {
-        // A node's first (or only) input runs at `{path}.0`, a join's right
-        // input at `{path}.1`.
-        let child =
-            |walk: &mut Self, input: &LogicalPlan| walk.rows_at(input, &format!("{path}.0"));
-        match plan {
-            LogicalPlan::Scan { .. } => {
-                let (spec, _) = scan_spec(plan).ok_or_else(not_a_scan)?;
+    /// Execute the plan node `plan`, recording its actuals (see [`timed`]).
+    /// `only_read` says that the operator above only reads the rows — an
+    /// aggregate's input, a join's probe side — so a page scan may hand over
+    /// the pages that hold them instead of decoding them.
+    fn output(&mut self, plan: &LogicalPlan, only_read: bool) -> Result<ScanOutput<'c>> {
+        let ctx = self.ctx;
+        timed(ctx, || match scan_spec(plan) {
+            Some((spec, _)) => {
                 let compiled = self.scans.next().ok_or_else(not_a_scan)?;
-                self.scan(&spec, compiled.as_ref())
+                self.scan(&spec, compiled.as_ref(), only_read)
             }
+            None => self.node(plan).map(ScanOutput::Rows),
+        })
+    }
+
+    /// Execute an operator above the scans.
+    fn node(&mut self, plan: &LogicalPlan) -> Result<Vec<Row>> {
+        match plan {
+            LogicalPlan::Scan { .. } => Err(not_a_scan()),
             LogicalPlan::Values { rows, .. } => values_rows(rows),
-            LogicalPlan::Filter { input, predicate } => filter_rows(child(self, input)?, predicate),
-            LogicalPlan::Project { input, exprs, .. } => project_rows(child(self, input)?, exprs),
+            LogicalPlan::Filter { input, predicate } => filter_rows(self.rows(input)?, predicate),
+            LogicalPlan::Project { input, exprs, .. } => project_rows(self.rows(input)?, exprs),
             LogicalPlan::Join {
                 left,
                 right,
@@ -152,25 +174,35 @@ impl Walk<'_, '_> {
                 on,
                 ..
             } => {
-                let left_rows = child(self, left)?;
-                let right_rows = self.rows_at(right, &format!("{path}.1"))?;
-                join_rows(
-                    &left_rows,
-                    &right_rows,
-                    left.arity(),
-                    right.arity(),
-                    *kind,
-                    on.as_ref(),
-                )
+                // The left input runs first. The probe side is only read:
+                // the left input, or the right one under RIGHT JOIN.
+                let probe_right = *kind == JoinKind::Right;
+                let left_rows = self.output(left, !probe_right)?;
+                let right_rows = self.output(right, probe_right)?;
+                let (build, probe) = if probe_right {
+                    (left_rows, right_rows)
+                } else {
+                    (right_rows, left_rows)
+                };
+                let build = build.into_rows()?;
+                let mut join =
+                    HashJoin::new(&build, left.arity(), right.arity(), *kind, on.as_ref())?;
+                probe.for_each_row(|row| join.probe(row))?;
+                Ok(join.finish())
             }
             LogicalPlan::Aggregate {
                 input,
                 group_exprs,
                 aggregates,
                 ..
-            } => aggregate_rows(&child(self, input)?, group_exprs, aggregates),
+            } => {
+                let input = self.output(input, true)?;
+                let mut aggregator = Aggregator::new(group_exprs, aggregates);
+                input.for_each_row(|row| aggregator.fold(row))?;
+                aggregator.finish()
+            }
             LogicalPlan::Sort { input, keys } => {
-                let mut rows = child(self, input)?;
+                let mut rows = self.rows(input)?;
                 sort_rows(&mut rows, keys)?;
                 Ok(rows)
             }
@@ -178,21 +210,27 @@ impl Walk<'_, '_> {
                 input,
                 limit,
                 offset,
-            } => Ok(limit_rows(child(self, input)?, *limit, *offset)),
-            LogicalPlan::Distinct { input } => Ok(distinct_rows(child(self, input)?)),
+            } => Ok(limit_rows(self.rows(input)?, *limit, *offset)),
+            LogicalPlan::Distinct { input } => Ok(distinct_rows(self.rows(input)?)),
         }
     }
 
     /// Run the scan of `spec`: through its compiled model scan when it asks
-    /// the model, else from the store — as it stands in traditional mode,
-    /// with its NULL cells filled by the model in hybrid mode.
-    fn scan(&self, spec: &ScanSpec<'_>, compiled: Option<&ModelScan>) -> Result<Vec<Row>> {
+    /// the model, holding its pages if `hold`, else from the store — as it
+    /// stands in traditional mode, with its NULL cells filled by the model
+    /// in hybrid mode.
+    fn scan(
+        &self,
+        spec: &ScanSpec<'_>,
+        compiled: Option<&'c ModelScan>,
+        hold: bool,
+    ) -> Result<ScanOutput<'c>> {
         let ctx = self.ctx;
         if let Some(scan) = compiled {
-            return scan.run(ctx, spec);
+            return scan.run(ctx, spec, hold);
         }
         let mode = ctx.config.mode;
-        match ctx.catalog.get(spec.table)? {
+        let rows = match ctx.catalog.get(spec.table)? {
             CatalogEntry::Materialized(table) if mode == ExecutionMode::Hybrid => {
                 hybrid_scan(ctx, spec, &table)
             }
@@ -205,31 +243,39 @@ impl Walk<'_, '_> {
             }
             // Made virtual since the plan was compiled: compile the scan for
             // this run.
-            CatalogEntry::Virtual(_) => ModelScan::new(ctx, spec)?.run(ctx, spec),
-        }
+            CatalogEntry::Virtual(_) => llm_scan(ctx, spec),
+        };
+        rows.map(ScanOutput::Rows)
     }
 }
 
-/// Run `body` as the node at `path`, recording its actuals. Call attribution
-/// reads the query's own ledger before and after, which is exact because
-/// nobody else writes it and operators run one at a time: a child completes
-/// before its parent does any work of its own.
-fn timed(
+/// Run `body` as the next plan node in pre-order — the walk numbers a node
+/// as it enters it, so its children come after it — and record its actuals
+/// at that position of [`crate::metrics::ExecMetrics::op_stats`]: output
+/// rows, wall time, and the LLM calls issued while its subtree ran. Call
+/// attribution reads the query's own ledger before and after, which is
+/// exact because nobody else writes it and operators run one at a time: a
+/// child completes before its parent does any work of its own.
+fn timed<'c>(
     ctx: &ExecContext<'_>,
-    path: &str,
-    body: impl FnOnce() -> Result<Vec<Row>>,
-) -> Result<Vec<Row>> {
-    let calls_before = ctx.metrics.borrow().llm_calls();
+    body: impl FnOnce() -> Result<ScanOutput<'c>>,
+) -> Result<ScanOutput<'c>> {
+    let (node, calls_before) = {
+        let mut ledger = ctx.metrics.borrow_mut();
+        ledger.op_stats.push(OpStats::default());
+        (ledger.op_stats.len() - 1, ledger.llm_calls())
+    };
     let started = clock::now();
-    let rows = body()?;
+    let output = body()?;
     let wall_ms = (clock::now() - started).as_secs_f64() * 1000.0;
     let mut ledger = ctx.metrics.borrow_mut();
-    let calls = ledger.llm_calls() - calls_before;
-    let s = ledger.op_stats.entry(path.to_string()).or_default();
-    s.rows_out += rows.len() as u64;
-    s.llm_calls += calls;
-    s.wall_ms += wall_ms;
-    Ok(rows)
+    let llm_calls = ledger.llm_calls() - calls_before;
+    ledger.op_stats[node] = OpStats {
+        rows_out: output.len() as u64,
+        llm_calls,
+        wall_ms,
+    };
+    Ok(output)
 }
 
 /// A scan node reached where the walk expected none, or past the last
@@ -285,8 +331,9 @@ fn first_scan(plan: &LogicalPlan) -> Option<&Schema> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llmsql_plan::ops::join_rows;
     use llmsql_plan::{bind_select, optimize, BoundExpr, OptimizerOptions, SortKey};
-    use llmsql_sql::ast::{BinaryOp, JoinKind};
+    use llmsql_sql::ast::BinaryOp;
     use llmsql_sql::{parse_statement, Statement};
     use llmsql_store::Catalog;
     use llmsql_types::{Column, DataType, EngineConfig, Schema, Value};
@@ -587,7 +634,7 @@ mod tests {
         let batch = execute(&ctx, &compiled(&ctx, plan)).unwrap();
         let m = ctx.metrics.borrow();
         assert_eq!(m.rows_output, batch.len() as u64);
-        assert_eq!(m.op_stats["0"].rows_out, batch.len() as u64);
+        assert_eq!(m.op_stats[0].rows_out, batch.len() as u64);
         assert_eq!(m.llm_calls(), 0);
     }
 

@@ -30,7 +30,9 @@
 //! join, hash aggregate, sort, limit, distinct) of `llmsql_plan::ops`, whose
 //! evaluator and three pinned operators this crate re-exports.
 //!
-//! Execution is operator-at-a-time and single-threaded per query. The one
+//! Execution is operator-at-a-time and single-threaded per query; an
+//! aggregate's input and a join's probe side are read a row at a time from
+//! the pages a model scan consumed (see [`executor`]). The one
 //! latency worth overlapping is the model round trip: an LLM-backed scan
 //! keeps a window of `EngineConfig::parallelism` prompts in flight, and that
 //! is all `parallelism` means. Dispatch is event-driven — the query's thread

@@ -103,10 +103,12 @@ pub struct ExecMetrics {
     pub backend_errors: BTreeMap<String, u64>,
     /// Reported completion latency accumulated per backend, milliseconds.
     pub backend_latency_ms: BTreeMap<String, f64>,
-    /// Per-operator actuals, keyed by the node's pre-order path (`"0"` =
-    /// root, `"0.1"` = its second child — the same scheme the static cost
-    /// model uses, so `EXPLAIN ANALYZE` can join estimates to actuals).
-    pub op_stats: BTreeMap<String, OpStats>,
+    /// Per-operator actuals, one per executed plan node in pre-order: the
+    /// root, then each child's subtree in turn — the order of
+    /// `LogicalPlan::explain`'s lines and of the static cost model's nodes,
+    /// so `EXPLAIN ANALYZE` joins estimates to actuals by position. A plan
+    /// run as one full-query prompt has the root's alone.
+    pub op_stats: Vec<OpStats>,
     /// Set when graceful degradation cut this query short
     /// (`EngineConfig::with_partial_results`): the rows produced are an
     /// exact prefix of the full result, and this marker carries

@@ -175,13 +175,12 @@ impl<C> Default for LiveSet<C> {
 }
 
 impl<C> LiveSet<C> {
-    /// An empty set with room for `room` operations before it grows: a scan
-    /// sizes it to its window, so a window of one takes one operation's worth
-    /// of memory, not the four a first `push` would reserve.
-    pub fn with_capacity(room: usize) -> Self {
-        LiveSet {
-            ops: VecDeque::with_capacity(room),
-        }
+    /// Make room for `room` more operations before the set grows: a scan
+    /// sizes it to its window at its first request, so a window of one takes
+    /// one operation's worth of memory, not the four a first `push` would
+    /// reserve.
+    pub fn reserve(&mut self, room: usize) {
+        self.ops.reserve(room);
     }
 }
 

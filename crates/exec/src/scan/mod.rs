@@ -58,6 +58,19 @@
 //! so a warm run derives nothing again; a plan that is not kept is compiled,
 //! run once and dropped, the same path.
 //!
+//! # Rows, or the pages that hold them
+//!
+//! A scan hands the operator above it a `ScanOutput`. Under an operator that
+//! only reads its rows — an aggregate, a join's probe side — a page scan
+//! runs holding: `Pages` reads each answer through its page index as it
+//! arrives, so what ends the scan is known at once, but keeps the answer and
+//! how many of its lines it keeps instead of building rows, and the operator
+//! reads the held pages a line at a time into one reused row. Every other
+//! scan decodes its rows as its pages arrive, so no decoding moves past a
+//! timer-bound scan's last round trip. The rows, their order, the ledger and
+//! a cut scan's prefix are the same either way. Nothing is kept across runs:
+//! the held answers are dropped with the operator's input.
+//!
 //! Which prompts are compiled and which are rendered per run:
 //!
 //! * **Compiled:** every full `row_batch` page (`limit` = the page size, at
@@ -302,19 +315,27 @@ impl Drop for RequestOp<'_> {
 struct InFlight<'a> {
     ctx: &'a ExecContext<'a>,
     live: LiveSet<RequestOp<'a>>,
+    /// The requests the window lets fly at once: the room the live set
+    /// takes at its first request. A scan whose every prompt is a table hit
+    /// taken without a call never takes it.
+    window: usize,
 }
 
 impl<'a> InFlight<'a> {
-    /// An empty flight with room for `window` requests.
+    /// An empty flight for up to `window` requests at once.
     fn new(ctx: &'a ExecContext<'a>, window: usize) -> Self {
         InFlight {
             ctx,
-            live: LiveSet::with_capacity(window),
+            live: LiveSet::default(),
+            window,
         }
     }
 
     /// Put an already-accounted request in flight.
     fn push(&mut self, call: ClientCall) {
+        if self.live.is_empty() {
+            self.live.reserve(self.window);
+        }
         self.live.push(RequestOp {
             ctx: self.ctx,
             call,
@@ -432,8 +453,8 @@ struct Reply<'a> {
     /// completion it travelled in.
     text: &'a str,
     /// That completion, when the prompt travelled alone: its page index is
-    /// this prompt's.
-    alone: Option<&'a Answer>,
+    /// this prompt's, and a plan may hold on to it.
+    alone: Option<&'a Arc<Answer>>,
 }
 
 impl<'a> Reply<'a> {
@@ -471,7 +492,7 @@ fn consume<P: PromptPlan>(
     ctx: &ExecContext<'_>,
     plan: &mut P,
     asked: usize,
-    response: &Answer,
+    response: &Arc<Answer>,
 ) -> Result<bool> {
     let mut ledger = ctx.metrics.borrow_mut();
     ledger.batched_rows += if asked > 1 { asked as u64 } else { 0 };
@@ -612,21 +633,20 @@ impl Driver<'_> {
         Ok(())
     }
 
-    /// Hand over the scan's rows; if it was cut short, record the fault and
+    /// The scan delivers `rows`: if it was cut short, record the fault and
     /// the accounting at the cut as the query's [`Incomplete`] marker (the
     /// first cut of a query wins).
-    fn finish(self, rows: Vec<Row>) -> Vec<Row> {
+    fn finish(self, rows: usize) {
         if let Some(err) = self.cut {
             let mut ledger = self.ctx.metrics.borrow_mut();
             let calls_spent = ledger.llm_calls();
             ledger.incomplete.get_or_insert(Incomplete {
                 kind: err.kind,
                 message: err.message,
-                rows_delivered: rows.len() as u64,
+                rows_delivered: rows as u64,
                 calls_spent,
             });
         }
-        rows
     }
 }
 
@@ -654,7 +674,9 @@ pub fn table_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) -> 
 /// Materialize a virtual relation by prompting the model: the scan compiled
 /// for this one run (see the module docs).
 pub fn llm_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
-    ModelScan::new(ctx, spec)?.run(ctx, spec)
+    ModelScan::new(ctx, spec)?
+        .run(ctx, spec, false)?
+        .into_rows()
 }
 
 /// What a model scan of one plan node derives from the node, the
@@ -696,17 +718,29 @@ impl ModelScan {
         })
     }
 
-    /// Run the scan of `spec`, the plan node it was compiled from.
-    pub(crate) fn run(&self, ctx: &ExecContext<'_>, spec: &ScanSpec<'_>) -> Result<Vec<Row>> {
+    /// Run the scan of `spec`, the plan node it was compiled from. With
+    /// `hold`, for an operator that only reads the rows, a page scan keeps
+    /// the pages that hold them instead of decoding them (see
+    /// [`ScanOutput`]); every other scan hands over its rows.
+    pub(crate) fn run(
+        &self,
+        ctx: &ExecContext<'_>,
+        spec: &ScanSpec<'_>,
+        hold: bool,
+    ) -> Result<ScanOutput<'_>> {
         let mut driver = Driver { ctx, cut: None };
         let rows = match self {
             ModelScan::Pages(scan) => {
-                let mut pages = pages::Pages::new(scan);
+                let mut pages = if hold {
+                    pages::Pages::holding(scan)
+                } else {
+                    pages::Pages::new(scan)
+                };
                 driver.drive(&mut pages)?;
-                pages.rows
+                pages.into_output()
             }
             ModelScan::Tuples(scan) => match &scan.condition {
-                None => tuple_rows(&mut driver, *spec, &scan.enumerate)?,
+                None => ScanOutput::Rows(tuple_rows(&mut driver, *spec, &scan.enumerate)?),
                 // The filter becomes its own operator: materialize
                 // candidates without it, then check each. The row budget
                 // caps the rows the filter *keeps*, so every key up to the
@@ -717,13 +751,58 @@ impl ModelScan {
                     let mut checks =
                         tuples::FilterChecks::new(*spec, condition, budget, candidates);
                     driver.drive(&mut checks)?;
-                    checks.kept
+                    ScanOutput::Rows(checks.kept)
                 }
             },
         };
-        let rows = driver.finish(rows);
+        driver.finish(rows.len());
         ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
         Ok(rows)
+    }
+}
+
+/// What a scan hands the operator above it: its rows, or — for a page scan
+/// whose operator only reads them, the input of an aggregate or the probe
+/// side of a join — the pages that hold them, each kept line decoded only
+/// when it is read, into one reused row.
+pub(crate) enum ScanOutput<'c> {
+    /// The rows, decoded.
+    Rows(Vec<Row>),
+    /// The consumed pages of a page scan.
+    Pages(pages::HeldPages<'c>),
+}
+
+impl ScanOutput<'_> {
+    /// The rows the scan delivered.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            ScanOutput::Rows(rows) => rows.len(),
+            ScanOutput::Pages(pages) => pages.len(),
+        }
+    }
+
+    /// The rows, each its own allocation.
+    pub(crate) fn into_rows(self) -> Result<Vec<Row>> {
+        match self {
+            ScanOutput::Rows(rows) => Ok(rows),
+            ScanOutput::Pages(pages) => {
+                let mut rows = Vec::with_capacity(pages.len());
+                pages.for_each_row(&mut |row: &Row| {
+                    rows.push(row.clone());
+                    Ok(())
+                })?;
+                Ok(rows)
+            }
+        }
+    }
+
+    /// Hand each row to `each`, in order. Held pages are decoded a line at a
+    /// time into one row, which `each` only borrows.
+    pub(crate) fn for_each_row(&self, mut each: impl FnMut(&Row) -> Result<()>) -> Result<()> {
+        match self {
+            ScanOutput::Rows(rows) => rows.iter().try_for_each(each),
+            ScanOutput::Pages(pages) => pages.for_each_row(&mut each),
+        }
     }
 }
 
@@ -757,9 +836,9 @@ pub(crate) fn whole_query_scan(ctx: &ExecContext<'_>, query: &WholeQuery) -> Res
         driver.cut_short(err)?;
         whole.rows.clear();
     }
-    let rows = driver.finish(whole.rows);
-    ctx.metrics.borrow_mut().rows_from_llm += rows.len() as u64;
-    Ok(rows)
+    driver.finish(whole.rows.len());
+    ctx.metrics.borrow_mut().rows_from_llm += whole.rows.len() as u64;
+    Ok(whole.rows)
 }
 
 /// Read a materialized (incomplete) table and fill NULL cells in the needed
@@ -769,9 +848,9 @@ pub fn hybrid_scan(ctx: &ExecContext<'_>, spec: &ScanSpec<'_>, table: &Table) ->
     let budget = spec.row_budget(ctx.config.max_scan_rows);
     let mut fills = tuples::Lookups::new(*spec, table.scan(), true, budget);
     driver.drive(&mut fills)?;
-    let rows = driver.finish(fills.rows);
-    ctx.metrics.borrow_mut().rows_from_store += rows.len() as u64;
-    Ok(rows)
+    driver.finish(fills.rows.len());
+    ctx.metrics.borrow_mut().rows_from_store += fills.rows.len() as u64;
+    Ok(fills.rows)
 }
 
 #[cfg(test)]
@@ -1008,8 +1087,8 @@ mod tests {
     }
 
     /// `text` as a completion the model returned.
-    pub(super) fn given(text: String) -> Answer {
-        Answer::new(CompletionResponse {
+    pub(super) fn given(text: String) -> Arc<Answer> {
+        Arc::from(CompletionResponse {
             text,
             prompt_tokens: 1,
             completion_tokens: 1,
@@ -1019,7 +1098,7 @@ mod tests {
     }
 
     /// The reply of a prompt that travelled alone and was answered `answer`.
-    pub(super) fn alone(answer: &Answer) -> Reply<'_> {
+    pub(super) fn alone(answer: &Arc<Answer>) -> Reply<'_> {
         Reply {
             text: &answer.text,
             alone: Some(answer),

@@ -5,11 +5,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use llmsql_llm::prompt::PromptTemplate;
-use llmsql_llm::RequestKey;
+use llmsql_llm::{Answer, RequestKey};
 use llmsql_plan::estimate_scan_rows;
-use llmsql_types::{DataType, RelSchema, Result, Row, Schema, Value};
+use llmsql_types::{DataType, Error, RelSchema, Result, Row, Schema, Value};
 
-use super::{unasked, Accepted, Asks, KeptPrompt, PromptPlan, Render, Reply, ScanSpec};
+use super::{unasked, Accepted, Asks, KeptPrompt, PromptPlan, Render, Reply, ScanOutput, ScanSpec};
 
 /// What every run of one paged scan shares, derived once from the scan's
 /// plan node, the configuration and the relation's cardinality hint: the
@@ -122,6 +122,13 @@ impl PageScan {
 /// A full page's prompt is the scan's template with the page's limit and
 /// offset rendered in, and its request key is kept in the [`PageScan`]; a
 /// budget-clamped page is rendered for the run.
+///
+/// A run decodes each page's kept lines into rows as it consumes the page,
+/// or, holding, keeps the page's answer and how many of its lines it keeps
+/// instead, for an operator that only reads the rows ([`HeldPages`]). Either
+/// way every answer is read through its page index as it arrives, so what
+/// ends the scan is known at once; a held page's lines are decoded later,
+/// when the operator reads them.
 pub(super) struct Pages<'c> {
     scan: &'c PageScan,
     /// Full pages consumed.
@@ -130,19 +137,73 @@ pub(super) struct Pages<'c> {
     offset: usize,
     /// The `limit` of each page in flight, oldest first.
     in_flight: VecDeque<usize>,
+    /// Lines kept so far: the scan's rows.
+    kept: usize,
     pub(super) rows: Vec<Row>,
+    /// Holding: each consumed page's answer and the lines kept of it.
+    held: Option<Vec<(Arc<Answer>, usize)>>,
 }
 
 impl<'c> Pages<'c> {
-    /// A run of `scan`.
+    /// A run of `scan` that decodes its rows.
     pub(super) fn new(scan: &'c PageScan) -> Self {
         Pages {
             scan,
             full_consumed: 0,
             offset: 0,
             in_flight: VecDeque::new(),
+            kept: 0,
             rows: Vec::new(),
+            held: None,
         }
+    }
+
+    /// A run of `scan` that holds its pages.
+    pub(super) fn holding(scan: &'c PageScan) -> Self {
+        Pages {
+            held: Some(Vec::new()),
+            ..Pages::new(scan)
+        }
+    }
+
+    /// The run's rows, or its held pages.
+    pub(super) fn into_output(self) -> ScanOutput<'c> {
+        match self.held {
+            Some(pages) => ScanOutput::Pages(HeldPages {
+                scan: self.scan,
+                pages,
+                rows: self.kept,
+            }),
+            None => ScanOutput::Rows(self.rows),
+        }
+    }
+}
+
+/// The rows of a page scan as the pages that hold them: each consumed page's
+/// answer and how many of its lines the scan kept.
+pub(crate) struct HeldPages<'c> {
+    scan: &'c PageScan,
+    pages: Vec<(Arc<Answer>, usize)>,
+    rows: usize,
+}
+
+impl HeldPages<'_> {
+    /// The rows the pages hold.
+    pub(super) fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Decode each kept line, in order, into one row of the base arity,
+    /// NULL outside the asked columns, and hand it to `each`: a text cell is
+    /// written into the `String` its column held on the line before.
+    pub(super) fn for_each_row(&self, each: &mut dyn FnMut(&Row) -> Result<()>) -> Result<()> {
+        let scan = self.scan;
+        let mut row = Row::new(vec![Value::Null; scan.arity]);
+        for (answer, kept) in &self.pages {
+            let page = answer.page(&scan.types)?;
+            page.decode_each(*kept, &scan.columns, &mut row, &mut *each)?;
+        }
+        Ok(())
     }
 }
 
@@ -171,7 +232,7 @@ impl PromptPlan for Pages<'_> {
         // it is issued alone, planned from the true row count.
         let scan = self.scan;
         let reserved: usize = self.in_flight.iter().sum();
-        let limit = (scan.budget.saturating_sub(self.rows.len() + reserved)).min(scan.page);
+        let limit = (scan.budget.saturating_sub(self.kept + reserved)).min(scan.page);
         let clamped_in_company = limit < scan.page && !self.in_flight.is_empty();
         let past_the_hint = scan.hint.is_some_and(|end| self.offset >= end);
         if cap == 0 || limit == 0 || clamped_in_company || past_the_hint {
@@ -194,27 +255,40 @@ impl PromptPlan for Pages<'_> {
         // A backend that emits *more* lines than requested is clamped to the
         // page size — later pages are dispatched at offsets assuming at most
         // `want` lines per page, so consuming overshoot would duplicate rows.
-        let keep = want.min(scan.budget - self.rows.len());
+        let keep = want.min(scan.budget - self.kept);
         // Read through the answer's page index, cold or warm: a cached answer
         // is not scanned again.
         let page = reply.page(&scan.types)?;
         let (parsed, dropped) = (page.lines(), page.dropped_lines());
-        self.rows.reserve(keep.min(parsed));
-        // Each kept line's cells go straight to their columns of a row of
-        // the base arity, NULL elsewhere.
-        for cells in page.rows().take(keep) {
-            let mut full = vec![Value::Null; scan.arity];
-            for (cell, &column) in cells.zip(&scan.columns) {
-                full[column] = cell;
+        let keep = keep.min(parsed);
+        self.kept += keep;
+        match (&mut self.held, reply.alone) {
+            (Some(held), Some(answer)) => {
+                if keep > 0 {
+                    held.push((Arc::clone(answer), keep));
+                }
             }
-            self.rows.push(Row::new(full));
+            // A page travels alone: the driver packs only per-tuple prompts.
+            (Some(_), None) => return Err(Error::execution("a page's answer travelled packed")),
+            (None, _) => {
+                // Each kept line's cells go straight to their columns of a
+                // row of the base arity, NULL elsewhere.
+                self.rows.reserve(keep);
+                for cells in page.rows().take(keep) {
+                    let mut full = vec![Value::Null; scan.arity];
+                    for (cell, &column) in cells.zip(&scan.columns) {
+                        full[column] = cell;
+                    }
+                    self.rows.push(Row::new(full));
+                }
+            }
         }
         // Lines the model produced for this page, parsed or not: the
         // relation is exhausted when the model had fewer rows to say than
         // asked for, not when some lines were malformed. A short page is the
         // end of the relation: the pages still in flight were speculative
         // fetches past the end.
-        let done = parsed + dropped < want || self.rows.len() >= scan.budget;
+        let done = parsed + dropped < want || self.kept >= scan.budget;
         self.full_consumed += usize::from(!done);
         Ok(Accepted {
             done,
@@ -677,6 +751,52 @@ mod tests {
             assert_eq!(run.prompts, asked, "fanout {fanout}");
             assert_eq!(pages.rows, numbered_rows(8));
         }
+    }
+
+    #[test]
+    fn a_held_run_reads_the_rows_a_decoding_run_keeps() {
+        // Whole pages, an overlong one clamped to its page, a garbled line,
+        // a budget that ends the scan mid-page, and a page whose cells change
+        // kind from line to line: the run that holds its pages asks and
+        // accounts what the run that decodes them does, and its pages read,
+        // a line at a time into one row, as the decoding run's rows.
+        let p = parts(None, None);
+        let spec = p.spec();
+        let overlong = [
+            lines(0..5),
+            format!("{}\ngarbled", lines(3..5)),
+            lines(6..7),
+        ];
+        let kinds = [
+            "France | Europe | 68\nNULL | Asia | 125\nPeru | unknown | 34".to_string(),
+            "São Tomé 日本 |  | 7\nKenya | Africa | n/a\n- Chad | Africa | 17,000".to_string(),
+            "Fiji | Oceania".to_string(),
+        ];
+        let both_read = |page: usize, max_rows: usize, answer: &dyn Fn(usize, &str) -> String| {
+            let scan = PageScan::new(spec, None, page, max_rows, None);
+            let mut decoding = Pages::new(&scan);
+            let decoded = replay(&mut decoding, 4, 1, usize::MAX, answer);
+            let mut holding = Pages::holding(&scan);
+            let held = replay(&mut holding, 4, 1, usize::MAX, answer);
+            assert_eq!(held, decoded);
+            let rows = decoding.rows;
+            assert!(holding.rows.is_empty());
+            let output = holding.into_output();
+            assert_eq!(output.len(), rows.len());
+            let mut read = Vec::new();
+            output
+                .for_each_row(|row| {
+                    read.push(row.clone());
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(read, rows);
+            assert_eq!(output.into_rows().unwrap(), rows);
+        };
+        both_read(2, usize::MAX, &pages_of(world_rows(), vec![0, 1, 2]));
+        both_read(3, usize::MAX, &|i, _| overlong[i].clone());
+        both_read(2, 3, &pages_of(world_rows(), vec![0, 1, 2]));
+        both_read(3, usize::MAX, &|i, _| kinds[i].clone());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use tokenizer::count_tokens;
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use llmsql_types::{Column, DataType, Schema};
+    use llmsql_types::{Column, DataType, Row, Schema, Value};
     use proptest::prelude::*;
 
     /// Text built from what an untrusted string must survive: every
@@ -95,6 +95,41 @@ mod proptests {
             "[A-Za-z ><=]{0,6}",
         ];
         proptest::collection::vec(piece, 0..6).prop_map(|pieces| pieces.concat())
+    }
+
+    /// A field as a model writes one into any column: hostile text, a NULL
+    /// word, a number, nothing, text outside ASCII.
+    fn arb_field() -> impl Strategy<Value = String> {
+        prop_oneof![
+            arb_hostile_text(),
+            Just("NULL".to_string()),
+            (-1000i64..1000).prop_map(|n| n.to_string()),
+            Just("2.5".to_string()),
+            Just("true".to_string()),
+            Just(String::new()),
+            Just("São Tomé 日本".to_string()),
+        ]
+    }
+
+    fn arb_type() -> impl Strategy<Value = DataType> {
+        prop_oneof![
+            Just(DataType::Text),
+            Just(DataType::Int),
+            Just(DataType::Float),
+            Just(DataType::Bool),
+        ]
+    }
+
+    /// A value of any kind, as a reused row may hold before a line is
+    /// decoded into it.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            Just(Value::Float(-0.5)),
+            "[a-zé]{0,12}".prop_map(Value::Text),
+        ]
     }
 
     /// A column list. A column name is any quoted identifier: hostile too,
@@ -376,6 +411,46 @@ mod proptests {
                 members,
             );
             prop_assert!(owned.iter().map(|r| r.text.as_str()).eq(split_sections(text, members)));
+        }
+
+        /// A page decoded a line at a time into one reused row reads exactly
+        /// the rows [`Page::rows`] builds, whatever a field holds and however
+        /// a column's cells change kind from line to line — text, a NULL
+        /// word, a number, nothing, text outside ASCII — and whatever the
+        /// reused row held before: each asked column is overwritten, and a
+        /// column nobody asked for keeps its value.
+        #[test]
+        fn a_page_decoded_into_one_reused_row_reads_as_its_rows(
+            lines in proptest::collection::vec(proptest::collection::vec(arb_field(), 1..5), 0..8),
+            types in proptest::collection::vec(arb_type(), 1..4),
+            before in proptest::collection::vec(arb_value(), 5..6),
+            take in 0usize..10,
+        ) {
+            let lines: Vec<String> = lines.iter().map(|fields| fields.join(" | ")).collect();
+            let text = lines.join("\n");
+            let types: std::sync::Arc<[DataType]> = types.into();
+            let page = Page::read(&text, &types).unwrap();
+            let expected: Vec<Vec<Value>> =
+                page.rows().take(take).map(Iterator::collect).collect();
+            // Asked column `i` lands at column `4 - i`; column 0 is never
+            // asked for.
+            let at: Vec<usize> = (0..types.len()).map(|i| 4 - i).collect();
+            let mut row = Row::new(before.clone());
+            let mut read = Vec::new();
+            page.decode_each(take, &at, &mut row, |row| {
+                read.push(row.clone());
+                Ok(())
+            })
+            .unwrap();
+            prop_assert_eq!(read.len(), expected.len());
+            for (row, cells) in read.iter().zip(&expected) {
+                // Compared by kind and bytes: `Value`'s equality is
+                // semantic, so it takes `Int(1)` for `Float(1.0)`.
+                prop_assert_eq!(format!("{:?}", row.get(0)), format!("{:?}", before[0]));
+                for (cell, &column) in cells.iter().zip(&at) {
+                    prop_assert_eq!(format!("{:?}", row.get(column)), format!("{cell:?}"));
+                }
+            }
         }
 
         /// Token counting is monotone under concatenation.

@@ -30,8 +30,10 @@
 //!   dropped-line counts. An [`Answer`] keeps the index it was first read for
 //!   beside its text, so an answer read again (a cache hit, a coalesced
 //!   follower) is not scanned again: [`Page::rows`] builds its rows from the
-//!   cells, allocating only what each row owns. Both sinks read a field by
-//!   the one rule of [`llm_field`].
+//!   cells, allocating only what each row owns, and [`Page::decode_each`]
+//!   writes them one at a time into one row its caller reuses, for a reader
+//!   that keeps none of them. Both sinks read a field by the one rule of
+//!   [`llm_field`].
 //!
 //! # What is not data
 //!
@@ -152,6 +154,19 @@ impl Cell {
                 let start = widen(start);
                 Value::Text(answer[start..start + widen(len)].to_string())
             }
+        }
+    }
+
+    /// Write the value this cell of `answer` holds into `slot`: a text cell
+    /// into the `String` the slot already holds, if it holds one.
+    fn decode_into(self, answer: &str, slot: &mut Value) {
+        match (self, slot) {
+            (Cell::Text { start, len }, Value::Text(text)) => {
+                let start = widen(start);
+                text.clear();
+                text.push_str(&answer[start..start + widen(len)]);
+            }
+            (cell, slot) => *slot = cell.value(answer),
         }
     }
 }
@@ -501,6 +516,30 @@ impl<'a> Page<'a> {
         let answer = self.answer;
         let lines = self.index.cells.chunks(self.index.width());
         lines.map(move |line| line.iter().map(move |cell| cell.value(answer)))
+    }
+
+    /// Read the first `take` data lines one at a time into `row` and hand it
+    /// to `each`: cell `i` of a line is written to column `at[i]`, a text
+    /// cell into the `String` that column already holds, and the columns
+    /// outside `at` keep what they hold. So a page read this way allocates
+    /// nothing once a row has held text as long as its own, where
+    /// [`Page::rows`] allocates every text cell.
+    pub fn decode_each(
+        &self,
+        take: usize,
+        at: &[usize],
+        row: &mut Row,
+        mut each: impl FnMut(&Row) -> Result<()>,
+    ) -> Result<()> {
+        let answer = self.answer;
+        for line in self.index.cells.chunks(self.index.width()).take(take) {
+            let slots = row.values_mut();
+            for (cell, &column) in line.iter().zip(at) {
+                cell.decode_into(answer, &mut slots[column]);
+            }
+            each(row)?;
+        }
+        Ok(())
     }
 }
 

@@ -5,13 +5,22 @@
 //! one call here, so the two cannot disagree on a join, a group or a sort
 //! order.
 //!
+//! A join and an aggregation have one implementation each, fed one row at a
+//! time: [`HashJoin`] is built over the input it keeps and probed with the
+//! other, and [`Aggregator`] folds its input and finishes into groups. Each
+//! only reads the rows it is fed, so the executor hands them a scan's rows
+//! one after another from one reused buffer; [`join_rows`] and
+//! [`aggregate_rows`] feed them a slice.
+//!
 //! A column reference or a literal evaluates borrowed (from the row, from
 //! the plan), a computed value owned; errors are raised as
 //! [`ErrorKind::Execution`]. Aggregates are [`AggAccumulator`]'s.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use llmsql_sql::ast::{BinaryOp, JoinKind};
 use llmsql_sql::bound::BoundColumn;
@@ -199,8 +208,9 @@ fn equi_keys(on: &BoundExpr, left_arity: usize) -> (Vec<(usize, usize)>, Vec<Bou
 /// Join two row sets: a hash join on the equi-key conjuncts of `on` when
 /// there are any, else a nested loop; what is left of the condition is
 /// applied to each candidate pair. Handles INNER, LEFT, RIGHT and CROSS
-/// joins. Output order is left-row order, then build-side row order per key;
-/// the first error in that order is the one reported.
+/// joins. Output order is left-row order, then build-side row order per key
+/// (right-row order under RIGHT JOIN); the first error in that order is the
+/// one reported. [`HashJoin`] over the whole probe side.
 pub fn join_rows(
     left_rows: &[Row],
     right_rows: &[Row],
@@ -209,179 +219,224 @@ pub fn join_rows(
     kind: JoinKind,
     on: Option<&BoundExpr>,
 ) -> Result<Vec<Row>> {
-    // RIGHT JOIN is a LEFT JOIN with sides swapped then columns reordered.
-    if kind == JoinKind::Right {
-        let swapped_on = on
-            .map(|e| {
-                e.remap_columns(&|i| match i {
+    let (build, probe) = if kind == JoinKind::Right {
+        (left_rows, right_rows)
+    } else {
+        (right_rows, left_rows)
+    };
+    let mut join = HashJoin::new(build, left_arity, right_arity, kind, on)?;
+    for row in probe {
+        join.probe(row)?;
+    }
+    Ok(join.finish())
+}
+
+/// A join built over the input it keeps and probed with the other one row
+/// at a time, so the probe side is only read: its rows may be handed in one
+/// after another from one reused buffer. The build side is the right input,
+/// and the left one under RIGHT JOIN (a LEFT JOIN with the sides swapped);
+/// the probe side is the other. Each probe row's matches are pushed in build
+/// order, and an unmatched one is padded (LEFT, RIGHT) or dropped.
+pub struct HashJoin<'b> {
+    build: &'b [Row],
+    /// `(probe column, build column)` of each equi-key conjunct of the
+    /// condition; none for a nested loop, where every build row is a
+    /// candidate.
+    keys: Vec<(usize, usize)>,
+    hasher: RandomState,
+    /// The build rows of each key hash, in build order. A row with a NULL
+    /// key matches nothing and is left out.
+    table: HashMap<u64, Vec<&'b Row>>,
+    /// What a candidate pair must pass, read over `probe ++ build`: the
+    /// residual of the equi-keys, or a nested loop's whole condition.
+    pred: Option<Cow<'b, BoundExpr>>,
+    /// The width of a padded row (LEFT, RIGHT), or `None` to drop an
+    /// unmatched probe row.
+    pad_to: Option<usize>,
+    /// RIGHT JOIN: the probe row is the right input's, written after the
+    /// build row it joins.
+    swapped: bool,
+    out: Vec<Row>,
+}
+
+impl<'b> HashJoin<'b> {
+    /// The join of `kind` on `on`, over `left_arity` and `right_arity`
+    /// columns, built over `build`: the right input's rows, or the left
+    /// input's under RIGHT JOIN.
+    pub fn new(
+        build: &'b [Row],
+        left_arity: usize,
+        right_arity: usize,
+        kind: JoinKind,
+        on: Option<&'b BoundExpr>,
+    ) -> Result<Self> {
+        let swapped = kind == JoinKind::Right;
+        let probe_arity = if swapped { right_arity } else { left_arity };
+        // The condition over `probe ++ build`.
+        let on = match on {
+            Some(on) if swapped => Some(Cow::Owned(
+                on.remap_columns(&|i| match i {
                     i if i < left_arity => Some(i + right_arity),
                     i if i < left_arity + right_arity => Some(i - left_arity),
                     _ => None,
                 })
                 .ok_or_else(|| {
                     Error::execution("a join condition names a column outside both inputs")
-                })
-            })
-            .transpose()?;
-        let swapped = join_rows(
-            right_rows,
-            left_rows,
-            right_arity,
-            left_arity,
-            JoinKind::Left,
-            swapped_on.as_ref(),
-        )?;
-        // Each swapped row is `r ++ l`: rotating it in place moves every
-        // cell once.
-        return Ok(swapped
-            .into_iter()
-            .map(|row| {
-                let mut values = row.into_values();
-                let mid = right_arity.min(values.len());
-                values.rotate_left(mid);
-                Row::new(values)
-            })
-            .collect());
+                })?,
+            )),
+            on => on.map(Cow::Borrowed),
+        };
+        let (keys, residual) = match &on {
+            Some(on) => equi_keys(on, probe_arity),
+            None => (vec![], vec![]),
+        };
+        let pred = if keys.is_empty() {
+            on
+        } else {
+            conjoin(&residual).map(Cow::Owned)
+        };
+        let mut join = HashJoin {
+            build,
+            keys,
+            hasher: RandomState::new(),
+            table: HashMap::new(),
+            pred,
+            pad_to: matches!(kind, JoinKind::Left | JoinKind::Right)
+                .then_some(left_arity + right_arity),
+            swapped,
+            out: Vec::new(),
+        };
+        if !join.keys.is_empty() {
+            for row in build {
+                if let Some(hash) = key_hash(&join.hasher, &join.keys, row, |&(_, b)| b) {
+                    join.table.entry(hash).or_default().push(row);
+                }
+            }
+        }
+        Ok(join)
     }
 
-    let (keys, residual) = match on {
-        Some(on) => equi_keys(on, left_arity),
-        None => (vec![], vec![]),
-    };
-    let pad_to = (kind == JoinKind::Left).then_some(left_arity + right_arity);
-    let mut out = Vec::new();
-    if keys.is_empty() {
-        // Nested loop: every right row is a candidate for every left row.
-        for l in left_rows {
-            push_matches(&mut out, l, right_rows.iter(), on, pad_to)?;
-        }
-        return Ok(out);
-    }
-    // Hash join: build on the right side in one pass, keyed by reference
-    // into the build rows (no per-row `Vec<Value>` clones), then probe and
-    // push straight into `out`. A NULL key matches nothing on either side.
-    let mut table: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
-    for r in right_rows {
-        let key: Vec<&Value> = keys.iter().map(|(_, ri)| r.get(*ri)).collect();
-        if !key.iter().any(|v| v.is_null()) {
-            table.entry(key).or_default().push(r);
-        }
-    }
-    let residual = conjoin(&residual);
-    let mut key = Vec::with_capacity(keys.len());
-    for l in left_rows {
-        key.clear();
-        key.extend(keys.iter().map(|(li, _)| l.get(*li)));
-        let candidates = if key.iter().any(|v| v.is_null()) {
-            None
-        } else {
-            table.get(&key)
+    /// Join one probe row: push each build row it matches, in build order.
+    pub fn probe(&mut self, row: &Row) -> Result<()> {
+        let HashJoin {
+            build,
+            keys,
+            hasher,
+            table,
+            pred,
+            pad_to,
+            swapped,
+            out,
+        } = self;
+        let before = out.len();
+        // Push the pair if it passes the condition, which reads its cells
+        // where they are: only a kept pair is copied.
+        let mut push = |candidate: &Row| -> Result<()> {
+            let keep = match pred {
+                Some(p) => eval_pair_predicate(p, row, candidate)? == Some(true),
+                None => true,
+            };
+            if keep {
+                out.push(if *swapped {
+                    candidate.concat(row)
+                } else {
+                    row.concat(candidate)
+                });
+            }
+            Ok(())
         };
-        let candidates = candidates.into_iter().flatten().copied();
-        push_matches(&mut out, l, candidates, residual.as_ref(), pad_to)?;
+        if keys.is_empty() {
+            build.iter().try_for_each(&mut push)?;
+        } else if let Some(hash) = key_hash(hasher, keys, row, |&(p, _)| p) {
+            for &candidate in table.get(&hash).into_iter().flatten() {
+                if keys.iter().all(|&(p, b)| row.get(p) == candidate.get(b)) {
+                    push(candidate)?;
+                }
+            }
+        }
+        if let (true, Some(width)) = (out.len() == before, *pad_to) {
+            out.push(if *swapped {
+                let mut values = vec![Value::Null; width.saturating_sub(row.arity())];
+                values.extend_from_slice(row.values());
+                Row::new(values)
+            } else {
+                let mut padded = row.clone();
+                padded.resize(width);
+                padded
+            });
+        }
+        Ok(())
     }
-    Ok(out)
+
+    /// The joined rows, in probe order.
+    pub fn finish(self) -> Vec<Row> {
+        self.out
+    }
 }
 
-/// Append to `out` every `l ++ r` over `candidates` that passes `pred`,
-/// which reads the pair's cells where they are: only a kept pair is copied
-/// into a row. A left row left without a match is padded with NULLs to
-/// `pad_to` columns (LEFT JOIN) or dropped (`None`).
-fn push_matches<'a>(
-    out: &mut Vec<Row>,
-    l: &Row,
-    candidates: impl Iterator<Item = &'a Row>,
-    pred: Option<&BoundExpr>,
-    pad_to: Option<usize>,
-) -> Result<()> {
-    let before = out.len();
-    for r in candidates {
-        let keep = match pred {
-            Some(p) => eval_pair_predicate(p, l, r)? == Some(true),
-            None => true,
-        };
-        if keep {
-            out.push(l.concat(r));
+/// The hash of `row`'s join key — the column `side` picks from each pair of
+/// `keys` — or `None` if some key cell is NULL.
+fn key_hash(
+    hasher: &RandomState,
+    keys: &[(usize, usize)],
+    row: &Row,
+    side: impl Fn(&(usize, usize)) -> usize,
+) -> Option<u64> {
+    let mut state = hasher.build_hasher();
+    for pair in keys {
+        let cell = row.get(side(pair));
+        if cell.is_null() {
+            return None;
         }
+        cell.hash(&mut state);
     }
-    if let (true, Some(width)) = (out.len() == before, pad_to) {
-        let mut padded = l.clone();
-        padded.resize(width);
-        out.push(padded);
-    }
-    Ok(())
+    Some(state.finish())
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation and sorting
 // ---------------------------------------------------------------------------
 
-/// A group key as [`aggregate_rows`] compares it: a group's owned key, or a
-/// row's group values borrowed where they are. Ordered as `Vec<Value>` is,
-/// cell by cell, so the map of owned keys answers a borrowed probe.
-trait GroupKey {
-    fn cells(&self) -> usize;
-    fn cell(&self, i: usize) -> &Value;
-}
-
-impl GroupKey for Vec<Value> {
-    fn cells(&self) -> usize {
-        self.len()
-    }
-    fn cell(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
-
-impl GroupKey for Vec<Cow<'_, Value>> {
-    fn cells(&self) -> usize {
-        self.len()
-    }
-    fn cell(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
-
-impl<'a> Borrow<dyn GroupKey + 'a> for Vec<Value> {
-    fn borrow(&self) -> &(dyn GroupKey + 'a) {
-        self
-    }
-}
-
-impl Ord for dyn GroupKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (0..self.cells())
-            .map(|i| self.cell(i))
-            .cmp((0..other.cells()).map(|i| other.cell(i)))
-    }
-}
-
-impl PartialOrd for dyn GroupKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn GroupKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn GroupKey + '_ {}
-
-/// Hash aggregation. A row's group values and aggregate arguments are read
-/// in place; a group's key is copied once, when the group is new. Groups
-/// come out in key order.
+/// Hash aggregation: [`Aggregator`] folded over `rows`. Groups come out in
+/// key order.
 pub fn aggregate_rows(
     rows: &[Row],
     group_exprs: &[BoundExpr],
     aggregates: &[BoundExpr],
 ) -> Result<Vec<Row>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<AggAccumulator>> = BTreeMap::new();
+    let mut aggregator = Aggregator::new(group_exprs, aggregates);
+    for row in rows {
+        aggregator.fold(row)?;
+    }
+    aggregator.finish()
+}
 
-    let make_accs = || -> Result<Vec<AggAccumulator>> {
-        aggregates
+/// A hash aggregation fed one row at a time, so its input is only read: the
+/// rows may be handed in one after another from one reused buffer. A row's
+/// group values are written into one probe reused row to row (a text value
+/// into the probe's own `String`), and a group's key is copied once, when
+/// the group is new.
+pub struct Aggregator<'p> {
+    group_exprs: &'p [BoundExpr],
+    aggregates: &'p [BoundExpr],
+    groups: BTreeMap<Vec<Value>, Vec<AggAccumulator>>,
+    probe: Vec<Value>,
+}
+
+impl<'p> Aggregator<'p> {
+    /// The aggregation of `aggregates` per group of `group_exprs`' values.
+    pub fn new(group_exprs: &'p [BoundExpr], aggregates: &'p [BoundExpr]) -> Self {
+        Aggregator {
+            group_exprs,
+            aggregates,
+            groups: BTreeMap::new(),
+            probe: vec![Value::Null; group_exprs.len()],
+        }
+    }
+
+    /// A new group's accumulators.
+    fn accumulators(&self) -> Result<Vec<AggAccumulator>> {
+        self.aggregates
             .iter()
             .map(|a| match a {
                 BoundExpr::Aggregate { func, distinct, .. } => {
@@ -392,48 +447,55 @@ pub fn aggregate_rows(
                 ))),
             })
             .collect()
-    };
+    }
 
-    let fold = |accs: &mut [AggAccumulator], row: &Row| -> Result<()> {
-        for (acc, agg) in accs.iter_mut().zip(aggregates) {
-            let BoundExpr::Aggregate { arg, .. } = agg else {
-                unreachable!("validated above")
-            };
-            match arg {
-                None => acc.update(&Value::Int(1)),
-                Some(a) => acc.update(&*eval(a, row)?),
+    /// Fold one row into its group.
+    pub fn fold(&mut self, row: &Row) -> Result<()> {
+        for (slot, e) in self.probe.iter_mut().zip(self.group_exprs) {
+            match eval(e, row)? {
+                Cow::Borrowed(value) => slot.clone_from(value),
+                Cow::Owned(value) => *slot = value,
             }
         }
+        if let Some(accs) = self.groups.get_mut(&self.probe) {
+            return update(accs, self.aggregates, row);
+        }
+        let mut accs = self.accumulators()?;
+        update(&mut accs, self.aggregates, row)?;
+        self.groups.insert(self.probe.clone(), accs);
         Ok(())
-    };
-    let mut probe: Vec<Cow<'_, Value>> = Vec::with_capacity(group_exprs.len());
-    for row in rows {
-        probe.clear();
-        for e in group_exprs {
-            probe.push(eval(e, row)?);
-        }
-        if let Some(accs) = groups.get_mut(&probe as &dyn GroupKey) {
-            fold(accs, row)?;
-        } else {
-            let mut accs = make_accs()?;
-            fold(&mut accs, row)?;
-            groups.insert(probe.drain(..).map(Cow::into_owned).collect(), accs);
-        }
     }
 
-    // A global aggregate over zero rows still produces one output row.
-    if groups.is_empty() && group_exprs.is_empty() {
-        groups.insert(vec![], make_accs()?);
+    /// The groups' rows, in key order: each group's key, then its
+    /// aggregates. A global aggregate over zero rows still produces one.
+    pub fn finish(mut self) -> Result<Vec<Row>> {
+        if self.groups.is_empty() && self.group_exprs.is_empty() {
+            self.groups.insert(vec![], self.accumulators()?);
+        }
+        Ok(self
+            .groups
+            .into_iter()
+            .map(|(key, accs)| {
+                let mut values = key;
+                values.extend(accs.iter().map(AggAccumulator::finish));
+                Row::new(values)
+            })
+            .collect())
     }
+}
 
-    Ok(groups
-        .into_iter()
-        .map(|(key, accs)| {
-            let mut values = key;
-            values.extend(accs.iter().map(AggAccumulator::finish));
-            Row::new(values)
-        })
-        .collect())
+/// Fold `row` into a group's accumulators, one per aggregate expression.
+fn update(accs: &mut [AggAccumulator], aggregates: &[BoundExpr], row: &Row) -> Result<()> {
+    for (acc, agg) in accs.iter_mut().zip(aggregates) {
+        let BoundExpr::Aggregate { arg, .. } = agg else {
+            unreachable!("validated when the group was made")
+        };
+        match arg {
+            None => acc.update(&Value::Int(1)),
+            Some(a) => acc.update(&*eval(a, row)?),
+        }
+    }
+    Ok(())
 }
 
 /// Stable multi-key sort. NULL keys sort first under both ASC and DESC, so

@@ -1,9 +1,10 @@
 //! Rows and row batches.
 //!
 //! The executor is not an iterator: it runs one operator at a time, and each
-//! operator returns its whole output as a materialized `Vec<Row>` that the
-//! operator above consumes. A [`Batch`] is such a vector together with its
-//! schema: a query's result set.
+//! operator returns its whole output as a materialized `Vec<Row>` — but for
+//! a model scan whose operator only reads its rows, which reads them one at
+//! a time from one reused `Row` ([`Row::values_mut`]). A [`Batch`] is such a
+//! vector together with its schema: a query's result set.
 
 use std::fmt;
 
@@ -55,6 +56,11 @@ impl Row {
     /// The underlying values.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The underlying values, to overwrite in place.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
     }
 
     /// Consume into the underlying values.

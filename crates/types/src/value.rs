@@ -19,7 +19,7 @@ use crate::schema::DataType;
 /// the expression evaluator). Floats are wrapped so that `Value` can be
 /// `Eq + Hash` (needed for hash joins and group-by); NaN compares equal to
 /// itself and sorts last.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub enum Value {
     /// SQL NULL / unknown.
     #[default]
@@ -358,6 +358,29 @@ pub fn parse_bool_lenient(s: &str) -> Option<bool> {
     }
 }
 
+/// `clone_from` writes a text value into the `String` the slot already holds,
+/// so a slot reused row after row allocates only when its text outgrows it.
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Text(s) => Value::Text(s.clone()),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Value::Text(mine), Value::Text(theirs)) => mine.clone_from(theirs),
+            (slot, source) => *slot = source.clone(),
+        }
+    }
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.semantic_eq(other)
@@ -459,6 +482,27 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_writes_text_into_the_string_a_slot_holds() {
+        let mut slot = Value::Text(String::with_capacity(16));
+        let Value::Text(held) = &slot else { panic!() };
+        let buffer = held.as_ptr();
+        slot.clone_from(&Value::Text("Lyon".into()));
+        let Value::Text(held) = &slot else { panic!() };
+        assert_eq!((held.as_str(), held.as_ptr()), ("Lyon", buffer));
+        // Any other pair of kinds is replaced.
+        for (before, after) in [
+            (Value::Text("Lyon".into()), Value::Int(3)),
+            (Value::Int(3), Value::Null),
+            (Value::Null, Value::Text("Paris".into())),
+            (Value::Bool(true), Value::Float(0.5)),
+        ] {
+            let mut slot = before;
+            slot.clone_from(&after);
+            assert_eq!(format!("{slot:?}"), format!("{after:?}"));
+        }
+    }
 
     #[test]
     fn type_names() {
